@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"repro/internal/cr"
-	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/realm"
@@ -105,12 +104,9 @@ func main() {
 				continue
 			}
 			for _, f := range prog.FieldSpaces[r].Fields() {
-				r.IndexSpace().Each(func(p geometry.Point) bool {
-					if res.Stores[r].Get(f, p) != seq.Stores[rs].Get(f, p) {
-						log.Fatalf("CR diverged at %s field %d point %v", r.Name(), f, p)
-					}
-					return true
-				})
+				if !res.Stores[r].EqualOn(seq.Stores[rs], f, r.IndexSpace()) {
+					log.Fatalf("CR diverged at %s field %d", r.Name(), f)
+				}
 			}
 		}
 	}

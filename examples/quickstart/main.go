@@ -57,11 +57,16 @@ func buildProgram(n, nt int64, trip int) (*ir.Program, *ir.Loop, *region.Region,
 			{Name: "B", Priv: ir.PrivReadWrite, Fields: []region.FieldID{val}},
 			{Name: "A", Priv: ir.PrivRead, Fields: []region.FieldID{val}},
 		},
+		// A kernel takes one accessor per field at entry — that is where the
+		// declared privilege is checked — and then walks its region row by
+		// row; a row is the store's own memory.
 		Kernel: func(tc *ir.TaskCtx) {
-			bArg, aArg := &tc.Args[0], &tc.Args[1]
-			bArg.Each(func(pt geometry.Point) bool {
-				bArg.Set(val, pt, aArg.Get(val, pt)+1) // B[i] = F(A[i])
-				return true
+			bOut, aIn := tc.Writer(val, 0, 1), tc.Reader(val, 1, 1)
+			tc.Rows(0, func(row ir.Row) {
+				bs := bOut.Row(row)
+				for i := range bs {
+					bs[i] = aIn.Get(row.Point(i)) + 1 // B[i] = F(A[i])
+				}
 			})
 		},
 		CostPerElem: 100,
@@ -73,11 +78,13 @@ func buildProgram(n, nt int64, trip int) (*ir.Program, *ir.Loop, *region.Region,
 			{Name: "B", Priv: ir.PrivRead, Fields: []region.FieldID{val}},
 		},
 		Kernel: func(tc *ir.TaskCtx) {
-			aArg, bArg := &tc.Args[0], &tc.Args[1]
-			aArg.Each(func(pt geometry.Point) bool {
-				h := geometry.Pt1((pt.X() + shift) % n)
-				aArg.Set(val, pt, 2*bArg.Get(val, h)) // A[j] = G(B[h(j)])
-				return true
+			aOut, bIn := tc.Writer(val, 0, 1), tc.Reader(val, 1, 1)
+			tc.Rows(0, func(row ir.Row) {
+				as := aOut.Row(row)
+				for i := range as {
+					h := geometry.Pt1((row.First.X() + int64(i) + shift) % n)
+					as[i] = 2 * bIn.Get(h) // A[j] = G(B[h(j)])
+				}
 			})
 		},
 		CostPerElem: 100,

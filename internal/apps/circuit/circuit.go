@@ -200,17 +200,6 @@ func (app *App) buildTasks() {
 	inN, outN, res := app.InNode, app.OutNode, app.Resist
 	dt := 1e-3
 
-	// readNodeField resolves a node point through the pvt/shr/ghost args.
-	readNode := func(tc *ir.TaskCtx, first int, f region.FieldID, n int64) float64 {
-		pt := geometry.Pt1(n)
-		for ai := first; ai < first+3; ai++ {
-			if tc.Args[ai].Region.IndexSpace().Contains(pt) {
-				return tc.Args[ai].Get(f, pt)
-			}
-		}
-		panic("circuit: node outside task footprint")
-	}
-
 	calc := &ir.TaskDecl{
 		Name: "calc_new_currents",
 		Params: []ir.Param{
@@ -220,26 +209,18 @@ func (app *App) buildTasks() {
 			{Name: "ghost", Priv: ir.PrivRead, Fields: []region.FieldID{v}},
 		},
 		Kernel: func(tc *ir.TaskCtx) {
-			wires := &tc.Args[0]
-			wires.Each(func(pt geometry.Point) bool {
-				w := pt.X()
-				dv := readNode(tc, 1, v, inN[w]) - readNode(tc, 1, v, outN[w])
-				wires.Set(cur, pt, dv/res[w])
-				return true
+			current := tc.Writer(cur, 0, 1)
+			volts := tc.Reader(v, 1, 3) // private, shared, ghost
+			tc.Rows(0, func(row ir.Row) {
+				curs := current.Row(row)
+				for i := range curs {
+					w := row.First.X() + int64(i)
+					dv := volts.Get(geometry.Pt1(inN[w])) - volts.Get(geometry.Pt1(outN[w]))
+					curs[i] = dv / res[w]
+				}
 			})
 		},
 		CostPerElem: calcCostPerWire,
-	}
-
-	reduceNode := func(tc *ir.TaskCtx, first int, n int64, val float64) {
-		pt := geometry.Pt1(n)
-		for ai := first; ai < first+3; ai++ {
-			if tc.Args[ai].Region.IndexSpace().Contains(pt) {
-				tc.Args[ai].Reduce(q, region.ReduceSum, pt, val)
-				return
-			}
-		}
-		panic("circuit: node outside task footprint")
 	}
 
 	dist := &ir.TaskDecl{
@@ -251,13 +232,14 @@ func (app *App) buildTasks() {
 			{Name: "ghost", Priv: ir.PrivReduce, Op: region.ReduceSum, Fields: []region.FieldID{q}},
 		},
 		Kernel: func(tc *ir.TaskCtx) {
-			wires := &tc.Args[0]
-			wires.Each(func(pt geometry.Point) bool {
-				w := pt.X()
-				i := wires.Get(cur, pt)
-				reduceNode(tc, 1, inN[w], -dt*i)
-				reduceNode(tc, 1, outN[w], dt*i)
-				return true
+			current := tc.Reader(cur, 0, 1)
+			charge := tc.Reducer(q, region.ReduceSum, 1, 3) // private, shared, ghost
+			tc.Rows(0, func(row ir.Row) {
+				for k, i := range current.Row(row) {
+					w := row.First.X() + int64(k)
+					charge.Fold(geometry.Pt1(inN[w]), -dt*i)
+					charge.Fold(geometry.Pt1(outN[w]), dt*i)
+				}
 			})
 		},
 		CostPerElem: distCostPerWire,
@@ -271,11 +253,13 @@ func (app *App) buildTasks() {
 		},
 		Kernel: func(tc *ir.TaskCtx) {
 			for ai := 0; ai < 2; ai++ {
-				a := &tc.Args[ai]
-				a.Each(func(pt geometry.Point) bool {
-					a.Set(v, pt, a.Get(v, pt)+a.Get(q, pt)/a.Get(cap0, pt))
-					a.Set(q, pt, 0)
-					return true
+				volts, charge, capac := tc.Writer(v, ai, 1), tc.Writer(q, ai, 1), tc.Reader(cap0, ai, 1)
+				tc.Rows(ai, func(row ir.Row) {
+					vs, qs, caps := volts.Row(row), charge.Row(row), capac.Row(row)
+					for i := range vs {
+						vs[i] += qs[i] / caps[i]
+						qs[i] = 0
+					}
 				})
 			}
 		},

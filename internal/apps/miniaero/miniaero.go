@@ -244,58 +244,47 @@ func (app *App) buildTasks(m mesh) {
 	u, u0, r := app.U, app.U0, app.R
 	cfg := app.Cfg
 
-	readU := func(tc *ir.TaskCtx, first int, pt geometry.Point) float64 {
-		for ai := first; ai < first+3; ai++ {
-			if tc.Args[ai].Region.IndexSpace().Contains(pt) {
-				return tc.Args[ai].Get(u, pt)
-			}
-		}
-		panic("miniaero: cell outside task footprint")
-	}
-
 	// neighbors returns the face-adjacent cell ids of cell c, crossing
 	// piece boundaries; missing neighbors at the global boundary are
 	// skipped. Order is deterministic: -x, +x, -y, +y, -z, +z.
-	neighbors := func(id int64) []int64 {
+	neighbors := func(id int64) (out [6]int64, n int) {
 		piece, lx, ly, lz := m.locate(id)
-		out := make([]int64, 0, 6)
-		step := func(axis, dir int64) {
-			nlx, nly, nlz := lx, ly, lz
-			var cross bool
-			switch axis {
-			case 0:
-				nlx += dir
-				cross = nlx < 0 || nlx >= cfg.W
-			case 1:
-				nly += dir
-				cross = nly < 0 || nly >= cfg.H
-			default:
-				nlz += dir
-				cross = nlz < 0 || nlz >= cfg.D
-			}
-			if !cross {
-				out = append(out, m.cellID(piece, nlx, nly, nlz))
-				return
-			}
-			nb, ok := m.neighborPiece(piece, axis, dir)
-			if !ok {
-				return
-			}
-			switch axis {
-			case 0:
-				nlx = (nlx + cfg.W) % cfg.W
-			case 1:
-				nly = (nly + cfg.H) % cfg.H
-			default:
-				nlz = (nlz + cfg.D) % cfg.D
-			}
-			out = append(out, m.cellID(nb, nlx, nly, nlz))
-		}
 		for axis := int64(0); axis < 3; axis++ {
-			step(axis, -1)
-			step(axis, 1)
+			for _, dir := range [2]int64{-1, 1} {
+				nlx, nly, nlz := lx, ly, lz
+				var cross bool
+				switch axis {
+				case 0:
+					nlx += dir
+					cross = nlx < 0 || nlx >= cfg.W
+				case 1:
+					nly += dir
+					cross = nly < 0 || nly >= cfg.H
+				default:
+					nlz += dir
+					cross = nlz < 0 || nlz >= cfg.D
+				}
+				at := piece
+				if cross {
+					nb, ok := m.neighborPiece(piece, axis, dir)
+					if !ok {
+						continue
+					}
+					at = nb
+					switch axis {
+					case 0:
+						nlx = (nlx + cfg.W) % cfg.W
+					case 1:
+						nly = (nly + cfg.H) % cfg.H
+					default:
+						nlz = (nlz + cfg.D) % cfg.D
+					}
+				}
+				out[n] = m.cellID(at, nlx, nly, nlz)
+				n++
+			}
 		}
-		return out
+		return out, n
 	}
 
 	save := &ir.TaskDecl{
@@ -308,10 +297,12 @@ func (app *App) buildTasks(m mesh) {
 		},
 		Kernel: func(tc *ir.TaskCtx) {
 			for ai := 0; ai < 4; ai += 2 {
-				w, rd := &tc.Args[ai], &tc.Args[ai+1]
-				w.Each(func(pt geometry.Point) bool {
-					w.Set(u0, pt, rd.Get(u, pt))
-					return true
+				saved, cur := tc.Writer(u0, ai, 1), tc.Reader(u, ai+1, 1)
+				tc.Rows(ai, func(row ir.Row) {
+					dst := saved.Row(row)
+					for i := range dst {
+						dst[i] = cur.Get(row.Point(i))
+					}
 				})
 			}
 		},
@@ -327,15 +318,20 @@ func (app *App) buildTasks(m mesh) {
 			{Name: "ghost", Priv: ir.PrivRead, Fields: []region.FieldID{u}},
 		},
 		Kernel: func(tc *ir.TaskCtx) {
-			res := &tc.Args[0]
-			res.Each(func(pt geometry.Point) bool {
-				uc := readU(tc, 1, pt)
-				acc := 0.0
-				for _, nb := range neighbors(pt.X()) {
-					acc += readU(tc, 1, geometry.Pt1(nb)) - uc
+			res := tc.Writer(r, 0, 1)
+			cells := tc.Reader(u, 1, 3) // private, shared, ghost
+			tc.Rows(0, func(row ir.Row) {
+				out := res.Row(row)
+				for i := range out {
+					id := row.First.X() + int64(i)
+					uc := cells.Get(geometry.Pt1(id))
+					acc := 0.0
+					nbs, n := neighbors(id)
+					for _, nb := range nbs[:n] {
+						acc += cells.Get(geometry.Pt1(nb)) - uc
+					}
+					out[i] = 0.1 * acc
 				}
-				res.Set(r, pt, 0.1*acc)
-				return true
 			})
 		},
 		CostPerElem: fluxCostPerCell,
@@ -353,12 +349,14 @@ func (app *App) buildTasks(m mesh) {
 			NumScalars: 1,
 			Kernel: func(tc *ir.TaskCtx) {
 				dt := tc.Scalars[0]
-				res := &tc.Args[2]
+				res := tc.Reader(r, 2, 1)
 				for ai := 0; ai < 2; ai++ {
-					a := &tc.Args[ai]
-					a.Each(func(pt geometry.Point) bool {
-						a.Set(u, pt, a.Get(u0, pt)+alpha*dt*res.Get(r, pt))
-						return true
+					cur, saved := tc.Writer(u, ai, 1), tc.Reader(u0, ai, 1)
+					tc.Rows(ai, func(row ir.Row) {
+						us, u0s := cur.Row(row), saved.Row(row)
+						for i := range us {
+							us[i] = u0s[i] + alpha*dt*res.Get(row.Point(i))
+						}
 					})
 				}
 			},

@@ -250,3 +250,32 @@ func TestBarrierSyncMatchesSequential(t *testing.T) {
 		t.Fatal("barrier-sync miniaero diverged")
 	}
 }
+
+// TestFluxAllocationsDoNotGrowWithCells: compute_flux, the kernel that
+// looks up six neighbours per cell per RK stage, allocates nothing per
+// cell — the same count for 12-cell and 2048-cell pieces.
+func TestFluxAllocationsDoNotGrowWithCells(t *testing.T) {
+	allocs := func(cfg Config) float64 {
+		app := Build(cfg)
+		stores := make(map[*region.Region]*region.Store)
+		for root, fs := range app.Prog.FieldSpaces {
+			stores[root] = region.NewStore(root.IndexSpace(), fs)
+		}
+		var flux *ir.Launch
+		for _, s := range app.Loop.Body {
+			if l := s.(*ir.Launch); l.Label == "compute_flux" {
+				flux = l
+				break
+			}
+		}
+		args := &ir.RootArgs{Stores: stores}
+		return testing.AllocsPerRun(5, func() {
+			ctx, _ := args.Ctx(flux, 0, nil)
+			flux.Task.Kernel(ctx)
+		})
+	}
+	small, large := allocs(Small(8)), allocs(Default(8))
+	if small != large {
+		t.Errorf("compute_flux allocates %v times per run on 12-cell pieces, %v on 2048-cell pieces", small, large)
+	}
+}

@@ -187,15 +187,6 @@ func (app *App) buildTasks() {
 		}
 	}
 
-	readPt := func(tc *ir.TaskCtx, first int, f region.FieldID, pt geometry.Point) float64 {
-		for ai := first; ai < first+3; ai++ {
-			if tc.Args[ai].Region.IndexSpace().Contains(pt) {
-				return tc.Args[ai].Get(f, pt)
-			}
-		}
-		panic("pennant: point outside task footprint")
-	}
-
 	app.ZCalc = &ir.TaskDecl{
 		Name: "zone_calcs",
 		Params: []ir.Param{
@@ -205,24 +196,28 @@ func (app *App) buildTasks() {
 			{Name: "ghost", Priv: ir.PrivRead, Fields: []region.FieldID{px, py}},
 		},
 		Kernel: func(tc *ir.TaskCtx) {
-			zones := &tc.Args[0]
-			zones.Each(func(zp geometry.Point) bool {
-				cs := corners(zp)
-				// Shoelace area of the quad.
-				area := 0.0
-				for k := 0; k < 4; k++ {
-					x1 := readPt(tc, 1, px, cs[k])
-					y1 := readPt(tc, 1, py, cs[k])
-					x2 := readPt(tc, 1, px, cs[(k+1)%4])
-					y2 := readPt(tc, 1, py, cs[(k+1)%4])
-					area += x1*y2 - x2*y1
+			vol, dens, pres := tc.Writer(zvol, 0, 1), tc.Writer(rho, 0, 1), tc.Writer(press, 0, 1)
+			energy, mass := tc.Reader(e0, 0, 1), tc.Reader(zmass, 0, 1)
+			ptx, pty := tc.Reader(px, 1, 3), tc.Reader(py, 1, 3) // private, shared, ghost
+			tc.Rows(0, func(row ir.Row) {
+				vols, rhos, ps, es, ms := vol.Row(row), dens.Row(row), pres.Row(row), energy.Row(row), mass.Row(row)
+				for i := range vols {
+					cs := corners(row.Point(i))
+					// Shoelace area of the quad.
+					area := 0.0
+					for k := 0; k < 4; k++ {
+						x1 := ptx.Get(cs[k])
+						y1 := pty.Get(cs[k])
+						x2 := ptx.Get(cs[(k+1)%4])
+						y2 := pty.Get(cs[(k+1)%4])
+						area += x1*y2 - x2*y1
+					}
+					v := 0.5 * area
+					vols[i] = v
+					r := ms[i] / v
+					rhos[i] = r
+					ps[i] = 0.4 * r * es[i]
 				}
-				vol := 0.5 * area
-				zones.Set(zvol, zp, vol)
-				r := zones.Get(zmass, zp) / vol
-				zones.Set(rho, zp, r)
-				zones.Set(press, zp, 0.4*r*zones.Get(e0, zp))
-				return true
 			})
 		},
 		CostPerElem: zcalcCostPerZone,
@@ -237,26 +232,19 @@ func (app *App) buildTasks() {
 			{Name: "ghost", Priv: ir.PrivReduce, Op: region.ReduceSum, Fields: []region.FieldID{fx, fy}},
 		},
 		Kernel: func(tc *ir.TaskCtx) {
-			zones := &tc.Args[0]
-			reduce := func(f region.FieldID, pt geometry.Point, v float64) {
-				for ai := 1; ai < 4; ai++ {
-					if tc.Args[ai].Region.IndexSpace().Contains(pt) {
-						tc.Args[ai].Reduce(f, region.ReduceSum, pt, v)
-						return
+			pres := tc.Reader(press, 0, 1)
+			// private, shared, ghost
+			forceX, forceY := tc.Reducer(fx, region.ReduceSum, 1, 3), tc.Reducer(fy, region.ReduceSum, 1, 3)
+			tc.Rows(0, func(row ir.Row) {
+				for i, pr := range pres.Row(row) {
+					cs := corners(row.Point(i))
+					// Outward pressure force on each corner of the unit-ish quad.
+					dirs := [4][2]float64{{-1, -1}, {1, -1}, {1, 1}, {-1, 1}}
+					for k := 0; k < 4; k++ {
+						forceX.Fold(cs[k], 0.25*pr*dirs[k][0])
+						forceY.Fold(cs[k], 0.25*pr*dirs[k][1])
 					}
 				}
-				panic("pennant: corner point outside task footprint")
-			}
-			zones.Each(func(zp geometry.Point) bool {
-				pr := zones.Get(press, zp)
-				cs := corners(zp)
-				// Outward pressure force on each corner of the unit-ish quad.
-				dirs := [4][2]float64{{-1, -1}, {1, -1}, {1, 1}, {-1, 1}}
-				for k := 0; k < 4; k++ {
-					reduce(fx, cs[k], 0.25*pr*dirs[k][0])
-					reduce(fy, cs[k], 0.25*pr*dirs[k][1])
-				}
-				return true
 			})
 		},
 		CostPerElem: cforceCostPerZone,
@@ -272,18 +260,23 @@ func (app *App) buildTasks() {
 		Kernel: func(tc *ir.TaskCtx) {
 			dt := tc.Scalars[0]
 			for ai := 0; ai < 2; ai++ {
-				a := &tc.Args[ai]
-				a.Each(func(pt geometry.Point) bool {
-					m := a.Get(pmass, pt)
-					nvx := a.Get(vx, pt) + dt*a.Get(fx, pt)/m
-					nvy := a.Get(vy, pt) + dt*a.Get(fy, pt)/m
-					a.Set(vx, pt, nvx)
-					a.Set(vy, pt, nvy)
-					a.Set(px, pt, a.Get(px, pt)+dt*nvx)
-					a.Set(py, pt, a.Get(py, pt)+dt*nvy)
-					a.Set(fx, pt, 0)
-					a.Set(fy, pt, 0)
-					return true
+				posX, posY := tc.Writer(px, ai, 1), tc.Writer(py, ai, 1)
+				velX, velY := tc.Writer(vx, ai, 1), tc.Writer(vy, ai, 1)
+				forceX, forceY := tc.Writer(fx, ai, 1), tc.Writer(fy, ai, 1)
+				mass := tc.Reader(pmass, ai, 1)
+				tc.Rows(ai, func(row ir.Row) {
+					pxs, pys, vxs, vys := posX.Row(row), posY.Row(row), velX.Row(row), velY.Row(row)
+					fxs, fys, ms := forceX.Row(row), forceY.Row(row), mass.Row(row)
+					for i, m := range ms {
+						nvx := vxs[i] + dt*fxs[i]/m
+						nvy := vys[i] + dt*fys[i]/m
+						vxs[i] = nvx
+						vys[i] = nvy
+						pxs[i] += dt * nvx
+						pys[i] += dt * nvy
+						fxs[i] = 0
+						fys[i] = 0
+					}
 				})
 			}
 		},
@@ -294,14 +287,15 @@ func (app *App) buildTasks() {
 		Name:   "calc_dt",
 		Params: []ir.Param{{Name: "zones", Priv: ir.PrivRead, Fields: []region.FieldID{zvol, rho, press}}},
 		Kernel: func(tc *ir.TaskCtx) {
-			zones := &tc.Args[0]
+			vol, dens := tc.Reader(zvol, 0, 1), tc.Reader(rho, 0, 1)
 			cand := math.Inf(1)
-			zones.Each(func(zp geometry.Point) bool {
-				c := 1e-3 * zones.Get(zvol, zp) / (1 + zones.Get(rho, zp))
-				if c < cand {
-					cand = c
+			tc.Rows(0, func(row ir.Row) {
+				rhos := dens.Row(row)
+				for i, v := range vol.Row(row) {
+					if c := 1e-3 * v / (1 + rhos[i]); c < cand {
+						cand = c
+					}
 				}
-				return true
 			})
 			tc.Return = cand
 		},

@@ -36,12 +36,12 @@ func TestMeshPartitioning(t *testing.T) {
 	// The interior 4-way corner point (ZW, ZH) is owned by piece (1,1) and
 	// ghosted by the other three pieces.
 	corner := geometry.Pt2(cfg.ZW, cfg.ZH)
-	if !app.ShrP.Sub(geometry.Pt2(1, 1)).IndexSpace().Contains(corner) {
+	if owned := app.ShrP.Sub(geometry.Pt2(1, 1)).IndexSpace(); !owned.Contains(corner) {
 		t.Error("corner point should be owned (shared) by piece (1,1)")
 	}
 	ghosted := 0
 	app.GhostP.Each(func(c geometry.Point, sub *region.Region) bool {
-		if sub.IndexSpace().Contains(corner) {
+		if ghost := sub.IndexSpace(); ghost.Contains(corner) {
 			ghosted++
 		}
 		return true

@@ -6,8 +6,6 @@
 package stencil
 
 import (
-	"fmt"
-
 	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/region"
@@ -171,17 +169,6 @@ func Build(cfg Config) *App {
 	xin, xout := app.XIn, app.XOut
 	gridBounds := grid.Bounds()
 
-	// readIn resolves a point through the three read arguments (private,
-	// shared, ghost).
-	readIn := func(tc *ir.TaskCtx, pt geometry.Point) float64 {
-		for ai := 1; ai <= 3; ai++ {
-			if tc.Args[ai].Region.IndexSpace().Contains(pt) {
-				return tc.Args[ai].Get(xin, pt)
-			}
-		}
-		panic(fmt.Sprintf("stencil: point %v outside task footprint", pt))
-	}
-
 	app.StencilT = &ir.TaskDecl{
 		Name: "stencil",
 		Params: []ir.Param{
@@ -191,23 +178,30 @@ func Build(cfg Config) *App {
 			{Name: "ghost", Priv: ir.PrivRead, Fields: []region.FieldID{xin}},
 		},
 		Kernel: func(tc *ir.TaskCtx) {
-			out := &tc.Args[0]
-			out.Each(func(pt geometry.Point) bool {
+			out := tc.Writer(xout, 0, 1)
+			in := tc.Reader(xin, 1, 3) // private, shared, ghost
+			tc.Rows(0, func(row ir.Row) {
 				// PRK computes only points with full stencil support.
-				if pt.X() < r || pt.X() > gridBounds.Hi.X()-r ||
-					pt.Y() < r || pt.Y() > gridBounds.Hi.Y()-r {
-					return true
+				x := row.First.X()
+				if x < r || x > gridBounds.Hi.X()-r {
+					return
 				}
-				acc := out.Get(xout, pt)
-				for k := int64(1); k <= r; k++ {
-					wk := 1.0 / (2.0 * float64(k) * float64(2*r+1))
-					acc += wk * readIn(tc, geometry.Pt2(pt.X()+k, pt.Y()))
-					acc += wk * readIn(tc, geometry.Pt2(pt.X()-k, pt.Y()))
-					acc += wk * readIn(tc, geometry.Pt2(pt.X(), pt.Y()+k))
-					acc += wk * readIn(tc, geometry.Pt2(pt.X(), pt.Y()-k))
+				accs := out.Row(row)
+				for i := range accs {
+					y := row.First.Y() + int64(i)
+					if y < r || y > gridBounds.Hi.Y()-r {
+						continue
+					}
+					acc := accs[i]
+					for k := int64(1); k <= r; k++ {
+						wk := 1.0 / (2.0 * float64(k) * float64(2*r+1))
+						acc += wk * in.Get(geometry.Pt2(x+k, y))
+						acc += wk * in.Get(geometry.Pt2(x-k, y))
+						acc += wk * in.Get(geometry.Pt2(x, y+k))
+						acc += wk * in.Get(geometry.Pt2(x, y-k))
+					}
+					accs[i] = acc
 				}
-				out.Set(xout, pt, acc)
-				return true
 			})
 		},
 		CostPerElem: stencilCostPerPoint * regentKernelFactor,
@@ -221,10 +215,12 @@ func Build(cfg Config) *App {
 		},
 		Kernel: func(tc *ir.TaskCtx) {
 			for ai := 0; ai < 2; ai++ {
-				a := &tc.Args[ai]
-				a.Each(func(pt geometry.Point) bool {
-					a.Set(xin, pt, a.Get(xin, pt)+1)
-					return true
+				in := tc.Writer(xin, ai, 1)
+				tc.Rows(ai, func(row ir.Row) {
+					xs := in.Row(row)
+					for i := range xs {
+						xs[i]++
+					}
 				})
 			}
 		},

@@ -145,6 +145,21 @@ func (s IndexSpace) Each(fn func(Point) bool) {
 	}
 }
 
+// EachRow calls fn with the first point and length of every row (see
+// Rect.EachRow) of every span, in the order Each visits the points.
+func (s IndexSpace) EachRow(fn func(first Point, n int64) bool) {
+	for _, r := range s.spans {
+		stopped := false
+		r.EachRow(func(p Point, n int64) bool {
+			stopped = !fn(p, n)
+			return !stopped
+		})
+		if stopped {
+			return
+		}
+	}
+}
+
 // Points materializes every point in the space. Intended for small spaces
 // and tests.
 func (s IndexSpace) Points() []Point {

@@ -161,6 +161,35 @@ func (r Rect) Each(fn func(Point) bool) {
 	}
 }
 
+// EachRow calls fn with the first point and the length of every row of the
+// rectangle — a maximal run of points along the last dimension — stopping
+// early if fn returns false. Rows come in the order Each visits their
+// points, so walking each row from its first point reproduces Each exactly.
+func (r Rect) EachRow(fn func(first Point, n int64) bool) {
+	if r.Empty() {
+		return
+	}
+	last := int(r.Lo.Dim) - 1
+	n := r.Hi.C[last] - r.Lo.C[last] + 1
+	p := r.Lo
+	for {
+		if !fn(p, n) {
+			return
+		}
+		i := last - 1
+		for ; i >= 0; i-- {
+			p.C[i]++
+			if p.C[i] <= r.Hi.C[i] {
+				break
+			}
+			p.C[i] = r.Lo.C[i]
+		}
+		if i < 0 {
+			return
+		}
+	}
+}
+
 // String formats the rectangle as lo..hi.
 func (r Rect) String() string {
 	if r.Empty() {

@@ -34,38 +34,44 @@ func ExecSequential(p *Program) *SeqResult {
 	for k, v := range p.Scalars {
 		res.Env[k] = v
 	}
-	execSeqStmts(p, res, p.Stmts)
+	execSeqStmts(res, &RootArgs{Stores: res.Stores}, p.Stmts)
 	return res
 }
 
-func execSeqStmts(p *Program, res *SeqResult, stmts []Stmt) {
+func execSeqStmts(res *SeqResult, args *RootArgs, stmts []Stmt) {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *Fill:
-			st := res.Stores[s.Target.Root()]
-			s.Target.IndexSpace().Each(func(pt geometry.Point) bool {
-				st.Set(s.Field, pt, s.Value)
-				return true
-			})
+			FillRegion(res.Stores[s.Target.Root()], s.Target, s.Field, func(geometry.Point) float64 { return s.Value })
 		case *FillFunc:
-			st := res.Stores[s.Target.Root()]
-			s.Target.IndexSpace().Each(func(pt geometry.Point) bool {
-				st.Set(s.Field, pt, s.Fn(pt))
-				return true
-			})
+			FillRegion(res.Stores[s.Target.Root()], s.Target, s.Field, s.Fn)
 		case *SetScalar:
 			res.Env[s.Name] = s.Expr(res.Env)
 		case *Loop:
 			for t := 0; t < s.Trip; t++ {
 				res.Env[s.Var] = float64(t)
-				execSeqStmts(p, res, s.Body)
+				execSeqStmts(res, args, s.Body)
 			}
 		case *Launch:
-			ExecLaunchSeq(res.Stores, res.Env, s)
+			args.execLaunch(res.Env, s)
 		default:
 			panic(fmt.Sprintf("ir: unknown statement %T", s))
 		}
 	}
+}
+
+// FillRegion assigns fn(p) to field f at every point p of target, in
+// target's Each order, row by row. It is how every executor runs Fill and
+// FillFunc statements against a root store.
+func FillRegion(st *region.Store, target *region.Region, f region.FieldID, fn func(geometry.Point) float64) {
+	st.Rows(f, target.IndexSpace(), func(p geometry.Point, row []float64) bool {
+		last := p.Dim - 1
+		for i := range row {
+			row[i] = fn(p)
+			p.C[last]++
+		}
+		return true
+	})
 }
 
 // ExecLaunchSeq executes one index launch with the canonical sequential
@@ -84,6 +90,10 @@ func execSeqStmts(p *Program, res *SeqResult, stmts []Stmt) {
 // only one or two contributors per element any order agrees bitwise; four-
 // way shared mesh corners are where the order becomes observable.)
 func ExecLaunchSeq(stores map[*region.Region]*region.Store, env MapEnv, l *Launch) {
+	(&RootArgs{Stores: stores}).execLaunch(env, l)
+}
+
+func (r *RootArgs) execLaunch(env MapEnv, l *Launch) {
 	scalars := make([]float64, len(l.ScalarArgs))
 	for i, e := range l.ScalarArgs {
 		scalars[i] = e(env)
@@ -92,29 +102,11 @@ func ExecLaunchSeq(stores map[*region.Region]*region.Store, env MapEnv, l *Launc
 	if l.Reduce != nil {
 		folded = l.Reduce.Op.Identity()
 	}
-	type pendingReduce struct {
-		buf *region.Store
-		sub *region.Region
-	}
-	// pending[ai] holds the reduce buffers of argument ai, in color order.
-	pending := make([][]pendingReduce, len(l.Args))
-	for _, c := range l.Domain {
-		ctx := &TaskCtx{Color: c, Scalars: scalars}
-		for ai, a := range l.Args {
-			param := l.Task.Params[ai]
-			sub := a.At(c)
-			global := stores[sub.Root()]
-			if param.Priv == PrivReduce {
-				buf := region.NewStore(sub.IndexSpace(), global.FieldSpace())
-				for _, f := range param.Fields {
-					buf.Fill(f, param.Op.Identity())
-				}
-				ctx.Args = append(ctx.Args, NewPhysArg(sub, buf, param))
-				pending[ai] = append(pending[ai], pendingReduce{buf: buf, sub: sub})
-			} else {
-				ctx.Args = append(ctx.Args, NewPhysArg(sub, global, param))
-			}
-		}
+	// bufs[idx] holds the reduce buffers of task idx, by argument.
+	bufs := make([][]*region.Store, len(l.Domain))
+	for idx := range l.Domain {
+		var ctx *TaskCtx
+		ctx, bufs[idx] = r.Ctx(l, idx, scalars)
 		if l.Task.Kernel != nil {
 			l.Task.Kernel(ctx)
 		}
@@ -122,16 +114,89 @@ func ExecLaunchSeq(stores map[*region.Region]*region.Store, env MapEnv, l *Launc
 			folded = l.Reduce.Op.Fold(folded, ctx.Return)
 		}
 	}
-	for ai, bufs := range pending {
-		param := l.Task.Params[ai]
-		for _, pr := range bufs {
-			global := stores[pr.sub.Root()]
+	for ai, param := range l.Task.Params {
+		if param.Priv != PrivReduce {
+			continue
+		}
+		for idx, c := range l.Domain {
+			sub := l.Args[ai].At(c)
+			global := r.Stores[sub.Root()]
 			for _, f := range param.Fields {
-				global.ReduceFieldFrom(pr.buf, f, param.Op, pr.sub.IndexSpace())
+				global.ReduceFieldFrom(bufs[idx][ai], f, param.Op, sub.IndexSpace())
 			}
 		}
 	}
 	if l.Reduce != nil {
 		env[l.Reduce.Into] = folded
 	}
+}
+
+// RootArgs builds the Real-mode contexts of task instances that run against
+// root stores — the sequential interpreter's and the implicit runtime's —
+// resolving each instance's arguments once: a launch site issues the same
+// instances every iteration, so what depends only on the instance (each
+// argument's footprint in its root store, the layout of each reduce
+// buffer, the footprints kernels resolve over several arguments) is kept,
+// and an iteration allocates only its reduce buffers. Stores must not
+// change once Ctx has been called. Ctx is not safe for concurrent use; the
+// contexts it returns may run concurrently.
+type RootArgs struct {
+	Stores map[*region.Region]*region.Store
+	sites  map[*Launch][]*rootInstance
+}
+
+type rootInstance struct {
+	// args holds the resolved arguments; a reduce argument's Store is nil
+	// here and a fresh buffer over layouts[ai] in each context.
+	args       []PhysArg
+	layouts    []*region.Layout
+	footprints FootprintCache
+}
+
+// Ctx returns a context for task idx of launch l: read and read-write
+// arguments wrap their root store, and every reduce argument gets a fresh
+// identity-initialized buffer over its subregion, returned in bufs by
+// argument (nil when the task has no reduce argument).
+func (r *RootArgs) Ctx(l *Launch, idx int, scalars []float64) (ctx *TaskCtx, bufs []*region.Store) {
+	if r.sites == nil {
+		r.sites = make(map[*Launch][]*rootInstance)
+	}
+	site := r.sites[l]
+	if site == nil {
+		site = make([]*rootInstance, len(l.Domain))
+		r.sites[l] = site
+	}
+	inst := site[idx]
+	if inst == nil {
+		inst = &rootInstance{args: make([]PhysArg, len(l.Args)), layouts: make([]*region.Layout, len(l.Args))}
+		for ai, a := range l.Args {
+			param := l.Task.Params[ai]
+			sub := a.At(l.Domain[idx])
+			if param.Priv == PrivReduce {
+				inst.layouts[ai] = region.NewLayout(sub.IndexSpace())
+				inst.args[ai] = newPhysArg(sub, nil, inst.layouts[ai], param)
+			} else {
+				inst.args[ai] = NewPhysArg(sub, r.Stores[sub.Root()], param)
+			}
+		}
+		site[idx] = inst
+	}
+	ctx = &TaskCtx{Color: l.Domain[idx], Scalars: scalars, Args: inst.args, Footprints: &inst.footprints}
+	for ai, layout := range inst.layouts {
+		if layout == nil {
+			continue
+		}
+		if bufs == nil {
+			bufs = make([]*region.Store, len(l.Args))
+			ctx.Args = append([]PhysArg(nil), inst.args...)
+		}
+		param := l.Task.Params[ai]
+		buf := layout.NewStore(r.Stores[inst.args[ai].Region.Root()].FieldSpace())
+		for _, f := range param.Fields {
+			buf.Fill(f, param.Op.Identity())
+		}
+		bufs[ai] = buf
+		ctx.Args[ai].Store = buf
+	}
+	return ctx, bufs
 }

@@ -287,6 +287,49 @@ for t = 0, 1 {
 	ir.ExecSequential(prog)
 }
 
+const nestedSrc = `
+program nested
+
+region A[0..7] fields { x }
+region B[0..7] fields { y }
+partition PA = block(A, 2)
+partition PB = block(B, 2)
+
+task pairs(a: region writes(x) reads(x), b: region reads(y)) {
+  for p in a {
+    for q in b { a.x[p] = a.x[p] + b.y[q] * p }
+    a.x[p] = a.x[p] + p
+  }
+}
+
+fill A.x = 0
+fill B.y = idx
+
+launch pairs(PA[i], PB[i])
+`
+
+// TestNestedKernelLoops: loop variables live in slots indexed by nesting
+// depth; an inner loop must not disturb the outer variable, and the outer
+// variable stays readable after the inner loop ends.
+func TestNestedKernelLoops(t *testing.T) {
+	prog, err := Compile(nestedSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := ir.ExecSequential(prog)
+	root := prog.Tree.Regions()[0]
+	x := prog.FieldSpaces[root].Field("x")
+	for p := int64(0); p < 8; p++ {
+		blockSum := int64(0 + 1 + 2 + 3) // Σ y over PB[0]
+		if p >= 4 {
+			blockSum = 4 + 5 + 6 + 7
+		}
+		if got, want := seq.Stores[root].Get(x, geometry.Pt1(p)), float64(blockSum*p+p); got != want {
+			t.Fatalf("x[%d] = %v, want %v", p, got, want)
+		}
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	cases := []struct {
 		name, src, want string
@@ -306,12 +349,22 @@ launch t(PR[i])`, `has no field "y"`},
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 task t(r: region reads(x)) { for p in r { r.x[p] = 1 } }
-launch t(PR[i])`, "no write privilege"},
+launch t(PR[i])`, `line 4: parameter "r" has no write privilege on field "x"`},
 		{"read without privilege", `program p
 region R[0..3] fields { x, y }
 partition PR = block(R, 2)
 task t(r: region writes(x)) { for p in r { r.x[p] = r.y[p] } }
-launch t(PR[i])`, "no read privilege"},
+launch t(PR[i])`, `line 4: parameter "r" has no read privilege on field "y"`},
+		{"reduce without privilege", `program p
+region R[0..3] fields { x }
+partition PR = block(R, 2)
+task t(r: region reads(x)) { for p in r { r.x[p] += 1 } }
+launch t(PR[i])`, `line 4: parameter "r" has no reduce or write privilege on field "x"`},
+		{"shadowed loop variable", `program p
+region R[0..3] fields { x }
+partition PR = block(R, 2)
+task t(r: region writes(x)) { for p in r { for p in r { r.x[p] = 1 } } }
+launch t(PR[i])`, `line 4: loop variable "p" shadows an outer loop variable`},
 		{"arg count", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)

@@ -198,3 +198,54 @@ func NewRegionReduce(n, nt int64, trip int) *RegionReduce {
 	f.Prog = p
 	return f
 }
+
+// PastBlock builds a program whose task copies its block of R.src into
+// R.dst, except that the task of color 0 also reads src one point past its
+// block: a point the root store holds and the task's subregion does not.
+// Every executor must refuse that read, and refuse it the same way.
+type PastBlock struct {
+	Prog *ir.Program
+	// Past is the point color 0 reads, and Block the subregion it declared.
+	Past  geometry.Point
+	Block *region.Region
+}
+
+// NewPastBlock builds the fixture with n elements, nt colors (n divisible
+// by nt, nt ≥ 2) and trip iterations.
+func NewPastBlock(n, nt int64, trip int) *PastBlock {
+	p := ir.NewProgram("pastblock")
+	fs := region.NewFieldSpace("src", "dst")
+	src, dst := fs.Field("src"), fs.Field("dst")
+	r := p.Tree.NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, n-1)))
+	p.FieldSpaces[r] = fs
+	pr := r.Block("PR", nt)
+	f := &PastBlock{Prog: p, Past: geometry.Pt1(n / nt), Block: pr.Sub1(0)}
+	past := f.Past
+	peek := &ir.TaskDecl{
+		Name: "peek",
+		Params: []ir.Param{
+			{Name: "out", Priv: ir.PrivReadWrite, Fields: []region.FieldID{dst}},
+			{Name: "in", Priv: ir.PrivRead, Fields: []region.FieldID{src}},
+		},
+		Kernel: func(tc *ir.TaskCtx) {
+			out, in := tc.Writer(dst, 0, 1), tc.Reader(src, 1, 1)
+			tc.Rows(0, func(row ir.Row) {
+				for i, dst := 0, out.Row(row); i < row.Len; i++ {
+					dst[i] = in.Get(row.Point(i))
+				}
+			})
+			if tc.Color == geometry.Pt1(0) {
+				tc.Return = in.Get(past)
+			}
+		},
+		CostPerElem: 10,
+	}
+	p.Add(
+		&ir.FillFunc{Target: r, Field: src, Fn: func(pt geometry.Point) float64 { return float64(pt.X()) }},
+		&ir.Fill{Target: r, Field: dst, Value: 0},
+		&ir.Loop{Var: "t", Trip: trip, Body: []ir.Stmt{
+			&ir.Launch{Task: peek, Domain: ir.Colors1D(nt), Args: []ir.RegionArg{{Part: pr}, {Part: pr}}, Label: "peek"},
+		}},
+	)
+	return f
+}

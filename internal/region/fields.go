@@ -101,6 +101,32 @@ func (op ReductionOp) Fold(acc, v float64) float64 {
 	}
 }
 
+// foldRow folds src into dst element by element: dst[i] = Fold(dst[i],
+// src[i]), with the operator dispatched once per row.
+func (op ReductionOp) foldRow(dst, src []float64) {
+	src = src[:len(dst)]
+	switch op {
+	case ReduceSum:
+		for i, v := range src {
+			dst[i] += v
+		}
+	case ReduceMin:
+		for i, v := range src {
+			if v < dst[i] {
+				dst[i] = v
+			}
+		}
+	case ReduceMax:
+		for i, v := range src {
+			if v > dst[i] {
+				dst[i] = v
+			}
+		}
+	default:
+		panic("region: Fold on ReduceNone")
+	}
+}
+
 // String names the operator.
 func (op ReductionOp) String() string {
 	switch op {

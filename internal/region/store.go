@@ -1,7 +1,6 @@
 package region
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/geometry"
@@ -12,8 +11,7 @@ import (
 // span row-major internally, so the slot order is deterministic.
 type Layout struct {
 	ispace geometry.IndexSpace
-	spans  []geometry.Rect
-	bases  []int64 // slot of spans[i].Lo
+	fp     Footprint // the layout's own spans: one part, every point
 	total  int64
 }
 
@@ -21,9 +19,10 @@ type Layout struct {
 func NewLayout(is geometry.IndexSpace) *Layout {
 	spans := append([]geometry.Rect(nil), is.Spans()...)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Lo.Less(spans[j].Lo) })
-	l := &Layout{ispace: is, spans: spans, bases: make([]int64, len(spans))}
+	l := &Layout{ispace: is}
+	l.fp = Footprint{dim: is.Dim(), spans: make([]fspan, len(spans)), parts: []geometry.IndexSpace{is}}
 	for i, sp := range spans {
-		l.bases[i] = l.total
+		l.fp.spans[i] = layoutSpan(sp, l.total)
 		l.total += sp.Volume()
 	}
 	return l
@@ -36,76 +35,47 @@ func (l *Layout) Size() int64 { return l.total }
 func (l *Layout) IndexSpace() geometry.IndexSpace { return l.ispace }
 
 // Slot returns the storage slot for point p, panicking if p is outside the
-// layout's index space. It is the hot path of every per-point accessor, so
-// containment and row-major offset are computed in one fused pass instead
-// of Contains followed by Index, and dense single-span layouts (the common
-// case) skip the span search entirely.
+// layout's index space. It is the per-point entry to the layout's
+// footprint; loops resolve rows instead (Store.Rows, Footprint.Runs).
 func (l *Layout) Slot(p geometry.Point) int64 {
-	spans := l.spans
-	if len(spans) == 1 {
-		sp := &spans[0]
-		if idx, ok := spanOffset(sp, p); ok {
-			return idx
-		}
-		panic(fmt.Sprintf("region: point %v not in layout %v", p, l.ispace))
-	}
-	// Binary search over span lower bounds, then scan back for containment;
-	// spans are disjoint so at most a couple of candidates precede p.
-	lo, hi := 0, len(spans)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if p.Less(spans[mid].Lo) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	for j := lo - 1; j >= 0; j-- {
-		if idx, ok := spanOffset(&spans[j], p); ok {
-			return l.bases[j] + idx
-		}
-		// A span whose Lo is on a strictly earlier row can still contain p
-		// in multi-dimensional layouts, so keep scanning; in practice span
-		// counts are small.
-	}
-	panic(fmt.Sprintf("region: point %v not in layout %v", p, l.ispace))
-}
-
-// spanOffset reports whether p lies in sp and, if so, its row-major offset
-// within the span — Rect.Contains and Rect.Index fused into one pass.
-func spanOffset(sp *geometry.Rect, p geometry.Point) (int64, bool) {
-	if p.Dim != sp.Lo.Dim {
-		panic(fmt.Sprintf("geometry: dimension mismatch %d vs %d", p.Dim, sp.Lo.Dim))
-	}
-	idx := int64(0)
-	for i := 0; i < int(p.Dim); i++ {
-		c, clo, chi := p.C[i], sp.Lo.C[i], sp.Hi.C[i]
-		if c < clo || c > chi {
-			return 0, false
-		}
-		idx = idx*(chi-clo+1) + (c - clo)
-	}
-	return idx, true
+	_, slot := l.fp.Locate(p)
+	return slot
 }
 
 // Each calls fn with each (point, slot) pair in slot order.
 func (l *Layout) Each(fn func(geometry.Point, int64) bool) {
-	for i, sp := range l.spans {
-		base := l.bases[i]
-		off := int64(0)
+	slot := int64(0)
+	for i := range l.fp.spans {
 		stop := false
-		sp.Each(func(p geometry.Point) bool {
-			if !fn(p, base+off) {
-				stop = true
-				return false
-			}
-			off++
-			return true
+		l.fp.spans[i].rect().Each(func(p geometry.Point) bool {
+			stop = !fn(p, slot)
+			slot++
+			return !stop
 		})
 		if stop {
 			return
 		}
 	}
+}
+
+// eachRun walks over row by row (IndexSpace.EachRow order) and calls fn for
+// every stretch of n points that both layouts store consecutively, with its
+// first slot in each. over must be contained in both layouts.
+func eachRun(a, b *Layout, over geometry.IndexSpace, fn func(aslot, bslot, n int64) bool) {
+	last := int(over.Dim()) - 1
+	bc := b.fp.Cursor()
+	a.fp.Runs(over, func(p geometry.Point, _ int, as, n int64) bool {
+		for n > 0 {
+			_, bs, bn := bc.run(&p, n)
+			if !fn(as, bs, bn) {
+				return false
+			}
+			p.C[last] += bn
+			as += bn
+			n -= bn
+		}
+		return true
+	})
 }
 
 // Store is a physical instance: field storage for one region's index space.
@@ -121,7 +91,12 @@ type Store struct {
 
 // NewStore allocates zeroed storage for all fields of fs over is.
 func NewStore(is geometry.IndexSpace, fs *FieldSpace) *Store {
-	l := NewLayout(is)
+	return NewLayout(is).NewStore(fs)
+}
+
+// NewStore allocates zeroed storage for all fields of fs over the layout's
+// index space. A layout is immutable, so any number of stores may share it.
+func (l *Layout) NewStore(fs *FieldSpace) *Store {
 	data := make([][]float64, fs.NumFields())
 	for i := range data {
 		data[i] = make([]float64, l.Size())
@@ -165,8 +140,7 @@ func (s *Store) Reduce(f FieldID, op ReductionOp, p geometry.Point, v float64) {
 	s.data[f][slot] = op.Fold(s.data[f][slot], v)
 }
 
-// Raw returns the backing slice for field f (slot-indexed); kernels that
-// iterate a dense region use it with Layout.Each for speed.
+// Raw returns the backing slice for field f (slot-indexed).
 func (s *Store) Raw(f FieldID) []float64 { return s.data[f] }
 
 // Fill sets field f to v at every point.
@@ -177,25 +151,39 @@ func (s *Store) Fill(f FieldID, v float64) {
 	}
 }
 
+// Rows calls fn for every contiguous run of over's points — the first point
+// and a row aliasing the store's backing slice for f, whose element i is
+// the point first advanced by i along the last dimension — stopping early
+// if fn returns false. Rows come in exactly the order over.Each visits
+// points; a row of over that straddles several spans of the store arrives
+// as several runs.
+func (s *Store) Rows(f FieldID, over geometry.IndexSpace, fn func(first geometry.Point, row []float64) bool) {
+	d := s.data[f]
+	s.layout.fp.Runs(over, func(p geometry.Point, _ int, slot, n int64) bool {
+		return fn(p, d[slot:slot+n])
+	})
+}
+
 // CopyFieldFrom copies field f values from src at every point of the given
 // index space, which must be contained in both stores. This is the explicit
 // region-to-region assignment dst ← src of §3.1, restricted to an
-// intersection. Points are visited in dst slot order, so the operation is
-// deterministic.
+// intersection, done one contiguous run at a time.
 func (s *Store) CopyFieldFrom(src *Store, f FieldID, over geometry.IndexSpace) {
-	over.Each(func(p geometry.Point) bool {
-		s.data[f][s.layout.Slot(p)] = src.data[f][src.layout.Slot(p)]
+	d, sd := s.data[f], src.data[f]
+	eachRun(s.layout, src.layout, over, func(ds, ss, n int64) bool {
+		copy(d[ds:ds+n], sd[ss:ss+n])
 		return true
 	})
 }
 
 // ReduceFieldFrom folds src's field values into s with op at every point of
 // over — the "reduction copy" of §4.3 that applies a reduction instance's
-// partial results to a destination region.
+// partial results to a destination region. Points are folded in over.Each
+// order.
 func (s *Store) ReduceFieldFrom(src *Store, f FieldID, op ReductionOp, over geometry.IndexSpace) {
-	over.Each(func(p geometry.Point) bool {
-		slot := s.layout.Slot(p)
-		s.data[f][slot] = op.Fold(s.data[f][slot], src.data[f][src.layout.Slot(p)])
+	d, sd := s.data[f], src.data[f]
+	eachRun(s.layout, src.layout, over, func(ds, ss, n int64) bool {
+		op.foldRow(d[ds:ds+n], sd[ss:ss+n])
 		return true
 	})
 }
@@ -203,13 +191,16 @@ func (s *Store) ReduceFieldFrom(src *Store, f FieldID, op ReductionOp, over geom
 // EqualOn reports whether two stores agree on field f at every point of
 // over; it is the comparison the equivalence tests use.
 func (s *Store) EqualOn(other *Store, f FieldID, over geometry.IndexSpace) bool {
+	d, od := s.data[f], other.data[f]
 	equal := true
-	over.Each(func(p geometry.Point) bool {
-		if s.Get(f, p) != other.Get(f, p) {
-			equal = false
-			return false
+	eachRun(s.layout, other.layout, over, func(ds, os, n int64) bool {
+		for i, v := range d[ds : ds+n] {
+			if v != od[os+int64(i)] {
+				equal = false
+				break
+			}
 		}
-		return true
+		return equal
 	})
 	return equal
 }

@@ -64,18 +64,13 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 	taskDone := e.taskDoneBuf[:numColors]
 	taskNode := e.taskNodeBuf[:numColors]
 	// Real-mode-only state: task contexts (retained by the reduce future's
-	// fold closure) and reduction buffers per (arg, color). Modeled mode
+	// fold closure) and reduction buffers per (color, arg). Modeled mode
 	// never touches either, so it skips the allocations.
 	var ctxs []*ir.TaskCtx
-	var redBufs [][]*region.Store
+	var redBufs [][]*region.Store // by color, then argument
 	if e.Mode == Real {
 		ctxs = make([]*ir.TaskCtx, numColors)
-		redBufs = make([][]*region.Store, len(l.Args))
-		for ai, param := range l.Task.Params {
-			if param.Priv == ir.PrivReduce {
-				redBufs[ai] = make([]*region.Store, numColors)
-			}
-		}
+		redBufs = make([][]*region.Store, numColors)
 	}
 
 	for idx, c := range l.Domain {
@@ -117,8 +112,8 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 
 		var body func()
 		if e.Mode == Real {
-			ctx := e.buildCtx(l, idx, c, scalars, redBufs)
-			ctxs[idx] = ctx
+			ctx, bufs := e.rootArgs.Ctx(l, idx, scalars)
+			ctxs[idx], redBufs[idx] = ctx, bufs
 			if l.Task.Kernel != nil {
 				body = func() { l.Task.Kernel(ctx) }
 			}
@@ -145,7 +140,7 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 			bytes := sub.Volume() * e.Over.EltBytes * int64(len(param.Fields))
 			var body func()
 			if e.Mode == Real {
-				buf := redBufs[ai][idx]
+				buf := redBufs[idx][ai]
 				global := e.stores[sub.Root()]
 				op := param.Op
 				fields := param.Fields
@@ -193,28 +188,6 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 		}
 		e.iterEvents = append(e.iterEvents, all)
 	}
-}
-
-// buildCtx constructs the Real-mode execution context for one task
-// instance: global stores for read/write arguments, fresh
-// identity-initialized buffers for reduce arguments.
-func (e *Engine) buildCtx(l *ir.Launch, idx int, c geometry.Point, scalars []float64, redBufs [][]*region.Store) *ir.TaskCtx {
-	ctx := &ir.TaskCtx{Color: c, Scalars: scalars}
-	for ai, a := range l.Args {
-		param := l.Task.Params[ai]
-		sub := a.At(c)
-		if param.Priv == ir.PrivReduce {
-			buf := region.NewStore(sub.IndexSpace(), e.Prog.FieldSpaceOf(sub))
-			for _, f := range param.Fields {
-				buf.Fill(f, param.Op.Identity())
-			}
-			redBufs[ai][idx] = buf
-			ctx.Args = append(ctx.Args, ir.NewPhysArg(sub, buf, param))
-		} else {
-			ctx.Args = append(ctx.Args, ir.NewPhysArg(sub, e.stores[sub.Root()], param))
-		}
-	}
-	return ctx
 }
 
 // checkIntraLaunchConflicts rejects launches whose own arguments conflict

@@ -148,6 +148,7 @@ type Engine struct {
 	NoTrace bool
 
 	stores     map[*region.Region]*region.Store
+	rootArgs   *ir.RootArgs // Real mode: task contexts over stores
 	users      map[*region.Region][]*use
 	env        map[string]*scalarVal
 	ctl        realm.Agent
@@ -201,6 +202,7 @@ func (e *Engine) Run() (*Result, error) {
 		for _, root := range sortedRoots(e.Prog.FieldSpaces) {
 			e.stores[root] = region.NewStore(root.IndexSpace(), e.Prog.FieldSpaces[root])
 		}
+		e.rootArgs = &ir.RootArgs{Stores: e.stores}
 	}
 	e.users = make(map[*region.Region][]*use)
 	e.env = make(map[string]*scalarVal)
@@ -260,17 +262,11 @@ func (e *Engine) execStmts(stmts []ir.Stmt) {
 		switch s := s.(type) {
 		case *ir.Fill:
 			if st := e.stores[s.Target.Root()]; st != nil {
-				s.Target.IndexSpace().Each(func(p geometry.Point) bool {
-					st.Set(s.Field, p, s.Value)
-					return true
-				})
+				ir.FillRegion(st, s.Target, s.Field, func(geometry.Point) float64 { return s.Value })
 			}
 		case *ir.FillFunc:
 			if st := e.stores[s.Target.Root()]; st != nil {
-				s.Target.IndexSpace().Each(func(p geometry.Point) bool {
-					st.Set(s.Field, p, s.Fn(p))
-					return true
-				})
+				ir.FillRegion(st, s.Target, s.Field, s.Fn)
 			}
 		case *ir.SetScalar:
 			e.env[s.Name] = resolvedScalar(s.Expr(e.ctlEnv()))

@@ -575,18 +575,13 @@ func (e *Engine) replayLaunch(l *ir.Launch, rec *launchRec) {
 	taskDone := e.taskDoneBuf[:numColors]
 	taskNode := e.taskNodeBuf[:numColors]
 	var ctxs []*ir.TaskCtx
-	var redBufs [][]*region.Store
+	var redBufs [][]*region.Store // by color, then argument
 	if e.Mode == Real {
 		ctxs = make([]*ir.TaskCtx, numColors)
-		redBufs = make([][]*region.Store, len(l.Args))
-		for ai, param := range l.Task.Params {
-			if param.Priv == ir.PrivReduce {
-				redBufs[ai] = make([]*region.Store, numColors)
-			}
-		}
+		redBufs = make([][]*region.Store, numColors)
 	}
 
-	for idx, c := range l.Domain {
+	for idx := range l.Domain {
 		target := rec.targets[idx]
 		taskNode[idx] = target
 
@@ -630,8 +625,8 @@ func (e *Engine) replayLaunch(l *ir.Launch, rec *launchRec) {
 
 		var body func()
 		if e.Mode == Real {
-			ctx := e.buildCtx(l, idx, c, scalars, redBufs)
-			ctxs[idx] = ctx
+			ctx, bufs := e.rootArgs.Ctx(l, idx, scalars)
+			ctxs[idx], redBufs[idx] = ctx, bufs
 			if l.Task.Kernel != nil {
 				body = func() { l.Task.Kernel(ctx) }
 			}
@@ -654,7 +649,7 @@ func (e *Engine) replayLaunch(l *ir.Launch, rec *launchRec) {
 			var body func()
 			if e.Mode == Real {
 				sub := l.Args[ai].At(c)
-				buf := redBufs[ai][idx]
+				buf := redBufs[idx][ai]
 				global := e.stores[sub.Root()]
 				op := param.Op
 				fields := param.Fields

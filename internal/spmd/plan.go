@@ -193,9 +193,11 @@ type launchColorPlan struct {
 	args    []argPlan
 	// Real-mode bindings: the physical arguments (iteration-invariant —
 	// ir.PhysArg is immutable, so the slice is shared by every iteration's
-	// task context) and the reduce-temp re-initializers.
-	physArgs []ir.PhysArg
-	reinits  []func()
+	// task context), the footprints the kernel resolves over them, and the
+	// reduce-temp re-initializers.
+	physArgs   []ir.PhysArg
+	footprints *ir.FootprintCache
+	reinits    []func()
 }
 
 // argPlan is one region argument's dependence state: reads append to
@@ -221,7 +223,7 @@ type copyWorkPlan struct {
 }
 
 type copyProdPlan struct {
-	copyID           int  // owning copy op's ID (members of a phase group span ops)
+	copyID           int // owning copy op's ID (members of a phase group span ops)
 	pairIdx          int
 	chain            bool // fold-chain link: also wait on pairIdx-1's done
 	reduce           bool // the owning op is a reduction copy
@@ -398,6 +400,9 @@ func (st *runState) resolveLaunchArgs(sh *shard, l *ir.Launch, col geometry.Poin
 		}
 		cp.args = append(cp.args, ap)
 		if e.Mode == ir.ExecReal {
+			if cp.footprints == nil {
+				cp.footprints = &ir.FootprintCache{}
+			}
 			sub := a.Part.Sub(col)
 			if param.Priv == ir.PrivReduce {
 				buf := st.tempStore(tempKey{l, ai, col}, sub)
@@ -678,7 +683,7 @@ func (sh *shard) replayLaunch(lp *launchPlan, iter int) {
 			// The context must be per-iteration (window run-ahead keeps
 			// several iterations' bodies in flight, each with its own Return
 			// and scalars), but the argument bindings alias the plan's.
-			ctx = &ir.TaskCtx{Color: cp.col, Scalars: scalars, Args: cp.physArgs}
+			ctx = &ir.TaskCtx{Color: cp.col, Scalars: scalars, Args: cp.physArgs, Footprints: cp.footprints}
 			kernel := l.Task.Kernel
 			reinits := cp.reinits
 			body = func() {

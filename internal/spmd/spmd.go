@@ -286,17 +286,11 @@ func (e *Engine) execStmts(ctl realm.Agent, stmts []ir.Stmt) {
 		switch s := s.(type) {
 		case *ir.Fill:
 			if st := e.global[s.Target.Root()]; st != nil {
-				s.Target.IndexSpace().Each(func(p geometry.Point) bool {
-					st.Set(s.Field, p, s.Value)
-					return true
-				})
+				ir.FillRegion(st, s.Target, s.Field, func(geometry.Point) float64 { return s.Value })
 			}
 		case *ir.FillFunc:
 			if st := e.global[s.Target.Root()]; st != nil {
-				s.Target.IndexSpace().Each(func(p geometry.Point) bool {
-					st.Set(s.Field, p, s.Fn(p))
-					return true
-				})
+				ir.FillRegion(st, s.Target, s.Field, s.Fn)
 			}
 		case *ir.SetScalar:
 			e.env[s.Name] = s.Expr(e.env)
