@@ -11,10 +11,11 @@ package cr
 // table substitution (internal/spmd/plan.go) instead of re-deriving it
 // per shard per run state.
 //
-// The tables are also what the executor's *interpreter* walks (the work
-// lists replace the per-runState copy schedules the executor used to
-// build), so interpretation, per-shard capture, and specialization all read
-// the same precomputed partition of the copy work — one source of truth,
+// The tables are what the executor's one resolver walks whether or not it
+// has a shared capture, and whether the plan is memoized or re-resolved
+// every iteration (the work lists replace the per-runState copy schedules
+// the executor used to build), so every way a shard runs reads the same
+// precomputed partition of the copy work — one source of truth,
 // statically checked by internal/verify.CheckSpec against a direct
 // recomputation from the pair lists.
 

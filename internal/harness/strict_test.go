@@ -16,7 +16,7 @@ import (
 // TestReadPastBlockPanicsTheSameEverywhere: a kernel that reads one point
 // past its declared subregion is refused with the same panic text by the
 // sequential interpreter, the implicit runtime and the SPMD executor
-// (replayed plan and interpreted), on both backends. The first two back the
+// (memoized and re-resolved plan), on both backends. The first two back the
 // argument with the root store, which does hold the point; the refusal
 // comes from the argument's region, not from the store's bounds.
 func TestReadPastBlockPanicsTheSameEverywhere(t *testing.T) {

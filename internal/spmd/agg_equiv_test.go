@@ -18,45 +18,21 @@ import (
 	"repro/internal/cr"
 	"repro/internal/ir"
 	"repro/internal/realm"
-	"repro/internal/realm/native"
 	"repro/internal/region"
 	"repro/internal/spmd"
 )
 
 // runAgg compiles with aggregation on or off and executes one freshly
-// built program on the chosen backend. The compile/execute skeleton is
-// runPruned's; only the compiler option differs.
-func runAgg(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend string, agg bool) (map[*region.Region]*region.Store, realm.Stats) {
+// built program on the chosen backend.
+func runAgg(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend string, agg, noTrace bool) (map[*region.Region]*region.Store, realm.Stats) {
 	t.Helper()
-	plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes, Sync: sync, Agg: agg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sim realm.Exec
-	switch backend {
-	case "des":
-		cfg := realm.DefaultConfig(nodes)
-		cfg.CoresPerNode = 4
-		sim = realm.MustNewSim(cfg)
-	case "native":
-		m, err := native.NewMachine(realm.DefaultConfig(nodes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim = m
-	default:
-		t.Fatalf("unknown backend %q", backend)
-	}
-	res, err := spmd.New(sim, prog, ir.ExecReal, plans).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Stores, sim.Stats()
+	return execPlans(t, prog, compileVariant(t, prog, nodes, sync, agg, false), nodes, backend, noTrace)
 }
 
 // TestAggEquivalence: coalescing is invisible to the computed values —
-// bitwise — for every app, both lowerings, both backends (the
-// equivalence-matrix aggregation axis).
+// bitwise — for every app, both lowerings, both backends, with shard plans
+// memoized and re-resolved every iteration (the equivalence-matrix
+// aggregation axis).
 func TestAggEquivalence(t *testing.T) {
 	const nodes = 2
 	backends := []string{"des", "native"}
@@ -71,12 +47,14 @@ func TestAggEquivalence(t *testing.T) {
 		for _, over := range []int{1, 2} {
 			for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
 				for _, backend := range backends {
-					name := fmt.Sprintf("%s/x%d/%v/%s", app.name, over, sync, backend)
-					t.Run(name, func(t *testing.T) {
-						base, _ := runAgg(t, app.build(over*nodes), nodes, sync, backend, false)
-						agged, _ := runAgg(t, app.build(over*nodes), nodes, sync, backend, true)
-						assertStoresBitwiseEqual(t, base, agged)
-					})
+					for _, pm := range planModes {
+						name := fmt.Sprintf("%s/x%d/%v/%s/%s", app.name, over, sync, backend, pm.name)
+						t.Run(name, func(t *testing.T) {
+							base, _ := runAgg(t, app.build(over*nodes), nodes, sync, backend, false, pm.noTrace)
+							agged, _ := runAgg(t, app.build(over*nodes), nodes, sync, backend, true, pm.noTrace)
+							assertStoresBitwiseEqual(t, base, agged)
+						})
+					}
 				}
 			}
 		}
@@ -105,8 +83,8 @@ func TestAggReducesMessages(t *testing.T) {
 	const nodes = 4
 	for _, app := range pruneApps {
 		t.Run(app.name, func(t *testing.T) {
-			_, off := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "des", false)
-			_, on := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "des", true)
+			_, off := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "des", false, false)
+			_, on := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "des", true, false)
 			if on.Messages >= off.Messages {
 				t.Errorf("aggregation did not reduce messages: %d -> %d", off.Messages, on.Messages)
 			}
@@ -143,8 +121,8 @@ func TestAggCountersCrossBackend(t *testing.T) {
 	const nodes = 2
 	for _, app := range pruneApps {
 		t.Run(app.name, func(t *testing.T) {
-			_, des := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "des", true)
-			_, nat := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "native", true)
+			_, des := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "des", true, false)
+			_, nat := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "native", true, false)
 			if des.Messages != nat.Messages {
 				t.Errorf("Messages diverge: des %d, native %d", des.Messages, nat.Messages)
 			}

@@ -40,27 +40,11 @@ var pruneApps = []struct {
 	{"circuit", func(n int) *ir.Program { return circuit.Build(circuit.Small(n)).Prog }},
 }
 
-// runPruned compiles, optionally prunes (with certification), and executes
-// one freshly built program on the chosen backend, returning the final
-// stores and the machine counters.
-func runPruned(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend string, prune bool) (map[*region.Region]*region.Store, realm.Stats) {
+// execPlans executes compiled plans on the chosen backend in Real mode,
+// with shard plans memoized (the default) or re-resolved every iteration
+// (noTrace), returning the final stores and the machine counters.
+func execPlans(t *testing.T, prog *ir.Program, plans map[*ir.Loop]*cr.Compiled, nodes int, backend string, noTrace bool) (map[*region.Region]*region.Store, realm.Stats) {
 	t.Helper()
-	plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes, Sync: sync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prune {
-		for _, plan := range plans {
-			info, rep, err := verify.PlanPrune(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.OK() {
-				t.Fatalf("prune pass rejected the schedule: %v", rep.Findings)
-			}
-			plan.Prune = info
-		}
-	}
 	var sim realm.Exec
 	switch backend {
 	case "des":
@@ -76,11 +60,49 @@ func runPruned(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, back
 	default:
 		t.Fatalf("unknown backend %q", backend)
 	}
-	res, err := spmd.New(sim, prog, ir.ExecReal, plans).Run()
+	eng := spmd.New(sim, prog, ir.ExecReal, plans)
+	eng.NoTrace = noTrace
+	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res.Stores, sim.Stats()
+}
+
+// planModes names the noTrace axis of the equivalence matrices.
+var planModes = []struct {
+	name    string
+	noTrace bool
+}{{"memoized", false}, {"reresolved", true}}
+
+// compileVariant compiles every loop of prog for the given lowering, with
+// aggregation tables on or off, and attaches the certified prune when asked.
+func compileVariant(t *testing.T, prog *ir.Program, shards int, sync cr.SyncMode, agg, prune bool) map[*ir.Loop]*cr.Compiled {
+	t.Helper()
+	plans, err := spmd.CompileAll(prog, cr.Options{NumShards: shards, Sync: sync, Agg: agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prune {
+		for _, plan := range plans {
+			info, rep, err := verify.PlanPrune(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("prune pass rejected the schedule: %v", rep.Findings)
+			}
+			plan.Prune = info
+		}
+	}
+	return plans
+}
+
+// runPruned compiles, optionally prunes (with certification), and executes
+// one freshly built program on the chosen backend.
+func runPruned(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend string, prune, noTrace bool) (map[*region.Region]*region.Store, realm.Stats) {
+	t.Helper()
+	return execPlans(t, prog, compileVariant(t, prog, nodes, sync, false, prune), nodes, backend, noTrace)
 }
 
 // assertStoresBitwiseEqual matches regions across two independent builds by
@@ -127,7 +149,8 @@ func assertStoresBitwiseEqual(t *testing.T, base, pruned map[*region.Region]*reg
 }
 
 // TestPruneEquivalence: certified pruning is invisible to the computed
-// values — bitwise — for every app, both lowerings, both backends.
+// values — bitwise — for every app, both lowerings, both backends, with
+// shard plans memoized and re-resolved every iteration.
 func TestPruneEquivalence(t *testing.T) {
 	const nodes = 2
 	backends := []string{"des", "native"}
@@ -137,12 +160,14 @@ func TestPruneEquivalence(t *testing.T) {
 	for _, app := range pruneApps {
 		for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
 			for _, backend := range backends {
-				name := fmt.Sprintf("%s/%v/%s", app.name, sync, backend)
-				t.Run(name, func(t *testing.T) {
-					base, _ := runPruned(t, app.build(nodes), nodes, sync, backend, false)
-					pruned, _ := runPruned(t, app.build(nodes), nodes, sync, backend, true)
-					assertStoresBitwiseEqual(t, base, pruned)
-				})
+				for _, pm := range planModes {
+					name := fmt.Sprintf("%s/%v/%s/%s", app.name, sync, backend, pm.name)
+					t.Run(name, func(t *testing.T) {
+						base, _ := runPruned(t, app.build(nodes), nodes, sync, backend, false, pm.noTrace)
+						pruned, _ := runPruned(t, app.build(nodes), nodes, sync, backend, true, pm.noTrace)
+						assertStoresBitwiseEqual(t, base, pruned)
+					})
+				}
 			}
 		}
 	}
@@ -155,8 +180,8 @@ func TestPruneEquivalence(t *testing.T) {
 func TestPruneReducesMessages(t *testing.T) {
 	const nodes = 4
 	build := func() *ir.Program { return pennant.Build(pennant.Small(nodes)).Prog }
-	_, baseStats := runPruned(t, build(), nodes, cr.PointToPoint, "des", false)
-	_, prunedStats := runPruned(t, build(), nodes, cr.PointToPoint, "des", true)
+	_, baseStats := runPruned(t, build(), nodes, cr.PointToPoint, "des", false, false)
+	_, prunedStats := runPruned(t, build(), nodes, cr.PointToPoint, "des", true, false)
 	if prunedStats.Messages >= baseStats.Messages {
 		t.Errorf("pruning did not reduce messages: %d -> %d", baseStats.Messages, prunedStats.Messages)
 	}

@@ -250,7 +250,7 @@ func (e *Engine) degrade(plan *cr.Compiled, trip, retries int, cp *checkpoint, t
 // stable storage to every other node of a freshly rebuilt placement, as
 // real messages (FaultExec.ShipTrace: modeled wire cost on the DES, real
 // messages subject to drop/dup injection on native), so the restarted
-// shards specialize the shipped trace and resume in replay mode instead of
+// shards resolve their plans against the shipped trace instead of
 // re-capturing. No-op when the loop has no shared capture (sharing
 // disabled, tracing off, or an unshareable loop). Reports false if a node
 // failed mid-shipment.
@@ -298,7 +298,7 @@ func (e *Engine) runRecoverable(ctl realm.Agent, plan *cr.Compiled, rec Recovery
 	// last checkpoint (or from scratch when none exists yet). The rebuild
 	// discards the old run state's shard plans (trace invalidation: the
 	// placement changed) and then ships the surviving shared capture to the
-	// new placement so the restarted shards resume in replay mode. It
+	// new placement so the restarted shards re-resolve against it. It
 	// recurses — within the same budget — if another node fails mid-restore
 	// or mid-shipment.
 	var restart func() bool

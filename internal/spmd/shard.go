@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cr"
-	"repro/internal/geometry"
-	"repro/internal/intersect"
 	"repro/internal/ir"
 	"repro/internal/realm"
 	"repro/internal/region"
@@ -207,15 +205,27 @@ func (sh *shard) runRange(lo, hi int) {
 	e := st.e
 	sh.env = newShardEnv(sh.th, sh.baseEnv)
 
-	window := e.Over.Window
-	if window < 1 {
-		window = 1
+	window := max(e.Over.Window, 1)
+	// Every iteration is resolved into a plan and executed from it (see
+	// plan.go). A memoized plan is resolved once and shared by all the
+	// iterations; otherwise each iteration resolves its own fresh plan —
+	// never a reused one, because the window keeps several iterations'
+	// deferred bodies in flight.
+	memo := st.memoized()
+	var sp *shardPlan
+	replayed := 0
+	if memo {
+		sp = st.planFor(sh)
+		// Iterations executed from the memoized plan are counted locally and
+		// folded in once per range, not per iteration: the engine-wide lock
+		// would otherwise serialize every native shard agent in steady
+		// state. Deferred so a killed shard's completed iterations count.
+		defer func() {
+			e.planMu.Lock()
+			e.traceStats.ReplayedIters += replayed
+			e.planMu.Unlock()
+		}()
 	}
-	// With tracing on, the compiled body is resolved once into a per-shard
-	// plan and every iteration replays it; otherwise each iteration is
-	// interpreted against the shard table. Both paths issue the identical
-	// Sim call sequence (see plan.go).
-	sp := st.planFor(sh)
 	n := hi - lo
 	iterDone := make([]realm.Event, n)
 	for i := 0; i < n; i++ {
@@ -225,40 +235,17 @@ func (sh *shard) runRange(lo, hi int) {
 		}
 		sh.env.set(plan.Loop.Var, float64(t))
 		sh.ops = sh.ops[:0]
-		if sp != nil {
-			sh.replayIter(sp, t)
-		} else {
-			for bi, op := range plan.Body {
-				switch {
-				case op.Set != nil:
-					sh.env.set(op.Set.Name, op.Set.Expr(sh.env))
-				case op.Launch != nil:
-					sh.doLaunch(op.Launch, t)
-				case op.Copy != nil:
-					switch {
-					case plan.Opts.Agg:
-						// Aggregation runs the whole exchange phase at its
-						// head op; the phase's remaining copies were already
-						// issued there.
-						if phIdx := plan.Spec.PhaseOf[bi]; plan.Spec.Phases[phIdx].Start == bi {
-							if plan.Opts.Sync == cr.BarrierSync {
-								sh.doPhaseBarrierAgg(phIdx, t)
-							} else {
-								sh.doPhaseP2PAgg(phIdx, t)
-							}
-						}
-					case plan.Opts.Sync == cr.BarrierSync:
-						sh.doCopyBarrier(op.Copy, t)
-					default:
-						sh.doCopyP2P(op.Copy, t)
-					}
-				}
-			}
+		if !memo {
+			sp = st.resolve(sh, nil)
+		}
+		sh.execIter(sp, t)
+		if memo {
+			replayed++
 		}
 		iterDone[i] = e.Sim.Merge(sh.ops...)
 		st.recordIter(t, iterDone[i])
 	}
-	for i := maxInt(0, n-window); i < n; i++ {
+	for i := max(0, n-window); i < n; i++ {
 		sh.th.WaitEvent(iterDone[i])
 	}
 	if sh.me == 0 {
@@ -266,18 +253,44 @@ func (sh *shard) runRange(lo, hi int) {
 	}
 }
 
-// doLaunch issues the shard's owned tasks of one index launch. Shard-local
+// execIter executes one iteration's body from its plan. This is the only
+// dispatch on planOp: the sync lowering (§3.4) selects which of the two copy
+// executors runs the same copyPlan/phasePlan value.
+func (sh *shard) execIter(sp *shardPlan, iter int) {
+	barrier := sh.st.plan.Opts.Sync == cr.BarrierSync
+	for i := range sp.ops {
+		op := &sp.ops[i]
+		switch {
+		case op.set != nil:
+			sh.env.set(op.set.Name, op.set.Expr(sh.env))
+		case op.launch != nil:
+			sh.execLaunch(op.launch, iter)
+		case op.cp != nil && barrier:
+			sh.execCopyBarrier(op.cp, iter)
+		case op.cp != nil:
+			sh.execCopyP2P(op.cp, iter)
+		case barrier:
+			sh.execPhaseBarrier(op.phase, iter)
+		default:
+			sh.execPhaseP2P(op.phase, iter)
+		}
+	}
+}
+
+// execLaunch issues the shard's owned tasks of one index launch. Shard-local
 // issue cost replaces the central control thread's — the core of the
 // optimization.
-func (sh *shard) doLaunch(l *ir.Launch, iter int) {
+func (sh *shard) execLaunch(lp *launchPlan, iter int) {
 	st := sh.st
 	e := st.e
-	owned := st.plan.Owned[sh.me]
-	nodeID := st.nodeOfShard(sh.me)
+	l := lp.l
 
+	// Scalar arguments are evaluated live every iteration: forcing a
+	// future-valued scalar blocks the shard thread on its collective, and
+	// that wait is part of the schedule.
 	scalars := make([]float64, len(l.ScalarArgs))
 	for i, ex := range l.ScalarArgs {
-		scalars[i] = ex(sh.env) // forces future-valued scalars on this shard
+		scalars[i] = ex(sh.env)
 	}
 
 	// localDone/ctxs feed only the launch-level scalar reduction; skip the
@@ -285,36 +298,30 @@ func (sh *shard) doLaunch(l *ir.Launch, iter int) {
 	reduce := l.Reduce != nil
 	localDone := sh.doneBuf[:0]
 	ctxs := sh.ctxBuf[:0]
-	for _, col := range owned {
+	for ci := range lp.colors {
+		cp := &lp.colors[ci]
 		sh.th.Elapse(e.Over.ShardLaunchBase)
 		pres := sh.presBuf[:0]
-		for ai, a := range l.Args {
-			param := l.Task.Params[ai]
-			switch param.Priv {
-			case ir.PrivRead:
-				pres = append(pres, sh.table.get(instKey{a.Part.ID(), col}).lastWrite)
-			case ir.PrivReadWrite:
-				s := sh.table.get(instKey{a.Part.ID(), col})
-				pres = append(pres, s.lastWrite)
-				pres = append(pres, s.readers...)
-			case ir.PrivReduce:
-				s := sh.table.getTemp(tempKey{l, ai, col})
-				pres = append(pres, s.lastWrite)
-				pres = append(pres, s.readers...)
+		for _, a := range cp.args {
+			pres = append(pres, a.st.lastWrite)
+			if a.priv != ir.PrivRead {
+				pres = append(pres, a.st.readers...)
 			}
 		}
-		vol := l.Args[l.Task.CostArg].At(col).Volume()
-		dur := realm.Time(l.Task.Cost(vol) / float64(e.Over.KernelCores))
+		dur := cp.durBase
 		if e.Over.Noise != nil {
-			dur = realm.Time(float64(dur) * e.Over.Noise(st.nodeOfShard(sh.me), iter))
+			dur = realm.Time(float64(dur) * e.Over.Noise(lp.nodeID, iter))
 		}
 
 		var body func()
 		var ctx *ir.TaskCtx
 		if e.Mode == ir.ExecReal {
-			ctx = sh.buildCtx(l, col, scalars)
+			// The context must be per-iteration (window run-ahead keeps
+			// several iterations' bodies in flight, each with its own Return
+			// and scalars), but the argument bindings alias the plan's.
+			ctx = &ir.TaskCtx{Color: cp.col, Scalars: scalars, Args: cp.physArgs, Footprints: cp.footprints}
 			kernel := l.Task.Kernel
-			reinits := sh.tempReinits(l, col)
+			reinits := cp.reinits
 			body = func() {
 				for _, re := range reinits {
 					re()
@@ -324,23 +331,15 @@ func (sh *shard) doLaunch(l *ir.Launch, iter int) {
 				}
 			}
 		}
-		done := e.Sim.LaunchOn(nodeID, e.Sim.Merge(pres...), dur, body)
+		done := e.Sim.LaunchOn(lp.nodeID, e.Sim.Merge(pres...), dur, body)
 		sh.presBuf = pres[:0]
 
-		for ai, a := range l.Args {
-			param := l.Task.Params[ai]
-			switch param.Priv {
-			case ir.PrivRead:
-				s := sh.table.get(instKey{a.Part.ID(), col})
-				s.readers = append(s.readers, done)
-			case ir.PrivReadWrite:
-				s := sh.table.get(instKey{a.Part.ID(), col})
-				s.lastWrite = done
-				s.readers = s.readers[:0]
-			case ir.PrivReduce:
-				s := sh.table.getTemp(tempKey{l, ai, col})
-				s.lastWrite = done
-				s.readers = s.readers[:0]
+		for _, a := range cp.args {
+			if a.priv == ir.PrivRead {
+				a.st.readers = append(a.st.readers, done)
+			} else {
+				a.st.lastWrite = done
+				a.st.readers = a.st.readers[:0]
 			}
 		}
 		if reduce {
@@ -351,16 +350,16 @@ func (sh *shard) doLaunch(l *ir.Launch, iter int) {
 	}
 	sh.doneBuf, sh.ctxBuf = localDone[:0], ctxs[:0]
 
-	if l.Reduce != nil {
+	if reduce {
 		// One contribution per task color (not per shard): the collective
 		// folds values in participant-index order, so indexing by global
 		// color keeps the fold order — and hence the floating-point result —
 		// bitwise identical to the sequential semantics.
 		coll := st.collFor(l, iter, l.Reduce.Op)
 		op := l.Reduce.Op
-		for k, col := range owned {
+		for k := range lp.colors {
 			ctx := ctxs[k]
-			coll.Contribute(st.plan.ColorIdx[col], localDone[k], func() float64 {
+			coll.Contribute(lp.colors[k].colIdx, localDone[k], func() float64 {
 				if ctx == nil {
 					return op.Identity()
 				}
@@ -372,131 +371,65 @@ func (sh *shard) doLaunch(l *ir.Launch, iter int) {
 	}
 }
 
-// buildCtx assembles the Real-mode task context over instance stores;
-// reduce arguments get persistent per-(op,arg,color) temporaries that the
-// task body re-initializes to the identity each iteration.
-func (sh *shard) buildCtx(l *ir.Launch, col geometry.Point, scalars []float64) *ir.TaskCtx {
-	st := sh.st
-	ctx := &ir.TaskCtx{Color: col, Scalars: scalars}
-	for ai, a := range l.Args {
-		param := l.Task.Params[ai]
-		sub := a.Part.Sub(col)
-		if param.Priv == ir.PrivReduce {
-			buf := st.tempStore(tempKey{l, ai, col}, sub)
-			ctx.Args = append(ctx.Args, ir.NewPhysArg(sub, buf, param))
-		} else {
-			ctx.Args = append(ctx.Args, ir.NewPhysArg(sub, st.inst[instKey{a.Part.ID(), col}], param))
-		}
-	}
-	return ctx
-}
-
-// tempReinits returns closures re-initializing the launch's reduce
-// temporaries to the identity (run at task start, §4.3).
-func (sh *shard) tempReinits(l *ir.Launch, col geometry.Point) []func() {
-	var out []func()
-	for ai, a := range l.Args {
-		param := l.Task.Params[ai]
-		if param.Priv != ir.PrivReduce {
-			continue
-		}
-		// Resolve the store now (buildCtx has already created it) rather
-		// than at body-run time: kernel bodies run concurrently on the
-		// native backend and must not touch the shared temps map.
-		buf := sh.st.tempStore(tempKey{l, ai, col}, a.Part.Sub(col))
-		fields, op := param.Fields, param.Op
-		out = append(out, func() {
-			for _, f := range fields {
-				buf.Fill(f, op.Identity())
-			}
-		})
-	}
-	return out
-}
-
-// doCopyP2P executes one copy op under point-to-point synchronization
-// (§3.4). The shard acts as consumer for pair groups whose destination it
-// owns (computing the write-after-read release and registering arrivals)
-// and as producer for pairs whose source it owns (issuing the actual
-// transfers). Reduction applications to one destination chain in source
-// order for deterministic folding. Each shard walks only its precomputed
-// slice of the pair list.
-func (sh *shard) doCopyP2P(cp *cr.CopyOp, iter int) {
+// consume is the consumer half of one destination group under
+// point-to-point synchronization (§3.4): the shard owning the destination
+// computes the write-after-read release, connects it to every pair's war
+// event, and advances the instance's validity to the pairs' done events.
+func (sh *shard) consume(copyID int, w *copyWorkPlan, iter int) {
 	st := sh.st
 	e := st.e
-	pairs := cp.Pairs
 	prune := st.plan.Prune
-	for _, work := range st.copyWork(cp.ID, sh.me) {
-		if work.Consumer {
-			dstCol := pairs[work.GroupStart].Dst
-			s := sh.table.get(instKey{cp.Dst.ID(), dstCol})
-			rel := append(sh.evBuf[:0], s.readers...)
-			rel = append(rel, s.lastWrite)
-			release := e.Sim.Merge(rel...)
-			newWrites := append(sh.wrBuf[:0], s.lastWrite)
-			for k := work.GroupStart; k < work.GroupEnd; k++ {
-				ps := st.pairSyncFor(cp.ID, k, iter)
-				if !prune.SkipWar(cp.ID, k) {
-					st.connect(release, ps.war)
-				}
-				if !prune.SkipDone(cp.ID, k) {
-					newWrites = append(newWrites, ps.done)
-					sh.ops = append(sh.ops, ps.done)
-				}
-			}
-			s.lastWrite = e.Sim.Merge(newWrites...)
-			s.readers = s.readers[:0]
-			sh.evBuf, sh.wrBuf = rel[:0], newWrites[:0]
+	s := w.dstState
+	rel := append(sh.evBuf[:0], s.readers...)
+	rel = append(rel, s.lastWrite)
+	release := e.Sim.Merge(rel...)
+	newWrites := append(sh.wrBuf[:0], s.lastWrite)
+	for k := w.groupStart; k < w.groupEnd; k++ {
+		ps := st.pairSyncFor(copyID, k, iter)
+		if !prune.SkipWar(copyID, k) {
+			st.connect(release, ps.war)
 		}
-		for _, k := range work.ProdPairs {
-			pr := pairs[k]
-			ps := st.pairSyncFor(cp.ID, k, iter)
+		if !prune.SkipDone(copyID, k) {
+			newWrites = append(newWrites, ps.done)
+			sh.ops = append(sh.ops, ps.done)
+		}
+	}
+	s.lastWrite = e.Sim.Merge(newWrites...)
+	s.readers = s.readers[:0]
+	sh.evBuf, sh.wrBuf = rel[:0], newWrites[:0]
+}
+
+// execCopyP2P executes one copy op under point-to-point synchronization.
+// Per work item the shard first acts as consumer for the pair group whose
+// destination it owns, then as producer for the pairs whose source it owns
+// (issuing the actual transfers). Reduction applications to one destination
+// chain in source order; the predecessor may belong to another shard — the
+// done event is shared state.
+func (sh *shard) execCopyP2P(cpl *copyPlan, iter int) {
+	st := sh.st
+	e := st.e
+	prune := st.plan.Prune
+	for wi := range cpl.works {
+		w := &cpl.works[wi]
+		if w.consumer {
+			sh.consume(cpl.id, w, iter)
+		}
+		for pi := range w.prods {
+			p := &w.prods[pi]
+			ps := st.pairSyncFor(cpl.id, p.pairIdx, iter)
 			sh.th.Elapse(e.Over.CopySetup)
 			pres := sh.presBuf[:0]
-			if !prune.SkipWar(cp.ID, k) {
+			if !prune.SkipWar(cpl.id, p.pairIdx) {
 				pres = append(pres, ps.war)
 			}
-			var body func()
-			var ev realm.Event
-			if cp.Reduce == region.ReduceNone {
-				s := sh.table.get(instKey{cp.Src.ID(), pr.Src})
-				pres = append(pres, s.lastWrite)
-				if e.Mode == ir.ExecReal {
-					src := st.inst[instKey{cp.Src.ID(), pr.Src}]
-					dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-					fields, overlap := cp.Fields, pr.Overlap
-					body = func() {
-						for _, f := range fields {
-							dst.CopyFieldFrom(src, f, overlap)
-						}
-					}
-				}
-				ev = sh.issueCopy(pr, cp, pres, body)
-				s.readers = append(s.readers, ev)
-			} else {
-				ts := sh.table.getTemp(tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src})
-				pres = append(pres, ts.lastWrite)
-				if k > work.GroupStart && !prune.SkipChain(cp.ID, k) {
-					// Chain folds into this destination in source order;
-					// the predecessor may belong to another shard — the
-					// done event is shared state.
-					pres = append(pres, st.pairSyncFor(cp.ID, k-1, iter).done)
-				}
-				if e.Mode == ir.ExecReal {
-					buf := st.tempStore(tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src}, cp.Src.Sub(pr.Src))
-					dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-					fields, op, overlap := cp.Fields, cp.Reduce, pr.Overlap
-					body = func() {
-						for _, f := range fields {
-							dst.ReduceFieldFrom(buf, f, op, overlap)
-						}
-					}
-				}
-				ev = sh.issueCopy(pr, cp, pres, body)
-				ts.readers = append(ts.readers, ev)
+			pres = append(pres, p.srcState.lastWrite)
+			if p.chain {
+				pres = append(pres, st.pairSyncFor(cpl.id, p.pairIdx-1, iter).done)
 			}
+			ev := e.Sim.CopyBytes(p.srcNode, p.dstNode, p.bytes, e.Sim.Merge(pres...), p.body)
+			p.srcState.readers = append(p.srcState.readers, ev)
 			sh.presBuf = pres[:0]
-			if prune.SkipDone(cp.ID, k) {
+			if prune.SkipDone(cpl.id, p.pairIdx) {
 				// Done pruned: the copy's own completion joins the producer's
 				// iteration merge so loop-end quiescence still covers the
 				// transfer; nothing triggers or waits on ps.done.
@@ -509,74 +442,29 @@ func (sh *shard) doCopyP2P(cp *cr.CopyOp, iter int) {
 	}
 }
 
-// issueCopy models and (in Real mode) performs one pair's data movement.
-func (sh *shard) issueCopy(pr intersect.Pair, cp *cr.CopyOp, pres []realm.Event, body func()) realm.Event {
-	st := sh.st
-	e := st.e
-	bytes := pr.Overlap.Volume() * e.Over.EltBytes * int64(len(cp.Fields))
-	return e.Sim.CopyBytes(
-		st.ownerNode(pr.Src), st.ownerNode(pr.Dst),
-		bytes, e.Sim.Merge(pres...), body)
-}
-
-// doPhaseP2PAgg executes one exchange phase under point-to-point
+// execPhaseP2P executes one exchange phase under point-to-point
 // synchronization with per-destination aggregation (cr.Options.Agg). The
-// consumer side is the unaggregated lowering verbatim, op by op in body
-// order — the per-pair war/done events survive coalescing, so consumers
-// release and observe exactly the same sync structure and are oblivious to
-// how producers batch. The producer side then issues ONE merged transfer
-// per (this shard, destination shard) group over the whole phase:
-// preconditions are the union of the members' wars, source validity, and
-// cross-shard fold-chain links (a same-shard chain predecessor is a member
-// of the same group, ordered by the merged body's in-order member writes
-// instead), the payload is the summed member bytes, and the single
-// completion event fans out to every member's done. Pruning never composes
-// with aggregation (Engine.Run rejects the combination), so this path has
-// no Skip checks.
-func (sh *shard) doPhaseP2PAgg(phIdx, iter int) {
+// consumer side is the unaggregated lowering verbatim, every op of the
+// phase in body order — the per-pair war/done events survive coalescing, so
+// consumers release and observe exactly the same sync structure and are
+// oblivious to how producers batch. The producer side then issues ONE
+// merged transfer per (this shard, destination shard) group over the whole
+// phase: preconditions are the union of the members' wars, source validity,
+// and cross-shard fold-chain links, the payload is the summed member bytes,
+// and the single completion event fans out to every member's done. Members
+// carry their own op's copy ID — phase groups span copy ops, and the
+// per-pair sync slots stay keyed by the owning op.
+func (sh *shard) execPhaseP2P(pp *phasePlan, iter int) {
 	st := sh.st
 	e := st.e
-	ph := &st.plan.Spec.Phases[phIdx]
-	for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
-		cp := st.plan.Body[opIdx].Copy
-		pairs := cp.Pairs
-		for _, work := range st.copyWork(cp.ID, sh.me) {
-			if !work.Consumer {
-				continue
-			}
-			dstCol := pairs[work.GroupStart].Dst
-			s := sh.table.get(instKey{cp.Dst.ID(), dstCol})
-			rel := append(sh.evBuf[:0], s.readers...)
-			rel = append(rel, s.lastWrite)
-			release := e.Sim.Merge(rel...)
-			newWrites := append(sh.wrBuf[:0], s.lastWrite)
-			for k := work.GroupStart; k < work.GroupEnd; k++ {
-				ps := st.pairSyncFor(cp.ID, k, iter)
-				st.connect(release, ps.war)
-				newWrites = append(newWrites, ps.done)
-				sh.ops = append(sh.ops, ps.done)
-			}
-			s.lastWrite = e.Sim.Merge(newWrites...)
-			s.readers = s.readers[:0]
-			sh.evBuf, sh.wrBuf = rel[:0], newWrites[:0]
+	for ci := range pp.cons {
+		cons := &pp.cons[ci]
+		for wi := range cons.works {
+			sh.consume(cons.id, &cons.works[wi], iter)
 		}
 	}
-	aggs := st.resolvePhaseAggs(sh, ph, st.interpAggBytes)
-	sh.issueAggGroups(aggs, iter)
-}
-
-// issueAggGroups issues the shard's coalesced transfers of one exchange
-// phase under the p2p lowering: one copyAgg per group, then the done
-// fan-out. Members carry their own op's copy ID — phase groups span copy
-// ops, and the per-pair sync slots stay keyed by the owning op. Shared by
-// interpretation (which resolves the groups fresh each iteration) and
-// replay (which resolves them once at capture); both issue the identical
-// Sim call sequence.
-func (sh *shard) issueAggGroups(aggs []copyAggPlan, iter int) {
-	st := sh.st
-	e := st.e
-	for ai := range aggs {
-		ap := &aggs[ai]
+	for ai := range pp.aggs {
+		ap := &pp.aggs[ai]
 		// One setup charge per group, not per member: batching the issue
 		// overhead is half the point of coalescing.
 		sh.th.Elapse(e.Over.CopySetup)
@@ -601,101 +489,76 @@ func (sh *shard) issueAggGroups(aggs []copyAggPlan, iter int) {
 	}
 }
 
-// doCopyBarrier executes one copy op under the naive barrier lowering of
-// Figure 4c: a global barrier protects write-after-read, the copies run,
-// and a second barrier protects read-after-write. Kept as the ablation
-// baseline for the point-to-point optimization.
-func (sh *shard) doCopyBarrier(cp *cr.CopyOp, iter int) {
-	st := sh.st
-	e := st.e
-	b1 := st.barrierFor(cp.ID, iter, 0)
-	b2 := st.barrierFor(cp.ID, iter, 1)
-	pairs := cp.Pairs
-	work := st.copyWork(cp.ID, sh.me)
-
-	// Arrive at the first barrier once everything this shard has issued so
-	// far in the iteration has completed, plus all outstanding consumers of
-	// our destination instances (deferred execution means prior-iteration
-	// readers may still be in flight).
+// barrierArrive arrives at a copy op's entry barrier once everything this
+// shard has issued so far in the iteration has completed, plus all
+// outstanding consumers of its destination instances (deferred execution
+// means prior-iteration readers may still be in flight).
+func (sh *shard) barrierArrive(b1 realm.BarrierOp, works []copyWorkPlan) {
 	arr := append(sh.evBuf[:0], sh.ops...)
-	for _, w := range work {
-		if !w.Consumer {
-			continue
+	for wi := range works {
+		if w := &works[wi]; w.consumer {
+			arr = append(arr, w.dstState.lastWrite)
+			arr = append(arr, w.dstState.readers...)
 		}
-		s := sh.table.get(instKey{cp.Dst.ID(), pairs[w.GroupStart].Dst})
-		arr = append(arr, s.lastWrite)
-		arr = append(arr, s.readers...)
 	}
-	b1.Arrive(e.Sim.Merge(arr...))
+	b1.Arrive(sh.st.e.Sim.Merge(arr...))
 	sh.evBuf = arr[:0]
+}
 
-	var copyEvs []realm.Event
-	isReduce := cp.Reduce != region.ReduceNone
-	for _, w := range work {
-		for _, k := range w.ProdPairs {
-			pr := pairs[k]
-			sh.th.Elapse(e.Over.CopySetup)
-			pres := []realm.Event{b1.Done()}
-			var body func()
-			if !isReduce {
-				s := sh.table.get(instKey{cp.Src.ID(), pr.Src})
-				pres = append(pres, s.lastWrite)
-				if e.Mode == ir.ExecReal {
-					src := st.inst[instKey{cp.Src.ID(), pr.Src}]
-					dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-					fields, overlap := cp.Fields, pr.Overlap
-					body = func() {
-						for _, f := range fields {
-							dst.CopyFieldFrom(src, f, overlap)
-						}
-					}
-				}
-				ev := sh.issueCopy(pr, cp, pres, body)
-				s.readers = append(s.readers, ev)
-				copyEvs = append(copyEvs, ev)
-			} else {
-				ts := sh.table.getTemp(tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src})
-				pres = append(pres, ts.lastWrite)
-				// Chain folds into one destination in source order across
-				// all producing shards via the shared per-pair done events,
-				// so the fold order is deterministic even under barriers.
-				if k > w.GroupStart && !st.plan.Prune.SkipChain(cp.ID, k) {
-					pres = append(pres, st.pairSyncFor(cp.ID, k-1, iter).done)
-				}
-				if e.Mode == ir.ExecReal {
-					buf := st.tempStore(tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src}, cp.Src.Sub(pr.Src))
-					dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-					fields, op, overlap := cp.Fields, cp.Reduce, pr.Overlap
-					body = func() {
-						for _, f := range fields {
-							dst.ReduceFieldFrom(buf, f, op, overlap)
-						}
-					}
-				}
-				ev := sh.issueCopy(pr, cp, pres, body)
-				if !st.plan.Prune.SkipDone(cp.ID, k) {
-					st.connect(ev, st.pairSyncFor(cp.ID, k, iter).done)
-				}
-				ts.readers = append(ts.readers, ev)
-				copyEvs = append(copyEvs, ev)
-			}
+// barrierExit arrives at a copy op's exit barrier with the issued copies
+// (and the entry barrier, for a shard that issued none); all the shard's
+// destination instances become valid after it.
+func (sh *shard) barrierExit(b2 realm.BarrierOp, copyEvs []realm.Event, b1done realm.Event, works []copyWorkPlan) {
+	sim := sh.st.e.Sim
+	arr := append(append(sh.evBuf[:0], copyEvs...), b1done)
+	b2.Arrive(sim.Merge(arr...))
+	sh.evBuf = arr[:0]
+	for wi := range works {
+		if w := &works[wi]; w.consumer {
+			w.dstState.lastWrite = sim.Merge(w.dstState.lastWrite, b2.Done())
+			w.dstState.readers = w.dstState.readers[:0]
 		}
-	}
-
-	b2.Arrive(e.Sim.Merge(append(copyEvs, b1.Done())...))
-	// All our destination instances become valid after the second barrier.
-	for _, w := range work {
-		if !w.Consumer {
-			continue
-		}
-		s := sh.table.get(instKey{cp.Dst.ID(), pairs[w.GroupStart].Dst})
-		s.lastWrite = e.Sim.Merge(s.lastWrite, b2.Done())
-		s.readers = s.readers[:0]
 	}
 	sh.ops = append(sh.ops, b2.Done())
 }
 
-// doPhaseBarrierAgg executes one exchange phase under the barrier lowering
+// execCopyBarrier executes one copy op under the naive barrier lowering of
+// Figure 4c: a global barrier protects write-after-read, the copies run,
+// and a second barrier protects read-after-write. Kept as the ablation
+// baseline for the point-to-point optimization. Reduction folds into one
+// destination still chain in source order across all producing shards via
+// the shared per-pair done events, so the fold order is deterministic even
+// under barriers.
+func (sh *shard) execCopyBarrier(cpl *copyPlan, iter int) {
+	st := sh.st
+	e := st.e
+	b1 := st.barrierFor(cpl.id, iter, 0)
+	b2 := st.barrierFor(cpl.id, iter, 1)
+	sh.barrierArrive(b1, cpl.works)
+
+	var copyEvs []realm.Event
+	for wi := range cpl.works {
+		w := &cpl.works[wi]
+		for pi := range w.prods {
+			p := &w.prods[pi]
+			sh.th.Elapse(e.Over.CopySetup)
+			pres := append(sh.presBuf[:0], b1.Done(), p.srcState.lastWrite)
+			if p.chain {
+				pres = append(pres, st.pairSyncFor(cpl.id, p.pairIdx-1, iter).done)
+			}
+			ev := e.Sim.CopyBytes(p.srcNode, p.dstNode, p.bytes, e.Sim.Merge(pres...), p.body)
+			sh.presBuf = pres[:0]
+			if p.reduce && !st.plan.Prune.SkipDone(cpl.id, p.pairIdx) {
+				st.connect(ev, st.pairSyncFor(cpl.id, p.pairIdx, iter).done)
+			}
+			p.srcState.readers = append(p.srcState.readers, ev)
+			copyEvs = append(copyEvs, ev)
+		}
+	}
+	sh.barrierExit(b2, copyEvs, b1.Done(), cpl.works)
+}
+
+// execPhaseBarrier executes one exchange phase under the barrier lowering
 // with per-destination aggregation. A merged message spans the phase's
 // copy ops, so its precondition spans their release barriers: the shard
 // arrives at EVERY phase op's first barrier up front — without threading
@@ -708,34 +571,19 @@ func (sh *shard) doCopyBarrier(cp *cr.CopyOp, iter int) {
 // relative to the unaggregated lowering, but only ever tighter, never a
 // reordering. Reduce members still trigger their per-pair done events,
 // which carry the cross-shard fold order.
-func (sh *shard) doPhaseBarrierAgg(phIdx, iter int) {
+func (sh *shard) execPhaseBarrier(pp *phasePlan, iter int) {
 	st := sh.st
 	e := st.e
-	ph := &st.plan.Spec.Phases[phIdx]
-	n := ph.End - ph.Start
-
-	b1done := make([]realm.Event, 0, n)
-	for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
-		cp := st.plan.Body[opIdx].Copy
-		b1 := st.barrierFor(cp.ID, iter, 0)
-		arr := append(sh.evBuf[:0], sh.ops...)
-		for _, w := range st.copyWork(cp.ID, sh.me) {
-			if !w.Consumer {
-				continue
-			}
-			s := sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[w.GroupStart].Dst})
-			arr = append(arr, s.lastWrite)
-			arr = append(arr, s.readers...)
-		}
-		b1.Arrive(e.Sim.Merge(arr...))
-		sh.evBuf = arr[:0]
-		b1done = append(b1done, b1.Done())
+	b1done := make([]realm.Event, len(pp.cons))
+	for ci := range pp.cons {
+		b1 := st.barrierFor(pp.cons[ci].id, iter, 0)
+		sh.barrierArrive(b1, pp.cons[ci].works)
+		b1done[ci] = b1.Done()
 	}
 
-	aggs := st.resolvePhaseAggs(sh, ph, st.interpAggBytes)
-	copyEvs := make([]realm.Event, 0, len(aggs))
-	for ai := range aggs {
-		ap := &aggs[ai]
+	copyEvs := make([]realm.Event, len(pp.aggs))
+	for ai := range pp.aggs {
+		ap := &pp.aggs[ai]
 		sh.th.Elapse(e.Over.CopySetup)
 		pres := append(sh.presBuf[:0], b1done...)
 		for mi := range ap.members {
@@ -754,31 +602,11 @@ func (sh *shard) doPhaseBarrierAgg(phIdx, iter int) {
 				st.connect(ev, st.pairSyncFor(m.copyID, m.pairIdx, iter).done)
 			}
 		}
-		copyEvs = append(copyEvs, ev)
+		copyEvs[ai] = ev
 	}
 
-	for oi, opIdx := 0, ph.Start; opIdx < ph.End; oi, opIdx = oi+1, opIdx+1 {
-		cp := st.plan.Body[opIdx].Copy
-		b2 := st.barrierFor(cp.ID, iter, 1)
-		arr := append(sh.evBuf[:0], copyEvs...)
-		arr = append(arr, b1done[oi])
-		b2.Arrive(e.Sim.Merge(arr...))
-		sh.evBuf = arr[:0]
-		for _, w := range st.copyWork(cp.ID, sh.me) {
-			if !w.Consumer {
-				continue
-			}
-			s := sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[w.GroupStart].Dst})
-			s.lastWrite = e.Sim.Merge(s.lastWrite, b2.Done())
-			s.readers = s.readers[:0]
-		}
-		sh.ops = append(sh.ops, b2.Done())
+	for ci := range pp.cons {
+		b2 := st.barrierFor(pp.cons[ci].id, iter, 1)
+		sh.barrierExit(b2, copyEvs, b1done[ci], pp.cons[ci].works)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

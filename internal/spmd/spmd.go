@@ -86,17 +86,17 @@ type Engine struct {
 	// and executes exactly the plain SPMD schedule.
 	Recov Recovery
 
-	// NoTrace disables shard-plan capture/replay (see plan.go), forcing
-	// every iteration through the interpreter. The schedule is identical
-	// either way; the flag exists for the trace ablation and regression
-	// tests.
+	// NoTrace disables shard-plan memoization (see plan.go): every shard
+	// re-resolves its plan every iteration instead of once per placement.
+	// The schedule is identical either way; the flag exists for the trace
+	// ablation and regression tests.
 	NoTrace bool
 
-	// NoShare disables cross-shard trace sharing: every shard captures its
-	// own plan directly (the PR 3 behavior, O(shards) capture work per run
-	// state) instead of specializing the engine's one shared capture. The
-	// schedule is identical either way; the flag exists for the -trace-share
-	// ablation and regression tests.
+	// NoShare disables cross-shard trace sharing: every shard resolves its
+	// memoized plan directly from the compiled plan (the PR 3 behavior,
+	// O(shards) capture work per run state) instead of against the engine's
+	// one shared capture. The schedule is identical either way; the flag
+	// exists for the -trace-share ablation and regression tests.
 	NoShare bool
 
 	// ShareLog, when set, receives one diagnostic line per loop that has
@@ -106,7 +106,7 @@ type Engine struct {
 
 	traceStats TraceStats
 
-	// planMu guards the capture/specialization state (traceStats, shared,
+	// planMu guards the memoized-plan state (traceStats, shared,
 	// shareLogged, runState.plans): on the native backend shard agents
 	// resolve their plans concurrently. Uncontended on the DES.
 	planMu sync.Mutex
@@ -239,7 +239,7 @@ func (e *Engine) Run() (*Result, error) {
 	}, nil
 }
 
-// TraceStats reports the shard-plan capture/replay counters of the last
+// TraceStats reports the memoized shard-plan counters of the last
 // Run.
 func (e *Engine) TraceStats() TraceStats { return e.traceStats }
 

@@ -115,9 +115,9 @@ type runState struct {
 	bars      []realm.BarrierOp // [(iter*numBarOps + barIdx)*2 + which], lazy
 
 	// plans are the per-shard memoized iteration plans (see plan.go); nil
-	// until a shard first runs, or always nil when tracing is off. Rebuilt
-	// runStates (shard failover, PR 2 recovery) start empty, which is the
-	// trace invalidation: the new placement re-resolves from scratch.
+	// until a shard first runs, and always nil when plans are not memoized.
+	// Rebuilt runStates (shard failover, PR 2 recovery) start empty, which
+	// is the trace invalidation: the new placement re-resolves from scratch.
 	plans []*shardPlan
 
 	iterCount []int
@@ -163,13 +163,6 @@ func newRunState(e *Engine, plan *cr.Compiled, trip int, assign []int) *runState
 	}
 	sort.Ints(st.watch)
 	return st
-}
-
-// copyWork returns the precomputed work list of one copy op for one shard
-// — the compiler-emitted schedule (cr.SpecTable), shared by interpretation,
-// per-shard capture, and specialization.
-func (st *runState) copyWork(copyID, shard int) []cr.SpecWork {
-	return st.plan.Spec.CopyByID[copyID].PerShard[shard]
 }
 
 // indexSyncSlots assigns every copy op's pairs, every scalar reduction, and

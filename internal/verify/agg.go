@@ -16,7 +16,7 @@ package verify
 //
 //  2. Dynamically (but statically checked): AnalyzeAgg rebuilds the
 //     happens-before graph of the AGGREGATED schedule — a symbolic replay
-//     of spmd.doPhaseP2PAgg / doPhaseBarrierAgg, mirroring them op for op
+//     of spmd.execPhaseP2P / execPhaseBarrier, mirroring them op for op
 //     the way graph.go mirrors the unaggregated executor — and the race
 //     and liveness passes re-run over it. A merged message is modeled as
 //     a linear cluster of per-member copy nodes m_1 -> ... -> m_n: the
@@ -99,7 +99,7 @@ func aggTablesWellFormed(c *cr.Compiled) error {
 	return nil
 }
 
-// doPhaseP2PAgg symbolically replays spmd.(*shard).doPhaseP2PAgg: the
+// doPhaseP2PAgg symbolically replays spmd.(*shard).execPhaseP2P: the
 // consumer side of every phase op runs first, op by op in body order, with
 // the unaggregated per-pair war/done structure intact (consumers are
 // oblivious to producer batching); then each aggregation group issues one
@@ -171,7 +171,7 @@ func (b *builder) doPhaseP2PAgg(phIdx int, iter int32, seed func(*symState)) {
 	}
 }
 
-// doPhaseBarrierAgg symbolically replays spmd.(*shard).doPhaseBarrierAgg:
+// doPhaseBarrierAgg symbolically replays spmd.(*shard).execPhaseBarrier:
 // every phase op's first barrier collects arrivals up front (without
 // threading one op's exit barrier into the next op's entry), the merged
 // messages wait ALL the phase's first barriers plus source validity and

@@ -243,8 +243,8 @@ type builder struct {
 	// deletion, which would leave the structural done->loopEnd edges of
 	// pruned sync in place. Nil builds the conservative schedule.
 	prune *cr.PruneInfo
-	// agg replays the aggregated executor paths (spmd doPhaseP2PAgg /
-	// doPhaseBarrierAgg) instead of the per-copy ones: whole exchange
+	// agg replays the aggregated executor paths (spmd execPhaseP2P /
+	// execPhaseBarrier) instead of the per-copy ones: whole exchange
 	// phases issue at their head op, producers emit one merged message per
 	// aggregation group (see agg.go). Aggregation never composes with
 	// pruning, so agg builders run with prune == nil.
@@ -402,7 +402,7 @@ func (b *builder) build() (*graph, []access) {
 
 // doLaunch adds one node per task of the index launch, with the executor's
 // precondition edges from the owning shard's instance table, and updates
-// the table exactly as spmd.(*shard).doLaunch does.
+// the table exactly as spmd.(*shard).execLaunch does.
 func (b *builder) doLaunch(bi int32, l *ir.Launch, iter int32, seed func(*symState)) {
 	for _, col := range b.c.Domain {
 		sh := b.shardOf(col)
@@ -477,8 +477,8 @@ func groups(cp *cr.CopyOp) [][2]int {
 	return out
 }
 
-// doCopyP2P mirrors spmd.(*shard).doCopyP2P: per destination group, the
-// consumer computes the write-after-read release and connects it to each
+// doCopyP2P mirrors spmd.(*shard).execCopyP2P (whose consumer half is
+// spmd.(*shard).consume): per destination group, the consumer computes the write-after-read release and connects it to each
 // pair's war event, then merges the pair done events into the instance's
 // lastWrite; per pair, the producer issues the transfer gated on war and
 // its source's lastWrite (plus the reduction chain), and connects it to
@@ -562,7 +562,7 @@ func (b *builder) doCopyP2P(bi int32, cp *cr.CopyOp, iter int32, seed func(*symS
 				b.opsOf[prodShard] = append(b.opsOf[prodShard], doneN[k])
 			} else {
 				// Done pruned: the producer merges the copy's own completion
-				// into its iteration ops instead (spmd doCopyP2P does the
+				// into its iteration ops instead (spmd execCopyP2P does the
 				// same), so loop-end quiescence still covers the transfer.
 				b.opsOf[prodShard] = append(b.opsOf[prodShard], cn)
 			}
@@ -571,7 +571,7 @@ func (b *builder) doCopyP2P(bi int32, cp *cr.CopyOp, iter int32, seed func(*symS
 	}
 }
 
-// doCopyBarrier mirrors spmd.(*shard).doCopyBarrier: every shard arrives
+// doCopyBarrier mirrors spmd.(*shard).execCopyBarrier: every shard arrives
 // at the first barrier with everything it issued so far this iteration
 // (consumers additionally with their destination state), the copies run
 // between the barriers, and every destination instance becomes valid after

@@ -11,8 +11,9 @@ import (
 // CheckSpec statically validates the compiler's specialization tables
 // (cr.SpecTable) against an independent recomputation from the compiled
 // loop's pair lists and ownership. The tables are what makes a shard plan
-// specialized from the shared capture sync-equivalent to one captured
-// directly, so each ingredient of the substitution is re-derived here from
+// resolved against the shared capture sync-equivalent to one resolved
+// directly (spmd.(*runState).resolve with and without a sharedTrace), so
+// each ingredient of the substitution is re-derived here from
 // first principles and compared:
 //
 //   - block congruence: OwnedBase offsets match the ownership partition,
@@ -27,8 +28,8 @@ import (
 //     equal captured ones under any assignment);
 //   - the per-shard work partition equals a from-scratch regrouping of the
 //     pair list (same consumer per group, same producer pair sets, in the
-//     same order) — the work lists every executor path (interpreter,
-//     per-shard capture, specialization) walks.
+//     same order) — the work lists spmd's one resolver walks, memoized
+//     or re-resolved every iteration, shared capture or not.
 //
 // A nil return means every specialized plan is structurally identical to a
 // directly captured one, and therefore issues the same synchronization.
