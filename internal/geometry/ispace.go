@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // IndexSpace is a (possibly sparse) set of points, represented as a list of
@@ -224,32 +223,55 @@ func (s IndexSpace) intersect1D(t IndexSpace) IndexSpace {
 }
 
 // Overlaps reports whether s and t share at least one point; it short
-// circuits and is cheaper than computing the full intersection.
+// circuits and is cheaper than computing the full intersection. Sorted 1-D
+// span lists are swept, galloping over the stretch of one list that lies
+// before the other's current span, so a sparse space against a long one
+// costs O(short * log long) rather than their sum.
 func (s IndexSpace) Overlaps(t IndexSpace) bool {
 	s.mustMatch(t)
-	if s.dim == 1 && len(s.spans)+len(t.spans) > sweepThreshold {
+	if s.dim == 1 {
 		a, b := s.sorted1D(), t.sorted1D()
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
-			if a[i].Lo.X() <= b[j].Hi.X() && b[j].Lo.X() <= a[i].Hi.X() {
+			switch {
+			case a[i].Hi.C[0] < b[j].Lo.C[0]:
+				i = seek1D(a, i, b[j].Lo.C[0])
+			case b[j].Hi.C[0] < a[i].Lo.C[0]:
+				j = seek1D(b, j, a[i].Lo.C[0])
+			default:
 				return true
-			}
-			if a[i].Hi.X() < b[j].Hi.X() {
-				i++
-			} else {
-				j++
 			}
 		}
 		return false
 	}
-	for _, a := range s.spans {
-		for _, b := range t.spans {
-			if a.Overlaps(b) {
+	for i := range s.spans {
+		for j := range t.spans {
+			if s.spans[i].Overlaps(t.spans[j]) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// seek1D returns the first index after from whose span ends at or after x,
+// or len(spans): an exponential probe then a binary search, O(log distance).
+// The span at from must end before x.
+func seek1D(spans []Rect, from int, x int64) int {
+	lo, step := from, 1
+	for lo+step < len(spans) && spans[lo+step].Hi.C[0] < x {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(spans))
+	for lo+1 < hi {
+		if mid := (lo + hi) / 2; spans[mid].Hi.C[0] < x {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // Subtract returns the set difference s minus t.
@@ -509,14 +531,14 @@ func (ix *xspanIndex) candidates(buf []int32, lo, hi int64) []int32 {
 
 // String renders the span list.
 func (s IndexSpace) String() string {
-	if s.Empty() {
-		return "{}"
-	}
-	parts := make([]string, len(s.spans))
+	b := append(make([]byte, 0, 2+16*len(s.spans)), '{')
 	for i, r := range s.spans {
-		parts[i] = r.String()
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = r.appendTo(b)
 	}
-	return "{" + strings.Join(parts, " ") + "}"
+	return string(append(b, '}'))
 }
 
 func (s IndexSpace) mustMatch(t IndexSpace) {

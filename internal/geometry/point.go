@@ -8,7 +8,10 @@
 // ends, matching Legion's convention.
 package geometry
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // MaxDim is the maximum supported dimensionality of an index space.
 const MaxDim = 3
@@ -71,15 +74,23 @@ func (p Point) Less(q Point) bool {
 }
 
 // String formats the point as <x>, <x,y> or <x,y,z>.
-func (p Point) String() string {
-	switch p.Dim {
-	case 1:
-		return fmt.Sprintf("<%d>", p.C[0])
-	case 2:
-		return fmt.Sprintf("<%d,%d>", p.C[0], p.C[1])
-	default:
-		return fmt.Sprintf("<%d,%d,%d>", p.C[0], p.C[1], p.C[2])
+func (p Point) String() string { return string(p.appendTo(make([]byte, 0, 24))) }
+
+// appendTo appends String's text to b. The String methods of this package
+// build into one buffer: witness rendering prints spaces of many spans.
+func (p Point) appendTo(b []byte) []byte {
+	n := 3
+	if p.Dim == 1 || p.Dim == 2 {
+		n = int(p.Dim)
 	}
+	b = append(b, '<')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, p.C[i], 10)
+	}
+	return append(b, '>')
 }
 
 func (p Point) mustMatch(q Point) {

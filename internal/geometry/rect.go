@@ -65,9 +65,16 @@ func (r Rect) ContainsRect(s Rect) bool {
 	return r.Contains(s.Lo) && r.Contains(s.Hi)
 }
 
-// Overlaps reports whether the two rectangles share at least one point.
+// Overlaps reports whether the two rectangles share at least one point:
+// !r.Intersect(s).Empty(), without building the intersection.
 func (r Rect) Overlaps(s Rect) bool {
-	return !r.Intersect(s).Empty()
+	r.Lo.mustMatch(s.Lo)
+	for i := 0; i < int(r.Lo.Dim); i++ {
+		if max64(r.Lo.C[i], s.Lo.C[i]) > min64(r.Hi.C[i], s.Hi.C[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Intersect returns the rectangle common to r and s (possibly empty).
@@ -191,11 +198,15 @@ func (r Rect) EachRow(fn func(first Point, n int64) bool) {
 }
 
 // String formats the rectangle as lo..hi.
-func (r Rect) String() string {
+func (r Rect) String() string { return string(r.appendTo(make([]byte, 0, 48))) }
+
+func (r Rect) appendTo(b []byte) []byte {
 	if r.Empty() {
-		return "[empty]"
+		return append(b, "[empty]"...)
 	}
-	return fmt.Sprintf("[%v..%v]", r.Lo, r.Hi)
+	b = r.Lo.appendTo(append(b, '['))
+	b = r.Hi.appendTo(append(b, ".."...))
+	return append(b, ']')
 }
 
 func min64(a, b int64) int64 {

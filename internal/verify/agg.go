@@ -60,9 +60,7 @@ func AnalyzeAgg(c *cr.Compiled) (*Analysis, error) {
 	}
 	b := newBuilder(c)
 	b.agg = true
-	g, accs := b.build()
-	confs, insts := enumerateConflicts(g, accs)
-	return &Analysis{c: c, g: g, conflicts: confs, insts: insts, accesses: len(accs)}, nil
+	return b.analyze(), nil
 }
 
 // aggTablesWellFormed bounds-checks the aggregation tables so the symbolic

@@ -1,40 +1,42 @@
 package verify
 
 import (
-	"repro/internal/geometry"
+	"slices"
+
 	"repro/internal/region"
 )
 
 // conflict is a pair of accesses to the same instance with intersecting
 // fields, intersecting elements, and at least one writer, oriented by the
-// sequential program order.
+// sequential program order. It names the two accesses by index and nothing
+// more: whether they conflict is the paper's shallow question (§3.3), and
+// the complete one — which elements, which fields — is asked by finding,
+// for the pairs that are actually reported.
 type conflict struct {
-	earlier, later access
-	fields         []region.FieldID
-	overlap        geometry.IndexSpace
+	earlier, later int32 // indices into Analysis.accs
 	crossShard     bool
 }
 
 // enumerateConflicts groups the recorded accesses by physical instance and
 // emits every conflicting pair, along with the number of distinct
-// instances. Instances are visited in first-access order, so the output is
-// deterministic.
-func enumerateConflicts(g *graph, accs []access) ([]conflict, int) {
-	byInst := make(map[instRef][]int)
-	var order []instRef
+// instances accessed. Instances are visited in first-access order, so the
+// output is deterministic.
+func enumerateConflicts(g *graph, accs []access, ninst int) ([]conflict, int) {
+	byInst := make([][]int32, ninst)
+	var order []instID
 	for i := range accs {
-		r := accs[i].inst
-		if _, ok := byInst[r]; !ok {
-			order = append(order, r)
+		id := accs[i].inst
+		if byInst[id] == nil {
+			order = append(order, id)
 		}
-		byInst[r] = append(byInst[r], i)
+		byInst[id] = append(byInst[id], int32(i))
 	}
 	var out []conflict
-	for _, inst := range order {
-		idxs := byInst[inst]
-		for x := 0; x < len(idxs); x++ {
-			for y := x + 1; y < len(idxs); y++ {
-				a, b := &accs[idxs[x]], &accs[idxs[y]]
+	for _, id := range order {
+		for x, ia := range byInst[id] {
+			a := &accs[ia]
+			for _, ib := range byInst[id][x+1:] {
+				b := &accs[ib]
 				if a.n == b.n {
 					// One op's accesses to the same instance (a copy reads
 					// and writes overlap regions of a self-fold) need no
@@ -44,48 +46,44 @@ func enumerateConflicts(g *graph, accs []access) ([]conflict, int) {
 				if !a.write && !b.write {
 					continue
 				}
-				fi := fieldIntersection(a.fields, b.fields)
-				if len(fi) == 0 {
+				if !fieldsMeet(a.fields, b.fields) || !a.space.Overlaps(b.space) {
 					continue
 				}
-				ov := a.space.Intersect(b.space)
-				if ov.Empty() {
-					continue
-				}
-				e, l := a, b
-				ai, ab, as := g.seqKey(a.n)
-				bi, bb, bs := g.seqKey(b.n)
-				if seqLess(bi, bb, bs, ai, ab, as) ||
-					(!seqLess(ai, ab, as, bi, bb, bs) && b.n < a.n) {
-					e, l = b, a
-				}
-				out = append(out, conflict{
-					earlier: *e,
-					later:   *l,
-					fields:  fi,
-					overlap: ov,
+				cf := conflict{
+					earlier: ia,
+					later:   ib,
 					// Cross-shard means two distinct shards; control-thread
 					// ops (init, finalization) have no shard.
 					crossShard: g.nodes[a.n].shard >= 0 && g.nodes[b.n].shard >= 0 &&
 						g.nodes[a.n].shard != g.nodes[b.n].shard,
-				})
+				}
+				if g.seqBefore(b.n, a.n) {
+					cf.earlier, cf.later = ib, ia
+				}
+				out = append(out, cf)
 			}
 		}
 	}
 	return out, len(order)
 }
 
-// fieldIntersection returns the fields present in both lists, in a's
-// order. Field lists are tiny (a handful per partition), so the quadratic
-// scan beats building sets.
+// fieldsMeet reports whether the two lists share a field. Field lists are
+// tiny (a handful per partition), so the quadratic scan beats building sets.
+func fieldsMeet(a, b []region.FieldID) bool {
+	for _, f := range a {
+		if slices.Contains(b, f) {
+			return true
+		}
+	}
+	return false
+}
+
+// fieldIntersection returns the fields present in both lists, in a's order.
 func fieldIntersection(a, b []region.FieldID) []region.FieldID {
 	var out []region.FieldID
 	for _, f := range a {
-		for _, h := range b {
-			if f == h {
-				out = append(out, f)
-				break
-			}
+		if slices.Contains(b, f) {
+			out = append(out, f)
 		}
 	}
 	return out
@@ -96,58 +94,94 @@ func fieldIntersection(a, b []region.FieldID) []region.FieldID {
 // node's full successor set as a bitset, so every query is a bit test. The
 // happens-before graph is a DAG by construction (events only wait on
 // previously created events), and stays one when edges are removed.
+//
+// Bits are indexed by topological rank, not node id (real graphs have edges
+// that run against id order), so everything at or below a node's own rank
+// is provably zero: row r is stored from word r/64 on, in one slab of about
+// n*words/2 words, and folding a successor's row in starts at the
+// successor's own word. The zero value is ready to use; closure reuses the
+// slab when it is large enough (PlanPrune closes ~23 graphs of one size).
 type reachability struct {
-	bits  [][]uint64
+	bits  []uint64
 	words int
+	rank  []int32  // node id -> topological rank
+	topo  []nodeID // the order itself, kept as scratch for the next closure
 }
 
-func newReachability(g *graph, adj [][]nodeID) *reachability {
-	n := len(g.nodes)
-	words := (n + 63) / 64
-	r := &reachability{bits: make([][]uint64, n), words: words}
-	indeg := make([]int32, n)
+// off is where rank's row starts in the slab: the 64 ranks sharing a first
+// word b have rows of words-b words each.
+func (r *reachability) off(rank int) int {
+	b := rank >> 6
+	return 64*(b*r.words-b*(b-1)/2) + (rank&63)*(r.words-b)
+}
+
+func (r *reachability) row(rank int) []uint64 {
+	off := r.off(rank)
+	return r.bits[off : off+r.words-rank>>6]
+}
+
+// closure computes the relation of the graph with the given adjacency.
+func (r *reachability) closure(adj [][]nodeID) {
+	n := len(adj)
+	r.words = (n + 63) / 64
+	r.rank = slices.Grow(r.rank[:0], n)[:n]
+	clear(r.rank) // holds in-degrees until the order is known
+	topo := topoSort(adj, r.rank, r.topo[:0])
+	if len(topo) != n {
+		panic("verify: happens-before graph has a cycle")
+	}
+	r.topo = topo
+	for i, u := range topo {
+		r.rank[u] = int32(i)
+	}
+	if size := r.off(n); cap(r.bits) < size {
+		r.bits = make([]uint64, size)
+	} else {
+		r.bits = r.bits[:size]
+		clear(r.bits)
+	}
+	for i := n - 1; i >= 0; i-- {
+		row := r.row(i)
+		for _, v := range adj[topo[i]] {
+			rv := int(r.rank[v])
+			w, bit := rv>>6-i>>6, uint64(1)<<(rv&63)
+			if row[w]&bit != 0 {
+				continue // v and so all it reaches are already folded in
+			}
+			row[w] |= bit
+			dst := row[w:]
+			for k, x := range r.row(rv) {
+				dst[k] |= x
+			}
+		}
+	}
+}
+
+// topoSort appends a topological order of adj's nodes to order (Kahn's
+// algorithm) using the zeroed indeg as scratch. A cycle leaves the order
+// short, and indeg positive on exactly the nodes on or downstream of it.
+func topoSort(adj [][]nodeID, indeg []int32, order []nodeID) []nodeID {
 	for _, succs := range adj {
 		for _, v := range succs {
 			indeg[v]++
 		}
 	}
-	queue := make([]nodeID, 0, n)
-	for i := 0; i < n; i++ {
+	for i := range indeg {
 		if indeg[i] == 0 {
-			queue = append(queue, nodeID(i))
+			order = append(order, nodeID(i))
 		}
 	}
-	topo := make([]nodeID, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		topo = append(topo, u)
-		for _, v := range adj[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
+	for head := 0; head < len(order); head++ {
+		for _, v := range adj[order[head]] {
+			if indeg[v]--; indeg[v] == 0 {
+				order = append(order, v)
 			}
 		}
 	}
-	if len(topo) != n {
-		panic("verify: happens-before graph has a cycle")
-	}
-	for i := n - 1; i >= 0; i-- {
-		u := topo[i]
-		bs := make([]uint64, words)
-		for _, v := range adj[u] {
-			bs[int(v)/64] |= 1 << (uint(v) % 64)
-			if vb := r.bits[v]; vb != nil {
-				for w := range bs {
-					bs[w] |= vb[w]
-				}
-			}
-		}
-		r.bits[u] = bs
-	}
-	return r
+	return order
 }
 
 func (r *reachability) reaches(from, to nodeID) bool {
-	return r.bits[from][int(to)/64]&(1<<(uint(to)%64)) != 0
+	rf, rt := int(r.rank[from]), int(r.rank[to])
+	return rt > rf && r.row(rf)[rt>>6-rf>>6]&(1<<(rt&63)) != 0
 }

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"strconv"
+
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
@@ -57,20 +59,13 @@ type EdgeID struct {
 }
 
 func (e EdgeID) String() string {
-	return e.Class.String() + "(" + itoa(e.Copy) + "," + itoa(e.Pair) + ")"
-}
-
-func itoa(i int) string {
-	if i < 0 {
-		return "-" + itoa(-i)
-	}
-	if i < 10 {
-		return string(rune('0' + i))
-	}
-	return itoa(i/10) + string(rune('0'+i%10))
+	return e.Class.String() + "(" + strconv.Itoa(e.Copy) + "," + strconv.Itoa(e.Pair) + ")"
 }
 
 type nodeID int32
+
+// instID is an instance's dense index into builder.refs.
+type instID int32
 
 type nodeKind int8
 
@@ -139,11 +134,20 @@ func (g *graph) ledge(from, to nodeID, id EdgeID) {
 }
 
 // adjacency materializes the forward adjacency list with the dropped edge
-// labels removed.
+// labels removed. Each node's successors are a capacity-clipped window of
+// one slab: appending past a window copies it out, never into its neighbor.
 func (g *graph) adjacency(dropped map[EdgeID]bool) [][]nodeID {
-	adj := make([][]nodeID, len(g.nodes))
-	for _, e := range g.edges {
-		if e.label.Class != edgeStruct && dropped[e.label] {
+	deg := make([]int, len(g.nodes))
+	for i := range g.edges {
+		deg[g.edges[i].from]++
+	}
+	adj, slab, off := make([][]nodeID, len(g.nodes)), make([]nodeID, len(g.edges)), 0
+	for i, d := range deg {
+		adj[i], off = slab[off:off:off+d], off+d
+	}
+	for i := range g.edges {
+		e := &g.edges[i]
+		if len(dropped) > 0 && e.label.Class != edgeStruct && dropped[e.label] {
 			continue
 		}
 		adj[e.from] = append(adj[e.from], e.to)
@@ -151,38 +155,45 @@ func (g *graph) adjacency(dropped map[EdgeID]bool) [][]nodeID {
 	return adj
 }
 
-// find locates a node by identity within one unrolled iteration; -1 when
-// absent (e.g. a pruned sync event). Graphs are small, so a scan suffices.
-func (g *graph) find(kind nodeKind, copyID, sub, iter int32) nodeID {
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		if n.kind == kind && n.copyID == copyID && n.sub == sub && n.iter == iter {
-			return nodeID(i)
+// nodeKey is a copy, sync-event or barrier node's identity.
+type nodeKey struct {
+	kind              nodeKind
+	copyID, sub, iter int32
+}
+
+// copyNodes indexes those nodes by identity, first occurrence winning. A
+// scan per lookup is quadratic where it matters: PENNANT at 1024 shards has
+// 55 818 nodes and the liveness mutations look up three per copy pair.
+func (g *graph) copyNodes() map[nodeKey]nodeID {
+	idx := make(map[nodeKey]nodeID)
+	for i := len(g.nodes) - 1; i >= 0; i-- {
+		if n := &g.nodes[i]; n.copyID >= 0 {
+			idx[nodeKey{n.kind, n.copyID, n.sub, n.iter}] = nodeID(i)
 		}
 	}
-	return -1
+	return idx
 }
 
-// seqKey is a node's position in the sequential program order: iteration,
-// body index, then sub-op (copy pair) index. Initialization sorts before
-// everything, finalization after.
-func (g *graph) seqKey(n nodeID) (int32, int32, int32) {
-	nd := &g.nodes[n]
-	return nd.iter, nd.body, nd.sub
-}
-
-func seqLess(ai, ab, as, bi, bb, bs int32) bool {
-	if ai != bi {
-		return ai < bi
+// seqBefore reports whether node x precedes y in the sequential program
+// order: iteration, body index, then sub-op (copy pair) index, ties broken
+// by node id. Initialization sorts before everything, finalization after.
+func (g *graph) seqBefore(x, y nodeID) bool {
+	a, b := &g.nodes[x], &g.nodes[y]
+	if a.iter != b.iter {
+		return a.iter < b.iter
 	}
-	if ab != bb {
-		return ab < bb
+	if a.body != b.body {
+		return a.body < b.body
 	}
-	return as < bs
+	if a.sub != b.sub {
+		return a.sub < b.sub
+	}
+	return x < y
 }
 
 // instRef identifies one physical instance: a partition subregion (part !=
-// nil) or a reduce temporary (launch+arg). Comparable, used as a map key.
+// nil) or a reduce temporary (launch+arg). Comparable: the builder interns
+// each one to a dense id (instID) the first time it is touched.
 type instRef struct {
 	part  *region.Partition
 	l     *ir.Launch
@@ -195,7 +206,7 @@ type instRef struct {
 // whose order the sequential semantics fixes).
 type access struct {
 	n      nodeID
-	inst   instRef
+	inst   instID
 	fields []region.FieldID
 	space  geometry.IndexSpace
 	write  bool
@@ -225,10 +236,14 @@ type warOb struct {
 }
 
 type builder struct {
-	c     *cr.Compiled
-	g     *graph
-	insts map[instRef]*symState
-	accs  []access
+	c *cr.Compiled
+	g *graph
+	// ids interns every instance the replay touches to a dense instID, in
+	// first-touch order; refs and states are indexed by it.
+	ids    map[instRef]instID
+	refs   []instRef
+	states []*symState
+	accs   []access
 	// collectWar records a warOb for every war event the prune info skips.
 	collectWar bool
 	warObs     []warOb
@@ -251,11 +266,29 @@ type builder struct {
 	agg bool
 }
 
+// newBuilder sizes the graph from the compiled plan instead of growing it
+// from zero: per unrolled iteration a node per task, up to three per copy
+// pair and two barriers per copy; an access per launch argument and two per
+// pair. Edges follow the replayed dependence state, so theirs is a hint:
+// four per node, where the evaluation applications have 3 to 9.
 func newBuilder(c *cr.Compiled) *builder {
+	colors := len(c.Domain)
+	nodes, accs := 4, 2*len(c.UsedParts)*colors
+	for _, cp := range c.InitCopies {
+		nodes, accs = nodes+len(cp.Pairs), accs+2*len(cp.Pairs)
+	}
+	for _, op := range c.Body {
+		if l := op.Launch; l != nil {
+			nodes, accs = nodes+2*colors, accs+2*colors*len(l.Args)
+		} else if cp := op.Copy; cp != nil {
+			nodes, accs = nodes+6*len(cp.Pairs)+4, accs+4*len(cp.Pairs)
+		}
+	}
 	return &builder{
 		c:     c,
-		g:     &graph{},
-		insts: make(map[instRef]*symState),
+		g:     &graph{nodes: make([]node, 0, nodes), edges: make([]edge, 0, 4*nodes)},
+		ids:   make(map[instRef]instID, len(c.UsedParts)*colors),
+		accs:  make([]access, 0, accs),
 		opsOf: make([][]nodeID, c.Opts.NumShards),
 		prune: c.Prune,
 	}
@@ -267,20 +300,24 @@ func newPrunedBuilder(c *cr.Compiled, info *cr.PruneInfo) *builder {
 	return b
 }
 
-func (b *builder) state(r instRef) *symState {
-	s, ok := b.insts[r]
+func (b *builder) id(r instRef) instID {
+	id, ok := b.ids[r]
 	if !ok {
-		s = &symState{}
-		b.insts[r] = s
+		id = instID(len(b.refs))
+		b.ids[r] = id
+		b.refs = append(b.refs, r)
+		b.states = append(b.states, &symState{})
 	}
-	return s
+	return id
 }
+
+func (b *builder) state(r instRef) *symState { return b.states[b.id(r)] }
 
 func (b *builder) record(n nodeID, inst instRef, fields []region.FieldID, space geometry.IndexSpace, write bool) {
 	if len(fields) == 0 {
 		return
 	}
-	b.accs = append(b.accs, access{n: n, inst: inst, fields: fields, space: space, write: write})
+	b.accs = append(b.accs, access{n: n, inst: b.id(inst), fields: fields, space: space, write: write})
 }
 
 func (b *builder) shardOf(col geometry.Point) int32 {

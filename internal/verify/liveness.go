@@ -27,6 +27,8 @@ package verify
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/cr"
 )
 
 // CheckLiveness certifies deadlock-freedom of the analyzed schedule:
@@ -57,30 +59,7 @@ func (a *Analysis) checkLiveness(extra []edge, skipArrival int) *Report {
 	// on or downstream of a cycle; a successor walk restricted to them
 	// must re-visit a node, and the revisit closes a concrete cycle.
 	indeg := make([]int32, len(g.nodes))
-	for _, succs := range adj {
-		for _, v := range succs {
-			indeg[v]++
-		}
-	}
-	queue := make([]nodeID, 0, len(g.nodes))
-	for i := range indeg {
-		if indeg[i] == 0 {
-			queue = append(queue, nodeID(i))
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, v := range adj[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	if seen != len(g.nodes) {
+	if order := topoSort(adj, indeg, make([]nodeID, 0, len(indeg))); len(order) != len(indeg) {
 		rep.Findings = append(rep.Findings, a.cycleFinding(adj, indeg))
 	}
 
@@ -247,15 +226,26 @@ func (a *Analysis) CheckLivenessMutated(m LivenessMutation) *Report {
 func (a *Analysis) LivenessMutations() []LivenessMutation {
 	var out []LivenessMutation
 	g := a.g
+	nodes := g.copyNodes()
+	find := func(kind nodeKind, cp *cr.CopyOp, sub int) nodeID {
+		if n, ok := nodes[nodeKey{kind, int32(cp.ID), int32(sub), 0}]; ok {
+			return n
+		}
+		return -1 // absent, e.g. a pruned sync event
+	}
+	chains := make(map[EdgeID]bool) // the chain edges of iteration 0
+	for _, e := range g.edges {
+		if e.label.Class == EdgeChain && g.nodes[e.to].iter == 0 {
+			chains[e.label] = true
+		}
+	}
 	for _, op := range a.c.Body {
 		cp := op.Copy
 		if cp == nil || len(cp.Pairs) == 0 {
 			continue
 		}
 		for k := range cp.Pairs {
-			cn := g.find(kCopy, int32(cp.ID), int32(k), 0)
-			dn := g.find(kDone, int32(cp.ID), int32(k), 0)
-			wn := g.find(kWar, int32(cp.ID), int32(k), 0)
+			cn, dn, wn := find(kCopy, cp, k), find(kDone, cp, k), find(kWar, cp, k)
 			if cn >= 0 && dn >= 0 {
 				out = append(out, LivenessMutation{
 					Name:        fmt.Sprintf("invert-prod-sync(copy %d, pair %d)", cp.ID, k),
@@ -278,8 +268,8 @@ func (a *Analysis) LivenessMutations() []LivenessMutation {
 			}
 			if k > 0 {
 				// Invert the chain only where the clean graph has one.
-				prevCn := g.find(kCopy, int32(cp.ID), int32(k-1), 0)
-				if dn >= 0 && prevCn >= 0 && a.hasChainEdge(cp.ID, k) {
+				prevCn := find(kCopy, cp, k-1)
+				if dn >= 0 && prevCn >= 0 && chains[EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k}] {
 					out = append(out, LivenessMutation{
 						Name:        fmt.Sprintf("invert-chain(copy %d, pair %d)", cp.ID, k),
 						Copy:        cp.ID,
@@ -291,8 +281,7 @@ func (a *Analysis) LivenessMutations() []LivenessMutation {
 				}
 			}
 		}
-		b1 := g.find(kBarrier, int32(cp.ID), 0, 0)
-		b2 := g.find(kBarrier, int32(cp.ID), 1, 0)
+		b1, b2 := find(kBarrier, cp, 0), find(kBarrier, cp, 1)
 		if b1 >= 0 && b2 >= 0 {
 			out = append(out, LivenessMutation{
 				Name:        fmt.Sprintf("swap-barriers(copy %d)", cp.ID),
@@ -317,18 +306,6 @@ func (a *Analysis) LivenessMutations() []LivenessMutation {
 		}
 	}
 	return out
-}
-
-// hasChainEdge reports whether the clean graph carries the chain edge into
-// pair k of the copy in iteration 0.
-func (a *Analysis) hasChainEdge(copyID, k int) bool {
-	want := EdgeID{Class: EdgeChain, Copy: copyID, Pair: k}
-	for _, e := range a.g.edges {
-		if e.label == want && a.g.nodes[e.to].iter == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Covers reports whether a liveness finding is attributable to the

@@ -88,7 +88,7 @@ func (a *Analysis) laterConsumer(cp *cr.CopyOp, bi int) bool {
 			p := l.Task.Params[ai]
 			if arg.Part == cp.Dst &&
 				(p.Priv == ir.PrivRead || p.Priv == ir.PrivReadWrite) &&
-				len(fieldIntersection(p.Fields, cp.Fields)) > 0 {
+				fieldsMeet(p.Fields, cp.Fields) {
 				return true
 			}
 		}

@@ -37,10 +37,7 @@ func AnalyzePruned(c *cr.Compiled, info *cr.PruneInfo) (*Analysis, error) {
 	if c == nil {
 		return nil, fmt.Errorf("verify: nil compiled loop")
 	}
-	b := newPrunedBuilder(c, info)
-	g, accs := b.build()
-	confs, insts := enumerateConflicts(g, accs)
-	return &Analysis{c: c, g: g, conflicts: confs, insts: insts, accesses: len(accs)}, nil
+	return newPrunedBuilder(c, info).analyze(), nil
 }
 
 // SyncEdges counts the labeled (deletable) synchronization edges of the
@@ -56,14 +53,12 @@ func (a *Analysis) SyncEdges() int {
 }
 
 // certifies reports whether the pruned schedule passes both the race check
-// and the liveness check.
-func certifies(c *cr.Compiled, info *cr.PruneInfo) bool {
+// and the liveness check. It is a yes/no question, asked some twenty times
+// per plan: no witness is rendered, and every closure lands in reach's slab.
+func certifies(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) bool {
 	certifyCalls++
-	a, err := AnalyzePruned(c, info)
-	if err != nil {
-		return false
-	}
-	return a.Check().OK() && a.CheckLiveness().OK()
+	a := newPrunedBuilder(c, info).analyze()
+	return a.ordered(reach) && a.CheckLiveness().OK()
 }
 
 // pruneSampleBatch is the batch size above which a failing batch is
@@ -97,14 +92,14 @@ const pruneSampleBatch = 12
 // Fixture-scale batches sit under the threshold, so the minimality
 // obligation (TestPrunedScheduleMinimal) is probed against exact greedy
 // output.
-func acceptMax(c *cr.Compiled, info *cr.PruneInfo, batch []func(v bool)) {
+func acceptMax(c *cr.Compiled, info *cr.PruneInfo, reach *reachability, batch []func(v bool)) {
 	if len(batch) == 0 {
 		return
 	}
 	for _, set := range batch {
 		set(true)
 	}
-	if certifies(c, info) {
+	if certifies(c, info, reach) {
 		return
 	}
 	for _, set := range batch {
@@ -117,7 +112,7 @@ func acceptMax(c *cr.Compiled, info *cr.PruneInfo, batch []func(v bool)) {
 		allFail := true
 		for _, i := range []int{0, len(batch) / 2, len(batch) - 1} {
 			batch[i](true)
-			ok := certifies(c, info)
+			ok := certifies(c, info, reach)
 			batch[i](false)
 			if ok {
 				allFail = false
@@ -129,8 +124,8 @@ func acceptMax(c *cr.Compiled, info *cr.PruneInfo, batch []func(v bool)) {
 		}
 	}
 	mid := len(batch) / 2
-	acceptMax(c, info, batch[:mid])
-	acceptMax(c, info, batch[mid:])
+	acceptMax(c, info, reach, batch[:mid])
+	acceptMax(c, info, reach, batch[mid:])
 }
 
 // warObligationFailures builds the pruned graph under info, collecting one
@@ -143,11 +138,11 @@ func acceptMax(c *cr.Compiled, info *cr.PruneInfo, batch []func(v bool)) {
 // have to continue through cn and return — a cycle), and the question
 // reduces to "does every release node reach some other in-neighbor of
 // cn". Both tests are against the precise executor-pruned graph.
-func warObligationFailures(c *cr.Compiled, info *cr.PruneInfo) map[[2]int]bool {
+func warObligationFailures(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) map[[2]int]bool {
 	b := newPrunedBuilder(c, info)
 	b.collectWar = true
 	g, _ := b.build()
-	reach := newReachability(g, g.adjacency(nil))
+	reach.closure(g.adjacency(nil))
 	cns := make(map[nodeID]bool)
 	for _, ob := range b.warObs {
 		if ob.warN >= 0 && ob.cn >= 0 {
@@ -208,7 +203,7 @@ func warObligationFailures(c *cr.Compiled, info *cr.PruneInfo) map[[2]int]bool {
 // at 64 shards, which costs ~275 bisection certifications but 2 here.
 // Slots the rounds reject are re-tried by the caller through acceptMax,
 // preserving the exact greedy maximality obligation at fixture scale.
-func proposeWars(c *cr.Compiled, info *cr.PruneInfo) {
+func proposeWars(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
 	type cand struct {
 		cp *cr.CopyOp
 		k  int
@@ -234,7 +229,7 @@ func proposeWars(c *cr.Compiled, info *cr.PruneInfo) {
 	for _, cd := range all {
 		set(cd, true)
 	}
-	bad := warObligationFailures(c, info)
+	bad := warObligationFailures(c, info, reach)
 	var remaining []cand
 	for _, cd := range all {
 		if bad[[2]int{cd.cp.ID, cd.k}] {
@@ -242,7 +237,7 @@ func proposeWars(c *cr.Compiled, info *cr.PruneInfo) {
 			remaining = append(remaining, cd)
 		}
 	}
-	if len(remaining) < len(all) && !certifies(c, info) {
+	if len(remaining) < len(all) && !certifies(c, info, reach) {
 		// The joint proposal should certify by construction; if it ever
 		// does not, revert it all and let the caller's exact path decide.
 		for _, cd := range all {
@@ -253,7 +248,7 @@ func proposeWars(c *cr.Compiled, info *cr.PruneInfo) {
 
 	// Later rounds: individual tests against the current graph.
 	for len(remaining) > 0 {
-		bad := warObligationFailures(c, info)
+		bad := warObligationFailures(c, info, reach)
 		var batch []func(v bool)
 		var took, next []cand
 		for _, cd := range remaining {
@@ -269,7 +264,7 @@ func proposeWars(c *cr.Compiled, info *cr.PruneInfo) {
 			return
 		}
 		before := info.PrunedWar()
-		acceptMax(c, info, batch)
+		acceptMax(c, info, reach, batch)
 		if info.PrunedWar() == before {
 			return
 		}
@@ -292,7 +287,10 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if base := a0.Check(); !base.OK() {
+	// One closure slab serves every graph this plan builds: they are all
+	// subgraphs of a0's.
+	reach := &reachability{}
+	if base := a0.check(reach, nil); !base.OK() {
 		base.Pass = "prune"
 		return nil, base, nil
 	}
@@ -331,11 +329,11 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 			}
 		}
 	}
-	acceptMax(c, info, chains)
+	acceptMax(c, info, reach, chains)
 	if c.Opts.Sync == cr.PointToPoint {
 		// Wars: the analytic proposal takes the jointly redundant bulk in
 		// one certification; the rejects get the exact greedy treatment.
-		proposeWars(c, info)
+		proposeWars(c, info, reach)
 		var wars []func(v bool)
 		for _, op := range c.Body {
 			cp := op.Copy
@@ -351,14 +349,14 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 				wars = append(wars, func(v bool) { info.SetWar(cp.ID, k, n, v) })
 			}
 		}
-		acceptMax(c, info, wars)
+		acceptMax(c, info, reach, wars)
 	}
-	acceptMax(c, info, dones)
+	acceptMax(c, info, reach, dones)
 
 	// Dead initialization populations, computed against the pruned graph's
 	// reachability (a kept sync edge may be exactly what covers a read).
-	markDeadInits(c, info)
-	if !certifies(c, info) {
+	markDeadInits(c, info, reach)
+	if !certifies(c, info, reach) {
 		// Belt and braces: coverage is sound by construction, but never
 		// ship an uncertified prune set.
 		info.DeadInit = nil
@@ -368,7 +366,7 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := af.Check()
+	rep := af.check(reach, nil)
 	rep.Pass = "prune"
 	rep.Counters = map[string]int64{
 		"pruned_war":         int64(info.PrunedWar()),
@@ -389,20 +387,20 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 // copy overwrites that happen-before it. Such an instance's contents before
 // its first overwrite are unobservable, so the population — a real
 // cross-node transfer in the init phase — can be skipped.
-func markDeadInits(c *cr.Compiled, info *cr.PruneInfo) {
+func markDeadInits(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
 	b := newPrunedBuilder(c, info)
 	g, accs := b.build()
-	reach := newReachability(g, g.adjacency(nil))
+	reach.closure(g.adjacency(nil))
 
 	type use struct {
 		n      nodeID
 		fields []region.FieldID
 		space  geometry.IndexSpace
 	}
-	reads := make(map[instRef][]use)
-	covers := make(map[instRef][]use)
+	reads := make([][]use, len(b.refs))
+	covers := make([][]use, len(b.refs))
 	for _, ac := range accs {
-		if ac.inst.part == nil {
+		if b.refs[ac.inst].part == nil {
 			continue // reduce temporaries are never initialized from the parent
 		}
 		nd := &g.nodes[ac.n]
@@ -422,11 +420,14 @@ func markDeadInits(c *cr.Compiled, info *cr.PruneInfo) {
 
 	for _, part := range c.UsedParts {
 		for _, col := range c.Domain {
-			ref := instRef{part: part, color: col}
+			var rs, ws []use // none for an instance the replay never touched
+			if id, ok := b.ids[instRef{part: part, color: col}]; ok {
+				rs, ws = reads[id], covers[id]
+			}
 			dead := true
-			for _, r := range reads[ref] {
+			for _, r := range rs {
 				remaining := r.space
-				for _, w := range covers[ref] {
+				for _, w := range ws {
 					if remaining.Empty() {
 						break
 					}
@@ -453,17 +454,8 @@ func markDeadInits(c *cr.Compiled, info *cr.PruneInfo) {
 // copyIsPlain reports whether the copy overwrites (ReduceNone) rather than
 // folds — only plain overwrites may cover a read for dead-init purposes.
 func copyIsPlain(c *cr.Compiled, copyID int32) bool {
-	for _, op := range c.Body {
-		if op.Copy != nil && op.Copy.ID == int(copyID) {
-			return op.Copy.Reduce == region.ReduceNone
-		}
-	}
-	for _, cp := range c.InitCopies {
-		if cp.ID == int(copyID) {
-			return cp.Reduce == region.ReduceNone
-		}
-	}
-	return false
+	cp := copyByID(c, copyID)
+	return cp != nil && cp.Reduce == region.ReduceNone
 }
 
 // fieldsContain reports whether every field of sub is present in sup.

@@ -111,7 +111,7 @@ func TestPrunedScheduleMinimal(t *testing.T) {
 			if err != nil || !rep.OK() {
 				t.Fatalf("%s %v: prune failed: %v %v", name, sync, err, rep.Findings)
 			}
-			if !certifies(c, info) {
+			if !certifies(c, info, &reachability{}) {
 				t.Fatalf("%s %v: shipped prune set does not certify", name, sync)
 			}
 			for _, cand := range pruneCandidates(c) {
@@ -123,7 +123,7 @@ func TestPrunedScheduleMinimal(t *testing.T) {
 				if info.PrunedEdges() == beforeCnt {
 					continue
 				}
-				if certifies(c, info) {
+				if certifies(c, info, &reachability{}) {
 					t.Errorf("%s %v: surviving %s candidate is redundant: pruning it still certifies (greedy pass should have taken it)",
 						name, sync, cand.name)
 				}

@@ -81,16 +81,25 @@ func (o OpRef) String() string {
 		o.Kind, o.Label, o.Color, o.Iter, o.Body, o.Pair, o.Shard, rw)
 }
 
+// finding renders the witness of one reported pair, and is the only place
+// the complete intersection is computed: the elements and fields the two
+// accesses share, both in the order of the lower-indexed access.
 func (a *Analysis) finding(kind string, cf conflict) Finding {
+	e, l := &a.accs[cf.earlier], &a.accs[cf.later]
+	lo, hi := e, l
+	if cf.later < cf.earlier {
+		lo, hi = l, e
+	}
+	overlap := lo.space.Intersect(hi.space)
 	return Finding{
 		Kind:       kind,
-		Instance:   a.instName(cf.earlier.inst),
-		Fields:     a.fieldNames(cf),
-		Overlap:    cf.overlap.String(),
-		Elems:      cf.overlap.Volume(),
+		Instance:   a.instName(a.refs[e.inst]),
+		Fields:     a.fieldNames(a.refs[e.inst], fieldIntersection(lo.fields, hi.fields)),
+		Overlap:    overlap.String(),
+		Elems:      overlap.Volume(),
 		CrossShard: cf.crossShard,
-		A:          a.opRef(cf.earlier),
-		B:          a.opRef(cf.later),
+		A:          a.opRef(*e),
+		B:          a.opRef(*l),
 	}
 }
 
@@ -105,8 +114,7 @@ func (a *Analysis) instName(r instRef) string {
 	return fmt.Sprintf("reduce-temp(%s/%d)[%v]", name, r.arg, r.color)
 }
 
-func (a *Analysis) fieldNames(cf conflict) []string {
-	r := cf.earlier.inst
+func (a *Analysis) fieldNames(r instRef, fields []region.FieldID) []string {
 	var root *region.Region
 	if r.part != nil {
 		root = r.part.Parent()
@@ -114,8 +122,8 @@ func (a *Analysis) fieldNames(cf conflict) []string {
 		root = r.l.Args[r.arg].Part.Parent()
 	}
 	fs := a.c.Prog.FieldSpaceOf(root)
-	out := make([]string, len(cf.fields))
-	for i, f := range cf.fields {
+	out := make([]string, len(fields))
+	for i, f := range fields {
 		out[i] = fs.Name(f)
 	}
 	return out
@@ -135,11 +143,6 @@ func (a *Analysis) opRef(ac access) OpRef {
 	switch nd.kind {
 	case kInit:
 		ref.Kind, ref.Label = "init", "instance initialization"
-	case kInitCopy:
-		ref.Kind = "init-copy"
-		if cp := a.copyByID(nd.copyID); cp != nil {
-			ref.Label = cp.String()
-		}
 	case kTask:
 		ref.Kind = "task"
 		if l := a.c.Body[nd.body].Launch; l != nil {
@@ -148,28 +151,13 @@ func (a *Analysis) opRef(ac access) OpRef {
 				ref.Label = l.Task.Name
 			}
 		}
-	case kCopy:
-		ref.Kind = "copy"
-		if cp := a.copyByID(nd.copyID); cp != nil {
+	case kInitCopy, kCopy, kWar, kDone, kBarrier:
+		ref.Kind = copyKindNames[nd.kind]
+		if cp := copyByID(a.c, nd.copyID); cp != nil {
 			ref.Label = cp.String()
 		}
 	case kFinal:
 		ref.Kind, ref.Label = "final", "finalization read-back"
-	case kWar:
-		ref.Kind = "war"
-		if cp := a.copyByID(nd.copyID); cp != nil {
-			ref.Label = cp.String()
-		}
-	case kDone:
-		ref.Kind = "done"
-		if cp := a.copyByID(nd.copyID); cp != nil {
-			ref.Label = cp.String()
-		}
-	case kBarrier:
-		ref.Kind = "barrier"
-		if cp := a.copyByID(nd.copyID); cp != nil {
-			ref.Label = cp.String()
-		}
 	case kLoopStart, kLoopEnd:
 		ref.Kind = "phase"
 	default:
@@ -178,13 +166,17 @@ func (a *Analysis) opRef(ac access) OpRef {
 	return ref
 }
 
-func (a *Analysis) copyByID(id int32) *cr.CopyOp {
-	for _, op := range a.c.Body {
+var copyKindNames = map[nodeKind]string{
+	kInitCopy: "init-copy", kCopy: "copy", kWar: "war", kDone: "done", kBarrier: "barrier",
+}
+
+func copyByID(c *cr.Compiled, id int32) *cr.CopyOp {
+	for _, op := range c.Body {
 		if op.Copy != nil && op.Copy.ID == int(id) {
 			return op.Copy
 		}
 	}
-	for _, cp := range a.c.InitCopies {
+	for _, cp := range c.InitCopies {
 		if cp.ID == int(id) {
 			return cp
 		}

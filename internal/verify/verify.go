@@ -61,9 +61,10 @@ import (
 type Analysis struct {
 	c         *cr.Compiled
 	g         *graph
+	accs      []access
+	refs      []instRef // instID -> identity
 	conflicts []conflict
-	insts     int
-	accesses  int
+	insts     int // instances with at least one access
 }
 
 // Stats summarizes the size of the verification problem.
@@ -135,28 +136,34 @@ func Analyze(c *cr.Compiled) (*Analysis, error) {
 	if c == nil {
 		return nil, fmt.Errorf("verify: nil compiled loop")
 	}
-	b := newBuilder(c)
+	return newBuilder(c).analyze(), nil
+}
+
+// analyze replays the schedule and enumerates its conflicts.
+func (b *builder) analyze() *Analysis {
 	g, accs := b.build()
-	confs, insts := enumerateConflicts(g, accs)
-	return &Analysis{c: c, g: g, conflicts: confs, insts: insts, accesses: len(accs)}, nil
+	confs, insts := enumerateConflicts(g, accs, len(b.refs))
+	return &Analysis{c: b.c, g: g, accs: accs, refs: b.refs, conflicts: confs, insts: insts}
 }
 
 // Check verifies every conflicting pair against the happens-before
 // relation, treating edges whose label is in drop as deleted (everywhere
 // they occur, i.e. in every unrolled iteration — the static analogue of
 // the compiler never having inserted that synchronization).
-func (a *Analysis) Check(drop ...EdgeID) *Report {
+func (a *Analysis) Check(drop ...EdgeID) *Report { return a.check(&reachability{}, drop) }
+
+// check is Check with the closure computed into reach, whose slab it reuses.
+func (a *Analysis) check(reach *reachability, drop []EdgeID) *Report {
 	dropped := make(map[EdgeID]bool, len(drop))
 	for _, d := range drop {
 		dropped[d] = true
 	}
-	adj := a.g.adjacency(dropped)
-	reach := newReachability(a.g, adj)
+	reach.closure(a.g.adjacency(dropped))
 	rep := &Report{Pass: "races", Findings: []Finding{}, Stats: Stats{
 		Nodes:     len(a.g.nodes),
 		Edges:     len(a.g.edges),
 		Instances: a.insts,
-		Accesses:  a.accesses,
+		Accesses:  len(a.accs),
 		Conflicts: len(a.conflicts),
 		Iters:     a.g.iters,
 	}}
@@ -164,17 +171,31 @@ func (a *Analysis) Check(drop ...EdgeID) *Report {
 		if cf.crossShard {
 			rep.Stats.CrossShard++
 		}
-		if reach.reaches(cf.earlier.n, cf.later.n) {
+		e, l := a.accs[cf.earlier].n, a.accs[cf.later].n
+		if reach.reaches(e, l) {
 			continue
 		}
 		kind := "unordered"
-		if reach.reaches(cf.later.n, cf.earlier.n) {
+		if reach.reaches(l, e) {
 			kind = "misordered"
 		}
 		rep.Findings = append(rep.Findings, a.finding(kind, cf))
 	}
 	sortFindings(rep.Findings)
 	return rep
+}
+
+// ordered is Check reduced to its verdict: it closes the graph into reach
+// (reusing its slab), stops at the first pair the happens-before relation
+// fails to order the sequential way, and renders no witness.
+func (a *Analysis) ordered(reach *reachability) bool {
+	reach.closure(a.g.adjacency(nil))
+	for _, cf := range a.conflicts {
+		if !reach.reaches(a.accs[cf.earlier].n, a.accs[cf.later].n) {
+			return false
+		}
+	}
+	return true
 }
 
 // Verify analyzes and checks a compiled loop in one call.
