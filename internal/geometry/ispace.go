@@ -1,9 +1,9 @@
 package geometry
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // IndexSpace is a (possibly sparse) set of points, represented as a list of
@@ -36,7 +36,7 @@ func FromPoints(dim int8, pts []Point) IndexSpace {
 	}
 	sorted := make([]Point, len(pts))
 	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	slices.SortFunc(sorted, Point.compare)
 	var spans []Rect
 	run := Rect{sorted[0], sorted[0]}
 	last := int(dim) - 1
@@ -173,9 +173,10 @@ const sweepThreshold = 64
 
 // sortSpans1D sorts 1-D spans in place by lower bound. Every IndexSpace
 // constructor and operation maintains the invariant that 1-D span lists are
-// sorted, so the sweep algorithms never re-sort.
+// sorted, so the sweep algorithms never re-sort. Spans tie on the lower
+// bound only in UnionMany's input, where the merge makes their order moot.
 func sortSpans1D(spans []Rect) {
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Lo.X() < spans[j].Lo.X() })
+	slices.SortFunc(spans, func(a, b Rect) int { return cmp.Compare(a.Lo.X(), b.Lo.X()) })
 }
 
 // sorted1D returns the spans, which are sorted by construction for 1-D

@@ -9,6 +9,7 @@
 package geometry
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 )
@@ -63,14 +64,18 @@ func (p Point) Sub(q Point) Point {
 
 // Less reports whether p precedes q in lexicographic order. The points must
 // have the same dimensionality.
-func (p Point) Less(q Point) bool {
+func (p Point) Less(q Point) bool { return p.compare(q) < 0 }
+
+// compare is the three-way form of Less: negative, zero or positive as p
+// precedes, equals or follows q.
+func (p Point) compare(q Point) int {
 	p.mustMatch(q)
 	for i := 0; i < int(p.Dim); i++ {
-		if p.C[i] != q.C[i] {
-			return p.C[i] < q.C[i]
+		if c := cmp.Compare(p.C[i], q.C[i]); c != 0 {
+			return c
 		}
 	}
-	return false
+	return 0
 }
 
 // String formats the point as <x>, <x,y> or <x,y,z>.

@@ -39,29 +39,45 @@ func TestScheduleTriggerAllocs(t *testing.T) {
 // Run with -benchmem to watch the per-event allocation count.
 func BenchmarkSimEventThroughput(b *testing.B) {
 	b.ReportAllocs()
-	const chunk = 1 << 16 // bound the event table: one Sim per chunk
-	done := 0
-	for done < b.N {
-		n := b.N - done
-		if n > chunk {
-			n = chunk
+	s := MustNewSim(DefaultConfig(1))
+	left := b.N
+	var step func()
+	step = func() {
+		if left == 0 {
+			return
 		}
-		done += n
-		s := MustNewSim(DefaultConfig(1))
-		left := n
-		var step func()
-		step = func() {
-			if left == 0 {
-				return
-			}
-			left--
-			a := s.NewUserEvent()
-			c := s.NewUserEvent()
-			s.OnTrigger(s.Merge(a, c), step)
-			s.After(3, func() { s.Trigger(a) })
-			s.After(7, func() { s.Trigger(c) })
-		}
-		step()
-		s.MustRun()
+		left--
+		a := s.NewUserEvent()
+		c := s.NewUserEvent()
+		s.OnTrigger(s.Merge(a, c), step)
+		s.After(3, func() { s.Trigger(a) })
+		s.After(7, func() { s.Trigger(c) })
 	}
+	step()
+	s.MustRun()
+}
+
+// BenchmarkThreadHandoff measures the cost of suspending and resuming a
+// simulated thread: 16 threads on 16 processors each Elapse(1) in a loop,
+// so one op is one Elapse — a work item, its completion, a wake-up and a
+// hand-off to the scheduler and back.
+func BenchmarkThreadHandoff(b *testing.B) {
+	b.ReportAllocs()
+	const threads = 16
+	cfg := DefaultConfig(1)
+	cfg.CoresPerNode = threads
+	s := MustNewSim(cfg)
+	for i := 0; i < threads; i++ {
+		n := b.N / threads
+		if i < b.N%threads {
+			n++
+		}
+		s.Spawn("t", s.Node(0).Proc(i), func(t *Thread) {
+			for ; n > 0; n-- {
+				t.Elapse(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	s.MustRun()
 }

@@ -1,0 +1,13 @@
+package realm
+
+// livePages counts the event-table pages currently held: the pages some
+// untriggered (or not yet created) event still lives in.
+func (s *Sim) livePages() int {
+	n := 0
+	for _, p := range s.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -1,0 +1,300 @@
+package realm
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// TestDeadlockReleasesThreads: once Run has diagnosed a deadlock nothing can
+// resume the blocked threads, so it unwinds them; their coroutines must not
+// outlive the run.
+func TestDeadlockReleasesThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := MustNewSim(smallConfig(1))
+	never := s.NewUserEvent()
+	unwound := 0
+	for i := 0; i < 64; i++ {
+		s.Spawn(fmt.Sprintf("stuck%d", i), s.Node(0).Proc(i%2), func(th *Thread) {
+			defer func() {
+				if r := recover(); r != nil {
+					if IsThreadKilled(r) {
+						unwound++
+					}
+					panic(r)
+				}
+			}()
+			th.Elapse(Time(i + 1))
+			th.WaitEvent(never)
+		})
+	}
+	_, err := s.Run()
+	var derr *DeadlockError
+	if !errors.As(err, &derr) || len(derr.Blocked) != 64 {
+		t.Fatalf("want a DeadlockError naming 64 threads, got %v", err)
+	}
+	for i, b := range derr.Blocked {
+		if b.Name != fmt.Sprintf("stuck%d", i) || b.Waiting != never {
+			t.Fatalf("blocked[%d] = %+v, want stuck%d waiting on %d", i, b, i, never)
+		}
+	}
+	if unwound != 64 {
+		t.Errorf("%d threads unwound with the kill sentinel, want 64", unwound)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before the deadlocked run, %d after", before, after)
+	}
+}
+
+// TestThreadPanicSurfacesFromRun: a thread body's panic comes out of
+// Sim.Run on the caller's goroutine, where a bare Spawn (an MPI rank of
+// internal/baseline: no engine-level recover) can recover the original
+// value.
+func TestThreadPanicSurfacesFromRun(t *testing.T) {
+	type boom struct{ code int }
+	s := MustNewSim(smallConfig(2))
+	s.Spawn("rank0", s.Node(0).Proc(0), func(th *Thread) {
+		th.Elapse(5)
+		panic(boom{42})
+	})
+	s.Spawn("rank1", s.Node(1).Proc(0), func(th *Thread) { th.Elapse(50) })
+	var got interface{}
+	func() {
+		defer func() { got = recover() }()
+		s.Run()
+	}()
+	if got != (boom{42}) {
+		t.Fatalf("recovered %#v around Run, want %#v", got, boom{42})
+	}
+}
+
+// TestQueuePopOrderMatchesHeapOnly drives the real scheduling entry points
+// with a seeded stream — ties at the current instant, weak items at the
+// current instant, clamped past times, pushes before Run starts — and
+// mirrors every push into a heap-only eventQueue. Each item, as it runs,
+// must be exactly what the reference pops next.
+func TestQueuePopOrderMatchesHeapOnly(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := MustNewSim(smallConfig(1))
+		var ref eventQueue
+		budget, pops := 3000, int64(0)
+		var schedule func()
+		schedule = func() {
+			for k := 1 + rng.Intn(3); k > 0 && budget > 0; k-- {
+				budget--
+				at := s.now
+				switch rng.Intn(4) {
+				case 0:
+					at += Time(1 + rng.Intn(3)*5)
+				case 1:
+					at -= Time(rng.Intn(4)) // clamped to now
+				}
+				seq, kind := s.seq+1, rng.Intn(8)
+				if k == 1 && kind == 0 {
+					kind = 1 // one strong child per batch keeps the stream alive
+				}
+				ran := func() {
+					pops++
+					if len(ref.items) == 0 {
+						t.Fatalf("seed %d: item %d ran but the reference heap is empty", seed, seq)
+					}
+					if want := ref.pop(); want.seq != seq || want.at != s.now {
+						t.Fatalf("seed %d: ran (at %d, seq %d), heap-only order pops (at %d, seq %d)", seed, s.now, seq, want.at, want.seq)
+					}
+					schedule()
+				}
+				switch {
+				case kind == 0:
+					s.atWeak(at, ran)
+				case kind < 4:
+					ev := s.NewUserEvent()
+					s.OnTrigger(ev, ran)
+					s.atDone(at, nil, ev)
+				default:
+					s.at(at, ran)
+				}
+				if at < s.now {
+					at = s.now
+				}
+				ref.push(queued{at: at, seq: seq, weak: kind == 0})
+			}
+		}
+		schedule() // before Run starts, at time zero
+		s.MustRun()
+		if s.stats.Events != pops || pops < 2000 {
+			t.Fatalf("seed %d: Stats.Events = %d, items run = %d", seed, s.stats.Events, pops)
+		}
+		for len(ref.items) > 0 {
+			if it := ref.pop(); !it.weak {
+				t.Fatalf("seed %d: Run returned with strong item (at %d, seq %d) unpopped", seed, it.at, it.seq)
+			}
+		}
+	}
+}
+
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if got := fmt.Sprint(recover()); got != want {
+			t.Errorf("panicked with %q, want %q", got, want)
+		}
+	}()
+	fn()
+}
+
+// TestDroppedPageReadsAsTriggered: a page whose events have all triggered
+// is dropped; handles into it keep every observable behaviour of a
+// triggered event.
+func TestDroppedPageReadsAsTriggered(t *testing.T) {
+	s := MustNewSim(smallConfig(1))
+	first := s.ReserveEvents(evPageSize)
+	next := s.NewUserEvent()
+	for i := Event(0); i < evPageSize; i++ {
+		if s.livePages() != 2 {
+			t.Fatalf("page dropped after %d of %d triggers", i, evPageSize)
+		}
+		s.Trigger(first + i)
+	}
+	if s.pages[0] != nil || s.livePages() != 1 || len(s.freePages) != 1 {
+		t.Fatalf("full page not dropped: live=%d free=%d", s.livePages(), len(s.freePages))
+	}
+	for _, e := range []Event{first, first + 7, first + evPageSize - 1} {
+		if !s.Triggered(e) {
+			t.Errorf("event %d in a dropped page reads untriggered", e)
+		}
+		ran := false
+		s.OnTrigger(e, func() { ran = true })
+		if !ran {
+			t.Errorf("OnTrigger(%d) in a dropped page did not run inline", e)
+		}
+		if s.Merge(e, first) != NoEvent {
+			t.Errorf("Merge of dropped-page events is not NoEvent")
+		}
+		mustPanic(t, fmt.Sprintf("realm: event %d triggered twice", e), func() { s.Trigger(e) })
+	}
+	woke := false
+	s.Spawn("w", s.Node(0).Proc(0), func(th *Thread) { th.WaitEvent(first + 3); woke = true })
+	s.MustRun()
+	if !woke {
+		t.Error("WaitEvent on a dropped-page event blocked")
+	}
+	if s.Triggered(next) {
+		t.Error("dropping a page leaked into the next one")
+	}
+	// The recycled page comes back clean.
+	recycled := s.freePages[0]
+	fresh := s.ReserveEvents(evPageSize)
+	if s.pages[2] != recycled || len(s.freePages) != 0 {
+		t.Fatal("new page did not come from the free list")
+	}
+	for i := Event(0); i < evPageSize; i++ {
+		if st := &recycled.evs[i]; st.triggered || st.waiters != nil {
+			t.Fatalf("recycled slot %d not reset", i)
+		}
+	}
+	if fresh != next+1 {
+		t.Errorf("handles not dense across a recycle: %d after %d", fresh, next)
+	}
+}
+
+// TestReserveAcrossPageBoundary: a reservation straddling pages still
+// returns contiguous handles, each an ordinary user event.
+func TestReserveAcrossPageBoundary(t *testing.T) {
+	s := MustNewSim(smallConfig(1))
+	a := s.ReserveEvents(evPageSize - 2)
+	b := s.ReserveEvents(5) // two in page 0, three in page 1
+	c := s.ReserveEvents(2*evPageSize + 1)
+	d := s.NewUserEvent()
+	if a != 1 || b != a+evPageSize-2 || c != b+5 || d != c+2*evPageSize+1 {
+		t.Fatalf("handles not contiguous: a=%d b=%d c=%d d=%d", a, b, c, d)
+	}
+	fired := 0
+	for e := b; e < c; e++ {
+		if s.Triggered(e) {
+			t.Fatalf("reserved event %d born triggered", e)
+		}
+		s.OnTrigger(e, func() { fired++ })
+		s.Trigger(e)
+	}
+	if fired != 5 || s.Triggered(a) || s.Triggered(c) || s.Triggered(d) {
+		t.Fatalf("straddling events misbehaved (fired=%d)", fired)
+	}
+}
+
+// TestUntriggeredEventPinsOnlyItsPage: an event that never fires (here an
+// unfired FailEvent; lost work on a crashed node is the same) keeps its own
+// page and no other.
+func TestUntriggeredEventPinsOnlyItsPage(t *testing.T) {
+	s := MustNewSim(smallConfig(2))
+	s.ReserveEvents(3*evPageSize + 100)
+	pin := s.Node(1).FailEvent()
+	s.ReserveEvents(10*evPageSize - int(pin))
+	for e := Event(1); e <= 10*evPageSize; e++ {
+		if e != pin {
+			s.Trigger(e)
+		}
+	}
+	if s.livePages() != 1 || s.pages[3] == nil {
+		t.Fatalf("live pages = %d, want only the FailEvent's page", s.livePages())
+	}
+	if s.Triggered(pin) || !s.Triggered(pin-1) || !s.Triggered(pin+1) {
+		t.Error("pinned page lost its state")
+	}
+}
+
+// TestLongTripBoundsEventTable: the table is bounded by the events in
+// flight, not the events ever made — a million merge/trigger rounds on one
+// Sim never hold more than a few pages.
+func TestLongTripBoundsEventTable(t *testing.T) {
+	rounds := 1000000
+	if testing.Short() {
+		rounds = 100000
+	}
+	s := MustNewSim(smallConfig(1))
+	left, maxLive := rounds, 0
+	var step func()
+	step = func() {
+		if left == 0 {
+			return
+		}
+		if left--; left%1024 == 0 {
+			if n := s.livePages(); n > maxLive {
+				maxLive = n
+			}
+		}
+		a, c := s.NewUserEvent(), s.NewUserEvent()
+		s.OnTrigger(s.Merge(a, c), step)
+		s.After(3, func() { s.Trigger(a) })
+		s.After(7, func() { s.Trigger(c) })
+	}
+	step()
+	s.MustRun()
+	if s.nEvents != 3*rounds {
+		t.Fatalf("made %d events, want %d", s.nEvents, 3*rounds)
+	}
+	if maxLive > 2 || len(s.freePages) > 2 {
+		t.Errorf("event table grew with the trip: %d live pages at peak, %d free (of %d made)", maxLive, len(s.freePages), len(s.pages))
+	}
+}
+
+// TestElapseRoundTripAllocs: a steady-state Elapse — work item, completion
+// through the heap, wake-up through the now-queue, coroutine hand-off both
+// ways — allocates nothing.
+func TestElapseRoundTripAllocs(t *testing.T) {
+	s := MustNewSim(smallConfig(1))
+	avg := -1.0
+	s.Spawn("t", s.Node(0).Proc(0), func(th *Thread) {
+		for i := 0; i < 2*evPageSize; i++ {
+			th.Elapse(1) // warm the pools and the page free list
+		}
+		avg = testing.AllocsPerRun(1000, func() { th.Elapse(1) })
+	})
+	s.MustRun()
+	if avg != 0 {
+		t.Errorf("Elapse round trip allocates %.2f objects, want 0", avg)
+	}
+}

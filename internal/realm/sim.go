@@ -134,13 +134,20 @@ type Sim struct {
 	now    Time
 	seq    int64
 	queue  eventQueue
-	evs    []eventState // index = Event-1
 	nodes  []*Node
 	stats  Stats
 
+	// The event table: event e lives in pages[(e-1)>>evPageBits]. Handles
+	// are dense (nEvents counts every event ever made) and a page never
+	// moves, so creating events copies nothing; a page whose events have all
+	// triggered is dropped to freePages and its slot left nil, which reads
+	// as "triggered". The table is thus bounded by the events in flight.
+	pages     []*evPage
+	freePages []*evPage
+	nEvents   int
+
 	running     bool
-	strong      int           // count of non-weak queued items
-	activeYield chan struct{} // signaled when the active thread yields
+	strong      int // count of non-weak queued items
 	tracer      *Tracer
 	liveThreads map[*Thread]bool
 	threadSeq   int64 // spawn counter, gives threads a deterministic order
@@ -173,6 +180,19 @@ type eventState struct {
 	waiters   []func()
 }
 
+const (
+	evPageBits = 12
+	evPageSize = 1 << evPageBits
+)
+
+// evPage is one fixed-size block of the event table. Only a created event
+// can trigger, so triggered == evPageSize means the page is both completely
+// allocated and completely retired.
+type evPage struct {
+	evs       [evPageSize]eventState
+	triggered int
+}
+
 type queued struct {
 	at  Time
 	seq int64
@@ -193,11 +213,19 @@ type queued struct {
 // expensive cache-missing level hops. (at, seq) is a strict total order
 // (seq increments on every insert), so pop order — and thus the entire
 // simulation — is identical to the old binary heap's.
+//
+// Items scheduled for the current instant (every thread wake-up) bypass the
+// heap through the now FIFO. Such an item sorts after everything already
+// queued for the instant (its seq is the largest) and before everything
+// later, and the clock cannot advance while the FIFO is non-empty (its head
+// is never later than the heap's), so the FIFO holds one instant in seq
+// order and pop — the lesser of the two heads — returns exactly what a
+// single heap would.
 type eventQueue struct {
 	items []queued
+	now   []queued // FIFO: now[head:] are pending
+	head  int
 }
-
-func (q *eventQueue) Len() int { return len(q.items) }
 
 // less orders by time, then insertion sequence.
 func (q *eventQueue) less(a, b *queued) bool {
@@ -220,7 +248,16 @@ func (q *eventQueue) push(it queued) {
 	}
 }
 
+// pop removes the least item by (at, seq) across the heap and the FIFO.
 func (q *eventQueue) pop() queued {
+	if q.head < len(q.now) && (len(q.items) == 0 || q.less(&q.now[q.head], &q.items[0])) {
+		top := q.now[q.head]
+		q.now[q.head] = queued{} // release the closure
+		if q.head++; q.head == len(q.now) {
+			q.now, q.head = q.now[:0], 0
+		}
+		return top
+	}
 	items := q.items
 	top := items[0]
 	n := len(items) - 1
@@ -263,11 +300,9 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{cfg: cfg, policy: ModeledTime{Cfg: cfg}, activeYield: make(chan struct{}), liveThreads: map[*Thread]bool{}}
-	// Pre-size the event table and heap: simulations allocate events at a
-	// furious rate, and starting from a real capacity avoids the first dozen
-	// grow-and-copy cycles of append.
-	s.evs = make([]eventState, 0, 4096)
+	s := &Sim{cfg: cfg, policy: ModeledTime{Cfg: cfg}, liveThreads: map[*Thread]bool{}}
+	// Pre-size the heap: starting from a real capacity avoids the first
+	// dozen grow-and-copy cycles of append.
 	s.queue.items = make([]queued, 0, 1024)
 	s.nodes = make([]*Node, cfg.Nodes)
 	for i := range s.nodes {
@@ -306,50 +341,47 @@ func (s *Sim) Node(i int) *Node { return s.nodes[i] }
 // Nodes returns the node count.
 func (s *Sim) Nodes() int { return len(s.nodes) }
 
-// at schedules fn at absolute virtual time t (>= now).
-func (s *Sim) at(t Time, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
+// enqueue stamps it with the next sequence number, clamps it to now and
+// routes it: a strong item due at the current instant takes the FIFO,
+// everything else the heap. Weak items always take the heap, so the FIFO is
+// empty whenever Run returns.
+func (s *Sim) enqueue(it queued) {
 	s.seq++
-	s.strong++
-	s.queue.push(queued{at: t, seq: s.seq, fn: fn})
+	it.seq = s.seq
+	if !it.weak {
+		s.strong++
+	}
+	if it.at <= s.now {
+		it.at = s.now
+		if !it.weak {
+			s.queue.now = append(s.queue.now, it)
+			return
+		}
+	}
+	s.queue.push(it)
 }
+
+// at schedules fn at absolute virtual time t (>= now).
+func (s *Sim) at(t Time, fn func()) { s.enqueue(queued{at: t, fn: fn}) }
 
 // atDone schedules the completion of a body-less work item: at time t,
 // unless n (when non-nil) has failed, ev triggers. Semantically identical
 // to at(t, func() { ... }) but with the closure replaced by plain queue
 // fields — completions are the most common queue entry in a simulation,
 // and this keeps the steady-state hot path allocation-free.
-func (s *Sim) atDone(t Time, n *Node, ev Event) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	s.strong++
-	s.queue.push(queued{at: t, seq: s.seq, ev: ev, failNode: n})
-}
+func (s *Sim) atDone(t Time, n *Node, ev Event) { s.enqueue(queued{at: t, ev: ev, failNode: n}) }
 
 // atWeak schedules fn at absolute time t without keeping the simulation
 // alive: Run exits once only weak items remain. Fault generators are weak —
 // a crash planned for a time the program never reaches must not prevent
 // termination.
-func (s *Sim) atWeak(t Time, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	s.queue.push(queued{at: t, seq: s.seq, fn: fn, weak: true})
-}
+func (s *Sim) atWeak(t Time, fn func()) { s.enqueue(queued{at: t, fn: fn, weak: true}) }
 
 // After schedules fn d nanoseconds from now.
 func (s *Sim) After(d Time, fn func()) { s.at(s.now+d, fn) }
 
 // NewUserEvent creates an untriggered event.
-func (s *Sim) NewUserEvent() Event {
-	s.evs = append(s.evs, eventState{})
-	return Event(len(s.evs))
-}
+func (s *Sim) NewUserEvent() Event { return s.ReserveEvents(1) }
 
 // ReserveEvents creates n untriggered events with contiguous handles and
 // returns the first; the block is first, first+1, ..., first+n-1. This is
@@ -362,11 +394,28 @@ func (s *Sim) ReserveEvents(n int) Event {
 	if n <= 0 {
 		return NoEvent
 	}
-	first := Event(len(s.evs) + 1)
-	for i := 0; i < n; i++ {
-		s.evs = append(s.evs, eventState{})
+	first := Event(s.nEvents + 1)
+	s.nEvents += n
+	for len(s.pages)<<evPageBits < s.nEvents {
+		var p *evPage
+		if k := len(s.freePages); k > 0 {
+			p, s.freePages = s.freePages[k-1], s.freePages[:k-1]
+		} else {
+			p = new(evPage)
+		}
+		s.pages = append(s.pages, p)
 	}
 	return first
+}
+
+// state returns e's page and slot; the page is nil once every event in it
+// has triggered.
+func (s *Sim) state(e Event) (*evPage, *eventState) {
+	p := s.pages[(e-1)>>evPageBits]
+	if p == nil {
+		return nil, nil
+	}
+	return p, &p.evs[(e-1)&(evPageSize-1)]
 }
 
 // Trigger fires a user event; continuations run immediately (at the current
@@ -376,13 +425,20 @@ func (s *Sim) Trigger(e Event) {
 	if e == NoEvent {
 		panic("realm: cannot trigger NoEvent")
 	}
-	st := &s.evs[e-1]
-	if st.triggered {
+	p, st := s.state(e)
+	if p == nil || st.triggered {
 		panic(fmt.Sprintf("realm: event %d triggered twice", e))
 	}
 	st.triggered = true
 	waiters := st.waiters
 	st.waiters = nil
+	if p.triggered++; p.triggered == evPageSize {
+		// Last event of a full page: recycle it before the continuations
+		// run (they may create events), leaving nil to read as triggered.
+		s.pages[(e-1)>>evPageBits] = nil
+		*p = evPage{}
+		s.freePages = append(s.freePages, p)
+	}
 	for i, fn := range waiters {
 		waiters[i] = nil // release the closure before recycling
 		fn()
@@ -394,7 +450,11 @@ func (s *Sim) Trigger(e Event) {
 
 // Triggered reports whether e has fired.
 func (s *Sim) Triggered(e Event) bool {
-	return e == NoEvent || s.evs[e-1].triggered
+	if e == NoEvent {
+		return true
+	}
+	p, st := s.state(e)
+	return p == nil || st.triggered
 }
 
 // OnTrigger runs fn when e fires (immediately if it already has).
@@ -403,7 +463,7 @@ func (s *Sim) OnTrigger(e Event, fn func()) {
 		fn()
 		return
 	}
-	st := &s.evs[e-1]
+	_, st := s.state(e)
 	if st.waiters == nil {
 		if n := len(s.waiterPool); n > 0 {
 			st.waiters = s.waiterPool[n-1]
@@ -538,6 +598,12 @@ func (s *Sim) Run() (Time, error) {
 		derr := &DeadlockError{Now: s.now}
 		for _, t := range blocked {
 			derr.Blocked = append(derr.Blocked, BlockedThread{Name: t.name, Waiting: t.blockedOn})
+		}
+		// Nothing can resume these threads: unwind them so their
+		// coroutines do not outlive the run.
+		for _, t := range blocked {
+			t.stop() // the parked yield returns false: the kill sentinel
+			t.retire()
 		}
 		return s.now, derr
 	}

@@ -1,11 +1,16 @@
+//go:build go1.23
+
 package realm
+
+import "iter"
 
 // Thread is a cooperatively scheduled simulated thread of control: the
 // vehicle for long-running control logic (the implicit program's main task,
-// a CR shard's control loop, an MPI rank). A thread runs real Go code in
-// its own goroutine, but the simulator guarantees at most one thread (or
-// event continuation) executes at a time, so the simulation stays
-// deterministic and data-race free.
+// a CR shard's control loop, an MPI rank). A thread runs real Go code as a
+// runtime coroutine (iter.Pull): Sim.Run resumes it with next, it hands
+// control straight back with yield, and nothing else ever resumes it, so at
+// most one thread (or event continuation) executes at a time and the
+// simulation stays deterministic and data-race free.
 //
 // A thread interacts with virtual time through Elapse (charge busy time on
 // its processor) and WaitEvent (sleep until an event fires).
@@ -14,9 +19,11 @@ type Thread struct {
 	proc      *Proc
 	name      string
 	id        int64 // spawn order, used for deterministic iteration
-	resume    chan struct{}
+	next      func() (struct{}, bool)
+	stop      func()
+	yieldFn   func(struct{}) bool
 	killed    bool  // Kill was requested; unwind at the next scheduling point
-	dead      bool  // goroutine has finished (normally or by kill)
+	dead      bool  // coroutine has finished (normally or by kill)
 	blockedOn Event // event a WaitEvent is parked on, for deadlock reports
 	// runFn/wakeFn are bound once at spawn so the WaitEvent/wake round trip
 	// — taken on every Elapse of every control thread — allocates nothing.
@@ -48,27 +55,21 @@ func KillSentinel(name string) interface{} { return killPanic{name} }
 // thread or event continuation.
 func (s *Sim) Spawn(name string, proc *Proc, fn func(*Thread)) *Thread {
 	s.threadSeq++
-	t := &Thread{sim: s, proc: proc, name: name, id: s.threadSeq, resume: make(chan struct{})}
+	t := &Thread{sim: s, proc: proc, name: name, id: s.threadSeq}
 	t.runFn = t.run
 	t.wakeFn = t.wake
 	s.liveThreads[t] = true
-	//detlint:ignore threads are goroutine-backed coroutines: exactly one runs at a time, handed off through t.resume, so the scheduler fully orders them
-	go func() {
-		<-t.resume // wait for first scheduling
-		func() {
-			defer func() {
-				if r := recover(); r != nil && !IsThreadKilled(r) {
-					panic(r) // real bug: propagate
-				}
-			}()
-			if !t.killed {
-				fn(t)
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+		t.yieldFn = yield
+		defer func() {
+			if r := recover(); r != nil && !IsThreadKilled(r) {
+				panic(r) // real bug: surfaces from next, inside Sim.Run
 			}
 		}()
-		t.dead = true
-		delete(s.liveThreads, t)
-		s.activeYield <- struct{}{} // final yield: thread is done
-	}()
+		if !t.killed {
+			fn(t)
+		}
+	})
 	s.at(s.now, t.runFn)
 	return t
 }
@@ -92,15 +93,20 @@ func (t *Thread) run() {
 	if t.dead {
 		return // stale wake-up of a retired thread
 	}
-	t.resume <- struct{}{}
-	<-t.sim.activeYield
+	if _, ok := t.next(); !ok {
+		t.retire()
+	}
+}
+
+// retire marks the thread finished once its coroutine has returned.
+func (t *Thread) retire() {
+	t.dead = true
+	delete(t.sim.liveThreads, t)
 }
 
 // yield returns control to the scheduler and blocks until resumed.
 func (t *Thread) yield() {
-	t.sim.activeYield <- struct{}{}
-	<-t.resume
-	if t.killed {
+	if !t.yieldFn(struct{}{}) || t.killed {
 		panic(killPanic{t.name})
 	}
 }
