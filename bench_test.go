@@ -93,7 +93,9 @@ func BenchmarkFigure8PENNANT(b *testing.B) { runFigure(b, "pennant", false) }
 // every CR cell (the -prune flag). The printed figure must be
 // byte-identical to BenchmarkFigure8PENNANT — pruning removes sync edges
 // and dead initialization copies, never a modeled result.
-func BenchmarkFigure8PENNANTPrune(b *testing.B) { runFigureOpts(b, "pennant", false, false, true, false) }
+func BenchmarkFigure8PENNANTPrune(b *testing.B) {
+	runFigureOpts(b, "pennant", false, false, true, false)
+}
 
 // BenchmarkFigure9 regenerates Figure 9: Circuit weak scaling (Regent with
 // vs without control replication).
@@ -128,26 +130,13 @@ func BenchmarkTable1Intersections(b *testing.B) {
 // node's core count shows the real speedup the SPMD schedule exposes
 // (BENCH_PR6.json records the measured ratio).
 func BenchmarkFigure6StencilNative(b *testing.B) {
-	benchStencilNative(b, false)
-}
-
-// BenchmarkFigure6StencilNativeNoSched is the scheduler A/B baseline: the
-// same native run with the worker pool disabled, every kernel and copy
-// body on its own freshly spawned goroutine (the pre-scheduler dispatch).
-// Comparing against BenchmarkFigure6StencilNative isolates what the
-// per-(node,proc) deque pool buys.
-func BenchmarkFigure6StencilNativeNoSched(b *testing.B) {
-	benchStencilNative(b, true)
-}
-
-func benchStencilNative(b *testing.B, noSched bool) {
 	const nodes = 8
 	app, err := harness.AppByName("stencil")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		per, err := app.Measure("regent-cr", nodes, 0, bench.MeasureOpts{Backend: bench.BackendNative, NoSched: noSched})
+		per, err := app.Measure("regent-cr", nodes, 0, bench.MeasureOpts{Backend: bench.BackendNative})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,7 +30,8 @@
 // group — runs the verify.CheckAgg certification over the aggregated
 // schedule (table recomputation, liveness, races), and reports the phases
 // and multi-member groups. With -verify the agg report joins the suite.
-// -agg does not compose with -prune: each pass certifies its own rewrite.
+// With -prune as well, the prune is planned for the aggregated schedule,
+// and -verify certifies the composed one.
 //
 // Exit status: 0 on success, 1 on usage or compile errors, 2 when any
 // certification pass reports findings.
@@ -59,7 +60,7 @@ func main() {
 	doVerify := flag.Bool("verify", false, "run the schedule certifier: races, liveness, spec (exit 2 on findings)")
 	verifyJSON := flag.String("verify-json", "", "write the certification suite as JSON to this file (\"-\" = stdout); implies -verify")
 	doPrune := flag.Bool("prune", false, "run the certified redundant-sync pruning pass and report what it removes")
-	doAgg := flag.Bool("agg", false, "compile with coalesced exchange plans (one message per destination shard per exchange phase) and report the aggregation groups; does not compose with -prune")
+	doAgg := flag.Bool("agg", false, "compile with coalesced exchange plans (one message per destination shard per exchange phase) and report the aggregation groups")
 	flag.Parse()
 
 	// With the JSON suite going to stdout, the human-readable report moves
@@ -84,11 +85,6 @@ func main() {
 		sync = cr.BarrierSync
 	} else if *syncMode != "p2p" {
 		fmt.Fprintf(os.Stderr, "crc: unknown sync mode %q\n", *syncMode)
-		os.Exit(1)
-	}
-
-	if *doAgg && *doPrune {
-		fmt.Fprintln(os.Stderr, "crc: -agg does not compose with -prune; certify one rewrite at a time")
 		os.Exit(1)
 	}
 

@@ -7,7 +7,7 @@
 //
 //	weakscale [-app stencil|miniaero|pennant|circuit|all] [-nodes 1,2,...]
 //	          [-iters N] [-j workers] [-csv] [-v] [-faults seed:rate]
-//	          [-backend des|native] [-procs N] [-sched on|off]
+//	          [-backend des|native] [-procs N]
 //	          [-timepolicy modeled|measured] [-fit-in file] [-fit-out file]
 //	          [-trace on|off] [-trace-share on|off] [-prune on|off]
 //	          [-agg on|off] [-benchjson file] [-verify] [-verify-json file]
@@ -22,12 +22,9 @@
 // the host's cores).
 //
 // -procs sets the native worker pool's per-node size (0, the default, is
-// an equal share of GOMAXPROCS across the simulated nodes). -sched=off
-// disables the pool entirely, falling back to goroutine-per-launch
-// dispatch — the scheduler's A/B baseline; series are identical either
-// way (only host wall-clock differs), which the CI multicore job pins.
-// After a native sweep the scheduler counters (dispatches, steals,
-// inline completions) are printed to stderr.
+// an equal share of GOMAXPROCS across the simulated nodes). After a native
+// sweep the scheduler counters (dispatches, steals, inline completions)
+// are printed to stderr.
 //
 // -timepolicy selects the DES's time-charging policy: modeled (default)
 // charges the Cray-XC-style cost model; measured charges a policy fitted
@@ -63,8 +60,8 @@
 // are identical either way on the DES; only message counts drop. The
 // coalescing counters (static groups, runtime messages saved) are printed
 // to stderr after each app and recorded in the -benchjson snapshot.
-// -agg does not compose with -prune: each pass certifies its own
-// rewritten schedule, so the combination is rejected up front.
+// With -prune=on as well, the prune is planned for, and certified on, the
+// aggregated schedule.
 //
 // -trace=off disables runtime trace capture/replay (the PR 3 ablation).
 // The printed series are identical either way — tracing only changes host
@@ -225,7 +222,6 @@ type benchSnapshot struct {
 	TraceShare string `json:"trace_share"`
 	Faults     string `json:"faults,omitempty"`
 	Procs      int    `json:"procs,omitempty"`
-	Sched      string `json:"sched,omitempty"`
 	TimePolicy string `json:"timepolicy,omitempty"`
 	// Prune and PruneCounters are present only under -prune, so default-off
 	// snapshots stay byte-identical to pre-prune ones. Agg and AggCounters
@@ -238,7 +234,7 @@ type benchSnapshot struct {
 }
 
 // onOff parses the shared on|off flag vocabulary (-trace, -trace-share,
-// -prune, -sched, -agg), exiting with a usage error on anything else.
+// -prune, -agg), exiting with a usage error on anything else.
 func onOff(name, val string) bool {
 	switch val {
 	case "on":
@@ -286,7 +282,6 @@ func main() {
 	faults := flag.String("faults", "", "inject faults: seed:rate (crash rate in crashes per simulated second)")
 	backend := flag.String("backend", bench.BackendDES, "realm backend: des (deterministic simulator, virtual time) or native (real goroutines, wall-clock)")
 	procs := flag.Int("procs", 0, "native worker pool size per node (0 = an equal share of GOMAXPROCS)")
-	sched := flag.String("sched", "on", "native worker pool: on, or off for goroutine-per-launch dispatch (A/B baseline)")
 	timepolicy := flag.String("timepolicy", "modeled", "DES time-charging policy: modeled (Cray-XC cost model) or measured (fitted, needs -fit-in)")
 	fitIn := flag.String("fit-in", "", "JSON file of fitted time coefficients to import (with -timepolicy measured)")
 	fitOut := flag.String("fit-out", "", "fit a time policy from this native sweep and write its coefficients to this JSON file")
@@ -294,7 +289,7 @@ func main() {
 	traceShare := flag.String("trace-share", "on", "cross-shard trace sharing: on or off (ablation; results are identical)")
 	benchjson := flag.String("benchjson", "", "write the sweep results as a JSON snapshot to this file")
 	prune := flag.String("prune", "off", "certified redundant-sync pruning: off (default) or on (ablation; results are identical, sync edges and messages drop)")
-	agg := flag.String("agg", "off", "coalesced exchange plans: off (default) or on (ablation; results are identical, one message per destination shard per exchange phase). Does not compose with -prune")
+	agg := flag.String("agg", "off", "coalesced exchange plans: off (default) or on (ablation; results are identical, one message per destination shard per exchange phase)")
 	doVerify := flag.Bool("verify", false, "run the schedule certifier over every compiled schedule before sweeping (exit 2 on findings)")
 	verifyJSON := flag.String("verify-json", "", "write the certification suites as JSON to this file (\"-\" = stdout); implies -verify")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -347,13 +342,12 @@ func main() {
 	}
 	native := *backend == bench.BackendNative
 
-	noSched := !onOff("sched", *sched)
 	if *procs < 0 {
 		fmt.Fprintf(os.Stderr, "weakscale: bad -procs %d (want >= 0)\n", *procs)
 		os.Exit(1)
 	}
-	if (*procs > 0 || noSched) && !native {
-		fmt.Fprintln(os.Stderr, "weakscale: -procs and -sched configure the native worker pool; use -backend native")
+	if *procs > 0 && !native {
+		fmt.Fprintln(os.Stderr, "weakscale: -procs sizes the native worker pool; use -backend native")
 		os.Exit(1)
 	}
 
@@ -410,13 +404,6 @@ func main() {
 	noShare := !onOff("trace-share", *traceShare)
 	doPrune := onOff("prune", *prune)
 	doAgg := onOff("agg", *agg)
-	if doAgg && doPrune {
-		// Rejected up front, before any compile or sweep work: each pass
-		// certifies its own rewritten schedule (verify.CheckAgg vs
-		// verify.PlanPrune), and neither models the other's rewrite.
-		fmt.Fprintln(os.Stderr, "weakscale: -agg does not compose with -prune; certify one rewrite at a time")
-		os.Exit(1)
-	}
 
 	var apps []harness.App
 	if *appName == "all" {
@@ -471,7 +458,7 @@ func main() {
 		Trace: *trace, TraceShare: *traceShare, Faults: *faults,
 	}
 	if native {
-		snap.Procs, snap.Sched = *procs, *sched
+		snap.Procs = *procs
 	} else {
 		snap.TimePolicy = *timepolicy
 	}
@@ -490,7 +477,6 @@ func main() {
 		app.NoTrace = noTrace
 		app.NoShare = noShare
 		app.Procs = *procs
-		app.NoSched = noSched
 		app.Policy = policy
 		if fit != nil {
 			app.Fit = fit

@@ -299,10 +299,7 @@ func (app *App) buildTasks(m mesh) {
 			for ai := 0; ai < 4; ai += 2 {
 				saved, cur := tc.Writer(u0, ai, 1), tc.Reader(u, ai+1, 1)
 				tc.Rows(ai, func(row ir.Row) {
-					dst := saved.Row(row)
-					for i := range dst {
-						dst[i] = cur.Get(row.Point(i))
-					}
+					cur.Read(row.First, saved.Row(row))
 				})
 			}
 		},

@@ -180,25 +180,43 @@ func Build(cfg Config) *App {
 		Kernel: func(tc *ir.TaskCtx) {
 			out := tc.Writer(xout, 0, 1)
 			in := tc.Reader(xin, 1, 3) // private, shared, ghost
+			// The input an output row reads is gathered once per row instead of
+			// looked up once per point: w values of row x (the row widened by r
+			// at both ends) at buf[0], then n values each of rows x+k at
+			// buf[k*w] and x-k at buf[(r+k)*w]. The sums below add the same
+			// terms in the same order as a Get per neighbour would.
+			var buf []float64
 			tc.Rows(0, func(row ir.Row) {
 				// PRK computes only points with full stencil support.
-				x := row.First.X()
+				x, y0 := row.First.X(), row.First.Y()
 				if x < r || x > gridBounds.Hi.X()-r {
 					return
 				}
-				accs := out.Row(row)
+				lo, hi := max(y0, r), min(y0+int64(row.Len)-1, gridBounds.Hi.Y()-r)
+				if lo > hi {
+					return
+				}
+				accs := out.Row(row)[lo-y0 : hi-y0+1]
+				n := int64(len(accs))
+				w := n + 2*r
+				if need := int(w * (2*r + 1)); len(buf) < need {
+					buf = make([]float64, need)
+				}
+				centre := buf[:w]
+				in.Read(geometry.Pt2(x, lo-r), centre)
+				for k := int64(1); k <= r; k++ {
+					in.Read(geometry.Pt2(x+k, lo), buf[k*w:k*w+n])
+					in.Read(geometry.Pt2(x-k, lo), buf[(r+k)*w:(r+k)*w+n])
+				}
 				for i := range accs {
-					y := row.First.Y() + int64(i)
-					if y < r || y > gridBounds.Hi.Y()-r {
-						continue
-					}
+					c := int64(i) + r // the point's own place in centre
 					acc := accs[i]
 					for k := int64(1); k <= r; k++ {
 						wk := 1.0 / (2.0 * float64(k) * float64(2*r+1))
-						acc += wk * in.Get(geometry.Pt2(x+k, y))
-						acc += wk * in.Get(geometry.Pt2(x-k, y))
-						acc += wk * in.Get(geometry.Pt2(x, y+k))
-						acc += wk * in.Get(geometry.Pt2(x, y-k))
+						acc += wk * buf[k*w+int64(i)]
+						acc += wk * buf[(r+k)*w+int64(i)]
+						acc += wk * centre[c+k]
+						acc += wk * centre[c-k]
 					}
 					accs[i] = acc
 				}

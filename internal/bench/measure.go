@@ -130,10 +130,6 @@ type MeasureOpts struct {
 	// Procs sets the native machine's per-node worker count (0 = an equal
 	// share of GOMAXPROCS). Ignored on the DES.
 	Procs int
-	// NoSched disables the native worker pool, falling back to
-	// goroutine-per-launch dispatch — the A/B baseline for the scheduler.
-	// Ignored on the DES.
-	NoSched bool
 	// Fit, when non-nil, receives a wall-clock sample for every launch and
 	// copy body the native machine executes (pass a *realm.MeasuredTime to
 	// build a fitted TimePolicy from the run). Ignored on the DES.
@@ -160,9 +156,8 @@ type MeasureOpts struct {
 	// (producing shard, destination shard), certified by verify.CheckAgg
 	// before anything runs — the aggregation analogue of the Prune
 	// license. Off by default; stores and series are identical either way,
-	// only message counts drop (bytes are conserved). Does not compose
-	// with Prune: each pass certifies its own rewritten schedule, and
-	// neither models the other's rewrite.
+	// only message counts drop (bytes are conserved). With Prune as well,
+	// the prune is planned for, and certified on, the aggregated schedule.
 	Agg bool
 	// AggStats, when non-nil, accumulates the aggregation certification's
 	// static shape counters and the runtime's coalescing counters across
@@ -174,16 +169,13 @@ type MeasureOpts struct {
 func (o MeasureOpts) NativeBackend() bool { return o.Backend == BackendNative }
 
 // applyExecOpts configures a freshly built backend from the options:
-// scheduler sizing, the A/B pool switch, and the time recorder on native;
-// the time-policy override on the DES.
+// scheduler sizing and the time recorder on native; the time-policy
+// override on the DES.
 func applyExecOpts(sim realm.Exec, opts MeasureOpts) {
 	switch b := sim.(type) {
 	case *native.Machine:
 		if opts.Procs > 0 {
 			b.SetProcs(opts.Procs)
-		}
-		if opts.NoSched {
-			b.SetScheduler(false)
 		}
 		if opts.Fit != nil {
 			b.SetTimeRecorder(opts.Fit)
@@ -392,9 +384,6 @@ func MeasureImplicit(prog *ir.Program, loop *ir.Loop, nodes int, tune Tuning, op
 // degrades (recovery budget exhausted) is reported as an error since its
 // timings are not a valid steady-state measurement.
 func MeasureCR(prog *ir.Program, loop *ir.Loop, nodes int, sync cr.SyncMode, tune Tuning, opts MeasureOpts) (realm.Time, error) {
-	if opts.Agg && opts.Prune {
-		return 0, fmt.Errorf("bench: -agg does not compose with -prune: each pass certifies its own rewritten schedule, and neither models the other's rewrite")
-	}
 	plan, err := cr.Compile(prog, loop, cr.Options{NumShards: nodes, Sync: sync, Agg: opts.Agg})
 	if err != nil {
 		return 0, err

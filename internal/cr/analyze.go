@@ -28,8 +28,8 @@ type loopInfo struct {
 // partFieldList converts the accumulated field sets to sorted slices.
 func (info *loopInfo) partFieldList() map[*region.Partition][]region.FieldID {
 	out := make(map[*region.Partition][]region.FieldID, len(info.partFields))
-	for p, set := range info.partFields {
-		out[p] = sortedFields(set)
+	for _, p := range info.usedParts {
+		out[p] = sortedFields(info.partFields[p])
 	}
 	return out
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/cr"
 	"repro/internal/ir"
 	"repro/internal/realm"
-	"repro/internal/realm/native"
 	"repro/internal/region"
 	"repro/internal/rt"
 	"repro/internal/spmd"
@@ -228,51 +227,6 @@ func TestNativeCrashRecoveryMatchesFaultFree(t *testing.T) {
 				requireSameResults(t, label, ref, res)
 			})
 		}
-	}
-}
-
-// runSPMDNoSched executes a freshly built program in Real mode on the
-// native backend with the worker pool disabled — goroutine-per-launch
-// dispatch, the scheduler's A/B baseline.
-func runSPMDNoSched(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode) *spmd.Result {
-	t.Helper()
-	plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes, Sync: sync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := native.NewMachine(realm.DefaultConfig(nodes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetScheduler(false)
-	res, err := spmd.New(m, prog, ir.ExecReal, plans).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestNativeSchedulerOffMatchesOn is the scheduler's determinism check:
-// for every evaluation application, Real-mode stores with the worker pool
-// on must be bitwise equal to the goroutine-per-launch baseline. The pool
-// reorders ready items freely (LIFO slots, stealing), so equality holds
-// only because every float-affecting order is fixed by the event graph —
-// which is exactly what this pins.
-func TestNativeSchedulerOffMatchesOn(t *testing.T) {
-	const nodes = 4
-	for _, app := range backendApps {
-		t.Run(app.name, func(t *testing.T) {
-			ref := runSPMD(t, app.build(nodes), nodes, cr.PointToPoint, false, false, bench.BackendNative)
-			res := runSPMDNoSched(t, app.build(nodes), nodes, cr.PointToPoint)
-			requireSameResults(t, app.name, ref, res)
-			if ref.Stats.Dispatches == 0 {
-				t.Error("pooled run recorded no dispatches; is the scheduler actually on?")
-			}
-			if res.Stats.Dispatches != 0 || res.Stats.Steals != 0 {
-				t.Errorf("NoSched run recorded scheduler activity: %d dispatches, %d steals",
-					res.Stats.Dispatches, res.Stats.Steals)
-			}
-		})
 	}
 }
 

@@ -54,11 +54,8 @@ type App struct {
 	// whole sweep (printed by weakscale under -trace on).
 	Trace *bench.TraceAgg
 	// Procs sets the native worker pool's per-node size for every cell
-	// (0 = an equal share of GOMAXPROCS); NoSched disables the pool —
-	// goroutine-per-launch dispatch, the scheduler's A/B baseline. Both
-	// are ignored on the DES.
-	Procs   int
-	NoSched bool
+	// (0 = an equal share of GOMAXPROCS). Ignored on the DES.
+	Procs int
 	// Sched optionally accumulates the native scheduler's counters across
 	// the whole sweep (printed by weakscale under -backend native).
 	Sched *bench.SchedAgg
@@ -69,8 +66,9 @@ type App struct {
 	Prune      bool
 	PruneStats *bench.PruneAgg
 	// Agg runs every CR cell with coalesced exchange plans (the -agg
-	// ablation; default off, certified by verify.CheckAgg, incompatible
-	// with Prune). Series and stores are identical either way — only
+	// ablation; default off, certified by verify.CheckAgg; with Prune the
+	// prune is planned for the aggregated schedule). Series and stores are
+	// identical either way — only
 	// message counts drop. AggStats optionally accumulates the coalescing
 	// counters across the sweep.
 	Agg      bool
@@ -242,7 +240,6 @@ func RunFigureParallel(app App, nodes []int, workers int, progress func(string))
 			Trace:      app.Trace,
 			Backend:    app.Backend,
 			Procs:      app.Procs,
-			NoSched:    app.NoSched,
 			Sched:      app.Sched,
 			Fit:        app.Fit,
 			Policy:     app.Policy,

@@ -26,8 +26,9 @@ import (
 // Reducer, the same operator) — the panics and messages of PhysArg.Get, Set
 // and Reduce. Checked on every Get, Set and Fold: the point lies in the
 // region of one of the spanned arguments; the first such argument, in
-// argument order, is the one accessed. Not checked: what a kernel does with
-// a row. A row aliases the store, and a Reader's rows are for reading.
+// argument order, is the one accessed. A Reader's Read checks the same once
+// per stored stretch rather than once per point. Not checked: what a kernel
+// does with a row. A row aliases the store, and a Reader's rows are for reading.
 
 // view is what the three accessors share: one field over the footprint of
 // arguments first..first+len(data)-1.
@@ -61,6 +62,20 @@ type Reader struct{ view }
 
 // Get returns the field at p.
 func (r *Reader) Get(p geometry.Point) float64 { return *r.elem(&p) }
+
+// Read copies into dst the field at the len(dst) points that start at p and
+// advance along the last dimension: dst[i] is what Get returns for the i-th
+// of them. A stretch that straddles several arguments, or several spans of
+// one, is gathered piecewise; what a loop pays per point is a copy.
+func (r *Reader) Read(p geometry.Point, dst []float64) {
+	last := p.Dim - 1
+	for len(dst) > 0 {
+		part, slot, n := r.at.Run(&p, int64(len(dst)))
+		copy(dst[:n], r.data[part][slot:slot+n])
+		dst = dst[n:]
+		p.C[last] += n
+	}
+}
 
 // Writer reads and writes one field.
 type Writer struct{ Reader }

@@ -243,6 +243,56 @@ func TestAccessorFirstMatchInArgumentOrder(t *testing.T) {
 	}
 }
 
+// Read gathers exactly what a Get per point returns, across the spans of one
+// argument and across arguments, and stops where Get would: at the first
+// point outside every argument, with Get's panic.
+func TestReadMatchesGetPerPoint(t *testing.T) {
+	fs := region.NewFieldSpace("x")
+	x := fs.Field("x")
+	param := Param{Priv: PrivReadWrite, Fields: []region.FieldID{x}}
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 300; iter++ {
+		args := []PhysArg{
+			randomArg(rng, int8(1+iter%3), fs, param, iter%2 == 0),
+			randomArg(rng, int8(1+iter%3), fs, param, iter%4 < 2),
+		}
+		tc := &TaskCtx{Args: args}
+		w := tc.Writer(x, 0, 2)
+		for ai := range args {
+			args[ai].Each(func(p geometry.Point) bool { w.Set(p, rng.Float64()); return true })
+		}
+		rd := tc.Reader(x, 0, 2)
+		// Every stretch of every row of the two regions' union: the rows of the
+		// union straddle spans and arguments wherever the regions do.
+		union := args[0].Region.IndexSpace().Union(args[1].Region.IndexSpace())
+		union.EachRow(func(first geometry.Point, n int64) bool {
+			for from := int64(0); from < n; from++ {
+				p := first
+				p.C[p.Dim-1] += from
+				got := make([]float64, n-from)
+				rd.Read(p, got)
+				for i := range got {
+					q := p
+					q.C[q.Dim-1] += int64(i)
+					if want := rd.Get(q); got[i] != want {
+						t.Fatalf("iter %d: Read(%v)[%d] = %v, Get(%v) = %v", iter, p, i, got[i], q, want)
+					}
+				}
+			}
+			past := first
+			past.C[past.Dim-1] += n
+			if union.Contains(past) {
+				return true
+			}
+			want := panicText(func() { rd.Get(past) })
+			if got := panicText(func() { rd.Read(first, make([]float64, n+1)) }); got != want || want == "" {
+				t.Fatalf("iter %d: Read past the row at %v panicked with %q, Get with %q", iter, first, got, want)
+			}
+			return true
+		})
+	}
+}
+
 // A kernel invocation allocates its accessors and nothing per element: the
 // count is the same over 64 points and over 64k.
 func TestKernelAllocationsDoNotGrowWithVolume(t *testing.T) {

@@ -7,9 +7,7 @@
 // placement, LIFO slots, node-local-then-remote stealing), real
 // memcpy-style region copies in task and copy bodies, and wall-clock
 // timing. Zero-cost completions (nil body, no injected delay) short-
-// circuit inline at trigger without touching a queue, and SetScheduler
-// can fall the machine back to goroutine-per-launch dispatch for A/B
-// comparison.
+// circuit inline at trigger without touching a queue.
 //
 // The memory model is the event graph itself. Engines order every pair of
 // conflicting accesses through events (task preconditions, p2p war/done
@@ -136,12 +134,11 @@ type Machine struct {
 	hangTimeout time.Duration
 
 	// Scheduler state (sched.go). schedp is published in Drive before the
-	// agents are released and read by every dispatch; nil means
-	// goroutine-per-launch (pool disabled, or work issued before Drive).
-	// procs/noSched/recorder are configured before Drive only.
+	// agents are released and read by every dispatch; nil (work issued
+	// before Drive) means a goroutine per item. procs/recorder are configured
+	// before Drive only.
 	schedp   atomic.Pointer[scheduler]
 	procs    int // per-node worker count; 0 → defaultProcs
-	noSched  bool
 	recorder realm.TimeRecorder
 
 	// Fault state. faults is written once before Drive (InjectFaults) and
@@ -723,9 +720,7 @@ func (m *Machine) Drive() (realm.Time, error) {
 	pend := m.pending
 	m.pending = nil
 	m.mu.Unlock()
-	if !m.noSched {
-		m.schedp.Store(newScheduler(m, m.cfg.Nodes, m.Procs()))
-	}
+	m.schedp.Store(newScheduler(m, m.cfg.Nodes, m.Procs()))
 	stop := make(chan struct{})
 	if m.hangTimeout > 0 {
 		//detlint:ignore the watchdog goroutine only observes counters; it never produces results the run depends on
@@ -736,9 +731,7 @@ func (m *Machine) Drive() (realm.Time, error) {
 	}
 	m.wg.Wait()
 	close(stop)
-	if s := m.schedp.Load(); s != nil {
-		s.shutdown()
-	}
+	m.schedp.Load().shutdown()
 	m.failMu.Lock()
 	err := m.err
 	m.failMu.Unlock()

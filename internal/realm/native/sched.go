@@ -254,13 +254,13 @@ func (s *scheduler) depths() []int {
 
 // SchedStats is the scheduler's observability snapshot.
 type SchedStats struct {
-	Workers           int   // pool size (nodes × procs); 0 when the pool is off
+	Workers           int   // pool size (nodes × procs); 0 before Drive
 	Dispatches        int64 // items executed by pool workers
 	Steals            int64 // dispatches taken from a deque other than the enqueue target
 	LocalSteals       int64 // steals within the enqueue node
 	RemoteSteals      int64 // steals across nodes
 	InlineCompletions int64 // launches/copies completed inline, no queue hop
-	QueueDepths       []int // current queued items per node (nil when the pool is off)
+	QueueDepths       []int // current queued items per node (nil before Drive)
 }
 
 // SchedStats returns the scheduler counters and current queue depths.
@@ -296,20 +296,13 @@ func (m *Machine) Procs() int {
 	return defaultProcs(m.cfg.Nodes)
 }
 
-// SetScheduler enables or disables the worker pool (default on). With the
-// pool off the machine falls back to goroutine-per-launch dispatch — the
-// pre-scheduler behavior, kept for A/B benchmarking and as a determinism
-// cross-check. Must be called before Drive.
-func (m *Machine) SetScheduler(on bool) { m.noSched = !on }
-
 // SetTimeRecorder attaches a recorder (realm.MeasuredTime) that observes
 // the wall-clock duration of every executed launch and copy body, so a
 // fitted TimePolicy can be built from this run. Must be set before Drive.
 func (m *Machine) SetTimeRecorder(rec realm.TimeRecorder) { m.recorder = rec }
 
 // dispatch routes one ready work item: onto the pool when it is running,
-// otherwise (pool disabled, or work issued before Drive) onto a fresh
-// goroutine. The item is counted in the machine WaitGroup and the
+// otherwise (work issued before Drive) onto a fresh goroutine. The item is counted in the machine WaitGroup and the
 // inflight gauge from here until runItem finishes it. Injected delays
 // ride a timer before the item becomes runnable, so they never occupy a
 // worker.

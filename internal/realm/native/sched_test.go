@@ -12,13 +12,12 @@ import (
 // maxGoroutinesDuring floods the machine with sleeping work bodies and
 // samples runtime.NumGoroutine from inside them, returning the high-water
 // mark. The issuer runs as an agent so the items dispatch after Drive has
-// published the pool (pre-Drive work intentionally takes the legacy
-// goroutine path).
-func maxGoroutinesDuring(t *testing.T, pool bool, nodes, procs, items int) int {
+// published the pool (pre-Drive work intentionally takes a goroutine per
+// item).
+func maxGoroutinesDuring(t *testing.T, nodes, procs, items int) int {
 	t.Helper()
 	m := newTest(t, nodes)
 	m.SetProcs(procs)
-	m.SetScheduler(pool)
 	var maxG int64
 	m.SpawnOn("issuer", 0, 0, func(a realm.Agent) {
 		evs := make([]realm.Event, items)
@@ -42,23 +41,16 @@ func maxGoroutinesDuring(t *testing.T, pool bool, nodes, procs, items int) int {
 	return int(atomic.LoadInt64(&maxG))
 }
 
-// TestSchedulerBoundsGoroutines is the pool's reason to exist: with the
-// scheduler on, a flood of concurrently runnable items executes on
-// O(nodes x procs) goroutines, where goroutine-per-launch dispatch grows
-// with the flood itself.
+// TestSchedulerBoundsGoroutines is the pool's reason to exist: a flood of
+// concurrently runnable items executes on O(nodes x procs) goroutines,
+// where a goroutine per item would grow with the flood itself.
 func TestSchedulerBoundsGoroutines(t *testing.T) {
 	const nodes, procs, items = 4, 2, 300
-	pooled := maxGoroutinesDuring(t, true, nodes, procs, items)
-	legacy := maxGoroutinesDuring(t, false, nodes, procs, items)
+	pooled := maxGoroutinesDuring(t, nodes, procs, items)
 	// Pool bound: nodes x procs workers plus the issuer, the driver, the
 	// test runtime's own goroutines, and slack for timers.
 	if bound := nodes*procs + 24; pooled > bound {
 		t.Errorf("pooled high-water mark = %d goroutines, want <= %d (O(nodes x procs))", pooled, bound)
-	}
-	// The legacy path spawns one goroutine per ready item: with 300 items
-	// sleeping 1ms each it must blow far past the pool's plateau.
-	if legacy < 3*pooled {
-		t.Errorf("goroutine-per-launch high-water mark = %d, want >= 3x the pooled %d", legacy, pooled)
 	}
 }
 

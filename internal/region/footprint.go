@@ -242,10 +242,10 @@ func (c *Cursor) Locate(p *geometry.Point) (part int, slot int64) {
 	}
 }
 
-// run is Locate for a row: it returns the part and slot of p and the number
+// Run is Locate for a row: it returns the part and slot of p and the number
 // n ≤ max of points, starting at p and advancing along the last dimension,
 // that the part stores consecutively from that slot.
-func (c *Cursor) run(p *geometry.Point, max int64) (part int, slot, n int64) {
+func (c *Cursor) Run(p *geometry.Point, max int64) (part int, slot, n int64) {
 	part, slot = c.Locate(p)
 	last := p.Dim - 1
 	s := c.last
@@ -266,7 +266,7 @@ func (fp *Footprint) Runs(over geometry.IndexSpace, fn func(first geometry.Point
 	c := fp.Cursor()
 	over.EachRow(func(p geometry.Point, n int64) bool {
 		for n > 0 {
-			part, slot, m := c.run(&p, n)
+			part, slot, m := c.Run(&p, n)
 			if !fn(p, part, slot, m) {
 				return false
 			}

@@ -140,15 +140,15 @@ func checkFootprint(t *testing.T, data []byte) {
 				t.Fatalf("Cursor.Locate(%v) = (%d, %d), want (%d, %d)", p, gp, gs, part, slot)
 			}
 			// A run is a stretch of the same argument in consecutive slots.
-			gp, gs, n := cur.run(&p, 4)
+			gp, gs, n := cur.Run(&p, 4)
 			if gp != part || gs != slot || n < 1 || n > 4 {
-				t.Fatalf("Cursor.run(%v) = (%d, %d, %d), want (%d, %d, 1..4)", p, gp, gs, n, part, slot)
+				t.Fatalf("Cursor.Run(%v) = (%d, %d, %d), want (%d, %d, 1..4)", p, gp, gs, n, part, slot)
 			}
 			for i := int64(1); i < n; i++ {
 				q := p
 				q.C[last] += i
 				if qp, qs, ok := oracle(q); !ok || qp != part || qs != slot+i {
-					t.Fatalf("Cursor.run(%v) = %d points, but point %d is (%d, %d, %v)", p, n, i, qp, qs, ok)
+					t.Fatalf("Cursor.Run(%v) = %d points, but point %d is (%d, %d, %v)", p, n, i, qp, qs, ok)
 				}
 			}
 		}

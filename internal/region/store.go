@@ -66,7 +66,7 @@ func eachRun(a, b *Layout, over geometry.IndexSpace, fn func(aslot, bslot, n int
 	bc := b.fp.Cursor()
 	a.fp.Runs(over, func(p geometry.Point, _ int, as, n int64) bool {
 		for n > 0 {
-			_, bs, bn := bc.run(&p, n)
+			_, bs, bn := bc.Run(&p, n)
 			if !fn(as, bs, bn) {
 				return false
 			}

@@ -32,7 +32,10 @@ func runAgg(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend
 // TestAggEquivalence: coalescing is invisible to the computed values —
 // bitwise — for every app, both lowerings, both backends, with shard plans
 // memoized and re-resolved every iteration (the equivalence-matrix
-// aggregation axis).
+// aggregation axis). At 2x overdecomposition the matrix has a composed
+// column as well: the prune verify.PlanPrune licenses for the AGGREGATED
+// plan, attached to it, must leave the stores bitwise equal to the
+// sequential interpreter's.
 func TestAggEquivalence(t *testing.T) {
 	const nodes = 2
 	backends := []string{"des", "native"}
@@ -53,6 +56,12 @@ func TestAggEquivalence(t *testing.T) {
 							base, _ := runAgg(t, app.build(over*nodes), nodes, sync, backend, false, pm.noTrace)
 							agged, _ := runAgg(t, app.build(over*nodes), nodes, sync, backend, true, pm.noTrace)
 							assertStoresBitwiseEqual(t, base, agged)
+							if over < 2 {
+								return
+							}
+							prog := app.build(over * nodes)
+							composed, _ := execPlans(t, prog, compileVariant(t, prog, nodes, sync, true, true), nodes, backend, pm.noTrace)
+							assertStoresBitwiseEqual(t, ir.ExecSequential(app.build(over*nodes)).Stores, composed)
 						})
 					}
 				}
@@ -179,24 +188,4 @@ func TestAggFailoverRecovers(t *testing.T) {
 		t.Fatalf("aggregated failover re-captured: %+v", stats)
 	}
 	assertStoresBitwiseEqual(t, golden.Stores, res.Stores)
-}
-
-// TestAggRejectsPrune: the aggregated schedule is certified by CheckAgg
-// and the pruned one by PlanPrune; neither pass models the other's
-// rewrite, so the engine must refuse to run the combination.
-func TestAggRejectsPrune(t *testing.T) {
-	const nodes = 2
-	prog := pennant.Build(pennant.Small(nodes)).Prog
-	plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes, Sync: cr.PointToPoint, Agg: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, plan := range plans {
-		plan.Prune = &cr.PruneInfo{}
-	}
-	cfg := realm.DefaultConfig(nodes)
-	sim := realm.MustNewSim(cfg)
-	if _, err := spmd.New(sim, prog, ir.ExecReal, plans).Run(); err == nil {
-		t.Fatal("engine accepted aggregation combined with pruning")
-	}
 }

@@ -26,9 +26,9 @@ package spmd
 // durations per color, transfer sizes per pair — is a pure function of the
 // compiled plan's specialization tables (cr.SpecTable) and the overhead
 // model, so the engine captures it ONCE per loop as a sharedTrace, and
-// resolve reads its three shard-independent look-ups (kernel duration, pair
-// bytes, endpoint nodes) from the shared tables instead of computing them
-// from the compiled plan. That makes capture cost O(1) per run state where
+// resolve reads its two shard-independent look-ups (kernel duration, pair
+// bytes) from the shared tables instead of computing them from the compiled
+// plan. That makes capture cost O(1) per run state where
 // direct resolution is O(shards): re-runs, failover rebuilds, and sweep
 // cells all reuse the one shared capture. When the compiler marks a loop
 // unshareable (ragged shard partition) or the ablation flag disables
@@ -170,14 +170,13 @@ type shardPlan struct {
 	ops []planOp
 }
 
-// planOp mirrors cr.BodyOp; exactly one field is set. Under Options.Agg a
-// whole exchange phase is resolved into one phase entry at its head op
-// and the phase's remaining copy ops emit no planOp at all.
+// planOp mirrors cr.BodyOp; exactly one field is set. A copy op the shard's
+// exchange step list does not start at (a non-head op of an aggregated
+// exchange phase) emits no planOp at all.
 type planOp struct {
 	set    *ir.SetScalar
 	launch *launchPlan
-	cp     *copyPlan
-	phase  *phasePlan
+	xch    *exchangePlan
 }
 
 // launchPlan is a launch op resolved for one shard: its owned colors with
@@ -210,55 +209,41 @@ type argPlan struct {
 	st   *instState
 }
 
-// copyPlan is a copy op resolved for one shard: its slice of the pair work
-// with states, nodes, sizes, and Real-mode bodies bound. Both sync
+// exchangePlan is one shard's exchange step list (cr.ExchangeSteps) resolved:
+// states, nodes, sizes and Real-mode bodies bound to every step. Both sync
 // lowerings execute the same value.
-type copyPlan struct {
-	id    int
-	works []copyWorkPlan
+type exchangePlan struct {
+	// ids are the CopyOp IDs of the body ops the list covers, in body order:
+	// the copy alone, or every copy of an aggregated exchange phase.
+	ids   []int
+	steps []stepPlan
 }
 
-type copyWorkPlan struct {
-	consumer             bool
-	dstState             *instState // set when consumer
+// stepPlan is one resolved cr.ExchangeStep: a consume step (dstState set) or
+// a produce step (members set).
+type stepPlan struct {
+	copyID               int        // consumed group's copy op
+	op                   int        // its position in exchangePlan.ids
 	groupStart, groupEnd int        // absolute pair index range of the group
-	prods                []copyProdPlan
-}
+	dstState             *instState // the destination instance this shard owns
 
-type copyProdPlan struct {
-	copyID           int // owning copy op's ID (members of a phase group span ops)
-	pairIdx          int
-	chain            bool // fold-chain link: also wait on pairIdx-1's done
-	reduce           bool // the owning op is a reduction copy
-	srcState         *instState
+	// members are the pairs one transfer carries. bytes is the summed payload
+	// and body runs the member writes in member order — the unaggregated
+	// issue order — so stores are bitwise identical aggregation on or off.
+	members          []memberPlan
 	bytes            int64
 	srcNode, dstNode int
 	body             func() // Real-mode transfer body; iteration-invariant
 }
 
-// copyAggPlan is one coalesced transfer: every pair this shard produces
-// toward one destination shard across one exchange phase, merged into a
-// single message. The members keep their per-pair resolution (dependence
-// state, sync slots keyed by their own op's ID, chain links, bodies);
-// bytes is the summed payload and body runs the member writes in member
-// order — the unaggregated issue order — so stores are bitwise identical
-// aggregation on or off.
-type copyAggPlan struct {
-	members          []copyProdPlan
-	bytes            int64
-	srcNode, dstNode int
-	body             func() // merged Real-mode body; iteration-invariant
-}
-
-// phasePlan is one exchange phase resolved for one shard under
-// aggregation: each phase op's consumer-side work in body order (a copyPlan
-// whose works are the consumer groups only — per-pair sync structure
-// survives coalescing untouched) and the shard's coalesced producer
-// schedule over the whole phase. It is emitted at the phase's head op; the
-// phase's other copy ops emit no planOp.
-type phasePlan struct {
-	cons []copyPlan
-	aggs []copyAggPlan
+// memberPlan is one pair of a produce step. Sync slots stay keyed by the
+// member's own op: the members of one step may span copy ops.
+type memberPlan struct {
+	copyID, pairIdx int
+	chain           bool // fold-chain link: also wait on pairIdx-1's done
+	reduce          bool // the owning op is a reduction copy
+	srcState        *instState
+	body            func()
 }
 
 // memoized is the one place that decides whether a shard's plan is resolved
@@ -314,14 +299,13 @@ func (st *runState) dropPlans() int {
 }
 
 // resolve builds one shard's plan of one iteration from the compiled body.
-// Three look-ups are shard-independent — kernel duration, pair bytes,
-// endpoint nodes: with shr == nil they are computed from the compiled plan,
-// otherwise read from the shared capture's tables (and the compiler's
-// pair-endpoint shard tables composed with the runState's assignment).
-// Everything else — shard-table entries, Real-mode temporaries and bindings
-// — is resolved identically, in body order, either way.
+// Two look-ups are shard-independent — kernel duration and pair bytes: with
+// shr == nil they are computed from the compiled plan, otherwise read from
+// the shared capture's tables. Everything else — shard-table entries,
+// endpoint nodes (the step lists' shards composed with the runState's
+// assignment), Real-mode temporaries and bindings — is resolved identically,
+// in body order, either way.
 func (st *runState) resolve(sh *shard, shr *sharedTrace) *shardPlan {
-	spec := &st.plan.Spec
 	sp := &shardPlan{ops: make([]planOp, 0, len(st.plan.Body))}
 	for i, op := range st.plan.Body {
 		switch {
@@ -329,12 +313,10 @@ func (st *runState) resolve(sh *shard, shr *sharedTrace) *shardPlan {
 			sp.ops = append(sp.ops, planOp{set: op.Set})
 		case op.Launch != nil:
 			sp.ops = append(sp.ops, planOp{launch: st.resolveLaunch(sh, shr, i)})
-		case !st.plan.Opts.Agg:
-			sp.ops = append(sp.ops, planOp{cp: st.resolveCopy(sh, shr, i)})
-		case spec.Phases[spec.PhaseOf[i]].Start == i:
-			// The whole exchange phase resolves at its head op; the phase's
-			// remaining copies emit nothing.
-			sp.ops = append(sp.ops, planOp{phase: st.resolvePhase(sh, shr, &spec.Phases[spec.PhaseOf[i]])})
+		default:
+			if xp := st.resolveExchange(sh, shr, i); xp != nil {
+				sp.ops = append(sp.ops, planOp{xch: xp})
+			}
 		}
 	}
 	return sp
@@ -418,132 +400,92 @@ func (st *runState) pairBytes(shr *sharedTrace, op, k int) int64 {
 	return cp.Pairs[k].Overlap.Volume() * st.e.Over.EltBytes * int64(len(cp.Fields))
 }
 
-// resolveProd fills one produced pair's dependence state and Real-mode
+// resolveMember fills one produced pair's dependence state and Real-mode
 // transfer body.
-func (st *runState) resolveProd(sh *shard, cp *cr.CopyOp, k int, chain bool, bytes int64, srcNode, dstNode int) copyProdPlan {
+func (st *runState) resolveMember(sh *shard, m *memberPlan, cp *cr.CopyOp, mem cr.StepMember) {
+	k := int(mem.Pair)
 	pr := cp.Pairs[k]
-	p := copyProdPlan{
+	*m = memberPlan{
 		copyID:  cp.ID,
 		pairIdx: k,
-		chain:   chain,
+		chain:   mem.Chain && !st.plan.Prune.SkipChain(cp.ID, k),
 		reduce:  cp.Reduce != region.ReduceNone,
-		bytes:   bytes,
-		srcNode: srcNode,
-		dstNode: dstNode,
 	}
 	realMode := st.e.Mode == ir.ExecReal
 	fields, overlap := cp.Fields, pr.Overlap
-	if !p.reduce {
-		p.srcState = sh.table.get(instKey{cp.Src.ID(), pr.Src})
+	if !m.reduce {
+		m.srcState = sh.table.get(instKey{cp.Src.ID(), pr.Src})
 		if realMode {
 			src := st.inst[instKey{cp.Src.ID(), pr.Src}]
 			dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-			p.body = func() {
+			m.body = func() {
 				for _, f := range fields {
 					dst.CopyFieldFrom(src, f, overlap)
 				}
 			}
 		}
-		return p
+		return
 	}
 	tk := tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src}
-	p.srcState = sh.table.getTemp(tk)
+	m.srcState = sh.table.getTemp(tk)
 	if realMode {
 		buf := st.tempStore(tk, cp.Src.Sub(pr.Src))
 		dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
 		rop := cp.Reduce
-		p.body = func() {
+		m.body = func() {
 			for _, f := range fields {
 				dst.ReduceFieldFrom(buf, f, rop, overlap)
 			}
 		}
 	}
-	return p
 }
 
-// resolveWork binds one destination group's consumer side: the group's pair
-// range and, when this shard owns the destination, its instance state.
-func resolveWork(sh *shard, cp *cr.CopyOp, work cr.SpecWork) copyWorkPlan {
-	w := copyWorkPlan{consumer: work.Consumer, groupStart: work.GroupStart, groupEnd: work.GroupEnd}
-	if work.Consumer {
-		w.dstState = sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[work.GroupStart].Dst})
+// resolveExchange resolves the exchange step list starting at body index op
+// for one shard, or returns nil when the list covers nothing. The shard
+// consumes the pair groups whose destination it owns and produces the pairs
+// whose source it owns, one transfer per step; reduction applications to
+// one destination chain in source order for deterministic folding unless
+// the step's own member order or the certifier's prune replaces the link.
+func (st *runState) resolveExchange(sh *shard, shr *sharedTrace, op int) *exchangePlan {
+	steps, end := st.plan.ExchangeSteps(op, sh.me)
+	if end == op {
+		return nil
 	}
-	return w
-}
-
-// resolveCopy resolves the copy at body index op for one shard from the
-// compiler-emitted work list (cr.SpecTable): the shard is consumer of the
-// pair groups whose destination it owns and producer of the pairs whose
-// source it owns. Reduction applications to one destination chain in source
-// order for deterministic folding unless the certifier pruned the link.
-func (st *runState) resolveCopy(sh *shard, shr *sharedTrace, op int) *copyPlan {
-	cp := st.plan.Body[op].Copy
-	spec := st.plan.Spec.Ops[op].Copy
-	works := spec.PerShard[sh.me]
-	out := &copyPlan{id: cp.ID, works: make([]copyWorkPlan, len(works))}
-	reduce := cp.Reduce != region.ReduceNone
-	for wi, work := range works {
-		w := &out.works[wi]
-		*w = resolveWork(sh, cp, work)
-		w.prods = make([]copyProdPlan, 0, len(work.ProdPairs))
-		for _, k := range work.ProdPairs {
-			var srcNode, dstNode int
-			if shr != nil {
-				srcNode, dstNode = st.assign[spec.SrcShard[k]], st.assign[spec.DstShard[k]]
-			} else {
-				srcNode, dstNode = st.ownerNode(cp.Pairs[k].Src), st.ownerNode(cp.Pairs[k].Dst)
-			}
-			chain := reduce && k > work.GroupStart && !st.plan.Prune.SkipChain(cp.ID, k)
-			w.prods = append(w.prods, st.resolveProd(sh, cp, k, chain, st.pairBytes(shr, op, k), srcNode, dstNode))
-		}
+	xp := &exchangePlan{ids: make([]int, end-op), steps: make([]stepPlan, len(steps))}
+	for i := range xp.ids {
+		xp.ids[i] = st.plan.Body[op+i].Copy.ID
 	}
-	return out
-}
-
-// resolvePhase resolves one exchange phase for one shard: each op's
-// consumer groups in body order, then the shard's coalesced producer
-// schedule from the compiler's aggregation tables — one copyAggPlan per
-// destination shard, members (which may span the phase's copy ops) resolved
-// through the same resolveProd as the unaggregated copies. A member waits
-// on its fold-chain predecessor only when another shard produces it: a
-// same-shard predecessor is a member of the same group, ordered by the
-// merged body's in-order member writes instead. Pruning never composes
-// with aggregation (Engine.Run rejects the combination).
-func (st *runState) resolvePhase(sh *shard, shr *sharedTrace, ph *cr.AggPhase) *phasePlan {
-	pp := &phasePlan{}
-	for op := ph.Start; op < ph.End; op++ {
-		cp := st.plan.Body[op].Copy
-		cons := copyPlan{id: cp.ID}
-		for _, work := range st.plan.Spec.Ops[op].Copy.PerShard[sh.me] {
-			if work.Consumer {
-				cons.works = append(cons.works, resolveWork(sh, cp, work))
-			}
-		}
-		pp.cons = append(pp.cons, cons)
+	nmem := 0
+	for i := range steps {
+		nmem += len(steps[i].Members)
 	}
+	members := make([]memberPlan, nmem)
 	srcNode := st.nodeOfShard(sh.me)
-	groups := ph.ByShard[sh.me]
-	pp.aggs = make([]copyAggPlan, len(groups))
-	for gi := range groups {
-		ap := &pp.aggs[gi]
-		ap.srcNode, ap.dstNode = srcNode, st.nodeOfShard(int(groups[gi].DstShard))
-		ap.members = make([]copyProdPlan, 0, len(groups[gi].Members))
-		for _, mem := range groups[gi].Members {
-			op, k := int(mem.Op), int(mem.Pair)
-			cp := st.plan.Body[op].Copy
-			chain := cp.Reduce != region.ReduceNone && cr.AggChainExternal(cp, st.plan.Spec.Ops[op].Copy, k)
-			m := st.resolveProd(sh, cp, k, chain, st.pairBytes(shr, op, k), ap.srcNode, ap.dstNode)
-			ap.bytes += m.bytes
-			ap.members = append(ap.members, m)
+	for i := range steps {
+		s, p := &steps[i], &xp.steps[i]
+		if !s.Produce {
+			cp := st.plan.Body[s.Op].Copy
+			p.copyID, p.op = cp.ID, int(s.Op)-op
+			p.groupStart, p.groupEnd = int(s.GroupStart), int(s.GroupEnd)
+			p.dstState = sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[s.GroupStart].Dst})
+			continue
 		}
-		if st.e.Mode == ir.ExecReal {
-			ms := ap.members
-			ap.body = func() {
+		n := len(s.Members)
+		p.members, members = members[:n:n], members[n:]
+		p.srcNode, p.dstNode = srcNode, st.nodeOfShard(int(s.DstShard))
+		for mi, mem := range s.Members {
+			st.resolveMember(sh, &p.members[mi], st.plan.Body[mem.Op].Copy, mem)
+			p.bytes += st.pairBytes(shr, int(mem.Op), int(mem.Pair))
+		}
+		if ms := p.members; n == 1 {
+			p.body = ms[0].body
+		} else if st.e.Mode == ir.ExecReal {
+			p.body = func() {
 				for i := range ms {
 					ms[i].body()
 				}
 			}
 		}
 	}
-	return pp
+	return xp
 }

@@ -254,8 +254,8 @@ func (sh *shard) runRange(lo, hi int) {
 }
 
 // execIter executes one iteration's body from its plan. This is the only
-// dispatch on planOp: the sync lowering (§3.4) selects which of the two copy
-// executors runs the same copyPlan/phasePlan value.
+// dispatch on planOp: the sync lowering (§3.4) selects which of the two
+// exchange executors runs the same exchangePlan value.
 func (sh *shard) execIter(sp *shardPlan, iter int) {
 	barrier := sh.st.plan.Opts.Sync == cr.BarrierSync
 	for i := range sp.ops {
@@ -265,14 +265,10 @@ func (sh *shard) execIter(sp *shardPlan, iter int) {
 			sh.env.set(op.set.Name, op.set.Expr(sh.env))
 		case op.launch != nil:
 			sh.execLaunch(op.launch, iter)
-		case op.cp != nil && barrier:
-			sh.execCopyBarrier(op.cp, iter)
-		case op.cp != nil:
-			sh.execCopyP2P(op.cp, iter)
 		case barrier:
-			sh.execPhaseBarrier(op.phase, iter)
+			sh.execExchangeBarrier(op.xch, iter)
 		default:
-			sh.execPhaseP2P(op.phase, iter)
+			sh.execExchangeP2P(op.xch, iter)
 		}
 	}
 }
@@ -371,11 +367,11 @@ func (sh *shard) execLaunch(lp *launchPlan, iter int) {
 	}
 }
 
-// consume is the consumer half of one destination group under
-// point-to-point synchronization (§3.4): the shard owning the destination
-// computes the write-after-read release, connects it to every pair's war
-// event, and advances the instance's validity to the pairs' done events.
-func (sh *shard) consume(copyID int, w *copyWorkPlan, iter int) {
+// consume is a consume step under point-to-point synchronization (§3.4): the
+// shard owning the destination computes the write-after-read release,
+// connects it to every pair's war event, and advances the instance's
+// validity to the pairs' done events.
+func (sh *shard) consume(w *stepPlan, iter int) {
 	st := sh.st
 	e := st.e
 	prune := st.plan.Prune
@@ -385,11 +381,11 @@ func (sh *shard) consume(copyID int, w *copyWorkPlan, iter int) {
 	release := e.Sim.Merge(rel...)
 	newWrites := append(sh.wrBuf[:0], s.lastWrite)
 	for k := w.groupStart; k < w.groupEnd; k++ {
-		ps := st.pairSyncFor(copyID, k, iter)
-		if !prune.SkipWar(copyID, k) {
+		ps := st.pairSyncFor(w.copyID, k, iter)
+		if !prune.SkipWar(w.copyID, k) {
 			st.connect(release, ps.war)
 		}
-		if !prune.SkipDone(copyID, k) {
+		if !prune.SkipDone(w.copyID, k) {
 			newWrites = append(newWrites, ps.done)
 			sh.ops = append(sh.ops, ps.done)
 		}
@@ -399,104 +395,68 @@ func (sh *shard) consume(copyID int, w *copyWorkPlan, iter int) {
 	sh.evBuf, sh.wrBuf = rel[:0], newWrites[:0]
 }
 
-// execCopyP2P executes one copy op under point-to-point synchronization.
-// Per work item the shard first acts as consumer for the pair group whose
-// destination it owns, then as producer for the pairs whose source it owns
-// (issuing the actual transfers). Reduction applications to one destination
-// chain in source order; the predecessor may belong to another shard — the
-// done event is shared state.
-func (sh *shard) execCopyP2P(cpl *copyPlan, iter int) {
+// execExchangeP2P executes one exchange step list under point-to-point
+// synchronization. A consume step releases and observes the per-pair
+// war/done events of one destination group the shard owns; consumers are
+// oblivious to how producers batch. A produce step issues ONE transfer for
+// all its members: preconditions are the union of the members' wars, source
+// validity, and fold-chain links (the predecessor may belong to another
+// shard — the done event is shared state), the payload is the summed member
+// bytes, and the single completion event fans out to every member's done.
+// Members carry their own op's copy ID: an aggregated step spans copy ops,
+// and the per-pair sync slots stay keyed by the owning op.
+func (sh *shard) execExchangeP2P(xp *exchangePlan, iter int) {
 	st := sh.st
 	e := st.e
 	prune := st.plan.Prune
-	for wi := range cpl.works {
-		w := &cpl.works[wi]
-		if w.consumer {
-			sh.consume(cpl.id, w, iter)
+	for si := range xp.steps {
+		s := &xp.steps[si]
+		if s.dstState != nil {
+			sh.consume(s, iter)
+			continue
 		}
-		for pi := range w.prods {
-			p := &w.prods[pi]
-			ps := st.pairSyncFor(cpl.id, p.pairIdx, iter)
-			sh.th.Elapse(e.Over.CopySetup)
-			pres := sh.presBuf[:0]
-			if !prune.SkipWar(cpl.id, p.pairIdx) {
-				pres = append(pres, ps.war)
-			}
-			pres = append(pres, p.srcState.lastWrite)
-			if p.chain {
-				pres = append(pres, st.pairSyncFor(cpl.id, p.pairIdx-1, iter).done)
-			}
-			ev := e.Sim.CopyBytes(p.srcNode, p.dstNode, p.bytes, e.Sim.Merge(pres...), p.body)
-			p.srcState.readers = append(p.srcState.readers, ev)
-			sh.presBuf = pres[:0]
-			if prune.SkipDone(cpl.id, p.pairIdx) {
-				// Done pruned: the copy's own completion joins the producer's
-				// iteration merge so loop-end quiescence still covers the
-				// transfer; nothing triggers or waits on ps.done.
-				sh.ops = append(sh.ops, ev)
-			} else {
-				st.connect(ev, ps.done)
-				sh.ops = append(sh.ops, ps.done)
-			}
-		}
-	}
-}
-
-// execPhaseP2P executes one exchange phase under point-to-point
-// synchronization with per-destination aggregation (cr.Options.Agg). The
-// consumer side is the unaggregated lowering verbatim, every op of the
-// phase in body order — the per-pair war/done events survive coalescing, so
-// consumers release and observe exactly the same sync structure and are
-// oblivious to how producers batch. The producer side then issues ONE
-// merged transfer per (this shard, destination shard) group over the whole
-// phase: preconditions are the union of the members' wars, source validity,
-// and cross-shard fold-chain links, the payload is the summed member bytes,
-// and the single completion event fans out to every member's done. Members
-// carry their own op's copy ID — phase groups span copy ops, and the
-// per-pair sync slots stay keyed by the owning op.
-func (sh *shard) execPhaseP2P(pp *phasePlan, iter int) {
-	st := sh.st
-	e := st.e
-	for ci := range pp.cons {
-		cons := &pp.cons[ci]
-		for wi := range cons.works {
-			sh.consume(cons.id, &cons.works[wi], iter)
-		}
-	}
-	for ai := range pp.aggs {
-		ap := &pp.aggs[ai]
-		// One setup charge per group, not per member: batching the issue
+		// One setup charge per transfer, not per member: batching the issue
 		// overhead is half the point of coalescing.
 		sh.th.Elapse(e.Over.CopySetup)
 		pres := sh.presBuf[:0]
-		for mi := range ap.members {
-			m := &ap.members[mi]
-			pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx, iter).war)
+		for mi := range s.members {
+			m := &s.members[mi]
+			if !prune.SkipWar(m.copyID, m.pairIdx) {
+				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx, iter).war)
+			}
 			pres = append(pres, m.srcState.lastWrite)
 			if m.chain {
 				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx-1, iter).done)
 			}
 		}
-		ev := e.copyAgg(ap.srcNode, ap.dstNode, ap.bytes, len(ap.members), e.Sim.Merge(pres...), ap.body)
+		ev := e.copyAgg(s.srcNode, s.dstNode, s.bytes, len(s.members), e.Sim.Merge(pres...), s.body)
 		sh.presBuf = pres[:0]
-		for mi := range ap.members {
-			m := &ap.members[mi]
+		for mi := range s.members {
+			m := &s.members[mi]
 			m.srcState.readers = append(m.srcState.readers, ev)
-			ps := st.pairSyncFor(m.copyID, m.pairIdx, iter)
-			st.connect(ev, ps.done)
-			sh.ops = append(sh.ops, ps.done)
+			if prune.SkipDone(m.copyID, m.pairIdx) {
+				// Done pruned: the transfer's own completion joins the
+				// producer's iteration merge so loop-end quiescence still covers
+				// it; nothing triggers or waits on the pair's done.
+				sh.ops = append(sh.ops, ev)
+			} else {
+				done := st.pairSyncFor(m.copyID, m.pairIdx, iter).done
+				st.connect(ev, done)
+				sh.ops = append(sh.ops, done)
+			}
 		}
 	}
 }
 
 // barrierArrive arrives at a copy op's entry barrier once everything this
 // shard has issued so far in the iteration has completed, plus all
-// outstanding consumers of its destination instances (deferred execution
-// means prior-iteration readers may still be in flight).
-func (sh *shard) barrierArrive(b1 realm.BarrierOp, works []copyWorkPlan) {
+// outstanding consumers of the destination instances it owns (deferred
+// execution means prior-iteration readers may still be in flight). op is the
+// copy's position in xp.ids.
+func (sh *shard) barrierArrive(b1 realm.BarrierOp, xp *exchangePlan, op int) {
 	arr := append(sh.evBuf[:0], sh.ops...)
-	for wi := range works {
-		if w := &works[wi]; w.consumer {
+	for si := range xp.steps {
+		if w := &xp.steps[si]; w.dstState != nil && w.op == op {
 			arr = append(arr, w.dstState.lastWrite)
 			arr = append(arr, w.dstState.readers...)
 		}
@@ -505,16 +465,16 @@ func (sh *shard) barrierArrive(b1 realm.BarrierOp, works []copyWorkPlan) {
 	sh.evBuf = arr[:0]
 }
 
-// barrierExit arrives at a copy op's exit barrier with the issued copies
+// barrierExit arrives at a copy op's exit barrier with the issued transfers
 // (and the entry barrier, for a shard that issued none); all the shard's
-// destination instances become valid after it.
-func (sh *shard) barrierExit(b2 realm.BarrierOp, copyEvs []realm.Event, b1done realm.Event, works []copyWorkPlan) {
+// destination instances of the op become valid after it.
+func (sh *shard) barrierExit(b2 realm.BarrierOp, copyEvs []realm.Event, b1done realm.Event, xp *exchangePlan, op int) {
 	sim := sh.st.e.Sim
 	arr := append(append(sh.evBuf[:0], copyEvs...), b1done)
 	b2.Arrive(sim.Merge(arr...))
 	sh.evBuf = arr[:0]
-	for wi := range works {
-		if w := &works[wi]; w.consumer {
+	for si := range xp.steps {
+		if w := &xp.steps[si]; w.dstState != nil && w.op == op {
 			w.dstState.lastWrite = sim.Merge(w.dstState.lastWrite, b2.Done())
 			w.dstState.readers = w.dstState.readers[:0]
 		}
@@ -522,91 +482,60 @@ func (sh *shard) barrierExit(b2 realm.BarrierOp, copyEvs []realm.Event, b1done r
 	sh.ops = append(sh.ops, b2.Done())
 }
 
-// execCopyBarrier executes one copy op under the naive barrier lowering of
-// Figure 4c: a global barrier protects write-after-read, the copies run,
-// and a second barrier protects read-after-write. Kept as the ablation
-// baseline for the point-to-point optimization. Reduction folds into one
-// destination still chain in source order across all producing shards via
-// the shared per-pair done events, so the fold order is deterministic even
-// under barriers.
-func (sh *shard) execCopyBarrier(cpl *copyPlan, iter int) {
+// execExchangeBarrier executes one exchange step list under the naive
+// barrier lowering of Figure 4c, kept as the ablation baseline for the
+// point-to-point optimization: per covered copy op a global barrier protects
+// write-after-read, the transfers run, and a second barrier protects
+// read-after-write. A transfer's members may span the covered ops, so its
+// precondition spans their entry barriers: the shard arrives at EVERY op's
+// entry barrier up front — without threading one op's exit barrier into the
+// next op's entry arrival, which would cycle the transfers against the
+// barriers — then issues the transfers (waiting all the entry barriers,
+// source validity, and fold-chain links), then arrives at every op's exit
+// barrier with all the completions. With several ops covered each exit
+// barrier thus waits the whole phase's transfers, not only its own members':
+// over-synchronized relative to one op at a time, but only ever tighter,
+// never a reordering. Reduction folds into one destination still chain in
+// source order across all producing shards via the shared per-pair done
+// events, so the fold order is deterministic even under barriers.
+func (sh *shard) execExchangeBarrier(xp *exchangePlan, iter int) {
 	st := sh.st
 	e := st.e
-	b1 := st.barrierFor(cpl.id, iter, 0)
-	b2 := st.barrierFor(cpl.id, iter, 1)
-	sh.barrierArrive(b1, cpl.works)
+	b1done := make([]realm.Event, len(xp.ids))
+	for op, id := range xp.ids {
+		b1 := st.barrierFor(id, iter, 0)
+		sh.barrierArrive(b1, xp, op)
+		b1done[op] = b1.Done()
+	}
 
-	var copyEvs []realm.Event
-	for wi := range cpl.works {
-		w := &cpl.works[wi]
-		for pi := range w.prods {
-			p := &w.prods[pi]
-			sh.th.Elapse(e.Over.CopySetup)
-			pres := append(sh.presBuf[:0], b1.Done(), p.srcState.lastWrite)
-			if p.chain {
-				pres = append(pres, st.pairSyncFor(cpl.id, p.pairIdx-1, iter).done)
-			}
-			ev := e.Sim.CopyBytes(p.srcNode, p.dstNode, p.bytes, e.Sim.Merge(pres...), p.body)
-			sh.presBuf = pres[:0]
-			if p.reduce && !st.plan.Prune.SkipDone(cpl.id, p.pairIdx) {
-				st.connect(ev, st.pairSyncFor(cpl.id, p.pairIdx, iter).done)
-			}
-			p.srcState.readers = append(p.srcState.readers, ev)
-			copyEvs = append(copyEvs, ev)
+	copyEvs := make([]realm.Event, 0, len(xp.steps))
+	for si := range xp.steps {
+		s := &xp.steps[si]
+		if s.dstState != nil {
+			continue
 		}
-	}
-	sh.barrierExit(b2, copyEvs, b1.Done(), cpl.works)
-}
-
-// execPhaseBarrier executes one exchange phase under the barrier lowering
-// with per-destination aggregation. A merged message spans the phase's
-// copy ops, so its precondition spans their release barriers: the shard
-// arrives at EVERY phase op's first barrier up front — without threading
-// one op's exit barrier into the next op's entry arrival, which would
-// cycle the merged copies against the barriers — then issues the merged
-// transfers (waiting all the phase's first barriers, source validity, and
-// cross-shard fold-chain links), then arrives at every op's second barrier
-// with the phase's merged completions. Each op's second barrier thus waits
-// the whole phase's copies, not only its own members': over-synchronized
-// relative to the unaggregated lowering, but only ever tighter, never a
-// reordering. Reduce members still trigger their per-pair done events,
-// which carry the cross-shard fold order.
-func (sh *shard) execPhaseBarrier(pp *phasePlan, iter int) {
-	st := sh.st
-	e := st.e
-	b1done := make([]realm.Event, len(pp.cons))
-	for ci := range pp.cons {
-		b1 := st.barrierFor(pp.cons[ci].id, iter, 0)
-		sh.barrierArrive(b1, pp.cons[ci].works)
-		b1done[ci] = b1.Done()
-	}
-
-	copyEvs := make([]realm.Event, len(pp.aggs))
-	for ai := range pp.aggs {
-		ap := &pp.aggs[ai]
 		sh.th.Elapse(e.Over.CopySetup)
 		pres := append(sh.presBuf[:0], b1done...)
-		for mi := range ap.members {
-			m := &ap.members[mi]
+		for mi := range s.members {
+			m := &s.members[mi]
 			pres = append(pres, m.srcState.lastWrite)
 			if m.chain {
 				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx-1, iter).done)
 			}
 		}
-		ev := e.copyAgg(ap.srcNode, ap.dstNode, ap.bytes, len(ap.members), e.Sim.Merge(pres...), ap.body)
+		ev := e.copyAgg(s.srcNode, s.dstNode, s.bytes, len(s.members), e.Sim.Merge(pres...), s.body)
 		sh.presBuf = pres[:0]
-		for mi := range ap.members {
-			m := &ap.members[mi]
+		for mi := range s.members {
+			m := &s.members[mi]
 			m.srcState.readers = append(m.srcState.readers, ev)
-			if m.reduce {
+			if m.reduce && !st.plan.Prune.SkipDone(m.copyID, m.pairIdx) {
 				st.connect(ev, st.pairSyncFor(m.copyID, m.pairIdx, iter).done)
 			}
 		}
-		copyEvs[ai] = ev
+		copyEvs = append(copyEvs, ev)
 	}
 
-	for ci := range pp.cons {
-		b2 := st.barrierFor(pp.cons[ci].id, iter, 1)
-		sh.barrierExit(b2, copyEvs, b1done[ci], pp.cons[ci].works)
+	for op, id := range xp.ids {
+		sh.barrierExit(st.barrierFor(id, iter, 1), copyEvs, b1done[op], xp, op)
 	}
 }

@@ -168,16 +168,6 @@ func (e *Engine) Run() (*Result, error) {
 	if e.Recov.MaxRetries > 0 && e.fx() == nil {
 		return nil, &realm.UnsupportedError{Backend: e.Sim.Backend(), Op: "checkpoint/restart recovery"}
 	}
-	// Copy aggregation and certified sync pruning each rewrite the exchange
-	// schedule under their own certification pass (verify.CheckAgg,
-	// verify.PlanPrune); neither pass models the other's rewrite, so the
-	// combination executes a schedule nothing has certified. Reject it up
-	// front.
-	for _, plan := range e.Plans {
-		if plan.Opts.Agg && plan.Prune != nil {
-			return nil, fmt.Errorf("spmd: copy aggregation does not compose with certified sync pruning; enable -agg or -prune, not both")
-		}
-	}
 	e.global = make(map[*region.Region]*region.Store)
 	if e.Mode == ir.ExecReal {
 		roots := make([]*region.Region, 0, len(e.Prog.FieldSpaces))
@@ -252,14 +242,17 @@ func (e *Engine) fx() realm.FaultExec {
 	return f
 }
 
-// copyAgg issues one coalesced transfer through the backend's aggregation
-// extension, which counts the group and charges one latency for the summed
-// payload. A backend without the extension gets a plain CopyBytes of the
-// same payload: still correct (the merged body carries every member write),
-// just uncounted.
+// copyAgg issues one transfer carrying members pairs. A coalesced transfer
+// goes through the backend's aggregation extension, which counts the group
+// and charges one latency for the summed payload; a single pair — or a
+// backend without the extension — is a plain CopyBytes of the same payload:
+// still correct (the merged body carries every member write), just
+// uncounted.
 func (e *Engine) copyAgg(src, dst int, bytes int64, members int, pre realm.Event, body func()) realm.Event {
-	if ax, ok := e.Sim.(realm.AggExec); ok {
-		return ax.CopyAgg(src, dst, bytes, members, pre, body)
+	if members > 1 {
+		if ax, ok := e.Sim.(realm.AggExec); ok {
+			return ax.CopyAgg(src, dst, bytes, members, pre, body)
+		}
 	}
 	return e.Sim.CopyBytes(src, dst, bytes, pre, body)
 }

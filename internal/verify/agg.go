@@ -14,28 +14,22 @@ package verify
 //     in slice order to stay bitwise-equal with the unaggregated run — so
 //     any permutation, drop, duplication, or rebinding diverges.
 //
-//  2. Dynamically (but statically checked): AnalyzeAgg rebuilds the
-//     happens-before graph of the AGGREGATED schedule — a symbolic replay
-//     of spmd.execPhaseP2P / execPhaseBarrier, mirroring them op for op
-//     the way graph.go mirrors the unaggregated executor — and the race
-//     and liveness passes re-run over it. A merged message is modeled as
-//     a linear cluster of per-member copy nodes m_1 -> ... -> m_n: the
-//     chain encodes the merged body's in-order member writes, every
-//     precondition (member wars, source validity, external fold-chain
-//     links, phase barriers) enters the head, and the single completion
-//     is the tail (all member done events trigger together when the
-//     message completes). Per-member nodes keep conflict orientation,
-//     witnesses, and mutation attribution exact, while the cluster shape
-//     keeps the merged message's atomicity: nothing transfers before all
-//     preconditions, everything completes together.
+//  2. On the schedule that runs: Analyze builds happens-before from the
+//     exchange step lists the executor runs (graph.go), so with Options.Agg
+//     the graph is the AGGREGATED schedule's — every merged message a
+//     cluster of per-member copy nodes whose preconditions (member wars,
+//     source validity, external fold-chain links, phase barriers) enter
+//     the head and whose single completion is the tail — and the race and
+//     liveness passes run over it.
 //
 // The mutation harness corrupts both layers — group membership through the
-// tables (AggTableMutations-style corruption in the tests), merged
-// preconditions through labeled edge deletion (AggMutations) and wait-for
-// rewiring (the shared LivenessMutations) — and demands 100% detection.
+// tables (corruptions in the tests), merged preconditions through labeled
+// edge deletion (AggMutations) and wait-for rewiring (the shared
+// LivenessMutations) — and demands 100% detection.
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cr"
@@ -43,28 +37,8 @@ import (
 	"repro/internal/region"
 )
 
-// AnalyzeAgg builds the conflict set and happens-before graph of the
-// aggregated schedule — the schedule the executor runs under -agg.
-// Aggregation does not compose with certified sync pruning (the engine
-// rejects the combination), so a plan carrying prune info is refused here
-// too rather than certified against the wrong schedule.
-func AnalyzeAgg(c *cr.Compiled) (*Analysis, error) {
-	if c == nil {
-		return nil, fmt.Errorf("verify: nil compiled loop")
-	}
-	if c.Prune != nil {
-		return nil, fmt.Errorf("verify: copy aggregation does not compose with certified sync pruning; certify one rewrite at a time")
-	}
-	if err := aggTablesWellFormed(c); err != nil {
-		return nil, err
-	}
-	b := newBuilder(c)
-	b.agg = true
-	return b.analyze(), nil
-}
-
-// aggTablesWellFormed bounds-checks the aggregation tables so the symbolic
-// replay cannot index out of range on corrupted input. Semantic divergence
+// aggTablesWellFormed bounds-checks the aggregation tables so the replay of
+// an aggregated plan cannot index out of range on corrupted input. Semantic divergence
 // is CheckAggTables' job; this only guards the replay itself.
 func aggTablesWellFormed(c *cr.Compiled) error {
 	spec := &c.Spec
@@ -81,11 +55,16 @@ func aggTablesWellFormed(c *cr.Compiled) error {
 		if ph.Start < 0 || ph.End > len(c.Body) || ph.Start >= ph.End {
 			return fmt.Errorf("verify: phase %d spans [%d,%d) outside the %d-op body", pi, ph.Start, ph.End, len(c.Body))
 		}
+		for op := ph.Start; op < ph.End; op++ {
+			if c.Body[op].Copy == nil {
+				return fmt.Errorf("verify: phase %d spans body op %d, not a copy", pi, op)
+			}
+		}
 		for s := range ph.ByShard {
 			for gi := range ph.ByShard[s] {
 				for _, mem := range ph.ByShard[s][gi].Members {
-					if int(mem.Op) < 0 || int(mem.Op) >= len(c.Body) || c.Body[mem.Op].Copy == nil {
-						return fmt.Errorf("verify: phase %d shard %d group %d member names body op %d, not a copy", pi, s, gi, mem.Op)
+					if int(mem.Op) < ph.Start || int(mem.Op) >= ph.End {
+						return fmt.Errorf("verify: phase %d shard %d group %d member names body op %d outside the phase", pi, s, gi, mem.Op)
 					}
 					if cp := c.Body[mem.Op].Copy; int(mem.Pair) < 0 || int(mem.Pair) >= len(cp.Pairs) {
 						return fmt.Errorf("verify: phase %d shard %d group %d member pair %d outside copy %d's %d pairs", pi, s, gi, mem.Pair, cp.ID, len(cp.Pairs))
@@ -95,229 +74,6 @@ func aggTablesWellFormed(c *cr.Compiled) error {
 		}
 	}
 	return nil
-}
-
-// doPhaseP2PAgg symbolically replays spmd.(*shard).execPhaseP2P: the
-// consumer side of every phase op runs first, op by op in body order, with
-// the unaggregated per-pair war/done structure intact (consumers are
-// oblivious to producer batching); then each aggregation group issues one
-// merged message — a member-node cluster gated on every member's war,
-// source validity, and external fold-chain link, whose tail triggers every
-// member's done.
-func (b *builder) doPhaseP2PAgg(phIdx int, iter int32, seed func(*symState)) {
-	g, c := b.g, b.c
-	ph := &c.Spec.Phases[phIdx]
-
-	warN := make(map[cr.AggPair]nodeID)
-	doneN := make(map[cr.AggPair]nodeID)
-	for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
-		cp := c.Body[opIdx].Copy
-		for _, gr := range groups(cp) {
-			start, end := gr[0], gr[1]
-			dstCol := cp.Pairs[start].Dst
-			consShard := b.shardOf(dstCol)
-			s := b.state(instRef{part: cp.Dst, color: dstCol})
-			seed(s)
-			release := append(append([]nodeID(nil), s.readers...), s.lastWrite...)
-			newWrites := append([]nodeID(nil), s.lastWrite...)
-			for k := start; k < end; k++ {
-				w := g.add(node{kind: kWar, iter: iter, body: int32(opIdx), sub: int32(k), copyID: int32(cp.ID), color: dstCol, shard: consShard})
-				for _, r := range release {
-					g.ledge(r, w, EdgeID{Class: EdgeWAR, Copy: cp.ID, Pair: k})
-				}
-				warN[cr.AggPair{Op: int32(opIdx), Pair: int32(k)}] = w
-				d := g.add(node{kind: kDone, iter: iter, body: int32(opIdx), sub: int32(k), copyID: int32(cp.ID), color: dstCol, shard: consShard})
-				doneN[cr.AggPair{Op: int32(opIdx), Pair: int32(k)}] = d
-				newWrites = append(newWrites, d)
-				b.opsOf[consShard] = append(b.opsOf[consShard], d)
-			}
-			s.lastWrite = newWrites
-			s.readers = s.readers[:0]
-		}
-	}
-
-	for sh := range ph.ByShard {
-		for gi := range ph.ByShard[sh] {
-			grp := &ph.ByShard[sh][gi]
-			head, tail := b.aggCluster(grp, int32(sh), iter)
-			if head < 0 {
-				continue
-			}
-			for _, mem := range grp.Members {
-				cp := c.Body[mem.Op].Copy
-				k := int(mem.Pair)
-				if w, ok := warN[mem]; ok {
-					g.edge(w, head)
-				}
-				b.aggSrcPre(cp, k, head, tail, seed)
-				if cp.Reduce != region.ReduceNone && cr.AggChainExternal(cp, c.Spec.Ops[mem.Op].Copy, k) {
-					if d, ok := doneN[cr.AggPair{Op: mem.Op, Pair: mem.Pair - 1}]; ok {
-						g.ledge(d, head, EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k})
-					}
-				}
-			}
-			// Completion fan-out: the whole message completes at once, so
-			// every member's done fires off the tail.
-			for _, mem := range grp.Members {
-				cp := c.Body[mem.Op].Copy
-				if d, ok := doneN[mem]; ok {
-					g.ledge(tail, d, EdgeID{Class: EdgeDone, Copy: cp.ID, Pair: int(mem.Pair)})
-					b.opsOf[sh] = append(b.opsOf[sh], d)
-				}
-			}
-		}
-	}
-}
-
-// doPhaseBarrierAgg symbolically replays spmd.(*shard).execPhaseBarrier:
-// every phase op's first barrier collects arrivals up front (without
-// threading one op's exit barrier into the next op's entry), the merged
-// messages wait ALL the phase's first barriers plus source validity and
-// external chains, and every op's second barrier waits the whole phase's
-// merged completions — over-synchronized relative to the unaggregated
-// lowering, but only ever tighter. Reduce members still trigger their
-// per-pair done events, the carrier of cross-shard fold order.
-func (b *builder) doPhaseBarrierAgg(phIdx int, iter int32, seed func(*symState)) {
-	g, c := b.g, b.c
-	ph := &c.Spec.Phases[phIdx]
-	ns := c.Opts.NumShards
-
-	b1s := make([]nodeID, 0, ph.End-ph.Start)
-	for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
-		cp := c.Body[opIdx].Copy
-		b1 := g.add(node{kind: kBarrier, iter: iter, body: int32(opIdx), sub: 0, copyID: int32(cp.ID), shard: -1})
-		g.arrivals = append(g.arrivals, barrierArrival{b: b1, copyID: int32(cp.ID), iter: iter, phase: 0, got: ns, want: ns})
-		arrive1 := EdgeID{Class: EdgeBarrier, Copy: cp.ID, Pair: 0}
-		for _, ops := range b.opsOf {
-			for _, n := range ops {
-				g.ledge(n, b1, arrive1)
-			}
-		}
-		for _, gr := range groups(cp) {
-			dstCol := cp.Pairs[gr[0]].Dst
-			s := b.state(instRef{part: cp.Dst, color: dstCol})
-			seed(s)
-			for _, n := range s.lastWrite {
-				g.ledge(n, b1, arrive1)
-			}
-			for _, n := range s.readers {
-				g.ledge(n, b1, arrive1)
-			}
-		}
-		b1s = append(b1s, b1)
-	}
-
-	// Per-pair done events exist for every reduce pair (the sync slots the
-	// executor allocates); only members the tables name get triggers, so a
-	// dropped member surfaces as a never-triggered event, not silence.
-	doneN := make(map[cr.AggPair]nodeID)
-	for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
-		cp := c.Body[opIdx].Copy
-		if cp.Reduce == region.ReduceNone {
-			continue
-		}
-		for k, pr := range cp.Pairs {
-			d := g.add(node{kind: kDone, iter: iter, body: int32(opIdx), sub: int32(k), copyID: int32(cp.ID), color: pr.Dst, shard: b.shardOf(pr.Src)})
-			doneN[cr.AggPair{Op: int32(opIdx), Pair: int32(k)}] = d
-		}
-	}
-
-	var copyEvs []nodeID
-	for sh := range ph.ByShard {
-		for gi := range ph.ByShard[sh] {
-			grp := &ph.ByShard[sh][gi]
-			head, tail := b.aggCluster(grp, int32(sh), iter)
-			if head < 0 {
-				continue
-			}
-			for _, b1 := range b1s {
-				g.edge(b1, head)
-			}
-			for _, mem := range grp.Members {
-				cp := c.Body[mem.Op].Copy
-				k := int(mem.Pair)
-				b.aggSrcPre(cp, k, head, tail, seed)
-				if cp.Reduce == region.ReduceNone {
-					continue
-				}
-				if cr.AggChainExternal(cp, c.Spec.Ops[mem.Op].Copy, k) {
-					if d, ok := doneN[cr.AggPair{Op: mem.Op, Pair: mem.Pair - 1}]; ok {
-						g.ledge(d, head, EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k})
-					}
-				}
-				if d, ok := doneN[mem]; ok {
-					g.ledge(tail, d, EdgeID{Class: EdgeDone, Copy: cp.ID, Pair: k})
-				}
-			}
-			copyEvs = append(copyEvs, tail)
-		}
-	}
-
-	for oi, opIdx := 0, ph.Start; opIdx < ph.End; oi, opIdx = oi+1, opIdx+1 {
-		cp := c.Body[opIdx].Copy
-		b2 := g.add(node{kind: kBarrier, iter: iter, body: int32(opIdx), sub: 1, copyID: int32(cp.ID), shard: -1})
-		g.arrivals = append(g.arrivals, barrierArrival{b: b2, copyID: int32(cp.ID), iter: iter, phase: 1, got: ns, want: ns})
-		arrive2 := EdgeID{Class: EdgeBarrier, Copy: cp.ID, Pair: 1}
-		for _, ev := range copyEvs {
-			g.ledge(ev, b2, arrive2)
-		}
-		g.ledge(b1s[oi], b2, arrive2)
-		for _, gr := range groups(cp) {
-			dstCol := cp.Pairs[gr[0]].Dst
-			s := b.state(instRef{part: cp.Dst, color: dstCol})
-			s.lastWrite = append(s.lastWrite, b2)
-			s.readers = s.readers[:0]
-		}
-		for sh := range b.opsOf {
-			b.opsOf[sh] = append(b.opsOf[sh], b2)
-		}
-	}
-}
-
-// aggCluster adds one merged message as a linear cluster of per-member
-// copy nodes: m_1 -> ... -> m_n in capture order (the merged body's write
-// order), each recording its own source read and destination write. The
-// head receives the group's merged preconditions (wired by the caller per
-// lowering), the tail is the message completion. Returns (-1, -1) for an
-// empty group.
-func (b *builder) aggCluster(grp *cr.AggGroup, prodShard, iter int32) (head, tail nodeID) {
-	g, c := b.g, b.c
-	head, tail = -1, -1
-	for _, mem := range grp.Members {
-		cp := c.Body[mem.Op].Copy
-		pr := cp.Pairs[mem.Pair]
-		mn := g.add(node{kind: kCopy, iter: iter, body: mem.Op, sub: mem.Pair, copyID: int32(cp.ID), color: pr.Dst, shard: prodShard})
-		if tail >= 0 {
-			g.edge(tail, mn)
-		} else {
-			head = mn
-		}
-		tail = mn
-		if cp.Reduce == region.ReduceNone {
-			b.record(mn, instRef{part: cp.Src, color: pr.Src}, cp.Fields, pr.Overlap, false)
-		} else {
-			b.record(mn, instRef{l: cp.SrcLaunch, arg: cp.SrcArg, color: pr.Src}, cp.Fields, pr.Overlap, false)
-		}
-		b.record(mn, instRef{part: cp.Dst, color: pr.Dst}, cp.Fields, pr.Overlap, true)
-	}
-	return head, tail
-}
-
-// aggSrcPre wires one member's source-validity precondition into the
-// cluster head and registers the message completion (the tail) as a reader
-// of the source instance, mirroring the executor's
-// `pres += srcState.lastWrite; srcState.readers += ev`.
-func (b *builder) aggSrcPre(cp *cr.CopyOp, k int, head, tail nodeID, seed func(*symState)) {
-	pr := cp.Pairs[k]
-	var s *symState
-	if cp.Reduce == region.ReduceNone {
-		s = b.state(instRef{part: cp.Src, color: pr.Src})
-	} else {
-		s = b.state(instRef{l: cp.SrcLaunch, arg: cp.SrcArg, color: pr.Src})
-	}
-	seed(s)
-	b.edgesFrom(s.lastWrite, head)
-	s.readers = append(s.readers, tail)
 }
 
 // CheckAggTables validates the compiler's aggregation tables against an
@@ -499,17 +255,16 @@ func fmtAggGroups(gs []cr.AggGroup) string {
 }
 
 // CheckAgg certifies one compiled loop's aggregation: the table
-// recomputation, then liveness and the race check over the rebuilt
-// aggregated happens-before graph. Liveness runs first — a corrupted
-// grouping can deadlock the merged schedule, and the race pass's
-// reachability closure requires an acyclic graph — and the race pass is
-// skipped (its absence is not a pass) when a wait cycle is found.
+// recomputation, then liveness and the race check over the happens-before
+// graph of the aggregated schedule. A corrupted grouping can deadlock the
+// merged schedule; no order is defined on a cyclic graph, so the race pass
+// then has nothing to add to the liveness pass's cycle witness.
 func CheckAgg(c *cr.Compiled) (*Report, error) {
 	rep := &Report{Pass: "agg", Findings: []Finding{}}
 	if err := CheckAggTables(c); err != nil {
 		rep.Findings = append(rep.Findings, Finding{Kind: "agg-table", Detail: err.Error()})
 	}
-	a, err := AnalyzeAgg(c)
+	a, err := Analyze(c)
 	if err != nil {
 		if len(rep.Findings) > 0 {
 			// Tables too malformed to replay: the structural findings stand.
@@ -517,20 +272,13 @@ func CheckAgg(c *cr.Compiled) (*Report, error) {
 		}
 		return nil, err
 	}
-	live := a.CheckLiveness()
-	rep.Findings = append(rep.Findings, live.Findings...)
-	cyclic := false
-	for _, f := range live.Findings {
-		if f.Kind == "cycle" {
-			cyclic = true
+	races := a.Check()
+	rep.Stats = races.Stats
+	rep.Findings = append(rep.Findings, a.CheckLiveness().Findings...)
+	for _, f := range races.Findings {
+		if f.Kind != "cycle" {
+			rep.Findings = append(rep.Findings, f)
 		}
-	}
-	if cyclic {
-		rep.Stats = live.Stats
-	} else {
-		races := a.Check()
-		rep.Stats = races.Stats
-		rep.Findings = append(rep.Findings, races.Findings...)
 	}
 	rep.Counters = aggCounters(c)
 	return rep, nil
@@ -566,30 +314,15 @@ func aggCounters(c *cr.Compiled) map[string]int64 {
 // reports in program order (the VerifyAll pattern).
 func CheckAggAll(prog *ir.Program, plans map[*ir.Loop]*cr.Compiled) (*Report, error) {
 	merged := &Report{Pass: "agg", Findings: []Finding{}, Counters: map[string]int64{}}
-	for _, s := range prog.Stmts {
-		loop, ok := s.(*ir.Loop)
-		if !ok {
-			continue
-		}
-		plan, ok := plans[loop]
-		if !ok {
-			continue
-		}
+	err := eachPlan(prog, plans, func(plan *cr.Compiled) error {
 		rep, err := CheckAgg(plan)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			merged.merge(rep)
 		}
-		merged.Stats.Nodes += rep.Stats.Nodes
-		merged.Stats.Edges += rep.Stats.Edges
-		merged.Stats.Instances += rep.Stats.Instances
-		merged.Stats.Accesses += rep.Stats.Accesses
-		merged.Stats.Conflicts += rep.Stats.Conflicts
-		merged.Stats.CrossShard += rep.Stats.CrossShard
-		merged.Stats.Iters += rep.Stats.Iters
-		merged.Findings = append(merged.Findings, rep.Findings...)
-		for k, v := range rep.Counters {
-			merged.Counters[k] += v
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return merged, nil
 }
@@ -652,20 +385,14 @@ func (m AggMutation) Covers(f Finding) bool {
 func (a *Analysis) AggMutations() []AggMutation {
 	var out []AggMutation
 	c := a.c
-	spec := &c.Spec
+	spec, chains := &c.Spec, a.g.labels(EdgeChain)
 	for pi := range spec.Phases {
 		ph := &spec.Phases[pi]
 		if c.Opts.Sync == cr.BarrierSync {
 			for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
 				cp := c.Body[opIdx].Copy
 				for _, m := range a.barrierMutations(cp, opIdx) {
-					out = append(out, AggMutation{
-						Name:      "agg-" + m.Name,
-						Copies:    []int{m.Copy},
-						Dsts:      []string{m.Dst},
-						Drop:      m.Drop,
-						Essential: m.Essential,
-					})
+					out = append(out, aggOf(m))
 				}
 			}
 		} else {
@@ -683,8 +410,8 @@ func (a *Analysis) AggMutations() []AggMutation {
 							EdgeID{Class: EdgeWAR, Copy: cp.ID, Pair: k},
 							EdgeID{Class: EdgeDone, Copy: cp.ID, Pair: k},
 							EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k})
-						copies = appendUniqueInt(copies, cp.ID)
-						dsts = appendUniqueStr(dsts, cp.Dst.Name())
+						copies = appendUnique(copies, cp.ID)
+						dsts = appendUnique(dsts, cp.Dst.Name())
 						if a.laterConsumer(cp, int(mem.Op)) {
 							consumed = true
 						}
@@ -703,47 +430,22 @@ func (a *Analysis) AggMutations() []AggMutation {
 			}
 		}
 		for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
-			cp := c.Body[opIdx].Copy
-			if cp.Reduce == region.ReduceNone {
-				continue
-			}
-			cs := spec.Ops[opIdx].Copy
-			for _, gr := range groups(cp) {
-				for k := gr[0] + 1; k < gr[1]; k++ {
-					if !cr.AggChainExternal(cp, cs, k) {
-						continue
-					}
-					if !cp.Pairs[k-1].Overlap.Overlaps(cp.Pairs[k].Overlap) {
-						continue
-					}
-					out = append(out, AggMutation{
-						Name:      fmt.Sprintf("agg-chain(copy %d, pair %d)", cp.ID, k),
-						Copies:    []int{cp.ID},
-						Dsts:      []string{cp.Dst.Name()},
-						Drop:      []EdgeID{{Class: EdgeChain, Copy: cp.ID, Pair: k}},
-						Essential: true,
-					})
-				}
+			for _, m := range chainMutations(c.Body[opIdx].Copy, chains) {
+				out = append(out, aggOf(m))
 			}
 		}
 	}
 	return out
 }
 
-func appendUniqueInt(xs []int, x int) []int {
-	for _, v := range xs {
-		if v == x {
-			return xs
-		}
-	}
-	return append(xs, x)
+// aggOf widens a single-copy mutation to the group form.
+func aggOf(m Mutation) AggMutation {
+	return AggMutation{Name: "agg-" + m.Name, Copies: []int{m.Copy}, Dsts: []string{m.Dst}, Drop: m.Drop, Essential: m.Essential}
 }
 
-func appendUniqueStr(xs []string, x string) []string {
-	for _, v := range xs {
-		if v == x {
-			return xs
-		}
+func appendUnique[T comparable](xs []T, x T) []T {
+	if slices.Contains(xs, x) {
+		return xs
 	}
 	return append(xs, x)
 }

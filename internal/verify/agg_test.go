@@ -257,51 +257,66 @@ func TestCheckAggDetectsDroppedMember(t *testing.T) {
 	}
 }
 
-// TestCheckAggDetectsMergedChainSplit: the fold-chain split exists to keep
-// the message-level wait graph acyclic. Merging a chain-split group into
-// the group that produces its chain predecessor builds a message that
-// waits (through the external chain edge) on a done event its OWN
-// completion triggers — the merged message waits for itself. CheckAgg must
-// certify the deadlock with a concrete cycle witness, not hang or crash in
-// the race pass.
-func TestCheckAggDetectsMergedChainSplit(t *testing.T) {
-	merge := func(c *cr.Compiled) bool {
-		for pi := range c.Spec.Phases {
-			ph := &c.Spec.Phases[pi]
-			for s := range ph.ByShard {
-				for gi := range ph.ByShard[s] {
-					g := &ph.ByShard[s][gi]
-					mem := g.Members[0]
-					cp := c.Body[mem.Op].Copy
-					if cp.Reduce == region.ReduceNone ||
-						!cr.AggChainExternal(cp, c.Spec.Ops[mem.Op].Copy, int(mem.Pair)) {
-						continue
-					}
-					// Find the group (on the predecessor's shard) holding
-					// the chain predecessor pair and fold this group in.
-					pred := cr.AggPair{Op: mem.Op, Pair: mem.Pair - 1}
-					for s2 := range ph.ByShard {
-						for g2 := range ph.ByShard[s2] {
-							for _, m2 := range ph.ByShard[s2][g2].Members {
-								if m2 != pred {
-									continue
-								}
-								ph.ByShard[s2][g2].Members = append(ph.ByShard[s2][g2].Members, g.Members...)
-								ph.ByShard[s] = append(ph.ByShard[s][:gi], ph.ByShard[s][gi+1:]...)
-								return true
+// mergeChainSplit corrupts an aggregated plan's group tables: it folds a
+// group the fold-chain split started (its head's chain predecessor belongs
+// to another shard) into the group producing that predecessor, and reports
+// whether the plan had such a group.
+func mergeChainSplit(c *cr.Compiled) bool {
+	for pi := range c.Spec.Phases {
+		ph := &c.Spec.Phases[pi]
+		for s := range ph.ByShard {
+			for gi := range ph.ByShard[s] {
+				g := &ph.ByShard[s][gi]
+				mem := g.Members[0]
+				cp := c.Body[mem.Op].Copy
+				if cp.Reduce == region.ReduceNone ||
+					!cr.AggChainExternal(cp, c.Spec.Ops[mem.Op].Copy, int(mem.Pair)) {
+					continue
+				}
+				pred := cr.AggPair{Op: mem.Op, Pair: mem.Pair - 1}
+				for s2 := range ph.ByShard {
+					for g2 := range ph.ByShard[s2] {
+						for _, m2 := range ph.ByShard[s2][g2].Members {
+							if m2 != pred {
+								continue
 							}
+							ph.ByShard[s2][g2].Members = append(ph.ByShard[s2][g2].Members, g.Members...)
+							ph.ByShard[s] = append(ph.ByShard[s][:gi], ph.ByShard[s][gi+1:]...)
+							return true
 						}
 					}
 				}
 			}
 		}
-		return false
 	}
+	return false
+}
+
+func hasKind(fs []Finding, kind string) bool {
+	for _, f := range fs {
+		if f.Kind == kind {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMergedChainSplitIsCertifiedAsCycle: the fold-chain split exists to
+// keep the message-level wait graph acyclic. Merging a chain-split group
+// into the group that produces its chain predecessor builds a message that
+// waits (through the external chain edge) on a done event its OWN
+// completion triggers — the merged message waits for itself. Every entry
+// point certifies the schedule the executor would run from the tables, so
+// CheckAgg, plain Verify and PlanPrune must all report the deadlock with a
+// concrete cycle witness, not hang, crash in the race pass, or (as Verify
+// and PlanPrune did while they analysed the unaggregated schedule of an
+// aggregated plan) pass it.
+func TestMergedChainSplitIsCertifiedAsCycle(t *testing.T) {
 	found := false
 	for _, shards := range []int{2, 3, 4} {
 		rr := progtest.NewRegionReduce(24, 4, 3)
 		c := aggCompile(t, rr.Prog, rr.Loop, shards, cr.PointToPoint)
-		if !merge(c) {
+		if !mergeChainSplit(c) {
 			continue
 		}
 		found = true
@@ -309,14 +324,22 @@ func TestCheckAggDetectsMergedChainSplit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		cycle := false
-		for _, f := range rep.Findings {
-			if f.Kind == "cycle" {
-				cycle = true
-			}
+		if !hasKind(rep.Findings, "cycle") {
+			t.Errorf("shards=%d: CheckAgg did not certify the merged groups as a wait cycle; findings: %v", shards, rep.Findings)
 		}
-		if !cycle {
-			t.Errorf("shards=%d: merged chain-split groups not certified as a wait cycle; findings: %v", shards, rep.Findings)
+		rep, err = Verify(c)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !hasKind(rep.Findings, "cycle") {
+			t.Errorf("shards=%d: Verify passed a schedule that deadlocks; findings: %v", shards, rep.Findings)
+		}
+		info, rep, err := PlanPrune(c)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if info != nil || !hasKind(rep.Findings, "cycle") {
+			t.Errorf("shards=%d: PlanPrune licensed a prune of a schedule that deadlocks; findings: %v", shards, rep.Findings)
 		}
 	}
 	if !found {
@@ -324,18 +347,39 @@ func TestCheckAggDetectsMergedChainSplit(t *testing.T) {
 	}
 }
 
+// aggAnalyses analyzes every aggregation fixture twice: as compiled, and
+// with the prune PlanPrune licenses for the aggregated schedule attached —
+// the composed prune∘agg plan.
+func aggAnalyses(t *testing.T, sync cr.SyncMode, fn func(name string, a *Analysis, info *cr.PruneInfo)) {
+	t.Helper()
+	for name, c := range aggFixtures(t, sync) {
+		for _, prune := range []bool{false, true} {
+			name := name
+			if prune {
+				info, rep, err := PlanPrune(c)
+				if err != nil || !rep.OK() {
+					t.Fatalf("%s %v: prune of the aggregated plan failed: %v %v", name, sync, err, rep)
+				}
+				c.Prune, name = info, name+"/pruned"
+			}
+			a, err := Analyze(c)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, sync, err)
+			}
+			fn(name, a, c.Prune)
+		}
+	}
+}
+
 // TestAggMutationSoundness: the aggregated checker's own soundness check —
 // the unmutated aggregated schedule verifies clean, every essential
 // merged-precondition deletion is detected, and every finding points at a
-// member of the mutated group.
+// member of the mutated group — on the aggregated plans and on the composed
+// prune∘agg ones, where a deletion the prune already made is skipped.
 func TestAggMutationSoundness(t *testing.T) {
 	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		for name, c := range aggFixtures(t, sync) {
+		aggAnalyses(t, sync, func(name string, a *Analysis, info *cr.PruneInfo) {
 			t.Run(fmt.Sprintf("%s/%v", name, sync), func(t *testing.T) {
-				a, err := AnalyzeAgg(c)
-				if err != nil {
-					t.Fatal(err)
-				}
 				if rep := a.Check(); !rep.OK() {
 					for _, f := range rep.Findings {
 						t.Errorf("false positive: %s", f)
@@ -350,6 +394,9 @@ func TestAggMutationSoundness(t *testing.T) {
 				muts := a.AggMutations()
 				detected, essential := 0, 0
 				for _, m := range muts {
+					if dropPruned(info, m.Drop) {
+						continue
+					}
 					rep := a.Check(m.Drop...)
 					if !rep.OK() {
 						detected++
@@ -366,12 +413,12 @@ func TestAggMutationSoundness(t *testing.T) {
 						}
 					}
 				}
-				if name != "scalarsum" && essential == 0 {
+				if !strings.HasPrefix(name, "scalarsum") && essential == 0 {
 					t.Errorf("no essential aggregation mutations enumerated; the harness is vacuous")
 				}
 				t.Logf("%d mutations, %d essential, %d detected", len(muts), essential, detected)
 			})
-		}
+		})
 	}
 }
 
@@ -379,15 +426,11 @@ func TestAggMutationSoundness(t *testing.T) {
 // inversions, chain inversions, barrier swaps, skipped arrivals) applies
 // unchanged to the AGGREGATED graph — its node locator finds the member
 // copy nodes and per-pair sync events inside the merged clusters — and
-// every mutation is detected.
+// every mutation is detected, with the prune attached or not.
 func TestAggLivenessMutations(t *testing.T) {
 	total := 0
 	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		for name, c := range aggFixtures(t, sync) {
-			a, err := AnalyzeAgg(c)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, sync, err)
-			}
+		aggAnalyses(t, sync, func(name string, a *Analysis, _ *cr.PruneInfo) {
 			for _, m := range a.LivenessMutations() {
 				total++
 				rep := a.CheckLivenessMutated(m)
@@ -401,7 +444,7 @@ func TestAggLivenessMutations(t *testing.T) {
 					}
 				}
 			}
-		}
+		})
 	}
 	if total == 0 {
 		t.Fatal("no liveness mutations enumerated on aggregated graphs; the harness is vacuous")
@@ -415,7 +458,7 @@ func TestAggLivenessMutations(t *testing.T) {
 func TestAggMutationsCoverEverySyncEdge(t *testing.T) {
 	rr := progtest.NewRegionReduce(24, 4, 3)
 	c := aggCompile(t, rr.Prog, rr.Loop, 4, cr.PointToPoint)
-	a, err := AnalyzeAgg(c)
+	a, err := Analyze(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,17 +475,5 @@ func TestAggMutationsCoverEverySyncEdge(t *testing.T) {
 		if !covered[e.label] {
 			t.Errorf("sync edge %v of the aggregated graph not covered by any mutation", e.label)
 		}
-	}
-}
-
-// TestAnalyzeAggRejectsPrune: one certified rewrite at a time — a plan
-// carrying prune info is refused rather than certified against the wrong
-// schedule.
-func TestAnalyzeAggRejectsPrune(t *testing.T) {
-	f := progtest.NewFigure2(48, 8, 3)
-	c := aggCompile(t, f.Prog, f.Loop, 4, cr.PointToPoint)
-	c.Prune = &cr.PruneInfo{}
-	if _, err := AnalyzeAgg(c); err == nil {
-		t.Fatal("AnalyzeAgg accepted a plan with prune info")
 	}
 }

@@ -92,8 +92,9 @@ func fieldIntersection(a, b []region.FieldID) []region.FieldID {
 // reachability answers "is there a happens-before path from a to b" for
 // all node pairs at once: one reverse-topological sweep computes each
 // node's full successor set as a bitset, so every query is a bit test. The
-// happens-before graph is a DAG by construction (events only wait on
-// previously created events), and stays one when edges are removed.
+// happens-before graph of a schedule built from well-formed tables is a DAG
+// (events only wait on previously created events), and stays one when edges
+// are removed.
 //
 // Bits are indexed by topological rank, not node id (real graphs have edges
 // that run against id order), so everything at or below a node's own rank
@@ -120,15 +121,17 @@ func (r *reachability) row(rank int) []uint64 {
 	return r.bits[off : off+r.words-rank>>6]
 }
 
-// closure computes the relation of the graph with the given adjacency.
-func (r *reachability) closure(adj [][]nodeID) {
+// closure computes the relation of the graph with the given adjacency. It
+// reports false, with nothing computed, when the graph has a cycle: r.rank
+// then holds the residual in-degrees cycleFinding walks.
+func (r *reachability) closure(adj [][]nodeID) bool {
 	n := len(adj)
 	r.words = (n + 63) / 64
 	r.rank = slices.Grow(r.rank[:0], n)[:n]
 	clear(r.rank) // holds in-degrees until the order is known
 	topo := topoSort(adj, r.rank, r.topo[:0])
 	if len(topo) != n {
-		panic("verify: happens-before graph has a cycle")
+		return false
 	}
 	r.topo = topo
 	for i, u := range topo {
@@ -155,6 +158,7 @@ func (r *reachability) closure(adj [][]nodeID) {
 			}
 		}
 	}
+	return true
 }
 
 // topoSort appends a topological order of adj's nodes to order (Kahn's

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"cmp"
+	"slices"
 	"strconv"
 
 	"repro/internal/cr"
@@ -133,6 +135,17 @@ func (g *graph) ledge(from, to nodeID, id EdgeID) {
 	g.edges = append(g.edges, edge{from: from, to: to, label: id})
 }
 
+// labels returns the labels of the graph's sync edges of one class.
+func (g *graph) labels(class EdgeClass) map[EdgeID]bool {
+	out := make(map[EdgeID]bool)
+	for i := range g.edges {
+		if l := g.edges[i].label; l.Class == class {
+			out[l] = true
+		}
+	}
+	return out
+}
+
 // adjacency materializes the forward adjacency list with the dropped edge
 // labels removed. Each node's successors are a capacity-clipped window of
 // one slab: appending past a window copies it out, never into its neighbor.
@@ -252,18 +265,14 @@ type builder struct {
 	// union over all iterations feeds the loop-end phase edge (shardDone).
 	opsOf  [][]nodeID
 	allOps []nodeID
+	// exchanges caches the gathered step lists by the body op they start at.
+	exchanges []*exchange
 	// prune is consulted at exactly the points the executor consults it
 	// (spmd shard.go / plan.go), so the graph is the precise happens-before
 	// relation of the pruned schedule — not an approximation by edge
 	// deletion, which would leave the structural done->loopEnd edges of
 	// pruned sync in place. Nil builds the conservative schedule.
 	prune *cr.PruneInfo
-	// agg replays the aggregated executor paths (spmd execPhaseP2P /
-	// execPhaseBarrier) instead of the per-copy ones: whole exchange
-	// phases issue at their head op, producers emit one merged message per
-	// aggregation group (see agg.go). Aggregation never composes with
-	// pruning, so agg builders run with prune == nil.
-	agg bool
 }
 
 // newBuilder sizes the graph from the compiled plan instead of growing it
@@ -271,7 +280,7 @@ type builder struct {
 // pair and two barriers per copy; an access per launch argument and two per
 // pair. Edges follow the replayed dependence state, so theirs is a hint:
 // four per node, where the evaluation applications have 3 to 9.
-func newBuilder(c *cr.Compiled) *builder {
+func newBuilder(c *cr.Compiled, prune *cr.PruneInfo) *builder {
 	colors := len(c.Domain)
 	nodes, accs := 4, 2*len(c.UsedParts)*colors
 	for _, cp := range c.InitCopies {
@@ -285,19 +294,14 @@ func newBuilder(c *cr.Compiled) *builder {
 		}
 	}
 	return &builder{
-		c:     c,
-		g:     &graph{nodes: make([]node, 0, nodes), edges: make([]edge, 0, 4*nodes)},
-		ids:   make(map[instRef]instID, len(c.UsedParts)*colors),
-		accs:  make([]access, 0, accs),
-		opsOf: make([][]nodeID, c.Opts.NumShards),
-		prune: c.Prune,
+		c:         c,
+		g:         &graph{nodes: make([]node, 0, nodes), edges: make([]edge, 0, 4*nodes)},
+		ids:       make(map[instRef]instID, len(c.UsedParts)*colors),
+		accs:      make([]access, 0, accs),
+		opsOf:     make([][]nodeID, c.Opts.NumShards),
+		exchanges: make([]*exchange, len(c.Body)),
+		prune:     prune,
 	}
-}
-
-func newPrunedBuilder(c *cr.Compiled, info *cr.PruneInfo) *builder {
-	b := newBuilder(c)
-	b.prune = info
-	return b
 }
 
 func (b *builder) id(r instRef) instID {
@@ -392,24 +396,15 @@ func (b *builder) build() (*graph, []access) {
 			case op.Launch != nil:
 				b.doLaunch(int32(bi), op.Launch, int32(iter), seed)
 			case op.Copy != nil:
-				switch {
-				case b.agg:
-					// Aggregated lowering: the whole exchange phase issues at
-					// its head op; the remaining phase ops are skipped exactly
-					// as the executor skips them. A negative PhaseOf entry
-					// (corrupted tables) skips the op; CheckAggTables reports
-					// the corruption.
-					if phIdx := c.Spec.PhaseOf[bi]; phIdx >= 0 && c.Spec.Phases[phIdx].Start == bi {
-						if c.Opts.Sync == cr.BarrierSync {
-							b.doPhaseBarrierAgg(phIdx, int32(iter), seed)
-						} else {
-							b.doPhaseP2PAgg(phIdx, int32(iter), seed)
-						}
-					}
-				case c.Opts.Sync == cr.BarrierSync:
-					b.doCopyBarrier(int32(bi), op.Copy, int32(iter), seed)
-				default:
-					b.doCopyP2P(int32(bi), op.Copy, int32(iter), seed)
+				// The exchange step lists starting here cover the copy alone,
+				// a whole aggregated exchange phase, or — at a phase's later
+				// ops — nothing, exactly as for the executor.
+				if x := b.exchangeAt(bi, int32(iter)); x.end == bi {
+					continue
+				} else if c.Opts.Sync == cr.BarrierSync {
+					b.doExchangeBarrier(x, seed)
+				} else {
+					b.doExchangeP2P(x, seed)
 				}
 			}
 		}
@@ -514,183 +509,328 @@ func groups(cp *cr.CopyOp) [][2]int {
 	return out
 }
 
-// doCopyP2P mirrors spmd.(*shard).execCopyP2P (whose consumer half is
-// spmd.(*shard).consume): per destination group, the consumer computes the write-after-read release and connects it to each
-// pair's war event, then merges the pair done events into the instance's
-// lastWrite; per pair, the producer issues the transfer gated on war and
-// its source's lastWrite (plus the reduction chain), and connects it to
-// done.
-func (b *builder) doCopyP2P(bi int32, cp *cr.CopyOp, iter int32, seed func(*symState)) {
-	g := b.g
-	warN := make([]nodeID, len(cp.Pairs))
-	doneN := make([]nodeID, len(cp.Pairs))
-	for i := range warN {
-		warN[i], doneN[i] = -1, -1
+// shardStep is one entry of some shard's exchange step list.
+type shardStep struct {
+	shard int32
+	*cr.ExchangeStep
+}
+
+// exchange is the replay of the exchange step lists that start at one body
+// op: every shard's cr.ExchangeSteps — the lists the executor resolves and
+// runs, and the builder's only source of consumer groups and producer
+// members — gathered into replay order once and replayed every unrolled
+// iteration.
+type exchange struct {
+	start, end int // the body ops the lists cover
+	// cons are the consume steps in (op, group) order. prods are the produce
+	// steps shard by shard, each shard's in its issue order — except that an
+	// unaggregated copy's are put in pair order, the numbering the witness
+	// goldens of the unaggregated graph were recorded with.
+	cons, prods []shardStep
+	// war and done hold the current iteration's sync nodes of every covered
+	// pair, by op and pair; -1 where the event has no node.
+	iter      int32
+	war, done [][]nodeID
+}
+
+// exchangeAt returns the exchange starting at body index op, readied for
+// one unrolled iteration.
+func (b *builder) exchangeAt(op int, iter int32) *exchange {
+	x := b.exchanges[op]
+	if x == nil {
+		x = b.newExchange(op)
+		b.exchanges[op] = x
 	}
-	var obIdx map[int]int
-	for _, gr := range groups(cp) {
-		start, end := gr[0], gr[1]
-		dstCol := cp.Pairs[start].Dst
-		consShard := b.shardOf(dstCol)
+	x.iter = iter
+	for i := range x.war {
+		for k := range x.war[i] {
+			x.war[i][k], x.done[i][k] = -1, -1
+		}
+	}
+	return x
+}
+
+func (b *builder) newExchange(op int) *exchange {
+	x := &exchange{start: op}
+	lists := make([][]cr.ExchangeStep, b.c.Opts.NumShards)
+	nprods, nsteps := 0, 0
+	for sh := range lists {
+		lists[sh], x.end = b.c.ExchangeSteps(op, sh)
+		for i := range lists[sh] {
+			if nsteps++; lists[sh][i].Produce {
+				nprods++
+			}
+		}
+	}
+	x.cons, x.prods = make([]shardStep, 0, nsteps-nprods), make([]shardStep, 0, nprods)
+	for sh, list := range lists {
+		for i := range list {
+			if st := (shardStep{int32(sh), &list[i]}); st.Produce {
+				x.prods = append(x.prods, st)
+			} else {
+				x.cons = append(x.cons, st)
+			}
+		}
+	}
+	slices.SortStableFunc(x.cons, func(a, c shardStep) int {
+		return cmp.Or(cmp.Compare(a.Op, c.Op), cmp.Compare(a.GroupStart, c.GroupStart))
+	})
+	if !b.c.Opts.Agg {
+		slices.SortStableFunc(x.prods, func(a, c shardStep) int { return cmp.Compare(a.Members[0].Pair, c.Members[0].Pair) })
+	}
+	// One slab for both node tables.
+	npairs := 0
+	for i := x.start; i < x.end; i++ {
+		npairs += len(b.c.Body[i].Copy.Pairs)
+	}
+	slab := make([]nodeID, 2*npairs)
+	x.war, x.done = make([][]nodeID, x.end-x.start), make([][]nodeID, x.end-x.start)
+	for i := range x.war {
+		n := len(b.c.Body[x.start+i].Copy.Pairs)
+		x.war[i], x.done[i], slab = slab[:n:n], slab[n:2*n:2*n], slab[2*n:]
+	}
+	return x
+}
+
+// doneOf returns the done node of pair k of body op op, adding it on first
+// use. Asked for by a fold-chain link whose predecessor's done sync is
+// pruned (or that no step carries), that leaves an orphan — the event exists
+// in the executor yet nothing ever triggers it — for the liveness check to
+// flag. The node's shard is the event's owner: the pair's consumer under
+// point-to-point sync, its producer under barriers.
+func (b *builder) doneOf(x *exchange, op, k int32) nodeID {
+	d := &x.done[int(op)-x.start][k]
+	if *d < 0 {
+		cp := b.c.Body[op].Copy
+		owner := cp.Pairs[k].Dst
+		if b.c.Opts.Sync == cr.BarrierSync {
+			owner = cp.Pairs[k].Src
+		}
+		*d = b.g.add(node{kind: kDone, iter: x.iter, body: op, sub: k, copyID: int32(cp.ID), color: cp.Pairs[k].Dst, shard: b.shardOf(owner)})
+	}
+	return *d
+}
+
+// srcRef is the instance a copy pair reads: the source partition's
+// subregion, or the reducing launch's temporary.
+func srcRef(cp *cr.CopyOp, src geometry.Point) instRef {
+	if cp.Reduce == region.ReduceNone {
+		return instRef{part: cp.Src, color: src}
+	}
+	return instRef{l: cp.SrcLaunch, arg: cp.SrcArg, color: src}
+}
+
+// produce adds one produce step's transfer as a linear cluster of per-member
+// copy nodes m_1 -> ... -> m_n in member order (the transfer body's write
+// order), each recording its own source read and destination write; a plain
+// pair copy is a cluster of one. Every precondition enters the head — the
+// lowering's sync (wired by the caller's sync), then each member's source
+// validity and fold-chain link — and the single completion is the tail,
+// registered as a reader of every member's source: nothing transfers before
+// all preconditions, everything completes together, and per-member nodes
+// keep conflict orientation and witnesses exact. The tail is -1 for a step
+// without members.
+func (b *builder) produce(x *exchange, st *shardStep, seed func(*symState), sync func(head nodeID)) (tail nodeID) {
+	g, c := b.g, b.c
+	head, tail := nodeID(-1), nodeID(-1)
+	for _, m := range st.Members {
+		cp := c.Body[m.Op].Copy
+		pr := cp.Pairs[m.Pair]
+		mn := g.add(node{kind: kCopy, iter: x.iter, body: m.Op, sub: m.Pair, copyID: int32(cp.ID), color: pr.Dst, shard: st.shard})
+		if tail >= 0 {
+			g.edge(tail, mn)
+		} else {
+			head = mn
+		}
+		tail = mn
+		b.record(mn, srcRef(cp, pr.Src), cp.Fields, pr.Overlap, false)
+		b.record(mn, instRef{part: cp.Dst, color: pr.Dst}, cp.Fields, pr.Overlap, true)
+	}
+	if head < 0 {
+		return tail
+	}
+	sync(head)
+	for _, m := range st.Members {
+		cp := c.Body[m.Op].Copy
+		s := b.state(srcRef(cp, cp.Pairs[m.Pair].Src))
+		seed(s)
+		b.edgesFrom(s.lastWrite, head)
+		s.readers = append(s.readers, tail)
+		if m.Chain && !b.prune.SkipChain(cp.ID, int(m.Pair)) {
+			g.ledge(b.doneOf(x, m.Op, m.Pair-1), head, EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: int(m.Pair)})
+		}
+	}
+	return tail
+}
+
+// doExchangeP2P replays spmd.(*shard).execExchangeP2P. Per consume step the
+// destination's owner computes the write-after-read release and connects it
+// to each pair's war event, then merges the pair done events into the
+// instance's lastWrite; per produce step the transfer is gated on every
+// member's war, source validity and chain link, and its completion triggers
+// every member's done.
+func (b *builder) doExchangeP2P(x *exchange, seed func(*symState)) {
+	g, c := b.g, b.c
+	var obIdx map[[2]int32]int
+	for i := range x.cons {
+		st := &x.cons[i]
+		cp := c.Body[st.Op].Copy
+		dstCol := cp.Pairs[st.GroupStart].Dst
 		s := b.state(instRef{part: cp.Dst, color: dstCol})
 		seed(s)
 		release := append(append([]nodeID(nil), s.readers...), s.lastWrite...)
 		newWrites := append([]nodeID(nil), s.lastWrite...)
-		for k := start; k < end; k++ {
-			if !b.prune.SkipWar(cp.ID, k) {
-				warN[k] = g.add(node{kind: kWar, iter: iter, body: bi, sub: int32(k), copyID: int32(cp.ID), color: dstCol, shard: consShard})
+		for k := st.GroupStart; k < st.GroupEnd; k++ {
+			w := &x.war[int(st.Op)-x.start][k]
+			if !b.prune.SkipWar(cp.ID, int(k)) {
+				*w = g.add(node{kind: kWar, iter: x.iter, body: st.Op, sub: k, copyID: int32(cp.ID), color: dstCol, shard: b.shardOf(dstCol)})
 				for _, r := range release {
-					g.ledge(r, warN[k], EdgeID{Class: EdgeWAR, Copy: cp.ID, Pair: k})
+					g.ledge(r, *w, EdgeID{Class: EdgeWAR, Copy: cp.ID, Pair: int(k)})
 				}
 			}
 			if b.collectWar {
 				if obIdx == nil {
-					obIdx = make(map[int]int)
+					obIdx = make(map[[2]int32]int)
 				}
-				obIdx[k] = len(b.warObs)
-				b.warObs = append(b.warObs, warOb{copyID: cp.ID, k: k, release: release, cn: -1, warN: warN[k]})
+				obIdx[[2]int32{st.Op, k}] = len(b.warObs)
+				b.warObs = append(b.warObs, warOb{copyID: cp.ID, k: int(k), release: release, cn: -1, warN: *w})
 			}
-			if !b.prune.SkipDone(cp.ID, k) {
-				doneN[k] = g.add(node{kind: kDone, iter: iter, body: bi, sub: int32(k), copyID: int32(cp.ID), color: dstCol, shard: consShard})
-				newWrites = append(newWrites, doneN[k])
-				b.opsOf[consShard] = append(b.opsOf[consShard], doneN[k])
+			if !b.prune.SkipDone(cp.ID, int(k)) {
+				d := b.doneOf(x, st.Op, k)
+				newWrites = append(newWrites, d)
+				b.opsOf[st.shard] = append(b.opsOf[st.shard], d)
 			}
 		}
 		s.lastWrite = newWrites
 		s.readers = s.readers[:0]
 	}
-	for _, gr := range groups(cp) {
-		start, end := gr[0], gr[1]
-		for k := start; k < end; k++ {
-			pr := cp.Pairs[k]
-			prodShard := b.shardOf(pr.Src)
-			cn := g.add(node{kind: kCopy, iter: iter, body: bi, sub: int32(k), copyID: int32(cp.ID), color: pr.Dst, shard: prodShard})
-			if warN[k] >= 0 {
-				g.edge(warN[k], cn)
-			}
-			if i, ok := obIdx[k]; ok {
-				b.warObs[i].cn = cn
-			}
-			if cp.Reduce == region.ReduceNone {
-				s := b.state(instRef{part: cp.Src, color: pr.Src})
-				seed(s)
-				b.edgesFrom(s.lastWrite, cn)
-				s.readers = append(s.readers, cn)
-				b.record(cn, instRef{part: cp.Src, color: pr.Src}, cp.Fields, pr.Overlap, false)
-			} else {
-				ts := b.state(instRef{l: cp.SrcLaunch, arg: cp.SrcArg, color: pr.Src})
-				seed(ts)
-				b.edgesFrom(ts.lastWrite, cn)
-				if k > start && !b.prune.SkipChain(cp.ID, k) {
-					if doneN[k-1] < 0 {
-						// The predecessor's done sync is pruned but the chain
-						// still waits on it: the event exists in the executor
-						// yet nothing ever triggers it. Model the hang with an
-						// orphan node for the liveness check to flag.
-						doneN[k-1] = g.add(node{kind: kDone, iter: iter, body: bi, sub: int32(k - 1), copyID: int32(cp.ID), color: cp.Pairs[k-1].Dst, shard: b.shardOf(cp.Pairs[k-1].Dst)})
-					}
-					g.ledge(doneN[k-1], cn, EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k})
+	for i := range x.prods {
+		st := &x.prods[i]
+		tail := b.produce(x, st, seed, func(head nodeID) {
+			for _, m := range st.Members {
+				if w := x.war[int(m.Op)-x.start][m.Pair]; w >= 0 {
+					g.edge(w, head)
 				}
-				ts.readers = append(ts.readers, cn)
-				b.record(cn, instRef{l: cp.SrcLaunch, arg: cp.SrcArg, color: pr.Src}, cp.Fields, pr.Overlap, false)
+				if i, ok := obIdx[[2]int32{m.Op, m.Pair}]; ok {
+					b.warObs[i].cn = head
+				}
 			}
-			if doneN[k] >= 0 {
-				g.ledge(cn, doneN[k], EdgeID{Class: EdgeDone, Copy: cp.ID, Pair: k})
-				b.opsOf[prodShard] = append(b.opsOf[prodShard], doneN[k])
-			} else {
-				// Done pruned: the producer merges the copy's own completion
-				// into its iteration ops instead (spmd execCopyP2P does the
-				// same), so loop-end quiescence still covers the transfer.
-				b.opsOf[prodShard] = append(b.opsOf[prodShard], cn)
+		})
+		for _, m := range st.Members {
+			done := tail
+			if id := c.Body[m.Op].Copy.ID; !b.prune.SkipDone(id, int(m.Pair)) {
+				done = b.doneOf(x, m.Op, m.Pair)
+				g.ledge(tail, done, EdgeID{Class: EdgeDone, Copy: id, Pair: int(m.Pair)})
 			}
-			b.record(cn, instRef{part: cp.Dst, color: pr.Dst}, cp.Fields, pr.Overlap, true)
+			// With the done pruned the producer merges the transfer's own
+			// completion into its iteration ops instead (as the executor
+			// does), so loop-end quiescence still covers the transfer.
+			b.opsOf[st.shard] = append(b.opsOf[st.shard], done)
 		}
 	}
 }
 
-// doCopyBarrier mirrors spmd.(*shard).execCopyBarrier: every shard arrives
-// at the first barrier with everything it issued so far this iteration
-// (consumers additionally with their destination state), the copies run
-// between the barriers, and every destination instance becomes valid after
-// the second barrier. Reduction chains still use the shared per-pair done
-// events for deterministic fold order.
-func (b *builder) doCopyBarrier(bi int32, cp *cr.CopyOp, iter int32, seed func(*symState)) {
-	g := b.g
-	b1 := g.add(node{kind: kBarrier, iter: iter, body: bi, sub: 0, copyID: int32(cp.ID), shard: -1})
-	b2 := g.add(node{kind: kBarrier, iter: iter, body: bi, sub: 1, copyID: int32(cp.ID), shard: -1})
-	ns := b.c.Opts.NumShards
-	g.arrivals = append(g.arrivals,
-		barrierArrival{b: b1, copyID: int32(cp.ID), iter: iter, phase: 0, got: ns, want: ns},
-		barrierArrival{b: b2, copyID: int32(cp.ID), iter: iter, phase: 1, got: ns, want: ns})
-	arrive1 := EdgeID{Class: EdgeBarrier, Copy: cp.ID, Pair: 0}
-	arrive2 := EdgeID{Class: EdgeBarrier, Copy: cp.ID, Pair: 1}
-	for _, ops := range b.opsOf {
-		for _, n := range ops {
-			g.ledge(n, b1, arrive1)
-		}
-	}
-	grs := groups(cp)
-	for _, gr := range grs {
-		dstCol := cp.Pairs[gr[0]].Dst
-		s := b.state(instRef{part: cp.Dst, color: dstCol})
-		seed(s)
-		for _, n := range s.lastWrite {
-			g.ledge(n, b1, arrive1)
-		}
-		for _, n := range s.readers {
-			g.ledge(n, b1, arrive1)
-		}
-	}
-	doneN := make([]nodeID, len(cp.Pairs))
-	for i := range doneN {
-		doneN[i] = -1
-	}
-	isReduce := cp.Reduce != region.ReduceNone
-	for _, gr := range grs {
-		start, end := gr[0], gr[1]
-		for k := start; k < end; k++ {
-			pr := cp.Pairs[k]
-			prodShard := b.shardOf(pr.Src)
-			cn := g.add(node{kind: kCopy, iter: iter, body: bi, sub: int32(k), copyID: int32(cp.ID), color: pr.Dst, shard: prodShard})
-			g.edge(b1, cn)
-			if !isReduce {
-				s := b.state(instRef{part: cp.Src, color: pr.Src})
-				seed(s)
-				b.edgesFrom(s.lastWrite, cn)
-				s.readers = append(s.readers, cn)
-				b.record(cn, instRef{part: cp.Src, color: pr.Src}, cp.Fields, pr.Overlap, false)
-			} else {
-				ts := b.state(instRef{l: cp.SrcLaunch, arg: cp.SrcArg, color: pr.Src})
-				seed(ts)
-				b.edgesFrom(ts.lastWrite, cn)
-				if k > start && !b.prune.SkipChain(cp.ID, k) {
-					if doneN[k-1] < 0 {
-						// Pruned done with a live chain waiting on it: orphan
-						// node, flagged as never-triggered by the liveness
-						// pass (see doCopyP2P).
-						doneN[k-1] = g.add(node{kind: kDone, iter: iter, body: bi, sub: int32(k - 1), copyID: int32(cp.ID), color: cp.Pairs[k-1].Dst, shard: b.shardOf(cp.Pairs[k-1].Src)})
-					}
-					g.ledge(doneN[k-1], cn, EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k})
-				}
-				if !b.prune.SkipDone(cp.ID, k) {
-					doneN[k] = g.add(node{kind: kDone, iter: iter, body: bi, sub: int32(k), copyID: int32(cp.ID), color: pr.Dst, shard: prodShard})
-					g.ledge(cn, doneN[k], EdgeID{Class: EdgeDone, Copy: cp.ID, Pair: k})
-				}
-				ts.readers = append(ts.readers, cn)
-				b.record(cn, instRef{l: cp.SrcLaunch, arg: cp.SrcArg, color: pr.Src}, cp.Fields, pr.Overlap, false)
+// doExchangeBarrier replays spmd.(*shard).execExchangeBarrier: every shard
+// arrives at each covered op's entry barrier with everything it issued so
+// far this iteration (consumers additionally with their destination state),
+// the transfers run between the barriers — gated on every covered op's
+// entry barrier — and every destination instance becomes valid after its
+// op's exit barrier, which waits all the transfers. Reduction chains still
+// use the shared per-pair done events for deterministic fold order: only
+// reduce pairs have done events here, and only the chain waits on them.
+func (b *builder) doExchangeBarrier(x *exchange, seed func(*symState)) {
+	g, c := b.g, b.c
+	// dsts visits the state of every destination instance of op.
+	dsts := func(op int, visit func(s *symState)) {
+		cp := c.Body[op].Copy
+		for i := range x.cons {
+			if st := &x.cons[i]; int(st.Op) == op {
+				visit(b.state(instRef{part: cp.Dst, color: cp.Pairs[st.GroupStart].Dst}))
 			}
-			g.ledge(cn, b2, arrive2)
-			b.record(cn, instRef{part: cp.Dst, color: pr.Dst}, cp.Fields, pr.Overlap, true)
 		}
 	}
-	g.ledge(b1, b2, arrive2)
-	for _, gr := range grs {
-		dstCol := cp.Pairs[gr[0]].Dst
-		s := b.state(instRef{part: cp.Dst, color: dstCol})
-		s.lastWrite = append(s.lastWrite, b2)
-		s.readers = s.readers[:0]
+	barrier := func(op, phase int) nodeID {
+		id, ns := int32(c.Body[op].Copy.ID), c.Opts.NumShards
+		n := g.add(node{kind: kBarrier, iter: x.iter, body: int32(op), sub: int32(phase), copyID: id, shard: -1})
+		g.arrivals = append(g.arrivals, barrierArrival{b: n, copyID: id, iter: x.iter, phase: int32(phase), got: ns, want: ns})
+		return n
 	}
-	for sh := range b.opsOf {
-		b.opsOf[sh] = append(b.opsOf[sh], b2)
+	kept := func(op, k int32) bool {
+		cp := c.Body[op].Copy
+		return cp.Reduce != region.ReduceNone && !b.prune.SkipDone(cp.ID, int(k))
+	}
+	// Node numbering is pinned by the witness goldens of both graphs: the
+	// unaggregated one numbers a copy's exit barrier right after its entry
+	// barrier and its done nodes as their pairs issue; the aggregated one
+	// numbers every reduce pair's done node before the transfers and the
+	// exit barriers after them.
+	merged := c.Opts.Agg
+	b1s, b2s := make([]nodeID, x.end-x.start), make([]nodeID, x.end-x.start)
+	for i := range b1s {
+		op := x.start + i
+		b1 := barrier(op, 0)
+		if b1s[i] = b1; !merged {
+			b2s[i] = barrier(op, 1)
+		}
+		arrive1 := EdgeID{Class: EdgeBarrier, Copy: c.Body[op].Copy.ID, Pair: 0}
+		for _, ops := range b.opsOf {
+			for _, n := range ops {
+				g.ledge(n, b1, arrive1)
+			}
+		}
+		dsts(op, func(s *symState) {
+			seed(s)
+			for _, n := range s.lastWrite {
+				g.ledge(n, b1, arrive1)
+			}
+			for _, n := range s.readers {
+				g.ledge(n, b1, arrive1)
+			}
+		})
+	}
+	if merged {
+		for op := x.start; op < x.end; op++ {
+			for k := range c.Body[op].Copy.Pairs {
+				if kept(int32(op), int32(k)) {
+					b.doneOf(x, int32(op), int32(k))
+				}
+			}
+		}
+	}
+	var tails []nodeID
+	for i := range x.prods {
+		st := &x.prods[i]
+		tail := b.produce(x, st, seed, func(head nodeID) {
+			for _, b1 := range b1s {
+				g.edge(b1, head)
+			}
+		})
+		if tail < 0 {
+			continue
+		}
+		for _, m := range st.Members {
+			if kept(m.Op, m.Pair) {
+				g.ledge(tail, b.doneOf(x, m.Op, m.Pair), EdgeID{Class: EdgeDone, Copy: c.Body[m.Op].Copy.ID, Pair: int(m.Pair)})
+			}
+		}
+		tails = append(tails, tail)
+	}
+	for i, b2 := range b2s {
+		op := x.start + i
+		if merged {
+			b2 = barrier(op, 1)
+		}
+		arrive2 := EdgeID{Class: EdgeBarrier, Copy: c.Body[op].Copy.ID, Pair: 1}
+		for _, t := range tails {
+			g.ledge(t, b2, arrive2)
+		}
+		g.ledge(b1s[i], b2, arrive2)
+		dsts(op, func(s *symState) {
+			s.lastWrite = append(s.lastWrite, b2)
+			s.readers = s.readers[:0]
+		})
+		for sh := range b.opsOf {
+			b.opsOf[sh] = append(b.opsOf[sh], b2)
+		}
 	}
 }

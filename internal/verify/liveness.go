@@ -233,12 +233,7 @@ func (a *Analysis) LivenessMutations() []LivenessMutation {
 		}
 		return -1 // absent, e.g. a pruned sync event
 	}
-	chains := make(map[EdgeID]bool) // the chain edges of iteration 0
-	for _, e := range g.edges {
-		if e.label.Class == EdgeChain && g.nodes[e.to].iter == 0 {
-			chains[e.label] = true
-		}
-	}
+	chains := g.labels(EdgeChain)
 	for _, op := range a.c.Body {
 		cp := op.Copy
 		if cp == nil || len(cp.Pairs) == 0 {

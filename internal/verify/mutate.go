@@ -50,6 +50,7 @@ type Mutation struct {
 // deletions for consecutive applications.
 func (a *Analysis) Mutations() []Mutation {
 	var out []Mutation
+	chains := a.g.labels(EdgeChain)
 	for bi, op := range a.c.Body {
 		cp := op.Copy
 		if cp == nil || len(cp.Pairs) == 0 {
@@ -60,7 +61,7 @@ func (a *Analysis) Mutations() []Mutation {
 		} else {
 			out = append(out, a.p2pMutations(cp, bi)...)
 		}
-		out = append(out, a.chainMutations(cp)...)
+		out = append(out, chainMutations(cp, chains)...)
 	}
 	return out
 }
@@ -144,18 +145,21 @@ func (a *Analysis) barrierMutations(cp *cr.CopyOp, bi int) []Mutation {
 	}}
 }
 
-// chainMutations deletes single reduction-chain edges. The chain orders
-// consecutive fold applications to one destination; deleting it races two
-// writers exactly when their element sets intersect, so only intersecting
-// consecutive pairs yield essential mutations.
-func (a *Analysis) chainMutations(cp *cr.CopyOp) []Mutation {
+// chainMutations deletes single reduction-chain edges, of those the
+// schedule has (chains; under aggregation a link between two members of one
+// message is the merged body's write order, structure with no sync to
+// forget). The chain orders consecutive fold applications to one
+// destination; deleting it races two writers exactly when their element
+// sets intersect, so only intersecting consecutive pairs yield essential
+// mutations.
+func chainMutations(cp *cr.CopyOp, chains map[EdgeID]bool) []Mutation {
 	if cp.Reduce == region.ReduceNone {
 		return nil
 	}
 	var out []Mutation
 	for _, gr := range groups(cp) {
 		for k := gr[0] + 1; k < gr[1]; k++ {
-			if !cp.Pairs[k-1].Overlap.Overlaps(cp.Pairs[k].Overlap) {
+			if !chains[EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k}] || !cp.Pairs[k-1].Overlap.Overlaps(cp.Pairs[k].Overlap) {
 				continue
 			}
 			out = append(out, Mutation{

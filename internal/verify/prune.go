@@ -12,7 +12,7 @@ package verify
 //
 // Licensing is by re-certification, not by trust in the analysis: each
 // candidate is tentatively pruned and the FULL race check and liveness
-// check re-run on the precisely rebuilt pruned graph (newPrunedBuilder
+// check re-run on the precisely rebuilt pruned graph (the builder
 // consults the PruneInfo at exactly the points the executor does). A
 // candidate that breaks any conflict ordering or any liveness property is
 // reverted. Deleting edges from Check's adjacency would NOT be a sound
@@ -37,7 +37,13 @@ func AnalyzePruned(c *cr.Compiled, info *cr.PruneInfo) (*Analysis, error) {
 	if c == nil {
 		return nil, fmt.Errorf("verify: nil compiled loop")
 	}
-	return newPrunedBuilder(c, info).analyze(), nil
+	if c.Opts.Agg {
+		// The replay indexes the aggregation tables; refuse malformed ones.
+		if err := aggTablesWellFormed(c); err != nil {
+			return nil, err
+		}
+	}
+	return newBuilder(c, info).analyze(), nil
 }
 
 // SyncEdges counts the labeled (deletable) synchronization edges of the
@@ -57,7 +63,7 @@ func (a *Analysis) SyncEdges() int {
 // per plan: no witness is rendered, and every closure lands in reach's slab.
 func certifies(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) bool {
 	certifyCalls++
-	a := newPrunedBuilder(c, info).analyze()
+	a := newBuilder(c, info).analyze()
 	return a.ordered(reach) && a.CheckLiveness().OK()
 }
 
@@ -133,13 +139,13 @@ func acceptMax(c *cr.Compiled, info *cr.PruneInfo, reach *reachability, batch []
 // fails. A pruned slot's obligation is that every release-set node still
 // reaches the producer's copy node through the remaining graph. A kept
 // slot's obligation asks whether removing exactly this event would
-// preserve the ordering: a war node's only successor is its copy node cn,
-// so no path between two other nodes ever routes through it (it would
+// preserve the ordering: a war node's only successor is cn, the head copy
+// node of the transfer carrying its pair, so no path between two other nodes ever routes through it (it would
 // have to continue through cn and return — a cycle), and the question
 // reduces to "does every release node reach some other in-neighbor of
 // cn". Both tests are against the precise executor-pruned graph.
 func warObligationFailures(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) map[[2]int]bool {
-	b := newPrunedBuilder(c, info)
+	b := newBuilder(c, info)
 	b.collectWar = true
 	g, _ := b.build()
 	reach.closure(g.adjacency(nil))
@@ -307,6 +313,10 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 	// p2p pair, but only reduce-chain pairs under barriers (the barrier
 	// lowering has no per-pair done otherwise — pruning one would be
 	// vacuously certified and dishonestly counted).
+	// Chain candidates likewise exist only where the schedule has the edge:
+	// under aggregation a link between two members of one transfer is the
+	// transfer body's write order, not a sync to prune.
+	chained := a0.g.labels(EdgeChain)
 	var chains, dones []func(v bool)
 	for _, op := range c.Body {
 		cp := op.Copy
@@ -317,6 +327,9 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 		if cp.Reduce != region.ReduceNone {
 			for _, gr := range groups(cp) {
 				for k := gr[0] + 1; k < gr[1]; k++ {
+					if !chained[EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k}] {
+						continue
+					}
 					k := k
 					chains = append(chains, func(v bool) { info.SetChain(cp.ID, k, n, v) })
 				}
@@ -388,7 +401,7 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 // its first overwrite are unobservable, so the population — a real
 // cross-node transfer in the init phase — can be skipped.
 func markDeadInits(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
-	b := newPrunedBuilder(c, info)
+	b := newBuilder(c, info)
 	g, accs := b.build()
 	reach.closure(g.adjacency(nil))
 

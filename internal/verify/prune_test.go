@@ -137,23 +137,23 @@ func TestPrunedScheduleMinimal(t *testing.T) {
 	}
 }
 
-// mutationPruned reports whether any of the mutation's dropped edges was
-// itself removed by the prune pass — such a mutation no longer models a
-// bug the pruned executor could have (the sync does not exist to miswire),
-// so the pruned-schedule harness skips it.
-func mutationPruned(info *cr.PruneInfo, m Mutation) bool {
-	for _, d := range m.Drop {
+// dropPruned reports whether any of a mutation's dropped edges was itself
+// removed by the prune pass — such a mutation no longer models a bug the
+// pruned executor could have (the sync does not exist to miswire), so the
+// pruned-schedule harnesses skip it.
+func dropPruned(info *cr.PruneInfo, drop []EdgeID) bool {
+	for _, d := range drop {
 		switch d.Class {
 		case EdgeWAR:
-			if info.SkipWar(m.Copy, d.Pair) {
+			if info.SkipWar(d.Copy, d.Pair) {
 				return true
 			}
 		case EdgeDone:
-			if info.SkipDone(m.Copy, d.Pair) {
+			if info.SkipDone(d.Copy, d.Pair) {
 				return true
 			}
 		case EdgeChain:
-			if info.SkipChain(m.Copy, d.Pair) {
+			if info.SkipChain(d.Copy, d.Pair) {
 				return true
 			}
 		}
@@ -192,7 +192,7 @@ func TestPrunedScheduleMutations(t *testing.T) {
 			// still be caught on the pruned graph (pruning elsewhere never
 			// creates new happens-before routes).
 			for _, m := range a.Mutations() {
-				if !m.Essential || mutationPruned(info, m) {
+				if !m.Essential || dropPruned(info, m.Drop) {
 					continue
 				}
 				raceMuts++

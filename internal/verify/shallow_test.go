@@ -52,7 +52,7 @@ func checkVariants(t *testing.T, name string, prog *ir.Program, loop *ir.Loop, s
 	plan := compileApp(t, prog, loop, cr.Options{NumShards: shards, Sync: sync})
 	a, err := verify.Analyze(plan)
 	checkAgainstOracle(t, name+"/plain", a, err)
-	aa, err := verify.AnalyzeAgg(compileApp(t, prog, loop, cr.Options{NumShards: shards, Sync: sync, Agg: true}))
+	aa, err := verify.Analyze(compileApp(t, prog, loop, cr.Options{NumShards: shards, Sync: sync, Agg: true}))
 	checkAgainstOracle(t, name+"/agg", aa, err)
 	info, rep, err := verify.PlanPrune(plan)
 	if err != nil || !rep.OK() {

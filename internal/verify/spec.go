@@ -234,16 +234,5 @@ func workListsEqual(a, b []cr.SpecWork) bool {
 // CheckSpecAll runs CheckSpec on every compiled loop of a plan map, in
 // program order.
 func CheckSpecAll(prog *ir.Program, plans map[*ir.Loop]*cr.Compiled) error {
-	for _, s := range prog.Stmts {
-		loop, ok := s.(*ir.Loop)
-		if !ok {
-			continue
-		}
-		if plan, ok := plans[loop]; ok {
-			if err := CheckSpec(plan); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return eachPlan(prog, plans, CheckSpec)
 }

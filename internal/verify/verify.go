@@ -136,7 +136,7 @@ func Analyze(c *cr.Compiled) (*Analysis, error) {
 	if c == nil {
 		return nil, fmt.Errorf("verify: nil compiled loop")
 	}
-	return newBuilder(c).analyze(), nil
+	return AnalyzePruned(c, c.Prune)
 }
 
 // analyze replays the schedule and enumerates its conflicts.
@@ -158,7 +158,7 @@ func (a *Analysis) check(reach *reachability, drop []EdgeID) *Report {
 	for _, d := range drop {
 		dropped[d] = true
 	}
-	reach.closure(a.g.adjacency(dropped))
+	adj := a.g.adjacency(dropped)
 	rep := &Report{Pass: "races", Findings: []Finding{}, Stats: Stats{
 		Nodes:     len(a.g.nodes),
 		Edges:     len(a.g.edges),
@@ -167,6 +167,12 @@ func (a *Analysis) check(reach *reachability, drop []EdgeID) *Report {
 		Conflicts: len(a.conflicts),
 		Iters:     a.g.iters,
 	}}
+	if !reach.closure(adj) {
+		// Corrupted exchange tables can make the schedule wait on itself; no
+		// order is defined on a cyclic graph, so the deadlock is the finding.
+		rep.Findings = append(rep.Findings, a.cycleFinding(adj, reach.rank))
+		return rep
+	}
 	for _, cf := range a.conflicts {
 		if cf.crossShard {
 			rep.Stats.CrossShard++
@@ -189,7 +195,9 @@ func (a *Analysis) check(reach *reachability, drop []EdgeID) *Report {
 // (reusing its slab), stops at the first pair the happens-before relation
 // fails to order the sequential way, and renders no witness.
 func (a *Analysis) ordered(reach *reachability) bool {
-	reach.closure(a.g.adjacency(nil))
+	if !reach.closure(a.g.adjacency(nil)) {
+		return false
+	}
 	for _, cf := range a.conflicts {
 		if !reach.reaches(a.accs[cf.earlier].n, a.accs[cf.later].n) {
 			return false
@@ -207,32 +215,47 @@ func Verify(c *cr.Compiled) (*Report, error) {
 	return a.Check(), nil
 }
 
-// VerifyAll verifies every compiled loop of a program (the plan map
-// produced by spmd.CompileAll), returning the first failing report, or the
-// merged passing stats. Loops are visited in program order.
+// eachPlan calls fn on the program's compiled loops (the plan map produced
+// by spmd.CompileAll) in program order, stopping at the first error.
+func eachPlan(prog *ir.Program, plans map[*ir.Loop]*cr.Compiled, fn func(*cr.Compiled) error) error {
+	for _, s := range prog.Stmts {
+		if loop, ok := s.(*ir.Loop); ok && plans[loop] != nil {
+			if err := fn(plans[loop]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// merge folds one loop's report into the program's.
+func (r *Report) merge(o *Report) {
+	r.Stats.Nodes += o.Stats.Nodes
+	r.Stats.Edges += o.Stats.Edges
+	r.Stats.Instances += o.Stats.Instances
+	r.Stats.Accesses += o.Stats.Accesses
+	r.Stats.Conflicts += o.Stats.Conflicts
+	r.Stats.CrossShard += o.Stats.CrossShard
+	r.Stats.Iters += o.Stats.Iters
+	r.Findings = append(r.Findings, o.Findings...)
+	for k, v := range o.Counters {
+		r.Counters[k] += v
+	}
+}
+
+// VerifyAll verifies every compiled loop of a program, returning the merged
+// report.
 func VerifyAll(prog *ir.Program, plans map[*ir.Loop]*cr.Compiled) (*Report, error) {
 	merged := &Report{Pass: "races"}
-	for _, s := range prog.Stmts {
-		loop, ok := s.(*ir.Loop)
-		if !ok {
-			continue
-		}
-		plan, ok := plans[loop]
-		if !ok {
-			continue
-		}
+	err := eachPlan(prog, plans, func(plan *cr.Compiled) error {
 		rep, err := Verify(plan)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			merged.merge(rep)
 		}
-		merged.Stats.Nodes += rep.Stats.Nodes
-		merged.Stats.Edges += rep.Stats.Edges
-		merged.Stats.Instances += rep.Stats.Instances
-		merged.Stats.Accesses += rep.Stats.Accesses
-		merged.Stats.Conflicts += rep.Stats.Conflicts
-		merged.Stats.CrossShard += rep.Stats.CrossShard
-		merged.Stats.Iters += rep.Stats.Iters
-		merged.Findings = append(merged.Findings, rep.Findings...)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	sortFindings(merged.Findings)
 	return merged, nil

@@ -31,7 +31,7 @@ import (
 	"repro/internal/verify"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/mutant_witness_golden.json")
+var updateGolden = flag.Bool("update", false, "regenerate the witness goldens under testdata/")
 
 const witnessGoldenPath = "testdata/mutant_witness_golden.json"
 
@@ -44,6 +44,17 @@ var evalApps = []struct {
 	{"miniaero", func(n int) (*ir.Program, *ir.Loop) { a := miniaero.Build(miniaero.Default(n)); return a.Prog, a.Loop }},
 	{"pennant", func(n int) (*ir.Program, *ir.Loop) { a := pennant.Build(pennant.Default(n)); return a.Prog, a.Loop }},
 	{"circuit", func(n int) (*ir.Program, *ir.Loop) { a := circuit.Build(circuit.Default(n)); return a.Prog, a.Loop }},
+}
+
+// witnessProgram builds evalApps[i] for a witness golden: circuit at its
+// correctness size, because at the paper size its sparse overlaps alone are
+// 1 MB of witness text.
+func witnessProgram(i, pieces int) (*ir.Program, *ir.Loop) {
+	if evalApps[i].name == "circuit" {
+		small := circuit.Build(circuit.Small(pieces))
+		return small.Prog, small.Loop
+	}
+	return evalApps[i].build(pieces)
 }
 
 var syncModes = []cr.SyncMode{cr.PointToPoint, cr.BarrierSync}
@@ -82,14 +93,8 @@ func witnessOf(t *testing.T, rep *verify.Report) mutantWitness {
 func TestMutantWitnessGolden(t *testing.T) {
 	const shards = 4
 	got := map[string]mutantWitness{}
-	for _, app := range evalApps {
-		prog, loop := app.build(shards)
-		if app.name == "circuit" {
-			// The correctness size: at the paper size circuit's sparse
-			// overlaps alone are 1 MB of witness text.
-			small := circuit.Build(circuit.Small(shards))
-			prog, loop = small.Prog, small.Loop
-		}
+	for i, app := range evalApps {
+		prog, loop := witnessProgram(i, shards)
 		for _, sync := range syncModes {
 			a, err := verify.Analyze(compileApp(t, prog, loop, cr.Options{NumShards: shards, Sync: sync}))
 			if err != nil {
@@ -108,19 +113,26 @@ func TestMutantWitnessGolden(t *testing.T) {
 		}
 	}
 
+	checkWitnessGolden(t, witnessGoldenPath, got)
+}
+
+// checkWitnessGolden compares the witnesses with the golden file at path,
+// or rewrites it under -update.
+func checkWitnessGolden(t *testing.T, path string, got map[string]mutantWitness) {
+	t.Helper()
 	if *updateGolden {
 		js, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(witnessGoldenPath, append(js, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(js, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d mutant witnesses to %s", len(got), witnessGoldenPath)
+		t.Logf("wrote %d witnesses to %s", len(got), path)
 		return
 	}
 
-	raw, err := os.ReadFile(witnessGoldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (generate it with -update)", err)
 	}
@@ -129,7 +141,7 @@ func TestMutantWitnessGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Errorf("%d mutants, golden has %d", len(got), len(want))
+		t.Errorf("%d witnesses, golden has %d", len(got), len(want))
 	}
 	findings := 0
 	for name, w := range want {
