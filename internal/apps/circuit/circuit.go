@@ -111,46 +111,8 @@ func Build(cfg Config) *App {
 
 	app.PWire = app.Wires.Block("PWIRE", pieces)
 
-	// Generate wires: each wire's input node is in its own piece; the
-	// output stays local with probability PctLocal, otherwise it lands in a
-	// nearby piece (ring neighborhood), the locality structure of the
-	// Legion circuit app.
-	app.InNode = make([]int64, nWires)
-	app.OutNode = make([]int64, nWires)
-	app.Resist = make([]float64, nWires)
-	pieceOf := func(n int64) int64 { return n / cfg.NodesPerPiece }
-	for w := int64(0); w < nWires; w++ {
-		piece := w / cfg.WiresPerPiece
-		app.InNode[w] = piece*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
-		if pieces == 1 || rng.Float64() < cfg.PctLocal {
-			app.OutNode[w] = piece*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
-		} else {
-			other := (piece + 1 + rng.Int63n(min64(4, pieces-1))) % pieces
-			app.OutNode[w] = other*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
-		}
-		app.Resist[w] = 1 + float64(rng.Intn(16))*0.25
-	}
-
-	// Node sets: a node is shared if any wire from another piece touches
-	// it; ghost[i] is the set of remote nodes piece i's wires touch.
-	sharedSet := make(map[int64]bool)
-	ghostPts := make([][]geometry.Point, pieces)
-	touch := func(w, n int64) {
-		piece := w / cfg.WiresPerPiece
-		if pieceOf(n) != piece {
-			sharedSet[n] = true
-			ghostPts[piece] = append(ghostPts[piece], geometry.Pt1(n))
-		}
-	}
-	for w := int64(0); w < nWires; w++ {
-		touch(w, app.InNode[w])
-		touch(w, app.OutNode[w])
-	}
-	var sharedPts []geometry.Point
-	for n := range sharedSet {
-		sharedPts = append(sharedPts, geometry.Pt1(n))
-	}
-	allShared := geometry.FromPoints(1, sharedPts)
+	app.generateWires(rng)
+	ghostSubs, allShared := app.nodeSets()
 	allPrivateIs := app.Nodes.IndexSpace().Subtract(allShared)
 
 	// The hierarchical §4.5 tree: private vs shared is a disjoint complete
@@ -176,15 +138,80 @@ func Build(cfg Config) *App {
 	app.PvtN = allPrivate.BySubsetsUnchecked("PVT", cs, pvtSubs, true, true)
 	app.ShrN = allSharedR.BySubsetsUnchecked("SHR", cs, shrSubs, true, true)
 
-	// Ghost sets overlap each other and the shared sets: aliased.
-	ghostSubs := make(map[geometry.Point]geometry.IndexSpace, pieces)
-	for i := int64(0); i < pieces; i++ {
-		ghostSubs[geometry.Pt1(i)] = geometry.FromPoints(1, ghostPts[i])
-	}
 	app.GhostN = allSharedR.BySubsetsUnchecked("GHOST", cs, ghostSubs, false, false)
 
 	app.buildTasks()
 	return app
+}
+
+// generateWires draws the topology: each wire's input node is in its own
+// piece; the output stays local with probability PctLocal, otherwise it
+// lands in a nearby piece (ring neighborhood), the locality structure of the
+// Legion circuit app.
+//
+// This loop and nodeSets' are functions of their own for the collector, not
+// the reader. A loop that calls nothing is stopped asynchronously and its
+// frame is then scanned conservatively; Build's frame is 3 KB of slots mostly
+// unwritten this early, and what the previous engine run left in them kept
+// that run's whole program alive for one more cycle, so the heap goal doubled
+// on one pass in ten (des_paths peak RSS 60 or 85 MB from run to run).
+func (app *App) generateWires(rng *rand.Rand) {
+	cfg, pieces := app.Cfg, int64(app.Cfg.Pieces)
+	nWires := pieces * cfg.WiresPerPiece
+	app.InNode = make([]int64, nWires)
+	app.OutNode = make([]int64, nWires)
+	app.Resist = make([]float64, nWires)
+	for w := int64(0); w < nWires; w++ {
+		piece := w / cfg.WiresPerPiece
+		app.InNode[w] = piece*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
+		if pieces == 1 || rng.Float64() < cfg.PctLocal {
+			app.OutNode[w] = piece*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
+		} else {
+			other := (piece + 1 + rng.Int63n(min64(4, pieces-1))) % pieces
+			app.OutNode[w] = other*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
+		}
+		app.Resist[w] = 1 + float64(rng.Intn(16))*0.25
+	}
+}
+
+// nodeSets returns ghost[i], the set of remote nodes piece i's wires touch,
+// and the shared set: a node is shared if any wire from another piece
+// touches it. Ghost sets overlap each other and the shared sets: aliased.
+func (app *App) nodeSets() (map[geometry.Point]geometry.IndexSpace, geometry.IndexSpace) {
+	cfg, pieces := app.Cfg, int64(app.Cfg.Pieces)
+	nNodes := pieces * cfg.NodesPerPiece
+	shared := make([]bool, nNodes)
+	ghostSubs := make(map[geometry.Point]geometry.IndexSpace, pieces)
+	var remote []geometry.Point
+	for piece := int64(0); piece < pieces; piece++ {
+		remote = remote[:0]
+		for w := piece * cfg.WiresPerPiece; w < (piece+1)*cfg.WiresPerPiece; w++ {
+			for _, n := range [2]int64{app.InNode[w], app.OutNode[w]} {
+				if n/cfg.NodesPerPiece != piece {
+					shared[n] = true
+					remote = append(remote, geometry.Pt1(n))
+				}
+			}
+		}
+		ghostSubs[geometry.Pt1(piece)] = geometry.FromPoints(1, remote)
+	}
+	runs := 0
+	for n, sh := range shared {
+		if sh && (n == 0 || !shared[n-1]) {
+			runs++
+		}
+	}
+	sharedRuns := make([]geometry.Rect, 0, runs)
+	for n := int64(0); n < nNodes; n++ {
+		if shared[n] {
+			lo := n
+			for n+1 < nNodes && shared[n+1] {
+				n++
+			}
+			sharedRuns = append(sharedRuns, geometry.R1(lo, n))
+		}
+	}
+	return ghostSubs, geometry.FromDisjointRects(1, sharedRuns)
 }
 
 func min64(a, b int64) int64 {

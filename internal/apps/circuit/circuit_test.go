@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/bench"
@@ -212,5 +213,18 @@ func TestDeterministicBuild(t *testing.T) {
 		if !a.GhostN.Sub1(i).IndexSpace().Equal(b.GhostN.Sub1(i).IndexSpace()) {
 			t.Fatal("ghost sets not deterministic")
 		}
+	}
+}
+
+// BenchmarkCircuitBuild is graph generation plus the private/shared/ghost
+// node sets, the part whose cost per piece must not grow with the pieces.
+func BenchmarkCircuitBuild(b *testing.B) {
+	for _, pieces := range []int{256, 1024} {
+		b.Run(strconv.Itoa(pieces), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Build(Default(pieces))
+			}
+		})
 	}
 }

@@ -34,6 +34,13 @@ func FromPoints(dim int8, pts []Point) IndexSpace {
 	if len(pts) == 0 {
 		return IndexSpace{dim: dim}
 	}
+	if dim == 1 {
+		ivs := make([][2]int64, len(pts))
+		for i, p := range pts {
+			ivs[i] = [2]int64{p.C[0], p.C[0]}
+		}
+		return IndexSpace{dim: 1, spans: mergeRuns1D(ivs)}
+	}
 	sorted := make([]Point, len(pts))
 	copy(sorted, pts)
 	slices.SortFunc(sorted, Point.compare)
@@ -106,6 +113,9 @@ func (s IndexSpace) Volume() int64 {
 
 // Bounds returns the bounding rectangle of the space.
 func (s IndexSpace) Bounds() Rect {
+	if n := len(s.spans); s.dim == 1 && n > 0 {
+		return Rect{s.spans[0].Lo, s.spans[n-1].Hi} // sorted and disjoint
+	}
 	out := EmptyRect(s.dim)
 	for _, r := range s.spans {
 		out = out.Union(r)
@@ -171,23 +181,26 @@ func (s IndexSpace) Points() []Point {
 // quadratic all-pairs algorithms to sorted sweeps.
 const sweepThreshold = 64
 
-// sortSpans1D sorts 1-D spans in place by lower bound. Every IndexSpace
-// constructor and operation maintains the invariant that 1-D span lists are
-// sorted, so the sweep algorithms never re-sort. Spans tie on the lower
-// bound only in UnionMany's input, where the merge makes their order moot.
+// sortSpans1D sorts 1-D spans in place by lower bound, unless they already
+// are. Every IndexSpace constructor and operation maintains the invariant
+// that 1-D span lists are sorted and that spans are never modified once
+// their space is returned, so the sweeps never re-sort, results may share an
+// operand's storage, and anything sorted or merged in place must be a list
+// the caller itself allocated.
 func sortSpans1D(spans []Rect) {
-	slices.SortFunc(spans, func(a, b Rect) int { return cmp.Compare(a.Lo.X(), b.Lo.X()) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].Lo.C[0] < spans[i-1].Lo.C[0] {
+			slices.SortFunc(spans, func(a, b Rect) int { return cmp.Compare(a.Lo.C[0], b.Lo.C[0]) })
+			return
+		}
+	}
 }
-
-// sorted1D returns the spans, which are sorted by construction for 1-D
-// spaces.
-func (s IndexSpace) sorted1D() []Rect { return s.spans }
 
 // Intersect returns the set intersection of s and t.
 func (s IndexSpace) Intersect(t IndexSpace) IndexSpace {
 	s.mustMatch(t)
 	if s.dim == 1 && len(s.spans)+len(t.spans) > sweepThreshold {
-		return s.intersect1D(t)
+		return sized1D(intersect1D, s.spans, t.spans)
 	}
 	var spans []Rect
 	for _, a := range s.spans {
@@ -203,24 +216,44 @@ func (s IndexSpace) Intersect(t IndexSpace) IndexSpace {
 	return IndexSpace{dim: s.dim, spans: spans}
 }
 
-// intersect1D is the sorted-sweep intersection for large 1-D span lists.
-func (s IndexSpace) intersect1D(t IndexSpace) IndexSpace {
-	a, b := s.sorted1D(), t.sorted1D()
-	var spans []Rect
-	i, j := 0, 0
+// sized1D runs a 1-D sweep twice: a counting pass sizes the result before
+// the second pass writes it, so a result is one allocation of exactly its
+// length and an empty one is none.
+func sized1D(sweep func(out, a, b []Rect) int, a, b []Rect) IndexSpace {
+	n := sweep(nil, a, b)
+	if n == 0 {
+		return IndexSpace{dim: 1}
+	}
+	spans := make([]Rect, n)
+	sweep(spans, a, b)
+	return IndexSpace{dim: 1, spans: spans}
+}
+
+// intersect1D is the sorted-sweep intersection for large 1-D span lists: it
+// writes the pieces common to a and b to out, or only counts them when out
+// is nil, and returns their number. It gallops like Overlaps, so one span
+// against thousands costs a search rather than a scan.
+func intersect1D(out, a, b []Rect) int {
+	n, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		lo := max64(a[i].Lo.X(), b[j].Lo.X())
-		hi := min64(a[i].Hi.X(), b[j].Hi.X())
-		if lo <= hi {
-			spans = append(spans, R1(lo, hi))
-		}
-		if a[i].Hi.X() < b[j].Hi.X() {
-			i++
-		} else {
-			j++
+		switch {
+		case a[i].Hi.C[0] < b[j].Lo.C[0]:
+			i = seek1D(a, i, b[j].Lo.C[0])
+		case b[j].Hi.C[0] < a[i].Lo.C[0]:
+			j = seek1D(b, j, a[i].Lo.C[0])
+		default:
+			if out != nil {
+				out[n] = R1(max(a[i].Lo.C[0], b[j].Lo.C[0]), min(a[i].Hi.C[0], b[j].Hi.C[0]))
+			}
+			n++
+			if a[i].Hi.C[0] < b[j].Hi.C[0] {
+				i++
+			} else {
+				j++
+			}
 		}
 	}
-	return IndexSpace{dim: 1, spans: spans}
+	return n
 }
 
 // Overlaps reports whether s and t share at least one point; it short
@@ -231,7 +264,7 @@ func (s IndexSpace) intersect1D(t IndexSpace) IndexSpace {
 func (s IndexSpace) Overlaps(t IndexSpace) bool {
 	s.mustMatch(t)
 	if s.dim == 1 {
-		a, b := s.sorted1D(), t.sorted1D()
+		a, b := s.spans, t.spans
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
 			switch {
@@ -279,7 +312,7 @@ func seek1D(spans []Rect, from int, x int64) int {
 func (s IndexSpace) Subtract(t IndexSpace) IndexSpace {
 	s.mustMatch(t)
 	if s.dim == 1 && len(s.spans)+len(t.spans) > sweepThreshold {
-		return s.subtract1D(t)
+		return sized1D(subtract1D, s.spans, t.spans)
 	}
 	// Carve with double buffering and a bounding-box guard: a subtrahend
 	// span that overlaps nothing leaves the list untouched (no rebuild), and
@@ -333,36 +366,50 @@ func (s IndexSpace) Subtract(t IndexSpace) IndexSpace {
 	return out
 }
 
-// subtract1D is the sorted-sweep difference for large 1-D span lists.
-func (s IndexSpace) subtract1D(t IndexSpace) IndexSpace {
-	a, b := s.sorted1D(), t.sorted1D()
-	var spans []Rect
-	j := 0
-	for _, sp := range a {
-		lo, hi := sp.Lo.X(), sp.Hi.X()
-		// Skip subtrahend spans entirely before this span.
-		for j < len(b) && b[j].Hi.X() < lo {
-			j++
+// subtract1D is the sorted-sweep difference for large 1-D span lists: it
+// writes a minus b to out, or only counts its spans when out is nil, and
+// returns their number. Stretches of a that no span of b reaches are found
+// by galloping and copied whole.
+func subtract1D(out, a, b []Rect) int {
+	n, j := 0, 0
+	emit := func(lo, hi int64) {
+		if out != nil {
+			out[n] = R1(lo, hi)
 		}
-		k := j
+		n++
+	}
+	for i := 0; i < len(a); {
+		lo, hi := a[i].Lo.C[0], a[i].Hi.C[0]
+		if j < len(b) && b[j].Hi.C[0] < lo {
+			j = seek1D(b, j, lo)
+		}
+		if j == len(b) || hi < b[j].Lo.C[0] {
+			end := len(a)
+			if j < len(b) {
+				end = seek1D(a, i, b[j].Lo.C[0])
+			}
+			if out != nil {
+				copy(out[n:], a[i:end])
+			}
+			n += end - i
+			i = end
+			continue
+		}
+		// b[j] is the first subtrahend span reaching a[i]; the last one may
+		// reach the next span of a too, so j stays.
 		cur := lo
-		for k < len(b) && b[k].Lo.X() <= hi {
-			if b[k].Lo.X() > cur {
-				spans = append(spans, R1(cur, b[k].Lo.X()-1))
+		for k := j; k < len(b) && b[k].Lo.C[0] <= hi && cur <= hi; k++ {
+			if b[k].Lo.C[0] > cur {
+				emit(cur, b[k].Lo.C[0]-1)
 			}
-			if b[k].Hi.X()+1 > cur {
-				cur = b[k].Hi.X() + 1
-			}
-			if cur > hi {
-				break
-			}
-			k++
+			cur = b[k].Hi.C[0] + 1
 		}
 		if cur <= hi {
-			spans = append(spans, R1(cur, hi))
+			emit(cur, hi)
 		}
+		i++
 	}
-	return IndexSpace{dim: 1, spans: spans}
+	return n
 }
 
 // Union returns the set union of s and t.
@@ -370,8 +417,16 @@ func (s IndexSpace) Union(t IndexSpace) IndexSpace {
 	s.mustMatch(t)
 	diff := t.Subtract(s)
 	spans := make([]Rect, 0, len(s.spans)+len(diff.spans))
-	spans = append(spans, s.spans...)
-	spans = append(spans, diff.spans...)
+	a, b := s.spans, diff.spans
+	for s.dim == 1 && len(a) > 0 && len(b) > 0 {
+		// Two sorted lists: merging them here leaves nothing to sort below.
+		if a[0].Lo.C[0] < b[0].Lo.C[0] {
+			spans, a = append(spans, a[0]), a[1:]
+		} else {
+			spans, b = append(spans, b[0]), b[1:]
+		}
+	}
+	spans = append(append(spans, a...), b...)
 	out := IndexSpace{dim: s.dim, spans: spans}
 	out.coalesce()
 	if s.dim == 1 {
@@ -382,7 +437,7 @@ func (s IndexSpace) Union(t IndexSpace) IndexSpace {
 
 // Equal reports whether s and t contain exactly the same points.
 func (s IndexSpace) Equal(t IndexSpace) bool {
-	return s.Subtract(t).Empty() && t.Subtract(s).Empty()
+	return s.ContainsAll(t) && t.ContainsAll(s)
 }
 
 // ContainsAll reports whether every point of t is in s. Each span of t is
@@ -394,7 +449,7 @@ func (s IndexSpace) Equal(t IndexSpace) bool {
 func (s IndexSpace) ContainsAll(t IndexSpace) bool {
 	t.mustMatch(s)
 	if s.dim == 1 && len(s.spans)+len(t.spans) > sweepThreshold {
-		return t.subtract1D(s).Empty()
+		return covers1D(s.spans, t.spans)
 	}
 	if s.dim != 1 && len(s.spans) > xIndexThreshold {
 		var ix xspanIndex
@@ -413,6 +468,29 @@ func (s IndexSpace) ContainsAll(t IndexSpace) bool {
 	for _, b := range t.spans {
 		if !s.coversRect(b) {
 			return false
+		}
+	}
+	return true
+}
+
+// covers1D is ContainsAll's sweep over large sorted 1-D lists: it gallops to
+// the spans of a around each span of b and stops at the first point of b
+// they leave out.
+func covers1D(a, b []Rect) bool {
+	j := 0
+	for _, sp := range b {
+		if j < len(a) && a[j].Hi.C[0] < sp.Lo.C[0] {
+			j = seek1D(a, j, sp.Lo.C[0])
+		}
+		// Spans of a may touch, so several can cover sp between them; the
+		// last one may cover the next span of b too, so j stays on it.
+		for cur := sp.Lo.C[0]; ; j++ {
+			if j == len(a) || cur < a[j].Lo.C[0] {
+				return false
+			}
+			if cur = a[j].Hi.C[0] + 1; cur > sp.Hi.C[0] {
+				break
+			}
 		}
 	}
 	return true
@@ -633,11 +711,11 @@ func tryMerge(a, b Rect) (Rect, bool) {
 	return Rect{}, false
 }
 
-// UnionMany returns the union of many index spaces. For 1-D inputs it is a
-// single sort-and-sweep over all spans (O(n log n)), the constructor for
-// unions of many sparse subregions (e.g. an aliased ghost partition's
-// footprint). Other dimensions carve each incoming span against the
-// accumulated union in one growing buffer — unlike the iterative
+// UnionMany returns the union of many index spaces. For 1-D inputs it is
+// mergeRuns1D over all spans (O(n log n), O(n) when they arrive in order),
+// the constructor for unions of many sparse subregions (e.g. an aliased
+// ghost partition's footprint). Other dimensions carve each incoming span
+// against the accumulated union in one growing buffer — unlike the iterative
 // out.Union(s) formulation, the accumulated span list is never copied, so
 // a union over n mostly-disjoint spans costs O(n²) cheap bounding-box
 // tests instead of O(n²) span-list rebuilds with their allocations.
@@ -704,26 +782,46 @@ func UnionMany(dim int8, spaces []IndexSpace) IndexSpace {
 		out.coalesce()
 		return out
 	}
-	var all []Rect
+	total := 0
 	for _, s := range spaces {
-		all = append(all, s.spans...)
+		total += len(s.spans)
 	}
-	if len(all) == 0 {
+	if total == 0 {
 		return IndexSpace{dim: 1}
 	}
-	sortSpans1D(all)
-	merged := all[:1]
-	for _, r := range all[1:] {
-		last := &merged[len(merged)-1]
-		if r.Lo.X() <= last.Hi.X()+1 {
-			if r.Hi.X() > last.Hi.X() {
-				last.Hi = r.Hi
-			}
-			continue
+	ivs := make([][2]int64, 0, total)
+	for _, s := range spaces {
+		for _, r := range s.spans {
+			ivs = append(ivs, [2]int64{r.Lo.C[0], r.Hi.C[0]})
 		}
-		merged = append(merged, r)
 	}
-	return IndexSpace{dim: 1, spans: merged}
+	return IndexSpace{dim: 1, spans: mergeRuns1D(ivs)}
+}
+
+// mergeRuns1D returns the maximal runs covered by the given non-empty list
+// of [lo, hi] intervals, which it sorts and merges in place: a 1-D span is
+// two coordinates, so the sort moves 16 bytes per span instead of a Rect's
+// 64 and is skipped when the list is already ordered, and the result is
+// allocated once the number of runs is known.
+func mergeRuns1D(ivs [][2]int64) []Rect {
+	byLo := func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) }
+	if !slices.IsSortedFunc(ivs, byLo) {
+		slices.SortFunc(ivs, byLo)
+	}
+	n := 0 // ivs[:n+1] are the runs so far
+	for _, iv := range ivs[1:] {
+		if iv[0] <= ivs[n][1]+1 {
+			ivs[n][1] = max(ivs[n][1], iv[1])
+		} else {
+			n++
+			ivs[n] = iv
+		}
+	}
+	spans := make([]Rect, n+1)
+	for i, iv := range ivs[:n+1] {
+		spans[i] = R1(iv[0], iv[1])
+	}
+	return spans
 }
 
 // Factor2 returns the most-square factorization a*b = n with a >= b, the

@@ -10,6 +10,8 @@
 package intersect
 
 import (
+	"slices"
+
 	"repro/internal/geometry"
 	"repro/internal/region"
 )
@@ -37,10 +39,10 @@ func Shallow(src, dst *region.Partition) []Candidate {
 	if len(srcColors) == 0 {
 		return nil
 	}
-	dim := src.Parent().IndexSpace().Dim()
-	var out []Candidate
-
-	if dim == 1 {
+	// query appends the indices of the source colors a destination span may
+	// meet, possibly more than once.
+	var query func(sp geometry.Rect, hits []int) []int
+	if src.Parent().IndexSpace().Dim() == 1 {
 		// One interval per source subregion — its bounding interval, as in
 		// the paper ("an interval tree ... makes this operation O(N log N)"
 		// over the subregions). Queries use the destination's exact spans,
@@ -54,46 +56,38 @@ func Shallow(src, dst *region.Partition) []Candidate {
 			}
 		}
 		tree := geometry.NewIntervalTree(ivs)
-		var hits []int
-		for _, dc := range dst.Colors() {
-			seen := map[int]bool{}
-			for _, sp := range dst.Sub(dc).IndexSpace().Spans() {
-				hits = tree.Query(sp.Lo.X(), sp.Hi.X(), hits[:0])
-				for _, id := range hits {
-					seen[id] = true
+		query = func(sp geometry.Rect, hits []int) []int { return tree.Query(sp.Lo.X(), sp.Hi.X(), hits) }
+	} else {
+		var entries []geometry.BVHEntry
+		for i, c := range srcColors {
+			for _, sp := range src.Sub(c).IndexSpace().Spans() {
+				entries = append(entries, geometry.BVHEntry{Rect: sp, ID: i})
+			}
+		}
+		query = geometry.NewBVH(entries).Query
+	}
+
+	// lastHit[i] is the last destination (counted from 1) that source i was
+	// a candidate for: each destination color collects its distinct hits and
+	// sorts only those into source-color order, so the whole phase costs the
+	// hits, not sources times destinations.
+	var out []Candidate
+	lastHit := make([]int, len(srcColors))
+	var hits, distinct []int
+	for d, dc := range dst.Colors() {
+		distinct = distinct[:0]
+		for _, sp := range dst.Sub(dc).IndexSpace().Spans() {
+			hits = query(sp, hits[:0])
+			for _, id := range hits {
+				if lastHit[id] != d+1 {
+					lastHit[id] = d + 1
+					distinct = append(distinct, id)
 				}
 			}
-			out = appendCandidates(out, srcColors, seen, dc)
 		}
-		return out
-	}
-
-	var entries []geometry.BVHEntry
-	for i, c := range srcColors {
-		for _, sp := range src.Sub(c).IndexSpace().Spans() {
-			entries = append(entries, geometry.BVHEntry{Rect: sp, ID: i})
-		}
-	}
-	bvh := geometry.NewBVH(entries)
-	var hits []int
-	for _, dc := range dst.Colors() {
-		seen := map[int]bool{}
-		for _, sp := range dst.Sub(dc).IndexSpace().Spans() {
-			hits = bvh.Query(sp, hits[:0])
-			for _, id := range hits {
-				seen[id] = true
-			}
-		}
-		out = appendCandidates(out, srcColors, seen, dc)
-	}
-	return out
-}
-
-// appendCandidates emits the hit set in deterministic source-color order.
-func appendCandidates(out []Candidate, srcColors []geometry.Point, seen map[int]bool, dc geometry.Point) []Candidate {
-	for i, sc := range srcColors {
-		if seen[i] {
-			out = append(out, Candidate{Src: sc, Dst: dc})
+		slices.Sort(distinct)
+		for _, id := range distinct {
+			out = append(out, Candidate{Src: srcColors[id], Dst: dc})
 		}
 	}
 	return out
@@ -105,9 +99,18 @@ func appendCandidates(out []Candidate, srcColors []geometry.Point, seen map[int]
 // makes it O(M^2) in non-empty intersections per shard rather than global
 // (§3.3); the harness times it accordingly.
 func Complete(src, dst *region.Partition, cands []Candidate) []Pair {
+	// A disjoint partition against itself: disjointness already refutes
+	// every pair off the diagonal, and on it the overlap is the subregion.
+	self := src == dst && src.Disjoint()
 	out := make([]Pair, 0, len(cands))
 	for _, c := range cands {
-		ov := src.Sub(c.Src).IndexSpace().Intersect(dst.Sub(c.Dst).IndexSpace())
+		var ov geometry.IndexSpace
+		switch {
+		case !self:
+			ov = src.Sub(c.Src).IndexSpace().Intersect(dst.Sub(c.Dst).IndexSpace())
+		case c.Src == c.Dst:
+			ov = src.Sub(c.Src).IndexSpace()
+		}
 		if !ov.Empty() {
 			out = append(out, Pair{Src: c.Src, Dst: c.Dst, Overlap: ov})
 		}

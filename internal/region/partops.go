@@ -293,9 +293,35 @@ func PDifference(name string, a, b *Partition) *Partition {
 // private/ghost region trees of §4.5: e.g. restricting the original block
 // partition to the all_private subregion. Disjointness is inherited from p.
 func Restrict(sub *Region, p *Partition, name string) *Partition {
+	restrict := func(child geometry.IndexSpace) geometry.IndexSpace { return child.Intersect(sub.ispace) }
+	if dim := sub.ispace.Dim(); dim > 1 {
+		// Structured regions: Intersect tries every span of sub against every
+		// child span, so all children cost all of sub each. One BVH over
+		// sub's spans finds the few a child span meets, and taking those in
+		// span order gives Intersect's spans in Intersect's order.
+		spans := sub.ispace.Spans()
+		entries := make([]geometry.BVHEntry, len(spans))
+		for i, sp := range spans {
+			entries[i] = geometry.BVHEntry{Rect: sp, ID: i}
+		}
+		bvh := geometry.NewBVH(entries)
+		var hits []int
+		var rects []geometry.Rect
+		restrict = func(child geometry.IndexSpace) geometry.IndexSpace {
+			rects = rects[:0]
+			for _, sp := range child.Spans() {
+				hits = bvh.Query(sp, hits[:0])
+				sort.Ints(hits)
+				for _, i := range hits {
+					rects = append(rects, sp.Intersect(spans[i]))
+				}
+			}
+			return geometry.FromDisjointRects(dim, rects)
+		}
+	}
 	subs := make(map[geometry.Point]geometry.IndexSpace, len(p.colors))
 	p.Each(func(c geometry.Point, child *Region) bool {
-		subs[c] = child.ispace.Intersect(sub.ispace)
+		subs[c] = restrict(child.ispace)
 		return true
 	})
 	return sub.newPartition(name, p.colorSpace, subs, p.disjoint, false)

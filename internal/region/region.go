@@ -219,14 +219,18 @@ func (p *Partition) Union() geometry.IndexSpace {
 func (p *Partition) computeUnion() geometry.IndexSpace {
 	dim := p.parent.IndexSpace().Dim()
 	if p.disjoint {
-		var spans []geometry.Rect
+		n := 0
+		for _, c := range p.colors {
+			n += len(p.children[c].ispace.Spans())
+		}
+		spans := make([]geometry.Rect, 0, n)
 		p.Each(func(_ geometry.Point, sub *Region) bool {
 			spans = append(spans, sub.IndexSpace().Spans()...)
 			return true
 		})
 		return geometry.FromDisjointRects(dim, spans)
 	}
-	var spaces []geometry.IndexSpace
+	spaces := make([]geometry.IndexSpace, 0, len(p.colors))
 	p.Each(func(_ geometry.Point, sub *Region) bool {
 		spaces = append(spaces, sub.IndexSpace())
 		return true
