@@ -70,68 +70,161 @@ func TestThreadPanicSurfacesFromRun(t *testing.T) {
 	}
 }
 
+// refItem and refHeap are the event set the scheduler used before the radix
+// queue, kept as the reference the queue is held to: a 4-ary min-heap
+// ordered by (at, seq), seq counting pushes.
+type refItem struct {
+	at   Time
+	seq  int64
+	weak bool
+}
+
+type refHeap []refItem
+
+func (h refHeap) less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *refHeap) push(it refItem) {
+	*h = append(*h, it)
+	for i := len(*h) - 1; i > 0; {
+		parent := (i - 1) / 4
+		if !h.less(i, parent) {
+			break
+		}
+		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		i = parent
+	}
+}
+
+func (h *refHeap) pop() refItem {
+	old := *h
+	top, n := old[0], len(old)-1
+	old[0] = old[n]
+	*h = old[:n]
+	for i := 0; ; {
+		min := i
+		for c := 4*i + 1; c <= 4*i+4 && c < n; c++ {
+			if h.less(c, min) {
+				min = c
+			}
+		}
+		if min == i {
+			return top
+		}
+		old[i], old[min] = old[min], old[i]
+		i = min
+	}
+}
+
 // TestQueuePopOrderMatchesHeapOnly drives the real scheduling entry points
-// with a seeded stream — ties at the current instant, weak items at the
-// current instant, clamped past times, pushes before Run starts — and
-// mirrors every push into a heap-only eventQueue. Each item, as it runs,
-// must be exactly what the reference pops next.
+// with a seeded stream and mirrors every push into the reference heap. Each
+// item, as it runs, must be exactly what the reference pops next. The
+// stream has ties at the current instant, weak items at the current
+// instant, clamped past times, pushes before Run starts, deltas of 2^40 and
+// above, and bursts that keep joining one future time while the clock
+// closes in on it and after it gets there. It runs in four legs on one Sim:
+// the first Run, a second that starts with the first's weak items still
+// queued, a lone strong item past everything that drains the queue, and a
+// refill from empty.
 func TestQueuePopOrderMatchesHeapOnly(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := MustNewSim(smallConfig(1))
-		var ref eventQueue
-		budget, pops := 3000, int64(0)
+		var ref refHeap
+		var budget int
+		var seq, pops int64
+		var latest, burst Time
 		var schedule func()
+		push := func(at Time, kind int) {
+			seq++
+			seq := seq
+			ran := func() {
+				pops++
+				if len(ref) == 0 {
+					t.Fatalf("seed %d: item %d ran but the reference heap is empty", seed, seq)
+				}
+				if want := ref.pop(); want.seq != seq || want.at != s.now {
+					t.Fatalf("seed %d: ran (at %d, seq %d), heap-only order pops (at %d, seq %d)", seed, s.now, seq, want.at, want.seq)
+				}
+				schedule()
+			}
+			switch {
+			case kind == 0:
+				s.atWeak(at, ran)
+			case kind < 4:
+				ev := s.NewUserEvent()
+				s.OnTrigger(ev, ran)
+				s.atDone(at, nil, ev)
+			default:
+				s.at(at, ran)
+			}
+			if at < s.now {
+				at = s.now
+			}
+			if at > latest {
+				latest = at
+			}
+			ref.push(refItem{at: at, seq: seq, weak: kind == 0})
+		}
 		schedule = func() {
 			for k := 1 + rng.Intn(3); k > 0 && budget > 0; k-- {
 				budget--
 				at := s.now
-				switch rng.Intn(4) {
+				switch rng.Intn(6) {
 				case 0:
 					at += Time(1 + rng.Intn(3)*5)
 				case 1:
 					at -= Time(rng.Intn(4)) // clamped to now
+				case 2:
+					if s.now < 1<<61 {
+						at += Time(1)<<(40+rng.Intn(17)) + Time(rng.Intn(3))
+					}
+				case 3:
+					if burst < s.now {
+						burst = s.now + Time(1+rng.Intn(200))
+						if rng.Intn(4) == 0 && s.now < 1<<61 {
+							burst += Time(1) << (40 + rng.Intn(10))
+						}
+					}
+					at = burst
 				}
-				seq, kind := s.seq+1, rng.Intn(8)
+				kind := rng.Intn(8)
 				if k == 1 && kind == 0 {
 					kind = 1 // one strong child per batch keeps the stream alive
 				}
-				ran := func() {
-					pops++
-					if len(ref.items) == 0 {
-						t.Fatalf("seed %d: item %d ran but the reference heap is empty", seed, seq)
-					}
-					if want := ref.pop(); want.seq != seq || want.at != s.now {
-						t.Fatalf("seed %d: ran (at %d, seq %d), heap-only order pops (at %d, seq %d)", seed, s.now, seq, want.at, want.seq)
-					}
-					schedule()
-				}
-				switch {
-				case kind == 0:
-					s.atWeak(at, ran)
-				case kind < 4:
-					ev := s.NewUserEvent()
-					s.OnTrigger(ev, ran)
-					s.atDone(at, nil, ev)
-				default:
-					s.at(at, ran)
-				}
-				if at < s.now {
-					at = s.now
-				}
-				ref.push(queued{at: at, seq: seq, weak: kind == 0})
+				push(at, kind)
 			}
 		}
-		schedule() // before Run starts, at time zero
-		s.MustRun()
-		if s.stats.Events != pops || pops < 2000 {
-			t.Fatalf("seed %d: Stats.Events = %d, items run = %d", seed, s.stats.Events, pops)
-		}
-		for len(ref.items) > 0 {
-			if it := ref.pop(); !it.weak {
-				t.Fatalf("seed %d: Run returned with strong item (at %d, seq %d) unpopped", seed, it.at, it.seq)
+		leg := func(name string, n int, start func()) {
+			before := pops
+			budget = n
+			start() // outside Run: at time zero, or at the clock the last Run left
+			s.MustRun()
+			if s.stats.Events != pops || pops-before < int64(n)*2/3 {
+				t.Fatalf("seed %d, %s: Stats.Events = %d, items run = %d (%d before)", seed, name, s.stats.Events, pops, before)
+			}
+			for _, it := range ref {
+				if !it.weak {
+					t.Fatalf("seed %d, %s: Run returned with strong item (at %d, seq %d) unpopped", seed, name, it.at, it.seq)
+				}
 			}
 		}
+		// A weak item planned for a time the stream never reaches (a crash
+		// that never happens) stays queued across the first two legs.
+		leg("first run", 3000, func() { schedule(); push(1<<62, 0) })
+		leg("weak items left behind", 1500, schedule)
+		if len(ref) == 0 {
+			t.Fatalf("seed %d: no weak item outlived two Run calls", seed)
+		}
+		leg("drain", 0, func() { push(latest+1, 4) })
+		if len(ref) != 0 {
+			t.Fatalf("seed %d: %d items still queued behind the latest one", seed, len(ref))
+		}
+		leg("refill", 1500, schedule)
 	}
 }
 
