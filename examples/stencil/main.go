@@ -19,6 +19,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/geometry"
+	"repro/internal/harness"
 	"repro/internal/ir"
 	"repro/internal/realm"
 	"repro/internal/spmd"
@@ -73,10 +74,14 @@ func main() {
 	// kernels, real control plane).
 	fmt.Println("weak scaling, throughput per node (10^6 points/s), paper-size tiles:")
 	fmt.Printf("%-8s %12s %12s %12s %12s\n", "nodes", "regent-cr", "regent-nocr", "mpi", "mpi-openmp")
+	fig6, err := harness.AppByName("stencil")
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, n := range []int{1, 4, 16} {
 		fmt.Printf("%-8d", n)
-		for _, sys := range stencil.Systems {
-			per, err := stencil.Measure(sys, n, 8, bench.MeasureOpts{})
+		for _, sys := range fig6.Systems {
+			per, err := fig6.Measure(sys, n, 8, bench.MeasureOpts{})
 			if err != nil {
 				log.Fatal(err)
 			}

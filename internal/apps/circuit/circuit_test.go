@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
@@ -186,18 +185,6 @@ func TestCompiledShape(t *testing.T) {
 	}
 	if reduce == 0 {
 		t.Error("expected reduction copies for distribute_charge")
-	}
-}
-
-func TestMeasureBothSystems(t *testing.T) {
-	for _, sys := range Systems {
-		per, err := Measure(sys, 4, 6, bench.MeasureOpts{})
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
-		}
-		if per <= 0 {
-			t.Errorf("%s: non-positive per-iteration time", sys)
-		}
 	}
 }
 

@@ -1,10 +1,8 @@
 package circuit
 
 import (
-	"fmt"
-
 	"repro/internal/bench"
-	"repro/internal/cr"
+	"repro/internal/ir"
 	"repro/internal/realm"
 )
 
@@ -12,23 +10,14 @@ import (
 // external reference code; it compares Regent with and without CR).
 var Systems = []string{"regent-cr", "regent-nocr"}
 
-// Measure runs the circuit under one system at the given piece count and
-// returns the steady-state per-iteration time.
-func Measure(system string, nodes, iters int, opts bench.MeasureOpts) (realm.Time, error) {
+// Program builds the program both systems run at a piece count, and the
+// tuning they run it under. iters > 0 replaces the configuration's
+// iteration count.
+func Program(nodes, iters int, _ bool) (*ir.Program, *ir.Loop, bench.Tuning) {
 	cfg := Default(nodes)
 	if iters > 0 {
 		cfg.Iters = iters
 	}
-	cores := realm.DefaultConfig(nodes).CoresPerNode
 	app := Build(cfg)
-	tune := bench.DefaultTuning(cores)
-
-	switch system {
-	case "regent-cr":
-		return bench.MeasureCR(app.Prog, app.Loop, nodes, cr.PointToPoint, tune, opts)
-	case "regent-nocr":
-		return bench.MeasureImplicit(app.Prog, app.Loop, nodes, tune, opts)
-	default:
-		return 0, fmt.Errorf("circuit: unknown system %q", system)
-	}
+	return app.Prog, app.Loop, bench.DefaultTuning(realm.DefaultConfig(nodes).CoresPerNode)
 }

@@ -1,0 +1,27 @@
+package circuit_test
+
+import (
+	"testing"
+
+	"repro/internal/apps/circuit"
+	"repro/internal/bench"
+	"repro/internal/harness"
+)
+
+func TestMeasureBothSystems(t *testing.T) {
+	// Through harness.App, as the figure sweep measures it (hence the
+	// external test package: harness imports this one).
+	app, err := harness.AppByName("circuit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range circuit.Systems {
+		per, err := app.Measure(sys, 4, 6, bench.MeasureOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		if per <= 0 {
+			t.Errorf("%s: non-positive per-iteration time", sys)
+		}
+	}
+}

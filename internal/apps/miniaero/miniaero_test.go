@@ -3,7 +3,6 @@ package miniaero
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
@@ -218,18 +217,6 @@ func TestCompiledShape(t *testing.T) {
 	}
 	if copies != 4 {
 		t.Errorf("copies = %d, want 4 (one per RK stage)", copies)
-	}
-}
-
-func TestMeasureAllSystems(t *testing.T) {
-	for _, sys := range Systems {
-		per, err := Measure(sys, 4, 6, bench.MeasureOpts{})
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
-		}
-		if per <= 0 {
-			t.Errorf("%s: non-positive per-step time", sys)
-		}
 	}
 }
 

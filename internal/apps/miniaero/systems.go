@@ -1,11 +1,9 @@
 package miniaero
 
 import (
-	"fmt"
-
 	"repro/internal/baseline"
 	"repro/internal/bench"
-	"repro/internal/cr"
+	"repro/internal/ir"
 	"repro/internal/realm"
 )
 
@@ -28,37 +26,28 @@ const (
 	noiseSalt        = 0xae50
 )
 
-// Measure runs MiniAero under one system at the given node count and
-// returns the steady-state per-timestep time.
-func Measure(system string, nodes, iters int, opts bench.MeasureOpts) (realm.Time, error) {
+// Program builds the program both Regent systems run at a node count, and
+// the tuning they run it under. iters > 0 replaces the configuration's
+// iteration count.
+func Program(nodes, iters int, _ bool) (*ir.Program, *ir.Loop, bench.Tuning) {
 	cfg := Default(nodes)
 	if iters > 0 {
 		cfg.Iters = iters
 	}
-	cores := realm.DefaultConfig(nodes).CoresPerNode
-
-	switch system {
-	case "regent-cr", "regent-nocr":
-		app := Build(cfg)
-		tune := bench.DefaultTuning(cores)
-		tune.Noise = realm.SpikeNoise(noiseProb, noiseAmplCore, noiseSalt)
-		if system == "regent-cr" {
-			return bench.MeasureCR(app.Prog, app.Loop, nodes, cr.PointToPoint, tune, opts)
-		}
-		return bench.MeasureImplicit(app.Prog, app.Loop, nodes, tune, opts)
-	case "mpi-kokkos-core", "mpi-kokkos-node":
-		if opts.NativeBackend() {
-			return 0, &realm.UnsupportedError{Backend: opts.Backend, Op: "the MPI+Kokkos baseline"}
-		}
-		return measureMPI(cfg, system == "mpi-kokkos-node")
-	default:
-		return 0, fmt.Errorf("miniaero: unknown system %q", system)
-	}
+	app := Build(cfg)
+	tune := bench.DefaultTuning(realm.DefaultConfig(nodes).CoresPerNode)
+	tune.Noise = realm.SpikeNoise(noiseProb, noiseAmplCore, noiseSalt)
+	return app.Prog, app.Loop, tune
 }
 
-// measureMPI runs the MPI+Kokkos-style reference: per RK stage a ghost-cell
-// exchange with the strip neighbors, four stages per timestep.
-func measureMPI(cfg Config, perNode bool) (realm.Time, error) {
+// Baseline runs the MPI+Kokkos-style reference, one rank per core
+// ("mpi-kokkos-core") or per node ("mpi-kokkos-node"): per RK stage a
+// ghost-cell exchange with the strip neighbors, four stages per timestep.
+func Baseline(system string, nodes, iters int) (realm.Time, error) {
+	cfg, perNode := Default(nodes), system == "mpi-kokkos-node"
+	if iters > 0 {
+		cfg.Iters = iters
+	}
 	machine := realm.DefaultConfig(cfg.Pieces)
 	cores := machine.CoresPerNode
 	perCell := mpiCorePerCellNs

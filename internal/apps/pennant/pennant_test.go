@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
@@ -288,17 +287,5 @@ func TestCompiledShape(t *testing.T) {
 	}
 	if !diag {
 		t.Error("expected diagonal (corner) reduction pairs in the 2-D decomposition")
-	}
-}
-
-func TestMeasureAllSystems(t *testing.T) {
-	for _, sys := range Systems {
-		per, err := Measure(sys, 4, 6, bench.MeasureOpts{})
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
-		}
-		if per <= 0 {
-			t.Errorf("%s: non-positive per-cycle time", sys)
-		}
 	}
 }

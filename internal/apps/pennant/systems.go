@@ -1,12 +1,10 @@
 package pennant
 
 import (
-	"fmt"
-
 	"repro/internal/baseline"
 	"repro/internal/bench"
-	"repro/internal/cr"
 	"repro/internal/geometry"
+	"repro/internal/ir"
 	"repro/internal/realm"
 )
 
@@ -31,37 +29,27 @@ const (
 // core (19.5e6 zones/s/node on 12 cores), ahead of Regent's generated code.
 const mpiCostPerZoneNs = 616.0
 
-// Measure runs PENNANT under one system at the given node count and
-// returns the steady-state per-cycle time.
-func Measure(system string, nodes, iters int, opts bench.MeasureOpts) (realm.Time, error) {
+// Program builds the program both Regent systems run at a node count, and
+// the tuning they run it under. iters > 0 replaces the configuration's
+// cycle count.
+func Program(nodes, iters int, _ bool) (*ir.Program, *ir.Loop, bench.Tuning) {
 	cfg := Default(nodes)
 	if iters > 0 {
 		cfg.Iters = iters
 	}
-	cores := realm.DefaultConfig(nodes).CoresPerNode
-
-	switch system {
-	case "regent-cr", "regent-nocr":
-		app := Build(cfg)
-		tune := bench.DefaultTuning(cores)
-		tune.Noise = realm.SpikeNoise(noiseProb, noiseAmpl, noiseSalt)
-		if system == "regent-cr" {
-			return bench.MeasureCR(app.Prog, app.Loop, nodes, cr.PointToPoint, tune, opts)
-		}
-		return bench.MeasureImplicit(app.Prog, app.Loop, nodes, tune, opts)
-	case "mpi", "mpi-openmp":
-		if opts.NativeBackend() {
-			return 0, &realm.UnsupportedError{Backend: opts.Backend, Op: "the hand-written MPI baseline"}
-		}
-		return measureMPI(cfg, system == "mpi-openmp")
-	default:
-		return 0, fmt.Errorf("pennant: unknown system %q", system)
-	}
+	app := Build(cfg)
+	tune := bench.DefaultTuning(realm.DefaultConfig(nodes).CoresPerNode)
+	tune.Noise = realm.SpikeNoise(noiseProb, noiseAmpl, noiseSalt)
+	return app.Prog, app.Loop, tune
 }
 
-// measureMPI runs the hand-written reference: halo exchange of boundary
-// point data plus a blocking dt allreduce every cycle.
-func measureMPI(cfg Config, openmp bool) (realm.Time, error) {
+// Baseline runs the hand-written reference, "mpi" or "mpi-openmp": halo
+// exchange of boundary point data plus a blocking dt allreduce every cycle.
+func Baseline(system string, nodes, iters int) (realm.Time, error) {
+	cfg, openmp := Default(nodes), system == "mpi-openmp"
+	if iters > 0 {
+		cfg.Iters = iters
+	}
 	machine := realm.DefaultConfig(cfg.Pieces)
 	cores := machine.CoresPerNode
 	kernel := realm.Time(PaperZonesPerNode * mpiCostPerZoneNs / float64(cores))

@@ -1,51 +1,38 @@
 package stencil
 
 import (
-	"fmt"
-
 	"repro/internal/baseline"
 	"repro/internal/bench"
-	"repro/internal/cr"
+	"repro/internal/ir"
 	"repro/internal/realm"
 )
 
 // Systems lists the Figure 6 series.
 var Systems = []string{"regent-cr", "regent-nocr", "mpi", "mpi-openmp"}
 
-// Measure runs the stencil under one system at the given node count and
-// returns the steady-state per-iteration time. MPI variants follow the PRK
-// reference structure: one rank per core for "mpi", one threaded rank per
-// node with a serialized pack/exchange section for "mpi-openmp".
-func Measure(system string, nodes, iters int, opts bench.MeasureOpts) (realm.Time, error) {
+// Program builds the program both Regent systems run at a node count, and
+// the tuning they run it under. iters > 0 replaces the configuration's
+// iteration count; native picks the tile sized for real kernels.
+func Program(nodes, iters int, native bool) (*ir.Program, *ir.Loop, bench.Tuning) {
 	cfg := Default(nodes)
-	if opts.NativeBackend() {
+	if native {
 		cfg = Native(nodes)
 	}
 	if iters > 0 {
 		cfg.Iters = iters
 	}
-	cores := realm.DefaultConfig(nodes).CoresPerNode
-
-	switch system {
-	case "regent-cr", "regent-nocr":
-		app := Build(cfg)
-		tune := bench.DefaultTuning(cores)
-		if system == "regent-cr" {
-			return bench.MeasureCR(app.Prog, app.Loop, nodes, cr.PointToPoint, tune, opts)
-		}
-		return bench.MeasureImplicit(app.Prog, app.Loop, nodes, tune, opts)
-	case "mpi", "mpi-openmp":
-		if opts.NativeBackend() {
-			return 0, &realm.UnsupportedError{Backend: opts.Backend, Op: "the hand-written MPI baseline"}
-		}
-		return measureMPI(cfg, system == "mpi-openmp")
-	default:
-		return 0, fmt.Errorf("stencil: unknown system %q", system)
-	}
+	app := Build(cfg)
+	return app.Prog, app.Loop, bench.DefaultTuning(realm.DefaultConfig(nodes).CoresPerNode)
 }
 
-// measureMPI runs the hand-written halo-exchange reference.
-func measureMPI(cfg Config, openmp bool) (realm.Time, error) {
+// Baseline runs the hand-written halo-exchange reference, which follows the
+// PRK structure: one rank per core for "mpi", one threaded rank per node
+// with a serialized pack/exchange section for "mpi-openmp".
+func Baseline(system string, nodes, iters int) (realm.Time, error) {
+	cfg, openmp := Default(nodes), system == "mpi-openmp"
+	if iters > 0 {
+		cfg.Iters = iters
+	}
 	gx, gy := Factor2(cfg.Nodes)
 	machine := realm.DefaultConfig(cfg.Nodes)
 	cores := machine.CoresPerNode

@@ -63,10 +63,16 @@ func Run(sim *realm.Sim, spec Spec) (*Result, error) {
 		spec.RanksPerNode = 1
 	}
 
-	// Count incoming messages per node per iteration.
+	// Each node's exchanges, evaluated once, and from them the incoming
+	// messages per node per iteration.
+	neighbors := make([][]Neighbor, spec.Nodes)
 	incoming := make([]int, spec.Nodes)
-	for n := 0; n < spec.Nodes; n++ {
-		for _, nb := range spec.Neighbors(n) {
+	for n := range neighbors {
+		neighbors[n] = spec.Neighbors(n)
+		for _, nb := range neighbors[n] {
+			if nb.Node < 0 || nb.Node >= spec.Nodes {
+				return nil, fmt.Errorf("baseline: node %d names neighbor %d, outside the spec's %d nodes", n, nb.Node, spec.Nodes)
+			}
 			if nb.Node != n {
 				incoming[nb.Node] += spec.RanksPerNode
 			}
@@ -104,7 +110,7 @@ func Run(sim *realm.Sim, spec Spec) (*Result, error) {
 					kt = realm.Time(float64(kt) * spec.Noise(n, t))
 				}
 				th.Elapse(kt + spec.SerialOverhead)
-				for _, nb := range spec.Neighbors(n) {
+				for _, nb := range neighbors[n] {
 					if nb.Node == n {
 						continue
 					}

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/realm"
@@ -139,5 +141,38 @@ func TestBaselineRejectsOversizedSpec(t *testing.T) {
 	_, err := Run(sim, Spec{Nodes: 4, Iters: 1, Neighbors: ringNeighbors(4, 0)})
 	if err == nil {
 		t.Error("expected error for spec larger than machine")
+	}
+}
+
+// TestBaselineRejectsNeighborOutsideSpec: a neighbor outside [0, Nodes) is
+// an error before anything runs (it used to index out of range).
+func TestBaselineRejectsNeighborOutsideSpec(t *testing.T) {
+	for _, bad := range []int{5, 2, -1} {
+		sim := realm.MustNewSim(realm.DefaultConfig(4))
+		_, err := Run(sim, Spec{Nodes: 2, Iters: 2, Neighbors: func(int) []Neighbor {
+			return []Neighbor{{Node: bad, Bytes: 8}}
+		}})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("neighbor %d", bad)) {
+			t.Errorf("neighbor %d of a 2-node spec: err = %v", bad, err)
+		}
+	}
+}
+
+// TestBaselineEvaluatesNeighborsOncePerNode: Spec.Neighbors may allocate
+// (the apps' closures do), so Run calls it once per node, not once per
+// node per iteration.
+func TestBaselineEvaluatesNeighborsOncePerNode(t *testing.T) {
+	calls := make([]int, 4)
+	ring := ringNeighbors(4, 1000)
+	sim := realm.MustNewSim(realm.DefaultConfig(4))
+	_, err := Run(sim, Spec{Nodes: 4, Iters: 6, RanksPerNode: 2, KernelTime: realm.Milliseconds(1),
+		Neighbors: func(n int) []Neighbor { calls[n]++; return ring(n) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, c := range calls {
+		if c != 1 {
+			t.Errorf("Neighbors(%d) called %d times over 6 iterations, want 1", n, c)
+		}
 	}
 }

@@ -310,19 +310,23 @@ func TestMeasuredTimeCalibratesDES(t *testing.T) {
 // native it would burn a watchdog window per sweep cell), and fault
 // injection into regent-cr now measures successfully through recovery.
 func TestNativeMeasureGates(t *testing.T) {
-	_, err := stencil.Measure("mpi", 2, 0, bench.MeasureOpts{Backend: bench.BackendNative})
+	app, err := AppByName("stencil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = app.Measure("mpi", 2, 0, bench.MeasureOpts{Backend: bench.BackendNative})
 	var ue *realm.UnsupportedError
 	if !errors.As(err, &ue) {
 		t.Fatalf("mpi on native: err = %v, want realm.UnsupportedError", err)
 	}
-	_, err = stencil.Measure("regent-nocr", 2, 0, bench.MeasureOpts{
+	_, err = app.Measure("regent-nocr", 2, 0, bench.MeasureOpts{
 		Backend: bench.BackendNative,
 		Faults:  &realm.FaultPlan{Seed: 1, CrashRate: 0.5},
 	})
 	if !errors.As(err, &ue) {
 		t.Fatalf("implicit faults on native: err = %v, want realm.UnsupportedError", err)
 	}
-	per, err := stencil.Measure("regent-cr", 2, 0, bench.MeasureOpts{
+	per, err := app.Measure("regent-cr", 2, 0, bench.MeasureOpts{
 		Backend: bench.BackendNative,
 		Faults:  &realm.FaultPlan{Seed: 1, CrashRate: 0.5},
 	})

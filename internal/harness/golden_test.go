@@ -34,9 +34,13 @@ func TestGoldenStencilMeasure(t *testing.T) {
 		"mpi":         {1: 1146666666, 4: 1146802158},
 		"mpi-openmp":  {1: 1147579999, 4: 1147710499},
 	}
-	for _, sys := range stencil.Systems {
+	app, err := AppByName("stencil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range app.Systems {
 		for _, n := range []int{1, 4} {
-			per, err := stencil.Measure(sys, n, 10, bench.MeasureOpts{})
+			per, err := app.Measure(sys, n, 10, bench.MeasureOpts{})
 			if err != nil {
 				t.Fatalf("measure %s@%d: %v", sys, n, err)
 			}

@@ -7,6 +7,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/apps/pennant"
 	"repro/internal/apps/stencil"
 	"repro/internal/bench"
+	"repro/internal/cr"
 	"repro/internal/ir"
 	"repro/internal/realm"
 )
@@ -27,9 +29,16 @@ type App struct {
 	Name    string
 	Figure  int
 	Systems []string
-	// Measure returns the steady-state per-iteration time for one system at
-	// one node count, under the given measurement options.
-	Measure func(system string, nodes, iters int, opts bench.MeasureOpts) (realm.Time, error)
+	// Build builds the program the Regent systems ("regent-cr",
+	// "regent-nocr") run at a node count, and the tuning they run it under.
+	// iters > 0 replaces the app's own iteration count; native asks for the
+	// configuration sized for real kernels. Only Build writes the program
+	// (engines own their stores; the one lazy field, Partition.Union, is
+	// sync.Once-guarded), so one program serves both systems.
+	Build func(nodes, iters int, native bool) (*ir.Program, *ir.Loop, bench.Tuning)
+	// Baseline measures one of the app's other systems: the hand-written
+	// MPI(+X) codes, which are DES cost models with no program to build.
+	Baseline func(system string, nodes, iters int) (realm.Time, error)
 	// Faults optionally injects deterministic faults into every cell of the
 	// sweep (nil = fault-free). Fault seeds are derived per cell from
 	// Faults.Seed, the system index, and the node count, so each cell's
@@ -86,9 +95,6 @@ type App struct {
 	UnitScale    float64
 	// Iters is the default iteration count per measurement.
 	Iters int
-	// BuildProgram builds the app's program and main loop at a node count
-	// (used by the Table 1 intersection-timing harness).
-	BuildProgram func(nodes int) (*ir.Program, *ir.Loop)
 }
 
 // Apps returns the four evaluation applications in figure order.
@@ -96,43 +102,27 @@ func Apps() []App {
 	return []App{
 		{
 			Name: "stencil", Figure: 6, Systems: stencil.Systems,
-			Measure:      stencil.Measure,
+			Build: stencil.Program, Baseline: stencil.Baseline,
 			UnitsPerNode: 40000 * 40000, Unit: "10^6 points/s", UnitScale: 1e6,
 			Iters: 10,
-			BuildProgram: func(nodes int) (*ir.Program, *ir.Loop) {
-				a := stencil.Build(stencil.Default(nodes))
-				return a.Prog, a.Loop
-			},
 		},
 		{
 			Name: "miniaero", Figure: 7, Systems: miniaero.Systems,
-			Measure:      miniaero.Measure,
+			Build: miniaero.Program, Baseline: miniaero.Baseline,
 			UnitsPerNode: miniaero.PaperCellsPerNode, Unit: "10^3 cells/s", UnitScale: 1e3,
 			Iters: 10,
-			BuildProgram: func(nodes int) (*ir.Program, *ir.Loop) {
-				a := miniaero.Build(miniaero.Default(nodes))
-				return a.Prog, a.Loop
-			},
 		},
 		{
 			Name: "pennant", Figure: 8, Systems: pennant.Systems,
-			Measure:      pennant.Measure,
+			Build: pennant.Program, Baseline: pennant.Baseline,
 			UnitsPerNode: pennant.PaperZonesPerNode, Unit: "10^6 zones/s", UnitScale: 1e6,
 			Iters: 12,
-			BuildProgram: func(nodes int) (*ir.Program, *ir.Loop) {
-				a := pennant.Build(pennant.Default(nodes))
-				return a.Prog, a.Loop
-			},
 		},
 		{
 			Name: "circuit", Figure: 9, Systems: circuit.Systems,
-			Measure:      circuit.Measure,
+			Build:        circuit.Program,
 			UnitsPerNode: circuit.PaperNodesPerPiece, Unit: "10^3 nodes/s", UnitScale: 1e3,
 			Iters: 10,
-			BuildProgram: func(nodes int) (*ir.Program, *ir.Loop) {
-				a := circuit.Build(circuit.Default(nodes))
-				return a.Prog, a.Loop
-			},
 		},
 	}
 }
@@ -158,8 +148,10 @@ type Point struct {
 	Nodes      int
 	PerIter    realm.Time
 	Throughput float64 // units/s per node, divided by UnitScale
-	Wall       time.Duration
-	Err        string
+	// Wall is the host time the cell took; a node count's first Regent
+	// cell builds the program its second reuses, and its Wall includes that.
+	Wall time.Duration
+	Err  string
 }
 
 // Series is one system's curve.
@@ -189,6 +181,7 @@ func runCells(n, workers int, fn func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
+		//detlint:ignore the pool only decides which worker runs a cell; cells share no mutable state and results are stored by cell index
 		go func() {
 			defer wg.Done()
 			for {
@@ -210,76 +203,124 @@ func RunFigure(app App, nodes []int, progress func(string)) ([]Series, error) {
 }
 
 // RunFigureParallel sweeps every (system, node count) cell of the app over
-// a worker pool of the given width (workers < 1 means one per CPU). Each
-// cell builds its own program and simulator, so cells share no mutable
-// state; results are collected by cell index, which makes the returned
-// series — and therefore FormatFigure's output — byte-identical to the
-// sequential sweep. Only the interleaving of progress lines (serialized by
-// a mutex) and the per-point Wall clock depend on the schedule. A failing
-// cell does not abort the sweep: its error is recorded in the cell's
-// Point.Err and every other cell still runs (under fault injection some
-// cells are expected to die — the MPI baselines have no recovery).
+// a worker pool of the given width (workers < 1 means one per CPU). A
+// worker takes one node count's Regent cells together: it builds that node
+// count's program once, measures it under each Regent system back to back,
+// and drops it, so a program lives for one node count of one sweep, is never
+// seen by two goroutines, and no sweep reuses another's. Every other cell
+// is a unit of its own. Each measurement makes its own simulator and engine
+// and the shared program is read-only once built (see App.Build), so cells
+// share no mutable state; results are stored by cell index, which makes the
+// returned series — and therefore FormatFigure's output — byte-identical
+// at any width. Work is dealt node count by node count, so only the order
+// of progress lines (serialized by a mutex) and the per-point Wall clock
+// depend on the schedule. A failing cell does not abort the sweep: its
+// error is recorded in the cell's Point.Err and every other cell still runs
+// (under fault injection some cells are expected to die — the MPI baselines
+// have no recovery).
 func RunFigureParallel(app App, nodes []int, workers int, progress func(string)) ([]Series, error) {
 	systems := app.ActiveSystems()
-	type cellKey struct{ si, ni int }
-	cells := make([]cellKey, 0, len(systems)*len(nodes))
-	for si := range systems {
-		for ni := range nodes {
-			cells = append(cells, cellKey{si, ni})
+	out := make([]Series, len(systems))
+	// units are the system indices measured together at each node count:
+	// the Regent systems as one unit, every other system alone.
+	var regent []int
+	var units [][]int
+	for si, sys := range systems {
+		out[si] = Series{System: sys, Points: make([]Point, len(nodes))}
+		if isRegent(sys) {
+			regent = append(regent, si)
+		} else {
+			units = append(units, []int{si})
 		}
 	}
-	points := make([]Point, len(cells))
+	if len(regent) > 0 {
+		units = append([][]int{regent}, units...)
+	}
 	var progressMu sync.Mutex
-	runCells(len(cells), workers, func(i int) {
-		sys, n := systems[cells[i].si], nodes[cells[i].ni]
-		t0 := time.Now()
-		per, err := app.Measure(sys, n, app.Iters, bench.MeasureOpts{
-			Faults:     app.cellFaults(cells[i].si, n),
-			NoTrace:    app.NoTrace,
-			NoShare:    app.NoShare,
-			Trace:      app.Trace,
-			Backend:    app.Backend,
-			Procs:      app.Procs,
-			Sched:      app.Sched,
-			Fit:        app.Fit,
-			Policy:     app.Policy,
-			Prune:      app.Prune,
-			PruneStats: app.PruneStats,
-			Agg:        app.Agg,
-			AggStats:   app.AggStats,
-		})
-		note := func(line string) {
+	runCells(len(nodes)*len(units), workers, func(i int) {
+		ni, n := i/len(units), nodes[i/len(units)]
+		measure := app.measurer(n, app.Iters)
+		for _, si := range units[i%len(units)] {
+			t0 := time.Now() //detlint:ignore host wall clock, reported as Point.Wall only
+			per, err := measure(systems[si], bench.MeasureOpts{
+				Faults:     app.cellFaults(si, n),
+				NoTrace:    app.NoTrace,
+				NoShare:    app.NoShare,
+				Trace:      app.Trace,
+				Backend:    app.Backend,
+				Procs:      app.Procs,
+				Sched:      app.Sched,
+				Fit:        app.Fit,
+				Policy:     app.Policy,
+				Prune:      app.Prune,
+				PruneStats: app.PruneStats,
+				Agg:        app.Agg,
+				AggStats:   app.AggStats,
+			})
+			p := Point{Nodes: n, Wall: time.Since(t0)} //detlint:ignore host wall clock, reported as Point.Wall only
+			line := fmt.Sprintf("%-10s %-16s nodes=%-5d ", app.Name, systems[si], n)
+			if err != nil {
+				p.Err = err.Error()
+				line += fmt.Sprintf("ERROR: %v", err)
+			} else {
+				p.PerIter, p.Throughput = per, app.UnitsPerNode/per.Seconds()/app.UnitScale
+				line += fmt.Sprintf("thr/node=%10.1f %s (sim wall %v)", p.Throughput, app.Unit, p.Wall.Round(time.Millisecond))
+			}
+			out[si].Points[ni] = p
 			if progress != nil {
 				progressMu.Lock()
 				progress(line)
 				progressMu.Unlock()
 			}
 		}
-		if err != nil {
-			points[i] = Point{Nodes: n, Wall: time.Since(t0), Err: err.Error()}
-			note(fmt.Sprintf("%-10s %-16s nodes=%-5d ERROR: %v", app.Name, sys, n, err))
-			return
-		}
-		p := Point{
-			Nodes:      n,
-			PerIter:    per,
-			Throughput: app.UnitsPerNode / per.Seconds() / app.UnitScale,
-			Wall:       time.Since(t0),
-		}
-		points[i] = p
-		note(fmt.Sprintf("%-10s %-16s nodes=%-5d thr/node=%10.1f %s (sim wall %v)",
-			app.Name, sys, n, p.Throughput, app.Unit, p.Wall.Round(time.Millisecond)))
 	})
-	out := make([]Series, len(systems))
-	for i, c := range cells {
-		if out[c.si].System == "" {
-			out[c.si].System = systems[c.si]
-			out[c.si].Points = make([]Point, 0, len(nodes))
-		}
-		out[c.si].Points = append(out[c.si].Points, points[i])
-	}
 	return out, nil
 }
+
+// Measure returns the steady-state per-iteration time for one system at
+// one node count, under the given measurement options: a sweep cell on its
+// own, program build included.
+func (a App) Measure(system string, nodes, iters int, opts bench.MeasureOpts) (realm.Time, error) {
+	return a.measurer(nodes, iters)(system, opts)
+}
+
+// measurer returns the function that measures the app's systems at one node
+// count. The first Regent system measured builds the program and the other
+// reuses it; the program lives as long as the returned function.
+func (a App) measurer(nodes, iters int) func(system string, opts bench.MeasureOpts) (realm.Time, error) {
+	var prog *ir.Program
+	var loop *ir.Loop
+	var tune bench.Tuning
+	return func(system string, opts bench.MeasureOpts) (realm.Time, error) {
+		switch {
+		case !slices.Contains(a.Systems, system):
+			return 0, fmt.Errorf("%s: unknown system %q", a.Name, system)
+		case !isRegent(system) && opts.NativeBackend():
+			return 0, &realm.UnsupportedError{Backend: opts.Backend, Op: "the hand-written MPI baseline"}
+		case !isRegent(system):
+			return a.Baseline(system, nodes, iters)
+		}
+		if prog == nil {
+			prog, loop, tune = a.Build(nodes, iters, opts.NativeBackend())
+		}
+		if system == "regent-cr" {
+			return bench.MeasureCR(prog, loop, nodes, cr.PointToPoint, tune, opts)
+		}
+		return bench.MeasureImplicit(prog, loop, nodes, tune, opts)
+	}
+}
+
+// BuildProgram builds the app's program and main loop at a node count as
+// the DES sweep's Regent cells run it, with the app's own iteration count
+// (Table 1, crc, trace, weakscale -verify).
+func (a App) BuildProgram(nodes int) (*ir.Program, *ir.Loop) {
+	prog, loop, _ := a.Build(nodes, 0, false)
+	return prog, loop
+}
+
+// isRegent reports whether the system runs the app's Regent program, with
+// or without control replication, rather than a hand-written baseline.
+func isRegent(system string) bool { return system == "regent-cr" || system == "regent-nocr" }
 
 // ActiveSystems returns the systems the sweep actually measures under the
 // app's backend: all of them on the DES, only the Regent variants (with
@@ -291,7 +332,7 @@ func (a App) ActiveSystems() []string {
 	}
 	var out []string
 	for _, s := range a.Systems {
-		if s == "regent-cr" || s == "regent-nocr" {
+		if isRegent(s) {
 			out = append(out, s)
 		}
 	}

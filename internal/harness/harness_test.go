@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,8 @@ func TestAppsRegistry(t *testing.T) {
 	figures := map[int]bool{}
 	for _, a := range apps {
 		figures[a.Figure] = true
-		if a.Measure == nil || a.BuildProgram == nil || len(a.Systems) == 0 {
+		hasBaselines := slices.ContainsFunc(a.Systems, func(s string) bool { return !isRegent(s) })
+		if a.Build == nil || len(a.Systems) == 0 || hasBaselines != (a.Baseline != nil) {
 			t.Errorf("app %s incomplete", a.Name)
 		}
 	}

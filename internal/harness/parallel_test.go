@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/ir"
 	"repro/internal/realm"
 )
 
@@ -92,12 +94,8 @@ func TestRunFigureParallelError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fail exactly the mpi cells; the regent cells must still measure.
-	inner := app.Measure
-	app.Measure = func(system string, nodes, iters int, opts bench.MeasureOpts) (realm.Time, error) {
-		if system == "mpi" || system == "mpi-openmp" {
-			return 0, fmt.Errorf("boom %s@%d", system, nodes)
-		}
-		return inner(system, nodes, iters, opts)
+	app.Baseline = func(system string, nodes, iters int) (realm.Time, error) {
+		return 0, fmt.Errorf("boom %s@%d", system, nodes)
 	}
 	check := func(series []Series, err error, label string) {
 		t.Helper()
@@ -179,5 +177,147 @@ func TestFaultSweepDeterministicIsolation(t *testing.T) {
 	}
 	if nocrErrs == 0 {
 		t.Error("expected the implicit runtime to die on at least one faulted cell (seed 42 is pinned)")
+	}
+}
+
+// countingApp is the stencil with a counting builder, a constant stand-in
+// for its baselines, and the given systems.
+func countingApp(t *testing.T, systems ...string) (App, func() map[int]int) {
+	t.Helper()
+	app, err := AppByName("stencil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	builds := map[int]int{}
+	build := app.Build
+	app.Build = func(nodes, iters int, native bool) (*ir.Program, *ir.Loop, bench.Tuning) {
+		mu.Lock()
+		builds[nodes]++
+		mu.Unlock()
+		return build(nodes, iters, native)
+	}
+	app.Baseline = func(string, int, int) (realm.Time, error) { return realm.Milliseconds(1), nil }
+	app.Systems, app.Iters = systems, 8
+	return app, func() map[int]int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := builds
+		builds = map[int]int{}
+		return out
+	}
+}
+
+// TestSweepBuildsEachProgramOnce: a sweep builds one program per node count
+// for the two Regent systems together and none for a baseline, at any
+// width, and its series are what measuring every cell on a program of its
+// own gives — fault-free and with a fault plan, whose seeds stay per cell.
+func TestSweepBuildsEachProgramOnce(t *testing.T) {
+	nodes := []int{1, 2, 4}
+	once := map[int]int{1: 1, 2: 1, 4: 1}
+	for _, faults := range []*realm.FaultPlan{nil, {Seed: 42, CrashRate: 2000}} {
+		app, builds := countingApp(t, "regent-cr", "mpi", "regent-nocr")
+		app.Faults = faults
+		var want []Series
+		for si, sys := range app.Systems {
+			s := Series{System: sys}
+			for _, n := range nodes {
+				p := Point{Nodes: n}
+				per, err := app.Measure(sys, n, app.Iters, bench.MeasureOpts{Faults: app.cellFaults(si, n)})
+				if err != nil {
+					p.Err = err.Error()
+				} else {
+					p.PerIter, p.Throughput = per, app.UnitsPerNode/per.Seconds()/app.UnitScale
+				}
+				s.Points = append(s.Points, p)
+			}
+			want = append(want, s)
+		}
+		if died := strings.Contains(fmt.Sprint(want), "deadlock"); died != (faults != nil) {
+			t.Errorf("faults %v: a cell died of a crash = %v (seed 42 is pinned)", faults != nil, died)
+		}
+		if got := builds(); !reflect.DeepEqual(got, map[int]int{1: 2, 2: 2, 4: 2}) {
+			t.Errorf("App.Measure built %v programs by node count, want one per Regent cell", got)
+		}
+		for _, width := range []int{1, 2, 8} {
+			got, err := RunFigureParallel(app, nodes, width, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stripWall(got)
+			if !reflect.DeepEqual(got, want) || FormatFigure(app, got) != FormatFigure(app, want) {
+				t.Errorf("faults %v, width %d: sweep differs from cell-by-cell measurement:\nsweep: %+v\ncells: %+v", faults != nil, width, got, want)
+			}
+			if b := builds(); !reflect.DeepEqual(b, once) {
+				t.Errorf("faults %v, width %d: built %v programs by node count, want %v", faults != nil, width, b, once)
+			}
+		}
+	}
+	app, builds := countingApp(t, "mpi", "mpi-openmp")
+	if _, err := RunFigure(app, nodes, nil); err != nil {
+		t.Fatal(err)
+	}
+	if b := builds(); len(b) != 0 {
+		t.Errorf("a baseline-only sweep built %v programs by node count", b)
+	}
+	app, builds = countingApp(t, "regent-nocr")
+	if _, err := RunFigure(app, nodes, nil); err != nil {
+		t.Fatal(err)
+	}
+	if b := builds(); !reflect.DeepEqual(b, once) {
+		t.Errorf("a one-system sweep built %v programs by node count, want %v", b, once)
+	}
+}
+
+// TestSweepMatchesCellByCellAllApps: sharing a program between a node
+// count's two Regent cells changes no modeled number of any figure.
+func TestSweepMatchesCellByCellAllApps(t *testing.T) {
+	nodes := []int{1, 4, 8}
+	if testing.Short() {
+		nodes = []int{1, 4}
+	}
+	for _, app := range Apps() {
+		app.Iters = 6
+		series, err := RunFigureParallel(app, nodes, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range series {
+			for _, p := range s.Points {
+				per, err := app.Measure(s.System, p.Nodes, app.Iters, bench.MeasureOpts{})
+				if err != nil || p.Err != "" || per != p.PerIter {
+					t.Errorf("%s %s@%d: the sweep measured %d (%q), the cell alone %d (%v)", app.Name, s.System, p.Nodes, p.PerIter, p.Err, per, err)
+				}
+			}
+		}
+	}
+}
+
+// TestEverySeriesIsNamed: a series is named whether or not it has cells —
+// an empty node list used to return four Series{System: ""} and a header
+// with blank columns.
+func TestEverySeriesIsNamed(t *testing.T) {
+	app, err := AppByName("stencil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.Iters = 4
+	for _, nodes := range [][]int{nil, {2}} {
+		series, err := RunFigure(app, nodes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(series) != len(app.Systems) {
+			t.Fatalf("nodes %v: %d series, want %d", nodes, len(series), len(app.Systems))
+		}
+		for si, s := range series {
+			if s.System != app.Systems[si] || len(s.Points) != len(nodes) {
+				t.Errorf("nodes %v: series %d is %q with %d points, want %q with %d", nodes, si, s.System, len(s.Points), app.Systems[si], len(nodes))
+			}
+		}
+		header := strings.Split(FormatFigure(app, series), "\n")[1]
+		if want := fmt.Sprintf("%-8s%18s%18s%18s%18s", "nodes", "regent-cr", "regent-nocr", "mpi", "mpi-openmp"); header != want {
+			t.Errorf("nodes %v: header %q, want %q", nodes, header, want)
+		}
 	}
 }

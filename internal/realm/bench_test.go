@@ -1,6 +1,9 @@
 package realm
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestScheduleTriggerAllocs pins the allocation behavior of the DES hot
 // path: once the waiter pool and the pre-sized event table are warm,
@@ -80,4 +83,32 @@ func BenchmarkThreadHandoff(b *testing.B) {
 	}
 	b.ResetTimer()
 	s.MustRun()
+}
+
+// BenchmarkQueue measures the event queue alone at three occupancies — the
+// implicit runtime's (2 items), a shard's (16) and a rank-per-core MPI
+// baseline's at 256 nodes (16384). One op pops the earliest item and pushes
+// it back a pseudo-random delay later, so the occupancy holds.
+func BenchmarkQueue(b *testing.B) {
+	for _, n := range []int{2, 16, 16384} {
+		b.Run(fmt.Sprintf("%d-items", n), func(b *testing.B) {
+			q := eventQueue{slab: make([]queued, 1, 1024)}
+			x := uint64(1)
+			delay := func() Time {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return Time(1 + x%4096)
+			}
+			for i := 0; i < n; i++ {
+				q.push(queued{at: delay()})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it := q.pop()
+				it.at += delay()
+				q.push(it)
+			}
+		})
+	}
 }

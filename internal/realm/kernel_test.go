@@ -228,6 +228,119 @@ func TestQueuePopOrderMatchesHeapOnly(t *testing.T) {
 	}
 }
 
+// runQueueScript interprets data as a push/pop script against a bare
+// eventQueue and the reference heap, and fails on the first pop that is not
+// the reference's. Two bytes make one step: the first picks pop, or a push
+// a small delta past last, a delta of 2^k past last, or at the time of the
+// previous push (an equal-time burst); the second is the delta or k. Every
+// push is clamped to last, as Sim.enqueue clamps to the clock. It returns
+// the queue, drained, and its peak occupancy.
+func runQueueScript(t testing.TB, data []byte) (*eventQueue, int) {
+	q := &eventQueue{slab: make([]queued, 1)}
+	var ref refHeap
+	var prev Time
+	peak := 0
+	pop := func() {
+		got, want := q.pop(), ref.pop()
+		if got.at != want.at || int64(got.ev) != want.seq {
+			t.Fatalf("pop %d: got (at %d, push %d), the reference pops (at %d, push %d)", len(ref), got.at, got.ev, want.at, want.seq)
+		}
+		if got.at != q.last {
+			t.Fatalf("popped an item due at %d with last = %d", got.at, q.last)
+		}
+	}
+	for id := int64(1); len(data) >= 2; data = data[2:] {
+		at := q.last
+		switch op, arg := data[0]&3, Time(data[1]); op {
+		case 0:
+			if len(ref) > 0 {
+				pop()
+			}
+			continue
+		case 1:
+			at += arg
+		case 2:
+			if at < 1<<61 {
+				at += 1<<(arg%61) + Time(data[0]>>2)
+			}
+		case 3:
+			at = prev
+		}
+		if at < q.last {
+			at = q.last
+		}
+		prev = at
+		q.push(queued{at: at, ev: Event(id)})
+		ref.push(refItem{at: at, seq: id})
+		if id++; len(ref) > peak {
+			peak = len(ref)
+		}
+	}
+	for len(ref) > 0 {
+		pop()
+	}
+	if q.occupied != 0 || q.head != [65]int32{} || q.tail != [65]int32{} {
+		t.Fatalf("drained queue still has buckets: occupied %#x", q.occupied)
+	}
+	return q, peak
+}
+
+// FuzzQueuePopOrder: for any push/pop script the radix queue pops exactly
+// what the (at, seq) heap pops.
+func FuzzQueuePopOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 5, 1, 5, 3, 0, 0, 0, 1, 0, 3, 0, 0, 0, 0, 0})           // ties before and after a refill
+	f.Add([]byte{2, 40, 2, 60, 6, 60, 1, 9, 0, 0, 3, 0, 2, 59, 0, 0, 0, 0}) // 2^40 and above
+	f.Add([]byte{1, 200, 1, 100, 0, 0, 1, 100, 3, 0, 0, 0, 3, 0, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) { runQueueScript(t, data) })
+}
+
+// TestQueueRetainsPeakOccupancy: the queue's memory follows its peak
+// occupancy, not the number of items that ever passed through or the
+// number of buckets they visited — the slab has exactly one slot per item
+// of the fullest moment, and append's growth keeps its capacity within 4x.
+func TestQueueRetainsPeakOccupancy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	script := make([]byte, 0, 1<<20)
+	for len(script) < cap(script) {
+		op := byte(1 + rng.Intn(3)) // push
+		if n := len(script) / 2; n%8192 >= 5000 || n%8192 > 2000 && rng.Intn(2) == 0 {
+			op = 0 // drain in waves, so the buckets empty and fill again
+		}
+		script = append(script, op|byte(rng.Intn(64))<<2, byte(rng.Intn(256)))
+	}
+	q, peak := runQueueScript(t, script)
+	if peak < 1000 || len(q.slab)-1 != peak || cap(q.slab) > 4*peak {
+		t.Errorf("slab has %d slots (capacity %d) after a peak occupancy of %d over %d steps", len(q.slab)-1, cap(q.slab), peak, len(script)/2)
+	}
+	free := 0
+	for i := q.free; i != 0; i = q.slab[i].next {
+		free++
+	}
+	if free != peak {
+		t.Errorf("%d of %d slots are on the free list of the drained queue", free, peak)
+	}
+}
+
+// TestQueueBucket64: a time that differs from last in bit 63 — a negative
+// last, which Sim never has — lands in the 65th bucket and comes out in
+// order.
+func TestQueueBucket64(t *testing.T) {
+	q := &eventQueue{slab: make([]queued, 1), last: -1 << 62}
+	for i, at := range []Time{1 << 62, -5, 3, -1 << 62, 3, 1<<63 - 1} {
+		q.push(queued{at: at, ev: Event(i)})
+	}
+	if q.head[64] == 0 || q.occupied>>63 != 1 {
+		t.Fatalf("nothing in bucket 64 (occupied %#x)", q.occupied)
+	}
+	want := []queued{{at: -1 << 62, ev: 3}, {at: -5, ev: 1}, {at: 3, ev: 2}, {at: 3, ev: 4}, {at: 1 << 62, ev: 0}, {at: 1<<63 - 1, ev: 5}}
+	for _, w := range want {
+		if got := q.pop(); got.at != w.at || got.ev != w.ev {
+			t.Fatalf("popped (at %d, push %d), want (at %d, push %d)", got.at, got.ev, w.at, w.ev)
+		}
+	}
+}
+
 func mustPanic(t *testing.T, want string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -375,8 +488,8 @@ func TestLongTripBoundsEventTable(t *testing.T) {
 }
 
 // TestElapseRoundTripAllocs: a steady-state Elapse — work item, completion
-// through the heap, wake-up through the now-queue, coroutine hand-off both
-// ways — allocates nothing.
+// through a later bucket of the queue, wake-up through bucket 0, coroutine
+// hand-off both ways — allocates nothing.
 func TestElapseRoundTripAllocs(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
 	avg := -1.0

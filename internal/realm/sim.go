@@ -15,6 +15,7 @@ package realm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -126,13 +127,12 @@ type Stats struct {
 	InlineCompletions int64
 }
 
-// Sim is the simulator: the event heap, virtual clock, machine state, and
+// Sim is the simulator: the event queue, virtual clock, machine state, and
 // statistics.
 type Sim struct {
 	cfg    Config
 	policy TimePolicy
 	now    Time
-	seq    int64
 	queue  eventQueue
 	nodes  []*Node
 	stats  Stats
@@ -194,104 +194,99 @@ type evPage struct {
 }
 
 type queued struct {
-	at  Time
-	seq int64
-	fn  func()
+	at Time
+	fn func()
 	// fn == nil marks a body-less work-item completion: at time at, unless
 	// failNode has crashed, trigger ev. The common case by far (modeled
 	// tasks, Elapse, data movement without an attached body), encoded in
 	// plain fields so it costs no closure allocation.
 	ev       Event
+	next     int32 // slab index of the item queued behind this one; 0 = none
 	failNode *Node
 	weak     bool // weak items do not keep the simulation alive (fault generators)
 }
 
-// eventQueue is a typed 4-ary min-heap ordered by (at, seq). A hand-rolled
-// heap avoids container/heap's interface{} boxing of every element on
-// Push/Pop — the single hottest allocation site of the simulator — and the
-// 4-ary layout halves the tree depth, trading cheap sibling comparisons for
-// expensive cache-missing level hops. (at, seq) is a strict total order
-// (seq increments on every insert), so pop order — and thus the entire
-// simulation — is identical to the old binary heap's.
+// eventQueue is a monotone radix queue (Ahuja, Mehlhorn, Orlin, Tarjan
+// 1990). last is the time of the latest pop and no push is earlier (enqueue
+// clamps to the clock, which is last). Bucket 0 holds the items due at last;
+// bucket b > 0 those whose highest bit differing from last is bit b-1, so
+// every item of a bucket is later than every item of a lower one. When
+// bucket 0 runs dry, last moves to the earliest time in the lowest non-empty
+// bucket and that bucket alone is dealt out again, each item into a lower
+// bucket than it left.
 //
-// Items scheduled for the current instant (every thread wake-up) bypass the
-// heap through the now FIFO. Such an item sorts after everything already
-// queued for the instant (its seq is the largest) and before everything
-// later, and the clock cannot advance while the FIFO is non-empty (its head
-// is never later than the heap's), so the FIFO holds one instant in seq
-// order and pop — the lesser of the two heads — returns exactly what a
-// single heap would.
+// Pop order is (time, push order), kept by position, with no sequence
+// number to compare: equal times differ from last in the same bit, so they
+// always share a bucket; a bucket is a FIFO that pushes join at the tail;
+// and a bucket is dealt out head to tail into buckets that are empty, so
+// push order survives every move. Items due at the current instant (every
+// thread wake-up) go to bucket 0: linked, popped, never moved.
+//
+// The buckets are lists threaded through one slab whose vacated slots are
+// reused, so the queue holds memory for its peak occupancy and a move
+// rewrites one index, not an item. Slot 0 is the nil link.
 type eventQueue struct {
-	items []queued
-	now   []queued // FIFO: now[head:] are pending
-	head  int
+	last       Time
+	slab       []queued
+	free       int32  // head of the vacated-slot list
+	occupied   uint64 // bit b-1 set iff bucket b (1..64) is non-empty
+	head, tail [65]int32
+	earliest   [65]Time // the earliest time in each non-empty bucket
 }
 
-// less orders by time, then insertion sequence.
-func (q *eventQueue) less(a, b *queued) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// link appends slot i to the bucket its time belongs in.
+func (q *eventQueue) link(i int32) {
+	at := q.slab[i].at
+	b := bits.Len64(uint64(at ^ q.last))
+	if t := q.tail[b]; t == 0 {
+		q.head[b], q.earliest[b] = i, at
+		q.occupied |= 1 << 63 >> uint(64-b) // nothing for bucket 0
+	} else {
+		q.slab[t].next = i
+		if at < q.earliest[b] {
+			q.earliest[b] = at
+		}
 	}
-	return a.seq < b.seq
+	q.tail[b] = i
 }
 
 func (q *eventQueue) push(it queued) {
-	q.items = append(q.items, it)
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !q.less(&q.items[i], &q.items[parent]) {
-			break
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
+	i := q.free
+	if i != 0 {
+		q.free = q.slab[i].next
+	} else {
+		i = int32(len(q.slab))
+		q.slab = append(q.slab, queued{})
 	}
+	it.next = 0
+	q.slab[i] = it
+	q.link(i)
 }
 
-// pop removes the least item by (at, seq) across the heap and the FIFO.
+// pop removes the earliest item, the first pushed among equals. The queue
+// must not be empty.
 func (q *eventQueue) pop() queued {
-	if q.head < len(q.now) && (len(q.items) == 0 || q.less(&q.now[q.head], &q.items[0])) {
-		top := q.now[q.head]
-		q.now[q.head] = queued{} // release the closure
-		if q.head++; q.head == len(q.now) {
-			q.now, q.head = q.now[:0], 0
+	if q.head[0] == 0 {
+		b := bits.TrailingZeros64(q.occupied) + 1
+		q.occupied &= q.occupied - 1
+		i := q.head[b]
+		q.head[b], q.tail[b] = 0, 0
+		q.last = q.earliest[b]
+		for i != 0 {
+			next := q.slab[i].next
+			q.slab[i].next = 0
+			q.link(i)
+			i = next
 		}
-		return top
 	}
-	items := q.items
-	top := items[0]
-	n := len(items) - 1
-	items[0] = items[n]
-	items[n] = queued{} // release the closure
-	q.items = items[:n]
-	q.siftDown(0)
-	return top
-}
-
-func (q *eventQueue) siftDown(i int) {
-	items := q.items
-	n := len(items)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q.less(&items[c], &items[min]) {
-				min = c
-			}
-		}
-		if !q.less(&items[min], &items[i]) {
-			return
-		}
-		items[i], items[min] = items[min], items[i]
-		i = min
+	i := q.head[0]
+	it := q.slab[i]
+	if q.head[0] = it.next; it.next == 0 {
+		q.tail[0] = 0
 	}
+	q.slab[i] = queued{next: q.free} // release the closure
+	q.free = i
+	return it
 }
 
 // NewSim builds a simulator for the given machine, rejecting configurations
@@ -301,9 +296,9 @@ func NewSim(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{cfg: cfg, policy: ModeledTime{Cfg: cfg}, liveThreads: map[*Thread]bool{}}
-	// Pre-size the heap: starting from a real capacity avoids the first
-	// dozen grow-and-copy cycles of append.
-	s.queue.items = make([]queued, 0, 1024)
+	// Pre-size the queue: starting from a real capacity avoids the first
+	// dozen grow-and-copy cycles of append. Slot 0 is the nil link.
+	s.queue.slab = make([]queued, 1, 1024)
 	s.nodes = make([]*Node, cfg.Nodes)
 	for i := range s.nodes {
 		n := &Node{sim: s, id: i}
@@ -341,22 +336,14 @@ func (s *Sim) Node(i int) *Node { return s.nodes[i] }
 // Nodes returns the node count.
 func (s *Sim) Nodes() int { return len(s.nodes) }
 
-// enqueue stamps it with the next sequence number, clamps it to now and
-// routes it: a strong item due at the current instant takes the FIFO,
-// everything else the heap. Weak items always take the heap, so the FIFO is
-// empty whenever Run returns.
+// enqueue clamps it to now, the time of the latest pop, which is what keeps
+// the queue monotone, and queues it.
 func (s *Sim) enqueue(it queued) {
-	s.seq++
-	it.seq = s.seq
 	if !it.weak {
 		s.strong++
 	}
-	if it.at <= s.now {
+	if it.at < s.now {
 		it.at = s.now
-		if !it.weak {
-			s.queue.now = append(s.queue.now, it)
-			return
-		}
 	}
 	s.queue.push(it)
 }
