@@ -189,34 +189,36 @@ func TestTraceRepartitionInvalidatesMidLoop(t *testing.T) {
 	})
 }
 
+// nonStationaryProgram builds a loop whose launch covers only half of its
+// partition's colors: the writer is never "full", so no epoch entry is ever
+// pruned and the epoch lists grow every iteration.
+func nonStationaryProgram() *ir.Program {
+	n, nt := int64(64), int64(8)
+	p := ir.NewProgram("nonstationary")
+	fs := region.NewFieldSpace("v")
+	v := fs.Field("v")
+	r := p.Tree.NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, n-1)))
+	p.FieldSpaces[r] = fs
+	pa := r.Block("PA", nt)
+	task := &ir.TaskDecl{
+		Name:        "halfinc",
+		Params:      []ir.Param{{Priv: ir.PrivReadWrite, Fields: []region.FieldID{v}}},
+		CostPerElem: 100,
+	}
+	p.Add(&ir.Loop{Var: "t", Trip: 12, Body: []ir.Stmt{
+		&ir.Launch{Task: task, Domain: ir.Colors1D(nt / 2), Args: []ir.RegionArg{{Part: pa}}},
+	}})
+	return p
+}
+
 // TestTraceNonStationaryFallsBack: a loop whose launch covers only part of
 // its partition's color space never dominates old epoch entries, so the
 // epoch lists grow every iteration and the analysis has no structural
 // fixpoint. Capture must give up after its attempt budget and leave the
 // (correct) full analysis in charge.
 func TestTraceNonStationaryFallsBack(t *testing.T) {
-	build := func() *ir.Program {
-		n, nt := int64(64), int64(8)
-		p := ir.NewProgram("nonstationary")
-		fs := region.NewFieldSpace("v")
-		v := fs.Field("v")
-		r := p.Tree.NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, n-1)))
-		p.FieldSpaces[r] = fs
-		pa := r.Block("PA", nt)
-		task := &ir.TaskDecl{
-			Name:        "halfinc",
-			Params:      []ir.Param{{Priv: ir.PrivReadWrite, Fields: []region.FieldID{v}}},
-			CostPerElem: 100,
-		}
-		// Domain covers only half the colors: the writer is never "full",
-		// so no epoch entry is ever pruned.
-		p.Add(&ir.Loop{Var: "t", Trip: 12, Body: []ir.Stmt{
-			&ir.Launch{Task: task, Domain: ir.Colors1D(nt / 2), Args: []ir.RegionArg{{Part: pa}}},
-		}})
-		return p
-	}
-	ref, _ := runWithTrace(t, build(), 2, Modeled, true)
-	got, stats := runWithTrace(t, build(), 2, Modeled, false)
+	ref, _ := runWithTrace(t, nonStationaryProgram(), 2, Modeled, true)
+	got, stats := runWithTrace(t, nonStationaryProgram(), 2, Modeled, false)
 	if stats.Abandoned != 1 || stats.Promotions != 0 {
 		t.Fatalf("non-stationary loop should abandon capture: %+v", stats)
 	}
