@@ -72,7 +72,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "crlang:", err)
 			os.Exit(1)
 		}
-		for _, plan := range plans {
+		// Program order: CompileAll plans every top-level loop, and a map
+		// would print them in a different order from run to run.
+		for _, s := range prog.Stmts {
+			loop, ok := s.(*ir.Loop)
+			if !ok {
+				continue
+			}
+			plan := plans[loop]
 			fmt.Printf("replicated loop %q: %d shards, body:\n", plan.Loop.Var, plan.Opts.NumShards)
 			for i, op := range plan.Body {
 				switch {

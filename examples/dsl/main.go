@@ -77,8 +77,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\ncontrol-replicated main loop:")
-	for _, plan := range plans {
-		for i, op := range plan.Body {
+	for _, s := range prog.Stmts { // program order; CompileAll plans every top-level loop
+		loop, ok := s.(*ir.Loop)
+		if !ok {
+			continue
+		}
+		for i, op := range plans[loop].Body {
 			switch {
 			case op.Launch != nil:
 				fmt.Printf("  %d: launch %s\n", i, op.Launch.Label)

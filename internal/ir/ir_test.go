@@ -230,6 +230,28 @@ func TestValidateCatchesReduceWithoutOp(t *testing.T) {
 	}
 }
 
+// The executors index l.Args[l.Task.CostArg] for every launch point, so
+// Validate is where a launch with nothing to index is refused.
+func TestValidateCatchesNoRegionArgs(t *testing.T) {
+	p := NewProgram("bad")
+	task := &TaskDecl{Name: "t", NumScalars: 1}
+	p.Add(&Launch{Task: task, Domain: Colors1D(2), ScalarArgs: []ScalarExpr{ConstExpr(1)}})
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "no region argument") {
+		t.Errorf("expected no-region-argument error, got %v", err)
+	}
+}
+
+func TestValidateCatchesCostArgOutOfRange(t *testing.T) {
+	for _, costArg := range []int{-1, 2} {
+		p, _, _ := figure2Program(8, 2, 1)
+		l := p.Stmts[2].(*Loop).Body[0].(*Launch)
+		l.Task.CostArg = costArg
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "takes its cost from region argument") {
+			t.Errorf("CostArg %d: expected cost-argument error, got %v", costArg, err)
+		}
+	}
+}
+
 func TestPrivilegeEnforcement(t *testing.T) {
 	fs := region.NewFieldSpace("x", "y")
 	x, y := fs.Field("x"), fs.Field("y")

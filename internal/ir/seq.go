@@ -29,7 +29,7 @@ func ExecSequential(p *Program) *SeqResult {
 		Env:    MapEnv{},
 	}
 	for root, fs := range p.FieldSpaces {
-		res.Stores[root] = region.NewStore(root.IndexSpace(), fs)
+		res.Stores[root] = region.NewStore(root.IndexSpace(), fs) //detlint:ignore one independent store per root, keyed by the root
 	}
 	for k, v := range p.Scalars {
 		res.Env[k] = v

@@ -52,6 +52,12 @@ func (p *Program) validateLaunch(l *Launch) error {
 	if len(l.Args) != len(l.Task.Params) {
 		return fmt.Errorf("ir: launch %s passes %d region args, task declares %d", name, len(l.Args), len(l.Task.Params))
 	}
+	if len(l.Args) == 0 {
+		return fmt.Errorf("ir: launch %s has no region argument", name)
+	}
+	if c := l.Task.CostArg; c < 0 || c >= len(l.Task.Params) {
+		return fmt.Errorf("ir: task %s takes its cost from region argument %d, it declares %d", l.Task.Name, c, len(l.Task.Params))
+	}
 	if len(l.ScalarArgs) != l.Task.NumScalars {
 		return fmt.Errorf("ir: launch %s passes %d scalar args, task declares %d", name, len(l.ScalarArgs), l.Task.NumScalars)
 	}

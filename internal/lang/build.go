@@ -223,6 +223,9 @@ func (b *builder) buildLaunch(l *astLaunch, loopVars map[string]bool) (*ir.Launc
 	if len(l.scalarArgs) != len(scalarParams) {
 		return nil, errAt(l.line, "task %q takes %d scalar arguments, launch passes %d", l.task, len(scalarParams), len(l.scalarArgs))
 	}
+	if len(regionParams) == 0 {
+		return nil, errAt(l.line, "launch of task %q has no region argument to take its domain from", l.task)
+	}
 
 	// Resolve partitions and fields.
 	var args []ir.RegionArg

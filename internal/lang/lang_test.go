@@ -408,6 +408,21 @@ partition Q = image(R, PR, twist(1))`, "unknown functor"},
 	}
 }
 
+// TestLaunchWithoutRegionArgumentRejected: a launch takes its domain from
+// its first region argument, so a task of scalars only cannot be launched;
+// the front end says so at the launch's line instead of indexing an empty
+// argument list.
+func TestLaunchWithoutRegionArgumentRejected(t *testing.T) {
+	_, err := Compile(`program p
+var h = 2
+task bump(x: scalar) { result += x }
+reduce + total = launch bump(; h)`)
+	const want = `line 4: launch of task "bump" has no region argument to take its domain from`
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v does not contain %q", err, want)
+	}
+}
+
 func TestInconsistentRelaunchRejected(t *testing.T) {
 	src := `
 program p

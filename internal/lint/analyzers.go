@@ -141,7 +141,9 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, fn *ast.BlockStmt) {
 		return true
 	})
 	for obj, at := range collected {
+		//detlint:ignore Run sorts the diagnostics by position before anyone sees them
 		if !sortedInFunc(pass, fn, obj) {
+			//detlint:ignore as above
 			pass.Reportf(at.Pos(), "slice %q collected from map iteration is never sorted; map order leaks into later iteration", obj.Name())
 		}
 	}

@@ -57,14 +57,24 @@ func TestBySubsetsRejectsEscapingSubset(t *testing.T) {
 	})
 }
 
+// TestByColorRejectsColorOutsideSpace: of the eight colors outside the
+// space the panic names the lowest, every time.
 func TestByColorRejectsColorOutsideSpace(t *testing.T) {
 	tr := NewTree()
 	r := tr.NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, 9)))
-	expectPanic(t, "color outside space", func() {
-		r.ByColor("bad", geometry.NewIndexSpace(geometry.R1(0, 1)), func(p geometry.Point) geometry.Point {
-			return geometry.Pt1(p.X()) // colors up to 9, space only has 0..1
-		})
-	})
+	for i := 0; i < 20; i++ {
+		func() {
+			defer func() {
+				const want = "region: ByColor color <2> outside color space"
+				if got := recover(); got != want {
+					t.Fatalf("panicked with %v, want %q", got, want)
+				}
+			}()
+			r.ByColor("bad", geometry.NewIndexSpace(geometry.R1(0, 1)), func(p geometry.Point) geometry.Point {
+				return geometry.Pt1(p.X()) // colors up to 9, space only has 0..1
+			})
+		}()
+	}
 }
 
 func TestImageClipsToDestination(t *testing.T) {

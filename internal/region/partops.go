@@ -145,12 +145,19 @@ func (r *Region) ByColor(name string, colorSpace geometry.IndexSpace, color func
 		buckets[color(p)] = append(buckets[color(p)], p)
 		return true
 	})
+	// Ascending color order, so the color the panic names is the lowest one
+	// outside the space, whichever the map yields first.
+	colors := make([]geometry.Point, 0, len(buckets))
+	for c := range buckets {
+		colors = append(colors, c)
+	}
+	sort.Slice(colors, func(i, j int) bool { return colors[i].Less(colors[j]) })
 	subs := make(map[geometry.Point]geometry.IndexSpace, len(buckets))
-	for c, pts := range buckets {
+	for _, c := range colors {
 		if !colorSpace.Contains(c) {
 			panic(fmt.Sprintf("region: ByColor color %v outside color space", c))
 		}
-		subs[c] = geometry.FromPoints(r.ispace.Dim(), pts)
+		subs[c] = geometry.FromPoints(r.ispace.Dim(), buckets[c])
 	}
 	return r.newPartition(name, colorSpace, subs, true, true)
 }
@@ -247,7 +254,7 @@ func Preimage(dst *Region, src *Partition, name string, f func(geometry.Point) g
 	})
 	subs := make(map[geometry.Point]geometry.IndexSpace, len(buckets))
 	for c, pts := range buckets {
-		subs[c] = geometry.FromPoints(dst.ispace.Dim(), pts)
+		subs[c] = geometry.FromPoints(dst.ispace.Dim(), pts) //detlint:ignore each bucket becomes its own color's subspace; no bucket sees another
 	}
 	return dst.newPartition(name, src.colorSpace, subs, src.disjoint, false)
 }

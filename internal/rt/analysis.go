@@ -23,11 +23,9 @@ type use struct {
 	// space; only full writers can dominate (absorb) older uses.
 	full bool
 	// domIdx maps a color of the issuing launch's domain to its index; it is
-	// shared between all uses of that launch (cached per *ir.Launch), and
+	// the launch site's, shared between all uses of that launch, and
 	// done/node are dense slices indexed by it. Colors absent from domIdx
-	// were not covered by the launch. This replaces the two per-use
-	// map[Point] allocations the Modeled-mode hot path used to pay on every
-	// launch of every iteration.
+	// were not covered by the launch.
 	domIdx map[geometry.Point]int
 	done   []realm.Event
 	node   []int
@@ -105,10 +103,9 @@ func fieldsSubset(a, b map[region.FieldID]bool) bool {
 // registered) has on prior uses of the same region tree. The static
 // partition-level aliasing test prunes pairs of partitions that provably
 // cannot interfere; surviving pairs are refined to exact task-level edges
-// with the cached dynamic intersections. domIdx is the launch's cached
-// domain index (color -> position), which doubles as the domain-membership
-// test the old map-keyed implementation rebuilt on every call.
-func (e *Engine) depsForArg(newUse *use, domain []geometry.Point, domIdx map[geometry.Point]int) [][]dep {
+// with the cached dynamic intersections. The new use's domIdx doubles as the
+// domain-membership test.
+func (e *Engine) depsForArg(newUse *use, domain []geometry.Point) [][]dep {
 	root := newUse.part.Parent().Root()
 	out := make([][]dep, len(domain))
 	for _, u := range e.users[root] {
@@ -142,7 +139,7 @@ func (e *Engine) depsForArg(newUse *use, domain []geometry.Point, domIdx map[geo
 			if !ok {
 				continue
 			}
-			di, ok := domIdx[p.dst]
+			di, ok := newUse.domIdx[p.dst]
 			if !ok {
 				continue
 			}

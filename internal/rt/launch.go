@@ -9,60 +9,133 @@ import (
 	"repro/internal/region"
 )
 
-// issueLaunch performs an index launch: dynamic dependence analysis, the
-// per-task control-thread overhead, task-start messages to remote nodes,
-// RAW data movement, deferred task execution, region-reduction instance
-// application (§4.3), and launch-level scalar reduction into a future
-// (§4.4).
-func (e *Engine) issueLaunch(l *ir.Launch) {
-	// The intra-launch conflict check depends only on the launch's static
-	// declaration, so it runs once per launch site, not once per iteration.
-	if !e.checkedLaunch[l] {
-		e.checkIntraLaunchConflicts(l)
-		e.checkedLaunch[l] = true
-	}
+// site is everything about issuing a launch that depends only on the launch
+// statement, its argument partitions and the engine's configuration (mapper,
+// overheads and node count are fixed for a Run). Building one runs the
+// intra-launch conflict check, and siteFor builds a new one whenever an
+// argument's partition has changed, so a site's identity is the trace's
+// fingerprint of the launch.
+type site struct {
+	parts    []*region.Partition       // l.Args[i].Part when the site was built
+	domIdx   map[geometry.Point]int    // color -> position in l.Domain
+	fields   []map[region.FieldID]bool // per parameter; read-only
+	fulls    []bool                    // per arg: the domain covers the partition's color space
+	targets  []int                     // mapper decision per color
+	durBase  []realm.Time              // kernel duration per color, before noise
+	redBytes [][]int64                 // per arg: reduction-instance bytes per color (nil unless PrivReduce)
+}
 
-	env := e.ctlEnv()
-	scalars := make([]float64, len(l.ScalarArgs))
-	for i, ex := range l.ScalarArgs {
-		scalars[i] = ex(env) // forces future-valued scalars
-	}
-
-	numColors := len(l.Domain)
-	nodes := e.Sim.Nodes()
-	domIdx := e.domainIndex(l)
-	fsets := e.fieldSetsFor(l.Task)
-
-	// Analysis: one new use per region argument; task-level dependencies
-	// refined from partition-level aliasing. The uses are retained in the
-	// epoch lists, so they are real allocations; everything else in this
-	// function is per-launch scratch.
-	uses := make([]*use, len(l.Args))
-	deps := make([][][]dep, len(l.Args))
-	for ai, a := range l.Args {
-		param := l.Task.Params[ai]
-		u := &use{
-			part:   a.Part,
-			priv:   param.Priv,
-			op:     param.Op,
-			fields: fsets[ai],
-			full:   numColors == len(a.Part.Colors()),
-			domIdx: domIdx,
-			done:   make([]realm.Event, numColors),
-			node:   make([]int, numColors),
+// siteFor returns the launch's site, building it on first issue and again
+// when a scalar statement has swapped an argument's partition since (the
+// launch statement is otherwise static IR): the repartitioned launch is
+// checked and sized like a new one.
+func (e *Engine) siteFor(l *ir.Launch) *site {
+	st := e.sites[l]
+	if st != nil {
+		same := true
+		for ai := range l.Args {
+			same = same && l.Args[ai].Part == st.parts[ai]
 		}
-		deps[ai] = e.depsForArg(u, l.Domain, domIdx)
+		if same {
+			return st
+		}
+	}
+	numColors := len(l.Domain)
+	st = &site{
+		parts:    make([]*region.Partition, len(l.Args)),
+		domIdx:   make(map[geometry.Point]int, numColors),
+		fields:   make([]map[region.FieldID]bool, len(l.Args)),
+		fulls:    make([]bool, len(l.Args)),
+		targets:  make([]int, numColors),
+		durBase:  make([]realm.Time, numColors),
+		redBytes: make([][]int64, len(l.Args)),
+	}
+	for ai, param := range l.Task.Params {
+		st.fields[ai] = make(map[region.FieldID]bool, len(param.Fields))
+		for _, f := range param.Fields {
+			st.fields[ai][f] = true
+		}
+	}
+	checkIntraLaunchConflicts(l, st.fields)
+	for ai, a := range l.Args {
+		st.parts[ai] = a.Part
+		st.fulls[ai] = numColors == len(a.Part.Colors())
+		if param := l.Task.Params[ai]; param.Priv == ir.PrivReduce {
+			st.redBytes[ai] = make([]int64, numColors)
+			for idx, c := range l.Domain {
+				st.redBytes[ai][idx] = a.At(c).Volume() * e.Over.EltBytes * int64(len(param.Fields))
+			}
+		}
+	}
+	nodes := e.Sim.Nodes()
+	for idx, c := range l.Domain {
+		st.domIdx[c] = idx
+		st.targets[idx] = e.Map.NodeFor(idx, numColors, nodes)
+		vol := l.Args[l.Task.CostArg].At(c).Volume()
+		st.durBase[idx] = realm.Time(l.Task.Cost(vol) / float64(e.Over.KernelCores))
+	}
+	e.sites[l] = st
+	return st
+}
+
+// issueLaunch performs an index launch: the per-task control-thread
+// overhead, task-start messages to remote nodes, RAW data movement, deferred
+// task execution, region-reduction instance application (§4.3), and
+// launch-level scalar reduction into a future (§4.4). The dependence edges
+// come from the dynamic analysis, or — when the loop's trace is replaying and
+// holds this launch at its cursor — from the trace's record; everything
+// issued from them is the same code, so the schedule cannot depend on which.
+func (e *Engine) issueLaunch(l *ir.Launch) {
+	st := e.siteFor(l)
+	ts := e.trace
+	var rec *launchRec
+	if ts != nil && ts.phase == tracePhaseReplay {
+		if rec = ts.next(st); rec == nil {
+			ts.invalidate(e)
+		}
+	}
+
+	var scalars []float64
+	if n := len(l.ScalarArgs); n > 0 {
+		env := e.ctlEnv()
+		scalars = make([]float64, n)
+		for i, ex := range l.ScalarArgs {
+			scalars[i] = ex(env) // forces future-valued scalars
+		}
+	}
+
+	// One new use per region argument. Analysed uses are retained by the
+	// epoch lists (and compared by identity while a trace is captured), so
+	// they are fresh allocations; replayed ones come from the trace's pool
+	// and sit in its table, where later edges resolve against them. (A trace
+	// is promoted from two captured iterations of the same launch sequence
+	// and those are the two tables, so the cursor's slot exists and has one
+	// entry per argument.)
+	numColors := len(l.Domain)
+	var uses []*use
+	var deps [][][]dep // analysed edges by argument, then color
+	if rec != nil {
+		uses = ts.curUses[ts.cursor]
+	} else {
+		uses = make([]*use, len(l.Args))
+		deps = make([][][]dep, len(l.Args))
+	}
+	for ai, param := range l.Task.Params {
+		u := e.getUse(numColors, rec != nil)
+		u.part, u.priv, u.op = st.parts[ai], param.Priv, param.Op
+		u.fields, u.full, u.domIdx = st.fields[ai], st.fulls[ai], st.domIdx
+		if rec == nil {
+			deps[ai] = e.depsForArg(u, l.Domain)
+		}
 		uses[ai] = u
 	}
 
-	// taskDone/taskNode are recycled across launches: their values are
-	// copied into the retained uses before the next launch runs.
+	// taskDone is recycled across launches: its values are copied into the
+	// retained uses before the next launch runs.
 	if cap(e.taskDoneBuf) < numColors {
 		e.taskDoneBuf = make([]realm.Event, numColors)
-		e.taskNodeBuf = make([]int, numColors)
 	}
 	taskDone := e.taskDoneBuf[:numColors]
-	taskNode := e.taskNodeBuf[:numColors]
 	// Real-mode-only state: task contexts (retained by the reduce future's
 	// fold closure) and reduction buffers per (color, arg). Modeled mode
 	// never touches either, so it skips the allocations.
@@ -73,21 +146,20 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 		redBufs = make([][]*region.Store, numColors)
 	}
 
-	for idx, c := range l.Domain {
-		target := e.Map.NodeFor(idx, numColors, nodes)
-		taskNode[idx] = target
-
-		// Gather preconditions and cross-node data movement. The scratch
-		// slice is safe to recycle because Merge does not retain its inputs.
+	for idx, target := range st.targets {
+		// Gather preconditions and cross-node data movement, argument-major.
+		// The scratch slice is safe to recycle because Merge does not retain
+		// its inputs.
 		pres := e.presBuf[:0]
-		nDeps := 0
-		for ai := range l.Args {
-			for _, d := range deps[ai][idx] {
-				nDeps++
-				if d.bytes > 0 && d.srcNode != target {
-					pres = append(pres, e.Sim.CopyBytes(d.srcNode, target, d.bytes, d.ev, nil))
-				} else {
-					pres = append(pres, d.ev)
+		if rec != nil {
+			drs := rec.deps[idx]
+			for i := range drs {
+				pres = append(pres, e.move(ts.resolve(&drs[i], idx), target))
+			}
+		} else {
+			for ai := range deps {
+				for _, d := range deps[ai][idx] {
+					pres = append(pres, e.move(d, target))
 				}
 			}
 		}
@@ -97,15 +169,14 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 		// the region-tree analysis component that grows with subregion
 		// count.
 		e.ctl.Elapse(e.Over.LaunchBase +
-			realm.Time(nDeps)*e.Over.LaunchPerDep +
+			realm.Time(len(pres))*e.Over.LaunchPerDep +
 			realm.Time(numColors)*e.Over.LaunchPerSub)
 
 		if target != 0 {
 			pres = append(pres, e.Sim.CopyBytes(0, target, e.Over.RemoteStartBytes, realm.NoEvent, nil))
 		}
 
-		vol := l.Args[l.Task.CostArg].At(c).Volume()
-		dur := realm.Time(l.Task.Cost(vol) / float64(e.Over.KernelCores))
+		dur := st.durBase[idx]
 		if e.Over.Noise != nil {
 			dur = realm.Time(float64(dur) * e.Over.Noise(target, e.curIter))
 		}
@@ -129,17 +200,15 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 	prev := realm.NoEvent
 	for ai, param := range l.Task.Params {
 		u := uses[ai]
+		copy(u.node, st.targets)
 		if param.Priv != ir.PrivReduce {
 			copy(u.done, taskDone)
-			copy(u.node, taskNode)
 			continue
 		}
 		for idx, c := range l.Domain {
-			idx, c := idx, c
-			sub := l.Args[ai].At(c)
-			bytes := sub.Volume() * e.Over.EltBytes * int64(len(param.Fields))
 			var body func()
 			if e.Mode == Real {
+				sub := l.Args[ai].At(c)
 				buf := redBufs[idx][ai]
 				global := e.stores[sub.Root()]
 				op := param.Op
@@ -150,11 +219,9 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 					}
 				}
 			}
-			pre := e.Sim.Merge(taskDone[idx], prev)
-			applied := e.Sim.CopyBytes(taskNode[idx], taskNode[idx], bytes, pre, body)
-			u.done[idx] = applied
-			u.node[idx] = taskNode[idx]
-			prev = applied
+			node := st.targets[idx]
+			prev = e.Sim.CopyBytes(node, node, st.redBytes[ai][idx], e.Sim.Merge(taskDone[idx], prev), body)
+			u.done[idx] = prev
 		}
 	}
 
@@ -162,11 +229,11 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 		e.registerUse(u)
 		e.iterEvents = append(e.iterEvents, u.done...)
 	}
-
-	// Record the analyzed launch into the active trace candidate, if one is
-	// being captured (see trace.go).
-	if ts := e.trace; ts != nil && ts.phase == tracePhaseCapture {
-		e.captureLaunch(ts, l, uses, deps)
+	if rec != nil {
+		ts.cursor++
+		e.traceStats.ReplayedLaunches++
+	} else if ts != nil && ts.phase == tracePhaseCapture {
+		ts.captureLaunch(st, uses, deps)
 	}
 
 	// Launch-level scalar reduction: bind the destination variable to a
@@ -190,6 +257,16 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 	}
 }
 
+// move returns the precondition one dependence edge contributes to a task
+// on target: the source's completion, behind a copy when the edge carries
+// data between nodes.
+func (e *Engine) move(d dep, target int) realm.Event {
+	if d.bytes > 0 && d.srcNode != target {
+		return e.Sim.CopyBytes(d.srcNode, target, d.bytes, d.ev, nil)
+	}
+	return d.ev
+}
+
 // checkIntraLaunchConflicts rejects launches whose own arguments conflict
 // with each other on aliased data; the engine's analysis orders launches
 // against prior launches, and tasks within one launch must be independent
@@ -197,13 +274,12 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 // The single allowed exception is two arguments naming the same disjoint
 // partition with the identity projection: each task then sees the same
 // subregion through both arguments, which is internally sequential.
-func (e *Engine) checkIntraLaunchConflicts(l *ir.Launch) {
+func checkIntraLaunchConflicts(l *ir.Launch, fsets []map[region.FieldID]bool) {
 	for i, a := range l.Args {
 		if l.Task.Params[i].Priv == ir.PrivReadWrite && !a.Part.Disjoint() {
 			panic(fmt.Sprintf("rt: launch %s writes aliased partition %s; tasks of one launch must be independent (use a reduction)", l.Task.Name, a.Part.Name()))
 		}
 	}
-	fsets := e.fieldSetsFor(l.Task)
 	for i := range l.Args {
 		for j := i + 1; j < len(l.Args); j++ {
 			pi, pj := l.Task.Params[i], l.Task.Params[j]
@@ -223,41 +299,4 @@ func (e *Engine) checkIntraLaunchConflicts(l *ir.Launch) {
 			panic(fmt.Sprintf("rt: launch %s has conflicting aliased arguments %d and %d", l.Task.Name, i, j))
 		}
 	}
-}
-
-func fieldSet(fs []region.FieldID) map[region.FieldID]bool {
-	m := make(map[region.FieldID]bool, len(fs))
-	for _, f := range fs {
-		m[f] = true
-	}
-	return m
-}
-
-// domainIndex returns (and caches per launch site) the color -> position
-// index of the launch's domain. Launch domains are static IR, so every
-// iteration of a loop re-issues the same *ir.Launch with the same domain.
-func (e *Engine) domainIndex(l *ir.Launch) map[geometry.Point]int {
-	if m, ok := e.domIdxCache[l]; ok {
-		return m
-	}
-	m := make(map[geometry.Point]int, len(l.Domain))
-	for i, c := range l.Domain {
-		m[c] = i
-	}
-	e.domIdxCache[l] = m
-	return m
-}
-
-// fieldSetsFor returns (and caches per task declaration) each parameter's
-// field set. The sets are read-only and shared between all uses of the task.
-func (e *Engine) fieldSetsFor(t *ir.TaskDecl) []map[region.FieldID]bool {
-	if fs, ok := e.fieldSets[t]; ok {
-		return fs
-	}
-	fs := make([]map[region.FieldID]bool, len(t.Params))
-	for i, p := range t.Params {
-		fs[i] = fieldSet(p.Fields)
-	}
-	e.fieldSets[t] = fs
-	return fs
 }

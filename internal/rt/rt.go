@@ -159,14 +159,11 @@ type Engine struct {
 	iterEvents []realm.Event // events of the current loop iteration
 	curIter    int           // current innermost-loop iteration (for noise)
 
-	// Per-launch-site caches and scratch buffers for the issueLaunch hot
-	// path; see launch.go. The buffers hold no state between launches.
-	domIdxCache   map[*ir.Launch]map[geometry.Point]int
-	fieldSets     map[*ir.TaskDecl][]map[region.FieldID]bool
-	checkedLaunch map[*ir.Launch]bool
-	presBuf       []realm.Event
-	taskDoneBuf   []realm.Event
-	taskNodeBuf   []int
+	// Per-launch-site facts and scratch buffers for issueLaunch; see
+	// launch.go. The buffers hold no state between launches.
+	sites       map[*ir.Launch]*site
+	presBuf     []realm.Event
+	taskDoneBuf []realm.Event
 
 	// Trace capture & replay state (see trace.go): the active loop trace,
 	// the recycled-use pool feeding replayed iterations, and counters.
@@ -213,9 +210,7 @@ func (e *Engine) Run() (*Result, error) {
 	e.unionCache = make(map[*region.Partition]geometry.IndexSpace)
 	e.coverCache = make(map[pairKey]bool)
 	e.iterTimes = make(map[*ir.Loop][]realm.Time)
-	e.domIdxCache = make(map[*ir.Launch]map[geometry.Point]int)
-	e.fieldSets = make(map[*ir.TaskDecl][]map[region.FieldID]bool)
-	e.checkedLaunch = make(map[*ir.Launch]bool)
+	e.sites = make(map[*ir.Launch]*site)
 
 	var runErr error
 	ctlDone := false
@@ -273,7 +268,7 @@ func (e *Engine) execStmts(stmts []ir.Stmt) {
 		case *ir.Loop:
 			e.execLoop(s)
 		case *ir.Launch:
-			e.dispatchLaunch(s)
+			e.issueLaunch(s)
 		default:
 			panic(fmt.Sprintf("rt: unknown statement %T", s))
 		}

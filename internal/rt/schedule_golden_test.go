@@ -96,7 +96,7 @@ func goldenProgs() []goldenProg {
 		{"pastBlock", func(int) *ir.Program { return progtest.NewPastBlock(32, 4, goldenTrip).Prog }, nil},
 		{"scalarSum", func(int) *ir.Program { return progtest.NewScalarSum(40, 8).Prog }, nil},
 		{"repartition", func(int) *ir.Program {
-			prog, _, _ := rt.RepartitionProgram(64, 8, 14, 6)
+			prog, _, _ := rt.RepartitionProgram(64, 8, 14, 6, false)
 			return prog
 		}, nil},
 		{"nonStationary", func(int) *ir.Program { return rt.NonStationaryProgram() }, nil},

@@ -28,19 +28,19 @@ import (
 //     the start of the next iteration equals the state the captured
 //     iteration ran from, so its dependence structure recurs verbatim. The
 //     latest candidate becomes the trace.
-//   - replay: each launch validates a cheap fingerprint (launch site,
-//     argument partitions — the things a repartition changes) and then
-//     replays its recorded edges, resolving iteration-relative references
-//     against the uses of the current and previous iteration. Replay keeps
-//     registerUse live, so the epoch lists continue to evolve exactly as
-//     the full analysis would have evolved them — which is what makes
-//     mid-stream invalidation sound: on any fingerprint mismatch the trace
-//     is discarded and the full analysis resumes from a correct state,
-//     then capture starts over.
+//   - replay: each launch validates a cheap fingerprint (its site — one per
+//     launch statement, rebuilt by siteFor when an argument is repartitioned)
+//     and then takes its edges from the record instead of the analysis,
+//     resolving iteration-relative references against the uses of the current
+//     and previous iteration. Replay keeps registerUse live, so the epoch
+//     lists continue to evolve exactly as the full analysis would have
+//     evolved them — which is what makes mid-stream invalidation sound: on
+//     any fingerprint mismatch the trace is discarded and the full analysis
+//     resumes from a correct state, then capture starts over.
 //
-// Replay issues the identical Sim.Copy / Elapse / LaunchAuto / Merge call
-// sequence the full analysis would issue, so all goldens (virtual times,
-// BytesSent, event counts) are byte-identical with tracing on.
+// issueLaunch (launch.go) is the one function that issues a launch either
+// way: where an edge came from is all that differs, so all goldens (virtual
+// times, BytesSent, event counts) are byte-identical with tracing on.
 
 // TraceStats counts trace activity across an engine run.
 type TraceStats struct {
@@ -99,17 +99,12 @@ type depRec struct {
 	bytes   int64       // >0: RAW edge moving data between nodes
 }
 
-// launchRec is the immutable per-launch-site portion of a trace.
+// launchRec is one launch of a trace: its fingerprint — a site belongs to
+// one launch statement and one set of argument partitions — and its edges.
 type launchRec struct {
-	l         *ir.Launch
-	parts     []*region.Partition // fingerprint: argument partitions at capture
-	numColors int
-	targets   []int        // mapper decision per color
-	durBase   []realm.Time // kernel duration per color, before noise
-	deps      [][]depRec   // per color, argument-major (the analysis' edge order)
-	redBytes  [][]int64    // per arg: reduction-instance bytes per color (nil unless PrivReduce)
-	fulls     []bool       // per arg: full-domain launch (dominance eligibility)
-	sharedPts int          // colors whose deps alias an earlier color's slice
+	site      *site
+	deps      [][]depRec // per color, argument-major (the analysis' edge order)
+	sharedPts int        // colors whose deps alias an earlier color's slice
 }
 
 // useSig is one entry of the epoch-list structural signature. Uses younger
@@ -261,36 +256,37 @@ func (ts *traceState) fingerprintsStable() bool {
 		return false
 	}
 	for i, cur := range ts.curRecs {
-		prev := ts.prevRecs[i]
-		if cur.l != prev.l || len(cur.parts) != len(prev.parts) {
+		if cur.site != ts.prevRecs[i].site {
 			return false
-		}
-		for ai := range cur.parts {
-			if cur.parts[ai] != prev.parts[ai] {
-				return false
-			}
 		}
 	}
 	return true
 }
 
 // next returns the trace record for the launch about to issue, or nil on
-// any fingerprint mismatch: wrong site (control-flow change), exhausted
-// trace, or a changed argument partition (repartition).
-func (ts *traceState) next(l *ir.Launch) *launchRec {
-	if ts.cursor >= len(ts.trace) {
-		return nil
+// any fingerprint mismatch: exhausted trace, another statement's site
+// (control-flow change), or a rebuilt one (repartition).
+func (ts *traceState) next(st *site) *launchRec {
+	if ts.cursor < len(ts.trace) && ts.trace[ts.cursor].site == st {
+		return ts.trace[ts.cursor]
 	}
-	rec := ts.trace[ts.cursor]
-	if rec.l != l {
-		return nil
+	return nil
+}
+
+// resolve turns a recorded edge of the point at domain position idx back
+// into the dependence the analysis would have found this iteration.
+func (ts *traceState) resolve(d *depRec, idx int) dep {
+	var u *use
+	switch d.kind {
+	case srcSameIter:
+		u = ts.curUses[d.launch][d.arg]
+	case srcPrevIter:
+		u = ts.prevUses[d.launch][d.arg]
+	default:
+		return dep{ev: d.ev, srcNode: int(d.srcNode), bytes: d.bytes}
 	}
-	for ai := range l.Args {
-		if l.Args[ai].Part != rec.parts[ai] {
-			return nil
-		}
-	}
-	return rec
+	ci := int32(idx) + d.color
+	return dep{ev: u.done[ci], srcNode: u.node[ci], bytes: d.bytes}
 }
 
 // invalidate discards the trace and restarts capture from scratch. Launches
@@ -314,30 +310,15 @@ func (ts *traceState) invalidate(e *Engine) {
 	ts.retireOld, ts.retireNew = ts.retireOld[:0], ts.retireNew[:0]
 }
 
-// captureLaunch records one fully analyzed launch into the current
-// candidate: fingerprint, mapping, durations, and each dependence edge
-// translated into an iteration-relative (or pinned) source reference.
-func (e *Engine) captureLaunch(ts *traceState, l *ir.Launch, uses []*use, deps [][][]dep) {
-	numColors := len(l.Domain)
+// captureLaunch records one analysed launch into the current candidate:
+// fingerprint, and each dependence edge translated into an
+// iteration-relative (or pinned) source reference.
+func (ts *traceState) captureLaunch(st *site, uses []*use, deps [][][]dep) {
 	launchIdx := int32(len(ts.curRecs))
-	rec := &launchRec{
-		l:         l,
-		parts:     make([]*region.Partition, len(l.Args)),
-		numColors: numColors,
-		targets:   append([]int(nil), uses[0].node...),
-		durBase:   make([]realm.Time, numColors),
-		deps:      make([][]depRec, numColors),
-		fulls:     make([]bool, len(l.Args)),
-	}
-	for ai, a := range l.Args {
-		rec.parts[ai] = a.Part
-		rec.fulls[ai] = uses[ai].full
-	}
-	for idx, c := range l.Domain {
-		vol := l.Args[l.Task.CostArg].At(c).Volume()
-		rec.durBase[idx] = realm.Time(l.Task.Cost(vol) / float64(e.Over.KernelCores))
+	rec := &launchRec{site: st, deps: make([][]depRec, len(st.targets))}
+	for idx := range rec.deps {
 		var drs []depRec
-		for ai := range l.Args {
+		for ai := range deps {
 			for _, d := range deps[ai][idx] {
 				dr := depRec{bytes: d.bytes}
 				if o, ok := ts.evIndex[d.ev]; ok && o.iter == ts.iterSeq {
@@ -353,19 +334,6 @@ func (e *Engine) captureLaunch(ts *traceState, l *ir.Launch, uses []*use, deps [
 		rec.deps[idx] = drs
 	}
 	rec.sharedPts = dedupDeps(rec.deps)
-	for ai, param := range l.Task.Params {
-		if param.Priv != ir.PrivReduce {
-			continue
-		}
-		if rec.redBytes == nil {
-			rec.redBytes = make([][]int64, len(l.Args))
-		}
-		rb := make([]int64, numColors)
-		for idx, c := range l.Domain {
-			rb[idx] = l.Args[ai].At(c).Volume() * e.Over.EltBytes * int64(len(param.Fields))
-		}
-		rec.redBytes[ai] = rb
-	}
 	ts.curRecs = append(ts.curRecs, rec)
 
 	// Index this launch's completion events for later edges, and remember
@@ -374,9 +342,7 @@ func (e *Engine) captureLaunch(ts *traceState, l *ir.Launch, uses []*use, deps [
 		ts.evIndex = make(map[realm.Event]evOrigin)
 		ts.origins = make(map[*use]int32)
 	}
-	tbl := make([]*use, len(uses))
-	copy(tbl, uses)
-	ts.curUses = append(ts.curUses, tbl)
+	ts.curUses = append(ts.curUses, uses)
 	for ai, u := range uses {
 		ts.origins[u] = ts.iterSeq
 		for ci, ev := range u.done {
@@ -488,11 +454,14 @@ func sigEqual(a, b map[*region.Region][]useSig) bool {
 	return true
 }
 
-// getUse returns a use from the pool (or a fresh one) with done/node sized
-// for numColors. Pool hygiene: every field is overwritten by the caller.
-func (e *Engine) getUse(numColors int) *use {
+// getUse returns a use with done/node sized for numColors: recycled from the
+// pool when pooled (replay), otherwise newly allocated — while a trace is
+// captured the signature compares old uses by identity, so a recycled one
+// could make two different epoch states compare equal. Pool hygiene: every
+// field is overwritten by the caller.
+func (e *Engine) getUse(numColors int, pooled bool) *use {
 	var u *use
-	if n := len(e.useFree); n > 0 {
+	if n := len(e.useFree); pooled && n > 0 {
 		u = e.useFree[n-1]
 		e.useFree[n-1] = nil
 		e.useFree = e.useFree[:n-1]
@@ -507,189 +476,4 @@ func (e *Engine) getUse(numColors int) *use {
 		u.node = u.node[:numColors]
 	}
 	return u
-}
-
-// dispatchLaunch routes a launch through the active trace, if any.
-func (e *Engine) dispatchLaunch(l *ir.Launch) {
-	ts := e.trace
-	if ts == nil || ts.phase != tracePhaseReplay {
-		e.issueLaunch(l)
-		return
-	}
-	rec := ts.next(l)
-	if rec == nil {
-		ts.invalidate(e)
-		e.issueLaunch(l)
-		return
-	}
-	e.replayLaunch(l, rec)
-}
-
-// replayLaunch issues one launch from its trace record: identical Sim call
-// sequence to issueLaunch, with the dependence analysis replaced by
-// resolving precomputed iteration-relative references.
-func (e *Engine) replayLaunch(l *ir.Launch, rec *launchRec) {
-	ts := e.trace
-	numColors := rec.numColors
-
-	var scalars []float64
-	if n := len(l.ScalarArgs); n > 0 {
-		env := e.ctlEnv()
-		scalars = make([]float64, n)
-		for i, ex := range l.ScalarArgs {
-			scalars[i] = ex(env)
-		}
-	}
-
-	domIdx := e.domainIndex(l)
-	fsets := e.fieldSetsFor(l.Task)
-
-	// Reuse (or grow) this launch slot's table entry; the slot's inner
-	// slice survives table rotation, so steady-state replay allocates no
-	// per-launch bookkeeping.
-	var tbl []*use
-	if ts.cursor < len(ts.curUses) {
-		tbl = ts.curUses[ts.cursor][:0]
-	}
-	for ai := range l.Args {
-		param := l.Task.Params[ai]
-		u := e.getUse(numColors)
-		u.part = rec.parts[ai]
-		u.priv = param.Priv
-		u.op = param.Op
-		u.fields = fsets[ai]
-		u.full = rec.fulls[ai]
-		u.domIdx = domIdx
-		tbl = append(tbl, u)
-	}
-	if ts.cursor < len(ts.curUses) {
-		ts.curUses[ts.cursor] = tbl
-	} else {
-		ts.curUses = append(ts.curUses, tbl)
-	}
-
-	if cap(e.taskDoneBuf) < numColors {
-		e.taskDoneBuf = make([]realm.Event, numColors)
-		e.taskNodeBuf = make([]int, numColors)
-	}
-	taskDone := e.taskDoneBuf[:numColors]
-	taskNode := e.taskNodeBuf[:numColors]
-	var ctxs []*ir.TaskCtx
-	var redBufs [][]*region.Store // by color, then argument
-	if e.Mode == Real {
-		ctxs = make([]*ir.TaskCtx, numColors)
-		redBufs = make([][]*region.Store, numColors)
-	}
-
-	for idx := range l.Domain {
-		target := rec.targets[idx]
-		taskNode[idx] = target
-
-		pres := e.presBuf[:0]
-		drs := rec.deps[idx]
-		for i := range drs {
-			d := &drs[i]
-			var ev realm.Event
-			var srcNode int
-			switch d.kind {
-			case srcSameIter:
-				u := ts.curUses[d.launch][d.arg]
-				ci := int32(idx) + d.color
-				ev, srcNode = u.done[ci], u.node[ci]
-			case srcPrevIter:
-				u := ts.prevUses[d.launch][d.arg]
-				ci := int32(idx) + d.color
-				ev, srcNode = u.done[ci], u.node[ci]
-			default:
-				ev, srcNode = d.ev, int(d.srcNode)
-			}
-			if d.bytes > 0 && srcNode != target {
-				pres = append(pres, e.Sim.CopyBytes(srcNode, target, d.bytes, ev, nil))
-			} else {
-				pres = append(pres, ev)
-			}
-		}
-
-		e.ctl.Elapse(e.Over.LaunchBase +
-			realm.Time(len(drs))*e.Over.LaunchPerDep +
-			realm.Time(numColors)*e.Over.LaunchPerSub)
-
-		if target != 0 {
-			pres = append(pres, e.Sim.CopyBytes(0, target, e.Over.RemoteStartBytes, realm.NoEvent, nil))
-		}
-
-		dur := rec.durBase[idx]
-		if e.Over.Noise != nil {
-			dur = realm.Time(float64(dur) * e.Over.Noise(target, e.curIter))
-		}
-
-		var body func()
-		if e.Mode == Real {
-			ctx, bufs := e.rootArgs.Ctx(l, idx, scalars)
-			ctxs[idx], redBufs[idx] = ctx, bufs
-			if l.Task.Kernel != nil {
-				body = func() { l.Task.Kernel(ctx) }
-			}
-		}
-		taskDone[idx] = e.Sim.LaunchOn(target, e.Sim.Merge(pres...), dur, body)
-		e.presBuf = pres[:0]
-	}
-
-	prev := realm.NoEvent
-	for ai, param := range l.Task.Params {
-		u := tbl[ai]
-		if param.Priv != ir.PrivReduce {
-			copy(u.done, taskDone)
-			copy(u.node, taskNode)
-			continue
-		}
-		for idx, c := range l.Domain {
-			idx := idx
-			bytes := rec.redBytes[ai][idx]
-			var body func()
-			if e.Mode == Real {
-				sub := l.Args[ai].At(c)
-				buf := redBufs[idx][ai]
-				global := e.stores[sub.Root()]
-				op := param.Op
-				fields := param.Fields
-				body = func() {
-					for _, f := range fields {
-						global.ReduceFieldFrom(buf, f, op, sub.IndexSpace())
-					}
-				}
-			}
-			pre := e.Sim.Merge(taskDone[idx], prev)
-			applied := e.Sim.CopyBytes(taskNode[idx], taskNode[idx], bytes, pre, body)
-			u.done[idx] = applied
-			u.node[idx] = taskNode[idx]
-			prev = applied
-		}
-	}
-
-	for _, u := range tbl {
-		e.registerUse(u)
-		e.iterEvents = append(e.iterEvents, u.done...)
-	}
-
-	if l.Reduce != nil {
-		all := e.Sim.Merge(taskDone...)
-		op := l.Reduce.Op
-		e.env[l.Reduce.Into] = &scalarVal{
-			ev: all,
-			val: func() float64 {
-				acc := op.Identity()
-				for _, ctx := range ctxs {
-					if ctx != nil {
-						acc = op.Fold(acc, ctx.Return)
-					}
-				}
-				return acc
-			},
-		}
-		e.iterEvents = append(e.iterEvents, all)
-	}
-
-	ts.cursor++
-	e.traceStats.ReplayedLaunches++
 }

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/geometry"
@@ -99,8 +100,10 @@ func TestTraceReplayDeterministic(t *testing.T) {
 // repartitionProgram builds a loop that increments a field through a
 // disjoint partition, and swaps that partition for a differently-cut one
 // (a mid-loop repartition) at iteration swapAt, via a scalar statement's
-// side effect on the launch's argument.
-func repartitionProgram(n, nt int64, trip, swapAt int) (*ir.Program, *region.Region, region.FieldID) {
+// side effect on the launch's argument. The second partition is disjoint
+// too, or aliased (its first two subregions overlap), which a read-write
+// launch must not be given.
+func repartitionProgram(n, nt int64, trip, swapAt int, aliased bool) (*ir.Program, *region.Region, region.FieldID) {
 	p := ir.NewProgram("repartition")
 	fs := region.NewFieldSpace("v")
 	v := fs.Field("v")
@@ -118,7 +121,9 @@ func repartitionProgram(n, nt int64, trip, swapAt int) (*ir.Program, *region.Reg
 		case 0:
 			hi += step / 2
 		case 1:
-			lo += step / 2
+			if !aliased {
+				lo += step / 2
+			}
 		}
 		subs[geometry.Pt1(i)] = geometry.NewIndexSpace(geometry.R1(lo, hi))
 	}
@@ -161,9 +166,9 @@ func repartitionProgram(n, nt int64, trip, swapAt int) (*ir.Program, *region.Reg
 // re-promote a trace for the new partition.
 func TestTraceRepartitionInvalidatesMidLoop(t *testing.T) {
 	const trip, swapAt = 14, 6
-	prog, r, v := repartitionProgram(64, 8, trip, swapAt)
+	prog, r, v := repartitionProgram(64, 8, trip, swapAt, false)
 	ref, _ := runWithTrace(t, prog, 4, Real, true)
-	prog2, r2, _ := repartitionProgram(64, 8, trip, swapAt)
+	prog2, r2, _ := repartitionProgram(64, 8, trip, swapAt, false)
 	got, stats := runWithTrace(t, prog2, 4, Real, false)
 
 	if stats.Invalidations < 1 {
@@ -187,6 +192,26 @@ func TestTraceRepartitionInvalidatesMidLoop(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestRepartitionOntoAliasedPartitionRejected: the intra-launch conflict
+// check belongs to the launch's partitions, not to the statement, so a
+// read-write launch swapped onto an aliased partition is refused whenever
+// the swap happens — before the loop's first launch or after its trace has
+// been promoted and replayed — and with the analysis or the trace in charge.
+func TestRepartitionOntoAliasedPartitionRejected(t *testing.T) {
+	const want = "launch inc writes aliased partition PB; tasks of one launch must be independent"
+	for _, swapAt := range []int{0, 3} {
+		for _, noTrace := range []bool{false, true} {
+			prog, _, _ := repartitionProgram(64, 8, 8, swapAt, true)
+			eng := New(realm.MustNewSim(testConfig(4)), prog, Real)
+			eng.NoTrace = noTrace
+			_, err := eng.Run()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("swap at %d, NoTrace=%v: error %v does not carry %q", swapAt, noTrace, err, want)
+			}
+		}
+	}
 }
 
 // nonStationaryProgram builds a loop whose launch covers only half of its
