@@ -21,23 +21,12 @@ import (
 // benchNodes is the condensed weak-scaling sweep used by the benchmarks.
 var benchNodes = []int{1, 4, 16, 64, 256, 1024}
 
-func runFigure(b *testing.B, name string, noTrace bool) {
-	runFigureOpts(b, name, noTrace, false, false, false)
-}
-
-func runFigureShare(b *testing.B, name string, noTrace, noShare bool) {
-	runFigureOpts(b, name, noTrace, noShare, false, false)
-}
-
-func runFigureOpts(b *testing.B, name string, noTrace, noShare, prune, agg bool) {
+func runFigure(b *testing.B, name string, opts bench.MeasureOpts) {
 	app, err := harness.AppByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	app.NoTrace = noTrace
-	app.NoShare = noShare
-	app.Prune = prune
-	app.Agg = agg
+	app.Opts = opts
 	for i := 0; i < b.N; i++ {
 		series, err := harness.RunFigure(app, benchNodes, nil)
 		if err != nil {
@@ -57,7 +46,7 @@ func runFigureOpts(b *testing.B, name string, noTrace, noShare, prune, agg bool)
 
 // BenchmarkFigure6 regenerates Figure 6: Stencil weak scaling (Regent with
 // and without control replication vs the PRK MPI and MPI+OpenMP codes).
-func BenchmarkFigure6Stencil(b *testing.B) { runFigure(b, "stencil", false) }
+func BenchmarkFigure6Stencil(b *testing.B) { runFigure(b, "stencil", bench.MeasureOpts{}) }
 
 // BenchmarkFigure6StencilAgg is the coalesced-exchange ablation of
 // Figure 6: the same sweep with aggregation attached to every CR cell
@@ -65,28 +54,32 @@ func BenchmarkFigure6Stencil(b *testing.B) { runFigure(b, "stencil", false) }
 // one-piece-per-shard scale every aggregation group is a singleton, so
 // the printed figure must be byte-identical to BenchmarkFigure6Stencil —
 // coalescing merges messages, never a modeled result at this scale.
-func BenchmarkFigure6StencilAgg(b *testing.B) { runFigureOpts(b, "stencil", false, false, false, true) }
+func BenchmarkFigure6StencilAgg(b *testing.B) { runFigure(b, "stencil", bench.MeasureOpts{Agg: true}) }
 
 // BenchmarkFigure6StencilNoTrace is the trace ablation of Figure 6: the
 // same sweep with runtime trace capture/replay disabled. The printed
 // figure must be byte-identical to BenchmarkFigure6Stencil (tracing never
 // changes the simulated schedule); only host wall-clock differs.
-func BenchmarkFigure6StencilNoTrace(b *testing.B) { runFigure(b, "stencil", true) }
+func BenchmarkFigure6StencilNoTrace(b *testing.B) {
+	runFigure(b, "stencil", bench.MeasureOpts{NoTrace: true})
+}
 
 // BenchmarkFigure6StencilNoShare is the trace-sharing ablation of Figure 6:
 // tracing stays on but every shard captures its own plan (the O(shards)
 // behavior) instead of specializing one shared capture. The printed figure
 // must be byte-identical to BenchmarkFigure6Stencil; only host wall-clock
 // capture work differs.
-func BenchmarkFigure6StencilNoShare(b *testing.B) { runFigureShare(b, "stencil", false, true) }
+func BenchmarkFigure6StencilNoShare(b *testing.B) {
+	runFigure(b, "stencil", bench.MeasureOpts{NoShare: true})
+}
 
 // BenchmarkFigure7 regenerates Figure 7: MiniAero weak scaling (Regent vs
 // MPI+Kokkos in rank-per-core and rank-per-node configurations).
-func BenchmarkFigure7MiniAero(b *testing.B) { runFigure(b, "miniaero", false) }
+func BenchmarkFigure7MiniAero(b *testing.B) { runFigure(b, "miniaero", bench.MeasureOpts{}) }
 
 // BenchmarkFigure8 regenerates Figure 8: PENNANT weak scaling (Regent vs
 // MPI and MPI+OpenMP, with the per-cycle dt allreduce).
-func BenchmarkFigure8PENNANT(b *testing.B) { runFigure(b, "pennant", false) }
+func BenchmarkFigure8PENNANT(b *testing.B) { runFigure(b, "pennant", bench.MeasureOpts{}) }
 
 // BenchmarkFigure8PENNANTPrune is the certified-pruning ablation of
 // Figure 8: the same sweep with the redundant-sync prune pass attached to
@@ -94,19 +87,19 @@ func BenchmarkFigure8PENNANT(b *testing.B) { runFigure(b, "pennant", false) }
 // byte-identical to BenchmarkFigure8PENNANT — pruning removes sync edges
 // and dead initialization copies, never a modeled result.
 func BenchmarkFigure8PENNANTPrune(b *testing.B) {
-	runFigureOpts(b, "pennant", false, false, true, false)
+	runFigure(b, "pennant", bench.MeasureOpts{Prune: true})
 }
 
 // BenchmarkFigure9 regenerates Figure 9: Circuit weak scaling (Regent with
 // vs without control replication).
-func BenchmarkFigure9Circuit(b *testing.B) { runFigure(b, "circuit", false) }
+func BenchmarkFigure9Circuit(b *testing.B) { runFigure(b, "circuit", bench.MeasureOpts{}) }
 
 // BenchmarkTable1 regenerates Table 1: wall-clock running times of the
 // shallow and complete region-intersection phases for each application at
 // 64 and 1024 nodes.
 func BenchmarkTable1Intersections(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table1([]int{64, 1024})
+		rows, err := harness.Table1Parallel([]int{64, 1024}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,17 +5,13 @@
 //
 // Usage:
 //
-//	intersect [-nodes 64,1024] [-j workers] [-csv] [-benchjson file]
-//	          [-backend des|native]
+//	intersect [-nodes 64,1024] [-j workers] [-csv]
 //
-// -backend is accepted for CLI symmetry with weakscale and recorded in the
-// -benchjson snapshot. Table 1 measures the compiler's intersection phases,
-// which run on the host before any backend executes, so the rows are the
-// same either way.
+// Table 1 measures the compiler's intersection phases, which run on the
+// host before any backend executes.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,38 +19,14 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/harness"
 )
-
-// benchSnapshot is the top-level -benchjson document.
-type benchSnapshot struct {
-	Backend string     `json:"backend"`
-	Rows    []benchRow `json:"rows"`
-}
-
-// benchRow is one Table 1 row in the -benchjson snapshot.
-type benchRow struct {
-	App        string  `json:"app"`
-	Nodes      int     `json:"nodes"`
-	ShallowMs  float64 `json:"shallow_ms"`
-	CompleteMs float64 `json:"complete_ms"`
-	Candidates int     `json:"candidates"`
-	FinalPairs int     `json:"pairs"`
-}
 
 func main() {
 	nodesFlag := flag.String("nodes", "64,1024", "comma-separated node counts")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "measurement cells to run in parallel (output rows are identical at any width)")
 	csv := flag.Bool("csv", false, "emit CSV instead of a table")
-	benchjson := flag.String("benchjson", "", "write the Table 1 rows as a JSON snapshot to this file")
-	backend := flag.String("backend", bench.BackendDES, "realm backend (recorded in the snapshot; the intersection phases run in the compiler and are backend-independent)")
 	flag.Parse()
-
-	if *backend != bench.BackendDES && *backend != bench.BackendNative {
-		fmt.Fprintf(os.Stderr, "intersect: bad -backend %q (want des or native)\n", *backend)
-		os.Exit(1)
-	}
 
 	var nodes []int
 	for _, part := range strings.Split(*nodesFlag, ",") {
@@ -70,24 +42,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "intersect:", err)
 		os.Exit(1)
-	}
-	if *benchjson != "" {
-		out := benchSnapshot{Backend: *backend}
-		for _, r := range rows {
-			out.Rows = append(out.Rows, benchRow{
-				App: r.App, Nodes: r.Nodes, ShallowMs: r.ShallowMs,
-				CompleteMs: r.CompleteMs, Candidates: r.Candidates, FinalPairs: r.FinalPairs,
-			})
-		}
-		buf, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "intersect:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchjson, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "intersect:", err)
-			os.Exit(1)
-		}
 	}
 	if *csv {
 		fmt.Println("app,nodes,shallow_ms,complete_ms,candidates,pairs")

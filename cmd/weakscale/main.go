@@ -7,11 +7,24 @@
 //
 //	weakscale [-app stencil|miniaero|pennant|circuit|all] [-nodes 1,2,...]
 //	          [-iters N] [-j workers] [-csv] [-v] [-faults seed:rate]
-//	          [-backend des|native] [-procs N]
+//	          [-backend des|native]
 //	          [-timepolicy modeled|measured] [-fit-in file] [-fit-out file]
 //	          [-trace on|off] [-trace-share on|off] [-prune on|off]
-//	          [-agg on|off] [-benchjson file] [-verify] [-verify-json file]
+//	          [-agg on|off] [-verify] [-verify-json file]
 //	          [-cpuprofile file] [-memprofile file]
+//
+// The measurement flags (-faults, -backend, -timepolicy/-fit-in, -fit-out,
+// -trace, -trace-share, -prune, -agg) parse into one bench.MeasureOpts that
+// every cell of every app's sweep runs under. After each app, what the
+// engines counted under those options is printed to stderr (so CSV output
+// stays clean) as one line of sorted name=value pairs,
+//
+//	weakscale: stencil counters: rt.capture_iters=8 ... spmd.captures=4 ...
+//
+// named layer.metric as in BENCHMARK.json: rt.* and spmd.* are the two
+// runtimes' trace counters, native.* the native scheduler's, verify.* the
+// -prune and -agg certification passes', realm.* the message counts of -agg
+// runs.
 //
 // -backend selects the realm backend. The default, des, measures on the
 // deterministic discrete-event simulator and reports virtual time. native
@@ -20,11 +33,6 @@
 // models and are dropped from native sweeps. Native sweeps want small
 // node counts (each simulated node is a set of goroutines competing for
 // the host's cores).
-//
-// -procs sets the native worker pool's per-node size (0, the default, is
-// an equal share of GOMAXPROCS across the simulated nodes). After a native
-// sweep the scheduler counters (dispatches, steals, inline completions)
-// are printed to stderr.
 //
 // -timepolicy selects the DES's time-charging policy: modeled (default)
 // charges the Cray-XC-style cost model; measured charges a policy fitted
@@ -49,34 +57,27 @@
 // Regent-CR cell: sync edges proven transitively redundant (and dead
 // initialization populations) are skipped by the executor. Default off.
 // Throughput series and stores are identical either way on the DES; the
-// prune counters (edges and init copies removed) are printed to stderr
-// after each app and recorded in the -benchjson snapshot.
+// verify.pruned_* and verify.sync_edges_* counters say what was removed.
 //
 // -agg=on runs every Regent-CR cell with coalesced exchange plans: each
 // exchange phase's copy pairs are merged into one message per (producing
 // shard, destination shard) aggregation group, licensed per cell by the
 // verify.CheckAgg certification pass — the coalescing analogue of the
 // prune license. Default off. Throughput series, stores, and bytes sent
-// are identical either way on the DES; only message counts drop. The
-// coalescing counters (static groups, runtime messages saved) are printed
-// to stderr after each app and recorded in the -benchjson snapshot.
-// With -prune=on as well, the prune is planned for, and certified on, the
-// aggregated schedule.
+// are identical either way on the DES; only message counts drop
+// (verify.agg_* is the static shape, realm.agg_saved_messages what the run
+// saved). With -prune=on as well, the prune is planned for, and certified
+// on, the aggregated schedule.
 //
 // -trace=off disables runtime trace capture/replay (the PR 3 ablation).
 // The printed series are identical either way — tracing only changes host
-// wall-clock — so the flag exists to demonstrate exactly that. With
-// tracing on, both runtimes' trace counters are printed after each app
-// (to stderr, so CSV output stays clean).
+// wall-clock — so the flag exists to demonstrate exactly that; the replay
+// counters (rt.replayed_launches, spmd.replayed_iters) read 0.
 //
 // -trace-share=off keeps tracing but disables cross-shard sharing: every
 // SPMD shard captures its own plan (the O(shards) PR 3 behavior) instead
 // of specializing one shared capture. Series are identical either way; the
 // capture counters show the O(shards)-vs-O(1) difference.
-//
-// -benchjson writes the sweep results to a JSON snapshot file (one object
-// with the sweep parameters and a flat result row per measurement cell);
-// see BENCH_PR3.json at the repo root for an example.
 //
 // -faults injects deterministic node crashes into every measurement cell:
 // seed is the base fault seed (each cell derives its own), rate is the
@@ -95,6 +96,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -197,42 +199,6 @@ func plansInOrder(prog *ir.Program, plans map[*ir.Loop]*cr.Compiled) []*cr.Compi
 	return out
 }
 
-// benchRow is one measurement cell in the -benchjson snapshot.
-type benchRow struct {
-	App        string  `json:"app"`
-	System     string  `json:"system"`
-	Nodes      int     `json:"nodes"`
-	Iters      int     `json:"iters"`
-	PerIterSec float64 `json:"per_iter_s"`
-	Throughput float64 `json:"throughput_per_node"`
-	Unit       string  `json:"unit"`
-	WallSec    float64 `json:"wall_s"`
-	Error      string  `json:"error,omitempty"`
-}
-
-// benchSnapshot is the top-level -benchjson document. The host block
-// contextualizes wall-clock columns: native per-iteration times are real
-// seconds on this many cores, not virtual machine time.
-type benchSnapshot struct {
-	Nodes      []int  `json:"nodes"`
-	Backend    string `json:"backend"`
-	HostCPUs   int    `json:"host_cpus"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Trace      string `json:"trace"`
-	TraceShare string `json:"trace_share"`
-	Faults     string `json:"faults,omitempty"`
-	Procs      int    `json:"procs,omitempty"`
-	TimePolicy string `json:"timepolicy,omitempty"`
-	// Prune and PruneCounters are present only under -prune, so default-off
-	// snapshots stay byte-identical to pre-prune ones. Agg and AggCounters
-	// are likewise present only under -agg.
-	Prune         string           `json:"prune,omitempty"`
-	PruneCounters map[string]int64 `json:"prune_counters,omitempty"`
-	Agg           string           `json:"agg,omitempty"`
-	AggCounters   map[string]int64 `json:"agg_counters,omitempty"`
-	Results       []benchRow       `json:"results"`
-}
-
 // onOff parses the shared on|off flag vocabulary (-trace, -trace-share,
 // -prune, -agg), exiting with a usage error on anything else.
 func onOff(name, val string) bool {
@@ -281,13 +247,11 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-measurement progress")
 	faults := flag.String("faults", "", "inject faults: seed:rate (crash rate in crashes per simulated second)")
 	backend := flag.String("backend", bench.BackendDES, "realm backend: des (deterministic simulator, virtual time) or native (real goroutines, wall-clock)")
-	procs := flag.Int("procs", 0, "native worker pool size per node (0 = an equal share of GOMAXPROCS)")
 	timepolicy := flag.String("timepolicy", "modeled", "DES time-charging policy: modeled (Cray-XC cost model) or measured (fitted, needs -fit-in)")
 	fitIn := flag.String("fit-in", "", "JSON file of fitted time coefficients to import (with -timepolicy measured)")
 	fitOut := flag.String("fit-out", "", "fit a time policy from this native sweep and write its coefficients to this JSON file")
 	trace := flag.String("trace", "on", "runtime trace capture/replay: on or off (ablation; results are identical)")
 	traceShare := flag.String("trace-share", "on", "cross-shard trace sharing: on or off (ablation; results are identical)")
-	benchjson := flag.String("benchjson", "", "write the sweep results as a JSON snapshot to this file")
 	prune := flag.String("prune", "off", "certified redundant-sync pruning: off (default) or on (ablation; results are identical, sync edges and messages drop)")
 	agg := flag.String("agg", "off", "coalesced exchange plans: off (default) or on (ablation; results are identical, one message per destination shard per exchange phase)")
 	doVerify := flag.Bool("verify", false, "run the schedule certifier over every compiled schedule before sweeping (exit 2 on findings)")
@@ -340,26 +304,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "weakscale: bad -backend %q (want des or native)\n", *backend)
 		os.Exit(1)
 	}
-	native := *backend == bench.BackendNative
-
-	if *procs < 0 {
-		fmt.Fprintf(os.Stderr, "weakscale: bad -procs %d (want >= 0)\n", *procs)
-		os.Exit(1)
-	}
-	if *procs > 0 && !native {
-		fmt.Fprintln(os.Stderr, "weakscale: -procs sizes the native worker pool; use -backend native")
-		os.Exit(1)
+	// Every measurement flag lands in opts, the one value each cell runs under.
+	opts := bench.MeasureOpts{
+		Backend: *backend,
+		NoTrace: !onOff("trace", *trace),
+		NoShare: !onOff("trace-share", *traceShare),
+		Prune:   onOff("prune", *prune),
+		Agg:     onOff("agg", *agg),
 	}
 
 	var fit *realm.MeasuredTime
 	if *fitOut != "" {
-		if !native {
+		if !opts.NativeBackend() {
 			fmt.Fprintln(os.Stderr, "weakscale: -fit-out records real kernel durations; use -backend native")
 			os.Exit(1)
 		}
 		fit = realm.NewMeasuredTime(realm.ModeledTime{Cfg: realm.DefaultConfig(1)})
+		opts.Fit = fit // only when non-nil: a nil *MeasuredTime in the interface is not a nil recorder
 	}
-	var policy realm.TimePolicy
 	switch *timepolicy {
 	case "modeled":
 		if *fitIn != "" {
@@ -367,7 +329,7 @@ func main() {
 			os.Exit(1)
 		}
 	case "measured":
-		if native {
+		if opts.NativeBackend() {
 			fmt.Fprintln(os.Stderr, "weakscale: -timepolicy measured re-models on the DES; native time is wall-clock")
 			os.Exit(1)
 		}
@@ -385,25 +347,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, "weakscale:", err)
 			os.Exit(1)
 		}
-		policy = p
+		opts.Policy = p
 	default:
 		fmt.Fprintf(os.Stderr, "weakscale: bad -timepolicy %q (want modeled or measured)\n", *timepolicy)
 		os.Exit(1)
 	}
 
-	var fp *realm.FaultPlan
 	if *faults != "" {
 		var err error
-		if fp, err = parseFaults(*faults); err != nil {
+		if opts.Faults, err = parseFaults(*faults); err != nil {
 			fmt.Fprintln(os.Stderr, "weakscale:", err)
 			os.Exit(1)
 		}
 	}
-
-	noTrace := !onOff("trace", *trace)
-	noShare := !onOff("trace-share", *traceShare)
-	doPrune := onOff("prune", *prune)
-	doAgg := onOff("agg", *agg)
 
 	var apps []harness.App
 	if *appName == "all" {
@@ -429,7 +385,7 @@ func main() {
 			suites = &verify.Suite{}
 		}
 		for _, app := range apps {
-			bad += verifyApp(app, nodes, doPrune, doAgg, suites)
+			bad += verifyApp(app, nodes, opts.Prune, opts.Agg, suites)
 		}
 		if suites != nil {
 			buf, err := json.MarshalIndent(suites, "", "  ")
@@ -452,106 +408,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, "weakscale: static certification passed for every app, node count, and sync lowering")
 	}
 
-	snap := benchSnapshot{
-		Nodes: nodes, Backend: *backend,
-		HostCPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
-		Trace: *trace, TraceShare: *traceShare, Faults: *faults,
-	}
-	if native {
-		snap.Procs = *procs
-	} else {
-		snap.TimePolicy = *timepolicy
-	}
-	if doPrune {
-		snap.Prune = *prune
-	}
-	if doAgg {
-		snap.Agg = *agg
-	}
 	for _, app := range apps {
 		if *iters > 0 {
 			app.Iters = *iters
 		}
-		app.Faults = fp
-		app.Backend = *backend
-		app.NoTrace = noTrace
-		app.NoShare = noShare
-		app.Procs = *procs
-		app.Policy = policy
-		if fit != nil {
-			app.Fit = fit
-		}
-		var agg *bench.TraceAgg
-		if !noTrace {
-			agg = &bench.TraceAgg{}
-			app.Trace = agg
-		}
-		var sagg *bench.SchedAgg
-		if native {
-			sagg = &bench.SchedAgg{}
-			app.Sched = sagg
-		}
-		var pagg *bench.PruneAgg
-		if doPrune {
-			app.Prune = true
-			pagg = &bench.PruneAgg{}
-			app.PruneStats = pagg
-		}
-		var cagg *bench.AggCounters
-		if doAgg {
-			app.Agg = true
-			cagg = &bench.AggCounters{}
-			app.AggStats = cagg
-		}
+		app.Opts = opts
+		app.Opts.Counters = &bench.Counters{}
 		series, err := harness.RunFigureParallel(app, nodes, *workers, progress)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "weakscale:", err)
 			os.Exit(1)
 		}
-		if agg != nil {
-			rtStats, spmdStats := agg.Snapshot()
-			fmt.Fprintf(os.Stderr, "weakscale: %s rt trace: %+v\n", app.Name, rtStats)
-			fmt.Fprintf(os.Stderr, "weakscale: %s spmd trace: %+v\n", app.Name, spmdStats)
+		counters := app.Opts.Counters.Snapshot()
+		names := make([]string, 0, len(counters))
+		for name := range counters {
+			names = append(names, name)
 		}
-		if sagg != nil {
-			ss := sagg.Snapshot()
-			fmt.Fprintf(os.Stderr, "weakscale: %s sched: workers=%d dispatches=%d steals=%d (local %d, remote %d) inline=%d\n",
-				app.Name, ss.Workers, ss.Dispatches, ss.Steals, ss.LocalSteals, ss.RemoteSteals, ss.InlineCompletions)
+		sort.Strings(names)
+		line := fmt.Sprintf("weakscale: %s counters:", app.Name)
+		for _, name := range names {
+			line += fmt.Sprintf(" %s=%d", name, counters[name])
 		}
-		if pagg != nil {
-			pc := pagg.Snapshot()
-			fmt.Fprintf(os.Stderr, "weakscale: %s prune: edges=%d (war %d, done %d, chain %d) init_copies=%d sync_edges %d->%d\n",
-				app.Name, pc["pruned_edges"], pc["pruned_war"], pc["pruned_done"], pc["pruned_chain"],
-				pc["pruned_init_copies"], pc["sync_edges_before"], pc["sync_edges_after"])
-			if snap.PruneCounters == nil {
-				snap.PruneCounters = make(map[string]int64)
-			}
-			for k, v := range pc {
-				snap.PruneCounters[k] += v
-			}
-		}
-		if cagg != nil {
-			ac := cagg.Snapshot()
-			fmt.Fprintf(os.Stderr, "weakscale: %s agg: phases=%d groups=%d (multi-member %d, merged pairs %d) runtime groups=%d saved_messages=%d messages=%d\n",
-				app.Name, ac["phases"], ac["agg_groups"], ac["multi_member_groups"], ac["merged_pairs"],
-				ac["runtime_agg_groups"], ac["runtime_saved_messages"], ac["runtime_messages"])
-			if snap.AggCounters == nil {
-				snap.AggCounters = make(map[string]int64)
-			}
-			for k, v := range ac {
-				snap.AggCounters[k] += v
-			}
-		}
-		for _, s := range series {
-			for _, p := range s.Points {
-				snap.Results = append(snap.Results, benchRow{
-					App: app.Name, System: s.System, Nodes: p.Nodes,
-					Iters: app.Iters, PerIterSec: p.PerIter.Seconds(),
-					Throughput: p.Throughput, Unit: app.Unit,
-					WallSec: p.Wall.Seconds(), Error: p.Err,
-				})
-			}
-		}
+		fmt.Fprintln(os.Stderr, line)
 		if *csv {
 			// wall_s (host wall-clock, never identical between runs) is the
 			// last column so schedule-equivalence diffs can strip it.
@@ -580,17 +458,5 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "weakscale: wrote fitted time policy (%d launch / %d copy samples) to %s\n",
 			launches, copies, *fitOut)
-	}
-
-	if *benchjson != "" {
-		buf, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "weakscale:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchjson, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "weakscale:", err)
-			os.Exit(1)
-		}
 	}
 }

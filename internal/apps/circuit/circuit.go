@@ -317,7 +317,3 @@ func (app *App) buildTasks() {
 		app.Loop,
 	)
 }
-
-// GraphNodesPerPiece returns the paper-scale per-node work items for
-// throughput reporting.
-func (a *App) GraphNodesPerPiece() float64 { return PaperNodesPerPiece }

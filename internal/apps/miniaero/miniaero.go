@@ -387,7 +387,3 @@ func (app *App) buildTasks(m mesh) {
 		app.Loop,
 	)
 }
-
-// CellsPerNode returns the paper-scale per-node cell count for throughput
-// reporting.
-func (a *App) CellsPerNode() float64 { return PaperCellsPerNode }

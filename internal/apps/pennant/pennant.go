@@ -340,7 +340,3 @@ func (app *App) buildTasks() {
 		app.Loop,
 	)
 }
-
-// ZonesPerNode returns the paper-scale per-node zone count for throughput
-// reporting.
-func (a *App) ZonesPerNode() float64 { return PaperZonesPerNode }

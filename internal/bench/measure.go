@@ -8,6 +8,7 @@ package bench
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/cr"
@@ -95,8 +96,11 @@ func steadyState(times []realm.Time, skip int) (realm.Time, error) {
 	return (times[len(times)-1] - times[skip]) / realm.Time(len(times)-1-skip), nil
 }
 
-// MeasureOpts carries the per-measurement switches shared by the systems
-// under test. The zero value is a fault-free run with tracing on.
+// MeasureOpts is how a cell is measured: every switch the systems under
+// test share, and the table their counters come back in. It is the only
+// description of a measurement — a command line parses into one, a sweep
+// hands it to every cell. The zero value is a fault-free DES run with
+// tracing on that records no counters.
 type MeasureOpts struct {
 	// Faults injects deterministic faults into the machine (nil =
 	// fault-free). The implicit runtime has no recovery, so an injected
@@ -116,9 +120,6 @@ type MeasureOpts struct {
 	// specializing one shared capture. Schedules are identical either way —
 	// the flag exists for the -trace-share ablation.
 	NoShare bool
-	// Trace, when non-nil, accumulates both runtimes' trace counters across
-	// the measurement (safe under the parallel sweep harness).
-	Trace *TraceAgg
 	// Backend selects the realm backend: BackendDES ("" or "des") runs the
 	// deterministic simulator in Modeled mode and reports virtual time;
 	// BackendNative runs real kernels on real goroutines (ir.ExecReal) and
@@ -127,9 +128,6 @@ type MeasureOpts struct {
 	// backends for the CR executor (the implicit runtime rejects it on
 	// native, having no recovery to hang usefully without).
 	Backend string
-	// Procs sets the native machine's per-node worker count (0 = an equal
-	// share of GOMAXPROCS). Ignored on the DES.
-	Procs int
 	// Fit, when non-nil, receives a wall-clock sample for every launch and
 	// copy body the native machine executes (pass a *realm.MeasuredTime to
 	// build a fitted TimePolicy from the run). Ignored on the DES.
@@ -138,19 +136,12 @@ type MeasureOpts struct {
 	// realm.MeasuredTime imported from a native calibration run). Ignored
 	// on native, whose time is wall-clock.
 	Policy realm.TimePolicy
-	// Sched, when non-nil, accumulates the native machine's scheduler
-	// counters across the measurement (safe under the parallel sweep
-	// harness). Ignored on the DES.
-	Sched *SchedAgg
 	// Prune runs the certified redundant-sync pruning pass
 	// (verify.PlanPrune) over every CR-compiled loop and attaches the
 	// licensed PruneInfo, so the executor skips the pruned sync connects and
 	// dead initialization populations. Off by default; stores and series are
 	// identical either way — only sync-edge and message counts drop.
 	Prune bool
-	// PruneStats, when non-nil, accumulates the prune pass's counters
-	// across the measurement (safe under the parallel sweep harness).
-	PruneStats *PruneAgg
 	// Agg compiles every CR loop with coalesced exchange plans: each
 	// exchange phase's copy pairs are merged into one transfer per
 	// (producing shard, destination shard), certified by verify.CheckAgg
@@ -159,24 +150,97 @@ type MeasureOpts struct {
 	// only message counts drop (bytes are conserved). With Prune as well,
 	// the prune is planned for, and certified on, the aggregated schedule.
 	Agg bool
-	// AggStats, when non-nil, accumulates the aggregation certification's
-	// static shape counters and the runtime's coalescing counters across
-	// the measurement (safe under the parallel sweep harness).
-	AggStats *AggCounters
+	// Counters, when non-nil, receives what the measurement's engines
+	// counted: rt.TraceStats, spmd.TraceStats, native.SchedStats, the
+	// CheckAgg and PlanPrune report counters and, under Agg, the run's
+	// message counts.
+	Counters *Counters
 }
 
 // NativeBackend reports whether the options select the native backend.
 func (o MeasureOpts) NativeBackend() bool { return o.Backend == BackendNative }
 
-// applyExecOpts configures a freshly built backend from the options:
-// scheduler sizing and the time recorder on native; the time-policy
-// override on the DES.
-func applyExecOpts(sim realm.Exec, opts MeasureOpts) {
+// Counters is a table of named counters summed over the (possibly
+// parallel) measurements of a sweep. Names are "layer.metric", and
+// BENCHMARK.json's name wherever it already names the quantity. The zero
+// value is ready to use; a nil *Counters records nothing.
+type Counters struct {
+	mu sync.Mutex
+	c  map[string]int64
+}
+
+// Add adds v to the named counter.
+func (c *Counters) Add(name string, v int64) {
+	c.update(name, func(old int64) int64 { return old + v })
+}
+
+// update replaces the named counter by f of its value (0 when new).
+func (c *Counters) update(name string, f func(old int64) int64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	if c.c == nil {
+		c.c = make(map[string]int64)
+	}
+	c.c[name] = f(c.c[name])
+	c.mu.Unlock()
+}
+
+// Snapshot returns a copy of the table.
+func (c *Counters) Snapshot() map[string]int64 {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.c)
+}
+
+// addRT adds the implicit runtime's trace counters.
+func (c *Counters) addRT(s rt.TraceStats) {
+	c.Add("rt.loops_traced", int64(s.LoopsTraced))
+	c.Add("rt.capture_iters", int64(s.CaptureIters))
+	c.Add("rt.promotions", int64(s.Promotions))
+	c.Add("rt.replayed_iters", int64(s.ReplayedIters))
+	c.Add("rt.replayed_launches", int64(s.ReplayedLaunches))
+	c.Add("rt.invalidations", int64(s.Invalidations))
+	c.Add("rt.abandoned", int64(s.Abandoned))
+	c.Add("rt.shared_points", int64(s.SharedPoints))
+}
+
+// addSPMD adds the SPMD executor's trace counters.
+func (c *Counters) addSPMD(s spmd.TraceStats) {
+	c.Add("spmd.captures", int64(s.Captures))
+	c.Add("spmd.per_shard_captures", int64(s.PerShardCaptures))
+	c.Add("spmd.specializations", int64(s.Specializations))
+	c.Add("spmd.replayed_iters", int64(s.ReplayedIters))
+	c.Add("spmd.invalidations", int64(s.Invalidations))
+	c.Add("spmd.trace_ships", int64(s.Ships))
+	c.Add("spmd.trace_shipped_bytes", s.ShippedBytes)
+}
+
+// addSched adds the native scheduler's counters.
+func (c *Counters) addSched(s native.SchedStats) {
+	// The pool size is a property of the machine, not additive across cells.
+	c.update("native.workers", func(old int64) int64 { return max(old, int64(s.Workers)) })
+	c.Add("native.dispatches", s.Dispatches)
+	c.Add("native.steals", s.Steals)
+	c.Add("native.local_steals", s.LocalSteals)
+	c.Add("native.remote_steals", s.RemoteSteals)
+	c.Add("native.inline_completions", s.InlineCompletions)
+}
+
+// newMachine builds the backend the options name for a machine of the given
+// node count and configures it from them: the time recorder on native, the
+// time-policy override on the DES, the fault plan on either.
+func newMachine(nodes int, opts MeasureOpts) (realm.Exec, error) {
+	sim, err := NewExec(opts.Backend, nodes)
+	if err != nil {
+		return nil, err
+	}
 	switch b := sim.(type) {
 	case *native.Machine:
-		if opts.Procs > 0 {
-			b.SetProcs(opts.Procs)
-		}
 		if opts.Fit != nil {
 			b.SetTimeRecorder(opts.Fit)
 		}
@@ -185,179 +249,47 @@ func applyExecOpts(sim realm.Exec, opts MeasureOpts) {
 			b.SetTimePolicy(opts.Policy)
 		}
 	}
+	if opts.Faults != nil {
+		fx, ok := sim.(realm.FaultExec)
+		if !ok {
+			return nil, &realm.UnsupportedError{Backend: sim.Backend(), Op: "fault injection"}
+		}
+		if err := fx.InjectFaults(*opts.Faults); err != nil {
+			return nil, err
+		}
+	}
+	return sim, nil
 }
 
-// collectSched folds the machine's scheduler counters into the
-// aggregator, when both sides exist.
-func collectSched(sim realm.Exec, opts MeasureOpts) {
-	if opts.Sched == nil {
-		return
-	}
+// addMachine adds what the machine itself counted over a finished run: the
+// native scheduler's counters (the DES has none).
+func (c *Counters) addMachine(sim realm.Exec) {
 	if mach, ok := sim.(*native.Machine); ok {
-		opts.Sched.add(mach.SchedStats())
+		c.addSched(mach.SchedStats())
 	}
-}
-
-// SchedAgg accumulates native scheduler counters across the (possibly
-// parallel) measurements of a sweep. Pass one instance through
-// MeasureOpts.Sched.
-type SchedAgg struct {
-	mu sync.Mutex
-	s  native.SchedStats
-}
-
-func (a *SchedAgg) add(s native.SchedStats) {
-	a.mu.Lock()
-	if s.Workers > a.s.Workers {
-		a.s.Workers = s.Workers // pool size, not additive across cells
-	}
-	a.s.Dispatches += s.Dispatches
-	a.s.Steals += s.Steals
-	a.s.LocalSteals += s.LocalSteals
-	a.s.RemoteSteals += s.RemoteSteals
-	a.s.InlineCompletions += s.InlineCompletions
-	a.mu.Unlock()
-}
-
-// Snapshot returns the accumulated counters.
-func (a *SchedAgg) Snapshot() native.SchedStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.s
-}
-
-// PruneAgg accumulates the prune pass's counters (pruned wars/dones/chains,
-// sync edges before/after, dead init copies) across the (possibly parallel)
-// measurements of a sweep. Pass one instance through MeasureOpts.PruneStats.
-type PruneAgg struct {
-	mu sync.Mutex
-	c  map[string]int64
-}
-
-func (a *PruneAgg) add(counters map[string]int64) {
-	a.mu.Lock()
-	if a.c == nil {
-		a.c = make(map[string]int64, len(counters))
-	}
-	for k, v := range counters {
-		a.c[k] += v
-	}
-	a.mu.Unlock()
-}
-
-// Snapshot returns a copy of the accumulated counters.
-func (a *PruneAgg) Snapshot() map[string]int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]int64, len(a.c))
-	for k, v := range a.c {
-		out[k] = v
-	}
-	return out
-}
-
-// AggCounters accumulates the coalescing pass's counters — the static
-// shape from verify.CheckAgg (phases, groups, merged pairs) plus the
-// runtime's per-run coalescing counters (groups issued, messages saved) —
-// across the (possibly parallel) measurements of a sweep. Pass one
-// instance through MeasureOpts.AggStats.
-type AggCounters struct {
-	mu sync.Mutex
-	c  map[string]int64
-}
-
-func (a *AggCounters) add(counters map[string]int64) {
-	a.mu.Lock()
-	if a.c == nil {
-		a.c = make(map[string]int64, len(counters))
-	}
-	for k, v := range counters {
-		a.c[k] += v
-	}
-	a.mu.Unlock()
-}
-
-// Snapshot returns a copy of the accumulated counters.
-func (a *AggCounters) Snapshot() map[string]int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]int64, len(a.c))
-	for k, v := range a.c {
-		out[k] = v
-	}
-	return out
-}
-
-// TraceAgg accumulates trace-layer counters across the (possibly parallel)
-// measurements of a sweep. Pass one instance through MeasureOpts.Trace.
-type TraceAgg struct {
-	mu   sync.Mutex
-	rt   rt.TraceStats
-	spmd spmd.TraceStats
-}
-
-func (a *TraceAgg) addRT(s rt.TraceStats) {
-	a.mu.Lock()
-	a.rt.LoopsTraced += s.LoopsTraced
-	a.rt.CaptureIters += s.CaptureIters
-	a.rt.Promotions += s.Promotions
-	a.rt.ReplayedIters += s.ReplayedIters
-	a.rt.ReplayedLaunches += s.ReplayedLaunches
-	a.rt.Invalidations += s.Invalidations
-	a.rt.Abandoned += s.Abandoned
-	a.rt.SharedPoints += s.SharedPoints
-	a.mu.Unlock()
-}
-
-func (a *TraceAgg) addSPMD(s spmd.TraceStats) {
-	a.mu.Lock()
-	a.spmd.Captures += s.Captures
-	a.spmd.PerShardCaptures += s.PerShardCaptures
-	a.spmd.Specializations += s.Specializations
-	a.spmd.ReplayedIters += s.ReplayedIters
-	a.spmd.Invalidations += s.Invalidations
-	a.spmd.Ships += s.Ships
-	a.spmd.ShippedBytes += s.ShippedBytes
-	a.mu.Unlock()
-}
-
-// Snapshot returns the accumulated counters.
-func (a *TraceAgg) Snapshot() (rt.TraceStats, spmd.TraceStats) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rt, a.spmd
 }
 
 // MeasureImplicit runs the program on the implicit (non-CR) runtime in
 // Modeled mode and returns the steady-state per-iteration time of the
 // given loop.
 func MeasureImplicit(prog *ir.Program, loop *ir.Loop, nodes int, tune Tuning, opts MeasureOpts) (realm.Time, error) {
-	sim, err := NewExec(opts.Backend, nodes)
-	if err != nil {
-		return 0, err
-	}
-	applyExecOpts(sim, opts)
 	mode := rt.Modeled
 	if opts.NativeBackend() {
 		// On real cores only real execution is meaningful: the control
 		// thread's dependence analysis and the kernels are the cost.
 		mode = rt.Real
+		if opts.Faults != nil {
+			// The implicit runtime has no recovery. On the DES an injected
+			// crash deadlocks the event loop immediately (a structured
+			// DeadlockError); on native it would only stall until the
+			// watchdog fires, wasting a full hang timeout per sweep cell — so
+			// reject the combination.
+			return 0, &realm.UnsupportedError{Backend: opts.Backend, Op: "fault injection without recovery (implicit runtime)"}
+		}
 	}
-	if opts.Faults != nil {
-		// The implicit runtime has no recovery. On the DES an injected crash
-		// deadlocks the event loop immediately (a structured DeadlockError);
-		// on native it would only stall until the watchdog fires, wasting a
-		// full hang timeout per sweep cell — so reject the combination.
-		if opts.NativeBackend() {
-			return 0, &realm.UnsupportedError{Backend: sim.Backend(), Op: "fault injection without recovery (implicit runtime)"}
-		}
-		fx, ok := sim.(realm.FaultExec)
-		if !ok {
-			return 0, &realm.UnsupportedError{Backend: sim.Backend(), Op: "fault injection"}
-		}
-		if err := fx.InjectFaults(*opts.Faults); err != nil {
-			return 0, err
-		}
+	sim, err := newMachine(nodes, opts)
+	if err != nil {
+		return 0, err
 	}
 	eng := rt.New(sim, prog, mode)
 	eng.Over.LaunchBase = tune.ImplicitLaunchBase
@@ -370,10 +302,8 @@ func MeasureImplicit(prog *ir.Program, loop *ir.Loop, nodes int, tune Tuning, op
 	if err != nil {
 		return 0, err
 	}
-	if opts.Trace != nil {
-		opts.Trace.addRT(eng.TraceStats())
-	}
-	collectSched(sim, opts)
+	opts.Counters.addRT(eng.TraceStats())
+	opts.Counters.addMachine(sim)
 	return steadyState(res.IterTimes[loop], warmup(loop.Trip))
 }
 
@@ -396,9 +326,10 @@ func MeasureCR(prog *ir.Program, loop *ir.Loop, nodes int, sync cr.SyncMode, tun
 		if !rep.OK() {
 			return 0, fmt.Errorf("bench: aggregation certification found %d defects in the coalesced schedule; not aggregating", len(rep.Findings))
 		}
-		if opts.AggStats != nil {
-			opts.AggStats.add(rep.Counters)
-		}
+		opts.Counters.Add("verify.agg_phases", rep.Counters["phases"])
+		opts.Counters.Add("verify.agg_groups", rep.Counters["agg_groups"])
+		opts.Counters.Add("verify.agg_multi_member_groups", rep.Counters["multi_member_groups"])
+		opts.Counters.Add("verify.agg_merged_pairs", rep.Counters["merged_pairs"])
 	}
 	if opts.Prune {
 		info, rep, err := verify.PlanPrune(plan)
@@ -409,28 +340,21 @@ func MeasureCR(prog *ir.Program, loop *ir.Loop, nodes int, sync cr.SyncMode, tun
 			return 0, fmt.Errorf("bench: prune pass found %d defects in the unpruned schedule; not pruning", len(rep.Findings))
 		}
 		plan.Prune = info
-		if opts.PruneStats != nil {
-			opts.PruneStats.add(rep.Counters)
+		for name, v := range rep.Counters {
+			//detlint:ignore a sum per name: the table is the same in any order
+			opts.Counters.Add("verify."+name, v)
 		}
 	}
-	sim, err := NewExec(opts.Backend, nodes)
+	sim, err := newMachine(nodes, opts)
 	if err != nil {
 		return 0, err
 	}
-	applyExecOpts(sim, opts)
 	mode := ir.ExecModeled
 	if opts.NativeBackend() {
 		mode = ir.ExecReal
 	}
 	eng := spmd.New(sim, prog, mode, map[*ir.Loop]*cr.Compiled{loop: plan})
 	if opts.Faults != nil {
-		fx, ok := sim.(realm.FaultExec)
-		if !ok {
-			return 0, &realm.UnsupportedError{Backend: sim.Backend(), Op: "fault injection"}
-		}
-		if err := fx.InjectFaults(*opts.Faults); err != nil {
-			return 0, err
-		}
 		eng.Recov = spmd.DefaultRecovery()
 	}
 	eng.Over.ShardLaunchBase = tune.ShardLaunchBase
@@ -443,28 +367,18 @@ func MeasureCR(prog *ir.Program, loop *ir.Loop, nodes int, sync cr.SyncMode, tun
 	if err != nil {
 		return 0, err
 	}
-	if opts.Trace != nil {
-		opts.Trace.addSPMD(eng.TraceStats())
-	}
-	collectSched(sim, opts)
-	if opts.AggStats != nil && opts.Agg {
+	opts.Counters.addSPMD(eng.TraceStats())
+	opts.Counters.addMachine(sim)
+	if opts.Agg {
 		st := sim.Stats()
-		opts.AggStats.add(map[string]int64{
-			"runtime_messages":       st.Messages,
-			"runtime_agg_groups":     st.AggGroups,
-			"runtime_saved_messages": st.AggSavedMessages,
-		})
+		opts.Counters.Add("realm.messages", st.Messages)
+		opts.Counters.Add("realm.agg_groups", st.AggGroups)
+		opts.Counters.Add("realm.agg_saved_messages", st.AggSavedMessages)
 	}
 	if res.Faults != nil && res.Faults.Unrecovered {
 		return 0, fmt.Errorf("bench: %s", res.Faults.Reason)
 	}
 	return steadyState(res.IterTimes[loop], warmup(loop.Trip))
-}
-
-// CompileForTimings compiles the loop and returns the plan, exposing the
-// intersection timings for the Table 1 harness.
-func CompileForTimings(prog *ir.Program, loop *ir.Loop, nodes int) (*cr.Compiled, error) {
-	return cr.Compile(prog, loop, cr.Options{NumShards: nodes, Sync: cr.PointToPoint})
 }
 
 func warmup(trip int) int {

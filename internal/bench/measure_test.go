@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/realm"
+	"repro/internal/realm/native"
+	"repro/internal/rt"
+	"repro/internal/spmd"
 )
 
 func TestSteadyState(t *testing.T) {
@@ -65,6 +70,81 @@ func TestWarmup(t *testing.T) {
 	} {
 		if got := warmup(tc.trip); got != tc.want {
 			t.Errorf("warmup(%d) = %d, want %d", tc.trip, got, tc.want)
+		}
+	}
+}
+
+func TestNilCountersRecordNothing(t *testing.T) {
+	var c *Counters
+	c.Add("x", 1)
+	c.addRT(rt.TraceStats{CaptureIters: 1})
+	c.addSPMD(spmd.TraceStats{Captures: 1})
+	c.addSched(native.SchedStats{Workers: 1})
+	if got := c.Snapshot(); len(got) != 0 {
+		t.Errorf("nil table holds %v", got)
+	}
+}
+
+func TestCountersConcurrentAddsSumExactly(t *testing.T) {
+	const goroutines, adds = 8, 1000
+	var c Counters
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				c.Add("shared", 1)
+				c.addSched(native.SchedStats{Workers: g, Steals: 2})
+			}
+		}()
+	}
+	wg.Wait()
+	got := c.Snapshot()
+	if got["shared"] != goroutines*adds || got["native.steals"] != 2*goroutines*adds {
+		t.Errorf("shared = %d, native.steals = %d; want %d, %d", got["shared"], got["native.steals"], goroutines*adds, 2*goroutines*adds)
+	}
+	if got["native.workers"] != goroutines-1 {
+		t.Errorf("native.workers = %d, want the largest pool seen, %d", got["native.workers"], goroutines-1)
+	}
+	got["shared"] = -1
+	if c.Snapshot()["shared"] != goroutines*adds {
+		t.Error("Snapshot returned the table itself, not a copy")
+	}
+}
+
+// TestAddersCarryEveryEngineCounter: each adder emits one name per exported
+// numeric field of the stats struct it reads, so a counter added to an
+// engine cannot be dropped on the way to the table.
+func TestAddersCarryEveryEngineCounter(t *testing.T) {
+	numericFields := func(v any) int {
+		n, typ := 0, reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			if k := typ.Field(i).Type.Kind(); typ.Field(i).IsExported() && k >= reflect.Int && k <= reflect.Float64 {
+				n++
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		prefix string
+		stats  any
+		add    func(c *Counters)
+	}{
+		{"rt.", rt.TraceStats{}, func(c *Counters) { c.addRT(rt.TraceStats{}) }},
+		{"spmd.", spmd.TraceStats{}, func(c *Counters) { c.addSPMD(spmd.TraceStats{}) }},
+		{"native.", native.SchedStats{}, func(c *Counters) { c.addSched(native.SchedStats{}) }},
+	} {
+		var c Counters
+		tc.add(&c)
+		got := c.Snapshot()
+		for name := range got {
+			if !strings.HasPrefix(name, tc.prefix) {
+				t.Errorf("%T's adder emits %q, want the prefix %q", tc.stats, name, tc.prefix)
+			}
+		}
+		if want := numericFields(tc.stats); len(got) != want {
+			t.Errorf("%T has %d exported numeric fields, its adder emits %d names: %v", tc.stats, want, len(got), got)
 		}
 	}
 }

@@ -5,8 +5,8 @@ package cr
 // different color block, so everything the SPMD executor's per-shard plan
 // capture used to resolve at run time that does NOT depend on the shard or
 // on the node assignment — copy pair grouping and per-shard work lists,
-// pair volumes, pair endpoint shards, kernel cost volumes, owned-block
-// offsets — is a pure function of the compiled plan. The compiler emits it
+// pair volumes, pair endpoint shards, kernel cost volumes — is a pure
+// function of the compiled plan. The compiler emits it
 // once, here, and the executor instantiates each shard's concrete plan by
 // table substitution (internal/spmd/plan.go) instead of re-deriving it
 // per shard per run state.
@@ -97,14 +97,6 @@ type CopySpec struct {
 	// SrcShard/DstShard[k] are the shards owning Pairs[k]'s source and
 	// destination colors.
 	SrcShard, DstShard []int32
-	// ProdWait/ProdArrive[k] are the producer's sync endpoints within
-	// Pairs[k]'s two-slot block: the slot it waits on before transferring
-	// (0, the war slot — the consumer's write-after-read release) and the
-	// slot it arrives at on completion (1, the done slot consumers and the
-	// fold chain wait on). The liveness certifier replays the wait-for
-	// graph from these endpoints, so a table corrupted to swap them is
-	// rejected as a deadlock, not merely a race.
-	ProdWait, ProdArrive []int8
 }
 
 // LaunchSpec is the shard-independent cost table of one launch op.
@@ -124,9 +116,9 @@ type OpSpec struct {
 // ShareMarker is the compiler's verdict on cross-shard plan sharing: a
 // shared capture can be specialized to shard s only when the owned color
 // blocks are positionally congruent (every shard owns the same number of
-// consecutive colors, so owned index k maps to global color OwnedBase[s]+k
-// uniformly). A ragged block partition breaks that, and the executor falls
-// back to per-shard capture with Reason as the logged explanation.
+// consecutive colors, so owned index k of shard s is global color
+// s*len(Owned[0])+k). A ragged block partition breaks that, and the executor
+// falls back to per-shard capture with Reason as the logged explanation.
 type ShareMarker struct {
 	Shareable bool
 	Reason    string // set when Shareable is false
@@ -135,14 +127,9 @@ type ShareMarker struct {
 // SpecTable is the full specialization metadata of one compiled loop.
 type SpecTable struct {
 	Share ShareMarker
-	// OwnedBase[s] is the ColorIdx of shard s's first owned color (the lo
-	// bound of its block); owned color k of shard s is Domain[OwnedBase[s]+k].
-	OwnedBase []int
-	// Ops is parallel to Compiled.Body.
+	// Ops is parallel to Compiled.Body; body ops of one CopyOp share one
+	// CopySpec.
 	Ops []OpSpec
-	// CopyByID indexes the copy specs by CopyOp.ID for the executor's
-	// keyed access.
-	CopyByID map[int]*CopySpec
 	// Phases are the body's exchange phases with their aggregation tables.
 	Phases []AggPhase
 	// PhaseOf is parallel to Compiled.Body: the index into Phases of the
@@ -156,16 +143,9 @@ type SpecTable struct {
 // createShards (ownership fixed) and computeIntersections (pairs fixed).
 func (c *Compiled) buildSpec() {
 	ns := c.Opts.NumShards
-	spec := SpecTable{
-		OwnedBase: make([]int, ns),
-		Ops:       make([]OpSpec, len(c.Body)),
-		CopyByID:  make(map[int]*CopySpec),
-	}
-	base := 0
+	spec := SpecTable{Ops: make([]OpSpec, len(c.Body))}
 	uniform := true
 	for s := 0; s < ns; s++ {
-		spec.OwnedBase[s] = base
-		base += len(c.Owned[s])
 		if len(c.Owned[s]) != len(c.Owned[0]) {
 			uniform = false
 		}
@@ -176,15 +156,16 @@ func (c *Compiled) buildSpec() {
 		spec.Share = ShareMarker{Reason: fmt.Sprintf(
 			"ragged shard partition: %d colors over %d shards leaves unequal blocks", len(c.Domain), ns)}
 	}
+	copyByID := make(map[int]*CopySpec)
 	for i, op := range c.Body {
 		switch {
 		case op.Launch != nil:
 			spec.Ops[i].Launch = c.buildLaunchSpec(op.Launch)
 		case op.Copy != nil:
-			cs, ok := spec.CopyByID[op.Copy.ID]
+			cs, ok := copyByID[op.Copy.ID]
 			if !ok {
 				cs = c.buildCopySpec(op.Copy)
-				spec.CopyByID[op.Copy.ID] = cs
+				copyByID[op.Copy.ID] = cs
 			}
 			spec.Ops[i].Copy = cs
 		}
@@ -314,19 +295,15 @@ func (c *Compiled) buildCopySpec(cp *CopyOp) *CopySpec {
 	ns := c.Opts.NumShards
 	pairs := cp.Pairs
 	cs := &CopySpec{
-		PerShard:   make([][]SpecWork, ns),
-		PairVols:   make([]int64, len(pairs)),
-		SrcShard:   make([]int32, len(pairs)),
-		DstShard:   make([]int32, len(pairs)),
-		ProdWait:   make([]int8, len(pairs)),
-		ProdArrive: make([]int8, len(pairs)),
+		PerShard: make([][]SpecWork, ns),
+		PairVols: make([]int64, len(pairs)),
+		SrcShard: make([]int32, len(pairs)),
+		DstShard: make([]int32, len(pairs)),
 	}
 	for k, pr := range pairs {
 		cs.PairVols[k] = pr.Overlap.Volume()
 		cs.SrcShard[k] = int32(c.ShardOf[pr.Src])
 		cs.DstShard[k] = int32(c.ShardOf[pr.Dst])
-		cs.ProdWait[k] = 0
-		cs.ProdArrive[k] = 1
 	}
 	i := 0
 	for i < len(pairs) {

@@ -345,7 +345,7 @@ func TestNativeSweepFiltersSystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.Backend = bench.BackendNative
+	app.Opts.Backend = bench.BackendNative
 	app.Iters = 4
 	series, err := RunFigure(app, []int{2}, nil)
 	if err != nil {

@@ -39,55 +39,6 @@ type App struct {
 	// Baseline measures one of the app's other systems: the hand-written
 	// MPI(+X) codes, which are DES cost models with no program to build.
 	Baseline func(system string, nodes, iters int) (realm.Time, error)
-	// Faults optionally injects deterministic faults into every cell of the
-	// sweep (nil = fault-free). Fault seeds are derived per cell from
-	// Faults.Seed, the system index, and the node count, so each cell's
-	// trace is independent yet reproducible.
-	Faults *realm.FaultPlan
-	// Backend selects the realm backend for every cell: "" or
-	// bench.BackendDES measures on the deterministic simulator;
-	// bench.BackendNative runs real kernels on real goroutines and reports
-	// wall-clock per-iteration times. Systems that exist only as DES cost
-	// models (the MPI baselines) are dropped from the sweep on native.
-	Backend string
-	// NoTrace runs every cell with runtime trace capture/replay disabled —
-	// the trace ablation. Throughput series are identical with and without
-	// (the simulated schedule does not depend on tracing); only host
-	// wall-clock differs.
-	NoTrace bool
-	// NoShare runs every cell with cross-shard trace sharing disabled — the
-	// -trace-share ablation: each SPMD shard captures its own plan instead
-	// of specializing the shared capture. Series are identical either way.
-	NoShare bool
-	// Trace optionally accumulates both runtimes' trace counters across the
-	// whole sweep (printed by weakscale under -trace on).
-	Trace *bench.TraceAgg
-	// Procs sets the native worker pool's per-node size for every cell
-	// (0 = an equal share of GOMAXPROCS). Ignored on the DES.
-	Procs int
-	// Sched optionally accumulates the native scheduler's counters across
-	// the whole sweep (printed by weakscale under -backend native).
-	Sched *bench.SchedAgg
-	// Prune runs every CR cell with the certified redundant-sync pruning
-	// pass attached (the -prune ablation; default off). Series and stores
-	// are identical either way — only sync-edge and message counts drop.
-	// PruneStats optionally accumulates the prune counters across the sweep.
-	Prune      bool
-	PruneStats *bench.PruneAgg
-	// Agg runs every CR cell with coalesced exchange plans (the -agg
-	// ablation; default off, certified by verify.CheckAgg; with Prune the
-	// prune is planned for the aggregated schedule). Series and stores are
-	// identical either way — only
-	// message counts drop. AggStats optionally accumulates the coalescing
-	// counters across the sweep.
-	Agg      bool
-	AggStats *bench.AggCounters
-	// Fit optionally receives a wall-clock sample for every launch and copy
-	// body executed on native (pass a *realm.MeasuredTime to fit a
-	// TimePolicy from the sweep); Policy optionally replaces the DES's
-	// time-charging policy (e.g. a MeasuredTime imported from such a fit).
-	Fit    realm.TimeRecorder
-	Policy realm.TimePolicy
 	// UnitsPerNode is the per-node work per iteration; Unit/UnitScale name
 	// and scale the throughput axis exactly as the paper's figures do.
 	UnitsPerNode float64
@@ -95,6 +46,12 @@ type App struct {
 	UnitScale    float64
 	// Iters is the default iteration count per measurement.
 	Iters int
+	// Opts is how every cell of a sweep is measured, handed to each by value
+	// with one replacement: a cell's Faults is its own plan, derived from
+	// Opts.Faults (see cellFaults). On the native backend the systems that
+	// exist only as DES cost models (the MPI baselines) are dropped from the
+	// sweep.
+	Opts bench.MeasureOpts
 }
 
 // Apps returns the four evaluation applications in figure order.
@@ -242,21 +199,9 @@ func RunFigureParallel(app App, nodes []int, workers int, progress func(string))
 		measure := app.measurer(n, app.Iters)
 		for _, si := range units[i%len(units)] {
 			t0 := time.Now() //detlint:ignore host wall clock, reported as Point.Wall only
-			per, err := measure(systems[si], bench.MeasureOpts{
-				Faults:     app.cellFaults(si, n),
-				NoTrace:    app.NoTrace,
-				NoShare:    app.NoShare,
-				Trace:      app.Trace,
-				Backend:    app.Backend,
-				Procs:      app.Procs,
-				Sched:      app.Sched,
-				Fit:        app.Fit,
-				Policy:     app.Policy,
-				Prune:      app.Prune,
-				PruneStats: app.PruneStats,
-				Agg:        app.Agg,
-				AggStats:   app.AggStats,
-			})
+			opts := app.Opts
+			opts.Faults = app.cellFaults(si, n)
+			per, err := measure(systems[si], opts)
 			p := Point{Nodes: n, Wall: time.Since(t0)} //detlint:ignore host wall clock, reported as Point.Wall only
 			line := fmt.Sprintf("%-10s %-16s nodes=%-5d ", app.Name, systems[si], n)
 			if err != nil {
@@ -327,7 +272,7 @@ func isRegent(system string) bool { return system == "regent-cr" || system == "r
 // and without control replication) on native — the MPI baselines are pure
 // DES cost models with no kernels to execute.
 func (a App) ActiveSystems() []string {
-	if a.Backend != bench.BackendNative {
+	if !a.Opts.NativeBackend() {
 		return a.Systems
 	}
 	var out []string
@@ -339,15 +284,15 @@ func (a App) ActiveSystems() []string {
 	return out
 }
 
-// cellFaults derives the fault plan for one sweep cell. Each cell gets
-// its own seed, mixed from the sweep seed, the system index, and the node
-// count, so cells see independent fault sequences yet every cell stays
-// individually reproducible. Nil when the sweep is fault-free.
+// cellFaults derives the fault plan for one sweep cell from Opts.Faults.
+// Each cell gets its own seed, mixed from the sweep seed, the system index,
+// and the node count, so cells see independent fault sequences yet every
+// cell stays individually reproducible. Nil when the sweep is fault-free.
 func (a App) cellFaults(si, nodes int) *realm.FaultPlan {
-	if a.Faults == nil {
+	if a.Opts.Faults == nil {
 		return nil
 	}
-	fp := *a.Faults
+	fp := *a.Opts.Faults
 	fp.Seed ^= uint64(si+1)*0x9e3779b97f4a7c15 ^ uint64(nodes)*0xbf58476d1ce4e5b9
 	return &fp
 }
@@ -402,18 +347,13 @@ type Table1Row struct {
 	Candidates, FinalPairs int
 }
 
-// Table1 measures the dynamic intersection phases for every app at the
-// given node counts by compiling each application's main loop and reading
-// the compiler's phase timings. It is Table1Parallel at width 1.
-func Table1(nodeCounts []int) ([]Table1Row, error) {
-	return Table1Parallel(nodeCounts, 1)
-}
-
-// Table1Parallel measures the (app, node count) cells over a worker pool of
-// the given width (workers < 1 means one per CPU). Rows are collected by
-// cell index and stably sorted by app name, so the output is identical to
-// the sequential run; the measured phase timings themselves are wall-clock
-// and vary run to run either way.
+// Table1Parallel measures the dynamic intersection phases for every app at
+// the given node counts by compiling each application's main loop and
+// reading the compiler's phase timings. The (app, node count) cells run over
+// a worker pool of the given width (workers < 1 means one per CPU). Rows are
+// collected by cell index and stably sorted by app name, so the output is
+// identical at any width; the measured phase timings themselves are
+// wall-clock and vary run to run either way.
 func Table1Parallel(nodeCounts []int, workers int) ([]Table1Row, error) {
 	apps := Apps()
 	type cellKey struct{ ai, ni int }
@@ -428,7 +368,7 @@ func Table1Parallel(nodeCounts []int, workers int) ([]Table1Row, error) {
 	runCells(len(cells), workers, func(i int) {
 		app, n := apps[cells[i].ai], nodeCounts[cells[i].ni]
 		prog, loop := app.BuildProgram(n)
-		plan, err := bench.CompileForTimings(prog, loop, n)
+		plan, err := cr.Compile(prog, loop, cr.Options{NumShards: n, Sync: cr.PointToPoint})
 		if err != nil {
 			errs[i] = fmt.Errorf("%s@%d: %w", app.Name, n, err)
 			return

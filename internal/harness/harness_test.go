@@ -61,7 +61,7 @@ func TestRunFigureSmall(t *testing.T) {
 }
 
 func TestTable1Small(t *testing.T) {
-	rows, err := Table1([]int{4, 8})
+	rows, err := Table1Parallel([]int{4, 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestTable1ParallelDeterministic(t *testing.T) {
 			rows[i].ShallowMs, rows[i].CompleteMs = 0, 0
 		}
 	}
-	seq, err := Table1([]int{4})
+	seq, err := Table1Parallel([]int{4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFaultSweepDeterministicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	app.Iters = 8
-	app.Faults = &realm.FaultPlan{Seed: 42, CrashRate: 2000}
+	app.Opts.Faults = &realm.FaultPlan{Seed: 42, CrashRate: 2000}
 	seq, err := RunFigure(app, []int{2, 4}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestSweepBuildsEachProgramOnce(t *testing.T) {
 	once := map[int]int{1: 1, 2: 1, 4: 1}
 	for _, faults := range []*realm.FaultPlan{nil, {Seed: 42, CrashRate: 2000}} {
 		app, builds := countingApp(t, "regent-cr", "mpi", "regent-nocr")
-		app.Faults = faults
+		app.Opts.Faults = faults
 		var want []Series
 		for si, sys := range app.Systems {
 			s := Series{System: sys}

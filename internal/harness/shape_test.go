@@ -115,7 +115,7 @@ func TestFigureShapesAt64Nodes(t *testing.T) {
 // circuit is the most expensive app, and everything stays far below
 // application run times.
 func TestTable1Shape(t *testing.T) {
-	rows, err := Table1([]int{16, 64})
+	rows, err := Table1Parallel([]int{16, 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -406,3 +406,65 @@ func TestTaskCost(t *testing.T) {
 		t.Error("cost should be defined at zero volume")
 	}
 }
+
+// TestSequentialLaunchRepartitionedMidLoop: a scalar statement swaps a
+// launch's partition between iterations 1 and 2, moving elements 4 and 5
+// from colour 1 to colour 0. Every task adds 1 + its colour to each element
+// of its subregion — directly, or through a reduction — so which subregions
+// the launch ran over shows in the stores: the two moved elements read
+// 2+2+1+1, not the 2+2+2+2 of a launch still running over the partition it
+// was first resolved for.
+func TestSequentialLaunchRepartitionedMidLoop(t *testing.T) {
+	for _, priv := range []Privilege{PrivReadWrite, PrivReduce} {
+		p := NewProgram("repartition")
+		fs := region.NewFieldSpace("v")
+		v := fs.Field("v")
+		r := p.Tree.NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, 15)))
+		p.FieldSpaces[r] = fs
+		pa := r.Block("PA", 4)
+		pb := r.BySubsets("PB", geometry.NewIndexSpace(geometry.R1(0, 3)), map[geometry.Point]geometry.IndexSpace{
+			geometry.Pt1(0): geometry.NewIndexSpace(geometry.R1(0, 5)),
+			geometry.Pt1(1): geometry.NewIndexSpace(geometry.R1(6, 7)),
+			geometry.Pt1(2): geometry.NewIndexSpace(geometry.R1(8, 11)),
+			geometry.Pt1(3): geometry.NewIndexSpace(geometry.R1(12, 15)),
+		})
+		task := &TaskDecl{
+			Name:   "addcolour",
+			Params: []Param{{Priv: priv, Op: region.ReduceSum, Fields: []region.FieldID{v}}},
+			Kernel: func(tc *TaskCtx) {
+				arg, add := &tc.Args[0], float64(1+tc.Color.X())
+				arg.Each(func(pt geometry.Point) bool {
+					if priv == PrivReduce {
+						arg.Reduce(v, region.ReduceSum, pt, add)
+					} else {
+						arg.Set(v, pt, arg.Get(v, pt)+add)
+					}
+					return true
+				})
+			},
+		}
+		launch := &Launch{Task: task, Domain: Colors1D(4), Args: []RegionArg{{Part: pa}}}
+		p.Add(
+			&Fill{Target: r, Field: v, Value: 0},
+			&Loop{Var: "t", Trip: 4, Body: []Stmt{
+				&SetScalar{Name: "swap", Expr: func(env Env) float64 {
+					if env.Get("t") == 2 {
+						launch.Args[0].Part = pb
+					}
+					return 0
+				}},
+				launch,
+			}},
+		)
+		st := ExecSequential(p).Stores[r]
+		for x := int64(0); x < 16; x++ {
+			want := float64(4 * (1 + x/4))
+			if x == 4 || x == 5 {
+				want = 6
+			}
+			if got := st.Get(v, geometry.Pt1(x)); got != want {
+				t.Errorf("%v: R[%d] = %v, want %v", priv, x, got, want)
+			}
+		}
+	}
+}

@@ -137,12 +137,19 @@ func (r *RootArgs) execLaunch(env MapEnv, l *Launch) {
 // instances every iteration, so what depends only on the instance (each
 // argument's footprint in its root store, the layout of each reduce
 // buffer, the footprints kernels resolve over several arguments) is kept,
-// and an iteration allocates only its reduce buffers. Stores must not
-// change once Ctx has been called. Ctx is not safe for concurrent use; the
-// contexts it returns may run concurrently.
+// and an iteration allocates only its reduce buffers. A site is the launch
+// statement under the partitions its arguments name: a scalar statement may
+// swap one mid-loop, and the repartitioned launch resolves fresh instances.
+// Stores must not change once Ctx has been called. Ctx is not safe for
+// concurrent use; the contexts it returns may run concurrently.
 type RootArgs struct {
 	Stores map[*region.Region]*region.Store
-	sites  map[*Launch][]*rootInstance
+	sites  map[*Launch]*rootSite
+}
+
+type rootSite struct {
+	parts []*region.Partition // the launch's argument partitions when resolved
+	insts []*rootInstance     // by task index
 }
 
 type rootInstance struct {
@@ -159,14 +166,21 @@ type rootInstance struct {
 // argument (nil when the task has no reduce argument).
 func (r *RootArgs) Ctx(l *Launch, idx int, scalars []float64) (ctx *TaskCtx, bufs []*region.Store) {
 	if r.sites == nil {
-		r.sites = make(map[*Launch][]*rootInstance)
+		r.sites = make(map[*Launch]*rootSite)
 	}
 	site := r.sites[l]
-	if site == nil {
-		site = make([]*rootInstance, len(l.Domain))
+	same := site != nil
+	for ai := 0; same && ai < len(l.Args); ai++ {
+		same = l.Args[ai].Part == site.parts[ai]
+	}
+	if !same {
+		site = &rootSite{parts: make([]*region.Partition, len(l.Args)), insts: make([]*rootInstance, len(l.Domain))}
+		for ai, a := range l.Args {
+			site.parts[ai] = a.Part
+		}
 		r.sites[l] = site
 	}
-	inst := site[idx]
+	inst := site.insts[idx]
 	if inst == nil {
 		inst = &rootInstance{args: make([]PhysArg, len(l.Args)), layouts: make([]*region.Layout, len(l.Args))}
 		for ai, a := range l.Args {
@@ -179,7 +193,7 @@ func (r *RootArgs) Ctx(l *Launch, idx int, scalars []float64) (ctx *TaskCtx, buf
 				inst.args[ai] = NewPhysArg(sub, r.Stores[sub.Root()], param)
 			}
 		}
-		site[idx] = inst
+		site.insts[idx] = inst
 	}
 	ctx = &TaskCtx{Color: l.Domain[idx], Scalars: scalars, Args: inst.args, Footprints: &inst.footprints}
 	for ai, layout := range inst.layouts {

@@ -65,6 +65,16 @@ type Exec interface {
 	// shared-memory copy by body on native), body runs at the destination,
 	// and the returned event fires.
 	CopyBytes(src, dst int, bytes int64, pre Event, body func()) Event
+	// CopyAgg moves the merged payload of a members-pair aggregation group
+	// — several copy pairs toward one destination coalesced into a single
+	// message — from node src to node dst once pre triggers; body performs
+	// the member writes in capture order on backends that execute for real.
+	// It is CopyBytes of the summed payload (one latency charge, one fault
+	// draw, one dispatch; with one member, exactly CopyBytes) that also
+	// keeps the aggregation counters: groups with at least two members count
+	// toward Stats.AggGroups, and remote ones credit members-1 avoided
+	// messages to Stats.AggSavedMessages.
+	CopyAgg(src, dst int, bytes int64, members int, pre Event, body func()) Event
 
 	// Barrier creates a single-use phase barrier expecting n arrivals.
 	Barrier(n int) BarrierOp
@@ -164,25 +174,6 @@ type FaultExec interface {
 	ShipTrace(src, dst int, bytes int64, pre Event) Event
 }
 
-// AggExec is the copy-aggregation extension of Exec: a backend that can
-// account a coalesced transfer — several copy pairs toward one destination
-// merged into a single message — as one unit. CopyAgg behaves exactly like
-// CopyBytes for the summed payload (one latency charge, one fault draw, one
-// dispatch) and additionally maintains the aggregation counters in Stats.
-// Engines reach it through a type assertion and fall back to plain
-// CopyBytes on backends that do not implement it, so aggregation degrades
-// to correct-but-uncounted rather than failing.
-type AggExec interface {
-	Exec
-
-	// CopyAgg moves the merged payload of a members-pair aggregation group
-	// from node src to node dst once pre triggers; body performs the member
-	// writes in capture order on backends that execute for real. Groups
-	// with at least two members count toward Stats.AggGroups, and remote
-	// ones credit members-1 avoided messages to Stats.AggSavedMessages.
-	CopyAgg(src, dst int, bytes int64, members int, pre Event, body func()) Event
-}
-
 // BlockedAgent describes one stalled agent in a HangError: its name, the
 // event it is parked on, and the primitive that owns that event.
 type BlockedAgent struct {
@@ -226,7 +217,6 @@ func (e *UnsupportedError) Error() string {
 var (
 	_ Exec         = (*Sim)(nil)
 	_ FaultExec    = (*Sim)(nil)
-	_ AggExec      = (*Sim)(nil)
 	_ Agent        = (*Thread)(nil)
 	_ BarrierOp    = (*Barrier)(nil)
 	_ CollectiveOp = (*Collective)(nil)

@@ -219,7 +219,6 @@ func MustNewMachine(cfg realm.Config) *Machine {
 var (
 	_ realm.Exec      = (*Machine)(nil)
 	_ realm.FaultExec = (*Machine)(nil)
-	_ realm.AggExec   = (*Machine)(nil)
 )
 
 // Backend implements realm.Exec.
@@ -442,7 +441,7 @@ func (m *Machine) ShipTrace(src, dst int, bytes int64, pre realm.Event) realm.Ev
 	return m.CopyBytes(src, dst, bytes, pre, nil)
 }
 
-// CopyAgg implements realm.AggExec: a coalesced transfer is one ordinary
+// CopyAgg implements realm.Exec: a coalesced transfer is one ordinary
 // copy of the summed payload — one work item, one fault draw (so a dropped
 // or duplicated aggregate retransmits the whole group) — counted at issue
 // time exactly as the DES counts it, keeping the aggregation counters

@@ -56,9 +56,6 @@ func (p *Proc) Node() *Node { return p.node }
 // ID returns the processor index within its node.
 func (p *Proc) ID() int { return p.id }
 
-// FreeAt returns the earliest virtual time at which the processor is idle.
-func (p *Proc) FreeAt() Time { return p.freeAt }
-
 // Launch schedules a work item on the processor: once pre triggers, the
 // item occupies the processor for dur, then body (if non-nil) runs and the
 // returned completion event fires. Items are serviced in the order their
@@ -166,7 +163,7 @@ func (s *Sim) ShipTrace(src, dst int, bytes int64, pre Event) Event {
 	return s.Copy(s.Node(src), s.Node(dst), bytes, pre, nil)
 }
 
-// CopyAgg implements AggExec: a coalesced transfer is an ordinary wire
+// CopyAgg implements Exec: a coalesced transfer is an ordinary wire
 // transfer of the summed payload (one latency charge, batched bandwidth,
 // one fault draw — a dropped or duplicated aggregate retransmits the whole
 // group), counted at issue time so the aggregation counters match the

@@ -194,6 +194,35 @@ func TestTraceRepartitionInvalidatesMidLoop(t *testing.T) {
 	})
 }
 
+// TestRepartitionedLaunchRunsOverNewSubregions: the fixture above cannot
+// tell which partition a kernel ran over, since every element gains 1
+// whichever colour owns it. With tasks adding 1 + their colour it can: the
+// swap at iteration 2 of 4 moves elements 4 and 5 from colour 1 to colour 0,
+// so they gain 2+2+1+1 — with the analysis or the trace in charge.
+func TestRepartitionedLaunchRunsOverNewSubregions(t *testing.T) {
+	for _, noTrace := range []bool{false, true} {
+		prog, r, v := repartitionProgram(16, 4, 4, 2, false)
+		launch := prog.Stmts[1].(*ir.Loop).Body[1].(*ir.Launch)
+		launch.Task.Kernel = func(tc *ir.TaskCtx) {
+			arg := &tc.Args[0]
+			arg.Each(func(pt geometry.Point) bool {
+				arg.Set(v, pt, arg.Get(v, pt)+1+float64(tc.Color.X()))
+				return true
+			})
+		}
+		res, _ := runWithTrace(t, prog, 4, Real, noTrace)
+		for x := int64(0); x < 16; x++ {
+			want := float64(x + 4*(1+x/4))
+			if x == 4 || x == 5 {
+				want = float64(x + 6)
+			}
+			if got := res.Stores[r].Get(v, geometry.Pt1(x)); got != want {
+				t.Errorf("NoTrace=%v: R[%d] = %v, want %v", noTrace, x, got, want)
+			}
+		}
+	}
+}
+
 // TestRepartitionOntoAliasedPartitionRejected: the intra-launch conflict
 // check belongs to the launch's partitions, not to the statement, so a
 // read-write launch swapped onto an aliased partition is refused whenever

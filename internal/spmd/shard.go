@@ -429,7 +429,7 @@ func (sh *shard) execExchangeP2P(xp *exchangePlan, iter int) {
 				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx-1, iter).done)
 			}
 		}
-		ev := e.copyAgg(s.srcNode, s.dstNode, s.bytes, len(s.members), e.Sim.Merge(pres...), s.body)
+		ev := e.Sim.CopyAgg(s.srcNode, s.dstNode, s.bytes, len(s.members), e.Sim.Merge(pres...), s.body)
 		sh.presBuf = pres[:0]
 		for mi := range s.members {
 			m := &s.members[mi]
@@ -523,7 +523,7 @@ func (sh *shard) execExchangeBarrier(xp *exchangePlan, iter int) {
 				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx-1, iter).done)
 			}
 		}
-		ev := e.copyAgg(s.srcNode, s.dstNode, s.bytes, len(s.members), e.Sim.Merge(pres...), s.body)
+		ev := e.Sim.CopyAgg(s.srcNode, s.dstNode, s.bytes, len(s.members), e.Sim.Merge(pres...), s.body)
 		sh.presBuf = pres[:0]
 		for mi := range s.members {
 			m := &s.members[mi]

@@ -242,21 +242,6 @@ func (e *Engine) fx() realm.FaultExec {
 	return f
 }
 
-// copyAgg issues one transfer carrying members pairs. A coalesced transfer
-// goes through the backend's aggregation extension, which counts the group
-// and charges one latency for the summed payload; a single pair — or a
-// backend without the extension — is a plain CopyBytes of the same payload:
-// still correct (the merged body carries every member write), just
-// uncounted.
-func (e *Engine) copyAgg(src, dst int, bytes int64, members int, pre realm.Event, body func()) realm.Event {
-	if members > 1 {
-		if ax, ok := e.Sim.(realm.AggExec); ok {
-			return ax.CopyAgg(src, dst, bytes, members, pre, body)
-		}
-	}
-	return e.Sim.CopyBytes(src, dst, bytes, pre, body)
-}
-
 // runSim drives the backend, converting panics from task kernels (which
 // the DES executes inside the event loop) into errors so a faulty
 // application cannot crash the host process. A deadlock (e.g. an injected

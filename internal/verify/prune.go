@@ -22,6 +22,7 @@ package verify
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/cr"
 	"repro/internal/geometry"
@@ -62,7 +63,7 @@ func (a *Analysis) SyncEdges() int {
 // and the liveness check. It is a yes/no question, asked some twenty times
 // per plan: no witness is rendered, and every closure lands in reach's slab.
 func certifies(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) bool {
-	certifyCalls++
+	certifyCalls.Add(1)
 	a := newBuilder(c, info).analyze()
 	return a.ordered(reach) && a.CheckLiveness().OK()
 }
@@ -476,5 +477,6 @@ func fieldsContain(sup, sub []region.FieldID) bool {
 	return len(fieldIntersection(sub, sup)) == len(sub)
 }
 
-// certifyCalls counts certification runs (instrumentation for tests).
-var certifyCalls int
+// certifyCalls counts certification runs (instrumentation for tests; atomic
+// because a parallel sweep under -prune plans several cells at once).
+var certifyCalls atomic.Int64

@@ -23,7 +23,7 @@ func TestPruneCertificationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, plan := range plans {
-		certifyCalls = 0
+		certifyCalls.Store(0)
 		info, rep, err := PlanPrune(plan)
 		if err != nil || !rep.OK() {
 			t.Fatalf("prune failed: %v %v", err, rep)
@@ -35,9 +35,9 @@ func TestPruneCertificationBudget(t *testing.T) {
 			t.Fatalf("sync edges not reduced: %d -> %d",
 				rep.Counters["sync_edges_before"], rep.Counters["sync_edges_after"])
 		}
-		if certifyCalls > 20 {
+		if certifyCalls.Load() > 20 {
 			t.Errorf("PlanPrune used %d certifications for %d pruned wars; want <= 20 (the analytic proposal should accept the bulk in rounds)",
-				certifyCalls, info.PrunedWar())
+				certifyCalls.Load(), info.PrunedWar())
 		}
 	}
 }

@@ -16,10 +16,10 @@ import (
 // each ingredient of the substitution is re-derived here from
 // first principles and compared:
 //
-//   - block congruence: OwnedBase offsets match the ownership partition,
-//     and every owned color's ColorIdx equals its dense slot (so the
-//     specialized plan binds the same collective indices and cost-table
-//     slots as direct capture);
+//   - block congruence: every owned color's ColorIdx equals its dense slot
+//     in the ownership partition's running block offset (so the specialized
+//     plan binds the same collective indices and cost-table slots as direct
+//     capture);
 //   - the share marker is honest: Shareable exactly when the owned blocks
 //     are uniform, with a reason recorded otherwise;
 //   - launch cost volumes match the cost argument's subregion volumes;
@@ -44,31 +44,24 @@ func CheckSpec(c *cr.Compiled) error {
 	spec := &c.Spec
 	ns := c.Opts.NumShards
 
-	if len(spec.OwnedBase) != ns {
-		fail("OwnedBase has %d entries, want one per shard (%d)", len(spec.OwnedBase), ns)
-	} else {
-		base := 0
-		uniform := true
-		for s := 0; s < ns; s++ {
-			if spec.OwnedBase[s] != base {
-				fail("OwnedBase[%d] = %d, want %d (running block offset)", s, spec.OwnedBase[s], base)
-			}
-			for k, col := range c.Owned[s] {
-				if c.ColorIdx[col] != base+k {
-					fail("shard %d owned color %v has ColorIdx %d, want dense slot %d: owned blocks are not contiguous in the domain", s, col, c.ColorIdx[col], base+k)
-				}
-			}
-			base += len(c.Owned[s])
-			if len(c.Owned[s]) != len(c.Owned[0]) {
-				uniform = false
+	base := 0
+	uniform := true
+	for s := 0; s < ns; s++ {
+		for k, col := range c.Owned[s] {
+			if c.ColorIdx[col] != base+k {
+				fail("shard %d owned color %v has ColorIdx %d, want dense slot %d: owned blocks are not contiguous in the domain", s, col, c.ColorIdx[col], base+k)
 			}
 		}
-		if spec.Share.Shareable != uniform {
-			fail("Share.Shareable = %v but uniform owned blocks = %v", spec.Share.Shareable, uniform)
+		base += len(c.Owned[s])
+		if len(c.Owned[s]) != len(c.Owned[0]) {
+			uniform = false
 		}
-		if !spec.Share.Shareable && spec.Share.Reason == "" {
-			fail("unshareable plan records no reason")
-		}
+	}
+	if spec.Share.Shareable != uniform {
+		fail("Share.Shareable = %v but uniform owned blocks = %v", spec.Share.Shareable, uniform)
+	}
+	if !spec.Share.Shareable && spec.Share.Reason == "" {
+		fail("unshareable plan records no reason")
 	}
 
 	if len(spec.Ops) != len(c.Body) {
@@ -87,9 +80,6 @@ func CheckSpec(c *cr.Compiled) error {
 				if so.Copy == nil {
 					fail("body op %d is a copy but has no copy spec", i)
 					continue
-				}
-				if spec.CopyByID[op.Copy.ID] != so.Copy {
-					fail("body op %d copy spec is not the CopyByID entry for id %d", i, op.Copy.ID)
 				}
 				checkCopySpec(c, op.Copy, so.Copy, fail)
 			default:
@@ -138,38 +128,6 @@ func checkCopySpec(c *cr.Compiled, cp *cr.CopyOp, cs *cr.CopySpec, fail func(str
 		}
 	}
 
-	// Producer sync endpoints: the liveness congruence of the spec table.
-	// The executor wires each pair's producer from these two slots (wait on
-	// ProdWait, trigger ProdArrive); the pair is live exactly when the
-	// producer waits on the consumer-triggered war slot (0) and triggers the
-	// consumer-awaited done slot (1). Any other wiring deadlocks — so the
-	// findings here name the deadlock shape, not merely a table mismatch.
-	if len(cs.ProdWait) != len(pairs) || len(cs.ProdArrive) != len(pairs) {
-		fail("copy %d producer sync endpoint tables sized %d/%d, want %d each",
-			cp.ID, len(cs.ProdWait), len(cs.ProdArrive), len(pairs))
-	} else {
-		for k := range pairs {
-			w, ar := cs.ProdWait[k], cs.ProdArrive[k]
-			if w < 0 || w > 1 || ar < 0 || ar > 1 {
-				fail("copy %d pair %d producer sync endpoints (%d,%d) outside the war/done slot range", cp.ID, k, w, ar)
-				continue
-			}
-			if w == ar {
-				fail("copy %d pair %d producer waits on the very slot it triggers: wait-for cycle copy -> %s -> copy — the pair deadlocks",
-					cp.ID, k, slotName(ar))
-				continue
-			}
-			if ar != 1 {
-				fail("copy %d pair %d producer arrives at the war slot instead of done: the done event is never triggered and its waiters block forever",
-					cp.ID, k)
-			}
-			if w != 0 {
-				fail("copy %d pair %d producer waits on the done slot: wait-for cycle through the consumer's done merge — deadlock, not a race",
-					cp.ID, k)
-			}
-		}
-	}
-
 	// Regroup the pair list from scratch (the same destination-run notion
 	// the happens-before builder uses, see groups) and rebuild each shard's
 	// work partition: one consumer per group (the destination's owner),
@@ -202,13 +160,6 @@ func checkCopySpec(c *cr.Compiled, cp *cr.CopyOp, cs *cr.CopySpec, fail func(str
 			fail("copy %d shard %d work list diverges:\n    got  %+v\n    want %+v", cp.ID, s, cs.PerShard[s], want[s])
 		}
 	}
-}
-
-func slotName(s int8) string {
-	if s == 0 {
-		return "war"
-	}
-	return "done"
 }
 
 func workListsEqual(a, b []cr.SpecWork) bool {

@@ -33,9 +33,9 @@ func TestCheckSpecAccepts(t *testing.T) {
 }
 
 // TestCheckSpecDetectsCorruption: every ingredient of the substitution —
-// base offsets, the share marker, cost volumes, pair volumes, endpoint
-// shards, and the per-shard work partition — is independently recomputed,
-// so corrupting any one of them must be caught.
+// the share marker, cost volumes, pair volumes, endpoint shards, and the
+// per-shard work partition — is independently recomputed, so corrupting any
+// one of them must be caught.
 func TestCheckSpecDetectsCorruption(t *testing.T) {
 	fresh := func() *cr.Compiled {
 		f := progtest.NewFigure2(48, 8, 3)
@@ -64,7 +64,7 @@ func TestCheckSpecDetectsCorruption(t *testing.T) {
 		corrupt func(c *cr.Compiled)
 		want    string
 	}{
-		{"base offset", func(c *cr.Compiled) { c.Spec.OwnedBase[1]++ }, "running block offset"},
+		{"color index", func(c *cr.Compiled) { c.ColorIdx[c.Owned[1][0]]++ }, "dense slot"},
 		{"false share marker", func(c *cr.Compiled) {
 			c.Spec.Share = cr.ShareMarker{Shareable: false, Reason: "bogus"}
 		}, "Shareable"},
@@ -84,22 +84,6 @@ func TestCheckSpecDetectsCorruption(t *testing.T) {
 			}
 			t.Fatal("no shard has copy work")
 		}, "work list diverges"},
-		// Liveness corruptions: sync endpoint tables that deadlock rather
-		// than race. Swapped wait/arrive endpoints must be rejected as a
-		// wait-for cycle, not merely a divergent table.
-		{"swapped sync endpoints", func(c *cr.Compiled) {
-			cs := firstCopy(c)
-			cs.ProdWait[0], cs.ProdArrive[0] = 1, 0
-		}, "cycle"},
-		// The same swap also starves the done event's waiters: the error
-		// must name the never-triggered event, not just the cycle.
-		{"arrive at war slot", func(c *cr.Compiled) {
-			cs := firstCopy(c)
-			cs.ProdWait[0], cs.ProdArrive[0] = 1, 0
-		}, "never triggered"},
-		{"wait on own done slot", func(c *cr.Compiled) {
-			firstCopy(c).ProdWait[0] = 1
-		}, "cycle"},
 		{"dropped producer", func(c *cr.Compiled) {
 			cs := firstCopy(c)
 			for s := range cs.PerShard {
