@@ -93,6 +93,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -224,8 +225,8 @@ func parseFaults(arg string) (*realm.FaultPlan, error) {
 		return nil, fmt.Errorf("bad -faults seed %q: %v", seedStr, err)
 	}
 	rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
-	if err != nil || rate < 0 {
-		return nil, fmt.Errorf("bad -faults rate %q (want crashes per simulated second >= 0)", rateStr)
+	if err != nil || !(rate >= 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("bad -faults rate %q (want finite crashes per simulated second >= 0)", rateStr)
 	}
 	return &realm.FaultPlan{Seed: seed, CrashRate: rate}, nil
 }

@@ -3,8 +3,8 @@
 // rank-per-node configurations). A baseline run models one rank group per
 // node: each node thread computes its kernel, exchanges halos with its
 // neighbors, optionally joins a per-iteration allreduce, and repeats —
-// exactly the structure of Figure 1b, written directly against the
-// simulated machine with none of the tasking runtime's overheads.
+// exactly the structure of Figure 1b, written directly against the machine
+// interface (realm.Exec) with none of the tasking runtime's overheads.
 package baseline
 
 import (
@@ -51,13 +51,13 @@ type Result struct {
 	Elapsed   realm.Time
 }
 
-// Run executes the baseline on the given simulator. Each node is one
-// simulated thread; received halos are awaited through per-(node,iteration)
-// counting barriers sized by the incoming-message count, like matched
+// Run executes the baseline on the given machine. Each node is one agent;
+// received halos are awaited through per-(node,iteration) counting
+// barriers sized by the incoming-message count, like matched
 // MPI_Irecv/Waitall.
-func Run(sim *realm.Sim, spec Spec) (*Result, error) {
-	if spec.Nodes > sim.Nodes() {
-		return nil, fmt.Errorf("baseline: spec wants %d nodes, machine has %d", spec.Nodes, sim.Nodes())
+func Run(x realm.Exec, spec Spec) (*Result, error) {
+	if spec.Nodes > x.Nodes() {
+		return nil, fmt.Errorf("baseline: spec wants %d nodes, machine has %d", spec.Nodes, x.Nodes())
 	}
 	if spec.RanksPerNode < 1 {
 		spec.RanksPerNode = 1
@@ -79,19 +79,19 @@ func Run(sim *realm.Sim, spec Spec) (*Result, error) {
 		}
 	}
 
-	recvBar := make([][]*realm.Barrier, spec.Nodes)
+	recvBar := make([][]realm.BarrierOp, spec.Nodes)
 	for n := range recvBar {
-		recvBar[n] = make([]*realm.Barrier, spec.Iters)
+		recvBar[n] = make([]realm.BarrierOp, spec.Iters)
 		for t := range recvBar[n] {
 			if incoming[n] > 0 {
-				recvBar[n][t] = sim.NewBarrier(incoming[n])
+				recvBar[n][t] = x.Barrier(incoming[n])
 			}
 		}
 	}
-	colls := make([]*realm.Collective, spec.Iters)
+	colls := make([]realm.CollectiveOp, spec.Iters)
 	if spec.Allreduce {
 		for t := range colls {
-			colls[t] = sim.NewCollective(spec.Nodes, 0, func(a, v float64) float64 { return a + v })
+			colls[t] = x.Collective(spec.Nodes, 0, func(a, v float64) float64 { return a + v })
 		}
 	}
 
@@ -103,7 +103,7 @@ func Run(sim *realm.Sim, spec Spec) (*Result, error) {
 
 	for n := 0; n < spec.Nodes; n++ {
 		n := n
-		sim.Spawn(fmt.Sprintf("rank-%d", n), sim.Node(n).Proc(0), func(th *realm.Thread) {
+		x.SpawnOn(fmt.Sprintf("rank-%d", n), n, 0, func(th realm.Agent) {
 			for t := 0; t < spec.Iters; t++ {
 				kt := spec.KernelTime
 				if spec.Noise != nil {
@@ -117,7 +117,7 @@ func Run(sim *realm.Sim, spec Spec) (*Result, error) {
 					per := nb.Bytes / int64(spec.RanksPerNode)
 					for r := 0; r < spec.RanksPerNode; r++ {
 						th.Elapse(spec.PerMessageCPU)
-						ev := sim.Copy(sim.Node(n), sim.Node(nb.Node), per, realm.NoEvent, nil)
+						ev := x.CopyBytes(n, nb.Node, per, realm.NoEvent, nil)
 						recvBar[nb.Node][t].Arrive(ev)
 					}
 				}
@@ -130,12 +130,12 @@ func Run(sim *realm.Sim, spec Spec) (*Result, error) {
 				}
 				remaining[t]--
 				if remaining[t] == 0 {
-					iterTimes[t] = sim.Now()
+					iterTimes[t] = x.Now()
 				}
 			}
 		})
 	}
-	elapsed, err := sim.Run()
+	elapsed, err := x.Drive()
 	if err != nil {
 		return nil, err
 	}

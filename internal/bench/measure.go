@@ -250,11 +250,7 @@ func newMachine(nodes int, opts MeasureOpts) (realm.Exec, error) {
 		}
 	}
 	if opts.Faults != nil {
-		fx, ok := sim.(realm.FaultExec)
-		if !ok {
-			return nil, &realm.UnsupportedError{Backend: sim.Backend(), Op: "fault injection"}
-		}
-		if err := fx.InjectFaults(*opts.Faults); err != nil {
+		if err := sim.InjectFaults(*opts.Faults); err != nil {
 			return nil, err
 		}
 	}

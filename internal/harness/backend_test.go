@@ -173,11 +173,7 @@ func runSPMDRecov(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, b
 		t.Fatal(err)
 	}
 	if fp != nil {
-		fx, ok := x.(realm.FaultExec)
-		if !ok {
-			t.Fatalf("backend %s lost its FaultExec implementation", backend)
-		}
-		if err := fx.InjectFaults(*fp); err != nil {
+		if err := x.InjectFaults(*fp); err != nil {
 			t.Fatal(err)
 		}
 	}

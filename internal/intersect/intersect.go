@@ -123,20 +123,6 @@ func Pairs(src, dst *region.Partition) []Pair {
 	return Complete(src, dst, Shallow(src, dst))
 }
 
-// PairsExcludingSelf runs both phases and drops same-color pairs, the form
-// needed when relating a partition to itself (a task never communicates
-// with itself).
-func PairsExcludingSelf(src, dst *region.Partition) []Pair {
-	all := Pairs(src, dst)
-	out := all[:0]
-	for _, p := range all {
-		if p.Src != p.Dst {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // ShallowBrute is the O(N^2) all-pairs shallow phase the acceleration
 // structures replace (§3.3 explicitly calls out avoiding "an O(N^2)
 // startup cost in comparing all pairs of subregions"). It exists for the

@@ -99,26 +99,6 @@ func TestShallowConservativeCompleteExact(t *testing.T) {
 	}
 }
 
-func TestPairsExcludingSelf(t *testing.T) {
-	tr := region.NewTree()
-	r := tr.NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, 19)))
-	pb := r.Block("PB", 2)
-	qb := region.ImageRects(r, pb, "QB", func(is geometry.IndexSpace) []geometry.Rect {
-		b := is.Bounds()
-		return []geometry.Rect{geometry.R1(b.Lo.X()-2, b.Hi.X()+2)}
-	})
-	all := Pairs(pb, qb)
-	noSelf := PairsExcludingSelf(pb, qb)
-	if len(noSelf) != len(all)-2 {
-		t.Errorf("self pairs not excluded: %d vs %d", len(noSelf), len(all))
-	}
-	for _, p := range noSelf {
-		if p.Src == p.Dst {
-			t.Error("self pair survived")
-		}
-	}
-}
-
 // Property: Pairs matches brute-force all-pairs intersection on random
 // partitions, in both 1-D and 2-D.
 func TestPairsMatchBruteForceRandomized(t *testing.T) {

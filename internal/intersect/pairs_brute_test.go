@@ -15,8 +15,7 @@ import (
 // checkAgainstBruteForce holds the two-phase result to the all-pairs one:
 // Pairs is the list of non-empty Intersects in (destination colour, source
 // colour) order with the same overlap spans, Shallow proposes every pair
-// ShallowBrute proposes and Complete confirms, and PairsExcludingSelf is
-// Pairs without the diagonal.
+// ShallowBrute proposes and Complete confirms.
 func checkAgainstBruteForce(t *testing.T, src, dst *region.Partition) {
 	t.Helper()
 	var want []intersect.Pair
@@ -56,14 +55,6 @@ func checkAgainstBruteForce(t *testing.T, src, dst *region.Partition) {
 			t.Fatalf("%s -> %s: Shallow misses the overlapping pair %v->%v", src.Name(), dst.Name(), p.Src, p.Dst)
 		}
 	}
-
-	offDiagonal := want[:0:0]
-	for _, p := range want {
-		if p.Src != p.Dst {
-			offDiagonal = append(offDiagonal, p)
-		}
-	}
-	samePairs("PairsExcludingSelf", intersect.PairsExcludingSelf(src, dst), offDiagonal)
 }
 
 // TestPairsMatchAllPairsIntersect runs the check on random disjoint block

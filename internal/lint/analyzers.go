@@ -214,7 +214,7 @@ func sortedInFunc(pass *Pass, fn *ast.BlockStmt, obj types.Object) bool {
 }
 
 // Goroutine flags go statements: concurrency in the simulator core must
-// run as DES threads (realm.Sim.Spawn) so the scheduler fully orders it.
+// run as DES threads (realm.Exec.SpawnOn) so the scheduler fully orders it.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc:  "flag go statements in deterministic code",
@@ -225,7 +225,7 @@ func runGoroutine(pass *Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Pos(), "go statement escapes the deterministic scheduler; use realm.Sim.Spawn")
+				pass.Reportf(g.Pos(), "go statement escapes the deterministic scheduler; use realm.Exec.SpawnOn")
 			}
 			return true
 		})

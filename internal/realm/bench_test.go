@@ -75,7 +75,7 @@ func BenchmarkThreadHandoff(b *testing.B) {
 		if i < b.N%threads {
 			n++
 		}
-		s.Spawn("t", s.Node(0).Proc(i), func(t *Thread) {
+		s.SpawnOn("t", 0, i, func(t Agent) {
 			for ; n > 0; n-- {
 				t.Elapse(1)
 			}

@@ -63,7 +63,7 @@ func TestCopyZeroBytes(t *testing.T) {
 	cfg.NetLatency = Microseconds(3)
 	s := MustNewSim(cfg)
 	var at Time
-	s.Copy(s.Node(0), s.Node(1), 0, NoEvent, func() { at = s.Now() })
+	s.CopyBytes(0, 1, 0, NoEvent, func() { at = s.Now() })
 	s.MustRun()
 	if at != Microseconds(3) {
 		t.Errorf("zero-byte copy should cost pure latency, got %v", at)
@@ -73,10 +73,10 @@ func TestCopyZeroBytes(t *testing.T) {
 func TestSpawnFromWithinThread(t *testing.T) {
 	s := MustNewSim(smallConfig(2))
 	var order []string
-	s.Spawn("outer", s.Node(0).Proc(0), func(th *Thread) {
+	s.SpawnOn("outer", 0, 0, func(th Agent) {
 		th.Elapse(Microseconds(5))
 		order = append(order, "outer-mid")
-		s.Spawn("inner", s.Node(1).Proc(0), func(in *Thread) {
+		s.SpawnOn("inner", 1, 0, func(in Agent) {
 			in.Elapse(Microseconds(5))
 			order = append(order, "inner-done")
 		})
@@ -104,11 +104,11 @@ func TestMergeNoInputs(t *testing.T) {
 
 func TestThreadSleepDoesNotOccupyProc(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
-	p := s.Node(0).Proc(0)
+	p := s.nodes[0].procs[0]
 	var taskAt Time
-	s.Spawn("sleeper", p, func(th *Thread) {
+	s.SpawnOn("sleeper", 0, 0, func(th Agent) {
 		// While the thread sleeps, a task on the same proc should run.
-		p.Launch(NoEvent, Microseconds(10), func() { taskAt = s.Now() })
+		p.launch(NoEvent, Microseconds(10), func() { taskAt = s.Now() })
 		th.Sleep(Microseconds(100))
 	})
 	s.MustRun()
@@ -119,7 +119,7 @@ func TestThreadSleepDoesNotOccupyProc(t *testing.T) {
 
 func TestCollectiveDuplicateContributionPanics(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
-	c := s.NewCollective(2, 0, func(a, v float64) float64 { return a + v })
+	c := s.Collective(2, 0, func(a, v float64) float64 { return a + v })
 	c.Contribute(0, NoEvent, func() float64 { return 1 })
 	defer func() {
 		if recover() == nil {
@@ -175,7 +175,7 @@ func TestCollectiveFoldProperty(t *testing.T) {
 			return true
 		}
 		s := MustNewSim(smallConfig(1))
-		c := s.NewCollective(len(vals), 0, func(a, v float64) float64 { return a + v })
+		c := s.Collective(len(vals), 0, func(a, v float64) float64 { return a + v })
 		// Contribute in reverse order; fold must still be index order.
 		for i := len(vals) - 1; i >= 0; i-- {
 			i := i
@@ -196,7 +196,7 @@ func TestCollectiveFoldProperty(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
 	never := s.NewUserEvent()
-	s.Spawn("stuck", s.Node(0).Proc(0), func(th *Thread) {
+	s.SpawnOn("stuck", 0, 0, func(th Agent) {
 		th.WaitEvent(never) // never triggered
 	})
 	_, err := s.Run()

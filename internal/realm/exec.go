@@ -2,26 +2,29 @@ package realm
 
 import "fmt"
 
-// This file defines the backend-neutral execution interface: the subset of
-// machine operations the engines (internal/spmd, internal/rt) and the
-// benchmark harness are written against. The DES (*Sim) and the native
+// This file defines the backend-neutral execution interface: the machine
+// operations the engines (internal/spmd, internal/rt), the MPI baselines
+// (internal/baseline) and the benchmark harness are written against. The
+// DES (*Sim) and the native
 // goroutine backend (internal/realm/native.Machine) both implement Exec, so
 // an engine runs identically on a simulated machine or on real cores — the
 // event graph it builds is the same; only what "time" means differs.
 //
-// The interface is deliberately node-ID based (LaunchOn, CopyBytes) rather
-// than object based (Node.LaunchAuto, Copy(*Node, *Node)): handles that are
+// The interface is node-ID based (LaunchOn, CopyBytes): handles that are
 // plain integers serialize into traces, survive failover remapping, and
 // leave each backend free to represent a node however it likes.
 
 // Exec is a machine that can run an engine: spawn control agents, launch
-// work items, move bytes between nodes, and order everything through
-// one-shot events. Exactly the event semantics of the DES apply: events
+// work items, move bytes between nodes, order everything through one-shot
+// events, and fail. Exactly the event semantics of the DES apply: events
 // trigger once, continuations run synchronously at trigger, NoEvent is
 // permanently triggered.
 //
-// *Sim implements Exec with virtual time charged by its TimePolicy;
-// native.Machine implements it on real goroutines with wall-clock time.
+// *Sim implements Exec with virtual time charged by its TimePolicy and
+// virtual-time fault schedules; native.Machine implements it on real
+// goroutines with wall-clock time and seeded logical-point faults. Every
+// system the harness compares — both runtimes and the MPI baselines —
+// drives a machine through this interface alone.
 type Exec interface {
 	// Backend names the implementation ("des", "native") for diagnostics
 	// and capability errors.
@@ -85,7 +88,43 @@ type Exec interface {
 	// Drive runs the machine to completion — until every agent has finished
 	// and no work items remain — and returns the final time.
 	Drive() (Time, error)
+
+	// InjectFaults installs a fault plan before Drive (at most once). A
+	// backend that supports only part of the plan's feature set rejects the
+	// unsupported remainder with a precise *UnsupportedError.
+	InjectFaults(fp FaultPlan) error
+	// FaultStats returns the counters of faults injected so far.
+	FaultStats() FaultStats
+	// Crashes returns the node crashes that actually occurred. The DES
+	// reports them in virtual-time order; the native backend sorts by node
+	// (concurrent crashes have no total wall-clock order).
+	Crashes() []NodeCrash
+
+	// NodeFailed reports whether the node has fail-stopped.
+	NodeFailed(node int) bool
+	// NodeFailEvent returns the event that fires when (or fired because) the
+	// node crashes. Safe to call from any agent.
+	NodeFailEvent(node int) Event
+	// KillAgent terminates a control agent at its next scheduling point, as
+	// when the processor running it is lost. The agent unwinds with the
+	// thread-kill sentinel (IsThreadKilled); its in-flight work items may
+	// still complete. Killing a finished or already-killed agent is a no-op.
+	KillAgent(a Agent)
+	// Quiesce blocks the calling agent until every in-flight work item has
+	// completed and every killed agent has finished unwinding. The recovery
+	// layer calls it before restoring state so that zombie work from an
+	// abandoned epoch cannot race the restore. A no-op on the DES, whose
+	// scheduler never runs two things at once.
+	Quiesce()
+	// ShipTrace transfers a captured execution trace from node src to node
+	// dst as an ordinary costed message, counted separately in Stats so the
+	// recovery protocol's trace traffic stays visible.
+	ShipTrace(src, dst int, bytes int64, pre Event) Event
 }
+
+// FaultExec is Exec under the name it had while fault tolerance was an
+// optional extension of it; kept for callers outside this module.
+type FaultExec = Exec
 
 // Agent is a long-running thread of control executing on a backend: the
 // implicit program's main task, a CR shard's control loop. On the DES it is
@@ -130,50 +169,6 @@ type CollectiveOp interface {
 	Result() float64
 }
 
-// FaultExec is the fault-tolerance extension of Exec: the operations the
-// recovery layer (internal/spmd's checkpoint/restart) needs beyond plain
-// execution. Both backends implement it — the DES with virtual-time fault
-// schedules, the native machine with seeded logical-point injection over
-// real goroutines — so the same failover protocol runs over modeled and
-// real execution alike. Engines reach it through a type assertion on their
-// Exec; a backend that does not implement it gets a structured
-// UnsupportedError instead of a mid-run panic.
-type FaultExec interface {
-	Exec
-
-	// InjectFaults installs a fault plan before Drive (at most once). A
-	// backend that supports only part of the plan's feature set rejects the
-	// unsupported remainder with a precise *UnsupportedError.
-	InjectFaults(fp FaultPlan) error
-	// FaultStats returns the counters of faults injected so far.
-	FaultStats() FaultStats
-	// Crashes returns the node crashes that actually occurred. The DES
-	// reports them in virtual-time order; the native backend sorts by node
-	// (concurrent crashes have no total wall-clock order).
-	Crashes() []NodeCrash
-
-	// NodeFailed reports whether the node has fail-stopped.
-	NodeFailed(node int) bool
-	// NodeFailEvent returns the event that fires when (or fired because) the
-	// node crashes. Safe to call from any agent.
-	NodeFailEvent(node int) Event
-	// KillAgent terminates a control agent at its next scheduling point, as
-	// when the processor running it is lost. The agent unwinds with the
-	// thread-kill sentinel (IsThreadKilled); its in-flight work items may
-	// still complete. Killing a finished or already-killed agent is a no-op.
-	KillAgent(a Agent)
-	// Quiesce blocks the calling agent until every in-flight work item has
-	// completed and every killed agent has finished unwinding. The recovery
-	// layer calls it before restoring state so that zombie work from an
-	// abandoned epoch cannot race the restore. A no-op on the DES, whose
-	// scheduler never runs two things at once.
-	Quiesce()
-	// ShipTrace transfers a captured execution trace from node src to node
-	// dst as an ordinary costed message, counted separately in Stats so the
-	// recovery protocol's trace traffic stays visible.
-	ShipTrace(src, dst int, bytes int64, pre Event) Event
-}
-
 // BlockedAgent describes one stalled agent in a HangError: its name, the
 // event it is parked on, and the primitive that owns that event.
 type BlockedAgent struct {
@@ -216,66 +211,57 @@ func (e *UnsupportedError) Error() string {
 // its synchronization primitives implement the backend-neutral op types.
 var (
 	_ Exec         = (*Sim)(nil)
-	_ FaultExec    = (*Sim)(nil)
 	_ Agent        = (*Thread)(nil)
-	_ BarrierOp    = (*Barrier)(nil)
-	_ CollectiveOp = (*Collective)(nil)
+	_ BarrierOp    = (*barrier)(nil)
+	_ CollectiveOp = (*collective)(nil)
 )
 
 // Backend implements Exec.
 func (s *Sim) Backend() string { return "des" }
 
-// SpawnOn implements Exec by binding the agent to the node's proc-th
-// processor.
-func (s *Sim) SpawnOn(name string, node, proc int, fn func(Agent)) Agent {
-	return s.Spawn(name, s.Node(node).Proc(proc), func(t *Thread) { fn(t) })
-}
-
-// LaunchOn implements Exec via the node's earliest-free-processor mapping
-// (Node.LaunchAuto). When the installed fault plan carries logical-point
-// crash schedules, the issue is also a crash opportunity: the per-node
-// launch counter advances, and if this is the scheduled launch the node
-// fail-stops here — before the launch lands, so the launch itself is lost
-// (LaunchAuto sees a failed node), exactly as on the native backend.
-func (s *Sim) LaunchOn(node int, pre Event, dur Time, body func()) Event {
-	if s.launchCrashAt != nil && !s.Node(node).failed {
-		s.launchSeq[node]++
-		if at, ok := s.launchCrashAt[node]; ok && s.launchSeq[node] == at {
-			s.crashNode(node)
-		}
-	}
-	return s.Node(node).LaunchAuto(pre, dur, body)
-}
-
-// CopyBytes implements Exec.
-func (s *Sim) CopyBytes(src, dst int, bytes int64, pre Event, body func()) Event {
-	return s.Copy(s.Node(src), s.Node(dst), bytes, pre, body)
-}
-
-// Barrier implements Exec.
-func (s *Sim) Barrier(n int) BarrierOp { return s.NewBarrier(n) }
-
-// Collective implements Exec.
-func (s *Sim) Collective(n int, identity float64, fold func(acc, v float64) float64) CollectiveOp {
-	return s.NewCollective(n, identity, fold)
-}
-
 // Drive implements Exec by running the event loop to completion.
 func (s *Sim) Drive() (Time, error) { return s.Run() }
 
-// NodeFailed implements FaultExec.
-func (s *Sim) NodeFailed(node int) bool { return s.Node(node).Failed() }
-
-// NodeFailEvent implements FaultExec.
-func (s *Sim) NodeFailEvent(node int) Event { return s.Node(node).FailEvent() }
-
-// KillAgent implements FaultExec on the DES's simulated threads.
-func (s *Sim) KillAgent(a Agent) {
-	if t, ok := a.(*Thread); ok {
-		s.Kill(t)
-	}
-}
-
-// Quiesce implements FaultExec as a no-op: the DES never runs two things at
+// Quiesce implements Exec as a no-op: the DES never runs two things at
 // once, so an abandoned epoch's work cannot race a restore.
 func (s *Sim) Quiesce() {}
+
+// RunControl runs body as a program's control agent — named name, on node
+// 0, processor 0 — and drives x to completion. who prefixes the errors: a
+// panic in body, or in a work item the backend runs inside Drive, becomes
+// an error instead of crashing the host, and a control agent killed with
+// node 0 before body returns is an error of its own. Every control-driven
+// engine (the implicit runtime, the SPMD executor) runs through it.
+func RunControl(x Exec, who, name string, body func(Agent)) (Time, error) {
+	var bodyErr error
+	finished := false
+	x.SpawnOn(name, 0, 0, func(a Agent) {
+		defer func() {
+			if r := recover(); r != nil {
+				if IsThreadKilled(r) {
+					panic(r) // node 0 crashed: let the backend retire the agent
+				}
+				bodyErr = fmt.Errorf("%s: %v", who, r)
+			}
+		}()
+		body(a)
+		finished = true
+	})
+	elapsed, err := func() (t Time, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%s: task execution panicked: %v", who, r)
+			}
+		}()
+		return x.Drive()
+	}()
+	switch {
+	case err != nil:
+		return elapsed, err
+	case bodyErr != nil:
+		return elapsed, bodyErr
+	case !finished:
+		return elapsed, fmt.Errorf("%s: control thread was killed (node 0 crashed) before the program completed", who)
+	}
+	return elapsed, nil
+}

@@ -1,41 +1,37 @@
 package realm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// TestExecAdaptersOnSim drives the Sim exclusively through the
-// backend-neutral Exec interface: the node-ID-based adapters must behave
-// exactly like the Node/Proc methods they wrap.
-func TestExecAdaptersOnSim(t *testing.T) {
-	var x Exec = MustNewSim(DefaultConfig(2))
-	if x.Backend() != "des" {
-		t.Fatalf("Backend = %q", x.Backend())
-	}
-	if x.Nodes() != 2 {
-		t.Fatalf("Nodes = %d", x.Nodes())
-	}
-	kernel := false
-	done := x.LaunchOn(1, NoEvent, Microseconds(3), func() { kernel = true })
-	moved := x.CopyBytes(0, 1, 1<<20, done, nil)
-	var ctlSaw Time
-	x.SpawnOn("ctl", 0, 0, func(a Agent) {
-		a.WaitEvent(moved)
-		ctlSaw = a.Now()
-	})
-	elapsed, err := x.Drive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !kernel {
-		t.Fatal("kernel did not run")
-	}
-	if ctlSaw == 0 || elapsed < ctlSaw {
-		t.Fatalf("ctlSaw=%v elapsed=%v", ctlSaw, elapsed)
-	}
-	if st := x.Stats(); st.WallNanos != 0 {
-		t.Fatalf("DES WallNanos = %d, want 0 (virtual clock)", st.WallNanos)
+// TestRunControlErrors pins the control driver's three failure texts: a
+// panic in the control body, a panic in a work item the DES runs inside
+// Drive, and a control agent killed with node 0.
+func TestRunControlErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		crashes []NodeCrash
+		body    func(x Exec, a Agent)
+		want    string
+	}{
+		{"body panic", nil, func(x Exec, a Agent) { panic("boom") }, "eng: boom"},
+		{"kernel panic", nil, func(x Exec, a Agent) {
+			a.WaitEvent(x.LaunchOn(1, NoEvent, 5, func() { panic("boom") }))
+		}, "eng: task execution panicked: boom"},
+		{"node 0 crash", []NodeCrash{{Node: 0, At: 5}}, func(x Exec, a Agent) { a.Elapse(10) },
+			"eng: control thread was killed (node 0 crashed) before the program completed"},
+		{"clean", nil, func(x Exec, a Agent) { a.Elapse(10) }, "<nil>"},
+	} {
+		x := MustNewSim(smallConfig(2))
+		if err := x.InjectFaults(FaultPlan{Crashes: tc.crashes}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := RunControl(x, "eng", "ctl", func(a Agent) { tc.body(x, a) })
+		if fmt.Sprint(err) != tc.want {
+			t.Errorf("%s: err = %v, want %s", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -2,9 +2,9 @@ package realm
 
 // livePages counts the event-table pages currently held: the pages some
 // untriggered (or not yet created) event still lives in.
-func (s *Sim) livePages() int {
+func (t *EventTable) livePages() int {
 	n := 0
-	for _, p := range s.pages {
+	for _, p := range t.pages {
 		if p != nil {
 			n++
 		}

@@ -54,17 +54,21 @@ type FaultPlan struct {
 }
 
 // Validate checks the plan against the machine it will be injected into.
+// Every range check is written so that NaN fails it, and the two values
+// that scale a quantity (CrashRate, StragglerFactor) must be finite.
 func (fp *FaultPlan) Validate(cfg Config) error {
 	switch {
-	case fp.CrashRate < 0:
-		return fmt.Errorf("realm: negative CrashRate %v", fp.CrashRate)
-	case fp.DropRate < 0 || fp.DropRate > 0.9:
+	case !(fp.CrashRate >= 0) || math.IsInf(fp.CrashRate, 1):
+		return fmt.Errorf("realm: CrashRate %v must be finite and non-negative", fp.CrashRate)
+	case !(fp.DropRate >= 0 && fp.DropRate <= 0.9):
 		return fmt.Errorf("realm: DropRate %v outside [0, 0.9]", fp.DropRate)
-	case fp.DupRate < 0 || fp.DupRate > 1:
+	case !(fp.DupRate >= 0 && fp.DupRate <= 1):
 		return fmt.Errorf("realm: DupRate %v outside [0, 1]", fp.DupRate)
-	case fp.StragglerRate < 0 || fp.StragglerRate > 1:
+	case !(fp.StragglerRate >= 0 && fp.StragglerRate <= 1):
 		return fmt.Errorf("realm: StragglerRate %v outside [0, 1]", fp.StragglerRate)
-	case fp.StragglerRate > 0 && fp.StragglerFactor <= 1:
+	case math.IsNaN(fp.StragglerFactor) || math.IsInf(fp.StragglerFactor, 0):
+		return fmt.Errorf("realm: StragglerFactor %v is not finite", fp.StragglerFactor)
+	case fp.StragglerRate > 0 && !(fp.StragglerFactor > 1):
 		return fmt.Errorf("realm: StragglerFactor must exceed 1 (got %v)", fp.StragglerFactor)
 	case fp.RetransmitTimeout < 0:
 		return fmt.Errorf("realm: negative RetransmitTimeout %d", fp.RetransmitTimeout)
@@ -88,13 +92,25 @@ func (fp *FaultPlan) Validate(cfg Config) error {
 	return nil
 }
 
-// launchCrashPoints folds the plan's LaunchCrashes into a per-node map of
-// the earliest scheduled crash point (several entries for one node reduce
-// to the first one that would fire). Returns nil when the plan has none,
-// so the per-launch hot path stays a nil check.
-func (fp *FaultPlan) launchCrashPoints() map[int]uint64 {
+// Prepare readies the plan for installation on a machine of configuration
+// cfg — the one way either backend installs a plan: it validates it, fills
+// in the retransmit default (20x NetLatency, 30us on a zero-latency
+// machine), and returns LaunchCrashes folded into each node's earliest
+// crash point (several entries for one node reduce to the first that would
+// fire; nil when there are none, so the per-launch hot path stays a nil
+// check).
+func (fp *FaultPlan) Prepare(cfg Config) (map[int]uint64, error) {
+	if err := fp.Validate(cfg); err != nil {
+		return nil, err
+	}
+	if fp.RetransmitTimeout <= 0 {
+		fp.RetransmitTimeout = 20 * cfg.NetLatency
+		if fp.RetransmitTimeout <= 0 {
+			fp.RetransmitTimeout = Microseconds(30)
+		}
+	}
 	if len(fp.LaunchCrashes) == 0 {
-		return nil
+		return nil, nil
 	}
 	at := make(map[int]uint64, len(fp.LaunchCrashes))
 	for _, c := range fp.LaunchCrashes {
@@ -102,7 +118,7 @@ func (fp *FaultPlan) launchCrashPoints() map[int]uint64 {
 			at[c.Node] = c.AtLaunch
 		}
 	}
-	return at
+	return at, nil
 }
 
 // FaultStats counts the faults actually injected during a run.
@@ -120,17 +136,12 @@ func (s *Sim) InjectFaults(fp FaultPlan) error {
 	if s.faults != nil {
 		return fmt.Errorf("realm: a fault plan is already installed")
 	}
-	if err := fp.Validate(s.cfg); err != nil {
+	at, err := fp.Prepare(s.cfg)
+	if err != nil {
 		return err
 	}
-	if fp.RetransmitTimeout <= 0 {
-		fp.RetransmitTimeout = 20 * s.cfg.NetLatency
-		if fp.RetransmitTimeout <= 0 {
-			fp.RetransmitTimeout = Microseconds(30)
-		}
-	}
 	s.faults = &fp
-	if at := fp.launchCrashPoints(); at != nil {
+	if at != nil {
 		s.launchCrashAt = at
 		s.launchSeq = make([]uint64, s.cfg.Nodes)
 	}
@@ -255,6 +266,6 @@ func (s *Sim) crashNode(id int) {
 	}
 	sort.Slice(ts, func(i, j int) bool { return ts[i].id < ts[j].id })
 	for _, t := range ts {
-		s.Kill(t)
+		s.KillAgent(t)
 	}
 }

@@ -1,6 +1,7 @@
 package realm
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,6 +38,27 @@ func TestFaultPlanValidate(t *testing.T) {
 	}
 }
 
+// TestFaultPlanValidateRejectsNonFinite: NaN fails every range check (it
+// used to pass each one, and a NaN CrashRate then never crashed anything),
+// and the rate and the factor that scale a quantity must be finite.
+func TestFaultPlanValidateRejectsNonFinite(t *testing.T) {
+	cfg := DefaultConfig(4)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i, fp := range []FaultPlan{
+			{CrashRate: v},
+			{DropRate: v},
+			{DupRate: v},
+			{StragglerRate: v, StragglerFactor: 2},
+			{StragglerRate: 0.5, StragglerFactor: v},
+			{StragglerFactor: v},
+		} {
+			if err := fp.Validate(cfg); err == nil {
+				t.Errorf("plan %d with %v: want validation error", i, v)
+			}
+		}
+	}
+}
+
 // TestLaunchCrashAtLogicalPoint pins the DES half of the logical-point
 // crash schedule: the node dies at the issue of its AtLaunch-th launch,
 // the crashing launch itself is lost, and earlier launches are untouched.
@@ -53,10 +75,10 @@ func TestLaunchCrashAtLogicalPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ran := 0
-	s.Spawn("issuer", s.Node(0).Proc(0), func(th *Thread) {
+	s.SpawnOn("issuer", 0, 0, func(th Agent) {
 		for k := 0; k < 5; k++ {
 			done := s.LaunchOn(1, NoEvent, Microseconds(5), func() { ran++ })
-			if s.Node(1).Failed() {
+			if s.NodeFailed(1) {
 				break // the launch was lost; its event will never fire
 			}
 			th.WaitEvent(done)
@@ -71,7 +93,7 @@ func TestLaunchCrashAtLogicalPoint(t *testing.T) {
 	if got := s.Crashes(); len(got) != 1 || got[0].Node != 1 {
 		t.Errorf("crash log = %+v, want one crash of node 1", got)
 	}
-	if !s.Triggered(s.Node(1).FailEvent()) {
+	if !s.Triggered(s.NodeFailEvent(1)) {
 		t.Error("FailEvent of the crashed node should have fired")
 	}
 	if s.FaultStats().Crashes != 1 {
@@ -99,13 +121,13 @@ func TestCrashKillsNodeWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	victimSteps, survivorSteps := 0, 0
-	s.Spawn("victim", s.Node(1).Proc(0), func(th *Thread) {
+	s.SpawnOn("victim", 1, 0, func(th Agent) {
 		for i := 0; i < 10; i++ {
 			th.Elapse(Microseconds(20))
 			victimSteps++
 		}
 	})
-	s.Spawn("survivor", s.Node(0).Proc(0), func(th *Thread) {
+	s.SpawnOn("survivor", 0, 0, func(th Agent) {
 		for i := 0; i < 10; i++ {
 			th.Elapse(Microseconds(20))
 			survivorSteps++
@@ -120,13 +142,13 @@ func TestCrashKillsNodeWork(t *testing.T) {
 	if victimSteps >= 10 {
 		t.Errorf("victim ran all %d steps despite crashing at t=50us", victimSteps)
 	}
-	if !s.Node(1).Failed() || s.Node(0).Failed() {
-		t.Errorf("failed flags wrong: node0=%v node1=%v", s.Node(0).Failed(), s.Node(1).Failed())
+	if !s.NodeFailed(1) || s.NodeFailed(0) {
+		t.Errorf("failed flags wrong: node0=%v node1=%v", s.NodeFailed(0), s.NodeFailed(1))
 	}
 	if got := s.Crashes(); len(got) != 1 || got[0].Node != 1 {
 		t.Errorf("crash log = %+v, want one crash of node 1", got)
 	}
-	if !s.Triggered(s.Node(1).FailEvent()) {
+	if !s.Triggered(s.NodeFailEvent(1)) {
 		t.Error("FailEvent of the crashed node should have fired")
 	}
 }
@@ -138,11 +160,11 @@ func TestCrashDropsTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := 0
-	s.Spawn("ctl", s.Node(0).Proc(0), func(th *Thread) {
+	s.SpawnOn("ctl", 0, 0, func(th Agent) {
 		th.Sleep(Microseconds(1)) // let the crash land first
-		s.Copy(s.Node(0), s.Node(1), 1024, NoEvent, func() { delivered++ })
-		s.Copy(s.Node(1), s.Node(2), 1024, NoEvent, func() { delivered++ })
-		ok := s.Copy(s.Node(0), s.Node(2), 1024, NoEvent, func() { delivered++ })
+		s.CopyBytes(0, 1, 1024, NoEvent, func() { delivered++ })
+		s.CopyBytes(1, 2, 1024, NoEvent, func() { delivered++ })
+		ok := s.CopyBytes(0, 2, 1024, NoEvent, func() { delivered++ })
 		th.WaitEvent(ok)
 	})
 	if _, err := s.Run(); err != nil {
@@ -159,11 +181,11 @@ func TestKillUnblocksWaiter(t *testing.T) {
 	s := MustNewSim(DefaultConfig(1))
 	ev := s.NewUserEvent()
 	reached := false
-	th := s.Spawn("waiter", s.Node(0).Proc(0), func(th *Thread) {
+	th := s.SpawnOn("waiter", 0, 0, func(th Agent) {
 		th.WaitEvent(ev)
 		reached = true
 	})
-	s.After(Microseconds(10), func() { s.Kill(th) })
+	s.After(Microseconds(10), func() { s.KillAgent(th) })
 	s.After(Microseconds(20), func() { s.Trigger(ev) })
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -183,10 +205,10 @@ func faultTrafficRun(t *testing.T, fp FaultPlan) (Stats, FaultStats, []NodeCrash
 	}
 	for n := 0; n < 4; n++ {
 		n := n
-		s.Spawn("rank", s.Node(n).Proc(0), func(th *Thread) {
+		s.SpawnOn("rank", n, 0, func(th Agent) {
 			for i := 0; i < 20; i++ {
 				th.Elapse(Microseconds(5))
-				ev := s.Copy(s.Node(n), s.Node((n+1)%4), 4096, NoEvent, nil)
+				ev := s.CopyBytes(n, (n+1)%4, 4096, NoEvent, nil)
 				th.WaitEvent(ev)
 			}
 		})
@@ -246,10 +268,10 @@ func TestRandomCrashesAreSeeded(t *testing.T) {
 		}
 		for n := 0; n < 4; n++ {
 			n := n
-			s.Spawn("rank", s.Node(n).Proc(0), func(th *Thread) {
+			s.SpawnOn("rank", n, 0, func(th Agent) {
 				for i := 0; i < 20; i++ {
 					th.Elapse(Microseconds(5))
-					s.Copy(s.Node(n), s.Node((n+1)%4), 4096, NoEvent, nil)
+					s.CopyBytes(n, (n+1)%4, 4096, NoEvent, nil)
 				}
 			})
 		}
@@ -282,7 +304,7 @@ func TestCrashTraceEvents(t *testing.T) {
 	if err := s.InjectFaults(FaultPlan{Crashes: []NodeCrash{{Node: 1, At: Microseconds(5)}}}); err != nil {
 		t.Fatal(err)
 	}
-	s.Spawn("w", s.Node(0).Proc(0), func(th *Thread) { th.Elapse(Microseconds(10)) })
+	s.SpawnOn("w", 0, 0, func(th Agent) { th.Elapse(Microseconds(10)) })
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

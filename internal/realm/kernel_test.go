@@ -17,7 +17,7 @@ func TestDeadlockReleasesThreads(t *testing.T) {
 	never := s.NewUserEvent()
 	unwound := 0
 	for i := 0; i < 64; i++ {
-		s.Spawn(fmt.Sprintf("stuck%d", i), s.Node(0).Proc(i%2), func(th *Thread) {
+		s.SpawnOn(fmt.Sprintf("stuck%d", i), 0, i%2, func(th Agent) {
 			defer func() {
 				if r := recover(); r != nil {
 					if IsThreadKilled(r) {
@@ -55,11 +55,11 @@ func TestDeadlockReleasesThreads(t *testing.T) {
 func TestThreadPanicSurfacesFromRun(t *testing.T) {
 	type boom struct{ code int }
 	s := MustNewSim(smallConfig(2))
-	s.Spawn("rank0", s.Node(0).Proc(0), func(th *Thread) {
+	s.SpawnOn("rank0", 0, 0, func(th Agent) {
 		th.Elapse(5)
 		panic(boom{42})
 	})
-	s.Spawn("rank1", s.Node(1).Proc(0), func(th *Thread) { th.Elapse(50) })
+	s.SpawnOn("rank1", 1, 0, func(th Agent) { th.Elapse(50) })
 	var got interface{}
 	func() {
 		defer func() { got = recover() }()
@@ -360,13 +360,13 @@ func TestDroppedPageReadsAsTriggered(t *testing.T) {
 	first := s.ReserveEvents(evPageSize)
 	next := s.NewUserEvent()
 	for i := Event(0); i < evPageSize; i++ {
-		if s.livePages() != 2 {
+		if s.events.livePages() != 2 {
 			t.Fatalf("page dropped after %d of %d triggers", i, evPageSize)
 		}
 		s.Trigger(first + i)
 	}
-	if s.pages[0] != nil || s.livePages() != 1 || len(s.freePages) != 1 {
-		t.Fatalf("full page not dropped: live=%d free=%d", s.livePages(), len(s.freePages))
+	if s.events.pages[0] != nil || s.events.livePages() != 1 || len(s.events.freePages) != 1 {
+		t.Fatalf("full page not dropped: live=%d free=%d", s.events.livePages(), len(s.events.freePages))
 	}
 	for _, e := range []Event{first, first + 7, first + evPageSize - 1} {
 		if !s.Triggered(e) {
@@ -383,7 +383,7 @@ func TestDroppedPageReadsAsTriggered(t *testing.T) {
 		mustPanic(t, fmt.Sprintf("realm: event %d triggered twice", e), func() { s.Trigger(e) })
 	}
 	woke := false
-	s.Spawn("w", s.Node(0).Proc(0), func(th *Thread) { th.WaitEvent(first + 3); woke = true })
+	s.SpawnOn("w", 0, 0, func(th Agent) { th.WaitEvent(first + 3); woke = true })
 	s.MustRun()
 	if !woke {
 		t.Error("WaitEvent on a dropped-page event blocked")
@@ -392,9 +392,9 @@ func TestDroppedPageReadsAsTriggered(t *testing.T) {
 		t.Error("dropping a page leaked into the next one")
 	}
 	// The recycled page comes back clean.
-	recycled := s.freePages[0]
+	recycled := s.events.freePages[0]
 	fresh := s.ReserveEvents(evPageSize)
-	if s.pages[2] != recycled || len(s.freePages) != 0 {
+	if s.events.pages[2] != recycled || len(s.events.freePages) != 0 {
 		t.Fatal("new page did not come from the free list")
 	}
 	for i := Event(0); i < evPageSize; i++ {
@@ -437,15 +437,15 @@ func TestReserveAcrossPageBoundary(t *testing.T) {
 func TestUntriggeredEventPinsOnlyItsPage(t *testing.T) {
 	s := MustNewSim(smallConfig(2))
 	s.ReserveEvents(3*evPageSize + 100)
-	pin := s.Node(1).FailEvent()
+	pin := s.NodeFailEvent(1)
 	s.ReserveEvents(10*evPageSize - int(pin))
 	for e := Event(1); e <= 10*evPageSize; e++ {
 		if e != pin {
 			s.Trigger(e)
 		}
 	}
-	if s.livePages() != 1 || s.pages[3] == nil {
-		t.Fatalf("live pages = %d, want only the FailEvent's page", s.livePages())
+	if s.events.livePages() != 1 || s.events.pages[3] == nil {
+		t.Fatalf("live pages = %d, want only the FailEvent's page", s.events.livePages())
 	}
 	if s.Triggered(pin) || !s.Triggered(pin-1) || !s.Triggered(pin+1) {
 		t.Error("pinned page lost its state")
@@ -468,7 +468,7 @@ func TestLongTripBoundsEventTable(t *testing.T) {
 			return
 		}
 		if left--; left%1024 == 0 {
-			if n := s.livePages(); n > maxLive {
+			if n := s.events.livePages(); n > maxLive {
 				maxLive = n
 			}
 		}
@@ -479,11 +479,11 @@ func TestLongTripBoundsEventTable(t *testing.T) {
 	}
 	step()
 	s.MustRun()
-	if s.nEvents != 3*rounds {
-		t.Fatalf("made %d events, want %d", s.nEvents, 3*rounds)
+	if s.events.n != 3*rounds {
+		t.Fatalf("made %d events, want %d", s.events.n, 3*rounds)
 	}
-	if maxLive > 2 || len(s.freePages) > 2 {
-		t.Errorf("event table grew with the trip: %d live pages at peak, %d free (of %d made)", maxLive, len(s.freePages), len(s.pages))
+	if maxLive > 2 || len(s.events.freePages) > 2 {
+		t.Errorf("event table grew with the trip: %d live pages at peak, %d free (of %d made)", maxLive, len(s.events.freePages), len(s.events.pages))
 	}
 }
 
@@ -493,7 +493,7 @@ func TestLongTripBoundsEventTable(t *testing.T) {
 func TestElapseRoundTripAllocs(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
 	avg := -1.0
-	s.Spawn("t", s.Node(0).Proc(0), func(th *Thread) {
+	s.SpawnOn("t", 0, 0, func(th Agent) {
 		for i := 0; i < 2*evPageSize; i++ {
 			th.Elapse(1) // warm the pools and the page free list
 		}

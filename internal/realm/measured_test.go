@@ -115,7 +115,7 @@ func TestMeasuredTimeDrivesSim(t *testing.T) {
 		if p != nil {
 			s.SetTimePolicy(p)
 		}
-		s.Spawn("w", s.Node(0).Proc(0), func(th *Thread) {
+		s.SpawnOn("w", 0, 0, func(th Agent) {
 			for i := 0; i < 4; i++ {
 				th.WaitEvent(s.LaunchOn(0, NoEvent, Microseconds(10), nil))
 			}

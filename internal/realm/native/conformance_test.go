@@ -1,0 +1,164 @@
+package native
+
+import (
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/realm"
+)
+
+// TestExecConformance runs each row's realm.Exec script on the DES and on
+// the native machine: both must observe exactly the row's outcome. It is
+// the contract every system the harness compares relies on — events,
+// merges, barriers, collectives, the machine counters, and the failure
+// half (a logical-point crash and its fail event, an agent kill).
+func TestExecConformance(t *testing.T) {
+	backends := []struct {
+		name string
+		make func() realm.Exec
+	}{
+		{"des", func() realm.Exec { return realm.MustNewSim(realm.DefaultConfig(2)) }},
+		{"native", func() realm.Exec { return MustNewMachine(realm.DefaultConfig(2)) }},
+	}
+	rows := []struct {
+		name   string
+		script func(x realm.Exec) string
+		want   string
+	}{
+		{"events", func(x realm.Exec) string {
+			a, b := x.NewUserEvent(), x.ReserveEvents(3)
+			var order []int
+			x.OnTrigger(a, func() { order = append(order, 1) })
+			x.OnTrigger(a, func() { order = append(order, 2) })
+			before := x.Triggered(a)
+			x.Trigger(a)
+			x.OnTrigger(a, func() { order = append(order, 3) }) // runs inline
+			x.Trigger(b + 1)
+			var twice interface{}
+			func() {
+				defer func() { twice = recover() }()
+				x.Trigger(a)
+			}()
+			return fmt.Sprint(before, order, x.Triggered(b), x.Triggered(b+1), x.Triggered(b+2),
+				x.Triggered(realm.NoEvent), x.ReserveEvents(0) == realm.NoEvent,
+				strings.HasSuffix(fmt.Sprint(twice), fmt.Sprintf("event %d triggered twice", a)))
+		}, "false [1 2 3] false true false true true true"},
+
+		{"merge", func(x realm.Exec) string {
+			a, b := x.NewUserEvent(), x.NewUserEvent()
+			m := x.Merge(a, realm.NoEvent, b)
+			first := x.Triggered(m)
+			x.Trigger(a)
+			second := x.Triggered(m)
+			x.Trigger(b)
+			return fmt.Sprint(first, second, x.Triggered(m), x.Triggered(x.Merge(a, b)), x.Merge() == realm.NoEvent)
+		}, "false false true true true"},
+
+		{"barrier", func(x realm.Exec) string {
+			bar := x.Barrier(3)
+			var released int32
+			for i := 0; i < 3; i++ {
+				x.SpawnOn(fmt.Sprintf("p%d", i), i%2, 0, func(a realm.Agent) {
+					bar.Arrive(realm.NoEvent)
+					a.WaitEvent(bar.Done())
+					atomic.AddInt32(&released, 1)
+				})
+			}
+			early := x.Triggered(bar.Done())
+			_, err := x.Drive()
+			return fmt.Sprint(err, early, x.Triggered(bar.Done()), released)
+		}, "<nil> false true 3"},
+
+		{"collective fold order", func(x realm.Exec) string {
+			// A non-commutative fold, contributions released in reverse: the
+			// result is the participant-index fold on every backend.
+			c := x.Collective(4, 0, func(acc, v float64) float64 { return acc*10 + v })
+			pres := x.ReserveEvents(4)
+			for i := 0; i < 4; i++ {
+				c.Contribute(i, pres+realm.Event(i), func() float64 { return float64(i + 1) })
+			}
+			x.SpawnOn("release", 0, 0, func(realm.Agent) {
+				for i := 3; i >= 0; i-- {
+					x.Trigger(pres + realm.Event(i))
+				}
+			})
+			var got float64
+			x.SpawnOn("reader", 1, 0, func(a realm.Agent) {
+				a.WaitEvent(c.Done())
+				got = c.Result()
+			})
+			_, err := x.Drive()
+			return fmt.Sprint(err, got)
+		}, "<nil> 1234"},
+
+		{"counters", func(x realm.Exec) string {
+			var bodies int32
+			body := func() { atomic.AddInt32(&bodies, 1) }
+			x.SpawnOn("issuer", 0, 0, func(a realm.Agent) {
+				a.WaitEvent(x.Merge(
+					x.LaunchOn(0, realm.NoEvent, realm.Microseconds(5), nil),
+					x.LaunchOn(1, realm.NoEvent, realm.Microseconds(5), body),
+					x.CopyBytes(0, 1, 100, realm.NoEvent, nil),
+					x.CopyBytes(1, 1, 50, realm.NoEvent, body),
+					x.CopyAgg(0, 1, 300, 3, realm.NoEvent, nil), // remote group: 2 messages saved
+					x.CopyAgg(1, 1, 40, 2, realm.NoEvent, nil),  // local group: none saved
+					x.CopyAgg(1, 0, 10, 1, realm.NoEvent, nil),  // one member: a plain copy
+					x.ShipTrace(0, 1, 64, realm.NoEvent),
+				))
+			})
+			_, err := x.Drive()
+			st := x.Stats()
+			return fmt.Sprint(err, bodies, st.TasksRun, st.Messages, st.BytesSent, st.LocalCopies,
+				st.AggGroups, st.AggSavedMessages, st.TraceShips, st.TraceShipBytes)
+		}, "<nil> 2 2 4 474 2 2 2 1 64"},
+
+		{"launch crash", func(x realm.Exec) string {
+			if err := x.InjectFaults(realm.FaultPlan{LaunchCrashes: []realm.LaunchCrash{{Node: 1, AtLaunch: 2}}}); err != nil {
+				return err.Error()
+			}
+			var ran int32
+			body := func() { atomic.AddInt32(&ran, 1) }
+			var lost bool
+			x.SpawnOn("issuer", 0, 0, func(a realm.Agent) {
+				a.WaitEvent(x.LaunchOn(1, realm.NoEvent, realm.Microseconds(5), body))
+				x.LaunchOn(1, realm.NoEvent, realm.Microseconds(5), body) // the crash point: lost
+				lost = x.NodeFailed(1)
+				a.WaitEvent(x.NodeFailEvent(1))
+			})
+			_, err := x.Drive()
+			var crashed []int
+			for _, c := range x.Crashes() {
+				crashed = append(crashed, c.Node)
+			}
+			return fmt.Sprint(err, ran, lost, x.Triggered(x.NodeFailEvent(1)), crashed,
+				x.FaultStats().Crashes, x.NodeFailed(0))
+		}, "<nil> 1 true true [1] 1 false"},
+
+		{"kill agent", func(x realm.Exec) string {
+			never := x.NewUserEvent()
+			var survived int32
+			victim := x.SpawnOn("victim", 1, 0, func(a realm.Agent) {
+				a.WaitEvent(never)
+				atomic.StoreInt32(&survived, 1)
+			})
+			x.SpawnOn("ctl", 0, 0, func(realm.Agent) {
+				x.KillAgent(victim)
+				x.KillAgent(victim) // killing twice is a no-op
+				x.Quiesce()
+			})
+			_, err := x.Drive()
+			return fmt.Sprint(err, survived, x.Triggered(never))
+		}, "<nil> 0 false"},
+	}
+	for _, row := range rows {
+		for _, b := range backends {
+			t.Run(row.name+"/"+b.name, func(t *testing.T) {
+				if got := row.script(b.make()); got != row.want {
+					t.Errorf("observed %q, want %q", got, row.want)
+				}
+			})
+		}
+	}
+}

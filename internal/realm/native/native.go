@@ -27,7 +27,7 @@
 // nanoseconds since construction. Agent.Sleep is a real sleep — the
 // recovery layer's restart backoff is wall-clock here.
 //
-// Fault injection (realm.FaultExec) is seeded and logical-point based:
+// Fault injection (InjectFaults) is seeded and logical-point based:
 // every fault decision is a pure function of (seed, stream, node, per-node
 // operation sequence number), so the same seed kills the same shard at the
 // same logical point on every run — no wall-clock timers are involved in
@@ -89,17 +89,17 @@ const (
 
 var evKindNames = [...]string{"event", "task", "copy", "barrier", "collective", "merge", "sync", "node-fail"}
 
-// Machine is a native shared-memory implementation of realm.Exec and
-// realm.FaultExec.
+// Machine is a native shared-memory implementation of realm.Exec.
 type Machine struct {
 	cfg   realm.Config
 	epoch time.Time
 
-	mu  sync.Mutex
-	evs []evState // index = Event-1
-	// started flips when Drive begins; agents spawned earlier are deferred
-	// so setup code can build the initial population race-free.
-	started bool
+	// mu guards the event table and the pending list: the agents spawned
+	// and the work items made ready before Drive, which Drive releases once
+	// the pool exists, so setup code builds the initial population
+	// race-free.
+	mu      sync.Mutex
+	events  realm.EventTable
 	pending []func()
 
 	// wg tracks every live goroutine that can still trigger events: agents
@@ -133,10 +133,10 @@ type Machine struct {
 	liveAgents  int64 // atomic: agents started and not yet finished
 	hangTimeout time.Duration
 
-	// Scheduler state (sched.go). schedp is published in Drive before the
-	// agents are released and read by every dispatch; nil (work issued
-	// before Drive) means a goroutine per item. procs/recorder are configured
-	// before Drive only.
+	// Scheduler state (sched.go). schedp is published in Drive, under mu,
+	// before the pending list is released, and read by every dispatch;
+	// non-nil means Drive has begun. procs/recorder are configured before
+	// Drive only.
 	schedp   atomic.Pointer[scheduler]
 	procs    int // per-node worker count; 0 → defaultProcs
 	recorder realm.TimeRecorder
@@ -166,7 +166,7 @@ type Machine struct {
 	bytesSent    int64
 	localCopies  int64
 	tasksRun     int64
-	events       int64
+	eventsFired  int64
 	dispatches   int64 // items executed by pool workers
 	steals       int64 // pool dispatches taken off another deque
 	localSteals  int64 // steals within the enqueue node
@@ -174,12 +174,6 @@ type Machine struct {
 	inline       int64 // launches/copies completed inline at trigger
 	aggGroups    int64 // coalesced transfers issued with >= 2 members
 	aggSaved     int64 // remote messages those groups avoided
-}
-
-type evState struct {
-	triggered bool
-	kind      uint8
-	waiters   []func()
 }
 
 // NewMachine builds a native machine for the given configuration. Only the
@@ -202,7 +196,6 @@ func NewMachine(cfg realm.Config) (*Machine, error) {
 		copySeq:     make([]uint64, cfg.Nodes),
 	}
 	m.qcond = sync.NewCond(&m.qmu)
-	m.evs = make([]evState, 0, 4096)
 	m.epoch = time.Now()
 	return m, nil
 }
@@ -216,10 +209,7 @@ func MustNewMachine(cfg realm.Config) *Machine {
 	return m
 }
 
-var (
-	_ realm.Exec      = (*Machine)(nil)
-	_ realm.FaultExec = (*Machine)(nil)
-)
+var _ realm.Exec = (*Machine)(nil)
 
 // Backend implements realm.Exec.
 func (m *Machine) Backend() string { return "native" }
@@ -243,7 +233,7 @@ func (m *Machine) Stats() realm.Stats {
 		BytesSent:         atomic.LoadInt64(&m.bytesSent),
 		LocalCopies:       atomic.LoadInt64(&m.localCopies),
 		TasksRun:          atomic.LoadInt64(&m.tasksRun),
-		Events:            atomic.LoadInt64(&m.events),
+		Events:            atomic.LoadInt64(&m.eventsFired),
 		TraceShips:        atomic.LoadInt64(&m.traceShips),
 		TraceShipBytes:    atomic.LoadInt64(&m.traceShipBytes),
 		WallNanos:         int64(m.Now()),
@@ -260,7 +250,7 @@ func (m *Machine) Stats() realm.Stats {
 // before Drive; d <= 0 disables the watchdog.
 func (m *Machine) SetHangTimeout(d time.Duration) { m.hangTimeout = d }
 
-// InjectFaults implements realm.FaultExec. Rate-based faults and
+// InjectFaults implements realm.Exec. Rate-based faults and
 // logical-point crash schedules (FaultPlan.LaunchCrashes — "node 2 dies at
 // its 37th launch", matched against the per-node atomic launch counters)
 // are fully supported; only explicit virtual-time crash schedules
@@ -271,46 +261,22 @@ func (m *Machine) InjectFaults(fp realm.FaultPlan) error {
 	if len(fp.Crashes) > 0 {
 		return &realm.UnsupportedError{Backend: m.Backend(), Op: "virtual-time crash schedules (FaultPlan.Crashes)"}
 	}
-	if err := fp.Validate(m.cfg); err != nil {
+	at, err := fp.Prepare(m.cfg)
+	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	started := m.started
-	m.mu.Unlock()
-	if started {
+	if m.schedp.Load() != nil {
 		return fmt.Errorf("native: InjectFaults must be called before Drive")
 	}
 	if m.faults != nil {
 		return fmt.Errorf("native: a fault plan is already installed")
 	}
-	if fp.RetransmitTimeout <= 0 {
-		fp.RetransmitTimeout = 20 * m.cfg.NetLatency
-		if fp.RetransmitTimeout <= 0 {
-			fp.RetransmitTimeout = realm.Microseconds(30)
-		}
-	}
 	m.faults = &fp
-	m.launchCrashAt = launchCrashPoints(fp.LaunchCrashes)
+	m.launchCrashAt = at
 	return nil
 }
 
-// launchCrashPoints folds a logical-point crash schedule into a per-node
-// map of the earliest scheduled launch number (nil when there is none, so
-// the per-launch hot path stays a nil-map lookup).
-func launchCrashPoints(crashes []realm.LaunchCrash) map[int]uint64 {
-	if len(crashes) == 0 {
-		return nil
-	}
-	at := make(map[int]uint64, len(crashes))
-	for _, c := range crashes {
-		if prev, ok := at[c.Node]; !ok || c.AtLaunch < prev {
-			at[c.Node] = c.AtLaunch
-		}
-	}
-	return at
-}
-
-// FaultStats implements realm.FaultExec.
+// FaultStats implements realm.Exec.
 func (m *Machine) FaultStats() realm.FaultStats {
 	m.faultMu.Lock()
 	crashes := m.crashCount
@@ -323,7 +289,7 @@ func (m *Machine) FaultStats() realm.FaultStats {
 	}
 }
 
-// Crashes implements realm.FaultExec. Concurrent crashes have no total
+// Crashes implements realm.Exec. Concurrent crashes have no total
 // wall-clock order, so the log is reported sorted by node for
 // reproducibility.
 func (m *Machine) Crashes() []realm.NodeCrash {
@@ -334,14 +300,14 @@ func (m *Machine) Crashes() []realm.NodeCrash {
 	return out
 }
 
-// NodeFailed implements realm.FaultExec.
+// NodeFailed implements realm.Exec.
 func (m *Machine) NodeFailed(node int) bool { return m.nodeDown(node) }
 
 func (m *Machine) nodeDown(node int) bool {
 	return node >= 0 && node < len(m.failedNodes) && atomic.LoadInt32(&m.failedNodes[node]) != 0
 }
 
-// NodeFailEvent implements realm.FaultExec: the event fires when (or fired
+// NodeFailEvent implements realm.Exec: the event fires when (or fired
 // because) the node crashes.
 func (m *Machine) NodeFailEvent(node int) realm.Event {
 	m.faultMu.Lock()
@@ -381,7 +347,7 @@ func (m *Machine) crashNode(id int) {
 	}
 }
 
-// KillAgent implements realm.FaultExec: the agent unwinds with the kill
+// KillAgent implements realm.Exec: the agent unwinds with the kill
 // sentinel at its next scheduling point (WaitEvent or Sleep). Its
 // in-flight work items are unaffected; only the control flow stops.
 func (m *Machine) KillAgent(a realm.Agent) {
@@ -402,7 +368,7 @@ func (m *Machine) killAgent(a *agent) {
 	a.mu.Unlock()
 }
 
-// Quiesce implements realm.FaultExec: block until every in-flight work
+// Quiesce implements realm.Exec: block until every in-flight work
 // item has completed and every killed agent has unwound. The recovery
 // layer calls it before restoring a checkpoint so zombie work from an
 // abandoned epoch cannot race the restore.
@@ -432,7 +398,7 @@ func (m *Machine) addZombies(d int) {
 	m.qmu.Unlock()
 }
 
-// ShipTrace implements realm.FaultExec: a trace shipment is an ordinary
+// ShipTrace implements realm.Exec: a trace shipment is an ordinary
 // message, counted separately so the recovery protocol's trace traffic is
 // visible in the run statistics.
 func (m *Machine) ShipTrace(src, dst int, bytes int64, pre realm.Event) realm.Event {
@@ -458,8 +424,8 @@ func (m *Machine) CopyAgg(src, dst int, bytes int64, members int, pre realm.Even
 
 func (m *Machine) newEvent(kind uint8) realm.Event {
 	m.mu.Lock()
-	m.evs = append(m.evs, evState{kind: kind})
-	e := realm.Event(len(m.evs))
+	e := m.events.Reserve(1)
+	m.events.SetKind(e, kind)
 	m.mu.Unlock()
 	return e
 }
@@ -474,9 +440,9 @@ func (m *Machine) ReserveEvents(n int) realm.Event {
 		return realm.NoEvent
 	}
 	m.mu.Lock()
-	first := realm.Event(len(m.evs) + 1)
-	for i := 0; i < n; i++ {
-		m.evs = append(m.evs, evState{kind: evSync})
+	first := m.events.Reserve(n)
+	for e := first; e < first+realm.Event(n); e++ {
+		m.events.SetKind(e, evSync)
 	}
 	m.mu.Unlock()
 	return first
@@ -490,16 +456,12 @@ func (m *Machine) Trigger(e realm.Event) {
 		panic("native: cannot trigger NoEvent")
 	}
 	m.mu.Lock()
-	st := &m.evs[e-1]
-	if st.triggered {
-		m.mu.Unlock()
+	waiters, ok := m.events.Fire(e)
+	m.mu.Unlock()
+	if !ok {
 		panic(fmt.Sprintf("native: event %d triggered twice", e))
 	}
-	st.triggered = true
-	waiters := st.waiters
-	st.waiters = nil
-	m.mu.Unlock()
-	atomic.AddInt64(&m.events, 1)
+	atomic.AddInt64(&m.eventsFired, 1)
 	for _, fn := range waiters {
 		fn()
 	}
@@ -511,7 +473,7 @@ func (m *Machine) Triggered(e realm.Event) bool {
 		return true
 	}
 	m.mu.Lock()
-	t := m.evs[e-1].triggered
+	t := m.events.Triggered(e)
 	m.mu.Unlock()
 	return t
 }
@@ -523,14 +485,11 @@ func (m *Machine) OnTrigger(e realm.Event, fn func()) {
 		return
 	}
 	m.mu.Lock()
-	st := &m.evs[e-1]
-	if st.triggered {
-		m.mu.Unlock()
-		fn()
-		return
-	}
-	st.waiters = append(st.waiters, fn)
+	waiting := m.events.Await(e, fn)
 	m.mu.Unlock()
+	if !waiting {
+		fn()
+	}
 }
 
 func (m *Machine) eventKind(e realm.Event) string {
@@ -538,7 +497,7 @@ func (m *Machine) eventKind(e realm.Event) string {
 		return "event"
 	}
 	m.mu.Lock()
-	k := m.evs[e-1].kind
+	k := m.events.Kind(e)
 	m.mu.Unlock()
 	return evKindNames[k]
 }
@@ -594,11 +553,11 @@ func (m *Machine) SpawnOn(name string, node, proc int, fn func(realm.Agent)) rea
 		fn(a)
 	}
 	m.mu.Lock()
-	if m.started {
+	if m.schedp.Load() != nil {
 		m.mu.Unlock()
 		go run()
 	} else {
-		m.pending = append(m.pending, run)
+		m.pending = append(m.pending, func() { go run() })
 		m.mu.Unlock()
 	}
 	return a
@@ -700,33 +659,32 @@ func (m *Machine) CopyBytes(src, dst int, bytes int64, pre realm.Event, body fun
 }
 
 // Drive implements realm.Exec: start the worker pool, release the agents
-// spawned before the run, then wait for the population of agents and work
-// items to drain. The counting discipline makes the Wait sound: any event
-// that will ever trigger is owed to an agent goroutine or a dispatched
-// (queued or executing) work item in the group, and items join the group
-// synchronously inside their precondition's trigger (i.e. while the
-// triggering goroutine is still counted), so the count never dips to zero
-// with work outstanding. The pool is stopped only after the Wait returns,
+// spawned and the work made ready before the run, then wait for the
+// population of agents and work items to drain. The counting discipline
+// makes the Wait sound: any event that will ever trigger is owed to an
+// agent goroutine or a dispatched (pending, queued or executing) work item
+// in the group, and items join the group synchronously inside their
+// precondition's trigger (i.e. while the triggering goroutine is still
+// counted), so the count never dips to zero with work outstanding. The pool is stopped only after the Wait returns,
 // when every deque is provably empty. The watchdog runs alongside and
 // fails the machine if no progress is made for two full windows.
 func (m *Machine) Drive() (realm.Time, error) {
 	m.mu.Lock()
-	if m.started {
+	if m.schedp.Load() != nil {
 		m.mu.Unlock()
 		return m.Now(), fmt.Errorf("native: Drive is not reentrant")
 	}
-	m.started = true
+	m.schedp.Store(newScheduler(m, m.cfg.Nodes, m.Procs()))
 	pend := m.pending
 	m.pending = nil
 	m.mu.Unlock()
-	m.schedp.Store(newScheduler(m, m.cfg.Nodes, m.Procs()))
 	stop := make(chan struct{})
 	if m.hangTimeout > 0 {
 		//detlint:ignore the watchdog goroutine only observes counters; it never produces results the run depends on
 		go m.watchdog(stop)
 	}
-	for _, run := range pend {
-		go run()
+	for _, release := range pend {
+		release()
 	}
 	m.wg.Wait()
 	close(stop)
@@ -753,7 +711,7 @@ func (m *Machine) watchdog(stop chan struct{}) {
 			return
 		case <-tick.C:
 		}
-		events := atomic.LoadInt64(&m.events)
+		events := atomic.LoadInt64(&m.eventsFired)
 		live := atomic.LoadInt64(&m.liveAgents)
 		m.qmu.Lock()
 		busy := m.inflight

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -84,6 +85,63 @@ func TestDriveRunsAgentsAndWork(t *testing.T) {
 	st := m.Stats()
 	if st.TasksRun != 1 || st.WallNanos <= 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+	// Work made ready before Drive waits for the pool, like the agents do.
+	if ss := m.SchedStats(); ss.Dispatches != 1 {
+		t.Errorf("Dispatches = %d, want 1: the pre-Drive launch must run on a pool worker", ss.Dispatches)
+	}
+}
+
+// TestWorkReadyAsDriveStartsIsNotLost: launches whose precondition fires on
+// another goroutine while Drive is starting each either wait in the pending
+// list for Drive to release or go straight to the pool — none is lost.
+func TestWorkReadyAsDriveStartsIsNotLost(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		m := newTest(t, 2)
+		gate := m.NewUserEvent()
+		var ran int64
+		evs := make([]realm.Event, 50)
+		for k := range evs {
+			evs[k] = m.LaunchOn(k%2, gate, 0, func() { atomic.AddInt64(&ran, 1) })
+		}
+		all := m.Merge(evs...)
+		m.SpawnOn("waiter", 0, 0, func(a realm.Agent) { a.WaitEvent(all) })
+		go m.Trigger(gate)
+		if _, err := m.Drive(); err != nil {
+			t.Fatal(err)
+		}
+		if got := atomic.LoadInt64(&ran); got != int64(len(evs)) {
+			t.Fatalf("round %d: %d of %d bodies ran", round, got, len(evs))
+		}
+	}
+}
+
+// TestLongTripBoundsEventTable is the DES test's twin: the machine keeps
+// its events in the shared paged table, so memory is bounded by the events
+// in flight — a million launch round trips leave the collected heap where
+// they found it.
+func TestLongTripBoundsEventTable(t *testing.T) {
+	trips := 1000000
+	if testing.Short() {
+		trips = 100000
+	}
+	m := newTest(t, 1)
+	var before, after runtime.MemStats
+	m.SpawnOn("issuer", 0, 0, func(a realm.Agent) {
+		a.WaitEvent(m.LaunchOn(0, realm.NoEvent, 0, nil))
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for k := 0; k < trips; k++ {
+			a.WaitEvent(m.LaunchOn(0, realm.NoEvent, 0, nil))
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+	})
+	if _, err := m.Drive(); err != nil {
+		t.Fatal(err)
+	}
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 1<<20 {
+		t.Errorf("%d launch round trips retained %d bytes of heap, want < 1 MiB", trips, grown)
 	}
 }
 

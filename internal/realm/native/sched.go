@@ -1,5 +1,7 @@
 // Work scheduler for the native machine: a fixed pool of worker
-// goroutines per (node, proc) replacing goroutine-per-launch dispatch.
+// goroutines per (node, proc), the one path every launch and copy body
+// runs on — including work made ready before Drive, which waits in the
+// machine's pending list until the pool exists.
 //
 // Placement is affinity-first: LaunchOn(node)/CopyBytes(..., dst) enqueue
 // onto one of the target node's per-proc deques (round-robin across the
@@ -12,8 +14,8 @@
 // own node, and only crosses nodes when the whole node is dry; stealers
 // prefer the FIFO end and leave the slot for the owner. One mutex + cond
 // guards all deques: items here are kernel-sized (microseconds and up),
-// so a scan under a single lock is far cheaper than the goroutine spawn
-// per item it replaces, and it makes the park/wake protocol trivially
+// so a scan under a single lock is far cheaper than a goroutine spawn
+// per item would be, and it makes the park/wake protocol trivially
 // lost-wakeup free.
 //
 // Lifecycle and drain: an item joins the machine's WaitGroup and inflight
@@ -301,28 +303,37 @@ func (m *Machine) Procs() int {
 // fitted TimePolicy can be built from this run. Must be set before Drive.
 func (m *Machine) SetTimeRecorder(rec realm.TimeRecorder) { m.recorder = rec }
 
-// dispatch routes one ready work item: onto the pool when it is running,
-// otherwise (work issued before Drive) onto a fresh goroutine. The item is counted in the machine WaitGroup and the
-// inflight gauge from here until runItem finishes it. Injected delays
-// ride a timer before the item becomes runnable, so they never occupy a
-// worker.
+// dispatch routes one ready work item onto the pool. The item is counted
+// in the machine WaitGroup and the inflight gauge from here until runItem
+// finishes it. An item made ready before Drive waits in the pending list
+// beside the agents spawned before it; the pool pointer is re-read under
+// the lock Drive publishes it under, so an item racing Drive's start is
+// either released by Drive or submitted here, never lost.
 func (m *Machine) dispatch(it *workItem, delay time.Duration) {
 	m.wg.Add(1)
 	m.addInflight(1)
-	if s := m.schedp.Load(); s != nil {
-		if delay > 0 {
-			time.AfterFunc(delay, func() { s.enqueue(it) })
-		} else {
-			s.enqueue(it)
+	s := m.schedp.Load()
+	if s == nil {
+		m.mu.Lock()
+		if s = m.schedp.Load(); s == nil {
+			m.pending = append(m.pending, func() { m.schedp.Load().submit(it, delay) })
+			m.mu.Unlock()
+			return
 		}
-		return
+		m.mu.Unlock()
 	}
-	go func() {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		m.runItem(it)
-	}()
+	s.submit(it, delay)
+}
+
+// submit enqueues an item, after its injected delay (stragglers,
+// retransmits) when it has one; the delay rides a timer, so it never
+// occupies a worker.
+func (s *scheduler) submit(it *workItem, delay time.Duration) {
+	if delay > 0 {
+		time.AfterFunc(delay, func() { s.enqueue(it) })
+	} else {
+		s.enqueue(it)
+	}
 }
 
 // runItem executes one work item and retires its accounting. An item

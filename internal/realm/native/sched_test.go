@@ -11,9 +11,7 @@ import (
 
 // maxGoroutinesDuring floods the machine with sleeping work bodies and
 // samples runtime.NumGoroutine from inside them, returning the high-water
-// mark. The issuer runs as an agent so the items dispatch after Drive has
-// published the pool (pre-Drive work intentionally takes a goroutine per
-// item).
+// mark.
 func maxGoroutinesDuring(t *testing.T, nodes, procs, items int) int {
 	t.Helper()
 	m := newTest(t, nodes)

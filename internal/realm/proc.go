@@ -1,66 +1,47 @@
 package realm
 
-// Node is one simulated compute node: a set of processors sharing a memory
+// node is one simulated compute node: a set of processors sharing a memory
 // and one network link (whose bandwidth serializes outgoing transfers).
-type Node struct {
+type node struct {
 	sim        *Sim
 	id         int
-	procs      []*Proc
+	procs      []*proc
 	linkFreeAt Time
-	busy       Time // accumulated processor busy time on this node
 
 	failed bool  // node has crashed; it runs nothing and drops all traffic
 	failEv Event // lazily created, fires when the node crashes
 }
 
-// ID returns the node index.
-func (n *Node) ID() int { return n.id }
+// proc is a single simulated processor executing work items one at a time
+// in FIFO order of readiness.
+type proc struct {
+	node   *node
+	id     int
+	freeAt Time
+}
 
-// Failed reports whether the node has crashed.
-func (n *Node) Failed() bool { return n.failed }
+// NodeFailed implements Exec.
+func (s *Sim) NodeFailed(node int) bool { return s.nodes[node].failed }
 
-// FailEvent returns an event that fires when the node crashes (already
-// triggered if it has). Recovery layers watch it to race completion events
-// against failures.
-func (n *Node) FailEvent() Event {
+// NodeFailEvent implements Exec: an event that fires when the node crashes
+// (already triggered if it has). Recovery layers watch it to race
+// completion events against failures.
+func (s *Sim) NodeFailEvent(node int) Event {
+	n := s.nodes[node]
 	if n.failEv == NoEvent {
-		n.failEv = n.sim.NewUserEvent()
+		n.failEv = s.NewUserEvent()
 		if n.failed {
-			n.sim.Trigger(n.failEv)
+			s.Trigger(n.failEv)
 		}
 	}
 	return n.failEv
 }
 
-// Procs returns the node's processors.
-func (n *Node) Procs() []*Proc { return n.procs }
-
-// Proc returns processor i of the node.
-func (n *Node) Proc(i int) *Proc { return n.procs[i] }
-
-// BusyTime returns the total processor-busy virtual time accumulated on the
-// node, used to compute utilization in the harness.
-func (n *Node) BusyTime() Time { return n.busy }
-
-// Proc is a single simulated processor executing work items one at a time
-// in FIFO order of readiness.
-type Proc struct {
-	node   *Node
-	id     int
-	freeAt Time
-}
-
-// Node returns the processor's node.
-func (p *Proc) Node() *Node { return p.node }
-
-// ID returns the processor index within its node.
-func (p *Proc) ID() int { return p.id }
-
-// Launch schedules a work item on the processor: once pre triggers, the
+// launch schedules a work item on the processor: once pre triggers, the
 // item occupies the processor for dur, then body (if non-nil) runs and the
 // returned completion event fires. Items are serviced in the order their
 // preconditions trigger, modeling a FIFO ready queue.
-func (p *Proc) Launch(pre Event, dur Time, body func()) Event {
+func (p *proc) launch(pre Event, dur Time, body func()) Event {
 	s := p.node.sim
 	done := s.NewUserEvent()
 	if s.Triggered(pre) {
@@ -74,7 +55,7 @@ func (p *Proc) Launch(pre Event, dur Time, body func()) Event {
 // execItem runs a work item whose precondition has triggered: occupy the
 // processor for dur, then run body (if any) and fire done. Body-less items
 // complete through the queue's field-encoded path instead of a closure.
-func (p *Proc) execItem(dur Time, body func(), done Event) {
+func (p *proc) execItem(dur Time, body func(), done Event) {
 	s := p.node.sim
 	if p.node.failed {
 		return // lost work: a crashed node never starts the item
@@ -89,7 +70,6 @@ func (p *Proc) execItem(dur Time, body func(), done Event) {
 		start = s.now
 	}
 	p.freeAt = start + dur
-	p.node.busy += dur
 	s.stats.TasksRun++
 	if s.tracer != nil && dur > 0 {
 		s.tracer.task(p.node.id, p.id, start, start+dur)
@@ -107,12 +87,22 @@ func (p *Proc) execItem(dur Time, body func(), done Event) {
 	})
 }
 
-// LaunchAuto schedules a work item on whichever of the node's processors
-// becomes free earliest (ties broken by processor index), the mapping
-// strategy of a default mapper distributing a shard's tasks across the
-// node's cores.
-func (n *Node) LaunchAuto(pre Event, dur Time, body func()) Event {
-	s := n.sim
+// LaunchOn implements Exec: once pre triggers, the item runs on whichever
+// of the node's processors becomes free earliest (ties broken by processor
+// index), the mapping strategy of a default mapper distributing a shard's
+// tasks across the node's cores. When the installed fault plan carries
+// logical-point crash schedules, the issue is also a crash opportunity: the
+// per-node launch counter advances, and if this is the scheduled launch the
+// node fail-stops here — before the launch lands, so the launch itself is
+// lost, exactly as on the native backend.
+func (s *Sim) LaunchOn(node int, pre Event, dur Time, body func()) Event {
+	n := s.nodes[node]
+	if s.launchCrashAt != nil && !n.failed {
+		s.launchSeq[node]++
+		if at, ok := s.launchCrashAt[node]; ok && s.launchSeq[node] == at {
+			s.crashNode(node)
+		}
+	}
 	done := s.NewUserEvent()
 	if s.Triggered(pre) {
 		n.execAuto(dur, body, done)
@@ -124,7 +114,7 @@ func (n *Node) LaunchAuto(pre Event, dur Time, body func()) Event {
 
 // execAuto picks the earliest-free processor (ties broken by index) at the
 // moment the item becomes ready and runs it there.
-func (n *Node) execAuto(dur Time, body func(), done Event) {
+func (n *node) execAuto(dur Time, body func(), done Event) {
 	if n.failed {
 		return
 	}
@@ -137,30 +127,30 @@ func (n *Node) execAuto(dur Time, body func(), done Event) {
 	best.execItem(dur, body, done)
 }
 
-// Copy models a data transfer of the given size from node src to node dst:
-// after pre triggers, the transfer waits for the sender's link, pays
-// latency plus size/bandwidth, then body runs at the destination and the
-// returned event fires. Copies within a node pay the (cheaper) local
-// latency and bandwidth and do not occupy the link.
-func (s *Sim) Copy(src, dst *Node, bytes int64, pre Event, body func()) Event {
+// CopyBytes implements Exec as a modeled data transfer: after pre
+// triggers, the transfer waits for the sender's link, pays latency plus
+// size/bandwidth, then body runs at the destination and the returned event
+// fires. Copies within a node pay the (cheaper) local latency and bandwidth
+// and do not occupy the link.
+func (s *Sim) CopyBytes(src, dst int, bytes int64, pre Event, body func()) Event {
+	from, to := s.nodes[src], s.nodes[dst]
 	done := s.NewUserEvent()
 	if s.Triggered(pre) {
-		s.execCopy(src, dst, bytes, body, done)
+		s.execCopy(from, to, bytes, body, done)
 	} else {
-		s.OnTrigger(pre, func() { s.execCopy(src, dst, bytes, body, done) })
+		s.OnTrigger(pre, func() { s.execCopy(from, to, bytes, body, done) })
 	}
 	return done
 }
 
-// ShipTrace implements FaultExec: shipping a captured execution trace to a
+// ShipTrace implements Exec: shipping a captured execution trace to a
 // restarted shard's node is an ordinary wire transfer (latency, bandwidth,
-// link serialization, and fault effects all apply, via Copy), counted
-// separately so the recovery protocol's trace traffic is visible in the run
-// statistics.
+// link serialization, and fault effects all apply), counted separately so
+// the recovery protocol's trace traffic is visible in the run statistics.
 func (s *Sim) ShipTrace(src, dst int, bytes int64, pre Event) Event {
 	s.stats.TraceShips++
 	s.stats.TraceShipBytes += bytes
-	return s.Copy(s.Node(src), s.Node(dst), bytes, pre, nil)
+	return s.CopyBytes(src, dst, bytes, pre, nil)
 }
 
 // CopyAgg implements Exec: a coalesced transfer is an ordinary wire
@@ -175,11 +165,11 @@ func (s *Sim) CopyAgg(src, dst int, bytes int64, members int, pre Event, body fu
 			s.stats.AggSavedMessages += int64(members - 1)
 		}
 	}
-	return s.Copy(s.Node(src), s.Node(dst), bytes, pre, body)
+	return s.CopyBytes(src, dst, bytes, pre, body)
 }
 
 // execCopy performs a transfer whose precondition has triggered.
-func (s *Sim) execCopy(src, dst *Node, bytes int64, body func(), done Event) {
+func (s *Sim) execCopy(src, dst *node, bytes int64, body func(), done Event) {
 	if src.failed || dst.failed {
 		return // either endpoint crashed: the transfer is lost
 	}

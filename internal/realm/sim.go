@@ -134,17 +134,9 @@ type Sim struct {
 	policy TimePolicy
 	now    Time
 	queue  eventQueue
-	nodes  []*Node
+	nodes  []*node
 	stats  Stats
-
-	// The event table: event e lives in pages[(e-1)>>evPageBits]. Handles
-	// are dense (nEvents counts every event ever made) and a page never
-	// moves, so creating events copies nothing; a page whose events have all
-	// triggered is dropped to freePages and its slot left nil, which reads
-	// as "triggered". The table is thus bounded by the events in flight.
-	pages     []*evPage
-	freePages []*evPage
-	nEvents   int
+	events EventTable
 
 	running     bool
 	strong      int // count of non-weak queued items
@@ -164,33 +156,10 @@ type Sim struct {
 	launchSeq     []uint64
 	launchCrashAt map[int]uint64
 
-	// waiterPool recycles the waiter slices of triggered events; DES runs
-	// create and retire millions of events, and reusing the slices keeps the
-	// schedule/trigger hot path allocation-free at steady state.
-	waiterPool [][]func()
-
 	// mergerPool recycles merger states (and their bound callbacks) once
 	// they fire; every task launch merges its preconditions, so steady-state
 	// loops would otherwise allocate a merger per launch per iteration.
 	mergerPool []*merger
-}
-
-type eventState struct {
-	triggered bool
-	waiters   []func()
-}
-
-const (
-	evPageBits = 12
-	evPageSize = 1 << evPageBits
-)
-
-// evPage is one fixed-size block of the event table. Only a created event
-// can trigger, so triggered == evPageSize means the page is both completely
-// allocated and completely retired.
-type evPage struct {
-	evs       [evPageSize]eventState
-	triggered int
 }
 
 type queued struct {
@@ -202,7 +171,7 @@ type queued struct {
 	// plain fields so it costs no closure allocation.
 	ev       Event
 	next     int32 // slab index of the item queued behind this one; 0 = none
-	failNode *Node
+	failNode *node
 	weak     bool // weak items do not keep the simulation alive (fault generators)
 }
 
@@ -299,12 +268,12 @@ func NewSim(cfg Config) (*Sim, error) {
 	// Pre-size the queue: starting from a real capacity avoids the first
 	// dozen grow-and-copy cycles of append. Slot 0 is the nil link.
 	s.queue.slab = make([]queued, 1, 1024)
-	s.nodes = make([]*Node, cfg.Nodes)
+	s.nodes = make([]*node, cfg.Nodes)
 	for i := range s.nodes {
-		n := &Node{sim: s, id: i}
-		n.procs = make([]*Proc, cfg.CoresPerNode)
+		n := &node{sim: s, id: i}
+		n.procs = make([]*proc, cfg.CoresPerNode)
 		for j := range n.procs {
-			n.procs[j] = &Proc{node: n, id: j}
+			n.procs[j] = &proc{node: n, id: j}
 		}
 		s.nodes[i] = n
 	}
@@ -330,9 +299,6 @@ func (s *Sim) Now() Time { return s.now }
 // Stats returns a copy of the counters accumulated so far.
 func (s *Sim) Stats() Stats { return s.stats }
 
-// Node returns node i.
-func (s *Sim) Node(i int) *Node { return s.nodes[i] }
-
 // Nodes returns the node count.
 func (s *Sim) Nodes() int { return len(s.nodes) }
 
@@ -356,7 +322,7 @@ func (s *Sim) at(t Time, fn func()) { s.enqueue(queued{at: t, fn: fn}) }
 // to at(t, func() { ... }) but with the closure replaced by plain queue
 // fields — completions are the most common queue entry in a simulation,
 // and this keeps the steady-state hot path allocation-free.
-func (s *Sim) atDone(t Time, n *Node, ev Event) { s.enqueue(queued{at: t, ev: ev, failNode: n}) }
+func (s *Sim) atDone(t Time, n *node, ev Event) { s.enqueue(queued{at: t, ev: ev, failNode: n}) }
 
 // atWeak schedules fn at absolute time t without keeping the simulation
 // alive: Run exits once only weak items remain. Fault generators are weak —
@@ -368,7 +334,7 @@ func (s *Sim) atWeak(t Time, fn func()) { s.enqueue(queued{at: t, fn: fn, weak: 
 func (s *Sim) After(d Time, fn func()) { s.at(s.now+d, fn) }
 
 // NewUserEvent creates an untriggered event.
-func (s *Sim) NewUserEvent() Event { return s.ReserveEvents(1) }
+func (s *Sim) NewUserEvent() Event { return s.events.Reserve(1) }
 
 // ReserveEvents creates n untriggered events with contiguous handles and
 // returns the first; the block is first, first+1, ..., first+n-1. This is
@@ -381,28 +347,7 @@ func (s *Sim) ReserveEvents(n int) Event {
 	if n <= 0 {
 		return NoEvent
 	}
-	first := Event(s.nEvents + 1)
-	s.nEvents += n
-	for len(s.pages)<<evPageBits < s.nEvents {
-		var p *evPage
-		if k := len(s.freePages); k > 0 {
-			p, s.freePages = s.freePages[k-1], s.freePages[:k-1]
-		} else {
-			p = new(evPage)
-		}
-		s.pages = append(s.pages, p)
-	}
-	return first
-}
-
-// state returns e's page and slot; the page is nil once every event in it
-// has triggered.
-func (s *Sim) state(e Event) (*evPage, *eventState) {
-	p := s.pages[(e-1)>>evPageBits]
-	if p == nil {
-		return nil, nil
-	}
-	return p, &p.evs[(e-1)&(evPageSize-1)]
+	return s.events.Reserve(n)
 }
 
 // Trigger fires a user event; continuations run immediately (at the current
@@ -412,52 +357,25 @@ func (s *Sim) Trigger(e Event) {
 	if e == NoEvent {
 		panic("realm: cannot trigger NoEvent")
 	}
-	p, st := s.state(e)
-	if p == nil || st.triggered {
+	waiters, ok := s.events.Fire(e)
+	if !ok {
 		panic(fmt.Sprintf("realm: event %d triggered twice", e))
-	}
-	st.triggered = true
-	waiters := st.waiters
-	st.waiters = nil
-	if p.triggered++; p.triggered == evPageSize {
-		// Last event of a full page: recycle it before the continuations
-		// run (they may create events), leaving nil to read as triggered.
-		s.pages[(e-1)>>evPageBits] = nil
-		*p = evPage{}
-		s.freePages = append(s.freePages, p)
 	}
 	for i, fn := range waiters {
 		waiters[i] = nil // release the closure before recycling
 		fn()
 	}
-	if cap(waiters) > 0 {
-		s.waiterPool = append(s.waiterPool, waiters[:0])
-	}
+	s.events.Recycle(waiters)
 }
 
 // Triggered reports whether e has fired.
-func (s *Sim) Triggered(e Event) bool {
-	if e == NoEvent {
-		return true
-	}
-	p, st := s.state(e)
-	return p == nil || st.triggered
-}
+func (s *Sim) Triggered(e Event) bool { return s.events.Triggered(e) }
 
 // OnTrigger runs fn when e fires (immediately if it already has).
 func (s *Sim) OnTrigger(e Event, fn func()) {
-	if s.Triggered(e) {
+	if !s.events.Await(e, fn) {
 		fn()
-		return
 	}
-	_, st := s.state(e)
-	if st.waiters == nil {
-		if n := len(s.waiterPool); n > 0 {
-			st.waiters = s.waiterPool[n-1]
-			s.waiterPool = s.waiterPool[:n-1]
-		}
-	}
-	st.waiters = append(st.waiters, fn)
 }
 
 // merger is the counter state of one Merge: a single arrival callback
@@ -505,22 +423,8 @@ func (s *Sim) Merge(evs ...Event) Event {
 	}
 	m.remaining, m.out = pending, out
 	for _, e := range evs {
-		if !s.Triggered(e) {
-			s.OnTrigger(e, m.cb)
-		}
+		s.events.Await(e, m.cb)
 	}
-	return out
-}
-
-// AfterEvent returns an event that fires d nanoseconds after e does.
-func (s *Sim) AfterEvent(e Event, d Time) Event {
-	if d == 0 {
-		return e
-	}
-	out := s.NewUserEvent()
-	s.OnTrigger(e, func() {
-		s.After(d, func() { s.Trigger(out) })
-	})
 	return out
 }
 

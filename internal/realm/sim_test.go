@@ -93,10 +93,10 @@ func TestDeterministicTieBreak(t *testing.T) {
 
 func TestProcFIFOSerialization(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
-	p := s.Node(0).Proc(0)
+	p := s.nodes[0].procs[0]
 	var times []Time
-	e1 := p.Launch(NoEvent, Microseconds(10), func() { times = append(times, s.Now()) })
-	p.Launch(NoEvent, Microseconds(5), func() { times = append(times, s.Now()) })
+	e1 := p.launch(NoEvent, Microseconds(10), func() { times = append(times, s.Now()) })
+	p.launch(NoEvent, Microseconds(5), func() { times = append(times, s.Now()) })
 	_ = e1
 	s.MustRun()
 	if len(times) != 2 || times[0] != Microseconds(10) || times[1] != Microseconds(15) {
@@ -106,10 +106,10 @@ func TestProcFIFOSerialization(t *testing.T) {
 
 func TestLaunchWaitsForPrecondition(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
-	p := s.Node(0).Proc(0)
+	p := s.nodes[0].procs[0]
 	gate := s.NewUserEvent()
 	var ran Time = -1
-	p.Launch(gate, Microseconds(1), func() { ran = s.Now() })
+	p.launch(gate, Microseconds(1), func() { ran = s.Now() })
 	s.After(Microseconds(100), func() { s.Trigger(gate) })
 	s.MustRun()
 	if ran != Microseconds(101) {
@@ -119,11 +119,10 @@ func TestLaunchWaitsForPrecondition(t *testing.T) {
 
 func TestLaunchAutoBalances(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
-	n := s.Node(0)
 	// 4 equal tasks on 2 cores should finish in 2 task-times, not 4.
 	var done []Time
 	for i := 0; i < 4; i++ {
-		n.LaunchAuto(NoEvent, Microseconds(10), func() { done = append(done, s.Now()) })
+		s.LaunchOn(0, NoEvent, Microseconds(10), func() { done = append(done, s.Now()) })
 	}
 	end := s.MustRun()
 	if end != Microseconds(20) {
@@ -140,7 +139,7 @@ func TestCopyRemoteChargesLatencyAndBandwidth(t *testing.T) {
 	cfg.NetBandwidth = 1 // 1 byte/ns
 	s := MustNewSim(cfg)
 	var arrive Time
-	s.Copy(s.Node(0), s.Node(1), 1000, NoEvent, func() { arrive = s.Now() })
+	s.CopyBytes(0, 1, 1000, NoEvent, func() { arrive = s.Now() })
 	s.MustRun()
 	want := Microseconds(2) + Time(1000)
 	if arrive != want {
@@ -159,8 +158,8 @@ func TestCopyLinkSerialization(t *testing.T) {
 	s := MustNewSim(cfg)
 	var t1, t2 Time
 	// Two copies out of node 0 serialize on its link.
-	s.Copy(s.Node(0), s.Node(1), 1000, NoEvent, func() { t1 = s.Now() })
-	s.Copy(s.Node(0), s.Node(2), 1000, NoEvent, func() { t2 = s.Now() })
+	s.CopyBytes(0, 1, 1000, NoEvent, func() { t1 = s.Now() })
+	s.CopyBytes(0, 2, 1000, NoEvent, func() { t2 = s.Now() })
 	s.MustRun()
 	if t1 != Time(1000) || t2 != Time(2000) {
 		t.Errorf("arrivals %v %v, want 1000ns 2000ns", t1, t2)
@@ -173,7 +172,7 @@ func TestCopyLocalCheap(t *testing.T) {
 	cfg.LocalBW = 100
 	s := MustNewSim(cfg)
 	var at Time
-	s.Copy(s.Node(0), s.Node(0), 10000, NoEvent, func() { at = s.Now() })
+	s.CopyBytes(0, 0, 10000, NoEvent, func() { at = s.Now() })
 	s.MustRun()
 	want := Microseconds(0.1) + Time(100)
 	if at != want {
@@ -187,11 +186,11 @@ func TestCopyLocalCheap(t *testing.T) {
 func TestThreadElapseAndWait(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
 	var checkpoints []Time
-	s.Spawn("main", s.Node(0).Proc(0), func(th *Thread) {
+	s.SpawnOn("main", 0, 0, func(th Agent) {
 		checkpoints = append(checkpoints, th.Now())
 		th.Elapse(Microseconds(10))
 		checkpoints = append(checkpoints, th.Now())
-		done := th.Node().LaunchAuto(NoEvent, Microseconds(5), nil)
+		done := s.LaunchOn(0, NoEvent, Microseconds(5), nil)
 		th.WaitEvent(done)
 		checkpoints = append(checkpoints, th.Now())
 		th.Sleep(Microseconds(100))
@@ -216,7 +215,7 @@ func TestTwoThreadsInterleaveDeterministically(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			i := i
 			name := []string{"a", "b"}[i]
-			s.Spawn(name, s.Node(i).Proc(0), func(th *Thread) {
+			s.SpawnOn(name, i, 0, func(th Agent) {
 				for step := 0; step < 3; step++ {
 					th.Elapse(Microseconds(float64(1 + i)))
 					log = append(log, name)
@@ -245,16 +244,16 @@ func TestThreadMessagePingPong(t *testing.T) {
 	ready := s.NewUserEvent()
 	reply := s.NewUserEvent()
 	var order []string
-	s.Spawn("sender", s.Node(0).Proc(0), func(th *Thread) {
-		ev := s.Copy(s.Node(0), s.Node(1), 8, NoEvent, func() { order = append(order, "deliver") })
+	s.SpawnOn("sender", 0, 0, func(th Agent) {
+		ev := s.CopyBytes(0, 1, 8, NoEvent, func() { order = append(order, "deliver") })
 		s.OnTrigger(ev, func() { s.Trigger(ready) })
 		th.WaitEvent(reply)
 		order = append(order, "got-reply")
 	})
-	s.Spawn("receiver", s.Node(1).Proc(0), func(th *Thread) {
+	s.SpawnOn("receiver", 1, 0, func(th Agent) {
 		th.WaitEvent(ready)
 		order = append(order, "received")
-		ev := s.Copy(s.Node(1), s.Node(0), 8, NoEvent, nil)
+		ev := s.CopyBytes(1, 0, 8, NoEvent, nil)
 		s.OnTrigger(ev, func() { s.Trigger(reply) })
 	})
 	s.MustRun()
@@ -271,11 +270,11 @@ func TestThreadMessagePingPong(t *testing.T) {
 
 func TestBarrier(t *testing.T) {
 	s := MustNewSim(smallConfig(4))
-	b := s.NewBarrier(4)
+	b := s.Barrier(4)
 	count := 0
 	for i := 0; i < 4; i++ {
 		i := i
-		s.Spawn("t", s.Node(i).Proc(0), func(th *Thread) {
+		s.SpawnOn("t", i, 0, func(th Agent) {
 			th.Elapse(Microseconds(float64(i * 10)))
 			b.Arrive(NoEvent)
 			th.WaitEvent(b.Done())
@@ -293,7 +292,7 @@ func TestBarrier(t *testing.T) {
 
 func TestCollectiveDeterministicFold(t *testing.T) {
 	s := MustNewSim(smallConfig(3))
-	c := s.NewCollective(3, 0, func(a, v float64) float64 { return a + v })
+	c := s.Collective(3, 0, func(a, v float64) float64 { return a + v })
 	// Contribute out of order in time; result must fold in index order.
 	vals := []float64{1, 2, 4}
 	delays := []Time{Microseconds(30), Microseconds(10), Microseconds(20)}
@@ -313,7 +312,7 @@ func TestCollectiveDeterministicFold(t *testing.T) {
 
 func TestCollectiveMin(t *testing.T) {
 	s := MustNewSim(smallConfig(2))
-	c := s.NewCollective(2, 1e300, func(a, v float64) float64 {
+	c := s.Collective(2, 1e300, func(a, v float64) float64 {
 		if v < a {
 			return v
 		}
@@ -339,32 +338,5 @@ func TestCollectiveLatencyModel(t *testing.T) {
 	}
 	if got := s.CollectiveLatency(1024); got != Microseconds(10) {
 		t.Errorf("1024-node collective latency = %v, want 10us", got)
-	}
-}
-
-func TestAfterEvent(t *testing.T) {
-	s := MustNewSim(smallConfig(1))
-	e := s.NewUserEvent()
-	d := s.AfterEvent(e, Microseconds(7))
-	var at Time = -1
-	s.OnTrigger(d, func() { at = s.Now() })
-	s.After(Microseconds(3), func() { s.Trigger(e) })
-	s.MustRun()
-	if at != Microseconds(10) {
-		t.Errorf("delayed event at %v", at)
-	}
-	if s.AfterEvent(e, 0) != e {
-		t.Error("zero delay should return the same event")
-	}
-}
-
-func TestNodeBusyAccounting(t *testing.T) {
-	s := MustNewSim(smallConfig(1))
-	n := s.Node(0)
-	n.Proc(0).Launch(NoEvent, Microseconds(10), nil)
-	n.Proc(1).Launch(NoEvent, Microseconds(5), nil)
-	s.MustRun()
-	if n.BusyTime() != Microseconds(15) {
-		t.Errorf("busy = %v", n.BusyTime())
 	}
 }

@@ -16,13 +16,13 @@ import "iter"
 // its processor) and WaitEvent (sleep until an event fires).
 type Thread struct {
 	sim       *Sim
-	proc      *Proc
+	proc      *proc
 	name      string
 	id        int64 // spawn order, used for deterministic iteration
 	next      func() (struct{}, bool)
 	stop      func()
 	yieldFn   func(struct{}) bool
-	killed    bool  // Kill was requested; unwind at the next scheduling point
+	killed    bool  // KillAgent was called; unwind at the next scheduling point
 	dead      bool  // coroutine has finished (normally or by kill)
 	blockedOn Event // event a WaitEvent is parked on, for deadlock reports
 	// runFn/wakeFn are bound once at spawn so the WaitEvent/wake round trip
@@ -32,8 +32,8 @@ type Thread struct {
 }
 
 // killPanic is the sentinel a killed thread unwinds with. It must cross any
-// user-level recover blocks, so engines embedding threads re-panic it (see
-// IsThreadKilled).
+// user-level recover blocks, so code recovering inside an agent re-panics it
+// (see IsThreadKilled and RunControl).
 type killPanic struct{ name string }
 
 // IsThreadKilled reports whether a recovered panic value is the thread-kill
@@ -46,16 +46,17 @@ func IsThreadKilled(r interface{}) bool {
 
 // KillSentinel returns the panic value a killed agent unwinds with. Other
 // backends (realm/native) panic with it from their own agents so the same
-// IsThreadKilled check — and every engine-level recover built on it —
-// recognizes kills uniformly across backends.
+// IsThreadKilled check — and RunControl's recover, built on it — recognizes
+// kills uniformly across backends.
 func KillSentinel(name string) interface{} { return killPanic{name} }
 
-// Spawn starts fn as a simulated thread bound to proc, beginning at the
-// current virtual time. Spawn may be called before Run or from any running
-// thread or event continuation.
-func (s *Sim) Spawn(name string, proc *Proc, fn func(*Thread)) *Thread {
+// SpawnOn implements Exec: fn starts as a simulated thread bound to the
+// node's proc-th processor, beginning at the current virtual time. SpawnOn
+// may be called before Drive or from any running thread or event
+// continuation.
+func (s *Sim) SpawnOn(name string, node, proc int, fn func(Agent)) Agent {
 	s.threadSeq++
-	t := &Thread{sim: s, proc: proc, name: name, id: s.threadSeq}
+	t := &Thread{sim: s, proc: s.nodes[node].procs[proc], name: name, id: s.threadSeq}
 	t.runFn = t.run
 	t.wakeFn = t.wake
 	s.liveThreads[t] = true
@@ -74,14 +75,14 @@ func (s *Sim) Spawn(name string, proc *Proc, fn func(*Thread)) *Thread {
 	return t
 }
 
-// Kill deterministically terminates a simulated thread at the current
-// virtual time: it unwinds at its next scheduling point and never runs
-// again. Killing a finished or already-killed thread is a no-op. The
-// thread's in-flight work items are unaffected (their completion events may
-// still fire); only the control flow stops, as when a node loses the
-// processor running it.
-func (s *Sim) Kill(t *Thread) {
-	if t.dead || t.killed {
+// KillAgent implements Exec: the thread stops at the current virtual time,
+// unwinding at its next scheduling point, and never runs again. Killing a
+// finished or already-killed thread is a no-op. The thread's in-flight work
+// items are unaffected (their completion events may still fire); only the
+// control flow stops, as when a node loses the processor running it.
+func (s *Sim) KillAgent(a Agent) {
+	t, ok := a.(*Thread)
+	if !ok || t.dead || t.killed {
 		return
 	}
 	t.killed = true
@@ -110,15 +111,6 @@ func (t *Thread) yield() {
 		panic(killPanic{t.name})
 	}
 }
-
-// Sim returns the simulator the thread runs in.
-func (t *Thread) Sim() *Sim { return t.sim }
-
-// Proc returns the processor the thread is bound to.
-func (t *Thread) Proc() *Proc { return t.proc }
-
-// Node returns the node the thread runs on.
-func (t *Thread) Node() *Node { return t.proc.node }
 
 // Name returns the thread's diagnostic name.
 func (t *Thread) Name() string { return t.name }
@@ -153,7 +145,7 @@ func (t *Thread) Elapse(d Time) {
 	if d == 0 {
 		return
 	}
-	t.WaitEvent(t.proc.Launch(NoEvent, d, nil))
+	t.WaitEvent(t.proc.launch(NoEvent, d, nil))
 }
 
 // Sleep advances the thread by d without occupying the processor.
@@ -163,24 +155,24 @@ func (t *Thread) Sleep(d Time) {
 	t.WaitEvent(ev)
 }
 
-// Barrier is a single-use phase barrier: it fires its completion event,
+// barrier is a single-use phase barrier: it fires its completion event,
 // after the modeled collective latency, once the expected number of
 // arrivals have been registered. The CR compiler initially synchronizes
 // copies with barriers (§3.4) before lowering to point-to-point sync.
-type Barrier struct {
+type barrier struct {
 	sim      *Sim
 	expected int
 	arrived  int
 	done     Event
 }
 
-// NewBarrier creates a barrier expecting n arrivals.
-func (s *Sim) NewBarrier(n int) *Barrier {
-	return &Barrier{sim: s, expected: n, done: s.NewUserEvent()}
+// Barrier implements Exec.
+func (s *Sim) Barrier(n int) BarrierOp {
+	return &barrier{sim: s, expected: n, done: s.NewUserEvent()}
 }
 
 // Arrive registers an arrival once pre triggers.
-func (b *Barrier) Arrive(pre Event) {
+func (b *barrier) Arrive(pre Event) {
 	b.sim.OnTrigger(pre, func() {
 		b.arrived++
 		if b.arrived == b.expected {
@@ -191,15 +183,15 @@ func (b *Barrier) Arrive(pre Event) {
 }
 
 // Done returns the event that fires when the barrier completes.
-func (b *Barrier) Done() Event { return b.done }
+func (b *barrier) Done() Event { return b.done }
 
-// Collective is a Legion-style dynamic collective (§4.4): participants
+// collective is a Legion-style dynamic collective (§4.4): participants
 // contribute scalar values; once all expected contributions are in, they
 // are folded in participant-index order (so the result is bitwise
 // deterministic and matches a sequential fold), the modeled
 // reduce+broadcast latency is charged, and the completion event fires with
 // the result available to all.
-type Collective struct {
+type collective struct {
 	sim      *Sim
 	identity float64
 	fold     func(acc, v float64) float64
@@ -209,10 +201,9 @@ type Collective struct {
 	done     Event
 }
 
-// NewCollective creates a dynamic collective over n participants with the
-// given fold and identity.
-func (s *Sim) NewCollective(n int, identity float64, fold func(acc, v float64) float64) *Collective {
-	return &Collective{
+// Collective implements Exec.
+func (s *Sim) Collective(n int, identity float64, fold func(acc, v float64) float64) CollectiveOp {
+	return &collective{
 		sim:      s,
 		identity: identity,
 		fold:     fold,
@@ -224,7 +215,7 @@ func (s *Sim) NewCollective(n int, identity float64, fold func(acc, v float64) f
 
 // Contribute registers participant idx's value once pre triggers; value is
 // evaluated at that moment. Each participant contributes exactly once.
-func (c *Collective) Contribute(idx int, pre Event, value func() float64) {
+func (c *collective) Contribute(idx int, pre Event, value func() float64) {
 	c.sim.OnTrigger(pre, func() {
 		if c.present[idx] {
 			panic("realm: duplicate collective contribution")
@@ -241,11 +232,11 @@ func (c *Collective) Contribute(idx int, pre Event, value func() float64) {
 }
 
 // Done returns the completion event.
-func (c *Collective) Done() Event { return c.done }
+func (c *collective) Done() Event { return c.done }
 
 // Result returns the values folded in index order; valid once Done has
 // triggered.
-func (c *Collective) Result() float64 {
+func (c *collective) Result() float64 {
 	acc := c.identity
 	for _, v := range c.values {
 		acc = c.fold(acc, v)

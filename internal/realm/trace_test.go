@@ -11,8 +11,8 @@ func TestTracerRecordsTasksAndMessages(t *testing.T) {
 	s := MustNewSim(smallConfig(2))
 	tr := NewTracer()
 	s.SetTracer(tr)
-	s.Node(0).Proc(0).Launch(NoEvent, Microseconds(10), nil)
-	s.Copy(s.Node(0), s.Node(1), 4096, NoEvent, nil)
+	s.nodes[0].procs[0].launch(NoEvent, Microseconds(10), nil)
+	s.CopyBytes(0, 1, 4096, NoEvent, nil)
 	s.MustRun()
 	if tr.Spans() != 1 {
 		t.Errorf("spans = %d, want 1", tr.Spans())
@@ -42,6 +42,6 @@ func TestTracerRecordsTasksAndMessages(t *testing.T) {
 func TestTracerDetached(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
 	s.SetTracer(nil) // no-op
-	s.Node(0).Proc(0).Launch(NoEvent, Microseconds(1), nil)
+	s.nodes[0].procs[0].launch(NoEvent, Microseconds(1), nil)
 	s.MustRun() // must not panic
 }

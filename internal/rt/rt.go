@@ -212,30 +212,14 @@ func (e *Engine) Run() (*Result, error) {
 	e.iterTimes = make(map[*ir.Loop][]realm.Time)
 	e.sites = make(map[*ir.Launch]*site)
 
-	var runErr error
-	ctlDone := false
-	e.Sim.SpawnOn("control", 0, 0, func(t realm.Agent) {
-		defer func() {
-			if r := recover(); r != nil {
-				if realm.IsThreadKilled(r) {
-					panic(r) // node 0 crashed: let the scheduler retire us
-				}
-				runErr = fmt.Errorf("rt: %v", r)
-			}
-		}()
-		e.ctl = t
+	// A node crash orphaning the control thread's waits (rt has no
+	// recovery layer) comes back as a *realm.DeadlockError.
+	elapsed, err := realm.RunControl(e.Sim, "rt", "control", func(ctl realm.Agent) {
+		e.ctl = ctl
 		e.execStmts(e.Prog.Stmts)
-		ctlDone = true
 	})
-	elapsed, err := runSim(e.Sim)
 	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !ctlDone {
-		return nil, fmt.Errorf("rt: control thread was killed (node 0 crashed) before the program completed")
 	}
 
 	res := &Result{
@@ -308,30 +292,9 @@ func (e *Engine) execLoop(l *ir.Loop) {
 	}
 	e.endTrace(ts)
 	// Drain the loop before code after it runs.
-	for t := maxInt(0, l.Trip-window); t < l.Trip; t++ {
+	for t := max(0, l.Trip-window); t < l.Trip; t++ {
 		e.ctl.WaitEvent(iterDone[t])
 	}
 	e.iterEvents = savedEvents
 	e.iterTimes[l] = times
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// runSim drives the backend, converting panics from task kernels (which
-// the DES executes inside the event loop) into errors so a faulty
-// application cannot crash the host process. A deadlock (e.g. an injected
-// node crash orphaning the control thread's waits — rt has no recovery
-// layer) comes back as a *realm.DeadlockError.
-func runSim(x realm.Exec) (elapsed realm.Time, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("rt: task execution panicked: %v", r)
-		}
-	}()
-	return x.Drive()
 }

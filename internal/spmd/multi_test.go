@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cr"
@@ -101,8 +102,8 @@ func TestShardsSpreadWhenFewerThanNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := realm.MustNewSim(testConfig(8)) // 8 nodes, 4 shards
-	res, err := New(sim, f.Prog, ir.ExecReal, plans).Run()
+	x := &launchCounter{Exec: realm.MustNewSim(testConfig(8)), perNode: make([]int, 8)} // 8 nodes, 4 shards
+	res, err := New(x, f.Prog, ir.ExecReal, plans).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +113,27 @@ func TestShardsSpreadWhenFewerThanNodes(t *testing.T) {
 		t.Fatal("spread-shard run diverged")
 	}
 	// Shards must land on distinct nodes (0,2,4,6 under block spreading).
-	busy := 0
-	for i := 0; i < 8; i++ {
-		if sim.Node(i).BusyTime() > 0 {
-			busy++
+	var busy []int
+	for i, n := range x.perNode {
+		if n > 0 {
+			busy = append(busy, i)
 		}
 	}
-	if busy < 4 {
-		t.Errorf("only %d nodes did work, want >= 4", busy)
+	if fmt.Sprint(busy) != "[0 2 4 6]" {
+		t.Errorf("nodes that ran launches = %v, want [0 2 4 6]", busy)
 	}
+}
+
+// launchCounter is a realm.Exec that counts the launches issued to each
+// node and forwards everything to the machine it wraps.
+type launchCounter struct {
+	realm.Exec
+	perNode []int
+}
+
+func (c *launchCounter) LaunchOn(node int, pre realm.Event, dur realm.Time, body func()) realm.Event {
+	c.perNode[node]++
+	return c.Exec.LaunchOn(node, pre, dur, body)
 }
 
 // TestNoiseDeterminism: noise-perturbed runs are still exactly

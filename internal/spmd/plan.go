@@ -149,21 +149,6 @@ func (e *Engine) sharedFor(plan *cr.Compiled) *sharedTrace {
 	return shr
 }
 
-// logShareFallback reports, once per loop per run, why a loop with sharing
-// enabled fell back to per-shard capture.
-func (e *Engine) logShareFallback(plan *cr.Compiled) {
-	if e.shareLogged[plan] {
-		return
-	}
-	if e.shareLogged == nil {
-		e.shareLogged = make(map[*cr.Compiled]bool)
-	}
-	e.shareLogged[plan] = true
-	if e.ShareLog != nil {
-		e.ShareLog("trace sharing disabled for loop: " + plan.Spec.Share.Reason)
-	}
-}
-
 // shardPlan is one shard's iteration: the body ops with all non-event
 // resolution done.
 type shardPlan struct {
@@ -273,9 +258,6 @@ func (st *runState) planFor(sh *shard) *shardPlan {
 		sp = st.resolve(sh, e.sharedFor(st.plan))
 		e.traceStats.Specializations++
 	} else {
-		if !e.NoShare {
-			e.logShareFallback(st.plan)
-		}
 		sp = st.resolve(sh, nil)
 		e.traceStats.PerShardCaptures++
 	}

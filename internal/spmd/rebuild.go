@@ -32,7 +32,7 @@ func RebuildAssignment(ns int, live []int) []int {
 func (e *Engine) liveAssign(ns int) []int {
 	var live []int
 	for i := 0; i < e.Sim.Nodes(); i++ {
-		if i == 0 || !e.nodeFailed(i) {
+		if i == 0 || !e.Sim.NodeFailed(i) {
 			live = append(live, i)
 		}
 	}

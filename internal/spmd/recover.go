@@ -16,8 +16,8 @@ import (
 // after a node crash, bounded retry with exponential backoff (virtual time
 // on the DES, wall-clock on the native backend), and graceful degradation
 // to the last checkpoint when the budget runs out. It is written against
-// realm.FaultExec, so the same protocol runs over modeled and real
-// execution.
+// realm.Exec's failure half, so the same protocol runs over modeled and
+// real execution.
 //
 // Correctness rests on two properties of the execution model. First, every
 // epoch boundary is quiescent: the control thread has seen every shard's
@@ -108,21 +108,12 @@ func copyEnv(src ir.MapEnv) ir.MapEnv {
 // the run state fails, whichever comes first; it reports whether ev won.
 // Without this race, a crash that swallows a completion event would leave
 // the control thread blocked forever (the deadlock the fault tests pin).
-// nodeFailed reports whether node i has crashed; a backend without fault
-// support cannot crash nodes, so it answers false.
-func (e *Engine) nodeFailed(i int) bool {
-	if fx := e.fx(); fx != nil {
-		return fx.NodeFailed(i)
-	}
-	return false
-}
-
 func (e *Engine) waitOrFail(ctl realm.Agent, st *runState, ev realm.Event) bool {
-	fx := e.fx() // guarded waits only run under recovery, which requires FaultExec
-	if fx.Triggered(ev) {
+	x := e.Sim
+	if x.Triggered(ev) {
 		return true
 	}
-	out := fx.NewUserEvent()
+	out := x.NewUserEvent()
 	// The completion and failure continuations race on the native backend
 	// (real goroutines trigger concurrently); first to settle wins, and the
 	// loser's trigger must not fire `out` twice.
@@ -135,12 +126,12 @@ func (e *Engine) waitOrFail(ctl realm.Agent, st *runState, ev realm.Event) bool 
 			if f {
 				atomic.StoreInt32(&failed, 1)
 			}
-			fx.Trigger(out)
+			x.Trigger(out)
 		}
 	}
-	fx.OnTrigger(ev, settle(false))
+	x.OnTrigger(ev, settle(false))
 	for _, n := range st.watch {
-		fx.OnTrigger(fx.NodeFailEvent(n), settle(true))
+		x.OnTrigger(x.NodeFailEvent(n), settle(true))
 	}
 	ctl.WaitEvent(out)
 	return atomic.LoadInt32(&failed) == 0
@@ -241,14 +232,14 @@ func (e *Engine) degrade(plan *cr.Compiled, trip, retries int, cp *checkpoint, t
 	}
 	rep.CompletedIters = done
 	rep.Reason = fmt.Sprintf("spmd: recovery budget exhausted after %d restarts with %d node crashes; degraded to the checkpoint at iteration %d of %d",
-		retries, len(e.fx().Crashes()), done, trip)
+		retries, len(e.Sim.Crashes()), done, trip)
 	e.iterTimes[plan.Loop] = times[:done]
 	e.degraded = true
 }
 
 // shipTraces sends the loop's surviving shared capture from node 0's
 // stable storage to every other node of a freshly rebuilt placement, as
-// real messages (FaultExec.ShipTrace: modeled wire cost on the DES, real
+// real messages (Exec.ShipTrace: modeled wire cost on the DES, real
 // messages subject to drop/dup injection on native), so the restarted
 // shards resolve their plans against the shipped trace instead of
 // re-capturing. No-op when the loop has no shared capture (sharing
@@ -259,13 +250,12 @@ func (e *Engine) shipTraces(ctl realm.Agent, st *runState) bool {
 	if !ok {
 		return true
 	}
-	fx := e.fx() // trace shipping only happens under recovery, which requires FaultExec
 	var evs []realm.Event
 	for _, n := range st.watch { // sorted: the shipment order is deterministic
 		if n == 0 {
 			continue
 		}
-		evs = append(evs, fx.ShipTrace(0, n, shr.bytes, realm.NoEvent))
+		evs = append(evs, e.Sim.ShipTrace(0, n, shr.bytes, realm.NoEvent))
 		e.traceStats.Ships++
 		e.traceStats.ShippedBytes += shr.bytes
 	}
@@ -308,7 +298,7 @@ func (e *Engine) runRecoverable(ctl realm.Agent, plan *cr.Compiled, rec Recovery
 		// that may still be writing the old run state's instances; the
 		// restore (and degrade's write-back) must not race them. No-op on
 		// the DES.
-		e.fx().Quiesce()
+		e.Sim.Quiesce()
 		if retries >= rec.MaxRetries {
 			return false
 		}

@@ -122,11 +122,9 @@ func (e *Engine) runEpoch(ctl realm.Agent, st *runState, lo, hi int, guarded boo
 	if e.phaseWait(ctl, st, e.Sim.Merge(st.shardDone...), guarded) {
 		return true
 	}
-	// Only the guarded (recovery) path reaches here, and recovery is gated
-	// to backends with the fault-tolerance extension (killable agents).
-	fx := e.fx()
+	// Only the guarded (recovery) path reaches here.
 	for _, th := range threads {
-		fx.KillAgent(th)
+		e.Sim.KillAgent(th)
 	}
 	return false
 }

@@ -71,10 +71,8 @@ type Result struct {
 
 // Engine executes a program whose loops have been control-replicated. It
 // is written against the backend-neutral realm.Exec interface: the same
-// engine drives the DES (*realm.Sim) and the native goroutine backend
-// (realm/native.Machine). DES-only capabilities — fault injection,
-// checkpoint/restart recovery, trace shipping — are reached through a type
-// assertion and report realm.UnsupportedError elsewhere.
+// engine, recovery included, drives the DES (*realm.Sim) and the native
+// goroutine backend (realm/native.Machine).
 type Engine struct {
 	Sim   realm.Exec
 	Prog  *ir.Program
@@ -99,22 +97,16 @@ type Engine struct {
 	// exists for the -trace-share ablation and regression tests.
 	NoShare bool
 
-	// ShareLog, when set, receives one diagnostic line per loop that has
-	// sharing enabled but falls back to per-shard capture (e.g. a ragged
-	// shard partition the compiler marked unshareable).
-	ShareLog func(string)
-
 	traceStats TraceStats
 
 	// planMu guards the memoized-plan state (traceStats, shared,
-	// shareLogged, runState.plans): on the native backend shard agents
-	// resolve their plans concurrently. Uncontended on the DES.
+	// runState.plans): on the native backend shard agents resolve their
+	// plans concurrently. Uncontended on the DES.
 	planMu sync.Mutex
 
-	// shared caches the per-loop shared captures (see plan.go); shareLogged
-	// dedups the fallback diagnostics. Both reset per Run.
-	shared      map[*cr.Compiled]*sharedTrace
-	shareLogged map[*cr.Compiled]bool
+	// shared caches the per-loop shared captures (see plan.go); reset per
+	// Run.
+	shared map[*cr.Compiled]*sharedTrace
 
 	global    map[*region.Region]*region.Store
 	env       ir.MapEnv
@@ -162,12 +154,6 @@ func (e *Engine) Run() (*Result, error) {
 	if err := e.Prog.Validate(); err != nil {
 		return nil, err
 	}
-	// Checkpoint/restart recovery needs the fault-tolerance extension of
-	// the backend (node failure events, agent kill, trace shipping); reject
-	// it up front on a backend without one instead of panicking mid-run.
-	if e.Recov.MaxRetries > 0 && e.fx() == nil {
-		return nil, &realm.UnsupportedError{Backend: e.Sim.Backend(), Op: "checkpoint/restart recovery"}
-	}
 	e.global = make(map[*region.Region]*region.Store)
 	if e.Mode == ir.ExecReal {
 		roots := make([]*region.Region, 0, len(e.Prog.FieldSpaces))
@@ -188,36 +174,15 @@ func (e *Engine) Run() (*Result, error) {
 	e.degraded = false
 	e.traceStats = TraceStats{}
 	e.shared = nil
-	e.shareLogged = nil
 
-	var runErr error
-	ctlDone := false
-	e.Sim.SpawnOn("spmd-control", 0, 0, func(t realm.Agent) {
-		defer func() {
-			if r := recover(); r != nil {
-				if realm.IsThreadKilled(r) {
-					panic(r) // node 0 crashed: let the scheduler retire us
-				}
-				runErr = fmt.Errorf("spmd: %v", r)
-			}
-		}()
-		e.execStmts(t, e.Prog.Stmts)
-		ctlDone = true
+	elapsed, err := realm.RunControl(e.Sim, "spmd", "spmd-control", func(ctl realm.Agent) {
+		e.execStmts(ctl, e.Prog.Stmts)
 	})
-	elapsed, err := runSim(e.Sim)
-	if fx := e.fx(); fx != nil {
-		if crashes := fx.Crashes(); len(crashes) > 0 {
-			e.rep().Crashes = crashes
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !ctlDone {
-		return nil, fmt.Errorf("spmd: control thread was killed (node 0 crashed) before the program completed")
+	if crashes := e.Sim.Crashes(); len(crashes) > 0 {
+		e.rep().Crashes = crashes
 	}
 	return &Result{
 		Stores:    e.global,
@@ -232,29 +197,6 @@ func (e *Engine) Run() (*Result, error) {
 // TraceStats reports the memoized shard-plan counters of the last
 // Run.
 func (e *Engine) TraceStats() TraceStats { return e.traceStats }
-
-// fx returns the backend's fault-tolerance extension when it has one, nil
-// otherwise. The recovery paths (failure events, agent kill, quiesce,
-// trace shipping) gate on it; both the DES and the native machine
-// implement it.
-func (e *Engine) fx() realm.FaultExec {
-	f, _ := e.Sim.(realm.FaultExec)
-	return f
-}
-
-// runSim drives the backend, converting panics from task kernels (which
-// the DES executes inside the event loop) into errors so a faulty
-// application cannot crash the host process. A deadlock (e.g. an injected
-// crash with recovery disabled) comes back as a *realm.DeadlockError on
-// the DES, or as a *realm.HangError from the native watchdog.
-func runSim(x realm.Exec) (elapsed realm.Time, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("spmd: task execution panicked: %v", r)
-		}
-	}()
-	return x.Drive()
-}
 
 func (e *Engine) execStmts(ctl realm.Agent, stmts []ir.Stmt) {
 	for _, s := range stmts {
