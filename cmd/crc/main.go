@@ -11,27 +11,27 @@
 //	    [-sync p2p|barrier] [-pairs] [-prune] [-agg] [-verify]
 //	    [-verify-json file]
 //
-// -verify runs the schedule certifier (internal/verify) over the compiled
-// loop: the race pass (every conflicting access pair must be ordered by
-// the inserted copies and sync), the liveness pass (the wait-for graph
-// must be free of cycles, never-triggered events, and barrier phase
-// mismatches), and the spec pass (the specialization tables must match
-// recomputation). -verify-json writes the full certification suite — one
-// verify.Report per pass, each with its pass name, findings, stats, and
-// counters — as JSON to the given file, or to stdout with "-", and
-// implies -verify.
+// -verify runs the schedule certifier (verify.Certify) over the compiled
+// loop as it will run: the race pass (every conflicting access pair must
+// be ordered by the inserted copies and sync), the liveness pass (the
+// wait-for graph must be free of cycles, never-triggered events, and
+// barrier phase mismatches), and the spec pass (the specialization tables
+// must match recomputation), preceded by the agg and prune passes when
+// -agg and -prune are given. -verify-json writes the suite — one
+// verify.Report per pass, in that order, each with its pass name,
+// findings, stats, and counters — as JSON to the given file, or to stdout
+// with "-", and implies -verify.
 //
 // -prune runs the certified redundant-sync pruning pass and reports which
-// sync edges and init copies it removes; with -verify the prune report
-// joins the suite (the pruned schedule is itself re-certified).
+// sync edges and init copies it removes; -verify then certifies the pruned
+// schedule.
 //
 // -agg compiles with coalesced exchange plans — each exchange phase's copy
 // pairs merged into one message per (producing shard, destination shard)
 // group — runs the verify.CheckAgg certification over the aggregated
 // schedule (table recomputation, liveness, races), and reports the phases
-// and multi-member groups. With -verify the agg report joins the suite.
-// With -prune as well, the prune is planned for the aggregated schedule,
-// and -verify certifies the composed one.
+// and multi-member groups. With -prune as well, the prune is planned for
+// the aggregated schedule, and -verify certifies the composed one.
 //
 // Exit status: 0 on success, 1 on usage or compile errors, 2 when any
 // certification pass reports findings.
@@ -49,6 +49,14 @@ import (
 	"repro/internal/region"
 	"repro/internal/verify"
 )
+
+// checkNodes rejects a node count no app can be built for.
+func checkNodes(n int) error {
+	if n < 1 {
+		return fmt.Errorf("bad -nodes %d (want at least 1)", n)
+	}
+	return nil
+}
 
 func main() {
 	appName := flag.String("app", "stencil", "application to compile")
@@ -73,6 +81,9 @@ func main() {
 	}
 
 	app, err := harness.AppByName(*appName)
+	if err == nil {
+		err = checkNodes(*nodes)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crc:", err)
 		os.Exit(1)
@@ -172,63 +183,44 @@ func main() {
 	fmt.Printf("intersections: shallow %v (%d candidates), complete %v (%d non-empty pairs)\n",
 		plan.Timings.Shallow, plan.Timings.Candidates, plan.Timings.Complete, plan.Timings.Pairs)
 
-	var aggRep *verify.Report
-	if *doAgg {
-		rep, err := verify.CheckAgg(plan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crc: agg:", err)
-			os.Exit(1)
-		}
-		aggRep = rep
-		c := rep.Counters
-		fmt.Printf("\ncoalesced exchange plans: %d phases, %d groups (%d multi-member), %d pairs merged away per iteration\n",
-			c["phases"], c["agg_groups"], c["multi_member_groups"], c["merged_pairs"])
-		for pi, ph := range plan.Spec.Phases {
-			fmt.Printf("  phase %d: ops [%d,%d)\n", pi, ph.Start, ph.End)
-			for s, gl := range ph.ByShard {
-				for _, g := range gl {
-					if len(g.Members) < 2 {
-						continue
-					}
-					fmt.Printf("    shard %d -> %d: %d pairs in one message\n", s, g.DstShard, len(g.Members))
-				}
-			}
-		}
-	}
-
-	var pruneRep *verify.Report
-	if *doPrune {
-		info, rep, err := verify.PlanPrune(plan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crc: prune:", err)
-			os.Exit(1)
-		}
-		pruneRep = rep
-		if info != nil {
-			plan.Prune = info
-			c := rep.Counters
-			fmt.Printf("\ncertified pruning: %d sync edges removed (%d war, %d done, %d chain), %d dead init copies; sync edges %d -> %d\n",
-				c["pruned_edges"], c["pruned_war"], c["pruned_done"], c["pruned_chain"],
-				c["pruned_init_copies"], c["sync_edges_before"], c["sync_edges_after"])
-		}
-	}
-
-	if *doVerify || *verifyJSON != "" {
-		a, err := verify.Analyze(plan)
-		if err != nil {
+	verifying := *doVerify || *verifyJSON != ""
+	suite := &verify.Suite{}
+	if *doAgg || *doPrune || verifying {
+		if suite, err = verify.Certify(plan, *doPrune); err != nil {
 			fmt.Fprintln(os.Stderr, "crc: verify:", err)
 			os.Exit(1)
 		}
-		suite := &verify.Suite{}
-		suite.Add(a.Check())
-		suite.Add(a.CheckLiveness())
-		specRep := &verify.Report{Pass: "spec", Findings: []verify.Finding{}}
-		if err := verify.CheckSpec(plan); err != nil {
-			specRep.Findings = append(specRep.Findings, verify.Finding{Kind: "spec", Detail: err.Error()})
+	}
+	var races verify.Stats
+	for _, rep := range suite.Reports {
+		c := rep.Counters
+		switch rep.Pass {
+		case "agg":
+			fmt.Printf("\ncoalesced exchange plans: %d phases, %d groups (%d multi-member), %d pairs merged away per iteration\n",
+				c["phases"], c["agg_groups"], c["multi_member_groups"], c["merged_pairs"])
+			for pi, ph := range plan.Spec.Phases {
+				fmt.Printf("  phase %d: ops [%d,%d)\n", pi, ph.Start, ph.End)
+				for s, gl := range ph.ByShard {
+					for _, g := range gl {
+						if len(g.Members) < 2 {
+							continue
+						}
+						fmt.Printf("    shard %d -> %d: %d pairs in one message\n", s, g.DstShard, len(g.Members))
+					}
+				}
+			}
+		case "prune":
+			if plan.Prune != nil {
+				fmt.Printf("\ncertified pruning: %d sync edges removed (%d war, %d done, %d chain), %d dead init copies; sync edges %d -> %d\n",
+					c["pruned_edges"], c["pruned_war"], c["pruned_done"], c["pruned_chain"],
+					c["pruned_init_copies"], c["sync_edges_before"], c["sync_edges_after"])
+			}
+		case "races":
+			races = rep.Stats
 		}
-		suite.Add(specRep)
-		suite.Add(pruneRep)
-		suite.Add(aggRep)
+	}
+
+	if verifying {
 		if *verifyJSON != "" {
 			buf, err := json.MarshalIndent(suite, "", "  ")
 			if err != nil {
@@ -243,9 +235,8 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		s := suite.Reports[0].Stats
 		fmt.Printf("\nstatic certification: %d conflicts (%d cross-shard) over %d instances, %d-node happens-before graph\n",
-			s.Conflicts, s.CrossShard, s.Instances, s.Nodes)
+			races.Conflicts, races.CrossShard, races.Instances, races.Nodes)
 		if suite.OK() {
 			fmt.Println("certified: races, liveness, and spec passes all clean")
 		} else {

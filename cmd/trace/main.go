@@ -24,6 +24,17 @@ import (
 	"repro/internal/spmd"
 )
 
+// checkFlags rejects a node or iteration count no run can have.
+func checkFlags(nodes, iters int) error {
+	switch {
+	case nodes < 1:
+		return fmt.Errorf("bad -nodes %d (want at least 1)", nodes)
+	case iters < 1:
+		return fmt.Errorf("bad -iters %d (want at least 1)", iters)
+	}
+	return nil
+}
+
 func main() {
 	appName := flag.String("app", "pennant", "application to trace")
 	nodes := flag.Int("nodes", 4, "node count")
@@ -33,6 +44,9 @@ func main() {
 	flag.Parse()
 
 	app, err := harness.AppByName(*appName)
+	if err == nil {
+		err = checkFlags(*nodes, *iters)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trace:", err)
 		os.Exit(1)

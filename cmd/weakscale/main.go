@@ -44,14 +44,15 @@
 //	weakscale -backend native -nodes 2,4 -fit-out fit.json
 //	weakscale -timepolicy measured -fit-in fit.json
 //
-// -verify runs the schedule certifier (internal/verify) over every
-// compiled schedule at each swept node count before running it: the race
-// pass, the liveness (deadlock-freedom) pass, the specialization-table
-// pass, under -prune on the pruning pass, and under -agg on the
-// aggregation pass (verify.CheckAgg). The sweep aborts with
-// exit status 2 on any finding. -verify-json additionally writes every
-// pass's verify.Report (the shared certification schema) as one JSON
-// document to the named file ("-" = stdout), and implies -verify.
+// -verify runs the schedule certifier (verify.Certify) before sweeping,
+// over the loop each app replicates at every swept node count under both
+// sync lowerings, compiled and licensed as the sweep will run it: under
+// -agg on the aggregation pass, under -prune on the pruning pass, then the
+// race, liveness (deadlock-freedom) and specialization-table passes on the
+// resulting schedule. The sweep aborts with exit status 2 on any finding.
+// -verify-json additionally writes each certification's verify.Suite as
+// one JSON document, in sweep order, to the named file ("-" = stdout, and
+// the sweep's own output moves to stderr), and implies -verify.
 //
 // -prune=on attaches the certified redundant-sync pruning pass to every
 // Regent-CR cell: sync edges proven transitively redundant (and dead
@@ -104,100 +105,64 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/harness"
-	"repro/internal/ir"
 	"repro/internal/realm"
-	"repro/internal/spmd"
 	"repro/internal/verify"
 )
 
-// verifyApp runs the schedule certifier over the app's compiled schedules
-// at every swept node count, under both sync lowerings: the race pass, the
-// liveness pass, the spec pass, and — when prune is set — the certified
-// pruning pass. Every pass emits the shared verify.Report schema; findings
-// are printed to stderr prefixed with their pass name, and each (node
-// count, sync) suite is appended to out when non-nil. It returns the
-// number of findings printed.
-func verifyApp(app harness.App, nodes []int, prune, agg bool, out *verify.Suite) int {
+// verifyApp certifies, with verify.Certify, the loop the sweep replicates
+// at every swept node count under both sync lowerings, compiled and
+// licensed as opts will run it. Findings are printed to stderr prefixed
+// with their pass name. It returns one suite per (node count, lowering) in
+// that order, and the number of findings printed.
+func verifyApp(app harness.App, nodes []int, opts bench.MeasureOpts) ([]*verify.Suite, int) {
+	var suites []*verify.Suite
 	bad := 0
 	for _, n := range nodes {
-		prog, _ := app.BuildProgram(n)
+		prog, loop := app.BuildProgram(n)
 		for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
 			fail := func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "weakscale: %s @ %d nodes (%v): ", app.Name, n, sync)
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 				bad++
 			}
-			plans, err := spmd.CompileAll(prog, cr.Options{NumShards: n, Sync: sync, Agg: agg})
+			plan, err := cr.Compile(prog, loop, cr.Options{NumShards: n, Sync: sync, Agg: opts.Agg})
+			var suite *verify.Suite
+			if err == nil {
+				suite, err = verify.Certify(plan, opts.Prune)
+			}
 			if err != nil {
-				fail("compile: %v", err)
+				fail("%v", err)
 				continue
-			}
-			suite := &verify.Suite{}
-			rep, err := verify.VerifyAll(prog, plans)
-			if err != nil {
-				fail("verify: %v", err)
-				continue
-			}
-			suite.Add(rep)
-			ordered := plansInOrder(prog, plans)
-			live := &verify.Report{Pass: "liveness", Findings: []verify.Finding{}}
-			for _, plan := range ordered {
-				a, err := verify.Analyze(plan)
-				if err != nil {
-					fail("liveness: %v", err)
-					continue
-				}
-				live.Findings = append(live.Findings, a.CheckLiveness().Findings...)
-			}
-			suite.Add(live)
-			spec := &verify.Report{Pass: "spec", Findings: []verify.Finding{}}
-			if err := verify.CheckSpecAll(prog, plans); err != nil {
-				spec.Findings = append(spec.Findings, verify.Finding{Kind: "spec", Detail: err.Error()})
-			}
-			suite.Add(spec)
-			if prune {
-				for _, plan := range ordered {
-					_, prep, err := verify.PlanPrune(plan)
-					if err != nil {
-						fail("prune: %v", err)
-						continue
-					}
-					suite.Add(prep)
-				}
-			}
-			if agg {
-				arep, err := verify.CheckAggAll(prog, plans)
-				if err != nil {
-					fail("agg: %v", err)
-				} else {
-					suite.Add(arep)
-				}
 			}
 			for _, r := range suite.Reports {
 				for _, f := range r.Findings {
 					fail("FAIL [%s] %s", r.Pass, f)
 				}
 			}
-			if out != nil {
-				out.Reports = append(out.Reports, suite.Reports...)
-			}
+			suites = append(suites, suite)
 		}
 	}
-	return bad
+	return suites, bad
 }
 
-// plansInOrder returns the compiled plans in program order (the plan map's
-// iteration order is not deterministic).
-func plansInOrder(prog *ir.Program, plans map[*ir.Loop]*cr.Compiled) []*cr.Compiled {
-	var out []*cr.Compiled
-	for _, s := range prog.Stmts {
-		if loop, ok := s.(*ir.Loop); ok {
-			if plan, ok := plans[loop]; ok {
-				out = append(out, plan)
-			}
-		}
+// parseSweep parses -nodes, a comma-separated list of node counts (empty:
+// the paper's sweep), and checks -iters (0: the app default).
+func parseSweep(nodesArg string, iters int) ([]int, error) {
+	if iters < 0 {
+		return nil, fmt.Errorf("bad -iters %d (want 0 for the app default, or a positive count)", iters)
 	}
-	return out
+	if nodesArg == "" {
+		return harness.DefaultNodes, nil
+	}
+	var nodes []int
+	for _, part := range strings.Split(nodesArg, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad node count %q", part)
+		}
+		nodes = append(nodes, n)
+	}
+	return nodes, nil
 }
 
 // onOff parses the shared on|off flag vocabulary (-trace, -trace-share,
@@ -261,6 +226,13 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
+	// With the suites going to stdout, the sweep's output moves to stderr so
+	// stdout stays machine-parseable (weakscale ... -verify-json - | jq).
+	jsonOut := os.Stdout
+	if *verifyJSON == "-" {
+		os.Stdout = os.Stderr
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -288,17 +260,10 @@ func main() {
 		}()
 	}
 
-	nodes := harness.DefaultNodes
-	if *nodesFlag != "" {
-		nodes = nil
-		for _, part := range strings.Split(*nodesFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "weakscale: bad node count %q\n", part)
-				os.Exit(1)
-			}
-			nodes = append(nodes, n)
-		}
+	nodes, err := parseSweep(*nodesFlag, *iters)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "weakscale:", err)
+		os.Exit(1)
 	}
 
 	if *backend != bench.BackendDES && *backend != bench.BackendNative {
@@ -381,23 +346,23 @@ func main() {
 
 	if *doVerify || *verifyJSON != "" {
 		bad := 0
-		var suites *verify.Suite
-		if *verifyJSON != "" {
-			suites = &verify.Suite{}
-		}
+		var buf []byte
 		for _, app := range apps {
-			bad += verifyApp(app, nodes, opts.Prune, opts.Agg, suites)
-		}
-		if suites != nil {
-			buf, err := json.MarshalIndent(suites, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "weakscale:", err)
-				os.Exit(1)
+			suites, n := verifyApp(app, nodes, opts)
+			bad += n
+			for _, suite := range suites {
+				doc, err := json.MarshalIndent(suite, "", "  ")
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "weakscale:", err)
+					os.Exit(1)
+				}
+				buf = append(append(buf, doc...), '\n')
 			}
-			buf = append(buf, '\n')
-			if *verifyJSON == "-" {
-				os.Stdout.Write(buf)
-			} else if err := os.WriteFile(*verifyJSON, buf, 0o644); err != nil {
+		}
+		if *verifyJSON == "-" {
+			jsonOut.Write(buf)
+		} else if *verifyJSON != "" {
+			if err := os.WriteFile(*verifyJSON, buf, 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "weakscale:", err)
 				os.Exit(1)
 			}

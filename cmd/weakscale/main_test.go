@@ -19,3 +19,19 @@ func TestParseFaultsRejectsBadRates(t *testing.T) {
 		t.Errorf("parseFaults(\"42:2000\") = %+v, %v", fp, err)
 	}
 }
+
+// TestParseSweepRejectsBadCounts: a negative -iters used to run the app
+// default silently; it and a node count below 1 are command-line errors.
+func TestParseSweepRejectsBadCounts(t *testing.T) {
+	for _, tc := range []struct {
+		nodes string
+		iters int
+	}{{"2,4", -3}, {"0", 0}, {"4,-1", 0}, {"abc", 0}} {
+		if nodes, err := parseSweep(tc.nodes, tc.iters); err == nil {
+			t.Errorf("parseSweep(%q, %d) = %v; want an error", tc.nodes, tc.iters, nodes)
+		}
+	}
+	if nodes, err := parseSweep("1, 4", 2); err != nil || len(nodes) != 2 || nodes[1] != 4 {
+		t.Errorf("parseSweep(\"1, 4\", 2) = %v, %v", nodes, err)
+	}
+}

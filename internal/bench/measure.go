@@ -149,6 +149,8 @@ type MeasureOpts struct {
 	// license. Off by default; stores and series are identical either way,
 	// only message counts drop (bytes are conserved). With Prune as well,
 	// the prune is planned for, and certified on, the aggregated schedule.
+	// Under either, MeasureCR runs verify.Certify and refuses a schedule
+	// with any finding.
 	Agg bool
 	// Counters, when non-nil, receives what the measurement's engines
 	// counted: rt.TraceStats, spmd.TraceStats, native.SchedStats, the
@@ -314,31 +316,27 @@ func MeasureCR(prog *ir.Program, loop *ir.Loop, nodes int, sync cr.SyncMode, tun
 	if err != nil {
 		return 0, err
 	}
-	if opts.Agg {
-		rep, err := verify.CheckAgg(plan)
+	if opts.Agg || opts.Prune {
+		suite, err := verify.Certify(plan, opts.Prune)
 		if err != nil {
 			return 0, err
 		}
-		if !rep.OK() {
-			return 0, fmt.Errorf("bench: aggregation certification found %d defects in the coalesced schedule; not aggregating", len(rep.Findings))
+		if !suite.OK() {
+			return 0, fmt.Errorf("bench: certification found %d defects in the schedule; not running it", suite.NumFindings())
 		}
-		opts.Counters.Add("verify.agg_phases", rep.Counters["phases"])
-		opts.Counters.Add("verify.agg_groups", rep.Counters["agg_groups"])
-		opts.Counters.Add("verify.agg_multi_member_groups", rep.Counters["multi_member_groups"])
-		opts.Counters.Add("verify.agg_merged_pairs", rep.Counters["merged_pairs"])
-	}
-	if opts.Prune {
-		info, rep, err := verify.PlanPrune(plan)
-		if err != nil {
-			return 0, err
-		}
-		if !rep.OK() {
-			return 0, fmt.Errorf("bench: prune pass found %d defects in the unpruned schedule; not pruning", len(rep.Findings))
-		}
-		plan.Prune = info
-		for name, v := range rep.Counters {
-			//detlint:ignore a sum per name: the table is the same in any order
-			opts.Counters.Add("verify."+name, v)
+		for _, rep := range suite.Reports {
+			switch rep.Pass {
+			case "agg":
+				opts.Counters.Add("verify.agg_phases", rep.Counters["phases"])
+				opts.Counters.Add("verify.agg_groups", rep.Counters["agg_groups"])
+				opts.Counters.Add("verify.agg_multi_member_groups", rep.Counters["multi_member_groups"])
+				opts.Counters.Add("verify.agg_merged_pairs", rep.Counters["merged_pairs"])
+			case "prune":
+				for name, v := range rep.Counters {
+					//detlint:ignore a sum per name: the table is the same in any order
+					opts.Counters.Add("verify."+name, v)
+				}
+			}
 		}
 	}
 	sim, err := newMachine(nodes, opts)

@@ -4,7 +4,8 @@ package cr_test
 // liveness pass must prove deadlock-freedom for every compiled schedule,
 // the prune pass must certify (and on the p2p apps with cross-shard
 // reductions, strictly shrink) every schedule, and recovery certification
-// must pass for every enumerated crash point — with seeded corruptions
+// must pass for every failover a crash at an enumerated point makes the
+// recovery layer perform — with seeded corruptions of a recorded failover
 // rejected by a named witness. Lives in cr_test because internal/verify
 // imports cr and the app builders live behind internal/harness.
 
@@ -15,6 +16,8 @@ import (
 
 	"repro/internal/cr"
 	"repro/internal/harness"
+	"repro/internal/ir"
+	"repro/internal/realm"
 	"repro/internal/spmd"
 	"repro/internal/verify"
 )
@@ -114,35 +117,62 @@ func TestPruneApps(t *testing.T) {
 	}
 }
 
-// TestRecoveryCertApps enumerates logical crash points — every app, node
-// count, crashed node, and a spread of crash launch indices — constructs
-// the failover rebuild statically, and demands full certification (valid
-// placement and restore, then races + liveness + spec on the rebuilt
-// schedule). The dynamic fault suite samples this space; here it is
-// covered exhaustively over the enumeration.
+// crashRun runs the compiled loop on the DES with checkpoint/restart every
+// two iterations, node crashed failing at the issue of its atLaunch-th
+// launch, and returns what the recovery layer reports.
+func crashRun(t *testing.T, prog *ir.Program, plan *cr.Compiled, crashed int, atLaunch uint64) *spmd.FaultReport {
+	t.Helper()
+	sim := realm.MustNewSim(realm.DefaultConfig(plan.Opts.NumShards))
+	if err := sim.InjectFaults(realm.FaultPlan{LaunchCrashes: []realm.LaunchCrash{{Node: crashed, AtLaunch: atLaunch}}}); err != nil {
+		t.Fatal(err)
+	}
+	eng := spmd.New(sim, prog, ir.ExecModeled, map[*ir.Loop]*cr.Compiled{plan.Loop: plan})
+	eng.Recov = spmd.Recovery{CheckpointEvery: 2, MaxRetries: 3}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults == nil || len(res.Faults.Crashes) != 1 {
+		t.Fatalf("the crash of node %d at launch %d never fired: %+v", crashed, atLaunch, res.Faults)
+	}
+	if res.Faults.Unrecovered || len(res.Faults.Rebuilds) == 0 {
+		t.Fatalf("the crash was not recovered by a recorded rebuild: %+v", res.Faults)
+	}
+	return res.Faults
+}
+
+// TestRecoveryCertApps runs logical crash points — every app, node count,
+// crashed node, and a spread of crash launch indices — on the DES and
+// certifies every failover the recovery layer recorded (valid placement,
+// every instance restored, resume inside the loop). The loop runs long
+// enough for every scheduled crash to fire. The rebuilt shards run the
+// compiled plan, which is placement-independent, so Certify certifies its
+// schedule once per plan.
 func TestRecoveryCertApps(t *testing.T) {
 	for _, app := range harness.Apps() {
 		for _, nodes := range appNodeCounts(t) {
 			prog, loop := app.BuildProgram(nodes)
+			loop.Trip = max(loop.Trip, 40)
 			for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
 				plan, err := cr.Compile(prog, loop, cr.Options{NumShards: nodes, Sync: sync})
 				if err != nil {
 					t.Fatalf("%s/%d/%v: compile: %v", app.Name, nodes, sync, err)
 				}
+				if suite, err := verify.Certify(plan, false); err != nil || !suite.OK() {
+					t.Fatalf("%s/%d/%v: the rebuilt schedule does not certify: %v %v", app.Name, nodes, sync, err, suite)
+				}
 				for crashed := 1; crashed < nodes; crashed++ {
 					for _, atLaunch := range []uint64{1, 3, 9, 40} {
 						name := fmt.Sprintf("%s/%d/%v/crash=%d@%d", app.Name, nodes, sync, crashed, atLaunch)
 						t.Run(name, func(t *testing.T) {
-							rs := spmd.PlanRebuild(plan, nodes, []int{crashed}, atLaunch, 2)
-							if rs == nil {
-								t.Fatal("PlanRebuild rejected a valid crash point")
-							}
-							rep := verify.CertifyRebuild(plan, rs)
-							if rep.Pass != "recovery-cert" {
-								t.Errorf("report pass %q, want recovery-cert", rep.Pass)
-							}
-							for _, f := range rep.Findings {
-								t.Errorf("recovery-cert: %s", f)
+							for _, rs := range crashRun(t, prog, plan, crashed, atLaunch).Rebuilds {
+								rep := verify.CertifyRebuild(plan, &rs)
+								if rep.Pass != "recovery-cert" {
+									t.Errorf("report pass %q, want recovery-cert", rep.Pass)
+								}
+								for _, f := range rep.Findings {
+									t.Errorf("recovery-cert: %s", f)
+								}
 							}
 						})
 					}
@@ -166,13 +196,7 @@ func TestRecoveryCertRejectsCorruptRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := func() *cr.RebuildSpec {
-		rs := spmd.PlanRebuild(plan, nodes, []int{2}, 5, 2)
-		if rs == nil {
-			t.Fatal("PlanRebuild rejected the base crash point")
-		}
-		return rs
-	}
+	fresh := func() *cr.RebuildSpec { return &crashRun(t, prog, plan, 2, 5).Rebuilds[0] }
 	if rep := verify.CertifyRebuild(plan, fresh()); !rep.OK() {
 		t.Fatalf("base rebuild must certify, got %v", rep.Findings)
 	}
@@ -187,10 +211,7 @@ func TestRecoveryCertRejectsCorruptRebuilds(t *testing.T) {
 			rs.Assign[len(rs.Assign)-1] = 2
 		}, "dead-node-assignment", "assigned to crashed node 2"},
 		{"missing restore", func(rs *cr.RebuildSpec) {
-			for part := range rs.Restored {
-				delete(rs.Restored, part)
-				break
-			}
+			rs.Restored[0] = nil
 		}, "missing-restore", "not restored from the checkpoint"},
 		{"control node crashed", func(rs *cr.RebuildSpec) {
 			rs.Crashed = append(rs.Crashed, 0)
@@ -216,21 +237,5 @@ func TestRecoveryCertRejectsCorruptRebuilds(t *testing.T) {
 				t.Errorf("no %s finding naming %q; got %v", tc.kind, tc.witness, rep.Findings)
 			}
 		})
-	}
-
-	// PlanRebuild itself must refuse the unplannable: the control node
-	// crashing, out-of-range nodes, and a crash before any launch.
-	for _, tc := range []struct {
-		name    string
-		crashed []int
-		at      uint64
-	}{
-		{"node 0", []int{0}, 5},
-		{"out of range", []int{nodes + 3}, 5},
-		{"before any launch", []int{2}, 0},
-	} {
-		if rs := spmd.PlanRebuild(plan, nodes, tc.crashed, tc.at, 2); rs != nil {
-			t.Errorf("PlanRebuild(%s) built a spec for an unplannable crash", tc.name)
-		}
 	}
 }

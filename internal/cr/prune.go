@@ -1,10 +1,11 @@
 package cr
 
-// Prune markers and rebuild specifications: compiler-side data structures
-// written by the schedule certifier (internal/verify) and consumed by the
-// SPMD executor (internal/spmd). They live here because verify analyzes
-// Compiled plans (verify imports cr) while spmd executes them (spmd imports
-// cr), and neither may import the other.
+// Prune markers and rebuild records: data passed between the schedule
+// certifier (internal/verify) and the SPMD executor (internal/spmd) — a
+// prune written by the certifier and consumed by the executor, a rebuild
+// recorded by the executor and checked by the certifier. They live here
+// because verify analyzes Compiled plans (verify imports cr) while spmd
+// executes them (spmd imports cr), and neither may import the other.
 
 import "repro/internal/region"
 
@@ -150,26 +151,24 @@ func (p *PruneInfo) PrunedInits() int {
 	return n
 }
 
-// RebuildSpec describes one failover-rebuilt schedule: the placement and
-// restore state the recovery layer (spmd/recover.go) would construct after
-// a given crash. spmd.PlanRebuild constructs it statically — without
-// running anything — and verify.CertifyRebuild checks it, so every logical
-// crash point can be certified exhaustively instead of sampled dynamically.
+// RebuildSpec describes one failover the recovery layer (spmd/recover.go)
+// performed: the placement it installed and the state it restored. The
+// layer records one per completed failover in spmd.FaultReport.Rebuilds,
+// and verify.CertifyRebuild checks it.
 type RebuildSpec struct {
-	// Nodes is the cluster size; Live[i] reports whether node i survives.
-	// Node 0 hosts the control thread and is always live.
+	// Nodes is the cluster size. Node 0 hosts the control thread.
 	Nodes int
-	// Crashed lists the crashed nodes.
+	// Crashed lists the nodes down when the rebuild was installed,
+	// ascending.
 	Crashed []int
-	// Assign maps each shard to the live node hosting it after failover
-	// (the blockwise remap of spmd.RebuildAssignment).
+	// Assign maps each shard to the node hosting it after failover: shards
+	// blockwise over the live nodes.
 	Assign []int
-	// Restored[part][colorIdx] reports whether the instance is repopulated
-	// from the checkpoint during the rebuild's restore phase. The recovery
-	// layer checkpoints and restores every used instance.
-	Restored map[*region.Partition][]bool
+	// Restored[i][colorIdx] reports whether the rebuild repopulated
+	// instance (UsedParts[i], the color at colorIdx): from the checkpoint,
+	// or by the init phase on a restart from scratch.
+	Restored [][]bool
 	// ResumeIter is the iteration the rebuilt schedule resumes from: the
-	// last committed checkpoint boundary before the crash (0 when the crash
-	// precedes the first checkpoint).
+	// last committed checkpoint boundary (0 for a restart from scratch).
 	ResumeIter int
 }

@@ -19,30 +19,36 @@ import (
 	"repro/internal/verify"
 )
 
+// verifyProgram certifies every compiled loop of the program: races,
+// liveness, and the specialization tables, which must match an independent
+// recomputation — what licenses the executor to instantiate shard plans
+// from the shared capture instead of capturing per shard.
 func verifyProgram(t *testing.T, prog *ir.Program, opts cr.Options) {
 	t.Helper()
 	plans, err := spmd.CompileAll(prog, opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	rep, err := verify.VerifyAll(prog, plans)
-	if err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	if !rep.OK() {
-		for _, f := range rep.Findings {
-			t.Errorf("finding: %s", f)
+	for _, s := range prog.Stmts {
+		loop, ok := s.(*ir.Loop)
+		if !ok {
+			continue
 		}
-		t.Fatalf("verifier rejected the compilation (%d findings)", len(rep.Findings))
-	}
-	if len(plans) > 0 && rep.Stats.Nodes == 0 {
-		t.Fatal("verifier built an empty happens-before graph; the check is vacuous")
-	}
-	// The specialization tables must match an independent recomputation:
-	// this is what licenses the executor to instantiate shard plans from
-	// the shared capture instead of capturing per shard.
-	if err := verify.CheckSpecAll(prog, plans); err != nil {
-		t.Fatalf("spec check: %v", err)
+		suite, err := verify.Certify(plans[loop], false)
+		if err != nil {
+			t.Fatalf("verify: %v", err)
+		}
+		for _, rep := range suite.Reports {
+			for _, f := range rep.Findings {
+				t.Errorf("%s finding: %s", rep.Pass, f)
+			}
+			if rep.Pass == "races" && rep.Stats.Nodes == 0 {
+				t.Fatal("verifier built an empty happens-before graph; the check is vacuous")
+			}
+		}
+		if !suite.OK() {
+			t.Fatalf("certifier rejected the compilation (%d findings)", suite.NumFindings())
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package realm
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // This file defines the backend-neutral execution interface: the machine
 // operations the engines (internal/spmd, internal/rt), the MPI baselines
@@ -167,6 +171,98 @@ type CollectiveOp interface {
 	// Result returns the values folded in index order; valid once Done has
 	// triggered.
 	Result() float64
+}
+
+// NewBarrier returns a single-use phase barrier on x expecting n arrivals,
+// which may land concurrently. The last calls complete(done), which must
+// trigger done: at once on the native machine, after the modeled tree
+// latency on the DES.
+func NewBarrier(x Exec, n int, done Event, complete func(Event)) BarrierOp {
+	b := &barrier{x: x, done: done, complete: complete}
+	b.remaining.Store(int32(n))
+	return b
+}
+
+type barrier struct {
+	x         Exec
+	remaining atomic.Int32
+	done      Event
+	complete  func(Event)
+}
+
+// Arrive implements BarrierOp.
+func (b *barrier) Arrive(pre Event) {
+	b.x.OnTrigger(pre, func() {
+		if b.remaining.Add(-1) == 0 {
+			b.complete(b.done)
+		}
+	})
+}
+
+// Done implements BarrierOp.
+func (b *barrier) Done() Event { return b.done }
+
+// NewCollective returns a Legion-style dynamic collective (§4.4) on x over
+// n participants. Contributions may land concurrently; they fold in
+// participant-index order, so the result matches a sequential fold bitwise
+// on every backend. The last calls complete(done), which must trigger done:
+// at once on the native machine, after the modeled reduce and broadcast
+// latency on the DES.
+func NewCollective(x Exec, n int, identity float64, fold func(acc, v float64) float64, done Event, complete func(Event)) CollectiveOp {
+	return &collective{
+		x:        x,
+		identity: identity,
+		fold:     fold,
+		done:     done,
+		complete: complete,
+		values:   make([]float64, n),
+		present:  make([]bool, n),
+	}
+}
+
+type collective struct {
+	x        Exec
+	identity float64
+	fold     func(acc, v float64) float64
+	done     Event
+	complete func(Event)
+
+	mu      sync.Mutex
+	values  []float64
+	present []bool
+	arrived int
+}
+
+// Contribute implements CollectiveOp.
+func (c *collective) Contribute(idx int, pre Event, value func() float64) {
+	c.x.OnTrigger(pre, func() {
+		v := value()
+		c.mu.Lock()
+		if c.present[idx] {
+			c.mu.Unlock()
+			panic("realm: duplicate collective contribution")
+		}
+		c.present[idx] = true
+		c.values[idx] = v
+		c.arrived++
+		last := c.arrived == len(c.values)
+		c.mu.Unlock()
+		if last {
+			c.complete(c.done)
+		}
+	})
+}
+
+// Done implements CollectiveOp.
+func (c *collective) Done() Event { return c.done }
+
+// Result implements CollectiveOp.
+func (c *collective) Result() float64 {
+	acc := c.identity
+	for _, v := range c.values {
+		acc = c.fold(acc, v)
+	}
+	return acc
 }
 
 // BlockedAgent describes one stalled agent in a HangError: its name, the

@@ -877,91 +877,16 @@ func (a *agent) Sleep(d realm.Time) {
 	}
 }
 
-// barrier counts arrivals with an atomic; the last arrival fires done on
-// its own goroutine, which gives waiters the usual happens-before edge.
-type barrier struct {
-	m         *Machine
-	remaining int64
-	done      realm.Event
-}
-
-var _ realm.BarrierOp = (*barrier)(nil)
-
-// Barrier implements realm.Exec.
+// Barrier implements realm.Exec: the last arrival fires done on its own
+// goroutine, which gives waiters the usual happens-before edge. The done
+// event is tagged so a HangError names the barrier.
 func (m *Machine) Barrier(n int) realm.BarrierOp {
-	return &barrier{m: m, remaining: int64(n), done: m.newEvent(evBarrier)}
+	return realm.NewBarrier(m, n, m.newEvent(evBarrier), m.Trigger)
 }
 
-// Arrive implements realm.BarrierOp.
-func (b *barrier) Arrive(pre realm.Event) {
-	b.m.OnTrigger(pre, func() {
-		if atomic.AddInt64(&b.remaining, -1) == 0 {
-			b.m.Trigger(b.done)
-		}
-	})
-}
-
-// Done implements realm.BarrierOp.
-func (b *barrier) Done() realm.Event { return b.done }
-
-// collective stores contributions by participant index under a lock and
-// folds them in index order, so the result is bitwise identical no matter
-// which order real cores arrive in.
-type collective struct {
-	m        *Machine
-	identity float64
-	fold     func(acc, v float64) float64
-
-	mu      sync.Mutex
-	values  []float64
-	present []bool
-	arrived int
-	done    realm.Event
-}
-
-var _ realm.CollectiveOp = (*collective)(nil)
-
-// Collective implements realm.Exec.
+// Collective implements realm.Exec: contributions fold in participant-index
+// order, so the result is bitwise identical to the DES's no matter which
+// order real cores arrive in.
 func (m *Machine) Collective(n int, identity float64, fold func(acc, v float64) float64) realm.CollectiveOp {
-	return &collective{
-		m:        m,
-		identity: identity,
-		fold:     fold,
-		values:   make([]float64, n),
-		present:  make([]bool, n),
-		done:     m.newEvent(evCollective),
-	}
-}
-
-// Contribute implements realm.CollectiveOp.
-func (c *collective) Contribute(idx int, pre realm.Event, value func() float64) {
-	c.m.OnTrigger(pre, func() {
-		v := value()
-		c.mu.Lock()
-		if c.present[idx] {
-			c.mu.Unlock()
-			panic("native: duplicate collective contribution")
-		}
-		c.present[idx] = true
-		c.values[idx] = v
-		c.arrived++
-		fire := c.arrived == len(c.values)
-		c.mu.Unlock()
-		if fire {
-			c.m.Trigger(c.done)
-		}
-	})
-}
-
-// Done implements realm.CollectiveOp.
-func (c *collective) Done() realm.Event { return c.done }
-
-// Result implements realm.CollectiveOp: an index-order fold, identical to
-// the DES's.
-func (c *collective) Result() float64 {
-	acc := c.identity
-	for _, v := range c.values {
-		acc = c.fold(acc, v)
-	}
-	return acc
+	return realm.NewCollective(m, n, identity, fold, m.newEvent(evCollective), m.Trigger)
 }

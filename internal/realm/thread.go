@@ -155,91 +155,18 @@ func (t *Thread) Sleep(d Time) {
 	t.WaitEvent(ev)
 }
 
-// barrier is a single-use phase barrier: it fires its completion event,
-// after the modeled collective latency, once the expected number of
-// arrivals have been registered. The CR compiler initially synchronizes
-// copies with barriers (§3.4) before lowering to point-to-point sync.
-type barrier struct {
-	sim      *Sim
-	expected int
-	arrived  int
-	done     Event
-}
-
-// Barrier implements Exec.
+// Barrier implements Exec: the barrier completes the modeled tree latency
+// after its last arrival.
 func (s *Sim) Barrier(n int) BarrierOp {
-	return &barrier{sim: s, expected: n, done: s.NewUserEvent()}
-}
-
-// Arrive registers an arrival once pre triggers.
-func (b *barrier) Arrive(pre Event) {
-	b.sim.OnTrigger(pre, func() {
-		b.arrived++
-		if b.arrived == b.expected {
-			lat := b.sim.CollectiveLatency(b.expected)
-			b.sim.After(lat, func() { b.sim.Trigger(b.done) })
-		}
+	return NewBarrier(s, n, s.NewUserEvent(), func(done Event) {
+		s.atDone(s.now+s.CollectiveLatency(n), nil, done)
 	})
 }
 
-// Done returns the event that fires when the barrier completes.
-func (b *barrier) Done() Event { return b.done }
-
-// collective is a Legion-style dynamic collective (§4.4): participants
-// contribute scalar values; once all expected contributions are in, they
-// are folded in participant-index order (so the result is bitwise
-// deterministic and matches a sequential fold), the modeled
-// reduce+broadcast latency is charged, and the completion event fires with
-// the result available to all.
-type collective struct {
-	sim      *Sim
-	identity float64
-	fold     func(acc, v float64) float64
-	values   []float64
-	present  []bool
-	arrived  int
-	done     Event
-}
-
-// Collective implements Exec.
+// Collective implements Exec: the collective completes the modeled reduce
+// and broadcast trees' latency after its last contribution.
 func (s *Sim) Collective(n int, identity float64, fold func(acc, v float64) float64) CollectiveOp {
-	return &collective{
-		sim:      s,
-		identity: identity,
-		fold:     fold,
-		values:   make([]float64, n),
-		present:  make([]bool, n),
-		done:     s.NewUserEvent(),
-	}
-}
-
-// Contribute registers participant idx's value once pre triggers; value is
-// evaluated at that moment. Each participant contributes exactly once.
-func (c *collective) Contribute(idx int, pre Event, value func() float64) {
-	c.sim.OnTrigger(pre, func() {
-		if c.present[idx] {
-			panic("realm: duplicate collective contribution")
-		}
-		c.present[idx] = true
-		c.values[idx] = value()
-		c.arrived++
-		if c.arrived == len(c.values) {
-			// Reduce and broadcast trees.
-			lat := 2 * c.sim.CollectiveLatency(c.arrived)
-			c.sim.After(lat, func() { c.sim.Trigger(c.done) })
-		}
+	return NewCollective(s, n, identity, fold, s.NewUserEvent(), func(done Event) {
+		s.atDone(s.now+2*s.CollectiveLatency(n), nil, done)
 	})
-}
-
-// Done returns the completion event.
-func (c *collective) Done() Event { return c.done }
-
-// Result returns the values folded in index order; valid once Done has
-// triggered.
-func (c *collective) Result() float64 {
-	acc := c.identity
-	for _, v := range c.values {
-		acc = c.fold(acc, v)
-	}
-	return acc
 }

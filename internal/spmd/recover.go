@@ -68,7 +68,10 @@ func (r Recovery) normalized(trip int) Recovery {
 
 // FaultReport summarizes the faults a run observed and the recovery
 // actions taken. CompletedIters/TotalIters describe the loop that degraded
-// when Unrecovered is set.
+// when Unrecovered is set. Rebuilds records every failover that completed —
+// its restore (or, from scratch, its init phase) done — in the order they
+// were installed, for verify.CertifyRebuild; a failover interrupted by a
+// further crash is superseded by the next and not recorded.
 type FaultReport struct {
 	Crashes        []realm.NodeCrash
 	Checkpoints    int
@@ -77,6 +80,7 @@ type FaultReport struct {
 	Reason         string
 	CompletedIters int
 	TotalIters     int
+	Rebuilds       []cr.RebuildSpec
 }
 
 func (e *Engine) rep() *FaultReport {
@@ -84,6 +88,37 @@ func (e *Engine) rep() *FaultReport {
 		e.report = &FaultReport{}
 	}
 	return e.report
+}
+
+// liveAssign maps ns shards blockwise onto the live nodes, ascending; with
+// every node alive it reproduces the static placement of §4.2 (shard s on
+// node s*Nodes/NumShards). Node 0 always counts as live — it hosts the
+// control thread, so its loss ends the run regardless.
+func (e *Engine) liveAssign(ns int) []int {
+	var live []int
+	for i := 0; i < e.Sim.Nodes(); i++ {
+		if i == 0 || !e.Sim.NodeFailed(i) {
+			live = append(live, i)
+		}
+	}
+	assign := make([]int, ns)
+	for s := range assign {
+		assign[s] = live[s*len(live)/ns]
+	}
+	return assign
+}
+
+// recordRebuild adds the failover whose state st now holds to the report:
+// the nodes down, the placement installed, the instances repopulated, and
+// the iteration the loop resumes from.
+func (e *Engine) recordRebuild(st *runState, resume int) {
+	rs := cr.RebuildSpec{Nodes: e.Sim.Nodes(), Assign: st.assign, Restored: st.restored, ResumeIter: resume}
+	for i := 0; i < rs.Nodes; i++ {
+		if e.Sim.NodeFailed(i) {
+			rs.Crashed = append(rs.Crashed, i)
+		}
+	}
+	e.rep().Rebuilds = append(e.rep().Rebuilds, rs)
 }
 
 // checkpoint is one barrier-consistent cut of a replicated loop: the
@@ -187,7 +222,7 @@ func (e *Engine) restorePhase(ctl realm.Agent, plan *cr.Compiled, trip int, cp *
 	st := newRunState(e, plan, trip, e.liveAssign(plan.Opts.NumShards))
 	st.curEnv = copyEnv(cp.env)
 	var evs []realm.Event
-	for _, part := range plan.UsedParts {
+	for pi, part := range plan.UsedParts {
 		fields := plan.InstFields[part]
 		for _, col := range plan.Domain {
 			sub := part.Sub(col)
@@ -197,6 +232,7 @@ func (e *Engine) restorePhase(ctl realm.Agent, plan *cr.Compiled, trip int, cp *
 			}
 			bytes := sub.Volume() * e.Over.EltBytes * int64(len(fields))
 			evs = append(evs, e.Sim.CopyBytes(0, st.ownerNode(col), bytes, realm.NoEvent, nil))
+			st.markRestored(pi, plan.ColorIdx[col])
 		}
 	}
 	return st, e.waitOrFail(ctl, st, e.Sim.Merge(evs...))
@@ -325,6 +361,9 @@ func (e *Engine) runRecoverable(ctl realm.Agent, plan *cr.Compiled, rec Recovery
 		if !e.shipTraces(ctl, st) {
 			return restart()
 		}
+		if !needInit {
+			e.recordRebuild(st, done)
+		}
 		return true
 	}
 
@@ -339,6 +378,10 @@ func (e *Engine) runRecoverable(ctl realm.Agent, plan *cr.Compiled, rec Recovery
 				continue
 			}
 			needInit = false
+			if retries > 0 {
+				// A restart from scratch: the init phase was its restore.
+				e.recordRebuild(st, 0)
+			}
 
 		case done < trip:
 			hi := done + rec.CheckpointEvery

@@ -33,11 +33,12 @@ func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 // initPhase populates every used partition's every subregion instance from
 // the parent region's data on its owner node, then runs the hoisted
 // loop-invariant copies. Under recovery it reports false as soon as a
-// watched node fails (the phase is idempotent and simply reruns).
+// watched node fails (the phase is idempotent and simply reruns), and marks
+// the instances it populates for the failover record.
 func (e *Engine) initPhase(ctl realm.Agent, st *runState, guarded bool) bool {
 	plan := st.plan
 	var initEvs []realm.Event
-	for _, part := range plan.UsedParts {
+	for pi, part := range plan.UsedParts {
 		fields := plan.InstFields[part]
 		for _, col := range plan.Domain {
 			sub := part.Sub(col)
@@ -47,7 +48,8 @@ func (e *Engine) initPhase(ctl realm.Agent, st *runState, guarded bool) bool {
 			// covered by later overwrites) skips the population transfer; the
 			// store is still created so the instance exists — it stays zero
 			// until the first compiler-inserted copy lands.
-			dead := plan.Prune.SkipInit(part, plan.ColorIdx[col])
+			ci := plan.ColorIdx[col]
+			dead := plan.Prune.SkipInit(part, ci)
 			if e.Mode == ir.ExecReal {
 				store := region.NewStore(sub.IndexSpace(), e.Prog.FieldSpaceOf(sub))
 				if !dead {
@@ -62,6 +64,9 @@ func (e *Engine) initPhase(ctl realm.Agent, st *runState, guarded bool) bool {
 			}
 			bytes := sub.Volume() * e.Over.EltBytes * int64(len(fields))
 			initEvs = append(initEvs, e.Sim.CopyBytes(0, owner, bytes, realm.NoEvent, nil))
+			if guarded {
+				st.markRestored(pi, ci)
+			}
 		}
 	}
 	if !e.phaseWait(ctl, st, e.Sim.Merge(initEvs...), guarded) {

@@ -129,6 +129,11 @@ type runState struct {
 	assign []int
 	watch  []int
 
+	// restored[i][colorIdx] marks the instances of UsedParts[i] the init
+	// or restore phase populated under recovery (nil otherwise): what a
+	// failover record reports as repopulated.
+	restored [][]bool
+
 	// curEnv is the replicated scalar environment at the run state's
 	// current epoch boundary: the loop entry bindings before the first
 	// epoch, shard 0's snapshot after each one. Scalars are replicated, so
@@ -236,6 +241,18 @@ func (st *runState) collFor(l *ir.Launch, iter int, op region.ReductionOp) realm
 	}
 	st.mu.Unlock()
 	return c
+}
+
+// markRestored records that instance (UsedParts[pi], color index ci) was
+// populated. Only the control thread calls it.
+func (st *runState) markRestored(pi, ci int) {
+	if st.restored == nil {
+		st.restored = make([][]bool, len(st.plan.UsedParts))
+		for i := range st.restored {
+			st.restored[i] = make([]bool, len(st.plan.Domain))
+		}
+	}
+	st.restored[pi][ci] = true
 }
 
 // connect triggers dst when src fires.

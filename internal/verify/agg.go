@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"repro/internal/cr"
-	"repro/internal/ir"
 	"repro/internal/region"
 )
 
@@ -308,23 +307,6 @@ func aggCounters(c *cr.Compiled) map[string]int64 {
 		"multi_member_groups": multi,
 		"merged_pairs":        merged,
 	}
-}
-
-// CheckAggAll certifies every compiled loop of a plan map, merging the
-// reports in program order (the VerifyAll pattern).
-func CheckAggAll(prog *ir.Program, plans map[*ir.Loop]*cr.Compiled) (*Report, error) {
-	merged := &Report{Pass: "agg", Findings: []Finding{}, Counters: map[string]int64{}}
-	err := eachPlan(prog, plans, func(plan *cr.Compiled) error {
-		rep, err := CheckAgg(plan)
-		if err == nil {
-			merged.merge(rep)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return merged, nil
 }
 
 // AggMutation is one simulated aggregation bug in the merged

@@ -1,22 +1,7 @@
 package verify
 
-// Recovery certification: the third pass of the schedule certifier. The
-// recovery layer (internal/spmd/recover.go) rebuilds placement and restores
-// checkpointed state after a node crash; spmd.PlanRebuild performs the same
-// construction statically for any logical crash point, and CertifyRebuild
-// checks the result — so the fault matrix (every app, node count, crashed
-// node, crash launch index) can be certified exhaustively, where dynamic
-// fault injection necessarily samples.
-//
-// A rebuild is certified when (1) the failover placement is valid — every
-// shard lands on a live node, node 0 (the control thread) survives, and the
-// assignment is the blockwise monotone remap the recovery layer installs;
-// (2) the restore phase repopulates every used instance from the
-// checkpoint; (3) the iteration cursor resumes inside the loop; and (4) the
-// schedule the rebuilt shards then execute still passes the race check, the
-// liveness check, and the specialization-table check — the compiled plan is
-// placement-independent, so certifying it once per crash point re-validates
-// exactly what the restarted shards will issue.
+// The certifier's entry points: Certify for a compiled loop, CertifyRebuild
+// for a failover the recovery layer (internal/spmd/recover.go) recorded.
 
 import (
 	"fmt"
@@ -24,12 +9,54 @@ import (
 	"repro/internal/cr"
 )
 
-// CertifyRebuild checks one statically constructed failover rebuild
-// (cr.RebuildSpec, typically from spmd.PlanRebuild) against the compiled
-// loop it rebuilds. Structural defects are reported as findings of kind
-// "bad-rebuild", "dead-node-assignment", or "missing-restore", each with a
-// witness naming the offending shard, node, or instance; schedule defects
-// are the race/liveness/spec findings of the re-run passes.
+// Certify runs the certifier over one compiled loop and returns its suite,
+// one report per pass in the order they ran: "agg" when c.Opts.Agg (the
+// -agg license, CheckAgg), "prune" when prune is set (PlanPrune, whose
+// license is attached to c.Prune only if its report is clean), then
+// "races", "liveness" and "spec" over one analysis of the schedule that
+// will run — aggregated and pruned if it is. The caller decides what a
+// finding means; an error is a plan the replay cannot build.
+func Certify(c *cr.Compiled, prune bool) (*Suite, error) {
+	var reps []*Report
+	if c != nil && c.Opts.Agg {
+		rep, err := CheckAgg(c)
+		if err != nil {
+			return nil, err
+		}
+		reps = append(reps, rep)
+	}
+	if prune {
+		info, rep, err := PlanPrune(c)
+		if err != nil {
+			return nil, err
+		}
+		if rep.OK() {
+			c.Prune = info
+		}
+		reps = append(reps, rep)
+	}
+	a, err := Analyze(c)
+	if err != nil {
+		return nil, err
+	}
+	spec := &Report{Pass: "spec", Findings: []Finding{}}
+	if err := CheckSpec(c); err != nil {
+		spec.Findings = append(spec.Findings, Finding{Kind: "spec", Detail: err.Error()})
+	}
+	return &Suite{Reports: append(reps, a.Check(), a.CheckLiveness(), spec)}, nil
+}
+
+// CertifyRebuild checks one failover rebuild against the compiled loop it
+// rebuilt. A rebuild is certified when (1) the placement is valid — every
+// shard on a live node, node 0 (the control thread) up, and the assignment
+// blockwise monotone; (2) every used instance was repopulated, from the
+// checkpoint or, on a restart from scratch, by the init phase, which may
+// skip exactly the populations a certified prune proved dead; and (3) the
+// iteration cursor resumes inside the loop. Defects are findings of kind
+// "bad-rebuild", "dead-node-assignment" or "missing-restore", each naming
+// the offending shard, node or instance. The schedule the rebuilt shards
+// run is the compiled plan, which is placement-independent: Certify
+// certifies it once for every rebuild.
 func CertifyRebuild(c *cr.Compiled, rs *cr.RebuildSpec) *Report {
 	rep := &Report{Pass: "recovery-cert", Findings: []Finding{}}
 	fail := func(kind, format string, args ...any) {
@@ -77,35 +104,26 @@ func CertifyRebuild(c *cr.Compiled, rs *cr.RebuildSpec) *Report {
 		}
 	}
 
-	// Restore coverage: the checkpoint restore must repopulate every used
-	// instance, or the resumed epoch reads stale (or zero) data.
-	for _, part := range c.UsedParts {
-		mask := rs.Restored[part]
+	// Restore coverage: an instance the rebuild did not repopulate is read
+	// stale (or zero) by the resumed epoch, unless it restarted from scratch
+	// and the instance's init is dead.
+	for pi, part := range c.UsedParts {
+		var mask []bool
+		if pi < len(rs.Restored) {
+			mask = rs.Restored[pi]
+		}
 		for _, col := range c.Domain {
-			if ci := c.ColorIdx[col]; ci >= len(mask) || !mask[ci] {
-				fail("missing-restore", "instance %s[%v] not restored from the checkpoint", part.Name(), col)
+			ci := c.ColorIdx[col]
+			if ci < len(mask) && mask[ci] || rs.ResumeIter == 0 && c.Prune.SkipInit(part, ci) {
+				continue
 			}
+			fail("missing-restore", "instance %s[%v] not restored from the checkpoint", part.Name(), col)
 		}
 	}
 
 	trip := c.Loop.Trip
 	if rs.ResumeIter < 0 || (trip > 0 && rs.ResumeIter >= trip) {
 		fail("bad-rebuild", "resume iteration %d outside the loop (trip %d)", rs.ResumeIter, trip)
-	}
-
-	// The rebuilt shards re-execute the same compiled plan from ResumeIter:
-	// re-certify the schedule itself (races, liveness, spec congruence).
-	a, err := Analyze(c)
-	if err != nil {
-		fail("bad-rebuild", "analysis failed: %v", err)
-		return rep
-	}
-	races := a.Check()
-	rep.Stats = races.Stats
-	rep.Findings = append(rep.Findings, races.Findings...)
-	rep.Findings = append(rep.Findings, a.CheckLiveness().Findings...)
-	if err := CheckSpec(c); err != nil {
-		fail("spec", "%v", err)
 	}
 	rep.Counters = map[string]int64{
 		"nodes":       int64(rs.Nodes),

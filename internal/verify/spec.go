@@ -181,9 +181,3 @@ func workListsEqual(a, b []cr.SpecWork) bool {
 	}
 	return true
 }
-
-// CheckSpecAll runs CheckSpec on every compiled loop of a plan map, in
-// program order.
-func CheckSpecAll(prog *ir.Program, plans map[*ir.Loop]*cr.Compiled) error {
-	return eachPlan(prog, plans, CheckSpec)
-}

@@ -52,7 +52,6 @@ import (
 	"sort"
 
 	"repro/internal/cr"
-	"repro/internal/ir"
 )
 
 // Analysis is the reusable result of building the conflict set and the
@@ -79,13 +78,13 @@ type Stats struct {
 }
 
 // Report is the outcome of one verification pass. Every pass of the
-// certifier — race checking, liveness, pruning, spec checking, recovery
-// certification — emits this one schema, and the CLIs (`crc -verify-json`,
-// `weakscale -verify`) serialize it (wrapped in a Suite) instead of
-// per-tool ad-hoc shapes.
+// certifier — aggregation, pruning, race checking, liveness, spec checking,
+// recovery certification — emits this one schema, and the CLIs
+// (`crc -verify-json`, `weakscale -verify-json`) serialize Certify's Suite
+// of them.
 type Report struct {
-	// Pass names the certification pass that produced the report: "races",
-	// "liveness", "prune", "spec", or "recovery-cert".
+	// Pass names the certification pass that produced the report: "agg",
+	// "prune", "races", "liveness", "spec", or "recovery-cert".
 	Pass     string    `json:"pass,omitempty"`
 	Findings []Finding `json:"findings"`
 	Stats    Stats     `json:"stats"`
@@ -97,17 +96,10 @@ type Report struct {
 // OK reports whether the pass found no defects.
 func (r *Report) OK() bool { return len(r.Findings) == 0 }
 
-// Suite aggregates the reports of one certification run; the CLIs emit it
-// as the single JSON document and exit 2 when OK is false.
+// Suite aggregates the reports of one certification run (Certify); the
+// CLIs emit it as JSON and exit 2 when OK is false.
 type Suite struct {
 	Reports []*Report `json:"reports"`
-}
-
-// Add appends a report (nil-safe to call on reports that were not run).
-func (s *Suite) Add(r *Report) {
-	if r != nil {
-		s.Reports = append(s.Reports, r)
-	}
 }
 
 // OK reports whether every pass passed.
@@ -213,52 +205,6 @@ func Verify(c *cr.Compiled) (*Report, error) {
 		return nil, err
 	}
 	return a.Check(), nil
-}
-
-// eachPlan calls fn on the program's compiled loops (the plan map produced
-// by spmd.CompileAll) in program order, stopping at the first error.
-func eachPlan(prog *ir.Program, plans map[*ir.Loop]*cr.Compiled, fn func(*cr.Compiled) error) error {
-	for _, s := range prog.Stmts {
-		if loop, ok := s.(*ir.Loop); ok && plans[loop] != nil {
-			if err := fn(plans[loop]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// merge folds one loop's report into the program's.
-func (r *Report) merge(o *Report) {
-	r.Stats.Nodes += o.Stats.Nodes
-	r.Stats.Edges += o.Stats.Edges
-	r.Stats.Instances += o.Stats.Instances
-	r.Stats.Accesses += o.Stats.Accesses
-	r.Stats.Conflicts += o.Stats.Conflicts
-	r.Stats.CrossShard += o.Stats.CrossShard
-	r.Stats.Iters += o.Stats.Iters
-	r.Findings = append(r.Findings, o.Findings...)
-	for k, v := range o.Counters {
-		r.Counters[k] += v
-	}
-}
-
-// VerifyAll verifies every compiled loop of a program, returning the merged
-// report.
-func VerifyAll(prog *ir.Program, plans map[*ir.Loop]*cr.Compiled) (*Report, error) {
-	merged := &Report{Pass: "races"}
-	err := eachPlan(prog, plans, func(plan *cr.Compiled) error {
-		rep, err := Verify(plan)
-		if err == nil {
-			merged.merge(rep)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	sortFindings(merged.Findings)
-	return merged, nil
 }
 
 func sortFindings(fs []Finding) {

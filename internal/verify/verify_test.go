@@ -116,20 +116,21 @@ func TestCheckDetectsDeletedSync(t *testing.T) {
 	}
 }
 
+// TestVerifyAll: Certify passes a correct compilation end to end, and its
+// races report carries the analysis's stats.
 func TestVerifyAll(t *testing.T) {
 	f := progtest.NewFigure2(48, 8, 3)
-	plans := map[*ir.Loop]*cr.Compiled{
-		f.Loop: compile(t, f.Prog, f.Loop, 4, cr.PointToPoint),
-	}
-	rep, err := VerifyAll(f.Prog, plans)
+	suite, err := Certify(compile(t, f.Prog, f.Loop, 4, cr.PointToPoint), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK() {
-		t.Fatalf("VerifyAll rejected: %v", rep.Findings)
+	for _, rep := range suite.Reports {
+		if !rep.OK() {
+			t.Errorf("Certify's %s pass rejected: %v", rep.Pass, rep.Findings)
+		}
 	}
-	if rep.Stats.Conflicts == 0 {
-		t.Error("VerifyAll merged no stats")
+	if races := suite.Reports[0]; races.Pass != "races" || races.Stats.Conflicts == 0 {
+		t.Errorf("first report %q carries no conflicts: %+v", races.Pass, races.Stats)
 	}
 }
 
