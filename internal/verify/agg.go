@@ -217,20 +217,9 @@ func recomputeAggPhases(c *cr.Compiled) ([]cr.AggPhase, []int) {
 }
 
 func aggGroupsEqual(a, b []cr.AggGroup) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].DstShard != b[i].DstShard || len(a[i].Members) != len(b[i].Members) {
-			return false
-		}
-		for m := range a[i].Members {
-			if a[i].Members[m] != b[i].Members[m] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y cr.AggGroup) bool {
+		return x.DstShard == y.DstShard && slices.Equal(x.Members, y.Members)
+	})
 }
 
 func fmtAggGroups(gs []cr.AggGroup) string {
@@ -265,7 +254,7 @@ func CheckAgg(c *cr.Compiled) (*Report, error) {
 	}
 	a, err := Analyze(c)
 	if err != nil {
-		if len(rep.Findings) > 0 {
+		if len(rep.Findings) > 0 && aggTablesWellFormed(c) != nil {
 			// Tables too malformed to replay: the structural findings stand.
 			return rep, nil
 		}

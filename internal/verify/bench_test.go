@@ -1,0 +1,54 @@
+package verify_test
+
+import (
+	"testing"
+
+	"repro/internal/cr"
+	"repro/internal/verify"
+)
+
+// benchPlans compiles the four applications at the shard counts the certify
+// benchmark workload plans prunes at (stencil@64, miniaero@8, pennant@64,
+// circuit@16), paper size, point-to-point sync.
+func benchPlans(b *testing.B) []namedPlan {
+	b.Helper()
+	shards := map[string]int{"stencil": 64, "miniaero": 8, "pennant": 64, "circuit": 16}
+	var out []namedPlan
+	for _, app := range evalApps {
+		n := shards[app.name]
+		prog, loop := app.build(n)
+		out = append(out, namedPlan{app.name, compileApp(b, prog, loop, cr.Options{NumShards: n})})
+	}
+	return out
+}
+
+// BenchmarkPlanPrune is the certify workload's prune set: one PlanPrune per
+// application per iteration.
+func BenchmarkPlanPrune(b *testing.B) {
+	for _, p := range benchPlans(b) {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, rep, err := verify.PlanPrune(p.c); err != nil || !rep.OK() {
+					b.Fatalf("PlanPrune: %v %v", err, rep)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAnalyze is one replay and conflict enumeration of the unpruned
+// schedule per application per iteration: what Verify, CheckAgg and the
+// mutant cells pay before their first check.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, p := range benchPlans(b) {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := verify.Analyze(p.c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -14,10 +14,12 @@ import (
 // -agg license, CheckAgg), "prune" when prune is set (PlanPrune, whose
 // license is attached to c.Prune only if its report is clean), then
 // "races", "liveness" and "spec" over one analysis of the schedule that
-// will run — aggregated and pruned if it is. The caller decides what a
-// finding means; an error is a plan the replay cannot build.
+// will run, aggregated and pruned if it is (PlanPrune's last, when pruned).
+// The caller decides what a finding means; an error is a plan the replay
+// cannot build.
 func Certify(c *cr.Compiled, prune bool) (*Suite, error) {
 	var reps []*Report
+	var a *Analysis
 	if c != nil && c.Opts.Agg {
 		rep, err := CheckAgg(c)
 		if err != nil {
@@ -26,18 +28,20 @@ func Certify(c *cr.Compiled, prune bool) (*Suite, error) {
 		reps = append(reps, rep)
 	}
 	if prune {
-		info, rep, err := PlanPrune(c)
+		info, rep, af, err := planPrune(c)
 		if err != nil {
 			return nil, err
 		}
 		if rep.OK() {
-			c.Prune = info
+			c.Prune, a = info, af
 		}
 		reps = append(reps, rep)
 	}
-	a, err := Analyze(c)
-	if err != nil {
-		return nil, err
+	if a == nil {
+		var err error
+		if a, err = Analyze(c); err != nil {
+			return nil, err
+		}
 	}
 	spec := &Report{Pass: "spec", Findings: []Finding{}}
 	if err := CheckSpec(c); err != nil {

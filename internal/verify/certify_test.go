@@ -1,6 +1,8 @@
 package verify_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -42,7 +44,8 @@ func passes(s *verify.Suite) []string {
 // TestCertifyComposesPasses: Certify runs exactly [agg?, prune?, races,
 // liveness, spec], all clean, and with prune its races report describes the
 // pruned schedule — the graph the executor runs, smaller than the unpruned
-// one — not a re-derivation of the unpruned plan.
+// one — not a re-derivation of the unpruned plan. Its races and liveness
+// reports are byte-identical to those of a fresh Analyze of that schedule.
 func TestCertifyComposesPasses(t *testing.T) {
 	for _, sync := range syncModes {
 		for _, agg := range []bool{false, true} {
@@ -68,6 +71,18 @@ func TestCertifyComposesPasses(t *testing.T) {
 						for _, r := range suite.Reports {
 							for _, f := range r.Findings {
 								t.Errorf("%s: %s", r.Pass, f)
+							}
+						}
+						// Under prune the races and liveness reports come from
+						// PlanPrune's last analysis.
+						fresh, err := verify.Analyze(c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, want := range []*verify.Report{fresh.Check(), fresh.CheckLiveness()} {
+							got, _ := json.Marshal(suite.Reports[len(suite.Reports)-3+i])
+							if w, _ := json.Marshal(want); !bytes.Equal(got, w) {
+								t.Errorf("%s report differs from a fresh Analyze's:\n got  %s\n want %s", want.Pass, got, w)
 							}
 						}
 						if !prune {

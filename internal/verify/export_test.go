@@ -1,6 +1,9 @@
 package verify
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/region"
 )
 
@@ -81,3 +84,20 @@ func (a *Analysis) OracleConflictPairs() []ConflictPair {
 
 // Instances reports how many distinct instances the analysis saw accessed.
 func (a *Analysis) Instances() int { return a.insts }
+
+// SameAccesses reports where the analysis's access list first differs from
+// want's, or nil when the two are equal. An access's node is compared by
+// the node it names, not by its id, which prunes shift.
+func (a *Analysis) SameAccesses(want *Analysis) error {
+	if len(a.accs) != len(want.accs) {
+		return fmt.Errorf("%d accesses, want %d", len(a.accs), len(want.accs))
+	}
+	for i := range a.accs {
+		x, y := &a.accs[i], &want.accs[i]
+		if a.g.nodes[x.n] != want.g.nodes[y.n] || x.inst != y.inst || a.refs[x.inst] != want.refs[y.inst] ||
+			x.write != y.write || !slices.Equal(x.fields, y.fields) || !x.space.Equal(y.space) {
+			return fmt.Errorf("access %d is %+v on %+v, want %+v on %+v", i, *x, a.g.nodes[x.n], *y, want.g.nodes[y.n])
+		}
+	}
+	return nil
+}

@@ -1,8 +1,6 @@
 package verify
 
 import (
-	"cmp"
-	"slices"
 	"strconv"
 
 	"repro/internal/cr"
@@ -205,8 +203,8 @@ func (g *graph) seqBefore(x, y nodeID) bool {
 }
 
 // instRef identifies one physical instance: a partition subregion (part !=
-// nil) or a reduce temporary (launch+arg). Comparable: the builder interns
-// each one to a dense id (instID) the first time it is touched.
+// nil) or a reduce temporary (launch+arg). The builder numbers each one with
+// a dense id (instID) the first time it is touched.
 type instRef struct {
 	part  *region.Partition
 	l     *ir.Launch
@@ -249,13 +247,15 @@ type warOb struct {
 }
 
 type builder struct {
-	c *cr.Compiled
-	g *graph
-	// ids interns every instance the replay touches to a dense instID, in
-	// first-touch order; refs and states are indexed by it.
-	ids    map[instRef]instID
+	ix *index
+	c  *cr.Compiled
+	g  *graph
+	// ids numbers the instances the replay touches in first-touch order, by
+	// instance key (-1 until touched), refs is its inverse, and states holds
+	// the dependence state by instance key.
+	ids    []instID
 	refs   []instRef
-	states []*symState
+	states []symState
 	accs   []access
 	// collectWar records a warOb for every war event the prune info skips.
 	collectWar bool
@@ -263,10 +263,9 @@ type builder struct {
 	// opsOf mirrors each shard's sh.ops for the current iteration: the
 	// events the shard merges into its iteration-completion event. Their
 	// union over all iterations feeds the loop-end phase edge (shardDone).
-	opsOf  [][]nodeID
-	allOps []nodeID
-	// exchanges caches the gathered step lists by the body op they start at.
-	exchanges []*exchange
+	opsOf     [][]nodeID
+	allOps    []nodeID
+	loopStart nodeID
 	// prune is consulted at exactly the points the executor consults it
 	// (spmd shard.go / plan.go), so the graph is the precise happens-before
 	// relation of the pruned schedule — not an approximation by edge
@@ -275,64 +274,79 @@ type builder struct {
 	prune *cr.PruneInfo
 }
 
-// newBuilder sizes the graph from the compiled plan instead of growing it
-// from zero: per unrolled iteration a node per task, up to three per copy
+// newBuilder readies a replay of ix's plan under prune on the slabs of
+// spare, a builder whose replay was discarded, or on fresh ones sized from
+// the plan: per unrolled iteration a node per task, up to three per copy
 // pair and two barriers per copy; an access per launch argument and two per
-// pair. Edges follow the replayed dependence state, so theirs is a hint:
-// four per node, where the evaluation applications have 3 to 9.
-func newBuilder(c *cr.Compiled, prune *cr.PruneInfo) *builder {
-	colors := len(c.Domain)
-	nodes, accs := 4, 2*len(c.UsedParts)*colors
-	for _, cp := range c.InitCopies {
-		nodes, accs = nodes+len(cp.Pairs), accs+2*len(cp.Pairs)
-	}
-	for _, op := range c.Body {
-		if l := op.Launch; l != nil {
-			nodes, accs = nodes+2*colors, accs+2*colors*len(l.Args)
-		} else if cp := op.Copy; cp != nil {
-			nodes, accs = nodes+6*len(cp.Pairs)+4, accs+4*len(cp.Pairs)
+// pair; four edges per node (the evaluation applications have 3 to 9).
+func newBuilder(ix *index, prune *cr.PruneInfo, spare *builder) *builder {
+	c, b := ix.c, spare
+	if b == nil {
+		colors := len(c.Domain)
+		nodes, accs := 4, 2*len(c.UsedParts)*colors
+		for _, cp := range c.InitCopies {
+			nodes, accs = nodes+len(cp.Pairs), accs+2*len(cp.Pairs)
+		}
+		for _, op := range c.Body {
+			if l := op.Launch; l != nil {
+				nodes, accs = nodes+2*colors, accs+2*colors*len(l.Args)
+			} else if cp := op.Copy; cp != nil {
+				nodes, accs = nodes+6*len(cp.Pairs)+4, accs+4*len(cp.Pairs)
+			}
+		}
+		b = &builder{
+			g:      &graph{nodes: make([]node, 0, nodes), edges: make([]edge, 0, 4*nodes)},
+			ids:    make([]instID, len(ix.spaces)*colors),
+			states: make([]symState, len(ix.spaces)*colors),
+			accs:   make([]access, 0, accs),
+			opsOf:  make([][]nodeID, c.Opts.NumShards),
 		}
 	}
-	return &builder{
-		c:         c,
-		g:         &graph{nodes: make([]node, 0, nodes), edges: make([]edge, 0, 4*nodes)},
-		ids:       make(map[instRef]instID, len(c.UsedParts)*colors),
-		accs:      make([]access, 0, accs),
-		opsOf:     make([][]nodeID, c.Opts.NumShards),
-		exchanges: make([]*exchange, len(c.Body)),
-		prune:     prune,
+	b.ix, b.c, b.prune, b.collectWar = ix, c, prune, false
+	b.g = &graph{nodes: b.g.nodes[:0], edges: b.g.edges[:0], arrivals: b.g.arrivals[:0]}
+	b.refs, b.accs, b.warObs, b.allOps = b.refs[:0], b.accs[:0], b.warObs[:0], b.allOps[:0]
+	for i := range b.ids {
+		b.ids[i] = -1
+	}
+	for i := range b.states {
+		s := &b.states[i]
+		s.lastWrite, s.readers = s.lastWrite[:0], s.readers[:0]
+	}
+	return b
+}
+
+func (b *builder) id(key int32) instID {
+	if b.ids[key] < 0 {
+		b.ids[key] = instID(len(b.refs))
+		b.refs = append(b.refs, b.ix.ref(key))
+	}
+	return b.ids[key]
+}
+
+func (b *builder) state(key int32) *symState {
+	b.id(key)
+	return &b.states[key]
+}
+
+// seed makes an untouched instance valid after the spawn point.
+func (b *builder) seed(s *symState) {
+	if len(s.lastWrite) == 0 && len(s.readers) == 0 {
+		s.lastWrite = append(s.lastWrite, b.loopStart)
 	}
 }
 
-func (b *builder) id(r instRef) instID {
-	id, ok := b.ids[r]
-	if !ok {
-		id = instID(len(b.refs))
-		b.ids[r] = id
-		b.refs = append(b.refs, r)
-		b.states = append(b.states, &symState{})
-	}
-	return id
-}
-
-func (b *builder) state(r instRef) *symState { return b.states[b.id(r)] }
-
-func (b *builder) record(n nodeID, inst instRef, fields []region.FieldID, space geometry.IndexSpace, write bool) {
+func (b *builder) record(n nodeID, key int32, fields []region.FieldID, space geometry.IndexSpace, write bool) {
 	if len(fields) == 0 {
 		return
 	}
-	b.accs = append(b.accs, access{n: n, inst: b.id(inst), fields: fields, space: space, write: write})
-}
-
-func (b *builder) shardOf(col geometry.Point) int32 {
-	return int32(b.c.ShardOf[col])
+	b.accs = append(b.accs, access{n: n, inst: b.id(key), fields: fields, space: space, write: write})
 }
 
 // build symbolically replays the SPMD execution of the compiled loop:
 // initialization, the unrolled loop body (two iterations when the trip
 // allows), and finalization, mirroring spmd.(*shard) op for op.
-func (b *builder) build() (*graph, []access) {
-	c := b.c
+func (b *builder) build() {
+	c, ix := b.c, b.ix
 	iters := 2
 	if c.Loop.Trip < 2 {
 		iters = 1
@@ -345,9 +359,9 @@ func (b *builder) build() (*graph, []access) {
 	// and for each of those before spawning the shards. Model the
 	// population as one node writing every instance.
 	init := b.g.add(node{kind: kInit, iter: -1, body: -1, sub: -1, copyID: -1, shard: -1})
-	for _, part := range c.UsedParts {
+	for p, part := range c.UsedParts {
 		fields := c.InstFields[part]
-		for _, col := range c.Domain {
+		for ci, col := range c.Domain {
 			if b.prune.SkipInit(part, c.ColorIdx[col]) {
 				// Dead initialization: the instance is never populated, so
 				// the init node does not write it — every read must instead
@@ -355,34 +369,28 @@ func (b *builder) build() (*graph, []access) {
 				// coverage analysis in prune.go licenses exactly that).
 				continue
 			}
-			b.record(init, instRef{part: part, color: col}, fields, part.Sub(col).IndexSpace(), true)
+			b.record(init, ix.key(int32(p), ci), fields, ix.spaces[p][ci], true)
 		}
 	}
 	prev := []nodeID{init}
-	for _, cp := range c.InitCopies {
+	for i, cp := range c.InitCopies {
 		var pairNodes []nodeID
 		for k, pr := range cp.Pairs {
 			n := b.g.add(node{kind: kInitCopy, iter: -1, body: -1, sub: int32(k), copyID: int32(cp.ID), color: pr.Dst, shard: -1})
 			for _, p := range prev {
 				b.g.edge(p, n)
 			}
-			b.record(n, instRef{part: cp.Src, color: pr.Src}, cp.Fields, pr.Overlap, false)
-			b.record(n, instRef{part: cp.Dst, color: pr.Dst}, cp.Fields, pr.Overlap, true)
+			b.record(n, ix.inits[i][k][0], cp.Fields, pr.Overlap, false)
+			b.record(n, ix.inits[i][k][1], cp.Fields, pr.Overlap, true)
 			pairNodes = append(pairNodes, n)
 		}
 		if len(pairNodes) > 0 {
 			prev = pairNodes
 		}
 	}
-	loopStart := b.g.add(node{kind: kLoopStart, iter: -1, body: -1, sub: -1, copyID: -1, shard: -1})
+	b.loopStart = b.g.add(node{kind: kLoopStart, iter: -1, body: -1, sub: -1, copyID: -1, shard: -1})
 	for _, p := range prev {
-		b.g.edge(p, loopStart)
-	}
-	// Every instance (and temp) starts valid after the spawn point.
-	seed := func(s *symState) {
-		if len(s.lastWrite) == 0 && len(s.readers) == 0 {
-			s.lastWrite = []nodeID{loopStart}
-		}
+		b.g.edge(p, b.loopStart)
 	}
 
 	for iter := 0; iter < iters; iter++ {
@@ -394,7 +402,7 @@ func (b *builder) build() (*graph, []access) {
 			case op.Set != nil:
 				// Scalar statements touch no region data.
 			case op.Launch != nil:
-				b.doLaunch(int32(bi), op.Launch, int32(iter), seed)
+				b.doLaunch(int32(bi), op.Launch, int32(iter))
 			case op.Copy != nil:
 				// The exchange step lists starting here cover the copy alone,
 				// a whole aggregated exchange phase, or — at a phase's later
@@ -402,9 +410,9 @@ func (b *builder) build() (*graph, []access) {
 				if x := b.exchangeAt(bi, int32(iter)); x.end == bi {
 					continue
 				} else if c.Opts.Sync == cr.BarrierSync {
-					b.doExchangeBarrier(x, seed)
+					b.doExchangeBarrier(x)
 				} else {
-					b.doExchangeP2P(x, seed)
+					b.doExchangeP2P(x)
 				}
 			}
 		}
@@ -420,67 +428,55 @@ func (b *builder) build() (*graph, []access) {
 	for _, n := range b.allOps {
 		b.g.edge(n, loopEnd)
 	}
-	b.g.edge(loopStart, loopEnd)
+	b.g.edge(b.loopStart, loopEnd)
 	final := b.g.add(node{kind: kFinal, iter: int32(iters), body: 0, sub: -1, copyID: -1, shard: -1})
 	b.g.edge(loopEnd, final)
-	for _, part := range c.WrittenDisjoint {
-		fields := c.InstFields[part]
-		for _, col := range c.Domain {
-			b.record(final, instRef{part: part, color: col}, fields, part.Sub(col).IndexSpace(), false)
+	for i, part := range c.WrittenDisjoint {
+		fields, slot := c.InstFields[part], ix.finals[i]
+		for ci := range c.Domain {
+			b.record(final, ix.key(slot, ci), fields, ix.spaces[slot][ci], false)
 		}
 	}
-	return b.g, b.accs
 }
 
 // doLaunch adds one node per task of the index launch, with the executor's
 // precondition edges from the owning shard's instance table, and updates
-// the table exactly as spmd.(*shard).execLaunch does.
-func (b *builder) doLaunch(bi int32, l *ir.Launch, iter int32, seed func(*symState)) {
-	for _, col := range b.c.Domain {
-		sh := b.shardOf(col)
+// the table exactly as spmd.(*shard).execLaunch does. A reduce argument's
+// contribution lands in the task's private temporary, not the partition.
+func (b *builder) doLaunch(bi int32, l *ir.Launch, iter int32) {
+	slots := b.ix.args[bi]
+	for ci, col := range b.c.Domain {
+		sh := b.ix.shardOf[ci]
 		t := b.g.add(node{kind: kTask, iter: iter, body: bi, sub: 0, copyID: -1, color: col, shard: sh})
 		// Gather all precondition edges before applying any table update,
 		// exactly like the executor: two args on the same instance (a task
 		// reading one field and writing another of the same partition) must
 		// not see each other's update.
-		for ai, a := range l.Args {
-			param := l.Task.Params[ai]
-			switch param.Priv {
+		for ai := range l.Args {
+			switch key := b.ix.key(slots[ai], ci); l.Task.Params[ai].Priv {
 			case ir.PrivRead:
-				s := b.state(instRef{part: a.Part, color: col})
-				seed(s)
+				s := b.state(key)
+				b.seed(s)
 				b.edgesFrom(s.lastWrite, t)
-			case ir.PrivReadWrite:
-				s := b.state(instRef{part: a.Part, color: col})
-				seed(s)
-				b.edgesFrom(s.lastWrite, t)
-				b.edgesFrom(s.readers, t)
-			case ir.PrivReduce:
-				s := b.state(instRef{l: l, arg: ai, color: col})
-				seed(s)
+			case ir.PrivReadWrite, ir.PrivReduce:
+				s := b.state(key)
+				b.seed(s)
 				b.edgesFrom(s.lastWrite, t)
 				b.edgesFrom(s.readers, t)
 			}
 		}
-		for ai, a := range l.Args {
-			param := l.Task.Params[ai]
-			switch param.Priv {
+		for ai := range l.Args {
+			param, slot := &l.Task.Params[ai], slots[ai]
+			switch key := b.ix.key(slot, ci); param.Priv {
 			case ir.PrivRead:
-				s := b.state(instRef{part: a.Part, color: col})
+				s := b.state(key)
 				s.readers = append(s.readers, t)
-				b.record(t, instRef{part: a.Part, color: col}, param.Fields, a.Part.Sub(col).IndexSpace(), false)
-			case ir.PrivReadWrite:
-				s := b.state(instRef{part: a.Part, color: col})
-				s.lastWrite = []nodeID{t}
+				b.record(t, key, param.Fields, b.ix.spaces[slot][ci], false)
+			case ir.PrivReadWrite, ir.PrivReduce:
+				s := b.state(key)
+				s.lastWrite = append(s.lastWrite[:0], t)
 				s.readers = s.readers[:0]
-				b.record(t, instRef{part: a.Part, color: col}, param.Fields, a.Part.Sub(col).IndexSpace(), true)
-			case ir.PrivReduce:
-				s := b.state(instRef{l: l, arg: ai, color: col})
-				s.lastWrite = []nodeID{t}
-				s.readers = s.readers[:0]
-				// The contribution lands in the task's private temporary
-				// (re-initialized each iteration), not the instance.
-				b.record(t, instRef{l: l, arg: ai, color: col}, param.Fields, a.Part.Sub(col).IndexSpace(), true)
+				b.record(t, key, param.Fields, b.ix.spaces[slot][ci], true)
 			}
 		}
 		b.opsOf[sh] = append(b.opsOf[sh], t)
@@ -518,8 +514,8 @@ type shardStep struct {
 // exchange is the replay of the exchange step lists that start at one body
 // op: every shard's cr.ExchangeSteps — the lists the executor resolves and
 // runs, and the builder's only source of consumer groups and producer
-// members — gathered into replay order once and replayed every unrolled
-// iteration.
+// members — gathered into replay order once per plan (newExchange) and
+// replayed every unrolled iteration of every build.
 type exchange struct {
 	start, end int // the body ops the lists cover
 	// cons are the consume steps in (op, group) order. prods are the produce
@@ -536,58 +532,12 @@ type exchange struct {
 // exchangeAt returns the exchange starting at body index op, readied for
 // one unrolled iteration.
 func (b *builder) exchangeAt(op int, iter int32) *exchange {
-	x := b.exchanges[op]
-	if x == nil {
-		x = b.newExchange(op)
-		b.exchanges[op] = x
-	}
+	x := b.ix.exchanges[op]
 	x.iter = iter
 	for i := range x.war {
 		for k := range x.war[i] {
 			x.war[i][k], x.done[i][k] = -1, -1
 		}
-	}
-	return x
-}
-
-func (b *builder) newExchange(op int) *exchange {
-	x := &exchange{start: op}
-	lists := make([][]cr.ExchangeStep, b.c.Opts.NumShards)
-	nprods, nsteps := 0, 0
-	for sh := range lists {
-		lists[sh], x.end = b.c.ExchangeSteps(op, sh)
-		for i := range lists[sh] {
-			if nsteps++; lists[sh][i].Produce {
-				nprods++
-			}
-		}
-	}
-	x.cons, x.prods = make([]shardStep, 0, nsteps-nprods), make([]shardStep, 0, nprods)
-	for sh, list := range lists {
-		for i := range list {
-			if st := (shardStep{int32(sh), &list[i]}); st.Produce {
-				x.prods = append(x.prods, st)
-			} else {
-				x.cons = append(x.cons, st)
-			}
-		}
-	}
-	slices.SortStableFunc(x.cons, func(a, c shardStep) int {
-		return cmp.Or(cmp.Compare(a.Op, c.Op), cmp.Compare(a.GroupStart, c.GroupStart))
-	})
-	if !b.c.Opts.Agg {
-		slices.SortStableFunc(x.prods, func(a, c shardStep) int { return cmp.Compare(a.Members[0].Pair, c.Members[0].Pair) })
-	}
-	// One slab for both node tables.
-	npairs := 0
-	for i := x.start; i < x.end; i++ {
-		npairs += len(b.c.Body[i].Copy.Pairs)
-	}
-	slab := make([]nodeID, 2*npairs)
-	x.war, x.done = make([][]nodeID, x.end-x.start), make([][]nodeID, x.end-x.start)
-	for i := range x.war {
-		n := len(b.c.Body[x.start+i].Copy.Pairs)
-		x.war[i], x.done[i], slab = slab[:n:n], slab[n:2*n:2*n], slab[2*n:]
 	}
 	return x
 }
@@ -601,40 +551,31 @@ func (b *builder) newExchange(op int) *exchange {
 func (b *builder) doneOf(x *exchange, op, k int32) nodeID {
 	d := &x.done[int(op)-x.start][k]
 	if *d < 0 {
-		cp := b.c.Body[op].Copy
-		owner := cp.Pairs[k].Dst
+		cp, owner := b.c.Body[op].Copy, b.ix.body[op][k][1]
 		if b.c.Opts.Sync == cr.BarrierSync {
-			owner = cp.Pairs[k].Src
+			owner = b.ix.body[op][k][0]
 		}
-		*d = b.g.add(node{kind: kDone, iter: x.iter, body: op, sub: k, copyID: int32(cp.ID), color: cp.Pairs[k].Dst, shard: b.shardOf(owner)})
+		*d = b.g.add(node{kind: kDone, iter: x.iter, body: op, sub: k, copyID: int32(cp.ID), color: cp.Pairs[k].Dst, shard: b.ix.shard(owner)})
 	}
 	return *d
-}
-
-// srcRef is the instance a copy pair reads: the source partition's
-// subregion, or the reducing launch's temporary.
-func srcRef(cp *cr.CopyOp, src geometry.Point) instRef {
-	if cp.Reduce == region.ReduceNone {
-		return instRef{part: cp.Src, color: src}
-	}
-	return instRef{l: cp.SrcLaunch, arg: cp.SrcArg, color: src}
 }
 
 // produce adds one produce step's transfer as a linear cluster of per-member
 // copy nodes m_1 -> ... -> m_n in member order (the transfer body's write
 // order), each recording its own source read and destination write; a plain
-// pair copy is a cluster of one. Every precondition enters the head — the
-// lowering's sync (wired by the caller's sync), then each member's source
-// validity and fold-chain link — and the single completion is the tail,
-// registered as a reader of every member's source: nothing transfers before
-// all preconditions, everything completes together, and per-member nodes
-// keep conflict orientation and witnesses exact. The tail is -1 for a step
-// without members.
-func (b *builder) produce(x *exchange, st *shardStep, seed func(*symState), sync func(head nodeID)) (tail nodeID) {
+// pair copy is a cluster of one. A member's source is the source
+// partition's subregion, or the reducing launch's temporary. Every
+// precondition enters the head — the lowering's sync (wired by the caller's
+// sync), then each member's source validity and fold-chain link — and the
+// single completion is the tail, registered as a reader of every member's
+// source: nothing transfers before all preconditions, everything completes
+// together, and per-member nodes keep conflict orientation and witnesses
+// exact. The tail is -1 for a step without members.
+func (b *builder) produce(x *exchange, st *shardStep, sync func(head nodeID)) (tail nodeID) {
 	g, c := b.g, b.c
 	head, tail := nodeID(-1), nodeID(-1)
 	for _, m := range st.Members {
-		cp := c.Body[m.Op].Copy
+		cp, keys := c.Body[m.Op].Copy, b.ix.body[m.Op][m.Pair]
 		pr := cp.Pairs[m.Pair]
 		mn := g.add(node{kind: kCopy, iter: x.iter, body: m.Op, sub: m.Pair, copyID: int32(cp.ID), color: pr.Dst, shard: st.shard})
 		if tail >= 0 {
@@ -643,8 +584,8 @@ func (b *builder) produce(x *exchange, st *shardStep, seed func(*symState), sync
 			head = mn
 		}
 		tail = mn
-		b.record(mn, srcRef(cp, pr.Src), cp.Fields, pr.Overlap, false)
-		b.record(mn, instRef{part: cp.Dst, color: pr.Dst}, cp.Fields, pr.Overlap, true)
+		b.record(mn, keys[0], cp.Fields, pr.Overlap, false)
+		b.record(mn, keys[1], cp.Fields, pr.Overlap, true)
 	}
 	if head < 0 {
 		return tail
@@ -652,8 +593,8 @@ func (b *builder) produce(x *exchange, st *shardStep, seed func(*symState), sync
 	sync(head)
 	for _, m := range st.Members {
 		cp := c.Body[m.Op].Copy
-		s := b.state(srcRef(cp, cp.Pairs[m.Pair].Src))
-		seed(s)
+		s := b.state(b.ix.body[m.Op][m.Pair][0])
+		b.seed(s)
 		b.edgesFrom(s.lastWrite, head)
 		s.readers = append(s.readers, tail)
 		if m.Chain && !b.prune.SkipChain(cp.ID, int(m.Pair)) {
@@ -669,21 +610,20 @@ func (b *builder) produce(x *exchange, st *shardStep, seed func(*symState), sync
 // instance's lastWrite; per produce step the transfer is gated on every
 // member's war, source validity and chain link, and its completion triggers
 // every member's done.
-func (b *builder) doExchangeP2P(x *exchange, seed func(*symState)) {
+func (b *builder) doExchangeP2P(x *exchange) {
 	g, c := b.g, b.c
 	var obIdx map[[2]int32]int
 	for i := range x.cons {
 		st := &x.cons[i]
-		cp := c.Body[st.Op].Copy
+		cp, dst := c.Body[st.Op].Copy, b.ix.body[st.Op][st.GroupStart][1]
 		dstCol := cp.Pairs[st.GroupStart].Dst
-		s := b.state(instRef{part: cp.Dst, color: dstCol})
-		seed(s)
+		s := b.state(dst)
+		b.seed(s)
 		release := append(append([]nodeID(nil), s.readers...), s.lastWrite...)
-		newWrites := append([]nodeID(nil), s.lastWrite...)
 		for k := st.GroupStart; k < st.GroupEnd; k++ {
 			w := &x.war[int(st.Op)-x.start][k]
 			if !b.prune.SkipWar(cp.ID, int(k)) {
-				*w = g.add(node{kind: kWar, iter: x.iter, body: st.Op, sub: k, copyID: int32(cp.ID), color: dstCol, shard: b.shardOf(dstCol)})
+				*w = g.add(node{kind: kWar, iter: x.iter, body: st.Op, sub: k, copyID: int32(cp.ID), color: dstCol, shard: b.ix.shard(dst)})
 				for _, r := range release {
 					g.ledge(r, *w, EdgeID{Class: EdgeWAR, Copy: cp.ID, Pair: int(k)})
 				}
@@ -697,16 +637,15 @@ func (b *builder) doExchangeP2P(x *exchange, seed func(*symState)) {
 			}
 			if !b.prune.SkipDone(cp.ID, int(k)) {
 				d := b.doneOf(x, st.Op, k)
-				newWrites = append(newWrites, d)
+				s.lastWrite = append(s.lastWrite, d)
 				b.opsOf[st.shard] = append(b.opsOf[st.shard], d)
 			}
 		}
-		s.lastWrite = newWrites
 		s.readers = s.readers[:0]
 	}
 	for i := range x.prods {
 		st := &x.prods[i]
-		tail := b.produce(x, st, seed, func(head nodeID) {
+		tail := b.produce(x, st, func(head nodeID) {
 			for _, m := range st.Members {
 				if w := x.war[int(m.Op)-x.start][m.Pair]; w >= 0 {
 					g.edge(w, head)
@@ -738,14 +677,13 @@ func (b *builder) doExchangeP2P(x *exchange, seed func(*symState)) {
 // op's exit barrier, which waits all the transfers. Reduction chains still
 // use the shared per-pair done events for deterministic fold order: only
 // reduce pairs have done events here, and only the chain waits on them.
-func (b *builder) doExchangeBarrier(x *exchange, seed func(*symState)) {
+func (b *builder) doExchangeBarrier(x *exchange) {
 	g, c := b.g, b.c
 	// dsts visits the state of every destination instance of op.
 	dsts := func(op int, visit func(s *symState)) {
-		cp := c.Body[op].Copy
 		for i := range x.cons {
 			if st := &x.cons[i]; int(st.Op) == op {
-				visit(b.state(instRef{part: cp.Dst, color: cp.Pairs[st.GroupStart].Dst}))
+				visit(b.state(b.ix.body[op][st.GroupStart][1]))
 			}
 		}
 	}
@@ -779,7 +717,7 @@ func (b *builder) doExchangeBarrier(x *exchange, seed func(*symState)) {
 			}
 		}
 		dsts(op, func(s *symState) {
-			seed(s)
+			b.seed(s)
 			for _, n := range s.lastWrite {
 				g.ledge(n, b1, arrive1)
 			}
@@ -800,7 +738,7 @@ func (b *builder) doExchangeBarrier(x *exchange, seed func(*symState)) {
 	var tails []nodeID
 	for i := range x.prods {
 		st := &x.prods[i]
-		tail := b.produce(x, st, seed, func(head nodeID) {
+		tail := b.produce(x, st, func(head nodeID) {
 			for _, b1 := range b1s {
 				g.edge(b1, head)
 			}

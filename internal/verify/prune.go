@@ -35,16 +35,11 @@ import (
 // pruned init populations never write, and producer completions stand in
 // for pruned done events in the quiescence merges.
 func AnalyzePruned(c *cr.Compiled, info *cr.PruneInfo) (*Analysis, error) {
-	if c == nil {
-		return nil, fmt.Errorf("verify: nil compiled loop")
+	p, err := newPlanner(c, info)
+	if err != nil {
+		return nil, err
 	}
-	if c.Opts.Agg {
-		// The replay indexes the aggregation tables; refuse malformed ones.
-		if err := aggTablesWellFormed(c); err != nil {
-			return nil, err
-		}
-	}
-	return newBuilder(c, info).analyze(), nil
+	return p.base, nil
 }
 
 // SyncEdges counts the labeled (deletable) synchronization edges of the
@@ -59,13 +54,69 @@ func (a *Analysis) SyncEdges() int {
 	return n
 }
 
-// certifies reports whether the pruned schedule passes both the race check
-// and the liveness check. It is a yes/no question, asked some twenty times
-// per plan: no witness is rendered, and every closure lands in reach's slab.
-func certifies(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) bool {
+// planner is the state of one PlanPrune call — the plan's index, the info
+// being planned, the base analysis, a closure slab every pruned graph fits,
+// and the last discarded build, whose slabs the next one takes over — never
+// a package variable: parallel -prune sweeps plan several cells at once. A
+// build without a dead init reuses the base's conflicts: only init,
+// init-copy, task, copy-member and final nodes record accesses, created in
+// an order no war/done/chain prune changes (TestConflictsArePruneInvariant).
+type planner struct {
+	ix    *index
+	info  *cr.PruneInfo
+	base  *Analysis
+	reach reachability
+	spare *builder
+}
+
+// newPlanner indexes c and analyses its schedule under info: the base.
+func newPlanner(c *cr.Compiled, info *cr.PruneInfo) (*planner, error) {
+	if c == nil {
+		return nil, fmt.Errorf("verify: nil compiled loop")
+	}
+	ix, err := newIndex(c)
+	if err != nil {
+		return nil, err
+	}
+	p := &planner{ix: ix, info: info}
+	p.base = p.analysis(p.build(false))
+	return p, nil
+}
+
+// build replays the schedule under p.info on the slabs of the last
+// discarded build.
+func (p *planner) build(collectWar bool) *builder {
+	b := newBuilder(p.ix, p.info, p.spare)
+	p.spare, b.collectWar = nil, collectWar
+	b.build()
+	return b
+}
+
+// analysis is b's replay with its conflicts: the base's where the replay
+// cannot have changed them, enumerated otherwise.
+func (p *planner) analysis(b *builder) *Analysis {
+	a := &Analysis{c: p.ix.c, g: b.g, accs: b.accs, refs: b.refs}
+	if p.base != nil && p.info.PrunedInits() == 0 && len(b.accs) == len(p.base.accs) {
+		a.conflicts, a.insts = p.base.conflicts, p.base.insts
+	} else {
+		a.conflicts, a.insts = enumerateConflicts(b.g, b.accs, len(b.refs))
+	}
+	return a
+}
+
+// certifies reports whether the schedule under p.info passes the race and
+// liveness checks: a yes/no question asked some twenty times per plan, with
+// no witness rendered. A build without a dead init whose access list is not
+// the base's fails closed.
+func (p *planner) certifies() bool {
 	certifyCalls.Add(1)
-	a := newBuilder(c, info).analyze()
-	return a.ordered(reach) && a.CheckLiveness().OK()
+	b := p.build(false)
+	defer func() { p.spare = b }()
+	if p.info.PrunedInits() == 0 && len(b.accs) != len(p.base.accs) {
+		return false
+	}
+	a := p.analysis(b)
+	return a.ordered(&p.reach) && a.CheckLiveness().OK()
 }
 
 // pruneSampleBatch is the batch size above which a failing batch is
@@ -74,8 +125,8 @@ func certifies(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) bool {
 const pruneSampleBatch = 12
 
 // acceptMax accepts a maximal certifying subset of the candidate batch
-// into info, in order, each certification run with everything accepted so
-// far in force.
+// into p.info, in order, each certification run with everything accepted
+// so far in force.
 //
 // Acceptance is batched: every pruned graph is a subgraph of the
 // certified unpruned graph, so if the whole batch certifies on top of the
@@ -99,14 +150,14 @@ const pruneSampleBatch = 12
 // Fixture-scale batches sit under the threshold, so the minimality
 // obligation (TestPrunedScheduleMinimal) is probed against exact greedy
 // output.
-func acceptMax(c *cr.Compiled, info *cr.PruneInfo, reach *reachability, batch []func(v bool)) {
+func (p *planner) acceptMax(batch []func(v bool)) {
 	if len(batch) == 0 {
 		return
 	}
 	for _, set := range batch {
 		set(true)
 	}
-	if certifies(c, info, reach) {
+	if p.certifies() {
 		return
 	}
 	for _, set := range batch {
@@ -119,7 +170,7 @@ func acceptMax(c *cr.Compiled, info *cr.PruneInfo, reach *reachability, batch []
 		allFail := true
 		for _, i := range []int{0, len(batch) / 2, len(batch) - 1} {
 			batch[i](true)
-			ok := certifies(c, info, reach)
+			ok := p.certifies()
 			batch[i](false)
 			if ok {
 				allFail = false
@@ -131,12 +182,12 @@ func acceptMax(c *cr.Compiled, info *cr.PruneInfo, reach *reachability, batch []
 		}
 	}
 	mid := len(batch) / 2
-	acceptMax(c, info, reach, batch[:mid])
-	acceptMax(c, info, reach, batch[mid:])
+	p.acceptMax(batch[:mid])
+	p.acceptMax(batch[mid:])
 }
 
-// warObligationFailures builds the pruned graph under info, collecting one
-// obligation per p2p war slot, and returns the slots whose obligation
+// warObligationFailures builds the pruned graph under p.info, collecting
+// one obligation per p2p war slot, and returns the slots whose obligation
 // fails. A pruned slot's obligation is that every release-set node still
 // reaches the producer's copy node through the remaining graph. A kept
 // slot's obligation asks whether removing exactly this event would
@@ -145,10 +196,10 @@ func acceptMax(c *cr.Compiled, info *cr.PruneInfo, reach *reachability, batch []
 // have to continue through cn and return — a cycle), and the question
 // reduces to "does every release node reach some other in-neighbor of
 // cn". Both tests are against the precise executor-pruned graph.
-func warObligationFailures(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) map[[2]int]bool {
-	b := newBuilder(c, info)
-	b.collectWar = true
-	g, _ := b.build()
+func (p *planner) warObligationFailures() map[[2]int]bool {
+	b := p.build(true)
+	defer func() { p.spare = b }()
+	g, reach := b.g, &p.reach
 	reach.closure(g.adjacency(nil))
 	cns := make(map[nodeID]bool)
 	for _, ob := range b.warObs {
@@ -210,14 +261,15 @@ func warObligationFailures(c *cr.Compiled, info *cr.PruneInfo, reach *reachabili
 // at 64 shards, which costs ~275 bisection certifications but 2 here.
 // Slots the rounds reject are re-tried by the caller through acceptMax,
 // preserving the exact greedy maximality obligation at fixture scale.
-func proposeWars(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
+func (p *planner) proposeWars() {
 	type cand struct {
 		cp *cr.CopyOp
 		k  int
 	}
+	info := p.info
 	set := func(cd cand, v bool) { info.SetWar(cd.cp.ID, cd.k, len(cd.cp.Pairs), v) }
 	var all []cand
-	for _, op := range c.Body {
+	for _, op := range p.ix.c.Body {
 		cp := op.Copy
 		if cp == nil || len(cp.Pairs) == 0 {
 			continue
@@ -236,7 +288,7 @@ func proposeWars(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
 	for _, cd := range all {
 		set(cd, true)
 	}
-	bad := warObligationFailures(c, info, reach)
+	bad := p.warObligationFailures()
 	var remaining []cand
 	for _, cd := range all {
 		if bad[[2]int{cd.cp.ID, cd.k}] {
@@ -244,7 +296,7 @@ func proposeWars(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
 			remaining = append(remaining, cd)
 		}
 	}
-	if len(remaining) < len(all) && !certifies(c, info, reach) {
+	if len(remaining) < len(all) && !p.certifies() {
 		// The joint proposal should certify by construction; if it ever
 		// does not, revert it all and let the caller's exact path decide.
 		for _, cd := range all {
@@ -255,7 +307,7 @@ func proposeWars(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
 
 	// Later rounds: individual tests against the current graph.
 	for len(remaining) > 0 {
-		bad := warObligationFailures(c, info, reach)
+		bad := p.warObligationFailures()
 		var batch []func(v bool)
 		var took, next []cand
 		for _, cd := range remaining {
@@ -271,7 +323,7 @@ func proposeWars(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
 			return
 		}
 		before := info.PrunedWar()
-		acceptMax(c, info, reach, batch)
+		p.acceptMax(batch)
 		if info.PrunedWar() == before {
 			return
 		}
@@ -290,23 +342,33 @@ func proposeWars(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
 // schedule itself fails certification, the report carries those findings
 // and no pruning is attempted.
 func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
-	a0, err := Analyze(c)
+	info, rep, _, err := planPrune(c)
+	return info, rep, err
+}
+
+// planPrune is PlanPrune that also returns the analysis of the schedule
+// under the licensed info, for Certify's race and liveness passes.
+func planPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, *Analysis, error) {
+	p, err := newPlanner(c, c.Prune)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	// One closure slab serves every graph this plan builds: they are all
-	// subgraphs of a0's.
-	reach := &reachability{}
-	if base := a0.check(reach, nil); !base.OK() {
+	a0 := p.base
+	if c.Prune.PrunedInits() > 0 { // reuse needs the unpruned access list
+		p.base, p.info = nil, nil
+		p.base = p.analysis(p.build(false))
+	}
+	if base := a0.check(&p.reach, nil); !base.OK() {
 		base.Pass = "prune"
-		return nil, base, nil
+		return nil, base, nil, nil
 	}
 	if live := a0.CheckLiveness(); !live.OK() {
 		live.Pass = "prune"
-		return nil, live, nil
+		return nil, live, nil, nil
 	}
 
 	info := &cr.PruneInfo{}
+	p.info = info
 	// Candidate classes in a fixed, deterministic order: interior
 	// reduction-chain links, then p2p war slots, then done slots, each in
 	// body order (a done is only prunable once no kept chain waits on it).
@@ -343,11 +405,11 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 			}
 		}
 	}
-	acceptMax(c, info, reach, chains)
+	p.acceptMax(chains)
 	if c.Opts.Sync == cr.PointToPoint {
 		// Wars: the analytic proposal takes the jointly redundant bulk in
 		// one certification; the rejects get the exact greedy treatment.
-		proposeWars(c, info, reach)
+		p.proposeWars()
 		var wars []func(v bool)
 		for _, op := range c.Body {
 			cp := op.Copy
@@ -363,24 +425,21 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 				wars = append(wars, func(v bool) { info.SetWar(cp.ID, k, n, v) })
 			}
 		}
-		acceptMax(c, info, reach, wars)
+		p.acceptMax(wars)
 	}
-	acceptMax(c, info, reach, dones)
+	p.acceptMax(dones)
 
 	// Dead initialization populations, computed against the pruned graph's
 	// reachability (a kept sync edge may be exactly what covers a read).
-	markDeadInits(c, info, reach)
-	if !certifies(c, info, reach) {
+	p.markDeadInits()
+	if !p.certifies() {
 		// Belt and braces: coverage is sound by construction, but never
 		// ship an uncertified prune set.
 		info.DeadInit = nil
 	}
 
-	af, err := AnalyzePruned(c, info)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := af.check(reach, nil)
+	af := p.analysis(p.build(false))
+	rep := af.check(&p.reach, nil)
 	rep.Pass = "prune"
 	rep.Counters = map[string]int64{
 		"pruned_war":         int64(info.PrunedWar()),
@@ -391,7 +450,7 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 		"sync_edges_before":  int64(a0.SyncEdges()),
 		"sync_edges_after":   int64(af.SyncEdges()),
 	}
-	return info, rep, nil
+	return info, rep, af, nil
 }
 
 // markDeadInits marks instances whose initialization population is dead:
@@ -401,9 +460,10 @@ func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
 // copy overwrites that happen-before it. Such an instance's contents before
 // its first overwrite are unobservable, so the population — a real
 // cross-node transfer in the init phase — can be skipped.
-func markDeadInits(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
-	b := newBuilder(c, info)
-	g, accs := b.build()
+func (p *planner) markDeadInits() {
+	b := p.build(false)
+	defer func() { p.spare = b }()
+	c, g, reach := p.ix.c, b.g, &p.reach
 	reach.closure(g.adjacency(nil))
 
 	type use struct {
@@ -413,7 +473,7 @@ func markDeadInits(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
 	}
 	reads := make([][]use, len(b.refs))
 	covers := make([][]use, len(b.refs))
-	for _, ac := range accs {
+	for _, ac := range b.accs {
 		if b.refs[ac.inst].part == nil {
 			continue // reduce temporaries are never initialized from the parent
 		}
@@ -432,10 +492,10 @@ func markDeadInits(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
 		}
 	}
 
-	for _, part := range c.UsedParts {
-		for _, col := range c.Domain {
+	for pi, part := range c.UsedParts {
+		for ci, col := range c.Domain {
 			var rs, ws []use // none for an instance the replay never touched
-			if id, ok := b.ids[instRef{part: part, color: col}]; ok {
+			if id := b.ids[p.ix.key(int32(pi), ci)]; id >= 0 {
 				rs, ws = reads[id], covers[id]
 			}
 			dead := true
@@ -459,7 +519,7 @@ func markDeadInits(c *cr.Compiled, info *cr.PruneInfo, reach *reachability) {
 				}
 			}
 			if dead {
-				info.SetInit(part, c.ColorIdx[col], len(c.Domain), true)
+				p.info.SetInit(part, c.ColorIdx[col], len(c.Domain), true)
 			}
 		}
 	}

@@ -111,7 +111,11 @@ func TestPrunedScheduleMinimal(t *testing.T) {
 			if err != nil || !rep.OK() {
 				t.Fatalf("%s %v: prune failed: %v %v", name, sync, err, rep.Findings)
 			}
-			if !certifies(c, info, &reachability{}) {
+			p, err := newPlanner(c, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.info = info; !p.certifies() {
 				t.Fatalf("%s %v: shipped prune set does not certify", name, sync)
 			}
 			for _, cand := range pruneCandidates(c) {
@@ -123,7 +127,7 @@ func TestPrunedScheduleMinimal(t *testing.T) {
 				if info.PrunedEdges() == beforeCnt {
 					continue
 				}
-				if certifies(c, info, &reachability{}) {
+				if p.certifies() {
 					t.Errorf("%s %v: surviving %s candidate is redundant: pruning it still certifies (greedy pass should have taken it)",
 						name, sync, cand.name)
 				}
@@ -134,6 +138,24 @@ func TestPrunedScheduleMinimal(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no surviving candidates checked; the minimality test is vacuous")
+	}
+}
+
+// TestCertifiesFailsClosed: a build without a dead init reuses the
+// unpruned analysis's conflicts, which index its access list; a build whose
+// list does not line up with that one is refused, not certified against
+// pairs that name other accesses.
+func TestCertifiesFailsClosed(t *testing.T) {
+	p, err := newPlanner(livenessFixtures(t, cr.PointToPoint)["figure2"], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.info = (&cr.PruneInfo{}); !p.certifies() {
+		t.Fatal("the unpruned schedule does not certify")
+	}
+	p.base.accs = p.base.accs[:len(p.base.accs)-1]
+	if p.certifies() {
+		t.Error("a build whose access list differs from the unpruned one's certified")
 	}
 }
 

@@ -48,8 +48,10 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/cr"
 )
@@ -131,13 +133,6 @@ func Analyze(c *cr.Compiled) (*Analysis, error) {
 	return AnalyzePruned(c, c.Prune)
 }
 
-// analyze replays the schedule and enumerates its conflicts.
-func (b *builder) analyze() *Analysis {
-	g, accs := b.build()
-	confs, insts := enumerateConflicts(g, accs, len(b.refs))
-	return &Analysis{c: b.c, g: g, accs: accs, refs: b.refs, conflicts: confs, insts: insts}
-}
-
 // Check verifies every conflicting pair against the happens-before
 // relation, treating edges whose label is in drop as deleted (everywhere
 // they occur, i.e. in every unrolled iteration — the static analogue of
@@ -208,20 +203,8 @@ func Verify(c *cr.Compiled) (*Report, error) {
 }
 
 func sortFindings(fs []Finding) {
-	sort.SliceStable(fs, func(i, j int) bool {
-		a, b := &fs[i], &fs[j]
-		if a.Instance != b.Instance {
-			return a.Instance < b.Instance
-		}
-		if a.A.Iter != b.A.Iter {
-			return a.A.Iter < b.A.Iter
-		}
-		if a.A.Body != b.A.Body {
-			return a.A.Body < b.A.Body
-		}
-		if a.B.Iter != b.B.Iter {
-			return a.B.Iter < b.B.Iter
-		}
-		return a.B.Body < b.B.Body
+	slices.SortStableFunc(fs, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Instance, b.Instance), cmp.Compare(a.A.Iter, b.A.Iter),
+			cmp.Compare(a.A.Body, b.A.Body), cmp.Compare(a.B.Iter, b.B.Iter), cmp.Compare(a.B.Body, b.B.Body))
 	})
 }

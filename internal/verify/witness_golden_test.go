@@ -59,7 +59,7 @@ func witnessProgram(i, pieces int) (*ir.Program, *ir.Loop) {
 
 var syncModes = []cr.SyncMode{cr.PointToPoint, cr.BarrierSync}
 
-func compileApp(t *testing.T, prog *ir.Program, loop *ir.Loop, o cr.Options) *cr.Compiled {
+func compileApp(t testing.TB, prog *ir.Program, loop *ir.Loop, o cr.Options) *cr.Compiled {
 	t.Helper()
 	c, err := cr.Compile(prog, loop, o)
 	if err != nil {
