@@ -22,6 +22,22 @@ import (
 	"repro/internal/spmd"
 )
 
+// checkFlags rejects an engine crlang does not have and, for the engines
+// that run on the simulated machine, a node count no machine can have. It
+// runs before the source file is read, so a bad flag never compiles.
+func checkFlags(engine string, nodes int) error {
+	switch engine {
+	case "seq":
+		return nil
+	case "implicit", "cr":
+		if nodes < 1 {
+			return fmt.Errorf("bad -nodes %d (want at least 1)", nodes)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown engine %q", engine)
+}
+
 func main() {
 	engine := flag.String("engine", "cr", "execution engine: seq, implicit, or cr")
 	nodes := flag.Int("nodes", 4, "simulated node count (implicit, cr)")
@@ -30,6 +46,10 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: crlang [-engine seq|implicit|cr] [-nodes N] [-dump] file.cr")
 		os.Exit(2)
+	}
+	if err := checkFlags(*engine, *nodes); err != nil {
+		fmt.Fprintln(os.Stderr, "crlang:", err)
+		os.Exit(1)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -58,7 +78,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "crlang:", err)
 			os.Exit(1)
 		}
-		res, err := rt.New(sim, prog, rt.Real).Run()
+		res, err := rt.New(sim, prog, ir.ExecReal).Run()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "crlang:", err)
 			os.Exit(1)
@@ -103,9 +123,6 @@ func main() {
 		env = res.Env
 		fmt.Printf("control-replicated execution complete: %v virtual, %d tasks, %d messages\n",
 			res.Elapsed, res.Stats.TasksRun, res.Stats.Messages)
-	default:
-		fmt.Fprintf(os.Stderr, "crlang: unknown engine %q\n", *engine)
-		os.Exit(1)
 	}
 
 	if len(env) > 0 {

@@ -1,99 +1,51 @@
-// Command detlint runs the determinism analyzers (internal/lint) over Go
-// packages. It speaks two protocols:
+// Command detlint runs the determinism analyzers (internal/lint) under the
+// go command, one compilation unit at a time:
 //
-//	detlint [-json] [packages...]     standalone; defaults to the
-//	                                  simulator core (realm, rt, spmd)
-//	go vet -vettool=$(which detlint)  unit-at-a-time under the go command
+//	go install ./cmd/detlint && go vet -vettool=$(which detlint) ./...
 //
-// Exit status: 0 clean, 1 usage or load failure, 2 findings.
+// go vet hands it a *.cfg file per unit, naming the unit's sources and the
+// export data the go command compiled for each import. detlint reads that
+// export data, so, like every vettool, it must be built by the same go
+// command that runs vet.
+//
+// Exit status: 0 clean, 1 usage or typecheck failure, 2 findings.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/lint"
 )
 
-// defaultPackages is the determinism boundary: the DES and the two
-// executors must replay bit-identically. The native backend rides along
-// for the analyzers its Allowlist entry leaves active (maprange).
-var defaultPackages = []string{
-	"repro/internal/realm",
-	"repro/internal/realm/native",
-	"repro/internal/rt",
-	"repro/internal/spmd",
-}
+const usage = "usage: go vet -vettool=$(which detlint) [packages]"
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	// go vet probes the tool before handing it compilation units.
-	for _, a := range args {
-		switch {
+// run answers go vet's two probes of the tool (-V=full, -flags) and vets
+// one unit's *.cfg; any other argument list is a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 1 {
+		switch a := args[0]; {
 		case a == "-V=full" || a == "--V=full":
-			fmt.Printf("detlint version v1.0.0\n")
+			fmt.Fprintln(stdout, "detlint version v1.0.0")
 			return 0
 		case a == "-flags" || a == "--flags":
-			fmt.Println("[]")
+			fmt.Fprintln(stdout, "[]")
 			return 0
+		case strings.HasSuffix(a, ".cfg"):
+			code, err := lint.VetUnit(stderr, a)
+			if err != nil {
+				fmt.Fprintln(stderr, "detlint:", err)
+				return 1
+			}
+			return code
 		}
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		code, err := lint.VetUnit(os.Stderr, args)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "detlint:", err)
-			return 1
-		}
-		return code
-	}
-
-	fs := flag.NewFlagSet("detlint", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = defaultPackages
-	}
-	pkgs, err := lint.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "detlint:", err)
-		return 1
-	}
-	var diags []lint.Diagnostic
-	for _, p := range pkgs {
-		diags = append(diags, lint.Run(p.Fset, p.Files, p.Types, p.Info, lint.All())...)
-	}
-	if *jsonOut {
-		type finding struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := make([]finding, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, finding{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	fmt.Fprintf(os.Stderr, "detlint: %d package(s) clean\n", len(pkgs))
-	return 0
+	fmt.Fprintln(stderr, usage)
+	return 1
 }

@@ -22,22 +22,31 @@ import (
 	"repro/internal/harness"
 )
 
+// parseNodes parses the comma-separated -nodes list; every entry must be a
+// node count of at least 1.
+func parseNodes(list string) ([]int, error) {
+	var nodes []int
+	for _, part := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad node count %q", part)
+		}
+		nodes = append(nodes, n)
+	}
+	return nodes, nil
+}
+
 func main() {
 	nodesFlag := flag.String("nodes", "64,1024", "comma-separated node counts")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "measurement cells to run in parallel (output rows are identical at any width)")
 	csv := flag.Bool("csv", false, "emit CSV instead of a table")
 	flag.Parse()
 
-	var nodes []int
-	for _, part := range strings.Split(*nodesFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "intersect: bad node count %q\n", part)
-			os.Exit(1)
-		}
-		nodes = append(nodes, n)
+	nodes, err := parseNodes(*nodesFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "intersect:", err)
+		os.Exit(1)
 	}
-
 	rows, err := harness.Table1Parallel(nodes, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "intersect:", err)

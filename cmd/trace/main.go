@@ -73,7 +73,7 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		if _, err := rt.New(sim, prog, rt.Modeled).Run(); err != nil {
+		if _, err := rt.New(sim, prog, ir.ExecModeled).Run(); err != nil {
 			fmt.Fprintln(os.Stderr, "trace:", err)
 			os.Exit(1)
 		}

@@ -66,7 +66,7 @@ func main() {
 	// Implicit execution of the same graph.
 	app2 := circuit.Build(cfg)
 	simImp := realm.MustNewSim(realm.DefaultConfig(pieces))
-	resImp, err := rt.New(simImp, app2.Prog, rt.Real).Run()
+	resImp, err := rt.New(simImp, app2.Prog, ir.ExecReal).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func main() {
 	// dynamic dependence analysis and launches tasks across the nodes.
 	progImp, _, aImp, _, _ := buildProgram(n, nt, trip)
 	simImp := realm.MustNewSim(realm.DefaultConfig(nodes))
-	resImp, err := rt.New(simImp, progImp, rt.Real).Run()
+	resImp, err := rt.New(simImp, progImp, ir.ExecReal).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func TestImplicitMatchesSequential(t *testing.T) {
 	seq := ir.ExecSequential(app.Prog)
 	app2 := Build(Small(4))
 	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	res, err := rt.New(sim, app2.Prog, rt.Real).Run()
+	res, err := rt.New(sim, app2.Prog, ir.ExecReal).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestImplicitMatchesSequential(t *testing.T) {
 
 	app2 := Build(cfg)
 	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	res, err := rt.New(sim, app2.Prog, rt.Real).Run()
+	res, err := rt.New(sim, app2.Prog, ir.ExecReal).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,11 +271,11 @@ func (c *Counters) addMachine(sim realm.Exec) {
 // Modeled mode and returns the steady-state per-iteration time of the
 // given loop.
 func MeasureImplicit(prog *ir.Program, loop *ir.Loop, nodes int, tune Tuning, opts MeasureOpts) (realm.Time, error) {
-	mode := rt.Modeled
+	mode := ir.ExecModeled
 	if opts.NativeBackend() {
 		// On real cores only real execution is meaningful: the control
 		// thread's dependence analysis and the kernels are the cost.
-		mode = rt.Real
+		mode = ir.ExecReal
 		if opts.Faults != nil {
 			// The implicit runtime has no recovery. On the DES an injected
 			// crash deadlocks the event loop immediately (a structured

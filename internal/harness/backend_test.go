@@ -148,7 +148,7 @@ func TestNativeImplicitMatchesDES(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rt.New(x, prog, rt.Real).Run()
+		res, err := rt.New(x, prog, ir.ExecReal).Run()
 		if err != nil {
 			t.Fatalf("backend=%s: %v", backend, err)
 		}

@@ -57,7 +57,7 @@ func TestGoldenEngineRuns(t *testing.T) {
 	tune := bench.DefaultTuning(cores)
 
 	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	eng := rt.New(sim, app.Prog, rt.Modeled)
+	eng := rt.New(sim, app.Prog, ir.ExecModeled)
 	eng.Over.LaunchBase = tune.ImplicitLaunchBase
 	eng.Over.LaunchPerSub = tune.ImplicitLaunchPerSub
 	eng.Over.KernelCores = tune.KernelCores

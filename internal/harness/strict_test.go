@@ -39,7 +39,7 @@ func TestReadPastBlockPanicsTheSameEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = rt.New(x, build().Prog, rt.Real).Run()
+		_, err = rt.New(x, build().Prog, ir.ExecReal).Run()
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("implicit on %q: error %v does not carry %q", backend, err, want)
 		}

@@ -150,7 +150,7 @@ func TestCompiledProgramControlReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim2 := realm.MustNewSim(realm.DefaultConfig(4))
-	if _, err := rt.New(sim2, prog3, rt.Real).Run(); err != nil {
+	if _, err := rt.New(sim2, prog3, ir.ExecReal).Run(); err != nil {
 		t.Fatal(err)
 	}
 }

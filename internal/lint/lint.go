@@ -6,8 +6,11 @@
 // order leaking out of Go maps.
 //
 // The package mirrors the go/analysis shape (Analyzer, Pass, Reportf)
-// without depending on golang.org/x/tools, so cmd/detlint can run both
-// standalone and as a `go vet -vettool`. Findings are suppressed with a
+// without depending on golang.org/x/tools. It has one entry point,
+// VetUnit, which cmd/detlint runs as a `go vet -vettool`: the go command
+// hands it one compilation unit at a time with the export data of every
+// import, so only the unit itself is typechecked from source. Findings
+// are suppressed with a
 //
 //	//detlint:ignore <reason>
 //

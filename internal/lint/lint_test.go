@@ -1,41 +1,48 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
 
-// writeModule lays out a throwaway module for the loader.
-func writeModule(t *testing.T, files map[string]string) string {
-	t.Helper()
-	dir := t.TempDir()
-	files["go.mod"] = "module lintcheck\n\ngo 1.24\n"
-	for name, src := range files {
-		path := filepath.Join(dir, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
+// The fixtures import only the standard library, which the source
+// importer typechecks from GOROOT once for the whole test binary.
+var (
+	fixtureFset    = token.NewFileSet()
+	fixtureImports = importer.ForCompiler(fixtureFset, "source", nil)
+)
 
+// loadAndRun typechecks each fixture file as a package of its own, named
+// by its directory under the module path lintcheck, and runs every
+// analyzer over them in path order.
 func loadAndRun(t *testing.T, files map[string]string) []Diagnostic {
 	t.Helper()
-	dir := writeModule(t, files)
-	pkgs, err := Load(dir, "./...")
-	if err != nil {
-		t.Fatal(err)
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
 	}
+	sort.Strings(names)
 	var diags []Diagnostic
-	for _, p := range pkgs {
-		diags = append(diags, Run(p.Fset, p.Files, p.Types, p.Info, All())...)
+	for _, name := range names {
+		f, err := parser.ParseFile(fixtureFset, name, files[name], parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := "lintcheck"
+		if dir := filepath.Dir(name); dir != "." {
+			path += "/" + dir
+		}
+		d, err := analyze(fixtureFset, fixtureImports, path, []*ast.File{f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags = append(diags, d...)
 	}
 	return diags
 }
@@ -238,45 +245,6 @@ func bare() time.Time {
 		[2]string{"detlint", "requires a reason"},
 		[2]string{"wallclock", "time.Now"},
 	)
-}
-
-// TestVetUnit drives the go vet -vettool entry point directly with a
-// hand-built cfg, the same JSON the go command writes.
-func TestVetUnit(t *testing.T) {
-	dir := writeModule(t, map[string]string{"a.go": `package a
-
-import "time"
-
-func Bad() time.Time { return time.Now() }
-`})
-	vetx := filepath.Join(dir, "facts.vetx")
-	cfg, err := json.Marshal(map[string]any{
-		"ImportPath": "lintcheck",
-		"Dir":        dir,
-		"GoFiles":    []string{filepath.Join(dir, "a.go"), filepath.Join(dir, "skip_test.go")},
-		"VetxOutput": vetx,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "unit.cfg")
-	if err := os.WriteFile(cfgPath, cfg, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	code, err := VetUnit(&stderr, []string{cfgPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2; stderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "time.Now reads the wall clock") {
-		t.Fatalf("stderr = %q, want a time.Now diagnostic", stderr.String())
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("facts file not written: %v", err)
-	}
 }
 
 func TestPackageAllowlist(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -13,40 +14,31 @@ import (
 	"strings"
 )
 
-// vetConfig mirrors the JSON the go command hands a -vettool per
-// compilation unit (the x/tools unitchecker wire format).
+// vetConfig is the part detlint reads of the JSON the go command hands a
+// -vettool per compilation unit (the x/tools unitchecker wire format).
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
 	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
+	ImportMap                 map[string]string // import path -> package path
+	PackageFile               map[string]string // package path -> export data
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
-// VetUnit implements one `go vet -vettool` invocation: args is the
-// argument list after the program name, expected to hold a single
-// *.cfg path. Diagnostics go to stderr in the standard file:line:col
-// format; the exit code is 0 when clean, 2 when findings exist (the
-// unitchecker convention the go command understands).
-func VetUnit(stderr io.Writer, args []string) (exitCode int, err error) {
-	if len(args) != 1 {
-		return 0, fmt.Errorf("usage: detlint unit.cfg (go vet -vettool protocol)")
-	}
-	data, err := os.ReadFile(args[0])
+// VetUnit implements one `go vet -vettool` invocation on the unit
+// described by the *.cfg file at cfgPath. Diagnostics go to stderr in the
+// standard file:line:col format; the exit code is 0 when clean, 2 when
+// findings exist (the unitchecker convention the go command understands).
+func VetUnit(stderr io.Writer, cfgPath string) (exitCode int, err error) {
+	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		return 0, err
 	}
 	var cfg vetConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
-		return 0, fmt.Errorf("parsing vet config %s: %v", args[0], err)
+		return 0, fmt.Errorf("parsing vet config %s: %v", cfgPath, err)
 	}
 	// detlint carries no facts between packages, but the go command
 	// expects the facts file to exist for caching and downstream units.
@@ -61,8 +53,7 @@ func VetUnit(stderr io.Writer, args []string) (exitCode int, err error) {
 	// go vet merges a package's _test.go files into its unit (and emits
 	// external _test packages as their own units). The determinism
 	// contract covers shipped code only, so analyze just the non-test
-	// sources; dependency closures from `go list -deps` then suffice to
-	// typecheck them. An all-test unit has nothing to analyze.
+	// sources. An all-test unit has nothing to analyze.
 	shipped := cfg.GoFiles[:0]
 	for _, f := range cfg.GoFiles {
 		if !strings.HasSuffix(f, "_test.go") {
@@ -89,16 +80,11 @@ func VetUnit(stderr io.Writer, args []string) (exitCode int, err error) {
 	return 0, nil
 }
 
-// analyzeUnit typechecks the unit's sources and runs the analyzers. The
-// go command supplies compiled export data for every import, but its
-// format is toolchain-internal; instead the unit's dependency closure is
-// reloaded from source via the same loader the standalone mode uses —
-// slower, but self-contained.
+// analyzeUnit typechecks the unit's sources and runs the analyzers. Every
+// import is read from the export data the go command compiled for it
+// (cfg.PackageFile), so only the unit itself is checked from source.
 func analyzeUnit(cfg *vetConfig) ([]Diagnostic, error) {
-	deps, fset, err := loadDeps(cfg)
-	if err != nil {
-		return nil, err
-	}
+	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, name := range cfg.GoFiles {
 		path := name
@@ -111,6 +97,25 @@ func analyzeUnit(cfg *vetConfig) ([]Diagnostic, error) {
 		}
 		files = append(files, f)
 	}
+	exports := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := cfg.PackageFile[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	imports := importerFunc(func(path string) (*types.Package, error) {
+		if mapped, ok := cfg.ImportMap[path]; ok {
+			path = mapped
+		}
+		return exports.Import(path)
+	})
+	return analyze(fset, imports, cfg.ImportPath, files)
+}
+
+// analyze typechecks one package's parsed files, resolving its imports
+// through imp, and runs every analyzer over it.
+func analyze(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) ([]Diagnostic, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
@@ -118,52 +123,15 @@ func analyzeUnit(cfg *vetConfig) ([]Diagnostic, error) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{
-		Importer:    importerFunc(func(path string) (*types.Package, error) { return deps.Import(vetImportPath(cfg, path)) }),
+		Importer:    imp,
 		FakeImportC: true,
 		Error:       func(error) {},
 	}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
+	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, err
 	}
 	return Run(fset, files, pkg, info, All()), nil
-}
-
-// vetImportPath resolves a source-level import path through the unit's
-// vendor/ImportMap indirection.
-func vetImportPath(cfg *vetConfig, path string) string {
-	if mapped, ok := cfg.ImportMap[path]; ok {
-		return mapped
-	}
-	return path
-}
-
-// loadDeps typechecks the unit's import closure from source, reusing the
-// standalone loader by listing the unit's package directory.
-func loadDeps(cfg *vetConfig) (*loader, *token.FileSet, error) {
-	fset := token.NewFileSet()
-	ld := &loader{fset: fset, pkgs: map[string]*types.Package{"unsafe": types.Unsafe}}
-	pkgs, err := listDeps(cfg.Dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, lp := range pkgs {
-		if lp.ImportPath == "unsafe" || lp.ImportPath == cfg.ImportPath {
-			continue
-		}
-		pkg, _, _, err := ld.checkDep(lp)
-		if err != nil {
-			return nil, nil, fmt.Errorf("typecheck dependency %s: %v", lp.ImportPath, err)
-		}
-		ld.pkgs[lp.ImportPath] = pkg
-	}
-	return ld, fset, nil
-}
-
-func (l *loader) checkDep(lp *listPkg) (*types.Package, []*ast.File, *types.Info, error) {
-	dep := *lp
-	dep.DepOnly = true
-	return l.check(&dep)
 }
 
 type importerFunc func(string) (*types.Package, error)

@@ -23,7 +23,7 @@ func TestCustomMapperPreservesSemantics(t *testing.T) {
 
 	f2 := progtest.NewFigure2(48, 8, 3)
 	sim := realm.MustNewSim(testConfig(4))
-	eng := New(sim, f2.Prog, Real)
+	eng := New(sim, f2.Prog, ir.ExecReal)
 	eng.Map = reverseMapper{}
 	res, err := eng.Run()
 	if err != nil {
@@ -64,7 +64,7 @@ func TestNestedLoops(t *testing.T) {
 		}},
 	)
 	sim := realm.MustNewSim(testConfig(2))
-	res, err := New(sim, p, Real).Run()
+	res, err := New(sim, p, ir.ExecReal).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSetScalarForcesFuture(t *testing.T) {
 	// the control thread and compute from the resolved value.
 	f := progtest.NewScalarSum(40, 8)
 	sim := realm.MustNewSim(testConfig(4))
-	res, err := New(sim, f.Prog, Real).Run()
+	res, err := New(sim, f.Prog, ir.ExecReal).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRtNoiseSlowsAndStaysDeterministic(t *testing.T) {
 	run := func(noise realm.NoiseFn) realm.Time {
 		f := progtest.NewFigure2(48, 8, 5)
 		sim := realm.MustNewSim(testConfig(4))
-		eng := New(sim, f.Prog, Modeled)
+		eng := New(sim, f.Prog, ir.ExecModeled)
 		eng.Over.Noise = noise
 		res, err := eng.Run()
 		if err != nil {
@@ -116,7 +116,7 @@ func TestCyclicMapperCostsMoreCommunication(t *testing.T) {
 	run := func(m Mapper) int64 {
 		f := progtest.NewFigure2(96, 8, 3)
 		sim := realm.MustNewSim(testConfig(4))
-		eng := New(sim, f.Prog, Modeled)
+		eng := New(sim, f.Prog, ir.ExecModeled)
 		eng.Map = m
 		if _, err := eng.Run(); err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ func TestKernelPanicSurfacesAsError(t *testing.T) {
 		tc.Args[1].Set(f.Val, tc.Args[1].Region.IndexSpace().Bounds().Lo, 1)
 	}
 	sim := realm.MustNewSim(testConfig(2))
-	_, err := New(sim, f.Prog, Real).Run()
+	_, err := New(sim, f.Prog, ir.ExecReal).Run()
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("expected kernel panic to surface as error, got %v", err)
 	}
@@ -40,7 +40,7 @@ func TestMidLoopKernelPanicSurfacesAsError(t *testing.T) {
 		good(tc)
 	}
 	sim := realm.MustNewSim(testConfig(2))
-	_, err := New(sim, f.Prog, Real).Run()
+	_, err := New(sim, f.Prog, ir.ExecReal).Run()
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("expected mid-loop kernel panic to surface as error, got %v", err)
 	}
@@ -62,7 +62,7 @@ func TestInjectedCrashSurfacesAsDeadlock(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := New(sim, f.Prog, Real).Run()
+		res, err := New(sim, f.Prog, ir.ExecReal).Run()
 		if err != nil {
 			return 0, err
 		}

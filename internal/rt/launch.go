@@ -141,7 +141,7 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 	// never touches either, so it skips the allocations.
 	var ctxs []*ir.TaskCtx
 	var redBufs [][]*region.Store // by color, then argument
-	if e.Mode == Real {
+	if e.Mode == ir.ExecReal {
 		ctxs = make([]*ir.TaskCtx, numColors)
 		redBufs = make([][]*region.Store, numColors)
 	}
@@ -182,7 +182,7 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 		}
 
 		var body func()
-		if e.Mode == Real {
+		if e.Mode == ir.ExecReal {
 			ctx, bufs := e.rootArgs.Ctx(l, idx, scalars)
 			ctxs[idx], redBufs[idx] = ctx, bufs
 			if l.Task.Kernel != nil {
@@ -207,7 +207,7 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 		}
 		for idx, c := range l.Domain {
 			var body func()
-			if e.Mode == Real {
+			if e.Mode == ir.ExecReal {
 				sub := l.Args[ai].At(c)
 				buf := redBufs[idx][ai]
 				global := e.stores[sub.Root()]

@@ -46,15 +46,6 @@ func sortedRoots[V any](m map[*region.Region]V) []*region.Region {
 	return rs
 }
 
-// Mode selects real kernel execution or cost-model-only execution.
-type Mode = ir.ExecMode
-
-// Execution modes.
-const (
-	Real    = ir.ExecReal
-	Modeled = ir.ExecModeled
-)
-
 // Overheads are the runtime's control-plane cost parameters. A "task" here
 // is node-granular (one task per node per launch, standing for a node's
 // worth of the paper's per-core tasks), so per-task costs are calibrated as
@@ -139,7 +130,7 @@ type Result struct {
 type Engine struct {
 	Sim  realm.Exec
 	Prog *ir.Program
-	Mode Mode
+	Mode ir.ExecMode
 	Over Overheads
 	Map  Mapper
 	// NoTrace disables trace capture & replay of loop bodies (see trace.go);
@@ -176,7 +167,7 @@ type Engine struct {
 func (e *Engine) TraceStats() TraceStats { return e.traceStats }
 
 // New creates an engine with default mapper.
-func New(sim realm.Exec, prog *ir.Program, mode Mode) *Engine {
+func New(sim realm.Exec, prog *ir.Program, mode ir.ExecMode) *Engine {
 	return &Engine{
 		Sim:  sim,
 		Prog: prog,
@@ -195,7 +186,7 @@ func (e *Engine) Run() (*Result, error) {
 	ir.NormalizeProjections(e.Prog)
 
 	e.stores = make(map[*region.Region]*region.Store)
-	if e.Mode == Real {
+	if e.Mode == ir.ExecReal {
 		for _, root := range sortedRoots(e.Prog.FieldSpaces) {
 			e.stores[root] = region.NewStore(root.IndexSpace(), e.Prog.FieldSpaces[root])
 		}

@@ -23,7 +23,7 @@ func runBoth(t *testing.T, prog *ir.Program, nodes int) (*ir.SeqResult, *Result)
 	t.Helper()
 	seq := ir.ExecSequential(prog)
 	sim := realm.MustNewSim(testConfig(nodes))
-	eng := New(sim, prog, Real)
+	eng := New(sim, prog, ir.ExecReal)
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestImplicitDeterministic(t *testing.T) {
 	run := func() (realm.Time, realm.Stats) {
 		f := progtest.NewFigure2(48, 8, 3)
 		sim := realm.MustNewSim(testConfig(4))
-		eng := New(sim, f.Prog, Real)
+		eng := New(sim, f.Prog, ir.ExecReal)
 		res, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestImplicitDeterministic(t *testing.T) {
 func TestModeledModeRunsWithoutStores(t *testing.T) {
 	f := progtest.NewFigure2(1000, 8, 5)
 	sim := realm.MustNewSim(testConfig(4))
-	eng := New(sim, f.Prog, Modeled)
+	eng := New(sim, f.Prog, ir.ExecModeled)
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -134,13 +134,13 @@ func TestModeledMatchesRealTiming(t *testing.T) {
 	// The virtual-time behaviour must not depend on whether kernels run.
 	f1 := progtest.NewFigure2(64, 8, 3)
 	sim1 := realm.MustNewSim(testConfig(4))
-	r1, err := New(sim1, f1.Prog, Real).Run()
+	r1, err := New(sim1, f1.Prog, ir.ExecReal).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	f2 := progtest.NewFigure2(64, 8, 3)
 	sim2 := realm.MustNewSim(testConfig(4))
-	r2, err := New(sim2, f2.Prog, Modeled).Run()
+	r2, err := New(sim2, f2.Prog, ir.ExecModeled).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestModeledMatchesRealTiming(t *testing.T) {
 func TestDataMovementOnlyAcrossNodes(t *testing.T) {
 	f1 := progtest.NewFigure2(48, 8, 2)
 	sim1 := realm.MustNewSim(testConfig(1))
-	if _, err := New(sim1, f1.Prog, Real).Run(); err != nil {
+	if _, err := New(sim1, f1.Prog, ir.ExecReal).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if sim1.Stats().Messages != 0 {
@@ -161,7 +161,7 @@ func TestDataMovementOnlyAcrossNodes(t *testing.T) {
 
 	f2 := progtest.NewFigure2(48, 8, 2)
 	sim2 := realm.MustNewSim(testConfig(4))
-	if _, err := New(sim2, f2.Prog, Real).Run(); err != nil {
+	if _, err := New(sim2, f2.Prog, ir.ExecReal).Run(); err != nil {
 		t.Fatal(err)
 	}
 	st := sim2.Stats()
@@ -181,7 +181,7 @@ func TestControlOverheadScalesWithTasks(t *testing.T) {
 			s.(*ir.Launch).Task.CostPerElem = 0.1
 		}
 		sim := realm.MustNewSim(testConfig(nodes))
-		eng := New(sim, f.Prog, Modeled)
+		eng := New(sim, f.Prog, ir.ExecModeled)
 		res, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -206,7 +206,7 @@ func TestPipelining(t *testing.T) {
 		s.(*ir.Launch).Task.CostPerElem = 4000 // ~4 ms per task kernel
 	}
 	sim := realm.MustNewSim(testConfig(4))
-	eng := New(sim, f.Prog, Modeled)
+	eng := New(sim, f.Prog, ir.ExecModeled)
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestIntraLaunchConflictRejected(t *testing.T) {
 	}
 	p.Add(&ir.Launch{Task: bad, Domain: ir.Colors1D(4), Args: []ir.RegionArg{{Part: pr}, {Part: img}}})
 	sim := realm.MustNewSim(testConfig(2))
-	_, err := New(sim, p, Real).Run()
+	_, err := New(sim, p, ir.ExecReal).Run()
 	if err == nil || !strings.Contains(err.Error(), "conflicting aliased arguments") {
 		t.Errorf("expected intra-launch conflict error, got %v", err)
 	}
@@ -251,7 +251,7 @@ func TestUseDominationKeepsHistoryBounded(t *testing.T) {
 	// history: full-partition writers absorb earlier epochs.
 	f := progtest.NewFigure2(48, 8, 20)
 	sim := realm.MustNewSim(testConfig(2))
-	eng := New(sim, f.Prog, Modeled)
+	eng := New(sim, f.Prog, ir.ExecModeled)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Pinned schedules of the implicit runtime. testdata/schedule_golden.json
-// records, for every {program} x {1, 4 nodes} x {Modeled, Real} cell, the
+// records, for every {program} x {1, 4 nodes} x {ir.ExecModeled, ir.ExecReal} cell, the
 // virtual time of the run and of every iteration, every machine counter, the
 // trace counters and (Real mode) a hash of each final store, generated on the commit that still issued a
 // replayed launch through its own function. Random programs trip 1-3 times
@@ -130,7 +130,7 @@ func hashStores(stores map[*region.Region]*region.Store) map[string]string {
 // runGoldenCell runs one freshly built program on the DES. The overheads
 // exercise every term of the control thread's charge and the noise scaling
 // of kernel durations.
-func runGoldenCell(p goldenProg, nodes int, mode rt.Mode, noTrace bool) scheduleCell {
+func runGoldenCell(p goldenProg, nodes int, mode ir.ExecMode, noTrace bool) scheduleCell {
 	cfg := realm.DefaultConfig(nodes)
 	cfg.CoresPerNode = 4
 	prog := p.build(nodes)
@@ -169,9 +169,9 @@ func TestScheduleGolden(t *testing.T) {
 	replayed := 0
 	for _, p := range goldenProgs() {
 		for _, nodes := range []int{1, 4} {
-			for _, mode := range []rt.Mode{rt.Modeled, rt.Real} {
+			for _, mode := range []ir.ExecMode{ir.ExecModeled, ir.ExecReal} {
 				modeName := "modeled"
-				if mode == rt.Real {
+				if mode == ir.ExecReal {
 					modeName = "real"
 				}
 				key := fmt.Sprintf("%s/%d/%s", p.name, nodes, modeName)
@@ -194,7 +194,7 @@ func TestScheduleGolden(t *testing.T) {
 				} else if !reflect.DeepEqual(on, want) {
 					t.Errorf("%s:\n got %+v\nwant %+v", key, on, want)
 				}
-				if mode == rt.Real && on.Err == "" {
+				if mode == ir.ExecReal && on.Err == "" {
 					seq := hashStores(ir.ExecSequential(p.build(nodes)).Stores)
 					if !reflect.DeepEqual(on.Stores, seq) {
 						t.Errorf("%s: stores %v, sequential semantics give %v", key, on.Stores, seq)

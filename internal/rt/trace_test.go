@@ -14,7 +14,7 @@ import (
 
 // runWithTrace runs a freshly built program under the engine and returns
 // the result plus the trace counters.
-func runWithTrace(t *testing.T, prog *ir.Program, nodes int, mode Mode, noTrace bool) (*Result, TraceStats) {
+func runWithTrace(t *testing.T, prog *ir.Program, nodes int, mode ir.ExecMode, noTrace bool) (*Result, TraceStats) {
 	t.Helper()
 	sim := realm.MustNewSim(testConfig(nodes))
 	eng := New(sim, prog, mode)
@@ -32,7 +32,7 @@ func runWithTrace(t *testing.T, prog *ir.Program, nodes int, mode Mode, noTrace 
 // actually engages (promotes and replays) rather than silently falling
 // back.
 func TestTraceReplayMatchesUntraced(t *testing.T) {
-	for _, mode := range []Mode{Real, Modeled} {
+	for _, mode := range []ir.ExecMode{ir.ExecReal, ir.ExecModeled} {
 		f := progtest.NewFigure2(96, 8, 10)
 		ref, offStats := runWithTrace(t, f.Prog, 4, mode, true)
 		f2 := progtest.NewFigure2(96, 8, 10)
@@ -53,7 +53,7 @@ func TestTraceReplayMatchesUntraced(t *testing.T) {
 		if got.Stats != ref.Stats {
 			t.Errorf("mode %v: Stats %+v with trace, %+v without", mode, got.Stats, ref.Stats)
 		}
-		if mode == Real {
+		if mode == ir.ExecReal {
 			for _, pair := range [][2]*region.Region{{f.A, f2.A}, {f.B, f2.B}} {
 				refR, gotR := pair[0], pair[1]
 				refSt, gotSt := ref.Stores[refR], got.Stores[gotR]
@@ -78,7 +78,7 @@ func TestTraceReplayMatchesUntraced(t *testing.T) {
 // actually engages.
 func TestTraceDedupsSharedPoints(t *testing.T) {
 	f := progtest.NewFigure2(96, 8, 10)
-	_, stats := runWithTrace(t, f.Prog, 4, Modeled, false)
+	_, stats := runWithTrace(t, f.Prog, 4, ir.ExecModeled, false)
 	if stats.Promotions < 1 {
 		t.Fatalf("trace did not promote: %+v", stats)
 	}
@@ -90,8 +90,8 @@ func TestTraceDedupsSharedPoints(t *testing.T) {
 // TestTraceReplayDeterministic runs the traced engine twice and requires
 // identical virtual outcomes.
 func TestTraceReplayDeterministic(t *testing.T) {
-	a, _ := runWithTrace(t, progtest.NewFigure2(96, 8, 10).Prog, 4, Modeled, false)
-	b, _ := runWithTrace(t, progtest.NewFigure2(96, 8, 10).Prog, 4, Modeled, false)
+	a, _ := runWithTrace(t, progtest.NewFigure2(96, 8, 10).Prog, 4, ir.ExecModeled, false)
+	b, _ := runWithTrace(t, progtest.NewFigure2(96, 8, 10).Prog, 4, ir.ExecModeled, false)
 	if a.Elapsed != b.Elapsed || a.Stats != b.Stats {
 		t.Fatalf("traced run not deterministic: %v/%+v vs %v/%+v", a.Elapsed, a.Stats, b.Elapsed, b.Stats)
 	}
@@ -167,9 +167,9 @@ func repartitionProgram(n, nt int64, trip, swapAt int, aliased bool) (*ir.Progra
 func TestTraceRepartitionInvalidatesMidLoop(t *testing.T) {
 	const trip, swapAt = 14, 6
 	prog, r, v := repartitionProgram(64, 8, trip, swapAt, false)
-	ref, _ := runWithTrace(t, prog, 4, Real, true)
+	ref, _ := runWithTrace(t, prog, 4, ir.ExecReal, true)
 	prog2, r2, _ := repartitionProgram(64, 8, trip, swapAt, false)
-	got, stats := runWithTrace(t, prog2, 4, Real, false)
+	got, stats := runWithTrace(t, prog2, 4, ir.ExecReal, false)
 
 	if stats.Invalidations < 1 {
 		t.Fatalf("repartition did not invalidate the trace: %+v", stats)
@@ -210,7 +210,7 @@ func TestRepartitionedLaunchRunsOverNewSubregions(t *testing.T) {
 				return true
 			})
 		}
-		res, _ := runWithTrace(t, prog, 4, Real, noTrace)
+		res, _ := runWithTrace(t, prog, 4, ir.ExecReal, noTrace)
 		for x := int64(0); x < 16; x++ {
 			want := float64(x + 4*(1+x/4))
 			if x == 4 || x == 5 {
@@ -233,7 +233,7 @@ func TestRepartitionOntoAliasedPartitionRejected(t *testing.T) {
 	for _, swapAt := range []int{0, 3} {
 		for _, noTrace := range []bool{false, true} {
 			prog, _, _ := repartitionProgram(64, 8, 8, swapAt, true)
-			eng := New(realm.MustNewSim(testConfig(4)), prog, Real)
+			eng := New(realm.MustNewSim(testConfig(4)), prog, ir.ExecReal)
 			eng.NoTrace = noTrace
 			_, err := eng.Run()
 			if err == nil || !strings.Contains(err.Error(), want) {
@@ -271,8 +271,8 @@ func nonStationaryProgram() *ir.Program {
 // fixpoint. Capture must give up after its attempt budget and leave the
 // (correct) full analysis in charge.
 func TestTraceNonStationaryFallsBack(t *testing.T) {
-	ref, _ := runWithTrace(t, nonStationaryProgram(), 2, Modeled, true)
-	got, stats := runWithTrace(t, nonStationaryProgram(), 2, Modeled, false)
+	ref, _ := runWithTrace(t, nonStationaryProgram(), 2, ir.ExecModeled, true)
+	got, stats := runWithTrace(t, nonStationaryProgram(), 2, ir.ExecModeled, false)
 	if stats.Abandoned != 1 || stats.Promotions != 0 {
 		t.Fatalf("non-stationary loop should abandon capture: %+v", stats)
 	}
@@ -293,7 +293,7 @@ func TestTraceReplayAllocRegression(t *testing.T) {
 		// floor is minimal and the per-iteration delta is dominated by the
 		// dependence-analysis path the trace is meant to eliminate.
 		sim := realm.MustNewSim(testConfig(1))
-		eng := New(sim, f.Prog, Modeled)
+		eng := New(sim, f.Prog, ir.ExecModeled)
 		eng.NoTrace = noTrace
 		runtime.GC()
 		var m0, m1 runtime.MemStats

@@ -152,7 +152,7 @@ func TestCRBeatsImplicitAtScale(t *testing.T) {
 
 	fImp := build()
 	simImp := realm.MustNewSim(testConfig(nodes))
-	impl := rt.New(simImp, fImp.Prog, rt.Modeled)
+	impl := rt.New(simImp, fImp.Prog, ir.ExecModeled)
 	resImp, err := impl.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 		seq := ir.ExecSequential(prog)
 
 		simImp := realm.MustNewSim(testConfig(3))
-		resImp, err := rt.New(simImp, prog, rt.Real).Run()
+		resImp, err := rt.New(simImp, prog, ir.ExecReal).Run()
 		if err != nil {
 			t.Fatalf("seed %d: implicit: %v", seed, err)
 		}
