@@ -1,13 +1,14 @@
-// Package repro_test holds the top-level benchmark harness: one benchmark
-// per figure and table of the paper's evaluation section. Each benchmark
-// regenerates its figure's data series (throughput per node across the
-// weak-scaling node sweep, for every system variant) on the simulated
-// machine and prints the same rows the paper plots. Run with:
+// Package repro_test holds the figure benchmarks that CI diffs: Figure 6
+// and Figure 8 with their ablations (each must print the default's figure
+// byte for byte) and Figure 6 on the native backend. Each figure benchmark
+// regenerates the data series (throughput per node across the weak-scaling
+// node sweep, for every system variant) on the simulated machine and
+// prints the same rows the paper plots. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run XXX -bench . -benchtime 1x
 //
 // The benchmarks use a condensed node sweep to stay fast; cmd/weakscale
-// runs the full 1..1024 sweep.
+// runs the full 1..1024 sweep of every figure and cmd/intersect Table 1.
 package repro_test
 
 import (
@@ -64,19 +65,6 @@ func BenchmarkFigure6StencilNoTrace(b *testing.B) {
 	runFigure(b, "stencil", bench.MeasureOpts{NoTrace: true})
 }
 
-// BenchmarkFigure6StencilNoShare is the trace-sharing ablation of Figure 6:
-// tracing stays on but every shard captures its own plan (the O(shards)
-// behavior) instead of specializing one shared capture. The printed figure
-// must be byte-identical to BenchmarkFigure6Stencil; only host wall-clock
-// capture work differs.
-func BenchmarkFigure6StencilNoShare(b *testing.B) {
-	runFigure(b, "stencil", bench.MeasureOpts{NoShare: true})
-}
-
-// BenchmarkFigure7 regenerates Figure 7: MiniAero weak scaling (Regent vs
-// MPI+Kokkos in rank-per-core and rank-per-node configurations).
-func BenchmarkFigure7MiniAero(b *testing.B) { runFigure(b, "miniaero", bench.MeasureOpts{}) }
-
 // BenchmarkFigure8 regenerates Figure 8: PENNANT weak scaling (Regent vs
 // MPI and MPI+OpenMP, with the per-cycle dt allreduce).
 func BenchmarkFigure8PENNANT(b *testing.B) { runFigure(b, "pennant", bench.MeasureOpts{}) }
@@ -88,32 +76,6 @@ func BenchmarkFigure8PENNANT(b *testing.B) { runFigure(b, "pennant", bench.Measu
 // and dead initialization copies, never a modeled result.
 func BenchmarkFigure8PENNANTPrune(b *testing.B) {
 	runFigure(b, "pennant", bench.MeasureOpts{Prune: true})
-}
-
-// BenchmarkFigure9 regenerates Figure 9: Circuit weak scaling (Regent with
-// vs without control replication).
-func BenchmarkFigure9Circuit(b *testing.B) { runFigure(b, "circuit", bench.MeasureOpts{}) }
-
-// BenchmarkTable1 regenerates Table 1: wall-clock running times of the
-// shallow and complete region-intersection phases for each application at
-// 64 and 1024 nodes.
-func BenchmarkTable1Intersections(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table1Parallel([]int{64, 1024}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println()
-			fmt.Print(harness.FormatTable1(rows))
-			for _, r := range rows {
-				if r.Nodes == 1024 {
-					b.ReportMetric(r.ShallowMs, r.App+"-shallow-ms")
-					b.ReportMetric(r.CompleteMs, r.App+"-complete-ms")
-				}
-			}
-		}
-	}
 }
 
 // BenchmarkFigure6StencilNative runs the Figure 6 stencil under control

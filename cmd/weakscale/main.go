@@ -75,10 +75,10 @@
 // wall-clock — so the flag exists to demonstrate exactly that; the replay
 // counters (rt.replayed_launches, spmd.replayed_iters) read 0.
 //
-// -trace-share=off keeps tracing but disables cross-shard sharing: every
-// SPMD shard captures its own plan (the O(shards) PR 3 behavior) instead
-// of specializing one shared capture. Series are identical either way; the
-// capture counters show the O(shards)-vs-O(1) difference.
+// -trace-share=off keeps tracing but disables cross-shard sharing: no
+// shared capture is recorded (and none is shipped on failover), so every
+// SPMD shard plan counts as a per-shard capture. Resolution is the same
+// code either way; only the capture counters and failover shipping differ.
 //
 // -faults injects deterministic node crashes into every measurement cell:
 // seed is the base fault seed (each cell derives its own), rate is the

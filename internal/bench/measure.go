@@ -115,10 +115,10 @@ type MeasureOpts struct {
 	// simulated schedule is identical either way — the flag exists for the
 	// trace ablation series and wall-clock comparisons.
 	NoTrace bool
-	// NoShare disables cross-shard trace sharing in the SPMD executor:
-	// every shard captures its own plan (O(shards) capture work) instead of
-	// specializing one shared capture. Schedules are identical either way —
-	// the flag exists for the -trace-share ablation.
+	// NoShare disables cross-shard trace sharing in the SPMD executor: no
+	// shared capture is recorded or shipped on failover, and every shard
+	// plan counts as a per-shard capture. Resolution and schedules are
+	// identical either way — the flag exists for the -trace-share ablation.
 	NoShare bool
 	// Backend selects the realm backend: BackendDES ("" or "des") runs the
 	// deterministic simulator in Modeled mode and reports virtual time;

@@ -13,6 +13,7 @@ import (
 	"repro/internal/apps/stencil"
 	"repro/internal/bench"
 	"repro/internal/cr"
+	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/realm"
 	"repro/internal/region"
@@ -158,6 +159,79 @@ func TestNativeImplicitMatchesDES(t *testing.T) {
 	requireSameResults(t, "implicit",
 		&spmd.Result{Stores: want.Stores, Env: want.Env},
 		&spmd.Result{Stores: got.Stores, Env: got.Env})
+}
+
+// scalarFeedback builds a loop whose sum reduction "s" feeds the next
+// launch's scalar argument and, after the loop, the result environment:
+// every iteration forces the future on the reader (rt's control thread,
+// every spmd shard), and the fractional contributions make the fold order
+// visible in the bits.
+func scalarFeedback() *ir.Program {
+	p := ir.NewProgram("scalar-feedback")
+	fs := region.NewFieldSpace("x")
+	x := fs.Field("x")
+	r := p.Tree.NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, 47)))
+	p.FieldSpaces[r] = fs
+	pr := r.Block("PR", 8)
+	fold := &ir.TaskDecl{
+		Name:   "fold",
+		Params: []ir.Param{{Priv: ir.PrivRead, Fields: []region.FieldID{x}}},
+		Kernel: func(tc *ir.TaskCtx) {
+			a := &tc.Args[0]
+			a.Each(func(pt geometry.Point) bool {
+				tc.Return += a.Get(x, pt) * 0.1
+				return true
+			})
+		},
+		CostPerElem: 50,
+	}
+	scale := &ir.TaskDecl{
+		Name:       "scale",
+		Params:     []ir.Param{{Priv: ir.PrivReadWrite, Fields: []region.FieldID{x}}},
+		NumScalars: 1,
+		Kernel: func(tc *ir.TaskCtx) {
+			a := &tc.Args[0]
+			a.Each(func(pt geometry.Point) bool {
+				a.Set(x, pt, a.Get(x, pt)*1.01+tc.Scalars[0]*1e-3)
+				return true
+			})
+		},
+		CostPerElem: 50,
+	}
+	p.Scalars["s"] = 0.5
+	p.Add(
+		&ir.FillFunc{Target: r, Field: x, Fn: func(pt geometry.Point) float64 { return float64(pt.X()) / 3 }},
+		&ir.Loop{Var: "t", Trip: 4, Body: []ir.Stmt{
+			&ir.Launch{Task: scale, Domain: ir.Colors1D(8), Args: []ir.RegionArg{{Part: pr}},
+				ScalarArgs: []ir.ScalarExpr{ir.VarExpr("s")}},
+			&ir.Launch{Task: fold, Domain: ir.Colors1D(8), Args: []ir.RegionArg{{Part: pr}},
+				Reduce: &ir.ScalarReduce{Into: "s", Op: region.ReduceSum}},
+		}},
+	)
+	return p
+}
+
+// TestFuturesEnvMatchesSequential: both engines read scalar reductions
+// through realm.Futures; on both backends their final environment and
+// stores are bitwise equal to sequential semantics.
+func TestFuturesEnvMatchesSequential(t *testing.T) {
+	const nodes = 4
+	seqProg := scalarFeedback()
+	seq := ir.ExecSequential(seqProg)
+	want := &spmd.Result{Stores: seq.Stores, Env: seq.Env}
+	for _, backend := range []string{bench.BackendDES, bench.BackendNative} {
+		x, err := bench.NewExec(backend, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imp, err := rt.New(x, scalarFeedback(), ir.ExecReal).Run()
+		if err != nil {
+			t.Fatalf("rt/%s: %v", backend, err)
+		}
+		requireSameResults(t, "rt/"+backend, want, &spmd.Result{Stores: imp.Stores, Env: imp.Env})
+		requireSameResults(t, "spmd/"+backend, want,
+			runSPMD(t, scalarFeedback(), nodes, cr.PointToPoint, false, false, backend))
+	}
 }
 
 // runSPMDRecov executes a freshly built program on the given backend with

@@ -97,10 +97,9 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 
 	var scalars []float64
 	if n := len(l.ScalarArgs); n > 0 {
-		env := e.ctlEnv()
 		scalars = make([]float64, n)
 		for i, ex := range l.ScalarArgs {
-			scalars[i] = ex(env) // forces future-valued scalars
+			scalars[i] = ex(e.env) // forces future-valued scalars
 		}
 	}
 
@@ -241,18 +240,15 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 	if l.Reduce != nil {
 		all := e.Sim.Merge(taskDone...)
 		op := l.Reduce.Op
-		e.env[l.Reduce.Into] = &scalarVal{
-			ev: all,
-			val: func() float64 {
-				acc := op.Identity()
-				for _, ctx := range ctxs {
-					if ctx != nil {
-						acc = op.Fold(acc, ctx.Return)
-					}
+		e.env.SetFuture(l.Reduce.Into, all, func() float64 {
+			acc := op.Identity()
+			for _, ctx := range ctxs {
+				if ctx != nil {
+					acc = op.Fold(acc, ctx.Return)
 				}
-				return acc
-			},
-		}
+			}
+			return acc
+		})
 		e.iterEvents = append(e.iterEvents, all)
 	}
 }

@@ -24,18 +24,6 @@ import (
 	"repro/internal/region"
 )
 
-// sortedKeys returns the map's keys in sorted order so that ranges which
-// construct shared state or force scalar futures stay deterministic
-// (detlint maprange).
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
 // sortedRoots returns region roots ordered by creation ID.
 func sortedRoots[V any](m map[*region.Region]V) []*region.Region {
 	rs := make([]*region.Region, 0, len(m))
@@ -141,7 +129,7 @@ type Engine struct {
 	stores     map[*region.Region]*region.Store
 	rootArgs   *ir.RootArgs // Real mode: task contexts over stores
 	users      map[*region.Region][]*use
-	env        map[string]*scalarVal
+	env        *realm.Futures // the control thread's scalar bindings
 	ctl        realm.Agent
 	pairCache  map[pairKey][]pairInfo
 	unionCache map[*region.Partition]geometry.IndexSpace
@@ -193,10 +181,6 @@ func (e *Engine) Run() (*Result, error) {
 		e.rootArgs = &ir.RootArgs{Stores: e.stores}
 	}
 	e.users = make(map[*region.Region][]*use)
-	e.env = make(map[string]*scalarVal)
-	for _, k := range sortedKeys(e.Prog.Scalars) {
-		e.env[k] = resolvedScalar(e.Prog.Scalars[k])
-	}
 	e.pairCache = make(map[pairKey][]pairInfo)
 	e.unionCache = make(map[*region.Partition]geometry.IndexSpace)
 	e.coverCache = make(map[pairKey]bool)
@@ -207,23 +191,21 @@ func (e *Engine) Run() (*Result, error) {
 	// recovery layer) comes back as a *realm.DeadlockError.
 	elapsed, err := realm.RunControl(e.Sim, "rt", "control", func(ctl realm.Agent) {
 		e.ctl = ctl
+		e.env = realm.NewFutures("rt", ctl, e.Prog.Scalars)
 		e.execStmts(e.Prog.Stmts)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{
+	// Every future has resolved by now, so the snapshot waits on nothing.
+	return &Result{
 		Stores:    e.stores,
-		Env:       ir.MapEnv{},
+		Env:       e.env.Snapshot(),
 		IterTimes: e.iterTimes,
 		Elapsed:   elapsed,
 		Stats:     e.Sim.Stats(),
-	}
-	for _, k := range sortedKeys(e.env) {
-		res.Env[k] = e.env[k].val()
-	}
-	return res, nil
+	}, nil
 }
 
 // execStmts interprets statements on the control thread.
@@ -239,7 +221,7 @@ func (e *Engine) execStmts(stmts []ir.Stmt) {
 				ir.FillRegion(st, s.Target, s.Field, s.Fn)
 			}
 		case *ir.SetScalar:
-			e.env[s.Name] = resolvedScalar(s.Expr(e.ctlEnv()))
+			e.env.Set(s.Name, s.Expr(e.env))
 		case *ir.Loop:
 			e.execLoop(s)
 		case *ir.Launch:
@@ -266,7 +248,7 @@ func (e *Engine) execLoop(l *ir.Loop) {
 		if t >= window {
 			e.ctl.WaitEvent(iterDone[t-window])
 		}
-		e.env[l.Var] = resolvedScalar(float64(t))
+		e.env.Set(l.Var, float64(t))
 		e.curIter = t
 		e.iterEvents = nil
 		if ts != nil {

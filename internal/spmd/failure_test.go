@@ -240,7 +240,7 @@ func TestCrashDuringCheckpointCapture(t *testing.T) {
 }
 
 // TestDoubleFailover lands a second crash inside the first crash's
-// recovery window (after the backoff, during the guarded restore/re-run),
+// recovery window (after the backoff, during the watched restore/re-run),
 // so the restart path itself fails over again. With a budget of two
 // retries both are consumed back-to-back, both failovers complete, and the
 // stores still come out bitwise correct.
@@ -365,7 +365,7 @@ func TestUnrecoverableDegradesToPartialResults(t *testing.T) {
 	f := build()
 	rec := Recovery{CheckpointEvery: 2, MaxRetries: 2, Backoff: realm.Microseconds(5)}
 	// The second and third crashes are timed to land inside the recovery
-	// attempts that follow the first (after each backoff, during the guarded
+	// attempts that follow the first (after each backoff, during the watched
 	// restore/re-run), so no epoch ever completes between failures and the
 	// retry budget of 2 exhausts. Fault injection is deterministic, so this
 	// timing holds on every run.

@@ -86,8 +86,11 @@ func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 	if stats.Captures != stats0.Captures || stats.PerShardCaptures != 0 {
 		t.Errorf("failover re-captured: %+v, want the single pre-crash capture only (fault-free: %+v)", stats, stats0)
 	}
-	if stats.Ships == 0 || stats.ShippedBytes == 0 {
+	if stats.Ships == 0 {
 		t.Errorf("failover shipped nothing: %+v", stats)
+	}
+	if want := int64(stats.Ships) * captureWireSize(t, f.Prog, shards); stats.ShippedBytes != want {
+		t.Errorf("ShippedBytes = %d, want %d (%d ships of the tables' wire size)", stats.ShippedBytes, want, stats.Ships)
 	}
 	if got.Stats.TraceShips != int64(stats.Ships) || got.Stats.TraceShipBytes != stats.ShippedBytes {
 		t.Errorf("machine ship stats %d/%d don't match engine counters %+v",

@@ -22,29 +22,24 @@ package spmd
 // Real-mode bodies run deferred and the run-ahead window keeps several
 // iterations in flight, so nothing a plan owns is pooled or reused.
 //
-// Memoized resolution is two-phase. The shard-independent half — kernel
-// durations per color, transfer sizes per pair — is a pure function of the
-// compiled plan's specialization tables (cr.SpecTable) and the overhead
-// model, so the engine captures it ONCE per loop as a sharedTrace, and
-// resolve reads its two shard-independent look-ups (kernel duration, pair
-// bytes) from the shared tables instead of computing them from the compiled
-// plan. That makes capture cost O(1) per run state where
-// direct resolution is O(shards): re-runs, failover rebuilds, and sweep
-// cells all reuse the one shared capture. When the compiler marks a loop
-// unshareable (ragged shard partition) or the ablation flag disables
-// sharing, resolve runs without the shared tables — same lookups, same
-// order, so the plans are indistinguishable and every schedule stays
-// byte-identical.
+// Resolution has one source for its shard-independent look-ups: kernel
+// cost per color and transfer volume per pair are read from the compiler's
+// specialization tables (cr.SpecTable), which verify.CheckSpec proves equal
+// to the geometric recomputation. What cross-shard sharing adds is only
+// accounting: a shareable loop (the compiler's ShareMarker, and NoShare
+// unset) records one shared capture per engine run — its modeled wire size
+// — and counts each shard plan as a specialization of it; otherwise each
+// shard plan counts as a per-shard capture. Either way resolve runs the
+// same code, so the plans and every schedule are identical.
 //
 // Invalidation is by construction rather than by fingerprint: plans are
 // keyed by (runState, shard), and everything they resolve — tables, node
 // assignment, instance stores — is immutable for the runState's lifetime.
-// The one thing that changes resolution is shard failover (PR 2 recovery),
-// and that rebuilds the runState, discarding every plan with it. The
-// sharedTrace survives the rebuild (it depends on nothing the failure
-// changed), and the recovery layer ships it to the restarted shard's node
-// as a real message (realm.ShipTrace) so the shard re-resolves against it
-// instead of re-capturing.
+// The one thing that changes resolution is shard failover, and that
+// rebuilds the runState, discarding every plan with it. The shared capture
+// survives the rebuild (it depends on nothing the failure changed), and the
+// recovery layer ships it to the restarted shards' nodes as a real message
+// (realm.ShipTrace) before they re-resolve.
 
 import (
 	"repro/internal/cr"
@@ -60,12 +55,11 @@ type TraceStats struct {
 	// Captures counts shared captures: one per compiled loop per engine run
 	// when cross-shard sharing is on, independent of the shard count.
 	Captures int
-	// PerShardCaptures counts direct per-shard captures — the fallback when
-	// sharing is disabled or the compiler marked the loop unshareable
-	// (O(shards) per runState; failover rebuilds count again).
+	// PerShardCaptures counts shard plans resolved without a shared capture
+	// — sharing disabled or the loop unshareable (O(shards) per runState;
+	// failover rebuilds count again).
 	PerShardCaptures int
-	// Specializations counts shard plans instantiated from a shared capture
-	// by table substitution.
+	// Specializations counts shard plans resolved under a shared capture.
 	Specializations int
 	// ReplayedIters is the total number of shard-iterations executed from a
 	// memoized plan instead of a freshly resolved one.
@@ -79,74 +73,33 @@ type TraceStats struct {
 	ShippedBytes int64
 }
 
-// sharedTrace is the shard-independent half of a compiled loop's plan:
-// kernel durations dense by collective color index and transfer sizes dense
-// by pair index. Captured once per loop per engine from the compiler's
-// specialization tables — no Sim calls, no shard state — so it survives
-// failover rebuilds and is what the recovery layer ships to restarted
-// shards.
-type sharedTrace struct {
-	ops []sharedOp
-	// bytes is the modeled wire size of the trace when shipped on failover:
-	// 8 bytes per table entry plus a fixed per-op header.
-	bytes int64
-}
-
-// sharedOp mirrors cr.BodyOp; at most one field is set (scalar ops carry no
-// shared state).
-type sharedOp struct {
-	launch *sharedLaunch
-	cp     *sharedCopy
-}
-
-type sharedLaunch struct {
-	durBase []realm.Time // kernel cost before noise, dense by ColorIdx
-}
-
-type sharedCopy struct {
-	bytes []int64 // transfer size, dense by pair index
-}
-
-// sharedOpHeader is the modeled per-op framing cost of a shipped trace.
+// sharedOpHeader is the modeled per-op framing cost of a shipped capture.
 const sharedOpHeader = 16
 
-// sharedFor returns the engine's shared capture of plan, building it on
-// first use. The build reads only the compiler's specialization tables and
-// the overhead model, so one capture serves every shard, every runState,
-// and every failover rebuild of the engine's run.
-func (e *Engine) sharedFor(plan *cr.Compiled) *sharedTrace {
-	if shr, ok := e.shared[plan]; ok {
-		return shr
+// sharedFor records the engine's shared capture of plan on first use: its
+// modeled wire size, 8 bytes per entry of the compiler's cost and
+// pair-volume tables (cr.SpecTable) plus a fixed header per body op. The
+// capture is what recovery ships to restarted shards (shipTraces) and what
+// the trace counters count; resolution reads the tables themselves.
+func (e *Engine) sharedFor(plan *cr.Compiled) {
+	if _, ok := e.shared[plan]; ok {
+		return
 	}
-	shr := &sharedTrace{ops: make([]sharedOp, len(plan.Body))}
-	for i, op := range plan.Body {
-		spec := &plan.Spec.Ops[i]
-		switch {
-		case op.Launch != nil:
-			sl := &sharedLaunch{durBase: make([]realm.Time, len(spec.Launch.CostVol))}
-			for ci, vol := range spec.Launch.CostVol {
-				sl.durBase[ci] = realm.Time(op.Launch.Task.Cost(vol) / float64(e.Over.KernelCores))
-			}
-			shr.ops[i].launch = sl
-			shr.bytes += int64(8*len(sl.durBase)) + sharedOpHeader
-		case op.Copy != nil:
-			scale := e.Over.EltBytes * int64(len(op.Copy.Fields))
-			sc := &sharedCopy{bytes: make([]int64, len(spec.Copy.PairVols))}
-			for k, v := range spec.Copy.PairVols {
-				sc.bytes[k] = v * scale
-			}
-			shr.ops[i].cp = sc
-			shr.bytes += int64(8*len(sc.bytes)) + sharedOpHeader
-		default:
-			shr.bytes += sharedOpHeader
+	var n int64
+	for _, spec := range plan.Spec.Ops {
+		n += sharedOpHeader
+		if spec.Launch != nil {
+			n += int64(8 * len(spec.Launch.CostVol))
+		}
+		if spec.Copy != nil {
+			n += int64(8 * len(spec.Copy.PairVols))
 		}
 	}
 	if e.shared == nil {
-		e.shared = make(map[*cr.Compiled]*sharedTrace)
+		e.shared = make(map[*cr.Compiled]int64)
 	}
-	e.shared[plan] = shr
+	e.shared[plan] = n
 	e.traceStats.Captures++
-	return shr
 }
 
 // shardPlan is one shard's iteration: the body ops with all non-event
@@ -239,13 +192,13 @@ func (st *runState) memoized() bool {
 	return !st.e.NoTrace && st.plan.Trace.Traceable && st.plan.Opts.Sync != cr.BarrierSync
 }
 
-// planFor returns the shard's memoized plan, resolving it on first use
-// against the engine's shared capture (or directly when sharing is off or
-// the compiler marked the loop unshareable).
+// planFor returns the shard's memoized plan, resolving it on first use and
+// counting it against the engine's shared capture (or as a per-shard
+// capture when sharing is off or the compiler marked the loop unshareable).
 func (st *runState) planFor(sh *shard) *shardPlan {
 	e := st.e
 	// planMu serializes resolution across shard agents (they resolve
-	// concurrently on the native backend) and guards the engine's
+	// concurrently on the native backend) and protects the engine's
 	// shared-capture cache and counters. A memoized plan is resolved once
 	// per shard per placement, so the lock is off the steady-state path.
 	e.planMu.Lock()
@@ -253,22 +206,20 @@ func (st *runState) planFor(sh *shard) *shardPlan {
 	if sp := st.plans[sh.me]; sp != nil {
 		return sp
 	}
-	var sp *shardPlan
 	if !e.NoShare && st.plan.Spec.Share.Shareable {
-		sp = st.resolve(sh, e.sharedFor(st.plan))
+		e.sharedFor(st.plan)
 		e.traceStats.Specializations++
 	} else {
-		sp = st.resolve(sh, nil)
 		e.traceStats.PerShardCaptures++
 	}
+	sp := st.resolve(sh)
 	st.plans[sh.me] = sp
 	return sp
 }
 
 // dropPlans discards every memoized shard plan and reports how many were
 // live: the trace invalidation of a failover rebuild, after which the new
-// placement re-resolves nodes and states (against the surviving shared
-// capture when sharing is on).
+// placement re-resolves nodes and states.
 func (st *runState) dropPlans() int {
 	n := 0
 	for i, sp := range st.plans {
@@ -280,23 +231,22 @@ func (st *runState) dropPlans() int {
 	return n
 }
 
-// resolve builds one shard's plan of one iteration from the compiled body.
-// Two look-ups are shard-independent — kernel duration and pair bytes: with
-// shr == nil they are computed from the compiled plan, otherwise read from
-// the shared capture's tables. Everything else — shard-table entries,
-// endpoint nodes (the step lists' shards composed with the runState's
-// assignment), Real-mode temporaries and bindings — is resolved identically,
-// in body order, either way.
-func (st *runState) resolve(sh *shard, shr *sharedTrace) *shardPlan {
+// resolve builds one shard's plan of one iteration from the compiled body:
+// kernel durations and pair bytes from the compiler's specialization tables
+// (cr.SpecTable, which verify.CheckSpec proves equal to the geometry),
+// shard-table entries, endpoint nodes (the step lists' shards composed with
+// the runState's assignment), Real-mode temporaries and bindings, in body
+// order.
+func (st *runState) resolve(sh *shard) *shardPlan {
 	sp := &shardPlan{ops: make([]planOp, 0, len(st.plan.Body))}
 	for i, op := range st.plan.Body {
 		switch {
 		case op.Set != nil:
 			sp.ops = append(sp.ops, planOp{set: op.Set})
 		case op.Launch != nil:
-			sp.ops = append(sp.ops, planOp{launch: st.resolveLaunch(sh, shr, i)})
+			sp.ops = append(sp.ops, planOp{launch: st.resolveLaunch(sh, i)})
 		default:
-			if xp := st.resolveExchange(sh, shr, i); xp != nil {
+			if xp := st.resolveExchange(sh, i); xp != nil {
 				sp.ops = append(sp.ops, planOp{xch: xp})
 			}
 		}
@@ -325,20 +275,16 @@ func (st *runState) tempStore(tk tempKey, sub *region.Region) *region.Store {
 // body re-initializes to the identity each iteration; the store is resolved
 // here rather than at body-run time because kernel bodies run concurrently
 // on the native backend and must not touch the shared temps map.
-func (st *runState) resolveLaunch(sh *shard, shr *sharedTrace, op int) *launchPlan {
+func (st *runState) resolveLaunch(sh *shard, op int) *launchPlan {
 	e := st.e
 	l := st.plan.Body[op].Launch
+	costVol := st.plan.Spec.Ops[op].Launch.CostVol
 	owned := st.plan.Owned[sh.me]
 	lp := &launchPlan{l: l, nodeID: st.nodeOfShard(sh.me), colors: make([]launchColorPlan, len(owned))}
 	for k, col := range owned {
 		cp := &lp.colors[k]
 		cp.col, cp.colIdx = col, st.plan.ColorIdx[col]
-		if shr != nil {
-			cp.durBase = shr.ops[op].launch.durBase[cp.colIdx]
-		} else {
-			vol := l.Args[l.Task.CostArg].At(col).Volume()
-			cp.durBase = realm.Time(l.Task.Cost(vol) / float64(e.Over.KernelCores))
-		}
+		cp.durBase = realm.Time(l.Task.Cost(costVol[cp.colIdx]) / float64(e.Over.KernelCores))
 		cp.args = make([]argPlan, len(l.Args))
 		if e.Mode == ir.ExecReal {
 			cp.footprints = &ir.FootprintCache{}
@@ -371,15 +317,6 @@ func (st *runState) resolveLaunch(sh *shard, shr *sharedTrace, op int) *launchPl
 		}
 	}
 	return lp
-}
-
-// pairBytes is pair k's wire size for the copy op at body index op.
-func (st *runState) pairBytes(shr *sharedTrace, op, k int) int64 {
-	if shr != nil {
-		return shr.ops[op].cp.bytes[k]
-	}
-	cp := st.plan.Body[op].Copy
-	return cp.Pairs[k].Overlap.Volume() * st.e.Over.EltBytes * int64(len(cp.Fields))
 }
 
 // resolveMember fills one produced pair's dependence state and Real-mode
@@ -428,7 +365,7 @@ func (st *runState) resolveMember(sh *shard, m *memberPlan, cp *cr.CopyOp, mem c
 // whose source it owns, one transfer per step; reduction applications to
 // one destination chain in source order for deterministic folding unless
 // the step's own member order or the certifier's prune replaces the link.
-func (st *runState) resolveExchange(sh *shard, shr *sharedTrace, op int) *exchangePlan {
+func (st *runState) resolveExchange(sh *shard, op int) *exchangePlan {
 	steps, end := st.plan.ExchangeSteps(op, sh.me)
 	if end == op {
 		return nil
@@ -456,8 +393,10 @@ func (st *runState) resolveExchange(sh *shard, shr *sharedTrace, op int) *exchan
 		p.members, members = members[:n:n], members[n:]
 		p.srcNode, p.dstNode = srcNode, st.nodeOfShard(int(s.DstShard))
 		for mi, mem := range s.Members {
-			st.resolveMember(sh, &p.members[mi], st.plan.Body[mem.Op].Copy, mem)
-			p.bytes += st.pairBytes(shr, int(mem.Op), int(mem.Pair))
+			cp := st.plan.Body[mem.Op].Copy
+			st.resolveMember(sh, &p.members[mi], cp, mem)
+			vol := st.plan.Spec.Ops[mem.Op].Copy.PairVols[mem.Pair]
+			p.bytes += vol * st.e.Over.EltBytes * int64(len(cp.Fields))
 		}
 		if ms := p.members; n == 1 {
 			p.body = ms[0].body

@@ -50,9 +50,11 @@ type Recovery struct {
 // is enabled without explicit tuning.
 func DefaultRecovery() Recovery { return Recovery{MaxRetries: 3} }
 
+// normalized fills in the defaults. Without a restart budget the loop runs
+// as one epoch spanning the trip: no checkpoint, no restart.
 func (r Recovery) normalized(trip int) Recovery {
 	if r.MaxRetries <= 0 {
-		return Recovery{}
+		return Recovery{CheckpointEvery: trip}
 	}
 	if r.CheckpointEvery <= 0 {
 		r.CheckpointEvery = trip / 4
@@ -143,8 +145,14 @@ func copyEnv(src ir.MapEnv) ir.MapEnv {
 // the run state fails, whichever comes first; it reports whether ev won.
 // Without this race, a crash that swallows a completion event would leave
 // the control thread blocked forever (the deadlock the fault tests pin).
+// With recovery off no node is watched and the wait is a plain WaitEvent:
+// no extra event, no continuation — the exact fault-free schedule.
 func (e *Engine) waitOrFail(ctl realm.Agent, st *runState, ev realm.Event) bool {
 	x := e.Sim
+	if len(st.watch) == 0 {
+		ctl.WaitEvent(ev)
+		return true
+	}
 	if x.Triggered(ev) {
 		return true
 	}
@@ -170,17 +178,6 @@ func (e *Engine) waitOrFail(ctl realm.Agent, st *runState, ev realm.Event) bool 
 	}
 	ctl.WaitEvent(out)
 	return atomic.LoadInt32(&failed) == 0
-}
-
-// phaseWait is waitOrFail when guarded, a plain wait otherwise — the plain
-// branch is the fault-free hot path and must stay event-identical to the
-// seed executor.
-func (e *Engine) phaseWait(ctl realm.Agent, st *runState, ev realm.Event, guarded bool) bool {
-	if !guarded {
-		ctl.WaitEvent(ev)
-		return true
-	}
-	return e.waitOrFail(ctl, st, ev)
 }
 
 // takeCheckpoint models moving every instance's bytes to node 0's stable
@@ -276,13 +273,12 @@ func (e *Engine) degrade(plan *cr.Compiled, trip, retries int, cp *checkpoint, t
 // shipTraces sends the loop's surviving shared capture from node 0's
 // stable storage to every other node of a freshly rebuilt placement, as
 // real messages (Exec.ShipTrace: modeled wire cost on the DES, real
-// messages subject to drop/dup injection on native), so the restarted
-// shards resolve their plans against the shipped trace instead of
-// re-capturing. No-op when the loop has no shared capture (sharing
-// disabled, tracing off, or an unshareable loop). Reports false if a node
-// failed mid-shipment.
+// messages subject to drop/dup injection on native), before the restarted
+// shards re-resolve their plans. No-op when the loop has no shared capture
+// (sharing disabled, tracing off, or an unshareable loop). Reports false if
+// a node failed mid-shipment.
 func (e *Engine) shipTraces(ctl realm.Agent, st *runState) bool {
-	shr, ok := e.shared[st.plan]
+	bytes, ok := e.shared[st.plan]
 	if !ok {
 		return true
 	}
@@ -291,9 +287,9 @@ func (e *Engine) shipTraces(ctl realm.Agent, st *runState) bool {
 		if n == 0 {
 			continue
 		}
-		evs = append(evs, e.Sim.ShipTrace(0, n, shr.bytes, realm.NoEvent))
+		evs = append(evs, e.Sim.ShipTrace(0, n, bytes, realm.NoEvent))
 		e.traceStats.Ships++
-		e.traceStats.ShippedBytes += shr.bytes
+		e.traceStats.ShippedBytes += bytes
 	}
 	if len(evs) == 0 {
 		return true
@@ -301,16 +297,22 @@ func (e *Engine) shipTraces(ctl realm.Agent, st *runState) bool {
 	return e.waitOrFail(ctl, st, e.Sim.Merge(evs...))
 }
 
-// runRecoverable executes one replicated loop in checkpointed epochs:
+// runReplicated executes one compiled loop — initialization copies (Figure
+// 4b lines 2-4) and hoisted loop-invariant copies, the shard tasks, and
+// finalization copies back to the parent regions (lines 14-15) — in
+// checkpointed epochs:
 //
 //	init -> [epoch -> checkpoint]* -> epoch -> finalize
 //
 // Every phase races against node failures (waitOrFail); a failure kills
 // the surviving shard threads, backs off exponentially in virtual time,
 // remaps shards onto the live nodes, restores the last checkpoint, and
-// retries. MaxRetries consecutive failures degrade to the checkpoint.
-func (e *Engine) runRecoverable(ctl realm.Agent, plan *cr.Compiled, rec Recovery) {
+// retries. MaxRetries consecutive failures degrade to the checkpoint. With
+// recovery off (the zero Recovery) the budget is zero and the trip is one
+// unwatched epoch: the exact fault-free schedule.
+func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 	trip := plan.Loop.Trip
+	rec := e.Recov.normalized(trip)
 	ns := plan.Opts.NumShards
 	times := make([]realm.Time, trip)
 	st := newRunState(e, plan, trip, e.liveAssign(ns))
@@ -368,32 +370,21 @@ func (e *Engine) runRecoverable(ctl realm.Agent, plan *cr.Compiled, rec Recovery
 	}
 
 	for {
+		var ok bool
 		switch {
 		case needInit:
-			if !e.initPhase(ctl, st, true) {
-				if !restart() {
-					e.degrade(plan, trip, retries, cp, times)
-					return
+			if ok = e.initPhase(ctl, st); ok {
+				needInit = false
+				if retries > 0 {
+					// A restart from scratch: the init phase was its restore.
+					e.recordRebuild(st, 0)
 				}
-				continue
-			}
-			needInit = false
-			if retries > 0 {
-				// A restart from scratch: the init phase was its restore.
-				e.recordRebuild(st, 0)
 			}
 
 		case done < trip:
-			hi := done + rec.CheckpointEvery
-			if hi > trip {
-				hi = trip
-			}
-			if !e.runEpoch(ctl, st, done, hi, true) {
-				if !restart() {
-					e.degrade(plan, trip, retries, cp, times)
-					return
-				}
-				continue
+			hi := min(done+rec.CheckpointEvery, trip)
+			if ok = e.runEpoch(ctl, st, done, hi); !ok {
+				break
 			}
 			// The last iteration's recordIter continuation may still be
 			// running on the goroutine that triggered it: the shard's
@@ -410,26 +401,20 @@ func (e *Engine) runRecoverable(ctl realm.Agent, plan *cr.Compiled, rec Recovery
 			retries = 0
 			if done < trip {
 				ncp := e.takeCheckpoint(ctl, st, done)
-				if ncp == nil {
-					if !restart() {
-						e.degrade(plan, trip, retries, cp, times)
-						return
-					}
-					continue
+				if ok = ncp != nil; ok {
+					cp = ncp
 				}
-				cp = ncp
 			}
 
 		default:
-			if !e.finalizePhase(ctl, st, true) {
-				if !restart() {
-					e.degrade(plan, trip, retries, cp, times)
-					return
-				}
-				continue
+			if ok = e.finalizePhase(ctl, st); ok {
+				e.iterTimes[plan.Loop] = times
+				e.mergeEnv(st)
+				return
 			}
-			e.iterTimes[plan.Loop] = times
-			e.mergeEnv(st)
+		}
+		if !ok && !restart() {
+			e.degrade(plan, trip, retries, cp, times)
 			return
 		}
 	}

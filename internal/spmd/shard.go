@@ -9,33 +9,12 @@ import (
 	"repro/internal/region"
 )
 
-// runReplicated executes one compiled loop: initialization copies (Figure
-// 4b lines 2-4), hoisted loop-invariant copies, the shard tasks themselves,
-// and finalization copies back to the parent regions (lines 14-15). With
-// recovery disabled (the default) the loop runs as one unguarded epoch —
-// the exact fault-free schedule; with recovery enabled it runs in
-// checkpointed epochs under runRecoverable.
-func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
-	rec := e.Recov.normalized(plan.Loop.Trip)
-	if rec.MaxRetries > 0 {
-		e.runRecoverable(ctl, plan, rec)
-		return
-	}
-	trip := plan.Loop.Trip
-	st := newRunState(e, plan, trip, e.liveAssign(plan.Opts.NumShards))
-	e.initPhase(ctl, st, false)
-	e.runEpoch(ctl, st, 0, trip, false)
-	e.finalizePhase(ctl, st, false)
-	e.iterTimes[plan.Loop] = st.iterTimes
-	e.mergeEnv(st)
-}
-
 // initPhase populates every used partition's every subregion instance from
 // the parent region's data on its owner node, then runs the hoisted
-// loop-invariant copies. Under recovery it reports false as soon as a
-// watched node fails (the phase is idempotent and simply reruns), and marks
-// the instances it populates for the failover record.
-func (e *Engine) initPhase(ctl realm.Agent, st *runState, guarded bool) bool {
+// loop-invariant copies. It reports false as soon as a watched node fails
+// (the phase is idempotent and simply reruns), and marks the instances it
+// populates for the failover record.
+func (e *Engine) initPhase(ctl realm.Agent, st *runState) bool {
 	plan := st.plan
 	var initEvs []realm.Event
 	for pi, part := range plan.UsedParts {
@@ -64,12 +43,10 @@ func (e *Engine) initPhase(ctl realm.Agent, st *runState, guarded bool) bool {
 			}
 			bytes := sub.Volume() * e.Over.EltBytes * int64(len(fields))
 			initEvs = append(initEvs, e.Sim.CopyBytes(0, owner, bytes, realm.NoEvent, nil))
-			if guarded {
-				st.markRestored(pi, ci)
-			}
+			st.markRestored(pi, ci)
 		}
 	}
-	if !e.phaseWait(ctl, st, e.Sim.Merge(initEvs...), guarded) {
+	if !e.waitOrFail(ctl, st, e.Sim.Merge(initEvs...)) {
 		return false
 	}
 
@@ -93,7 +70,7 @@ func (e *Engine) initPhase(ctl realm.Agent, st *runState, guarded bool) bool {
 				st.ownerNode(pr.Src), st.ownerNode(pr.Dst),
 				bytes, realm.NoEvent, body))
 		}
-		if !e.phaseWait(ctl, st, e.Sim.Merge(evs...), guarded) {
+		if !e.waitOrFail(ctl, st, e.Sim.Merge(evs...)) {
 			return false
 		}
 	}
@@ -101,10 +78,10 @@ func (e *Engine) initPhase(ctl realm.Agent, st *runState, guarded bool) bool {
 }
 
 // runEpoch launches the shard threads over iterations [lo, hi) and waits
-// for them (§3.5). Under recovery a node failure aborts the wait and kills
-// the surviving shard threads so the epoch can be retried from the last
+// for them (§3.5). A watched node's failure aborts the wait and kills the
+// surviving shard threads so the epoch can be retried from the last
 // checkpoint.
-func (e *Engine) runEpoch(ctl realm.Agent, st *runState, lo, hi int, guarded bool) bool {
+func (e *Engine) runEpoch(ctl realm.Agent, st *runState, lo, hi int) bool {
 	plan := st.plan
 	ns := plan.Opts.NumShards
 	st.shardDone = make([]realm.Event, ns)
@@ -124,10 +101,9 @@ func (e *Engine) runEpoch(ctl realm.Agent, st *runState, lo, hi int, guarded boo
 			e.Sim.Trigger(st.shardDone[s])
 		})
 	}
-	if e.phaseWait(ctl, st, e.Sim.Merge(st.shardDone...), guarded) {
+	if e.waitOrFail(ctl, st, e.Sim.Merge(st.shardDone...)) {
 		return true
 	}
-	// Only the guarded (recovery) path reaches here.
 	for _, th := range threads {
 		e.Sim.KillAgent(th)
 	}
@@ -137,7 +113,7 @@ func (e *Engine) runEpoch(ctl realm.Agent, st *runState, lo, hi int, guarded boo
 // finalizePhase copies the disjoint written partitions' instances back to
 // the parent regions on node 0. The copies overwrite whole subregions, so
 // a half-finished finalization is safely redone after recovery.
-func (e *Engine) finalizePhase(ctl realm.Agent, st *runState, guarded bool) bool {
+func (e *Engine) finalizePhase(ctl realm.Agent, st *runState) bool {
 	plan := st.plan
 	var finEvs []realm.Event
 	for _, part := range plan.WrittenDisjoint {
@@ -160,7 +136,7 @@ func (e *Engine) finalizePhase(ctl realm.Agent, st *runState, guarded bool) bool
 			finEvs = append(finEvs, e.Sim.CopyBytes(st.ownerNode(col), 0, bytes, realm.NoEvent, body))
 		}
 	}
-	return e.phaseWait(ctl, st, e.Sim.Merge(finEvs...), guarded)
+	return e.waitOrFail(ctl, st, e.Sim.Merge(finEvs...))
 }
 
 // mergeEnv folds the replicated scalar state back into the control
@@ -184,7 +160,7 @@ type shard struct {
 	// baseEnv is the replicated scalar environment at epoch entry, captured
 	// by the control thread before the shard agents start.
 	baseEnv ir.MapEnv
-	env     *shardEnv
+	env     *realm.Futures
 	// ops collects the events of the current iteration.
 	ops []realm.Event
 	// Scratch buffers recycled across the shard's issue loops. Merge does
@@ -198,15 +174,18 @@ type shard struct {
 }
 
 // runRange replicates the loop's control flow over the shard's owned
-// colors for iterations [lo, hi) — the whole trip when recovery is off,
-// one epoch of it otherwise. The scalar environment starts from the run
+// colors for iterations [lo, hi): one epoch of the trip (the whole trip
+// when recovery is off). The scalar environment starts from the run
 // state's current bindings (the loop entry environment, or the restored
 // checkpoint's) and shard 0 publishes them back at the end of the range.
 func (sh *shard) runRange(lo, hi int) {
 	st := sh.st
 	plan := st.plan
 	e := st.e
-	sh.env = newShardEnv(sh.th, sh.baseEnv)
+	// Scalars are replicated (§4.4): every shard runs the same scalar
+	// statements on the same values, and a collective folds in participant
+	// order, so every shard's bindings stay identical.
+	sh.env = realm.NewFutures("spmd", sh.th, sh.baseEnv)
 
 	window := max(e.Over.Window, 1)
 	// Every iteration is resolved into a plan and executed from it (see
@@ -236,10 +215,10 @@ func (sh *shard) runRange(lo, hi int) {
 		if i >= window {
 			sh.th.WaitEvent(iterDone[i-window])
 		}
-		sh.env.set(plan.Loop.Var, float64(t))
+		sh.env.Set(plan.Loop.Var, float64(t))
 		sh.ops = sh.ops[:0]
 		if !memo {
-			sp = st.resolve(sh, nil)
+			sp = st.resolve(sh)
 		}
 		sh.execIter(sp, t)
 		if memo {
@@ -252,7 +231,7 @@ func (sh *shard) runRange(lo, hi int) {
 		sh.th.WaitEvent(iterDone[i])
 	}
 	if sh.me == 0 {
-		st.curEnv = sh.env.snapshot()
+		st.curEnv = sh.env.Snapshot()
 	}
 }
 
@@ -265,7 +244,7 @@ func (sh *shard) execIter(sp *shardPlan, iter int) {
 		op := &sp.ops[i]
 		switch {
 		case op.set != nil:
-			sh.env.set(op.set.Name, op.set.Expr(sh.env))
+			sh.env.Set(op.set.Name, op.set.Expr(sh.env))
 		case op.launch != nil:
 			sh.execLaunch(op.launch, iter)
 		case barrier:
@@ -365,7 +344,7 @@ func (sh *shard) execLaunch(lp *launchPlan, iter int) {
 				return ctx.Return
 			})
 		}
-		sh.env.setFuture(l.Reduce.Into, coll.Done(), coll.Result)
+		sh.env.SetFuture(l.Reduce.Into, coll.Done(), coll.Result)
 		sh.ops = append(sh.ops, coll.Done())
 	}
 }

@@ -107,6 +107,31 @@ func TestShareRaggedFallsBack(t *testing.T) {
 	}
 }
 
+// captureWireSize is the modeled wire size of the shared capture of prog's
+// one replicated loop, computed from the compiler's tables rather than by
+// the engine: 8 bytes per cost-volume and pair-volume entry plus a 16-byte
+// header per body op.
+func captureWireSize(t *testing.T, prog *ir.Program, shards int) int64 {
+	t.Helper()
+	plans, err := CompileAll(prog, cr.Options{NumShards: shards})
+	if err != nil || len(plans) != 1 {
+		t.Fatalf("CompileAll: %d plans, err %v; want one loop", len(plans), err)
+	}
+	var n int64
+	for _, plan := range plans {
+		for i, op := range plan.Body {
+			n += 16
+			switch {
+			case op.Launch != nil:
+				n += 8 * int64(len(plan.Spec.Ops[i].Launch.CostVol))
+			case op.Copy != nil:
+				n += 8 * int64(len(plan.Spec.Ops[i].Copy.PairVols))
+			}
+		}
+	}
+	return n
+}
+
 // TestShareFailoverShipsTrace: a crash recovered by shard failover must
 // not re-capture when sharing is on — the shared capture survives the run
 // state rebuild, the restarted shards receive it as a real DES message
@@ -161,8 +186,11 @@ func TestShareFailoverShipsTrace(t *testing.T) {
 	if stats.Invalidations == 0 {
 		t.Errorf("failover rebuild discarded no plans: %+v", stats)
 	}
-	if stats.Ships == 0 || stats.ShippedBytes == 0 {
+	if stats.Ships == 0 {
 		t.Errorf("failover shipped nothing: %+v", stats)
+	}
+	if want := int64(stats.Ships) * captureWireSize(t, f.Prog, shards); stats.ShippedBytes != want {
+		t.Errorf("ShippedBytes = %d, want %d (%d ships of the tables' wire size)", stats.ShippedBytes, want, stats.Ships)
 	}
 	if got.Stats.TraceShips != int64(stats.Ships) || got.Stats.TraceShipBytes != stats.ShippedBytes {
 		t.Errorf("DES ship stats %d/%d don't match engine counters %+v", got.Stats.TraceShips, got.Stats.TraceShipBytes, stats)

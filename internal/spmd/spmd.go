@@ -90,11 +90,11 @@ type Engine struct {
 	// ablation and regression tests.
 	NoTrace bool
 
-	// NoShare disables cross-shard trace sharing: every shard resolves its
-	// memoized plan directly from the compiled plan (the PR 3 behavior,
-	// O(shards) capture work per run state) instead of against the engine's
-	// one shared capture. The schedule is identical either way; the flag
-	// exists for the -trace-share ablation and regression tests.
+	// NoShare disables cross-shard trace sharing: the engine records no
+	// shared capture (so failover ships none) and counts every memoized
+	// shard plan as a per-shard capture. Resolution is the same code either
+	// way, so the schedule is identical; the flag exists for the
+	// -trace-share ablation and regression tests.
 	NoShare bool
 
 	traceStats TraceStats
@@ -104,9 +104,9 @@ type Engine struct {
 	// plans concurrently. Uncontended on the DES.
 	planMu sync.Mutex
 
-	// shared caches the per-loop shared captures (see plan.go); reset per
-	// Run.
-	shared map[*cr.Compiled]*sharedTrace
+	// shared holds the modeled wire size of each loop's shared capture (see
+	// plan.go); reset per Run.
+	shared map[*cr.Compiled]int64
 
 	global    map[*region.Region]*region.Store
 	env       ir.MapEnv

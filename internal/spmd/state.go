@@ -78,7 +78,7 @@ type pairSync struct {
 // deterministic single-threaded schedule; on the native backend shard
 // agents run concurrently, so the lazily-populated shared tables (sync
 // blocks, barriers, collectives, reduce temporaries, iteration counters)
-// are guarded by mu. Everything else is either written only before the
+// are protected by mu. Everything else is either written only before the
 // shards start (inst, tables, assign) or written by exactly one agent
 // (curEnv by shard 0, per-index slice slots by their owners).
 type runState struct {
@@ -125,13 +125,14 @@ type runState struct {
 	shardDone []realm.Event // created per epoch by runEpoch
 
 	// assign maps shard index to node; watch is the sorted set of assigned
-	// nodes, the ones whose failure aborts a guarded phase.
+	// nodes, the ones whose failure aborts a phase — empty when recovery is
+	// off, so every phase wait is a plain one (waitOrFail).
 	assign []int
 	watch  []int
 
 	// restored[i][colorIdx] marks the instances of UsedParts[i] the init
-	// or restore phase populated under recovery (nil otherwise): what a
-	// failover record reports as repopulated.
+	// or restore phase populated: what a failover record reports as
+	// repopulated.
 	restored [][]bool
 
 	// curEnv is the replicated scalar environment at the run state's
@@ -159,14 +160,16 @@ func newRunState(e *Engine, plan *cr.Compiled, trip int, assign []int) *runState
 		st.tables[s] = newShardTable()
 	}
 	st.indexSyncSlots(trip)
-	seen := make(map[int]bool, len(assign))
-	for _, n := range assign {
-		if !seen[n] {
-			seen[n] = true
-			st.watch = append(st.watch, n)
+	if e.Recov.MaxRetries > 0 {
+		seen := make(map[int]bool, len(assign))
+		for _, n := range assign {
+			if !seen[n] {
+				seen[n] = true
+				st.watch = append(st.watch, n)
+			}
 		}
+		sort.Ints(st.watch)
 	}
-	sort.Ints(st.watch)
 	return st
 }
 

@@ -10,11 +10,10 @@ import (
 
 // CheckSpec statically validates the compiler's specialization tables
 // (cr.SpecTable) against an independent recomputation from the compiled
-// loop's pair lists and ownership. The tables are what makes a shard plan
-// resolved against the shared capture sync-equivalent to one resolved
-// directly (spmd.(*runState).resolve with and without a sharedTrace), so
-// each ingredient of the substitution is re-derived here from
-// first principles and compared:
+// loop's pair lists and ownership. The tables are the only source of the
+// kernel costs, transfer sizes and work lists spmd.(*runState).resolve
+// binds, so each ingredient is re-derived here from first principles and
+// compared:
 //
 //   - block congruence: every owned color's ColorIdx equals its dense slot
 //     in the ownership partition's running block offset (so the specialized
@@ -31,8 +30,9 @@ import (
 //     same order) — the work lists spmd's one resolver walks, memoized
 //     or re-resolved every iteration, shared capture or not.
 //
-// A nil return means every specialized plan is structurally identical to a
-// directly captured one, and therefore issues the same synchronization.
+// A nil return means every resolved plan is structurally identical to one
+// derived from the geometry directly, and therefore issues the same
+// synchronization.
 func CheckSpec(c *cr.Compiled) error {
 	if c == nil {
 		return fmt.Errorf("verify: nil compiled loop")
