@@ -2,8 +2,11 @@
 // and Figure 8 with their ablations (each must print the default's figure
 // byte for byte) and Figure 6 on the native backend. Each figure benchmark
 // regenerates the data series (throughput per node across the weak-scaling
-// node sweep, for every system variant) on the simulated machine and
-// prints the same rows the paper plots. Run with:
+// node sweep, for every system variant) on the simulated machine through
+// harness.RunFigure, which sweeps on one worker per CPU (largest node count
+// first; the figure is identical at any width), and prints the same rows
+// the paper plots. The native benchmark measures one cell, alone on the
+// host, as a native sweep always does. Run with:
 //
 //	go test -run XXX -bench . -benchtime 1x
 //

@@ -32,7 +32,8 @@
 // memory and reports wall-clock time; the MPI baselines are DES cost
 // models and are dropped from native sweeps. Native sweeps want small
 // node counts (each simulated node is a set of goroutines competing for
-// the host's cores).
+// the host's cores) and measure one cell at a time whatever -j says, so no
+// cell's wall clock, and no duration -fit-out fits, includes another's.
 //
 // -timepolicy selects the DES's time-charging policy: modeled (default)
 // charges the Cray-XC-style cost model; measured charges a policy fitted
@@ -208,7 +209,7 @@ func main() {
 	appName := flag.String("app", "all", "application to run (stencil, miniaero, pennant, circuit, all)")
 	nodesFlag := flag.String("nodes", "", "comma-separated node counts (default: the paper's 1..1024 sweep)")
 	iters := flag.Int("iters", 0, "iterations per measurement (0 = app default)")
-	workers := flag.Int("j", runtime.GOMAXPROCS(0), "measurement cells to run in parallel (output is identical at any width)")
+	workers := flag.Int("j", runtime.GOMAXPROCS(0), "measurement cells to run in parallel (output is identical at any width; -backend native always runs one at a time)")
 	csv := flag.Bool("csv", false, "emit CSV instead of a table")
 	verbose := flag.Bool("v", false, "print per-measurement progress")
 	faults := flag.String("faults", "", "inject faults: seed:rate (crash rate in crashes per simulated second)")

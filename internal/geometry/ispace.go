@@ -39,6 +39,9 @@ func FromPoints(dim int8, pts []Point) IndexSpace {
 		for i, p := range pts {
 			ivs[i] = [2]int64{p.C[0], p.C[0]}
 		}
+		if !slices.IsSortedFunc(ivs, byLo1D) {
+			slices.SortFunc(ivs, byLo1D)
+		}
 		return IndexSpace{dim: 1, spans: mergeRuns1D(ivs)}
 	}
 	sorted := make([]Point, len(pts))
@@ -711,20 +714,18 @@ func tryMerge(a, b Rect) (Rect, bool) {
 	return Rect{}, false
 }
 
-// UnionMany returns the union of many index spaces. For 1-D inputs it is
-// mergeRuns1D over all spans (O(n log n), O(n) when they arrive in order),
-// the constructor for unions of many sparse subregions (e.g. an aliased
+// UnionMany returns the union of many index spaces. For 1-D inputs it merges
+// the operands' sorted span lists and then mergeRuns1D coalesces them
+// (O(n log k) over k operands, O(n) when they arrive in order), the
+// constructor for unions of many sparse subregions (e.g. an aliased
 // ghost partition's footprint). Other dimensions carve each incoming span
 // against the accumulated union in one growing buffer — unlike the iterative
 // out.Union(s) formulation, the accumulated span list is never copied, so
 // a union over n mostly-disjoint spans costs O(n²) cheap bounding-box
 // tests instead of O(n²) span-list rebuilds with their allocations.
 func UnionMany(dim int8, spaces []IndexSpace) IndexSpace {
+	total := spanCount(spaces)
 	if dim != 1 {
-		total := 0
-		for _, sp := range spaces {
-			total += len(sp.spans)
-		}
 		useIdx := total > xIndexThreshold
 		var ix xspanIndex
 		var cand []int32
@@ -782,32 +783,87 @@ func UnionMany(dim int8, spaces []IndexSpace) IndexSpace {
 		out.coalesce()
 		return out
 	}
-	total := 0
-	for _, s := range spaces {
-		total += len(s.spans)
-	}
 	if total == 0 {
 		return IndexSpace{dim: 1}
 	}
-	ivs := make([][2]int64, 0, total)
+	// Every operand's spans are already sorted, so ivs starts as one sorted
+	// run per operand, and the runs are in order unless an operand starts
+	// below the last span before it. Runs out of order are merged pairwise,
+	// back and forth between ivs and a spare half of the same buffer, until
+	// one is left: ceil(log2 k) linear passes over k operands, not a sort.
+	inOrder, last := true, []Rect(nil)
+	for _, s := range spaces {
+		if len(s.spans) == 0 {
+			continue
+		}
+		if len(last) > 0 && s.spans[0].Lo.C[0] < last[len(last)-1].Lo.C[0] {
+			inOrder = false
+			break
+		}
+		last = s.spans
+	}
+	size := total
+	if !inOrder {
+		size *= 2
+	}
+	buf := make([][2]int64, size)
+	ivs, spare := buf[:total], buf[total:]
+	i := 0
 	for _, s := range spaces {
 		for _, r := range s.spans {
-			ivs = append(ivs, [2]int64{r.Lo.C[0], r.Hi.C[0]})
+			ivs[i] = [2]int64{r.Lo.C[0], r.Hi.C[0]}
+			i++
+		}
+	}
+	if !inOrder {
+		for w := 1; w < len(spaces); w *= 2 {
+			off := 0
+			for lo := 0; lo < len(spaces); lo += 2 * w {
+				mid, hi := min(lo+w, len(spaces)), min(lo+2*w, len(spaces))
+				a, b := spanCount(spaces[lo:mid]), spanCount(spaces[mid:hi])
+				merge1D(spare[off:off+a+b], ivs[off:off+a], ivs[off+a:off+a+b])
+				off += a + b
+			}
+			ivs, spare = spare, ivs
 		}
 	}
 	return IndexSpace{dim: 1, spans: mergeRuns1D(ivs)}
 }
 
-// mergeRuns1D returns the maximal runs covered by the given non-empty list
-// of [lo, hi] intervals, which it sorts and merges in place: a 1-D span is
-// two coordinates, so the sort moves 16 bytes per span instead of a Rect's
-// 64 and is skipped when the list is already ordered, and the result is
-// allocated once the number of runs is known.
-func mergeRuns1D(ivs [][2]int64) []Rect {
-	byLo := func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) }
-	if !slices.IsSortedFunc(ivs, byLo) {
-		slices.SortFunc(ivs, byLo)
+// spanCount returns the number of spans over the given spaces.
+func spanCount(spaces []IndexSpace) int {
+	n := 0
+	for _, s := range spaces {
+		n += len(s.spans)
 	}
+	return n
+}
+
+// merge1D merges the intervals of a and b, each sorted by lower bound, into
+// out, which holds exactly both.
+func merge1D(out, a, b [][2]int64) {
+	i, j, k := 0, 0, 0
+	for ; i < len(a) && j < len(b); k++ {
+		if b[j][0] < a[i][0] {
+			out[k] = b[j]
+			j++
+		} else {
+			out[k] = a[i]
+			i++
+		}
+	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
+}
+
+func byLo1D(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) }
+
+// mergeRuns1D returns the maximal runs covered by the given non-empty list
+// of [lo, hi] intervals, sorted by lower bound, which it merges in place: a
+// 1-D span is two coordinates, so the work moves 16 bytes per span instead
+// of a Rect's 64, and the result is allocated once the number of runs is
+// known.
+func mergeRuns1D(ivs [][2]int64) []Rect {
 	n := 0 // ivs[:n+1] are the runs so far
 	for _, iv := range ivs[1:] {
 		if iv[0] <= ivs[n][1]+1 {

@@ -5,6 +5,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -118,9 +119,11 @@ type Series struct {
 }
 
 // runCells runs fn(0..n-1) on a pool of at most `workers` goroutines
-// (workers < 1 means one per available CPU). With one worker the calls run
-// inline, in order, with no goroutines — the sequential path is the
-// parallel path at width 1, not separate code.
+// (workers < 1 means one per available CPU). Cells are handed out in index
+// order, so a caller that wants its most expensive cells started first
+// numbers them first. With one worker the calls run inline, in order, with
+// no goroutines — the sequential path is the parallel path at width 1, not
+// separate code.
 func runCells(n, workers int, fn func(i int)) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -153,10 +156,11 @@ func runCells(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// RunFigure sweeps every system of the app across the node counts,
-// sequentially. It is RunFigureParallel at width 1.
+// RunFigure sweeps every system of the app across the node counts on one
+// worker per CPU. It is RunFigureParallel at the width weakscale's -j
+// defaults to, and returns what the sweep returns at any width.
 func RunFigure(app App, nodes []int, progress func(string)) ([]Series, error) {
-	return RunFigureParallel(app, nodes, 1, progress)
+	return RunFigureParallel(app, nodes, 0, progress)
 }
 
 // RunFigureParallel sweeps every (system, node count) cell of the app over
@@ -169,13 +173,20 @@ func RunFigure(app App, nodes []int, progress func(string)) ([]Series, error) {
 // and the shared program is read-only once built (see App.Build), so cells
 // share no mutable state; results are stored by cell index, which makes the
 // returned series — and therefore FormatFigure's output — byte-identical
-// at any width. Work is dealt node count by node count, so only the order
-// of progress lines (serialized by a mutex) and the per-point Wall clock
-// depend on the schedule. A failing cell does not abort the sweep: its
-// error is recorded in the cell's Point.Err and every other cell still runs
-// (under fault injection some cells are expected to die — the MPI baselines
-// have no recovery).
+// at any width. Work is dealt in decreasing node count, and within a node
+// count the Regent unit before the baselines: a cell's cost grows steeply
+// with its node count, so the largest start first and the small ones fill
+// in behind them. Only the order of progress lines (serialized by a mutex)
+// and the per-point Wall clock depend on the schedule. A native sweep runs
+// at width 1 whatever it is asked for: its per-iteration times are host
+// wall clock, which a cell measures correctly only with the cores to itself.
+// A failing cell does not abort the sweep: its error is recorded in the
+// cell's Point.Err and every other cell still runs (under fault injection
+// some cells are expected to die — the MPI baselines have no recovery).
 func RunFigureParallel(app App, nodes []int, workers int, progress func(string)) ([]Series, error) {
+	if app.Opts.NativeBackend() {
+		workers = 1
+	}
 	systems := app.ActiveSystems()
 	out := make([]Series, len(systems))
 	// units are the system indices measured together at each node count:
@@ -193,9 +204,16 @@ func RunFigureParallel(app App, nodes []int, workers int, progress func(string))
 	if len(regent) > 0 {
 		units = append([][]int{regent}, units...)
 	}
+	// byCost lists the node indices largest node count first.
+	byCost := make([]int, len(nodes))
+	for ni := range byCost {
+		byCost[ni] = ni
+	}
+	slices.SortStableFunc(byCost, func(a, b int) int { return cmp.Compare(nodes[b], nodes[a]) })
 	var progressMu sync.Mutex
 	runCells(len(nodes)*len(units), workers, func(i int) {
-		ni, n := i/len(units), nodes[i/len(units)]
+		ni := byCost[i/len(units)]
+		n := nodes[ni]
 		measure := app.measurer(n, app.Iters)
 		for _, si := range units[i%len(units)] {
 			t0 := time.Now() //detlint:ignore host wall clock, reported as Point.Wall only

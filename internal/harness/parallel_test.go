@@ -22,6 +22,10 @@ func stripWall(series []Series) {
 	}
 }
 
+// sweepWidths are the widths a sweep is compared at against width 1:
+// RunFigure's (0, one worker per CPU) and 4.
+var sweepWidths = []int{0, 4}
+
 // TestRunFigureParallelDeterministic checks the tentpole guarantee of the
 // parallel harness: a parallel sweep returns exactly the sequential sweep's
 // results — same virtual times, same throughputs, same ordering — so the
@@ -33,22 +37,23 @@ func TestRunFigureParallelDeterministic(t *testing.T) {
 	}
 	nodes := []int{1, 2, 4}
 
-	seq, err := RunFigure(app, nodes, nil)
+	seq, err := RunFigureParallel(app, nodes, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunFigureParallel(app, nodes, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	stripWall(seq)
-	stripWall(par)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel sweep differs from sequential:\nseq: %+v\npar: %+v", seq, par)
-	}
-	if a, b := FormatFigure(app, seq), FormatFigure(app, par); a != b {
-		t.Fatalf("formatted figures differ:\nseq:\n%s\npar:\n%s", a, b)
+	for _, width := range sweepWidths {
+		par, err := RunFigureParallel(app, nodes, width, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripWall(par)
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("width %d: parallel sweep differs from sequential:\nseq: %+v\npar: %+v", width, seq, par)
+		}
+		if a, b := FormatFigure(app, seq), FormatFigure(app, par); a != b {
+			t.Fatalf("width %d: formatted figures differ:\nseq:\n%s\npar:\n%s", width, a, b)
+		}
 	}
 
 	// Progress still fires once per cell, serialized.
@@ -114,14 +119,16 @@ func TestRunFigureParallelError(t *testing.T) {
 			}
 		}
 	}
-	seq, seqErr := RunFigure(app, []int{1, 2}, nil)
-	par, parErr := RunFigureParallel(app, []int{1, 2}, 4, nil)
+	seq, seqErr := RunFigureParallel(app, []int{1, 2}, 1, nil)
 	check(seq, seqErr, "seq")
-	check(par, parErr, "par")
 	stripWall(seq)
-	stripWall(par)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel sweep with failing cells differs from sequential:\nseq: %+v\npar: %+v", seq, par)
+	for _, width := range sweepWidths {
+		par, parErr := RunFigureParallel(app, []int{1, 2}, width, nil)
+		check(par, parErr, fmt.Sprintf("width %d", width))
+		stripWall(par)
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("width %d: parallel sweep with failing cells differs from sequential:\nseq: %+v\npar: %+v", width, seq, par)
+		}
 	}
 	// The rendered figure marks the failed columns rather than crashing.
 	out := FormatFigure(app, seq)
@@ -142,18 +149,20 @@ func TestFaultSweepDeterministicIsolation(t *testing.T) {
 	}
 	app.Iters = 8
 	app.Opts.Faults = &realm.FaultPlan{Seed: 42, CrashRate: 2000}
-	seq, err := RunFigure(app, []int{2, 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunFigureParallel(app, []int{2, 4}, 4, nil)
+	seq, err := RunFigureParallel(app, []int{2, 4}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stripWall(seq)
-	stripWall(par)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("fault sweep differs across schedules:\nseq: %+v\npar: %+v", seq, par)
+	for _, width := range sweepWidths {
+		par, err := RunFigureParallel(app, []int{2, 4}, width, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripWall(par)
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("width %d: fault sweep differs across schedules:\nseq: %+v\npar: %+v", width, seq, par)
+		}
 	}
 	nocrErrs := 0
 	for _, s := range seq {
@@ -239,7 +248,7 @@ func TestSweepBuildsEachProgramOnce(t *testing.T) {
 		if got := builds(); !reflect.DeepEqual(got, map[int]int{1: 2, 2: 2, 4: 2}) {
 			t.Errorf("App.Measure built %v programs by node count, want one per Regent cell", got)
 		}
-		for _, width := range []int{1, 2, 8} {
+		for _, width := range []int{0, 1, 2, 8} {
 			got, err := RunFigureParallel(app, nodes, width, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -266,6 +275,67 @@ func TestSweepBuildsEachProgramOnce(t *testing.T) {
 	}
 	if b := builds(); !reflect.DeepEqual(b, once) {
 		t.Errorf("a one-system sweep built %v programs by node count, want %v", b, once)
+	}
+}
+
+// TestSweepDealsLargestNodeCountFirst pins the order a sweep deals its work
+// in. At width 1 that is the order cells run, so progress comes out in
+// decreasing node count and, within a node count, the Regent systems before
+// the baselines, whatever order the node list and App.Systems are in.
+func TestSweepDealsLargestNodeCountFirst(t *testing.T) {
+	app, _ := countingApp(t, "mpi", "regent-cr", "mpi-openmp", "regent-nocr")
+	var got []string
+	_, err := RunFigureParallel(app, []int{2, 8, 1, 4}, 1, func(line string) {
+		f := strings.Fields(line)
+		got = append(got, f[1]+"@"+strings.TrimPrefix(f[2], "nodes="))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, n := range []int{8, 4, 2, 1} {
+		for _, sys := range []string{"regent-cr", "regent-nocr", "mpi", "mpi-openmp"} {
+			want = append(want, fmt.Sprintf("%s@%d", sys, n))
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cells ran in order\n%v\nwant\n%v", got, want)
+	}
+}
+
+// TestSweepNativeRunsOneCellAtATime: a native cell's per-iteration time is
+// host wall clock, so a native sweep asked for four workers still never has
+// two cells in flight. A cell is in flight from its build to its progress
+// line (one system, so each unit is one cell).
+func TestSweepNativeRunsOneCellAtATime(t *testing.T) {
+	app, _ := countingApp(t, "regent-cr")
+	app.Opts.Backend = bench.BackendNative
+	app.Iters = 4
+	var mu sync.Mutex
+	inFlight, most := 0, 0
+	build := app.Build
+	app.Build = func(nodes, iters int, native bool) (*ir.Program, *ir.Loop, bench.Tuning) {
+		mu.Lock()
+		inFlight++
+		most = max(most, inFlight)
+		mu.Unlock()
+		return build(nodes, iters, native)
+	}
+	series, err := RunFigureParallel(app, []int{1, 2, 3, 4}, 4, func(string) {
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range series[0].Points {
+		if p.Err != "" || p.PerIter <= 0 {
+			t.Errorf("regent-cr@%d: err=%q per=%v, want a clean measurement", p.Nodes, p.Err, p.PerIter)
+		}
+	}
+	if most != 1 {
+		t.Errorf("a native sweep at width 4 had %d cells in flight at once, want 1", most)
 	}
 }
 

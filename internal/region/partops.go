@@ -25,7 +25,7 @@ func colors1D(n int64) geometry.IndexSpace {
 // result is disjoint and complete — the direct analogue of Regent's
 // block/equal partition (paper Figure 2, lines 20-21).
 func (r *Region) Block(name string, n int64) *Partition {
-	total := r.ispace.Volume()
+	total := r.volume
 	subs := make(map[geometry.Point]geometry.IndexSpace, n)
 	// Walk spans in order, assigning each color a contiguous chunk of
 	// ceil/floor-balanced size.
@@ -188,7 +188,7 @@ func (r *Region) BySubsets(name string, colorSpace geometry.IndexSpace, subsets 
 		totalVol += is.Volume()
 		return true
 	})
-	complete := disjoint && totalVol == r.ispace.Volume()
+	complete := disjoint && totalVol == r.volume
 	return r.newPartition(name, colorSpace, subsets, disjoint, complete)
 }
 

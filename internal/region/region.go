@@ -40,6 +40,7 @@ type Region struct {
 	tree   *Tree
 	name   string
 	ispace geometry.IndexSpace
+	volume int64 // ispace.Volume(), fixed with ispace at construction
 
 	parent *Partition     // nil for roots
 	color  geometry.Point // color within parent (zero for roots)
@@ -74,6 +75,7 @@ func (t *Tree) NewRegion(name string, is geometry.IndexSpace) *Region {
 		tree:   t,
 		name:   name,
 		ispace: is,
+		volume: is.Volume(),
 	}
 	t.regions = append(t.regions, r)
 	return r
@@ -94,8 +96,9 @@ func (r *Region) Name() string { return r.name }
 // IndexSpace returns the region's index space.
 func (r *Region) IndexSpace() geometry.IndexSpace { return r.ispace }
 
-// Volume returns the number of elements in the region.
-func (r *Region) Volume() int64 { return r.ispace.Volume() }
+// Volume returns the number of elements in the region, counted once when
+// the region was built.
+func (r *Region) Volume() int64 { return r.volume }
 
 // Parent returns the partition this region is a subregion of, or nil for a
 // root region.
@@ -140,6 +143,7 @@ func (r *Region) newPartition(name string, colorSpace geometry.IndexSpace, subsp
 			tree:   r.tree,
 			name:   fmt.Sprintf("%s[%v]", name, c),
 			ispace: is,
+			volume: is.Volume(),
 			parent: p,
 			color:  c,
 		}
