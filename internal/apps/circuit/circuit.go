@@ -185,9 +185,10 @@ func (app *App) nodeSets() (map[geometry.Point]geometry.IndexSpace, geometry.Ind
 	var remote []geometry.Point
 	for piece := int64(0); piece < pieces; piece++ {
 		remote = remote[:0]
+		lo, hi := piece*cfg.NodesPerPiece, (piece+1)*cfg.NodesPerPiece
 		for w := piece * cfg.WiresPerPiece; w < (piece+1)*cfg.WiresPerPiece; w++ {
 			for _, n := range [2]int64{app.InNode[w], app.OutNode[w]} {
-				if n/cfg.NodesPerPiece != piece {
+				if n < lo || n >= hi {
 					shared[n] = true
 					remote = append(remote, geometry.Pt1(n))
 				}

@@ -118,12 +118,13 @@ func (m mesh) face(piece, axis, side int64) geometry.IndexSpace {
 			lx = m.w - 1
 		}
 		lo := base + lx*m.h*m.d
-		rects = append(rects, geometry.R1(lo, lo+m.h*m.d-1))
+		rects = []geometry.Rect{geometry.R1(lo, lo+m.h*m.d-1)}
 	case 1:
 		ly := int64(0)
 		if side == 1 {
 			ly = m.h - 1
 		}
+		rects = make([]geometry.Rect, 0, m.w)
 		for lx := int64(0); lx < m.w; lx++ {
 			lo := base + lx*m.h*m.d + ly*m.d
 			rects = append(rects, geometry.R1(lo, lo+m.d-1))
@@ -133,6 +134,7 @@ func (m mesh) face(piece, axis, side int64) geometry.IndexSpace {
 		if side == 1 {
 			lz = m.d - 1
 		}
+		rects = make([]geometry.Rect, 0, m.w*m.h)
 		for lx := int64(0); lx < m.w; lx++ {
 			for ly := int64(0); ly < m.h; ly++ {
 				id := base + lx*m.h*m.d + ly*m.d + lz

@@ -5,34 +5,133 @@ import (
 	"testing"
 )
 
+// deferredOps are the DES operations that register on an event that has
+// not fired yet. setup prepares one Sim and returns one op: make a pending
+// event, register on it, fire it, and drain the queue. *ran counts the
+// continuations and completions the op is meant to reach.
+var deferredOps = []struct {
+	name  string
+	setup func(s *Sim, ran *int) (op func())
+}{
+	{"waiters", func(s *Sim, ran *int) func() {
+		fn := func() { *ran++ }
+		return func() {
+			e := s.NewUserEvent()
+			s.OnTrigger(e, fn) // inline in the slot
+			s.OnTrigger(e, fn) // a pooled slice
+			s.After(5, fn)
+			s.Trigger(e)
+			s.MustRun()
+		}
+	}},
+	{"launch", func(s *Sim, ran *int) func() {
+		return func() {
+			pre := s.NewUserEvent()
+			done := s.LaunchOn(0, pre, 5, nil)
+			s.Trigger(pre)
+			s.MustRun()
+			if s.Triggered(done) {
+				*ran++
+			}
+		}
+	}},
+	{"copy", func(s *Sim, ran *int) func() {
+		return func() {
+			pre := s.NewUserEvent()
+			done := s.CopyBytes(0, 1, 64, pre, nil)
+			s.Trigger(pre)
+			s.MustRun()
+			if s.Triggered(done) {
+				*ran++
+			}
+		}
+	}},
+	{"copy-agg", func(s *Sim, ran *int) func() {
+		return func() {
+			pre := s.NewUserEvent()
+			done := s.CopyAgg(0, 1, 64, 2, pre, nil)
+			s.Trigger(pre)
+			s.MustRun()
+			if s.Triggered(done) {
+				*ran++
+			}
+		}
+	}},
+	{"link", func(s *Sim, ran *int) func() {
+		return func() {
+			pre, e := s.NewUserEvent(), s.NewUserEvent()
+			s.TriggerAfter(e, pre)
+			if s.Triggered(e) {
+				panic("TriggerAfter fired before its precondition")
+			}
+			s.Trigger(pre)
+			if s.Triggered(e) {
+				*ran++
+			}
+		}
+	}},
+	{"barrier-arrival", func(s *Sim, ran *int) func() {
+		bar := s.Barrier(1 << 30) // never completes: every op is one arrival
+		return func() {
+			pre := s.NewUserEvent()
+			bar.Arrive(pre)
+			s.Trigger(pre)
+			*ran++
+		}
+	}},
+	{"merge", func(s *Sim, ran *int) func() {
+		fn := func() { *ran++ }
+		return func() {
+			a, b := s.NewUserEvent(), s.NewUserEvent()
+			s.OnTrigger(s.Merge(a, b), fn)
+			s.Trigger(a)
+			s.Trigger(b)
+		}
+	}},
+}
+
 // TestScheduleTriggerAllocs pins the allocation behavior of the DES hot
-// path: once the waiter pool and the pre-sized event table are warm,
-// creating a user event, registering a continuation, scheduling a timer,
-// and triggering must not allocate. This is the path every simulated task
-// launch and copy goes through millions of times per weak-scaling sweep; a
-// regression here (e.g. reintroducing per-waiter slice allocations or
-// interface boxing in the event queue) shows up as a nonzero average.
+// path: once the pools and the event table are warm, registering on a
+// pending event — a continuation, a deferred launch or copy, an event link,
+// a barrier arrival, a merge — and firing it must not allocate. This is the
+// path every simulated task launch and copy goes through millions of times
+// per weak-scaling sweep; a regression here (a closure per registration, a
+// per-waiter slice, interface boxing in the event queue) shows up as a
+// nonzero average.
 func TestScheduleTriggerAllocs(t *testing.T) {
-	s := MustNewSim(DefaultConfig(1))
-	sink := 0
-	fn := func() { sink++ }
-
-	// Warm the waiter pool with one trip through the path.
-	e0 := s.NewUserEvent()
-	s.OnTrigger(e0, fn)
-	s.Trigger(e0)
-
-	avg := testing.AllocsPerRun(200, func() {
-		e := s.NewUserEvent()
-		s.OnTrigger(e, fn)
-		s.After(5, fn)
-		s.Trigger(e)
-	})
-	if avg > 0 {
-		t.Errorf("schedule/trigger path allocates %.2f objects per op, want 0", avg)
+	for _, row := range deferredOps {
+		t.Run(row.name, func(t *testing.T) {
+			s := MustNewSim(DefaultConfig(2))
+			ran := 0
+			op := row.setup(s, &ran)
+			for i := 0; i < 8; i++ {
+				op() // warm the pools
+			}
+			if avg := testing.AllocsPerRun(200, op); avg > 0 {
+				t.Errorf("allocates %.2f objects per op, want 0", avg)
+			}
+			if ran < 209 {
+				t.Fatalf("reached %d of 209 continuations", ran)
+			}
+		})
 	}
-	if sink == 0 {
-		t.Fatal("continuations never ran")
+}
+
+// BenchmarkDeferredOps measures one registration on a pending event and its
+// firing, per kind of deferred operation (run with -benchmem).
+func BenchmarkDeferredOps(b *testing.B) {
+	for _, row := range deferredOps {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			s := MustNewSim(DefaultConfig(2))
+			ran := 0
+			op := row.setup(s, &ran)
+			op()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
 	}
 }
 

@@ -55,6 +55,10 @@ type Exec interface {
 	Triggered(e Event) bool
 	// OnTrigger runs fn when e fires (immediately if it already has).
 	OnTrigger(e Event, fn func())
+	// TriggerAfter triggers e once pre has fired (at once if it already
+	// has), as a continuation registered on pre now (Realm's
+	// UserEvent::trigger(wait_on)). Triggering e a second time panics.
+	TriggerAfter(e, pre Event)
 	// Merge returns an event that triggers once all inputs have triggered.
 	// The inputs slice is not retained.
 	Merge(evs ...Event) Event
@@ -180,6 +184,7 @@ type CollectiveOp interface {
 func NewBarrier(x Exec, n int, done Event, complete func(Event)) BarrierOp {
 	b := &barrier{x: x, done: done, complete: complete}
 	b.remaining.Store(int32(n))
+	b.arriveFn = b.arrive
 	return b
 }
 
@@ -188,15 +193,16 @@ type barrier struct {
 	remaining atomic.Int32
 	done      Event
 	complete  func(Event)
+	arriveFn  func() // bound once, so an arrival registers without allocating
 }
 
 // Arrive implements BarrierOp.
-func (b *barrier) Arrive(pre Event) {
-	b.x.OnTrigger(pre, func() {
-		if b.remaining.Add(-1) == 0 {
-			b.complete(b.done)
-		}
-	})
+func (b *barrier) Arrive(pre Event) { b.x.OnTrigger(pre, b.arriveFn) }
+
+func (b *barrier) arrive() {
+	if b.remaining.Add(-1) == 0 {
+		b.complete(b.done)
+	}
 }
 
 // Done implements BarrierOp.

@@ -398,7 +398,7 @@ func TestDroppedPageReadsAsTriggered(t *testing.T) {
 		t.Fatal("new page did not come from the free list")
 	}
 	for i := Event(0); i < evPageSize; i++ {
-		if st := &recycled.evs[i]; st.triggered || st.waiters != nil {
+		if st := &recycled.evs[i]; st.triggered || st.first != nil || st.waiters != nil {
 			t.Fatalf("recycled slot %d not reset", i)
 		}
 	}

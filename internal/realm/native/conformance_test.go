@@ -46,6 +46,43 @@ func TestExecConformance(t *testing.T) {
 				strings.HasSuffix(fmt.Sprint(twice), fmt.Sprintf("event %d triggered twice", a)))
 		}, "false [1 2 3] false true false true true true"},
 
+		{"waiter order", func(x realm.Exec) string {
+			// The first waiter lives in the event's slot, the rest in a
+			// slice: registration order holds across the two.
+			var out []string
+			for _, n := range []int{1, 2, 5} {
+				e := x.NewUserEvent()
+				var order []int
+				for i := 0; i < n; i++ {
+					x.OnTrigger(e, func() { order = append(order, i) })
+				}
+				x.Trigger(e)
+				out = append(out, fmt.Sprint(order))
+			}
+			return strings.Join(out, " ")
+		}, "[0] [0 1] [0 1 2 3 4]"},
+
+		{"trigger after", func(x realm.Exec) string {
+			pre, e := x.NewUserEvent(), x.NewUserEvent()
+			var order []string
+			x.OnTrigger(pre, func() { order = append(order, "w1") })
+			x.TriggerAfter(e, pre) // the second waiter on pre
+			x.OnTrigger(pre, func() { order = append(order, fmt.Sprint("w3:", x.Triggered(e))) })
+			x.OnTrigger(e, func() { order = append(order, "e") })
+			pending := x.Triggered(e)
+			x.Trigger(pre)
+			fired, none := x.NewUserEvent(), x.NewUserEvent()
+			x.TriggerAfter(fired, pre) // pre already fired: at once
+			x.TriggerAfter(none, realm.NoEvent)
+			var twice interface{}
+			func() {
+				defer func() { twice = recover() }()
+				x.Trigger(e)
+			}()
+			return fmt.Sprint(pending, order, x.Triggered(e), x.Triggered(fired), x.Triggered(none),
+				strings.HasSuffix(fmt.Sprint(twice), fmt.Sprintf("event %d triggered twice", e)))
+		}, "false [w1 e w3:true] true true true true"},
+
 		{"merge", func(x realm.Exec) string {
 			a, b := x.NewUserEvent(), x.NewUserEvent()
 			m := x.Merge(a, realm.NoEvent, b)

@@ -456,15 +456,23 @@ func (m *Machine) Trigger(e realm.Event) {
 		panic("native: cannot trigger NoEvent")
 	}
 	m.mu.Lock()
-	waiters, ok := m.events.Fire(e)
+	first, rest, ok := m.events.Fire(e)
 	m.mu.Unlock()
 	if !ok {
 		panic(fmt.Sprintf("native: event %d triggered twice", e))
 	}
 	atomic.AddInt64(&m.eventsFired, 1)
-	for _, fn := range waiters {
+	if first != nil {
+		first()
+	}
+	for _, fn := range rest {
 		fn()
 	}
+}
+
+// TriggerAfter implements realm.Exec.
+func (m *Machine) TriggerAfter(e, pre realm.Event) {
+	m.OnTrigger(pre, func() { m.Trigger(e) })
 }
 
 // Triggered implements realm.Exec.

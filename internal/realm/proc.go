@@ -47,9 +47,67 @@ func (p *proc) launch(pre Event, dur Time, body func()) Event {
 	if s.Triggered(pre) {
 		p.execItem(dur, body, done)
 	} else {
-		s.OnTrigger(pre, func() { p.execItem(dur, body, done) })
+		s.await(pre, deferred{op: opProc, proc: p, dur: dur, body: body, done: done})
 	}
 	return done
+}
+
+// deferred is an operation waiting on a precondition that has not fired:
+// a work item, a transfer, or an event link. It is the pooled stand-in for
+// the closure each would otherwise allocate per registration; run is bound
+// once per record, as merger.cb and Thread.wakeFn are.
+type deferred struct {
+	s     *Sim
+	op    uint8
+	done  Event // the operation's completion; opLink: the event to trigger
+	proc  *proc // opProc
+	src   *node // opLaunch: the node; opCopy: the sender
+	dst   *node // opCopy
+	dur   Time  // opLaunch, opProc
+	bytes int64 // opCopy
+	body  func()
+	runFn func()
+}
+
+const (
+	opLaunch = iota // Sim.LaunchOn: execAuto on src
+	opProc          // proc.launch: execItem on proc
+	opCopy          // Sim.CopyBytes: execCopy from src to dst
+	opLink          // Sim.TriggerAfter: trigger done
+)
+
+// await registers op to run when pre, which has not fired, does.
+func (s *Sim) await(pre Event, op deferred) {
+	var r *deferred
+	if n := len(s.deferPool); n > 0 {
+		r = s.deferPool[n-1]
+		s.deferPool = s.deferPool[:n-1]
+		op.runFn = r.runFn
+	} else {
+		r = new(deferred)
+		op.runFn = r.run
+	}
+	op.s = s
+	*r = op
+	s.events.Await(pre, r.runFn)
+}
+
+// run performs the operation. The record is zeroed and back in the pool
+// before the operation runs, which may well defer another.
+func (r *deferred) run() {
+	op, s := *r, r.s
+	*r = deferred{runFn: r.runFn}
+	s.deferPool = append(s.deferPool, r)
+	switch op.op {
+	case opLaunch:
+		op.src.execAuto(op.dur, op.body, op.done)
+	case opProc:
+		op.proc.execItem(op.dur, op.body, op.done)
+	case opCopy:
+		s.execCopy(op.src, op.dst, op.bytes, op.body, op.done)
+	case opLink:
+		s.Trigger(op.done)
+	}
 }
 
 // execItem runs a work item whose precondition has triggered: occupy the
@@ -107,7 +165,7 @@ func (s *Sim) LaunchOn(node int, pre Event, dur Time, body func()) Event {
 	if s.Triggered(pre) {
 		n.execAuto(dur, body, done)
 	} else {
-		s.OnTrigger(pre, func() { n.execAuto(dur, body, done) })
+		s.await(pre, deferred{op: opLaunch, src: n, dur: dur, body: body, done: done})
 	}
 	return done
 }
@@ -138,7 +196,7 @@ func (s *Sim) CopyBytes(src, dst int, bytes int64, pre Event, body func()) Event
 	if s.Triggered(pre) {
 		s.execCopy(from, to, bytes, body, done)
 	} else {
-		s.OnTrigger(pre, func() { s.execCopy(from, to, bytes, body, done) })
+		s.await(pre, deferred{op: opCopy, src: from, dst: to, bytes: bytes, body: body, done: done})
 	}
 	return done
 }

@@ -159,7 +159,10 @@ type Sim struct {
 	// mergerPool recycles merger states (and their bound callbacks) once
 	// they fire; every task launch merges its preconditions, so steady-state
 	// loops would otherwise allocate a merger per launch per iteration.
+	// deferPool does the same for the operations waiting on a precondition
+	// (proc.go's deferred).
 	mergerPool []*merger
+	deferPool  []*deferred
 }
 
 type queued struct {
@@ -357,15 +360,29 @@ func (s *Sim) Trigger(e Event) {
 	if e == NoEvent {
 		panic("realm: cannot trigger NoEvent")
 	}
-	waiters, ok := s.events.Fire(e)
+	first, rest, ok := s.events.Fire(e)
 	if !ok {
 		panic(fmt.Sprintf("realm: event %d triggered twice", e))
 	}
-	for i, fn := range waiters {
-		waiters[i] = nil // release the closure before recycling
+	if first == nil {
+		return
+	}
+	first()
+	for i, fn := range rest {
+		rest[i] = nil // release the closure before recycling
 		fn()
 	}
-	s.events.Recycle(waiters)
+	s.events.Recycle(rest)
+}
+
+// TriggerAfter implements Exec: e triggers once pre has, through a pooled
+// link record rather than a closure.
+func (s *Sim) TriggerAfter(e, pre Event) {
+	if s.Triggered(pre) {
+		s.Trigger(e)
+		return
+	}
+	s.await(pre, deferred{op: opLink, done: e})
 }
 
 // Triggered reports whether e has fired.

@@ -21,9 +21,14 @@ type EventTable struct {
 	waiterPool [][]func()
 }
 
+// eventState is one event's slot: 40 bytes, so a page is 160 KB. Most
+// events that are waited on at all have exactly one waiter, so the first
+// lives in the slot itself and only the second and later ones take a
+// pooled slice.
 type eventState struct {
 	triggered bool
-	kind      uint8 // the backend's label for diagnostics (SetKind)
+	kind      uint8  // the backend's label for diagnostics (SetKind)
+	first     func() // the first waiter registered
 	waiters   []func()
 }
 
@@ -85,6 +90,10 @@ func (t *EventTable) Await(e Event, fn func()) bool {
 	if st == nil || st.triggered {
 		return false
 	}
+	if st.first == nil {
+		st.first = fn
+		return true
+	}
 	if st.waiters == nil {
 		if n := len(t.waiterPool); n > 0 {
 			st.waiters = t.waiterPool[n-1]
@@ -95,25 +104,27 @@ func (t *EventTable) Await(e Event, fn func()) bool {
 	return true
 }
 
-// Fire marks e fired and returns its continuations in registration order,
-// for the caller to run and then hand to Recycle; ok is false when e had
-// already fired. The last event of a page to fire drops the page before
-// anything runs (continuations may make events).
-func (t *EventTable) Fire(e Event) (waiters []func(), ok bool) {
+// Fire marks e fired and returns its continuations in registration order —
+// first (nil when nothing waits), then rest — for the caller to run and
+// then hand rest to Recycle; ok is false when e had already fired. The last
+// event of a page to fire drops the page before anything runs
+// (continuations may make events).
+func (t *EventTable) Fire(e Event) (first func(), rest []func(), ok bool) {
 	p := t.pages[(e-1)>>evPageBits]
 	if p == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	st := &p.evs[(e-1)&(evPageSize-1)]
 	if st.triggered {
-		return nil, false
+		return nil, nil, false
 	}
 	st.triggered = true
-	waiters, st.waiters = st.waiters, nil
+	first, rest = st.first, st.waiters
+	st.first, st.waiters = nil, nil
 	if p.triggered++; p.triggered == evPageSize {
 		t.drop(e)
 	}
-	return waiters, true
+	return first, rest, true
 }
 
 // drop retires e's page, all of whose events have fired, to the free list.
@@ -124,11 +135,11 @@ func (t *EventTable) drop(e Event) {
 	t.freePages = append(t.freePages, p)
 }
 
-// Recycle takes back a waiter slice Fire returned, once the caller has run
+// Recycle takes back a rest slice Fire returned, once the caller has run
 // its continuations and cleared each entry (releasing the closures).
-func (t *EventTable) Recycle(waiters []func()) {
-	if cap(waiters) > 0 {
-		t.waiterPool = append(t.waiterPool, waiters[:0])
+func (t *EventTable) Recycle(rest []func()) {
+	if cap(rest) > 0 {
+		t.waiterPool = append(t.waiterPool, rest[:0])
 	}
 }
 

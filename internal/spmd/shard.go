@@ -365,7 +365,7 @@ func (sh *shard) consume(w *stepPlan, iter int) {
 	for k := w.groupStart; k < w.groupEnd; k++ {
 		ps := st.pairSyncFor(w.copyID, k, iter)
 		if !prune.SkipWar(w.copyID, k) {
-			st.connect(release, ps.war)
+			e.Sim.TriggerAfter(ps.war, release)
 		}
 		if !prune.SkipDone(w.copyID, k) {
 			newWrites = append(newWrites, ps.done)
@@ -423,7 +423,7 @@ func (sh *shard) execExchangeP2P(xp *exchangePlan, iter int) {
 				sh.ops = append(sh.ops, ev)
 			} else {
 				done := st.pairSyncFor(m.copyID, m.pairIdx, iter).done
-				st.connect(ev, done)
+				e.Sim.TriggerAfter(done, ev)
 				sh.ops = append(sh.ops, done)
 			}
 		}
@@ -511,7 +511,7 @@ func (sh *shard) execExchangeBarrier(xp *exchangePlan, iter int) {
 			m := &s.members[mi]
 			m.srcState.readers = append(m.srcState.readers, ev)
 			if m.reduce && !st.plan.Prune.SkipDone(m.copyID, m.pairIdx) {
-				st.connect(ev, st.pairSyncFor(m.copyID, m.pairIdx, iter).done)
+				e.Sim.TriggerAfter(st.pairSyncFor(m.copyID, m.pairIdx, iter).done, ev)
 			}
 		}
 		copyEvs = append(copyEvs, ev)

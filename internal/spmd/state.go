@@ -3,6 +3,7 @@ package spmd
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cr"
 	"repro/internal/geometry"
@@ -85,8 +86,8 @@ type runState struct {
 	e    *Engine
 	plan *cr.Compiled
 
-	// mu guards the lazily-created shared state below: syncBase, colls,
-	// bars, temps, and the iteration counters. Uncontended on the DES.
+	// mu guards the lazily-created shared state below: syncBase's stores,
+	// colls, bars, temps, and the iteration counters. Uncontended on the DES.
 	mu sync.Mutex
 
 	inst   map[instKey]*region.Store // Real mode instances
@@ -104,7 +105,7 @@ type runState struct {
 	// indexed by (iteration, position).
 	pairOff   map[int]int
 	pairTotal int
-	syncBase  []realm.Event // per iteration; NoEvent until first touch
+	syncBase  []atomic.Int32 // a realm.Event per iteration; NoEvent until first touch
 
 	redIdx map[*ir.Launch]int
 	numRed int
@@ -195,10 +196,7 @@ func (st *runState) indexSyncSlots(trip int) {
 			}
 		}
 	}
-	st.syncBase = make([]realm.Event, trip)
-	for i := range st.syncBase {
-		st.syncBase[i] = realm.NoEvent
-	}
+	st.syncBase = make([]atomic.Int32, trip) // all NoEvent
 	st.colls = make([]realm.CollectiveOp, trip*st.numRed)
 	if st.plan.Opts.Sync == cr.BarrierSync {
 		st.bars = make([]realm.BarrierOp, trip*st.numBarOps*2)
@@ -207,17 +205,28 @@ func (st *runState) indexSyncSlots(trip int) {
 
 // pairSyncFor returns the sync pair for (copy, pair, iteration); producer
 // and consumer may ask in either order. The first touch of an iteration
-// reserves its whole sync block in bulk.
+// reserves its whole sync block in bulk, under mu; every later one is an
+// atomic load.
 func (st *runState) pairSyncFor(copyID, pairIdx, iter int) pairSync {
-	st.mu.Lock()
-	base := st.syncBase[iter]
+	base := realm.Event(st.syncBase[iter].Load())
 	if base == realm.NoEvent {
-		base = st.e.Sim.ReserveEvents(2 * st.pairTotal)
-		st.syncBase[iter] = base
+		base = st.reserveSync(iter)
 	}
-	st.mu.Unlock()
 	war := base + realm.Event(2*(st.pairOff[copyID]+pairIdx))
 	return pairSync{war: war, done: war + 1}
+}
+
+// reserveSync returns iteration iter's sync block, reserving it unless
+// another shard got there first.
+func (st *runState) reserveSync(iter int) realm.Event {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	base := realm.Event(st.syncBase[iter].Load())
+	if base == realm.NoEvent {
+		base = st.e.Sim.ReserveEvents(2 * st.pairTotal)
+		st.syncBase[iter].Store(int32(base))
+	}
+	return base
 }
 
 // barrierFor lazily creates one of a copy op's two global barriers.
@@ -256,12 +265,6 @@ func (st *runState) markRestored(pi, ci int) {
 		}
 	}
 	st.restored[pi][ci] = true
-}
-
-// connect triggers dst when src fires.
-func (st *runState) connect(src, dst realm.Event) {
-	sim := st.e.Sim
-	sim.OnTrigger(src, func() { sim.Trigger(dst) })
 }
 
 // recordIter counts shard completions of iteration t and stamps the time
