@@ -9,10 +9,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/cr"
 	"repro/internal/ir"
@@ -39,101 +42,131 @@ func checkFlags(engine string, nodes int) error {
 }
 
 func main() {
-	engine := flag.String("engine", "cr", "execution engine: seq, implicit, or cr")
-	nodes := flag.Int("nodes", 4, "simulated node count (implicit, cr)")
-	dump := flag.Bool("dump", false, "print the compiled ir program")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: crlang [-engine seq|implicit|cr] [-nodes N] [-dump] file.cr")
-		os.Exit(2)
-	}
-	if err := checkFlags(*engine, *nodes); err != nil {
-		fmt.Fprintln(os.Stderr, "crlang:", err)
-		os.Exit(1)
-	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crlang:", err)
-		os.Exit(1)
-	}
-	prog, err := lang.Compile(string(src))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crlang:", err)
-		os.Exit(1)
-	}
-	if *dump {
-		fmt.Print(ir.Dump(prog))
-		fmt.Println()
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var env ir.MapEnv
-	switch *engine {
-	case "seq":
-		res := ir.ExecSequential(prog)
-		env = res.Env
-		fmt.Println("sequential execution complete")
-	case "implicit":
-		sim, err := realm.NewSim(realm.DefaultConfig(*nodes))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crlang:", err)
-			os.Exit(1)
+// run is crlang with its arguments and output streams; it returns the exit
+// status. Every error is printed as "crlang: " lines, one per line of the
+// error, so each of a source's syntax errors gets its own.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("crlang", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	engine := fs.String("engine", "cr", "execution engine: seq, implicit, or cr")
+	nodes := fs.Int("nodes", 4, "simulated node count (implicit, cr)")
+	dump := fs.Bool("dump", false, "print the compiled ir program")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		res, err := rt.New(sim, prog, ir.ExecReal).Run()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crlang:", err)
-			os.Exit(1)
-		}
-		env = res.Env
-		fmt.Printf("implicit execution complete: %v virtual, %d tasks, %d messages\n",
-			res.Elapsed, res.Stats.TasksRun, res.Stats.Messages)
-	case "cr":
-		plans, err := spmd.CompileAll(prog, cr.Options{NumShards: *nodes})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crlang:", err)
-			os.Exit(1)
-		}
-		// Program order: CompileAll plans every top-level loop, and a map
-		// would print them in a different order from run to run.
-		for _, s := range prog.Stmts {
-			loop, ok := s.(*ir.Loop)
-			if !ok {
-				continue
-			}
-			plan := plans[loop]
-			fmt.Printf("replicated loop %q: %d shards, body:\n", plan.Loop.Var, plan.Opts.NumShards)
-			for i, op := range plan.Body {
-				switch {
-				case op.Launch != nil:
-					fmt.Printf("  %d: launch %s\n", i, op.Launch.Label)
-				case op.Copy != nil:
-					fmt.Printf("  %d: %v\n", i, op.Copy)
-				}
-			}
-		}
-		sim, err := realm.NewSim(realm.DefaultConfig(*nodes))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crlang:", err)
-			os.Exit(1)
-		}
-		res, err := spmd.New(sim, prog, ir.ExecReal, plans).Run()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crlang:", err)
-			os.Exit(1)
-		}
-		env = res.Env
-		fmt.Printf("control-replicated execution complete: %v virtual, %d tasks, %d messages\n",
-			res.Elapsed, res.Stats.TasksRun, res.Stats.Messages)
+		return 2
 	}
-
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: crlang [-engine seq|implicit|cr] [-nodes N] [-dump] file.cr")
+		return 2
+	}
+	env, err := execute(fs.Arg(0), *engine, *nodes, *dump, stdout)
+	if err != nil {
+		for _, line := range strings.Split(err.Error(), "\n") {
+			fmt.Fprintln(stderr, "crlang:", line)
+		}
+		return 1
+	}
 	if len(env) > 0 {
 		var names []string
 		for k := range env {
 			names = append(names, k)
 		}
 		sort.Strings(names)
-		fmt.Println("final scalars:")
+		fmt.Fprintln(stdout, "final scalars:")
 		for _, k := range names {
-			fmt.Printf("  %s = %g\n", k, env[k])
+			fmt.Fprintf(stdout, "  %s = %g\n", k, env[k])
 		}
 	}
+	return 0
+}
+
+// execute compiles the source file and runs it on engine, printing the
+// plan and a summary to out, and returns the final scalar environment.
+func execute(path, engine string, nodes int, dump bool, out io.Writer) (ir.MapEnv, error) {
+	if err := checkFlags(engine, nodes); err != nil {
+		return nil, err
+	}
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := lang.Compile(string(src))
+	if err != nil {
+		return nil, err
+	}
+	if dump {
+		fmt.Fprintln(out, ir.Dump(prog))
+	}
+
+	switch engine {
+	case "seq":
+		env, err := execSequential(prog)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintln(out, "sequential execution complete")
+		return env, nil
+	case "implicit":
+		sim, err := realm.NewSim(realm.DefaultConfig(nodes))
+		if err != nil {
+			return nil, err
+		}
+		res, err := rt.New(sim, prog, ir.ExecReal).Run()
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(out, "implicit execution complete: %v virtual, %d tasks, %d messages\n",
+			res.Elapsed, res.Stats.TasksRun, res.Stats.Messages)
+		return res.Env, nil
+	}
+	plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes})
+	if err != nil {
+		return nil, err
+	}
+	// Program order: CompileAll plans every top-level loop, and a map
+	// would print them in a different order from run to run.
+	for _, s := range prog.Stmts {
+		loop, ok := s.(*ir.Loop)
+		if !ok {
+			continue
+		}
+		plan := plans[loop]
+		fmt.Fprintf(out, "replicated loop %q: %d shards, body:\n", plan.Loop.Var, plan.Opts.NumShards)
+		for i, op := range plan.Body {
+			switch {
+			case op.Launch != nil:
+				fmt.Fprintf(out, "  %d: launch %s\n", i, op.Launch.Label)
+			case op.Copy != nil:
+				fmt.Fprintf(out, "  %d: %v\n", i, op.Copy)
+			}
+		}
+	}
+	sim, err := realm.NewSim(realm.DefaultConfig(nodes))
+	if err != nil {
+		return nil, err
+	}
+	res, err := spmd.New(sim, prog, ir.ExecReal, plans).Run()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "control-replicated execution complete: %v virtual, %d tasks, %d messages\n",
+		res.Elapsed, res.Stats.TasksRun, res.Stats.Messages)
+	return res.Env, nil
+}
+
+// execSequential runs prog under ir.ExecSequential. A kernel that indexes
+// outside its argument panics in the region layer under every engine; the
+// simulated engines return that panic as an error, and so does this.
+func execSequential(prog *ir.Program) (env ir.MapEnv, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("ir: task execution panicked: %v", r)
+		}
+	}()
+	return ir.ExecSequential(prog).Env, nil
 }

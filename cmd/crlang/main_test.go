@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // TestCheckFlags: an unknown engine, or a node count below 1 for an engine
 // that runs on the simulated machine, is a one-line command-line error
@@ -28,6 +33,47 @@ func TestCheckFlags(t *testing.T) {
 		}
 		if got != tc.err {
 			t.Errorf("checkFlags(%q, %d) = %q, want %q", tc.engine, tc.nodes, got, tc.err)
+		}
+	}
+}
+
+// TestRunPrintsErrorsNotStackTraces: each syntax error of a source is its
+// own "crlang: " line, and a kernel that reads past its block is a one-line
+// error with exit status 1 under the sequential engine as under cr.
+func TestRunPrintsErrorsNotStackTraces(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	twoErrors := write("two.cr", `program p
+region R[0..7] fields { x y }
+partition P = blok(R, 2)
+`)
+	pastBlock := write("past.cr", `program p
+region R[0..7] fields { x }
+partition P = block(R, 2)
+task t(r: region writes(x) reads(x)) { for p in r { r.x[p] = r.x[p + 1] } }
+fill R.x = idx
+for s = 0, 1 { launch t(P[i]) }
+`)
+	const panicked = "task execution panicked: region: point <4> outside footprint {[<0>..<3>]}\n"
+	for _, tc := range []struct {
+		args   []string
+		stderr string
+	}{
+		{[]string{"-engine", "seq", twoErrors}, `crlang: lang: line 2:27: expected "}", found "y"
+crlang: lang: line 3:15: unknown partition operator "blok" (have block, image)
+`},
+		{[]string{"-engine", "seq", pastBlock}, "crlang: ir: " + panicked},
+		{[]string{"-engine", "cr", pastBlock}, "crlang: spmd: " + panicked},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 1 || stderr.String() != tc.stderr {
+			t.Errorf("crlang %v: exit %d, stderr\n%s\nwant exit 1, stderr\n%s", tc.args, code, stderr.String(), tc.stderr)
 		}
 	}
 }

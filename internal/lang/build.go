@@ -119,7 +119,12 @@ func (b *builder) build() (*ir.Program, error) {
 		if _, dup := b.tasks[tk.name]; dup {
 			return nil, errAt(tk.line, "duplicate task %q", tk.name)
 		}
+		seen := map[string]bool{}
 		for _, prm := range tk.params {
+			if seen[prm.name] {
+				return nil, errAt(prm.line, "duplicate parameter %q in task %q", prm.name, tk.name)
+			}
+			seen[prm.name] = true
 			if prm.isScalar {
 				continue
 			}
@@ -146,6 +151,9 @@ func (b *builder) buildStmts(in []astStmt, loopVars map[string]bool) ([]ir.Stmt,
 	for _, s := range in {
 		switch s := s.(type) {
 		case *astFill:
+			if len(loopVars) > 0 {
+				return nil, errAt(s.line, "fill statements are setup-only, not allowed inside loops")
+			}
 			reg, ok := b.regions[s.region]
 			if !ok {
 				return nil, errAt(s.line, "unknown region %q", s.region)
@@ -170,6 +178,9 @@ func (b *builder) buildStmts(in []astStmt, loopVars map[string]bool) ([]ir.Stmt,
 		case *astLoop:
 			if s.lo != 0 {
 				return nil, errAt(s.line, "loops must start at 0 (for %s = 0, N)", s.v)
+			}
+			if s.hi < 0 {
+				return nil, errAt(s.line, "loop %q has negative trip count", s.v)
 			}
 			inner := map[string]bool{}
 			for k := range loopVars {

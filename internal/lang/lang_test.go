@@ -330,73 +330,101 @@ func TestNestedKernelLoops(t *testing.T) {
 	}
 }
 
-func TestCompileErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"unknown region", `program p
+// compileErrorCases are sources Compile must reject, each with a fragment
+// of the error it must report.
+var compileErrorCases = []struct {
+	name, src, want string
+}{
+	{"unknown region", `program p
 partition P = block(Z, 2)`, `unknown region "Z"`},
-		{"unknown field", `program p
+	{"unknown field", `program p
 region R[0..3] fields { x }
 task t(r: region reads(y)) { }
 launch t(PR[i])`, `unknown partition "PR"`},
-		{"bad field in task", `program p
+	{"bad field in task", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 task t(r: region reads(y)) { }
 launch t(PR[i])`, `has no field "y"`},
-		{"write without privilege", `program p
+	{"write without privilege", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 task t(r: region reads(x)) { for p in r { r.x[p] = 1 } }
 launch t(PR[i])`, `line 4: parameter "r" has no write privilege on field "x"`},
-		{"read without privilege", `program p
+	{"read without privilege", `program p
 region R[0..3] fields { x, y }
 partition PR = block(R, 2)
 task t(r: region writes(x)) { for p in r { r.x[p] = r.y[p] } }
 launch t(PR[i])`, `line 4: parameter "r" has no read privilege on field "y"`},
-		{"reduce without privilege", `program p
+	{"reduce without privilege", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 task t(r: region reads(x)) { for p in r { r.x[p] += 1 } }
 launch t(PR[i])`, `line 4: parameter "r" has no reduce or write privilege on field "x"`},
-		{"shadowed loop variable", `program p
+	{"shadowed loop variable", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 task t(r: region writes(x)) { for p in r { for p in r { r.x[p] = 1 } } }
 launch t(PR[i])`, `line 4: loop variable "p" shadows an outer loop variable`},
-		{"arg count", `program p
+	{"arg count", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 task t(r: region reads(x), s: region reads(x)) { }
 launch t(PR[i])`, "takes 2 region arguments"},
-		{"unknown scalar", `program p
+	{"unknown scalar", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 task t(r: region reads(x), k: scalar) { }
 launch t(PR[i]; zig)`, `unknown scalar "zig"`},
-		{"index not in scope", `program p
+	{"index not in scope", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 task t(r: region writes(x)) { for p in r { r.x[q] = 1 } }
 launch t(PR[i])`, `"q" is not a loop variable`},
-		{"mixed privileges", `program p
+	{"mixed privileges", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 task t(r: region reads(x) reduces + (x)) { }
 launch t(PR[i])`, "mixes reduces"},
-		{"nonzero loop start", `program p
+	{"nonzero loop start", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 task t(r: region reads(x)) { }
 for t = 1, 3 { launch t(PR[i]) }`, "must start at 0"},
-		{"bad functor", `program p
+	{"bad functor", `program p
 region R[0..3] fields { x }
 partition PR = block(R, 2)
 partition Q = image(R, PR, twist(1))`, "unknown functor"},
-		{"parse error", `program p region`, "expected identifier"},
-	}
-	for _, c := range cases {
+	{"parse error", `program p region`, "expected identifier"},
+	{"non-positive modulus", `program p
+region R[0..3] fields { x }
+partition PR = block(R, 2)
+task t(r: region writes(x)) { for p in r { r.x[p mod 0] = 1 } }
+launch t(PR[i])`, "line 4:54: mod must be positive"},
+	{"negative trip count", `program p
+region R[0..3] fields { x }
+partition PR = block(R, 2)
+task t(r: region reads(x)) { }
+for t = 0, -5 { launch t(PR[i]) }`, `line 5: loop "t" has negative trip count`},
+	{"fill inside a loop", `program p
+region R[0..3] fields { x }
+partition PR = block(R, 2)
+task t(r: region reads(x)) { }
+for t = 0, 3 {
+  fill R.x = 1
+  launch t(PR[i])
+}`, "line 6: fill statements are setup-only, not allowed inside loops"},
+	{"duplicate parameter", `program p
+region R[0..3] fields { x }
+partition PR = block(R, 2)
+task t(r: region reads(x),
+       r: region reads(x)) { }
+launch t(PR[i], PR[i])`, `line 5: duplicate parameter "r" in task "t"`},
+}
+
+// TestCompileErrors: every rejection names its cause and carries a line.
+func TestCompileErrors(t *testing.T) {
+	for _, c := range compileErrorCases {
 		_, err := Compile(c.src)
 		if err == nil {
 			t.Errorf("%s: expected error containing %q, got nil", c.name, c.want)
@@ -404,6 +432,9 @@ partition Q = image(R, PR, twist(1))`, "unknown functor"},
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not contain %q", c.name, err, c.want)
+		}
+		if !strings.HasPrefix(err.Error(), "lang: line ") {
+			t.Errorf("%s: error %q carries no line", c.name, err)
 		}
 	}
 }
@@ -474,30 +505,6 @@ for t = 0, 1 { launch nop(H[i]) }
 // figure-2 program must produce either a clean compile or an error — never
 // a panic.
 func TestParserRobustnessMutations(t *testing.T) {
-	toks, err := lex(figure2Src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuild := func(skip, dup int) string {
-		var b strings.Builder
-		line := 1
-		for i, tk := range toks {
-			if tk.kind == tEOF || i == skip {
-				continue
-			}
-			for line < tk.line {
-				b.WriteByte('\n')
-				line++
-			}
-			b.WriteString(tk.text)
-			b.WriteByte(' ')
-			if i == dup {
-				b.WriteString(tk.text)
-				b.WriteByte(' ')
-			}
-		}
-		return b.String()
-	}
 	tryCompile := func(src string) {
 		t.Helper()
 		defer func() {
@@ -507,8 +514,7 @@ func TestParserRobustnessMutations(t *testing.T) {
 		}()
 		_, _ = Compile(src)
 	}
-	for i := 0; i < len(toks)-1; i++ {
-		tryCompile(rebuild(i, -1)) // delete token i
-		tryCompile(rebuild(-1, i)) // duplicate token i
+	for _, m := range tokenMutants(t, figure2Src) {
+		tryCompile(m.src)
 	}
 }

@@ -1,14 +1,29 @@
 package lang
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 )
 
-// parser is a recursive-descent parser over the token stream.
+// parser is a recursive-descent parser over the token stream. A syntax
+// error is raised in one place, fail, which records it and unwinds to the
+// top-level declaration being parsed; decl then resumes at the next
+// declaration, so a source reports one error per broken declaration.
 type parser struct {
 	toks []token
 	pos  int
+	errs []error
+}
+
+// bailout is the panic value fail unwinds with. Only decl recovers it.
+type bailout struct{}
+
+// declStart holds the tokens that can begin a top-level declaration.
+var declStart = map[string]bool{
+	"region": true, "partition": true, "task": true, "fill": true,
+	"var": true, "for": true, "launch": true, "reduce": true,
 }
 
 func parse(src string) (*astProgram, error) {
@@ -17,14 +32,57 @@ func parse(src string) (*astProgram, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	return p.program()
+	prog := p.program()
+	return prog, errors.Join(p.errs...)
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() token { return p.toks[p.pos] }
 
-func (p *parser) errf(t token, format string, args ...interface{}) error {
-	return fmt.Errorf("lang: line %d:%d: %s", t.line, t.col, fmt.Sprintf(format, args...))
+// next consumes the current token and returns it; it never moves past EOF.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tEOF {
+		p.pos++
+	}
+	return t
+}
+
+// fail records a syntax error at t and abandons the current declaration.
+func (p *parser) fail(t token, format string, args ...interface{}) {
+	p.errs = append(p.errs, fmt.Errorf("lang: line %d:%d: %s", t.line, t.col, fmt.Sprintf(format, args...)))
+	panic(bailout{})
+}
+
+// decl parses one top-level declaration with fn. After a syntax error it
+// skips to the first token that can start a declaration, lies at or past
+// the error and past the declaration's first token (so parsing always
+// moves on), and is outside any brace opened since the declaration began;
+// or to EOF. Any panic other than a bailout is a bug and propagates.
+func (p *parser) decl(fn func()) {
+	start := p.pos
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if _, ok := r.(bailout); !ok {
+			panic(r)
+		}
+		failed, depth := p.pos, 0
+		for p.pos = start; ; p.pos++ {
+			t := p.cur()
+			if t.kind == tEOF || p.pos >= failed && p.pos > start && depth <= 0 && declStart[t.text] {
+				return
+			}
+			switch t.text {
+			case "{":
+				depth++
+			case "}":
+				depth--
+			}
+		}
+	}()
+	fn()
 }
 
 // accept consumes the token if it matches the punctuation/keyword text.
@@ -36,748 +94,372 @@ func (p *parser) accept(text string) bool {
 	return false
 }
 
-func (p *parser) expect(text string) error {
+func (p *parser) expect(text string) {
 	if !p.accept(text) {
-		return p.errf(p.cur(), "expected %q, found %s", text, p.cur())
+		p.fail(p.cur(), "expected %q, found %s", text, p.cur())
 	}
-	return nil
 }
 
-func (p *parser) ident() (string, int, error) {
+func (p *parser) ident() string {
 	t := p.cur()
 	if t.kind != tIdent {
-		return "", 0, p.errf(t, "expected identifier, found %s", t)
+		p.fail(t, "expected identifier, found %s", t)
 	}
 	p.pos++
-	return t.text, t.line, nil
+	return t.text
 }
 
-func (p *parser) intLit() (int64, error) {
+func (p *parser) intLit() int64 {
+	return literal(p, "integer", func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
+}
+
+func (p *parser) numLit() float64 {
+	return literal(p, "number", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+}
+
+// literal parses an optionally negated number token with conv; what names
+// the kind of number in errors.
+func literal[T int64 | float64](p *parser, what string, conv func(string) (T, error)) T {
 	neg := p.accept("-")
 	t := p.cur()
 	if t.kind != tNumber {
-		return 0, p.errf(t, "expected integer, found %s", t)
+		p.fail(t, "expected %s, found %s", what, t)
 	}
-	v, err := strconv.ParseInt(t.text, 10, 64)
+	v, err := conv(t.text)
 	if err != nil {
-		return 0, p.errf(t, "bad integer %q", t.text)
+		p.fail(t, "bad %s %q", what, t.text)
 	}
 	p.pos++
 	if neg {
 		v = -v
 	}
-	return v, nil
+	return v
 }
 
-func (p *parser) numLit() (float64, error) {
-	neg := p.accept("-")
-	t := p.cur()
-	if t.kind != tNumber {
-		return 0, p.errf(t, "expected number, found %s", t)
+// commas parses item, then item again after each ",".
+func (p *parser) commas(item func()) {
+	for item(); p.accept(","); item() {
 	}
-	v, err := strconv.ParseFloat(t.text, 64)
-	if err != nil {
-		return 0, p.errf(t, "bad number %q", t.text)
-	}
-	p.pos++
-	if neg {
-		v = -v
-	}
-	return v, nil
 }
 
-func (p *parser) program() (*astProgram, error) {
+// names parses open IDENT ("," IDENT)* close.
+func (p *parser) names(open, close string) []string {
+	p.expect(open)
+	var out []string
+	p.commas(func() { out = append(out, p.ident()) })
+	p.expect(close)
+	return out
+}
+
+// reduceOp parses a reduction operator; msg is the error if there is none.
+func (p *parser) reduceOp(msg string) string {
+	t := p.next()
+	if t.text != "+" && t.text != "min" && t.text != "max" {
+		p.fail(t, "%s", msg)
+	}
+	return t.text
+}
+
+func (p *parser) program() *astProgram {
 	prog := &astProgram{}
-	if err := p.expect("program"); err != nil {
-		return nil, err
-	}
-	name, _, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	prog.name = name
+	p.decl(func() {
+		p.expect("program")
+		prog.name = p.ident()
+	})
 	for p.cur().kind != tEOF {
-		t := p.cur()
-		switch t.text {
-		case "region":
-			r, err := p.regionDecl()
-			if err != nil {
-				return nil, err
+		p.decl(func() {
+			switch p.cur().text {
+			case "region":
+				prog.regions = append(prog.regions, p.regionDecl())
+			case "partition":
+				prog.parts = append(prog.parts, p.partitionDecl())
+			case "task":
+				prog.tasks = append(prog.tasks, p.taskDecl())
+			default:
+				prog.stmts = append(prog.stmts, p.mainStmt())
 			}
-			prog.regions = append(prog.regions, r)
-		case "partition":
-			pd, err := p.partitionDecl()
-			if err != nil {
-				return nil, err
-			}
-			prog.parts = append(prog.parts, pd)
-		case "task":
-			tk, err := p.taskDecl()
-			if err != nil {
-				return nil, err
-			}
-			prog.tasks = append(prog.tasks, tk)
-		default:
-			s, err := p.mainStmt()
-			if err != nil {
-				return nil, err
-			}
-			prog.stmts = append(prog.stmts, s)
-		}
+		})
 	}
-	return prog, nil
+	return prog
 }
 
 // region NAME [lo..hi] fields { f, g }
-func (p *parser) regionDecl() (*astRegion, error) {
-	line := p.cur().line
-	p.pos++ // "region"
-	name, _, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect("["); err != nil {
-		return nil, err
-	}
-	lo, err := p.intLit()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(".."); err != nil {
-		return nil, err
-	}
-	hi, err := p.intLit()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect("]"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("fields"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("{"); err != nil {
-		return nil, err
-	}
-	var fields []string
-	for {
-		f, _, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
-		if !p.accept(",") {
-			break
-		}
-	}
-	if err := p.expect("}"); err != nil {
-		return nil, err
-	}
-	return &astRegion{name: name, lo: lo, hi: hi, fields: fields, line: line}, nil
+func (p *parser) regionDecl() *astRegion {
+	r := &astRegion{line: p.next().line, name: p.ident()}
+	p.expect("[")
+	r.lo = p.intLit()
+	p.expect("..")
+	r.hi = p.intLit()
+	p.expect("]")
+	p.expect("fields")
+	r.fields = p.names("{", "}")
+	return r
 }
 
 // partition NAME = block(R, n) | image(R, P, shift(k)) | image(R, P, window(a, b))
-func (p *parser) partitionDecl() (*astPartition, error) {
-	line := p.cur().line
-	p.pos++ // "partition"
-	name, _, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect("="); err != nil {
-		return nil, err
-	}
+func (p *parser) partitionDecl() *astPartition {
+	pd := &astPartition{line: p.next().line, name: p.ident()}
+	p.expect("=")
 	kindTok := p.cur()
-	kind, _, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	pd := &astPartition{name: name, kind: kind, line: line}
-	switch kind {
+	pd.kind = p.ident()
+	p.expect("(")
+	switch pd.kind {
 	case "block":
-		pd.region, _, err = p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(","); err != nil {
-			return nil, err
-		}
-		pd.n, err = p.intLit()
-		if err != nil {
-			return nil, err
-		}
+		pd.region = p.ident()
+		p.expect(",")
+		pd.n = p.intLit()
 	case "image":
-		pd.region, _, err = p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(","); err != nil {
-			return nil, err
-		}
-		pd.srcPd, _, err = p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(","); err != nil {
-			return nil, err
-		}
-		fn, _, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		pd.fn.kind = fn
-		switch fn {
+		pd.region = p.ident()
+		p.expect(",")
+		pd.srcPd = p.ident()
+		p.expect(",")
+		pd.fn.kind = p.ident()
+		p.expect("(")
+		switch pd.fn.kind {
 		case "shift":
-			pd.fn.a, err = p.intLit()
-			if err != nil {
-				return nil, err
-			}
+			pd.fn.a = p.intLit()
 		case "window", "ring":
-			pd.fn.a, err = p.intLit()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect(","); err != nil {
-				return nil, err
-			}
-			pd.fn.b, err = p.intLit()
-			if err != nil {
-				return nil, err
-			}
+			pd.fn.a = p.intLit()
+			p.expect(",")
+			pd.fn.b = p.intLit()
 		default:
-			return nil, p.errf(kindTok, "unknown functor %q (have shift, window, ring)", fn)
+			p.fail(kindTok, "unknown functor %q (have shift, window, ring)", pd.fn.kind)
 		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
+		p.expect(")")
 	default:
-		return nil, p.errf(kindTok, "unknown partition operator %q (have block, image)", kind)
+		p.fail(kindTok, "unknown partition operator %q (have block, image)", pd.kind)
 	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	return pd, nil
+	p.expect(")")
+	return pd
 }
 
 // task NAME(a: region writes(f) reads(g), s: scalar) { ... }
-func (p *parser) taskDecl() (*astTask, error) {
-	line := p.cur().line
-	p.pos++ // "task"
-	name, _, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	tk := &astTask{name: name, line: line}
+func (p *parser) taskDecl() *astTask {
+	tk := &astTask{line: p.next().line, name: p.ident()}
+	p.expect("(")
 	if !p.accept(")") {
-		for {
-			prm, err := p.param()
-			if err != nil {
-				return nil, err
-			}
-			tk.params = append(tk.params, prm)
-			if !p.accept(",") {
-				break
-			}
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
+		p.commas(func() { tk.params = append(tk.params, p.param()) })
+		p.expect(")")
 	}
-	body, err := p.kernelBlock()
-	if err != nil {
-		return nil, err
-	}
-	tk.body = body
-	return tk, nil
+	tk.body = p.kernelBlock()
+	return tk
 }
 
-func (p *parser) param() (astParam, error) {
-	name, line, err := p.ident()
-	if err != nil {
-		return astParam{}, err
-	}
-	prm := astParam{name: name, line: line}
-	if err := p.expect(":"); err != nil {
-		return astParam{}, err
-	}
-	k, _, err := p.ident()
-	if err != nil {
-		return astParam{}, err
-	}
-	if k == "scalar" {
+func (p *parser) param() astParam {
+	prm := astParam{line: p.cur().line, name: p.ident()}
+	p.expect(":")
+	switch k := p.ident(); k {
+	case "scalar":
 		prm.isScalar = true
-		return prm, nil
-	}
-	if k != "region" {
-		return astParam{}, p.errf(p.cur(), "parameter kind must be region or scalar, found %q", k)
+		return prm
+	case "region":
+	default:
+		p.fail(p.cur(), "parameter kind must be region or scalar, found %q", k)
 	}
 	for {
-		t := p.cur()
-		switch t.text {
+		switch t := p.cur(); t.text {
 		case "reads":
 			p.pos++
-			fs, err := p.fieldList()
-			if err != nil {
-				return astParam{}, err
-			}
-			prm.reads = append(prm.reads, fs...)
+			prm.reads = append(prm.reads, p.names("(", ")")...)
 		case "writes":
 			p.pos++
-			fs, err := p.fieldList()
-			if err != nil {
-				return astParam{}, err
-			}
-			prm.writes = append(prm.writes, fs...)
+			prm.writes = append(prm.writes, p.names("(", ")")...)
 		case "reduces":
 			p.pos++
-			opTok := p.next()
-			switch opTok.text {
-			case "+", "min", "max":
-				prm.reduceOp = opTok.text
-			default:
-				return astParam{}, p.errf(opTok, "reduction operator must be +, min, or max")
-			}
-			fs, err := p.fieldList()
-			if err != nil {
-				return astParam{}, err
-			}
-			prm.reduces = append(prm.reduces, fs...)
+			prm.reduceOp = p.reduceOp("reduction operator must be +, min, or max")
+			prm.reduces = append(prm.reduces, p.names("(", ")")...)
 		default:
 			if len(prm.reads)+len(prm.writes)+len(prm.reduces) == 0 {
-				return astParam{}, p.errf(t, "region parameter needs at least one privilege")
+				p.fail(t, "region parameter needs at least one privilege")
 			}
-			return prm, nil
+			return prm
 		}
 	}
 }
 
-func (p *parser) fieldList() ([]string, error) {
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	var fs []string
-	for {
-		f, _, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, f)
-		if !p.accept(",") {
-			break
-		}
-	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
-
-func (p *parser) kernelBlock() ([]astKStmt, error) {
-	if err := p.expect("{"); err != nil {
-		return nil, err
-	}
+func (p *parser) kernelBlock() []astKStmt {
+	p.expect("{")
 	var out []astKStmt
 	for !p.accept("}") {
-		s, err := p.kernelStmt()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+		out = append(out, p.kernelStmt())
 	}
-	return out, nil
+	return out
 }
 
-func (p *parser) kernelStmt() (astKStmt, error) {
+func (p *parser) kernelStmt() astKStmt {
 	t := p.cur()
-	switch {
-	case t.text == "for":
-		line := t.line
+	switch t.text {
+	case "for":
 		p.pos++
-		v, _, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("in"); err != nil {
-			return nil, err
-		}
-		over, _, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		body, err := p.kernelBlock()
-		if err != nil {
-			return nil, err
-		}
-		return &astKFor{v: v, over: over, body: body, line: line}, nil
-	case t.text == "result":
-		line := t.line
+		s := &astKFor{line: t.line, v: p.ident()}
+		p.expect("in")
+		s.over = p.ident()
+		s.body = p.kernelBlock()
+		return s
+	case "result":
 		p.pos++
-		opTok := p.next()
-		op := ""
-		switch opTok.text {
+		s := &astKResult{line: t.line}
+		switch opTok := p.next(); opTok.text {
 		case "+=":
-			op = "+"
+			s.op = "+"
 		case "min", "max":
-			op = opTok.text
-			if err := p.expect("="); err != nil {
-				return nil, err
-			}
+			s.op = opTok.text
+			p.expect("=")
 		default:
-			return nil, p.errf(opTok, "result accumulation must be +=, min=, or max=")
+			p.fail(opTok, "result accumulation must be +=, min=, or max=")
 		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &astKResult{op: op, expr: e, line: line}, nil
-	default:
-		line := t.line
-		acc, err := p.access()
-		if err != nil {
-			return nil, err
-		}
-		opTok := p.next()
-		var op string
-		switch opTok.text {
-		case "=":
-			op = "="
-		case "+=":
-			op = "+="
-		default:
-			return nil, p.errf(opTok, "expected = or += after access")
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &astKAssign{dst: acc, op: op, expr: e, line: line}, nil
+		s.expr = p.parseExpr()
+		return s
 	}
+	s := &astKAssign{line: t.line, dst: p.access()}
+	opTok := p.next()
+	if opTok.text != "=" && opTok.text != "+=" {
+		p.fail(opTok, "expected = or += after access")
+	}
+	s.op = opTok.text
+	s.expr = p.parseExpr()
+	return s
 }
 
 // access := IDENT . IDENT [ index ]
-func (p *parser) access() (astAccess, error) {
-	prm, line, err := p.ident()
-	if err != nil {
-		return astAccess{}, err
-	}
-	if err := p.expect("."); err != nil {
-		return astAccess{}, err
-	}
-	field, _, err := p.ident()
-	if err != nil {
-		return astAccess{}, err
-	}
-	if err := p.expect("["); err != nil {
-		return astAccess{}, err
-	}
-	idx, err := p.index()
-	if err != nil {
-		return astAccess{}, err
-	}
-	if err := p.expect("]"); err != nil {
-		return astAccess{}, err
-	}
-	return astAccess{param: prm, field: field, idx: idx, line: line}, nil
+func (p *parser) access() astAccess {
+	a := astAccess{line: p.cur().line, param: p.ident()}
+	p.expect(".")
+	a.field = p.ident()
+	p.expect("[")
+	a.idx = p.index()
+	p.expect("]")
+	return a
 }
 
-// index := IDENT (("+"|"-") INT ("mod" INT)?)?
-func (p *parser) index() (astIndex, error) {
-	v, _, err := p.ident()
-	if err != nil {
-		return astIndex{}, err
-	}
-	idx := astIndex{v: v}
+// index := IDENT (("+"|"-") INT)? ("mod" INT)?
+func (p *parser) index() astIndex {
+	idx := astIndex{v: p.ident()}
 	if p.accept("+") {
-		idx.off, err = p.intLit()
-		if err != nil {
-			return astIndex{}, err
-		}
+		idx.off = p.intLit()
 	} else if p.accept("-") {
-		off, err := p.intLit()
-		if err != nil {
-			return astIndex{}, err
-		}
-		idx.off = -off
+		idx.off = -p.intLit()
 	}
 	if p.accept("mod") {
-		idx.mod, err = p.intLit()
-		if err != nil {
-			return astIndex{}, err
-		}
-		if idx.mod <= 0 {
-			return astIndex{}, fmt.Errorf("lang: mod must be positive")
+		modTok := p.cur()
+		if idx.mod = p.intLit(); idx.mod <= 0 {
+			p.fail(modTok, "mod must be positive")
 		}
 	}
-	return idx, nil
+	return idx
 }
 
 // Expression grammar: expr := term (("+"|"-") term)*; term := factor
 // (("*"|"/") factor)*; factor := NUMBER | access | IDENT | (expr) | -factor.
-func (p *parser) parseExpr() (astExpr, error) {
-	l, err := p.parseTerm()
-	if err != nil {
-		return nil, err
+func (p *parser) parseExpr() astExpr { return p.binary("+-", p.parseTerm) }
+func (p *parser) parseTerm() astExpr { return p.binary("*/", p.parseFactor) }
+
+// binary parses operand (op operand)*, left-associative, for the
+// one-character operators in ops.
+func (p *parser) binary(ops string, operand func() astExpr) astExpr {
+	l := operand()
+	for t := p.cur(); len(t.text) == 1 && strings.Contains(ops, t.text); t = p.cur() {
+		p.pos++
+		l = astBin{op: t.text[0], l: l, r: operand()}
 	}
-	for {
-		if p.accept("+") {
-			r, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			l = astBin{op: '+', l: l, r: r}
-		} else if p.accept("-") {
-			r, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			l = astBin{op: '-', l: l, r: r}
-		} else {
-			return l, nil
-		}
-	}
+	return l
 }
 
-func (p *parser) parseTerm() (astExpr, error) {
-	l, err := p.parseFactor()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if p.accept("*") {
-			r, err := p.parseFactor()
-			if err != nil {
-				return nil, err
-			}
-			l = astBin{op: '*', l: l, r: r}
-		} else if p.accept("/") {
-			r, err := p.parseFactor()
-			if err != nil {
-				return nil, err
-			}
-			l = astBin{op: '/', l: l, r: r}
-		} else {
-			return l, nil
-		}
-	}
-}
-
-func (p *parser) parseFactor() (astExpr, error) {
+func (p *parser) parseFactor() astExpr {
 	t := p.cur()
 	switch {
 	case t.text == "(":
 		p.pos++
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		e := p.parseExpr()
+		p.expect(")")
+		return e
 	case t.text == "-":
 		p.pos++
-		e, err := p.parseFactor()
-		if err != nil {
-			return nil, err
-		}
-		return astNeg{e: e}, nil
+		return astNeg{e: p.parseFactor()}
 	case t.kind == tNumber:
-		v, err := p.numLit()
-		if err != nil {
-			return nil, err
-		}
-		return astNum{v: v}, nil
+		return astNum{v: p.numLit()}
+	case t.kind == tIdent && p.toks[p.pos+1].text == ".":
+		return astAcc{a: p.access()}
 	case t.kind == tIdent:
-		// Either an access (IDENT '.' ...) or a scalar/loop-var reference.
-		if p.toks[p.pos+1].text == "." {
-			acc, err := p.access()
-			if err != nil {
-				return nil, err
-			}
-			return astAcc{a: acc}, nil
-		}
-		name, line, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return astRef{name: name, line: line}, nil
-	default:
-		return nil, p.errf(t, "expected expression, found %s", t)
+		p.pos++
+		return astRef{name: t.text, line: t.line}
 	}
+	p.fail(t, "expected expression, found %s", t)
+	return nil
 }
 
 // Main-level statements.
-func (p *parser) mainStmt() (astStmt, error) {
+func (p *parser) mainStmt() astStmt {
 	t := p.cur()
 	switch t.text {
 	case "fill":
-		line := t.line
 		p.pos++
-		region, _, err := p.ident()
-		if err != nil {
-			return nil, err
+		s := &astFill{line: t.line, region: p.ident()}
+		p.expect(".")
+		s.field = p.ident()
+		p.expect("=")
+		if s.idx = p.accept("idx"); !s.idx {
+			s.value = p.numLit()
 		}
-		if err := p.expect("."); err != nil {
-			return nil, err
-		}
-		field, _, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("="); err != nil {
-			return nil, err
-		}
-		if p.accept("idx") {
-			return &astFill{region: region, field: field, idx: true, line: line}, nil
-		}
-		v, err := p.numLit()
-		if err != nil {
-			return nil, err
-		}
-		return &astFill{region: region, field: field, value: v, line: line}, nil
+		return s
 	case "var":
-		line := t.line
 		p.pos++
-		name, _, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("="); err != nil {
-			return nil, err
-		}
-		v, err := p.numLit()
-		if err != nil {
-			return nil, err
-		}
-		return &astVar{name: name, value: v, line: line}, nil
+		s := &astVar{line: t.line, name: p.ident()}
+		p.expect("=")
+		s.value = p.numLit()
+		return s
 	case "for":
-		line := t.line
 		p.pos++
-		v, _, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("="); err != nil {
-			return nil, err
-		}
-		lo, err := p.intLit()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(","); err != nil {
-			return nil, err
-		}
-		hi, err := p.intLit()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("{"); err != nil {
-			return nil, err
-		}
-		var body []astStmt
+		s := &astLoop{line: t.line, v: p.ident()}
+		p.expect("=")
+		s.lo = p.intLit()
+		p.expect(",")
+		s.hi = p.intLit()
+		p.expect("{")
 		for !p.accept("}") {
-			s, err := p.mainStmt()
-			if err != nil {
-				return nil, err
-			}
-			body = append(body, s)
+			s.body = append(s.body, p.mainStmt())
 		}
-		return &astLoop{v: v, lo: lo, hi: hi, body: body, line: line}, nil
+		return s
 	case "launch":
-		return p.launchStmt("", "")
+		return p.launchStmt()
 	case "reduce":
-		line := t.line
 		p.pos++
-		opTok := p.next()
-		switch opTok.text {
-		case "+", "min", "max":
-		default:
-			return nil, p.errf(opTok, "reduce operator must be +, min, or max")
-		}
-		into, _, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("="); err != nil {
-			return nil, err
-		}
+		op := p.reduceOp("reduce operator must be +, min, or max")
+		into := p.ident()
+		p.expect("=")
 		if p.cur().text != "launch" {
-			return nil, p.errf(p.cur(), "expected launch after reduce %s %s =", opTok.text, into)
+			p.fail(p.cur(), "expected launch after reduce %s %s =", op, into)
 		}
-		l, err := p.launchStmt(opTok.text, into)
-		if err != nil {
-			return nil, err
-		}
-		l.(*astLaunch).line = line
-		return l, nil
-	default:
-		return nil, p.errf(t, "expected statement, found %s", t)
+		l := p.launchStmt()
+		l.reduceOp, l.reduceInto, l.line = op, into, t.line
+		return l
 	}
+	p.fail(t, "expected statement, found %s", t)
+	return nil
 }
 
 // launch TASK(P[i], Q[i]; s1, 2.0)
-func (p *parser) launchStmt(reduceOp, reduceInto string) (astStmt, error) {
-	line := p.cur().line
-	p.pos++ // "launch"
-	task, _, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	l := &astLaunch{task: task, reduceOp: reduceOp, reduceInto: reduceInto, line: line}
+func (p *parser) launchStmt() *astLaunch {
+	l := &astLaunch{line: p.next().line, task: p.ident()}
+	p.expect("(")
 	for p.cur().text != ")" && p.cur().text != ";" {
-		part, _, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("["); err != nil {
-			return nil, err
-		}
-		if err := p.expect("i"); err != nil {
-			return nil, err
-		}
-		if err := p.expect("]"); err != nil {
-			return nil, err
-		}
-		l.args = append(l.args, part)
+		l.args = append(l.args, p.ident())
+		p.expect("[")
+		p.expect("i")
+		p.expect("]")
 		if !p.accept(",") {
 			break
 		}
 	}
 	if p.accept(";") {
-		for {
-			t := p.cur()
-			if t.kind == tNumber || t.text == "-" {
-				v, err := p.numLit()
-				if err != nil {
-					return nil, err
-				}
-				l.scalarArgs = append(l.scalarArgs, astNum{v: v})
+		p.commas(func() {
+			if t := p.cur(); t.kind == tNumber || t.text == "-" {
+				l.scalarArgs = append(l.scalarArgs, astNum{v: p.numLit()})
 			} else {
-				name, ln, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				l.scalarArgs = append(l.scalarArgs, astRef{name: name, line: ln})
+				l.scalarArgs = append(l.scalarArgs, astRef{name: p.ident(), line: t.line})
 			}
-			if !p.accept(",") {
-				break
-			}
-		}
+		})
 	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	return l, nil
+	p.expect(")")
+	return l
 }
