@@ -19,6 +19,7 @@ import (
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
+	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/rt"
 	"repro/internal/spmd"
@@ -71,11 +72,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if !resCR.Stores[app.Nodes].EqualOn(seq.Stores[ref.Nodes], ref.Voltage, ref.Nodes.IndexSpace()) {
-		log.Fatal("CR voltages diverged from sequential semantics")
+	if err := progtest.Diff(seq, &ir.SeqResult{Stores: resCR.Stores, Env: resCR.Env}); err != nil {
+		log.Fatalf("CR diverged from sequential semantics:\n%v", err)
 	}
-	if !resImp.Stores[app2.Nodes].EqualOn(seq.Stores[ref.Nodes], ref.Voltage, ref.Nodes.IndexSpace()) {
-		log.Fatal("implicit voltages diverged from sequential semantics")
+	if err := progtest.Diff(seq, &ir.SeqResult{Stores: resImp.Stores, Env: resImp.Env}); err != nil {
+		log.Fatalf("implicit execution diverged from sequential semantics:\n%v", err)
 	}
 	v0 := seq.Stores[ref.Nodes].Get(ref.Voltage, geometry.Pt1(0))
 	fmt.Printf("\nall executions agree bitwise ✓  (voltage[0] = %.6f after %d steps)\n", v0, cfg.Iters)

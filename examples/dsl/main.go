@@ -14,6 +14,7 @@ import (
 	"repro/internal/cr"
 	"repro/internal/ir"
 	"repro/internal/lang"
+	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/spmd"
 )
@@ -98,24 +99,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Verify against the sequential run, region by region, plus the scalar.
-	for _, r := range prog.Tree.Regions() {
-		if r.Parent() != nil {
-			continue
-		}
-		for _, rs := range seqProg.Tree.Regions() {
-			if rs.Parent() != nil || rs.Name() != r.Name() {
-				continue
-			}
-			for _, f := range prog.FieldSpaces[r].Fields() {
-				if !res.Stores[r].EqualOn(seq.Stores[rs], f, r.IndexSpace()) {
-					log.Fatalf("CR diverged at %s field %d", r.Name(), f)
-				}
-			}
-		}
-	}
-	if res.Env["total"] != seq.Env["total"] {
-		log.Fatalf("energy diverged: %v vs %v", res.Env["total"], seq.Env["total"])
+	// Verify against the sequential run: every field of every region and
+	// every scalar, bitwise.
+	if err := progtest.Diff(seq, &ir.SeqResult{Stores: res.Stores, Env: res.Env}); err != nil {
+		log.Fatalf("CR diverged from sequential semantics:\n%v", err)
 	}
 	fmt.Printf("\ntotal energy after 6 steps: %.4f — CR bitwise identical to sequential ✓\n", res.Env["total"])
 	fmt.Printf("virtual elapsed %v, %d messages\n", res.Elapsed, res.Stats.Messages)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
+	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/spmd"
 )
@@ -57,15 +58,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if res.Env["dt"] != seq.Env["dt"] {
-		log.Fatalf("dt diverged: CR %v vs sequential %v", res.Env["dt"], seq.Env["dt"])
-	}
-	if !res.Stores[app.Points].EqualOn(seq.Stores[ref.Points], ref.PX, ref.Points.IndexSpace()) ||
-		!res.Stores[app.Points].EqualOn(seq.Stores[ref.Points], ref.VY, ref.Points.IndexSpace()) {
-		log.Fatal("point state diverged from sequential semantics")
-	}
-	if !res.Stores[app.Zones].EqualOn(seq.Stores[ref.Zones], ref.Rho, ref.Zones.IndexSpace()) {
-		log.Fatal("zone state diverged from sequential semantics")
+	if err := progtest.Diff(seq, &ir.SeqResult{Stores: res.Stores, Env: res.Env}); err != nil {
+		log.Fatalf("CR diverged from sequential semantics:\n%v", err)
 	}
 
 	// Inspect the four-way shared piece-corner point.

@@ -24,13 +24,14 @@ import (
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
+	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/region"
 	"repro/internal/rt"
 	"repro/internal/spmd"
 )
 
-func buildProgram(n, nt int64, trip int) (*ir.Program, *ir.Loop, *region.Region, *region.Region, region.FieldID) {
+func buildProgram(n, nt int64, trip int) (*ir.Program, *ir.Loop, *region.Region, region.FieldID) {
 	p := ir.NewProgram("figure2")
 	fs := region.NewFieldSpace("val")
 	val := fs.Field("val")
@@ -100,7 +101,7 @@ func buildProgram(n, nt int64, trip int) (*ir.Program, *ir.Loop, *region.Region,
 		&ir.Fill{Target: b, Field: val, Value: 0},
 		loop,
 	)
-	return p, loop, a, b, val
+	return p, loop, a, val
 }
 
 func main() {
@@ -112,7 +113,7 @@ func main() {
 	)
 
 	// 1. Sequential reference.
-	progSeq, _, aSeq, bSeq, val := buildProgram(n, nt, trip)
+	progSeq, _, aSeq, val := buildProgram(n, nt, trip)
 	seq := ir.ExecSequential(progSeq)
 	fmt.Printf("sequential:  A[0..5] =")
 	for i := int64(0); i < 6; i++ {
@@ -122,7 +123,7 @@ func main() {
 
 	// 2. Implicit parallel execution: a single control thread performs
 	// dynamic dependence analysis and launches tasks across the nodes.
-	progImp, _, aImp, _, _ := buildProgram(n, nt, trip)
+	progImp, _, _, _ := buildProgram(n, nt, trip)
 	simImp := realm.MustNewSim(realm.DefaultConfig(nodes))
 	resImp, err := rt.New(simImp, progImp, ir.ExecReal).Run()
 	if err != nil {
@@ -132,7 +133,7 @@ func main() {
 		resImp.Elapsed, resImp.Stats.TasksRun, resImp.Stats.Messages)
 
 	// 3. Control replication: compile the loop and run SPMD shards.
-	progCR, loopCR, aCR, bCR, _ := buildProgram(n, nt, trip)
+	progCR, loopCR, _, _ := buildProgram(n, nt, trip)
 	plan, err := cr.Compile(progCR, loopCR, cr.Options{NumShards: nodes, Sync: cr.PointToPoint})
 	if err != nil {
 		log.Fatal(err)
@@ -157,12 +158,11 @@ func main() {
 		resCR.Elapsed, resCR.Stats.TasksRun, resCR.Stats.Messages)
 
 	// All three executions must agree exactly.
-	if !resImp.Stores[aImp].EqualOn(seq.Stores[aSeq], val, aSeq.IndexSpace()) {
-		log.Fatal("implicit execution diverged from sequential semantics")
+	if err := progtest.Diff(seq, &ir.SeqResult{Stores: resImp.Stores, Env: resImp.Env}); err != nil {
+		log.Fatalf("implicit execution diverged from sequential semantics:\n%v", err)
 	}
-	if !resCR.Stores[aCR].EqualOn(seq.Stores[aSeq], val, aSeq.IndexSpace()) ||
-		!resCR.Stores[bCR].EqualOn(seq.Stores[bSeq], val, bSeq.IndexSpace()) {
-		log.Fatal("control-replicated execution diverged from sequential semantics")
+	if err := progtest.Diff(seq, &ir.SeqResult{Stores: resCR.Stores, Env: resCR.Env}); err != nil {
+		log.Fatalf("control-replicated execution diverged from sequential semantics:\n%v", err)
 	}
 	fmt.Println("\nall three executions produced bitwise-identical region contents ✓")
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/harness"
 	"repro/internal/ir"
+	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/spmd"
 )
@@ -63,8 +64,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !res.Stores[app.Out].EqualOn(seq.Stores[ref.Out], ref.XOut, ref.Out.IndexSpace()) {
-		log.Fatal("CR result diverged from sequential semantics")
+	if err := progtest.Diff(seq, &ir.SeqResult{Stores: res.Stores, Env: res.Env}); err != nil {
+		log.Fatalf("CR result diverged from sequential semantics:\n%v", err)
 	}
 	center := geometry.Pt2(app.Gx*cfg.TileW/2, app.Gy*cfg.TileH/2)
 	fmt.Printf("verified against sequential execution ✓  (out[%v] = %.4f after %d iterations)\n\n",

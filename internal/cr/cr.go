@@ -183,18 +183,10 @@ type Compiled struct {
 
 	// Spec is the specialization metadata for cross-shard plan sharing:
 	// the copy work lists each shard executes, pair volumes and endpoint
-	// shards, kernel cost volumes, and the owned-block offsets — everything
-	// shard- and placement-independent that the executor would otherwise
-	// re-derive per shard per run state (see spec.go).
+	// shards, and kernel cost volumes — everything shard- and
+	// placement-independent that the executor would otherwise re-derive per
+	// shard per run state (see spec.go).
 	Spec SpecTable
-
-	// Trace is the loop-boundary trace marker: whether the compiled body is
-	// a replayable per-iteration plan (every op, copy pair, and sync slot is
-	// identical across iterations, so an executor may memoize its resolution
-	// after the first iteration) and, when it is not, why. Scalar statements
-	// stay live under replay — only structural resolution is memoized — so
-	// data-dependent scalar values never affect traceability.
-	Trace TraceMarker
 
 	// Prune is the certifier-licensed redundant-sync and dead-init skip set
 	// (verify.PlanPrune); nil — the default — leaves the conservative
@@ -202,13 +194,6 @@ type Compiled struct {
 	Prune *PruneInfo
 
 	domainSet map[geometry.Point]bool
-}
-
-// TraceMarker is the compiler's verdict on trace replay for one loop; the
-// SPMD executor consults it before memoizing per-shard iteration plans.
-type TraceMarker struct {
-	Traceable bool
-	Reason    string // set when Traceable is false
 }
 
 // Compile control-replicates one loop of the program.
@@ -252,21 +237,7 @@ func Compile(prog *ir.Program, loop *ir.Loop, opts Options) (*Compiled, error) {
 			c.Report.FinalCopies++
 		}
 	}
-	c.markTrace()
 	return c, nil
-}
-
-// markTrace emits the loop-boundary trace marker. The compiled body is
-// structurally identical in every iteration by construction — the body op
-// list, copy pair lists, and shard ownership are all fixed at compile time
-// — so a loop is traceable whenever a trace can pay for itself: the body
-// must run more than once.
-func (c *Compiled) markTrace() {
-	if c.Loop.Trip < 2 {
-		c.Trace = TraceMarker{Reason: fmt.Sprintf("loop trip %d is too short to amortize a trace", c.Loop.Trip)}
-		return
-	}
-	c.Trace = TraceMarker{Traceable: true}
 }
 
 // computeInstFields extends each partition's instance fields with whatever

@@ -17,11 +17,11 @@ package cr
 // the executor used to build), so every way a shard runs reads the same
 // precomputed partition of the copy work — one source of truth,
 // statically checked by internal/verify.CheckSpec against a direct
-// recomputation from the pair lists.
+// recomputation from the pair lists. The tables are indexed by dense color
+// slot (ColorIdx), not by a shard's position in its block, so one table
+// serves every shard of a compiled loop, ragged blocks included.
 
 import (
-	"fmt"
-
 	"repro/internal/ir"
 	"repro/internal/region"
 )
@@ -113,20 +113,8 @@ type OpSpec struct {
 	Copy   *CopySpec
 }
 
-// ShareMarker is the compiler's verdict on cross-shard plan sharing: a
-// shared capture can be specialized to shard s only when the owned color
-// blocks are positionally congruent (every shard owns the same number of
-// consecutive colors, so owned index k of shard s is global color
-// s*len(Owned[0])+k). A ragged block partition breaks that, and the executor
-// falls back to per-shard capture with Reason as the logged explanation.
-type ShareMarker struct {
-	Shareable bool
-	Reason    string // set when Shareable is false
-}
-
 // SpecTable is the full specialization metadata of one compiled loop.
 type SpecTable struct {
-	Share ShareMarker
 	// Ops is parallel to Compiled.Body; body ops of one CopyOp share one
 	// CopySpec.
 	Ops []OpSpec
@@ -142,20 +130,7 @@ type SpecTable struct {
 // buildSpec emits the specialization tables. Called by Compile after
 // createShards (ownership fixed) and computeIntersections (pairs fixed).
 func (c *Compiled) buildSpec() {
-	ns := c.Opts.NumShards
 	spec := SpecTable{Ops: make([]OpSpec, len(c.Body))}
-	uniform := true
-	for s := 0; s < ns; s++ {
-		if len(c.Owned[s]) != len(c.Owned[0]) {
-			uniform = false
-		}
-	}
-	if uniform {
-		spec.Share = ShareMarker{Shareable: true}
-	} else {
-		spec.Share = ShareMarker{Reason: fmt.Sprintf(
-			"ragged shard partition: %d colors over %d shards leaves unequal blocks", len(c.Domain), ns)}
-	}
 	copyByID := make(map[int]*CopySpec)
 	for i, op := range c.Body {
 		switch {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"testing"
 
 	"repro/internal/apps/circuit"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
+	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/region"
 	"repro/internal/rt"
@@ -56,46 +56,8 @@ func runSPMD(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, noTrac
 	return res
 }
 
-// sortedStoreRoots returns a result's region roots in creation order, the
-// order both program instances allocate them in, so roots pair up across
-// independently built copies of the same application.
-func sortedStoreRoots(stores map[*region.Region]*region.Store) []*region.Region {
-	roots := make([]*region.Region, 0, len(stores))
-	for r := range stores {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].ID() < roots[j].ID() })
-	return roots
-}
-
-// requireSameResults asserts two runs of the same application produced
-// bitwise-identical region contents (every field of every root region) and
-// identical final scalar environments.
-func requireSameResults(t *testing.T, label string, want, got *spmd.Result) {
-	t.Helper()
-	wantRoots := sortedStoreRoots(want.Stores)
-	gotRoots := sortedStoreRoots(got.Stores)
-	if len(wantRoots) != len(gotRoots) {
-		t.Fatalf("%s: %d roots vs %d", label, len(wantRoots), len(gotRoots))
-	}
-	for i, wr := range wantRoots {
-		gr := gotRoots[i]
-		ws, gs := want.Stores[wr], got.Stores[gr]
-		for _, f := range ws.FieldSpace().Fields() {
-			if !gs.EqualOn(ws, f, wr.IndexSpace()) {
-				t.Errorf("%s: root %s field %s differs", label, wr.Name(), ws.FieldSpace().Name(f))
-			}
-		}
-	}
-	if len(want.Env) != len(got.Env) {
-		t.Fatalf("%s: env size %d vs %d", label, len(want.Env), len(got.Env))
-	}
-	for k, wv := range want.Env {
-		if gv, ok := got.Env[k]; !ok || gv != wv {
-			t.Errorf("%s: scalar %q = %v, want %v", label, k, gv, wv)
-		}
-	}
-}
+// seqOf views an spmd result as the program result progtest.Diff compares.
+func seqOf(r *spmd.Result) *ir.SeqResult { return &ir.SeqResult{Stores: r.Stores, Env: r.Env} }
 
 // TestNativeMatchesDES is the cross-backend equivalence matrix: every
 // evaluation application, under both sync lowerings and every tracing
@@ -128,7 +90,9 @@ func TestNativeMatchesDES(t *testing.T) {
 				label := fmt.Sprintf("%s/%s/%s", app.name, sy.name, fl.name)
 				t.Run(label, func(t *testing.T) {
 					res := runSPMD(t, app.build(nodes), nodes, sy.mode, fl.noTrace, fl.noShare, bench.BackendNative)
-					requireSameResults(t, label, ref, res)
+					if err := progtest.Diff(seqOf(ref), seqOf(res)); err != nil {
+						t.Errorf("%s: %v", label, err)
+					}
 					if wall := res.Stats.WallNanos; wall <= 0 {
 						t.Errorf("%s: native Stats.WallNanos = %d, want > 0", label, wall)
 					}
@@ -143,7 +107,7 @@ func TestNativeMatchesDES(t *testing.T) {
 // independent.
 func TestNativeImplicitMatchesDES(t *testing.T) {
 	const nodes = 4
-	run := func(backend string) *rt.Result {
+	run := func(backend string) *ir.SeqResult {
 		prog := stencil.Build(stencil.Small(nodes)).Prog
 		x, err := bench.NewExec(backend, nodes)
 		if err != nil {
@@ -153,12 +117,11 @@ func TestNativeImplicitMatchesDES(t *testing.T) {
 		if err != nil {
 			t.Fatalf("backend=%s: %v", backend, err)
 		}
-		return res
+		return &ir.SeqResult{Stores: res.Stores, Env: res.Env}
 	}
-	want, got := run(bench.BackendDES), run(bench.BackendNative)
-	requireSameResults(t, "implicit",
-		&spmd.Result{Stores: want.Stores, Env: want.Env},
-		&spmd.Result{Stores: got.Stores, Env: got.Env})
+	if err := progtest.Diff(run(bench.BackendDES), run(bench.BackendNative)); err != nil {
+		t.Error(err)
+	}
 }
 
 // scalarFeedback builds a loop whose sum reduction "s" feeds the next
@@ -216,9 +179,7 @@ func scalarFeedback() *ir.Program {
 // stores are bitwise equal to sequential semantics.
 func TestFuturesEnvMatchesSequential(t *testing.T) {
 	const nodes = 4
-	seqProg := scalarFeedback()
-	seq := ir.ExecSequential(seqProg)
-	want := &spmd.Result{Stores: seq.Stores, Env: seq.Env}
+	want := ir.ExecSequential(scalarFeedback())
 	for _, backend := range []string{bench.BackendDES, bench.BackendNative} {
 		x, err := bench.NewExec(backend, nodes)
 		if err != nil {
@@ -228,9 +189,12 @@ func TestFuturesEnvMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rt/%s: %v", backend, err)
 		}
-		requireSameResults(t, "rt/"+backend, want, &spmd.Result{Stores: imp.Stores, Env: imp.Env})
-		requireSameResults(t, "spmd/"+backend, want,
-			runSPMD(t, scalarFeedback(), nodes, cr.PointToPoint, false, false, backend))
+		if err := progtest.Diff(want, &ir.SeqResult{Stores: imp.Stores, Env: imp.Env}); err != nil {
+			t.Errorf("rt/%s: %v", backend, err)
+		}
+		if err := progtest.Diff(want, seqOf(runSPMD(t, scalarFeedback(), nodes, cr.PointToPoint, false, false, backend))); err != nil {
+			t.Errorf("spmd/%s: %v", backend, err)
+		}
 	}
 }
 
@@ -294,7 +258,9 @@ func TestNativeCrashRecoveryMatchesFaultFree(t *testing.T) {
 						t.Fatalf("%s: node 0 crashed without CrashNode0", label)
 					}
 				}
-				requireSameResults(t, label, ref, res)
+				if err := progtest.Diff(seqOf(ref), seqOf(res)); err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
 			})
 		}
 	}
@@ -317,7 +283,9 @@ func TestNativeLaunchCrashRecovery(t *testing.T) {
 	if res.Faults.Restarts < 1 || res.Faults.Unrecovered {
 		t.Fatalf("fault report = %+v, want a clean recovery", res.Faults)
 	}
-	requireSameResults(t, "launch-crash", ref, res)
+	if err := progtest.Diff(seqOf(ref), seqOf(res)); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestMeasuredTimeCalibratesDES closes the model-reality loop: fit a

@@ -17,14 +17,14 @@ import (
 	"repro/internal/apps/pennant"
 	"repro/internal/cr"
 	"repro/internal/ir"
+	"repro/internal/progtest"
 	"repro/internal/realm"
-	"repro/internal/region"
 	"repro/internal/spmd"
 )
 
 // runAgg compiles with aggregation on or off and executes one freshly
 // built program on the chosen backend.
-func runAgg(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend string, agg, noTrace bool) (map[*region.Region]*region.Store, realm.Stats) {
+func runAgg(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend string, agg, noTrace bool) (*ir.SeqResult, realm.Stats) {
 	t.Helper()
 	return execPlans(t, prog, compileVariant(t, prog, nodes, sync, agg, false), nodes, backend, noTrace)
 }
@@ -55,13 +55,17 @@ func TestAggEquivalence(t *testing.T) {
 						t.Run(name, func(t *testing.T) {
 							base, _ := runAgg(t, app.build(over*nodes), nodes, sync, backend, false, pm.noTrace)
 							agged, _ := runAgg(t, app.build(over*nodes), nodes, sync, backend, true, pm.noTrace)
-							assertStoresBitwiseEqual(t, base, agged)
+							if err := progtest.Diff(base, agged); err != nil {
+								t.Error(err)
+							}
 							if over < 2 {
 								return
 							}
 							prog := app.build(over * nodes)
 							composed, _ := execPlans(t, prog, compileVariant(t, prog, nodes, sync, true, true), nodes, backend, pm.noTrace)
-							assertStoresBitwiseEqual(t, ir.ExecSequential(app.build(over*nodes)).Stores, composed)
+							if err := progtest.Diff(ir.ExecSequential(app.build(over*nodes)), composed); err != nil {
+								t.Error(err)
+							}
 						})
 					}
 				}
@@ -187,5 +191,7 @@ func TestAggFailoverRecovers(t *testing.T) {
 	if stats.Captures != 1 || stats.PerShardCaptures != 0 {
 		t.Fatalf("aggregated failover re-captured: %+v", stats)
 	}
-	assertStoresBitwiseEqual(t, golden.Stores, res.Stores)
+	if err := progtest.Diff(seqOf(golden), seqOf(res)); err != nil {
+		t.Error(err)
+	}
 }

@@ -2,35 +2,36 @@ package spmd
 
 // Shard plans: resolve → shardPlan → execute is the only way a shard runs
 // an iteration. A compiled loop's body is structurally identical in every
-// iteration — the cr compiler certifies as much with its loop-boundary
-// trace marker — so everything a shard needs per iteration that is NOT
-// event-valued (instance-table lookups, copy pair grouping, owner nodes,
+// iteration — the body op list, copy pair lists and shard ownership are
+// fixed at compile time — so everything a shard needs per iteration that is
+// NOT event-valued (instance-table lookups, copy pair grouping, owner nodes,
 // transfer sizes, kernel cost, Real-mode store bindings) is resolved into a
 // shardPlan by one function, resolve, and the one executor in shard.go
 // rebuilds the event graph from the plan's flat slices and instState
 // pointers. Scalar statements stay live in the executor (their values may be
 // data-dependent; only structural resolution is planned).
 //
-// Whether the plan is memoized is one predicate (runState.memoized). When it
-// holds, the shard resolves once per placement and every iteration executes
-// the same plan — the SPMD analogue of the implicit runtime's loop traces
-// (internal/rt/trace.go). When it does not (tracing off, an untraceable
-// loop, the barrier ablation), the shard calls resolve afresh every
-// iteration and runs the result through the same executor, so the ablations
-// measure the host cost of resolving every iteration instead of once and
-// cannot drift from the default path. A re-resolved plan is a fresh value:
+// Memoization has one rule: a shard's plan is memoized iff NoTrace is
+// unset. Then the shard resolves once per placement and every iteration
+// executes the same plan — the SPMD analogue of the implicit runtime's loop
+// traces (internal/rt/trace.go) — whatever the sync lowering, trip count or
+// block shape. With NoTrace the shard calls resolve afresh every iteration
+// and runs the result through the same executor, so the ablation measures
+// the host cost of resolving every iteration instead of once and cannot
+// drift from the default path. A re-resolved plan is a fresh value:
 // Real-mode bodies run deferred and the run-ahead window keeps several
 // iterations in flight, so nothing a plan owns is pooled or reused.
 //
-// Resolution has one source for its shard-independent look-ups: kernel
-// cost per color and transfer volume per pair are read from the compiler's
-// specialization tables (cr.SpecTable), which verify.CheckSpec proves equal
-// to the geometric recomputation. What cross-shard sharing adds is only
-// accounting: a shareable loop (the compiler's ShareMarker, and NoShare
-// unset) records one shared capture per engine run — its modeled wire size
-// — and counts each shard plan as a specialization of it; otherwise each
-// shard plan counts as a per-shard capture. Either way resolve runs the
-// same code, so the plans and every schedule are identical.
+// Sharing has one rule too: a memoized loop records its one shared capture
+// iff NoShare is unset. Resolution has one source for its shard-independent
+// look-ups: kernel cost per color and transfer volume per pair are read
+// from the compiler's specialization tables (cr.SpecTable), which
+// verify.CheckSpec proves equal to the geometric recomputation. What
+// sharing adds is only accounting: the engine records the loop's shared
+// capture once per run — its modeled wire size — and counts each shard
+// plan as a specialization of it; with NoShare each shard plan counts as a
+// per-shard capture. Either way resolve runs the same code, so the plans
+// and every schedule are identical.
 //
 // Invalidation is by construction rather than by fingerprint: plans are
 // keyed by (runState, shard), and everything they resolve — tables, node
@@ -56,8 +57,8 @@ type TraceStats struct {
 	// when cross-shard sharing is on, independent of the shard count.
 	Captures int
 	// PerShardCaptures counts shard plans resolved without a shared capture
-	// — sharing disabled or the loop unshareable (O(shards) per runState;
-	// failover rebuilds count again).
+	// — sharing disabled (O(shards) per runState; failover rebuilds count
+	// again).
 	PerShardCaptures int
 	// Specializations counts shard plans resolved under a shared capture.
 	Specializations int
@@ -184,17 +185,9 @@ type memberPlan struct {
 	body            func()
 }
 
-// memoized is the one place that decides whether a shard's plan is resolved
-// once and reused or re-resolved every iteration: tracing on, a loop the
-// compiler marked traceable, and the point-to-point lowering. The barrier
-// ablation is the naive baseline and pays resolution every iteration.
-func (st *runState) memoized() bool {
-	return !st.e.NoTrace && st.plan.Trace.Traceable && st.plan.Opts.Sync != cr.BarrierSync
-}
-
 // planFor returns the shard's memoized plan, resolving it on first use and
 // counting it against the engine's shared capture (or as a per-shard
-// capture when sharing is off or the compiler marked the loop unshareable).
+// capture under NoShare).
 func (st *runState) planFor(sh *shard) *shardPlan {
 	e := st.e
 	// planMu serializes resolution across shard agents (they resolve
@@ -206,7 +199,7 @@ func (st *runState) planFor(sh *shard) *shardPlan {
 	if sp := st.plans[sh.me]; sp != nil {
 		return sp
 	}
-	if !e.NoShare && st.plan.Spec.Share.Shareable {
+	if !e.NoShare {
 		e.sharedFor(st.plan)
 		e.traceStats.Specializations++
 	} else {

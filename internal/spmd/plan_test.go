@@ -83,55 +83,6 @@ func TestPlanReplayMatchesReResolved(t *testing.T) {
 	assertEqualStores(t, seq.Stores[f.B], got.Stores[f.B], f.B, f.Val)
 }
 
-// TestPlanBarrierNotMemoized: the barrier lowering is the naive ablation
-// baseline — it re-resolves its plan every iteration, reports no trace
-// activity, and still computes sequential semantics through the shared
-// executor.
-func TestPlanBarrierNotMemoized(t *testing.T) {
-	f := progtest.NewFigure2(48, 8, 4)
-	seq := ir.ExecSequential(f.Prog)
-	res, stats := runCRTrace(t, f.Prog, 4, 4, cr.BarrierSync, ir.ExecReal, false)
-	if stats != (TraceStats{}) {
-		t.Fatalf("barrier-sync run should not memoize: %+v", stats)
-	}
-	assertEqualStores(t, seq.Stores[f.A], res.Stores[f.A], f.A, f.Val)
-	assertEqualStores(t, seq.Stores[f.B], res.Stores[f.B], f.B, f.Val)
-}
-
-// TestPlanShortLoopNotTraced: the compiler's loop-boundary marker withholds
-// tracing from loops too short to amortize a plan, and the engine obeys it.
-func TestPlanShortLoopNotTraced(t *testing.T) {
-	f := progtest.NewFigure2(24, 4, 1)
-	plans, err := CompileAll(f.Prog, cr.Options{NumShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range plans {
-		if p.Trace.Traceable || p.Trace.Reason == "" {
-			t.Fatalf("trip-1 loop marker = %+v, want untraceable with a reason", p.Trace)
-		}
-	}
-	sim := realm.MustNewSim(testConfig(2))
-	eng := New(sim, f.Prog, ir.ExecModeled, plans)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.TraceStats(); st != (TraceStats{}) {
-		t.Fatalf("trip-1 loop was traced: %+v", st)
-	}
-
-	f2 := progtest.NewFigure2(24, 4, 4)
-	plans2, err := CompileAll(f2.Prog, cr.Options{NumShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range plans2 {
-		if !p.Trace.Traceable {
-			t.Fatalf("trip-4 loop marker = %+v, want traceable", p.Trace)
-		}
-	}
-}
-
 // TestPlanFailoverInvalidates is the SPMD half of the PR 3 invalidation
 // satellite: a crash recovered by shard failover rebuilds the run state,
 // which must discard the captured plans (the placement changed), re-capture

@@ -12,7 +12,6 @@ package spmd_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/apps/circuit"
@@ -21,9 +20,9 @@ import (
 	"repro/internal/apps/stencil"
 	"repro/internal/cr"
 	"repro/internal/ir"
+	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/realm/native"
-	"repro/internal/region"
 	"repro/internal/spmd"
 	"repro/internal/verify"
 )
@@ -42,8 +41,8 @@ var pruneApps = []struct {
 
 // execPlans executes compiled plans on the chosen backend in Real mode,
 // with shard plans memoized (the default) or re-resolved every iteration
-// (noTrace), returning the final stores and the machine counters.
-func execPlans(t *testing.T, prog *ir.Program, plans map[*ir.Loop]*cr.Compiled, nodes int, backend string, noTrace bool) (map[*region.Region]*region.Store, realm.Stats) {
+// (noTrace), returning the final stores and scalars and the machine counters.
+func execPlans(t *testing.T, prog *ir.Program, plans map[*ir.Loop]*cr.Compiled, nodes int, backend string, noTrace bool) (*ir.SeqResult, realm.Stats) {
 	t.Helper()
 	var sim realm.Exec
 	switch backend {
@@ -66,7 +65,7 @@ func execPlans(t *testing.T, prog *ir.Program, plans map[*ir.Loop]*cr.Compiled, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Stores, sim.Stats()
+	return seqOf(res), sim.Stats()
 }
 
 // planModes names the noTrace axis of the equivalence matrices.
@@ -100,53 +99,13 @@ func compileVariant(t *testing.T, prog *ir.Program, shards int, sync cr.SyncMode
 
 // runPruned compiles, optionally prunes (with certification), and executes
 // one freshly built program on the chosen backend.
-func runPruned(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend string, prune, noTrace bool) (map[*region.Region]*region.Store, realm.Stats) {
+func runPruned(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend string, prune, noTrace bool) (*ir.SeqResult, realm.Stats) {
 	t.Helper()
 	return execPlans(t, prog, compileVariant(t, prog, nodes, sync, false, prune), nodes, backend, noTrace)
 }
 
-// assertStoresBitwiseEqual matches regions across two independent builds by
-// name and demands bit-for-bit identical contents on every field.
-func assertStoresBitwiseEqual(t *testing.T, base, pruned map[*region.Region]*region.Store) {
-	t.Helper()
-	byName := map[string]*region.Store{}
-	for r, s := range base {
-		byName[r.Name()] = s
-	}
-	matched := 0
-	for r, ps := range pruned {
-		bs, ok := byName[r.Name()]
-		if !ok {
-			t.Errorf("pruned run produced region %s absent from the base run", r.Name())
-			continue
-		}
-		matched++
-		for _, f := range ps.FieldSpace().Fields() {
-			braw, praw := bs.Raw(f), ps.Raw(f)
-			if len(braw) != len(praw) {
-				t.Fatalf("%s field %d: layout diverged (%d vs %d slots)", r.Name(), f, len(braw), len(praw))
-			}
-			diffs := 0
-			for i := range braw {
-				if math.Float64bits(braw[i]) != math.Float64bits(praw[i]) {
-					if diffs < 3 {
-						t.Errorf("%s field %d slot %d: %v (pruned) != %v (base)", r.Name(), f, i, praw[i], braw[i])
-					}
-					diffs++
-				}
-			}
-			if diffs > 0 {
-				t.Errorf("%s field %d: %d slots differ bitwise", r.Name(), f, diffs)
-			}
-		}
-	}
-	if matched == 0 {
-		t.Fatal("no regions matched between the runs; the comparison is vacuous")
-	}
-	if len(base) != len(pruned) {
-		t.Errorf("run produced %d regions unpruned vs %d pruned", len(base), len(pruned))
-	}
-}
+// seqOf views an spmd result as the program result progtest.Diff compares.
+func seqOf(r *spmd.Result) *ir.SeqResult { return &ir.SeqResult{Stores: r.Stores, Env: r.Env} }
 
 // TestPruneEquivalence: certified pruning is invisible to the computed
 // values — bitwise — for every app, both lowerings, both backends, with
@@ -165,7 +124,9 @@ func TestPruneEquivalence(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						base, _ := runPruned(t, app.build(nodes), nodes, sync, backend, false, pm.noTrace)
 						pruned, _ := runPruned(t, app.build(nodes), nodes, sync, backend, true, pm.noTrace)
-						assertStoresBitwiseEqual(t, base, pruned)
+						if err := progtest.Diff(base, pruned); err != nil {
+							t.Error(err)
+						}
 					})
 				}
 			}

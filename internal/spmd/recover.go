@@ -275,8 +275,8 @@ func (e *Engine) degrade(plan *cr.Compiled, trip, retries int, cp *checkpoint, t
 // real messages (Exec.ShipTrace: modeled wire cost on the DES, real
 // messages subject to drop/dup injection on native), before the restarted
 // shards re-resolve their plans. No-op when the loop has no shared capture
-// (sharing disabled, tracing off, or an unshareable loop). Reports false if
-// a node failed mid-shipment.
+// yet, as always under NoTrace or NoShare. Reports false if a node failed
+// mid-shipment.
 func (e *Engine) shipTraces(ctl realm.Agent, st *runState) bool {
 	bytes, ok := e.shared[st.plan]
 	if !ok {

@@ -4,8 +4,9 @@
 // prune} x {Modeled, Real} cell, generated with NoTrace on the commit that
 // still had the interpreter. Every way the engine can run a cell — plan
 // memoized or re-resolved each iteration, shared capture or per-shard —
-// must land exactly those numbers, and Real cells must also leave stores
-// bitwise equal to sequential semantics.
+// must land exactly those numbers and the trace counters the memoization
+// and sharing rules predict (wantTrace), and Real cells must also leave
+// stores and scalars bitwise equal to sequential semantics.
 //
 // Regenerate (only when a schedule change is intended) with
 //
@@ -56,7 +57,7 @@ func goldenProgs() []goldenProg {
 		progs = append(progs, goldenProg{app.name, 4, app.build})
 	}
 	// Random programs have 3..6 colors, so three shards own ragged blocks
-	// (the compiler marks those unshareable: the per-shard fallback runs).
+	// whenever the count is 4 or 5, and their loops run 1..3 times.
 	for seed := int64(1); seed <= 10; seed++ {
 		progs = append(progs, goldenProg{fmt.Sprintf("random%d", seed), 3, func(int) *ir.Program {
 			prog, _, _ := progtest.RandomProgram(seed)
@@ -66,8 +67,16 @@ func goldenProgs() []goldenProg {
 	return progs
 }
 
+// goldenRun is one engine run of a matrix cell.
+type goldenRun struct {
+	prog  *ir.Program
+	plans map[*ir.Loop]*cr.Compiled
+	res   *spmd.Result
+	trace spmd.TraceStats
+}
+
 // runGoldenCell compiles and runs one cell on the DES.
-func runGoldenCell(t *testing.T, p goldenProg, sync cr.SyncMode, variant string, mode ir.ExecMode, noTrace, noShare bool) (*ir.Program, *spmd.Result) {
+func runGoldenCell(t *testing.T, p goldenProg, sync cr.SyncMode, variant string, mode ir.ExecMode, noTrace, noShare bool) goldenRun {
 	t.Helper()
 	pieces := p.shards
 	if variant == "agg" {
@@ -83,7 +92,52 @@ func runGoldenCell(t *testing.T, p goldenProg, sync cr.SyncMode, variant string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, res
+	return goldenRun{prog, plans, res, eng.TraceStats()}
+}
+
+// wantTrace is the executor's memoization and sharing rules as data: a
+// fault-free run memoizes every shard's plan iff NoTrace is unset — one
+// resolution per shard per loop, every shard-iteration executed from it —
+// and shares one capture per loop iff NoShare is unset as well. Sync
+// lowering, trip count and block shape play no part.
+func wantTrace(plans map[*ir.Loop]*cr.Compiled, noTrace, noShare bool) spmd.TraceStats {
+	var want spmd.TraceStats
+	if noTrace {
+		return want
+	}
+	for loop, plan := range plans {
+		shards := plan.Opts.NumShards
+		want.ReplayedIters += shards * loop.Trip
+		if noShare {
+			want.PerShardCaptures += shards
+		} else {
+			want.Captures++
+			want.Specializations += shards
+		}
+	}
+	return want
+}
+
+// ragged reports whether some loop's shards own unequal color blocks.
+func ragged(plans map[*ir.Loop]*cr.Compiled) bool {
+	for _, plan := range plans {
+		for _, owned := range plan.Owned {
+			if len(owned) != len(plan.Owned[0]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// hasTrip1 reports whether some loop runs exactly once.
+func hasTrip1(plans map[*ir.Loop]*cr.Compiled) bool {
+	for loop := range plans {
+		if loop.Trip == 1 {
+			return true
+		}
+	}
+	return false
 }
 
 func TestScheduleGolden(t *testing.T) {
@@ -102,7 +156,7 @@ func TestScheduleGolden(t *testing.T) {
 	if *updateGolden {
 		cfgs = cfgs[:1]
 	}
-	seen := 0
+	seen, barrierCells, trip1Cells, raggedCells := 0, 0, 0, 0
 	for _, p := range goldenProgs() {
 		for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
 			for _, variant := range []string{"plain", "agg", "prune"} {
@@ -113,9 +167,20 @@ func TestScheduleGolden(t *testing.T) {
 					}
 					key := fmt.Sprintf("%s/%v/%s/%s", p.name, sync, variant, modeName)
 					seen++
-					for _, c := range cfgs {
-						prog, res := runGoldenCell(t, p, sync, variant, mode, c.noTrace, c.noShare)
-						got := scheduleCell{res.Elapsed, res.Stats}
+					for i, c := range cfgs {
+						run := runGoldenCell(t, p, sync, variant, mode, c.noTrace, c.noShare)
+						if i == 0 {
+							if sync == cr.BarrierSync {
+								barrierCells++
+							}
+							if hasTrip1(run.plans) {
+								trip1Cells++
+							}
+							if ragged(run.plans) {
+								raggedCells++
+							}
+						}
+						got := scheduleCell{run.res.Elapsed, run.res.Stats}
 						if *updateGolden {
 							golden[key] = got
 						} else if want, ok := golden[key]; !ok {
@@ -123,13 +188,21 @@ func TestScheduleGolden(t *testing.T) {
 						} else if got != want {
 							t.Errorf("%s NoTrace=%v NoShare=%v:\n got %+v\nwant %+v", key, c.noTrace, c.noShare, got, want)
 						}
+						if want := wantTrace(run.plans, c.noTrace, c.noShare); run.trace != want {
+							t.Errorf("%s NoTrace=%v NoShare=%v: trace counters\n got %+v\nwant %+v", key, c.noTrace, c.noShare, run.trace, want)
+						}
 						if mode == ir.ExecReal {
-							assertStoresBitwiseEqual(t, ir.ExecSequential(prog).Stores, res.Stores)
+							if err := progtest.Diff(ir.ExecSequential(run.prog), seqOf(run.res)); err != nil {
+								t.Errorf("%s NoTrace=%v NoShare=%v: %v", key, c.noTrace, c.noShare, err)
+							}
 						}
 					}
 				}
 			}
 		}
+	}
+	if barrierCells == 0 || trip1Cells == 0 || raggedCells == 0 {
+		t.Errorf("matrix has %d barrier, %d trip-1 and %d ragged cells; want at least one of each", barrierCells, trip1Cells, raggedCells)
 	}
 	if *updateGolden {
 		raw, err := json.MarshalIndent(golden, "", " ")

@@ -189,14 +189,13 @@ func (sh *shard) runRange(lo, hi int) {
 
 	window := max(e.Over.Window, 1)
 	// Every iteration is resolved into a plan and executed from it (see
-	// plan.go). A memoized plan is resolved once and shared by all the
-	// iterations; otherwise each iteration resolves its own fresh plan —
-	// never a reused one, because the window keeps several iterations'
-	// deferred bodies in flight.
-	memo := st.memoized()
+	// plan.go). Unless NoTrace is set, the plan is resolved once and shared
+	// by all the iterations; under NoTrace each iteration resolves its own
+	// fresh plan — never a reused one, because the window keeps several
+	// iterations' deferred bodies in flight.
 	var sp *shardPlan
 	replayed := 0
-	if memo {
+	if !e.NoTrace {
 		sp = st.planFor(sh)
 		// Iterations executed from the memoized plan are counted locally and
 		// folded in once per range, not per iteration: the engine-wide lock
@@ -217,11 +216,11 @@ func (sh *shard) runRange(lo, hi int) {
 		}
 		sh.env.Set(plan.Loop.Var, float64(t))
 		sh.ops = sh.ops[:0]
-		if !memo {
+		if e.NoTrace {
 			sp = st.resolve(sh)
 		}
 		sh.execIter(sp, t)
-		if memo {
+		if !e.NoTrace {
 			replayed++
 		}
 		iterDone[i] = e.Sim.Merge(sh.ops...)

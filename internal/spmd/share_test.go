@@ -1,7 +1,6 @@
 package spmd
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/cr"
@@ -67,46 +66,6 @@ func TestShareSingleCapture(t *testing.T) {
 	}
 }
 
-// TestShareRaggedFallsBack is the corner case: a partition whose owned
-// blocks are unequal (7 colors over 3 shards) is not shareable, with the
-// compiler's reason naming the ragged partition, so the engine must fall
-// back to per-shard capture and still match the untraced schedule.
-func TestShareRaggedFallsBack(t *testing.T) {
-	const shards, nodes = 3, 3
-	build := func() *ir.Program { return progtest.NewFigure2(42, 7, 6).Prog }
-
-	plans, err := CompileAll(build(), cr.Options{NumShards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range plans {
-		if p.Spec.Share.Shareable || !strings.Contains(p.Spec.Share.Reason, "ragged") {
-			t.Fatalf("ragged partition marked %+v, want unshareable with a reason naming it", p.Spec.Share)
-		}
-	}
-
-	sim := realm.MustNewSim(testConfig(nodes))
-	prog := build()
-	plans, err = CompileAll(prog, cr.Options{NumShards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := New(sim, prog, ir.ExecModeled, plans)
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := eng.TraceStats()
-	if stats.Captures != 0 || stats.Specializations != 0 || stats.PerShardCaptures != shards {
-		t.Errorf("ragged counters %+v, want %d per-shard captures and no shared capture", stats, shards)
-	}
-
-	ref, _ := runCRTrace(t, build(), nodes, shards, cr.PointToPoint, ir.ExecModeled, true)
-	if res.Elapsed != ref.Elapsed || res.Stats != ref.Stats {
-		t.Errorf("ragged fallback schedule diverged: %v/%+v vs %v/%+v", res.Elapsed, res.Stats, ref.Elapsed, ref.Stats)
-	}
-}
-
 // captureWireSize is the modeled wire size of the shared capture of prog's
 // one replicated loop, computed from the compiler's tables rather than by
 // the engine: 8 bytes per cost-volume and pair-volume entry plus a 16-byte
@@ -136,74 +95,84 @@ func captureWireSize(t *testing.T, prog *ir.Program, shards int) int64 {
 // not re-capture when sharing is on — the shared capture survives the run
 // state rebuild, the restarted shards receive it as a real DES message
 // (with latency and bandwidth cost), and every shard re-specializes. The
-// recovered store contents stay bitwise equal to sequential semantics.
+// recovered results stay bitwise equal to sequential semantics. The ragged
+// row (7 colors over 3 shards) shares and ships like the equal-block one.
 func TestShareFailoverShipsTrace(t *testing.T) {
-	const nodes, shards = 4, 4
+	const nodes = 4
 	rec := Recovery{CheckpointEvery: 2, MaxRetries: 3, Backoff: realm.Microseconds(50)}
-	run := func(fp *realm.FaultPlan) (*Result, TraceStats, *progtest.Figure2) {
-		f := progtest.NewFigure2(48, 8, 8)
-		plans, err := CompileAll(f.Prog, cr.Options{NumShards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim := realm.MustNewSim(testConfig(nodes))
-		if fp != nil {
-			if err := sim.InjectFaults(*fp); err != nil {
+	for _, tc := range []struct {
+		name   string
+		n, nt  int64
+		shards int
+	}{
+		{"equal", 48, 8, 4},
+		{"ragged", 42, 7, 3},
+	} {
+		build := func() *ir.Program { return progtest.NewFigure2(tc.n, tc.nt, 8).Prog }
+		run := func(fp *realm.FaultPlan) (*Result, TraceStats) {
+			prog := build()
+			plans, err := CompileAll(prog, cr.Options{NumShards: tc.shards})
+			if err != nil {
 				t.Fatal(err)
 			}
+			sim := realm.MustNewSim(testConfig(nodes))
+			if fp != nil {
+				if err := sim.InjectFaults(*fp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng := New(sim, prog, ir.ExecReal, plans)
+			eng.Recov = rec
+			res, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, eng.TraceStats()
 		}
-		eng := New(sim, f.Prog, ir.ExecReal, plans)
-		eng.Recov = rec
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
+
+		res0, stats0 := run(nil)
+		if stats0.Captures != 1 || stats0.PerShardCaptures != 0 {
+			t.Fatalf("%s: fault-free counters %+v, want exactly one shared capture", tc.name, stats0)
 		}
-		return res, eng.TraceStats(), f
-	}
+		if res0.Stats.TraceShips != 0 {
+			t.Fatalf("%s: fault-free run shipped traces: %+v", tc.name, res0.Stats)
+		}
 
-	res0, stats0, _ := run(nil)
-	if stats0.Captures != 1 || stats0.PerShardCaptures != 0 {
-		t.Fatalf("fault-free counters %+v, want exactly one shared capture", stats0)
-	}
-	if res0.Stats.TraceShips != 0 {
-		t.Fatalf("fault-free run shipped traces: %+v", res0.Stats)
-	}
+		fp := &realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: res0.Elapsed / 2}}}
+		got, stats := run(fp)
 
-	fp := &realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: res0.Elapsed / 2}}}
-	got, stats, f := run(fp)
+		if got.Faults == nil || len(got.Faults.Crashes) != 1 || got.Faults.Restarts < 1 {
+			t.Fatalf("%s: fault report = %+v, want 1 crash and at least 1 restart", tc.name, got.Faults)
+		}
+		// Zero re-capture across the whole faulty run: the shared capture is
+		// keyed on the engine, not the run state, so failover re-specializes.
+		if stats.Captures != 1 || stats.PerShardCaptures != 0 {
+			t.Errorf("%s: failover re-captured: %+v, want the single pre-crash capture only", tc.name, stats)
+		}
+		if stats.Specializations <= tc.shards {
+			t.Errorf("%s: failover specialized %d plans, want > %d (rebuild re-specializes every shard)", tc.name, stats.Specializations, tc.shards)
+		}
+		if stats.Invalidations == 0 {
+			t.Errorf("%s: failover rebuild discarded no plans: %+v", tc.name, stats)
+		}
+		if stats.Ships == 0 {
+			t.Errorf("%s: failover shipped nothing: %+v", tc.name, stats)
+		}
+		if want := int64(stats.Ships) * captureWireSize(t, build(), tc.shards); stats.ShippedBytes != want {
+			t.Errorf("%s: ShippedBytes = %d, want %d (%d ships of the tables' wire size)", tc.name, stats.ShippedBytes, want, stats.Ships)
+		}
+		if got.Stats.TraceShips != int64(stats.Ships) || got.Stats.TraceShipBytes != stats.ShippedBytes {
+			t.Errorf("%s: DES ship stats %d/%d don't match engine counters %+v", tc.name, got.Stats.TraceShips, got.Stats.TraceShipBytes, stats)
+		}
+		// Shipping is a real message: it costs virtual time over the fault-free
+		// run (on top of the restart itself).
+		if got.Elapsed <= res0.Elapsed {
+			t.Errorf("%s: faulty run Elapsed %v <= fault-free %v; recovery and shipping should cost time", tc.name, got.Elapsed, res0.Elapsed)
+		}
 
-	if got.Faults == nil || len(got.Faults.Crashes) != 1 || got.Faults.Restarts < 1 {
-		t.Fatalf("fault report = %+v, want 1 crash and at least 1 restart", got.Faults)
+		// Recovered results match sequential semantics bitwise.
+		if err := progtest.Diff(ir.ExecSequential(build()), &ir.SeqResult{Stores: got.Stores, Env: got.Env}); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
-	// Zero re-capture across the whole faulty run: the shared capture is
-	// keyed on the engine, not the run state, so failover re-specializes.
-	if stats.Captures != 1 || stats.PerShardCaptures != 0 {
-		t.Errorf("failover re-captured: %+v, want the single pre-crash capture only", stats)
-	}
-	if stats.Specializations <= shards {
-		t.Errorf("failover specialized %d plans, want > %d (rebuild re-specializes every shard)", stats.Specializations, shards)
-	}
-	if stats.Invalidations == 0 {
-		t.Errorf("failover rebuild discarded no plans: %+v", stats)
-	}
-	if stats.Ships == 0 {
-		t.Errorf("failover shipped nothing: %+v", stats)
-	}
-	if want := int64(stats.Ships) * captureWireSize(t, f.Prog, shards); stats.ShippedBytes != want {
-		t.Errorf("ShippedBytes = %d, want %d (%d ships of the tables' wire size)", stats.ShippedBytes, want, stats.Ships)
-	}
-	if got.Stats.TraceShips != int64(stats.Ships) || got.Stats.TraceShipBytes != stats.ShippedBytes {
-		t.Errorf("DES ship stats %d/%d don't match engine counters %+v", got.Stats.TraceShips, got.Stats.TraceShipBytes, stats)
-	}
-	// Shipping is a real message: it costs virtual time over the fault-free
-	// run (on top of the restart itself).
-	if got.Elapsed <= res0.Elapsed {
-		t.Errorf("faulty run Elapsed %v <= fault-free %v; recovery and shipping should cost time", got.Elapsed, res0.Elapsed)
-	}
-
-	// Recovered contents match sequential semantics bitwise.
-	refSeq := progtest.NewFigure2(48, 8, 8)
-	seq := ir.ExecSequential(refSeq.Prog)
-	assertEqualStores(t, seq.Stores[refSeq.A], got.Stores[f.A], f.A, f.Val)
-	assertEqualStores(t, seq.Stores[refSeq.B], got.Stores[f.B], f.B, f.Val)
 }

@@ -234,7 +234,7 @@ func TestCRDataMovementScopedToHalo(t *testing.T) {
 // privileges, random loop lengths. All three must agree bitwise.
 func TestRandomizedEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		prog, regions, fields := progtest.RandomProgram(seed)
+		prog, _, _ := progtest.RandomProgram(seed)
 		seq := ir.ExecSequential(prog)
 
 		simImp := realm.MustNewSim(testConfig(3))
@@ -242,12 +242,8 @@ func TestRandomizedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: implicit: %v", seed, err)
 		}
-		for _, r := range regions {
-			for _, f := range fields {
-				if !resImp.Stores[r].EqualOn(seq.Stores[r], f, r.IndexSpace()) {
-					t.Fatalf("seed %d: implicit mismatch on %s field %d", seed, r.Name(), f)
-				}
-			}
+		if err := progtest.Diff(seq, &ir.SeqResult{Stores: resImp.Stores, Env: resImp.Env}); err != nil {
+			t.Fatalf("seed %d: implicit: %v", seed, err)
 		}
 
 		for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
@@ -260,17 +256,8 @@ func TestRandomizedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: spmd: %v", seed, err)
 			}
-			for _, r := range regions {
-				for _, f := range fields {
-					if !res.Stores[r].EqualOn(seq.Stores[r], f, r.IndexSpace()) {
-						t.Fatalf("seed %d (%v): spmd mismatch on %s field %d", seed, sync, r.Name(), f)
-					}
-				}
-			}
-			for k, v := range seq.Env {
-				if res.Env[k] != v {
-					t.Fatalf("seed %d (%v): scalar %q = %v, want %v", seed, sync, k, res.Env[k], v)
-				}
+			if err := progtest.Diff(seq, &ir.SeqResult{Stores: res.Stores, Env: res.Env}); err != nil {
+				t.Fatalf("seed %d (%v): spmd: %v", seed, sync, err)
 			}
 		}
 	}

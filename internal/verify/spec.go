@@ -19,8 +19,6 @@ import (
 //     in the ownership partition's running block offset (so the specialized
 //     plan binds the same collective indices and cost-table slots as direct
 //     capture);
-//   - the share marker is honest: Shareable exactly when the owned blocks
-//     are uniform, with a reason recorded otherwise;
 //   - launch cost volumes match the cost argument's subregion volumes;
 //   - pair volumes and endpoint shards match the intersection geometry and
 //     the ownership map (so specialized transfer sizes and node bindings
@@ -45,7 +43,6 @@ func CheckSpec(c *cr.Compiled) error {
 	ns := c.Opts.NumShards
 
 	base := 0
-	uniform := true
 	for s := 0; s < ns; s++ {
 		for k, col := range c.Owned[s] {
 			if c.ColorIdx[col] != base+k {
@@ -53,15 +50,6 @@ func CheckSpec(c *cr.Compiled) error {
 			}
 		}
 		base += len(c.Owned[s])
-		if len(c.Owned[s]) != len(c.Owned[0]) {
-			uniform = false
-		}
-	}
-	if spec.Share.Shareable != uniform {
-		fail("Share.Shareable = %v but uniform owned blocks = %v", spec.Share.Shareable, uniform)
-	}
-	if !spec.Share.Shareable && spec.Share.Reason == "" {
-		fail("unshareable plan records no reason")
 	}
 
 	if len(spec.Ops) != len(c.Body) {

@@ -9,23 +9,19 @@ import (
 )
 
 // TestCheckSpecAccepts: the compiler's specialization tables pass the
-// independent recomputation for the example programs, shareable and
-// ragged alike.
+// independent recomputation for the example programs, equal and ragged
+// owned blocks alike.
 func TestCheckSpecAccepts(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		n, nt     int64
-		shards    int
-		shareable bool
+		name   string
+		n, nt  int64
+		shards int
 	}{
-		{"uniform", 48, 8, 4, true},
-		{"ragged", 42, 7, 3, false},
+		{"uniform", 48, 8, 4},
+		{"ragged", 42, 7, 3},
 	} {
 		f := progtest.NewFigure2(tc.n, tc.nt, 3)
 		c := compile(t, f.Prog, f.Loop, tc.shards, cr.PointToPoint)
-		if c.Spec.Share.Shareable != tc.shareable {
-			t.Errorf("%s: Shareable = %v, want %v", tc.name, c.Spec.Share.Shareable, tc.shareable)
-		}
 		if err := CheckSpec(c); err != nil {
 			t.Errorf("%s: spec check rejected a correct compilation: %v", tc.name, err)
 		}
@@ -33,7 +29,7 @@ func TestCheckSpecAccepts(t *testing.T) {
 }
 
 // TestCheckSpecDetectsCorruption: every ingredient of the substitution —
-// the share marker, cost volumes, pair volumes, endpoint shards, and the
+// the color slots, cost volumes, pair volumes, endpoint shards, and the
 // per-shard work partition — is independently recomputed, so corrupting any
 // one of them must be caught.
 func TestCheckSpecDetectsCorruption(t *testing.T) {
@@ -65,9 +61,6 @@ func TestCheckSpecDetectsCorruption(t *testing.T) {
 		want    string
 	}{
 		{"color index", func(c *cr.Compiled) { c.ColorIdx[c.Owned[1][0]]++ }, "dense slot"},
-		{"false share marker", func(c *cr.Compiled) {
-			c.Spec.Share = cr.ShareMarker{Shareable: false, Reason: "bogus"}
-		}, "Shareable"},
 		{"cost volume", func(c *cr.Compiled) { firstLaunch(c).CostVol[0]++ }, "cost volume"},
 		{"pair volume", func(c *cr.Compiled) { firstCopy(c).PairVols[0]++ }, "volume"},
 		{"src shard", func(c *cr.Compiled) {
