@@ -23,9 +23,10 @@ package verify
 //     liveness passes run over it.
 //
 // The mutation harness corrupts both layers — group membership through the
-// tables (corruptions in the tests), merged preconditions through labeled
-// edge deletion (AggMutations) and wait-for rewiring (the shared
-// LivenessMutations) — and demands 100% detection.
+// tables (corruptions in the tests), merged preconditions through the one
+// Mutation model: labeled edge deletion (Mutations, whose point-to-point
+// unit is a whole group's sync) and wait-for rewiring (LivenessMutations) —
+// and demands 100% detection.
 
 import (
 	"fmt"
@@ -296,127 +297,4 @@ func aggCounters(c *cr.Compiled) map[string]int64 {
 		"multi_member_groups": multi,
 		"merged_pairs":        merged,
 	}
-}
-
-// AggMutation is one simulated aggregation bug in the merged
-// preconditions: a set of labeled synchronization edges deleted together
-// from the aggregated happens-before graph. Unlike the per-pair Mutation,
-// the deletion unit is the whole group's synchronization — within a group
-// the per-member sync is partially redundant BY DESIGN (the merged message
-// waits the union of member preconditions, so a forgotten member war is
-// genuinely covered whenever another member of the same group gates the
-// same instance), and only the group-level deletion is guaranteed to strip
-// every route.
-type AggMutation struct {
-	// Name describes the mutation, e.g. "agg-group-sync(phase 0, shard 1,
-	// group 2)".
-	Name string `json:"name"`
-	// Copies are the member copy ops' IDs and Dsts their destination
-	// partitions; a finding is attributed to the mutation when it involves
-	// any of them (see Covers).
-	Copies []int    `json:"copies"`
-	Dsts   []string `json:"dsts"`
-	// Drop is the edge set handed to Check.
-	Drop []EdgeID `json:"drop"`
-	// Essential mutations must be detected: the group has a consumed
-	// cross-color or reduction member, so no local dependence chain can
-	// stand in for the deleted synchronization.
-	Essential bool `json:"essential"`
-}
-
-// Covers reports whether the finding is attributable to the mutation: a
-// witness op of a member copy, or a racing instance of a member's
-// destination partition (the collateral-race attribution of
-// Mutation.Covers, widened to the group's member set).
-func (m AggMutation) Covers(f Finding) bool {
-	for _, id := range m.Copies {
-		if f.InvolvesCopy(id) {
-			return true
-		}
-	}
-	for _, d := range m.Dsts {
-		if strings.HasPrefix(f.Instance, d+"[") {
-			return true
-		}
-	}
-	return false
-}
-
-// AggMutations enumerates the merged-precondition deletions for the
-// analyzed aggregated schedule. Under point-to-point sync each aggregation
-// group contributes one whole-group sync deletion (every member's war,
-// done, and chain edges together — the compiler forgot to wire the merged
-// message at all); under barriers each phase op contributes the deletion
-// of both its barriers (merged messages wait every phase barrier, so
-// dropping one op's pair unprotects exactly that op's destinations).
-// Both lowerings additionally contribute chain-only deletions for the
-// EXTERNAL fold-chain links — the only chain synchronization that still
-// exists under aggregation; internal links are the merged body's in-order
-// writes, structure with no sync to forget.
-func (a *Analysis) AggMutations() []AggMutation {
-	var out []AggMutation
-	c := a.c
-	spec, chains := &c.Spec, a.g.labels(EdgeChain)
-	for pi := range spec.Phases {
-		ph := &spec.Phases[pi]
-		if c.Opts.Sync == cr.BarrierSync {
-			for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
-				cp := c.Body[opIdx].Copy
-				for _, m := range a.barrierMutations(cp, opIdx) {
-					out = append(out, aggOf(m))
-				}
-			}
-		} else {
-			for s := range ph.ByShard {
-				for gi := range ph.ByShard[s] {
-					grp := &ph.ByShard[s][gi]
-					var drop []EdgeID
-					var copies []int
-					var dsts []string
-					consumed, crossOrReduce := false, false
-					for _, mem := range grp.Members {
-						cp := c.Body[mem.Op].Copy
-						k := int(mem.Pair)
-						drop = append(drop,
-							EdgeID{Class: EdgeWAR, Copy: cp.ID, Pair: k},
-							EdgeID{Class: EdgeDone, Copy: cp.ID, Pair: k},
-							EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k})
-						copies = appendUnique(copies, cp.ID)
-						dsts = appendUnique(dsts, cp.Dst.Name())
-						if a.laterConsumer(cp, int(mem.Op)) {
-							consumed = true
-						}
-						if cp.Pairs[k].Src != cp.Pairs[k].Dst || cp.Reduce != region.ReduceNone {
-							crossOrReduce = true
-						}
-					}
-					out = append(out, AggMutation{
-						Name:      fmt.Sprintf("agg-group-sync(phase %d, shard %d, group %d)", pi, s, gi),
-						Copies:    copies,
-						Dsts:      dsts,
-						Drop:      drop,
-						Essential: consumed && crossOrReduce,
-					})
-				}
-			}
-		}
-		for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
-			for _, m := range chainMutations(c.Body[opIdx].Copy, chains) {
-				out = append(out, aggOf(m))
-			}
-		}
-	}
-	return out
-}
-
-// aggOf widens a single-copy mutation to the group form.
-func aggOf(m Mutation) AggMutation {
-	return AggMutation{Name: "agg-" + m.Name, Copies: []int{m.Copy}, Dsts: []string{m.Dst}, Drop: m.Drop, Essential: m.Essential}
-}
-
-func appendUnique[T comparable](xs []T, x T) []T {
-	if slices.Contains(xs, x) {
-		return xs
-	}
-	return append(xs, x)
 }

@@ -11,29 +11,9 @@ import (
 	"repro/internal/region"
 )
 
-// aggFixtures compiles the example programs with aggregation on, at shard
-// counts where the exchange phases have multi-member remote groups
-// (figure2 at 8 pieces / 4 shards is overdecomposed two-to-one;
-// regionreduce at 4 pieces / 3 shards has cross-shard fold chains).
-func aggFixtures(t *testing.T, sync cr.SyncMode) map[string]*cr.Compiled {
-	t.Helper()
-	f2 := progtest.NewFigure2(48, 8, 3)
-	rr := progtest.NewRegionReduce(24, 4, 3)
-	ss := progtest.NewScalarSum(32, 4)
-	return map[string]*cr.Compiled{
-		"figure2":      aggCompile(t, f2.Prog, f2.Loop, 4, sync),
-		"regionreduce": aggCompile(t, rr.Prog, rr.Loop, 3, sync),
-		"scalarsum":    aggCompile(t, ss.Prog, findLoops(ss.Prog)[0], 2, sync),
-	}
-}
-
 func aggCompile(t *testing.T, prog *ir.Program, loop *ir.Loop, shards int, sync cr.SyncMode) *cr.Compiled {
 	t.Helper()
-	c, err := cr.Compile(prog, loop, cr.Options{NumShards: shards, Sync: sync, Agg: true})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	return c
+	return compileOpts(t, prog, loop, cr.Options{NumShards: shards, Sync: sync, Agg: true})
 }
 
 // TestCheckAggAccepts: every correct compilation is certified — the table
@@ -42,7 +22,7 @@ func aggCompile(t *testing.T, prog *ir.Program, loop *ir.Loop, shards int, sync 
 // positives on correct aggregation plans.
 func TestCheckAggAccepts(t *testing.T) {
 	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		for name, c := range aggFixtures(t, sync) {
+		for name, c := range fixtures(t, sync, true) {
 			t.Run(fmt.Sprintf("%s/%v", name, sync), func(t *testing.T) {
 				rep, err := CheckAgg(c)
 				if err != nil {
@@ -195,7 +175,7 @@ func TestCheckAggTablesDetectsCorruption(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, sync), func(t *testing.T) {
 				applied := false
-				for name, c := range aggFixtures(t, sync) {
+				for name, c := range fixtures(t, sync, true) {
 					if !tc.corrupt(c) {
 						continue
 					}
@@ -344,136 +324,5 @@ func TestMergedChainSplitIsCertifiedAsCycle(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no shard count yields a mergeable chain-split group; the test is vacuous")
-	}
-}
-
-// aggAnalyses analyzes every aggregation fixture twice: as compiled, and
-// with the prune PlanPrune licenses for the aggregated schedule attached —
-// the composed prune∘agg plan.
-func aggAnalyses(t *testing.T, sync cr.SyncMode, fn func(name string, a *Analysis, info *cr.PruneInfo)) {
-	t.Helper()
-	for name, c := range aggFixtures(t, sync) {
-		for _, prune := range []bool{false, true} {
-			name := name
-			if prune {
-				info, rep, err := PlanPrune(c)
-				if err != nil || !rep.OK() {
-					t.Fatalf("%s %v: prune of the aggregated plan failed: %v %v", name, sync, err, rep)
-				}
-				c.Prune, name = info, name+"/pruned"
-			}
-			a, err := Analyze(c)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, sync, err)
-			}
-			fn(name, a, c.Prune)
-		}
-	}
-}
-
-// TestAggMutationSoundness: the aggregated checker's own soundness check —
-// the unmutated aggregated schedule verifies clean, every essential
-// merged-precondition deletion is detected, and every finding points at a
-// member of the mutated group — on the aggregated plans and on the composed
-// prune∘agg ones, where a deletion the prune already made is skipped.
-func TestAggMutationSoundness(t *testing.T) {
-	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		aggAnalyses(t, sync, func(name string, a *Analysis, info *cr.PruneInfo) {
-			t.Run(fmt.Sprintf("%s/%v", name, sync), func(t *testing.T) {
-				if rep := a.Check(); !rep.OK() {
-					for _, f := range rep.Findings {
-						t.Errorf("false positive: %s", f)
-					}
-					t.Fatalf("unmutated aggregated schedule failed verification (%d findings)", len(rep.Findings))
-				}
-				if rep := a.CheckLiveness(); !rep.OK() {
-					for _, f := range rep.Findings {
-						t.Errorf("liveness false positive: %s", f)
-					}
-				}
-				muts := a.AggMutations()
-				detected, essential := 0, 0
-				for _, m := range muts {
-					if dropPruned(info, m.Drop) {
-						continue
-					}
-					rep := a.Check(m.Drop...)
-					if !rep.OK() {
-						detected++
-					}
-					if m.Essential {
-						essential++
-						if rep.OK() {
-							t.Errorf("missed essential mutation %s", m.Name)
-						}
-					}
-					for _, f := range rep.Findings {
-						if !m.Covers(f) {
-							t.Errorf("mutation %s produced a finding not involving the mutated group: %s", m.Name, f)
-						}
-					}
-				}
-				if !strings.HasPrefix(name, "scalarsum") && essential == 0 {
-					t.Errorf("no essential aggregation mutations enumerated; the harness is vacuous")
-				}
-				t.Logf("%d mutations, %d essential, %d detected", len(muts), essential, detected)
-			})
-		})
-	}
-}
-
-// TestAggLivenessMutations: the shared liveness mutation harness (sync
-// inversions, chain inversions, barrier swaps, skipped arrivals) applies
-// unchanged to the AGGREGATED graph — its node locator finds the member
-// copy nodes and per-pair sync events inside the merged clusters — and
-// every mutation is detected, with the prune attached or not.
-func TestAggLivenessMutations(t *testing.T) {
-	total := 0
-	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		aggAnalyses(t, sync, func(name string, a *Analysis, _ *cr.PruneInfo) {
-			for _, m := range a.LivenessMutations() {
-				total++
-				rep := a.CheckLivenessMutated(m)
-				if rep.OK() {
-					t.Errorf("%s %v: missed liveness mutation %s on the aggregated graph", name, sync, m.Name)
-					continue
-				}
-				for _, f := range rep.Findings {
-					if !m.Covers(f) {
-						t.Errorf("%s %v: mutation %s produced unrelated finding: %s", name, sync, m.Name, f)
-					}
-				}
-			}
-		})
-	}
-	if total == 0 {
-		t.Fatal("no liveness mutations enumerated on aggregated graphs; the harness is vacuous")
-	}
-}
-
-// TestAggMutationsCoverEverySyncEdge: under p2p every labeled sync edge of
-// the aggregated graph — member wars, fanned-out dones, external chains —
-// appears in some AggMutation's deletion set. No merged precondition
-// escapes the harness.
-func TestAggMutationsCoverEverySyncEdge(t *testing.T) {
-	rr := progtest.NewRegionReduce(24, 4, 3)
-	c := aggCompile(t, rr.Prog, rr.Loop, 4, cr.PointToPoint)
-	a, err := Analyze(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	covered := map[EdgeID]bool{}
-	for _, m := range a.AggMutations() {
-		for _, id := range m.Drop {
-			covered[id] = true
-		}
-	}
-	for _, e := range a.g.edges {
-		if e.label.Class == edgeStruct {
-			continue
-		}
-		if !covered[e.label] {
-			t.Errorf("sync edge %v of the aggregated graph not covered by any mutation", e.label)
-		}
 	}
 }

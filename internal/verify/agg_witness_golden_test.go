@@ -13,7 +13,6 @@
 package verify_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cr"
@@ -21,9 +20,6 @@ import (
 )
 
 const aggWitnessGoldenPath = "testdata/agg_witness_golden.json"
-
-// analyzeAggregated is the analysis CheckAgg certifies.
-func analyzeAggregated(c *cr.Compiled) (*verify.Analysis, error) { return verify.Analyze(c) }
 
 func findingStrings(rep *verify.Report) []string {
 	out := []string{}
@@ -36,28 +32,23 @@ func findingStrings(rep *verify.Report) []string {
 func TestAggWitnessGolden(t *testing.T) {
 	const shards, pieces = 4, 8
 	got := map[string]mutantWitness{}
-	for i, app := range evalApps {
-		prog, loop := witnessProgram(i, pieces)
-		for _, sync := range syncModes {
-			c := compileApp(t, prog, loop, cr.Options{NumShards: shards, Sync: sync, Agg: true})
-			rep, err := verify.CheckAgg(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cell := fmt.Sprintf("%s/%v/", app.name, sync)
-			got[cell+"check-agg"] = witnessOf(t, rep)
-			a, err := analyzeAggregated(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range a.AggMutations() {
-				got[cell+m.Name] = mutantWitness{Findings: findingStrings(a.Check(m.Drop...))}
-			}
-			for _, m := range a.LivenessMutations() {
-				got[cell+m.Name] = mutantWitness{Findings: findingStrings(a.CheckLivenessMutated(m))}
-			}
+	forEachAppCell(t, pieces, cr.Options{NumShards: shards, Agg: true}, func(cell string, c *cr.Compiled) {
+		rep, err := verify.CheckAgg(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		got[cell+"check-agg"] = witnessOf(t, rep)
+		a, err := verify.Analyze(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range a.Mutations() {
+			got[cell+m.Name] = mutantWitness{Findings: findingStrings(a.Check(m.Drop...))}
+		}
+		for _, m := range a.LivenessMutations() {
+			got[cell+m.Name] = mutantWitness{Findings: findingStrings(a.CheckLivenessMutated(m))}
+		}
+	})
 
 	checkWitnessGolden(t, aggWitnessGoldenPath, got)
 }

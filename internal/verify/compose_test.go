@@ -61,7 +61,7 @@ func TestPruneComposesWithAgg(t *testing.T) {
 					t.Fatal(err)
 				}
 				detected := 0
-				for _, m := range base.AggMutations() {
+				for _, m := range base.Mutations() {
 					if base.Check(m.Drop...).OK() {
 						continue
 					}

@@ -35,23 +35,21 @@ import (
 // acyclicity of the wait-for graph, no never-triggered sync events, and
 // matching barrier arrival counts. The returned report carries concrete
 // witnesses (the wait cycle, the orphaned event, the short barrier).
-func (a *Analysis) CheckLiveness() *Report {
-	return a.checkLiveness(nil, -1)
-}
+func (a *Analysis) CheckLiveness() *Report { return a.CheckLivenessMutated(Mutation{}) }
 
-// checkLiveness runs the liveness checks with optional mutation state: the
-// extra wait-for edges of a rewiring mutation, and the index of a barrier
-// arrival to suppress (-1 for none).
-func (a *Analysis) checkLiveness(extra []edge, skipArrival int) *Report {
+// CheckLivenessMutated re-runs the liveness checks under one mutation: its
+// extra wait-for edges added and its barrier arrival suppressed. A race
+// mutation adds no edge and suppresses no arrival.
+func (a *Analysis) CheckLivenessMutated(m Mutation) *Report {
 	g := a.g
 	rep := &Report{Pass: "liveness", Findings: []Finding{}, Stats: Stats{
 		Nodes: len(g.nodes),
-		Edges: len(g.edges) + len(extra),
+		Edges: len(g.edges) + len(m.extra),
 		Iters: g.iters,
 	}}
 
 	adj := g.adjacency(nil)
-	for _, e := range extra {
+	for _, e := range m.extra {
 		adj[e.from] = append(adj[e.from], e.to)
 	}
 
@@ -70,7 +68,7 @@ func (a *Analysis) checkLiveness(extra []edge, skipArrival int) *Report {
 	for _, e := range g.edges {
 		hasPred[e.to] = true
 	}
-	for _, e := range extra {
+	for _, e := range m.extra {
 		hasPred[e.to] = true
 	}
 	for i := range g.nodes {
@@ -96,7 +94,7 @@ func (a *Analysis) checkLiveness(extra []edge, skipArrival int) *Report {
 	// 3. Barrier arrival counts.
 	for bi, ba := range g.arrivals {
 		got := ba.got
-		if bi == skipArrival {
+		if bi+1 == m.skip {
 			got--
 		}
 		if got == ba.want {
@@ -182,33 +180,13 @@ func (a *Analysis) cycleFinding(adj [][]nodeID, indeg []int32) Finding {
 	return f
 }
 
-// LivenessMutation is one simulated sync-wiring bug: wait-for edges ADDED
-// to (or a barrier arrival removed from) the schedule, modeling a compiler
-// or executor that misorders or inverts an inserted synchronization. Edge
-// *deletions* cannot deadlock a DAG, so the harness rewires: each mutation
-// either closes a structural cycle through edges the clean schedule is
-// guaranteed to contain, or starves a barrier — which is why 100% detection
-// is demanded, not merely hoped for.
-type LivenessMutation struct {
-	// Name describes the mutation, e.g. "invert-prod-sync(copy 3, pair 7)".
-	Name string `json:"name"`
-	// Copy/Pair locate the mutated synchronization.
-	Copy int `json:"copy"`
-	Pair int `json:"pair"`
-	// Kinds are the finding kinds the mutation may legitimately produce.
-	Kinds []string `json:"kinds"`
-
-	extra       []edge
-	skipArrival int
-}
-
-// CheckLivenessMutated re-runs the liveness checks under one mutation.
-func (a *Analysis) CheckLivenessMutated(m LivenessMutation) *Report {
-	return a.checkLiveness(m.extra, m.skipArrival)
-}
-
 // LivenessMutations enumerates the sync miswirings for the analyzed loop's
-// body copies, all guaranteed-detectable by construction:
+// body copies: wait-for edges ADDED to (or a barrier arrival removed from)
+// the schedule, modeling a compiler or executor that misorders or inverts
+// an inserted synchronization. Edge *deletions* cannot deadlock a DAG, so
+// the harness rewires: each mutation either closes a structural cycle
+// through edges the clean schedule is guaranteed to contain, or starves a
+// barrier — which is why 100% detection is demanded, not merely hoped for:
 //
 //   - invert-prod-sync: the producer waits on its own completion sync
 //     (done_k -> copy_k); with the existing copy_k -> done_k trigger this
@@ -223,8 +201,8 @@ func (a *Analysis) CheckLivenessMutated(m LivenessMutation) *Report {
 //     (b2 -> b1); with b1 -> b2 this is a two-cycle.
 //   - skip-arrival: one shard never arrives at the first barrier — a
 //     phase-count mismatch, not a cycle.
-func (a *Analysis) LivenessMutations() []LivenessMutation {
-	var out []LivenessMutation
+func (a *Analysis) LivenessMutations() []Mutation {
+	var out []Mutation
 	g := a.g
 	nodes := g.copyNodes()
 	find := func(kind nodeKind, cp *cr.CopyOp, sub int) nodeID {
@@ -232,6 +210,12 @@ func (a *Analysis) LivenessMutations() []LivenessMutation {
 			return n
 		}
 		return -1 // absent, e.g. a pruned sync event
+	}
+	// cycle adds the wait-for edge from -> to, which closes a cycle.
+	cycle := func(cp *cr.CopyOp, name string, from, to nodeID) {
+		m := mutationOf(cp, name)
+		m.Kinds, m.extra = []string{"cycle"}, []edge{{from: from, to: to}}
+		out = append(out, m)
 	}
 	chains := g.labels(EdgeChain)
 	for _, op := range a.c.Body {
@@ -242,78 +226,31 @@ func (a *Analysis) LivenessMutations() []LivenessMutation {
 		for k := range cp.Pairs {
 			cn, dn, wn := find(kCopy, cp, k), find(kDone, cp, k), find(kWar, cp, k)
 			if cn >= 0 && dn >= 0 {
-				out = append(out, LivenessMutation{
-					Name:        fmt.Sprintf("invert-prod-sync(copy %d, pair %d)", cp.ID, k),
-					Copy:        cp.ID,
-					Pair:        k,
-					Kinds:       []string{"cycle"},
-					extra:       []edge{{from: dn, to: cn}},
-					skipArrival: -1,
-				})
+				cycle(cp, fmt.Sprintf("invert-prod-sync(copy %d, pair %d)", cp.ID, k), dn, cn)
 			}
 			if cn >= 0 && dn >= 0 && wn >= 0 {
-				out = append(out, LivenessMutation{
-					Name:        fmt.Sprintf("misorder-cons-release(copy %d, pair %d)", cp.ID, k),
-					Copy:        cp.ID,
-					Pair:        k,
-					Kinds:       []string{"cycle"},
-					extra:       []edge{{from: dn, to: wn}},
-					skipArrival: -1,
-				})
+				cycle(cp, fmt.Sprintf("misorder-cons-release(copy %d, pair %d)", cp.ID, k), dn, wn)
 			}
 			if k > 0 {
 				// Invert the chain only where the clean graph has one.
 				prevCn := find(kCopy, cp, k-1)
 				if dn >= 0 && prevCn >= 0 && chains[EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k}] {
-					out = append(out, LivenessMutation{
-						Name:        fmt.Sprintf("invert-chain(copy %d, pair %d)", cp.ID, k),
-						Copy:        cp.ID,
-						Pair:        k,
-						Kinds:       []string{"cycle"},
-						extra:       []edge{{from: dn, to: prevCn}},
-						skipArrival: -1,
-					})
+					cycle(cp, fmt.Sprintf("invert-chain(copy %d, pair %d)", cp.ID, k), dn, prevCn)
 				}
 			}
 		}
 		b1, b2 := find(kBarrier, cp, 0), find(kBarrier, cp, 1)
 		if b1 >= 0 && b2 >= 0 {
-			out = append(out, LivenessMutation{
-				Name:        fmt.Sprintf("swap-barriers(copy %d)", cp.ID),
-				Copy:        cp.ID,
-				Pair:        -1,
-				Kinds:       []string{"cycle"},
-				extra:       []edge{{from: b2, to: b1}},
-				skipArrival: -1,
-			})
+			cycle(cp, fmt.Sprintf("swap-barriers(copy %d)", cp.ID), b2, b1)
 			for ai, ba := range g.arrivals {
 				if ba.b == b1 {
-					out = append(out, LivenessMutation{
-						Name:        fmt.Sprintf("skip-arrival(copy %d)", cp.ID),
-						Copy:        cp.ID,
-						Pair:        -1,
-						Kinds:       []string{"phase-mismatch"},
-						skipArrival: ai,
-					})
+					m := mutationOf(cp, fmt.Sprintf("skip-arrival(copy %d)", cp.ID))
+					m.Kinds, m.skip = []string{"phase-mismatch"}, ai+1
+					out = append(out, m)
 					break
 				}
 			}
 		}
 	}
 	return out
-}
-
-// Covers reports whether a liveness finding is attributable to the
-// mutation: a cycle or orphan touching the mutated copy, or the mutated
-// barrier's phase mismatch.
-func (m LivenessMutation) Covers(f Finding) bool {
-	if f.A.Copy == m.Copy || f.B.Copy == m.Copy {
-		return true
-	}
-	for _, r := range f.Cycle {
-		if r.Copy == m.Copy {
-			return true
-		}
-	}
-	return false
 }

@@ -2,26 +2,48 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cr"
+	"repro/internal/ir"
 	"repro/internal/progtest"
 )
 
-// livenessFixtures compiles the example programs the liveness suite runs
-// over: the paper's Figure 2 stencil, the region-reduction program, and the
-// scalar-sum program, each at a multi-shard count.
-func livenessFixtures(t *testing.T, sync cr.SyncMode) map[string]*cr.Compiled {
-	t.Helper()
+// fixture is one example program at the shard count the suites compile it
+// for.
+type fixture struct {
+	name   string
+	prog   *ir.Program
+	loop   *ir.Loop
+	shards int
+}
+
+// exampleFixtures are the programs the liveness, prune, aggregation and
+// mutation suites run over: the paper's Figure 2 stencil at 8 pieces on 4
+// shards (overdecomposed two-to-one, so aggregated exchange phases have
+// multi-member remote groups), the region-reduction program at 4 pieces on
+// 3 shards (cross-shard fold chains), and the scalar-sum program.
+func exampleFixtures() []fixture {
 	f2 := progtest.NewFigure2(48, 8, 3)
 	rr := progtest.NewRegionReduce(24, 4, 3)
 	ss := progtest.NewScalarSum(32, 4)
-	return map[string]*cr.Compiled{
-		"figure2":      compile(t, f2.Prog, f2.Loop, 4, sync),
-		"regionreduce": compile(t, rr.Prog, rr.Loop, 3, sync),
-		"scalarsum":    compile(t, ss.Prog, findLoops(ss.Prog)[0], 2, sync),
+	return []fixture{
+		{"figure2", f2.Prog, f2.Loop, 4},
+		{"regionreduce", rr.Prog, rr.Loop, 3},
+		{"scalarsum", ss.Prog, findLoops(ss.Prog)[0], 2},
 	}
+}
+
+// fixtures compiles the example fixtures with aggregation off or on.
+func fixtures(t *testing.T, sync cr.SyncMode, agg bool) map[string]*cr.Compiled {
+	t.Helper()
+	out := map[string]*cr.Compiled{}
+	for _, fx := range exampleFixtures() {
+		out[fx.name] = compileOpts(t, fx.prog, fx.loop, cr.Options{NumShards: fx.shards, Sync: sync, Agg: agg})
+	}
+	return out
 }
 
 // TestLivenessFixtures: every fixture compilation must be certified
@@ -29,7 +51,7 @@ func livenessFixtures(t *testing.T, sync cr.SyncMode) map[string]*cr.Compiled {
 // schedules.
 func TestLivenessFixtures(t *testing.T) {
 	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		for name, c := range livenessFixtures(t, sync) {
+		for name, c := range fixtures(t, sync, false) {
 			a, err := Analyze(c)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, sync, err)
@@ -52,41 +74,37 @@ func TestLivenessFixtures(t *testing.T) {
 
 // TestLivenessMutationHarness: every sync miswiring the harness enumerates
 // must be detected (100%), and every finding a mutated schedule produces
-// must name the mutated copy with a kind the mutation predicts.
-func TestLivenessMutationHarness(t *testing.T) {
+// must name the mutated copy with a kind the mutation predicts — on plain
+// plans, with the prune attached or not.
+func TestLivenessMutationHarness(t *testing.T) { checkLivenessMutations(t, false) }
+
+// TestAggLivenessMutations is TestLivenessMutationHarness on the aggregated
+// plans, whose node locator finds the member copy nodes and per-pair sync
+// events inside the merged clusters.
+func TestAggLivenessMutations(t *testing.T) { checkLivenessMutations(t, true) }
+
+func checkLivenessMutations(t *testing.T, agg bool) {
 	total := 0
 	kinds := map[string]int{}
-	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		for name, c := range livenessFixtures(t, sync) {
-			a, err := Analyze(c)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, sync, err)
+	forEachPlan(t, exampleFixtures(), agg, func(t *testing.T, _ string, a *Analysis, _ *cr.PruneInfo) {
+		for _, m := range a.LivenessMutations() {
+			total++
+			rep := a.CheckLivenessMutated(m)
+			if rep.OK() {
+				t.Errorf("missed mutation %s", m.Name)
+				continue
 			}
-			for _, m := range a.LivenessMutations() {
-				total++
-				rep := a.CheckLivenessMutated(m)
-				if rep.OK() {
-					t.Errorf("%s %v: missed mutation %s", name, sync, m.Name)
-					continue
+			for _, f := range rep.Findings {
+				kinds[f.Kind]++
+				if !m.Covers(f) {
+					t.Errorf("mutation %s produced unrelated finding: %s", m.Name, f)
 				}
-				for _, f := range rep.Findings {
-					kinds[f.Kind]++
-					if !m.Covers(f) {
-						t.Errorf("%s %v: mutation %s produced unrelated finding: %s", name, sync, m.Name, f)
-					}
-					ok := false
-					for _, k := range m.Kinds {
-						if f.Kind == k {
-							ok = true
-						}
-					}
-					if !ok {
-						t.Errorf("%s %v: mutation %s (kinds %v) produced kind %q: %s", name, sync, m.Name, m.Kinds, f.Kind, f)
-					}
+				if !slices.Contains(m.Kinds, f.Kind) {
+					t.Errorf("mutation %s (kinds %v) produced kind %q: %s", m.Name, m.Kinds, f.Kind, f)
 				}
 			}
 		}
-	}
+	})
 	if total == 0 {
 		t.Fatal("no liveness mutations enumerated; the harness is vacuous")
 	}
@@ -108,7 +126,7 @@ func TestLivenessCycleWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m *LivenessMutation
+	var m *Mutation
 	for _, cand := range a.LivenessMutations() {
 		if strings.HasPrefix(cand.Name, "invert-prod-sync") {
 			cand := cand

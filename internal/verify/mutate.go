@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cr"
@@ -9,12 +10,14 @@ import (
 	"repro/internal/region"
 )
 
-// Mutation is one simulated compiler bug: a set of inserted
-// synchronization edges deleted together (in every unrolled iteration —
-// the static analogue of the compiler never emitting that sync).
+// Mutation is one simulated compiler bug. A race mutation (Mutations) is a
+// set of inserted synchronization edges deleted together (in every unrolled
+// iteration — the static analogue of the compiler never emitting that
+// sync); a liveness mutation (LivenessMutations) instead adds wait-for
+// edges or suppresses a barrier arrival, modeling a miswired sync.
 //
-// Essential marks mutations the verifier is guaranteed to detect: deleting
-// them must break at least one conflicting pair, because the only
+// Essential marks race mutations the verifier is guaranteed to detect:
+// deleting them must break at least one conflicting pair, because the only
 // happens-before route between ops of different colors is copy
 // synchronization, so a fully de-synchronized cross-color pair cannot be
 // covered by anything else. Non-essential mutations delete sync that MAY
@@ -22,46 +25,182 @@ import (
 // instance's local dependence chain, a reduction chain between
 // element-disjoint applications): the verifier legitimately accepts those
 // schedules, and the harness only checks that any findings it does produce
-// point at the mutated copy.
+// point at the mutation (Covers).
 type Mutation struct {
 	// Name describes the mutation, e.g. "p2p-sync(copy 3, pair 7)".
 	Name string `json:"name"`
-	// Copy is the CopyOp whose sync is deleted; Pair the pair index (or
-	// barrier copy: -1 for the whole-op barrier deletion). Dst names the
-	// copy's destination partition: deleting a copy's sync can break not
-	// only the copy's own ordering but collateral task-to-task orderings on
-	// its destination instances (the consumer clears its readers list when
-	// the sync takes over protecting them), so findings are attributed to
-	// the mutation when they involve the copy or its destination.
-	Copy int    `json:"copy"`
-	Pair int    `json:"pair"`
-	Dst  string `json:"dst"`
+	// Copies are the mutated copy ops' IDs and Dsts their destination
+	// partitions. Deleting a copy's sync can break not only the copy's own
+	// ordering but collateral task-to-task orderings on its destination
+	// instances (the consumer clears its readers list when the sync takes
+	// over protecting them), so findings are attributed to the mutation
+	// when they involve a mutated copy or a destination.
+	Copies []int    `json:"copies"`
+	Dsts   []string `json:"dsts"`
 	// Drop is the edge set handed to Check.
-	Drop []EdgeID `json:"drop"`
-	// Essential mutations must be detected (see above).
+	Drop []EdgeID `json:"drop,omitempty"`
+	// Essential race mutations must be detected (see above).
 	Essential bool `json:"essential"`
+	// Kinds are the finding kinds a liveness mutation may produce.
+	Kinds []string `json:"kinds,omitempty"`
+
+	// extra are the wait-for edges a liveness mutation adds; skip is one
+	// plus the index of the barrier arrival it suppresses (0: none).
+	extra []edge
+	skip  int
 }
 
-// Mutations enumerates the single-sync deletions for the analyzed loop's
-// body copies, in body order. For point-to-point sync each pair
-// contributes one full-sync deletion (its war, done, and chain edges
-// together); for barriers each copy contributes the deletion of both its
-// barrier phases; reduction copies additionally contribute chain-only
-// deletions for consecutive applications.
+// mutationOf starts a mutation of the one copy op cp.
+func mutationOf(cp *cr.CopyOp, name string) Mutation {
+	return Mutation{Name: name, Copies: []int{cp.ID}, Dsts: []string{cp.Dst.Name()}}
+}
+
+// Covers reports whether the finding is attributable to the mutation: a
+// witness op — either side, or any op of a wait cycle — belongs to a
+// mutated copy, or the racing instance belongs to a mutated copy's
+// destination partition. The latter catches collateral races: the copy's
+// consumer-side update clears the destination instance's reader list on
+// the assumption that the deleted sync now orders those readers against
+// later writers, so deleting it can expose a pure task-to-task race on the
+// destination.
+func (m Mutation) Covers(f Finding) bool {
+	mutated := func(r OpRef) bool { return slices.Contains(m.Copies, r.Copy) }
+	if mutated(f.A) || mutated(f.B) || slices.ContainsFunc(f.Cycle, mutated) {
+		return true
+	}
+	return slices.ContainsFunc(m.Dsts, func(d string) bool { return strings.HasPrefix(f.Instance, d+"[") })
+}
+
+// Mutations enumerates the single-sync deletions of the analyzed schedule,
+// exchange phase by exchange phase in body order (phases). Per phase:
+//
+//   - under point-to-point sync each transfer contributes the deletion of
+//     all its sync, every member's war, done and chain edges together (the
+//     compiler forgot to wire the transfer at all). A plain plan's transfer
+//     is one pair; an aggregated plan's is one merged message, whose
+//     per-member sync is partially redundant BY DESIGN (the message waits
+//     the union of its members' preconditions), so only the whole group's
+//     deletion is guaranteed to strip every route;
+//   - under barriers each phase op contributes the deletion of both its
+//     barriers (merged messages wait every phase barrier, so dropping one
+//     op's pair unprotects exactly that op's destinations);
+//   - then each reduction op of the phase contributes chain-only deletions
+//     (chainMutations).
+//
+// An aggregated plan's mutation names carry an "agg-" prefix.
 func (a *Analysis) Mutations() []Mutation {
-	var out []Mutation
+	c, tag := a.c, ""
+	if c.Opts.Agg {
+		tag = "agg-"
+	}
 	chains := a.g.labels(EdgeChain)
+	var out []Mutation
+	for pi, ph := range a.phases() {
+		switch {
+		case c.Opts.Sync == cr.BarrierSync:
+			for op := ph.Start; op < ph.End; op++ {
+				out = append(out, a.barrierMutation(tag, op))
+			}
+		case c.Opts.Agg:
+			for s, gl := range ph.ByShard {
+				for gi := range gl {
+					out = append(out, a.syncMutation(fmt.Sprintf("agg-group-sync(phase %d, shard %d, group %d)", pi, s, gi), gl[gi].Members...))
+				}
+			}
+		default:
+			cp := c.Body[ph.Start].Copy
+			for k := range cp.Pairs {
+				out = append(out, a.syncMutation(fmt.Sprintf("p2p-sync(copy %d, pair %d)", cp.ID, k), cr.AggPair{Op: int32(ph.Start), Pair: int32(k)}))
+			}
+		}
+		for op := ph.Start; op < ph.End; op++ {
+			out = append(out, chainMutations(tag, c.Body[op].Copy, chains)...)
+		}
+	}
+	return out
+}
+
+// phases returns the analyzed plan's exchange phases: the compiler's under
+// aggregation, and otherwise one per copy op with pairs. An aggregated
+// phase may span a copy op with no pairs; its barrier deletion is still
+// enumerated.
+func (a *Analysis) phases() []cr.AggPhase {
+	if a.c.Opts.Agg {
+		return a.c.Spec.Phases
+	}
+	var out []cr.AggPhase
 	for bi, op := range a.c.Body {
-		cp := op.Copy
-		if cp == nil || len(cp.Pairs) == 0 {
-			continue
+		if op.Copy != nil && len(op.Copy.Pairs) > 0 {
+			out = append(out, cr.AggPhase{Start: bi, End: bi + 1})
 		}
-		if a.c.Opts.Sync == cr.BarrierSync {
-			out = append(out, a.barrierMutations(cp, bi)...)
-		} else {
-			out = append(out, a.p2pMutations(cp, bi)...)
+	}
+	return out
+}
+
+// syncMutation deletes the whole sync of one transfer carrying members.
+// A plain same-color pair can be ordered through the source instance's own
+// dependence chain (the consumer task may also write the source); a
+// cross-color pair — or any reduction application — has no route to its
+// later consumers but this sync. Without a later consumer only backward
+// (write-after-read) ordering is at stake, and that may be transitively
+// covered by other copies. So the deletion is essential when some member
+// is consumed later and some member is cross-color or a reduction.
+func (a *Analysis) syncMutation(name string, members ...cr.AggPair) Mutation {
+	m := Mutation{Name: name}
+	consumed, crossOrReduce := false, false
+	for _, mem := range members {
+		cp, k := a.c.Body[mem.Op].Copy, int(mem.Pair)
+		m.Drop = append(m.Drop,
+			EdgeID{Class: EdgeWAR, Copy: cp.ID, Pair: k},
+			EdgeID{Class: EdgeDone, Copy: cp.ID, Pair: k},
+			EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k})
+		m.Copies = appendUnique(m.Copies, cp.ID)
+		m.Dsts = appendUnique(m.Dsts, cp.Dst.Name())
+		consumed = consumed || a.laterConsumer(cp, int(mem.Op))
+		crossOrReduce = crossOrReduce || cp.Pairs[k].Src != cp.Pairs[k].Dst || cp.Reduce != region.ReduceNone
+	}
+	m.Essential = consumed && crossOrReduce
+	return m
+}
+
+// barrierMutation deletes both barriers of the copy op at body index bi.
+func (a *Analysis) barrierMutation(tag string, bi int) Mutation {
+	cp := a.c.Body[bi].Copy
+	cross := false
+	for _, pr := range cp.Pairs {
+		cross = cross || pr.Src != pr.Dst
+	}
+	m := mutationOf(cp, fmt.Sprintf("%sbarrier(copy %d)", tag, cp.ID))
+	m.Drop = []EdgeID{
+		{Class: EdgeBarrier, Copy: cp.ID, Pair: 0},
+		{Class: EdgeBarrier, Copy: cp.ID, Pair: 1},
+	}
+	m.Essential = a.laterConsumer(cp, bi) && (cross || cp.Reduce != region.ReduceNone)
+	return m
+}
+
+// chainMutations deletes single reduction-chain edges, of those the
+// schedule has (chains; under aggregation a link between two members of one
+// message is the merged body's write order, structure with no sync to
+// forget). The chain orders consecutive fold applications to one
+// destination; deleting it races two writers exactly when their element
+// sets intersect, so only intersecting consecutive pairs yield essential
+// mutations.
+func chainMutations(tag string, cp *cr.CopyOp, chains map[EdgeID]bool) []Mutation {
+	if cp.Reduce == region.ReduceNone {
+		return nil
+	}
+	var out []Mutation
+	for _, gr := range groups(cp) {
+		for k := gr[0] + 1; k < gr[1]; k++ {
+			id := EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k}
+			if !chains[id] || !cp.Pairs[k-1].Overlap.Overlaps(cp.Pairs[k].Overlap) {
+				continue
+			}
+			m := mutationOf(cp, fmt.Sprintf("%schain(copy %d, pair %d)", tag, cp.ID, k))
+			m.Drop, m.Essential = []EdgeID{id}, true
+			out = append(out, m)
 		}
-		out = append(out, chainMutations(cp, chains)...)
 	}
 	return out
 }
@@ -97,98 +236,9 @@ func (a *Analysis) laterConsumer(cp *cr.CopyOp, bi int) bool {
 	return false
 }
 
-func (a *Analysis) p2pMutations(cp *cr.CopyOp, bi int) []Mutation {
-	consumed := a.laterConsumer(cp, bi)
-	out := make([]Mutation, 0, len(cp.Pairs))
-	for k, pr := range cp.Pairs {
-		out = append(out, Mutation{
-			Name: fmt.Sprintf("p2p-sync(copy %d, pair %d)", cp.ID, k),
-			Copy: cp.ID,
-			Pair: k,
-			Dst:  cp.Dst.Name(),
-			Drop: []EdgeID{
-				{Class: EdgeWAR, Copy: cp.ID, Pair: k},
-				{Class: EdgeDone, Copy: cp.ID, Pair: k},
-				{Class: EdgeChain, Copy: cp.ID, Pair: k},
-			},
-			// A plain same-color pair can be ordered through the source
-			// instance's own dependence chain (the consumer task may also
-			// write the source); a cross-color pair — or any reduction
-			// application — has no route to its later consumers but this
-			// sync. Without a later consumer only backward (write-after-
-			// read) ordering is at stake, and that may be transitively
-			// covered by other copies.
-			Essential: consumed && (pr.Src != pr.Dst || cp.Reduce != region.ReduceNone),
-		})
+func appendUnique[T comparable](xs []T, x T) []T {
+	if slices.Contains(xs, x) {
+		return xs
 	}
-	return out
-}
-
-func (a *Analysis) barrierMutations(cp *cr.CopyOp, bi int) []Mutation {
-	cross := false
-	for _, pr := range cp.Pairs {
-		if pr.Src != pr.Dst {
-			cross = true
-			break
-		}
-	}
-	return []Mutation{{
-		Name: fmt.Sprintf("barrier(copy %d)", cp.ID),
-		Copy: cp.ID,
-		Pair: -1,
-		Dst:  cp.Dst.Name(),
-		Drop: []EdgeID{
-			{Class: EdgeBarrier, Copy: cp.ID, Pair: 0},
-			{Class: EdgeBarrier, Copy: cp.ID, Pair: 1},
-		},
-		Essential: a.laterConsumer(cp, bi) && (cross || cp.Reduce != region.ReduceNone),
-	}}
-}
-
-// chainMutations deletes single reduction-chain edges, of those the
-// schedule has (chains; under aggregation a link between two members of one
-// message is the merged body's write order, structure with no sync to
-// forget). The chain orders consecutive fold applications to one
-// destination; deleting it races two writers exactly when their element
-// sets intersect, so only intersecting consecutive pairs yield essential
-// mutations.
-func chainMutations(cp *cr.CopyOp, chains map[EdgeID]bool) []Mutation {
-	if cp.Reduce == region.ReduceNone {
-		return nil
-	}
-	var out []Mutation
-	for _, gr := range groups(cp) {
-		for k := gr[0] + 1; k < gr[1]; k++ {
-			if !chains[EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k}] || !cp.Pairs[k-1].Overlap.Overlaps(cp.Pairs[k].Overlap) {
-				continue
-			}
-			out = append(out, Mutation{
-				Name:      fmt.Sprintf("chain(copy %d, pair %d)", cp.ID, k),
-				Copy:      cp.ID,
-				Pair:      k,
-				Dst:       cp.Dst.Name(),
-				Drop:      []EdgeID{{Class: EdgeChain, Copy: cp.ID, Pair: k}},
-				Essential: true,
-			})
-		}
-	}
-	return out
-}
-
-// InvolvesCopy reports whether the finding's witness touches the given
-// copy op — the attribution check the mutation harness runs on every
-// finding a mutated program produces.
-func (f Finding) InvolvesCopy(id int) bool {
-	return f.A.Copy == id || f.B.Copy == id
-}
-
-// / Covers reports whether the finding is attributable to the mutation:
-// either side of the witness is the mutated copy, or the racing instance
-// belongs to the mutated copy's destination partition. The latter catches
-// collateral races: the copy's consumer-side update clears the destination
-// instance's reader list on the assumption that the deleted sync now
-// orders those readers against later writers, so deleting it can expose a
-// pure task-to-task race on the destination.
-func (m Mutation) Covers(f Finding) bool {
-	return f.InvolvesCopy(m.Copy) || strings.HasPrefix(f.Instance, m.Dst+"[")
+	return append(xs, x)
 }

@@ -14,7 +14,7 @@ import (
 // initialization populations exist and are found.
 func TestPlanPruneFixtures(t *testing.T) {
 	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		for name, c := range livenessFixtures(t, sync) {
+		for name, c := range fixtures(t, sync, false) {
 			info, rep, err := PlanPrune(c)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, sync, err)
@@ -106,7 +106,7 @@ func pruneCandidates(c *cr.Compiled) []pruneCandidate {
 func TestPrunedScheduleMinimal(t *testing.T) {
 	checked := 0
 	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		for name, c := range livenessFixtures(t, sync) {
+		for name, c := range fixtures(t, sync, false) {
 			info, rep, err := PlanPrune(c)
 			if err != nil || !rep.OK() {
 				t.Fatalf("%s %v: prune failed: %v %v", name, sync, err, rep.Findings)
@@ -146,7 +146,7 @@ func TestPrunedScheduleMinimal(t *testing.T) {
 // list does not line up with that one is refused, not certified against
 // pairs that name other accesses.
 func TestCertifiesFailsClosed(t *testing.T) {
-	p, err := newPlanner(livenessFixtures(t, cr.PointToPoint)["figure2"], nil)
+	p, err := newPlanner(fixtures(t, cr.PointToPoint, false)["figure2"], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func dropPruned(info *cr.PruneInfo, drop []EdgeID) bool {
 func TestPrunedScheduleMutations(t *testing.T) {
 	raceMuts, liveMuts := 0, 0
 	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		for name, c := range livenessFixtures(t, sync) {
+		for name, c := range fixtures(t, sync, false) {
 			info, rep, err := PlanPrune(c)
 			if err != nil || !rep.OK() {
 				t.Fatalf("%s %v: prune failed: %v %v", name, sync, err, rep.Findings)

@@ -42,9 +42,11 @@
 // iterations is covered by a transitive chain of distance <= 1 conflicts
 // through the intervening accesses of the same instance.
 //
-// Sync edges are labeled so the mutation harness (mutate.go) can delete
-// each inserted synchronization in turn and assert the checker flags
-// exactly the newly broken pairs — a soundness check on the checker.
+// Sync edges are labeled so the mutation harness (mutate.go) can model "the
+// compiler forgot one sync" as a Mutation: Mutations deletes each transfer's
+// synchronization in turn, exchange phase by exchange phase, in plain and
+// aggregated plans alike, and the checker must flag the newly broken pairs
+// with findings the mutation Covers — a soundness check on the checker.
 package verify
 
 import (

@@ -10,7 +10,12 @@ import (
 
 func compile(t *testing.T, prog *ir.Program, loop *ir.Loop, shards int, sync cr.SyncMode) *cr.Compiled {
 	t.Helper()
-	c, err := cr.Compile(prog, loop, cr.Options{NumShards: shards, Sync: sync})
+	return compileOpts(t, prog, loop, cr.Options{NumShards: shards, Sync: sync})
+}
+
+func compileOpts(t *testing.T, prog *ir.Program, loop *ir.Loop, o cr.Options) *cr.Compiled {
+	t.Helper()
+	c, err := cr.Compile(prog, loop, o)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -111,7 +116,7 @@ func TestCheckDetectsDeletedSync(t *testing.T) {
 	}
 	for _, fd := range rep.Findings {
 		if !essential.Covers(fd) {
-			t.Errorf("finding does not involve mutated copy %d: %s", essential.Copy, fd)
+			t.Errorf("finding does not involve mutation %s: %s", essential.Name, fd)
 		}
 	}
 }

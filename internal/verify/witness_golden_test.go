@@ -90,35 +90,46 @@ func witnessOf(t *testing.T, rep *verify.Report) mutantWitness {
 	return w
 }
 
+// forEachAppCell compiles the four evaluation applications, built by
+// witnessProgram at pieces, under both lowerings with o's other options, and
+// hands fn each plan with its cell's name prefix.
+func forEachAppCell(t *testing.T, pieces int, o cr.Options, fn func(cell string, c *cr.Compiled)) {
+	t.Helper()
+	for i, app := range evalApps {
+		prog, loop := witnessProgram(i, pieces)
+		for _, sync := range syncModes {
+			o.Sync = sync
+			fn(fmt.Sprintf("%s/%v/", app.name, sync), compileApp(t, prog, loop, o))
+		}
+	}
+}
+
 func TestMutantWitnessGolden(t *testing.T) {
 	const shards = 4
 	got := map[string]mutantWitness{}
-	for i, app := range evalApps {
-		prog, loop := witnessProgram(i, shards)
-		for _, sync := range syncModes {
-			a, err := verify.Analyze(compileApp(t, prog, loop, cr.Options{NumShards: shards, Sync: sync}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cell := fmt.Sprintf("%s/%v/", app.name, sync)
-			got[cell+"clean"] = witnessOf(t, a.Check())
-			for _, m := range a.Mutations() {
-				if m.Essential {
-					got[cell+m.Name] = witnessOf(t, a.Check(m.Drop...))
-				}
-			}
-			for _, m := range a.LivenessMutations() {
-				got[cell+m.Name] = witnessOf(t, a.CheckLivenessMutated(m))
+	forEachAppCell(t, shards, cr.Options{NumShards: shards}, func(cell string, c *cr.Compiled) {
+		a, err := verify.Analyze(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[cell+"clean"] = witnessOf(t, a.Check())
+		for _, m := range a.Mutations() {
+			if m.Essential {
+				got[cell+m.Name] = witnessOf(t, a.Check(m.Drop...))
 			}
 		}
-	}
+		for _, m := range a.LivenessMutations() {
+			got[cell+m.Name] = witnessOf(t, a.CheckLivenessMutated(m))
+		}
+	})
 
 	checkWitnessGolden(t, witnessGoldenPath, got)
 }
 
-// checkWitnessGolden compares the witnesses with the golden file at path,
-// or rewrites it under -update.
-func checkWitnessGolden(t *testing.T, path string, got map[string]mutantWitness) {
+// readGolden returns the golden file at path, after checking it has as many
+// entries as got; under -update it rewrites the file from got and returns
+// nil.
+func readGolden[T any](t *testing.T, path string, got map[string]T) map[string]T {
 	t.Helper()
 	if *updateGolden {
 		js, err := json.MarshalIndent(got, "", " ")
@@ -128,20 +139,30 @@ func checkWitnessGolden(t *testing.T, path string, got map[string]mutantWitness)
 		if err := os.WriteFile(path, append(js, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d witnesses to %s", len(got), path)
-		return
+		t.Logf("wrote %d entries to %s", len(got), path)
+		return nil
 	}
-
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (generate it with -update)", err)
 	}
-	var want map[string]mutantWitness
+	var want map[string]T
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Errorf("%d witnesses, golden has %d", len(got), len(want))
+		t.Errorf("%d entries, golden has %d", len(got), len(want))
+	}
+	return want
+}
+
+// checkWitnessGolden compares the witnesses with the golden file at path,
+// or rewrites it under -update.
+func checkWitnessGolden(t *testing.T, path string, got map[string]mutantWitness) {
+	t.Helper()
+	want := readGolden(t, path, got)
+	if want == nil {
+		return
 	}
 	findings := 0
 	for name, w := range want {
