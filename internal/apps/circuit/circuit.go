@@ -10,6 +10,7 @@ package circuit
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/geometry"
 	"repro/internal/ir"
@@ -81,14 +82,16 @@ type App struct {
 	PWire              *region.Partition
 	PvtN, ShrN, GhostN *region.Partition
 
-	// Topology: wire w connects InNode[w] -> OutNode[w].
-	InNode, OutNode []int64
-	Resist          []float64
+	// The topology: wire w connects inNode[w] -> outNode[w]. Only kernel
+	// bodies read it, so wires draws it on the first kernel call and a
+	// Modeled run never holds it.
+	drawn           sync.Once
+	inNode, outNode []int64
+	resist          []float64
 }
 
 // Build generates the graph and constructs the implicitly parallel program.
 func Build(cfg Config) *App {
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	pieces := int64(cfg.Pieces)
 	nNodes := pieces * cfg.NodesPerPiece
 	nWires := pieces * cfg.WiresPerPiece
@@ -111,8 +114,41 @@ func Build(cfg Config) *App {
 
 	app.PWire = app.Wires.Block("PWIRE", pieces)
 
-	app.generateWires(rng)
-	ghostSubs, allShared := app.nodeSets()
+	// ghostSubs[i] is the set of remote nodes piece i's wires touch, and a
+	// node is shared if any wire from another piece touches it. A wire's
+	// input node is always in its own piece, so only remote outputs count.
+	// Ghost sets overlap each other and the shared sets: aliased.
+	shared := make([]bool, nNodes)
+	ghostSubs := make(map[geometry.Point]geometry.IndexSpace, pieces)
+	var remote []geometry.Point
+	cfg.drawWires(func(w, _, out int64, _ float64) {
+		piece := w / cfg.WiresPerPiece
+		if out/cfg.NodesPerPiece != piece {
+			shared[out] = true
+			remote = append(remote, geometry.Pt1(out))
+		}
+		if (w+1)%cfg.WiresPerPiece == 0 {
+			ghostSubs[geometry.Pt1(piece)] = geometry.FromPoints(1, remote)
+			remote = remote[:0]
+		}
+	})
+	runs := 0
+	for n, sh := range shared {
+		if sh && (n == 0 || !shared[n-1]) {
+			runs++
+		}
+	}
+	sharedRuns := make([]geometry.Rect, 0, runs)
+	for n := int64(0); n < nNodes; n++ {
+		if shared[n] {
+			lo := n
+			for n+1 < nNodes && shared[n+1] {
+				n++
+			}
+			sharedRuns = append(sharedRuns, geometry.R1(lo, n))
+		}
+	}
+	allShared := geometry.FromDisjointRects(1, sharedRuns)
 	allPrivateIs := app.Nodes.IndexSpace().Subtract(allShared)
 
 	// The hierarchical §4.5 tree: private vs shared is a disjoint complete
@@ -144,88 +180,42 @@ func Build(cfg Config) *App {
 	return app
 }
 
-// generateWires draws the topology: each wire's input node is in its own
-// piece; the output stays local with probability PctLocal, otherwise it
-// lands in a nearby piece (ring neighborhood), the locality structure of the
-// Legion circuit app.
-//
-// This loop and nodeSets' are functions of their own for the collector, not
-// the reader. A loop that calls nothing is stopped asynchronously and its
-// frame is then scanned conservatively; Build's frame is 3 KB of slots mostly
-// unwritten this early, and what the previous engine run left in them kept
-// that run's whole program alive for one more cycle, so the heap goal doubled
-// on one pass in ten (des_paths peak RSS 60 or 85 MB from run to run).
-func (app *App) generateWires(rng *rand.Rand) {
-	cfg, pieces := app.Cfg, int64(app.Cfg.Pieces)
-	nWires := pieces * cfg.WiresPerPiece
-	app.InNode = make([]int64, nWires)
-	app.OutNode = make([]int64, nWires)
-	app.Resist = make([]float64, nWires)
-	for w := int64(0); w < nWires; w++ {
+// drawWires draws the topology and hands fn each wire in order: a wire's
+// input node is in its own piece; the output stays local with probability
+// PctLocal, otherwise it lands in a nearby piece (ring neighborhood), the
+// locality structure of the Legion circuit app.
+func (cfg Config) drawWires(fn func(w, in, out int64, resist float64)) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	pieces := int64(cfg.Pieces)
+	for w := int64(0); w < pieces*cfg.WiresPerPiece; w++ {
 		piece := w / cfg.WiresPerPiece
-		app.InNode[w] = piece*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
+		in := piece*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
+		var out int64
 		if pieces == 1 || rng.Float64() < cfg.PctLocal {
-			app.OutNode[w] = piece*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
+			out = piece*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
 		} else {
-			other := (piece + 1 + rng.Int63n(min64(4, pieces-1))) % pieces
-			app.OutNode[w] = other*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
+			other := (piece + 1 + rng.Int63n(min(4, pieces-1))) % pieces
+			out = other*cfg.NodesPerPiece + rng.Int63n(cfg.NodesPerPiece)
 		}
-		app.Resist[w] = 1 + float64(rng.Intn(16))*0.25
+		fn(w, in, out, 1+float64(rng.Intn(16))*0.25)
 	}
 }
 
-// nodeSets returns ghost[i], the set of remote nodes piece i's wires touch,
-// and the shared set: a node is shared if any wire from another piece
-// touches it. Ghost sets overlap each other and the shared sets: aliased.
-func (app *App) nodeSets() (map[geometry.Point]geometry.IndexSpace, geometry.IndexSpace) {
-	cfg, pieces := app.Cfg, int64(app.Cfg.Pieces)
-	nNodes := pieces * cfg.NodesPerPiece
-	shared := make([]bool, nNodes)
-	ghostSubs := make(map[geometry.Point]geometry.IndexSpace, pieces)
-	var remote []geometry.Point
-	for piece := int64(0); piece < pieces; piece++ {
-		remote = remote[:0]
-		lo, hi := piece*cfg.NodesPerPiece, (piece+1)*cfg.NodesPerPiece
-		for w := piece * cfg.WiresPerPiece; w < (piece+1)*cfg.WiresPerPiece; w++ {
-			for _, n := range [2]int64{app.InNode[w], app.OutNode[w]} {
-				if n < lo || n >= hi {
-					shared[n] = true
-					remote = append(remote, geometry.Pt1(n))
-				}
-			}
-		}
-		ghostSubs[geometry.Pt1(piece)] = geometry.FromPoints(1, remote)
-	}
-	runs := 0
-	for n, sh := range shared {
-		if sh && (n == 0 || !shared[n-1]) {
-			runs++
-		}
-	}
-	sharedRuns := make([]geometry.Rect, 0, runs)
-	for n := int64(0); n < nNodes; n++ {
-		if shared[n] {
-			lo := n
-			for n+1 < nNodes && shared[n+1] {
-				n++
-			}
-			sharedRuns = append(sharedRuns, geometry.R1(lo, n))
-		}
-	}
-	return ghostSubs, geometry.FromDisjointRects(1, sharedRuns)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+// wires returns the topology, drawing it on the first call.
+func (app *App) wires() (in, out []int64, resist []float64) {
+	app.drawn.Do(func() {
+		n := int64(app.Cfg.Pieces) * app.Cfg.WiresPerPiece
+		app.inNode, app.outNode, app.resist = make([]int64, n), make([]int64, n), make([]float64, n)
+		app.Cfg.drawWires(func(w, in, out int64, resist float64) {
+			app.inNode[w], app.outNode[w], app.resist[w] = in, out, resist
+		})
+	})
+	return app.inNode, app.outNode, app.resist
 }
 
 // buildTasks defines the three phases and the main loop.
 func (app *App) buildTasks() {
 	v, q, cap0, cur := app.Voltage, app.Charge, app.Cap, app.Current
-	inN, outN, res := app.InNode, app.OutNode, app.Resist
 	dt := 1e-3
 
 	calc := &ir.TaskDecl{
@@ -237,6 +227,7 @@ func (app *App) buildTasks() {
 			{Name: "ghost", Priv: ir.PrivRead, Fields: []region.FieldID{v}},
 		},
 		Kernel: func(tc *ir.TaskCtx) {
+			inN, outN, res := app.wires()
 			current := tc.Writer(cur, 0, 1)
 			volts := tc.Reader(v, 1, 3) // private, shared, ghost
 			tc.Rows(0, func(row ir.Row) {
@@ -260,6 +251,7 @@ func (app *App) buildTasks() {
 			{Name: "ghost", Priv: ir.PrivReduce, Op: region.ReduceSum, Fields: []region.FieldID{q}},
 		},
 		Kernel: func(tc *ir.TaskCtx) {
+			inN, outN, _ := app.wires()
 			current := tc.Reader(cur, 0, 1)
 			charge := tc.Reducer(q, region.ReduceSum, 1, 3) // private, shared, ghost
 			tc.Rows(0, func(row ir.Row) {

@@ -1,6 +1,10 @@
 package circuit
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -8,6 +12,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/realm"
+	"repro/internal/realm/native"
 	"repro/internal/region"
 	"repro/internal/rt"
 	"repro/internal/spmd"
@@ -22,6 +27,7 @@ func refCircuit(app *App) (voltage []float64) {
 	q := make([]float64, n)
 	c := make([]float64, n)
 	cur := make([]float64, nw)
+	in, out, resist := app.wires()
 	for i := int64(0); i < n; i++ {
 		v[i] = 1 + float64(i%17)*0.125
 		c[i] = 0.5 + float64(i%7)*0.25
@@ -29,11 +35,11 @@ func refCircuit(app *App) (voltage []float64) {
 	dt := 1e-3
 	for it := 0; it < cfg.Iters; it++ {
 		for w := int64(0); w < nw; w++ {
-			cur[w] = (v[app.InNode[w]] - v[app.OutNode[w]]) / app.Resist[w]
+			cur[w] = (v[in[w]] - v[out[w]]) / resist[w]
 		}
 		for w := int64(0); w < nw; w++ {
-			q[app.InNode[w]] += -dt * cur[w]
-			q[app.OutNode[w]] += dt * cur[w]
+			q[in[w]] += -dt * cur[w]
+			q[out[w]] += dt * cur[w]
 		}
 		for i := int64(0); i < n; i++ {
 			v[i] += q[i] / c[i]
@@ -43,14 +49,104 @@ func refCircuit(app *App) (voltage []float64) {
 	return v
 }
 
+// wireStreamHash is the FNV-64 of a topology: every input node, then every
+// output node, then every resistance's bits, each little-endian.
+func wireStreamHash(in, out []int64, resist []float64) uint64 {
+	h := fnv.New64()
+	var b [8]byte
+	for _, words := range [][]int64{in, out} {
+		for _, x := range words {
+			binary.LittleEndian.PutUint64(b[:], uint64(x))
+			h.Write(b[:])
+		}
+	}
+	for _, x := range resist {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// pinnedWires are the topology hashes recorded while Build still drew the
+// wire arrays itself, before any kernel ran.
+var pinnedWires = []struct {
+	name string
+	cfg  Config
+	want uint64
+}{
+	{"Small(4)", Small(4), 0x25a5311851debb4b},
+	{"Default(8)", Default(8), 0xef1bdb9ea511e884},
+}
+
+// TestWireStreamPinned: drawing the topology lazily must not reorder a
+// single RNG draw.
+func TestWireStreamPinned(t *testing.T) {
+	for _, c := range pinnedWires {
+		if got := wireStreamHash(Build(c.cfg).wires()); got != c.want {
+			t.Errorf("%s: wire stream hash %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}
+
+// TestWiresDrawnOnFirstKernelCall: compiling and the Modeled runs of both
+// engines read partitions and sizes only, so the App holds no wire arrays
+// until a kernel body runs.
+func TestWiresDrawnOnFirstKernelCall(t *testing.T) {
+	app := Build(Small(4))
+	plans, err := spmd.CompileAll(app.Prog, cr.Options{NumShards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spmd.New(realm.MustNewSim(realm.DefaultConfig(4)), app.Prog, ir.ExecModeled, plans).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.New(realm.MustNewSim(realm.DefaultConfig(4)), app.Prog, ir.ExecModeled).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if app.inNode != nil || app.outNode != nil || app.resist != nil {
+		t.Fatal("wire arrays drawn before any kernel ran")
+	}
+	ir.ExecSequential(app.Prog)
+	if app.inNode == nil {
+		t.Fatal("wire arrays not drawn by the kernels")
+	}
+	if got, want := wireStreamHash(app.inNode, app.outNode, app.resist), pinnedWires[0].want; got != want {
+		t.Fatalf("wire stream hash %#x, want %#x", got, want)
+	}
+}
+
+// TestNativeDrawsWiresOnce runs a fresh app for real on the native pool, one
+// worker or more per node, where the first kernel calls of several workers
+// race to draw the topology (run it under -race). The benchmark's graph
+// takes long enough to draw that they overlap.
+func TestNativeDrawsWiresOnce(t *testing.T) {
+	cfg := Default(4)
+	cfg.Iters = 2
+	ref := Build(cfg)
+	seq := ir.ExecSequential(ref.Prog)
+	app := Build(cfg)
+	plans, err := spmd.CompileAll(app.Prog, cr.Options{NumShards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := spmd.New(native.MustNewMachine(realm.DefaultConfig(4)), app.Prog, ir.ExecReal, plans).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stores[app.Nodes].EqualOn(seq.Stores[ref.Nodes], app.Voltage, app.Nodes.IndexSpace()) {
+		t.Fatal("voltage mismatch")
+	}
+}
+
 func TestGraphStructure(t *testing.T) {
 	app := Build(Small(4))
 	cfg := app.Cfg
 	pieces := int64(cfg.Pieces)
 	// Every wire's input node is in its own piece.
-	for w := range app.InNode {
+	in, _, _ := app.wires()
+	for w := range in {
 		piece := int64(w) / cfg.WiresPerPiece
-		if app.InNode[w]/cfg.NodesPerPiece != piece {
+		if in[w]/cfg.NodesPerPiece != piece {
 			t.Fatalf("wire %d input node in wrong piece", w)
 		}
 	}
@@ -191,10 +287,10 @@ func TestCompiledShape(t *testing.T) {
 func TestDeterministicBuild(t *testing.T) {
 	a := Build(Small(3))
 	b := Build(Small(3))
-	for w := range a.InNode {
-		if a.InNode[w] != b.InNode[w] || a.OutNode[w] != b.OutNode[w] {
-			t.Fatal("graph generation not deterministic")
-		}
+	aIn, aOut, aRes := a.wires()
+	bIn, bOut, bRes := b.wires()
+	if !slices.Equal(aIn, bIn) || !slices.Equal(aOut, bOut) || !slices.Equal(aRes, bRes) {
+		t.Fatal("graph generation not deterministic")
 	}
 	for i := int64(0); i < 3; i++ {
 		if !a.GhostN.Sub1(i).IndexSpace().Equal(b.GhostN.Sub1(i).IndexSpace()) {

@@ -291,6 +291,40 @@ func (s IndexSpace) Overlaps(t IndexSpace) bool {
 	return false
 }
 
+// OverlapVolume returns the number of points s and t share, the Volume of
+// their Intersect without building it: 1-D span lists are swept and
+// galloped as in intersect1D, other spans summed pairwise.
+func (s IndexSpace) OverlapVolume(t IndexSpace) int64 {
+	s.mustMatch(t)
+	var v int64
+	if s.dim != 1 {
+		for _, a := range s.spans {
+			for _, b := range t.spans {
+				v += a.Intersect(b).Volume()
+			}
+		}
+		return v
+	}
+	a, b := s.spans, t.spans
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].Hi.C[0] < b[j].Lo.C[0]:
+			i = seek1D(a, i, b[j].Lo.C[0])
+		case b[j].Hi.C[0] < a[i].Lo.C[0]:
+			j = seek1D(b, j, a[i].Lo.C[0])
+		default:
+			v += min(a[i].Hi.C[0], b[j].Hi.C[0]) - max(a[i].Lo.C[0], b[j].Lo.C[0]) + 1
+			if a[i].Hi.C[0] < b[j].Hi.C[0] {
+				i++
+			} else {
+				j++
+			}
+		}
+	}
+	return v
+}
+
 // seek1D returns the first index after from whose span ends at or after x,
 // or len(spans): an exponential probe then a binary search, O(log distance).
 // The span at from must end before x.

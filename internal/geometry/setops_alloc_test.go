@@ -14,7 +14,8 @@ func strided1D(n int, stride, off, width int64) IndexSpace {
 
 // TestPredicatesAllocateNothing holds ContainsAll and Equal to ContainsAll's
 // contract — an early-exit sweep, not a materialised difference — on sorted
-// 1-D lists of 1000 spans, for both answers; Overlaps has always met it.
+// 1-D lists of 1000 spans, for both answers; Overlaps has always met it, and
+// OverlapVolume counts an intersection without building it.
 func TestPredicatesAllocateNothing(t *testing.T) {
 	a := strided1D(1000, 10, 0, 4)      // [0,3] [10,13] ...
 	same := strided1D(1000, 10, 0, 4)   // equal, in storage of its own
@@ -35,6 +36,8 @@ func TestPredicatesAllocateNothing(t *testing.T) {
 		{"Equal/no-at-the-end", func() bool { return a.Equal(lastOut) }, false},
 		{"Overlaps/yes", func() bool { return a.Overlaps(across) }, true},
 		{"Overlaps/no", func() bool { return a.Overlaps(apart) }, false},
+		{"OverlapVolume/some", func() bool { return a.OverlapVolume(across) == 2000 }, true},
+		{"OverlapVolume/none", func() bool { return a.OverlapVolume(apart) == 0 }, true},
 	}
 	for _, c := range cases {
 		if got := c.fn(); got != c.want {

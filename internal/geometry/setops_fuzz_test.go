@@ -304,6 +304,14 @@ func checkSetOps(t *testing.T, dimSel uint8, da, db, dc []byte) {
 			t.Fatalf("dim %d: %s = %v, want %v\n a = %v\n b = %v", dim, p.label, p.got, p.want, a, b)
 		}
 	}
+	for _, v := range []struct {
+		label string
+		got   int64
+	}{{"a.OverlapVolume(b)", a.OverlapVolume(b)}, {"b.OverlapVolume(a)", b.OverlapVolume(a)}} {
+		if v.got != int64(len(sab)) {
+			t.Fatalf("dim %d: %s = %d, want %d\n a = %v\n b = %v", dim, v.label, v.got, len(sab), a, b)
+		}
+	}
 
 	// Sweep and indexed paths against the quadratic reference paths: the
 	// same spans in the same order, not merely the same set.
@@ -333,9 +341,9 @@ func setopsRun(mode byte, n int, gap, length byte) []byte {
 }
 
 // FuzzSetOpsMatchPointSet checks Intersect, Subtract, Union, UnionMany,
-// ContainsAll, Overlaps, Equal, Volume and FromPoints against the point-set
-// oracle in one to three dimensions, on both sides of sweepThreshold,
-// xIndexThreshold and coalesceLimit.
+// ContainsAll, Overlaps, OverlapVolume, Equal, Volume and FromPoints against
+// the point-set oracle in one to three dimensions, on both sides of
+// sweepThreshold, xIndexThreshold and coalesceLimit.
 func FuzzSetOpsMatchPointSet(f *testing.F) {
 	one := []byte{0, 3, 2}
 	f.Add(uint8(0), []byte{}, []byte{}, []byte{})

@@ -50,16 +50,20 @@ type dep struct {
 }
 
 // pairsBetween returns (and caches) the exact color-pair overlaps between
-// two partitions, the dynamic half of the analysis (§3.3).
+// two partitions, the dynamic half of the analysis (§3.3): the shallow
+// phase's candidates with a non-empty overlap, in its order. Only volumes
+// are kept, so the overlaps are counted rather than built.
 func (e *Engine) pairsBetween(src, dst *region.Partition) []pairInfo {
 	key := pairKey{src.ID(), dst.ID()}
 	if ps, ok := e.pairCache[key]; ok {
 		return ps
 	}
-	pairs := intersect.Pairs(src, dst)
-	out := make([]pairInfo, len(pairs))
-	for i, p := range pairs {
-		out[i] = pairInfo{src: p.Src, dst: p.Dst, vol: p.Overlap.Volume()}
+	cands := intersect.Shallow(src, dst)
+	out := make([]pairInfo, 0, len(cands))
+	for _, c := range cands {
+		if vol := src.Sub(c.Src).IndexSpace().OverlapVolume(dst.Sub(c.Dst).IndexSpace()); vol > 0 {
+			out = append(out, pairInfo{src: c.Src, dst: c.Dst, vol: vol})
+		}
 	}
 	e.pairCache[key] = out
 	return out
