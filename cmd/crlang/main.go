@@ -17,12 +17,9 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cr"
+	"repro/internal/bench"
 	"repro/internal/ir"
 	"repro/internal/lang"
-	"repro/internal/realm"
-	"repro/internal/rt"
-	"repro/internal/spmd"
 )
 
 // checkFlags rejects an engine crlang does not have and, for the engines
@@ -112,11 +109,7 @@ func execute(path, engine string, nodes int, dump bool, out io.Writer) (ir.MapEn
 		fmt.Fprintln(out, "sequential execution complete")
 		return env, nil
 	case "implicit":
-		sim, err := realm.NewSim(realm.DefaultConfig(nodes))
-		if err != nil {
-			return nil, err
-		}
-		res, err := rt.New(sim, prog, ir.ExecReal).Run()
+		res, err := bench.RunImplicit(prog, bench.Config{Nodes: nodes})
 		if err != nil {
 			return nil, err
 		}
@@ -124,33 +117,27 @@ func execute(path, engine string, nodes int, dump bool, out io.Writer) (ir.MapEn
 			res.Elapsed, res.Stats.TasksRun, res.Stats.Messages)
 		return res.Env, nil
 	}
-	plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes})
-	if err != nil {
-		return nil, err
-	}
-	// Program order: CompileAll plans every top-level loop, and a map
-	// would print them in a different order from run to run.
-	for _, s := range prog.Stmts {
-		loop, ok := s.(*ir.Loop)
-		if !ok {
-			continue
-		}
-		plan := plans[loop]
-		fmt.Fprintf(out, "replicated loop %q: %d shards, body:\n", plan.Loop.Var, plan.Opts.NumShards)
-		for i, op := range plan.Body {
-			switch {
-			case op.Launch != nil:
-				fmt.Fprintf(out, "  %d: launch %s\n", i, op.Launch.Label)
-			case op.Copy != nil:
-				fmt.Fprintf(out, "  %d: %v\n", i, op.Copy)
+	res, err := bench.RunCR(prog, bench.Config{Nodes: nodes})
+	if res != nil {
+		// Program order: the runner plans every top-level loop, and a map
+		// would print them in a different order from run to run.
+		for _, s := range prog.Stmts {
+			loop, ok := s.(*ir.Loop)
+			if !ok {
+				continue
+			}
+			plan := res.Plans[loop]
+			fmt.Fprintf(out, "replicated loop %q: %d shards, body:\n", plan.Loop.Var, plan.Opts.NumShards)
+			for i, op := range plan.Body {
+				switch {
+				case op.Launch != nil:
+					fmt.Fprintf(out, "  %d: launch %s\n", i, op.Launch.Label)
+				case op.Copy != nil:
+					fmt.Fprintf(out, "  %d: %v\n", i, op.Copy)
+				}
 			}
 		}
 	}
-	sim, err := realm.NewSim(realm.DefaultConfig(nodes))
-	if err != nil {
-		return nil, err
-	}
-	res, err := spmd.New(sim, prog, ir.ExecReal, plans).Run()
 	if err != nil {
 		return nil, err
 	}

@@ -77,3 +77,24 @@ crlang: lang: line 3:15: unknown partition operator "blok" (have block, image)
 		}
 	}
 }
+
+// TestEnginesGolden pins what each engine prints for the heat example:
+// testdata/heat_golden.txt holds the three runs' stdout, each under an
+// "== engine" line.
+func TestEnginesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/heat_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, engine := range []string{"seq", "implicit", "cr"} {
+		got.WriteString("== " + engine + "\n")
+		var stderr bytes.Buffer
+		if code := run([]string{"-engine", engine, "../../testdata/heat.cr"}, &got, &stderr); code != 0 {
+			t.Fatalf("crlang -engine %s: exit %d: %s", engine, code, stderr.String())
+		}
+	}
+	if got.String() != string(want) {
+		t.Errorf("stdout differs from testdata/heat_golden.txt:\n%s", got.String())
+	}
+}

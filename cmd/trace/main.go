@@ -16,12 +16,10 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/cr"
+	"repro/internal/bench"
 	"repro/internal/harness"
 	"repro/internal/ir"
 	"repro/internal/realm"
-	"repro/internal/rt"
-	"repro/internal/spmd"
 )
 
 // checkFlags rejects a node or iteration count no run can have.
@@ -62,21 +60,13 @@ func main() {
 	tr := realm.NewTracer()
 	sim.SetTracer(tr)
 
+	run := bench.RunImplicit
 	if *useCR {
-		plan, err := cr.Compile(prog, loop, cr.Options{NumShards: *nodes})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		if _, err := spmd.New(sim, prog, ir.ExecModeled, map[*ir.Loop]*cr.Compiled{loop: plan}).Run(); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-	} else {
-		if _, err := rt.New(sim, prog, ir.ExecModeled).Run(); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
+		run = bench.RunCR
+	}
+	if _, err := run(prog, bench.Config{Nodes: *nodes, Mode: ir.ExecModeled, Exec: sim}); err != nil {
+		fmt.Fprintln(os.Stderr, "trace:", err)
+		os.Exit(1)
 	}
 
 	f, err := os.Create(*out)

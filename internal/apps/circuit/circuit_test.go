@@ -8,14 +8,12 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
-	"repro/internal/realm"
-	"repro/internal/realm/native"
+	"repro/internal/progtest"
 	"repro/internal/region"
-	"repro/internal/rt"
-	"repro/internal/spmd"
 )
 
 // refCircuit simulates the circuit directly on flat arrays.
@@ -93,14 +91,11 @@ func TestWireStreamPinned(t *testing.T) {
 // until a kernel body runs.
 func TestWiresDrawnOnFirstKernelCall(t *testing.T) {
 	app := Build(Small(4))
-	plans, err := spmd.CompileAll(app.Prog, cr.Options{NumShards: 4})
-	if err != nil {
+	cfg := bench.Config{Nodes: 4, Mode: ir.ExecModeled}
+	if _, err := bench.RunCR(app.Prog, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := spmd.New(realm.MustNewSim(realm.DefaultConfig(4)), app.Prog, ir.ExecModeled, plans).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.New(realm.MustNewSim(realm.DefaultConfig(4)), app.Prog, ir.ExecModeled).Run(); err != nil {
+	if _, err := bench.RunImplicit(app.Prog, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if app.inNode != nil || app.outNode != nil || app.resist != nil {
@@ -122,19 +117,12 @@ func TestWiresDrawnOnFirstKernelCall(t *testing.T) {
 func TestNativeDrawsWiresOnce(t *testing.T) {
 	cfg := Default(4)
 	cfg.Iters = 2
-	ref := Build(cfg)
-	seq := ir.ExecSequential(ref.Prog)
-	app := Build(cfg)
-	plans, err := spmd.CompileAll(app.Prog, cr.Options{NumShards: 4})
+	res, err := bench.RunCR(Build(cfg).Prog, bench.Config{MeasureOpts: bench.MeasureOpts{Backend: bench.BackendNative}, Nodes: 4})
+	if err == nil {
+		err = progtest.Diff(ir.ExecSequential(Build(cfg).Prog), res.SeqResult)
+	}
 	if err != nil {
 		t.Fatal(err)
-	}
-	res, err := spmd.New(native.MustNewMachine(realm.DefaultConfig(4)), app.Prog, ir.ExecReal, plans).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stores[app.Nodes].EqualOn(seq.Stores[ref.Nodes], app.Voltage, app.Nodes.IndexSpace()) {
-		t.Fatal("voltage mismatch")
 	}
 }
 
@@ -212,41 +200,23 @@ func TestCRMatchesSequential(t *testing.T) {
 		{4, cr.BarrierSync},
 		{6, cr.PointToPoint},
 	} {
-		app := Build(Small(tc.pieces))
-		seq := ir.ExecSequential(app.Prog)
-
-		app2 := Build(Small(tc.pieces))
-		plans, err := spmd.CompileAll(app2.Prog, cr.Options{NumShards: tc.pieces, Sync: tc.sync})
+		res, err := bench.RunCR(Build(Small(tc.pieces)).Prog, bench.Config{Nodes: tc.pieces, Sync: tc.sync})
+		if err == nil {
+			err = progtest.Diff(ir.ExecSequential(Build(Small(tc.pieces)).Prog), res.SeqResult)
+		}
 		if err != nil {
-			t.Fatal(err)
-		}
-		sim := realm.MustNewSim(realm.DefaultConfig(tc.pieces))
-		res, err := spmd.New(sim, app2.Prog, ir.ExecReal, plans).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range []region.FieldID{app.Voltage, app.Charge} {
-			if !res.Stores[app2.Nodes].EqualOn(seq.Stores[app.Nodes], f, app.Nodes.IndexSpace()) {
-				t.Fatalf("pieces=%d sync=%v: node field %d mismatch", tc.pieces, tc.sync, f)
-			}
-		}
-		if !res.Stores[app2.Wires].EqualOn(seq.Stores[app.Wires], app.Current, app.Wires.IndexSpace()) {
-			t.Fatalf("pieces=%d sync=%v: current mismatch", tc.pieces, tc.sync)
+			t.Fatalf("pieces=%d sync=%v: %v", tc.pieces, tc.sync, err)
 		}
 	}
 }
 
 func TestImplicitMatchesSequential(t *testing.T) {
-	app := Build(Small(4))
-	seq := ir.ExecSequential(app.Prog)
-	app2 := Build(Small(4))
-	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	res, err := rt.New(sim, app2.Prog, ir.ExecReal).Run()
+	res, err := bench.RunImplicit(Build(Small(4)).Prog, bench.Config{Nodes: 4})
+	if err == nil {
+		err = progtest.Diff(ir.ExecSequential(Build(Small(4)).Prog), res.SeqResult)
+	}
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Stores[app2.Nodes].EqualOn(seq.Stores[app.Nodes], app.Voltage, app.Nodes.IndexSpace()) {
-		t.Fatal("voltage mismatch")
 	}
 }
 

@@ -3,13 +3,12 @@ package miniaero
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
-	"repro/internal/realm"
+	"repro/internal/progtest"
 	"repro/internal/region"
-	"repro/internal/rt"
-	"repro/internal/spmd"
 )
 
 func TestFactor3(t *testing.T) {
@@ -160,35 +159,23 @@ func TestSequentialMatchesReference(t *testing.T) {
 
 func TestCRMatchesSequential(t *testing.T) {
 	for _, pieces := range []int{1, 2, 4, 8} {
-		app := Build(Small(pieces))
-		seq := ir.ExecSequential(app.Prog)
-		app2 := Build(Small(pieces))
-		plans, err := spmd.CompileAll(app2.Prog, cr.Options{NumShards: pieces})
-		if err != nil {
-			t.Fatal(err)
+		res, err := bench.RunCR(Build(Small(pieces)).Prog, bench.Config{Nodes: pieces})
+		if err == nil {
+			err = progtest.Diff(ir.ExecSequential(Build(Small(pieces)).Prog), res.SeqResult)
 		}
-		sim := realm.MustNewSim(realm.DefaultConfig(pieces))
-		res, err := spmd.New(sim, app2.Prog, ir.ExecReal, plans).Run()
 		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Stores[app2.Cells].EqualOn(seq.Stores[app.Cells], app.U, app.Cells.IndexSpace()) {
-			t.Fatalf("pieces=%d: u mismatch", pieces)
+			t.Fatalf("pieces=%d: %v", pieces, err)
 		}
 	}
 }
 
 func TestImplicitMatchesSequential(t *testing.T) {
-	app := Build(Small(4))
-	seq := ir.ExecSequential(app.Prog)
-	app2 := Build(Small(4))
-	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	res, err := rt.New(sim, app2.Prog, ir.ExecReal).Run()
+	res, err := bench.RunImplicit(Build(Small(4)).Prog, bench.Config{Nodes: 4})
+	if err == nil {
+		err = progtest.Diff(ir.ExecSequential(Build(Small(4)).Prog), res.SeqResult)
+	}
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Stores[app2.Cells].EqualOn(seq.Stores[app.Cells], app.U, app.Cells.IndexSpace()) {
-		t.Fatal("u mismatch")
 	}
 }
 
@@ -221,20 +208,12 @@ func TestCompiledShape(t *testing.T) {
 }
 
 func TestBarrierSyncMatchesSequential(t *testing.T) {
-	app := Build(Small(8))
-	seq := ir.ExecSequential(app.Prog)
-	app2 := Build(Small(8))
-	plans, err := spmd.CompileAll(app2.Prog, cr.Options{NumShards: 8, Sync: cr.BarrierSync})
-	if err != nil {
-		t.Fatal(err)
+	res, err := bench.RunCR(Build(Small(8)).Prog, bench.Config{Nodes: 8, Sync: cr.BarrierSync})
+	if err == nil {
+		err = progtest.Diff(ir.ExecSequential(Build(Small(8)).Prog), res.SeqResult)
 	}
-	sim := realm.MustNewSim(realm.DefaultConfig(8))
-	res, err := spmd.New(sim, app2.Prog, ir.ExecReal, plans).Run()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stores[app2.Cells].EqualOn(seq.Stores[app.Cells], app.U, app.Cells.IndexSpace()) {
-		t.Fatal("barrier-sync miniaero diverged")
+		t.Fatalf("barrier-sync miniaero diverged: %v", err)
 	}
 }
 

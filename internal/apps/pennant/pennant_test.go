@@ -4,13 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
-	"repro/internal/realm"
+	"repro/internal/progtest"
 	"repro/internal/region"
-	"repro/internal/rt"
-	"repro/internal/spmd"
 )
 
 func TestMeshPartitioning(t *testing.T) {
@@ -197,49 +196,23 @@ func TestCRMatchesSequential(t *testing.T) {
 		{4, cr.BarrierSync},
 		{6, cr.PointToPoint}, // 3x2
 	} {
-		app := Build(Small(tc.pieces))
-		seq := ir.ExecSequential(app.Prog)
-
-		app2 := Build(Small(tc.pieces))
-		plans, err := spmd.CompileAll(app2.Prog, cr.Options{NumShards: tc.pieces, Sync: tc.sync})
+		res, err := bench.RunCR(Build(Small(tc.pieces)).Prog, bench.Config{Nodes: tc.pieces, Sync: tc.sync})
+		if err == nil {
+			err = progtest.Diff(ir.ExecSequential(Build(Small(tc.pieces)).Prog), res.SeqResult)
+		}
 		if err != nil {
-			t.Fatal(err)
-		}
-		sim := realm.MustNewSim(realm.DefaultConfig(tc.pieces))
-		res, err := spmd.New(sim, app2.Prog, ir.ExecReal, plans).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range []region.FieldID{app.PX, app.PY, app.VX, app.VY} {
-			if !res.Stores[app2.Points].EqualOn(seq.Stores[app.Points], f, app.Points.IndexSpace()) {
-				t.Fatalf("pieces=%d sync=%v: point field %d mismatch", tc.pieces, tc.sync, f)
-			}
-		}
-		for _, f := range []region.FieldID{app.ZVol, app.Rho, app.Press} {
-			if !res.Stores[app2.Zones].EqualOn(seq.Stores[app.Zones], f, app.Zones.IndexSpace()) {
-				t.Fatalf("pieces=%d sync=%v: zone field %d mismatch", tc.pieces, tc.sync, f)
-			}
-		}
-		if res.Env["dt"] != seq.Env["dt"] {
-			t.Fatalf("pieces=%d sync=%v: dt %v != %v", tc.pieces, tc.sync, res.Env["dt"], seq.Env["dt"])
+			t.Fatalf("pieces=%d sync=%v: %v", tc.pieces, tc.sync, err)
 		}
 	}
 }
 
 func TestImplicitMatchesSequential(t *testing.T) {
-	app := Build(Small(4))
-	seq := ir.ExecSequential(app.Prog)
-	app2 := Build(Small(4))
-	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	res, err := rt.New(sim, app2.Prog, ir.ExecReal).Run()
+	res, err := bench.RunImplicit(Build(Small(4)).Prog, bench.Config{Nodes: 4})
+	if err == nil {
+		err = progtest.Diff(ir.ExecSequential(Build(Small(4)).Prog), res.SeqResult)
+	}
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Stores[app2.Points].EqualOn(seq.Stores[app.Points], app.PX, app.Points.IndexSpace()) {
-		t.Fatal("px mismatch")
-	}
-	if res.Env["dt"] != seq.Env["dt"] {
-		t.Fatalf("dt %v != %v", res.Env["dt"], seq.Env["dt"])
 	}
 }
 

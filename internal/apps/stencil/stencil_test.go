@@ -3,11 +3,12 @@ package stencil
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
+	"repro/internal/progtest"
 	"repro/internal/realm"
-	"repro/internal/rt"
 	"repro/internal/spmd"
 )
 
@@ -86,45 +87,23 @@ func TestSequentialMatchesReference(t *testing.T) {
 
 func TestCRMatchesSequential(t *testing.T) {
 	for _, nodes := range []int{1, 2, 4, 6} {
-		cfg := Small(nodes)
-		app := Build(cfg)
-		seq := ir.ExecSequential(app.Prog)
-
-		app2 := Build(cfg)
-		plans, err := spmd.CompileAll(app2.Prog, cr.Options{NumShards: nodes})
+		res, err := bench.RunCR(Build(Small(nodes)).Prog, bench.Config{Nodes: nodes})
+		if err == nil {
+			err = progtest.Diff(ir.ExecSequential(Build(Small(nodes)).Prog), res.SeqResult)
+		}
 		if err != nil {
-			t.Fatal(err)
-		}
-		sim := realm.MustNewSim(realm.DefaultConfig(nodes))
-		res, err := spmd.New(sim, app2.Prog, ir.ExecReal, plans).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Stores[app2.In].EqualOn(seq.Stores[app.In], app.XIn, app.In.IndexSpace()) {
-			t.Fatalf("nodes=%d: IN mismatch", nodes)
-		}
-		if !res.Stores[app2.Out].EqualOn(seq.Stores[app.Out], app.XOut, app.Out.IndexSpace()) {
-			t.Fatalf("nodes=%d: OUT mismatch", nodes)
+			t.Fatalf("nodes=%d: %v", nodes, err)
 		}
 	}
 }
 
 func TestImplicitMatchesSequential(t *testing.T) {
-	cfg := Small(4)
-	app := Build(cfg)
-	seq := ir.ExecSequential(app.Prog)
-
-	app2 := Build(cfg)
-	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	res, err := rt.New(sim, app2.Prog, ir.ExecReal).Run()
+	res, err := bench.RunImplicit(Build(Small(4)).Prog, bench.Config{Nodes: 4})
+	if err == nil {
+		err = progtest.Diff(ir.ExecSequential(Build(Small(4)).Prog), res.SeqResult)
+	}
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Stores[app2.In].EqualOn(seq.Stores[app.In], app.XIn, app.In.IndexSpace()) {
-		t.Fatal("IN mismatch")
-	}
-	if !res.Stores[app2.Out].EqualOn(seq.Stores[app.Out], app.XOut, app.Out.IndexSpace()) {
-		t.Fatal("OUT mismatch")
 	}
 }
 
@@ -189,21 +168,12 @@ func TestBuildRejectsTinyTiles(t *testing.T) {
 }
 
 func TestBarrierSyncMatchesSequential(t *testing.T) {
-	cfg := Small(4)
-	app := Build(cfg)
-	seq := ir.ExecSequential(app.Prog)
-	app2 := Build(cfg)
-	plans, err := spmd.CompileAll(app2.Prog, cr.Options{NumShards: 4, Sync: cr.BarrierSync})
-	if err != nil {
-		t.Fatal(err)
+	res, err := bench.RunCR(Build(Small(4)).Prog, bench.Config{Nodes: 4, Sync: cr.BarrierSync})
+	if err == nil {
+		err = progtest.Diff(ir.ExecSequential(Build(Small(4)).Prog), res.SeqResult)
 	}
-	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	res, err := spmd.New(sim, app2.Prog, ir.ExecReal, plans).Run()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stores[app2.Out].EqualOn(seq.Stores[app.Out], app.XOut, app.Out.IndexSpace()) {
-		t.Fatal("barrier-sync stencil diverged")
+		t.Fatalf("barrier-sync stencil diverged: %v", err)
 	}
 }
 
@@ -211,40 +181,22 @@ func TestBarrierSyncMatchesSequential(t *testing.T) {
 // crash, recovered through the SPMD executor's checkpoint/restart, must
 // produce region contents bitwise-identical to the fault-free golden run.
 func TestCrashRecoveryMatchesGolden(t *testing.T) {
-	nodes := 4
-	cfg := Small(nodes)
+	cfg := Small(4)
 	cfg.Iters = 6 // several checkpoint epochs
-
-	run := func(fp *realm.FaultPlan) (*spmd.Result, *App) {
-		app := Build(cfg)
-		plans, err := spmd.CompileAll(app.Prog, cr.Options{NumShards: nodes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim := realm.MustNewSim(realm.DefaultConfig(nodes))
-		if fp != nil {
-			if err := sim.InjectFaults(*fp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		eng := spmd.New(sim, app.Prog, ir.ExecReal, plans)
-		eng.Recov = spmd.Recovery{CheckpointEvery: 2, MaxRetries: 3, Backoff: realm.Microseconds(50)}
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatalf("run failed (faults=%v): %v", fp != nil, err)
-		}
-		return res, app
+	run := bench.Config{Nodes: 4, Recov: spmd.Recovery{CheckpointEvery: 2, MaxRetries: 3, Backoff: realm.Microseconds(50)}}
+	golden, err := bench.RunCR(Build(cfg).Prog, run)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	golden, gapp := run(nil)
-	res, app := run(&realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: golden.Elapsed / 2}}})
+	run.Faults = &realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: golden.Elapsed / 2}}}
+	res, err := bench.RunCR(Build(cfg).Prog, run)
+	if err != nil {
+		t.Fatalf("faulty run failed: %v", err)
+	}
 	if res.Faults == nil || len(res.Faults.Crashes) != 1 || res.Faults.Restarts < 1 || res.Faults.Unrecovered {
 		t.Fatalf("fault report = %+v, want one recovered crash", res.Faults)
 	}
-	if !res.Stores[app.In].EqualOn(golden.Stores[gapp.In], app.XIn, app.In.IndexSpace()) {
-		t.Fatal("IN differs from the fault-free golden after recovery")
-	}
-	if !res.Stores[app.Out].EqualOn(golden.Stores[gapp.Out], app.XOut, app.Out.IndexSpace()) {
-		t.Fatal("OUT differs from the fault-free golden after recovery")
+	if err := progtest.Diff(golden.SeqResult, res.SeqResult); err != nil {
+		t.Fatalf("stores differ from the fault-free golden after recovery: %v", err)
 	}
 }

@@ -31,11 +31,16 @@ const (
 // given node count: the deterministic discrete-event simulator, or the
 // native shared-memory backend running on real goroutines.
 func NewExec(backend string, nodes int) (realm.Exec, error) {
+	return newExec(backend, realm.DefaultConfig(nodes))
+}
+
+// newExec constructs the requested backend for a machine configuration.
+func newExec(backend string, cfg realm.Config) (realm.Exec, error) {
 	switch backend {
 	case "", BackendDES:
-		return realm.NewSim(realm.DefaultConfig(nodes))
+		return realm.NewSim(cfg)
 	case BackendNative:
-		return native.NewMachine(realm.DefaultConfig(nodes))
+		return native.NewMachine(cfg)
 	default:
 		return nil, fmt.Errorf("bench: unknown backend %q (want %q or %q)", backend, BackendDES, BackendNative)
 	}
@@ -233,146 +238,98 @@ func (c *Counters) addSched(s native.SchedStats) {
 	c.Add("native.inline_completions", s.InlineCompletions)
 }
 
-// newMachine builds the backend the options name for a machine of the given
-// node count and configures it from them: the time recorder on native, the
-// time-policy override on the DES, the fault plan on either.
-func newMachine(nodes int, opts MeasureOpts) (realm.Exec, error) {
-	sim, err := NewExec(opts.Backend, nodes)
-	if err != nil {
-		return nil, err
-	}
-	switch b := sim.(type) {
-	case *native.Machine:
-		if opts.Fit != nil {
-			b.SetTimeRecorder(opts.Fit)
-		}
-	case *realm.Sim:
-		if opts.Policy != nil {
-			b.SetTimePolicy(opts.Policy)
-		}
-	}
-	if opts.Faults != nil {
-		if err := sim.InjectFaults(*opts.Faults); err != nil {
-			return nil, err
-		}
-	}
-	return sim, nil
-}
-
 // addMachine adds what the machine itself counted over a finished run: the
 // native scheduler's counters (the DES has none).
-func (c *Counters) addMachine(sim realm.Exec) {
-	if mach, ok := sim.(*native.Machine); ok {
-		c.addSched(mach.SchedStats())
+func (c *Counters) addMachine(opts MeasureOpts, res *Result) {
+	if opts.NativeBackend() {
+		c.addSched(res.Sched)
 	}
+}
+
+// addSuite adds the certifier's counters: CheckAgg's grouping and every
+// PlanPrune counter.
+func (c *Counters) addSuite(s *verify.Suite) {
+	if s == nil {
+		return
+	}
+	for _, rep := range s.Reports {
+		switch rep.Pass {
+		case "agg":
+			c.Add("verify.agg_phases", rep.Counters["phases"])
+			c.Add("verify.agg_groups", rep.Counters["agg_groups"])
+			c.Add("verify.agg_multi_member_groups", rep.Counters["multi_member_groups"])
+			c.Add("verify.agg_merged_pairs", rep.Counters["merged_pairs"])
+		case "prune":
+			for name, v := range rep.Counters {
+				//detlint:ignore a sum per name: the table is the same in any order
+				c.Add("verify."+name, v)
+			}
+		}
+	}
+}
+
+// measured is the point a figure cell runs at: Modeled on the DES, Real on
+// native (where the kernels are the cost), with the default recovery under
+// faults.
+func measured(nodes int, sync cr.SyncMode, tune Tuning, opts MeasureOpts) Config {
+	cfg := Config{MeasureOpts: opts, Nodes: nodes, Sync: sync, Mode: ir.ExecModeled, Tune: &tune}
+	if opts.NativeBackend() {
+		cfg.Mode = ir.ExecReal
+	}
+	if opts.Faults != nil {
+		cfg.Recov = spmd.DefaultRecovery()
+	}
+	return cfg
 }
 
 // MeasureImplicit runs the program on the implicit (non-CR) runtime in
 // Modeled mode and returns the steady-state per-iteration time of the
 // given loop.
 func MeasureImplicit(prog *ir.Program, loop *ir.Loop, nodes int, tune Tuning, opts MeasureOpts) (realm.Time, error) {
-	mode := ir.ExecModeled
-	if opts.NativeBackend() {
-		// On real cores only real execution is meaningful: the control
-		// thread's dependence analysis and the kernels are the cost.
-		mode = ir.ExecReal
-		if opts.Faults != nil {
-			// The implicit runtime has no recovery. On the DES an injected
-			// crash deadlocks the event loop immediately (a structured
-			// DeadlockError); on native it would only stall until the
-			// watchdog fires, wasting a full hang timeout per sweep cell — so
-			// reject the combination.
-			return 0, &realm.UnsupportedError{Backend: opts.Backend, Op: "fault injection without recovery (implicit runtime)"}
-		}
+	if opts.NativeBackend() && opts.Faults != nil {
+		// The implicit runtime has no recovery. On the DES an injected
+		// crash deadlocks the event loop immediately (a structured
+		// DeadlockError); on native it would only stall until the watchdog
+		// fires, wasting a full hang timeout per sweep cell — so reject the
+		// combination.
+		return 0, &realm.UnsupportedError{Backend: opts.Backend, Op: "fault injection without recovery (implicit runtime)"}
 	}
-	sim, err := newMachine(nodes, opts)
+	res, err := RunImplicit(prog, measured(nodes, 0, tune, opts))
 	if err != nil {
 		return 0, err
 	}
-	eng := rt.New(sim, prog, mode)
-	eng.Over.LaunchBase = tune.ImplicitLaunchBase
-	eng.Over.LaunchPerSub = tune.ImplicitLaunchPerSub
-	eng.Over.KernelCores = tune.KernelCores
-	eng.Over.Window = tune.ImplicitWindow
-	eng.Over.Noise = tune.Noise
-	eng.NoTrace = opts.NoTrace
-	res, err := eng.Run()
-	if err != nil {
-		return 0, err
-	}
-	opts.Counters.addRT(eng.TraceStats())
-	opts.Counters.addMachine(sim)
-	return steadyState(res.IterTimes[loop], warmup(loop.Trip))
+	opts.Counters.addRT(res.ImplicitTrace)
+	opts.Counters.addMachine(opts, res)
+	return res.SteadyState(loop)
 }
 
-// MeasureCR compiles the loop with control replication (one shard per
-// node), runs it in Modeled mode, and returns the steady-state
-// per-iteration time. A non-nil fault plan injects faults and enables the
+// MeasureCR runs the program through RunCR (one shard per node) in
+// Modeled mode and returns the given loop's steady-state per-iteration
+// time. Every top-level loop of the program is compiled with control
+// replication, and under Agg or Prune certified, not only the given one;
+// loop selects the series the time is read from. A non-nil fault plan injects faults and enables the
 // SPMD executor's default checkpoint/restart recovery; a run that
 // degrades (recovery budget exhausted) is reported as an error since its
 // timings are not a valid steady-state measurement.
 func MeasureCR(prog *ir.Program, loop *ir.Loop, nodes int, sync cr.SyncMode, tune Tuning, opts MeasureOpts) (realm.Time, error) {
-	plan, err := cr.Compile(prog, loop, cr.Options{NumShards: nodes, Sync: sync, Agg: opts.Agg})
+	res, err := RunCR(prog, measured(nodes, sync, tune, opts))
+	if res != nil {
+		opts.Counters.addSuite(res.Suite)
+	}
 	if err != nil {
 		return 0, err
 	}
-	if opts.Agg || opts.Prune {
-		suite, err := verify.Certify(plan, opts.Prune)
-		if err != nil {
-			return 0, err
-		}
-		if !suite.OK() {
-			return 0, fmt.Errorf("bench: certification found %d defects in the schedule; not running it", suite.NumFindings())
-		}
-		for _, rep := range suite.Reports {
-			switch rep.Pass {
-			case "agg":
-				opts.Counters.Add("verify.agg_phases", rep.Counters["phases"])
-				opts.Counters.Add("verify.agg_groups", rep.Counters["agg_groups"])
-				opts.Counters.Add("verify.agg_multi_member_groups", rep.Counters["multi_member_groups"])
-				opts.Counters.Add("verify.agg_merged_pairs", rep.Counters["merged_pairs"])
-			case "prune":
-				for name, v := range rep.Counters {
-					//detlint:ignore a sum per name: the table is the same in any order
-					opts.Counters.Add("verify."+name, v)
-				}
-			}
-		}
-	}
-	sim, err := newMachine(nodes, opts)
-	if err != nil {
-		return 0, err
-	}
-	mode := ir.ExecModeled
-	if opts.NativeBackend() {
-		mode = ir.ExecReal
-	}
-	eng := spmd.New(sim, prog, mode, map[*ir.Loop]*cr.Compiled{loop: plan})
-	if opts.Faults != nil {
-		eng.Recov = spmd.DefaultRecovery()
-	}
-	eng.Over.ShardLaunchBase = tune.ShardLaunchBase
-	eng.Over.KernelCores = tune.KernelCores
-	eng.Over.Window = tune.Window
-	eng.Over.Noise = tune.Noise
-	eng.NoTrace = opts.NoTrace
-	eng.NoShare = opts.NoShare
-	res, err := eng.Run()
-	if err != nil {
-		return 0, err
-	}
-	opts.Counters.addSPMD(eng.TraceStats())
-	opts.Counters.addMachine(sim)
+	opts.Counters.addSPMD(res.CRTrace)
+	opts.Counters.addMachine(opts, res)
 	if opts.Agg {
-		st := sim.Stats()
-		opts.Counters.Add("realm.messages", st.Messages)
-		opts.Counters.Add("realm.agg_groups", st.AggGroups)
-		opts.Counters.Add("realm.agg_saved_messages", st.AggSavedMessages)
+		opts.Counters.Add("realm.messages", res.Stats.Messages)
+		opts.Counters.Add("realm.agg_groups", res.Stats.AggGroups)
+		opts.Counters.Add("realm.agg_saved_messages", res.Stats.AggSavedMessages)
 	}
 	if res.Faults != nil && res.Faults.Unrecovered {
 		return 0, fmt.Errorf("bench: %s", res.Faults.Reason)
 	}
-	return steadyState(res.IterTimes[loop], warmup(loop.Trip))
+	return res.SteadyState(loop)
 }
 
 func warmup(trip int) int {

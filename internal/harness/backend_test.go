@@ -17,7 +17,6 @@ import (
 	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/region"
-	"repro/internal/rt"
 	"repro/internal/spmd"
 )
 
@@ -34,30 +33,21 @@ var backendApps = []struct {
 	{"circuit", func(n int) *ir.Program { return circuit.Build(circuit.Small(n)).Prog }},
 }
 
-// runSPMD executes a freshly built program in Real mode on the given
-// backend and returns the run result.
-func runSPMD(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, noTrace, noShare bool, backend string) *spmd.Result {
-	t.Helper()
-	plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes, Sync: sync})
-	if err != nil {
-		t.Fatal(err)
+// must returns the record of a run the test expects to succeed.
+func must(t *testing.T) func(*bench.Result, error) *bench.Result {
+	return func(r *bench.Result, err error) *bench.Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	x, err := bench.NewExec(backend, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := spmd.New(x, prog, ir.ExecReal, plans)
-	eng.NoTrace = noTrace
-	eng.NoShare = noShare
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatalf("backend=%s: %v", backend, err)
-	}
-	return res
 }
 
-// seqOf views an spmd result as the program result progtest.Diff compares.
-func seqOf(r *spmd.Result) *ir.SeqResult { return &ir.SeqResult{Stores: r.Stores, Env: r.Env} }
+// onBackend is a Real-mode row on a machine of the given backend.
+func onBackend(backend string, nodes int, sync cr.SyncMode) bench.Config {
+	return bench.Config{MeasureOpts: bench.MeasureOpts{Backend: backend}, Nodes: nodes, Sync: sync}
+}
 
 // TestNativeMatchesDES is the cross-backend equivalence matrix: every
 // evaluation application, under both sync lowerings and every tracing
@@ -85,12 +75,14 @@ func TestNativeMatchesDES(t *testing.T) {
 		// One DES reference per (app, sync): tracing never changes results
 		// (pinned separately below), so the reference uses the defaults.
 		for _, sy := range syncs {
-			ref := runSPMD(t, app.build(nodes), nodes, sy.mode, false, false, bench.BackendDES)
+			ref := must(t)(bench.RunCR(app.build(nodes), onBackend(bench.BackendDES, nodes, sy.mode)))
 			for _, fl := range flags {
 				label := fmt.Sprintf("%s/%s/%s", app.name, sy.name, fl.name)
 				t.Run(label, func(t *testing.T) {
-					res := runSPMD(t, app.build(nodes), nodes, sy.mode, fl.noTrace, fl.noShare, bench.BackendNative)
-					if err := progtest.Diff(seqOf(ref), seqOf(res)); err != nil {
+					cfg := onBackend(bench.BackendNative, nodes, sy.mode)
+					cfg.NoTrace, cfg.NoShare = fl.noTrace, fl.noShare
+					res := must(t)(bench.RunCR(app.build(nodes), cfg))
+					if err := progtest.Diff(ref.SeqResult, res.SeqResult); err != nil {
 						t.Errorf("%s: %v", label, err)
 					}
 					if wall := res.Stats.WallNanos; wall <= 0 {
@@ -108,16 +100,7 @@ func TestNativeMatchesDES(t *testing.T) {
 func TestNativeImplicitMatchesDES(t *testing.T) {
 	const nodes = 4
 	run := func(backend string) *ir.SeqResult {
-		prog := stencil.Build(stencil.Small(nodes)).Prog
-		x, err := bench.NewExec(backend, nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := rt.New(x, prog, ir.ExecReal).Run()
-		if err != nil {
-			t.Fatalf("backend=%s: %v", backend, err)
-		}
-		return &ir.SeqResult{Stores: res.Stores, Env: res.Env}
+		return must(t)(bench.RunImplicit(stencil.Build(stencil.Small(nodes)).Prog, onBackend(backend, nodes, 0))).SeqResult
 	}
 	if err := progtest.Diff(run(bench.BackendDES), run(bench.BackendNative)); err != nil {
 		t.Error(err)
@@ -181,47 +164,22 @@ func TestFuturesEnvMatchesSequential(t *testing.T) {
 	const nodes = 4
 	want := ir.ExecSequential(scalarFeedback())
 	for _, backend := range []string{bench.BackendDES, bench.BackendNative} {
-		x, err := bench.NewExec(backend, nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imp, err := rt.New(x, scalarFeedback(), ir.ExecReal).Run()
-		if err != nil {
-			t.Fatalf("rt/%s: %v", backend, err)
-		}
-		if err := progtest.Diff(want, &ir.SeqResult{Stores: imp.Stores, Env: imp.Env}); err != nil {
+		cfg := onBackend(backend, nodes, cr.PointToPoint)
+		if err := progtest.Diff(want, must(t)(bench.RunImplicit(scalarFeedback(), cfg)).SeqResult); err != nil {
 			t.Errorf("rt/%s: %v", backend, err)
 		}
-		if err := progtest.Diff(want, seqOf(runSPMD(t, scalarFeedback(), nodes, cr.PointToPoint, false, false, backend))); err != nil {
+		if err := progtest.Diff(want, must(t)(bench.RunCR(scalarFeedback(), cfg)).SeqResult); err != nil {
 			t.Errorf("spmd/%s: %v", backend, err)
 		}
 	}
 }
 
-// runSPMDRecov executes a freshly built program on the given backend with
-// a fault plan installed and checkpoint/restart recovery enabled.
-func runSPMDRecov(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend string, fp *realm.FaultPlan) *spmd.Result {
-	t.Helper()
-	plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes, Sync: sync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := bench.NewExec(backend, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp != nil {
-		if err := x.InjectFaults(*fp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng := spmd.New(x, prog, ir.ExecReal, plans)
-	eng.Recov = spmd.Recovery{MaxRetries: 6, Backoff: realm.Microseconds(200)}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatalf("backend=%s: %v", backend, err)
-	}
-	return res
+// crashing is a native row with crashes injected and checkpoint/restart
+// recovery on.
+func crashing(nodes int, sync cr.SyncMode, fp *realm.FaultPlan) bench.Config {
+	cfg := onBackend(bench.BackendNative, nodes, sync)
+	cfg.Faults, cfg.Recov = fp, spmd.Recovery{MaxRetries: 6, Backoff: realm.Microseconds(200)}
+	return cfg
 }
 
 // TestNativeCrashRecoveryMatchesFaultFree is the keystone of native fault
@@ -240,13 +198,12 @@ func TestNativeCrashRecoveryMatchesFaultFree(t *testing.T) {
 		for _, sy := range syncs {
 			label := fmt.Sprintf("%s/%s", app.name, sy.name)
 			t.Run(label, func(t *testing.T) {
-				ref := runSPMD(t, app.build(nodes), nodes, sy.mode, false, false, bench.BackendNative)
+				ref := must(t)(bench.RunCR(app.build(nodes), onBackend(bench.BackendNative, nodes, sy.mode)))
 				// Seed 4 at rate 500 (a 0.05 crash probability per launch)
 				// lands at least one early crash in every app under both
 				// lowerings; the per-node draw sequences are seeded, so the
 				// crashes land at the same logical points on every run.
-				fp := &realm.FaultPlan{Seed: 4, CrashRate: 500}
-				res := runSPMDRecov(t, app.build(nodes), nodes, sy.mode, bench.BackendNative, fp)
+				res := must(t)(bench.RunCR(app.build(nodes), crashing(nodes, sy.mode, &realm.FaultPlan{Seed: 4, CrashRate: 500})))
 				if res.Faults == nil || len(res.Faults.Crashes) == 0 || res.Faults.Restarts < 1 {
 					t.Fatalf("%s: fault report = %+v, want at least one crash and one restart", label, res.Faults)
 				}
@@ -258,7 +215,7 @@ func TestNativeCrashRecoveryMatchesFaultFree(t *testing.T) {
 						t.Fatalf("%s: node 0 crashed without CrashNode0", label)
 					}
 				}
-				if err := progtest.Diff(seqOf(ref), seqOf(res)); err != nil {
+				if err := progtest.Diff(ref.SeqResult, res.SeqResult); err != nil {
 					t.Errorf("%s: %v", label, err)
 				}
 			})
@@ -274,16 +231,16 @@ func TestNativeCrashRecoveryMatchesFaultFree(t *testing.T) {
 func TestNativeLaunchCrashRecovery(t *testing.T) {
 	const nodes = 4
 	app := backendApps[0] // stencil
-	ref := runSPMD(t, app.build(nodes), nodes, cr.PointToPoint, false, false, bench.BackendNative)
+	ref := must(t)(bench.RunCR(app.build(nodes), onBackend(bench.BackendNative, nodes, cr.PointToPoint)))
 	fp := &realm.FaultPlan{LaunchCrashes: []realm.LaunchCrash{{Node: 2, AtLaunch: 5}}}
-	res := runSPMDRecov(t, app.build(nodes), nodes, cr.PointToPoint, bench.BackendNative, fp)
+	res := must(t)(bench.RunCR(app.build(nodes), crashing(nodes, cr.PointToPoint, fp)))
 	if res.Faults == nil || len(res.Faults.Crashes) != 1 || res.Faults.Crashes[0].Node != 2 {
 		t.Fatalf("fault report = %+v, want exactly the scheduled crash of node 2", res.Faults)
 	}
 	if res.Faults.Restarts < 1 || res.Faults.Unrecovered {
 		t.Fatalf("fault report = %+v, want a clean recovery", res.Faults)
 	}
-	if err := progtest.Diff(seqOf(ref), seqOf(res)); err != nil {
+	if err := progtest.Diff(ref.SeqResult, res.SeqResult); err != nil {
 		t.Error(err)
 	}
 }

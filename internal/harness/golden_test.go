@@ -5,11 +5,8 @@ import (
 
 	"repro/internal/apps/stencil"
 	"repro/internal/bench"
-	"repro/internal/cr"
 	"repro/internal/ir"
 	"repro/internal/realm"
-	"repro/internal/rt"
-	"repro/internal/spmd"
 )
 
 // The golden values below pin the simulation's virtual-time results: the
@@ -52,20 +49,9 @@ func TestGoldenStencilMeasure(t *testing.T) {
 }
 
 func TestGoldenEngineRuns(t *testing.T) {
-	app := stencil.Build(stencil.Small(4))
-	cores := realm.DefaultConfig(4).CoresPerNode
-	tune := bench.DefaultTuning(cores)
-
-	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	eng := rt.New(sim, app.Prog, ir.ExecModeled)
-	eng.Over.LaunchBase = tune.ImplicitLaunchBase
-	eng.Over.LaunchPerSub = tune.ImplicitLaunchPerSub
-	eng.Over.KernelCores = tune.KernelCores
-	eng.Over.Window = tune.ImplicitWindow
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tune := bench.DefaultTuning(realm.DefaultConfig(4).CoresPerNode)
+	cfg := bench.Config{Nodes: 4, Mode: ir.ExecModeled, Tune: &tune}
+	res := must(t)(bench.RunImplicit(stencil.Build(stencil.Small(4)).Prog, cfg))
 	if want := realm.Time(130964599); res.Elapsed != want {
 		t.Errorf("rt elapsed = %d, want %d", res.Elapsed, want)
 	}
@@ -73,23 +59,11 @@ func TestGoldenEngineRuns(t *testing.T) {
 		t.Errorf("rt stats = %+v, want %+v", res.Stats, want)
 	}
 
-	plan, err := cr.Compile(app.Prog, app.Loop, cr.Options{NumShards: 4, Sync: cr.PointToPoint})
-	if err != nil {
-		t.Fatal(err)
+	res = must(t)(bench.RunCR(stencil.Build(stencil.Small(4)).Prog, cfg))
+	if want := realm.Time(155392); res.Elapsed != want {
+		t.Errorf("spmd elapsed = %d, want %d", res.Elapsed, want)
 	}
-	sim2 := realm.MustNewSim(realm.DefaultConfig(4))
-	eng2 := spmd.New(sim2, app.Prog, ir.ExecModeled, map[*ir.Loop]*cr.Compiled{app.Loop: plan})
-	eng2.Over.ShardLaunchBase = tune.ShardLaunchBase
-	eng2.Over.KernelCores = tune.KernelCores
-	eng2.Over.Window = tune.Window
-	res2, err := eng2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := realm.Time(155392); res2.Elapsed != want {
-		t.Errorf("spmd elapsed = %d, want %d", res2.Elapsed, want)
-	}
-	if want := (realm.Stats{Messages: 45, BytesSent: 16800, LocalCopies: 7, TasksRun: 72, Events: 184}); res2.Stats != want {
-		t.Errorf("spmd stats = %+v, want %+v", res2.Stats, want)
+	if want := (realm.Stats{Messages: 45, BytesSent: 16800, LocalCopies: 7, TasksRun: 72, Events: 184}); res.Stats != want {
+		t.Errorf("spmd stats = %+v, want %+v", res.Stats, want)
 	}
 }

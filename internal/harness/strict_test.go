@@ -6,11 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/cr"
 	"repro/internal/ir"
 	"repro/internal/progtest"
-	"repro/internal/rt"
-	"repro/internal/spmd"
 )
 
 // TestReadPastBlockPanicsTheSameEverywhere: a kernel that reads one point
@@ -35,27 +32,14 @@ func TestReadPastBlockPanicsTheSameEverywhere(t *testing.T) {
 	}
 
 	for _, backend := range []string{bench.BackendDES, bench.BackendNative} {
-		x, err := bench.NewExec(backend, nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = rt.New(x, build().Prog, ir.ExecReal).Run()
+		cfg := onBackend(backend, nodes, 0)
+		_, err := bench.RunImplicit(build().Prog, cfg)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("implicit on %q: error %v does not carry %q", backend, err, want)
 		}
 		for _, noTrace := range []bool{false, true} {
-			prog := build().Prog
-			plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes})
-			if err != nil {
-				t.Fatal(err)
-			}
-			x, err := bench.NewExec(backend, nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := spmd.New(x, prog, ir.ExecReal, plans)
-			eng.NoTrace = noTrace
-			_, err = eng.Run()
+			cfg.NoTrace = noTrace
+			_, err := bench.RunCR(build().Prog, cfg)
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("spmd on %q (NoTrace=%v): error %v does not carry %q", backend, noTrace, err, want)
 			}

@@ -4,13 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cr"
+	"repro/internal/bench"
 	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/progtest"
-	"repro/internal/realm"
-	"repro/internal/rt"
-	"repro/internal/spmd"
 )
 
 // figure2Src is the paper's Figure 2, written in the textual frontend.
@@ -114,44 +111,19 @@ func TestCompiledProgramControlReplicates(t *testing.T) {
 	}
 	seq := ir.ExecSequential(prog)
 
-	prog2, err := Compile(figure2Src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans, err := spmd.CompileAll(prog2, cr.Options{NumShards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	res, err := spmd.New(sim, prog2, ir.ExecReal, plans).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r2 := range prog2.Tree.Regions() {
-		if r2.Parent() != nil {
-			continue
+	// Under control replication and on the implicit runtime, bitwise.
+	for _, run := range []func(*ir.Program, bench.Config) (*bench.Result, error){bench.RunCR, bench.RunImplicit} {
+		prog2, err := Compile(figure2Src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Find the same-named root in the first program.
-		for _, r1 := range prog.Tree.Regions() {
-			if r1.Parent() == nil && r1.Name() == r2.Name() {
-				val := prog2.FieldSpaces[r2].Field("val")
-				r2.IndexSpace().Each(func(p geometry.Point) bool {
-					if res.Stores[r2].Get(val, p) != seq.Stores[r1].Get(val, p) {
-						t.Fatalf("CR diverged at %s[%v]", r2.Name(), p)
-					}
-					return true
-				})
-			}
+		res, err := run(prog2, bench.Config{Nodes: 4})
+		if err == nil {
+			err = progtest.Diff(seq, res.SeqResult)
 		}
-	}
-
-	prog3, err := Compile(figure2Src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim2 := realm.MustNewSim(realm.DefaultConfig(4))
-	if _, err := rt.New(sim2, prog3, ir.ExecReal).Run(); err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -200,17 +172,12 @@ func TestCompileReductionsAndScalarFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans, err := spmd.CompileAll(prog2, cr.Options{NumShards: 4})
+	res, err := bench.RunCR(prog2, bench.Config{Nodes: 4})
+	if err == nil {
+		err = progtest.Diff(seq, res.SeqResult)
+	}
 	if err != nil {
 		t.Fatal(err)
-	}
-	sim := realm.MustNewSim(realm.DefaultConfig(4))
-	res, err := spmd.New(sim, prog2, ir.ExecReal, plans).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Env["sum"] != seq.Env["sum"] {
-		t.Fatalf("CR sum = %v, want %v", res.Env["sum"], seq.Env["sum"])
 	}
 }
 

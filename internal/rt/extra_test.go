@@ -1,13 +1,15 @@
-package rt
+package rt_test
 
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/region"
+	"repro/internal/rt"
 )
 
 // reverseMapper maps task i to the node block from the other end.
@@ -17,20 +19,18 @@ func (reverseMapper) NodeFor(colorIdx, numColors, nodes int) int {
 	return (numColors - 1 - colorIdx) * nodes / numColors
 }
 
+// TestCustomMapperPreservesSemantics: §4.2's techniques are agnostic to
+// the mapping. The mapper is an engine knob the runner does not take, so
+// the test drives the engine itself.
 func TestCustomMapperPreservesSemantics(t *testing.T) {
-	f := progtest.NewFigure2(48, 8, 3)
-	seq := ir.ExecSequential(f.Prog)
-
-	f2 := progtest.NewFigure2(48, 8, 3)
-	sim := realm.MustNewSim(testConfig(4))
-	eng := New(sim, f2.Prog, ir.ExecReal)
+	eng := rt.New(realm.MustNewSim(realm.DefaultConfig(4)), figure2(48, 8, 3)(), ir.ExecReal)
 	eng.Map = reverseMapper{}
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stores[f2.A].EqualOn(seq.Stores[f.A], f.Val, f.A.IndexSpace()) {
-		t.Fatal("custom mapping changed results (§4.2: techniques are agnostic to the mapping)")
+	if err := progtest.Diff(ir.ExecSequential(figure2(48, 8, 3)()), &ir.SeqResult{Stores: res.Stores, Env: res.Env}); err != nil {
+		t.Fatalf("custom mapping changed results: %v", err)
 	}
 }
 
@@ -63,11 +63,7 @@ func TestNestedLoops(t *testing.T) {
 			}},
 		}},
 	)
-	sim := realm.MustNewSim(testConfig(2))
-	res, err := New(sim, p, ir.ExecReal).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := must(t)(bench.RunImplicit(p, bench.Config{Nodes: 2}))
 	if got := res.Stores[r].Get(x, geometry.Pt1(7)); got != 6 {
 		t.Errorf("x = %v after 3x2 increments, want 6", got)
 	}
@@ -76,12 +72,7 @@ func TestNestedLoops(t *testing.T) {
 func TestSetScalarForcesFuture(t *testing.T) {
 	// A SetScalar reading a launch-reduced scalar must force the future on
 	// the control thread and compute from the resolved value.
-	f := progtest.NewScalarSum(40, 8)
-	sim := realm.MustNewSim(testConfig(4))
-	res, err := New(sim, f.Prog, ir.ExecReal).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := must(t)(bench.RunImplicit(progtest.NewScalarSum(40, 8).Prog, bench.Config{Nodes: 4}))
 	if res.Env["doubled"] != 2*res.Env["total"] {
 		t.Errorf("doubled = %v, total = %v", res.Env["doubled"], res.Env["total"])
 	}
@@ -92,15 +83,10 @@ func TestSetScalarForcesFuture(t *testing.T) {
 
 func TestRtNoiseSlowsAndStaysDeterministic(t *testing.T) {
 	run := func(noise realm.NoiseFn) realm.Time {
-		f := progtest.NewFigure2(48, 8, 5)
-		sim := realm.MustNewSim(testConfig(4))
-		eng := New(sim, f.Prog, ir.ExecModeled)
-		eng.Over.Noise = noise
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Elapsed
+		o := rt.DefaultOverheads(realm.DefaultConfig(4).CoresPerNode)
+		tune := bench.Tuning{ImplicitLaunchBase: o.LaunchBase, ImplicitLaunchPerSub: o.LaunchPerSub,
+			KernelCores: o.KernelCores, ImplicitWindow: o.Window, Noise: noise}
+		return must(t)(bench.RunImplicit(figure2(48, 8, 5)(), bench.Config{Nodes: 4, Mode: ir.ExecModeled, Tune: &tune})).Elapsed
 	}
 	noisy := realm.SpikeNoise(0.9, 1.0, 3)
 	a, b := run(noisy), run(noisy)
@@ -112,18 +98,19 @@ func TestRtNoiseSlowsAndStaysDeterministic(t *testing.T) {
 	}
 }
 
+// TestCyclicMapperCostsMoreCommunication drives the engine itself, for its
+// mapper.
 func TestCyclicMapperCostsMoreCommunication(t *testing.T) {
-	run := func(m Mapper) int64 {
-		f := progtest.NewFigure2(96, 8, 3)
-		sim := realm.MustNewSim(testConfig(4))
-		eng := New(sim, f.Prog, ir.ExecModeled)
+	run := func(m rt.Mapper) int64 {
+		eng := rt.New(realm.MustNewSim(realm.DefaultConfig(4)), figure2(96, 8, 3)(), ir.ExecModeled)
 		eng.Map = m
-		if _, err := eng.Run(); err != nil {
+		res, err := eng.Run()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.Stats().BytesSent
+		return res.Stats.BytesSent
 	}
-	block, cyclic := run(BlockMapper{}), run(CyclicMapper{})
+	block, cyclic := run(rt.BlockMapper{}), run(rt.CyclicMapper{})
 	if cyclic <= block {
 		t.Errorf("cyclic mapping (%d bytes) should move more data than block (%d bytes)", cyclic, block)
 	}

@@ -1,10 +1,11 @@
-package rt
+package rt_test
 
 import (
 	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/ir"
 	"repro/internal/progtest"
 	"repro/internal/realm"
@@ -18,8 +19,7 @@ func TestKernelPanicSurfacesAsError(t *testing.T) {
 	tf.Task.Kernel = func(tc *ir.TaskCtx) {
 		tc.Args[1].Set(f.Val, tc.Args[1].Region.IndexSpace().Bounds().Lo, 1)
 	}
-	sim := realm.MustNewSim(testConfig(2))
-	_, err := New(sim, f.Prog, ir.ExecReal).Run()
+	_, err := bench.RunImplicit(f.Prog, bench.Config{Nodes: 2})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("expected kernel panic to surface as error, got %v", err)
 	}
@@ -39,8 +39,7 @@ func TestMidLoopKernelPanicSurfacesAsError(t *testing.T) {
 		}
 		good(tc)
 	}
-	sim := realm.MustNewSim(testConfig(2))
-	_, err := New(sim, f.Prog, ir.ExecReal).Run()
+	_, err := bench.RunImplicit(f.Prog, bench.Config{Nodes: 2})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("expected mid-loop kernel panic to surface as error, got %v", err)
 	}
@@ -54,25 +53,10 @@ func TestMidLoopKernelPanicSurfacesAsError(t *testing.T) {
 // control thread blocked — and that must surface as a structured deadlock
 // error naming the blocked thread, not a panic or a hang.
 func TestInjectedCrashSurfacesAsDeadlock(t *testing.T) {
-	run := func(fp *realm.FaultPlan) (realm.Time, error) {
-		f := progtest.NewFigure2(48, 8, 4)
-		sim := realm.MustNewSim(testConfig(4))
-		if fp != nil {
-			if err := sim.InjectFaults(*fp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := New(sim, f.Prog, ir.ExecReal).Run()
-		if err != nil {
-			return 0, err
-		}
-		return res.Elapsed, nil
-	}
-	elapsed, err := run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = run(&realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: elapsed / 2}}})
+	cfg := bench.Config{Nodes: 4}
+	elapsed := must(t)(bench.RunImplicit(figure2(48, 8, 4)(), cfg)).Elapsed
+	cfg.Faults = &realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: elapsed / 2}}}
+	_, err := bench.RunImplicit(figure2(48, 8, 4)(), cfg)
 	var derr *realm.DeadlockError
 	if !errors.As(err, &derr) {
 		t.Fatalf("want *realm.DeadlockError from a mid-run crash, got %v", err)

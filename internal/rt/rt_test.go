@@ -1,52 +1,42 @@
-package rt
+package rt_test
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/region"
+	"repro/internal/rt"
 )
 
-func testConfig(nodes int) realm.Config {
-	cfg := realm.DefaultConfig(nodes)
-	cfg.CoresPerNode = 4
-	return cfg
+// must returns the record of a run the test expects to succeed.
+func must(t *testing.T) func(*bench.Result, error) *bench.Result {
+	return func(r *bench.Result, err error) *bench.Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 }
 
-// runBoth executes a program sequentially and on the implicit runtime and
-// returns both results.
-func runBoth(t *testing.T, prog *ir.Program, nodes int) (*ir.SeqResult, *Result) {
+// diff fails the test, naming every difference, unless got's stores and
+// scalars are bitwise want's.
+func diff(t *testing.T, want *ir.SeqResult, got *bench.Result) {
 	t.Helper()
-	seq := ir.ExecSequential(prog)
-	sim := realm.MustNewSim(testConfig(nodes))
-	eng := New(sim, prog, ir.ExecReal)
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
+	if err := progtest.Diff(want, got.SeqResult); err != nil {
+		t.Error(err)
 	}
-	return seq, res
 }
 
-func assertStoresEqual(t *testing.T, seq *ir.SeqResult, res *Result, r *region.Region, f region.FieldID) {
-	t.Helper()
-	want, got := seq.Stores[r], res.Stores[r]
-	if !got.EqualOn(want, f, r.IndexSpace()) {
-		bad := 0
-		r.IndexSpace().Each(func(p geometry.Point) bool {
-			if got.Get(f, p) != want.Get(f, p) {
-				if bad < 5 {
-					t.Errorf("%s[%v] field %d = %v, want %v", r.Name(), p, f, got.Get(f, p), want.Get(f, p))
-				}
-				bad++
-			}
-			return true
-		})
-		t.Fatalf("store mismatch on %s (%d points differ)", r.Name(), bad)
-	}
+// figure2 builds the running example; the sequential run is of a build of
+// its own.
+func figure2(n, nt int64, trip int) func() *ir.Program {
+	return func() *ir.Program { return progtest.NewFigure2(n, nt, trip).Prog }
 }
 
 func TestImplicitMatchesSequentialFigure2(t *testing.T) {
@@ -60,59 +50,39 @@ func TestImplicitMatchesSequentialFigure2(t *testing.T) {
 		{48, 8, 4, 4},
 		{30, 5, 2, 3}, // colors not divisible by nodes
 	} {
-		f := progtest.NewFigure2(tc.n, tc.nt, tc.trip)
-		seq, res := runBoth(t, f.Prog, tc.nodes)
-		assertStoresEqual(t, seq, res, f.A, f.Val)
-		assertStoresEqual(t, seq, res, f.B, f.Val)
+		build := figure2(tc.n, tc.nt, tc.trip)
+		diff(t, ir.ExecSequential(build()), must(t)(bench.RunImplicit(build(), bench.Config{Nodes: tc.nodes})))
 	}
 }
 
 func TestImplicitScalarReduceFuture(t *testing.T) {
-	f := progtest.NewScalarSum(40, 8)
-	seq, res := runBoth(t, f.Prog, 4)
-	if res.Env["total"] != seq.Env["total"] {
-		t.Errorf("total = %v, want %v", res.Env["total"], seq.Env["total"])
-	}
-	if res.Env["doubled"] != seq.Env["doubled"] || res.Env["doubled"] != 2*res.Env["total"] {
+	res := must(t)(bench.RunImplicit(progtest.NewScalarSum(40, 8).Prog, bench.Config{Nodes: 4}))
+	diff(t, ir.ExecSequential(progtest.NewScalarSum(40, 8).Prog), res)
+	if res.Env["doubled"] != 2*res.Env["total"] {
 		t.Errorf("doubled = %v", res.Env["doubled"])
 	}
 }
 
 func TestImplicitRegionReductionMatchesSequential(t *testing.T) {
-	f := progtest.NewRegionReduce(32, 4, 3)
-	seq, res := runBoth(t, f.Prog, 4)
-	assertStoresEqual(t, seq, res, f.R, f.Acc)
-	assertStoresEqual(t, seq, res, f.R, f.Prog.FieldSpaces[f.R].Field("out"))
+	build := func() *ir.Program { return progtest.NewRegionReduce(32, 4, 3).Prog }
+	diff(t, ir.ExecSequential(build()), must(t)(bench.RunImplicit(build(), bench.Config{Nodes: 4})))
 }
 
 func TestImplicitDeterministic(t *testing.T) {
-	run := func() (realm.Time, realm.Stats) {
-		f := progtest.NewFigure2(48, 8, 3)
-		sim := realm.MustNewSim(testConfig(4))
-		eng := New(sim, f.Prog, ir.ExecReal)
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Elapsed, res.Stats
+	run := func() *bench.Result {
+		return must(t)(bench.RunImplicit(figure2(48, 8, 3)(), bench.Config{Nodes: 4}))
 	}
-	e1, s1 := run()
+	r1 := run()
 	for i := 0; i < 3; i++ {
-		e2, s2 := run()
-		if e1 != e2 || s1 != s2 {
-			t.Fatalf("non-deterministic run: %v/%+v vs %v/%+v", e1, s1, e2, s2)
+		if r2 := run(); r1.Elapsed != r2.Elapsed || r1.Stats != r2.Stats {
+			t.Fatalf("non-deterministic run: %v/%+v vs %v/%+v", r1.Elapsed, r1.Stats, r2.Elapsed, r2.Stats)
 		}
 	}
 }
 
 func TestModeledModeRunsWithoutStores(t *testing.T) {
 	f := progtest.NewFigure2(1000, 8, 5)
-	sim := realm.MustNewSim(testConfig(4))
-	eng := New(sim, f.Prog, ir.ExecModeled)
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := must(t)(bench.RunImplicit(f.Prog, bench.Config{Nodes: 4, Mode: ir.ExecModeled}))
 	if len(res.Stores) != 0 {
 		t.Error("modeled mode should not allocate stores")
 	}
@@ -132,39 +102,20 @@ func TestModeledModeRunsWithoutStores(t *testing.T) {
 
 func TestModeledMatchesRealTiming(t *testing.T) {
 	// The virtual-time behaviour must not depend on whether kernels run.
-	f1 := progtest.NewFigure2(64, 8, 3)
-	sim1 := realm.MustNewSim(testConfig(4))
-	r1, err := New(sim1, f1.Prog, ir.ExecReal).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2 := progtest.NewFigure2(64, 8, 3)
-	sim2 := realm.MustNewSim(testConfig(4))
-	r2, err := New(sim2, f2.Prog, ir.ExecModeled).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := bench.Config{Nodes: 4}
+	r1 := must(t)(bench.RunImplicit(figure2(64, 8, 3)(), cfg))
+	cfg.Mode = ir.ExecModeled
+	r2 := must(t)(bench.RunImplicit(figure2(64, 8, 3)(), cfg))
 	if r1.Elapsed != r2.Elapsed {
 		t.Errorf("Real elapsed %v != Modeled elapsed %v", r1.Elapsed, r2.Elapsed)
 	}
 }
 
 func TestDataMovementOnlyAcrossNodes(t *testing.T) {
-	f1 := progtest.NewFigure2(48, 8, 2)
-	sim1 := realm.MustNewSim(testConfig(1))
-	if _, err := New(sim1, f1.Prog, ir.ExecReal).Run(); err != nil {
-		t.Fatal(err)
+	if st := must(t)(bench.RunImplicit(figure2(48, 8, 2)(), bench.Config{Nodes: 1})).Stats; st.Messages != 0 {
+		t.Errorf("single node run sent %d messages", st.Messages)
 	}
-	if sim1.Stats().Messages != 0 {
-		t.Errorf("single node run sent %d messages", sim1.Stats().Messages)
-	}
-
-	f2 := progtest.NewFigure2(48, 8, 2)
-	sim2 := realm.MustNewSim(testConfig(4))
-	if _, err := New(sim2, f2.Prog, ir.ExecReal).Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := sim2.Stats()
+	st := must(t)(bench.RunImplicit(figure2(48, 8, 2)(), bench.Config{Nodes: 4})).Stats
 	if st.Messages == 0 || st.BytesSent == 0 {
 		t.Errorf("multi-node run should move data: %+v", st)
 	}
@@ -180,14 +131,12 @@ func TestControlOverheadScalesWithTasks(t *testing.T) {
 		for _, s := range f.Loop.Body {
 			s.(*ir.Launch).Task.CostPerElem = 0.1
 		}
-		sim := realm.MustNewSim(testConfig(nodes))
-		eng := New(sim, f.Prog, ir.ExecModeled)
-		res, err := eng.Run()
+		res := must(t)(bench.RunImplicit(f.Prog, bench.Config{Nodes: nodes, Mode: ir.ExecModeled}))
+		per, err := res.SteadyState(f.Loop)
 		if err != nil {
 			t.Fatal(err)
 		}
-		times := res.IterTimes[f.Loop]
-		return (times[5] - times[1]) / 4
+		return per
 	}
 	small := perIter(8, 4)
 	large := perIter(64, 4)
@@ -205,14 +154,12 @@ func TestPipelining(t *testing.T) {
 	for _, s := range f.Loop.Body {
 		s.(*ir.Launch).Task.CostPerElem = 4000 // ~4 ms per task kernel
 	}
-	sim := realm.MustNewSim(testConfig(4))
-	eng := New(sim, f.Prog, ir.ExecModeled)
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kernelPerIter := realm.Time(2 * 4096 / 4 * 4000 / int64(eng.Over.KernelCores))
-	controlPerIter := realm.Time(8) * eng.Over.LaunchBase
+	mc := realm.DefaultConfig(4)
+	mc.CoresPerNode = 4
+	res := must(t)(bench.RunImplicit(f.Prog, bench.Config{Nodes: 4, Mode: ir.ExecModeled, Exec: realm.MustNewSim(mc)}))
+	over := rt.DefaultOverheads(mc.CoresPerNode)
+	kernelPerIter := realm.Time(2 * 4096 / 4 * 4000 / int64(over.KernelCores))
+	controlPerIter := realm.Time(8) * over.LaunchBase
 	serialized := realm.Time(8) * (kernelPerIter + controlPerIter)
 	if res.Elapsed >= serialized {
 		t.Errorf("no pipelining: elapsed %v >= fully serialized %v", res.Elapsed, serialized)
@@ -239,31 +186,14 @@ func TestIntraLaunchConflictRejected(t *testing.T) {
 		Kernel: func(tc *ir.TaskCtx) {},
 	}
 	p.Add(&ir.Launch{Task: bad, Domain: ir.Colors1D(4), Args: []ir.RegionArg{{Part: pr}, {Part: img}}})
-	sim := realm.MustNewSim(testConfig(2))
-	_, err := New(sim, p, ir.ExecReal).Run()
+	_, err := bench.RunImplicit(p, bench.Config{Nodes: 2})
 	if err == nil || !strings.Contains(err.Error(), "conflicting aliased arguments") {
 		t.Errorf("expected intra-launch conflict error, got %v", err)
 	}
 }
 
-func TestUseDominationKeepsHistoryBounded(t *testing.T) {
-	// Iterating the figure-2 loop many times must not grow the analysis
-	// history: full-partition writers absorb earlier epochs.
-	f := progtest.NewFigure2(48, 8, 20)
-	sim := realm.MustNewSim(testConfig(2))
-	eng := New(sim, f.Prog, ir.ExecModeled)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for root, uses := range eng.users {
-		if len(uses) > 8 {
-			t.Errorf("history for %s grew to %d uses", root.Name(), len(uses))
-		}
-	}
-}
-
 func TestMapperDistribution(t *testing.T) {
-	m := BlockMapper{}
+	m := rt.BlockMapper{}
 	counts := make([]int, 4)
 	for i := 0; i < 16; i++ {
 		n := m.NodeFor(i, 16, 4)

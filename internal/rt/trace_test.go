@@ -1,30 +1,15 @@
-package rt
+package rt_test
 
 import (
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/geometry"
 	"repro/internal/ir"
-	"repro/internal/progtest"
-	"repro/internal/realm"
-	"repro/internal/region"
+	"repro/internal/rt"
 )
-
-// runWithTrace runs a freshly built program under the engine and returns
-// the result plus the trace counters.
-func runWithTrace(t *testing.T, prog *ir.Program, nodes int, mode ir.ExecMode, noTrace bool) (*Result, TraceStats) {
-	t.Helper()
-	sim := realm.MustNewSim(testConfig(nodes))
-	eng := New(sim, prog, mode)
-	eng.NoTrace = noTrace
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, eng.TraceStats()
-}
 
 // TestTraceReplayMatchesUntraced is the core tentpole guarantee: with
 // tracing on, the schedule — virtual times, DES statistics, and Real-mode
@@ -33,14 +18,15 @@ func runWithTrace(t *testing.T, prog *ir.Program, nodes int, mode ir.ExecMode, n
 // back.
 func TestTraceReplayMatchesUntraced(t *testing.T) {
 	for _, mode := range []ir.ExecMode{ir.ExecReal, ir.ExecModeled} {
-		f := progtest.NewFigure2(96, 8, 10)
-		ref, offStats := runWithTrace(t, f.Prog, 4, mode, true)
-		f2 := progtest.NewFigure2(96, 8, 10)
-		got, stats := runWithTrace(t, f2.Prog, 4, mode, false)
+		cfg := bench.Config{Nodes: 4, Mode: mode}
+		got := must(t)(bench.RunImplicit(figure2(96, 8, 10)(), cfg))
+		cfg.NoTrace = true
+		ref := must(t)(bench.RunImplicit(figure2(96, 8, 10)(), cfg))
 
-		if offStats.LoopsTraced != 0 {
-			t.Fatalf("NoTrace engine traced %d loops", offStats.LoopsTraced)
+		if ref.ImplicitTrace.LoopsTraced != 0 {
+			t.Fatalf("NoTrace engine traced %d loops", ref.ImplicitTrace.LoopsTraced)
 		}
+		stats := got.ImplicitTrace
 		if stats.Promotions < 1 || stats.ReplayedIters < 6 {
 			t.Fatalf("trace did not engage: %+v", stats)
 		}
@@ -53,19 +39,7 @@ func TestTraceReplayMatchesUntraced(t *testing.T) {
 		if got.Stats != ref.Stats {
 			t.Errorf("mode %v: Stats %+v with trace, %+v without", mode, got.Stats, ref.Stats)
 		}
-		if mode == ir.ExecReal {
-			for _, pair := range [][2]*region.Region{{f.A, f2.A}, {f.B, f2.B}} {
-				refR, gotR := pair[0], pair[1]
-				refSt, gotSt := ref.Stores[refR], got.Stores[gotR]
-				refR.IndexSpace().Each(func(p geometry.Point) bool {
-					if gotSt.Get(f.Val, p) != refSt.Get(f.Val, p) {
-						t.Fatalf("store %s[%v] = %v traced, %v untraced", refR.Name(), p,
-							gotSt.Get(f.Val, p), refSt.Get(f.Val, p))
-					}
-					return true
-				})
-			}
-		}
+		diff(t, ref.SeqResult, got)
 	}
 }
 
@@ -77,8 +51,7 @@ func TestTraceReplayMatchesUntraced(t *testing.T) {
 // pinned by TestTraceReplayMatchesUntraced; this pins that the dedup
 // actually engages.
 func TestTraceDedupsSharedPoints(t *testing.T) {
-	f := progtest.NewFigure2(96, 8, 10)
-	_, stats := runWithTrace(t, f.Prog, 4, ir.ExecModeled, false)
+	stats := must(t)(bench.RunImplicit(figure2(96, 8, 10)(), bench.Config{Nodes: 4, Mode: ir.ExecModeled})).ImplicitTrace
 	if stats.Promotions < 1 {
 		t.Fatalf("trace did not promote: %+v", stats)
 	}
@@ -90,73 +63,12 @@ func TestTraceDedupsSharedPoints(t *testing.T) {
 // TestTraceReplayDeterministic runs the traced engine twice and requires
 // identical virtual outcomes.
 func TestTraceReplayDeterministic(t *testing.T) {
-	a, _ := runWithTrace(t, progtest.NewFigure2(96, 8, 10).Prog, 4, ir.ExecModeled, false)
-	b, _ := runWithTrace(t, progtest.NewFigure2(96, 8, 10).Prog, 4, ir.ExecModeled, false)
+	cfg := bench.Config{Nodes: 4, Mode: ir.ExecModeled}
+	a := must(t)(bench.RunImplicit(figure2(96, 8, 10)(), cfg))
+	b := must(t)(bench.RunImplicit(figure2(96, 8, 10)(), cfg))
 	if a.Elapsed != b.Elapsed || a.Stats != b.Stats {
 		t.Fatalf("traced run not deterministic: %v/%+v vs %v/%+v", a.Elapsed, a.Stats, b.Elapsed, b.Stats)
 	}
-}
-
-// repartitionProgram builds a loop that increments a field through a
-// disjoint partition, and swaps that partition for a differently-cut one
-// (a mid-loop repartition) at iteration swapAt, via a scalar statement's
-// side effect on the launch's argument. The second partition is disjoint
-// too, or aliased (its first two subregions overlap), which a read-write
-// launch must not be given.
-func repartitionProgram(n, nt int64, trip, swapAt int, aliased bool) (*ir.Program, *region.Region, region.FieldID) {
-	p := ir.NewProgram("repartition")
-	fs := region.NewFieldSpace("v")
-	v := fs.Field("v")
-	r := p.Tree.NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, n-1)))
-	p.FieldSpaces[r] = fs
-
-	pa := r.Block("PA", nt)
-	// A second partition with the same color count but uneven cuts: the
-	// first subregion absorbs half of the second's span.
-	subs := make(map[geometry.Point]geometry.IndexSpace, nt)
-	step := n / nt
-	for i := int64(0); i < nt; i++ {
-		lo, hi := i*step, (i+1)*step-1
-		switch i {
-		case 0:
-			hi += step / 2
-		case 1:
-			if !aliased {
-				lo += step / 2
-			}
-		}
-		subs[geometry.Pt1(i)] = geometry.NewIndexSpace(geometry.R1(lo, hi))
-	}
-	pb := r.BySubsets("PB", geometry.NewIndexSpace(geometry.R1(0, nt-1)), subs)
-
-	task := &ir.TaskDecl{
-		Name:   "inc",
-		Params: []ir.Param{{Priv: ir.PrivReadWrite, Fields: []region.FieldID{v}}},
-		Kernel: func(tc *ir.TaskCtx) {
-			arg := &tc.Args[0]
-			arg.Each(func(pt geometry.Point) bool {
-				arg.Set(v, pt, arg.Get(v, pt)+1)
-				return true
-			})
-		},
-		CostPerElem: 100,
-	}
-	launch := &ir.Launch{Task: task, Domain: ir.Colors1D(nt), Args: []ir.RegionArg{{Part: pa}}}
-	swapped := false
-	p.Add(
-		&ir.FillFunc{Target: r, Field: v, Fn: func(pt geometry.Point) float64 { return float64(pt.X()) }},
-		&ir.Loop{Var: "t", Trip: trip, Body: []ir.Stmt{
-			&ir.SetScalar{Name: "swap", Expr: func(env ir.Env) float64 {
-				if !swapped && int(env.Get("t")) == swapAt {
-					launch.Args[0].Part = pb
-					swapped = true
-				}
-				return 0
-			}},
-			launch,
-		}},
-	)
-	return p, r, v
 }
 
 // TestTraceRepartitionInvalidatesMidLoop is the repartition half of the
@@ -166,10 +78,13 @@ func repartitionProgram(n, nt int64, trip, swapAt int, aliased bool) (*ir.Progra
 // re-promote a trace for the new partition.
 func TestTraceRepartitionInvalidatesMidLoop(t *testing.T) {
 	const trip, swapAt = 14, 6
-	prog, r, v := repartitionProgram(64, 8, trip, swapAt, false)
-	ref, _ := runWithTrace(t, prog, 4, ir.ExecReal, true)
-	prog2, r2, _ := repartitionProgram(64, 8, trip, swapAt, false)
-	got, stats := runWithTrace(t, prog2, 4, ir.ExecReal, false)
+	cfg := bench.Config{Nodes: 4}
+	prog, r, v := rt.RepartitionProgram(64, 8, trip, swapAt, false)
+	got := must(t)(bench.RunImplicit(prog, cfg))
+	prog, _, _ = rt.RepartitionProgram(64, 8, trip, swapAt, false)
+	cfg.NoTrace = true
+	ref := must(t)(bench.RunImplicit(prog, cfg))
+	stats := got.ImplicitTrace
 
 	if stats.Invalidations < 1 {
 		t.Fatalf("repartition did not invalidate the trace: %+v", stats)
@@ -180,28 +95,25 @@ func TestTraceRepartitionInvalidatesMidLoop(t *testing.T) {
 	if got.Elapsed != ref.Elapsed || got.Stats != ref.Stats {
 		t.Errorf("traced: %v/%+v, untraced: %v/%+v", got.Elapsed, got.Stats, ref.Elapsed, ref.Stats)
 	}
-	refSt, gotSt := ref.Stores[r], got.Stores[r2]
+	diff(t, ref.SeqResult, got)
+	// Every element was incremented once per iteration under both
+	// partitionings, so the expected value is known in closed form.
 	r.IndexSpace().Each(func(p geometry.Point) bool {
-		if gotSt.Get(v, p) != refSt.Get(v, p) {
-			t.Fatalf("R[%v] = %v traced, %v untraced", p, gotSt.Get(v, p), refSt.Get(v, p))
-		}
-		// Every element was incremented once per iteration under both
-		// partitionings, so the expected value is known in closed form.
-		if want := float64(p.X()) + trip; gotSt.Get(v, p) != want {
-			t.Fatalf("R[%v] = %v, want %v", p, gotSt.Get(v, p), want)
+		if want := float64(p.X()) + trip; got.Stores[r].Get(v, p) != want {
+			t.Fatalf("R[%v] = %v, want %v", p, got.Stores[r].Get(v, p), want)
 		}
 		return true
 	})
 }
 
-// TestRepartitionedLaunchRunsOverNewSubregions: the fixture above cannot
+// TestRepartitionedLaunchRunsOverNewSubregions: RepartitionProgram cannot
 // tell which partition a kernel ran over, since every element gains 1
 // whichever colour owns it. With tasks adding 1 + their colour it can: the
 // swap at iteration 2 of 4 moves elements 4 and 5 from colour 1 to colour 0,
 // so they gain 2+2+1+1 — with the analysis or the trace in charge.
 func TestRepartitionedLaunchRunsOverNewSubregions(t *testing.T) {
 	for _, noTrace := range []bool{false, true} {
-		prog, r, v := repartitionProgram(16, 4, 4, 2, false)
+		prog, r, v := rt.RepartitionProgram(16, 4, 4, 2, false)
 		launch := prog.Stmts[1].(*ir.Loop).Body[1].(*ir.Launch)
 		launch.Task.Kernel = func(tc *ir.TaskCtx) {
 			arg := &tc.Args[0]
@@ -210,7 +122,7 @@ func TestRepartitionedLaunchRunsOverNewSubregions(t *testing.T) {
 				return true
 			})
 		}
-		res, _ := runWithTrace(t, prog, 4, ir.ExecReal, noTrace)
+		res := must(t)(bench.RunImplicit(prog, bench.Config{MeasureOpts: bench.MeasureOpts{NoTrace: noTrace}, Nodes: 4}))
 		for x := int64(0); x < 16; x++ {
 			want := float64(x + 4*(1+x/4))
 			if x == 4 || x == 5 {
@@ -232,37 +144,13 @@ func TestRepartitionOntoAliasedPartitionRejected(t *testing.T) {
 	const want = "launch inc writes aliased partition PB; tasks of one launch must be independent"
 	for _, swapAt := range []int{0, 3} {
 		for _, noTrace := range []bool{false, true} {
-			prog, _, _ := repartitionProgram(64, 8, 8, swapAt, true)
-			eng := New(realm.MustNewSim(testConfig(4)), prog, ir.ExecReal)
-			eng.NoTrace = noTrace
-			_, err := eng.Run()
+			prog, _, _ := rt.RepartitionProgram(64, 8, 8, swapAt, true)
+			_, err := bench.RunImplicit(prog, bench.Config{MeasureOpts: bench.MeasureOpts{NoTrace: noTrace}, Nodes: 4})
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("swap at %d, NoTrace=%v: error %v does not carry %q", swapAt, noTrace, err, want)
 			}
 		}
 	}
-}
-
-// nonStationaryProgram builds a loop whose launch covers only half of its
-// partition's colors: the writer is never "full", so no epoch entry is ever
-// pruned and the epoch lists grow every iteration.
-func nonStationaryProgram() *ir.Program {
-	n, nt := int64(64), int64(8)
-	p := ir.NewProgram("nonstationary")
-	fs := region.NewFieldSpace("v")
-	v := fs.Field("v")
-	r := p.Tree.NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, n-1)))
-	p.FieldSpaces[r] = fs
-	pa := r.Block("PA", nt)
-	task := &ir.TaskDecl{
-		Name:        "halfinc",
-		Params:      []ir.Param{{Priv: ir.PrivReadWrite, Fields: []region.FieldID{v}}},
-		CostPerElem: 100,
-	}
-	p.Add(&ir.Loop{Var: "t", Trip: 12, Body: []ir.Stmt{
-		&ir.Launch{Task: task, Domain: ir.Colors1D(nt / 2), Args: []ir.RegionArg{{Part: pa}}},
-	}})
-	return p
 }
 
 // TestTraceNonStationaryFallsBack: a loop whose launch covers only part of
@@ -271,9 +159,11 @@ func nonStationaryProgram() *ir.Program {
 // fixpoint. Capture must give up after its attempt budget and leave the
 // (correct) full analysis in charge.
 func TestTraceNonStationaryFallsBack(t *testing.T) {
-	ref, _ := runWithTrace(t, nonStationaryProgram(), 2, ir.ExecModeled, true)
-	got, stats := runWithTrace(t, nonStationaryProgram(), 2, ir.ExecModeled, false)
-	if stats.Abandoned != 1 || stats.Promotions != 0 {
+	cfg := bench.Config{Nodes: 2, Mode: ir.ExecModeled}
+	got := must(t)(bench.RunImplicit(rt.NonStationaryProgram(), cfg))
+	cfg.NoTrace = true
+	ref := must(t)(bench.RunImplicit(rt.NonStationaryProgram(), cfg))
+	if stats := got.ImplicitTrace; stats.Abandoned != 1 || stats.Promotions != 0 {
 		t.Fatalf("non-stationary loop should abandon capture: %+v", stats)
 	}
 	if got.Elapsed != ref.Elapsed || got.Stats != ref.Stats {
@@ -288,19 +178,16 @@ func TestTraceNonStationaryFallsBack(t *testing.T) {
 // what the untraced analysis allocates per steady-state iteration.
 func TestTraceReplayAllocRegression(t *testing.T) {
 	mallocs := func(noTrace bool, trip int) uint64 {
-		f := progtest.NewFigure2(256, 16, trip)
+		prog := figure2(256, 16, trip)()
 		// One node: the event graph carries no cross-node copies, so the DES
 		// floor is minimal and the per-iteration delta is dominated by the
-		// dependence-analysis path the trace is meant to eliminate.
-		sim := realm.MustNewSim(testConfig(1))
-		eng := New(sim, f.Prog, ir.ExecModeled)
-		eng.NoTrace = noTrace
+		// dependence-analysis path the trace is meant to eliminate. The
+		// machine's construction is a fixed cost, so it cancels too.
+		cfg := bench.Config{MeasureOpts: bench.MeasureOpts{NoTrace: noTrace}, Nodes: 1, Mode: ir.ExecModeled}
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		if _, err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		must(t)(bench.RunImplicit(prog, cfg))
 		runtime.ReadMemStats(&m1)
 		return m1.Mallocs - m0.Mallocs
 	}

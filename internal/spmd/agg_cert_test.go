@@ -12,10 +12,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/ir"
-	"repro/internal/spmd"
-	"repro/internal/verify"
 )
 
 func TestCheckAggCertifiesApps(t *testing.T) {
@@ -24,26 +23,13 @@ func TestCheckAggCertifiesApps(t *testing.T) {
 		for _, over := range []int{1, 2} {
 			for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
 				t.Run(fmt.Sprintf("%s/x%d/%v", app.name, over, sync), func(t *testing.T) {
-					prog := app.build(over * nodes)
-					plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes, Sync: sync, Agg: true})
-					if err != nil {
-						t.Fatal(err)
-					}
+					// The runner refuses to run a schedule with any finding.
+					cfg := bench.Config{MeasureOpts: bench.MeasureOpts{Agg: true}, Nodes: nodes, Sync: sync, Mode: ir.ExecModeled}
+					res := must(t)(bench.RunCR(app.build(over*nodes), cfg))
 					var groups, multi int64
-					for _, s := range prog.Stmts {
-						loop, ok := s.(*ir.Loop)
-						if !ok {
+					for _, rep := range res.Suite.Reports {
+						if rep.Pass != "agg" {
 							continue
-						}
-						rep, err := verify.CheckAgg(plans[loop])
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !rep.OK() {
-							for _, f := range rep.Findings {
-								t.Errorf("finding: %s", f)
-							}
-							t.Fatalf("CheckAgg rejected %s's aggregation (%d findings)", app.name, len(rep.Findings))
 						}
 						if rep.Stats.Nodes == 0 || rep.Stats.Conflicts == 0 {
 							t.Errorf("vacuous certification: %+v", rep.Stats)

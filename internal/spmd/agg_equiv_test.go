@@ -5,9 +5,6 @@
 // value or a fold order. On top of equivalence, aggregation must strictly
 // reduce the DES message count on every app's exchange phase, and the two
 // backends must agree exactly on the aggregation counters.
-//
-// Lives in an external test package so it can import the app builders
-// without adding them to spmd's own dependencies.
 package spmd_test
 
 import (
@@ -15,19 +12,12 @@ import (
 	"testing"
 
 	"repro/internal/apps/pennant"
+	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/ir"
-	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/spmd"
 )
-
-// runAgg compiles with aggregation on or off and executes one freshly
-// built program on the chosen backend.
-func runAgg(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend string, agg, noTrace bool) (*ir.SeqResult, realm.Stats) {
-	t.Helper()
-	return execPlans(t, prog, compileVariant(t, prog, nodes, sync, agg, false), nodes, backend, noTrace)
-}
 
 // TestAggEquivalence: coalescing is invisible to the computed values —
 // bitwise — for every app, both lowerings, both backends, with shard plans
@@ -38,9 +28,9 @@ func runAgg(t *testing.T, prog *ir.Program, nodes int, sync cr.SyncMode, backend
 // sequential interpreter's.
 func TestAggEquivalence(t *testing.T) {
 	const nodes = 2
-	backends := []string{"des", "native"}
+	backends := []string{bench.BackendDES, bench.BackendNative}
 	if testing.Short() {
-		backends = []string{"des"}
+		backends = backends[:1]
 	}
 	// over = pieces per shard: 1 is the standard one-piece-per-shard
 	// configuration; 2 overdecomposes so every shard produces several pairs
@@ -51,20 +41,15 @@ func TestAggEquivalence(t *testing.T) {
 			for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
 				for _, backend := range backends {
 					for _, pm := range planModes {
-						name := fmt.Sprintf("%s/x%d/%v/%s/%s", app.name, over, sync, backend, pm.name)
-						t.Run(name, func(t *testing.T) {
-							base, _ := runAgg(t, app.build(over*nodes), nodes, sync, backend, false, pm.noTrace)
-							agged, _ := runAgg(t, app.build(over*nodes), nodes, sync, backend, true, pm.noTrace)
-							if err := progtest.Diff(base, agged); err != nil {
-								t.Error(err)
-							}
-							if over < 2 {
-								return
-							}
-							prog := app.build(over * nodes)
-							composed, _ := execPlans(t, prog, compileVariant(t, prog, nodes, sync, true, true), nodes, backend, pm.noTrace)
-							if err := progtest.Diff(ir.ExecSequential(app.build(over*nodes)), composed); err != nil {
-								t.Error(err)
+						t.Run(fmt.Sprintf("%s/x%d/%v/%s/%s", app.name, over, sync, backend, pm.name), func(t *testing.T) {
+							build := func() *ir.Program { return app.build(over * nodes) }
+							cfg := bench.Config{MeasureOpts: bench.MeasureOpts{Backend: backend, NoTrace: pm.noTrace}, Nodes: nodes, Sync: sync}
+							base := must(t)(bench.RunCR(build(), cfg))
+							cfg.Agg = true
+							diff(t, base.SeqResult, must(t)(bench.RunCR(build(), cfg)))
+							if over == 2 {
+								cfg.Prune = true
+								diff(t, ir.ExecSequential(build()), must(t)(bench.RunCR(build(), cfg)))
 							}
 						})
 					}
@@ -96,8 +81,10 @@ func TestAggReducesMessages(t *testing.T) {
 	const nodes = 4
 	for _, app := range pruneApps {
 		t.Run(app.name, func(t *testing.T) {
-			_, off := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "des", false, false)
-			_, on := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "des", true, false)
+			cfg := bench.Config{Nodes: nodes}
+			off := must(t)(bench.RunCR(app.build(2*nodes), cfg)).Stats
+			cfg.Agg = true
+			on := must(t)(bench.RunCR(app.build(2*nodes), cfg)).Stats
 			if on.Messages >= off.Messages {
 				t.Errorf("aggregation did not reduce messages: %d -> %d", off.Messages, on.Messages)
 			}
@@ -113,11 +100,9 @@ func TestAggReducesMessages(t *testing.T) {
 			if off.Messages-on.Messages != on.AggSavedMessages {
 				t.Errorf("message drop %d does not match AggSavedMessages %d", off.Messages-on.Messages, on.AggSavedMessages)
 			}
-			if pin, ok := aggMessagePins[app.name]; ok {
-				if off.Messages != pin.off || on.Messages != pin.on {
-					t.Errorf("message counts drifted from pins: off %d (want %d), on %d (want %d)",
-						off.Messages, pin.off, on.Messages, pin.on)
-				}
+			if pin := aggMessagePins[app.name]; off.Messages != pin.off || on.Messages != pin.on {
+				t.Errorf("message counts drifted from pins: off %d (want %d), on %d (want %d)",
+					off.Messages, pin.off, on.Messages, pin.on)
 			}
 		})
 	}
@@ -134,19 +119,15 @@ func TestAggCountersCrossBackend(t *testing.T) {
 	const nodes = 2
 	for _, app := range pruneApps {
 		t.Run(app.name, func(t *testing.T) {
-			_, des := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "des", true, false)
-			_, nat := runAgg(t, app.build(2*nodes), nodes, cr.PointToPoint, "native", true, false)
-			if des.Messages != nat.Messages {
-				t.Errorf("Messages diverge: des %d, native %d", des.Messages, nat.Messages)
-			}
-			if des.BytesSent != nat.BytesSent {
-				t.Errorf("BytesSent diverge: des %d, native %d", des.BytesSent, nat.BytesSent)
-			}
-			if des.AggGroups != nat.AggGroups {
-				t.Errorf("AggGroups diverge: des %d, native %d", des.AggGroups, nat.AggGroups)
-			}
-			if des.AggSavedMessages != nat.AggSavedMessages {
-				t.Errorf("AggSavedMessages diverge: des %d, native %d", des.AggSavedMessages, nat.AggSavedMessages)
+			cfg := bench.Config{MeasureOpts: bench.MeasureOpts{Agg: true}, Nodes: nodes}
+			des := must(t)(bench.RunCR(app.build(2*nodes), cfg)).Stats
+			cfg.Backend = bench.BackendNative
+			nat := must(t)(bench.RunCR(app.build(2*nodes), cfg)).Stats
+			if des.Messages != nat.Messages || des.BytesSent != nat.BytesSent ||
+				des.AggGroups != nat.AggGroups || des.AggSavedMessages != nat.AggSavedMessages {
+				t.Errorf("counters diverge: des %d messages, %d bytes, %d groups, %d saved; native %d, %d, %d, %d",
+					des.Messages, des.BytesSent, des.AggGroups, des.AggSavedMessages,
+					nat.Messages, nat.BytesSent, nat.AggGroups, nat.AggSavedMessages)
 			}
 		})
 	}
@@ -160,38 +141,19 @@ func TestAggCountersCrossBackend(t *testing.T) {
 // re-specialized, never re-executed.
 func TestAggFailoverRecovers(t *testing.T) {
 	const nodes = 4
-	run := func(fp *realm.FaultPlan) (*spmd.Result, spmd.TraceStats, *ir.Program) {
-		prog := pennant.Build(pennant.Small(2 * nodes)).Prog
-		plans, err := spmd.CompileAll(prog, cr.Options{NumShards: nodes, Sync: cr.PointToPoint, Agg: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim := realm.MustNewSim(realm.DefaultConfig(nodes))
-		if fp != nil {
-			if err := sim.InjectFaults(*fp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		eng := spmd.New(sim, prog, ir.ExecReal, plans)
-		eng.Recov = spmd.Recovery{MaxRetries: 6, Backoff: realm.Microseconds(200)}
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, eng.TraceStats(), prog
-	}
-	golden, _, _ := run(nil)
-	res, stats, _ := run(&realm.FaultPlan{Seed: 4, CrashRate: 500})
+	cfg := bench.Config{MeasureOpts: bench.MeasureOpts{Agg: true}, Nodes: nodes,
+		Recov: spmd.Recovery{MaxRetries: 6, Backoff: realm.Microseconds(200)}}
+	golden := must(t)(bench.RunCR(pennant.Build(pennant.Small(2*nodes)).Prog, cfg))
+	cfg.Faults = &realm.FaultPlan{Seed: 4, CrashRate: 500}
+	res := must(t)(bench.RunCR(pennant.Build(pennant.Small(2*nodes)).Prog, cfg))
 	if res.Faults == nil || len(res.Faults.Crashes) == 0 {
 		t.Skip("fault plan produced no crashes at this seed; nothing recovered")
 	}
 	if res.Faults.Unrecovered {
 		t.Fatalf("aggregated run degraded: %+v", res.Faults)
 	}
-	if stats.Captures != 1 || stats.PerShardCaptures != 0 {
-		t.Fatalf("aggregated failover re-captured: %+v", stats)
+	if res.CRTrace.Captures != 1 || res.CRTrace.PerShardCaptures != 0 {
+		t.Fatalf("aggregated failover re-captured: %+v", res.CRTrace)
 	}
-	if err := progtest.Diff(seqOf(golden), seqOf(res)); err != nil {
-		t.Error(err)
-	}
+	diff(t, golden.SeqResult, res)
 }

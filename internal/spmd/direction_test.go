@@ -1,14 +1,16 @@
-package spmd
+package spmd_test
 
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/region"
+	"repro/internal/spmd"
 )
 
 // Direction tests for design choices the benchmark's cells do not cover:
@@ -88,98 +90,92 @@ func stencil1D(n, nt int64, trip int, hierarchical bool) (*ir.Program, *ir.Loop)
 	return p, loop
 }
 
-// loopMetrics is what a direction test compares between two configurations.
-type loopMetrics struct {
-	copies    int        // copy ops in the compiled loop body
-	volume    int64      // elements those copies move per iteration
-	perIter   realm.Time // steady-state virtual time per iteration
-	bytesSent int64
-}
-
-// measureLoop compiles the loop with opts, one shard per node, runs it in
-// Modeled mode (window 0 = the engine's default) and collects the metrics.
-func measureLoop(t *testing.T, prog *ir.Program, loop *ir.Loop, nodes int, opts cr.Options, window int, noise realm.NoiseFn) loopMetrics {
-	t.Helper()
-	opts.NumShards = nodes
-	plan, err := cr.Compile(prog, loop, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m loopMetrics
+// copyVolume counts the copy ops of a compiled loop body and the elements
+// they move per iteration.
+func copyVolume(plan *cr.Compiled) (copies int, volume int64) {
 	for _, op := range plan.Body {
 		if op.Copy == nil {
 			continue
 		}
-		m.copies++
+		copies++
 		for _, pr := range op.Copy.Pairs {
-			m.volume += pr.Overlap.Volume()
+			volume += pr.Overlap.Volume()
 		}
 	}
-	eng := New(realm.MustNewSim(realm.DefaultConfig(nodes)), prog, ir.ExecModeled, map[*ir.Loop]*cr.Compiled{loop: plan})
-	if window > 0 {
-		eng.Over.Window = window
-	}
-	eng.Over.Noise = noise
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	times := res.IterTimes[loop]
-	skip := len(times) / 4
-	if skip < 1 {
-		skip = 1
-	}
-	m.perIter = (times[len(times)-1] - times[skip]) / realm.Time(len(times)-1-skip)
-	m.bytesSent = res.Stats.BytesSent
-	return m
+	return copies, volume
 }
 
 // TestHierarchyAblationReducesVolume: the private/ghost split of §4.5 takes
 // the private data out of the copies, so the hierarchical program moves
 // far less than the flat one.
 func TestHierarchyAblationReducesVolume(t *testing.T) {
-	progF, loopF := stencil1D(8000, 8, 4, false)
-	flat := measureLoop(t, progF, loopF, 8, cr.Options{}, 0, nil)
-	progH, loopH := stencil1D(8000, 8, 4, true)
-	hier := measureLoop(t, progH, loopH, 8, cr.Options{}, 0, nil)
-	if hier.volume*10 > flat.volume {
-		t.Errorf("hierarchical copy volume %d should be well below flat %d", hier.volume, flat.volume)
+	run := func(hierarchical bool) (int64, int64) {
+		prog, loop := stencil1D(8000, 8, 4, hierarchical)
+		res := must(t)(bench.RunCR(prog, bench.Config{Nodes: 8, Mode: ir.ExecModeled}))
+		_, volume := copyVolume(res.Plans[loop])
+		return volume, res.Stats.BytesSent
 	}
-	if hier.bytesSent >= flat.bytesSent {
-		t.Errorf("hierarchical bytes %d should be below flat %d", hier.bytesSent, flat.bytesSent)
+	flatVol, flatBytes := run(false)
+	hierVol, hierBytes := run(true)
+	if hierVol*10 > flatVol {
+		t.Errorf("hierarchical copy volume %d should be well below flat %d", hierVol, flatVol)
+	}
+	if hierBytes >= flatBytes {
+		t.Errorf("hierarchical bytes %d should be below flat %d", hierBytes, flatBytes)
 	}
 }
 
 // TestPlacementAblationRemovesCopies: on a program with a redundant
 // write-write-read pattern the §3.2 placement passes leave fewer copies,
-// moving less, than the naive Figure 4a placement.
+// moving less, than the naive Figure 4a placement. Both schedules run and
+// match the sequential semantics. (Config has no NoPlacementOpt, so this
+// row compiles and runs the plans itself.)
 func TestPlacementAblationRemovesCopies(t *testing.T) {
-	build := func() (*ir.Program, *ir.Loop) {
+	build := func() *progtest.Figure2 {
 		f := progtest.NewFigure2(400, 8, 4)
 		tf := f.Loop.Body[0].(*ir.Launch)
 		dup := &ir.Launch{Task: tf.Task, Domain: tf.Domain, Args: tf.Args, Label: "loopF2"}
 		f.Loop.Body = []ir.Stmt{f.Loop.Body[0], dup, f.Loop.Body[1]}
-		return f.Prog, f.Loop
+		return f
 	}
-	progN, loopN := build()
-	naive := measureLoop(t, progN, loopN, 8, cr.Options{NoPlacementOpt: true}, 0, nil)
-	progO, loopO := build()
-	opt := measureLoop(t, progO, loopO, 8, cr.Options{}, 0, nil)
-	if opt.copies >= naive.copies {
-		t.Errorf("optimized copies %d should be below naive %d", opt.copies, naive.copies)
+	run := func(opts cr.Options) (int, int64) {
+		f := build()
+		opts.NumShards = 8
+		plans, err := spmd.CompileAll(f.Prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := spmd.New(realm.MustNewSim(realm.DefaultConfig(8)), f.Prog, ir.ExecReal, plans).Run()
+		if err != nil {
+			t.Fatalf("NoPlacementOpt=%v: %v", opts.NoPlacementOpt, err)
+		}
+		if err := progtest.Diff(ir.ExecSequential(build().Prog), &ir.SeqResult{Stores: res.Stores, Env: res.Env}); err != nil {
+			t.Errorf("NoPlacementOpt=%v: %v", opts.NoPlacementOpt, err)
+		}
+		return copyVolume(plans[f.Loop])
 	}
-	if opt.volume >= naive.volume {
-		t.Errorf("optimized volume %d should be below naive %d", opt.volume, naive.volume)
+	naiveCopies, naiveVol := run(cr.Options{NoPlacementOpt: true})
+	optCopies, optVol := run(cr.Options{})
+	if optCopies >= naiveCopies {
+		t.Errorf("optimized copies %d should be below naive %d", optCopies, naiveCopies)
+	}
+	if optVol >= naiveVol {
+		t.Errorf("optimized volume %d should be below naive %d", optVol, naiveVol)
 	}
 }
 
 // TestWindowAblationDeeperNotSlower: under noise a deeper shard scheduling
 // window absorbs more of the spikes that stall bulk-synchronous codes.
 func TestWindowAblationDeeperNotSlower(t *testing.T) {
-	noise := realm.SpikeNoise(0.05, 0.3, 42)
 	run := func(w int) realm.Time {
 		prog, loop := stencil1D(16000, 16, 16, true)
-		return measureLoop(t, prog, loop, 16, cr.Options{}, w, noise).perIter
+		tune := engineTuning(16)
+		tune.Window, tune.Noise = w, realm.SpikeNoise(0.05, 0.3, 42)
+		per, err := must(t)(bench.RunCR(prog, bench.Config{Nodes: 16, Mode: ir.ExecModeled, Tune: &tune})).SteadyState(loop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return per
 	}
 	if run(4) > run(1) {
 		t.Error("deeper scheduling window should not be slower under noise")

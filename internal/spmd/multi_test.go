@@ -1,14 +1,15 @@
-package spmd
+package spmd_test
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/ir"
 	"repro/internal/progtest"
 	"repro/internal/realm"
-	"repro/internal/region"
+	"repro/internal/spmd"
 )
 
 // TestTwoReplicatedLoops checks that control replication composes across
@@ -17,7 +18,7 @@ import (
 // program"): two separate main loops in one program, each compiled and
 // executed as its own set of shards, with sequential setup in between.
 func TestTwoReplicatedLoops(t *testing.T) {
-	build := func() (*ir.Program, *region.Region, region.FieldID) {
+	build := func() *ir.Program {
 		f := progtest.NewFigure2(48, 6, 2)
 		// Append a second, independently replicated main loop over the same
 		// regions and tasks, separated by a scalar statement.
@@ -28,28 +29,13 @@ func TestTwoReplicatedLoops(t *testing.T) {
 			&ir.Launch{Task: tg.Task, Domain: tg.Domain, Args: tg.Args, Label: "loopG2"},
 		}}
 		f.Prog.Add(&ir.SetScalar{Name: "mid", Expr: ir.ConstExpr(1)}, second)
-		return f.Prog, f.A, f.Val
+		return f.Prog
 	}
-
-	pSeq, rSeq, x := build()
-	seq := ir.ExecSequential(pSeq)
-
-	pCR, rCR, _ := build()
-	plans, err := CompileAll(pCR, cr.Options{NumShards: 3})
-	if err != nil {
-		t.Fatal(err)
+	res := must(t)(bench.RunCR(build(), bench.Config{Nodes: 3}))
+	if len(res.Plans) != 2 {
+		t.Fatalf("plans = %d, want 2 (one per loop)", len(res.Plans))
 	}
-	if len(plans) != 2 {
-		t.Fatalf("plans = %d, want 2 (one per loop)", len(plans))
-	}
-	sim := realm.MustNewSim(testConfig(3))
-	res, err := New(sim, pCR, ir.ExecReal, plans).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stores[rCR].EqualOn(seq.Stores[rSeq], x, rSeq.IndexSpace()) {
-		t.Fatal("two-loop program diverged from sequential semantics")
-	}
+	diff(t, ir.ExecSequential(build()), res)
 	if len(res.IterTimes) != 2 {
 		t.Errorf("iteration times recorded for %d loops, want 2", len(res.IterTimes))
 	}
@@ -57,10 +43,11 @@ func TestTwoReplicatedLoops(t *testing.T) {
 
 // TestInitCopiesExecute exercises the hoisted loop-invariant copy path of
 // the executor: a copy moved to the preheader must still deliver data
-// before the shards start.
+// before the shards start. It edits the compiled plan between compilation
+// and the run, so it drives the engine itself.
 func TestInitCopiesExecute(t *testing.T) {
 	f := progtest.NewFigure2(48, 8, 2)
-	plans, err := CompileAll(f.Prog, cr.Options{NumShards: 4})
+	plans, err := spmd.CompileAll(f.Prog, cr.Options{NumShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,37 +68,24 @@ func TestInitCopiesExecute(t *testing.T) {
 	}
 	plan.InitCopies = append(plan.InitCopies, cp)
 
-	seqF := progtest.NewFigure2(48, 8, 2)
-	seq := ir.ExecSequential(seqF.Prog)
-
-	sim := realm.MustNewSim(testConfig(4))
-	res, err := New(sim, f.Prog, ir.ExecReal, plans).Run()
+	res, err := spmd.New(realm.MustNewSim(realm.DefaultConfig(4)), f.Prog, ir.ExecReal, plans).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stores[f.A].EqualOn(seq.Stores[seqF.A], f.Val, f.A.IndexSpace()) {
-		t.Fatal("run with init copy diverged")
+	if err := progtest.Diff(ir.ExecSequential(figure2(48, 8, 2)()), &ir.SeqResult{Stores: res.Stores, Env: res.Env}); err != nil {
+		t.Fatalf("run with init copy diverged: %v", err)
 	}
 }
 
 // TestShardsSpreadWhenFewerThanNodes checks shard-to-node placement when
 // the domain (and hence shard count) is smaller than the machine.
 func TestShardsSpreadWhenFewerThanNodes(t *testing.T) {
-	f := progtest.NewFigure2(24, 4, 2)
-	plans, err := CompileAll(f.Prog, cr.Options{NumShards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := &launchCounter{Exec: realm.MustNewSim(testConfig(8)), perNode: make([]int, 8)} // 8 nodes, 4 shards
-	res, err := New(x, f.Prog, ir.ExecReal, plans).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqF := progtest.NewFigure2(24, 4, 2)
-	seq := ir.ExecSequential(seqF.Prog)
-	if !res.Stores[f.A].EqualOn(seq.Stores[seqF.A], f.Val, f.A.IndexSpace()) {
-		t.Fatal("spread-shard run diverged")
-	}
+	build := figure2(24, 4, 2)
+	mc := realm.DefaultConfig(8)
+	mc.CoresPerNode = 4
+	x := &launchCounter{Exec: realm.MustNewSim(mc), perNode: make([]int, 8)}
+	res := must(t)(bench.RunCR(build(), bench.Config{Nodes: 8, Shards: 4, Exec: x}))
+	diff(t, ir.ExecSequential(build()), res)
 	// Shards must land on distinct nodes (0,2,4,6 under block spreading).
 	var busy []int
 	for i, n := range x.perNode {
@@ -139,36 +113,17 @@ func (c *launchCounter) LaunchOn(node int, pre realm.Event, dur realm.Time, body
 // TestNoiseDeterminism: noise-perturbed runs are still exactly
 // reproducible.
 func TestNoiseDeterminism(t *testing.T) {
-	run := func() realm.Time {
-		f := progtest.NewFigure2(48, 8, 5)
-		plans, err := CompileAll(f.Prog, cr.Options{NumShards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim := realm.MustNewSim(testConfig(4))
-		eng := New(sim, f.Prog, ir.ExecModeled, plans)
-		eng.Over.Noise = realm.SpikeNoise(0.9, 1.0, 7)
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Elapsed
+	run := func(noise realm.NoiseFn) realm.Time {
+		tune := engineTuning(4)
+		tune.Noise = noise
+		return must(t)(bench.RunCR(figure2(48, 8, 5)(), bench.Config{Nodes: 4, Mode: ir.ExecModeled, Tune: &tune})).Elapsed
 	}
-	clean := func() realm.Time {
-		f := progtest.NewFigure2(48, 8, 5)
-		plans, _ := CompileAll(f.Prog, cr.Options{NumShards: 4})
-		sim := realm.MustNewSim(testConfig(4))
-		res, err := New(sim, f.Prog, ir.ExecModeled, plans).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Elapsed
-	}
-	a, b := run(), run()
+	noisy := realm.SpikeNoise(0.9, 1.0, 7)
+	a, b := run(noisy), run(noisy)
 	if a != b {
 		t.Fatalf("noisy runs diverged: %v vs %v", a, b)
 	}
-	if a <= clean() {
+	if a <= run(nil) {
 		t.Error("noise should slow the run down")
 	}
 }

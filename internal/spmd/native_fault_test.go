@@ -1,4 +1,4 @@
-package spmd
+package spmd_test
 
 import (
 	"errors"
@@ -6,37 +6,26 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cr"
+	"repro/internal/bench"
 	"repro/internal/ir"
-	"repro/internal/progtest"
 	"repro/internal/realm"
 	"repro/internal/realm/native"
+	"repro/internal/spmd"
 )
 
-// runCRNative runs the Figure 2 program on the native backend with an
-// optional seeded fault plan and recovery settings, returning the result
-// and trace counters. The watchdog window is shortened so an accidental
-// recovery deadlock fails the test in milliseconds, not minutes.
-func runCRNative(t *testing.T, f *progtest.Figure2, nodes, shards int, fp *realm.FaultPlan, rec Recovery) (*Result, TraceStats) {
-	t.Helper()
-	plans, err := CompileAll(f.Prog, cr.Options{NumShards: shards})
-	if err != nil {
-		t.Fatal(err)
+// onNative is a fault-tolerance row on a 4-node native machine whose
+// watchdog window is short, so an accidental recovery deadlock fails the
+// test in milliseconds, not minutes. A seeded crash plan goes with it.
+func onNative(seed uint64, watchdog time.Duration) bench.Config {
+	mc := realm.DefaultConfig(4)
+	mc.CoresPerNode = 4
+	m := native.MustNewMachine(mc)
+	m.SetHangTimeout(watchdog)
+	cfg := bench.Config{Nodes: 4, Exec: m, Recov: spmd.Recovery{CheckpointEvery: 2, MaxRetries: 6, Backoff: realm.Microseconds(200)}}
+	if seed != 0 {
+		cfg.Faults = &realm.FaultPlan{Seed: seed, CrashRate: 100}
 	}
-	m := native.MustNewMachine(testConfig(nodes))
-	m.SetHangTimeout(2 * time.Second)
-	if fp != nil {
-		if err := m.InjectFaults(*fp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng := New(m, f.Prog, ir.ExecReal, plans)
-	eng.Recov = rec
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, eng.TraceStats()
+	return cfg
 }
 
 // TestNativeCrashFailoverShipsTrace is the native half of the trace-ship
@@ -46,11 +35,9 @@ func runCRNative(t *testing.T, f *progtest.Figure2, nodes, shards int, fp *realm
 // Stores stay bitwise equal to the fault-free run and to sequential
 // semantics.
 func TestNativeCrashFailoverShipsTrace(t *testing.T) {
-	const nodes, shards = 4, 4
-	rec := Recovery{CheckpointEvery: 2, MaxRetries: 6, Backoff: realm.Microseconds(200)}
-
-	golden := progtest.NewFigure2(48, 8, 8)
-	res0, stats0 := runCRNative(t, golden, nodes, shards, nil, rec)
+	build := figure2(48, 8, 8)
+	res0 := must(t)(bench.RunCR(build(), onNative(0, 2*time.Second)))
+	stats0 := res0.CRTrace
 	if stats0.Captures != 1 || stats0.PerShardCaptures != 0 {
 		t.Fatalf("fault-free counters %+v, want exactly one shared capture", stats0)
 	}
@@ -66,9 +53,8 @@ func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 	// enough that nodes 2 and 3 survive to receive trace shipments
 	// (pre-failover, each node's launches are issued by its one shard
 	// agent, so the per-node draw sequence is reproducible).
-	f := progtest.NewFigure2(48, 8, 8)
-	fp := &realm.FaultPlan{Seed: 29, CrashRate: 100}
-	got, stats := runCRNative(t, f, nodes, shards, fp, rec)
+	got := must(t)(bench.RunCR(build(), onNative(29, 2*time.Second)))
+	stats := got.CRTrace
 
 	if got.Faults == nil || len(got.Faults.Crashes) == 0 || got.Faults.Restarts < 1 {
 		t.Fatalf("fault report = %+v, want at least 1 crash and 1 restart", got.Faults)
@@ -89,7 +75,7 @@ func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 	if stats.Ships == 0 {
 		t.Errorf("failover shipped nothing: %+v", stats)
 	}
-	if want := int64(stats.Ships) * captureWireSize(t, f.Prog, shards); stats.ShippedBytes != want {
+	if want := int64(stats.Ships) * captureWireSize(t, got.Plans); stats.ShippedBytes != want {
 		t.Errorf("ShippedBytes = %d, want %d (%d ships of the tables' wire size)", stats.ShippedBytes, want, stats.Ships)
 	}
 	if got.Stats.TraceShips != int64(stats.Ships) || got.Stats.TraceShipBytes != stats.ShippedBytes {
@@ -102,12 +88,8 @@ func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 
 	// The keystone: recovered native stores are bitwise equal to the
 	// fault-free native run and to sequential semantics.
-	assertEqualStores(t, res0.Stores[golden.A], got.Stores[f.A], f.A, f.Val)
-	assertEqualStores(t, res0.Stores[golden.B], got.Stores[f.B], f.B, f.Val)
-	refSeq := progtest.NewFigure2(48, 8, 8)
-	seq := ir.ExecSequential(refSeq.Prog)
-	assertEqualStores(t, seq.Stores[refSeq.A], got.Stores[f.A], f.A, f.Val)
-	assertEqualStores(t, seq.Stores[refSeq.B], got.Stores[f.B], f.B, f.Val)
+	diff(t, res0.SeqResult, got)
+	diff(t, ir.ExecSequential(build()), got)
 }
 
 // TestNativeCrashSetDeterminism pins the native determinism scope: with
@@ -118,19 +100,14 @@ func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 // a crash whose winning draw sits well inside the node's launch stream
 // lands on every run.)
 func TestNativeCrashSetDeterminism(t *testing.T) {
-	const nodes, shards = 4, 4
-	rec := Recovery{CheckpointEvery: 2, MaxRetries: 6, Backoff: realm.Microseconds(200)}
-	run := func() ([]realm.NodeCrash, *Result, *progtest.Figure2) {
-		f := progtest.NewFigure2(48, 8, 8)
-		fp := &realm.FaultPlan{Seed: 29, CrashRate: 100}
-		res, _ := runCRNative(t, f, nodes, shards, fp, rec)
+	run := func() *bench.Result {
+		res := must(t)(bench.RunCR(figure2(48, 8, 8)(), onNative(29, 2*time.Second)))
 		if res.Faults == nil || res.Faults.Unrecovered {
 			t.Fatalf("run did not recover: %+v", res.Faults)
 		}
-		return res.Faults.Crashes, res, f
+		return res
 	}
-	c1, r1, f1 := run()
-	c2, r2, f2 := run()
+	r1, r2 := run(), run()
 	nodesOf := func(cs []realm.NodeCrash) string {
 		s := ""
 		for _, c := range cs {
@@ -138,11 +115,10 @@ func TestNativeCrashSetDeterminism(t *testing.T) {
 		}
 		return s
 	}
-	if nodesOf(c1) != nodesOf(c2) {
+	if c1, c2 := r1.Faults.Crashes, r2.Faults.Crashes; nodesOf(c1) != nodesOf(c2) {
 		t.Errorf("same seed crashed different node sets: %v vs %v", c1, c2)
 	}
-	assertEqualStores(t, r1.Stores[f1.A], r2.Stores[f2.A], f2.A, f2.Val)
-	assertEqualStores(t, r1.Stores[f1.B], r2.Stores[f2.B], f2.B, f2.Val)
+	diff(t, r1.SeqResult, r2)
 }
 
 // TestNativeDoubleFailover drives two successive crashes on the native
@@ -151,24 +127,18 @@ func TestNativeCrashSetDeterminism(t *testing.T) {
 // Seed 41's draws kill node 2 first and node 1 later (after the first
 // failover has remapped shards), exercising restart-upon-restarted-state.
 func TestNativeDoubleFailover(t *testing.T) {
-	const nodes, shards = 4, 4
-	rec := Recovery{CheckpointEvery: 2, MaxRetries: 6, Backoff: realm.Microseconds(200)}
-	f := progtest.NewFigure2(48, 8, 8)
-	fp := &realm.FaultPlan{Seed: 41, CrashRate: 100}
-	got, stats := runCRNative(t, f, nodes, shards, fp, rec)
+	build := figure2(48, 8, 8)
+	got := must(t)(bench.RunCR(build(), onNative(41, 2*time.Second)))
 	if got.Faults == nil || len(got.Faults.Crashes) < 2 || got.Faults.Restarts < 2 {
 		t.Fatalf("fault report = %+v, want two crashes and two restarts", got.Faults)
 	}
 	if got.Faults.Unrecovered {
 		t.Fatalf("run degraded unexpectedly: %+v", got.Faults)
 	}
-	if stats.Captures != 1 || stats.PerShardCaptures != 0 {
-		t.Errorf("double failover re-captured: %+v", stats)
+	if st := got.CRTrace; st.Captures != 1 || st.PerShardCaptures != 0 {
+		t.Errorf("double failover re-captured: %+v", st)
 	}
-	refSeq := progtest.NewFigure2(48, 8, 8)
-	seq := ir.ExecSequential(refSeq.Prog)
-	assertEqualStores(t, seq.Stores[refSeq.A], got.Stores[f.A], f.A, f.Val)
-	assertEqualStores(t, seq.Stores[refSeq.B], got.Stores[f.B], f.B, f.Val)
+	diff(t, ir.ExecSequential(build()), got)
 }
 
 // TestNativeHangWithoutRecovery pins the watchdog's integration with the
@@ -177,18 +147,9 @@ func TestNativeDoubleFailover(t *testing.T) {
 // a structured error from the native watchdog naming the stuck agents —
 // the analogue of the DES DeadlockError — rather than wedging the test.
 func TestNativeHangWithoutRecovery(t *testing.T) {
-	f := progtest.NewFigure2(48, 8, 8)
-	plans, err := CompileAll(f.Prog, cr.Options{NumShards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := native.MustNewMachine(testConfig(4))
-	m.SetHangTimeout(50 * time.Millisecond)
-	if err := m.InjectFaults(realm.FaultPlan{Seed: 11, CrashRate: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	eng := New(m, f.Prog, ir.ExecReal, plans)
-	_, err = eng.Run()
+	cfg := onNative(11, 50*time.Millisecond)
+	cfg.Recov, cfg.Faults.CrashRate = spmd.Recovery{}, 2000
+	_, err := bench.RunCR(figure2(48, 8, 8)(), cfg)
 	if err == nil {
 		t.Fatal("crash without recovery completed; the lost shard should hang the run")
 	}

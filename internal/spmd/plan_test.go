@@ -1,62 +1,47 @@
-package spmd
+package spmd_test
 
 import (
 	"testing"
 
-	"repro/internal/cr"
+	"repro/internal/bench"
 	"repro/internal/ir"
 	"repro/internal/progtest"
 	"repro/internal/realm"
+	"repro/internal/spmd"
 )
-
-// runCRTrace runs the program under SPMD with tracing on or off and
-// returns the result plus the trace counters.
-func runCRTrace(t *testing.T, prog *ir.Program, nodes, shards int, sync cr.SyncMode, mode ir.ExecMode, noTrace bool) (*Result, TraceStats) {
-	t.Helper()
-	plans, err := CompileAll(prog, cr.Options{NumShards: shards, Sync: sync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := realm.MustNewSim(testConfig(nodes))
-	eng := New(sim, prog, mode, plans)
-	eng.NoTrace = noTrace
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, eng.TraceStats()
-}
 
 // TestPlanReplayMatchesReResolved is the SPMD half of the tentpole
 // guarantee: a memoized plan must engage (one plan per shard, every
 // iteration executed from it) and leave the schedule — virtual time, DES
-// stats, and Real-mode region contents — bitwise identical to the run that
-// re-resolves its plan every iteration. Covers halo exchange (Figure2),
-// region reduction with fold chains, and scalar reduction with
-// future-valued scalars.
+// stats, and Real-mode region contents and scalars — bitwise identical to
+// the run that re-resolves its plan every iteration, and to sequential
+// semantics. Covers halo exchange (Figure2), region reduction with fold
+// chains, and scalar reduction with future-valued scalars.
 func TestPlanReplayMatchesReResolved(t *testing.T) {
-	const shards, nodes = 4, 4
+	const shards = 4
 	for _, tc := range []struct {
 		name  string
 		build func() *ir.Program
 		trip  int
 	}{
-		{"figure2", func() *ir.Program { return progtest.NewFigure2(48, 8, 6).Prog }, 6},
+		{"figure2", figure2(48, 8, 6), 6},
 		{"regionReduce", func() *ir.Program { return progtest.NewRegionReduce(32, 4, 3).Prog }, 3},
 		{"scalarSum", func() *ir.Program { return progtest.NewScalarSum(40, 8).Prog }, 2},
 	} {
 		for _, mode := range []ir.ExecMode{ir.ExecReal, ir.ExecModeled} {
-			ref, offStats := runCRTrace(t, tc.build(), nodes, shards, cr.PointToPoint, mode, true)
-			got, stats := runCRTrace(t, tc.build(), nodes, shards, cr.PointToPoint, mode, false)
+			cfg := bench.Config{Nodes: shards, Mode: mode}
+			got := must(t)(bench.RunCR(tc.build(), cfg))
+			cfg.NoTrace = true
+			ref := must(t)(bench.RunCR(tc.build(), cfg))
 
-			if offStats != (TraceStats{}) {
-				t.Fatalf("%s: NoTrace engine built plans: %+v", tc.name, offStats)
+			if ref.CRTrace != (spmd.TraceStats{}) {
+				t.Fatalf("%s: NoTrace engine built plans: %+v", tc.name, ref.CRTrace)
 			}
-			if stats.Captures != 1 || stats.Specializations != shards || stats.PerShardCaptures != 0 {
-				t.Errorf("%s mode %v: capture counters %+v, want one shared capture specialized to %d shards", tc.name, mode, stats, shards)
+			if st := got.CRTrace; st.Captures != 1 || st.Specializations != shards || st.PerShardCaptures != 0 {
+				t.Errorf("%s mode %v: capture counters %+v, want one shared capture specialized to %d shards", tc.name, mode, st, shards)
 			}
-			if want := shards * tc.trip; tc.trip > 0 && stats.ReplayedIters != want {
-				t.Errorf("%s mode %v: replayed %d shard-iterations, want %d", tc.name, mode, stats.ReplayedIters, want)
+			if want := shards * tc.trip; got.CRTrace.ReplayedIters != want {
+				t.Errorf("%s mode %v: replayed %d shard-iterations, want %d", tc.name, mode, got.CRTrace.ReplayedIters, want)
 			}
 			if got.Elapsed != ref.Elapsed {
 				t.Errorf("%s mode %v: Elapsed %d traced, %d untraced", tc.name, mode, got.Elapsed, ref.Elapsed)
@@ -65,22 +50,11 @@ func TestPlanReplayMatchesReResolved(t *testing.T) {
 				t.Errorf("%s mode %v: Stats %+v traced, %+v untraced", tc.name, mode, got.Stats, ref.Stats)
 			}
 			if mode == ir.ExecReal {
-				for k, v := range ref.Env {
-					if got.Env[k] != v {
-						t.Errorf("%s: scalar %q = %v traced, %v untraced", tc.name, k, got.Env[k], v)
-					}
-				}
+				diff(t, ref.SeqResult, got)
+				diff(t, ir.ExecSequential(tc.build()), got)
 			}
 		}
 	}
-
-	// Real-mode store contents, checked against sequential semantics and the
-	// untraced run on the same program objects.
-	f := progtest.NewFigure2(48, 8, 6)
-	seq := ir.ExecSequential(f.Prog)
-	got, _ := runCRTrace(t, f.Prog, nodes, shards, cr.PointToPoint, ir.ExecReal, false)
-	assertEqualStores(t, seq.Stores[f.A], got.Stores[f.A], f.A, f.Val)
-	assertEqualStores(t, seq.Stores[f.B], got.Stores[f.B], f.B, f.Val)
 }
 
 // TestPlanFailoverInvalidates is the SPMD half of the PR 3 invalidation
@@ -92,48 +66,30 @@ func TestPlanReplayMatchesReResolved(t *testing.T) {
 // (shared capture survives the rebuild and is shipped to the restarted
 // shard) is covered by share_test.go.
 func TestPlanFailoverInvalidates(t *testing.T) {
-	const nodes, shards = 4, 4
-	rec := Recovery{CheckpointEvery: 2, MaxRetries: 3, Backoff: realm.Microseconds(50)}
-	run := func(fp *realm.FaultPlan, noTrace bool) (*Result, TraceStats, *progtest.Figure2) {
-		f := progtest.NewFigure2(48, 8, 8)
-		plans, err := CompileAll(f.Prog, cr.Options{NumShards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim := realm.MustNewSim(testConfig(nodes))
-		if fp != nil {
-			if err := sim.InjectFaults(*fp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		eng := New(sim, f.Prog, ir.ExecReal, plans)
-		eng.Recov = rec
-		eng.NoTrace = noTrace
-		eng.NoShare = true
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, eng.TraceStats(), f
-	}
+	const shards = 4
+	build := figure2(48, 8, 8)
+	cfg := recovered(3)
+	cfg.NoShare = true
 
 	// Fault-free first, to time the crash mid-run and to pin the baseline:
 	// plans persist across checkpointed epochs of one run state.
-	res0, stats0, _ := run(nil, false)
-	if stats0.PerShardCaptures != shards || stats0.Captures != 0 {
-		t.Fatalf("fault-free NoShare recovery run captured %+v, want %d per-shard plans across all epochs and no shared capture", stats0, shards)
+	res0 := must(t)(bench.RunCR(build(), cfg))
+	if st := res0.CRTrace; st.PerShardCaptures != shards || st.Captures != 0 {
+		t.Fatalf("fault-free NoShare recovery run captured %+v, want %d per-shard plans across all epochs and no shared capture", st, shards)
 	}
 
-	fp := &realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: res0.Elapsed / 2}}}
-	ref, refStats, fRef := run(fp, true)
-	got, stats, f := run(fp, false)
+	cfg = crashes(cfg, realm.NodeCrash{Node: 2, At: res0.Elapsed / 2})
+	got := must(t)(bench.RunCR(build(), cfg))
+	cfg.NoTrace = true
+	ref := must(t)(bench.RunCR(build(), cfg))
 
 	if ref.Faults == nil || len(ref.Faults.Crashes) != 1 || ref.Faults.Restarts < 1 {
 		t.Fatalf("fault report = %+v, want 1 crash and at least 1 restart", ref.Faults)
 	}
-	if refStats != (TraceStats{}) {
-		t.Fatalf("NoTrace faulty run built plans: %+v", refStats)
+	if ref.CRTrace != (spmd.TraceStats{}) {
+		t.Fatalf("NoTrace faulty run built plans: %+v", ref.CRTrace)
 	}
+	stats := got.CRTrace
 	// The failover rebuilt the run state, so every surviving shard
 	// re-captured under the new placement, and the discarded plans were
 	// counted as invalidations.
@@ -147,7 +103,7 @@ func TestPlanFailoverInvalidates(t *testing.T) {
 	// their range ends — also when the failover kills them mid-epoch. The
 	// abandoned epoch's 2 iterations x 4 shards were all issued before the
 	// kill and are re-executed after it, so they count twice.
-	if want := shards*8 + shards*rec.CheckpointEvery; stats.ReplayedIters != want {
+	if want := shards*8 + shards*cfg.Recov.CheckpointEvery; stats.ReplayedIters != want {
 		t.Errorf("ReplayedIters = %d, want %d (killed shards' completed iterations included)", stats.ReplayedIters, want)
 	}
 	if stats.Ships != 0 || stats.ShippedBytes != 0 {
@@ -156,26 +112,17 @@ func TestPlanFailoverInvalidates(t *testing.T) {
 	if got.Elapsed != ref.Elapsed || got.Stats != ref.Stats {
 		t.Errorf("traced faulty run diverged: %v/%+v vs %v/%+v", got.Elapsed, got.Stats, ref.Elapsed, ref.Stats)
 	}
-	assertEqualStores(t, ref.Stores[fRef.A], got.Stores[f.A], f.A, f.Val)
-	assertEqualStores(t, ref.Stores[fRef.B], got.Stores[f.B], f.B, f.Val)
-
+	diff(t, ref.SeqResult, got)
 	// And the recovered contents still match sequential semantics.
-	refSeq := progtest.NewFigure2(48, 8, 8)
-	seq := ir.ExecSequential(refSeq.Prog)
-	assertEqualStores(t, seq.Stores[refSeq.A], got.Stores[f.A], f.A, f.Val)
-	assertEqualStores(t, seq.Stores[refSeq.B], got.Stores[f.B], f.B, f.Val)
+	diff(t, ir.ExecSequential(build()), got)
 }
 
 // TestPlanReplayDeterministic: two traced runs are byte-identical.
 func TestPlanReplayDeterministic(t *testing.T) {
-	run := func() (realm.Time, realm.Stats) {
-		f := progtest.NewFigure2(48, 8, 6)
-		res, _ := runCRTrace(t, f.Prog, 4, 4, cr.PointToPoint, ir.ExecModeled, false)
-		return res.Elapsed, res.Stats
+	run := func() *bench.Result {
+		return must(t)(bench.RunCR(figure2(48, 8, 6)(), bench.Config{Nodes: 4, Mode: ir.ExecModeled}))
 	}
-	e1, s1 := run()
-	e2, s2 := run()
-	if e1 != e2 || s1 != s2 {
-		t.Fatalf("traced SPMD run not deterministic: %v/%+v vs %v/%+v", e1, s1, e2, s2)
+	if a, b := run(), run(); a.Elapsed != b.Elapsed || a.Stats != b.Stats {
+		t.Fatalf("traced SPMD run not deterministic: %v/%+v vs %v/%+v", a.Elapsed, a.Stats, b.Elapsed, b.Stats)
 	}
 }

@@ -1,8 +1,9 @@
-package spmd
+package spmd_test
 
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/progtest"
 	"repro/internal/realm"
 )
@@ -10,26 +11,20 @@ import (
 // Review repro: scan crash times; whenever recovery claims success,
 // stores must match the fault-free run.
 func TestReviewScanCrashTimes(t *testing.T) {
-	build := func() *progtest.Figure2 { return progtest.NewFigure2(48, 8, 8) }
-	rec := Recovery{CheckpointEvery: 100, MaxRetries: 3, Backoff: realm.Microseconds(50)} // single epoch: no checkpoint ever taken
-	golden := build()
-	res0, err := runCRFaulty(t, golden, 4, 4, nil, rec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	build := figure2(48, 8, 8)
+	cfg := recovered(3)
+	cfg.Recov.CheckpointEvery = 100 // single epoch: no checkpoint ever taken
+	res0 := must(t)(bench.RunCR(build(), cfg))
 	bad := 0
 	for frac := 50; frac <= 99; frac++ {
 		at := res0.Elapsed * realm.Time(frac) / 100
-		f := build()
-		fp := &realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: at}}}
-		res, err := runCRFaulty(t, f, 4, 4, fp, rec, nil)
+		res, err := bench.RunCR(build(), crashes(cfg, realm.NodeCrash{Node: 2, At: at}))
 		if err != nil || (res.Faults != nil && res.Faults.Unrecovered) {
 			continue // degraded or failed runs are allowed to be partial
 		}
-		if !res.Stores[f.A].EqualOn(res0.Stores[golden.A], 0, f.A.IndexSpace()) ||
-			!res.Stores[f.B].EqualOn(res0.Stores[golden.B], 0, f.B.IndexSpace()) {
+		if err := progtest.Diff(res0.SeqResult, res.SeqResult); err != nil {
 			bad++
-			t.Logf("crash at %d%% (t=%d): recovery reported success but stores are WRONG (restarts=%d)", frac, at, res.Faults.Restarts)
+			t.Logf("crash at %d%% (t=%d): recovery reported success but stores are WRONG (restarts=%d): %v", frac, at, res.Faults.Restarts, err)
 		}
 	}
 	if bad > 0 {

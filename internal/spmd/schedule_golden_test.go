@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/ir"
 	"repro/internal/progtest"
@@ -65,34 +66,6 @@ func goldenProgs() []goldenProg {
 		}})
 	}
 	return progs
-}
-
-// goldenRun is one engine run of a matrix cell.
-type goldenRun struct {
-	prog  *ir.Program
-	plans map[*ir.Loop]*cr.Compiled
-	res   *spmd.Result
-	trace spmd.TraceStats
-}
-
-// runGoldenCell compiles and runs one cell on the DES.
-func runGoldenCell(t *testing.T, p goldenProg, sync cr.SyncMode, variant string, mode ir.ExecMode, noTrace, noShare bool) goldenRun {
-	t.Helper()
-	pieces := p.shards
-	if variant == "agg" {
-		pieces = 2 * p.shards
-	}
-	prog := p.build(pieces)
-	plans := compileVariant(t, prog, p.shards, sync, variant == "agg", variant == "prune")
-	cfg := realm.DefaultConfig(p.shards)
-	cfg.CoresPerNode = 4
-	eng := spmd.New(realm.MustNewSim(cfg), prog, mode, plans)
-	eng.NoTrace, eng.NoShare = noTrace, noShare
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return goldenRun{prog, plans, res, eng.TraceStats()}
 }
 
 // wantTrace is the executor's memoization and sharing rules as data: a
@@ -151,15 +124,20 @@ func TestScheduleGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type engineCfg struct{ noTrace, noShare bool }
-	cfgs := []engineCfg{{true, false}, {true, true}, {false, false}, {false, true}}
+	// The engine configurations: plan memoized or re-resolved, shared
+	// capture or per-shard. The first is the one the golden was made with.
+	engines := []bench.MeasureOpts{{NoTrace: true}, {NoTrace: true, NoShare: true}, {}, {NoShare: true}}
 	if *updateGolden {
-		cfgs = cfgs[:1]
+		engines = engines[:1]
 	}
 	seen, barrierCells, trip1Cells, raggedCells := 0, 0, 0, 0
 	for _, p := range goldenProgs() {
 		for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
 			for _, variant := range []string{"plain", "agg", "prune"} {
+				pieces := p.shards
+				if variant == "agg" {
+					pieces = 2 * p.shards
+				}
 				for _, mode := range []ir.ExecMode{ir.ExecModeled, ir.ExecReal} {
 					modeName := "modeled"
 					if mode == ir.ExecReal {
@@ -167,33 +145,38 @@ func TestScheduleGolden(t *testing.T) {
 					}
 					key := fmt.Sprintf("%s/%v/%s/%s", p.name, sync, variant, modeName)
 					seen++
-					for i, c := range cfgs {
-						run := runGoldenCell(t, p, sync, variant, mode, c.noTrace, c.noShare)
+					for i, opts := range engines {
+						opts.Agg, opts.Prune = variant == "agg", variant == "prune"
+						prog := p.build(pieces)
+						mc := realm.DefaultConfig(p.shards)
+						mc.CoresPerNode = 4 // the size the golden was recorded at
+						res := must(t)(bench.RunCR(prog, bench.Config{MeasureOpts: opts, Nodes: p.shards, Sync: sync, Mode: mode, Exec: realm.MustNewSim(mc)}))
+						label := fmt.Sprintf("%s NoTrace=%v NoShare=%v", key, opts.NoTrace, opts.NoShare)
 						if i == 0 {
 							if sync == cr.BarrierSync {
 								barrierCells++
 							}
-							if hasTrip1(run.plans) {
+							if hasTrip1(res.Plans) {
 								trip1Cells++
 							}
-							if ragged(run.plans) {
+							if ragged(res.Plans) {
 								raggedCells++
 							}
 						}
-						got := scheduleCell{run.res.Elapsed, run.res.Stats}
+						got := scheduleCell{res.Elapsed, res.Stats}
 						if *updateGolden {
 							golden[key] = got
 						} else if want, ok := golden[key]; !ok {
 							t.Errorf("%s: no golden entry", key)
 						} else if got != want {
-							t.Errorf("%s NoTrace=%v NoShare=%v:\n got %+v\nwant %+v", key, c.noTrace, c.noShare, got, want)
+							t.Errorf("%s:\n got %+v\nwant %+v", label, got, want)
 						}
-						if want := wantTrace(run.plans, c.noTrace, c.noShare); run.trace != want {
-							t.Errorf("%s NoTrace=%v NoShare=%v: trace counters\n got %+v\nwant %+v", key, c.noTrace, c.noShare, run.trace, want)
+						if want := wantTrace(res.Plans, opts.NoTrace, opts.NoShare); res.CRTrace != want {
+							t.Errorf("%s: trace counters\n got %+v\nwant %+v", label, res.CRTrace, want)
 						}
 						if mode == ir.ExecReal {
-							if err := progtest.Diff(ir.ExecSequential(run.prog), seqOf(run.res)); err != nil {
-								t.Errorf("%s NoTrace=%v NoShare=%v: %v", key, c.noTrace, c.noShare, err)
+							if err := progtest.Diff(ir.ExecSequential(prog), res.SeqResult); err != nil {
+								t.Errorf("%s: %v", label, err)
 							}
 						}
 					}

@@ -1,123 +1,125 @@
-package spmd
+// The executor's tests run their programs through bench.RunCR (and the
+// implicit runtime's through bench.RunImplicit): a test is a set of
+// bench.Config rows, and a store check reads the run's *ir.SeqResult
+// through progtest.Diff, against the sequential interpreter or another row.
+// They live outside package spmd because bench imports it.
+package spmd_test
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/apps/circuit"
+	"repro/internal/apps/miniaero"
+	"repro/internal/apps/pennant"
+	"repro/internal/apps/stencil"
+	"repro/internal/bench"
 	"repro/internal/cr"
-	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/progtest"
 	"repro/internal/realm"
-	"repro/internal/region"
-	"repro/internal/rt"
+	"repro/internal/spmd"
 )
 
-func testConfig(nodes int) realm.Config {
-	cfg := realm.DefaultConfig(nodes)
-	cfg.CoresPerNode = 4
-	return cfg
+// must returns the record of a run the test expects to succeed.
+func must(t *testing.T) func(*bench.Result, error) *bench.Result {
+	return func(r *bench.Result, err error) *bench.Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 }
 
-// runCR compiles every loop and executes the program under SPMD.
-func runCR(t *testing.T, prog *ir.Program, nodes, shards int, sync cr.SyncMode, mode ir.ExecMode) *Result {
-	t.Helper()
-	plans, err := CompileAll(prog, cr.Options{NumShards: shards, Sync: sync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := realm.MustNewSim(testConfig(nodes))
-	eng := New(sim, prog, mode, plans)
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+// engineTuning is the SPMD executor's default overheads on the default
+// machine of the given nodes, as a Tuning a row changes one field of.
+func engineTuning(nodes int) bench.Tuning {
+	o := spmd.DefaultOverheads(realm.DefaultConfig(nodes).CoresPerNode)
+	return bench.Tuning{ShardLaunchBase: o.ShardLaunchBase, KernelCores: o.KernelCores, Window: o.Window}
 }
 
-func assertEqualStores(t *testing.T, want *region.Store, got *region.Store, r *region.Region, f region.FieldID) {
+// diff fails the test, naming every difference, unless got's stores and
+// scalars are bitwise want's.
+func diff(t *testing.T, want *ir.SeqResult, got *bench.Result) {
 	t.Helper()
-	if !got.EqualOn(want, f, r.IndexSpace()) {
-		bad := 0
-		r.IndexSpace().Each(func(p geometry.Point) bool {
-			if got.Get(f, p) != want.Get(f, p) {
-				if bad < 5 {
-					t.Errorf("%s[%v] field %d = %v, want %v", r.Name(), p, f, got.Get(f, p), want.Get(f, p))
-				}
-				bad++
-			}
-			return true
-		})
-		t.Fatalf("store mismatch on %s field %d (%d points differ)", r.Name(), f, bad)
+	if err := progtest.Diff(want, got.SeqResult); err != nil {
+		t.Error(err)
 	}
+}
+
+// pruneApps builds each evaluation application at the correctness-testing
+// size. Programs are rebuilt per run (region identities are per-instance).
+var pruneApps = []struct {
+	name  string
+	build func(nodes int) *ir.Program
+}{
+	{"stencil", func(n int) *ir.Program { return stencil.Build(stencil.Small(n)).Prog }},
+	{"miniaero", func(n int) *ir.Program { return miniaero.Build(miniaero.Small(n)).Prog }},
+	{"pennant", func(n int) *ir.Program { return pennant.Build(pennant.Small(n)).Prog }},
+	{"circuit", func(n int) *ir.Program { return circuit.Build(circuit.Small(n)).Prog }},
+}
+
+// planModes names the NoTrace axis of the equivalence matrices.
+var planModes = []struct {
+	name    string
+	noTrace bool
+}{{"memoized", false}, {"reresolved", true}}
+
+// figure2 builds the running example; the sequential run is of a build of
+// its own.
+func figure2(n, nt int64, trip int) func() *ir.Program {
+	return func() *ir.Program { return progtest.NewFigure2(n, nt, trip).Prog }
 }
 
 func TestCRMatchesSequentialFigure2(t *testing.T) {
 	for _, tc := range []struct {
-		n, nt  int64
-		trip   int
-		nodes  int
-		shards int
-		sync   cr.SyncMode
+		n, nt int64
+		trip  int
+		cfg   bench.Config
 	}{
-		{24, 4, 1, 1, 1, cr.PointToPoint},
-		{24, 4, 3, 2, 2, cr.PointToPoint},
-		{48, 8, 4, 4, 4, cr.PointToPoint},
-		{48, 8, 4, 4, 4, cr.BarrierSync},
-		{30, 5, 2, 3, 3, cr.PointToPoint}, // colors not divisible
-		{48, 8, 3, 2, 4, cr.PointToPoint}, // more shards than nodes
-		{48, 8, 3, 8, 4, cr.PointToPoint}, // shards = colors
+		{24, 4, 1, bench.Config{Nodes: 1}},
+		{24, 4, 3, bench.Config{Nodes: 2}},
+		{48, 8, 4, bench.Config{Nodes: 4}},
+		{48, 8, 4, bench.Config{Nodes: 4, Sync: cr.BarrierSync}},
+		{30, 5, 2, bench.Config{Nodes: 3}},            // colors not divisible
+		{48, 8, 3, bench.Config{Nodes: 2, Shards: 4}}, // more shards than nodes
+		{48, 8, 3, bench.Config{Nodes: 8, Shards: 4}}, // shards = colors
 	} {
-		f := progtest.NewFigure2(tc.n, tc.nt, tc.trip)
-		seq := ir.ExecSequential(f.Prog)
-		res := runCR(t, f.Prog, tc.nodes, tc.shards, tc.sync, ir.ExecReal)
-		assertEqualStores(t, seq.Stores[f.A], res.Stores[f.A], f.A, f.Val)
-		assertEqualStores(t, seq.Stores[f.B], res.Stores[f.B], f.B, f.Val)
+		build := figure2(tc.n, tc.nt, tc.trip)
+		diff(t, ir.ExecSequential(build()), must(t)(bench.RunCR(build(), tc.cfg)))
 	}
 }
 
 func TestCRScalarReduction(t *testing.T) {
-	f := progtest.NewScalarSum(40, 8)
-	seq := ir.ExecSequential(f.Prog)
-	res := runCR(t, f.Prog, 4, 4, cr.PointToPoint, ir.ExecReal)
-	if res.Env["total"] != seq.Env["total"] {
-		t.Errorf("total = %v, want %v", res.Env["total"], seq.Env["total"])
-	}
-	if res.Env["doubled"] != seq.Env["doubled"] {
-		t.Errorf("doubled = %v, want %v", res.Env["doubled"], seq.Env["doubled"])
-	}
+	build := func() *ir.Program { return progtest.NewScalarSum(40, 8).Prog }
+	diff(t, ir.ExecSequential(build()), must(t)(bench.RunCR(build(), bench.Config{Nodes: 4})))
 }
 
 func TestCRRegionReduction(t *testing.T) {
+	build := func() *ir.Program { return progtest.NewRegionReduce(32, 4, 3).Prog }
 	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-		f := progtest.NewRegionReduce(32, 4, 3)
-		seq := ir.ExecSequential(f.Prog)
-		res := runCR(t, f.Prog, 4, 4, sync, ir.ExecReal)
-		out := f.Prog.FieldSpaces[f.R].Field("out")
-		assertEqualStores(t, seq.Stores[f.R], res.Stores[f.R], f.R, f.Acc)
-		assertEqualStores(t, seq.Stores[f.R], res.Stores[f.R], f.R, out)
+		diff(t, ir.ExecSequential(build()), must(t)(bench.RunCR(build(), bench.Config{Nodes: 4, Sync: sync})))
 	}
 }
 
 func TestCRDeterministic(t *testing.T) {
-	run := func() (realm.Time, realm.Stats) {
-		f := progtest.NewFigure2(48, 8, 3)
-		res := runCR(t, f.Prog, 4, 4, cr.PointToPoint, ir.ExecReal)
-		return res.Elapsed, res.Stats
+	run := func() *bench.Result {
+		return must(t)(bench.RunCR(figure2(48, 8, 3)(), bench.Config{Nodes: 4}))
 	}
-	e1, s1 := run()
+	r1 := run()
 	for i := 0; i < 3; i++ {
-		e2, s2 := run()
-		if e1 != e2 || s1 != s2 {
-			t.Fatalf("non-deterministic: %v/%+v vs %v/%+v", e1, s1, e2, s2)
+		if r2 := run(); r1.Elapsed != r2.Elapsed || r1.Stats != r2.Stats {
+			t.Fatalf("non-deterministic: %v/%+v vs %v/%+v", r1.Elapsed, r1.Stats, r2.Elapsed, r2.Stats)
 		}
 	}
 }
 
 func TestCRModeledMatchesRealTiming(t *testing.T) {
-	f1 := progtest.NewFigure2(64, 8, 3)
-	r1 := runCR(t, f1.Prog, 4, 4, cr.PointToPoint, ir.ExecReal)
-	f2 := progtest.NewFigure2(64, 8, 3)
-	r2 := runCR(t, f2.Prog, 4, 4, cr.PointToPoint, ir.ExecModeled)
+	cfg := bench.Config{Nodes: 4}
+	r1 := must(t)(bench.RunCR(figure2(64, 8, 3)(), cfg))
+	cfg.Mode = ir.ExecModeled
+	r2 := must(t)(bench.RunCR(figure2(64, 8, 3)(), cfg))
 	if r1.Elapsed != r2.Elapsed {
 		t.Errorf("Real %v != Modeled %v", r1.Elapsed, r2.Elapsed)
 	}
@@ -128,7 +130,7 @@ func TestCRModeledMatchesRealTiming(t *testing.T) {
 
 func TestCRIterTimesRecorded(t *testing.T) {
 	f := progtest.NewFigure2(48, 8, 5)
-	res := runCR(t, f.Prog, 4, 4, cr.PointToPoint, ir.ExecModeled)
+	res := must(t)(bench.RunCR(f.Prog, bench.Config{Nodes: 4, Mode: ir.ExecModeled}))
 	times := res.IterTimes[f.Loop]
 	if len(times) != 5 {
 		t.Fatalf("iteration times = %v", times)
@@ -144,29 +146,18 @@ func TestCRIterTimesRecorded(t *testing.T) {
 // many nodes and short tasks, the implicit runtime's serial control thread
 // dominates, while control replication's per-shard control cost stays flat.
 func TestCRBeatsImplicitAtScale(t *testing.T) {
-	nodes := 32
-	build := func() *progtest.Figure2 {
-		f := progtest.NewFigure2(int64(nodes)*64, int64(nodes), 6)
-		return f
+	const nodes = 32
+	cfg := bench.Config{Nodes: nodes, Mode: ir.ExecModeled}
+	perIter := func(run func(*ir.Program, bench.Config) (*bench.Result, error)) realm.Time {
+		f := progtest.NewFigure2(nodes*64, nodes, 6)
+		per, err := must(t)(run(f.Prog, cfg)).SteadyState(f.Loop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return per
 	}
-
-	fImp := build()
-	simImp := realm.MustNewSim(testConfig(nodes))
-	impl := rt.New(simImp, fImp.Prog, ir.ExecModeled)
-	resImp, err := impl.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	timesImp := resImp.IterTimes[fImp.Loop]
-	perIterImp := (timesImp[5] - timesImp[1]) / 4
-
-	fCR := build()
-	resCR := runCR(t, fCR.Prog, nodes, nodes, cr.PointToPoint, ir.ExecModeled)
-	timesCR := resCR.IterTimes[fCR.Loop]
-	perIterCR := (timesCR[5] - timesCR[1]) / 4
-
-	if perIterCR*4 > perIterImp {
-		t.Errorf("CR per-iteration %v should be well below implicit %v at %d nodes", perIterCR, perIterImp, nodes)
+	if imp, rep := perIter(bench.RunImplicit), perIter(bench.RunCR); rep*4 > imp {
+		t.Errorf("CR per-iteration %v should be well below implicit %v at %d nodes", rep, imp, nodes)
 	}
 }
 
@@ -174,90 +165,84 @@ func TestCRBeatsImplicitAtScale(t *testing.T) {
 // scales better than the naive global barriers when only neighbors
 // communicate.
 func TestP2PBeatsBarriers(t *testing.T) {
-	nodes := 16
+	const nodes = 16
 	run := func(sync cr.SyncMode) realm.Time {
-		f := progtest.NewFigure2(int64(nodes)*16, int64(nodes), 8)
-		res := runCR(t, f.Prog, nodes, nodes, sync, ir.ExecModeled)
-		times := res.IterTimes[f.Loop]
-		return (times[7] - times[1]) / 6
+		f := progtest.NewFigure2(nodes*16, nodes, 8)
+		res := must(t)(bench.RunCR(f.Prog, bench.Config{Nodes: nodes, Sync: sync, Mode: ir.ExecModeled}))
+		per, err := res.SteadyState(f.Loop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return per
 	}
-	p2p := run(cr.PointToPoint)
-	bar := run(cr.BarrierSync)
-	if p2p > bar {
+	if p2p, bar := run(cr.PointToPoint), run(cr.BarrierSync); p2p > bar {
 		t.Errorf("p2p per-iteration %v should not exceed barrier %v", p2p, bar)
 	}
 }
 
+// TestCRDataMovementScopedToHalo: the run moves data across nodes, and what
+// the compiled copies move is the halo (QB[j] = PB[j] shifted by 3 overlaps
+// its own block and 3 elements of the next), far below the region size.
 func TestCRDataMovementScopedToHalo(t *testing.T) {
-	// The bytes moved per iteration under CR must be the halo volume, far
-	// below the full region size.
-	nodes := 8
-	f := progtest.NewFigure2(int64(nodes)*100, int64(nodes), 4)
-	plans, err := CompileAll(f.Prog, cr.Options{NumShards: nodes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := realm.MustNewSim(testConfig(nodes))
-	eng := New(sim, f.Prog, ir.ExecModeled, plans)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := sim.Stats()
-	// Shift-by-3 halos: 3 elements per cross-block pair, 8 bytes each.
-	// Init/final copies also cross nodes; the loop's copy traffic per
-	// iteration is bounded by pairs * 3 elements * 8 bytes.
-	if st.BytesSent == 0 {
+	const nodes = 8
+	f := progtest.NewFigure2(nodes*100, nodes, 4)
+	res := must(t)(bench.RunCR(f.Prog, bench.Config{Nodes: nodes, Mode: ir.ExecModeled}))
+	if res.Stats.BytesSent == 0 {
 		t.Fatal("expected cross-node traffic")
 	}
-	var plan *cr.Compiled
-	for _, p := range plans {
-		plan = p
-	}
-	var copyVolume int64
-	for _, op := range plan.Body {
+	var remote int64
+	for _, op := range res.Plans[f.Loop].Body {
 		if op.Copy != nil {
 			for _, pr := range op.Copy.Pairs {
-				copyVolume += pr.Overlap.Volume()
+				if pr.Src != pr.Dst {
+					remote += pr.Overlap.Volume()
+				}
 			}
 		}
 	}
-	// QB[j] = PB[j] shifted by 3: overlaps own block (97 elements) and next
-	// block (3 elements); only the cross-shard portion travels.
-	if copyVolume == 0 {
-		t.Fatal("no copy volume computed")
+	if remote == 0 || remote > 3*nodes {
+		t.Errorf("copies move %d elements between colors per iteration, want the halo (0 < n <= %d)", remote, 3*nodes)
 	}
 }
 
-// TestRandomizedEquivalence cross-checks sequential, implicit, and
-// control-replicated executions on randomized programs: random partitions
-// (blocks and images), random launch sequences with read/write/reduce
-// privileges, random loop lengths. All three must agree bitwise.
+// TestRandomizedEquivalence runs random programs — random partitions
+// (blocks and images), launch sequences with read/write/reduce privileges,
+// loop lengths — at every point of {p2p, barrier} x {plain, prune, agg,
+// prune∘agg} x {memoized, re-resolved} on the DES, and of that product on
+// native for every eighth seed, plus on the implicit runtime. Every row must
+// agree bitwise with the sequential interpreter.
 func TestRandomizedEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		prog, _, _ := progtest.RandomProgram(seed)
-		seq := ir.ExecSequential(prog)
-
-		simImp := realm.MustNewSim(testConfig(3))
-		resImp, err := rt.New(simImp, prog, ir.ExecReal).Run()
-		if err != nil {
-			t.Fatalf("seed %d: implicit: %v", seed, err)
+		build := func() *ir.Program {
+			prog, _, _ := progtest.RandomProgram(seed)
+			return prog
 		}
-		if err := progtest.Diff(seq, &ir.SeqResult{Stores: resImp.Stores, Env: resImp.Env}); err != nil {
-			t.Fatalf("seed %d: implicit: %v", seed, err)
+		seq := ir.ExecSequential(build())
+		check := func(row string, res *bench.Result, err error) {
+			if err == nil {
+				err = progtest.Diff(seq, res.SeqResult)
+			}
+			if err != nil {
+				t.Errorf("seed %d %s: %v", seed, row, err)
+			}
 		}
-
-		for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
-			plans, err := CompileAll(prog, cr.Options{NumShards: 3, Sync: sync})
-			if err != nil {
-				t.Fatalf("seed %d: compile: %v", seed, err)
-			}
-			sim := realm.MustNewSim(testConfig(3))
-			res, err := New(sim, prog, ir.ExecReal, plans).Run()
-			if err != nil {
-				t.Fatalf("seed %d: spmd: %v", seed, err)
-			}
-			if err := progtest.Diff(seq, &ir.SeqResult{Stores: res.Stores, Env: res.Env}); err != nil {
-				t.Fatalf("seed %d (%v): spmd: %v", seed, sync, err)
+		res, err := bench.RunImplicit(build(), bench.Config{Nodes: 3})
+		check("implicit", res, err)
+		backends := []string{bench.BackendDES}
+		if seed%8 == 0 && !testing.Short() {
+			backends = append(backends, bench.BackendNative)
+		}
+		for _, backend := range backends {
+			for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
+				for _, agg := range []bool{false, true} {
+					for _, prune := range []bool{false, true} {
+						for _, noTrace := range []bool{false, true} {
+							opts := bench.MeasureOpts{Backend: backend, Agg: agg, Prune: prune, NoTrace: noTrace}
+							res, err := bench.RunCR(build(), bench.Config{MeasureOpts: opts, Nodes: 3, Sync: sync})
+							check(fmt.Sprintf("%s/%v/agg=%v/prune=%v/notrace=%v", backend, sync, agg, prune, noTrace), res, err)
+						}
+					}
+				}
 			}
 		}
 	}
