@@ -326,3 +326,42 @@ func TestMergedChainSplitIsCertifiedAsCycle(t *testing.T) {
 		t.Fatal("no shard count yields a mergeable chain-split group; the test is vacuous")
 	}
 }
+
+// TestCycleReportStatsAreComplete: a race report on a cyclic graph stops at
+// the cycle, but the size of the problem it states is the analysis's all
+// the same — the cross-shard count included, which is tallied when the
+// conflicts are enumerated. Dropping the fold-chain edges that close the
+// merged group's wait cycle must leave the report's Stats unchanged.
+func TestCycleReportStatsAreComplete(t *testing.T) {
+	found := false
+	for _, shards := range []int{2, 3, 4} {
+		rr := progtest.NewRegionReduce(24, 4, 3)
+		c := aggCompile(t, rr.Prog, rr.Loop, shards, cr.PointToPoint)
+		if !mergeChainSplit(c) {
+			continue
+		}
+		found = true
+		a, err := Analyze(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cyclic := a.Check()
+		var chains []EdgeID
+		for l := range a.g.labels(EdgeChain) {
+			chains = append(chains, l)
+		}
+		acyclic := a.Check(chains...)
+		if !hasKind(cyclic.Findings, "cycle") || hasKind(acyclic.Findings, "cycle") {
+			t.Fatalf("shards=%d: want a cycle only with the chains in place; findings %v, then %v", shards, cyclic.Findings, acyclic.Findings)
+		}
+		if cyclic.Stats != acyclic.Stats || cyclic.Stats.CrossShard == 0 {
+			t.Errorf("shards=%d: the cycle report states %+v, the same analysis without the cycle %+v", shards, cyclic.Stats, acyclic.Stats)
+		}
+		if rep, err := CheckAgg(c); err != nil || rep.Stats != acyclic.Stats {
+			t.Errorf("shards=%d: CheckAgg states %+v (%v), the race check %+v", shards, rep.Stats, err, acyclic.Stats)
+		}
+	}
+	if !found {
+		t.Fatal("no shard count yields a mergeable chain-split group; the test is vacuous")
+	}
+}

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cr"
@@ -50,5 +51,30 @@ func BenchmarkAnalyze(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkVerify is the certify workload's check set: Verify of the plan
+// and CheckAgg of its aggregated form, per application and lowering at 64
+// shards, paper size.
+func BenchmarkVerify(b *testing.B) {
+	const shards = 64
+	for _, app := range evalApps {
+		prog, loop := app.build(shards)
+		for _, sync := range syncModes {
+			plan := compileApp(b, prog, loop, cr.Options{NumShards: shards, Sync: sync})
+			agg := compileApp(b, prog, loop, cr.Options{NumShards: shards, Sync: sync, Agg: true})
+			b.Run(fmt.Sprintf("%s/%v", app.name, sync), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if rep, err := verify.Verify(plan); err != nil || !rep.OK() {
+						b.Fatalf("Verify: %v %v", err, rep)
+					}
+					if rep, err := verify.CheckAgg(agg); err != nil || !rep.OK() {
+						b.Fatalf("CheckAgg: %v %v", err, rep)
+					}
+				}
+			})
+		}
 	}
 }

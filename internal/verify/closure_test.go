@@ -11,7 +11,7 @@ import (
 func randomDAG(rng *rand.Rand, n, edges int) *graph {
 	g := &graph{nodes: make([]node, n)}
 	pos := rng.Perm(n) // node id -> position in the hidden order
-	for len(g.edges) < edges && n > 1 {
+	for g.edges.n < edges && n > 1 {
 		u, v := nodeID(rng.Intn(n)), nodeID(rng.Intn(n))
 		if pos[u] > pos[v] {
 			u, v = v, u
@@ -20,20 +20,21 @@ func randomDAG(rng *rand.Rand, n, edges int) *graph {
 			g.edge(u, v) // duplicates allowed: the builder emits them too
 		}
 	}
+	g.succ.fill(g, nil, nil)
 	return g
 }
 
 // dfsReach is the per-pair oracle: every node reachable from u by a
 // non-empty path.
-func dfsReach(adj [][]nodeID, u nodeID) []bool {
-	seen := make([]bool, len(adj))
-	stack := append([]nodeID(nil), adj[u]...)
+func dfsReach(succ *successors, u nodeID) []bool {
+	seen := make([]bool, len(succ.off)-1)
+	stack := append([]nodeID(nil), succ.of(u)...)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if !seen[v] {
 			seen[v] = true
-			stack = append(stack, adj[v]...)
+			stack = append(stack, succ.of(v)...)
 		}
 	}
 	return seen
@@ -41,9 +42,8 @@ func dfsReach(adj [][]nodeID, u nodeID) []bool {
 
 func checkClosure(t *testing.T, name string, r *reachability, g *graph) {
 	t.Helper()
-	adj := g.adjacency(nil)
 	for u := range g.nodes {
-		want := dfsReach(adj, nodeID(u))
+		want := dfsReach(&g.succ, nodeID(u))
 		for v := range g.nodes {
 			if got := r.reaches(nodeID(u), nodeID(v)); got != want[v] {
 				t.Fatalf("%s: reaches(%d, %d) = %v, DFS says %v", name, u, v, got, want[v])
@@ -59,13 +59,15 @@ func TestClosureMatchesDFS(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 130, 200, 333} {
 		for _, density := range []int{1, 3, 12} {
 			g := randomDAG(rng, n, density*n)
-			for _, e := range g.edges {
-				if e.to < e.from {
-					backward++
+			for _, part := range g.edges.parts {
+				for _, e := range part {
+					if e.to < e.from {
+						backward++
+					}
 				}
 			}
 			r := &reachability{}
-			r.closure(g.adjacency(nil))
+			r.closure(&g.succ)
 			checkClosure(t, "fresh", r, g)
 		}
 	}
@@ -83,10 +85,10 @@ func TestClosureSlabReuse(t *testing.T) {
 	big, small, bigger := randomDAG(rng, 300, 1500), randomDAG(rng, 70, 200), randomDAG(rng, 420, 900)
 	shared := &reachability{}
 	for i, g := range []*graph{big, small, big, bigger, small} {
-		shared.closure(g.adjacency(nil))
+		shared.closure(&g.succ)
 		checkClosure(t, "reused", shared, g)
 		fresh := &reachability{}
-		fresh.closure(g.adjacency(nil))
+		fresh.closure(&g.succ)
 		for u := range g.nodes {
 			for v := range g.nodes {
 				if shared.reaches(nodeID(u), nodeID(v)) != fresh.reaches(nodeID(u), nodeID(v)) {
@@ -105,7 +107,8 @@ func TestClosureRejectsCycle(t *testing.T) {
 	g.edge(0, 1)
 	g.edge(1, 2)
 	g.edge(2, 0)
-	if (&reachability{}).closure(g.adjacency(nil)) {
+	g.succ.fill(g, nil, nil)
+	if (&reachability{}).closure(&g.succ) {
 		t.Fatal("closure accepted a cyclic graph")
 	}
 }

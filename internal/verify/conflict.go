@@ -14,28 +14,39 @@ import (
 // for the pairs that are actually reported.
 type conflict struct {
 	earlier, later int32 // indices into Analysis.accs
-	crossShard     bool
 }
 
 // enumerateConflicts groups the recorded accesses by physical instance and
-// emits every conflicting pair, along with the number of distinct
-// instances accessed. Instances are visited in first-access order, so the
-// output is deterministic.
-func enumerateConflicts(g *graph, accs []access, ninst int) ([]conflict, int) {
-	byInst := make([][]int32, ninst)
+// tabulates every conflicting pair, along with the number of distinct
+// instances accessed and of pairs that cross shards. Instances are visited
+// in first-access order, so the table is deterministic.
+func enumerateConflicts(g *graph, accs []access, ninst int) (out chunks[conflict], insts, cross int) {
+	// Counting sort: byInst is a run per instance, in first-access order.
+	at := make([]int32, ninst) // id's count, then its run's start, then its end
 	var order []instID
 	for i := range accs {
 		id := accs[i].inst
-		if byInst[id] == nil {
+		if at[id] == 0 {
 			order = append(order, id)
 		}
-		byInst[id] = append(byInst[id], int32(i))
+		at[id]++
 	}
-	var out []conflict
+	start := int32(0)
 	for _, id := range order {
-		for x, ia := range byInst[id] {
+		start, at[id] = start+at[id], start
+	}
+	byInst := make([]int32, len(accs))
+	for i := range accs {
+		id := accs[i].inst
+		byInst[at[id]], at[id] = int32(i), at[id]+1
+	}
+	out.size, start = len(accs), 0
+	for _, id := range order {
+		run := byInst[start:at[id]]
+		start = at[id]
+		for x, ia := range run {
 			a := &accs[ia]
-			for _, ib := range byInst[id][x+1:] {
+			for _, ib := range run[x+1:] {
 				b := &accs[ib]
 				if a.n == b.n {
 					// One op's accesses to the same instance (a copy reads
@@ -49,22 +60,18 @@ func enumerateConflicts(g *graph, accs []access, ninst int) ([]conflict, int) {
 				if !fieldsMeet(a.fields, b.fields) || !a.space.Overlaps(b.space) {
 					continue
 				}
-				cf := conflict{
-					earlier: ia,
-					later:   ib,
-					// Cross-shard means two distinct shards; control-thread
-					// ops (init, finalization) have no shard.
-					crossShard: g.nodes[a.n].shard >= 0 && g.nodes[b.n].shard >= 0 &&
-						g.nodes[a.n].shard != g.nodes[b.n].shard,
-				}
+				cf := conflict{earlier: ia, later: ib}
 				if g.seqBefore(b.n, a.n) {
 					cf.earlier, cf.later = ib, ia
 				}
-				out = append(out, cf)
+				if g.crossShard(a.n, b.n) {
+					cross++
+				}
+				out.push(cf)
 			}
 		}
 	}
-	return out, len(order)
+	return out, len(order), cross
 }
 
 // fieldsMeet reports whether the two lists share a field. Field lists are
@@ -121,15 +128,15 @@ func (r *reachability) row(rank int) []uint64 {
 	return r.bits[off : off+r.words-rank>>6]
 }
 
-// closure computes the relation of the graph with the given adjacency. It
-// reports false, with nothing computed, when the graph has a cycle: r.rank
-// then holds the residual in-degrees cycleFinding walks.
-func (r *reachability) closure(adj [][]nodeID) bool {
-	n := len(adj)
+// closure computes the relation of the graph with the given successors.
+// It reports false, with nothing computed, when the graph has a cycle:
+// r.rank then holds the residual in-degrees cycleFinding walks.
+func (r *reachability) closure(succ *successors) bool {
+	n := len(succ.off) - 1
 	r.words = (n + 63) / 64
 	r.rank = slices.Grow(r.rank[:0], n)[:n]
 	clear(r.rank) // holds in-degrees until the order is known
-	topo := topoSort(adj, r.rank, r.topo[:0])
+	topo := topoSort(succ, r.rank, r.topo[:0])
 	if len(topo) != n {
 		return false
 	}
@@ -145,7 +152,7 @@ func (r *reachability) closure(adj [][]nodeID) bool {
 	}
 	for i := n - 1; i >= 0; i-- {
 		row := r.row(i)
-		for _, v := range adj[topo[i]] {
+		for _, v := range succ.of(topo[i]) {
 			rv := int(r.rank[v])
 			w, bit := rv>>6-i>>6, uint64(1)<<(rv&63)
 			if row[w]&bit != 0 {
@@ -161,14 +168,12 @@ func (r *reachability) closure(adj [][]nodeID) bool {
 	return true
 }
 
-// topoSort appends a topological order of adj's nodes to order (Kahn's
+// topoSort appends a topological order of succ's nodes to order (Kahn's
 // algorithm) using the zeroed indeg as scratch. A cycle leaves the order
 // short, and indeg positive on exactly the nodes on or downstream of it.
-func topoSort(adj [][]nodeID, indeg []int32, order []nodeID) []nodeID {
-	for _, succs := range adj {
-		for _, v := range succs {
-			indeg[v]++
-		}
+func topoSort(succ *successors, indeg []int32, order []nodeID) []nodeID {
+	for _, v := range succ.to {
+		indeg[v]++
 	}
 	for i := range indeg {
 		if indeg[i] == 0 {
@@ -176,7 +181,7 @@ func topoSort(adj [][]nodeID, indeg []int32, order []nodeID) []nodeID {
 		}
 	}
 	for head := 0; head < len(order); head++ {
-		for _, v := range adj[order[head]] {
+		for _, v := range succ.of(order[head]) {
 			if indeg[v]--; indeg[v] == 0 {
 				order = append(order, v)
 			}

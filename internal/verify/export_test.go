@@ -2,10 +2,15 @@ package verify
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
+	"unsafe"
 
 	"repro/internal/region"
 )
+
+// EdgeBytes is the size of one stored happens-before edge.
+const EdgeBytes = unsafe.Sizeof(edge{})
 
 // ConflictPair is one enumerated conflict as the external tests see it:
 // the two accesses by index, oriented, and the cross-shard flag.
@@ -16,9 +21,11 @@ type ConflictPair struct {
 
 // ConflictPairs lists the analysis's conflicts in enumeration order.
 func (a *Analysis) ConflictPairs() []ConflictPair {
-	out := make([]ConflictPair, len(a.conflicts))
-	for i, cf := range a.conflicts {
-		out[i] = ConflictPair{cf.earlier, cf.later, cf.crossShard}
+	var out []ConflictPair
+	for _, part := range a.conflicts.parts {
+		for _, cf := range part {
+			out = append(out, ConflictPair{cf.earlier, cf.later, a.g.crossShard(a.accs[cf.earlier].n, a.accs[cf.later].n)})
+		}
 	}
 	return out
 }
@@ -97,6 +104,67 @@ func (a *Analysis) SameAccesses(want *Analysis) error {
 		if a.g.nodes[x.n] != want.g.nodes[y.n] || x.inst != y.inst || a.refs[x.inst] != want.refs[y.inst] ||
 			x.write != y.write || !slices.Equal(x.fields, y.fields) || !x.space.Equal(y.space) {
 			return fmt.Errorf("access %d is %+v on %+v, want %+v on %+v", i, *x, a.g.nodes[x.n], *y, want.g.nodes[y.n])
+		}
+	}
+	return nil
+}
+
+// SuccessorTableMismatch checks the analysis's successor table against its
+// edge list, as built and with a random half of its sync labels dropped.
+func (a *Analysis) SuccessorTableMismatch(rng *rand.Rand) error {
+	return successorMismatch(a.g, &a.mutated, rng)
+}
+
+// RandomDAGSuccessorMismatch is SuccessorTableMismatch on a random DAG of
+// n nodes whose edges carry random labels, half of them sync.
+func RandomDAGSuccessorMismatch(rng *rand.Rand, n, edges int) error {
+	g := randomDAG(rng, n, edges)
+	for _, part := range g.edges.parts {
+		for i := range part {
+			if rng.Intn(2) == 0 {
+				part[i].class, part[i].copy, part[i].pair = EdgeWAR+EdgeClass(rng.Intn(4)), int32(rng.Intn(5)), int32(rng.Intn(5))
+			}
+		}
+	}
+	return successorMismatch(g, &successors{}, rng)
+}
+
+// successorMismatch compares g.succ, and the table filled into scratch with
+// a random half of g's sync labels dropped, against the edge list: each
+// node's successors must be the to's of its kept edges, in list order.
+func successorMismatch(g *graph, scratch *successors, rng *rand.Rand) error {
+	seen, dropped := make(map[EdgeID]bool), make(map[EdgeID]bool)
+	for _, part := range g.edges.parts {
+		for _, e := range part {
+			if l := e.label(); e.class != edgeStruct && !seen[l] {
+				seen[l] = true
+				dropped[l] = len(dropped) == 0 || rng.Intn(2) == 0
+			}
+		}
+	}
+	if len(dropped) == 0 {
+		return fmt.Errorf("no sync label: the filtered table is untested")
+	}
+	scratch.fill(g, dropped, nil)
+	for _, tc := range []struct {
+		succ    *successors
+		dropped map[EdgeID]bool
+	}{{&g.succ, nil}, {scratch, dropped}} {
+		want := make([][]nodeID, len(g.nodes))
+		for _, part := range g.edges.parts {
+			for _, e := range part {
+				if e.class == edgeStruct || !tc.dropped[e.label()] {
+					want[e.from] = append(want[e.from], e.to)
+				}
+			}
+		}
+		if len(tc.succ.off) != len(g.nodes)+1 {
+			return fmt.Errorf("%d offsets for %d nodes", len(tc.succ.off), len(g.nodes))
+		}
+		for u := range want {
+			if got := tc.succ.of(nodeID(u)); !slices.Equal(got, want[u]) {
+				return fmt.Errorf("%d labels dropped: node %d has successors %v, its edges lead to %v", len(tc.dropped), u, got, want[u])
+			}
 		}
 	}
 	return nil

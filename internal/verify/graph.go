@@ -94,9 +94,43 @@ type node struct {
 	shard  int32 // issuing shard; -1 = control thread / none
 }
 
+// edge is one happens-before edge in 20 bytes, its copy and pair narrowed.
 type edge struct {
-	from, to nodeID
-	label    EdgeID
+	from, to   nodeID
+	class      EdgeClass
+	copy, pair int32
+}
+
+func (e *edge) label() EdgeID { return EdgeID{Class: e.class, Copy: int(e.copy), Pair: int(e.pair)} }
+
+// chunks is an append-only table kept in parts: growing it allocates a part
+// and never copies what it holds. parts[:0] keeps them for the next fill.
+type chunks[T any] struct {
+	parts [][]T // every part but the last is full
+	n     int
+	size  int // expected length over a few; a part holds it within [64, 4096]
+}
+
+func (c *chunks[T]) push(x T) {
+	k := len(c.parts) - 1
+	if k < 0 || len(c.parts[k]) == cap(c.parts[k]) {
+		if k++; k == cap(c.parts) || cap(c.parts[:k+1][k]) == 0 { // no part kept
+			c.parts = append(c.parts, make([]T, 0, min(max(c.size, 64), 1<<12)))
+		}
+		c.parts = c.parts[:k+1]
+		c.parts[k] = c.parts[k][:0]
+	}
+	c.parts[k] = append(c.parts[k], x)
+	c.n++
+}
+
+// each visits the entries in push order.
+func (c *chunks[T]) each(visit func(*T)) {
+	for _, part := range c.parts {
+		for i := range part {
+			visit(&part[i])
+		}
+	}
 }
 
 // barrierArrival records one global barrier's arrival count: how many
@@ -115,9 +149,10 @@ type barrierArrival struct {
 
 type graph struct {
 	nodes    []node
-	edges    []edge
+	edges    chunks[edge]
 	iters    int
 	arrivals []barrierArrival
+	succ     successors // every edge, tabulated once the replay is complete
 }
 
 func (g *graph) add(n node) nodeID {
@@ -126,44 +161,58 @@ func (g *graph) add(n node) nodeID {
 }
 
 func (g *graph) edge(from, to nodeID) {
-	g.edges = append(g.edges, edge{from: from, to: to})
+	g.edges.push(edge{from: from, to: to})
 }
 
 func (g *graph) ledge(from, to nodeID, id EdgeID) {
-	g.edges = append(g.edges, edge{from: from, to: to, label: id})
+	g.edges.push(edge{from: from, to: to, class: id.Class, copy: int32(id.Copy), pair: int32(id.Pair)})
 }
 
 // labels returns the labels of the graph's sync edges of one class.
 func (g *graph) labels(class EdgeClass) map[EdgeID]bool {
 	out := make(map[EdgeID]bool)
-	for i := range g.edges {
-		if l := g.edges[i].label; l.Class == class {
-			out[l] = true
+	g.edges.each(func(e *edge) {
+		if e.class == class {
+			out[e.label()] = true
 		}
-	}
+	})
 	return out
 }
 
-// adjacency materializes the forward adjacency list with the dropped edge
-// labels removed. Each node's successors are a capacity-clipped window of
-// one slab: appending past a window copies it out, never into its neighbor.
-func (g *graph) adjacency(dropped map[EdgeID]bool) [][]nodeID {
-	deg := make([]int, len(g.nodes))
-	for i := range g.edges {
-		deg[g.edges[i].from]++
-	}
-	adj, slab, off := make([][]nodeID, len(g.nodes)), make([]nodeID, len(g.edges)), 0
-	for i, d := range deg {
-		adj[i], off = slab[off:off:off+d], off+d
-	}
-	for i := range g.edges {
-		e := &g.edges[i]
-		if len(dropped) > 0 && e.label.Class != edgeStruct && dropped[e.label] {
-			continue
+// successors is a successor table in compressed sparse row form: node u's
+// successors are to[off[u]:off[u+1]], in edge insertion order.
+type successors struct {
+	off []int32
+	to  []nodeID
+}
+
+func (s *successors) of(u nodeID) []nodeID { return s.to[s.off[u]:s.off[u+1]] }
+
+// fill tabulates g's edges into s's buffers by counting sort, leaving out
+// the edges whose label is dropped and putting extra after each node's own.
+func (s *successors) fill(g *graph, dropped map[EdgeID]bool, extra []edge) *successors {
+	walk := func(visit func(e *edge)) {
+		g.edges.each(func(e *edge) {
+			if len(dropped) == 0 || e.class == edgeStruct || !dropped[e.label()] {
+				visit(e)
+			}
+		})
+		for i := range extra {
+			visit(&extra[i])
 		}
-		adj[e.from] = append(adj[e.from], e.to)
 	}
-	return adj
+	n := len(g.nodes)
+	s.off = append(s.off[:0], make([]int32, n+1)...)
+	walk(func(e *edge) { s.off[e.from+1]++ })
+	for u := 1; u <= n; u++ {
+		s.off[u] += s.off[u-1]
+	}
+	// off[u] is u's write cursor; it ends at u's end, the next node's start.
+	s.to = append(s.to[:0], make([]nodeID, s.off[n])...)
+	walk(func(e *edge) { s.to[s.off[e.from]], s.off[e.from] = e.to, s.off[e.from]+1 })
+	copy(s.off[1:], s.off[:n])
+	s.off[0] = 0
+	return s
 }
 
 // nodeKey is a copy, sync-event or barrier node's identity.
@@ -183,6 +232,11 @@ func (g *graph) copyNodes() map[nodeKey]nodeID {
 		}
 	}
 	return idx
+}
+
+// crossShard: x and y run on two distinct shards (control-thread ops, none).
+func (g *graph) crossShard(x, y nodeID) bool {
+	return min(g.nodes[x].shard, g.nodes[y].shard) >= 0 && g.nodes[x].shard != g.nodes[y].shard
 }
 
 // seqBefore reports whether node x precedes y in the sequential program
@@ -278,7 +332,7 @@ type builder struct {
 // spare, a builder whose replay was discarded, or on fresh ones sized from
 // the plan: per unrolled iteration a node per task, up to three per copy
 // pair and two barriers per copy; an access per launch argument and two per
-// pair; four edges per node (the evaluation applications have 3 to 9).
+// pair; edge parts as long as the node count (3 to 9 edges per node).
 func newBuilder(ix *index, prune *cr.PruneInfo, spare *builder) *builder {
 	c, b := ix.c, spare
 	if b == nil {
@@ -295,7 +349,7 @@ func newBuilder(ix *index, prune *cr.PruneInfo, spare *builder) *builder {
 			}
 		}
 		b = &builder{
-			g:      &graph{nodes: make([]node, 0, nodes), edges: make([]edge, 0, 4*nodes)},
+			g:      &graph{nodes: make([]node, 0, nodes), edges: chunks[edge]{size: nodes}},
 			ids:    make([]instID, len(ix.spaces)*colors),
 			states: make([]symState, len(ix.spaces)*colors),
 			accs:   make([]access, 0, accs),
@@ -303,7 +357,7 @@ func newBuilder(ix *index, prune *cr.PruneInfo, spare *builder) *builder {
 		}
 	}
 	b.ix, b.c, b.prune, b.collectWar = ix, c, prune, false
-	b.g = &graph{nodes: b.g.nodes[:0], edges: b.g.edges[:0], arrivals: b.g.arrivals[:0]}
+	b.g = &graph{nodes: b.g.nodes[:0], edges: chunks[edge]{parts: b.g.edges.parts[:0], size: b.g.edges.size}, arrivals: b.g.arrivals[:0], succ: b.g.succ}
 	b.refs, b.accs, b.warObs, b.allOps = b.refs[:0], b.accs[:0], b.warObs[:0], b.allOps[:0]
 	for i := range b.ids {
 		b.ids[i] = -1
@@ -437,6 +491,7 @@ func (b *builder) build() {
 			b.record(final, ix.key(slot, ci), fields, ix.spaces[slot][ci], false)
 		}
 	}
+	b.g.succ.fill(b.g, nil, nil)
 }
 
 // doLaunch adds one node per task of the index launch, with the executor's

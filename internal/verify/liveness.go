@@ -44,42 +44,37 @@ func (a *Analysis) CheckLivenessMutated(m Mutation) *Report {
 	g := a.g
 	rep := &Report{Pass: "liveness", Findings: []Finding{}, Stats: Stats{
 		Nodes: len(g.nodes),
-		Edges: len(g.edges) + len(m.extra),
+		Edges: g.edges.n + len(m.extra),
 		Iters: g.iters,
 	}}
 
-	adj := g.adjacency(nil)
-	for _, e := range m.extra {
-		adj[e.from] = append(adj[e.from], e.to)
+	succ := &g.succ
+	if len(m.extra) > 0 {
+		succ = a.mutated.fill(g, nil, m.extra)
 	}
 
 	// 1. Cycle detection: Kahn's algorithm. Nodes left unprocessed all lie
 	// on or downstream of a cycle; a successor walk restricted to them
 	// must re-visit a node, and the revisit closes a concrete cycle.
 	indeg := make([]int32, len(g.nodes))
-	if order := topoSort(adj, indeg, make([]nodeID, 0, len(indeg))); len(order) != len(indeg) {
-		rep.Findings = append(rep.Findings, a.cycleFinding(adj, indeg))
+	if order := topoSort(succ, indeg, make([]nodeID, 0, len(indeg))); len(order) != len(indeg) {
+		rep.Findings = append(rep.Findings, a.cycleFinding(succ, indeg))
 	}
 
 	// 2. Never-triggered sync events: a war/done node with waiters but no
 	// trigger. (Only reachable via pruning or miswiring — the conservative
 	// builder always connects both sides.)
 	hasPred := make([]bool, len(g.nodes))
-	for _, e := range g.edges {
-		hasPred[e.to] = true
-	}
-	for _, e := range m.extra {
-		hasPred[e.to] = true
+	for _, v := range succ.to {
+		hasPred[v] = true
 	}
 	for i := range g.nodes {
 		nd := &g.nodes[i]
-		if nd.kind != kWar && nd.kind != kDone {
+		waiters := succ.of(nodeID(i))
+		if nd.kind != kWar && nd.kind != kDone || hasPred[i] || len(waiters) == 0 {
 			continue
 		}
-		if hasPred[i] || len(adj[i]) == 0 {
-			continue
-		}
-		blocked := a.opRef(access{n: adj[i][0]})
+		blocked := a.opRef(access{n: waiters[0]})
 		ev := a.opRef(access{n: nodeID(i)})
 		rep.Findings = append(rep.Findings, Finding{
 			Kind: "never-triggered",
@@ -87,7 +82,7 @@ func (a *Analysis) CheckLivenessMutated(m Mutation) *Report {
 			B:    blocked,
 			Detail: fmt.Sprintf(
 				"%s event of copy %d pair %d (iter %d) has %d waiter(s) but no trigger; first blocked op: %s",
-				ev.Kind, ev.Copy, ev.Pair, ev.Iter, len(adj[i]), blocked),
+				ev.Kind, ev.Copy, ev.Pair, ev.Iter, len(waiters), blocked),
 		})
 	}
 
@@ -121,16 +116,16 @@ func (a *Analysis) CheckLivenessMutated(m Mutation) *Report {
 // revisit closes a cycle; residue *successors* need not exist (a sink
 // downstream of a cycle is residue too), which is why the walk goes
 // backward.
-func (a *Analysis) cycleFinding(adj [][]nodeID, indeg []int32) Finding {
+func (a *Analysis) cycleFinding(succ *successors, indeg []int32) Finding {
 	pred := make([]nodeID, len(indeg))
 	for i := range pred {
 		pred[i] = -1
 	}
-	for u := range adj {
+	for u := range indeg {
 		if indeg[u] <= 0 {
 			continue
 		}
-		for _, v := range adj[u] {
+		for _, v := range succ.of(nodeID(u)) {
 			if indeg[v] > 0 && pred[v] < 0 {
 				pred[v] = nodeID(u)
 			}

@@ -137,9 +137,11 @@ func checkSyncEdgesCovered(t *testing.T, agg bool) {
 			covered[id] = true
 		}
 	}
-	for _, e := range a.g.edges {
-		if e.label.Class != edgeStruct && !covered[e.label] {
-			t.Errorf("sync edge %v not covered by any mutation", e.label)
+	for _, part := range a.g.edges.parts {
+		for _, e := range part {
+			if e.class != edgeStruct && !covered[e.label()] {
+				t.Errorf("sync edge %v not covered by any mutation", e.label())
+			}
 		}
 	}
 }

@@ -15,10 +15,10 @@ package verify
 // check re-run on the precisely rebuilt pruned graph (the builder
 // consults the PruneInfo at exactly the points the executor does). A
 // candidate that breaks any conflict ordering or any liveness property is
-// reverted. Deleting edges from Check's adjacency would NOT be a sound
-// license: the builder's unlabeled structural edges (a done event feeding
-// the loop-end quiescence merge) would survive the deletion, while the
-// executor skipping the sync loses them too — hence the rebuild.
+// reverted. Dropping edges from Check's successor table would NOT be a
+// sound license: the builder's unlabeled structural edges (a done event
+// feeding the loop-end quiescence merge) would survive the deletion, while
+// the executor skipping the sync loses them too — hence the rebuild.
 
 import (
 	"fmt"
@@ -46,11 +46,11 @@ func AnalyzePruned(c *cr.Compiled, info *cr.PruneInfo) (*Analysis, error) {
 // analyzed graph — the quantity pruning strictly reduces.
 func (a *Analysis) SyncEdges() int {
 	n := 0
-	for _, e := range a.g.edges {
-		if e.label.Class != edgeStruct {
+	a.g.edges.each(func(e *edge) {
+		if e.class != edgeStruct {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -97,9 +97,9 @@ func (p *planner) build(collectWar bool) *builder {
 func (p *planner) analysis(b *builder) *Analysis {
 	a := &Analysis{c: p.ix.c, g: b.g, accs: b.accs, refs: b.refs}
 	if p.base != nil && p.info.PrunedInits() == 0 && len(b.accs) == len(p.base.accs) {
-		a.conflicts, a.insts = p.base.conflicts, p.base.insts
+		a.conflicts, a.insts, a.cross = p.base.conflicts, p.base.insts, p.base.cross
 	} else {
-		a.conflicts, a.insts = enumerateConflicts(b.g, b.accs, len(b.refs))
+		a.conflicts, a.insts, a.cross = enumerateConflicts(b.g, b.accs, len(b.refs))
 	}
 	return a
 }
@@ -200,7 +200,7 @@ func (p *planner) warObligationFailures() map[[2]int]bool {
 	b := p.build(true)
 	defer func() { p.spare = b }()
 	g, reach := b.g, &p.reach
-	reach.closure(g.adjacency(nil))
+	reach.closure(&g.succ)
 	cns := make(map[nodeID]bool)
 	for _, ob := range b.warObs {
 		if ob.warN >= 0 && ob.cn >= 0 {
@@ -208,11 +208,11 @@ func (p *planner) warObligationFailures() map[[2]int]bool {
 		}
 	}
 	inOf := make(map[nodeID][]nodeID)
-	for _, e := range g.edges {
+	g.edges.each(func(e *edge) {
 		if cns[e.to] {
 			inOf[e.to] = append(inOf[e.to], e.from)
 		}
-	}
+	})
 	bad := make(map[[2]int]bool)
 	for _, ob := range b.warObs {
 		key := [2]int{ob.copyID, ob.k}
@@ -464,7 +464,7 @@ func (p *planner) markDeadInits() {
 	b := p.build(false)
 	defer func() { p.spare = b }()
 	c, g, reach := p.ix.c, b.g, &p.reach
-	reach.closure(g.adjacency(nil))
+	reach.closure(&g.succ)
 
 	type use struct {
 		n      nodeID

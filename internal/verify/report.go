@@ -97,7 +97,7 @@ func (a *Analysis) finding(kind string, cf conflict) Finding {
 		Fields:     a.fieldNames(a.refs[e.inst], fieldIntersection(lo.fields, hi.fields)),
 		Overlap:    overlap.String(),
 		Elems:      overlap.Volume(),
-		CrossShard: cf.crossShard,
+		CrossShard: a.g.crossShard(e.n, l.n),
 		A:          a.opRef(*e),
 		B:          a.opRef(*l),
 	}

@@ -154,8 +154,8 @@ func TestCleanPlanAllocatesNoGeometry(t *testing.T) {
 	if allocs[0] != allocs[1] {
 		t.Errorf("Verify allocates %v objects with few spans and %v with many: something scales with the geometry", allocs[0], allocs[1])
 	}
-	// Check on a clean plan: the adjacency, the closure and the report —
-	// a fixed handful, nothing per conflict and no strings.
+	// Check on a clean plan: the closure and the report — a fixed
+	// handful, nothing per conflict and no strings.
 	if checkAllocs[0] != checkAllocs[1] || checkAllocs[0] > 16 {
 		t.Errorf("Check on a clean plan allocates %v and %v objects (%d conflicts); want the same fixed handful", checkAllocs[0], checkAllocs[1], reps[0].Stats.Conflicts)
 	}

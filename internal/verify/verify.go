@@ -60,14 +60,16 @@ import (
 
 // Analysis is the reusable result of building the conflict set and the
 // happens-before graph for one compiled loop. Check answers queries
-// against it, optionally with sync edges deleted.
+// against it, optionally with sync edges deleted. Check with a drop set and
+// CheckLivenessMutated fill a buffer the Analysis keeps: one at a time.
 type Analysis struct {
-	c         *cr.Compiled
-	g         *graph
-	accs      []access
-	refs      []instRef // instID -> identity
-	conflicts []conflict
-	insts     int // instances with at least one access
+	c            *cr.Compiled
+	g            *graph
+	accs         []access
+	refs         []instRef // instID -> identity
+	conflicts    chunks[conflict]
+	insts, cross int // instances with an access; conflicts across two shards
+	mutated      successors
 }
 
 // Stats summarizes the size of the verification problem.
@@ -143,56 +145,49 @@ func (a *Analysis) Check(drop ...EdgeID) *Report { return a.check(&reachability{
 
 // check is Check with the closure computed into reach, whose slab it reuses.
 func (a *Analysis) check(reach *reachability, drop []EdgeID) *Report {
-	dropped := make(map[EdgeID]bool, len(drop))
-	for _, d := range drop {
-		dropped[d] = true
+	succ := &a.g.succ
+	if len(drop) > 0 {
+		dropped := make(map[EdgeID]bool, len(drop))
+		for _, d := range drop {
+			dropped[d] = true
+		}
+		succ = a.mutated.fill(a.g, dropped, nil)
 	}
-	adj := a.g.adjacency(dropped)
-	rep := &Report{Pass: "races", Findings: []Finding{}, Stats: Stats{
-		Nodes:     len(a.g.nodes),
-		Edges:     len(a.g.edges),
-		Instances: a.insts,
-		Accesses:  len(a.accs),
-		Conflicts: len(a.conflicts),
-		Iters:     a.g.iters,
-	}}
-	if !reach.closure(adj) {
+	rep := &Report{Pass: "races", Findings: []Finding{}, Stats: Stats{Nodes: len(a.g.nodes), Edges: a.g.edges.n,
+		Instances: a.insts, Accesses: len(a.accs), Conflicts: a.conflicts.n, CrossShard: a.cross, Iters: a.g.iters}}
+	if !reach.closure(succ) {
 		// Corrupted exchange tables can make the schedule wait on itself; no
 		// order is defined on a cyclic graph, so the deadlock is the finding.
-		rep.Findings = append(rep.Findings, a.cycleFinding(adj, reach.rank))
+		rep.Findings = append(rep.Findings, a.cycleFinding(succ, reach.rank))
 		return rep
 	}
-	for _, cf := range a.conflicts {
-		if cf.crossShard {
-			rep.Stats.CrossShard++
-		}
+	a.conflicts.each(func(cf *conflict) {
 		e, l := a.accs[cf.earlier].n, a.accs[cf.later].n
 		if reach.reaches(e, l) {
-			continue
+			return
 		}
 		kind := "unordered"
 		if reach.reaches(l, e) {
 			kind = "misordered"
 		}
-		rep.Findings = append(rep.Findings, a.finding(kind, cf))
-	}
+		rep.Findings = append(rep.Findings, a.finding(kind, *cf))
+	})
 	sortFindings(rep.Findings)
 	return rep
 }
 
 // ordered is Check reduced to its verdict: it closes the graph into reach
-// (reusing its slab), stops at the first pair the happens-before relation
-// fails to order the sequential way, and renders no witness.
+// (reusing its slab), asks whether every pair is ordered the sequential
+// way, and renders no witness.
 func (a *Analysis) ordered(reach *reachability) bool {
-	if !reach.closure(a.g.adjacency(nil)) {
+	if !reach.closure(&a.g.succ) {
 		return false
 	}
-	for _, cf := range a.conflicts {
-		if !reach.reaches(a.accs[cf.earlier].n, a.accs[cf.later].n) {
-			return false
-		}
-	}
-	return true
+	ok := true
+	a.conflicts.each(func(cf *conflict) {
+		ok = ok && reach.reaches(a.accs[cf.earlier].n, a.accs[cf.later].n)
+	})
+	return ok
 }
 
 // Verify analyzes and checks a compiled loop in one call.
