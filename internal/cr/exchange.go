@@ -2,12 +2,12 @@ package cr
 
 import "repro/internal/region"
 
-// Exchange step lists: the one description of a shard's copy work that the
-// SPMD executor (internal/spmd) runs and the schedule certifier
-// (internal/verify) builds happens-before from. Both walk the list
-// ExchangeSteps returns and nothing else, so whatever rewrites the schedule
-// — aggregation here, the certifier's prune flags consulted per member by
-// both walkers — is seen by both at the same points.
+// Exchange step lists: the one description of a shard's copy work. The
+// SPMD executor (internal/spmd) and the schedule certifier
+// (internal/verify) wire the list ExchangeSteps returns through one
+// function, Wiring.Exchange (wire.go), so whatever rewrites the schedule —
+// aggregation here, the certifier's prune flags there — is run and
+// certified alike.
 
 // StepMember is one copy pair carried by a produce step.
 type StepMember struct {
@@ -41,7 +41,8 @@ type ExchangeStep struct {
 // — every phase op's consume steps in body order, then the phase's
 // aggregation groups — and the phase's other ops cover nothing (end == op).
 // The lists are derived from the specialization tables on every call, so a
-// table corrupted after compilation corrupts what both walkers see.
+// table corrupted after compilation corrupts what both executor and
+// certifier see.
 func (c *Compiled) ExchangeSteps(op, shard int) (steps []ExchangeStep, end int) {
 	spec, agg := &c.Spec, c.Opts.Agg
 	end = op + 1

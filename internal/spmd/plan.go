@@ -128,9 +128,9 @@ type launchPlan struct {
 
 type launchColorPlan struct {
 	col     geometry.Point
-	colIdx  int        // position in the global domain (collective index)
-	durBase realm.Time // kernel cost before noise
-	args    []argPlan
+	colIdx  int                   // position in the global domain (collective index)
+	durBase realm.Time            // kernel cost before noise
+	args    []cr.Arg[realm.Event] // a reduction's: the launch's private temporary
 	// Real-mode bindings: the physical arguments (iteration-invariant —
 	// ir.PhysArg is immutable, so the slice is shared by every iteration's
 	// task context), the footprints the kernel resolves over them, and the
@@ -140,49 +140,23 @@ type launchColorPlan struct {
 	reinits    []func()
 }
 
-// argPlan is one region argument's dependence state: reads append to
-// readers, writes and reductions advance lastWrite (reductions against the
-// launch's private temporary, which resolve bound into st).
-type argPlan struct {
-	priv ir.Privilege
-	st   *instState
-}
-
 // exchangePlan is one shard's exchange step list (cr.ExchangeSteps) resolved:
-// states, nodes, sizes and Real-mode bodies bound to every step. Both sync
-// lowerings execute the same value.
+// states bound to every step, and a transfer to every produce step. Both
+// sync lowerings execute the same value.
 type exchangePlan struct {
-	// ids are the CopyOp IDs of the body ops the list covers, in body order:
-	// the copy alone, or every copy of an aggregated exchange phase.
-	ids   []int
-	steps []stepPlan
+	start, end int32 // the body indices the list covers
+	steps      []cr.Step[realm.Event]
+	xfers      []transferPlan // by step; zero for a consume step
 }
 
-// stepPlan is one resolved cr.ExchangeStep: a consume step (dstState set) or
-// a produce step (members set).
-type stepPlan struct {
-	copyID               int        // consumed group's copy op
-	op                   int        // its position in exchangePlan.ids
-	groupStart, groupEnd int        // absolute pair index range of the group
-	dstState             *instState // the destination instance this shard owns
-
-	// members are the pairs one transfer carries. bytes is the summed payload
-	// and body runs the member writes in member order — the unaggregated
-	// issue order — so stores are bitwise identical aggregation on or off.
-	members          []memberPlan
+// transferPlan is a produce step's transfer. bytes is the summed member
+// payload and body runs the member writes in member order — the
+// unaggregated issue order — so stores are bitwise identical aggregation
+// on or off.
+type transferPlan struct {
 	bytes            int64
 	srcNode, dstNode int
 	body             func() // Real-mode transfer body; iteration-invariant
-}
-
-// memberPlan is one pair of a produce step. Sync slots stay keyed by the
-// member's own op: the members of one step may span copy ops.
-type memberPlan struct {
-	copyID, pairIdx int
-	chain           bool // fold-chain link: also wait on pairIdx-1's done
-	reduce          bool // the owning op is a reduction copy
-	srcState        *instState
-	body            func()
 }
 
 // planFor returns the shard's memoized plan, resolving it on first use and
@@ -278,7 +252,7 @@ func (st *runState) resolveLaunch(sh *shard, op int) *launchPlan {
 		cp := &lp.colors[k]
 		cp.col, cp.colIdx = col, st.plan.ColorIdx[col]
 		cp.durBase = realm.Time(l.Task.Cost(costVol[cp.colIdx]) / float64(e.Over.KernelCores))
-		cp.args = make([]argPlan, len(l.Args))
+		cp.args = make([]cr.Arg[realm.Event], len(l.Args))
 		if e.Mode == ir.ExecReal {
 			cp.footprints = &ir.FootprintCache{}
 			cp.physArgs = make([]ir.PhysArg, len(l.Args))
@@ -287,9 +261,9 @@ func (st *runState) resolveLaunch(sh *shard, op int) *launchPlan {
 			param := l.Task.Params[ai]
 			reduce := param.Priv == ir.PrivReduce
 			if reduce {
-				cp.args[ai] = argPlan{param.Priv, sh.table.getTemp(tempKey{l, ai, col})}
+				cp.args[ai] = cr.Arg[realm.Event]{InstState: sh.table.getTemp(tempKey{l, ai, col}), Write: true}
 			} else {
-				cp.args[ai] = argPlan{param.Priv, sh.table.get(instKey{a.Part.ID(), col})}
+				cp.args[ai] = cr.Arg[realm.Event]{InstState: sh.table.get(instKey{a.Part.ID(), col}), Write: param.Priv != ir.PrivRead}
 			}
 			if e.Mode != ir.ExecReal {
 				continue
@@ -312,93 +286,87 @@ func (st *runState) resolveLaunch(sh *shard, op int) *launchPlan {
 	return lp
 }
 
-// resolveMember fills one produced pair's dependence state and Real-mode
-// transfer body.
-func (st *runState) resolveMember(sh *shard, m *memberPlan, cp *cr.CopyOp, mem cr.StepMember) {
-	k := int(mem.Pair)
+// resolveMember returns one produced pair's source instance state and its
+// Real-mode transfer body.
+func (st *runState) resolveMember(sh *shard, cp *cr.CopyOp, k int) (src *instState, body func()) {
 	pr := cp.Pairs[k]
-	*m = memberPlan{
-		copyID:  cp.ID,
-		pairIdx: k,
-		chain:   mem.Chain && !st.plan.Prune.SkipChain(cp.ID, k),
-		reduce:  cp.Reduce != region.ReduceNone,
-	}
 	realMode := st.e.Mode == ir.ExecReal
 	fields, overlap := cp.Fields, pr.Overlap
-	if !m.reduce {
-		m.srcState = sh.table.get(instKey{cp.Src.ID(), pr.Src})
+	if cp.Reduce == region.ReduceNone {
+		src = sh.table.get(instKey{cp.Src.ID(), pr.Src})
 		if realMode {
-			src := st.inst[instKey{cp.Src.ID(), pr.Src}]
+			from := st.inst[instKey{cp.Src.ID(), pr.Src}]
 			dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-			m.body = func() {
+			body = func() {
 				for _, f := range fields {
-					dst.CopyFieldFrom(src, f, overlap)
+					dst.CopyFieldFrom(from, f, overlap)
 				}
 			}
 		}
-		return
+		return src, body
 	}
 	tk := tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src}
-	m.srcState = sh.table.getTemp(tk)
+	src = sh.table.getTemp(tk)
 	if realMode {
 		buf := st.tempStore(tk, cp.Src.Sub(pr.Src))
 		dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
 		rop := cp.Reduce
-		m.body = func() {
+		body = func() {
 			for _, f := range fields {
 				dst.ReduceFieldFrom(buf, f, rop, overlap)
 			}
 		}
 	}
+	return src, body
 }
 
 // resolveExchange resolves the exchange step list starting at body index op
 // for one shard, or returns nil when the list covers nothing. The shard
 // consumes the pair groups whose destination it owns and produces the pairs
-// whose source it owns, one transfer per step; reduction applications to
-// one destination chain in source order for deterministic folding unless
-// the step's own member order or the certifier's prune replaces the link.
+// whose source it owns, one transfer per step.
 func (st *runState) resolveExchange(sh *shard, op int) *exchangePlan {
 	steps, end := st.plan.ExchangeSteps(op, sh.me)
 	if end == op {
 		return nil
 	}
-	xp := &exchangePlan{ids: make([]int, end-op), steps: make([]stepPlan, len(steps))}
-	for i := range xp.ids {
-		xp.ids[i] = st.plan.Body[op+i].Copy.ID
-	}
+	xp := &exchangePlan{start: int32(op), end: int32(end), steps: make([]cr.Step[realm.Event], len(steps)), xfers: make([]transferPlan, len(steps))}
 	nmem := 0
 	for i := range steps {
 		nmem += len(steps[i].Members)
 	}
-	members := make([]memberPlan, nmem)
+	srcs := make([]*instState, nmem)
 	srcNode := st.nodeOfShard(sh.me)
 	for i := range steps {
-		s, p := &steps[i], &xp.steps[i]
+		s, p, t := &steps[i], &xp.steps[i], &xp.xfers[i]
+		p.ExchangeStep = s
 		if !s.Produce {
 			cp := st.plan.Body[s.Op].Copy
-			p.copyID, p.op = cp.ID, int(s.Op)-op
-			p.groupStart, p.groupEnd = int(s.GroupStart), int(s.GroupEnd)
-			p.dstState = sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[s.GroupStart].Dst})
+			p.Dst = sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[s.GroupStart].Dst})
 			continue
 		}
 		n := len(s.Members)
-		p.members, members = members[:n:n], members[n:]
-		p.srcNode, p.dstNode = srcNode, st.nodeOfShard(int(s.DstShard))
-		for mi, mem := range s.Members {
-			cp := st.plan.Body[mem.Op].Copy
-			st.resolveMember(sh, &p.members[mi], cp, mem)
-			vol := st.plan.Spec.Ops[mem.Op].Copy.PairVols[mem.Pair]
-			p.bytes += vol * st.e.Over.EltBytes * int64(len(cp.Fields))
-		}
-		if ms := p.members; n == 1 {
-			p.body = ms[0].body
-		} else if st.e.Mode == ir.ExecReal {
-			p.body = func() {
-				for i := range ms {
-					ms[i].body()
+		p.Srcs, srcs = srcs[:n:n], srcs[n:]
+		t.srcNode, t.dstNode = srcNode, st.nodeOfShard(int(s.DstShard))
+		var bodies []func()
+		if n > 1 && st.e.Mode == ir.ExecReal {
+			bodies = make([]func(), n)
+			t.body = func() {
+				for _, body := range bodies {
+					body()
 				}
 			}
+		}
+		for mi, mem := range s.Members {
+			cp := st.plan.Body[mem.Op].Copy
+			var body func()
+			p.Srcs[mi], body = st.resolveMember(sh, cp, int(mem.Pair))
+			if bodies != nil {
+				bodies[mi] = body
+			} else if n == 1 {
+				t.body = body
+			}
+			vol := st.plan.Spec.Ops[mem.Op].Copy.PairVols[mem.Pair]
+			t.bytes += vol * st.e.Over.EltBytes * int64(len(cp.Fields))
 		}
 	}
 	return xp

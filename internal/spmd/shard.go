@@ -167,10 +167,9 @@ type shard struct {
 	// not retain its inputs, so a buffer can be reused as soon as the Merge
 	// consuming it returns.
 	presBuf []realm.Event
-	evBuf   []realm.Event
-	wrBuf   []realm.Event
 	doneBuf []realm.Event
 	ctxBuf  []*ir.TaskCtx
+	scratch cr.Scratch[realm.Event]
 }
 
 // runRange replicates the loop's control flow over the shard's owned
@@ -235,10 +234,8 @@ func (sh *shard) runRange(lo, hi int) {
 }
 
 // execIter executes one iteration's body from its plan. This is the only
-// dispatch on planOp: the sync lowering (§3.4) selects which of the two
-// exchange executors runs the same exchangePlan value.
+// dispatch on planOp.
 func (sh *shard) execIter(sp *shardPlan, iter int) {
-	barrier := sh.st.plan.Opts.Sync == cr.BarrierSync
 	for i := range sp.ops {
 		op := &sp.ops[i]
 		switch {
@@ -246,10 +243,8 @@ func (sh *shard) execIter(sp *shardPlan, iter int) {
 			sh.env.Set(op.set.Name, op.set.Expr(sh.env))
 		case op.launch != nil:
 			sh.execLaunch(op.launch, iter)
-		case barrier:
-			sh.execExchangeBarrier(op.xch, iter)
 		default:
-			sh.execExchangeP2P(op.xch, iter)
+			sh.execExchange(op.xch, iter)
 		}
 	}
 }
@@ -278,13 +273,7 @@ func (sh *shard) execLaunch(lp *launchPlan, iter int) {
 	for ci := range lp.colors {
 		cp := &lp.colors[ci]
 		sh.th.Elapse(e.Over.ShardLaunchBase)
-		pres := sh.presBuf[:0]
-		for _, a := range cp.args {
-			pres = append(pres, a.st.lastWrite)
-			if a.priv != ir.PrivRead {
-				pres = append(pres, a.st.readers...)
-			}
-		}
+		sh.presBuf = cr.Gate(sh.presBuf[:0], cp.args)
 		dur := cp.durBase
 		if e.Over.Noise != nil {
 			dur = realm.Time(float64(dur) * e.Over.Noise(lp.nodeID, iter))
@@ -308,17 +297,9 @@ func (sh *shard) execLaunch(lp *launchPlan, iter int) {
 				}
 			}
 		}
-		done := e.Sim.LaunchOn(lp.nodeID, e.Sim.Merge(pres...), dur, body)
-		sh.presBuf = pres[:0]
-
-		for _, a := range cp.args {
-			if a.priv == ir.PrivRead {
-				a.st.readers = append(a.st.readers, done)
-			} else {
-				a.st.lastWrite = done
-				a.st.readers = a.st.readers[:0]
-			}
-		}
+		done := e.Sim.LaunchOn(lp.nodeID, e.Sim.Merge(sh.presBuf...), dur, body)
+		sh.presBuf = sh.presBuf[:0]
+		cr.Launched(cp.args, done)
 		if reduce {
 			localDone = append(localDone, done)
 			ctxs = append(ctxs, ctx)
@@ -348,175 +329,44 @@ func (sh *shard) execLaunch(lp *launchPlan, iter int) {
 	}
 }
 
-// consume is a consume step under point-to-point synchronization (§3.4): the
-// shard owning the destination computes the write-after-read release,
-// connects it to every pair's war event, and advances the instance's
-// validity to the pairs' done events.
-func (sh *shard) consume(w *stepPlan, iter int) {
+// execExchange executes one exchange step list, wired by cr.Wiring.
+func (sh *shard) execExchange(xp *exchangePlan, iter int) {
 	st := sh.st
-	e := st.e
-	prune := st.plan.Prune
-	s := w.dstState
-	rel := append(sh.evBuf[:0], s.readers...)
-	rel = append(rel, s.lastWrite)
-	release := e.Sim.Merge(rel...)
-	newWrites := append(sh.wrBuf[:0], s.lastWrite)
-	for k := w.groupStart; k < w.groupEnd; k++ {
-		ps := st.pairSyncFor(w.copyID, k, iter)
-		if !prune.SkipWar(w.copyID, k) {
-			e.Sim.TriggerAfter(ps.war, release)
-		}
-		if !prune.SkipDone(w.copyID, k) {
-			newWrites = append(newWrites, ps.done)
-			sh.ops = append(sh.ops, ps.done)
-		}
-	}
-	s.lastWrite = e.Sim.Merge(newWrites...)
-	s.readers = s.readers[:0]
-	sh.evBuf, sh.wrBuf = rel[:0], newWrites[:0]
-}
-
-// execExchangeP2P executes one exchange step list under point-to-point
-// synchronization. A consume step releases and observes the per-pair
-// war/done events of one destination group the shard owns; consumers are
-// oblivious to how producers batch. A produce step issues ONE transfer for
-// all its members: preconditions are the union of the members' wars, source
-// validity, and fold-chain links (the predecessor may belong to another
-// shard — the done event is shared state), the payload is the summed member
-// bytes, and the single completion event fans out to every member's done.
-// Members carry their own op's copy ID: an aggregated step spans copy ops,
-// and the per-pair sync slots stay keyed by the owning op.
-func (sh *shard) execExchangeP2P(xp *exchangePlan, iter int) {
-	st := sh.st
-	e := st.e
-	prune := st.plan.Prune
-	for si := range xp.steps {
-		s := &xp.steps[si]
-		if s.dstState != nil {
-			sh.consume(s, iter)
-			continue
-		}
-		// One setup charge per transfer, not per member: batching the issue
-		// overhead is half the point of coalescing.
-		sh.th.Elapse(e.Over.CopySetup)
-		pres := sh.presBuf[:0]
-		for mi := range s.members {
-			m := &s.members[mi]
-			if !prune.SkipWar(m.copyID, m.pairIdx) {
-				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx, iter).war)
-			}
-			pres = append(pres, m.srcState.lastWrite)
-			if m.chain {
-				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx-1, iter).done)
-			}
-		}
-		ev := e.Sim.CopyAgg(s.srcNode, s.dstNode, s.bytes, len(s.members), e.Sim.Merge(pres...), s.body)
-		sh.presBuf = pres[:0]
-		for mi := range s.members {
-			m := &s.members[mi]
-			m.srcState.readers = append(m.srcState.readers, ev)
-			if prune.SkipDone(m.copyID, m.pairIdx) {
-				// Done pruned: the transfer's own completion joins the
-				// producer's iteration merge so loop-end quiescence still covers
-				// it; nothing triggers or waits on the pair's done.
-				sh.ops = append(sh.ops, ev)
-			} else {
-				done := st.pairSyncFor(m.copyID, m.pairIdx, iter).done
-				e.Sim.TriggerAfter(done, ev)
-				sh.ops = append(sh.ops, done)
-			}
-		}
+	w := cr.Wiring[realm.Event, shardSink]{Sink: shardSink{sh, iter, xp}, C: st.plan, Prune: st.plan.Prune, Scratch: &sh.scratch}
+	w.Exchange(xp.steps, xp.start, xp.end, &sh.ops)
+	if len(xp.steps) > 0 && st.plan.Opts.Sync != cr.BarrierSync {
+		// A consume step reserves its iteration's sync block even when the
+		// prune leaves it nothing to wire: realm.events counts the block.
+		st.warFor(xp.start, 0, iter)
 	}
 }
 
-// barrierArrive arrives at a copy op's entry barrier once everything this
-// shard has issued so far in the iteration has completed, plus all
-// outstanding consumers of the destination instances it owns (deferred
-// execution means prior-iteration readers may still be in flight). op is the
-// copy's position in xp.ids.
-func (sh *shard) barrierArrive(b1 realm.BarrierOp, xp *exchangePlan, op int) {
-	arr := append(sh.evBuf[:0], sh.ops...)
-	for si := range xp.steps {
-		if w := &xp.steps[si]; w.dstState != nil && w.op == op {
-			arr = append(arr, w.dstState.lastWrite)
-			arr = append(arr, w.dstState.readers...)
-		}
-	}
-	b1.Arrive(sh.st.e.Sim.Merge(arr...))
-	sh.evBuf = arr[:0]
+// shardSink is the executor's cr.Sink: the wiring's events are realm
+// events of the shard's iteration iter.
+type shardSink struct {
+	sh   *shard
+	iter int
+	xp   *exchangePlan
 }
 
-// barrierExit arrives at a copy op's exit barrier with the issued transfers
-// (and the entry barrier, for a shard that issued none); all the shard's
-// destination instances of the op become valid after it.
-func (sh *shard) barrierExit(b2 realm.BarrierOp, copyEvs []realm.Event, b1done realm.Event, xp *exchangePlan, op int) {
-	sim := sh.st.e.Sim
-	arr := append(append(sh.evBuf[:0], copyEvs...), b1done)
-	b2.Arrive(sim.Merge(arr...))
-	sh.evBuf = arr[:0]
-	for si := range xp.steps {
-		if w := &xp.steps[si]; w.dstState != nil && w.op == op {
-			w.dstState.lastWrite = sim.Merge(w.dstState.lastWrite, b2.Done())
-			w.dstState.readers = w.dstState.readers[:0]
-		}
-	}
-	sh.ops = append(sh.ops, b2.Done())
+func (k shardSink) Merge(evs ...realm.Event) realm.Event { return k.sh.st.e.Sim.Merge(evs...) }
+
+func (k shardSink) Link(to, from realm.Event, _ cr.EdgeID) { k.sh.st.e.Sim.TriggerAfter(to, from) }
+
+func (k shardSink) War(op, pair int32) realm.Event  { return k.sh.st.warFor(op, pair, k.iter) }
+func (k shardSink) Done(op, pair int32) realm.Event { return k.sh.st.warFor(op, pair, k.iter) + 1 }
+
+// Begin charges one setup per transfer, not per member: batching the issue
+// overhead is half the point of coalescing.
+func (k shardSink) Begin(int) { k.sh.th.Elapse(k.sh.st.e.Over.CopySetup) }
+
+func (k shardSink) Transfer(i int, pres []realm.Event, _ []cr.EdgeID) realm.Event {
+	t, sim := &k.xp.xfers[i], k.sh.st.e.Sim
+	return sim.CopyAgg(t.srcNode, t.dstNode, t.bytes, len(k.xp.steps[i].Members), sim.Merge(pres...), t.body)
 }
 
-// execExchangeBarrier executes one exchange step list under the naive
-// barrier lowering of Figure 4c, kept as the ablation baseline for the
-// point-to-point optimization: per covered copy op a global barrier protects
-// write-after-read, the transfers run, and a second barrier protects
-// read-after-write. A transfer's members may span the covered ops, so its
-// precondition spans their entry barriers: the shard arrives at EVERY op's
-// entry barrier up front — without threading one op's exit barrier into the
-// next op's entry arrival, which would cycle the transfers against the
-// barriers — then issues the transfers (waiting all the entry barriers,
-// source validity, and fold-chain links), then arrives at every op's exit
-// barrier with all the completions. With several ops covered each exit
-// barrier thus waits the whole phase's transfers, not only its own members':
-// over-synchronized relative to one op at a time, but only ever tighter,
-// never a reordering. Reduction folds into one destination still chain in
-// source order across all producing shards via the shared per-pair done
-// events, so the fold order is deterministic even under barriers.
-func (sh *shard) execExchangeBarrier(xp *exchangePlan, iter int) {
-	st := sh.st
-	e := st.e
-	b1done := make([]realm.Event, len(xp.ids))
-	for op, id := range xp.ids {
-		b1 := st.barrierFor(id, iter, 0)
-		sh.barrierArrive(b1, xp, op)
-		b1done[op] = b1.Done()
-	}
-
-	copyEvs := make([]realm.Event, 0, len(xp.steps))
-	for si := range xp.steps {
-		s := &xp.steps[si]
-		if s.dstState != nil {
-			continue
-		}
-		sh.th.Elapse(e.Over.CopySetup)
-		pres := append(sh.presBuf[:0], b1done...)
-		for mi := range s.members {
-			m := &s.members[mi]
-			pres = append(pres, m.srcState.lastWrite)
-			if m.chain {
-				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx-1, iter).done)
-			}
-		}
-		ev := e.Sim.CopyAgg(s.srcNode, s.dstNode, s.bytes, len(s.members), e.Sim.Merge(pres...), s.body)
-		sh.presBuf = pres[:0]
-		for mi := range s.members {
-			m := &s.members[mi]
-			m.srcState.readers = append(m.srcState.readers, ev)
-			if m.reduce && !st.plan.Prune.SkipDone(m.copyID, m.pairIdx) {
-				e.Sim.TriggerAfter(st.pairSyncFor(m.copyID, m.pairIdx, iter).done, ev)
-			}
-		}
-		copyEvs = append(copyEvs, ev)
-	}
-
-	for op, id := range xp.ids {
-		sh.barrierExit(st.barrierFor(id, iter, 1), copyEvs, b1done[op], xp, op)
-	}
+func (k shardSink) Arrive(op, phase int32, evs []realm.Event) realm.Event {
+	b := k.sh.st.barrierFor(op, k.iter, int(phase))
+	b.Arrive(k.Merge(evs...))
+	return b.Done()
 }

@@ -27,12 +27,8 @@ type tempKey struct {
 	color  geometry.Point
 }
 
-// instState is the shard-local dependence state of one instance: the event
-// after which its contents are valid, and the readers issued since.
-type instState struct {
-	lastWrite realm.Event
-	readers   []realm.Event
-}
+// instState is the shard-local dependence state of one instance.
+type instState = cr.InstState[realm.Event]
 
 // shardTable is one shard's instance-state table. Only the owning shard's
 // thread touches it (consumer-side copy processing happens on the shard
@@ -50,7 +46,7 @@ func newShardTable() *shardTable {
 func (t *shardTable) get(k instKey) *instState {
 	s, ok := t.inst[k]
 	if !ok {
-		s = &instState{lastWrite: realm.NoEvent}
+		s = &instState{LastWrite: realm.NoEvent}
 		t.inst[k] = s
 	}
 	return s
@@ -59,19 +55,10 @@ func (t *shardTable) get(k instKey) *instState {
 func (t *shardTable) getTemp(k tempKey) *instState {
 	s, ok := t.temp[k]
 	if !ok {
-		s = &instState{lastWrite: realm.NoEvent}
+		s = &instState{LastWrite: realm.NoEvent}
 		t.temp[k] = s
 	}
 	return s
-}
-
-// pairSync is the point-to-point synchronization pair of §3.4: war is the
-// consumer's release (write-after-read: prior consumers of the destination
-// have finished), done is the producer's completion (read-after-write: the
-// copy has landed). Both are plain events attached as task pre/post
-// conditions, so neither side's control thread ever blocks on them.
-type pairSync struct {
-	war, done realm.Event
 }
 
 // runState is the state shared by the shards of one replicated loop
@@ -99,11 +86,12 @@ type runState struct {
 	// lazily populated map keyed by (copy, pair, iteration), each iteration's
 	// sync events are one contiguous block reserved in bulk from the
 	// simulator (realm.ReserveEvents): slot arithmetic replaces hashing and
-	// per-pair allocations. pairOff maps CopyOp.ID to its first pair slot;
-	// iteration t's pair k of copy c lives at syncBase[t] + 2*(pairOff[c]+k)
-	// (war, then done). Collectives and ablation barriers are likewise
-	// indexed by (iteration, position).
-	pairOff   map[int]int
+	// per-pair allocations. pairOff maps a copy's body index to its first pair
+	// slot (one per CopyOp.ID); iteration t's pair k of the copy at body
+	// index op lives at syncBase[t] + 2*(pairOff[op]+k) (war, then done).
+	// Collectives and ablation barriers are likewise indexed by (iteration,
+	// position).
+	pairOff   []int
 	pairTotal int
 	syncBase  []atomic.Int32 // a realm.Event per iteration; NoEvent until first touch
 
@@ -111,7 +99,7 @@ type runState struct {
 	numRed int
 	colls  []realm.CollectiveOp // [iter*numRed + redIdx], lazily created
 
-	barIdx    map[int]int
+	barIdx    []int // by body index, like pairOff
 	numBarOps int
 	bars      []realm.BarrierOp // [(iter*numBarOps + barIdx)*2 + which], lazy
 
@@ -177,18 +165,22 @@ func newRunState(e *Engine, plan *cr.Compiled, trip int, assign []int) *runState
 // indexSyncSlots assigns every copy op's pairs, every scalar reduction, and
 // every ablation barrier a dense position, sizing the per-iteration tables.
 func (st *runState) indexSyncSlots(trip int) {
-	st.pairOff = make(map[int]int)
+	n := len(st.plan.Body)
+	st.pairOff, st.barIdx = make([]int, n), make([]int, n)
 	st.redIdx = make(map[*ir.Launch]int)
-	st.barIdx = make(map[int]int)
-	for _, op := range st.plan.Body {
+	first := make(map[int]int) // CopyOp.ID -> body index of its first op
+	for i, op := range st.plan.Body {
 		switch {
 		case op.Copy != nil:
-			if _, ok := st.pairOff[op.Copy.ID]; !ok {
-				st.pairOff[op.Copy.ID] = st.pairTotal
-				st.pairTotal += len(op.Copy.Pairs)
-				st.barIdx[op.Copy.ID] = st.numBarOps
-				st.numBarOps++
+			if f, ok := first[op.Copy.ID]; ok {
+				st.pairOff[i], st.barIdx[i] = st.pairOff[f], st.barIdx[f]
+				continue
 			}
+			first[op.Copy.ID] = i
+			st.pairOff[i] = st.pairTotal
+			st.pairTotal += len(op.Copy.Pairs)
+			st.barIdx[i] = st.numBarOps
+			st.numBarOps++
 		case op.Launch != nil && op.Launch.Reduce != nil:
 			if _, ok := st.redIdx[op.Launch]; !ok {
 				st.redIdx[op.Launch] = st.numRed
@@ -203,17 +195,21 @@ func (st *runState) indexSyncSlots(trip int) {
 	}
 }
 
-// pairSyncFor returns the sync pair for (copy, pair, iteration); producer
-// and consumer may ask in either order. The first touch of an iteration
-// reserves its whole sync block in bulk, under mu; every later one is an
-// atomic load.
-func (st *runState) pairSyncFor(copyID, pairIdx, iter int) pairSync {
+// warFor returns the war event of pair k of the copy at body index op in
+// iteration iter; the pair's done event is the next one. They are the
+// point-to-point synchronization pair of §3.4: war is the consumer's
+// release (write-after-read: prior consumers of the destination have
+// finished), done the producer's completion (read-after-write: the copy
+// has landed), plain events attached as task pre/post conditions, so
+// neither side's control thread ever blocks on them. Producer and consumer
+// may ask in either order. The first touch of an iteration reserves its
+// whole sync block in bulk, under mu; every later one is an atomic load.
+func (st *runState) warFor(op, k int32, iter int) realm.Event {
 	base := realm.Event(st.syncBase[iter].Load())
 	if base == realm.NoEvent {
 		base = st.reserveSync(iter)
 	}
-	war := base + realm.Event(2*(st.pairOff[copyID]+pairIdx))
-	return pairSync{war: war, done: war + 1}
+	return base + realm.Event(2*(st.pairOff[op]+int(k)))
 }
 
 // reserveSync returns iteration iter's sync block, reserving it unless
@@ -229,9 +225,10 @@ func (st *runState) reserveSync(iter int) realm.Event {
 	return base
 }
 
-// barrierFor lazily creates one of a copy op's two global barriers.
-func (st *runState) barrierFor(copyID, iter, which int) realm.BarrierOp {
-	i := (iter*st.numBarOps+st.barIdx[copyID])*2 + which
+// barrierFor lazily creates one of the two global barriers of the copy at
+// body index op.
+func (st *runState) barrierFor(op int32, iter, which int) realm.BarrierOp {
+	i := (iter*st.numBarOps+st.barIdx[op])*2 + which
 	st.mu.Lock()
 	b := st.bars[i]
 	if b == nil {

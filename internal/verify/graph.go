@@ -1,66 +1,26 @@
 package verify
 
 import (
-	"strconv"
-
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/region"
 )
 
-// EdgeClass names a class of deletable happens-before edges — the
-// synchronization the compiler/runtime inserts, as opposed to the
-// structural dependence edges of the issue loop itself.
-type EdgeClass int8
-
-const (
-	edgeStruct EdgeClass = iota // local dependence / phase edges; never deleted
-	// EdgeWAR is the consumer's release into a pair's war event: prior
-	// readers (and the prior writer) of the destination instance must
-	// finish before the copy may overwrite it (§3.4).
-	EdgeWAR
-	// EdgeDone is a pair's copy completion into its done event: consumers
-	// of the destination instance wait on it (read-after-write), and the
-	// shard's iteration-completion merge carries it to finalization.
-	EdgeDone
-	// EdgeChain orders a reduction application after the previous
-	// application to the same destination instance (deterministic fold
-	// order, §4.3).
-	EdgeChain
-	// EdgeBarrier is the arrivals into one of a copy's two global barriers
-	// in the naive Figure 4c lowering; Pair holds the phase (0 = the
-	// write-after-read barrier, 1 = the read-after-write barrier).
-	EdgeBarrier
+// EdgeClass and EdgeID name the deletable synchronization edges; the
+// wiring that adds them (cr/wire.go) defines them.
+type (
+	EdgeClass = cr.EdgeClass
+	EdgeID    = cr.EdgeID
 )
 
-func (c EdgeClass) String() string {
-	switch c {
-	case EdgeWAR:
-		return "war"
-	case EdgeDone:
-		return "done"
-	case EdgeChain:
-		return "chain"
-	case EdgeBarrier:
-		return "barrier"
-	}
-	return "struct"
-}
-
-// EdgeID identifies one deletable synchronization: the class, the copy op
-// it belongs to, and the pair index (or barrier phase). The same EdgeID
-// labels the edge in every unrolled iteration, so deleting it models the
-// compiler never inserting that sync.
-type EdgeID struct {
-	Class EdgeClass `json:"class"`
-	Copy  int       `json:"copy"`
-	Pair  int       `json:"pair"`
-}
-
-func (e EdgeID) String() string {
-	return e.Class.String() + "(" + strconv.Itoa(e.Copy) + "," + strconv.Itoa(e.Pair) + ")"
-}
+const (
+	edgeStruct  = cr.EdgeStruct
+	EdgeWAR     = cr.EdgeWAR
+	EdgeDone    = cr.EdgeDone
+	EdgeChain   = cr.EdgeChain
+	EdgeBarrier = cr.EdgeBarrier
+)
 
 type nodeID int32
 
@@ -133,11 +93,10 @@ func (c *chunks[T]) each(visit func(*T)) {
 	}
 }
 
-// barrierArrival records one global barrier's arrival count: how many
-// shards arrive (got) against its participant count (want). The executor
-// arrives unconditionally at both of a copy's barriers on every shard, so
-// got == want by construction; the liveness mutation harness perturbs got
-// to model a shard skipping its arrival (the barrier never triggers).
+// barrierArrival records one global barrier's arrivals (got, one per shard
+// the wiring arrives for) against its participant count (want). The
+// liveness mutation harness perturbs got to model a shard skipping its
+// arrival (the barrier never triggers).
 type barrierArrival struct {
 	b      nodeID
 	copyID int32
@@ -162,10 +121,6 @@ func (g *graph) add(n node) nodeID {
 
 func (g *graph) edge(from, to nodeID) {
 	g.edges.push(edge{from: from, to: to})
-}
-
-func (g *graph) ledge(from, to nodeID, id EdgeID) {
-	g.edges.push(edge{from: from, to: to, class: id.Class, copy: int32(id.Copy), pair: int32(id.Pair)})
 }
 
 // labels returns the labels of the graph's sync edges of one class.
@@ -277,25 +232,16 @@ type access struct {
 	write  bool
 }
 
-// symState is the symbolic analogue of the executor's per-instance
-// dependence state (spmd.instState): the set of nodes after which the
-// instance's contents are valid, and the readers issued since.
-type symState struct {
-	lastWrite []nodeID
-	readers   []nodeID
-}
-
 // warOb is one war event's ordering obligation: every node of the
-// consumer's release set must happen-before the producer's copy node, or
-// skipping the war reorders a write-after-read. Collected (under
-// collectWar) for every p2p war slot, pruned (warN == -1, the obligation
-// must hold through the remaining graph) or kept (warN set, so the
-// proposal pass can ask whether the obligation would survive removing
-// exactly this event).
+// consumer's release (a merge) must happen-before the head cn of the
+// transfer carrying the pair, or skipping the war reorders a
+// write-after-read. Collected (under collectWar) for every p2p war slot,
+// pruned (warN == -1: it must hold through the remaining graph) or kept
+// (so the proposal pass can ask whether it survives removing this event).
 type warOb struct {
 	copyID  int
-	k       int
-	release []nodeID
+	op, k   int32
+	release nodeID
 	cn      nodeID
 	warN    nodeID
 }
@@ -309,22 +255,34 @@ type builder struct {
 	// the dependence state by instance key.
 	ids    []instID
 	refs   []instRef
-	states []symState
+	states []cr.InstState[nodeID]
 	accs   []access
 	// collectWar records a warOb for every war event the prune info skips.
 	collectWar bool
 	warObs     []warOb
-	// opsOf mirrors each shard's sh.ops for the current iteration: the
-	// events the shard merges into its iteration-completion event. Their
-	// union over all iterations feeds the loop-end phase edge (shardDone).
+	// opsOf holds each shard's sh.ops of the current iteration: the events
+	// the shard merges into its iteration-completion event. Their union
+	// over all iterations feeds the loop-end phase edge (shardDone).
 	opsOf     [][]nodeID
 	allOps    []nodeID
 	loopStart nodeID
-	// prune is consulted at exactly the points the executor consults it
-	// (spmd shard.go / plan.go), so the graph is the precise happens-before
-	// relation of the pruned schedule — not an approximation by edge
-	// deletion, which would leave the structural done->loopEnd edges of
-	// pruned sync in place. Nil builds the conservative schedule.
+	// x is the exchange being wired, head and tail the transfer Begin added
+	// (head: the task being wired); steps, srcs and args bind what is wired
+	// to states. A merge is the handle -2-i of spans[i], a window of arena.
+	x          *exchange
+	one        [1]nodeID
+	head, tail nodeID
+	steps      []cr.Step[nodeID]
+	srcs       []*cr.InstState[nodeID]
+	args       []cr.Arg[nodeID]
+	buf        []nodeID
+	scratch    cr.Scratch[nodeID]
+	arena      []nodeID
+	spans      [][2]int32
+	// prune is consulted where the executor consults it (cr.Wiring, init),
+	// so the graph is the pruned schedule's precise happens-before relation,
+	// not edge deletion, which would leave the structural done->loopEnd
+	// edges of pruned sync in place. Nil builds the conservative schedule.
 	prune *cr.PruneInfo
 }
 
@@ -351,20 +309,16 @@ func newBuilder(ix *index, prune *cr.PruneInfo, spare *builder) *builder {
 		b = &builder{
 			g:      &graph{nodes: make([]node, 0, nodes), edges: chunks[edge]{size: nodes}},
 			ids:    make([]instID, len(ix.spaces)*colors),
-			states: make([]symState, len(ix.spaces)*colors),
+			states: make([]cr.InstState[nodeID], len(ix.spaces)*colors),
 			accs:   make([]access, 0, accs),
 			opsOf:  make([][]nodeID, c.Opts.NumShards),
 		}
 	}
 	b.ix, b.c, b.prune, b.collectWar = ix, c, prune, false
 	b.g = &graph{nodes: b.g.nodes[:0], edges: chunks[edge]{parts: b.g.edges.parts[:0], size: b.g.edges.size}, arrivals: b.g.arrivals[:0], succ: b.g.succ}
-	b.refs, b.accs, b.warObs, b.allOps = b.refs[:0], b.accs[:0], b.warObs[:0], b.allOps[:0]
+	b.refs, b.accs, b.warObs, b.allOps, b.arena, b.spans = b.refs[:0], b.accs[:0], b.warObs[:0], b.allOps[:0], b.arena[:0], b.spans[:0]
 	for i := range b.ids {
 		b.ids[i] = -1
-	}
-	for i := range b.states {
-		s := &b.states[i]
-		s.lastWrite, s.readers = s.lastWrite[:0], s.readers[:0]
 	}
 	return b
 }
@@ -377,15 +331,40 @@ func (b *builder) id(key int32) instID {
 	return b.ids[key]
 }
 
-func (b *builder) state(key int32) *symState {
+func (b *builder) state(key int32) *cr.InstState[nodeID] {
 	b.id(key)
 	return &b.states[key]
 }
 
-// seed makes an untouched instance valid after the spawn point.
-func (b *builder) seed(s *symState) {
-	if len(s.lastWrite) == 0 && len(s.readers) == 0 {
-		s.lastWrite = append(s.lastWrite, b.loopStart)
+// merge returns the event after every one of evs: the handle -2-i of
+// spans[i], the window of arena listing the nodes they stand for.
+func (b *builder) merge(evs []nodeID) nodeID {
+	at := len(b.arena)
+	for _, e := range evs {
+		b.arena = append(b.arena, b.nodes(e)...)
+	}
+	b.spans = append(b.spans, [2]int32{int32(at), int32(len(b.arena))})
+	return -1 - nodeID(len(b.spans))
+}
+
+// nodes returns the nodes event e stands for: itself, a merge's, or none
+// (-1). A node's slice is only valid until the next call.
+func (b *builder) nodes(e nodeID) []nodeID {
+	switch {
+	case e >= 0:
+		b.one[0] = e
+		return b.one[:]
+	case e < -1:
+		sp := b.spans[-2-e]
+		return b.arena[sp[0]:sp[1]]
+	}
+	return nil
+}
+
+// link adds an edge labelled id into node to from every node of from.
+func (b *builder) link(to, from nodeID, id EdgeID) {
+	for _, n := range b.nodes(from) {
+		b.g.edges.push(edge{from: n, to: to, class: id.Class, copy: int32(id.Copy), pair: int32(id.Pair)})
 	}
 }
 
@@ -398,13 +377,11 @@ func (b *builder) record(n nodeID, key int32, fields []region.FieldID, space geo
 
 // build symbolically replays the SPMD execution of the compiled loop:
 // initialization, the unrolled loop body (two iterations when the trip
-// allows), and finalization, mirroring spmd.(*shard) op for op.
+// allows), and finalization. Exchanges are wired by cr.Wiring, as the
+// executor's are.
 func (b *builder) build() {
 	c, ix := b.c, b.ix
-	iters := 2
-	if c.Loop.Trip < 2 {
-		iters = 1
-	}
+	iters := min(max(c.Loop.Trip, 1), 2)
 	b.g.iters = iters
 
 	// Initialization: every used partition's every instance is populated
@@ -417,34 +394,30 @@ func (b *builder) build() {
 		fields := c.InstFields[part]
 		for ci, col := range c.Domain {
 			if b.prune.SkipInit(part, c.ColorIdx[col]) {
-				// Dead initialization: the instance is never populated, so
-				// the init node does not write it — every read must instead
-				// be covered by a later compiler-inserted overwrite (the
-				// coverage analysis in prune.go licenses exactly that).
-				continue
+				continue // dead: later overwrites cover every read (prune.go)
 			}
 			b.record(init, ix.key(int32(p), ci), fields, ix.spaces[p][ci], true)
 		}
 	}
-	prev := []nodeID{init}
+	prev := init
 	for i, cp := range c.InitCopies {
-		var pairNodes []nodeID
+		var pairs []nodeID
 		for k, pr := range cp.Pairs {
 			n := b.g.add(node{kind: kInitCopy, iter: -1, body: -1, sub: int32(k), copyID: int32(cp.ID), color: pr.Dst, shard: -1})
-			for _, p := range prev {
-				b.g.edge(p, n)
-			}
+			b.link(n, prev, EdgeID{})
 			b.record(n, ix.inits[i][k][0], cp.Fields, pr.Overlap, false)
 			b.record(n, ix.inits[i][k][1], cp.Fields, pr.Overlap, true)
-			pairNodes = append(pairNodes, n)
+			pairs = append(pairs, n)
 		}
-		if len(pairNodes) > 0 {
-			prev = pairNodes
+		if len(pairs) > 0 {
+			prev = b.merge(pairs)
 		}
 	}
 	b.loopStart = b.g.add(node{kind: kLoopStart, iter: -1, body: -1, sub: -1, copyID: -1, shard: -1})
-	for _, p := range prev {
-		b.g.edge(p, b.loopStart)
+	b.link(b.loopStart, prev, EdgeID{})
+	// Every instance is valid from the shards' spawn on.
+	for i := range b.states {
+		b.states[i] = cr.InstState[nodeID]{LastWrite: b.loopStart, Readers: b.states[i].Readers[:0]}
 	}
 
 	for iter := 0; iter < iters; iter++ {
@@ -458,16 +431,7 @@ func (b *builder) build() {
 			case op.Launch != nil:
 				b.doLaunch(int32(bi), op.Launch, int32(iter))
 			case op.Copy != nil:
-				// The exchange step lists starting here cover the copy alone,
-				// a whole aggregated exchange phase, or — at a phase's later
-				// ops — nothing, exactly as for the executor.
-				if x := b.exchangeAt(bi, int32(iter)); x.end == bi {
-					continue
-				} else if c.Opts.Sync == cr.BarrierSync {
-					b.doExchangeBarrier(x)
-				} else {
-					b.doExchangeP2P(x)
-				}
+				b.wire(b.ix.exchanges[bi], int32(iter))
 			}
 		}
 		for _, ops := range b.opsOf {
@@ -494,336 +458,172 @@ func (b *builder) build() {
 	b.g.succ.fill(b.g, nil, nil)
 }
 
-// doLaunch adds one node per task of the index launch, with the executor's
-// precondition edges from the owning shard's instance table, and updates
-// the table exactly as spmd.(*shard).execLaunch does. A reduce argument's
-// contribution lands in the task's private temporary, not the partition.
+// doLaunch adds one node per task of the index launch, wired from the
+// owning shard's instance states as the executor wires the task. A reduce
+// argument's contribution lands in the task's private temporary, not the
+// partition.
 func (b *builder) doLaunch(bi int32, l *ir.Launch, iter int32) {
 	slots := b.ix.args[bi]
 	for ci, col := range b.c.Domain {
 		sh := b.ix.shardOf[ci]
 		t := b.g.add(node{kind: kTask, iter: iter, body: bi, sub: 0, copyID: -1, color: col, shard: sh})
-		// Gather all precondition edges before applying any table update,
-		// exactly like the executor: two args on the same instance (a task
-		// reading one field and writing another of the same partition) must
-		// not see each other's update.
-		for ai := range l.Args {
-			switch key := b.ix.key(slots[ai], ci); l.Task.Params[ai].Priv {
-			case ir.PrivRead:
-				s := b.state(key)
-				b.seed(s)
-				b.edgesFrom(s.lastWrite, t)
-			case ir.PrivReadWrite, ir.PrivReduce:
-				s := b.state(key)
-				b.seed(s)
-				b.edgesFrom(s.lastWrite, t)
-				b.edgesFrom(s.readers, t)
-			}
-		}
+		args := b.args[:0]
 		for ai := range l.Args {
 			param, slot := &l.Task.Params[ai], slots[ai]
-			switch key := b.ix.key(slot, ci); param.Priv {
-			case ir.PrivRead:
-				s := b.state(key)
-				s.readers = append(s.readers, t)
-				b.record(t, key, param.Fields, b.ix.spaces[slot][ci], false)
-			case ir.PrivReadWrite, ir.PrivReduce:
-				s := b.state(key)
-				s.lastWrite = append(s.lastWrite[:0], t)
-				s.readers = s.readers[:0]
-				b.record(t, key, param.Fields, b.ix.spaces[slot][ci], true)
-			}
+			key, write := b.ix.key(slot, ci), param.Priv != ir.PrivRead
+			args = append(args, cr.Arg[nodeID]{InstState: b.state(key), Write: write})
+			b.record(t, key, param.Fields, b.ix.spaces[slot][ci], write)
 		}
+		b.buf = cr.Gate(b.buf[:0], args)
+		for _, p := range b.buf {
+			b.link(t, p, EdgeID{})
+		}
+		cr.Launched(args, t)
 		b.opsOf[sh] = append(b.opsOf[sh], t)
+		b.args = args[:0]
 	}
 }
 
-func (b *builder) edgesFrom(from []nodeID, to nodeID) {
-	for _, f := range from {
-		b.g.edge(f, to)
-	}
-}
-
-// groups returns the contiguous same-destination runs of a copy's pairs —
-// the consumer groups of the executor's copy schedule.
-func groups(cp *cr.CopyOp) [][2]int {
-	var out [][2]int
-	i := 0
-	for i < len(cp.Pairs) {
-		j := i
-		for j < len(cp.Pairs) && cp.Pairs[j].Dst == cp.Pairs[i].Dst {
-			j++
-		}
-		out = append(out, [2]int{i, j})
-		i = j
-	}
-	return out
-}
-
-// shardStep is one entry of some shard's exchange step list.
-type shardStep struct {
-	shard int32
-	*cr.ExchangeStep
-}
-
-// exchange is the replay of the exchange step lists that start at one body
-// op: every shard's cr.ExchangeSteps — the lists the executor resolves and
-// runs, and the builder's only source of consumer groups and producer
-// members — gathered into replay order once per plan (newExchange) and
-// replayed every unrolled iteration of every build.
+// exchange is every shard's cr.ExchangeSteps list starting at one body op —
+// the lists the executor runs — gathered once per plan (newExchange). They
+// cover the copy alone, an aggregated exchange phase, or (at a phase's
+// later ops) nothing.
 type exchange struct {
-	start, end int // the body ops the lists cover
-	// cons are the consume steps in (op, group) order. prods are the produce
-	// steps shard by shard, each shard's in its issue order — except that an
-	// unaggregated copy's are put in pair order, the numbering the witness
-	// goldens of the unaggregated graph were recorded with.
-	cons, prods []shardStep
-	// war and done hold the current iteration's sync nodes of every covered
-	// pair, by op and pair; -1 where the event has no node.
-	iter      int32
-	war, done [][]nodeID
+	start, end int32               // the body ops the lists cover
+	lists      [][]cr.ExchangeStep // by shard
+	// By covered op, the iteration's war, done and carrying transfer's head
+	// nodes of each pair, and its two barriers' arrival records; -1: none.
+	iter  int32
+	pairs [][][3]nodeID
+	bar   [][2]int32
 }
 
-// exchangeAt returns the exchange starting at body index op, readied for
-// one unrolled iteration.
-func (b *builder) exchangeAt(op int, iter int32) *exchange {
-	x := b.ix.exchanges[op]
-	x.iter = iter
-	for i := range x.war {
-		for k := range x.war[i] {
-			x.war[i][k], x.done[i][k] = -1, -1
+// wire wires iteration iter of exchange x shard by shard, through the
+// executor's wiring, recording war obligations under collectWar.
+func (b *builder) wire(x *exchange, iter int32) {
+	b.x, x.iter = x, iter
+	for i := range x.pairs {
+		for k := range x.pairs[i] {
+			x.pairs[i][k] = [3]nodeID{-1, -1, -1}
+		}
+		x.bar[i] = [2]int32{-1, -1}
+	}
+	first := len(b.warObs)
+	var release func(op, pair int32, rel nodeID)
+	if b.collectWar {
+		release = func(op, k int32, rel nodeID) {
+			b.warObs = append(b.warObs, warOb{copyID: b.c.Body[op].Copy.ID, op: op, k: k, release: rel})
 		}
 	}
-	return x
+	for sh, list := range x.lists {
+		steps := b.bind(list)
+		w := cr.Wiring[nodeID, graphSink]{Sink: graphSink{b, int32(sh), steps}, C: b.c, Prune: b.prune, Release: release, Scratch: &b.scratch}
+		w.Exchange(steps, x.start, x.end, &b.opsOf[sh])
+	}
+	for i := first; i < len(b.warObs); i++ {
+		ob := &b.warObs[i]
+		ob.cn, ob.warN = x.pairs[ob.op-x.start][ob.k][2], x.pairs[ob.op-x.start][ob.k][0]
+	}
 }
 
-// doneOf returns the done node of pair k of body op op, adding it on first
-// use. Asked for by a fold-chain link whose predecessor's done sync is
-// pruned (or that no step carries), that leaves an orphan — the event exists
-// in the executor yet nothing ever triggers it — for the liveness check to
-// flag. The node's shard is the event's owner: the pair's consumer under
-// point-to-point sync, its producer under barriers.
-func (b *builder) doneOf(x *exchange, op, k int32) nodeID {
-	d := &x.done[int(op)-x.start][k]
-	if *d < 0 {
+// bind binds a shard's step list to the builder's instance states.
+func (b *builder) bind(list []cr.ExchangeStep) []cr.Step[nodeID] {
+	steps, srcs := b.steps[:0], b.srcs[:0]
+	for i := range list {
+		st := cr.Step[nodeID]{ExchangeStep: &list[i]}
+		if !st.Produce {
+			st.Dst = b.state(b.ix.body[st.Op][st.GroupStart][1])
+		}
+		at := len(srcs)
+		for _, m := range st.Members {
+			srcs = append(srcs, &b.states[b.ix.body[m.Op][m.Pair][0]])
+		}
+		st.Srcs = srcs[at:len(srcs):len(srcs)]
+		steps = append(steps, st)
+	}
+	b.steps, b.srcs = steps, srcs
+	return steps
+}
+
+// graphSink is the certifier's cr.Sink for one shard's step list: the
+// wiring's events are graph nodes, or merges of them.
+type graphSink struct {
+	b     *builder
+	shard int32
+	steps []cr.Step[nodeID]
+}
+
+func (k graphSink) Merge(evs ...nodeID) nodeID      { return k.b.merge(evs) }
+func (k graphSink) Link(to, from nodeID, id EdgeID) { k.b.link(to, from, id) }
+func (k graphSink) War(op, pair int32) nodeID       { return k.b.sync(kWar, op, pair) }
+func (k graphSink) Done(op, pair int32) nodeID      { return k.b.sync(kDone, op, pair) }
+func (k graphSink) Transfer(_ int, pres []nodeID, ids []EdgeID) nodeID {
+	if b := k.b; b.head >= 0 {
+		for j, p := range pres {
+			b.link(b.head, p, ids[j])
+		}
+	}
+	return k.b.tail
+}
+
+// sync returns the war or done node of pair k of the copy at body index op,
+// adding it on first use: for a chain link to a pruned done, an orphan for
+// the liveness check to flag. Its shard is the event's owner: the pair's
+// consumer, except a done's producer under barriers.
+func (b *builder) sync(kind nodeKind, op, k int32) nodeID {
+	x := b.x
+	n := &x.pairs[op-x.start][k][kind-kWar] // war, then done: kDone follows kWar
+	if *n < 0 {
 		cp, owner := b.c.Body[op].Copy, b.ix.body[op][k][1]
-		if b.c.Opts.Sync == cr.BarrierSync {
+		if kind == kDone && b.c.Opts.Sync == cr.BarrierSync {
 			owner = b.ix.body[op][k][0]
 		}
-		*d = b.g.add(node{kind: kDone, iter: x.iter, body: op, sub: k, copyID: int32(cp.ID), color: cp.Pairs[k].Dst, shard: b.ix.shard(owner)})
+		*n = b.g.add(node{kind: kind, iter: x.iter, body: op, sub: k, copyID: int32(cp.ID), color: cp.Pairs[k].Dst, shard: b.ix.shard(owner)})
 	}
-	return *d
+	return *n
 }
 
-// produce adds one produce step's transfer as a linear cluster of per-member
-// copy nodes m_1 -> ... -> m_n in member order (the transfer body's write
-// order), each recording its own source read and destination write; a plain
-// pair copy is a cluster of one. A member's source is the source
-// partition's subregion, or the reducing launch's temporary. Every
-// precondition enters the head — the lowering's sync (wired by the caller's
-// sync), then each member's source validity and fold-chain link — and the
-// single completion is the tail, registered as a reader of every member's
-// source: nothing transfers before all preconditions, everything completes
-// together, and per-member nodes keep conflict orientation and witnesses
-// exact. The tail is -1 for a step without members.
-func (b *builder) produce(x *exchange, st *shardStep, sync func(head nodeID)) (tail nodeID) {
-	g, c := b.g, b.c
-	head, tail := nodeID(-1), nodeID(-1)
-	for _, m := range st.Members {
-		cp, keys := c.Body[m.Op].Copy, b.ix.body[m.Op][m.Pair]
+// Begin adds step i's transfer as a chain of per-member copy nodes in
+// member order (the transfer body's write order), each recording its own
+// source read and destination write. Transfer links every precondition
+// into the head and returns the tail, so per-member nodes keep conflict
+// orientation and witnesses exact. Both are -1 for a step without members.
+func (k graphSink) Begin(i int) {
+	b, g, x := k.b, k.b.g, k.b.x
+	b.head, b.tail = -1, -1
+	for _, m := range k.steps[i].Members {
+		cp, keys := b.c.Body[m.Op].Copy, b.ix.body[m.Op][m.Pair]
 		pr := cp.Pairs[m.Pair]
-		mn := g.add(node{kind: kCopy, iter: x.iter, body: m.Op, sub: m.Pair, copyID: int32(cp.ID), color: pr.Dst, shard: st.shard})
-		if tail >= 0 {
-			g.edge(tail, mn)
+		mn := g.add(node{kind: kCopy, iter: x.iter, body: m.Op, sub: m.Pair, copyID: int32(cp.ID), color: pr.Dst, shard: k.shard})
+		if b.tail >= 0 {
+			g.edge(b.tail, mn)
 		} else {
-			head = mn
+			b.head = mn
 		}
-		tail = mn
+		b.tail, x.pairs[m.Op-x.start][m.Pair][2] = mn, b.head
 		b.record(mn, keys[0], cp.Fields, pr.Overlap, false)
 		b.record(mn, keys[1], cp.Fields, pr.Overlap, true)
 	}
-	if head < 0 {
-		return tail
-	}
-	sync(head)
-	for _, m := range st.Members {
-		cp := c.Body[m.Op].Copy
-		s := b.state(b.ix.body[m.Op][m.Pair][0])
-		b.seed(s)
-		b.edgesFrom(s.lastWrite, head)
-		s.readers = append(s.readers, tail)
-		if m.Chain && !b.prune.SkipChain(cp.ID, int(m.Pair)) {
-			g.ledge(b.doneOf(x, m.Op, m.Pair-1), head, EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: int(m.Pair)})
-		}
-	}
-	return tail
 }
 
-// doExchangeP2P replays spmd.(*shard).execExchangeP2P. Per consume step the
-// destination's owner computes the write-after-read release and connects it
-// to each pair's war event, then merges the pair done events into the
-// instance's lastWrite; per produce step the transfer is gated on every
-// member's war, source validity and chain link, and its completion triggers
-// every member's done.
-func (b *builder) doExchangeP2P(x *exchange) {
-	g, c := b.g, b.c
-	var obIdx map[[2]int32]int
-	for i := range x.cons {
-		st := &x.cons[i]
-		cp, dst := c.Body[st.Op].Copy, b.ix.body[st.Op][st.GroupStart][1]
-		dstCol := cp.Pairs[st.GroupStart].Dst
-		s := b.state(dst)
-		b.seed(s)
-		release := append(append([]nodeID(nil), s.readers...), s.lastWrite...)
-		for k := st.GroupStart; k < st.GroupEnd; k++ {
-			w := &x.war[int(st.Op)-x.start][k]
-			if !b.prune.SkipWar(cp.ID, int(k)) {
-				*w = g.add(node{kind: kWar, iter: x.iter, body: st.Op, sub: k, copyID: int32(cp.ID), color: dstCol, shard: b.ix.shard(dst)})
-				for _, r := range release {
-					g.ledge(r, *w, EdgeID{Class: EdgeWAR, Copy: cp.ID, Pair: int(k)})
-				}
-			}
-			if b.collectWar {
-				if obIdx == nil {
-					obIdx = make(map[[2]int32]int)
-				}
-				obIdx[[2]int32{st.Op, k}] = len(b.warObs)
-				b.warObs = append(b.warObs, warOb{copyID: cp.ID, k: int(k), release: release, cn: -1, warN: *w})
-			}
-			if !b.prune.SkipDone(cp.ID, int(k)) {
-				d := b.doneOf(x, st.Op, k)
-				s.lastWrite = append(s.lastWrite, d)
-				b.opsOf[st.shard] = append(b.opsOf[st.shard], d)
-			}
-		}
-		s.readers = s.readers[:0]
+// Arrive links one shard's arrival into the barrier's node, adding it on
+// first use, and counts the arrival.
+func (k graphSink) Arrive(op, phase int32, evs []nodeID) nodeID {
+	b, x := k.b, k.b.x
+	bar := &x.bar[op-x.start]
+	if bar[phase] < 0 {
+		id := int32(b.c.Body[op].Copy.ID)
+		bar[phase] = int32(len(b.g.arrivals))
+		n := b.g.add(node{kind: kBarrier, iter: x.iter, body: op, sub: phase, copyID: id, shard: -1})
+		b.g.arrivals = append(b.g.arrivals, barrierArrival{b: n, copyID: id, iter: x.iter, phase: phase, want: b.c.Opts.NumShards})
 	}
-	for i := range x.prods {
-		st := &x.prods[i]
-		tail := b.produce(x, st, func(head nodeID) {
-			for _, m := range st.Members {
-				if w := x.war[int(m.Op)-x.start][m.Pair]; w >= 0 {
-					g.edge(w, head)
-				}
-				if i, ok := obIdx[[2]int32{m.Op, m.Pair}]; ok {
-					b.warObs[i].cn = head
-				}
-			}
-		})
-		for _, m := range st.Members {
-			done := tail
-			if id := c.Body[m.Op].Copy.ID; !b.prune.SkipDone(id, int(m.Pair)) {
-				done = b.doneOf(x, m.Op, m.Pair)
-				g.ledge(tail, done, EdgeID{Class: EdgeDone, Copy: id, Pair: int(m.Pair)})
-			}
-			// With the done pruned the producer merges the transfer's own
-			// completion into its iteration ops instead (as the executor
-			// does), so loop-end quiescence still covers the transfer.
-			b.opsOf[st.shard] = append(b.opsOf[st.shard], done)
+	a := &b.g.arrivals[bar[phase]]
+	for _, e := range evs {
+		// Every exit arrival carries the entry barrier: one edge orders them.
+		if phase == 0 || a.got == 0 || e != b.g.arrivals[bar[0]].b {
+			b.link(a.b, e, EdgeID{Class: EdgeBarrier, Copy: int(a.copyID), Pair: int(phase)})
 		}
 	}
-}
-
-// doExchangeBarrier replays spmd.(*shard).execExchangeBarrier: every shard
-// arrives at each covered op's entry barrier with everything it issued so
-// far this iteration (consumers additionally with their destination state),
-// the transfers run between the barriers — gated on every covered op's
-// entry barrier — and every destination instance becomes valid after its
-// op's exit barrier, which waits all the transfers. Reduction chains still
-// use the shared per-pair done events for deterministic fold order: only
-// reduce pairs have done events here, and only the chain waits on them.
-func (b *builder) doExchangeBarrier(x *exchange) {
-	g, c := b.g, b.c
-	// dsts visits the state of every destination instance of op.
-	dsts := func(op int, visit func(s *symState)) {
-		for i := range x.cons {
-			if st := &x.cons[i]; int(st.Op) == op {
-				visit(b.state(b.ix.body[op][st.GroupStart][1]))
-			}
-		}
-	}
-	barrier := func(op, phase int) nodeID {
-		id, ns := int32(c.Body[op].Copy.ID), c.Opts.NumShards
-		n := g.add(node{kind: kBarrier, iter: x.iter, body: int32(op), sub: int32(phase), copyID: id, shard: -1})
-		g.arrivals = append(g.arrivals, barrierArrival{b: n, copyID: id, iter: x.iter, phase: int32(phase), got: ns, want: ns})
-		return n
-	}
-	kept := func(op, k int32) bool {
-		cp := c.Body[op].Copy
-		return cp.Reduce != region.ReduceNone && !b.prune.SkipDone(cp.ID, int(k))
-	}
-	// Node numbering is pinned by the witness goldens of both graphs: the
-	// unaggregated one numbers a copy's exit barrier right after its entry
-	// barrier and its done nodes as their pairs issue; the aggregated one
-	// numbers every reduce pair's done node before the transfers and the
-	// exit barriers after them.
-	merged := c.Opts.Agg
-	b1s, b2s := make([]nodeID, x.end-x.start), make([]nodeID, x.end-x.start)
-	for i := range b1s {
-		op := x.start + i
-		b1 := barrier(op, 0)
-		if b1s[i] = b1; !merged {
-			b2s[i] = barrier(op, 1)
-		}
-		arrive1 := EdgeID{Class: EdgeBarrier, Copy: c.Body[op].Copy.ID, Pair: 0}
-		for _, ops := range b.opsOf {
-			for _, n := range ops {
-				g.ledge(n, b1, arrive1)
-			}
-		}
-		dsts(op, func(s *symState) {
-			b.seed(s)
-			for _, n := range s.lastWrite {
-				g.ledge(n, b1, arrive1)
-			}
-			for _, n := range s.readers {
-				g.ledge(n, b1, arrive1)
-			}
-		})
-	}
-	if merged {
-		for op := x.start; op < x.end; op++ {
-			for k := range c.Body[op].Copy.Pairs {
-				if kept(int32(op), int32(k)) {
-					b.doneOf(x, int32(op), int32(k))
-				}
-			}
-		}
-	}
-	var tails []nodeID
-	for i := range x.prods {
-		st := &x.prods[i]
-		tail := b.produce(x, st, func(head nodeID) {
-			for _, b1 := range b1s {
-				g.edge(b1, head)
-			}
-		})
-		if tail < 0 {
-			continue
-		}
-		for _, m := range st.Members {
-			if kept(m.Op, m.Pair) {
-				g.ledge(tail, b.doneOf(x, m.Op, m.Pair), EdgeID{Class: EdgeDone, Copy: c.Body[m.Op].Copy.ID, Pair: int(m.Pair)})
-			}
-		}
-		tails = append(tails, tail)
-	}
-	for i, b2 := range b2s {
-		op := x.start + i
-		if merged {
-			b2 = barrier(op, 1)
-		}
-		arrive2 := EdgeID{Class: EdgeBarrier, Copy: c.Body[op].Copy.ID, Pair: 1}
-		for _, t := range tails {
-			g.ledge(t, b2, arrive2)
-		}
-		g.ledge(b1s[i], b2, arrive2)
-		dsts(op, func(s *symState) {
-			s.lastWrite = append(s.lastWrite, b2)
-			s.readers = s.readers[:0]
-		})
-		for sh := range b.opsOf {
-			b.opsOf[sh] = append(b.opsOf[sh], b2)
-		}
-	}
+	a.got++
+	return a.b
 }

@@ -1,9 +1,7 @@
 package verify
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/cr"
 	"repro/internal/geometry"
@@ -142,45 +140,17 @@ func newIndex(c *cr.Compiled) (*index, error) {
 }
 
 // newExchange gathers every shard's exchange step list starting at body op
-// op into replay order.
+// op, and makes its per-iteration node tables.
 func newExchange(c *cr.Compiled, op int) *exchange {
-	x := &exchange{start: op}
-	lists := make([][]cr.ExchangeStep, c.Opts.NumShards)
-	nprods, nsteps := 0, 0
-	for sh := range lists {
-		lists[sh], x.end = c.ExchangeSteps(op, sh)
-		for i := range lists[sh] {
-			if nsteps++; lists[sh][i].Produce {
-				nprods++
-			}
-		}
+	x := &exchange{start: int32(op), lists: make([][]cr.ExchangeStep, c.Opts.NumShards)}
+	end := op
+	for sh := range x.lists {
+		x.lists[sh], end = c.ExchangeSteps(op, sh)
 	}
-	x.cons, x.prods = make([]shardStep, 0, nsteps-nprods), make([]shardStep, 0, nprods)
-	for sh, list := range lists {
-		for i := range list {
-			if st := (shardStep{int32(sh), &list[i]}); st.Produce {
-				x.prods = append(x.prods, st)
-			} else {
-				x.cons = append(x.cons, st)
-			}
-		}
-	}
-	slices.SortStableFunc(x.cons, func(a, c shardStep) int {
-		return cmp.Or(cmp.Compare(a.Op, c.Op), cmp.Compare(a.GroupStart, c.GroupStart))
-	})
-	if !c.Opts.Agg {
-		slices.SortStableFunc(x.prods, func(a, c shardStep) int { return cmp.Compare(a.Members[0].Pair, c.Members[0].Pair) })
-	}
-	// One slab for both node tables.
-	npairs := 0
-	for i := x.start; i < x.end; i++ {
-		npairs += len(c.Body[i].Copy.Pairs)
-	}
-	slab := make([]nodeID, 2*npairs)
-	x.war, x.done = make([][]nodeID, x.end-x.start), make([][]nodeID, x.end-x.start)
-	for i := range x.war {
-		n := len(c.Body[x.start+i].Copy.Pairs)
-		x.war[i], x.done[i], slab = slab[:n:n], slab[n:2*n:2*n], slab[2*n:]
+	x.end = int32(end)
+	x.pairs, x.bar = make([][][3]nodeID, end-op), make([][2]int32, end-op)
+	for i := range x.pairs {
+		x.pairs[i] = make([][3]nodeID, len(c.Body[op+i].Copy.Pairs))
 	}
 	return x
 }

@@ -215,7 +215,7 @@ func (p *planner) warObligationFailures() map[[2]int]bool {
 	})
 	bad := make(map[[2]int]bool)
 	for _, ob := range b.warObs {
-		key := [2]int{ob.copyID, ob.k}
+		key := [2]int{ob.copyID, int(ob.k)}
 		if bad[key] {
 			continue
 		}
@@ -223,7 +223,7 @@ func (p *planner) warObligationFailures() map[[2]int]bool {
 			bad[key] = true
 			continue
 		}
-		for _, r := range ob.release {
+		for _, r := range b.nodes(ob.release) {
 			ok := false
 			if ob.warN < 0 {
 				ok = reach.reaches(r, ob.cn)

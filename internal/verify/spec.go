@@ -116,10 +116,10 @@ func checkCopySpec(c *cr.Compiled, cp *cr.CopyOp, cs *cr.CopySpec, fail func(str
 		}
 	}
 
-	// Regroup the pair list from scratch (the same destination-run notion
-	// the happens-before builder uses, see groups) and rebuild each shard's
-	// work partition: one consumer per group (the destination's owner),
-	// producer pair sets ascending, groups in pair order.
+	// Regroup the pair list from scratch (destination runs, see groups) and
+	// rebuild each shard's work partition: one consumer per group (the
+	// destination's owner), producer pair sets ascending, groups in pair
+	// order.
 	want := make([][]cr.SpecWork, c.Opts.NumShards)
 	for _, g := range groups(cp) {
 		start, end := g[0], g[1]
@@ -168,4 +168,20 @@ func workListsEqual(a, b []cr.SpecWork) bool {
 		}
 	}
 	return true
+}
+
+// groups returns the contiguous same-destination runs of a copy's pairs —
+// the consumer groups of the executor's copy schedule.
+func groups(cp *cr.CopyOp) [][2]int {
+	var out [][2]int
+	i := 0
+	for i < len(cp.Pairs) {
+		j := i
+		for j < len(cp.Pairs) && cp.Pairs[j].Dst == cp.Pairs[i].Dst {
+			j++
+		}
+		out = append(out, [2]int{i, j})
+		i = j
+	}
+	return out
 }
