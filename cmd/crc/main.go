@@ -8,7 +8,7 @@
 // Usage:
 //
 //	crc [-app stencil|miniaero|pennant|circuit] [-nodes N] [-shards N]
-//	    [-sync p2p|barrier] [-pairs] [-prune] [-agg] [-verify]
+//	    [-sync p2p|barrier] [-pairs] [-dump] [-prune] [-agg] [-verify]
 //	    [-verify-json file]
 //
 // -verify runs the schedule certifier (verify.Certify) over the compiled
@@ -33,16 +33,18 @@
 // and multi-member groups. With -prune as well, the prune is planned for
 // the aggregated schedule, and -verify certifies the composed one.
 //
+// -dump prints the source program before compiling it.
+//
 // Exit status: 0 on success, 1 on usage or compile errors, 2 when any
 // certification pass reports findings.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/bench"
 	"repro/internal/cr"
 	"repro/internal/harness"
 	"repro/internal/ir"
@@ -50,83 +52,67 @@ import (
 	"repro/internal/verify"
 )
 
-// checkNodes rejects a node count no app can be built for.
-func checkNodes(n int) error {
-	if n < 1 {
-		return fmt.Errorf("bad -nodes %d (want at least 1)", n)
+func main() { os.Exit(run(bench.NewFlags("crc", os.Stderr), os.Args[1:], os.Stdout)) }
+
+// run is crc over the flag set f, writing to stdout and f.Stderr; it
+// returns the exit status.
+func run(f *bench.Flags, args []string, stdout io.Writer) int {
+	cfg := &f.Config
+	appName := f.String("app", "stencil", "application to compile")
+	f.Nodes("node count to build the app for")
+	f.Shards()
+	showPairs := f.Bool("pairs", false, "list every communication pair")
+	dump := f.Bool("dump", false, "print the source program before compiling")
+	doVerify := f.Bool("verify", false, "run the schedule certifier: races, liveness, spec (exit 2 on findings)")
+	verifyJSON := f.String("verify-json", "", "write the certification suite as JSON to this file (\"-\" = stdout); implies -verify")
+	f.BoolVar(&cfg.Prune, "prune", false, "run the certified redundant-sync pruning pass and report what it removes")
+	f.BoolVar(&cfg.Agg, "agg", false, "compile with coalesced exchange plans (one message per destination shard per exchange phase) and report the aggregation groups")
+	if err := f.Parse(args); err != nil {
+		return f.Fail(err)
 	}
-	return nil
-}
-
-func main() {
-	appName := flag.String("app", "stencil", "application to compile")
-	nodes := flag.Int("nodes", 4, "node count to build the app for")
-	shards := flag.Int("shards", 0, "shard count (default: nodes)")
-	syncMode := flag.String("sync", "p2p", "synchronization lowering: p2p or barrier")
-	showPairs := flag.Bool("pairs", false, "list every communication pair")
-	dump := flag.Bool("dump", false, "print the source program before compiling")
-	doVerify := flag.Bool("verify", false, "run the schedule certifier: races, liveness, spec (exit 2 on findings)")
-	verifyJSON := flag.String("verify-json", "", "write the certification suite as JSON to this file (\"-\" = stdout); implies -verify")
-	doPrune := flag.Bool("prune", false, "run the certified redundant-sync pruning pass and report what it removes")
-	doAgg := flag.Bool("agg", false, "compile with coalesced exchange plans (one message per destination shard per exchange phase) and report the aggregation groups")
-	flag.Parse()
-
 	// With the JSON suite going to stdout, the human-readable report moves
 	// to stderr so stdout stays machine-parseable (crc ... -verify-json - |
-	// jq). fmt.Print* resolves os.Stdout at each call, so the swap covers
-	// every report line; jsonOut keeps the real stream for the suite.
-	jsonOut := os.Stdout
+	// jq).
+	out := stdout
 	if *verifyJSON == "-" {
-		os.Stdout = os.Stderr
+		out = f.Stderr
 	}
 
 	app, err := harness.AppByName(*appName)
 	if err == nil {
-		err = checkNodes(*nodes)
+		err = f.Check()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crc:", err)
-		os.Exit(1)
-	}
-	if *shards == 0 {
-		*shards = *nodes
-	}
-	sync := cr.PointToPoint
-	if *syncMode == "barrier" {
-		sync = cr.BarrierSync
-	} else if *syncMode != "p2p" {
-		fmt.Fprintf(os.Stderr, "crc: unknown sync mode %q\n", *syncMode)
-		os.Exit(1)
+		return f.Fail(err)
 	}
 
-	prog, loop := app.BuildProgram(*nodes)
+	prog, loop := app.BuildProgram(cfg.Nodes)
 	if *dump {
-		fmt.Print(ir.Dump(prog))
-		fmt.Println()
+		fmt.Fprint(out, ir.Dump(prog))
+		fmt.Fprintln(out)
 	}
-	plan, err := cr.Compile(prog, loop, cr.Options{NumShards: *shards, Sync: sync, Agg: *doAgg})
+	plan, err := cr.Compile(prog, loop, cfg.Options())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crc:", err)
-		os.Exit(1)
+		return f.Fail(err)
 	}
 
-	fmt.Printf("control replication: %s @ %d nodes, %d shards, %s sync\n\n",
-		app.Name, *nodes, plan.Opts.NumShards, plan.Opts.Sync)
+	fmt.Fprintf(out, "control replication: %s @ %d nodes, %d shards, %s sync\n\n",
+		app.Name, cfg.Nodes, plan.Opts.NumShards, plan.Opts.Sync)
 
-	fmt.Printf("launch domain: %d points, block-partitioned over %d shards (%d..%d colors each)\n",
+	fmt.Fprintf(out, "launch domain: %d points, block-partitioned over %d shards (%d..%d colors each)\n",
 		len(plan.Domain), plan.Opts.NumShards,
 		len(plan.Owned[len(plan.Owned)-1]), len(plan.Owned[0]))
 
-	fmt.Println("\npartitions used in the replicated loop:")
+	fmt.Fprintln(out, "\npartitions used in the replicated loop:")
 	for _, p := range plan.UsedParts {
 		kind := "aliased"
 		if p.Disjoint() {
 			kind = "disjoint"
 		}
-		fmt.Printf("  %-24s %-9s fields=%v\n", p.Name(), kind, plan.PartFields[p])
+		fmt.Fprintf(out, "  %-24s %-9s fields=%v\n", p.Name(), kind, plan.PartFields[p])
 	}
 
-	fmt.Println("\ntransformed loop body:")
+	fmt.Fprintln(out, "\ntransformed loop body:")
 	for i, op := range plan.Body {
 		switch {
 		case op.Launch != nil:
@@ -134,32 +120,32 @@ func main() {
 			if label == "" {
 				label = op.Launch.Task.Name
 			}
-			fmt.Printf("  %2d  launch %s\n", i, label)
+			fmt.Fprintf(out, "  %2d  launch %s\n", i, label)
 		case op.Set != nil:
-			fmt.Printf("  %2d  scalar %s = ...\n", i, op.Set.Name)
+			fmt.Fprintf(out, "  %2d  scalar %s = ...\n", i, op.Set.Name)
 		case op.Copy != nil:
-			fmt.Printf("  %2d  %v\n", i, op.Copy)
+			fmt.Fprintf(out, "  %2d  %v\n", i, op.Copy)
 			if *showPairs {
 				for _, pr := range op.Copy.Pairs {
-					fmt.Printf("        %v -> %v  overlap %d elements (shard %d -> %d)\n",
+					fmt.Fprintf(out, "        %v -> %v  overlap %d elements (shard %d -> %d)\n",
 						pr.Src, pr.Dst, pr.Overlap.Volume(), plan.ShardOf[pr.Src], plan.ShardOf[pr.Dst])
 				}
 			}
 		}
 	}
 	if len(plan.InitCopies) > 0 {
-		fmt.Println("\nhoisted loop-invariant copies (run once before the loop):")
+		fmt.Fprintln(out, "\nhoisted loop-invariant copies (run once before the loop):")
 		for _, cp := range plan.InitCopies {
-			fmt.Printf("  %v\n", cp)
+			fmt.Fprintf(out, "  %v\n", cp)
 		}
 	}
 
-	fmt.Println("\nfinalization sources (disjoint written partitions):")
+	fmt.Fprintln(out, "\nfinalization sources (disjoint written partitions):")
 	for _, p := range plan.WrittenDisjoint {
-		fmt.Printf("  %s\n", p.Name())
+		fmt.Fprintf(out, "  %s\n", p.Name())
 	}
 
-	fmt.Printf("\nplacement report: inserted=%d redundant-removed=%d dead-removed=%d hoisted=%d final=%d\n",
+	fmt.Fprintf(out, "\nplacement report: inserted=%d redundant-removed=%d dead-removed=%d hoisted=%d final=%d\n",
 		plan.Report.CopiesInserted, plan.Report.RedundantRemoved,
 		plan.Report.DeadRemoved, plan.Report.Hoisted, plan.Report.FinalCopies)
 
@@ -178,17 +164,16 @@ func main() {
 			vol += pr.Overlap.Volume()
 		}
 	}
-	fmt.Printf("communication: %d pairs per iteration (%d reduction applies), %d elements moved\n",
+	fmt.Fprintf(out, "communication: %d pairs per iteration (%d reduction applies), %d elements moved\n",
 		count, reduceCount, vol)
-	fmt.Printf("intersections: shallow %v (%d candidates), complete %v (%d non-empty pairs)\n",
+	fmt.Fprintf(out, "intersections: shallow %v (%d candidates), complete %v (%d non-empty pairs)\n",
 		plan.Timings.Shallow, plan.Timings.Candidates, plan.Timings.Complete, plan.Timings.Pairs)
 
 	verifying := *doVerify || *verifyJSON != ""
 	suite := &verify.Suite{}
-	if *doAgg || *doPrune || verifying {
-		if suite, err = verify.Certify(plan, *doPrune); err != nil {
-			fmt.Fprintln(os.Stderr, "crc: verify:", err)
-			os.Exit(1)
+	if cfg.Agg || cfg.Prune || verifying {
+		if suite, err = verify.Certify(plan, cfg.Prune); err != nil {
+			return f.Fail(fmt.Errorf("verify: %w", err))
 		}
 	}
 	var races verify.Stats
@@ -196,22 +181,22 @@ func main() {
 		c := rep.Counters
 		switch rep.Pass {
 		case "agg":
-			fmt.Printf("\ncoalesced exchange plans: %d phases, %d groups (%d multi-member), %d pairs merged away per iteration\n",
+			fmt.Fprintf(out, "\ncoalesced exchange plans: %d phases, %d groups (%d multi-member), %d pairs merged away per iteration\n",
 				c["phases"], c["agg_groups"], c["multi_member_groups"], c["merged_pairs"])
 			for pi, ph := range plan.Spec.Phases {
-				fmt.Printf("  phase %d: ops [%d,%d)\n", pi, ph.Start, ph.End)
+				fmt.Fprintf(out, "  phase %d: ops [%d,%d)\n", pi, ph.Start, ph.End)
 				for s, gl := range ph.ByShard {
 					for _, g := range gl {
 						if len(g.Members) < 2 {
 							continue
 						}
-						fmt.Printf("    shard %d -> %d: %d pairs in one message\n", s, g.DstShard, len(g.Members))
+						fmt.Fprintf(out, "    shard %d -> %d: %d pairs in one message\n", s, g.DstShard, len(g.Members))
 					}
 				}
 			}
 		case "prune":
 			if plan.Prune != nil {
-				fmt.Printf("\ncertified pruning: %d sync edges removed (%d war, %d done, %d chain), %d dead init copies; sync edges %d -> %d\n",
+				fmt.Fprintf(out, "\ncertified pruning: %d sync edges removed (%d war, %d done, %d chain), %d dead init copies; sync edges %d -> %d\n",
 					c["pruned_edges"], c["pruned_war"], c["pruned_done"], c["pruned_chain"],
 					c["pruned_init_copies"], c["sync_edges_before"], c["sync_edges_after"])
 			}
@@ -220,33 +205,19 @@ func main() {
 		}
 	}
 
-	if verifying {
-		if *verifyJSON != "" {
-			buf, err := json.MarshalIndent(suite, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crc: verify:", err)
-				os.Exit(1)
-			}
-			buf = append(buf, '\n')
-			if *verifyJSON == "-" {
-				jsonOut.Write(buf)
-			} else if err := os.WriteFile(*verifyJSON, buf, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "crc: verify:", err)
-				os.Exit(1)
-			}
-		}
-		fmt.Printf("\nstatic certification: %d conflicts (%d cross-shard) over %d instances, %d-node happens-before graph\n",
-			races.Conflicts, races.CrossShard, races.Instances, races.Nodes)
-		if suite.OK() {
-			fmt.Println("certified: races, liveness, and spec passes all clean")
-		} else {
-			for _, rep := range suite.Reports {
-				for _, f := range rep.Findings {
-					fmt.Printf("  FAIL [%s] %s\n", rep.Pass, f)
-				}
-			}
-			fmt.Printf("certification FAILED: %d findings\n", suite.NumFindings())
-			os.Exit(2)
-		}
+	if !verifying {
+		return 0
 	}
+	if err := bench.WriteSuites(*verifyJSON, stdout, suite); err != nil {
+		return f.Fail(fmt.Errorf("verify: %w", err))
+	}
+	fmt.Fprintf(out, "\nstatic certification: %d conflicts (%d cross-shard) over %d instances, %d-node happens-before graph\n",
+		races.Conflicts, races.CrossShard, races.Instances, races.Nodes)
+	if suite.OK() {
+		fmt.Fprintln(out, "certified: races, liveness, and spec passes all clean")
+		return 0
+	}
+	n := bench.WriteFindings(out, "  ", suite)
+	fmt.Fprintf(out, "certification FAILED: %d findings\n", n)
+	return 2
 }

@@ -10,63 +10,47 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/ir"
 	"repro/internal/lang"
 )
 
-// checkFlags rejects an engine crlang does not have and, for the engines
-// that run on the simulated machine, a node count no machine can have. It
-// runs before the source file is read, so a bad flag never compiles.
-func checkFlags(engine string, nodes int) error {
-	switch engine {
+func main() { os.Exit(run(bench.NewFlags("crlang", os.Stderr), os.Args[1:], os.Stdout)) }
+
+// run is crlang over the flag set f, writing to stdout and f.Stderr; it
+// returns the exit status. Every error is printed as "crlang: " lines, one
+// per line of the error, so each of a source's syntax errors gets its own.
+func run(f *bench.Flags, args []string, stdout io.Writer) int {
+	engine := f.String("engine", "cr", "execution engine: seq, implicit, or cr")
+	f.Nodes("simulated node count (implicit, cr)")
+	dump := f.Bool("dump", false, "print the compiled ir program")
+	if err := f.Parse(args); err != nil {
+		return f.Fail(err)
+	}
+	if f.NArg() != 1 {
+		return f.Fail(errors.New("usage: crlang [-engine seq|implicit|cr] [-nodes N] [-dump] file.cr"))
+	}
+	// Both checks run before the source file is read, so a bad flag never
+	// compiles. The sequential engine ignores -nodes.
+	var err error
+	switch *engine {
 	case "seq":
-		return nil
 	case "implicit", "cr":
-		if nodes < 1 {
-			return fmt.Errorf("bad -nodes %d (want at least 1)", nodes)
-		}
-		return nil
+		err = f.Check()
+	default:
+		err = fmt.Errorf("unknown engine %q", *engine)
 	}
-	return fmt.Errorf("unknown engine %q", engine)
-}
-
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is crlang with its arguments and output streams; it returns the exit
-// status. Every error is printed as "crlang: " lines, one per line of the
-// error, so each of a source's syntax errors gets its own.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("crlang", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	engine := fs.String("engine", "cr", "execution engine: seq, implicit, or cr")
-	nodes := fs.Int("nodes", 4, "simulated node count (implicit, cr)")
-	dump := fs.Bool("dump", false, "print the compiled ir program")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	var env ir.MapEnv
+	if err == nil {
+		env, err = execute(f.Arg(0), *engine, f.Config, *dump, stdout)
 	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: crlang [-engine seq|implicit|cr] [-nodes N] [-dump] file.cr")
-		return 2
-	}
-	env, err := execute(fs.Arg(0), *engine, *nodes, *dump, stdout)
 	if err != nil {
-		for _, line := range strings.Split(err.Error(), "\n") {
-			fmt.Fprintln(stderr, "crlang:", line)
-		}
-		return 1
+		return f.Fail(err)
 	}
 	if len(env) > 0 {
 		var names []string
@@ -84,10 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // execute compiles the source file and runs it on engine, printing the
 // plan and a summary to out, and returns the final scalar environment.
-func execute(path, engine string, nodes int, dump bool, out io.Writer) (ir.MapEnv, error) {
-	if err := checkFlags(engine, nodes); err != nil {
-		return nil, err
-	}
+func execute(path, engine string, cfg bench.Config, dump bool, out io.Writer) (ir.MapEnv, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -109,7 +90,7 @@ func execute(path, engine string, nodes int, dump bool, out io.Writer) (ir.MapEn
 		fmt.Fprintln(out, "sequential execution complete")
 		return env, nil
 	case "implicit":
-		res, err := bench.RunImplicit(prog, bench.Config{Nodes: nodes})
+		res, err := bench.RunImplicit(prog, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +98,7 @@ func execute(path, engine string, nodes int, dump bool, out io.Writer) (ir.MapEn
 			res.Elapsed, res.Stats.TasksRun, res.Stats.Messages)
 		return res.Env, nil
 	}
-	res, err := bench.RunCR(prog, bench.Config{Nodes: nodes})
+	res, err := bench.RunCR(prog, cfg)
 	if res != nil {
 		// Program order: the runner plans every top-level loop, and a map
 		// would print them in a different order from run to run.

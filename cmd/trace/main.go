@@ -12,8 +12,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
@@ -22,64 +22,62 @@ import (
 	"repro/internal/realm"
 )
 
-// checkFlags rejects a node or iteration count no run can have.
-func checkFlags(nodes, iters int) error {
-	switch {
-	case nodes < 1:
-		return fmt.Errorf("bad -nodes %d (want at least 1)", nodes)
-	case iters < 1:
-		return fmt.Errorf("bad -iters %d (want at least 1)", iters)
+func main() { os.Exit(run(bench.NewFlags("trace", os.Stderr), os.Args[1:], os.Stdout)) }
+
+// run is trace over the flag set f, writing to stdout and f.Stderr; it
+// returns the exit status.
+func run(f *bench.Flags, args []string, stdout io.Writer) int {
+	cfg := &f.Config
+	appName := f.String("app", "pennant", "application to trace")
+	f.Nodes("node count")
+	iters := f.Int("iters", 4, "loop iterations")
+	useCR := f.Bool("cr", true, "trace control-replicated execution (false: implicit runtime)")
+	out := f.String("o", "trace.json", "output file")
+	if err := f.Parse(args); err != nil {
+		return f.Fail(err)
 	}
-	return nil
-}
-
-func main() {
-	appName := flag.String("app", "pennant", "application to trace")
-	nodes := flag.Int("nodes", 4, "node count")
-	iters := flag.Int("iters", 4, "loop iterations")
-	useCR := flag.Bool("cr", true, "trace control-replicated execution (false: implicit runtime)")
-	out := flag.String("o", "trace.json", "output file")
-	flag.Parse()
-
 	app, err := harness.AppByName(*appName)
 	if err == nil {
-		err = checkFlags(*nodes, *iters)
+		err = f.Check()
+	}
+	if err == nil && *iters < 1 {
+		err = fmt.Errorf("bad -iters %d (want at least 1)", *iters)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+		return f.Fail(err)
 	}
-	prog, loop := app.BuildProgram(*nodes)
+	prog, loop := app.BuildProgram(cfg.Nodes)
 	loop.Trip = *iters
 
-	sim, err := realm.NewSim(realm.DefaultConfig(*nodes))
+	sim, err := realm.NewSim(realm.DefaultConfig(cfg.Nodes))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+		return f.Fail(err)
 	}
 	tr := realm.NewTracer()
 	sim.SetTracer(tr)
 
-	run := bench.RunImplicit
+	runner := bench.RunImplicit
 	if *useCR {
-		run = bench.RunCR
+		runner = bench.RunCR
 	}
-	if _, err := run(prog, bench.Config{Nodes: *nodes, Mode: ir.ExecModeled, Exec: sim}); err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+	cfg.Mode, cfg.Exec = ir.ExecModeled, sim
+	if _, err := runner(prog, *cfg); err != nil {
+		return f.Fail(err)
 	}
 
-	f, err := os.Create(*out)
+	file, err := os.Create(*out)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+		return f.Fail(err)
 	}
-	defer f.Close()
-	if err := tr.WriteChromeTrace(f); err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+	err = tr.WriteChromeTrace(file)
+	if cerr := file.Close(); err == nil {
+		err = cerr
 	}
-	fmt.Printf("wrote %s: %d task spans, %d messages across %d nodes (%s, %s)\n",
-		*out, tr.Spans(), tr.Messages(), *nodes, app.Name,
+	if err != nil {
+		return f.Fail(err)
+	}
+	fmt.Fprintf(stdout, "wrote %s: %d task spans, %d messages across %d nodes (%s, %s)\n",
+		*out, tr.Spans(), tr.Messages(), cfg.Nodes, app.Name,
 		map[bool]string{true: "control-replicated", false: "implicit"}[*useCR])
+	return 0
 }

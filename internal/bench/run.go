@@ -41,6 +41,16 @@ type Config struct {
 	Exec realm.Exec
 }
 
+// Options is what control replication compiles a loop with at this
+// point: Shards shards (the node count when 0), Sync and Agg.
+func (c Config) Options() cr.Options {
+	shards := c.Shards
+	if shards == 0 {
+		shards = c.Nodes
+	}
+	return cr.Options{NumShards: shards, Sync: c.Sync, Agg: c.Agg}
+}
+
 // Result is the record of one run.
 type Result struct {
 	// SeqResult holds the final stores (Real mode only) and scalars, as
@@ -71,11 +81,7 @@ type Result struct {
 // When the engine itself fails, the error comes with the record so far:
 // plans, certificate and trace counters.
 func RunCR(prog *ir.Program, cfg Config) (*Result, error) {
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = cfg.Nodes
-	}
-	plans, err := spmd.CompileAll(prog, cr.Options{NumShards: shards, Sync: cfg.Sync, Agg: cfg.Agg})
+	plans, err := spmd.CompileAll(prog, cfg.Options())
 	if err != nil {
 		return nil, err
 	}
