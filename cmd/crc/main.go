@@ -183,14 +183,18 @@ func run(f *bench.Flags, args []string, stdout io.Writer) int {
 		case "agg":
 			fmt.Fprintf(out, "\ncoalesced exchange plans: %d phases, %d groups (%d multi-member), %d pairs merged away per iteration\n",
 				c["phases"], c["agg_groups"], c["multi_member_groups"], c["merged_pairs"])
-			for pi, ph := range plan.Spec.Phases {
-				fmt.Fprintf(out, "  phase %d: ops [%d,%d)\n", pi, ph.Start, ph.End)
-				for s, gl := range ph.ByShard {
-					for _, g := range gl {
-						if len(g.Members) < 2 {
-							continue
+			pi := 0
+			for i, x := range plan.Spec.Exchanges {
+				if x.End == i {
+					continue
+				}
+				fmt.Fprintf(out, "  phase %d: ops [%d,%d)\n", pi, i, x.End)
+				pi++
+				for s, steps := range x.Steps {
+					for _, st := range steps {
+						if len(st.Members) > 1 {
+							fmt.Fprintf(out, "    shard %d -> %d: %d pairs in one message\n", s, st.DstShard, len(st.Members))
 						}
-						fmt.Fprintf(out, "    shard %d -> %d: %d pairs in one message\n", s, g.DstShard, len(g.Members))
 					}
 				}
 			}

@@ -16,25 +16,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
+	"repro/internal/bench"
 	"repro/internal/harness"
 )
-
-// parseNodes parses the comma-separated -nodes list; every entry must be a
-// node count of at least 1.
-func parseNodes(list string) ([]int, error) {
-	var nodes []int
-	for _, part := range strings.Split(list, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad node count %q", part)
-		}
-		nodes = append(nodes, n)
-	}
-	return nodes, nil
-}
 
 func main() {
 	nodesFlag := flag.String("nodes", "64,1024", "comma-separated node counts")
@@ -42,7 +27,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of a table")
 	flag.Parse()
 
-	nodes, err := parseNodes(*nodesFlag)
+	nodes, err := bench.ParseNodes(*nodesFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "intersect:", err)
 		os.Exit(1)

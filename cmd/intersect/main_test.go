@@ -3,9 +3,11 @@ package main
 import (
 	"slices"
 	"testing"
+
+	"repro/internal/bench"
 )
 
-// TestParseNodes: the -nodes list is node counts of at least 1, spaces
+// TestParseNodes: intersect's -nodes list is node counts of at least 1, spaces
 // allowed around each; anything else names the bad entry.
 func TestParseNodes(t *testing.T) {
 	for _, tc := range []struct {
@@ -22,13 +24,13 @@ func TestParseNodes(t *testing.T) {
 		{"4,,8", nil, `bad node count ""`},
 		{"", nil, `bad node count ""`},
 	} {
-		nodes, err := parseNodes(tc.list)
+		nodes, err := bench.ParseNodes(tc.list)
 		got := ""
 		if err != nil {
 			got = err.Error()
 		}
 		if got != tc.err || !slices.Equal(nodes, tc.nodes) {
-			t.Errorf("parseNodes(%q) = %v, %q; want %v, %q", tc.list, nodes, got, tc.nodes, tc.err)
+			t.Errorf("bench.ParseNodes(%q) = %v, %q; want %v, %q", tc.list, nodes, got, tc.nodes, tc.err)
 		}
 	}
 }

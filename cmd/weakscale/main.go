@@ -36,7 +36,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/bench"
@@ -85,15 +84,7 @@ func parseSweep(nodesArg string, iters int) ([]int, error) {
 	if nodesArg == "" {
 		return harness.DefaultNodes, nil
 	}
-	var nodes []int
-	for _, part := range strings.Split(nodesArg, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad node count %q", part)
-		}
-		nodes = append(nodes, n)
-	}
-	return nodes, nil
+	return bench.ParseNodes(nodesArg)
 }
 
 // csvQuote renders an error message as a CSV field.

@@ -177,6 +177,20 @@ func (f *Flags) Check() error {
 	return nil
 }
 
+// ParseNodes parses a comma-separated list of node counts, spaces allowed
+// around each; every entry must be at least 1.
+func ParseNodes(list string) ([]int, error) {
+	var nodes []int
+	for _, part := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad node count %q", part)
+		}
+		nodes = append(nodes, n)
+	}
+	return nodes, nil
+}
+
 // WriteSuites writes each certification suite as one indented JSON
 // document to path, "-" being stdout; an empty path writes nothing.
 func WriteSuites(path string, stdout io.Writer, suites ...*verify.Suite) error {

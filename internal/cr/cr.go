@@ -69,7 +69,7 @@ type Options struct {
 	NoPlacementOpt bool
 	// Agg coalesces each exchange phase's copy pairs into one transfer per
 	// (producing shard, destination shard) group: the executor issues a
-	// single merged CopyBytes per AggGroup with summed bytes and the union
+	// single merged CopyBytes per group with summed bytes and the union
 	// of the members' preconditions, running member writes in capture
 	// order. Default off; an aggregated schedule is licensed by
 	// verify.CheckAgg the way pruning is licensed by verify.PlanPrune.
@@ -182,10 +182,9 @@ type Compiled struct {
 	Report  Report
 
 	// Spec is the specialization metadata for cross-shard plan sharing:
-	// the copy work lists each shard executes, pair volumes and endpoint
-	// shards, and kernel cost volumes — everything shard- and
-	// placement-independent that the executor would otherwise re-derive per
-	// shard per run state (see spec.go).
+	// every shard's exchange step lists, pair volumes and kernel cost
+	// volumes — everything placement-independent that the executor would
+	// otherwise re-derive per shard per run state (see spec.go).
 	Spec SpecTable
 
 	// Prune is the certifier-licensed redundant-sync and dead-init skip set

@@ -15,8 +15,8 @@ import (
 // across the shards' lists every pair of every copy op is produced exactly
 // once and consumed exactly once, the members of every produce step are in
 // the unaggregated issue order, a member chains exactly where the fold order
-// needs the predecessor's done event, and with aggregation off the list is
-// a direct walk of the shard's work items.
+// needs the predecessor's done event, and with aggregation off each copy
+// op's list covers that op alone and is a direct walk of its pair list.
 func TestExchangeSteps(t *testing.T) {
 	const shards = 4
 	type pairKey struct{ op, pair int32 }
@@ -36,12 +36,12 @@ func TestExchangeSteps(t *testing.T) {
 						if op.Copy == nil {
 							continue
 						}
+						// Without aggregation a copy op's list covers the op alone. With
+						// it every shard must agree on the span; CheckAggTables pins
+						// the phase boundaries themselves.
 						wantEnd := i + 1
 						if agg {
-							ph := c.Spec.Phases[c.Spec.PhaseOf[i]]
-							if wantEnd = ph.End; ph.Start != i {
-								wantEnd = i
-							}
+							_, wantEnd = c.ExchangeSteps(i, 0)
 						}
 						for s := 0; s < shards; s++ {
 							steps, end := c.ExchangeSteps(i, s)
@@ -56,21 +56,29 @@ func TestExchangeSteps(t *testing.T) {
 							issue := map[pairKey]int{}
 							var direct []cr.ExchangeStep
 							for j := i; j < end; j++ {
-								cp, cs := c.Body[j].Copy, c.Spec.Ops[j].Copy
-								for _, w := range cs.PerShard[s] {
-									if w.Consumer {
-										direct = append(direct, cr.ExchangeStep{Op: int32(j), GroupStart: int32(w.GroupStart), GroupEnd: int32(w.GroupEnd)})
+								cp := c.Body[j].Copy
+								for k := 0; k < len(cp.Pairs); {
+									g := k
+									for g < len(cp.Pairs) && cp.Pairs[g].Dst == cp.Pairs[k].Dst {
+										g++
 									}
-									for _, k := range w.ProdPairs {
-										issue[pairKey{int32(j), int32(k)}] = len(issue)
-										direct = append(direct, cr.ExchangeStep{Produce: true, DstShard: cs.DstShard[k], Members: []cr.StepMember{{
-											AggPair: cr.AggPair{Op: int32(j), Pair: int32(k)}, Chain: cp.Reduce != region.ReduceNone && k > w.GroupStart,
+									if c.ShardOf[cp.Pairs[k].Dst] == s {
+										direct = append(direct, cr.ExchangeStep{Op: int32(j), GroupStart: int32(k), GroupEnd: int32(g)})
+									}
+									for q := k; q < g; q++ {
+										if c.ShardOf[cp.Pairs[q].Src] != s {
+											continue
+										}
+										issue[pairKey{int32(j), int32(q)}] = len(issue)
+										direct = append(direct, cr.ExchangeStep{Produce: true, DstShard: int32(c.ShardOf[cp.Pairs[q].Dst]), Members: []cr.StepMember{{
+											AggPair: cr.AggPair{Op: int32(j), Pair: int32(q)}, Chain: cp.Reduce != region.ReduceNone && q > k,
 										}}})
 									}
+									k = g
 								}
 							}
 							if !agg && !reflect.DeepEqual(steps, direct) && len(steps)+len(direct) > 0 {
-								t.Errorf("op %d shard %d: list\n %+v\nis not the direct work-item walk\n %+v", i, s, steps, direct)
+								t.Errorf("op %d shard %d: list\n %+v\nis not the direct pair-list walk\n %+v", i, s, steps, direct)
 							}
 							for _, st := range steps {
 								if !st.Produce {
@@ -91,13 +99,13 @@ func TestExchangeSteps(t *testing.T) {
 										t.Errorf("op %d shard %d: member %+v out of the unaggregated issue order", i, s, m)
 									}
 									last = at
-									cp, cs := c.Body[m.Op].Copy, c.Spec.Ops[m.Op].Copy
-									if got := cs.DstShard[m.Pair]; got != st.DstShard {
+									cp := c.Body[m.Op].Copy
+									if got := int32(c.ShardOf[cp.Pairs[m.Pair].Dst]); got != st.DstShard {
 										t.Errorf("op %d shard %d: member %+v goes to shard %d in a step toward %d", i, s, m, got, st.DstShard)
 									}
 									chain := cp.Reduce != region.ReduceNone && m.Pair > 0 && cp.Pairs[m.Pair-1].Dst == cp.Pairs[m.Pair].Dst
 									if agg {
-										chain = chain && cs.SrcShard[m.Pair-1] != cs.SrcShard[m.Pair]
+										chain = chain && c.ShardOf[cp.Pairs[m.Pair-1].Src] != c.ShardOf[cp.Pairs[m.Pair].Src]
 									}
 									if m.Chain != chain {
 										t.Errorf("op %d shard %d: member %+v chain=%v, want %v", i, s, m, m.Chain, chain)

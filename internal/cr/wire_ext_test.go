@@ -188,7 +188,7 @@ func checkWiring(t *testing.T, c *cr.Compiled, prune *cr.PruneInfo) {
 		}
 		for phase := int32(0); phase < 2; phase++ {
 			want := 0
-			if !p2p && (!c.Opts.Agg || c.Spec.PhaseOf[i] >= 0) {
+			if !p2p {
 				want = c.Opts.NumShards
 			}
 			if got := counts.arrivals[pairKey{int32(i), phase}]; got != want {

@@ -2,13 +2,13 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cr"
 	"repro/internal/ir"
 	"repro/internal/progtest"
-	"repro/internal/region"
 )
 
 func aggCompile(t *testing.T, prog *ir.Program, loop *ir.Loop, shards int, sync cr.SyncMode) *cr.Compiled {
@@ -59,30 +59,51 @@ func TestCheckAggAccepts(t *testing.T) {
 	}
 }
 
+// produceSteps returns every produce step of c's exchanges, in body op,
+// shard and list order.
+func produceSteps(c *cr.Compiled) []*cr.ExchangeStep {
+	var out []*cr.ExchangeStep
+	for i := range c.Spec.Exchanges {
+		for _, steps := range c.Spec.Exchanges[i].Steps {
+			for si := range steps {
+				if steps[si].Produce {
+					out = append(out, &steps[si])
+				}
+			}
+		}
+	}
+	return out
+}
+
+// multiOpPhase returns the body index of the head of c's first exchange
+// spanning two or more copy ops, or -1.
+func multiOpPhase(c *cr.Compiled) int {
+	for i, x := range c.Spec.Exchanges {
+		if x.End > i+1 {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestCheckAggTablesDetectsCorruption: every structural corruption of the
-// compiled aggregation tables — membership, order, destination binding,
-// phase boundaries — diverges from the independent recomputation.
+// compiled exchanges — membership, order, destination binding, phase
+// boundaries and heads — diverges from the independent recomputation. The
+// example fixtures have single-op phases only; a random program adds one
+// with the phase [2,4).
 func TestCheckAggTablesDetectsCorruption(t *testing.T) {
 	// firstMulti locates a group with at least two members.
-	firstMulti := func(c *cr.Compiled) *cr.AggGroup {
-		for pi := range c.Spec.Phases {
-			for s := range c.Spec.Phases[pi].ByShard {
-				for gi := range c.Spec.Phases[pi].ByShard[s] {
-					if g := &c.Spec.Phases[pi].ByShard[s][gi]; len(g.Members) > 1 {
-						return g
-					}
-				}
+	firstMulti := func(c *cr.Compiled) *cr.ExchangeStep {
+		for _, st := range produceSteps(c) {
+			if len(st.Members) > 1 {
+				return st
 			}
 		}
 		return nil
 	}
-	firstGroup := func(c *cr.Compiled) *cr.AggGroup {
-		for pi := range c.Spec.Phases {
-			for s := range c.Spec.Phases[pi].ByShard {
-				if len(c.Spec.Phases[pi].ByShard[s]) > 0 {
-					return &c.Spec.Phases[pi].ByShard[s][0]
-				}
-			}
+	firstGroup := func(c *cr.Compiled) *cr.ExchangeStep {
+		if steps := produceSteps(c); len(steps) > 0 {
+			return steps[0]
 		}
 		return nil
 	}
@@ -142,14 +163,9 @@ func TestCheckAggTablesDetectsCorruption(t *testing.T) {
 		{
 			name: "shift-phase-boundary",
 			corrupt: func(c *cr.Compiled) bool {
-				for pi := range c.Spec.Phases {
-					ph := &c.Spec.Phases[pi]
-					if ph.End < len(c.Body) {
-						ph.End++
-						return true
-					}
-					if ph.Start > 0 {
-						ph.Start--
+				for i := range c.Spec.Exchanges {
+					if x := &c.Spec.Exchanges[i]; x.End > i && x.End < len(c.Body) {
+						x.End++
 						return true
 					}
 				}
@@ -158,11 +174,38 @@ func TestCheckAggTablesDetectsCorruption(t *testing.T) {
 			want: "phase boundary",
 		},
 		{
+			name: "shift-phase-boundary-inward",
+			corrupt: func(c *cr.Compiled) bool {
+				i := multiOpPhase(c)
+				if i < 0 {
+					return false
+				}
+				c.Spec.Exchanges[i].End--
+				return true
+			},
+			want: "phase boundary",
+		},
+		{
+			name: "split-phase",
+			corrupt: func(c *cr.Compiled) bool {
+				i := multiOpPhase(c)
+				if i < 0 {
+					return false
+				}
+				x := &c.Spec.Exchanges[i]
+				c.Spec.Exchanges[i+1] = cr.Exchange{End: x.End, Steps: x.Steps}
+				x.End = i + 1
+				return true
+			},
+			want: "phase boundary",
+		},
+		{
+			// Dropping a phase head moves its ops out of their phase.
 			name: "reassign-phaseof",
 			corrupt: func(c *cr.Compiled) bool {
-				for i, pi := range c.Spec.PhaseOf {
-					if pi >= 0 {
-						c.Spec.PhaseOf[i] = -1
+				for i := range c.Spec.Exchanges {
+					if c.Spec.Exchanges[i].End > i {
+						c.Spec.Exchanges[i] = cr.Exchange{End: i}
 						return true
 					}
 				}
@@ -171,11 +214,15 @@ func TestCheckAggTablesDetectsCorruption(t *testing.T) {
 			want: "phase assignment",
 		},
 	}
+	rp, _, _ := progtest.RandomProgram(7)
+	multi := rp.Stmts[3].(*ir.Loop)
 	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, sync), func(t *testing.T) {
+				plans := fixtures(t, sync, true)
+				plans["random7"] = aggCompile(t, rp, multi, 3, sync)
 				applied := false
-				for name, c := range fixtures(t, sync, true) {
+				for name, c := range plans {
 					if !tc.corrupt(c) {
 						continue
 					}
@@ -207,15 +254,11 @@ func TestCheckAggDetectsDroppedMember(t *testing.T) {
 	f := progtest.NewFigure2(48, 8, 3)
 	c := aggCompile(t, f.Prog, f.Loop, 4, cr.PointToPoint)
 	dropped := false
-	for pi := range c.Spec.Phases {
-		for s := range c.Spec.Phases[pi].ByShard {
-			for gi := range c.Spec.Phases[pi].ByShard[s] {
-				g := &c.Spec.Phases[pi].ByShard[s][gi]
-				if !dropped && len(g.Members) > 1 {
-					g.Members = g.Members[1:]
-					dropped = true
-				}
-			}
+	for _, g := range produceSteps(c) {
+		if len(g.Members) > 1 {
+			g.Members = g.Members[1:]
+			dropped = true
+			break
 		}
 	}
 	if !dropped {
@@ -237,31 +280,24 @@ func TestCheckAggDetectsDroppedMember(t *testing.T) {
 	}
 }
 
-// mergeChainSplit corrupts an aggregated plan's group tables: it folds a
+// mergeChainSplit corrupts an aggregated plan's exchanges: it folds a
 // group the fold-chain split started (its head's chain predecessor belongs
 // to another shard) into the group producing that predecessor, and reports
 // whether the plan had such a group.
 func mergeChainSplit(c *cr.Compiled) bool {
-	for pi := range c.Spec.Phases {
-		ph := &c.Spec.Phases[pi]
-		for s := range ph.ByShard {
-			for gi := range ph.ByShard[s] {
-				g := &ph.ByShard[s][gi]
-				mem := g.Members[0]
-				cp := c.Body[mem.Op].Copy
-				if cp.Reduce == region.ReduceNone ||
-					!cr.AggChainExternal(cp, c.Spec.Ops[mem.Op].Copy, int(mem.Pair)) {
+	for i := range c.Spec.Exchanges {
+		lists := c.Spec.Exchanges[i].Steps
+		for s := range lists {
+			for gi, g := range lists[s] {
+				if !g.Produce || !g.Members[0].Chain {
 					continue
 				}
-				pred := cr.AggPair{Op: mem.Op, Pair: mem.Pair - 1}
-				for s2 := range ph.ByShard {
-					for g2 := range ph.ByShard[s2] {
-						for _, m2 := range ph.ByShard[s2][g2].Members {
-							if m2 != pred {
-								continue
-							}
-							ph.ByShard[s2][g2].Members = append(ph.ByShard[s2][g2].Members, g.Members...)
-							ph.ByShard[s] = append(ph.ByShard[s][:gi], ph.ByShard[s][gi+1:]...)
+				pred := cr.AggPair{Op: g.Members[0].Op, Pair: g.Members[0].Pair - 1}
+				for s2 := range lists {
+					for g2 := range lists[s2] {
+						if slices.ContainsFunc(lists[s2][g2].Members, func(m cr.StepMember) bool { return m.AggPair == pred }) {
+							lists[s2][g2].Members = append(lists[s2][g2].Members, g.Members...)
+							lists[s] = slices.Delete(lists[s], gi, gi+1)
 							return true
 						}
 					}

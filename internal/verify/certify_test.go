@@ -135,10 +135,10 @@ func TestCertifySurfacesCorruptTables(t *testing.T) {
 				return false
 			}},
 			{"agg member order", "agg", "agg-table", func(c *cr.Compiled) bool {
-				for pi := range c.Spec.Phases {
-					for _, gl := range c.Spec.Phases[pi].ByShard {
-						for gi := range gl {
-							if m := gl[gi].Members; len(m) > 1 {
+				for _, x := range c.Spec.Exchanges {
+					for _, steps := range x.Steps {
+						for _, st := range steps {
+							if m := st.Members; len(m) > 1 {
 								m[0], m[1] = m[1], m[0]
 								return true
 							}

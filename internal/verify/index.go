@@ -44,13 +44,10 @@ func (ix *index) ref(key int32) instRef {
 // newIndex indexes a compiled loop. What the tables cannot hold is an error,
 // not an index panic: a pair colour outside c.Domain, a reduce copy folding
 // a temporary no body launch reduces into, a partition outside c.UsedParts,
-// malformed aggregation tables.
+// malformed exchanges.
 func newIndex(c *cr.Compiled) (*index, error) {
-	if c.Opts.Agg {
-		// The replay indexes the aggregation tables; refuse malformed ones.
-		if err := aggTablesWellFormed(c); err != nil {
-			return nil, err
-		}
+	if err := exchangesWellFormed(c); err != nil {
+		return nil, err
 	}
 	n := len(c.Domain)
 	ix := &index{c: c, colors: int32(n), shardOf: make([]int32, n), args: make([][]int32, len(c.Body)),
@@ -137,6 +134,55 @@ func newIndex(c *cr.Compiled) (*index, error) {
 		return nil, err
 	}
 	return ix, nil
+}
+
+// exchangesWellFormed bounds-checks the compiled exchanges so the replay
+// cannot index out of range on corrupted input: every exchange spans copy
+// ops only and lists one step list per shard, whose steps name shards,
+// covered ops and pairs that exist — a consume step a non-empty group, a
+// chained member a predecessor. Semantic divergence is CheckSpec's and
+// CheckAggTables' job; this only guards the replay itself.
+func exchangesWellFormed(c *cr.Compiled) error {
+	xs, ns := c.Spec.Exchanges, c.Opts.NumShards
+	if len(xs) != len(c.Body) {
+		return fmt.Errorf("verify: %d exchanges for a %d-op body", len(xs), len(c.Body))
+	}
+	for i, x := range xs {
+		if x.End == i {
+			continue
+		}
+		if x.End < i || x.End > len(c.Body) {
+			return fmt.Errorf("verify: exchange at op %d spans [%d,%d) outside the %d-op body", i, i, x.End, len(c.Body))
+		}
+		for op := i; op < x.End; op++ {
+			if c.Body[op].Copy == nil {
+				return fmt.Errorf("verify: exchange at op %d spans body op %d, not a copy", i, op)
+			}
+		}
+		if len(x.Steps) != ns {
+			return fmt.Errorf("verify: exchange at op %d has step lists for %d shards, want %d", i, len(x.Steps), ns)
+		}
+		// pairs is the pair count of a covered op, -1 outside the span.
+		pairs := func(op int32) int32 {
+			if int(op) < i || int(op) >= x.End {
+				return -1
+			}
+			return int32(len(c.Body[op].Copy.Pairs))
+		}
+		for s, steps := range x.Steps {
+			for si, st := range steps {
+				bad := st.Produce && (st.DstShard < 0 || int(st.DstShard) >= ns || len(st.Members) == 0) ||
+					!st.Produce && (st.GroupStart < 0 || st.GroupStart >= st.GroupEnd || st.GroupEnd > pairs(st.Op))
+				for _, m := range st.Members {
+					bad = bad || m.Pair < 0 || m.Pair >= pairs(m.Op) || m.Chain && m.Pair == 0
+				}
+				if bad {
+					return fmt.Errorf("verify: exchange at op %d shard %d step %d names a shard, op or pair outside the exchange: %+v", i, s, si, st)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // newExchange gathers every shard's exchange step list starting at body op

@@ -82,6 +82,61 @@ func TestMalformedPairsAreErrors(t *testing.T) {
 	}
 }
 
+// TestMalformedExchangesAreErrors: a compiled exchange the replay cannot
+// index — a member pair outside its copy, a span over a non-copy op — is an
+// error from every entry point, aggregated or not, not an index panic.
+func TestMalformedExchangesAreErrors(t *testing.T) {
+	f := progtest.NewFigure2(48, 8, 3)
+	corruptions := []struct {
+		name, want string
+		corrupt    func(c *cr.Compiled) bool
+	}{
+		{"member pair out of range", "outside the exchange", func(c *cr.Compiled) bool {
+			for _, x := range c.Spec.Exchanges {
+				for _, steps := range x.Steps {
+					for _, st := range steps {
+						if st.Produce {
+							st.Members[0].Pair = 999
+							return true
+						}
+					}
+				}
+			}
+			return false
+		}},
+		{"span over a launch", "not a copy", func(c *cr.Compiled) bool {
+			for i := range c.Spec.Exchanges {
+				if x := &c.Spec.Exchanges[i]; x.End > i && x.End < len(c.Body) && c.Body[x.End].Copy == nil {
+					x.End++
+					return true
+				}
+			}
+			return false
+		}},
+	}
+	entries := []struct {
+		name string
+		run  func(c *cr.Compiled) error
+	}{
+		{"Analyze", func(c *cr.Compiled) error { _, err := verify.Analyze(c); return err }},
+		{"PlanPrune", func(c *cr.Compiled) error { _, _, err := verify.PlanPrune(c); return err }},
+		{"Certify", func(c *cr.Compiled) error { _, err := verify.Certify(c, true); return err }},
+	}
+	for _, agg := range []bool{false, true} {
+		for _, tc := range corruptions {
+			for _, e := range entries {
+				c := compileApp(t, f.Prog, f.Loop, cr.Options{NumShards: 4, Agg: agg})
+				if !tc.corrupt(c) {
+					t.Fatalf("%s: figure2 has no exchange to corrupt", tc.name)
+				}
+				if err := e.run(c); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("agg=%v %s: %s returned %v, want an error naming %q", agg, tc.name, e.name, err, tc.want)
+				}
+			}
+		}
+	}
+}
+
 // TestConflictsArePruneInvariant pins the invariant PlanPrune's conflict
 // reuse rests on: under any prune without a dead init — here seeded random
 // subsets of the war, done and chain slots, certifiable or not — the

@@ -98,40 +98,41 @@ func (a *Analysis) Mutations() []Mutation {
 	for pi, ph := range a.phases() {
 		switch {
 		case c.Opts.Sync == cr.BarrierSync:
-			for op := ph.Start; op < ph.End; op++ {
+			for op := ph[0]; op < ph[1]; op++ {
 				out = append(out, a.barrierMutation(tag, op))
 			}
 		case c.Opts.Agg:
-			for s, gl := range ph.ByShard {
-				for gi := range gl {
-					out = append(out, a.syncMutation(fmt.Sprintf("agg-group-sync(phase %d, shard %d, group %d)", pi, s, gi), gl[gi].Members...))
+			for s, steps := range c.Spec.Exchanges[ph[0]].Steps {
+				gi := 0
+				for _, st := range steps {
+					if st.Produce {
+						out = append(out, a.syncMutation(fmt.Sprintf("agg-group-sync(phase %d, shard %d, group %d)", pi, s, gi), st.Members...))
+						gi++
+					}
 				}
 			}
 		default:
-			cp := c.Body[ph.Start].Copy
+			cp := c.Body[ph[0]].Copy
 			for k := range cp.Pairs {
-				out = append(out, a.syncMutation(fmt.Sprintf("p2p-sync(copy %d, pair %d)", cp.ID, k), cr.AggPair{Op: int32(ph.Start), Pair: int32(k)}))
+				out = append(out, a.syncMutation(fmt.Sprintf("p2p-sync(copy %d, pair %d)", cp.ID, k), cr.StepMember{AggPair: cr.AggPair{Op: int32(ph[0]), Pair: int32(k)}}))
 			}
 		}
-		for op := ph.Start; op < ph.End; op++ {
+		for op := ph[0]; op < ph[1]; op++ {
 			out = append(out, chainMutations(tag, c.Body[op].Copy, chains)...)
 		}
 	}
 	return out
 }
 
-// phases returns the analyzed plan's exchange phases: the compiler's under
-// aggregation, and otherwise one per copy op with pairs. An aggregated
-// phase may span a copy op with no pairs; its barrier deletion is still
-// enumerated.
-func (a *Analysis) phases() []cr.AggPhase {
-	if a.c.Opts.Agg {
-		return a.c.Spec.Phases
-	}
-	var out []cr.AggPhase
-	for bi, op := range a.c.Body {
-		if op.Copy != nil && len(op.Copy.Pairs) > 0 {
-			out = append(out, cr.AggPhase{Start: bi, End: bi + 1})
+// phases returns the body spans [start, end) of the analyzed plan's
+// exchange phases: the compiled exchanges under aggregation, and otherwise
+// each copy op with pairs. An aggregated phase may span a copy op with no
+// pairs; its barrier deletion is still enumerated.
+func (a *Analysis) phases() [][2]int {
+	var out [][2]int
+	for i, x := range a.c.Spec.Exchanges {
+		if x.End > i && (a.c.Opts.Agg || len(a.c.Body[i].Copy.Pairs) > 0) {
+			out = append(out, [2]int{i, x.End})
 		}
 	}
 	return out
@@ -145,7 +146,7 @@ func (a *Analysis) phases() []cr.AggPhase {
 // (write-after-read) ordering is at stake, and that may be transitively
 // covered by other copies. So the deletion is essential when some member
 // is consumed later and some member is cross-color or a reduction.
-func (a *Analysis) syncMutation(name string, members ...cr.AggPair) Mutation {
+func (a *Analysis) syncMutation(name string, members ...cr.StepMember) Mutation {
 	m := Mutation{Name: name}
 	consumed, crossOrReduce := false, false
 	for _, mem := range members {

@@ -2,31 +2,33 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cr"
 	"repro/internal/ir"
+	"repro/internal/region"
 )
 
 // CheckSpec statically validates the compiler's specialization tables
 // (cr.SpecTable) against an independent recomputation from the compiled
 // loop's pair lists and ownership. The tables are the only source of the
-// kernel costs, transfer sizes and work lists spmd.(*runState).resolve
-// binds, so each ingredient is re-derived here from first principles and
-// compared:
+// kernel costs, transfer sizes and exchange step lists
+// spmd.(*runState).resolve binds, so each ingredient is re-derived here
+// from first principles and compared:
 //
 //   - block congruence: every owned color's ColorIdx equals its dense slot
 //     in the ownership partition's running block offset (so the specialized
 //     plan binds the same collective indices and cost-table slots as direct
 //     capture);
 //   - launch cost volumes match the cost argument's subregion volumes;
-//   - pair volumes and endpoint shards match the intersection geometry and
-//     the ownership map (so specialized transfer sizes and node bindings
-//     equal captured ones under any assignment);
-//   - the per-shard work partition equals a from-scratch regrouping of the
-//     pair list (same consumer per group, same producer pair sets, in the
-//     same order) — the work lists spmd's one resolver walks, memoized
-//     or re-resolved every iteration, shared capture or not.
+//   - pair volumes match the intersection geometry (so specialized
+//     transfer sizes equal captured ones);
+//   - without Options.Agg, every shard's exchange step lists equal
+//     recomputeExchanges' (same consumer per group, same produced pairs
+//     toward the same shards, in the same order) — the lists spmd's one
+//     resolver walks, memoized or re-resolved every iteration, shared
+//     capture or not. An aggregated plan's lists are CheckAggTables'.
 //
 // A nil return means every resolved plan is structurally identical to one
 // derived from the geometry directly, and therefore issues the same
@@ -69,13 +71,17 @@ func CheckSpec(c *cr.Compiled) error {
 					fail("body op %d is a copy but has no copy spec", i)
 					continue
 				}
-				checkCopySpec(c, op.Copy, so.Copy, fail)
+				checkCopySpec(op.Copy, so.Copy, fail)
 			default:
 				if so.Launch != nil || so.Copy != nil {
 					fail("scalar body op %d carries a spec", i)
 				}
 			}
 		}
+	}
+
+	if !c.Opts.Agg {
+		diffExchanges(c, recomputeExchanges(c), fail)
 	}
 
 	if len(errs) > 0 {
@@ -98,76 +104,109 @@ func checkLaunchSpec(c *cr.Compiled, i int, l *ir.Launch, ls *cr.LaunchSpec, fai
 	}
 }
 
-func checkCopySpec(c *cr.Compiled, cp *cr.CopyOp, cs *cr.CopySpec, fail func(string, ...any)) {
+func checkCopySpec(cp *cr.CopyOp, cs *cr.CopySpec, fail func(string, ...any)) {
 	pairs := cp.Pairs
-	if len(cs.PairVols) != len(pairs) || len(cs.SrcShard) != len(pairs) || len(cs.DstShard) != len(pairs) {
-		fail("copy %d pair tables sized %d/%d/%d, want %d each", cp.ID, len(cs.PairVols), len(cs.SrcShard), len(cs.DstShard), len(pairs))
+	if len(cs.PairVols) != len(pairs) {
+		fail("copy %d pair volume table sized %d, want %d", cp.ID, len(cs.PairVols), len(pairs))
 		return
 	}
 	for k, pr := range pairs {
 		if want := pr.Overlap.Volume(); cs.PairVols[k] != want {
 			fail("copy %d pair %d volume = %d, want %d", cp.ID, k, cs.PairVols[k], want)
 		}
-		if int(cs.SrcShard[k]) != c.ShardOf[pr.Src] {
-			fail("copy %d pair %d src shard = %d, want owner %d", cp.ID, k, cs.SrcShard[k], c.ShardOf[pr.Src])
-		}
-		if int(cs.DstShard[k]) != c.ShardOf[pr.Dst] {
-			fail("copy %d pair %d dst shard = %d, want owner %d", cp.ID, k, cs.DstShard[k], c.ShardOf[pr.Dst])
-		}
 	}
+}
 
-	// Regroup the pair list from scratch (destination runs, see groups) and
-	// rebuild each shard's work partition: one consumer per group (the
-	// destination's owner), producer pair sets ascending, groups in pair
-	// order.
-	want := make([][]cr.SpecWork, c.Opts.NumShards)
-	for _, g := range groups(cp) {
-		start, end := g[0], g[1]
-		touched := map[int]int{}
-		get := func(s int) *cr.SpecWork {
-			w, ok := touched[s]
-			if !ok {
-				want[s] = append(want[s], cr.SpecWork{GroupStart: start, GroupEnd: end})
-				w = len(want[s]) - 1
-				touched[s] = w
-			}
-			return &want[s][w]
-		}
-		get(c.ShardOf[pairs[start].Dst]).Consumer = true
-		for k := start; k < end; k++ {
-			w := get(c.ShardOf[pairs[k].Src])
-			w.ProdPairs = append(w.ProdPairs, k)
-		}
+// recomputeExchanges rebuilds every body op's exchange (cr.Exchange) from
+// the pair lists, c.ShardOf and the alias cut (phaseEnd) alone, by a walk
+// of its own, so a corruption of the compiled table diverges.
+// CheckAggTables lists the rules.
+func recomputeExchanges(c *cr.Compiled) []cr.Exchange {
+	ns, agg := c.Opts.NumShards, c.Opts.Agg
+	out := make([]cr.Exchange, len(c.Body))
+	for i := range out {
+		out[i].End = i
 	}
-	if len(cs.PerShard) != len(want) {
-		fail("copy %d PerShard has %d entries, want %d", cp.ID, len(cs.PerShard), len(want))
+	for i := 0; i < len(c.Body); i++ {
+		if c.Body[i].Copy == nil {
+			continue
+		}
+		end := i + 1
+		if agg {
+			end = phaseEnd(c, i)
+		}
+		lists, xfers := make([][]cr.ExchangeStep, ns), make([][]cr.ExchangeStep, ns)
+		open := map[[2]int]int{}
+		for op := i; op < end; op++ {
+			cp := c.Body[op].Copy
+			for _, g := range groups(cp) {
+				d := c.ShardOf[cp.Pairs[g[0]].Dst]
+				lists[d] = append(lists[d], cr.ExchangeStep{Op: int32(op), GroupStart: int32(g[0]), GroupEnd: int32(g[1])})
+				for k := g[0]; k < g[1]; k++ {
+					src := c.ShardOf[cp.Pairs[k].Src]
+					chain := cp.Reduce != region.ReduceNone && k > g[0] && (!agg || c.ShardOf[cp.Pairs[k-1].Src] != src)
+					m := cr.StepMember{AggPair: cr.AggPair{Op: int32(op), Pair: int32(k)}, Chain: chain}
+					step := cr.ExchangeStep{Produce: true, DstShard: int32(d), Members: []cr.StepMember{m}}
+					gi, ok := open[[2]int{src, d}]
+					switch {
+					case !agg:
+						lists[src] = append(lists[src], step)
+					case ok && !chain:
+						xfers[src][gi].Members = append(xfers[src][gi].Members, m)
+					default:
+						open[[2]int{src, d}], xfers[src] = len(xfers[src]), append(xfers[src], step)
+					}
+				}
+			}
+		}
+		for s := range lists {
+			lists[s] = append(lists[s], xfers[s]...)
+		}
+		out[i] = cr.Exchange{End: end, Steps: lists}
+		i = end - 1
+	}
+	return out
+}
+
+// diffExchanges reports each compiled exchange that diverges from want: its
+// span — whether the op heads an exchange at all, then where it ends — and
+// then every shard's step list.
+func diffExchanges(c *cr.Compiled, want []cr.Exchange, fail func(string, ...any)) {
+	got := c.Spec.Exchanges
+	if len(got) != len(want) {
+		fail("%d exchanges, want one per body op (%d)", len(got), len(want))
 		return
 	}
-	for s := range want {
-		if !workListsEqual(cs.PerShard[s], want[s]) {
-			fail("copy %d shard %d work list diverges:\n    got  %+v\n    want %+v", cp.ID, s, cs.PerShard[s], want[s])
+	list := "work list"
+	if c.Opts.Agg {
+		list = "group membership (destination binding, fold-chain split, or member order)"
+	}
+	for i := range want {
+		g, w := &got[i], &want[i]
+		switch {
+		case g.End != w.End && (g.End == i || w.End == i):
+			fail("op %d heads an exchange spanning [%d,%d), want [%d,%d): phase assignment diverges from recomputation", i, i, g.End, i, w.End)
+			continue
+		case g.End != w.End:
+			fail("exchange at op %d spans [%d,%d), want [%d,%d): phase boundary diverges — merging across the conflict cut deadlocks the merged message against its own synchronization", i, i, g.End, i, w.End)
+			continue
+		case w.End == i:
+			continue
+		case len(g.Steps) != len(w.Steps):
+			fail("exchange at op %d has step lists for %d shards, want %d", i, len(g.Steps), len(w.Steps))
+			continue
+		}
+		for s := range w.Steps {
+			if !slices.EqualFunc(g.Steps[s], w.Steps[s], stepsEqual) {
+				fail("exchange at op %d shard %d %s diverges from recomputation:\n    got  %+v\n    want %+v", i, s, list, g.Steps[s], w.Steps[s])
+			}
 		}
 	}
 }
 
-func workListsEqual(a, b []cr.SpecWork) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].GroupStart != b[i].GroupStart || a[i].GroupEnd != b[i].GroupEnd || a[i].Consumer != b[i].Consumer {
-			return false
-		}
-		if len(a[i].ProdPairs) != len(b[i].ProdPairs) {
-			return false
-		}
-		for j := range a[i].ProdPairs {
-			if a[i].ProdPairs[j] != b[i].ProdPairs[j] {
-				return false
-			}
-		}
-	}
-	return true
+func stepsEqual(a, b cr.ExchangeStep) bool {
+	return a.Produce == b.Produce && a.Op == b.Op && a.GroupStart == b.GroupStart && a.GroupEnd == b.GroupEnd &&
+		a.DstShard == b.DstShard && slices.Equal(a.Members, b.Members)
 }
 
 // groups returns the contiguous same-destination runs of a copy's pairs —

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,8 +30,8 @@ func TestCheckSpecAccepts(t *testing.T) {
 }
 
 // TestCheckSpecDetectsCorruption: every ingredient of the substitution —
-// the color slots, cost volumes, pair volumes, endpoint shards, and the
-// per-shard work partition — is independently recomputed, so corrupting any
+// the color slots, cost volumes, pair volumes and the exchange step lists
+// — is independently recomputed, so corrupting any
 // one of them must be caught.
 func TestCheckSpecDetectsCorruption(t *testing.T) {
 	fresh := func() *cr.Compiled {
@@ -44,6 +45,15 @@ func TestCheckSpecDetectsCorruption(t *testing.T) {
 			}
 		}
 		t.Fatal("compiled figure2 has no copy spec")
+		return nil
+	}
+	firstExchange := func(c *cr.Compiled) *cr.Exchange {
+		for i := range c.Spec.Exchanges {
+			if c.Spec.Exchanges[i].End > i {
+				return &c.Spec.Exchanges[i]
+			}
+		}
+		t.Fatal("compiled figure2 has no exchange")
 		return nil
 	}
 	firstLaunch := func(c *cr.Compiled) *cr.LaunchSpec {
@@ -63,26 +73,21 @@ func TestCheckSpecDetectsCorruption(t *testing.T) {
 		{"color index", func(c *cr.Compiled) { c.ColorIdx[c.Owned[1][0]]++ }, "dense slot"},
 		{"cost volume", func(c *cr.Compiled) { firstLaunch(c).CostVol[0]++ }, "cost volume"},
 		{"pair volume", func(c *cr.Compiled) { firstCopy(c).PairVols[0]++ }, "volume"},
-		{"src shard", func(c *cr.Compiled) {
-			cs := firstCopy(c)
-			cs.SrcShard[0] = (cs.SrcShard[0] + 1) % 4
-		}, "src shard"},
 		{"work partition", func(c *cr.Compiled) {
-			cs := firstCopy(c)
-			for s := range cs.PerShard {
-				if len(cs.PerShard[s]) > 0 {
-					cs.PerShard[s][0].Consumer = !cs.PerShard[s][0].Consumer
+			for _, steps := range firstExchange(c).Steps {
+				if len(steps) > 0 {
+					steps[0].Produce = !steps[0].Produce
 					return
 				}
 			}
 			t.Fatal("no shard has copy work")
 		}, "work list diverges"},
 		{"dropped producer", func(c *cr.Compiled) {
-			cs := firstCopy(c)
-			for s := range cs.PerShard {
-				for w := range cs.PerShard[s] {
-					if len(cs.PerShard[s][w].ProdPairs) > 0 {
-						cs.PerShard[s][w].ProdPairs = cs.PerShard[s][w].ProdPairs[:0]
+			x := firstExchange(c)
+			for s, steps := range x.Steps {
+				for i := range steps {
+					if steps[i].Produce {
+						x.Steps[s] = slices.Delete(steps, i, i+1)
 						return
 					}
 				}
