@@ -2,7 +2,7 @@ package cr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geometry"
 	"repro/internal/ir"
@@ -16,31 +16,14 @@ type loopInfo struct {
 	domain    []geometry.Point
 	stmts     []ir.Stmt
 	usedParts []*region.Partition
-	// partFields accumulates every field used with a partition.
-	partFields map[*region.Partition]map[region.FieldID]bool
+	// partFields lists every field used with a partition, sorted once the
+	// loop is analysed.
+	partFields map[*region.Partition][]region.FieldID
 	// written marks partitions written (read-write or reduce) by any launch.
 	written map[*region.Partition]bool
 	// reduced maps partitions to the reduce ops applied (at most one op per
 	// partition is supported).
 	reduced map[*region.Partition]region.ReductionOp
-}
-
-// partFieldList converts the accumulated field sets to sorted slices.
-func (info *loopInfo) partFieldList() map[*region.Partition][]region.FieldID {
-	out := make(map[*region.Partition][]region.FieldID, len(info.partFields))
-	for _, p := range info.usedParts {
-		out[p] = sortedFields(info.partFields[p])
-	}
-	return out
-}
-
-func sortedFields(set map[region.FieldID]bool) []region.FieldID {
-	fs := make([]region.FieldID, 0, len(set))
-	for f := range set {
-		fs = append(fs, f)
-	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
-	return fs
 }
 
 // analyzeLoop checks that the loop is a control-replication target and
@@ -52,7 +35,7 @@ func analyzeLoop(prog *ir.Program, loop *ir.Loop) (*loopInfo, error) {
 		return nil, fmt.Errorf("cr: loop %q body contains statements control replication cannot transform", loop.Var)
 	}
 	info := &loopInfo{
-		partFields: make(map[*region.Partition]map[region.FieldID]bool),
+		partFields: make(map[*region.Partition][]region.FieldID),
 		written:    make(map[*region.Partition]bool),
 		reduced:    make(map[*region.Partition]region.ReductionOp),
 	}
@@ -73,6 +56,9 @@ func analyzeLoop(prog *ir.Program, loop *ir.Loop) (*loopInfo, error) {
 	if len(info.domain) == 0 {
 		return nil, fmt.Errorf("cr: loop %q contains no index launches", loop.Var)
 	}
+	for _, p := range info.usedParts {
+		slices.Sort(info.partFields[p])
+	}
 	return info, nil
 }
 
@@ -82,6 +68,9 @@ func (info *loopInfo) addLaunch(l *ir.Launch) error {
 	} else if !sameDomain(info.domain, l.Domain) {
 		return fmt.Errorf("cr: launch %s uses a different domain than earlier launches; control replication shards one common iteration space", l.Task.Name)
 	}
+	if err := l.CheckIndependent(); err != nil {
+		return err
+	}
 	for ai, a := range l.Args {
 		if !a.Identity() {
 			return fmt.Errorf("cr: launch %s arg %d still has a non-identity projection after normalization", l.Task.Name, ai)
@@ -89,16 +78,10 @@ func (info *loopInfo) addLaunch(l *ir.Launch) error {
 		param := l.Task.Params[ai]
 		if _, ok := info.partFields[a.Part]; !ok {
 			info.usedParts = append(info.usedParts, a.Part)
-			info.partFields[a.Part] = make(map[region.FieldID]bool)
 		}
-		for _, f := range param.Fields {
-			info.partFields[a.Part][f] = true
-		}
+		info.partFields[a.Part] = region.UnionFields(info.partFields[a.Part], param.Fields)
 		switch param.Priv {
 		case ir.PrivReadWrite:
-			if !a.Part.Disjoint() {
-				return fmt.Errorf("cr: launch %s writes aliased partition %s; forall tasks writing overlapping data are not parallel (reductions are the only supported aliased writes)", l.Task.Name, a.Part.Name())
-			}
 			info.written[a.Part] = true
 		case ir.PrivReduce:
 			info.written[a.Part] = true
@@ -106,26 +89,6 @@ func (info *loopInfo) addLaunch(l *ir.Launch) error {
 				return fmt.Errorf("cr: partition %s reduced with both %v and %v", a.Part.Name(), prev, param.Op)
 			}
 			info.reduced[a.Part] = param.Op
-		}
-	}
-	// Intra-launch conflicts make the forall loop not actually parallel.
-	for i := range l.Args {
-		for j := i + 1; j < len(l.Args); j++ {
-			pi, pj := l.Task.Params[i], l.Task.Params[j]
-			if !ir.Conflicts(pi.Priv, pi.Op, pj.Priv, pj.Op) {
-				continue
-			}
-			if !fieldsIntersect(pi.Fields, pj.Fields) {
-				continue
-			}
-			ai, aj := l.Args[i], l.Args[j]
-			if ai.Part == aj.Part && ai.Part.Disjoint() {
-				continue // same subregion per task; internally sequential
-			}
-			if !region.PartitionsMayAlias(ai.Part, aj.Part) {
-				continue
-			}
-			return fmt.Errorf("cr: launch %s has conflicting aliased arguments %d and %d", l.Task.Name, i, j)
 		}
 	}
 	info.stmts = append(info.stmts, l)
@@ -142,15 +105,4 @@ func sameDomain(a, b []geometry.Point) bool {
 		}
 	}
 	return true
-}
-
-func fieldsIntersect(a, b []region.FieldID) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
 }

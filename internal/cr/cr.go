@@ -30,6 +30,7 @@ package cr
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/geometry"
@@ -215,7 +216,7 @@ func Compile(prog *ir.Program, loop *ir.Loop, opts Options) (*Compiled, error) {
 		Opts:       opts,
 		Domain:     info.domain,
 		UsedParts:  info.usedParts,
-		PartFields: info.partFieldList(),
+		PartFields: info.partFields,
 	}
 
 	c.Body, c.Report.CopiesInserted = insertCopies(info)
@@ -244,38 +245,16 @@ func Compile(prog *ir.Program, loop *ir.Loop, opts Options) (*Compiled, error) {
 // finalization recovers them.
 func (c *Compiled) computeInstFields() {
 	c.InstFields = make(map[*region.Partition][]region.FieldID, len(c.PartFields))
-	// seen mirrors each partition's InstFields as a set so dedup is O(1) per
-	// field instead of a rescan of the accumulated list; append order (and
-	// therefore the emitted field order) is unchanged.
-	seen := make(map[*region.Partition]map[region.FieldID]bool, len(c.PartFields))
-	for p, fs := range c.PartFields {
-		c.InstFields[p] = append([]region.FieldID(nil), fs...)
-		set := make(map[region.FieldID]bool, len(fs))
-		for _, f := range fs {
-			set[f] = true
-		}
-		seen[p] = set
-	}
-	add := func(p *region.Partition, fs []region.FieldID) {
-		set := seen[p]
-		if set == nil {
-			set = make(map[region.FieldID]bool)
-			seen[p] = set
-		}
-		for _, f := range fs {
-			if !set[f] {
-				set[f] = true
-				c.InstFields[p] = append(c.InstFields[p], f)
-			}
-		}
+	for _, p := range c.UsedParts {
+		c.InstFields[p] = slices.Clone(c.PartFields[p])
 	}
 	for _, op := range c.Body {
-		if op.Copy != nil {
-			add(op.Copy.Dst, op.Copy.Fields)
+		if cp := op.Copy; cp != nil {
+			c.InstFields[cp.Dst] = region.UnionFields(c.InstFields[cp.Dst], cp.Fields)
 		}
 	}
 	for _, cp := range c.InitCopies {
-		add(cp.Dst, cp.Fields)
+		c.InstFields[cp.Dst] = region.UnionFields(c.InstFields[cp.Dst], cp.Fields)
 	}
 }
 

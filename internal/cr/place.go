@@ -70,34 +70,11 @@ func opWrites(op BodyOp) []access {
 
 func accessesTouch(as []access, p *region.Partition, fields []region.FieldID) bool {
 	for _, a := range as {
-		if a.part != p {
-			continue
-		}
-		for _, f := range a.fields {
-			for _, g := range fields {
-				if f == g {
-					return true
-				}
-			}
+		if a.part == p && region.SharedFields(a.fields, fields) > 0 {
+			return true
 		}
 	}
 	return false
-}
-
-func fieldsSubset(a, b []region.FieldID) bool {
-	for _, f := range a {
-		found := false
-		for _, g := range b {
-			if f == g {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // placeCopies runs the placement passes over the compiled body, updating
@@ -126,7 +103,7 @@ func removeRedundant(c *Compiled) int {
 			if c2 == nil || c2.Reduce != region.ReduceNone || c2.Src != c1.Src || c2.Dst != c1.Dst {
 				continue
 			}
-			if !fieldsSubset(c1.Fields, c2.Fields) {
+			if !region.CoversFields(c2.Fields, c1.Fields) {
 				continue
 			}
 			clean := true

@@ -42,7 +42,7 @@ func insertCopies(info *loopInfo) ([]BodyOp, int) {
 						if q == a.Part || !region.PartitionsMayAlias(a.Part, q) {
 							continue
 						}
-						fields := fieldIntersection(param.Fields, info.partFields[q])
+						fields := region.CommonFields(param.Fields, info.partFields[q])
 						if len(fields) == 0 {
 							continue
 						}
@@ -69,7 +69,7 @@ func insertCopies(info *loopInfo) ([]BodyOp, int) {
 						if q == a.Part || !region.PartitionsMayAlias(a.Part, q) {
 							continue
 						}
-						fields := fieldIntersection(param.Fields, info.partFields[q])
+						fields := region.CommonFields(param.Fields, info.partFields[q])
 						if q.Disjoint() {
 							fields = append([]region.FieldID(nil), param.Fields...)
 						}
@@ -87,14 +87,4 @@ func insertCopies(info *loopInfo) ([]BodyOp, int) {
 		}
 	}
 	return body, inserted
-}
-
-func fieldIntersection(fs []region.FieldID, set map[region.FieldID]bool) []region.FieldID {
-	var out []region.FieldID
-	for _, f := range fs {
-		if set[f] {
-			out = append(out, f)
-		}
-	}
-	return out
 }

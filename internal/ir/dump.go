@@ -14,7 +14,7 @@ func Dump(p *Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program %s\n", p.Name)
 
-	for _, root := range sortedRoots(p) {
+	for _, root := range p.Roots() {
 		fs := p.FieldSpaces[root]
 		var fields []string
 		for _, f := range fs.Fields() {
@@ -74,18 +74,6 @@ func Dump(p *Program) string {
 
 	dumpStmts(&b, p, p.Stmts, 2)
 	return b.String()
-}
-
-func sortedRoots(p *Program) []*region.Region {
-	var roots []*region.Region
-	for _, r := range p.Tree.Regions() {
-		if r.Parent() == nil {
-			if _, ok := p.FieldSpaces[r]; ok {
-				roots = append(roots, r)
-			}
-		}
-	}
-	return roots
 }
 
 func dumpPartition(b *strings.Builder, p *Program, part *region.Partition, indent int) {

@@ -208,6 +208,17 @@ func TestValidateCatchesBadField(t *testing.T) {
 	}
 }
 
+// A field named twice in one parameter would be folded twice by a
+// reduction (and counted once by a set), so Validate refuses it.
+func TestValidateCatchesRepeatedField(t *testing.T) {
+	p, _, _ := figure2Program(8, 2, 1)
+	l := p.Stmts[2].(*Loop).Body[0].(*Launch)
+	l.Task.Params[1].Fields = []region.FieldID{0, 0}
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "ir: launch loopF param 1 names field val twice") {
+		t.Errorf("expected repeated-field error, got %v", err)
+	}
+}
+
 func TestValidateCatchesFillInLoop(t *testing.T) {
 	p, a, _ := figure2Program(8, 2, 1)
 	loop := p.Stmts[2].(*Loop)
@@ -465,6 +476,48 @@ func TestSequentialLaunchRepartitionedMidLoop(t *testing.T) {
 			if got := st.Get(v, geometry.Pt1(x)); got != want {
 				t.Errorf("%v: R[%d] = %v, want %v", priv, x, got, want)
 			}
+		}
+	}
+}
+
+// TestCheckIndependent is the §2.2 rule's table: which argument shapes make
+// the point tasks of one launch dependent.
+func TestCheckIndependent(t *testing.T) {
+	p := NewProgram("indep")
+	fs := region.NewFieldSpace("x", "y")
+	x, y := fs.Field("x"), fs.Field("y")
+	r := p.Tree.NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, 15)))
+	p.FieldSpaces[r] = fs
+	pr := r.Block("PR", 4)
+	img := region.Image(r, pr, "IMG", func(pt geometry.Point) []geometry.Point {
+		return []geometry.Point{geometry.Pt1((pt.X() + 1) % 16)}
+	})
+	next := RegionArg{Part: pr, ProjName: "next", Proj: func(c geometry.Point) geometry.Point { return geometry.Pt1((c.X() + 1) % 4) }}
+	param := func(priv Privilege, f region.FieldID) Param { return Param{Priv: priv, Fields: []region.FieldID{f}} }
+	cases := []struct {
+		name   string
+		params []Param
+		args   []RegionArg
+		want   string // error fragment; "" means independent
+	}{
+		{"read-write on aliased", []Param{param(PrivReadWrite, x)}, []RegionArg{{Part: img}},
+			"ir: launch t writes aliased partition IMG; tasks of one launch must be independent"},
+		{"conflicting pair through image", []Param{param(PrivReadWrite, x), param(PrivRead, x)}, []RegionArg{{Part: pr}, {Part: img}},
+			"ir: launch t has conflicting aliased arguments 0 and 1"},
+		{"same disjoint partition, identity", []Param{param(PrivReadWrite, x), param(PrivRead, x)}, []RegionArg{{Part: pr}, {Part: pr}}, ""},
+		{"read/read on aliased", []Param{param(PrivRead, x), param(PrivRead, x)}, []RegionArg{{Part: img}, {Part: img}}, ""},
+		{"disjoint field lists", []Param{param(PrivReadWrite, x), param(PrivRead, y)}, []RegionArg{{Part: pr}, {Part: img}}, ""},
+		{"un-normalized projection", []Param{param(PrivReadWrite, x), param(PrivRead, x)}, []RegionArg{{Part: pr}, next},
+			"ir: launch t has conflicting aliased arguments 0 and 1"},
+	}
+	for _, c := range cases {
+		l := &Launch{Task: &TaskDecl{Name: "t", Params: c.params}, Domain: Colors1D(4), Args: c.args}
+		err := l.CheckIndependent()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/geometry"
 	"repro/internal/region"
@@ -35,6 +37,26 @@ func (p *Program) FieldSpaceOf(r *region.Region) *region.FieldSpace {
 		panic(fmt.Sprintf("ir: region %s has no registered field space", r.Name()))
 	}
 	return fs
+}
+
+// Roots returns the program's root regions (those with a field space) in
+// creation order.
+func (p *Program) Roots() []*region.Region {
+	roots := make([]*region.Region, 0, len(p.FieldSpaces))
+	for r := range p.FieldSpaces {
+		roots = append(roots, r)
+	}
+	slices.SortFunc(roots, func(a, b *region.Region) int { return cmp.Compare(a.ID(), b.ID()) })
+	return roots
+}
+
+// NewStores builds one zeroed store per root region, keyed by the root.
+func (p *Program) NewStores() map[*region.Region]*region.Store {
+	stores := make(map[*region.Region]*region.Store, len(p.FieldSpaces))
+	for _, r := range p.Roots() {
+		stores[r] = region.NewStore(r.IndexSpace(), p.FieldSpaces[r])
+	}
+	return stores
 }
 
 // Add appends statements to the program.

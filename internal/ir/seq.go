@@ -24,13 +24,7 @@ type SeqResult struct {
 // exactly the reduction-instance discipline of §4.3, so the distributed
 // executions reproduce it bit for bit.
 func ExecSequential(p *Program) *SeqResult {
-	res := &SeqResult{
-		Stores: make(map[*region.Region]*region.Store),
-		Env:    MapEnv{},
-	}
-	for root, fs := range p.FieldSpaces {
-		res.Stores[root] = region.NewStore(root.IndexSpace(), fs) //detlint:ignore one independent store per root, keyed by the root
-	}
+	res := &SeqResult{Stores: p.NewStores(), Env: MapEnv{}}
 	for k, v := range p.Scalars {
 		res.Env[k] = v
 	}

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/region"
 )
@@ -73,9 +74,12 @@ func (p *Program) validateLaunch(l *Launch) error {
 		if !ok {
 			return fmt.Errorf("ir: launch %s param %d targets region with no field space", name, ai)
 		}
-		for _, f := range param.Fields {
+		for fi, f := range param.Fields {
 			if int(f) < 0 || int(f) >= fs.NumFields() {
 				return fmt.Errorf("ir: launch %s param %d names unknown field %d", name, ai, f)
+			}
+			if slices.Contains(param.Fields[:fi], f) {
+				return fmt.Errorf("ir: launch %s param %d names field %s twice", name, ai, fs.Name(f))
 			}
 		}
 		cs := a.Part.ColorSpace()
@@ -111,4 +115,37 @@ func ReplicableLoopBody(body []Stmt) bool {
 		}
 	}
 	return true
+}
+
+// CheckIndependent checks the §2.2 target form for one launch: its tasks
+// must be independent. A read-write argument on an aliased partition is
+// rejected (reductions are the only aliased writes), and so is any pair of
+// arguments with conflicting privileges on a shared field whose subregions
+// may overlap across tasks. The one allowed pair is the same disjoint
+// partition through the identity projection on both sides: each task then
+// sees one subregion through both arguments, which is internally
+// sequential. Any other projection onto one partition may reach another
+// task's subregion, so the rule holds before NormalizeProjections too.
+func (l *Launch) CheckIndependent() error {
+	for i, a := range l.Args {
+		if l.Task.Params[i].Priv == PrivReadWrite && !a.Part.Disjoint() {
+			return fmt.Errorf("ir: launch %s writes aliased partition %s; tasks of one launch must be independent (use a reduction)", l.Task.Name, a.Part.Name())
+		}
+	}
+	for i, ai := range l.Args {
+		for j := i + 1; j < len(l.Args); j++ {
+			aj, pi, pj := l.Args[j], l.Task.Params[i], l.Task.Params[j]
+			if !Conflicts(pi.Priv, pi.Op, pj.Priv, pj.Op) || region.SharedFields(pi.Fields, pj.Fields) == 0 {
+				continue
+			}
+			mayAlias := region.PartitionsMayAlias(ai.Part, aj.Part)
+			if ai.Part == aj.Part {
+				mayAlias = mayAlias || !ai.Identity() || !aj.Identity()
+			}
+			if mayAlias {
+				return fmt.Errorf("ir: launch %s has conflicting aliased arguments %d and %d", l.Task.Name, i, j)
+			}
+		}
+	}
+	return nil
 }

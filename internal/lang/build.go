@@ -259,6 +259,9 @@ func (b *builder) buildLaunch(l *astLaunch, loopVars map[string]bool) (*ir.Launc
 				if !ok {
 					return nil, nil, errAt(prm.line, "region %q (bound to parameter %q) has no field %q", regName, prm.name, f)
 				}
+				if _, dup := m[f]; dup {
+					return nil, nil, errAt(prm.line, "parameter %q names field %s twice", prm.name, f)
+				}
 				m[f] = id
 				list = append(list, id)
 			}
@@ -280,7 +283,7 @@ func (b *builder) buildLaunch(l *astLaunch, loopVars map[string]bool) (*ir.Launc
 		var p ir.Param
 		switch {
 		case len(writeL) > 0:
-			p = ir.Param{Name: prm.name, Priv: ir.PrivReadWrite, Fields: union(writeL, readL)}
+			p = ir.Param{Name: prm.name, Priv: ir.PrivReadWrite, Fields: region.UnionFields(writeL, readL)}
 			info.readable = merge(readM, writeM)
 			info.writable = writeM
 		case len(redL) > 0:
@@ -371,23 +374,6 @@ func (b *builder) buildLaunch(l *astLaunch, loopVars map[string]bool) (*ir.Launc
 		}
 	}
 	return launch, nil
-}
-
-func union(a, b []region.FieldID) []region.FieldID {
-	out := append([]region.FieldID(nil), a...)
-	for _, f := range b {
-		dup := false
-		for _, g := range out {
-			if f == g {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 func merge(a, b map[string]region.FieldID) map[string]region.FieldID {

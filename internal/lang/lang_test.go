@@ -387,6 +387,12 @@ partition PR = block(R, 2)
 task t(r: region reads(x),
        r: region reads(x)) { }
 launch t(PR[i], PR[i])`, `line 5: duplicate parameter "r" in task "t"`},
+	{"field named twice", `program p
+region R[0..3] fields { v, w }
+partition PR = block(R, 2)
+task add(t: region reduces +(v, v),
+         s: region reads(w)) { }
+launch add(PR[i], PR[i])`, `line 4: parameter "t" names field v twice`},
 }
 
 // TestCompileErrors: every rejection names its cause and carries a line.

@@ -3,6 +3,7 @@ package region
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // FieldID identifies a field within a field space.
@@ -51,6 +52,54 @@ func (fs *FieldSpace) Fields() []FieldID {
 		out[i] = FieldID(i)
 	}
 	return out
+}
+
+// A field list is a []FieldID with distinct IDs whose order is meaningful
+// to its owner (sorted, append or parameter order). Lists are a handful of
+// fields long, so the questions below scan rather than build sets.
+
+// SharedFields returns how many fields of a are also in b.
+func SharedFields(a, b []FieldID) int {
+	n := 0
+	for _, f := range a {
+		if slices.Contains(b, f) {
+			n++
+		}
+	}
+	return n
+}
+
+// CommonFields returns the fields of a that are also in b, in a's order
+// (nil when there are none).
+func CommonFields(a, b []FieldID) []FieldID {
+	var out []FieldID
+	for _, f := range a {
+		if slices.Contains(b, f) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// CoversFields reports whether every field of sub is in sup.
+func CoversFields(sup, sub []FieldID) bool {
+	for _, f := range sub {
+		if !slices.Contains(sup, f) {
+			return false
+		}
+	}
+	return true
+}
+
+// UnionFields appends to a, in b's order, each field of b that a lacks, and
+// returns the result; like append, it may reuse a's backing array.
+func UnionFields(a, b []FieldID) []FieldID {
+	for _, f := range b {
+		if !slices.Contains(a, f) {
+			a = append(a, f)
+		}
+	}
+	return a
 }
 
 // ReductionOp identifies an associative and commutative reduction operator,

@@ -18,7 +18,7 @@ type use struct {
 	part   *region.Partition
 	priv   ir.Privilege
 	op     region.ReductionOp
-	fields map[region.FieldID]bool
+	fields []region.FieldID // the parameter's; read-only
 	// full reports whether the launch covered the partition's whole color
 	// space; only full writers can dominate (absorb) older uses.
 	full bool
@@ -83,25 +83,6 @@ func (e *Engine) unionSpace(p *region.Partition) geometry.IndexSpace {
 	return is
 }
 
-func fieldsOverlapCount(a, b map[region.FieldID]bool) int {
-	n := 0
-	for f := range a {
-		if b[f] {
-			n++
-		}
-	}
-	return n
-}
-
-func fieldsSubset(a, b map[region.FieldID]bool) bool {
-	for f := range a {
-		if !b[f] {
-			return false
-		}
-	}
-	return true
-}
-
 // depsForArg computes, for each color of the new launch's domain (indexed
 // by position in the domain slice), the dependencies the new use (not yet
 // registered) has on prior uses of the same region tree. The static
@@ -113,7 +94,7 @@ func (e *Engine) depsForArg(newUse *use, domain []geometry.Point) [][]dep {
 	root := newUse.part.Parent().Root()
 	out := make([][]dep, len(domain))
 	for _, u := range e.users[root] {
-		nf := fieldsOverlapCount(u.fields, newUse.fields)
+		nf := region.SharedFields(u.fields, newUse.fields)
 		if nf == 0 || !ir.Conflicts(u.priv, u.op, newUse.priv, newUse.op) {
 			continue
 		}
@@ -184,7 +165,7 @@ func (e *Engine) registerUse(u *use) {
 	if u.priv == ir.PrivReadWrite && u.full {
 		kept := e.users[root][:0]
 		for _, old := range e.users[root] {
-			if fieldsSubset(old.fields, u.fields) && e.coversPartition(u.part, old.part) {
+			if region.CoversFields(u.fields, old.fields) && e.coversPartition(u.part, old.part) {
 				// Dominated. During replay the pruned use goes into the
 				// retirement ring: at the trace's fixpoint only window-aged
 				// uses are ever pruned, and after one more iteration nothing

@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"fmt"
-
 	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/realm"
@@ -11,18 +9,17 @@ import (
 
 // site is everything about issuing a launch that depends only on the launch
 // statement, its argument partitions and the engine's configuration (mapper,
-// overheads and node count are fixed for a Run). Building one runs the
-// intra-launch conflict check, and siteFor builds a new one whenever an
-// argument's partition has changed, so a site's identity is the trace's
-// fingerprint of the launch.
+// overheads and node count are fixed for a Run). Building one checks the
+// launch's independence (ir.Launch.CheckIndependent), and siteFor builds a
+// new one whenever an argument's partition has changed, so a site's
+// identity is the trace's fingerprint of the launch.
 type site struct {
-	parts    []*region.Partition       // l.Args[i].Part when the site was built
-	domIdx   map[geometry.Point]int    // color -> position in l.Domain
-	fields   []map[region.FieldID]bool // per parameter; read-only
-	fulls    []bool                    // per arg: the domain covers the partition's color space
-	targets  []int                     // mapper decision per color
-	durBase  []realm.Time              // kernel duration per color, before noise
-	redBytes [][]int64                 // per arg: reduction-instance bytes per color (nil unless PrivReduce)
+	parts    []*region.Partition    // l.Args[i].Part when the site was built
+	domIdx   map[geometry.Point]int // color -> position in l.Domain
+	fulls    []bool                 // per arg: the domain covers the partition's color space
+	targets  []int                  // mapper decision per color
+	durBase  []realm.Time           // kernel duration per color, before noise
+	redBytes [][]int64              // per arg: reduction-instance bytes per color (nil unless PrivReduce)
 }
 
 // siteFor returns the launch's site, building it on first issue and again
@@ -44,19 +41,14 @@ func (e *Engine) siteFor(l *ir.Launch) *site {
 	st = &site{
 		parts:    make([]*region.Partition, len(l.Args)),
 		domIdx:   make(map[geometry.Point]int, numColors),
-		fields:   make([]map[region.FieldID]bool, len(l.Args)),
 		fulls:    make([]bool, len(l.Args)),
 		targets:  make([]int, numColors),
 		durBase:  make([]realm.Time, numColors),
 		redBytes: make([][]int64, len(l.Args)),
 	}
-	for ai, param := range l.Task.Params {
-		st.fields[ai] = make(map[region.FieldID]bool, len(param.Fields))
-		for _, f := range param.Fields {
-			st.fields[ai][f] = true
-		}
+	if err := l.CheckIndependent(); err != nil {
+		panic(err)
 	}
-	checkIntraLaunchConflicts(l, st.fields)
 	for ai, a := range l.Args {
 		st.parts[ai] = a.Part
 		st.fulls[ai] = numColors == len(a.Part.Colors())
@@ -122,7 +114,7 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 	for ai, param := range l.Task.Params {
 		u := e.getUse(numColors, rec != nil)
 		u.part, u.priv, u.op = st.parts[ai], param.Priv, param.Op
-		u.fields, u.full, u.domIdx = st.fields[ai], st.fulls[ai], st.domIdx
+		u.fields, u.full, u.domIdx = param.Fields, st.fulls[ai], st.domIdx
 		if rec == nil {
 			deps[ai] = e.depsForArg(u, l.Domain)
 		}
@@ -261,38 +253,4 @@ func (e *Engine) move(d dep, target int) realm.Event {
 		return e.Sim.CopyBytes(d.srcNode, target, d.bytes, d.ev, nil)
 	}
 	return d.ev
-}
-
-// checkIntraLaunchConflicts rejects launches whose own arguments conflict
-// with each other on aliased data; the engine's analysis orders launches
-// against prior launches, and tasks within one launch must be independent
-// (the §2.2 target form: forall loops with no loop-carried dependencies).
-// The single allowed exception is two arguments naming the same disjoint
-// partition with the identity projection: each task then sees the same
-// subregion through both arguments, which is internally sequential.
-func checkIntraLaunchConflicts(l *ir.Launch, fsets []map[region.FieldID]bool) {
-	for i, a := range l.Args {
-		if l.Task.Params[i].Priv == ir.PrivReadWrite && !a.Part.Disjoint() {
-			panic(fmt.Sprintf("rt: launch %s writes aliased partition %s; tasks of one launch must be independent (use a reduction)", l.Task.Name, a.Part.Name()))
-		}
-	}
-	for i := range l.Args {
-		for j := i + 1; j < len(l.Args); j++ {
-			pi, pj := l.Task.Params[i], l.Task.Params[j]
-			if fieldsOverlapCount(fsets[i], fsets[j]) == 0 {
-				continue
-			}
-			if !ir.Conflicts(pi.Priv, pi.Op, pj.Priv, pj.Op) {
-				continue
-			}
-			ai, aj := l.Args[i], l.Args[j]
-			if ai.Part == aj.Part && ai.Part.Disjoint() && ai.Identity() && aj.Identity() {
-				continue
-			}
-			if !region.PartitionsMayAlias(ai.Part, aj.Part) {
-				continue
-			}
-			panic(fmt.Sprintf("rt: launch %s has conflicting aliased arguments %d and %d", l.Task.Name, i, j))
-		}
-	}
 }

@@ -16,23 +16,12 @@ package rt
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/realm"
 	"repro/internal/region"
 )
-
-// sortedRoots returns region roots ordered by creation ID.
-func sortedRoots[V any](m map[*region.Region]V) []*region.Region {
-	rs := make([]*region.Region, 0, len(m))
-	for r := range m {
-		rs = append(rs, r)
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].ID() < rs[j].ID() })
-	return rs
-}
 
 // Overheads are the runtime's control-plane cost parameters. A "task" here
 // is node-granular (one task per node per launch, standing for a node's
@@ -175,9 +164,7 @@ func (e *Engine) Run() (*Result, error) {
 
 	e.stores = make(map[*region.Region]*region.Store)
 	if e.Mode == ir.ExecReal {
-		for _, root := range sortedRoots(e.Prog.FieldSpaces) {
-			e.stores[root] = region.NewStore(root.IndexSpace(), e.Prog.FieldSpaces[root])
-		}
+		e.stores = e.Prog.NewStores()
 		e.rootArgs = &ir.RootArgs{Stores: e.stores}
 	}
 	e.users = make(map[*region.Region][]*use)

@@ -15,7 +15,6 @@ package spmd
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/cr"
@@ -156,14 +155,7 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	e.global = make(map[*region.Region]*region.Store)
 	if e.Mode == ir.ExecReal {
-		roots := make([]*region.Region, 0, len(e.Prog.FieldSpaces))
-		for root := range e.Prog.FieldSpaces {
-			roots = append(roots, root)
-		}
-		sort.Slice(roots, func(i, j int) bool { return roots[i].ID() < roots[j].ID() })
-		for _, root := range roots {
-			e.global[root] = region.NewStore(root.IndexSpace(), e.Prog.FieldSpaces[root])
-		}
+		e.global = e.Prog.NewStores()
 	}
 	e.env = ir.MapEnv{}
 	for k, v := range e.Prog.Scalars {

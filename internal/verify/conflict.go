@@ -57,7 +57,7 @@ func enumerateConflicts(g *graph, accs []access, ninst int) (out chunks[conflict
 				if !a.write && !b.write {
 					continue
 				}
-				if !fieldsMeet(a.fields, b.fields) || !a.space.Overlaps(b.space) {
+				if region.SharedFields(a.fields, b.fields) == 0 || !a.space.Overlaps(b.space) {
 					continue
 				}
 				cf := conflict{earlier: ia, later: ib}
@@ -72,28 +72,6 @@ func enumerateConflicts(g *graph, accs []access, ninst int) (out chunks[conflict
 		}
 	}
 	return out, len(order), cross
-}
-
-// fieldsMeet reports whether the two lists share a field. Field lists are
-// tiny (a handful per partition), so the quadratic scan beats building sets.
-func fieldsMeet(a, b []region.FieldID) bool {
-	for _, f := range a {
-		if slices.Contains(b, f) {
-			return true
-		}
-	}
-	return false
-}
-
-// fieldIntersection returns the fields present in both lists, in a's order.
-func fieldIntersection(a, b []region.FieldID) []region.FieldID {
-	var out []region.FieldID
-	for _, f := range a {
-		if slices.Contains(b, f) {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // reachability answers "is there a happens-before path from a to b" for

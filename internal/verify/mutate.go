@@ -229,7 +229,7 @@ func (a *Analysis) laterConsumer(cp *cr.CopyOp, bi int) bool {
 			p := l.Task.Params[ai]
 			if arg.Part == cp.Dst &&
 				(p.Priv == ir.PrivRead || p.Priv == ir.PrivReadWrite) &&
-				fieldsMeet(p.Fields, cp.Fields) {
+				region.SharedFields(p.Fields, cp.Fields) > 0 {
 				return true
 			}
 		}

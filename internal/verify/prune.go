@@ -508,7 +508,7 @@ func (p *planner) markDeadInits() {
 					if w.n == r.n || !reach.reaches(w.n, r.n) {
 						continue
 					}
-					if !fieldsContain(w.fields, r.fields) {
+					if !region.CoversFields(w.fields, r.fields) {
 						continue
 					}
 					remaining = remaining.Subtract(w.space)
@@ -530,11 +530,6 @@ func (p *planner) markDeadInits() {
 func copyIsPlain(c *cr.Compiled, copyID int32) bool {
 	cp := copyByID(c, copyID)
 	return cp != nil && cp.Reduce == region.ReduceNone
-}
-
-// fieldsContain reports whether every field of sub is present in sup.
-func fieldsContain(sup, sub []region.FieldID) bool {
-	return len(fieldIntersection(sub, sup)) == len(sub)
 }
 
 // certifyCalls counts certification runs (instrumentation for tests; atomic

@@ -94,7 +94,7 @@ func (a *Analysis) finding(kind string, cf conflict) Finding {
 	return Finding{
 		Kind:       kind,
 		Instance:   a.instName(a.refs[e.inst]),
-		Fields:     a.fieldNames(a.refs[e.inst], fieldIntersection(lo.fields, hi.fields)),
+		Fields:     a.fieldNames(a.refs[e.inst], region.CommonFields(lo.fields, hi.fields)),
 		Overlap:    overlap.String(),
 		Elems:      overlap.Volume(),
 		CrossShard: a.g.crossShard(e.n, l.n),

@@ -12,10 +12,11 @@ import (
 	"repro/internal/verify"
 )
 
-// checkAgainstOracle requires the predicate enumeration (fieldsMeet +
-// IndexSpace.Overlaps over interned instances) to produce exactly the pair
-// list the materialising enumeration did — same pairs, same orientation,
-// same order — and Check to report the same totals.
+// checkAgainstOracle requires the predicate enumeration
+// (region.SharedFields + IndexSpace.Overlaps over interned instances) to
+// produce exactly the pair list the materialising enumeration did — same
+// pairs, same orientation, same order — and Check to report the same
+// totals.
 func checkAgainstOracle(t *testing.T, name string, a *verify.Analysis, err error) {
 	t.Helper()
 	if err != nil {
