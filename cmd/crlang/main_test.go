@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -125,6 +126,59 @@ crlang: lang: line 3:15: unknown partition operator "blok" (have block, image)
 		var stdout, stderr bytes.Buffer
 		if code := run(bench.NewFlags("crlang", &stderr), tc.args, &stdout); code != 1 || stderr.String() != tc.stderr {
 			t.Errorf("crlang %v: exit %d, stderr\n%s\nwant exit 1, stderr\n%s", tc.args, code, stderr.String(), tc.stderr)
+		}
+	}
+}
+
+// TestTopOfRangeRunsLikeShifted: a halo exchange on the last 64 points of
+// int64 prints what the same program 744 points lower prints, under every
+// engine. The window's upper end sits at MaxInt64 there, and the sweeps
+// that build and intersect its halo must not step past it.
+func TestTopOfRangeRunsLikeShifted(t *testing.T) {
+	dir := t.TempDir()
+	source := func(lo int64) string {
+		src := `program heatw
+region T[$lo..$hi]    fields { cur }
+region TNEW[$lo..$hi] fields { next }
+partition PT   = block(T, 8)
+partition PNEW = block(TNEW, 8)
+partition HALO = image(T, PT, window(-1, 1))
+task diffuse(out: region writes(next), in: region reads(cur)) {
+  for p in out { out.next[p] = 0.5 * in.cur[p] }
+}
+task commit(t: region writes(cur), n: region reads(next), source: scalar) {
+  for p in t { t.cur[p] = n.next[p] + source }
+}
+task energy(t: region reads(cur)) {
+  for p in t { result += t.cur[p] }
+}
+fill T.cur     = 1
+fill TNEW.next = 0
+var heating = 0.01
+for step = 0, 6 {
+  launch diffuse(PNEW[i], HALO[i])
+  launch commit(PT[i], PNEW[i]; heating)
+  reduce + total = launch energy(PT[i])
+}
+`
+		src = strings.NewReplacer("$lo", strconv.FormatInt(lo, 10), "$hi", strconv.FormatInt(lo+63, 10)).Replace(src)
+		path := filepath.Join(dir, strconv.FormatInt(lo, 10)+".cr")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	top, shifted := source(math.MaxInt64-63), source(math.MaxInt64-63-744)
+	for _, engine := range []string{"seq", "implicit", "cr"} {
+		var out [2]bytes.Buffer
+		for i, path := range []string{top, shifted} {
+			var stderr bytes.Buffer
+			if code := run(bench.NewFlags("crlang", &stderr), []string{"-engine", engine, path}, &out[i]); code != 0 {
+				t.Fatalf("crlang -engine %s %s: exit %d: %s", engine, filepath.Base(path), code, stderr.String())
+			}
+		}
+		if out[0].String() != out[1].String() {
+			t.Errorf("-engine %s: the top of int64 prints\n%s\nthe shifted program\n%s", engine, out[0].String(), out[1].String())
 		}
 	}
 }

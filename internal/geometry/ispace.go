@@ -1,19 +1,24 @@
 package geometry
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 )
 
 // IndexSpace is a (possibly sparse) set of points, represented as a list of
-// pairwise-disjoint rectangles of a common dimensionality. Dense index
-// spaces are a single rectangle. The representation is not unique, but all
+// pairwise-disjoint rectangles (spans) of a common dimensionality. Dense
+// index spaces are a single span. The representation is not unique, but all
 // operations preserve the disjointness invariant, and Equal compares the
 // underlying point sets rather than the representations.
+//
+// The spans are stored flat: 2·dim bounds per span, its lo coordinates and
+// then its hi coordinates, so a 1-D span takes 16 bytes. 1-D spans are
+// sorted by lower bound, no span is empty, and the list is never written
+// once its space is returned, so results may share an operand's storage.
 type IndexSpace struct {
-	dim   int8
-	spans []Rect // pairwise disjoint, none empty
+	dim int8
+	b   []int64
 }
 
 // NewIndexSpace returns the dense index space covering r.
@@ -21,7 +26,7 @@ func NewIndexSpace(r Rect) IndexSpace {
 	if r.Empty() {
 		return IndexSpace{dim: r.Dim()}
 	}
-	return IndexSpace{dim: r.Dim(), spans: []Rect{r}}
+	return IndexSpace{dim: r.Dim(), b: appendSpan(nil, r)}
 }
 
 // EmptyIndexSpace returns an empty index space of the given dimension.
@@ -35,36 +40,39 @@ func FromPoints(dim int8, pts []Point) IndexSpace {
 		return IndexSpace{dim: dim}
 	}
 	if dim == 1 {
-		ivs := make([][2]int64, len(pts))
+		xs := make([]int64, len(pts))
 		for i, p := range pts {
-			ivs[i] = [2]int64{p.C[0], p.C[0]}
+			xs[i] = p.C[0]
 		}
-		if !slices.IsSortedFunc(ivs, byLo1D) {
-			slices.SortFunc(ivs, byLo1D)
-		}
-		return IndexSpace{dim: 1, spans: mergeRuns1D(ivs)}
+		slices.Sort(xs)
+		return sizedRuns(func(r runs1D) runs1D {
+			for _, x := range xs {
+				r.add(x, x)
+			}
+			return r
+		})
 	}
-	sorted := make([]Point, len(pts))
-	copy(sorted, pts)
+	sorted := slices.Clone(pts)
 	slices.SortFunc(sorted, Point.compare)
-	var spans []Rect
+	var b []int64
 	run := Rect{sorted[0], sorted[0]}
 	last := int(dim) - 1
 	for _, p := range sorted[1:] {
 		if p == run.Hi {
 			continue // duplicate
 		}
-		ext := run.Hi
-		ext.C[last]++
-		if p == ext {
+		// p follows run.Hi in sort order, so with the same other
+		// coordinates p.C[last] > run.Hi.C[last] and the decrement is safe.
+		q := p
+		q.C[last] = run.Hi.C[last]
+		if q == run.Hi && p.C[last]-1 == q.C[last] {
 			run.Hi = p
 			continue
 		}
-		spans = append(spans, run)
+		b = appendSpan(b, run)
 		run = Rect{p, p}
 	}
-	spans = append(spans, run)
-	return IndexSpace{dim: dim, spans: spans}
+	return IndexSpace{dim: dim, b: appendSpan(b, run)}
 }
 
 // FromDisjointRects builds an index space from rectangles the caller
@@ -73,16 +81,16 @@ func FromPoints(dim int8, pts []Point) IndexSpace {
 // of a 1024-tile grid). Empty rectangles are dropped; disjointness is the
 // caller's responsibility and is verified only in tests.
 func FromDisjointRects(dim int8, rects []Rect) IndexSpace {
-	spans := make([]Rect, 0, len(rects))
+	b := make([]int64, 0, 2*int(dim)*len(rects))
 	for _, r := range rects {
 		if !r.Empty() {
-			spans = append(spans, r)
+			b = appendSpan(b, r)
 		}
 	}
 	if dim == 1 {
-		sortSpans1D(spans)
+		sortSpans1D(b)
 	}
-	return IndexSpace{dim: dim, spans: spans}
+	return IndexSpace{dim: dim, b: b}
 }
 
 // FromRects builds an index space as the union of arbitrary (possibly
@@ -98,41 +106,79 @@ func FromRects(dim int8, rects []Rect) IndexSpace {
 // Dim returns the space's dimensionality.
 func (s IndexSpace) Dim() int8 { return s.dim }
 
-// Spans returns the disjoint rectangles making up the space. The returned
-// slice must not be modified.
-func (s IndexSpace) Spans() []Rect { return s.spans }
+// w returns the number of bounds per span.
+func (s IndexSpace) w() int { return 2 * int(s.dim) }
+
+// NumSpans returns the number of disjoint rectangles making up the space.
+func (s IndexSpace) NumSpans() int {
+	if len(s.b) == 0 {
+		return 0
+	}
+	return len(s.b) / s.w()
+}
+
+// Span returns the i-th of the space's rectangles, 0 <= i < NumSpans().
+func (s IndexSpace) Span(i int) Rect {
+	r := Rect{Lo: Point{Dim: s.dim}, Hi: Point{Dim: s.dim}}
+	d := int(s.dim)
+	b := s.b[2*d*i : 2*d*(i+1)]
+	for k := 0; k < d; k++ {
+		r.Lo.C[k], r.Hi.C[k] = b[k], b[d+k]
+	}
+	return r
+}
+
+// Same reports whether s and t are the same value, not merely equal as
+// sets: they share their span list.
+func (s IndexSpace) Same(t IndexSpace) bool {
+	return s.dim == t.dim && len(s.b) == len(t.b) && (len(s.b) == 0 || &s.b[0] == &t.b[0])
+}
+
+// appendSpan appends r's bounds to b in one append.
+func appendSpan(b []int64, r Rect) []int64 {
+	d := int(r.Dim())
+	var v [2 * MaxDim]int64
+	copy(v[:d], r.Lo.C[:d])
+	copy(v[d:2*d], r.Hi.C[:d])
+	return append(b, v[:2*d]...)
+}
 
 // Empty reports whether the space contains no points.
-func (s IndexSpace) Empty() bool { return len(s.spans) == 0 }
+func (s IndexSpace) Empty() bool { return len(s.b) == 0 }
 
 // Volume returns the number of points in the space.
 func (s IndexSpace) Volume() int64 {
 	var v int64
-	for _, r := range s.spans {
-		v += r.Volume()
+	d := int(s.dim)
+	for o := 0; o < len(s.b); o += 2 * d {
+		n := int64(1)
+		for k := o; k < o+d; k++ {
+			n *= s.b[k+d] - s.b[k] + 1
+		}
+		v += n
 	}
 	return v
 }
 
 // Bounds returns the bounding rectangle of the space.
 func (s IndexSpace) Bounds() Rect {
-	if n := len(s.spans); s.dim == 1 && n > 0 {
-		return Rect{s.spans[0].Lo, s.spans[n-1].Hi} // sorted and disjoint
+	if n := len(s.b); s.dim == 1 && n > 0 {
+		return R1(s.b[0], s.b[n-1]) // sorted and disjoint
 	}
 	out := EmptyRect(s.dim)
-	for _, r := range s.spans {
-		out = out.Union(r)
+	for i := 0; i < s.NumSpans(); i++ {
+		out = out.Union(s.Span(i))
 	}
 	return out
 }
 
 // Dense reports whether the space is exactly one rectangle.
-func (s IndexSpace) Dense() bool { return len(s.spans) == 1 }
+func (s IndexSpace) Dense() bool { return s.NumSpans() == 1 }
 
 // Contains reports whether p is in the space.
 func (s IndexSpace) Contains(p Point) bool {
-	for _, r := range s.spans {
-		if r.Contains(p) {
+	for i := 0; i < s.NumSpans(); i++ {
+		if s.Span(i).Contains(p) {
 			return true
 		}
 	}
@@ -142,14 +188,11 @@ func (s IndexSpace) Contains(p Point) bool {
 // Each calls fn for every point in the space (span by span, row-major
 // within each span), stopping early if fn returns false.
 func (s IndexSpace) Each(fn func(Point) bool) {
-	for _, r := range s.spans {
+	for i := 0; i < s.NumSpans(); i++ {
 		stopped := false
-		r.Each(func(p Point) bool {
-			if !fn(p) {
-				stopped = true
-				return false
-			}
-			return true
+		s.Span(i).Each(func(p Point) bool {
+			stopped = !fn(p)
+			return !stopped
 		})
 		if stopped {
 			return
@@ -160,9 +203,9 @@ func (s IndexSpace) Each(fn func(Point) bool) {
 // EachRow calls fn with the first point and length of every row (see
 // Rect.EachRow) of every span, in the order Each visits the points.
 func (s IndexSpace) EachRow(fn func(first Point, n int64) bool) {
-	for _, r := range s.spans {
+	for i := 0; i < s.NumSpans(); i++ {
 		stopped := false
-		r.EachRow(func(p Point, n int64) bool {
+		s.Span(i).EachRow(func(p Point, n int64) bool {
 			stopped = !fn(p, n)
 			return !stopped
 		})
@@ -184,75 +227,106 @@ func (s IndexSpace) Points() []Point {
 // quadratic all-pairs algorithms to sorted sweeps.
 const sweepThreshold = 64
 
-// sortSpans1D sorts 1-D spans in place by lower bound, unless they already
-// are. Every IndexSpace constructor and operation maintains the invariant
-// that 1-D span lists are sorted and that spans are never modified once
-// their space is returned, so the sweeps never re-sort, results may share an
-// operand's storage, and anything sorted or merged in place must be a list
-// the caller itself allocated.
-func sortSpans1D(spans []Rect) {
-	for i := 1; i < len(spans); i++ {
-		if spans[i].Lo.C[0] < spans[i-1].Lo.C[0] {
-			slices.SortFunc(spans, func(a, b Rect) int { return cmp.Compare(a.Lo.C[0], b.Lo.C[0]) })
+// sortSpans1D sorts a 1-D span list in place by lower bound, unless it
+// already is. Every constructor and operation keeps 1-D lists sorted, so
+// the sweeps never re-sort; anything sorted or merged in place must be a
+// list the caller itself allocated.
+func sortSpans1D(b []int64) {
+	for i := 2; i < len(b); i += 2 {
+		if b[i] < b[i-2] {
+			sort.Sort(byLo1D(b))
 			return
 		}
 	}
 }
 
+// byLo1D orders a flat 1-D span list by lower bound.
+type byLo1D []int64
+
+func (b byLo1D) Len() int           { return len(b) / 2 }
+func (b byLo1D) Less(i, j int) bool { return b[2*i] < b[2*j] }
+func (b byLo1D) Swap(i, j int) {
+	b[2*i], b[2*i+1], b[2*j], b[2*j+1] = b[2*j], b[2*j+1], b[2*i], b[2*i+1]
+}
+
+// touches reports whether a span starting at lo continues a run ending at
+// hi (lo <= hi+1), without computing past the top of int64.
+func touches(hi, lo int64) bool { return lo <= hi || lo-1 == hi }
+
+// overlap reports whether the spans x and y (2·d bounds each) share a point.
+func overlap(x, y []int64) bool {
+	d := len(x) / 2
+	for k := 0; k < d; k++ {
+		if max(x[k], y[k]) > min(x[d+k], y[d+k]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Intersect returns the set intersection of s and t.
 func (s IndexSpace) Intersect(t IndexSpace) IndexSpace {
 	s.mustMatch(t)
-	if s.dim == 1 && len(s.spans)+len(t.spans) > sweepThreshold {
-		return sized1D(intersect1D, s.spans, t.spans)
+	if s.dim == 1 && s.NumSpans()+t.NumSpans() > sweepThreshold {
+		return sized1D(intersect1D, s.b, t.b)
 	}
-	var spans []Rect
-	for _, a := range s.spans {
-		for _, b := range t.spans {
-			if c := a.Intersect(b); !c.Empty() {
-				spans = append(spans, c)
+	var b []int64
+	w, d := s.w(), int(s.dim)
+	for i := 0; i < len(s.b); i += w {
+		for j := 0; j < len(t.b); j += w {
+			x, y := s.b[i:i+w], t.b[j:j+w]
+			if overlap(x, y) {
+				var c [2 * MaxDim]int64
+				for k := 0; k < d; k++ {
+					c[k], c[d+k] = max(x[k], y[k]), min(x[d+k], y[d+k])
+				}
+				b = append(b, c[:w]...)
 			}
 		}
 	}
 	if s.dim == 1 {
-		sortSpans1D(spans)
+		sortSpans1D(b)
 	}
-	return IndexSpace{dim: s.dim, spans: spans}
+	return IndexSpace{dim: s.dim, b: b}
 }
 
 // sized1D runs a 1-D sweep twice: a counting pass sizes the result before
 // the second pass writes it, so a result is one allocation of exactly its
 // length and an empty one is none.
-func sized1D(sweep func(out, a, b []Rect) int, a, b []Rect) IndexSpace {
+func sized1D(sweep func(out, a, b []int64) int, a, b []int64) IndexSpace {
 	n := sweep(nil, a, b)
 	if n == 0 {
 		return IndexSpace{dim: 1}
 	}
-	spans := make([]Rect, n)
-	sweep(spans, a, b)
-	return IndexSpace{dim: 1, spans: spans}
+	out := make([]int64, n)
+	sweep(out, a, b)
+	return IndexSpace{dim: 1, b: out}
 }
 
-// intersect1D is the sorted-sweep intersection for large 1-D span lists: it
-// writes the pieces common to a and b to out, or only counts them when out
-// is nil, and returns their number. It gallops like Overlaps, so one span
+// The 1-D sweeps walk flat lists by offset (a span is at an even offset
+// o, bounds [o] and [o+1]), write their result to out, or only count it
+// when out is nil, and return the number of bounds written.
+
+// intersect1D is the sorted-sweep intersection for large 1-D span lists:
+// the pieces common to a and b. It gallops like Overlaps, so one span
 // against thousands costs a search rather than a scan.
-func intersect1D(out, a, b []Rect) int {
+func intersect1D(out, a, b []int64) int {
 	n, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
-		case a[i].Hi.C[0] < b[j].Lo.C[0]:
-			i = seek1D(a, i, b[j].Lo.C[0])
-		case b[j].Hi.C[0] < a[i].Lo.C[0]:
-			j = seek1D(b, j, a[i].Lo.C[0])
+		case a[i+1] < b[j]:
+			i = seek1D(a, i, b[j])
+		case b[j+1] < a[i]:
+			j = seek1D(b, j, a[i])
 		default:
 			if out != nil {
-				out[n] = R1(max(a[i].Lo.C[0], b[j].Lo.C[0]), min(a[i].Hi.C[0], b[j].Hi.C[0]))
+				out[n], out[n+1] = max(a[i], b[j]), min(a[i+1], b[j+1])
 			}
-			n++
-			if a[i].Hi.C[0] < b[j].Hi.C[0] {
-				i++
+			n += 2
+			if a[i+1] < b[j+1] {
+				i += 2
 			} else {
-				j++
+				j += 2
 			}
 		}
 	}
@@ -266,24 +340,25 @@ func intersect1D(out, a, b []Rect) int {
 // costs O(short * log long) rather than their sum.
 func (s IndexSpace) Overlaps(t IndexSpace) bool {
 	s.mustMatch(t)
+	a, b := s.b, t.b
 	if s.dim == 1 {
-		a, b := s.spans, t.spans
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
 			switch {
-			case a[i].Hi.C[0] < b[j].Lo.C[0]:
-				i = seek1D(a, i, b[j].Lo.C[0])
-			case b[j].Hi.C[0] < a[i].Lo.C[0]:
-				j = seek1D(b, j, a[i].Lo.C[0])
+			case a[i+1] < b[j]:
+				i = seek1D(a, i, b[j])
+			case b[j+1] < a[i]:
+				j = seek1D(b, j, a[i])
 			default:
 				return true
 			}
 		}
 		return false
 	}
-	for i := range s.spans {
-		for j := range t.spans {
-			if s.spans[i].Overlaps(t.spans[j]) {
+	w := s.w()
+	for i := 0; i < len(a); i += w {
+		for j := 0; j < len(b); j += w {
+			if overlap(a[i:i+w], b[j:j+w]) {
 				return true
 			}
 		}
@@ -297,46 +372,50 @@ func (s IndexSpace) Overlaps(t IndexSpace) bool {
 func (s IndexSpace) OverlapVolume(t IndexSpace) int64 {
 	s.mustMatch(t)
 	var v int64
-	if s.dim != 1 {
-		for _, a := range s.spans {
-			for _, b := range t.spans {
-				v += a.Intersect(b).Volume()
+	a, b := s.b, t.b
+	if d := int(s.dim); d != 1 {
+		for i := 0; i < len(a); i += 2 * d {
+			for j := 0; j < len(b); j += 2 * d {
+				n := int64(1)
+				for k := 0; k < d && n > 0; k++ {
+					n *= max(0, min(a[i+d+k], b[j+d+k])-max(a[i+k], b[j+k])+1)
+				}
+				v += n
 			}
 		}
 		return v
 	}
-	a, b := s.spans, t.spans
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
-		case a[i].Hi.C[0] < b[j].Lo.C[0]:
-			i = seek1D(a, i, b[j].Lo.C[0])
-		case b[j].Hi.C[0] < a[i].Lo.C[0]:
-			j = seek1D(b, j, a[i].Lo.C[0])
+		case a[i+1] < b[j]:
+			i = seek1D(a, i, b[j])
+		case b[j+1] < a[i]:
+			j = seek1D(b, j, a[i])
 		default:
-			v += min(a[i].Hi.C[0], b[j].Hi.C[0]) - max(a[i].Lo.C[0], b[j].Lo.C[0]) + 1
-			if a[i].Hi.C[0] < b[j].Hi.C[0] {
-				i++
+			v += min(a[i+1], b[j+1]) - max(a[i], b[j]) + 1
+			if a[i+1] < b[j+1] {
+				i += 2
 			} else {
-				j++
+				j += 2
 			}
 		}
 	}
 	return v
 }
 
-// seek1D returns the first index after from whose span ends at or after x,
-// or len(spans): an exponential probe then a binary search, O(log distance).
-// The span at from must end before x.
-func seek1D(spans []Rect, from int, x int64) int {
-	lo, step := from, 1
-	for lo+step < len(spans) && spans[lo+step].Hi.C[0] < x {
+// seek1D returns the offset of the first span after the one at offset from
+// that ends at or after x, or len(b): an exponential probe then a binary
+// search, O(log distance). The span at from must end before x.
+func seek1D(b []int64, from int, x int64) int {
+	lo, step := from, 2
+	for lo+step < len(b) && b[lo+step+1] < x {
 		lo += step
 		step *= 2
 	}
-	hi := min(lo+step, len(spans))
-	for lo+1 < hi {
-		if mid := (lo + hi) / 2; spans[mid].Hi.C[0] < x {
+	hi := min(lo+step, len(b))
+	for lo+2 < hi {
+		if mid := lo + (hi-lo)/4*2; b[mid+1] < x {
 			lo = mid
 		} else {
 			hi = mid
@@ -348,35 +427,21 @@ func seek1D(spans []Rect, from int, x int64) int {
 // Subtract returns the set difference s minus t.
 func (s IndexSpace) Subtract(t IndexSpace) IndexSpace {
 	s.mustMatch(t)
-	if s.dim == 1 && len(s.spans)+len(t.spans) > sweepThreshold {
-		return sized1D(subtract1D, s.spans, t.spans)
+	if s.dim == 1 && s.NumSpans()+t.NumSpans() > sweepThreshold {
+		return sized1D(subtract1D, s.b, t.b)
 	}
-	// Carve with double buffering and a bounding-box guard: a subtrahend
-	// span that overlaps nothing leaves the list untouched (no rebuild), and
-	// overlap tests are four integer compares instead of constructing the
-	// intersection. Span order is identical to the naive rebuild, so results
-	// are representation-identical, not just set-equal.
-	cur := s.spans
-	owned := false // cur is a scratch buffer of ours, not s.spans
-	var spare []Rect
-	for _, b := range t.spans {
-		touched := false
-		for i := range cur {
-			if cur[i].Overlaps(b) {
-				touched = true
-				break
-			}
-		}
-		if !touched {
+	// Carve with double buffering: a subtrahend span that overlaps nothing
+	// leaves the list untouched (no rebuild). Span order is identical to
+	// the naive rebuild, so results are representation-identical, not
+	// just set-equal.
+	w := s.w()
+	cur := s.b
+	owned := false // cur is a scratch buffer of ours, not s.b
+	var spare []int64
+	for j := 0; j < len(t.b); j += w {
+		next, carved := carve(spare[:0], cur, t.b[j:j+w])
+		if !carved {
 			continue
-		}
-		next := spare[:0]
-		for _, a := range cur {
-			if a.Overlaps(b) {
-				next = appendSubtractRect(next, a, b)
-			} else {
-				next = append(next, a)
-			}
 		}
 		if owned {
 			spare = cur
@@ -390,40 +455,57 @@ func (s IndexSpace) Subtract(t IndexSpace) IndexSpace {
 		// sort mutate the span list, so take a copy first — but only when
 		// they would actually run (coalesce skips large lists, and 1-D spans
 		// are already sorted by invariant).
-		if len(cur) > coalesceLimit {
-			return IndexSpace{dim: s.dim, spans: cur}
+		if s.NumSpans() > coalesceLimit {
+			return s
 		}
-		cur = append([]Rect(nil), cur...)
+		cur = slices.Clone(cur)
 	}
-	out := IndexSpace{dim: s.dim, spans: cur}
+	out := IndexSpace{dim: s.dim, b: cur}
 	out.coalesce()
 	if s.dim == 1 {
-		sortSpans1D(out.spans)
+		sortSpans1D(out.b)
 	}
 	return out
 }
 
-// subtract1D is the sorted-sweep difference for large 1-D span lists: it
-// writes a minus b to out, or only counts its spans when out is nil, and
-// returns their number. Stretches of a that no span of b reaches are found
-// by galloping and copied whole.
-func subtract1D(out, a, b []Rect) int {
+// carve appends to into the pieces of the spans in work outside the span a
+// and reports true, or reports false and appends nothing when a overlaps
+// none of them.
+func carve(into, work, a []int64) ([]int64, bool) {
+	w, i := len(a), 0
+	for i < len(work) && !overlap(work[i:i+w], a) {
+		i += w
+	}
+	if i == len(work) {
+		return into, false
+	}
+	into = append(into, work[:i]...)
+	for ; i < len(work); i += w {
+		into = appendSubtract(into, work[i:i+w], a)
+	}
+	return into, true
+}
+
+// subtract1D is the sorted-sweep difference for large 1-D span lists: a
+// minus b. Stretches of a that no span of b reaches are found by galloping
+// and copied whole.
+func subtract1D(out, a, b []int64) int {
 	n, j := 0, 0
 	emit := func(lo, hi int64) {
 		if out != nil {
-			out[n] = R1(lo, hi)
+			out[n], out[n+1] = lo, hi
 		}
-		n++
+		n += 2
 	}
 	for i := 0; i < len(a); {
-		lo, hi := a[i].Lo.C[0], a[i].Hi.C[0]
-		if j < len(b) && b[j].Hi.C[0] < lo {
+		lo, hi := a[i], a[i+1]
+		if j < len(b) && b[j+1] < lo {
 			j = seek1D(b, j, lo)
 		}
-		if j == len(b) || hi < b[j].Lo.C[0] {
+		if j == len(b) || hi < b[j] {
 			end := len(a)
 			if j < len(b) {
-				end = seek1D(a, i, b[j].Lo.C[0])
+				end = seek1D(a, i, b[j])
 			}
 			if out != nil {
 				copy(out[n:], a[i:end])
@@ -433,18 +515,21 @@ func subtract1D(out, a, b []Rect) int {
 			continue
 		}
 		// b[j] is the first subtrahend span reaching a[i]; the last one may
-		// reach the next span of a too, so j stays.
-		cur := lo
-		for k := j; k < len(b) && b[k].Lo.C[0] <= hi && cur <= hi; k++ {
-			if b[k].Lo.C[0] > cur {
-				emit(cur, b[k].Lo.C[0]-1)
+		// reach the next span of a too, so j stays. open: [cur, hi] is not
+		// yet known to be covered.
+		cur, open := lo, true
+		for k := j; open && k < len(b) && b[k] <= hi; k += 2 {
+			if b[k] > cur {
+				emit(cur, b[k]-1)
 			}
-			cur = b[k].Hi.C[0] + 1
+			if open = b[k+1] < hi; open {
+				cur = b[k+1] + 1
+			}
 		}
-		if cur <= hi {
+		if open {
 			emit(cur, hi)
 		}
-		i++
+		i += 2
 	}
 	return n
 }
@@ -453,21 +538,20 @@ func subtract1D(out, a, b []Rect) int {
 func (s IndexSpace) Union(t IndexSpace) IndexSpace {
 	s.mustMatch(t)
 	diff := t.Subtract(s)
-	spans := make([]Rect, 0, len(s.spans)+len(diff.spans))
-	a, b := s.spans, diff.spans
-	for s.dim == 1 && len(a) > 0 && len(b) > 0 {
+	b := make([]int64, 0, len(s.b)+len(diff.b))
+	x, y := s.b, diff.b
+	for s.dim == 1 && len(x) > 0 && len(y) > 0 {
 		// Two sorted lists: merging them here leaves nothing to sort below.
-		if a[0].Lo.C[0] < b[0].Lo.C[0] {
-			spans, a = append(spans, a[0]), a[1:]
+		if x[0] < y[0] {
+			b, x = append(b, x[0], x[1]), x[2:]
 		} else {
-			spans, b = append(spans, b[0]), b[1:]
+			b, y = append(b, y[0], y[1]), y[2:]
 		}
 	}
-	spans = append(append(spans, a...), b...)
-	out := IndexSpace{dim: s.dim, spans: spans}
+	out := IndexSpace{dim: s.dim, b: append(append(b, x...), y...)}
 	out.coalesce()
 	if s.dim == 1 {
-		sortSpans1D(out.spans)
+		sortSpans1D(out.b)
 	}
 	return out
 }
@@ -485,25 +569,23 @@ func (s IndexSpace) Equal(t IndexSpace) bool {
 // empty "yes").
 func (s IndexSpace) ContainsAll(t IndexSpace) bool {
 	t.mustMatch(s)
-	if s.dim == 1 && len(s.spans)+len(t.spans) > sweepThreshold {
-		return covers1D(s.spans, t.spans)
+	if s.dim == 1 && s.NumSpans()+t.NumSpans() > sweepThreshold {
+		return covers1D(s.b, t.b)
 	}
-	if s.dim != 1 && len(s.spans) > xIndexThreshold {
-		var ix xspanIndex
-		for i, a := range s.spans {
-			ix.add(int32(i), a)
+	w, d := s.w(), int(s.dim)
+	var ix *xspanIndex
+	if s.dim != 1 && s.NumSpans() > xIndexThreshold {
+		ix = &xspanIndex{}
+		for i := 0; i < s.NumSpans(); i++ {
+			ix.add(int32(i), s.b[i*w], s.b[i*w+d])
 		}
-		var cand []int32
-		for _, b := range t.spans {
-			cand = ix.candidates(cand[:0], b.Lo.C[0], b.Hi.C[0])
-			if !s.coversRectAmong(b, cand) {
-				return false
-			}
-		}
-		return true
 	}
-	for _, b := range t.spans {
-		if !s.coversRect(b) {
+	var cand []int32
+	for o := 0; o < len(t.b); o += w {
+		if ix != nil {
+			cand = ix.candidates(cand[:0], t.b[o], t.b[o+d])
+		}
+		if !s.covers(t.b[o:o+w], ix != nil, cand) {
 			return false
 		}
 	}
@@ -513,87 +595,52 @@ func (s IndexSpace) ContainsAll(t IndexSpace) bool {
 // covers1D is ContainsAll's sweep over large sorted 1-D lists: it gallops to
 // the spans of a around each span of b and stops at the first point of b
 // they leave out.
-func covers1D(a, b []Rect) bool {
+func covers1D(a, b []int64) bool {
 	j := 0
-	for _, sp := range b {
-		if j < len(a) && a[j].Hi.C[0] < sp.Lo.C[0] {
-			j = seek1D(a, j, sp.Lo.C[0])
+	for o := 0; o < len(b); o += 2 {
+		lo, hi := b[o], b[o+1]
+		if j < len(a) && a[j+1] < lo {
+			j = seek1D(a, j, lo)
 		}
-		// Spans of a may touch, so several can cover sp between them; the
-		// last one may cover the next span of b too, so j stays on it.
-		for cur := sp.Lo.C[0]; ; j++ {
-			if j == len(a) || cur < a[j].Lo.C[0] {
+		// Spans of a may touch, so several can cover [lo, hi] between them;
+		// the last one may cover the next span of b too, so j stays on it.
+		for cur := lo; ; j += 2 {
+			if j == len(a) || cur < a[j] {
 				return false
 			}
-			if cur = a[j].Hi.C[0] + 1; cur > sp.Hi.C[0] {
+			if a[j+1] >= hi {
 				break
 			}
+			cur = a[j+1] + 1
 		}
 	}
 	return true
 }
 
-// coversRectAmong is coversRect restricted to the covering spans named by
-// idxs (ascending); spans outside idxs are known not to overlap r.
-func (s IndexSpace) coversRectAmong(r Rect, idxs []int32) bool {
-	if r.Empty() {
-		return true
+// covers reports whether the span r lies entirely within s, by carving r
+// with s's spans until nothing remains (covered) or the spans run out. With
+// among, only the spans named by idxs (ascending) are tried: the others are
+// known not to overlap r.
+func (s IndexSpace) covers(r []int64, among bool, idxs []int32) bool {
+	w := len(r)
+	var bufA, bufB [16 * 2 * MaxDim]int64
+	work, spare := append(bufA[:0], r...), bufB[:0]
+	n := s.NumSpans()
+	if among {
+		n = len(idxs)
 	}
-	var bufA, bufB [16]Rect
-	work := append(bufA[:0], r)
-	spare := bufB[:0]
-	for _, ai := range idxs {
-		a := s.spans[ai]
-		next := spare[:0]
-		for _, w := range work {
-			if w.Overlaps(a) {
-				next = appendSubtractRect(next, w, a)
-			} else {
-				next = append(next, w)
+	for k := 0; k < n; k++ {
+		i := k
+		if among {
+			i = int(idxs[k])
+		}
+		if next, carved := carve(spare[:0], work, s.b[i*w:(i+1)*w]); carved {
+			if work, spare = next, work; len(work) == 0 {
+				return true
 			}
 		}
-		work, spare = next, work
-		if len(work) == 0 {
-			return true
-		}
 	}
-	return len(work) == 0
-}
-
-// coversRect reports whether r is entirely within s, by carving r with s's
-// spans until nothing remains (covered) or the span list is exhausted.
-func (s IndexSpace) coversRect(r Rect) bool {
-	if r.Empty() {
-		return true
-	}
-	var bufA, bufB [16]Rect
-	work := append(bufA[:0], r)
-	spare := bufB[:0]
-	for _, a := range s.spans {
-		touched := false
-		for i := range work {
-			if work[i].Overlaps(a) {
-				touched = true
-				break
-			}
-		}
-		if !touched {
-			continue
-		}
-		next := spare[:0]
-		for _, w := range work {
-			if w.Overlaps(a) {
-				next = appendSubtractRect(next, w, a)
-			} else {
-				next = append(next, w)
-			}
-		}
-		work, spare = next, work
-		if len(work) == 0 {
-			return true
-		}
-	}
-	return len(work) == 0
+	return false
 }
 
 // xIndexThreshold is the span count above which the multi-dimensional
@@ -617,8 +664,9 @@ type xspanGroup struct {
 	idxs   []int32
 }
 
-func (ix *xspanIndex) add(i int32, r Rect) {
-	k := [2]int64{r.Lo.C[0], r.Hi.C[0]}
+// add files span i, whose axis-0 extent is [lo, hi].
+func (ix *xspanIndex) add(i int32, lo, hi int64) {
+	k := [2]int64{lo, hi}
 	if ix.keys == nil {
 		ix.keys = make(map[[2]int64]int32)
 	}
@@ -626,7 +674,7 @@ func (ix *xspanIndex) add(i int32, r Rect) {
 	if !ok {
 		gi = int32(len(ix.groups))
 		ix.keys[k] = gi
-		ix.groups = append(ix.groups, xspanGroup{lo: k[0], hi: k[1]})
+		ix.groups = append(ix.groups, xspanGroup{lo: lo, hi: hi})
 	}
 	ix.groups[gi].idxs = append(ix.groups[gi].idxs, i)
 }
@@ -647,12 +695,12 @@ func (ix *xspanIndex) candidates(buf []int32, lo, hi int64) []int32 {
 
 // String renders the span list.
 func (s IndexSpace) String() string {
-	b := append(make([]byte, 0, 2+16*len(s.spans)), '{')
-	for i, r := range s.spans {
+	b := append(make([]byte, 0, 2+16*s.NumSpans()), '{')
+	for i := 0; i < s.NumSpans(); i++ {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = r.appendTo(b)
+		b = s.Span(i).appendTo(b)
 	}
 	return string(append(b, '}'))
 }
@@ -663,30 +711,32 @@ func (s IndexSpace) mustMatch(t IndexSpace) {
 	}
 }
 
-// appendSubtractRect appends a minus b to out as disjoint rectangles. The
-// standard axis-by-axis carve: for each axis, peel off the slabs of a that
-// lie strictly below and strictly above b on that axis, then narrow a to
-// b's extent on that axis and continue with the next axis. Appending into a
-// caller-owned buffer keeps the Subtract/ContainsAll hot loops free of the
-// per-pair slice allocation a return-by-value carve forces.
-func appendSubtractRect(out []Rect, a, b Rect) []Rect {
-	c := a.Intersect(b)
-	if c.Empty() {
-		return append(out, a)
+// appendSubtract appends the span a minus the span b (2·d bounds each) to
+// out as disjoint spans. The standard axis-by-axis carve: for each axis,
+// peel off the slabs of a that lie strictly below and strictly above b on
+// that axis, then narrow a to b's extent on that axis and continue with
+// the next axis. Appending into a caller-owned buffer keeps the Subtract
+// and ContainsAll hot loops free of per-pair allocation.
+func appendSubtract(out, a, b []int64) []int64 {
+	if !overlap(a, b) {
+		return append(out, a...)
 	}
-	rem := a
-	for i := 0; i < int(a.Dim()); i++ {
-		if rem.Lo.C[i] < c.Lo.C[i] {
-			lower := rem
-			lower.Hi.C[i] = c.Lo.C[i] - 1
-			out = append(out, lower)
-			rem.Lo.C[i] = c.Lo.C[i]
+	d := len(a) / 2
+	var rem [2 * MaxDim]int64
+	copy(rem[:], a)
+	for i := 0; i < d; i++ {
+		lo, hi := max(a[i], b[i]), min(a[d+i], b[d+i]) // a∩b on axis i
+		if rem[i] < lo {
+			piece := rem
+			piece[d+i] = lo - 1
+			out = append(out, piece[:2*d]...)
+			rem[i] = lo
 		}
-		if rem.Hi.C[i] > c.Hi.C[i] {
-			upper := rem
-			upper.Lo.C[i] = c.Hi.C[i] + 1
-			out = append(out, upper)
-			rem.Hi.C[i] = c.Hi.C[i]
+		if rem[d+i] > hi {
+			piece := rem
+			piece[i] = hi + 1
+			out = append(out, piece[:2*d]...)
+			rem[d+i] = hi
 		}
 	}
 	return out
@@ -701,18 +751,18 @@ const coalesceLimit = 128
 // in every other axis, shrinking the representation. It is a heuristic, not
 // a canonicalization.
 func (s *IndexSpace) coalesce() {
-	if len(s.spans) > coalesceLimit {
+	w := s.w()
+	if s.NumSpans() > coalesceLimit {
 		return
 	}
 	merged := true
 	for merged {
 		merged = false
 	outer:
-		for i := 0; i < len(s.spans); i++ {
-			for j := i + 1; j < len(s.spans); j++ {
-				if m, ok := tryMerge(s.spans[i], s.spans[j]); ok {
-					s.spans[i] = m
-					s.spans = append(s.spans[:j], s.spans[j+1:]...)
+		for i := 0; i < len(s.b); i += w {
+			for j := i + w; j < len(s.b); j += w {
+				if tryMerge(s.b[i:i+w], s.b[j:j+w]) {
+					s.b = append(s.b[:j], s.b[j+w:]...)
 					merged = true
 					break outer
 				}
@@ -721,197 +771,177 @@ func (s *IndexSpace) coalesce() {
 	}
 }
 
-// tryMerge merges two rectangles if their union is exactly a rectangle.
-func tryMerge(a, b Rect) (Rect, bool) {
-	diffAxis := -1
-	for i := 0; i < int(a.Dim()); i++ {
-		if a.Lo.C[i] == b.Lo.C[i] && a.Hi.C[i] == b.Hi.C[i] {
+// tryMerge merges the span b into the span a (2·d bounds each, a written in
+// place) if their union is exactly a rectangle.
+func tryMerge(a, b []int64) bool {
+	d := len(a) / 2
+	diff := -1
+	for i := 0; i < d; i++ {
+		if a[i] == b[i] && a[d+i] == b[d+i] {
 			continue
 		}
-		if diffAxis >= 0 {
-			return Rect{}, false
+		if diff >= 0 {
+			return false
 		}
-		diffAxis = i
+		diff = i
 	}
-	if diffAxis < 0 {
-		return a, true // identical
+	if diff < 0 {
+		return true // identical
 	}
 	lo, hi := a, b
-	if b.Lo.C[diffAxis] < a.Lo.C[diffAxis] {
+	if b[diff] < a[diff] {
 		lo, hi = b, a
 	}
-	if lo.Hi.C[diffAxis]+1 >= hi.Lo.C[diffAxis] {
-		m := lo
-		m.Hi.C[diffAxis] = max64(lo.Hi.C[diffAxis], hi.Hi.C[diffAxis])
-		return m, true
+	if !touches(lo[d+diff], hi[diff]) {
+		return false
 	}
-	return Rect{}, false
+	a[diff], a[d+diff] = lo[diff], max(lo[d+diff], hi[d+diff])
+	return true
 }
 
-// UnionMany returns the union of many index spaces. For 1-D inputs it merges
-// the operands' sorted span lists and then mergeRuns1D coalesces them
-// (O(n log k) over k operands, O(n) when they arrive in order), the
-// constructor for unions of many sparse subregions (e.g. an aliased
-// ghost partition's footprint). Other dimensions carve each incoming span
-// against the accumulated union in one growing buffer — unlike the iterative
-// out.Union(s) formulation, the accumulated span list is never copied, so
-// a union over n mostly-disjoint spans costs O(n²) cheap bounding-box
-// tests instead of O(n²) span-list rebuilds with their allocations.
+// UnionMany returns the union of many index spaces. For 1-D inputs it
+// merges the operands' sorted span lists into maximal runs (O(n) when they
+// arrive in order, O(n log k) over k operands otherwise), the constructor
+// for unions of many sparse subregions (e.g. an aliased ghost partition's
+// footprint); past 16 operands the heap that merges them is allocated
+// too, otherwise the result is the only allocation. Other dimensions carve
+// each incoming span against the accumulated union in one growing buffer —
+// unlike the iterative out.Union(s) formulation, the accumulated span list
+// is never copied, so a union over n mostly-disjoint spans costs O(n²)
+// cheap bounding-box tests instead of O(n²) span-list rebuilds with their
+// allocations.
 func UnionMany(dim int8, spaces []IndexSpace) IndexSpace {
-	total := spanCount(spaces)
-	if dim != 1 {
-		useIdx := total > xIndexThreshold
-		var ix xspanIndex
-		var cand []int32
-		var acc []Rect
-		var work, spare []Rect
-		for _, sp := range spaces {
-			for _, r := range sp.spans {
-				// Carve r down to the pieces not already covered, then keep
-				// them. acc stays pairwise disjoint throughout. The index
-				// narrows the carve to accumulated spans whose axis-0 extent
-				// overlaps r; visiting them in list order keeps the output
-				// identical to the full scan.
-				work = append(work[:0], r)
+	if dim == 1 {
+		var stack [16][]int64
+		heap := stack[:0]
+		if len(spaces) > len(stack) {
+			heap = make([][]int64, 0, len(spaces))
+		}
+		return sizedRuns(func(r runs1D) runs1D { return union1D(r, spaces, heap) })
+	}
+	w, d, total := 2*int(dim), int(dim), 0
+	for _, s := range spaces {
+		total += s.NumSpans()
+	}
+	useIdx := total > xIndexThreshold
+	var ix xspanIndex
+	var cand []int32
+	var acc, work, spare []int64
+	for _, sp := range spaces {
+		for o := 0; o < len(sp.b); o += w {
+			// Carve the span down to the pieces not already covered, then
+			// keep them. acc stays pairwise disjoint throughout. The index
+			// narrows the carve to accumulated spans whose axis-0 extent
+			// overlaps it; visiting them in list order keeps the output
+			// identical to the full scan.
+			work = append(work[:0], sp.b[o:o+w]...)
+			n := len(acc) / w
+			if useIdx {
+				cand = ix.candidates(cand[:0], sp.b[o], sp.b[o+d])
+				n = len(cand)
+			}
+			for k := 0; k < n && len(work) > 0; k++ {
+				i := k
 				if useIdx {
-					cand = ix.candidates(cand[:0], r.Lo.C[0], r.Hi.C[0])
+					i = int(cand[k])
 				}
-				nAcc := len(acc)
-				if useIdx {
-					nAcc = len(cand)
-				}
-				for ci := 0; ci < nAcc && len(work) > 0; ci++ {
-					a := acc[ci]
-					if useIdx {
-						a = acc[cand[ci]]
-					}
-					touched := false
-					for i := range work {
-						if work[i].Overlaps(a) {
-							touched = true
-							break
-						}
-					}
-					if !touched {
-						continue
-					}
-					next := spare[:0]
-					for _, w := range work {
-						if w.Overlaps(a) {
-							next = appendSubtractRect(next, w, a)
-						} else {
-							next = append(next, w)
-						}
-					}
+				if next, carved := carve(spare[:0], work, acc[i*w:(i+1)*w]); carved {
 					work, spare = next, work
 				}
-				for _, w := range work {
-					if useIdx {
-						ix.add(int32(len(acc)), w)
-					}
-					acc = append(acc, w)
+			}
+			for i := 0; i < len(work); i += w {
+				if useIdx {
+					ix.add(int32(len(acc)/w), work[i], work[i+d])
 				}
+				acc = append(acc, work[i:i+w]...)
 			}
 		}
-		out := IndexSpace{dim: dim, spans: acc}
-		out.coalesce()
-		return out
 	}
-	if total == 0 {
+	out := IndexSpace{dim: dim, b: acc}
+	out.coalesce()
+	return out
+}
+
+// union1D feeds the spans of spaces to r in lower-bound order through
+// heap, a buffer of capacity len(spaces): a min-heap of the operands'
+// remaining span lists by first lower bound. Operands that arrive in order
+// already form a heap whose top stays put, so each span costs a compare
+// with the top's two children.
+func union1D(r runs1D, spaces []IndexSpace, heap [][]int64) runs1D {
+	h := heap[:0]
+	for _, s := range spaces {
+		if len(s.b) > 0 {
+			h = append(h, s.b)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown1D(h, i)
+	}
+	for len(h) > 0 {
+		r.add(h[0][0], h[0][1])
+		if h[0] = h[0][2:]; len(h[0]) == 0 {
+			h[0], h = h[len(h)-1], h[:len(h)-1]
+		}
+		siftDown1D(h, 0)
+	}
+	return r
+}
+
+// siftDown1D restores the min-heap order, by first lower bound, of the
+// span lists in h below i.
+func siftDown1D(h [][]int64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1][0] < h[c][0] {
+			c++
+		}
+		if h[i][0] <= h[c][0] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// sizedRuns builds the 1-D space of the maximal runs of the spans feed
+// adds to a runs1D in lower-bound order: once to count them, once to write
+// them into a result of exactly their size.
+func sizedRuns(feed func(runs1D) runs1D) IndexSpace {
+	r := feed(runs1D{})
+	if r.end() == 0 {
 		return IndexSpace{dim: 1}
 	}
-	// Every operand's spans are already sorted, so ivs starts as one sorted
-	// run per operand, and the runs are in order unless an operand starts
-	// below the last span before it. Runs out of order are merged pairwise,
-	// back and forth between ivs and a spare half of the same buffer, until
-	// one is left: ceil(log2 k) linear passes over k operands, not a sort.
-	inOrder, last := true, []Rect(nil)
-	for _, s := range spaces {
-		if len(s.spans) == 0 {
-			continue
-		}
-		if len(last) > 0 && s.spans[0].Lo.C[0] < last[len(last)-1].Lo.C[0] {
-			inOrder = false
-			break
-		}
-		last = s.spans
-	}
-	size := total
-	if !inOrder {
-		size *= 2
-	}
-	buf := make([][2]int64, size)
-	ivs, spare := buf[:total], buf[total:]
-	i := 0
-	for _, s := range spaces {
-		for _, r := range s.spans {
-			ivs[i] = [2]int64{r.Lo.C[0], r.Hi.C[0]}
-			i++
-		}
-	}
-	if !inOrder {
-		for w := 1; w < len(spaces); w *= 2 {
-			off := 0
-			for lo := 0; lo < len(spaces); lo += 2 * w {
-				mid, hi := min(lo+w, len(spaces)), min(lo+2*w, len(spaces))
-				a, b := spanCount(spaces[lo:mid]), spanCount(spaces[mid:hi])
-				merge1D(spare[off:off+a+b], ivs[off:off+a], ivs[off+a:off+a+b])
-				off += a + b
-			}
-			ivs, spare = spare, ivs
-		}
-	}
-	return IndexSpace{dim: 1, spans: mergeRuns1D(ivs)}
+	r = feed(runs1D{out: make([]int64, r.end())})
+	r.end()
+	return IndexSpace{dim: 1, b: r.out}
 }
 
-// spanCount returns the number of spans over the given spaces.
-func spanCount(spaces []IndexSpace) int {
-	n := 0
-	for _, s := range spaces {
-		n += len(s.spans)
-	}
-	return n
+// runs1D coalesces 1-D spans arriving in lower-bound order into maximal
+// runs, writing them to out, or only counting them when out is nil.
+type runs1D struct {
+	out    []int64
+	n      int   // bounds of the runs so far, the open one included
+	lo, hi int64 // the open run, when n > 0
 }
 
-// merge1D merges the intervals of a and b, each sorted by lower bound, into
-// out, which holds exactly both.
-func merge1D(out, a, b [][2]int64) {
-	i, j, k := 0, 0, 0
-	for ; i < len(a) && j < len(b); k++ {
-		if b[j][0] < a[i][0] {
-			out[k] = b[j]
-			j++
-		} else {
-			out[k] = a[i]
-			i++
-		}
+func (r *runs1D) add(lo, hi int64) {
+	if r.n > 0 && touches(r.hi, lo) {
+		r.hi = max(r.hi, hi)
+		return
 	}
-	k += copy(out[k:], a[i:])
-	copy(out[k:], b[j:])
+	r.end()
+	r.lo, r.hi, r.n = lo, hi, r.n+2
 }
 
-func byLo1D(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) }
-
-// mergeRuns1D returns the maximal runs covered by the given non-empty list
-// of [lo, hi] intervals, sorted by lower bound, which it merges in place: a
-// 1-D span is two coordinates, so the work moves 16 bytes per span instead
-// of a Rect's 64, and the result is allocated once the number of runs is
-// known.
-func mergeRuns1D(ivs [][2]int64) []Rect {
-	n := 0 // ivs[:n+1] are the runs so far
-	for _, iv := range ivs[1:] {
-		if iv[0] <= ivs[n][1]+1 {
-			ivs[n][1] = max(ivs[n][1], iv[1])
-		} else {
-			n++
-			ivs[n] = iv
-		}
+// end writes the open run and returns the number of bounds.
+func (r *runs1D) end() int {
+	if r.n > 0 && r.out != nil {
+		r.out[r.n-2], r.out[r.n-1] = r.lo, r.hi
 	}
-	spans := make([]Rect, n+1)
-	for i, iv := range ivs[:n+1] {
-		spans[i] = R1(iv[0], iv[1])
-	}
-	return spans
+	return r.n
 }
 
 // Factor2 returns the most-square factorization a*b = n with a >= b, the

@@ -24,8 +24,8 @@ func TestFromPointsCoalesces(t *testing.T) {
 	if s.Volume() != 4 {
 		t.Errorf("volume = %d, want 4 (dedup)", s.Volume())
 	}
-	if len(s.Spans()) != 2 {
-		t.Errorf("spans = %v, want 2 coalesced runs", s.Spans())
+	if len(spansOf(s)) != 2 {
+		t.Errorf("spans = %v, want 2 coalesced runs", spansOf(s))
 	}
 	if !s.Contains(Pt1(1)) || !s.Contains(Pt1(3)) || !s.Contains(Pt1(7)) || s.Contains(Pt1(4)) {
 		t.Error("membership wrong")
@@ -57,8 +57,8 @@ func TestSubtractRect(t *testing.T) {
 		t.Error("membership wrong after subtract")
 	}
 	// Disjoint pieces of d must be pairwise disjoint.
-	for i, r1 := range d.Spans() {
-		for j, r2 := range d.Spans() {
+	for i, r1 := range spansOf(d) {
+		for j, r2 := range spansOf(d) {
 			if i != j && r1.Overlaps(r2) {
 				t.Errorf("spans %v and %v overlap", r1, r2)
 			}
@@ -176,8 +176,8 @@ func TestIndexSpaceSetAlgebraRandomized(t *testing.T) {
 				t.Fatalf("iter %d %s: volume %d, want %d", iter, name, got.Volume(), count)
 			}
 			// Spans must remain pairwise disjoint.
-			for i, r1 := range got.Spans() {
-				for j, r2 := range got.Spans() {
+			for i, r1 := range spansOf(got) {
+				for j, r2 := range spansOf(got) {
 					if i != j && r1.Overlaps(r2) {
 						t.Fatalf("iter %d %s: spans overlap: %v %v", iter, name, r1, r2)
 					}
@@ -205,7 +205,7 @@ func TestSweepFastPathsMatchGeneric(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		a := randSparse(300)
 		b := randSparse(300)
-		if len(a.Spans())+len(b.Spans()) <= sweepThreshold {
+		if len(spansOf(a))+len(spansOf(b)) <= sweepThreshold {
 			t.Fatal("test inputs too small to trigger the sweep path")
 		}
 		model := func(s IndexSpace) map[int64]bool {
@@ -294,8 +294,8 @@ func TestUnionMany(t *testing.T) {
 			t.Fatalf("iter %d: volume %d want %d", iter, u.Volume(), count)
 		}
 		// Spans disjoint and sorted.
-		for i := 1; i < len(u.Spans()); i++ {
-			if u.Spans()[i].Lo.X() <= u.Spans()[i-1].Hi.X() {
+		for i := 1; i < len(spansOf(u)); i++ {
+			if spansOf(u)[i].Lo.X() <= spansOf(u)[i-1].Hi.X() {
 				t.Fatalf("iter %d: spans not disjoint-sorted", iter)
 			}
 		}

@@ -106,8 +106,8 @@ func TestStringsMatchFmt(t *testing.T) {
 		return "[" + fmtPoint(r.Lo) + ".." + fmtPoint(r.Hi) + "]"
 	}
 	fmtSpace := func(s IndexSpace) string {
-		parts := make([]string, len(s.Spans()))
-		for i, r := range s.Spans() {
+		parts := make([]string, len(spansOf(s)))
+		for i, r := range spansOf(s) {
 			parts[i] = fmtRect(r)
 		}
 		return "{" + strings.Join(parts, " ") + "}"
@@ -130,7 +130,7 @@ func TestStringsMatchFmt(t *testing.T) {
 		if got := c.s.String(); got != c.want || got != fmtSpace(c.s) {
 			t.Errorf("String() = %q, want %q (fmt form %q)", got, c.want, fmtSpace(c.s))
 		}
-		for _, r := range c.s.Spans() {
+		for _, r := range spansOf(c.s) {
 			if r.String() != fmtRect(r) || r.Lo.String() != fmtPoint(r.Lo) {
 				t.Errorf("Rect.String() = %q, fmt form %q", r.String(), fmtRect(r))
 			}

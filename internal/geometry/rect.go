@@ -153,11 +153,12 @@ func (r Rect) Each(fn func(Point) bool) {
 		if !fn(p) {
 			return
 		}
-		// Advance row-major: increment the last coordinate, carrying.
+		// Advance row-major: increment the last coordinate, carrying, and
+		// never past Hi, which may be the top of int64.
 		i := int(p.Dim) - 1
 		for ; i >= 0; i-- {
-			p.C[i]++
-			if p.C[i] <= r.Hi.C[i] {
+			if p.C[i] < r.Hi.C[i] {
+				p.C[i]++
 				break
 			}
 			p.C[i] = r.Lo.C[i]
@@ -185,8 +186,8 @@ func (r Rect) EachRow(fn func(first Point, n int64) bool) {
 		}
 		i := last - 1
 		for ; i >= 0; i-- {
-			p.C[i]++
-			if p.C[i] <= r.Hi.C[i] {
+			if p.C[i] < r.Hi.C[i] {
+				p.C[i]++
 				break
 			}
 			p.C[i] = r.Lo.C[i]

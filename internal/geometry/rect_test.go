@@ -1,6 +1,7 @@
 package geometry
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -110,6 +111,32 @@ func TestRectEachEarlyStop(t *testing.T) {
 	r.Each(func(Point) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Errorf("visited %d points, want 5", n)
+	}
+}
+
+// TestRectEachStopsAtTopOfInt64: advancing past a bound of MaxInt64 must
+// not wrap around to MinInt64, in Each or EachRow.
+func TestRectEachStopsAtTopOfInt64(t *testing.T) {
+	const m = math.MaxInt64
+	for _, c := range []struct {
+		r          Rect
+		points     int
+		rows       int
+		firstOfRow Point
+	}{
+		{R1(m-3, m), 4, 1, Pt1(m - 3)},
+		{R2(m-1, m-2, m, m), 6, 2, Pt2(m, m-2)},
+	} {
+		n := 0
+		c.r.Each(func(Point) bool { n++; return n <= c.points })
+		if n != c.points {
+			t.Errorf("%v: Each visited %d points (stopped at %d), want %d", c.r, n, c.points+1, c.points)
+		}
+		var rows []Point
+		c.r.EachRow(func(p Point, _ int64) bool { rows = append(rows, p); return len(rows) <= c.rows })
+		if len(rows) != c.rows || rows[len(rows)-1] != c.firstOfRow {
+			t.Errorf("%v: EachRow visited rows %v, want %d ending at %v", c.r, rows, c.rows, c.firstOfRow)
+		}
 	}
 }
 

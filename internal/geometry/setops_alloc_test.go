@@ -1,6 +1,10 @@
 package geometry
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 // strided1D returns n spans of the given width, stride apart, from off.
 func strided1D(n int, stride, off, width int64) IndexSpace {
@@ -50,15 +54,26 @@ func TestPredicatesAllocateNothing(t *testing.T) {
 }
 
 // TestSetOpAllocs pins the sweeps to output sized before it is written: one
-// allocation for Intersect and Subtract (none for an empty result), two for
-// UnionMany, whatever the operand sizes.
+// allocation for Intersect, Subtract and UnionMany (none for an empty
+// result), whatever the operand sizes, and that allocation to the flat span
+// layout: at most what one slice of 16 bytes per 1-D result span (32 per
+// 2-D span) costs the allocator, plus 64 bytes. A span stored as a Rect
+// costs 64 bytes in any dimension.
 func TestSetOpAllocs(t *testing.T) {
+	if n := unsafe.Sizeof(IndexSpace{}); n != 32 {
+		t.Errorf("an IndexSpace is %d bytes, want 32", n)
+	}
 	a := strided1D(1000, 10, 0, 4)
 	across := strided1D(1000, 10, 2, 4)
 	apart := strided1D(1000, 10, 5, 4)
 	long := strided1D(5000, 10, 0, 4)
 	one := NewIndexSpace(R1(20001, 20012))
 	all := NewIndexSpace(R1(-5, 60000))
+	var tiles []Rect // 10 x 10 tiles of 2 x 2 points, none touching
+	for k := int64(0); k < 100; k++ {
+		tiles = append(tiles, R2(k/10*3, k%10*3, k/10*3+1, k%10*3+1))
+	}
+	grid, gap := FromDisjointRects(2, tiles), NewIndexSpace(R2(2, 2, 2, 2))
 	cases := []struct {
 		name string
 		fn   func() IndexSpace
@@ -74,17 +89,45 @@ func TestSetOpAllocs(t *testing.T) {
 		{"Subtract/one-minus-long", func() IndexSpace { return one.Subtract(long) }, 1, 12 - 6},
 		{"Subtract/untouched", func() IndexSpace { return a.Subtract(apart) }, 1, 4000},
 		{"Subtract/empty", func() IndexSpace { return long.Subtract(all) }, 0, 0},
-		{"UnionMany/two-runs", func() IndexSpace { return UnionMany(1, []IndexSpace{a, apart}) }, 2, 8000},
-		{"UnionMany/aliased-runs", func() IndexSpace { return UnionMany(1, []IndexSpace{a, across, long, one}) }, 2, 20000 + 2000 + 12 - 6},
+		{"UnionMany/two-runs", func() IndexSpace { return UnionMany(1, []IndexSpace{a, apart}) }, 1, 8000},
+		{"UnionMany/aliased-runs", func() IndexSpace { return UnionMany(1, []IndexSpace{a, across, long, one}) }, 1, 20000 + 2000 + 12 - 6},
+		{"Subtract/untouched-2D", func() IndexSpace { return grid.Subtract(gap) }, 1, 400},
 	}
 	for _, c := range cases {
-		if got := c.fn().Volume(); got != c.vol {
+		res := c.fn()
+		if got := res.Volume(); got != c.vol {
 			t.Errorf("%s: volume %d, want %d", c.name, got, c.vol)
 		}
 		if n := testing.AllocsPerRun(10, func() { c.fn() }); n > c.max {
 			t.Errorf("%s: %v allocations per call, want at most %v", c.name, n, c.max)
 		}
+		if raceEnabled {
+			continue // the race detector changes what is allocated
+		}
+		got := bytesPerCall(func() { benchSink = c.fn() })
+		want := bytesPerCall(func() { boundsSink = make([]int64, res.NumSpans()*2*int(res.Dim())) }) + 64
+		if got > want {
+			t.Errorf("%s: %.0f bytes per call for %d spans, want at most %.0f", c.name, got, res.NumSpans(), want)
+		}
 	}
+}
+
+var boundsSink []int64
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// bytesPerCall returns what fn allocates per call, in bytes, by the
+// TotalAlloc delta over repetitions.
+func bytesPerCall(fn func()) float64 {
+	const reps = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / reps
 }
 
 var benchSink IndexSpace

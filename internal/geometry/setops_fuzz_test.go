@@ -2,6 +2,8 @@ package geometry
 
 import (
 	"bytes"
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -74,21 +76,48 @@ func setopsSpace(dim int8, data []byte) (IndexSpace, oracleSet) {
 	return FromRects(dim, rects), set
 }
 
+// spansOf decodes the span list of s.
+func spansOf(s IndexSpace) []Rect {
+	out := make([]Rect, s.NumSpans())
+	for i := range out {
+		out[i] = s.Span(i)
+	}
+	return out
+}
+
+// fromSpans builds the space with exactly the given span list.
+func fromSpans(dim int8, spans []Rect) IndexSpace {
+	s := IndexSpace{dim: dim}
+	for _, r := range spans {
+		s.b = appendSpan(s.b, r)
+	}
+	return s
+}
+
+// subtractRect is appendSubtract on rectangles.
+func subtractRect(out []Rect, a, b Rect) []Rect {
+	return append(out, spansOf(IndexSpace{dim: a.Dim(), b: appendSubtract(nil, appendSpan(nil, a), appendSpan(nil, b))})...)
+}
+
 func checkRepresentation(t *testing.T, label string, s IndexSpace) {
 	t.Helper()
-	for i, r := range s.spans {
+	spans := spansOf(s)
+	if len(s.b) != s.NumSpans()*s.w() {
+		t.Fatalf("%s: %d bounds do not make whole spans of dimension %d", label, len(s.b), s.dim)
+	}
+	for i, r := range spans {
 		if r.Empty() || r.Dim() != s.dim {
 			t.Fatalf("%s: span %d of %v is empty or of the wrong dimension", label, i, s)
 		}
 		if s.dim == 1 {
-			if i > 0 && r.Lo.X() <= s.spans[i-1].Hi.X() {
-				t.Fatalf("%s: 1-D spans %v and %v are not sorted and disjoint", label, s.spans[i-1], r)
+			if i > 0 && r.Lo.X() <= spans[i-1].Hi.X() {
+				t.Fatalf("%s: 1-D spans %v and %v are not sorted and disjoint", label, spans[i-1], r)
 			}
 			continue
 		}
 		for j := 0; j < i; j++ {
-			if r.Overlaps(s.spans[j]) {
-				t.Fatalf("%s: spans %v and %v overlap", label, s.spans[j], r)
+			if r.Overlaps(spans[j]) {
+				t.Fatalf("%s: spans %v and %v overlap", label, spans[j], r)
 			}
 		}
 	}
@@ -112,8 +141,8 @@ func checkSet(t *testing.T, label string, got IndexSpace, want oracleSet) {
 
 func checkSpans(t *testing.T, label string, got IndexSpace, want []Rect) {
 	t.Helper()
-	if !slices.Equal(got.spans, want) {
-		t.Fatalf("%s: spans differ from the reference path\n got  %v\n want %v", label, got, IndexSpace{dim: got.dim, spans: want})
+	if !slices.Equal(spansOf(got), want) {
+		t.Fatalf("%s: spans differ from the reference path\n got  %v\n want %v", label, got, fromSpans(got.dim, want))
 	}
 }
 
@@ -176,7 +205,7 @@ func genericIntersect1D(a, b []Rect) []Rect {
 			}
 		}
 	}
-	sortSpans1D(out)
+	slices.SortFunc(out, func(a, b Rect) int { return cmp.Compare(a.Lo.X(), b.Lo.X()) })
 	return out
 }
 
@@ -190,13 +219,13 @@ func genericSubtract1D(a, b []Rect) []Rect {
 		for _, y := range b {
 			var next []Rect
 			for _, w := range work {
-				next = appendSubtractRect(next, w, y)
+				next = subtractRect(next, w, y)
 			}
 			work = next
 		}
 		out = append(out, work...)
 	}
-	sortSpans1D(out)
+	slices.SortFunc(out, func(a, b Rect) int { return cmp.Compare(a.Lo.X(), b.Lo.X()) })
 	return out
 }
 
@@ -205,19 +234,19 @@ func genericSubtract1D(a, b []Rect) []Rect {
 func genericUnionMany(dim int8, spaces []IndexSpace) IndexSpace {
 	var acc []Rect
 	for _, sp := range spaces {
-		for _, r := range sp.spans {
+		for _, r := range spansOf(sp) {
 			work := []Rect{r}
 			for _, a := range acc {
 				var next []Rect
 				for _, w := range work {
-					next = appendSubtractRect(next, w, a)
+					next = subtractRect(next, w, a)
 				}
 				work = next
 			}
 			acc = append(acc, work...)
 		}
 	}
-	out := IndexSpace{dim: dim, spans: acc}
+	out := fromSpans(dim, acc)
 	out.coalesce()
 	return out
 }
@@ -239,7 +268,7 @@ func checkSetOps(t *testing.T, dimSel uint8, da, db, dc []byte) {
 	track := func(label string, s IndexSpace, want oracleSet) IndexSpace {
 		t.Helper()
 		checkSet(t, label, s, want)
-		tracked = append(tracked, snapshot{label, s, slices.Clone(s.spans)})
+		tracked = append(tracked, snapshot{label, s, spansOf(s)})
 		return s
 	}
 	track("a", a, sa)
@@ -316,21 +345,81 @@ func checkSetOps(t *testing.T, dimSel uint8, da, db, dc []byte) {
 	// Sweep and indexed paths against the quadratic reference paths: the
 	// same spans in the same order, not merely the same set.
 	if dim == 1 {
-		checkSpans(t, "a∩b", ab, genericIntersect1D(a.spans, b.spans))
-		if len(a.spans)+len(b.spans) > sweepThreshold {
-			checkSpans(t, "a−b", aMinusB, genericSubtract1D(a.spans, b.spans))
-			checkSpans(t, "b−a", bMinusA, genericSubtract1D(b.spans, a.spans))
+		checkSpans(t, "a∩b", ab, genericIntersect1D(spansOf(a), spansOf(b)))
+		if a.NumSpans()+b.NumSpans() > sweepThreshold {
+			checkSpans(t, "a−b", aMinusB, genericSubtract1D(spansOf(a), spansOf(b)))
+			checkSpans(t, "b−a", bMinusA, genericSubtract1D(spansOf(b), spansOf(a)))
 		}
 		checkSpans(t, "UnionMany(a,b,c)", all, canonicalRuns1D(oracleUnion(sa, sb, sc)))
 		checkSpans(t, "FromPoints(a)", fromPts, canonicalRuns1D(sa))
 	} else {
-		checkSpans(t, "UnionMany(a,b,c)", all, genericUnionMany(dim, []IndexSpace{a, b, c}).spans)
+		checkSpans(t, "UnionMany(a,b,c)", all, spansOf(genericUnionMany(dim, []IndexSpace{a, b, c})))
 	}
 
 	for _, s := range tracked {
-		if !slices.Equal(s.s.spans, s.spans) {
+		if !slices.Equal(spansOf(s.s), s.spans) {
 			t.Fatalf("dim %d: the spans of %s changed under a later operation\n was %v\n now %v",
-				dim, s.label, IndexSpace{dim: dim, spans: s.spans}, s.s)
+				dim, s.label, fromSpans(dim, s.spans), s.s)
+		}
+	}
+	checkTranslated(t, a, b, c)
+}
+
+// checkTranslated: moving the operands so that their largest coordinate on
+// every axis is MaxInt64 moves every result with them, span for span, and
+// leaves every predicate and volume as it was. No step may compute past the
+// top of int64.
+func checkTranslated(t *testing.T, a, b, c IndexSpace) {
+	t.Helper()
+	dim := a.Dim()
+	by := Point{Dim: dim}
+	for k := 0; k < int(dim); k++ {
+		top := int64(math.MinInt64)
+		for _, s := range []IndexSpace{a, b, c} {
+			for _, r := range spansOf(s) {
+				top = max(top, r.Hi.C[k])
+			}
+		}
+		if top == math.MinInt64 {
+			return // all three are empty
+		}
+		by.C[k] = math.MaxInt64 - top
+	}
+	move := func(s IndexSpace) IndexSpace {
+		spans := spansOf(s)
+		for i := range spans {
+			spans[i] = Rect{spans[i].Lo.Add(by), spans[i].Hi.Add(by)}
+		}
+		return fromSpans(dim, spans)
+	}
+	ma, mb, mc := move(a), move(b), move(c)
+	for _, r := range []struct {
+		label     string
+		got, want IndexSpace
+	}{
+		{"a∩b", ma.Intersect(mb), move(a.Intersect(b))},
+		{"a−b", ma.Subtract(mb), move(a.Subtract(b))},
+		{"b−a", mb.Subtract(ma), move(b.Subtract(a))},
+		{"a∪b", ma.Union(mb), move(a.Union(b))},
+		{"UnionMany(a,b,c)", UnionMany(dim, []IndexSpace{ma, mb, mc}), move(UnionMany(dim, []IndexSpace{a, b, c}))},
+		{"UnionMany(c,b,a)", UnionMany(dim, []IndexSpace{mc, mb, ma}), move(UnionMany(dim, []IndexSpace{c, b, a}))},
+		{"FromPoints(a)", FromPoints(dim, ma.Points()), move(FromPoints(dim, a.Points()))},
+	} {
+		checkSpans(t, "moved "+r.label, r.got, spansOf(r.want))
+	}
+	for _, p := range []struct {
+		label     string
+		got, want any
+	}{
+		{"a.ContainsAll(b)", ma.ContainsAll(mb), a.ContainsAll(b)},
+		{"b.ContainsAll(a)", mb.ContainsAll(ma), b.ContainsAll(a)},
+		{"a.Overlaps(b)", ma.Overlaps(mb), a.Overlaps(b)},
+		{"a.OverlapVolume(b)", ma.OverlapVolume(mb), a.OverlapVolume(b)},
+		{"a.Equal(b)", ma.Equal(mb), a.Equal(b)},
+		{"a.Volume()", ma.Volume(), a.Volume()},
+	} {
+		if p.got != p.want {
+			t.Fatalf("dim %d: moved %s = %v, want %v\n a = %v\n b = %v", dim, p.label, p.got, p.want, ma, mb)
 		}
 	}
 }
@@ -410,14 +499,14 @@ func TestSetOpsMatchPointSetRandom(t *testing.T) {
 		}
 		a, _ := setopsSpace(dim, da)
 		b, _ := setopsSpace(dim, db)
-		switch n := len(a.spans) + len(b.spans); {
+		switch n := a.NumSpans() + b.NumSpans(); {
 		case dim == 1 && n > sweepThreshold:
 			crossed["sweep"]++
 		case dim == 1:
 			crossed["generic"]++
-		case len(a.spans) > coalesceLimit:
+		case a.NumSpans() > coalesceLimit:
 			crossed["coalesceLimit"]++
-		case len(a.spans) > xIndexThreshold:
+		case a.NumSpans() > xIndexThreshold:
 			crossed["xIndex"]++
 		}
 		checkSetOps(t, dimSel, da, db, dc)

@@ -1,6 +1,7 @@
 package geometry
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestSubtractDoesNotMutateReceiver(t *testing.T) {
 	}
 	// The first two spans coalesce into one rectangle; the third is separate.
 	fresh := func() IndexSpace {
-		return IndexSpace{dim: 2, spans: []Rect{mk(0, 0, 0, 9), mk(1, 0, 1, 9), mk(5, 5, 6, 6)}}
+		return fromSpans(2, []Rect{mk(0, 0, 0, 9), mk(1, 0, 1, 9), mk(5, 5, 6, 6)})
 	}
 
 	s := fresh()
@@ -76,9 +77,10 @@ func regRandSpace(rng *rand.Rand, dim int8, n int) IndexSpace {
 // sizes, silently double-count without it).
 func TestSetOpsDifferential(t *testing.T) {
 	assertDisjoint := func(iter int, label string, s IndexSpace) {
-		for i := 0; i < len(s.spans); i++ {
-			for j := i + 1; j < len(s.spans); j++ {
-				if s.spans[i].Overlaps(s.spans[j]) {
+		spans := spansOf(s)
+		for i := 0; i < len(spans); i++ {
+			for j := i + 1; j < len(spans); j++ {
+				if spans[i].Overlaps(spans[j]) {
 					t.Fatalf("iter %d: overlapping spans in %s result %v", iter, label, s)
 				}
 			}
@@ -125,5 +127,23 @@ func TestSetOpsDifferential(t *testing.T) {
 		if !um.Equal(naive) {
 			t.Fatalf("iter %d: UnionMany %v != iterated union %v", iter, um, naive)
 		}
+	}
+}
+
+// TestSweepsAtTopOfInt64: spans ending at MaxInt64 once made the sweeps
+// compute hi+1 and wrap around to MinInt64.
+func TestSweepsAtTopOfInt64(t *testing.T) {
+	const m = math.MaxInt64
+	// 70 spans [0,1] [10,11] ... [690,691], then [m-5, m]: past sweepThreshold.
+	long := FromDisjointRects(1, append(spansOf(strided1D(70, 10, 0, 2)), R1(m-5, m)))
+	if !long.ContainsAll(NewIndexSpace(R1(m-3, m))) || !long.ContainsAll(strided1D(1, 1, m-1, 2)) {
+		t.Errorf("%v does not contain [m-3, m]", long)
+	}
+	if u := UnionMany(1, []IndexSpace{NewIndexSpace(R1(m-10, m)), NewIndexSpace(R1(m-4, m-3))}); u.Volume() != 11 || u.NumSpans() != 1 {
+		t.Errorf("UnionMany of [m-10, m] and [m-4, m-3] = %v, volume %d; want one span of 11", u, u.Volume())
+	}
+	minus := strided1D(70, 10, 0, 2).Subtract(NewIndexSpace(R1(5, m)))
+	if minus.Volume() != 2 || minus.String() != "{[<0>..<1>]}" {
+		t.Errorf("70 spans minus [5, m] = %v, volume %d; want {[<0>..<1>]}", minus, minus.Volume())
 	}
 }

@@ -75,9 +75,9 @@ func TestContainsAllIndexedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		cover := UnionMany(2, xiRandSpaces(rng, 10, 6))
-		if len(cover.Spans()) <= xIndexThreshold {
+		if len(spansOf(cover)) <= xIndexThreshold {
 			t.Fatalf("trial %d: cover has %d spans, need > %d to exercise the index",
-				trial, len(cover.Spans()), xIndexThreshold)
+				trial, len(spansOf(cover)), xIndexThreshold)
 		}
 		coverSet := pointSet(cover)
 		for probe := 0; probe < 8; probe++ {

@@ -60,8 +60,9 @@ func Shallow(src, dst *region.Partition) []Candidate {
 	} else {
 		var entries []geometry.BVHEntry
 		for i, c := range srcColors {
-			for _, sp := range src.Sub(c).IndexSpace().Spans() {
-				entries = append(entries, geometry.BVHEntry{Rect: sp, ID: i})
+			is := src.Sub(c).IndexSpace()
+			for k := 0; k < is.NumSpans(); k++ {
+				entries = append(entries, geometry.BVHEntry{Rect: is.Span(k), ID: i})
 			}
 		}
 		query = geometry.NewBVH(entries).Query
@@ -76,8 +77,9 @@ func Shallow(src, dst *region.Partition) []Candidate {
 	var hits, distinct []int
 	for d, dc := range dst.Colors() {
 		distinct = distinct[:0]
-		for _, sp := range dst.Sub(dc).IndexSpace().Spans() {
-			hits = query(sp, hits[:0])
+		is := dst.Sub(dc).IndexSpace()
+		for k := 0; k < is.NumSpans(); k++ {
+			hits = query(is.Span(k), hits[:0])
 			for _, id := range hits {
 				if lastHit[id] != d+1 {
 					lastHit[id] = d + 1

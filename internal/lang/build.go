@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geometry"
 	"repro/internal/ir"
@@ -39,6 +40,19 @@ type builder struct {
 	scalars  map[string]bool
 }
 
+// clip returns x+k clamped to the region [lo, hi] that holds x, with -1 or
+// +1 when x+k lies below or above it. The region's element count fits in
+// an int64, so no step leaves int64.
+func clip(x, k, lo, hi int64) (int64, int) {
+	switch {
+	case k > hi-x:
+		return hi, 1
+	case k < lo-x:
+		return lo, -1
+	}
+	return x + k, 0
+}
+
 func errAt(line int, format string, args ...interface{}) error {
 	return fmt.Errorf("lang: line %d: %s", line, fmt.Sprintf(format, args...))
 }
@@ -52,6 +66,9 @@ func (b *builder) build() (*ir.Program, error) {
 		}
 		if r.hi < r.lo {
 			return nil, errAt(r.line, "region %q has empty range", r.name)
+		}
+		if uint64(r.hi)-uint64(r.lo) >= math.MaxInt64 {
+			return nil, errAt(r.line, "region %q has more elements than an int64 can count", r.name)
 		}
 		fs := region.NewFieldSpace(r.fields...)
 		reg := b.prog.Tree.NewRegion(r.name, geometry.NewIndexSpace(geometry.R1(r.lo, r.hi)))
@@ -87,7 +104,7 @@ func (b *builder) build() (*ir.Program, error) {
 				return nil, errAt(pd.line, "unknown source partition %q", pd.srcPd)
 			}
 			bounds := reg.IndexSpace().Bounds()
-			lo, size := bounds.Lo.X(), bounds.Volume()
+			lo, hi, size := bounds.Lo.X(), bounds.Hi.X(), bounds.Volume()
 			switch pd.fn.kind {
 			case "shift":
 				k := pd.fn.a
@@ -98,7 +115,12 @@ func (b *builder) build() (*ir.Program, error) {
 				a, w := pd.fn.a, pd.fn.b
 				b.parts[pd.name] = region.ImageRects(reg, src, pd.name, func(is geometry.IndexSpace) []geometry.Rect {
 					bb := is.Bounds()
-					return []geometry.Rect{geometry.R1(bb.Lo.X()+a, bb.Hi.X()+w)}
+					wlo, loSide := clip(bb.Lo.X(), a, lo, hi)
+					whi, hiSide := clip(bb.Hi.X(), w, lo, hi)
+					if loSide > 0 || hiSide < 0 {
+						return nil // the window lies wholly above or below the region
+					}
+					return []geometry.Rect{geometry.R1(wlo, whi)}
 				})
 			case "ring":
 				// Like window, but wrapping around the region (a periodic

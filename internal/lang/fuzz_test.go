@@ -67,6 +67,21 @@ for t = 0, 3 {
 }
 `
 
+// topOfRangeSrc is a halo exchange on the last 64 points of int64, where
+// the window's upper end and every sweep's last step sit at MaxInt64.
+const topOfRangeSrc = `program top
+region T[9223372036854775744..9223372036854775807] fields { cur }
+partition PT   = block(T, 8)
+partition HALO = image(T, PT, window(-1, 1))
+partition NEXT = image(T, PT, shift(1))
+task sum(in: region reads(cur)) { for p in in { result += in.cur[p] } }
+fill T.cur = 1
+for step = 0, 2 {
+  reduce + halo = launch sum(HALO[i])
+  reduce + next = launch sum(NEXT[i])
+}
+`
+
 // What FuzzLangCompile compiles and runs. Building an image partition
 // visits every point of its source subregions, and a kernel's loops run
 // over whole subregions, so a program over a billion points is legal but
@@ -83,7 +98,7 @@ const (
 func fuzzBudget(ast *astProgram) (compile, run bool) {
 	volume := int64(1)
 	for _, r := range ast.regions {
-		if r.lo < -fuzzMaxVolume || r.hi > fuzzMaxVolume || r.hi-r.lo >= fuzzMaxVolume {
+		if r.hi >= r.lo && uint64(r.hi)-uint64(r.lo) >= fuzzMaxVolume {
 			return false, false
 		}
 		volume = max(volume, r.hi-r.lo+1)
@@ -182,7 +197,7 @@ func checkCompile(t *testing.T, src string) {
 
 // fuzzSeeds are the sources the fuzzer and its seeded twin start from.
 func fuzzSeeds(t testing.TB) []string {
-	seeds := []string{figure2Src, reduceSrc, scalarArgSrc, nestedSrc, grammarSrc, heatSrc(t)}
+	seeds := []string{figure2Src, reduceSrc, scalarArgSrc, nestedSrc, grammarSrc, heatSrc(t), topOfRangeSrc}
 	for _, c := range brokenSrcs {
 		seeds = append(seeds, c.src)
 	}

@@ -393,6 +393,10 @@ partition PR = block(R, 2)
 task add(t: region reduces +(v, v),
          s: region reads(w)) { }
 launch add(PR[i], PR[i])`, `line 4: parameter "t" names field v twice`},
+	{"oversized region", `program p
+region R[0..3] fields { x }
+region T[0..9223372036854775807] fields { x }
+partition PT = block(T, 2)`, `line 3: region "T" has more elements than an int64 can count`},
 }
 
 // TestCompileErrors: every rejection names its cause and carries a line.

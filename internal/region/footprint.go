@@ -76,10 +76,10 @@ func (s *fspan) cut(r geometry.Rect, part int) fspan {
 	return c
 }
 
-// layoutSpan is the footprint entry of a layout's own span starting at
-// slot first.
-func layoutSpan(sp geometry.Rect, first int64) fspan {
-	s := fspan{lo: sp.Lo.C, base: first, dim: sp.Dim()}
+// layoutSpan is the footprint entry of a layout's own span; NewLayout sets
+// its base slot once the spans are in slot order.
+func layoutSpan(sp geometry.Rect) fspan {
+	s := fspan{lo: sp.Lo.C, dim: sp.Dim()}
 	st := int64(1)
 	for i := int(s.dim) - 1; i >= 0; i-- {
 		s.stride[i] = st
@@ -92,13 +92,13 @@ func layoutSpan(sp geometry.Rect, first int64) fspan {
 // NewFootprint resolves the given parts, in first-match order. A single
 // part that covers its whole layout shares the layout's own footprint.
 func NewFootprint(parts ...Part) *Footprint {
-	if len(parts) == 1 && sameSpans(parts[0].Over, parts[0].Layout.ispace) {
+	if len(parts) == 1 && parts[0].Over.Same(parts[0].Layout.ispace) {
 		return &parts[0].Layout.fp
 	}
 	fp := &Footprint{dim: parts[0].Over.Dim(), parts: make([]geometry.IndexSpace, len(parts))}
 	n := 0
 	for _, pt := range parts {
-		n += len(pt.Over.Spans())
+		n += pt.Over.NumSpans()
 	}
 	fp.spans = make([]fspan, 0, n) // exact unless parts overlap or layouts are sparse
 	var covered geometry.IndexSpace
@@ -115,7 +115,7 @@ func NewFootprint(parts ...Part) *Footprint {
 				covered = covered.Union(pt.Over)
 			}
 		}
-		if sameSpans(over, pt.Layout.ispace) {
+		if over.Same(pt.Layout.ispace) {
 			// The part is its whole store: the layout's spans as they are.
 			for _, ls := range pt.Layout.fp.spans {
 				ls.part = int32(i)
@@ -123,7 +123,8 @@ func NewFootprint(parts ...Part) *Footprint {
 			}
 			continue
 		}
-		for _, sp := range over.Spans() {
+		for si := 0; si < over.NumSpans(); si++ {
+			sp := over.Span(si)
 			// Split the span along the layout's spans: each piece is
 			// row-major with its layout span's strides.
 			vol := int64(0)
@@ -139,16 +140,12 @@ func NewFootprint(parts ...Part) *Footprint {
 			}
 		}
 	}
-	slices.SortFunc(fp.spans, func(a, b fspan) int { return slices.Compare(a.lo[:], b.lo[:]) })
+	slices.SortFunc(fp.spans, byLo)
 	return fp
 }
 
-// sameSpans reports whether two index spaces are the same value (not merely
-// equal as sets): they share their span list.
-func sameSpans(a, b geometry.IndexSpace) bool {
-	x, y := a.Spans(), b.Spans()
-	return len(x) == len(y) && a.Dim() == b.Dim() && (len(x) == 0 || &x[0] == &y[0])
-}
+// byLo orders spans by lexicographic lower bound.
+func byLo(a, b fspan) int { return slices.Compare(a.lo[:], b.lo[:]) }
 
 // before reports whether a precedes b lexicographically.
 func before(a, b *[geometry.MaxDim]int64) bool {

@@ -1,7 +1,9 @@
 package region
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,7 +13,10 @@ import (
 // bruteSlot is Layout.Slot by definition, on geometry alone: the spans
 // sorted by lower bound, laid out one after the other, each row-major.
 func bruteSlot(is geometry.IndexSpace, p geometry.Point) (int64, bool) {
-	spans := append([]geometry.Rect(nil), is.Spans()...)
+	spans := make([]geometry.Rect, is.NumSpans())
+	for i := range spans {
+		spans[i] = is.Span(i)
+	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Lo.Less(spans[j].Lo) })
 	base := int64(0)
 	for _, sp := range spans {
@@ -177,6 +182,44 @@ func TestFootprintRejectsPartOutsideLayout(t *testing.T) {
 	mustPanic(t, "part outside its layout", func() {
 		NewFootprint(Part{Over: geometry.NewIndexSpace(geometry.R1(3, 6)), Layout: layout})
 	})
+}
+
+// TestNewFootprintSharesTheLayoutsOwnSpace: a single part over its layout's
+// own index space, the same value, gets the layout's footprint back without
+// allocating; a part equal to it as a set but in storage of its own gets a
+// footprint of its own that resolves every run the same way.
+func TestNewFootprintSharesTheLayoutsOwnSpace(t *testing.T) {
+	for _, rects := range [][]geometry.Rect{
+		{geometry.R1(0, 3), geometry.R1(8, 9), geometry.R1(20, 29)},
+		{geometry.R2(4, 0, 5, 1), geometry.R2(0, 0, 1, 3), geometry.R2(2, 5, 3, 6)},
+	} {
+		dim := rects[0].Dim()
+		is := geometry.FromDisjointRects(dim, rects)
+		layout := NewLayout(is)
+		shared := NewFootprint(Part{Over: is, Layout: layout})
+		if shared != &layout.fp {
+			t.Errorf("%v: a part over the layout's own space does not share its footprint", is)
+		}
+		if n := testing.AllocsPerRun(10, func() { NewFootprint(Part{Over: is, Layout: layout}) }); n != 0 {
+			t.Errorf("%v: sharing the layout's footprint allocates %v objects", is, n)
+		}
+		copied := geometry.FromDisjointRects(dim, rects)
+		own := NewFootprint(Part{Over: copied, Layout: layout})
+		if own == &layout.fp || !copied.Equal(is) || copied.Same(is) {
+			t.Fatalf("%v: the copy in its own storage shares the layout's footprint", is)
+		}
+		runs := func(fp *Footprint) []string {
+			var out []string
+			fp.Runs(is, func(first geometry.Point, part int, slot, n int64) bool {
+				out = append(out, fmt.Sprint(first, part, slot, n))
+				return true
+			})
+			return out
+		}
+		if got, want := runs(own), runs(shared); !slices.Equal(got, want) {
+			t.Errorf("%v: runs through a copy's footprint %v, through the layout's %v", is, got, want)
+		}
+	}
 }
 
 func TestFootprintDimensionMismatchPanics(t *testing.T) {

@@ -29,7 +29,10 @@ func (r *Region) Block(name string, n int64) *Partition {
 	subs := make(map[geometry.Point]geometry.IndexSpace, n)
 	// Walk spans in order, assigning each color a contiguous chunk of
 	// ceil/floor-balanced size.
-	spans := append([]geometry.Rect(nil), r.ispace.Spans()...)
+	spans := make([]geometry.Rect, r.ispace.NumSpans())
+	for i := range spans {
+		spans[i] = r.ispace.Span(i)
+	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Lo.Less(spans[j].Lo) })
 	si := 0
 	var spanUsed int64 // points consumed from spans[si]
@@ -306,21 +309,21 @@ func Restrict(sub *Region, p *Partition, name string) *Partition {
 		// child span, so all children cost all of sub each. One BVH over
 		// sub's spans finds the few a child span meets, and taking those in
 		// span order gives Intersect's spans in Intersect's order.
-		spans := sub.ispace.Spans()
-		entries := make([]geometry.BVHEntry, len(spans))
-		for i, sp := range spans {
-			entries[i] = geometry.BVHEntry{Rect: sp, ID: i}
+		entries := make([]geometry.BVHEntry, sub.ispace.NumSpans())
+		for i := range entries {
+			entries[i] = geometry.BVHEntry{Rect: sub.ispace.Span(i), ID: i}
 		}
 		bvh := geometry.NewBVH(entries)
 		var hits []int
 		var rects []geometry.Rect
 		restrict = func(child geometry.IndexSpace) geometry.IndexSpace {
 			rects = rects[:0]
-			for _, sp := range child.Spans() {
+			for ci := 0; ci < child.NumSpans(); ci++ {
+				sp := child.Span(ci)
 				hits = bvh.Query(sp, hits[:0])
 				sort.Ints(hits)
 				for _, i := range hits {
-					rects = append(rects, sp.Intersect(spans[i]))
+					rects = append(rects, sp.Intersect(sub.ispace.Span(i)))
 				}
 			}
 			return geometry.FromDisjointRects(dim, rects)

@@ -225,11 +225,13 @@ func (p *Partition) computeUnion() geometry.IndexSpace {
 	if p.disjoint {
 		n := 0
 		for _, c := range p.colors {
-			n += len(p.children[c].ispace.Spans())
+			n += p.children[c].ispace.NumSpans()
 		}
 		spans := make([]geometry.Rect, 0, n)
 		p.Each(func(_ geometry.Point, sub *Region) bool {
-			spans = append(spans, sub.IndexSpace().Spans()...)
+			for i := 0; i < sub.ispace.NumSpans(); i++ {
+				spans = append(spans, sub.ispace.Span(i))
+			}
 			return true
 		})
 		return geometry.FromDisjointRects(dim, spans)

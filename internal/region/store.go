@@ -1,7 +1,7 @@
 package region
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/geometry"
 )
@@ -17,13 +17,16 @@ type Layout struct {
 
 // NewLayout builds a layout for the given index space.
 func NewLayout(is geometry.IndexSpace) *Layout {
-	spans := append([]geometry.Rect(nil), is.Spans()...)
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Lo.Less(spans[j].Lo) })
 	l := &Layout{ispace: is}
-	l.fp = Footprint{dim: is.Dim(), spans: make([]fspan, len(spans)), parts: []geometry.IndexSpace{is}}
-	for i, sp := range spans {
-		l.fp.spans[i] = layoutSpan(sp, l.total)
-		l.total += sp.Volume()
+	l.fp = Footprint{dim: is.Dim(), spans: make([]fspan, is.NumSpans()), parts: []geometry.IndexSpace{is}}
+	for i := range l.fp.spans {
+		l.fp.spans[i] = layoutSpan(is.Span(i))
+	}
+	slices.SortFunc(l.fp.spans, byLo)
+	for i := range l.fp.spans {
+		sp := &l.fp.spans[i]
+		sp.base = l.total
+		l.total += sp.rect().Volume()
 	}
 	return l
 }

@@ -113,7 +113,7 @@ func maxPairSpans(c *cr.Compiled) int {
 	for _, op := range c.Body {
 		if op.Copy != nil {
 			for _, pr := range op.Copy.Pairs {
-				n = max(n, len(pr.Overlap.Spans()))
+				n = max(n, pr.Overlap.NumSpans())
 			}
 		}
 	}
