@@ -107,10 +107,11 @@ func (m mesh) locate(id int64) (piece, lx, ly, lz int64) {
 
 // face returns the index space of one face layer of a piece: axis 0/1/2
 // (x/y/z), side 0 (low) or 1 (high). Constructed as disjoint spans in the
-// piece-major id space.
-func (m mesh) face(piece, axis, side int64) geometry.IndexSpace {
+// piece-major id space, gathered in rects, which is returned for reuse
+// (FromDisjointRects does not retain it).
+func (m mesh) face(piece, axis, side int64, rects []geometry.Rect) (geometry.IndexSpace, []geometry.Rect) {
 	base := piece * m.c
-	var rects []geometry.Rect
+	rects = rects[:0]
 	switch axis {
 	case 0:
 		lx := int64(0)
@@ -118,13 +119,12 @@ func (m mesh) face(piece, axis, side int64) geometry.IndexSpace {
 			lx = m.w - 1
 		}
 		lo := base + lx*m.h*m.d
-		rects = []geometry.Rect{geometry.R1(lo, lo+m.h*m.d-1)}
+		rects = append(rects, geometry.R1(lo, lo+m.h*m.d-1))
 	case 1:
 		ly := int64(0)
 		if side == 1 {
 			ly = m.h - 1
 		}
-		rects = make([]geometry.Rect, 0, m.w)
 		for lx := int64(0); lx < m.w; lx++ {
 			lo := base + lx*m.h*m.d + ly*m.d
 			rects = append(rects, geometry.R1(lo, lo+m.d-1))
@@ -134,7 +134,6 @@ func (m mesh) face(piece, axis, side int64) geometry.IndexSpace {
 		if side == 1 {
 			lz = m.d - 1
 		}
-		rects = make([]geometry.Rect, 0, m.w*m.h)
 		for lx := int64(0); lx < m.w; lx++ {
 			for ly := int64(0); ly < m.h; ly++ {
 				id := base + lx*m.h*m.d + ly*m.d + lz
@@ -142,7 +141,7 @@ func (m mesh) face(piece, axis, side int64) geometry.IndexSpace {
 			}
 		}
 	}
-	return geometry.FromDisjointRects(1, rects)
+	return geometry.FromDisjointRects(1, rects), rects
 }
 
 // neighborPiece steps the piece grid; ok is false at the global boundary.
@@ -194,28 +193,36 @@ func Build(cfg Config) *App {
 	app.PRes = app.Res.Block("PRES", m.pieces())
 
 	// Shared cells: every face layer adjacent to an existing neighbor.
-	// Ghosts: the neighbors' opposite face layers.
+	// Ghosts: the neighbors' opposite face layers, which are shared cells
+	// of theirs, so each face is built once, at faces[6*piece+2*axis+side].
+	faces := make([]geometry.IndexSpace, 6*m.pieces())
+	var rects []geometry.Rect
+	for piece := int64(0); piece < m.pieces(); piece++ {
+		for axis := int64(0); axis < 3; axis++ {
+			for side := int64(0); side < 2; side++ {
+				if _, ok := m.neighborPiece(piece, axis, 2*side-1); ok {
+					faces[6*piece+2*axis+side], rects = m.face(piece, axis, side, rects)
+				}
+			}
+		}
+	}
 	var allSharedParts []geometry.IndexSpace
 	shrSubs := make(map[geometry.Point]geometry.IndexSpace, cfg.Pieces)
 	pvtSubs := make(map[geometry.Point]geometry.IndexSpace, cfg.Pieces)
 	ghSubs := make(map[geometry.Point]geometry.IndexSpace, cfg.Pieces)
 	for piece := int64(0); piece < m.pieces(); piece++ {
-		var faces, ghosts []geometry.IndexSpace
+		var shared, ghosts []geometry.IndexSpace
 		for axis := int64(0); axis < 3; axis++ {
 			for side := int64(0); side < 2; side++ {
-				dir := int64(-1)
-				if side == 1 {
-					dir = 1
-				}
-				nb, ok := m.neighborPiece(piece, axis, dir)
+				nb, ok := m.neighborPiece(piece, axis, 2*side-1)
 				if !ok {
 					continue
 				}
-				faces = append(faces, m.face(piece, axis, side))
-				ghosts = append(ghosts, m.face(nb, axis, 1-side))
+				shared = append(shared, faces[6*piece+2*axis+side])
+				ghosts = append(ghosts, faces[6*nb+2*axis+1-side])
 			}
 		}
-		shr := geometry.UnionMany(1, faces)
+		shr := geometry.UnionMany(1, shared)
 		own := geometry.NewIndexSpace(geometry.R1(piece*m.c, (piece+1)*m.c-1))
 		key := geometry.Pt1(piece)
 		shrSubs[key] = shr

@@ -72,6 +72,94 @@ func TestMeshPartitioning(t *testing.T) {
 	}
 }
 
+// TestFacesBuiltOnceMatchOldConstruction: Build makes each face layer once
+// and takes every ghost from the neighbour's face; the shared, private and
+// ghost subregions are span for span those of building every face afresh,
+// twice, as oldFace below (the earlier construction) does. Same would ask
+// for a shared span list, so the spans are compared one by one.
+func TestFacesBuiltOnceMatchOldConstruction(t *testing.T) {
+	for _, cfg := range []Config{Default(8), Small(8), {Pieces: 12, W: 3, H: 4, D: 5, Iters: 1}, Small(6)} {
+		app := Build(cfg)
+		m := mesh{w: cfg.W, h: cfg.H, d: cfg.D, px: app.Px, py: app.Py, pz: app.Pz, c: cfg.W * cfg.H * cfg.D}
+		for piece := int64(0); piece < m.pieces(); piece++ {
+			var faces, ghosts []geometry.IndexSpace
+			for axis := int64(0); axis < 3; axis++ {
+				for side := int64(0); side < 2; side++ {
+					nb, ok := m.neighborPiece(piece, axis, 2*side-1)
+					if !ok {
+						continue
+					}
+					faces = append(faces, oldFace(m, piece, axis, side))
+					ghosts = append(ghosts, oldFace(m, nb, axis, 1-side))
+				}
+			}
+			shr := geometry.UnionMany(1, faces)
+			own := geometry.NewIndexSpace(geometry.R1(piece*m.c, (piece+1)*m.c-1))
+			for _, c := range []struct {
+				name      string
+				got, want geometry.IndexSpace
+			}{
+				{"shared", app.ShrC.Sub1(piece).IndexSpace(), shr},
+				{"private", app.PvtC.Sub1(piece).IndexSpace(), own.Subtract(shr)},
+				{"ghost", app.GhostC.Sub1(piece).IndexSpace(), geometry.UnionMany(1, ghosts)},
+			} {
+				if !sameSpans(c.got, c.want) {
+					t.Errorf("%+v piece %d: %s = %v, want %v", cfg, piece, c.name, c.got, c.want)
+				}
+			}
+		}
+	}
+}
+
+// sameSpans reports whether a and b hold the same spans in the same order.
+func sameSpans(a, b geometry.IndexSpace) bool {
+	if a.Dim() != b.Dim() || a.NumSpans() != b.NumSpans() {
+		return false
+	}
+	for i := 0; i < a.NumSpans(); i++ {
+		if a.Span(i) != b.Span(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// oldFace is the earlier mesh.face: a fresh rect list per call.
+func oldFace(m mesh, piece, axis, side int64) geometry.IndexSpace {
+	base := piece * m.c
+	var rects []geometry.Rect
+	switch axis {
+	case 0:
+		lx := int64(0)
+		if side == 1 {
+			lx = m.w - 1
+		}
+		lo := base + lx*m.h*m.d
+		rects = []geometry.Rect{geometry.R1(lo, lo+m.h*m.d-1)}
+	case 1:
+		ly := int64(0)
+		if side == 1 {
+			ly = m.h - 1
+		}
+		for lx := int64(0); lx < m.w; lx++ {
+			lo := base + lx*m.h*m.d + ly*m.d
+			rects = append(rects, geometry.R1(lo, lo+m.d-1))
+		}
+	default:
+		lz := int64(0)
+		if side == 1 {
+			lz = m.d - 1
+		}
+		for lx := int64(0); lx < m.w; lx++ {
+			for ly := int64(0); ly < m.h; ly++ {
+				id := base + lx*m.h*m.d + ly*m.d + lz
+				rects = append(rects, geometry.R1(id, id))
+			}
+		}
+	}
+	return geometry.FromDisjointRects(1, rects)
+}
+
 // refMiniAero runs the RK4 scheme on flat arrays, deriving neighbors from
 // global coordinates — an independent formulation of the same mesh.
 func refMiniAero(cfg Config) []float64 {

@@ -159,6 +159,22 @@ func BenchmarkSimEventThroughput(b *testing.B) {
 	s.MustRun()
 }
 
+// BenchmarkFreshSim measures a small run from scratch: a new Sim, a
+// 1000-launch chain whose every launch waits on the merge of the two
+// before it, and Run. Most Sims the harness builds are this small, so the
+// table's fixed cost (its first page, its waiter slab) shows in B/op.
+func BenchmarkFreshSim(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := MustNewSim(DefaultConfig(2))
+		prev, last := NoEvent, NoEvent
+		for k := 0; k < 1000; k++ {
+			prev, last = last, s.LaunchOn(k%2, s.Merge(prev, last), 1, nil)
+		}
+		s.MustRun()
+	}
+}
+
 // BenchmarkThreadHandoff measures the cost of suspending and resuming a
 // simulated thread: 16 threads on 16 processors each Elapse(1) in a loop,
 // so one op is one Elapse — a work item, its completion, a wake-up and a

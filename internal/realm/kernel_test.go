@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestDeadlockReleasesThreads: once Run has diagnosed a deadlock nothing can
@@ -398,7 +399,7 @@ func TestDroppedPageReadsAsTriggered(t *testing.T) {
 		t.Fatal("new page did not come from the free list")
 	}
 	for i := Event(0); i < evPageSize; i++ {
-		if st := &recycled.evs[i]; st.triggered || st.first != nil || st.waiters != nil {
+		if st := &recycled.evs[i]; st.triggered || st.first != nil || st.last != 0 {
 			t.Fatalf("recycled slot %d not reset", i)
 		}
 	}
@@ -484,6 +485,55 @@ func TestLongTripBoundsEventTable(t *testing.T) {
 	}
 	if maxLive > 2 || len(s.events.freePages) > 2 {
 		t.Errorf("event table grew with the trip: %d live pages at peak, %d free (of %d made)", maxLive, len(s.events.freePages), len(s.events.pages))
+	}
+}
+
+// TestEventSlotSize: a slot is 16 bytes, so a page of 1024 is 16 KB.
+func TestEventSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(eventState{}); n != 16 {
+		t.Errorf("eventState is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(evPage{}.evs); n != 16<<10 {
+		t.Errorf("a page's slots are %d bytes, want 16 KB", n)
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestFreshTableBytes: a fresh table that never has more than one event in
+// flight holds one page, its index and a slab of a few waiter nodes, however
+// many events it makes — here 1000, each with 3 waiters.
+func TestFreshTableBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what is allocated")
+	}
+	ran := 0
+	fn := func() { ran++ }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := new(EventTable)
+	for i := 0; i < 1000; i++ {
+		e := tab.Reserve(1)
+		for k := 0; k < 3; k++ {
+			tab.Await(e, fn)
+		}
+		first, rest, _ := tab.Fire(e)
+		first()
+		for rest != 0 {
+			tab.Next(&rest)()
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if ran != 3000 || tab.n != 1000 {
+		t.Fatalf("ran %d continuations of %d events, want 3000 of 1000", ran, tab.n)
+	}
+	// A page is 16 KB of slots, but a heap object with pointers carries an
+	// 8-byte type header, which puts the page in the 18 KB size class.
+	const page = 18 << 10
+	want := page + unsafe.Sizeof((*evPage)(nil)) + 8*unsafe.Sizeof(waiter{}) + 1<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(want) {
+		t.Errorf("fresh table allocated %d bytes, want at most %d", got, want)
 	}
 }
 

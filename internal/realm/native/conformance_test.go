@@ -47,8 +47,8 @@ func TestExecConformance(t *testing.T) {
 		}, "false [1 2 3] false true false true true true"},
 
 		{"waiter order", func(x realm.Exec) string {
-			// The first waiter lives in the event's slot, the rest in a
-			// slice: registration order holds across the two.
+			// The first waiter lives in the event's slot, the rest in the
+			// table's waiter slab: registration order holds across the two.
 			var out []string
 			for _, n := range []int{1, 2, 5} {
 				e := x.NewUserEvent()
@@ -59,8 +59,28 @@ func TestExecConformance(t *testing.T) {
 				x.Trigger(e)
 				out = append(out, fmt.Sprint(order))
 			}
+			// Re-entrant: while e's chain is being walked, its third waiter
+			// registers on a fresh f and fires it, so f's waiters take the
+			// slab nodes e's first ones just freed.
+			e := x.NewUserEvent()
+			var order []string
+			for i := 0; i < 5; i++ {
+				x.OnTrigger(e, func() {
+					order = append(order, fmt.Sprint("e", i))
+					if i != 2 {
+						return
+					}
+					f := x.NewUserEvent()
+					for j := 0; j < 3; j++ {
+						x.OnTrigger(f, func() { order = append(order, fmt.Sprint("f", j)) })
+					}
+					x.Trigger(f)
+				})
+			}
+			x.Trigger(e)
+			out = append(out, fmt.Sprint(order))
 			return strings.Join(out, " ")
-		}, "[0] [0 1] [0 1 2 3 4]"},
+		}, "[0] [0 1] [0 1 2 3 4] [e0 e1 e2 f0 f1 f2 e3 e4]"},
 
 		{"trigger after", func(x realm.Exec) string {
 			pre, e := x.NewUserEvent(), x.NewUserEvent()

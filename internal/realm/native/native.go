@@ -456,7 +456,11 @@ func (m *Machine) Trigger(e realm.Event) {
 		panic("native: cannot trigger NoEvent")
 	}
 	m.mu.Lock()
-	first, rest, ok := m.events.Fire(e)
+	first, chain, ok := m.events.Fire(e)
+	var rest []func()
+	for chain != 0 {
+		rest = append(rest, m.events.Next(&chain))
+	}
 	m.mu.Unlock()
 	if !ok {
 		panic(fmt.Sprintf("native: event %d triggered twice", e))

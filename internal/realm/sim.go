@@ -368,11 +368,9 @@ func (s *Sim) Trigger(e Event) {
 		return
 	}
 	first()
-	for i, fn := range rest {
-		rest[i] = nil // release the closure before recycling
-		fn()
+	for rest != 0 {
+		s.events.Next(&rest)()
 	}
-	s.events.Recycle(rest)
 }
 
 // TriggerAfter implements Exec: e triggers once pre has, through a pooled

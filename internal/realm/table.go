@@ -15,25 +15,32 @@ type EventTable struct {
 	freePages []*evPage
 	n         int // events ever made
 
-	// waiterPool recycles the waiter slices of fired events; runs create
-	// and retire millions of events, and reusing the slices keeps the
-	// register/fire path allocation-free at steady state.
-	waiterPool [][]func()
+	// waiters is the slab of every event's second and later waiters, one
+	// circular list each; node i is waiters[i-1] (0 is none), free heads
+	// the freed ones.
+	waiters []waiter
+	free    int32
 }
 
-// eventState is one event's slot: 40 bytes, so a page is 160 KB. Most
+// waiter is one slab node: a continuation and the next node of its list.
+type waiter struct {
+	fn   func()
+	next int32
+}
+
+// eventState is one event's slot: 16 bytes, so a page is 16 KB. Most
 // events that are waited on at all have exactly one waiter, so the first
-// lives in the slot itself and only the second and later ones take a
-// pooled slice.
+// lives in the slot itself and only the second and later ones take slab
+// nodes; last is the newest of those, whose next is the oldest.
 type eventState struct {
-	triggered bool
-	kind      uint8  // the backend's label for diagnostics (SetKind)
 	first     func() // the first waiter registered
-	waiters   []func()
+	last      int32
+	triggered bool
+	kind      uint8 // the backend's label for diagnostics (SetKind)
 }
 
 const (
-	evPageBits = 12
+	evPageBits = 10
 	evPageSize = 1 << evPageBits
 )
 
@@ -94,37 +101,51 @@ func (t *EventTable) Await(e Event, fn func()) bool {
 		st.first = fn
 		return true
 	}
-	if st.waiters == nil {
-		if n := len(t.waiterPool); n > 0 {
-			st.waiters = t.waiterPool[n-1]
-			t.waiterPool = t.waiterPool[:n-1]
-		}
+	i := t.free
+	if i == 0 {
+		t.waiters = append(t.waiters, waiter{})
+		i = int32(len(t.waiters))
 	}
-	st.waiters = append(st.waiters, fn)
+	t.free, t.waiters[i-1] = t.waiters[i-1].next, waiter{fn, i}
+	if st.last != 0 {
+		t.waiters[i-1].next, t.waiters[st.last-1].next = t.waiters[st.last-1].next, i
+	}
+	st.last = i
 	return true
 }
 
 // Fire marks e fired and returns its continuations in registration order —
-// first (nil when nothing waits), then rest — for the caller to run and
-// then hand rest to Recycle; ok is false when e had already fired. The last
-// event of a page to fire drops the page before anything runs
+// first (nil when nothing waits), then the chain from rest (0 when none),
+// which the caller walks with Next; ok is false when e had already fired.
+// The last event of a page to fire drops the page before anything runs
 // (continuations may make events).
-func (t *EventTable) Fire(e Event) (first func(), rest []func(), ok bool) {
+func (t *EventTable) Fire(e Event) (first func(), rest int32, ok bool) {
 	p := t.pages[(e-1)>>evPageBits]
 	if p == nil {
-		return nil, nil, false
+		return nil, 0, false
 	}
 	st := &p.evs[(e-1)&(evPageSize-1)]
 	if st.triggered {
-		return nil, nil, false
+		return nil, 0, false
 	}
 	st.triggered = true
-	first, rest = st.first, st.waiters
-	st.first, st.waiters = nil, nil
+	if st.last != 0 {
+		rest, t.waiters[st.last-1].next = t.waiters[st.last-1].next, 0
+	}
+	first, st.first, st.last = st.first, nil, 0
 	if p.triggered++; p.triggered == evPageSize {
 		t.drop(e)
 	}
 	return first, rest, true
+}
+
+// Next frees chain node *i, steps *i to the node after it (0 at the end)
+// and returns the freed node's continuation, which may thus reuse it.
+func (t *EventTable) Next(i *int32) func() {
+	n := *i
+	w := t.waiters[n-1]
+	t.waiters[n-1], t.free, *i = waiter{next: t.free}, n, w.next
+	return w.fn
 }
 
 // drop retires e's page, all of whose events have fired, to the free list.
@@ -133,14 +154,6 @@ func (t *EventTable) drop(e Event) {
 	t.pages[(e-1)>>evPageBits] = nil
 	*p = evPage{}
 	t.freePages = append(t.freePages, p)
-}
-
-// Recycle takes back a rest slice Fire returned, once the caller has run
-// its continuations and cleared each entry (releasing the closures).
-func (t *EventTable) Recycle(rest []func()) {
-	if cap(rest) > 0 {
-		t.waiterPool = append(t.waiterPool, rest[:0])
-	}
 }
 
 // SetKind labels the untriggered event e with a backend-defined kind.
