@@ -205,12 +205,24 @@ func (w *Wiring[E, S]) Exchange(steps []Step[E], start, end int32, ops *[]E) {
 	sc.entries, sc.copies = entries[:0], copies[:0]
 }
 
+// Fires reports whether the wiring triggers the war and the done event of
+// pair k of copy cp under c's lowering and the prune license prune. Under
+// point-to-point sync each fires unless pruned. Under barriers no war
+// fires, and a done only for a reduction copy, whose dones order the folds
+// across shards. Everything the wiring waits on is among what fires.
+func Fires(c *Compiled, prune *PruneInfo, cp *CopyOp, k int) (war, done bool) {
+	if c.Opts.Sync != BarrierSync {
+		return !prune.SkipWar(cp.ID, k), !prune.SkipDone(cp.ID, k)
+	}
+	return false, cp.Reduce != region.ReduceNone && !prune.SkipDone(cp.ID, k)
+}
+
 // consume wires a consume step under point-to-point sync: the
 // destination's owner releases every pair's war event once the instance's
 // readers and last writer are done, and the instance becomes valid after
 // the pairs' done events, which the shard's iteration also waits on.
 func (w *Wiring[E, S]) consume(st *Step[E], ops *[]E) {
-	s, sc, id := w.Sink, w.Scratch, w.C.Body[st.Op].Copy.ID
+	s, sc, cp := w.Sink, w.Scratch, w.C.Body[st.Op].Copy
 	dst := st.Dst
 	rel := append(append(sc.buf[:0], dst.Readers...), dst.LastWrite)
 	release := s.Merge(rel...)
@@ -219,10 +231,11 @@ func (w *Wiring[E, S]) consume(st *Step[E], ops *[]E) {
 		if w.Release != nil {
 			w.Release(st.Op, k, release)
 		}
-		if !w.Prune.SkipWar(id, int(k)) {
-			s.Link(s.War(st.Op, k), release, EdgeID{EdgeWAR, id, int(k)})
+		war, done := Fires(w.C, w.Prune, cp, int(k))
+		if war {
+			s.Link(s.War(st.Op, k), release, EdgeID{EdgeWAR, cp.ID, int(k)})
 		}
-		if !w.Prune.SkipDone(id, int(k)) {
+		if done {
 			d := s.Done(st.Op, k)
 			writes = append(writes, d)
 			*ops = append(*ops, d)
@@ -249,13 +262,13 @@ func (w *Wiring[E, S]) produce(i int, st *Step[E], entries []E, ops *[]E) E {
 		ids = append(ids, EdgeID{})
 	}
 	for mi, m := range st.Members {
-		id, k := w.C.Body[m.Op].Copy.ID, int(m.Pair)
-		if p2p && !w.Prune.SkipWar(id, k) {
+		cp, k := w.C.Body[m.Op].Copy, int(m.Pair)
+		if war, _ := Fires(w.C, w.Prune, cp, k); war {
 			pres, ids = append(pres, s.War(m.Op, m.Pair)), append(ids, EdgeID{})
 		}
 		pres, ids = append(pres, st.Srcs[mi].LastWrite), append(ids, EdgeID{})
-		if m.Chain && !w.Prune.SkipChain(id, k) {
-			pres, ids = append(pres, s.Done(m.Op, m.Pair-1)), append(ids, EdgeID{EdgeChain, id, k})
+		if m.Chain && !w.Prune.SkipChain(cp.ID, k) {
+			pres, ids = append(pres, s.Done(m.Op, m.Pair-1)), append(ids, EdgeID{EdgeChain, cp.ID, k})
 		}
 	}
 	ev := s.Transfer(i, pres, ids)
@@ -264,15 +277,15 @@ func (w *Wiring[E, S]) produce(i int, st *Step[E], entries []E, ops *[]E) E {
 		src := st.Srcs[mi]
 		src.Readers = append(src.Readers, ev)
 		cp := w.C.Body[m.Op].Copy
-		switch skip := w.Prune.SkipDone(cp.ID, int(m.Pair)); {
-		case p2p && skip:
-			*ops = append(*ops, ev)
-		case p2p || cp.Reduce != region.ReduceNone && !skip:
+		switch _, done := Fires(w.C, w.Prune, cp, int(m.Pair)); {
+		case done:
 			d := s.Done(m.Op, m.Pair)
 			s.Link(d, ev, EdgeID{EdgeDone, cp.ID, int(m.Pair)})
 			if p2p {
 				*ops = append(*ops, d)
 			}
+		case p2p:
+			*ops = append(*ops, ev)
 		}
 	}
 	return ev

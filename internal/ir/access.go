@@ -100,7 +100,8 @@ func (r *Reducer) fold(p *geometry.Point, v float64) {
 }
 
 // view builds the accessor core over arguments first..first+n-1 after
-// running check on each of them.
+// running check on each of them; Raw asserts, once per argument, that its
+// store holds the field, which the privilege check already implies.
 func (tc *TaskCtx) view(f region.FieldID, first, n int, check func(*PhysArg)) view {
 	v := view{at: tc.footprint(first, n).Cursor(), data: make([][]float64, n), first: first}
 	for i := range v.data {

@@ -156,8 +156,9 @@ type rootInstance struct {
 
 // Ctx returns a context for task idx of launch l: read and read-write
 // arguments wrap their root store, and every reduce argument gets a fresh
-// identity-initialized buffer over its subregion, returned in bufs by
-// argument (nil when the task has no reduce argument).
+// identity-initialized buffer over its subregion, holding only the
+// parameter's fields, returned in bufs by argument (nil when the task has
+// no reduce argument).
 func (r *RootArgs) Ctx(l *Launch, idx int, scalars []float64) (ctx *TaskCtx, bufs []*region.Store) {
 	if r.sites == nil {
 		r.sites = make(map[*Launch]*rootSite)
@@ -199,7 +200,7 @@ func (r *RootArgs) Ctx(l *Launch, idx int, scalars []float64) (ctx *TaskCtx, buf
 			ctx.Args = append([]PhysArg(nil), inst.args...)
 		}
 		param := l.Task.Params[ai]
-		buf := layout.NewStore(r.Stores[inst.args[ai].Region.Root()].FieldSpace())
+		buf := layout.NewStoreOf(r.Stores[inst.args[ai].Region.Root()].FieldSpace(), param.Fields)
 		for _, f := range param.Fields {
 			buf.Fill(f, param.Op.Identity())
 		}

@@ -1,6 +1,7 @@
 package region
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/geometry"
@@ -86,10 +87,19 @@ func eachRun(a, b *Layout, over geometry.IndexSpace, fn func(aslot, bslot, n int
 // own Store (paper §3: "the first stage of control replication is to
 // rewrite the program so that every region and subregion has its own
 // storage").
+//
+// A store holds only the fields it is made for, as a Legion physical
+// instance does: a root store holds every field of its field space, an
+// SPMD instance the fields its plan moves through it (cr.Compiled's
+// InstFields), and a reduce temporary or buffer the fields of the
+// parameter it folds (TestNewStoreOfHoldsOnlyListedFields). Raw, Fill,
+// Rows, CopyFieldFrom, ReduceFieldFrom and EqualOn panic, once per call,
+// when asked for a field the store does not hold; Get, Set and Reduce, the
+// per-element entry, do not check.
 type Store struct {
 	layout *Layout
 	fs     *FieldSpace
-	data   [][]float64 // indexed by FieldID, then slot
+	data   [][]float64 // indexed by FieldID, then slot; nil for a field not held
 }
 
 // NewStore allocates zeroed storage for all fields of fs over is.
@@ -100,22 +110,62 @@ func NewStore(is geometry.IndexSpace, fs *FieldSpace) *Store {
 // NewStore allocates zeroed storage for all fields of fs over the layout's
 // index space. A layout is immutable, so any number of stores may share it.
 func (l *Layout) NewStore(fs *FieldSpace) *Store {
+	return l.NewStoreOf(fs, fs.Fields())
+}
+
+// NewStoreOf allocates zeroed storage for the listed fields of fs over the
+// layout's index space; the store holds no other field.
+func (l *Layout) NewStoreOf(fs *FieldSpace, fields []FieldID) *Store {
 	data := make([][]float64, fs.NumFields())
-	for i := range data {
-		data[i] = make([]float64, l.Size())
+	for _, f := range fields {
+		data[f] = make([]float64, l.Size())
 	}
 	return &Store{layout: l, fs: fs, data: data}
 }
 
 // Clone returns a deep copy of the store: same layout and field space
-// (both immutable, so shared), private copies of all field data. It is the
-// building block of the SPMD executor's checkpoints.
+// (both immutable, so shared), private copies of the fields it holds. It
+// is the building block of the SPMD executor's checkpoints.
 func (s *Store) Clone() *Store {
 	data := make([][]float64, len(s.data))
 	for i, d := range s.data {
-		data[i] = append(make([]float64, 0, len(d)), d...)
+		if d != nil {
+			data[i] = append(make([]float64, 0, len(d)), d...)
+		}
 	}
 	return &Store{layout: s.layout, fs: s.fs, data: data}
+}
+
+// Fields returns the fields the store holds, in ID order.
+func (s *Store) Fields() []FieldID {
+	var out []FieldID
+	for i, d := range s.data {
+		if d != nil {
+			out = append(out, FieldID(i))
+		}
+	}
+	return out
+}
+
+// field returns the backing slice of field f, panicking if the store does
+// not hold it.
+func (s *Store) field(f FieldID) []float64 {
+	if uint(f) < uint(len(s.data)) && s.data[f] != nil {
+		return s.data[f]
+	}
+	panic(s.missing(f))
+}
+
+// missing is the message of a request for a field the store does not hold,
+// out of line so that field inlines.
+//
+//go:noinline
+func (s *Store) missing(f FieldID) string {
+	name := fmt.Sprint(f)
+	if uint(f) < uint(s.fs.NumFields()) {
+		name = s.fs.Name(f)
+	}
+	return fmt.Sprintf("region: store over %v holds no field %s", s.layout.ispace, name)
 }
 
 // Layout returns the store's layout.
@@ -144,11 +194,11 @@ func (s *Store) Reduce(f FieldID, op ReductionOp, p geometry.Point, v float64) {
 }
 
 // Raw returns the backing slice for field f (slot-indexed).
-func (s *Store) Raw(f FieldID) []float64 { return s.data[f] }
+func (s *Store) Raw(f FieldID) []float64 { return s.field(f) }
 
 // Fill sets field f to v at every point.
 func (s *Store) Fill(f FieldID, v float64) {
-	d := s.data[f]
+	d := s.field(f)
 	for i := range d {
 		d[i] = v
 	}
@@ -161,7 +211,7 @@ func (s *Store) Fill(f FieldID, v float64) {
 // points; a row of over that straddles several spans of the store arrives
 // as several runs.
 func (s *Store) Rows(f FieldID, over geometry.IndexSpace, fn func(first geometry.Point, row []float64) bool) {
-	d := s.data[f]
+	d := s.field(f)
 	s.layout.fp.Runs(over, func(p geometry.Point, _ int, slot, n int64) bool {
 		return fn(p, d[slot:slot+n])
 	})
@@ -172,7 +222,7 @@ func (s *Store) Rows(f FieldID, over geometry.IndexSpace, fn func(first geometry
 // region-to-region assignment dst ← src of §3.1, restricted to an
 // intersection, done one contiguous run at a time.
 func (s *Store) CopyFieldFrom(src *Store, f FieldID, over geometry.IndexSpace) {
-	d, sd := s.data[f], src.data[f]
+	d, sd := s.field(f), src.field(f)
 	eachRun(s.layout, src.layout, over, func(ds, ss, n int64) bool {
 		copy(d[ds:ds+n], sd[ss:ss+n])
 		return true
@@ -184,7 +234,7 @@ func (s *Store) CopyFieldFrom(src *Store, f FieldID, over geometry.IndexSpace) {
 // partial results to a destination region. Points are folded in over.Each
 // order.
 func (s *Store) ReduceFieldFrom(src *Store, f FieldID, op ReductionOp, over geometry.IndexSpace) {
-	d, sd := s.data[f], src.data[f]
+	d, sd := s.field(f), src.field(f)
 	eachRun(s.layout, src.layout, over, func(ds, ss, n int64) bool {
 		op.foldRow(d[ds:ds+n], sd[ss:ss+n])
 		return true
@@ -194,7 +244,7 @@ func (s *Store) ReduceFieldFrom(src *Store, f FieldID, op ReductionOp, over geom
 // EqualOn reports whether two stores agree on field f at every point of
 // over; it is the comparison the equivalence tests use.
 func (s *Store) EqualOn(other *Store, f FieldID, over geometry.IndexSpace) bool {
-	d, od := s.data[f], other.data[f]
+	d, od := s.field(f), other.field(f)
 	equal := true
 	eachRun(s.layout, other.layout, over, func(ds, os, n int64) bool {
 		for i, v := range d[ds : ds+n] {

@@ -3,6 +3,8 @@ package region
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/geometry"
@@ -199,4 +201,73 @@ func TestStoreEqualOn(t *testing.T) {
 	if !a.EqualOn(b, f, geometry.NewIndexSpace(geometry.R1(5, 9))) {
 		t.Error("restriction excluding the difference should be equal")
 	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestNewStoreOfHoldsOnlyListedFields: a store made for 2 of 7 fields
+// allocates storage for those 2 only, holds and clones exactly them, and
+// every guarded method panics, naming the store's space and the field,
+// when asked for one of the other 5.
+func TestNewStoreOfHoldsOnlyListedFields(t *testing.T) {
+	fs := NewFieldSpace("a", "b", "c", "d", "e", "f", "g")
+	held := []FieldID{fs.Field("f"), fs.Field("b")}
+	is := geometry.NewIndexSpace(geometry.R1(0, 4095))
+	l := NewLayout(is)
+	s := l.NewStoreOf(fs, held)
+	if got, want := s.Fields(), []FieldID{fs.Field("b"), fs.Field("f")}; !slices.Equal(got, want) {
+		t.Fatalf("Fields() = %v, want %v", got, want)
+	}
+	s.Set(held[0], geometry.Pt1(7), 3)
+	c := s.Clone()
+	if !slices.Equal(c.Fields(), s.Fields()) || c.Get(held[0], geometry.Pt1(7)) != 3 {
+		t.Fatalf("clone holds %v with f<7> = %v", c.Fields(), c.Get(held[0], geometry.Pt1(7)))
+	}
+	if all := NewStore(is, fs).Fields(); len(all) != fs.NumFields() {
+		t.Fatalf("NewStore holds %v, want every field", all)
+	}
+	if !raceEnabled { // the race detector changes what is allocated
+		var sink *Store
+		per := bytesPerCall(func() { sink = l.NewStoreOf(fs, held) })
+		if limit := float64(2*l.Size()*8 + 512); per > limit {
+			t.Errorf("NewStoreOf with 2 of 7 fields allocates %.0f bytes, want at most %.0f", per, limit)
+		}
+		_ = sink
+	}
+
+	a := fs.Field("a")
+	want := "region: store over " + is.String() + " holds no field a"
+	full := NewStore(is, fs)
+	for name, call := range map[string]func(){
+		"Raw":               func() { s.Raw(a) },
+		"Fill":              func() { s.Fill(a, 1) },
+		"Rows":              func() { s.Rows(a, is, func(geometry.Point, []float64) bool { return true }) },
+		"CopyFieldFrom":     func() { s.CopyFieldFrom(full, a, is) },
+		"CopyFieldFrom/src": func() { full.CopyFieldFrom(s, a, is) },
+		"ReduceFieldFrom":   func() { s.ReduceFieldFrom(full, a, ReduceSum, is) },
+		"EqualOn":           func() { full.EqualOn(s, a, is) },
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != want {
+					t.Errorf("%s of a field not held: panic %v, want %q", name, got, want)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// bytesPerCall returns what fn allocates per call, in bytes, by the
+// TotalAlloc delta over repetitions.
+func bytesPerCall(fn func()) float64 {
+	const reps = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reps {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / reps
 }

@@ -1,0 +1,41 @@
+package spmd
+
+import (
+	"repro/internal/cr"
+	"repro/internal/geometry"
+	"repro/internal/ir"
+	"repro/internal/realm"
+	"repro/internal/region"
+)
+
+// LoopRun is a test's view of one replicated loop's run state once the
+// loop has finalized.
+type LoopRun struct{ st *runState }
+
+// OnLoopFinalized makes e hand fn each loop's run state once the loop has
+// finalized.
+func OnLoopFinalized(e *Engine, fn func(LoopRun)) {
+	e.finalized = func(st *runState) { fn(LoopRun{st}) }
+}
+
+// Plan returns the loop's compiled plan.
+func (r LoopRun) Plan() *cr.Compiled { return r.st.plan }
+
+// Instance returns the Real-mode instance of part's subregion of colour col.
+func (r LoopRun) Instance(part *region.Partition, col geometry.Point) *region.Store {
+	return r.st.inst[instKey{part.ID(), col}]
+}
+
+// Temps calls fn with every Real-mode reduce temporary and the launch and
+// argument it reduces.
+func (r LoopRun) Temps(fn func(l *ir.Launch, arg int, s *region.Store)) {
+	for tk, s := range r.st.temps {
+		fn(tk.launch, tk.arg, s)
+	}
+}
+
+// SyncBlock returns iteration iter's sync block: its first event, NoEvent
+// if it was never reserved, and its size.
+func (r LoopRun) SyncBlock(iter int) (realm.Event, int) {
+	return realm.Event(r.st.syncBase[iter].Load()), r.st.syncSize
+}

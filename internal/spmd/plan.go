@@ -222,13 +222,15 @@ func (st *runState) resolve(sh *shard) *shardPlan {
 }
 
 // tempStore returns the Real-mode reduce temporary for tk, creating it on
-// first use. The temps map is shared across shards, so creation is locked;
-// the returned store itself is only ever touched under event ordering.
+// first use with the fields of the parameter it reduces. The temps map is
+// shared across shards, so creation is locked; the returned store itself is
+// only ever touched under event ordering.
 func (st *runState) tempStore(tk tempKey, sub *region.Region) *region.Store {
 	st.mu.Lock()
 	buf, ok := st.temps[tk]
 	if !ok {
-		buf = region.NewStore(sub.IndexSpace(), st.e.Prog.FieldSpaceOf(sub))
+		fields := tk.launch.Task.Params[tk.arg].Fields
+		buf = region.NewLayout(sub.IndexSpace()).NewStoreOf(st.e.Prog.FieldSpaceOf(sub), fields)
 		st.temps[tk] = buf
 	}
 	st.mu.Unlock()

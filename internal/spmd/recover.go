@@ -410,6 +410,9 @@ func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 			if ok = e.finalizePhase(ctl, st); ok {
 				e.iterTimes[plan.Loop] = times
 				e.mergeEnv(st)
+				if e.finalized != nil {
+					e.finalized(st)
+				}
 				return
 			}
 		}

@@ -30,7 +30,7 @@ func (e *Engine) initPhase(ctl realm.Agent, st *runState) bool {
 			ci := plan.ColorIdx[col]
 			dead := plan.Prune.SkipInit(part, ci)
 			if e.Mode == ir.ExecReal {
-				store := region.NewStore(sub.IndexSpace(), e.Prog.FieldSpaceOf(sub))
+				store := region.NewLayout(sub.IndexSpace()).NewStoreOf(e.Prog.FieldSpaceOf(sub), fields)
 				if !dead {
 					for _, f := range fields {
 						store.CopyFieldFrom(e.global[sub.Root()], f, sub.IndexSpace())
@@ -334,11 +334,6 @@ func (sh *shard) execExchange(xp *exchangePlan, iter int) {
 	st := sh.st
 	w := cr.Wiring[realm.Event, shardSink]{Sink: shardSink{sh, iter, xp}, C: st.plan, Prune: st.plan.Prune, Scratch: &sh.scratch}
 	w.Exchange(xp.steps, xp.start, xp.end, &sh.ops)
-	if len(xp.steps) > 0 && st.plan.Opts.Sync != cr.BarrierSync {
-		// A consume step reserves its iteration's sync block even when the
-		// prune leaves it nothing to wire: realm.events counts the block.
-		st.warFor(xp.start, 0, iter)
-	}
 }
 
 // shardSink is the executor's cr.Sink: the wiring's events are realm
@@ -353,8 +348,8 @@ func (k shardSink) Merge(evs ...realm.Event) realm.Event { return k.sh.st.e.Sim.
 
 func (k shardSink) Link(to, from realm.Event, _ cr.EdgeID) { k.sh.st.e.Sim.TriggerAfter(to, from) }
 
-func (k shardSink) War(op, pair int32) realm.Event  { return k.sh.st.warFor(op, pair, k.iter) }
-func (k shardSink) Done(op, pair int32) realm.Event { return k.sh.st.warFor(op, pair, k.iter) + 1 }
+func (k shardSink) War(op, pair int32) realm.Event  { return k.sh.st.syncEvent(op, pair, 0, k.iter) }
+func (k shardSink) Done(op, pair int32) realm.Event { return k.sh.st.syncEvent(op, pair, 1, k.iter) }
 
 // Begin charges one setup per transfer, not per member: batching the issue
 // overhead is half the point of coalescing.

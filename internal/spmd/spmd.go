@@ -107,6 +107,10 @@ type Engine struct {
 	// plan.go); reset per Run.
 	shared map[*cr.Compiled]int64
 
+	// finalized, if set, sees each loop's run state once the loop has
+	// finalized: the tests' window on instances and sync blocks.
+	finalized func(*runState)
+
 	global    map[*region.Region]*region.Store
 	env       ir.MapEnv
 	iterTimes map[*ir.Loop][]realm.Time
