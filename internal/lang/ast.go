@@ -29,7 +29,7 @@ type astPartition struct {
 }
 
 type astFunctor struct {
-	kind string // "shift" or "window"
+	kind string // "shift", "window" or "ring"
 	a, b int64
 }
 

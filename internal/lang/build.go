@@ -53,6 +53,55 @@ func clip(x, k, lo, hi int64) (int64, int) {
 	return x + k, 0
 }
 
+// functor returns the rectangles an image functor maps a source index
+// space to in the region [lo, hi]: none when w < a or the source is empty.
+// window(a, w) is the source's bounds widened by [a, w] and clipped to the
+// region; ring(a, w) maps each source span [s0, s1] to [s0+a, s1+w]
+// wrapped around the region — at most two rectangles, or the whole region
+// when the window covers it — and shift(k) is ring(k, k). Offsets are
+// taken modulo the region's size in uint64, so no step leaves the integers.
+func functor(fn astFunctor, lo, hi int64) func(geometry.IndexSpace) []geometry.Rect {
+	a, w := fn.a, fn.b
+	if fn.kind == "shift" {
+		w = a
+	}
+	size := uint64(hi) - uint64(lo) + 1
+	shift := a % int64(size)
+	if shift < 0 {
+		shift += int64(size)
+	}
+	return func(is geometry.IndexSpace) []geometry.Rect {
+		if w < a || is.NumSpans() == 0 {
+			return nil
+		}
+		if fn.kind == "window" {
+			bb := is.Bounds()
+			wlo, loSide := clip(bb.Lo.X(), a, lo, hi)
+			whi, hiSide := clip(bb.Hi.X(), w, lo, hi)
+			if loSide > 0 || hiSide < 0 {
+				return nil // the window lies wholly above or below the region
+			}
+			return []geometry.Rect{geometry.R1(wlo, whi)}
+		}
+		var out []geometry.Rect
+		for i := range is.NumSpans() {
+			sp := is.Span(i)
+			span := uint64(sp.Hi.X()) - uint64(sp.Lo.X()) + 1
+			if uint64(w)-uint64(a) >= size-span {
+				return []geometry.Rect{geometry.R1(lo, hi)}
+			}
+			off := (uint64(sp.Lo.X()) - uint64(lo) + uint64(shift)) % size
+			end := off + span + uint64(w) - uint64(a) // one past the image, unwrapped
+			if end <= size {
+				out = append(out, geometry.R1(lo+int64(off), lo+int64(end-1)))
+			} else {
+				out = append(out, geometry.R1(lo+int64(off), hi), geometry.R1(lo, lo+int64(end-size-1)))
+			}
+		}
+		return out
+	}
+}
+
 func errAt(line int, format string, args ...interface{}) error {
 	return fmt.Errorf("lang: line %d: %s", line, fmt.Sprintf(format, args...))
 }
@@ -104,36 +153,7 @@ func (b *builder) build() (*ir.Program, error) {
 				return nil, errAt(pd.line, "unknown source partition %q", pd.srcPd)
 			}
 			bounds := reg.IndexSpace().Bounds()
-			lo, hi, size := bounds.Lo.X(), bounds.Hi.X(), bounds.Volume()
-			switch pd.fn.kind {
-			case "shift":
-				k := pd.fn.a
-				b.parts[pd.name] = region.Image(reg, src, pd.name, func(p geometry.Point) []geometry.Point {
-					return []geometry.Point{geometry.Pt1(((p.X()-lo+k)%size+size)%size + lo)}
-				})
-			case "window":
-				a, w := pd.fn.a, pd.fn.b
-				b.parts[pd.name] = region.ImageRects(reg, src, pd.name, func(is geometry.IndexSpace) []geometry.Rect {
-					bb := is.Bounds()
-					wlo, loSide := clip(bb.Lo.X(), a, lo, hi)
-					whi, hiSide := clip(bb.Hi.X(), w, lo, hi)
-					if loSide > 0 || hiSide < 0 {
-						return nil // the window lies wholly above or below the region
-					}
-					return []geometry.Rect{geometry.R1(wlo, whi)}
-				})
-			case "ring":
-				// Like window, but wrapping around the region (a periodic
-				// halo), matching kernels that index with "mod".
-				a, w := pd.fn.a, pd.fn.b
-				b.parts[pd.name] = region.Image(reg, src, pd.name, func(p geometry.Point) []geometry.Point {
-					var out []geometry.Point
-					for k := a; k <= w; k++ {
-						out = append(out, geometry.Pt1(((p.X()-lo+k)%size+size)%size+lo))
-					}
-					return out
-				})
-			}
+			b.parts[pd.name] = region.ImageRects(reg, src, pd.name, functor(pd.fn, bounds.Lo.X(), bounds.Hi.X()))
 		}
 	}
 

@@ -86,6 +86,47 @@ func TestShardIterationAllocs(t *testing.T) {
 	}
 }
 
+// TestLongRunFlatMemory: a loop keeps an iteration's shared state (sync
+// block, barriers, collectives) only while a shard still runs it, so the
+// live heap at loop finalization — the run state still referenced — grows
+// with the trip count by no more than the loop's iteration stamps (8 B per
+// iteration) plus 64 KiB, for every hot-path app and row on both backends,
+// Modeled.
+func TestLongRunFlatMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what is allocated")
+	}
+	const short, long = 200, 1600
+	for _, app := range hotPathApps {
+		for _, row := range hotPathRows {
+			for _, backend := range []string{bench.BackendDES, bench.BackendNative} {
+				t.Run(app.name+"/"+row.String()+"/"+backend, func(t *testing.T) {
+					live := func(iters int) int64 {
+						var heap uint64
+						opts := cr.Options{NumShards: 4, Sync: row.sync, Agg: row.agg}
+						eng := watchedEngine(t, app.build(iters), backend, ir.ExecModeled, opts, false, func(r spmd.LoopRun) {
+							runtime.GC()
+							var m runtime.MemStats
+							runtime.ReadMemStats(&m)
+							heap = m.HeapAlloc
+							runtime.KeepAlive(r)
+						})
+						if _, err := eng.Run(); err != nil {
+							t.Fatal(err)
+						}
+						return int64(heap)
+					}
+					a, b := live(short), live(long)
+					t.Logf("live heap at finalize: %d B at %d iterations, %d B at %d", a, short, b, long)
+					if limit := int64(8*(long-short) + 64<<10); b-a > limit {
+						t.Errorf("live heap grew %d B from %d to %d iterations, want <= %d", b-a, short, long, limit)
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkExchange is the executor's host cost per Modeled DES run of 16
 // memoized iterations, compiled once, over hotPathRows (run with
 // -benchmem).

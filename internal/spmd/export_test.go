@@ -4,7 +4,6 @@ import (
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
-	"repro/internal/realm"
 	"repro/internal/region"
 )
 
@@ -32,10 +31,4 @@ func (r LoopRun) Temps(fn func(l *ir.Launch, arg int, s *region.Store)) {
 	for tk, s := range r.st.temps {
 		fn(tk.launch, tk.arg, s)
 	}
-}
-
-// SyncBlock returns iteration iter's sync block: its first event, NoEvent
-// if it was never reserved, and its size.
-func (r LoopRun) SyncBlock(iter int) (realm.Event, int) {
-	return realm.Event(r.st.syncBase[iter].Load()), r.st.syncSize
 }

@@ -299,11 +299,7 @@ func (st *runState) resolveMember(sh *shard, cp *cr.CopyOp, k int) (src *instSta
 		if realMode {
 			from := st.inst[instKey{cp.Src.ID(), pr.Src}]
 			dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-			body = func() {
-				for _, f := range fields {
-					dst.CopyFieldFrom(from, f, overlap)
-				}
-			}
+			body = func() { copyFields(dst, from, fields, overlap) }
 		}
 		return src, body
 	}

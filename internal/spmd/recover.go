@@ -187,52 +187,38 @@ func (e *Engine) takeCheckpoint(ctl realm.Agent, st *runState, iter int) *checkp
 	plan := st.plan
 	e.rep().Checkpoints++
 	var evs []realm.Event
-	for _, part := range plan.UsedParts {
-		fields := plan.InstFields[part]
-		for _, col := range plan.Domain {
-			sub := part.Sub(col)
-			bytes := sub.Volume() * e.Over.EltBytes * int64(len(fields))
-			evs = append(evs, e.Sim.CopyBytes(st.ownerNode(col), 0, bytes, realm.NoEvent, nil))
-		}
-	}
+	e.eachInstance(plan, plan.UsedParts, func(_ int, key instKey, _ *region.Region, _ []region.FieldID, bytes int64) {
+		evs = append(evs, e.Sim.CopyBytes(st.ownerNode(key.color), 0, bytes, realm.NoEvent, nil))
+	})
 	if !e.waitOrFail(ctl, st, e.Sim.Merge(evs...)) {
 		return nil
 	}
 	cp := &checkpoint{iter: iter, env: copyEnv(st.curEnv)}
 	if e.Mode == ir.ExecReal {
 		cp.stores = make(map[instKey]*region.Store)
-		for _, part := range plan.UsedParts {
-			for _, col := range plan.Domain {
-				key := instKey{part.ID(), col}
-				cp.stores[key] = st.inst[key].Clone()
-			}
-		}
+		e.eachInstance(plan, plan.UsedParts, func(_ int, key instKey, _ *region.Region, _ []region.FieldID, _ int64) {
+			cp.stores[key] = st.inst[key].Clone()
+		})
 	}
 	return cp
 }
 
-// restorePhase builds a fresh run state on the surviving nodes, repopulates
-// every instance from the checkpoint (modeled as copies from node 0's
-// stable storage), and resets the scalar environment. ok is false if yet
-// another node failed during the restore.
-func (e *Engine) restorePhase(ctl realm.Agent, plan *cr.Compiled, trip int, cp *checkpoint) (*runState, bool) {
-	st := newRunState(e, plan, trip, e.liveAssign(plan.Opts.NumShards))
+// restorePhase repopulates every instance of st, a fresh run state on the
+// surviving nodes, from the checkpoint (modeled as copies from node 0's
+// stable storage), and resets the scalar environment. It reports false if
+// yet another node failed during the restore.
+func (e *Engine) restorePhase(ctl realm.Agent, st *runState, cp *checkpoint) bool {
+	plan := st.plan
 	st.curEnv = copyEnv(cp.env)
 	var evs []realm.Event
-	for pi, part := range plan.UsedParts {
-		fields := plan.InstFields[part]
-		for _, col := range plan.Domain {
-			sub := part.Sub(col)
-			key := instKey{part.ID(), col}
-			if e.Mode == ir.ExecReal {
-				st.inst[key] = cp.stores[key].Clone()
-			}
-			bytes := sub.Volume() * e.Over.EltBytes * int64(len(fields))
-			evs = append(evs, e.Sim.CopyBytes(0, st.ownerNode(col), bytes, realm.NoEvent, nil))
-			st.markRestored(pi, plan.ColorIdx[col])
+	e.eachInstance(plan, plan.UsedParts, func(pi int, key instKey, _ *region.Region, _ []region.FieldID, bytes int64) {
+		if e.Mode == ir.ExecReal {
+			st.inst[key] = cp.stores[key].Clone()
 		}
-	}
-	return st, e.waitOrFail(ctl, st, e.Sim.Merge(evs...))
+		evs = append(evs, e.Sim.CopyBytes(0, st.ownerNode(key.color), bytes, realm.NoEvent, nil))
+		st.markRestored(pi, plan.ColorIdx[key.color])
+	})
+	return e.waitOrFail(ctl, st, e.Sim.Merge(evs...))
 }
 
 // degrade gives up on the loop: the last checkpoint (if any) becomes the
@@ -247,17 +233,9 @@ func (e *Engine) degrade(plan *cr.Compiled, trip, retries int, cp *checkpoint, t
 	if cp != nil {
 		done = cp.iter
 		if e.Mode == ir.ExecReal {
-			for _, part := range plan.WrittenDisjoint {
-				fields := plan.InstFields[part]
-				for _, col := range plan.Domain {
-					sub := part.Sub(col)
-					dst := e.global[sub.Root()]
-					src := cp.stores[instKey{part.ID(), col}]
-					for _, f := range fields {
-						dst.CopyFieldFrom(src, f, sub.IndexSpace())
-					}
-				}
-			}
+			e.eachInstance(plan, plan.WrittenDisjoint, func(_ int, key instKey, sub *region.Region, fields []region.FieldID, _ int64) {
+				copyFields(e.global[sub.Root()], cp.stores[key], fields, sub.IndexSpace())
+			})
 		}
 		for k, v := range cp.env {
 			e.env[k] = v
@@ -315,7 +293,7 @@ func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 	rec := e.Recov.normalized(trip)
 	ns := plan.Opts.NumShards
 	times := make([]realm.Time, trip)
-	st := newRunState(e, plan, trip, e.liveAssign(ns))
+	st := newRunState(e, plan, e.liveAssign(ns), times)
 	var cp *checkpoint
 	retries := 0
 	needInit := true
@@ -335,8 +313,10 @@ func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 		// shard agents and their in-flight work items are real goroutines
 		// that may still be writing the old run state's instances; the
 		// restore (and degrade's write-back) must not race them. No-op on
-		// the DES.
+		// the DES. Closing the abandoned state keeps its late retirements
+		// from stamping the loop's times.
 		e.Sim.Quiesce()
+		st.close()
 		if retries >= rec.MaxRetries {
 			return false
 		}
@@ -344,20 +324,15 @@ func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 		e.rep().Restarts++
 		e.traceStats.Invalidations += st.dropPlans()
 		ctl.Sleep(rec.Backoff << (retries - 1))
-		if cp == nil {
-			// From scratch: the failure may have landed after an epoch
-			// completed but before its first checkpoint committed (mid-capture),
-			// so roll the iteration cursor all the way back too.
-			st = newRunState(e, plan, trip, e.liveAssign(ns))
-			needInit = true
-			done = 0
-		} else {
-			nst, ok := e.restorePhase(ctl, plan, trip, cp)
-			if !ok {
+		// Without a checkpoint the rebuild starts from scratch: the failure
+		// may have landed after an epoch completed but before its first
+		// checkpoint committed (mid-capture), so the cursor rolls back to 0.
+		st = newRunState(e, plan, e.liveAssign(ns), times)
+		needInit, done = cp == nil, 0
+		if cp != nil {
+			if !e.restorePhase(ctl, st, cp) {
 				return restart()
 			}
-			st = nst
-			needInit = false
 			done = cp.iter
 		}
 		if !e.shipTraces(ctl, st) {
@@ -386,17 +361,6 @@ func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 			if ok = e.runEpoch(ctl, st, done, hi); !ok {
 				break
 			}
-			// The last iteration's recordIter continuation may still be
-			// running on the goroutine that triggered it: the shard's
-			// WaitEvent fast-path orders the shard only with the trigger
-			// itself, not with sibling continuations of the same event. The
-			// stamps live under st.mu for exactly this reason — take it for
-			// the read. (A stamp that loses the race stays zero; the wall
-			// stamps are diagnostic on the native backend and the DES is
-			// sequential, so no modeled result depends on it.)
-			st.mu.Lock()
-			copy(times[done:hi], st.iterTimes[done:hi])
-			st.mu.Unlock()
 			done = hi
 			retries = 0
 			if done < trip {
@@ -408,6 +372,7 @@ func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 
 		default:
 			if ok = e.finalizePhase(ctl, st); ok {
+				st.close()
 				e.iterTimes[plan.Loop] = times
 				e.mergeEnv(st)
 				if e.finalized != nil {

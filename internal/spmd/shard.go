@@ -4,10 +4,31 @@ import (
 	"fmt"
 
 	"repro/internal/cr"
+	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/realm"
 	"repro/internal/region"
 )
+
+// eachInstance calls fn with every instance of parts in plan order: the
+// part's index in parts, the instance's key, subregion and fields, and the
+// modeled bytes of moving it whole.
+func (e *Engine) eachInstance(plan *cr.Compiled, parts []*region.Partition, fn func(pi int, key instKey, sub *region.Region, fields []region.FieldID, bytes int64)) {
+	for pi, part := range parts {
+		fields := plan.InstFields[part]
+		for _, col := range plan.Domain {
+			sub := part.Sub(col)
+			fn(pi, instKey{part.ID(), col}, sub, fields, sub.Volume()*e.Over.EltBytes*int64(len(fields)))
+		}
+	}
+}
+
+// copyFields copies fields of src into dst over an index space.
+func copyFields(dst, src *region.Store, fields []region.FieldID, over geometry.IndexSpace) {
+	for _, f := range fields {
+		dst.CopyFieldFrom(src, f, over)
+	}
+}
 
 // initPhase populates every used partition's every subregion instance from
 // the parent region's data on its owner node, then runs the hoisted
@@ -17,35 +38,25 @@ import (
 func (e *Engine) initPhase(ctl realm.Agent, st *runState) bool {
 	plan := st.plan
 	var initEvs []realm.Event
-	for pi, part := range plan.UsedParts {
-		fields := plan.InstFields[part]
-		for _, col := range plan.Domain {
-			sub := part.Sub(col)
-			key := instKey{part.ID(), col}
-			owner := st.ownerNode(col)
-			// A certifier-licensed dead init (every read of the instance is
-			// covered by later overwrites) skips the population transfer; the
-			// store is still created so the instance exists — it stays zero
-			// until the first compiler-inserted copy lands.
-			ci := plan.ColorIdx[col]
-			dead := plan.Prune.SkipInit(part, ci)
-			if e.Mode == ir.ExecReal {
-				store := region.NewLayout(sub.IndexSpace()).NewStoreOf(e.Prog.FieldSpaceOf(sub), fields)
-				if !dead {
-					for _, f := range fields {
-						store.CopyFieldFrom(e.global[sub.Root()], f, sub.IndexSpace())
-					}
-				}
-				st.inst[key] = store
+	e.eachInstance(plan, plan.UsedParts, func(pi int, key instKey, sub *region.Region, fields []region.FieldID, bytes int64) {
+		// A certifier-licensed dead init (every read of the instance is
+		// covered by later overwrites) skips the population transfer; the
+		// store is still created so the instance exists — it stays zero
+		// until the first compiler-inserted copy lands.
+		ci := plan.ColorIdx[key.color]
+		dead := plan.Prune.SkipInit(plan.UsedParts[pi], ci)
+		if e.Mode == ir.ExecReal {
+			store := region.NewLayout(sub.IndexSpace()).NewStoreOf(e.Prog.FieldSpaceOf(sub), fields)
+			if !dead {
+				copyFields(store, e.global[sub.Root()], fields, sub.IndexSpace())
 			}
-			if dead {
-				continue
-			}
-			bytes := sub.Volume() * e.Over.EltBytes * int64(len(fields))
-			initEvs = append(initEvs, e.Sim.CopyBytes(0, owner, bytes, realm.NoEvent, nil))
+			st.inst[key] = store
+		}
+		if !dead {
+			initEvs = append(initEvs, e.Sim.CopyBytes(0, st.ownerNode(key.color), bytes, realm.NoEvent, nil))
 			st.markRestored(pi, ci)
 		}
-	}
+	})
 	if !e.waitOrFail(ctl, st, e.Sim.Merge(initEvs...)) {
 		return false
 	}
@@ -60,11 +71,7 @@ func (e *Engine) initPhase(ctl realm.Agent, st *runState) bool {
 				src := st.inst[instKey{cp.Src.ID(), pr.Src}]
 				dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
 				fields, overlap := cp.Fields, pr.Overlap
-				body = func() {
-					for _, f := range fields {
-						dst.CopyFieldFrom(src, f, overlap)
-					}
-				}
+				body = func() { copyFields(dst, src, fields, overlap) }
 			}
 			evs = append(evs, e.Sim.CopyBytes(
 				st.ownerNode(pr.Src), st.ownerNode(pr.Dst),
@@ -114,28 +121,15 @@ func (e *Engine) runEpoch(ctl realm.Agent, st *runState, lo, hi int) bool {
 // the parent regions on node 0. The copies overwrite whole subregions, so
 // a half-finished finalization is safely redone after recovery.
 func (e *Engine) finalizePhase(ctl realm.Agent, st *runState) bool {
-	plan := st.plan
 	var finEvs []realm.Event
-	for _, part := range plan.WrittenDisjoint {
-		fields := plan.InstFields[part]
-		for _, col := range plan.Domain {
-			sub := part.Sub(col)
-			var body func()
-			if e.Mode == ir.ExecReal {
-				src := st.inst[instKey{part.ID(), col}]
-				dst := e.global[sub.Root()]
-				ispace := sub.IndexSpace()
-				fs := fields
-				body = func() {
-					for _, f := range fs {
-						dst.CopyFieldFrom(src, f, ispace)
-					}
-				}
-			}
-			bytes := sub.Volume() * e.Over.EltBytes * int64(len(fields))
-			finEvs = append(finEvs, e.Sim.CopyBytes(st.ownerNode(col), 0, bytes, realm.NoEvent, body))
+	e.eachInstance(st.plan, st.plan.WrittenDisjoint, func(_ int, key instKey, sub *region.Region, fields []region.FieldID, bytes int64) {
+		var body func()
+		if e.Mode == ir.ExecReal {
+			src, dst := st.inst[key], e.global[sub.Root()]
+			body = func() { copyFields(dst, src, fields, sub.IndexSpace()) }
 		}
-	}
+		finEvs = append(finEvs, e.Sim.CopyBytes(st.ownerNode(key.color), 0, bytes, realm.NoEvent, body))
+	})
 	return e.waitOrFail(ctl, st, e.Sim.Merge(finEvs...))
 }
 
@@ -186,7 +180,7 @@ func (sh *shard) runRange(lo, hi int) {
 	// order, so every shard's bindings stay identical.
 	sh.env = realm.NewFutures("spmd", sh.th, sh.baseEnv)
 
-	window := max(e.Over.Window, 1)
+	window := min(max(e.Over.Window, 1), hi-lo)
 	// Every iteration is resolved into a plan and executed from it (see
 	// plan.go). Unless NoTrace is set, the plan is resolved once and shared
 	// by all the iterations; under NoTrace each iteration resolves its own
@@ -206,27 +200,28 @@ func (sh *shard) runRange(lo, hi int) {
 			e.planMu.Unlock()
 		}()
 	}
-	n := hi - lo
-	iterDone := make([]realm.Event, n)
-	for i := 0; i < n; i++ {
-		t := lo + i
-		if i >= window {
-			sh.th.WaitEvent(iterDone[i-window])
+	// iterDone is a ring of the last window iterations' completions.
+	iterDone := make([]realm.Event, window)
+	for t := lo; t < hi; t++ {
+		done := &iterDone[(t-lo)%window]
+		if t-lo >= window {
+			sh.th.WaitEvent(*done)
 		}
 		sh.env.Set(plan.Loop.Var, float64(t))
 		sh.ops = sh.ops[:0]
 		if e.NoTrace {
 			sp = st.resolve(sh)
 		}
-		sh.execIter(sp, t)
+		it := st.iterFor(t)
+		sh.execIter(sp, it)
 		if !e.NoTrace {
 			replayed++
 		}
-		iterDone[i] = e.Sim.Merge(sh.ops...)
-		st.recordIter(t, iterDone[i])
+		*done = e.Sim.Merge(sh.ops...)
+		st.retire(it, *done)
 	}
-	for i := max(0, n-window); i < n; i++ {
-		sh.th.WaitEvent(iterDone[i])
+	for t := max(lo, hi-window); t < hi; t++ {
+		sh.th.WaitEvent(iterDone[(t-lo)%window])
 	}
 	if sh.me == 0 {
 		st.curEnv = sh.env.Snapshot()
@@ -235,16 +230,16 @@ func (sh *shard) runRange(lo, hi int) {
 
 // execIter executes one iteration's body from its plan. This is the only
 // dispatch on planOp.
-func (sh *shard) execIter(sp *shardPlan, iter int) {
+func (sh *shard) execIter(sp *shardPlan, it *iteration) {
 	for i := range sp.ops {
 		op := &sp.ops[i]
 		switch {
 		case op.set != nil:
 			sh.env.Set(op.set.Name, op.set.Expr(sh.env))
 		case op.launch != nil:
-			sh.execLaunch(op.launch, iter)
+			sh.execLaunch(op.launch, it)
 		default:
-			sh.execExchange(op.xch, iter)
+			sh.execExchange(op.xch, it)
 		}
 	}
 }
@@ -252,7 +247,7 @@ func (sh *shard) execIter(sp *shardPlan, iter int) {
 // execLaunch issues the shard's owned tasks of one index launch. Shard-local
 // issue cost replaces the central control thread's — the core of the
 // optimization.
-func (sh *shard) execLaunch(lp *launchPlan, iter int) {
+func (sh *shard) execLaunch(lp *launchPlan, it *iteration) {
 	st := sh.st
 	e := st.e
 	l := lp.l
@@ -276,7 +271,7 @@ func (sh *shard) execLaunch(lp *launchPlan, iter int) {
 		sh.presBuf = cr.Gate(sh.presBuf[:0], cp.args)
 		dur := cp.durBase
 		if e.Over.Noise != nil {
-			dur = realm.Time(float64(dur) * e.Over.Noise(lp.nodeID, iter))
+			dur = realm.Time(float64(dur) * e.Over.Noise(lp.nodeID, it.t))
 		}
 
 		var body func()
@@ -313,7 +308,7 @@ func (sh *shard) execLaunch(lp *launchPlan, iter int) {
 		// folds values in participant-index order, so indexing by global
 		// color keeps the fold order — and hence the floating-point result —
 		// bitwise identical to the sequential semantics.
-		coll := st.collFor(l, iter, l.Reduce.Op)
+		coll := st.collFor(it, l, l.Reduce.Op)
 		op := l.Reduce.Op
 		for k := range lp.colors {
 			ctx := ctxs[k]
@@ -330,26 +325,26 @@ func (sh *shard) execLaunch(lp *launchPlan, iter int) {
 }
 
 // execExchange executes one exchange step list, wired by cr.Wiring.
-func (sh *shard) execExchange(xp *exchangePlan, iter int) {
+func (sh *shard) execExchange(xp *exchangePlan, it *iteration) {
 	st := sh.st
-	w := cr.Wiring[realm.Event, shardSink]{Sink: shardSink{sh, iter, xp}, C: st.plan, Prune: st.plan.Prune, Scratch: &sh.scratch}
+	w := cr.Wiring[realm.Event, shardSink]{Sink: shardSink{sh, it, xp}, C: st.plan, Prune: st.plan.Prune, Scratch: &sh.scratch}
 	w.Exchange(xp.steps, xp.start, xp.end, &sh.ops)
 }
 
 // shardSink is the executor's cr.Sink: the wiring's events are realm
-// events of the shard's iteration iter.
+// events of the shard's iteration it.
 type shardSink struct {
-	sh   *shard
-	iter int
-	xp   *exchangePlan
+	sh *shard
+	it *iteration
+	xp *exchangePlan
 }
 
 func (k shardSink) Merge(evs ...realm.Event) realm.Event { return k.sh.st.e.Sim.Merge(evs...) }
 
 func (k shardSink) Link(to, from realm.Event, _ cr.EdgeID) { k.sh.st.e.Sim.TriggerAfter(to, from) }
 
-func (k shardSink) War(op, pair int32) realm.Event  { return k.sh.st.syncEvent(op, pair, 0, k.iter) }
-func (k shardSink) Done(op, pair int32) realm.Event { return k.sh.st.syncEvent(op, pair, 1, k.iter) }
+func (k shardSink) War(op, pair int32) realm.Event  { return k.sh.st.syncEvent(k.it, op, pair, 0) }
+func (k shardSink) Done(op, pair int32) realm.Event { return k.sh.st.syncEvent(k.it, op, pair, 1) }
 
 // Begin charges one setup per transfer, not per member: batching the issue
 // overhead is half the point of coalescing.
@@ -361,7 +356,7 @@ func (k shardSink) Transfer(i int, pres []realm.Event, _ []cr.EdgeID) realm.Even
 }
 
 func (k shardSink) Arrive(op, phase int32, evs []realm.Event) realm.Event {
-	b := k.sh.st.barrierFor(op, k.iter, int(phase))
+	b := k.sh.st.barrierFor(k.it, op, int(phase))
 	b.Arrive(k.Merge(evs...))
 	return b.Done()
 }

@@ -16,14 +16,12 @@ import (
 	"repro/internal/verify"
 )
 
-// runWatched runs prog under control replication in Real mode on a 4-node
-// machine of the named backend, compiled with opts and, under Agg or
-// prune, certified (the prune attached) as bench.RunCR does. It hands fn
-// every loop's run state once the loop has finalized, and checks the
-// stores against the sequential interpreter's.
-func runWatched(t *testing.T, build func(int) *ir.Program, backend string, opts cr.Options, prune bool, fn func(spmd.LoopRun)) realm.Exec {
+// watchedEngine compiles prog with opts and, under Agg or prune, certifies
+// it (the prune attached) as bench.RunCR does. It returns an engine that
+// runs prog in mode on a 4-node machine of the named backend and hands fn
+// every loop's run state once the loop has finalized.
+func watchedEngine(t *testing.T, prog *ir.Program, backend string, mode ir.ExecMode, opts cr.Options, prune bool, fn func(spmd.LoopRun)) *spmd.Engine {
 	t.Helper()
-	prog := build(opts.NumShards)
 	plans, err := spmd.CompileAll(prog, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +40,17 @@ func runWatched(t *testing.T, build func(int) *ir.Program, backend string, opts 
 	} else {
 		x = realm.MustNewSim(realm.DefaultConfig(opts.NumShards))
 	}
-	eng := spmd.New(x, prog, ir.ExecReal, plans)
+	eng := spmd.New(x, prog, mode, plans)
 	spmd.OnLoopFinalized(eng, fn)
+	return eng
+}
+
+// runWatched runs prog under control replication in Real mode through
+// watchedEngine and checks the stores against the sequential
+// interpreter's. It returns the machine the engine ran on.
+func runWatched(t *testing.T, build func(int) *ir.Program, backend string, opts cr.Options, prune bool, fn func(spmd.LoopRun)) realm.Exec {
+	t.Helper()
+	eng := watchedEngine(t, build(opts.NumShards), backend, ir.ExecReal, opts, prune, fn)
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +58,7 @@ func runWatched(t *testing.T, build func(int) *ir.Program, backend string, opts 
 	if err := progtest.Diff(ir.ExecSequential(build(opts.NumShards)), &ir.SeqResult{Stores: res.Stores, Env: res.Env}); err != nil {
 		t.Error(err)
 	}
-	return x
+	return eng.Sim
 }
 
 // sortedFields is a field list in ID order, as Store.Fields returns one.
@@ -103,32 +110,28 @@ func TestInstancesHoldInstFields(t *testing.T) {
 	}
 }
 
-// TestEverySyncSlotFires: every event of every iteration's sync block is
-// triggered by the end of the run, under both lowerings, with aggregation
-// and the certifier's prune each off and on. A reserved slot that never
-// fires pins its event page for the rest of the run.
+// TestEverySyncSlotFires: every event a fault-free run creates — each
+// iteration's sync block among them — is triggered by the end of the run,
+// under both lowerings, with aggregation and the certifier's prune each off
+// and on. A reserved slot that never fires pins its event page for the rest
+// of the run.
 func TestEverySyncSlotFires(t *testing.T) {
 	for _, app := range pruneApps {
 		for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
 			for _, agg := range []bool{false, true} {
 				for _, prune := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%s/%v/agg=%v/prune=%v", app.name, sync, agg, prune), func(t *testing.T) {
-						var runs []spmd.LoopRun
-						x := runWatched(t, app.build, bench.BackendDES, cr.Options{NumShards: 4, Sync: sync, Agg: agg}, prune, func(r spmd.LoopRun) {
-							runs = append(runs, r)
-						})
-						for _, r := range runs {
-							for iter := range r.Plan().Loop.Trip {
-								base, size := r.SyncBlock(iter)
-								if size > 0 && base == realm.NoEvent {
-									t.Fatalf("iteration %d never reserved its %d-event sync block", iter, size)
-								}
-								for i := range size {
-									if !x.Triggered(base + realm.Event(i)) {
-										t.Errorf("iteration %d: sync slot %d of %d never fired", iter, i, size)
-									}
+						x := runWatched(t, app.build, bench.BackendDES, cr.Options{NumShards: 4, Sync: sync, Agg: agg}, prune, func(spmd.LoopRun) {})
+						fresh, unfired := x.NewUserEvent(), 0
+						for ev := realm.NoEvent + 1; ev < fresh; ev++ {
+							if !x.Triggered(ev) {
+								if unfired++; unfired == 1 {
+									t.Errorf("event %d of %d never fired", ev, fresh-1)
 								}
 							}
+						}
+						if unfired > 1 {
+							t.Errorf("%d events never fired", unfired)
 						}
 					})
 				}

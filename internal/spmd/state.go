@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cr"
 	"repro/internal/geometry"
@@ -44,20 +43,15 @@ func newShardTable() *shardTable {
 	return &shardTable{inst: make(map[instKey]*instState), temp: make(map[tempKey]*instState)}
 }
 
-func (t *shardTable) get(k instKey) *instState {
-	s, ok := t.inst[k]
-	if !ok {
-		s = &instState{LastWrite: realm.NoEvent}
-		t.inst[k] = s
-	}
-	return s
-}
+func (t *shardTable) get(k instKey) *instState     { return stateOf(t.inst, k) }
+func (t *shardTable) getTemp(k tempKey) *instState { return stateOf(t.temp, k) }
 
-func (t *shardTable) getTemp(k tempKey) *instState {
-	s, ok := t.temp[k]
+// stateOf returns k's state in m, creating it on first use.
+func stateOf[K comparable](m map[K]*instState, k K) *instState {
+	s, ok := m[k]
 	if !ok {
 		s = &instState{LastWrite: realm.NoEvent}
-		t.temp[k] = s
+		m[k] = s
 	}
 	return s
 }
@@ -65,49 +59,46 @@ func (t *shardTable) getTemp(k tempKey) *instState {
 // runState is the state shared by the shards of one replicated loop
 // execution. On the DES all access happens under the simulator's
 // deterministic single-threaded schedule; on the native backend shard
-// agents run concurrently, so the lazily-populated shared tables (sync
-// blocks, barriers, collectives, reduce temporaries, iteration counters)
-// are protected by mu. Everything else is either written only before the
-// shards start (inst, tables, assign) or written by exactly one agent
-// (curEnv by shard 0, per-index slice slots by their owners).
+// agents run concurrently, so the lazily-populated shared state (iteration
+// records, reduce temporaries, the loop's iteration stamps) is protected
+// by mu. Everything else is either written only before the shards start
+// (inst, tables, assign) or written by exactly one agent (curEnv by shard
+// 0, per-index slice slots by their owners).
 type runState struct {
 	e    *Engine
 	plan *cr.Compiled
 
-	// mu guards the lazily-created shared state below: syncBase's stores,
-	// colls, bars, temps, and the iteration counters. Uncontended on the DES.
+	// mu guards the lazily-created shared state below: iters, free, temps
+	// and times. Uncontended on the DES.
 	mu sync.Mutex
 
 	inst   map[instKey]*region.Store // Real mode instances
 	temps  map[tempKey]*region.Store // Real mode reduce temporaries
 	tables []*shardTable
 
-	// Dense per-iteration synchronization tables. The compiled plan fixes
-	// every copy pair and scalar reduction of an iteration, so instead of a
-	// lazily populated map keyed by (copy, pair, iteration), each iteration's
-	// sync events are one contiguous block reserved in bulk from the
-	// simulator (realm.ReserveEvents): slot arithmetic replaces hashing and
-	// per-pair allocations. The block holds only the events the wiring
-	// triggers under the plan's lowering and prune (cr.Fires), so every
-	// slot fires and an iteration's event pages can be dropped. pairOff
-	// maps a copy's body index to its first pair's entry in syncSlot (one
-	// per CopyOp.ID);
-	// iteration t's war (which 0) or done (1) of pair k of the copy at body
-	// index op is syncBase[t] + syncSlot[pairOff[op]+2k+which], a slot
-	// that is -1 for an event that never fires. Collectives and ablation
-	// barriers are likewise indexed by (iteration, position).
-	pairOff  []int
-	syncSlot []int32
-	syncSize int
-	syncBase []atomic.Int32 // a realm.Event per iteration; NoEvent until first touch
-
-	redIdx map[*ir.Launch]int
-	numRed int
-	colls  []realm.CollectiveOp // [iter*numRed + redIdx], lazily created
-
+	// Dense per-iteration synchronization positions. The compiled plan fixes
+	// every copy pair and scalar reduction of an iteration, so each
+	// iteration's sync events are one contiguous block reserved in bulk
+	// (realm.ReserveEvents): slot arithmetic replaces hashing and per-pair
+	// allocations. The block holds only the events the wiring triggers under
+	// the plan's lowering and prune (cr.Fires), so every slot fires and an
+	// iteration's event pages can be dropped. The war (which 0) or done (1)
+	// of pair k of the copy at body index op is the iteration's sync base +
+	// syncSlot[pairOff[op]+2k+which] (pairOff is shared by the ops of one
+	// CopyOp.ID), a slot that is -1 for an event that never fires.
+	// Collectives sit at redIdx and ablation barriers at barIdx*2+which of
+	// the iteration's record.
+	pairOff   []int
+	syncSlot  []int32
+	syncSize  int
+	redIdx    map[*ir.Launch]int
 	barIdx    []int // by body index, like pairOff
 	numBarOps int
-	bars      []realm.BarrierOp // [(iter*numBarOps + barIdx)*2 + which], lazy
+
+	// iters holds one record per iteration in flight, created by the first
+	// shard to reach it and recycled through free when the last retires it.
+	iters map[int]*iteration
+	free  []*iteration
 
 	// plans are the per-shard memoized iteration plans (see plan.go); nil
 	// until a shard first runs, and always nil when plans are not memoized.
@@ -115,8 +106,9 @@ type runState struct {
 	// is the trace invalidation: the new placement re-resolves from scratch.
 	plans []*shardPlan
 
-	iterCount []int
-	iterTimes []realm.Time
+	// times is the loop's iteration stamps, shared by every run state of
+	// the loop; nil once the run state is closed.
+	times     []realm.Time
 	shardDone []realm.Event // created per epoch by runEpoch
 
 	// assign maps shard index to node; watch is the sorted set of assigned
@@ -137,24 +129,35 @@ type runState struct {
 	curEnv ir.MapEnv
 }
 
-func newRunState(e *Engine, plan *cr.Compiled, trip int, assign []int) *runState {
+// iteration is the shared state of one iteration in flight: its sync block,
+// its collectives (by redIdx) and barriers (by barIdx*2+which), both
+// created on first use, and the number of shards that have not retired it.
+type iteration struct {
+	t     int
+	sync  realm.Event
+	colls []realm.CollectiveOp
+	bars  []realm.BarrierOp
+	left  int
+}
+
+func newRunState(e *Engine, plan *cr.Compiled, assign []int, times []realm.Time) *runState {
 	ns := plan.Opts.NumShards
 	st := &runState{
-		e:         e,
-		plan:      plan,
-		inst:      make(map[instKey]*region.Store),
-		temps:     make(map[tempKey]*region.Store),
-		tables:    make([]*shardTable, ns),
-		iterCount: make([]int, trip),
-		iterTimes: make([]realm.Time, trip),
-		assign:    assign,
-		curEnv:    copyEnv(e.env),
-		plans:     make([]*shardPlan, ns),
+		e:      e,
+		plan:   plan,
+		inst:   make(map[instKey]*region.Store),
+		temps:  make(map[tempKey]*region.Store),
+		tables: make([]*shardTable, ns),
+		iters:  make(map[int]*iteration),
+		times:  times,
+		assign: assign,
+		curEnv: copyEnv(e.env),
+		plans:  make([]*shardPlan, ns),
 	}
 	for s := range st.tables {
 		st.tables[s] = newShardTable()
 	}
-	st.indexSyncSlots(trip)
+	st.indexSyncSlots()
 	if e.Recov.MaxRetries > 0 {
 		seen := make(map[int]bool, len(assign))
 		for _, n := range assign {
@@ -170,8 +173,8 @@ func newRunState(e *Engine, plan *cr.Compiled, trip int, assign []int) *runState
 
 // indexSyncSlots assigns every copy op's pairs, every sync event that
 // fires, every scalar reduction, and every ablation barrier a dense
-// position, sizing the per-iteration tables.
-func (st *runState) indexSyncSlots(trip int) {
+// position within an iteration.
+func (st *runState) indexSyncSlots() {
 	plan := st.plan
 	n := len(plan.Body)
 	st.pairOff, st.barIdx = make([]int, n), make([]int, n)
@@ -201,75 +204,106 @@ func (st *runState) indexSyncSlots(trip int) {
 			st.numBarOps++
 		case op.Launch != nil && op.Launch.Reduce != nil:
 			if _, ok := st.redIdx[op.Launch]; !ok {
-				st.redIdx[op.Launch] = st.numRed
-				st.numRed++
+				st.redIdx[op.Launch] = len(st.redIdx)
 			}
 		}
 	}
-	st.syncBase = make([]atomic.Int32, trip) // all NoEvent
-	st.colls = make([]realm.CollectiveOp, trip*st.numRed)
-	if plan.Opts.Sync == cr.BarrierSync {
-		st.bars = make([]realm.BarrierOp, trip*st.numBarOps*2)
+}
+
+// iterFor returns iteration t's record, creating it if the shard is the
+// first to reach t. Creation reserves the iteration's whole sync block in
+// bulk: every slot fires (cr.Fires), so reserving before the wiring asks
+// for a slot pins no event page.
+func (st *runState) iterFor(t int) *iteration {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	it := st.iters[t]
+	if it == nil {
+		if k := len(st.free); k > 0 {
+			it, st.free = st.free[k-1], st.free[:k-1]
+		} else {
+			it = &iteration{colls: make([]realm.CollectiveOp, len(st.redIdx))}
+			if st.plan.Opts.Sync == cr.BarrierSync {
+				it.bars = make([]realm.BarrierOp, 2*st.numBarOps)
+			}
+		}
+		it.t, it.left = t, st.plan.Opts.NumShards
+		it.sync = st.e.Sim.ReserveEvents(st.syncSize)
+		st.iters[t] = it
 	}
+	return it
+}
+
+// retire counts the shard's completion of iteration it once ev fires. The
+// last shard to complete stamps the iteration's time and recycles the
+// record. The callback may run on any goroutine on the native backend,
+// hence mu.
+func (st *runState) retire(it *iteration, ev realm.Event) {
+	sim := st.e.Sim
+	sim.OnTrigger(ev, func() {
+		st.mu.Lock()
+		if it.left--; it.left == 0 {
+			if st.times != nil {
+				st.times[it.t] = sim.Now()
+			}
+			delete(st.iters, it.t)
+			clear(it.colls)
+			clear(it.bars)
+			st.free = append(st.free, it)
+		}
+		st.mu.Unlock()
+	})
+}
+
+// close stops the run state's stamping once its loop has finalized or its
+// epoch was abandoned: a later retire (an abandoned epoch's, or a native
+// continuation still running after its shard moved on) stamps nothing.
+func (st *runState) close() {
+	st.mu.Lock()
+	st.times = nil
+	st.mu.Unlock()
 }
 
 // syncEvent returns the war (which 0) or done (1) event of pair k of the
-// copy at body index op in iteration iter. They are the point-to-point
+// copy at body index op in iteration it. They are the point-to-point
 // synchronization pair of §3.4: war is the consumer's release
 // (write-after-read: prior consumers of the destination have finished),
 // done the producer's completion (read-after-write: the copy has landed),
 // plain events attached as task pre/post conditions, so neither side's
 // control thread ever blocks on them. Producer and consumer may ask in
-// either order. The first touch of an iteration reserves its whole sync
-// block in bulk, under mu; every later one is an atomic load. Asking for
-// an event that never fires would wait forever, so it panics.
-func (st *runState) syncEvent(op, k int32, which, iter int) realm.Event {
+// either order. Asking for an event that never fires would wait forever,
+// so it panics.
+func (st *runState) syncEvent(it *iteration, op, k int32, which int) realm.Event {
 	slot := st.syncSlot[st.pairOff[op]+2*int(k)+which]
 	if slot < 0 {
 		panic(fmt.Sprintf("spmd: pair %d of the copy at body index %d has no %s event: it never fires", k, op, [2]string{"war", "done"}[which]))
 	}
-	base := realm.Event(st.syncBase[iter].Load())
-	if base == realm.NoEvent {
-		base = st.reserveSync(iter)
-	}
-	return base + realm.Event(slot)
-}
-
-// reserveSync returns iteration iter's sync block, reserving it unless
-// another shard got there first.
-func (st *runState) reserveSync(iter int) realm.Event {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	base := realm.Event(st.syncBase[iter].Load())
-	if base == realm.NoEvent {
-		base = st.e.Sim.ReserveEvents(st.syncSize)
-		st.syncBase[iter].Store(int32(base))
-	}
-	return base
+	return it.sync + realm.Event(slot)
 }
 
 // barrierFor lazily creates one of the two global barriers of the copy at
-// body index op.
-func (st *runState) barrierFor(op int32, iter, which int) realm.BarrierOp {
-	i := (iter*st.numBarOps+st.barIdx[op])*2 + which
+// body index op in iteration it.
+func (st *runState) barrierFor(it *iteration, op int32, which int) realm.BarrierOp {
+	i := st.barIdx[op]*2 + which
 	st.mu.Lock()
-	b := st.bars[i]
+	b := it.bars[i]
 	if b == nil {
 		b = st.e.Sim.Barrier(st.plan.Opts.NumShards)
-		st.bars[i] = b
+		it.bars[i] = b
 	}
 	st.mu.Unlock()
 	return b
 }
 
-// collFor lazily creates the dynamic collective for a scalar reduction.
-func (st *runState) collFor(l *ir.Launch, iter int, op region.ReductionOp) realm.CollectiveOp {
-	i := iter*st.numRed + st.redIdx[l]
+// collFor lazily creates iteration it's dynamic collective for a scalar
+// reduction.
+func (st *runState) collFor(it *iteration, l *ir.Launch, op region.ReductionOp) realm.CollectiveOp {
+	i := st.redIdx[l]
 	st.mu.Lock()
-	c := st.colls[i]
+	c := it.colls[i]
 	if c == nil {
 		c = st.e.Sim.Collective(len(st.plan.Domain), op.Identity(), op.Fold)
-		st.colls[i] = c
+		it.colls[i] = c
 	}
 	st.mu.Unlock()
 	return c
@@ -285,21 +319,6 @@ func (st *runState) markRestored(pi, ci int) {
 		}
 	}
 	st.restored[pi][ci] = true
-}
-
-// recordIter counts shard completions of iteration t and stamps the time
-// when the last one lands. The callback may run on any goroutine on the
-// native backend, so the counters live under mu.
-func (st *runState) recordIter(t int, ev realm.Event) {
-	sim := st.e.Sim
-	sim.OnTrigger(ev, func() {
-		st.mu.Lock()
-		st.iterCount[t]++
-		if st.iterCount[t] == st.plan.Opts.NumShards {
-			st.iterTimes[t] = sim.Now()
-		}
-		st.mu.Unlock()
-	})
 }
 
 // nodeOfShard maps shard s to its node. The assignment is blockwise over
