@@ -109,11 +109,9 @@ func steadyState(times []realm.Time, skip int) (realm.Time, error) {
 type MeasureOpts struct {
 	// Faults injects deterministic faults into the machine (nil =
 	// fault-free). The implicit runtime has no recovery, so an injected
-	// crash surfaces as an error (a *realm.DeadlockError naming the blocked
-	// threads on the DES; rejected up front on native, where an
-	// unrecoverable hang would only be caught by the wall-clock watchdog);
-	// the SPMD executor recovers via its default checkpoint/restart on both
-	// backends.
+	// crash surfaces as a *realm.DeadlockError naming the blocked agents on
+	// both backends; the SPMD executor recovers via its default
+	// checkpoint/restart.
 	Faults *realm.FaultPlan
 	// NoTrace disables trace capture/replay in both runtimes (the implicit
 	// runtime's loop traces and the SPMD executor's shard plans). The
@@ -130,8 +128,7 @@ type MeasureOpts struct {
 	// BackendNative runs real kernels on real goroutines (ir.ExecReal) and
 	// reports wall-clock time. The MPI baselines are DES-only and return
 	// realm.UnsupportedError on native; fault injection runs on both
-	// backends for the CR executor (the implicit runtime rejects it on
-	// native, having no recovery to hang usefully without).
+	// backends.
 	Backend string
 	// Fit, when non-nil, receives a wall-clock sample for every launch and
 	// copy body the native machine executes (pass a *realm.MeasuredTime to
@@ -286,14 +283,6 @@ func measured(nodes int, sync cr.SyncMode, tune Tuning, opts MeasureOpts) Config
 // Modeled mode and returns the steady-state per-iteration time of the
 // given loop.
 func MeasureImplicit(prog *ir.Program, loop *ir.Loop, nodes int, tune Tuning, opts MeasureOpts) (realm.Time, error) {
-	if opts.NativeBackend() && opts.Faults != nil {
-		// The implicit runtime has no recovery. On the DES an injected
-		// crash deadlocks the event loop immediately (a structured
-		// DeadlockError); on native it would only stall until the watchdog
-		// fires, wasting a full hang timeout per sweep cell — so reject the
-		// combination.
-		return 0, &realm.UnsupportedError{Backend: opts.Backend, Op: "fault injection without recovery (implicit runtime)"}
-	}
 	res, err := RunImplicit(prog, measured(nodes, 0, tune, opts))
 	if err != nil {
 		return 0, err

@@ -300,10 +300,9 @@ func TestMeasuredTimeCalibratesDES(t *testing.T) {
 
 // TestNativeMeasureGates pins the measurement-layer capability surface on
 // native: the MPI baselines stay DES-only cost models (UnsupportedError),
-// fault injection into the implicit runtime is rejected up front (it has
-// no recovery — on the DES a crash is a cheap immediate DeadlockError, on
-// native it would burn a watchdog window per sweep cell), and fault
-// injection into regent-cr now measures successfully through recovery.
+// a crash injected into the implicit runtime (which has no recovery) is
+// the same immediate DeadlockError on both backends, and fault injection
+// into regent-cr measures successfully through recovery.
 func TestNativeMeasureGates(t *testing.T) {
 	app, err := AppByName("stencil")
 	if err != nil {
@@ -314,12 +313,16 @@ func TestNativeMeasureGates(t *testing.T) {
 	if !errors.As(err, &ue) {
 		t.Fatalf("mpi on native: err = %v, want realm.UnsupportedError", err)
 	}
-	_, err = app.Measure("regent-nocr", 2, 0, bench.MeasureOpts{
-		Backend: bench.BackendNative,
-		Faults:  &realm.FaultPlan{Seed: 1, CrashRate: 0.5},
-	})
-	if !errors.As(err, &ue) {
-		t.Fatalf("implicit faults on native: err = %v, want realm.UnsupportedError", err)
+	for _, backend := range []string{bench.BackendDES, bench.BackendNative} {
+		// At this rate node 1 crashes at its first launch on either backend.
+		_, err = app.Measure("regent-nocr", 2, 0, bench.MeasureOpts{
+			Backend: backend,
+			Faults:  &realm.FaultPlan{Seed: 1, CrashRate: 1e5},
+		})
+		var derr *realm.DeadlockError
+		if !errors.As(err, &derr) || len(derr.Blocked) == 0 {
+			t.Fatalf("implicit crash on %s: err = %v, want a realm.DeadlockError naming blocked agents", backend, err)
+		}
 	}
 	per, err := app.Measure("regent-cr", 2, 0, bench.MeasureOpts{
 		Backend: bench.BackendNative,

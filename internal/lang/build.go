@@ -55,9 +55,9 @@ func clip(x, k, lo, hi int64) (int64, int) {
 
 // functor returns the rectangles an image functor maps a source index
 // space to in the region [lo, hi]: none when w < a or the source is empty.
-// window(a, w) is the source's bounds widened by [a, w] and clipped to the
-// region; ring(a, w) maps each source span [s0, s1] to [s0+a, s1+w]
-// wrapped around the region — at most two rectangles, or the whole region
+// window(a, w) and ring(a, w) map each source span [s0, s1] to
+// [s0+a, s1+w]: window clips it to the region, dropping it when it lies
+// wholly outside; ring wraps it around the region — at most two rectangles, or the whole region
 // when the window covers it — and shift(k) is ring(k, k). Offsets are
 // taken modulo the region's size in uint64, so no step leaves the integers.
 func functor(fn astFunctor, lo, hi int64) func(geometry.IndexSpace) []geometry.Rect {
@@ -74,18 +74,17 @@ func functor(fn astFunctor, lo, hi int64) func(geometry.IndexSpace) []geometry.R
 		if w < a || is.NumSpans() == 0 {
 			return nil
 		}
-		if fn.kind == "window" {
-			bb := is.Bounds()
-			wlo, loSide := clip(bb.Lo.X(), a, lo, hi)
-			whi, hiSide := clip(bb.Hi.X(), w, lo, hi)
-			if loSide > 0 || hiSide < 0 {
-				return nil // the window lies wholly above or below the region
-			}
-			return []geometry.Rect{geometry.R1(wlo, whi)}
-		}
 		var out []geometry.Rect
 		for i := range is.NumSpans() {
 			sp := is.Span(i)
+			if fn.kind == "window" {
+				wlo, loSide := clip(sp.Lo.X(), a, lo, hi)
+				whi, hiSide := clip(sp.Hi.X(), w, lo, hi)
+				if loSide <= 0 && hiSide >= 0 { // else wholly above or below the region
+					out = append(out, geometry.R1(wlo, whi))
+				}
+				continue
+			}
 			span := uint64(sp.Hi.X()) - uint64(sp.Lo.X()) + 1
 			if uint64(w)-uint64(a) >= size-span {
 				return []geometry.Rect{geometry.R1(lo, hi)}

@@ -39,9 +39,21 @@ func pointwise(fn astFunctor, lo, size int64) func(geometry.Point) []geometry.Po
 // subregion and span by span, over random extents, block counts, offsets
 // (some far outside the region, some near the ends of int64) and window
 // widths (some empty, some covering the region), on regions anywhere in
-// int64 including its first and last points. Shift and ring also run over
+// int64 including its first and last points. Every functor also runs over
 // a wrapped image partition, whose subregions have two spans.
 func TestFunctorsMatchPerPointImage(t *testing.T) {
+	// window(-1, 1) of a two-span source widens each span, not the gap
+	// between them: block 0 of block(R[0..15], 8) is [0..1], its ring(-2, 0)
+	// image is {[0..1] [14..15]}, and the window of that is
+	// {[0..2] [13..15]}, not [0..15].
+	r := region.NewTree().NewRegion("R", geometry.NewIndexSpace(geometry.R1(0, 15)))
+	two := region.ImageRects(r, r.Block("P", 8), "S", functor(astFunctor{kind: "ring", a: -2, b: 0}, 0, 15))
+	got := region.ImageRects(r, two, "W", functor(astFunctor{kind: "window", a: -1, b: 1}, 0, 15))
+	want := geometry.FromDisjointRects(1, []geometry.Rect{geometry.R1(0, 2), geometry.R1(13, 15)})
+	if g := got.Sub(geometry.Pt1(0)).IndexSpace(); fmt.Sprint(g) != fmt.Sprint(want) {
+		t.Errorf("window(-1, 1) of {[0..1] [14..15]} is %v, want %v", g, want)
+	}
+
 	rng := rand.New(rand.NewSource(1))
 	offset := func(size int64) int64 {
 		if rng.Intn(4) == 0 {
@@ -69,11 +81,7 @@ func TestFunctorsMatchPerPointImage(t *testing.T) {
 			if kind == "shift" {
 				fn.b = 0 // unused
 			}
-			srcs := []*region.Partition{blocks, wrapped}
-			if kind == "window" {
-				srcs = srcs[:1] // window widens the source's bounds
-			}
-			for _, src := range srcs {
+			for _, src := range []*region.Partition{blocks, wrapped} {
 				name := fmt.Sprintf("case %d: %+v of %s over [%d..%d]", c, fn, src.Name(), lo, hi)
 				got := region.ImageRects(r, src, "got", functor(fn, lo, hi))
 				want := region.Image(r, src, "want", pointwise(fn, lo, size))

@@ -94,7 +94,10 @@ type Exec interface {
 	Collective(n int, identity float64, fold func(acc, v float64) float64) CollectiveOp
 
 	// Drive runs the machine to completion — until every agent has finished
-	// and no work items remain — and returns the final time.
+	// and no work items remain — and returns the final time. A run that
+	// can never finish, because every remaining agent waits on an event
+	// nothing outstanding can fire, returns a *DeadlockError naming them at
+	// once, on every backend.
 	Drive() (Time, error)
 
 	// InjectFaults installs a fault plan before Drive (at most once). A
@@ -269,32 +272,6 @@ func (c *collective) Result() float64 {
 		acc = c.fold(acc, v)
 	}
 	return acc
-}
-
-// BlockedAgent describes one stalled agent in a HangError: its name, the
-// event it is parked on, and the primitive that owns that event.
-type BlockedAgent struct {
-	Name      string
-	Waiting   Event
-	Primitive string // "barrier", "collective", "copy", "task", "sync", "merge", "event"
-}
-
-// HangError is the native backend's analogue of the DES DeadlockError: the
-// wall-clock watchdog observed no progress — every live agent blocked, no
-// work item or sleeper in flight, no event triggered — for a full timeout
-// window. It names the blocked agents and what they are parked on, turning
-// a would-be test timeout into a structured error.
-type HangError struct {
-	Timeout Time // the watchdog window that elapsed with no progress
-	Blocked []BlockedAgent
-}
-
-func (e *HangError) Error() string {
-	s := fmt.Sprintf("realm: native execution stalled (no progress for %.3fs); blocked agents:", e.Timeout.Seconds())
-	for _, b := range e.Blocked {
-		s += " " + b.Name + "(" + b.Primitive + ")"
-	}
-	return s
 }
 
 // UnsupportedError reports an operation the selected backend does not

@@ -1,10 +1,13 @@
 package native
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/realm"
 )
@@ -13,7 +16,8 @@ import (
 // the native machine: both must observe exactly the row's outcome. It is
 // the contract every system the harness compares relies on — events,
 // merges, barriers, collectives, the machine counters, and the failure
-// half (a logical-point crash and its fail event, an agent kill).
+// half (a logical-point crash and its fail event, an agent kill, a
+// deadlock).
 func TestExecConformance(t *testing.T) {
 	backends := []struct {
 		name string
@@ -208,6 +212,38 @@ func TestExecConformance(t *testing.T) {
 			_, err := x.Drive()
 			return fmt.Sprint(err, survived, x.Triggered(never))
 		}, "<nil> 0 false"},
+
+		{"deadlock", func(x realm.Exec) string {
+			// A barrier short one arrival: both agents block on it for good.
+			// Each backend decides that at once, with no timing knob, and
+			// names the same agents; only native labels the primitive.
+			bar := x.Barrier(3)
+			for i := 0; i < 2; i++ {
+				x.SpawnOn(fmt.Sprintf("stuck-%d", i), i, 0, func(a realm.Agent) {
+					bar.Arrive(realm.NoEvent)
+					a.WaitEvent(bar.Done())
+				})
+			}
+			start := time.Now()
+			_, err := x.Drive()
+			quick := time.Since(start) < 2*time.Second
+			var derr *realm.DeadlockError
+			if !errors.As(err, &derr) {
+				return fmt.Sprintf("%T: %v", err, err)
+			}
+			var names []string
+			labeled := true
+			for _, b := range derr.Blocked {
+				names = append(names, b.Name)
+				want := ""
+				if x.Backend() == "native" {
+					want = "barrier"
+				}
+				labeled = labeled && b.Waiting == bar.Done() && b.Primitive == want
+			}
+			sort.Strings(names)
+			return fmt.Sprint(names, labeled, quick)
+		}, "[stuck-0 stuck-1] true true"},
 	}
 	for _, row := range rows {
 		for _, b := range backends {

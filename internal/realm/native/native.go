@@ -39,11 +39,11 @@
 // feature: there is no virtual clock to schedule them against, and they are
 // rejected with a precise realm.UnsupportedError.
 //
-// A wall-clock watchdog — the analogue of the DES DeadlockError — detects
-// runs that stop making progress (every live agent blocked, no work item in
-// flight, no event fired for a full window) and fails the machine with a
-// realm.HangError naming the blocked agents and the primitive each is
-// parked on, instead of letting the caller hit a test timeout.
+// Deadlock is decided exactly, as on the DES: the machine counts its
+// population (agents, in-flight work items, blocked agents), and the
+// moment every agent is blocked with no work item in flight — nothing left
+// can fire an event — it fails with the realm.DeadlockError the DES
+// returns, naming each blocked agent and the primitive it is parked on.
 package native
 
 import (
@@ -70,11 +70,7 @@ const crashQuantumSec = 1e-4
 // probability 1; real wall-clock delays need a hard bound).
 const maxRetransmits = 8
 
-// defaultHangTimeout is the watchdog window: two consecutive windows with
-// zero progress fail the machine with a realm.HangError.
-const defaultHangTimeout = 10 * time.Second
-
-// Event kinds label what primitive owns each event, so watchdog reports
+// Event kinds label what primitive owns each event, so a deadlock report
 // can say what a blocked agent is parked on.
 const (
 	evUser uint8 = iota
@@ -87,7 +83,7 @@ const (
 	evFail
 )
 
-var evKindNames = [...]string{"event", "task", "copy", "barrier", "collective", "merge", "sync", "node-fail"}
+var evKindNames = [...]string{"user", "task", "copy", "barrier", "collective", "merge", "sync", "node-fail"}
 
 // Machine is a native shared-memory implementation of realm.Exec.
 type Machine struct {
@@ -102,13 +98,6 @@ type Machine struct {
 	events  realm.EventTable
 	pending []func()
 
-	// wg tracks every live goroutine that can still trigger events: agents
-	// for their whole lifetime, work items from the moment their
-	// precondition fires. An untriggered event that will ever trigger is
-	// always owed to a goroutine counted here, so Drive's Wait cannot
-	// return early.
-	wg sync.WaitGroup
-
 	// failCh closes on the first recorded error; agents blocked in
 	// WaitEvent abandon their waits so the machine drains instead of
 	// hanging on events a dead goroutine will never trigger.
@@ -116,22 +105,22 @@ type Machine struct {
 	failCh chan struct{}
 	err    error
 
-	// waiting is the blocked-agent registry the watchdog reads: every agent
-	// parked in WaitEvent, keyed to the event it waits on.
-	waitMu  sync.Mutex
-	waiting map[*agent]realm.Event
-
-	// qmu/qcond guard the quiescence counters: inflight work-item
-	// goroutines (from precondition trigger to completion) and zombies
-	// (killed agents that have not yet unwound). Quiesce waits for both to
-	// reach zero.
+	// qmu guards the population: agents (from SpawnOn until they
+	// finish), inflight work items (from precondition trigger to
+	// completion), zombies (killed agents not yet unwound) and blocked
+	// agents (parked in WaitEvent on an unfired event), plus each agent's
+	// killed/done/parked state. Every event that will fire is owed to an
+	// unblocked agent or an in-flight item, so Drive waits on dcond for
+	// agents and inflight to drain, Quiesce on qcond for inflight and
+	// zombies, and agents > 0 && blocked == agents && inflight == 0 is a
+	// deadlock.
 	qmu      sync.Mutex
 	qcond    *sync.Cond
+	dcond    *sync.Cond
+	agents   int
 	inflight int
 	zombies  int
-
-	liveAgents  int64 // atomic: agents started and not yet finished
-	hangTimeout time.Duration
+	blocked  int
 
 	// Scheduler state (sched.go). schedp is published in Drive, under mu,
 	// before the pending list is released, and read by every dispatch;
@@ -151,10 +140,10 @@ type Machine struct {
 	crashLog       []realm.NodeCrash
 	crashCount     int
 	nodeFailEv     []realm.Event
-	agentsOn       [][]*agent
-	failedNodes    []int32  // atomic 0/1 per node
-	launchSeq      []uint64 // atomic per-node launch issue counters
-	copySeq        []uint64 // atomic per-node (source) copy issue counters
+	agentsOn       [][]*agent // every agent spawned, by node
+	failedNodes    []int32    // atomic 0/1 per node
+	launchSeq      []uint64   // atomic per-node launch issue counters
+	copySeq        []uint64   // atomic per-node (source) copy issue counters
 	drops          int64
 	dups           int64
 	stragglers     int64
@@ -187,8 +176,6 @@ func NewMachine(cfg realm.Config) (*Machine, error) {
 	m := &Machine{
 		cfg:         cfg,
 		failCh:      make(chan struct{}),
-		waiting:     make(map[*agent]realm.Event),
-		hangTimeout: defaultHangTimeout,
 		nodeFailEv:  make([]realm.Event, cfg.Nodes),
 		agentsOn:    make([][]*agent, cfg.Nodes),
 		failedNodes: make([]int32, cfg.Nodes),
@@ -196,6 +183,7 @@ func NewMachine(cfg realm.Config) (*Machine, error) {
 		copySeq:     make([]uint64, cfg.Nodes),
 	}
 	m.qcond = sync.NewCond(&m.qmu)
+	m.dcond = sync.NewCond(&m.qmu)
 	m.epoch = time.Now()
 	return m, nil
 }
@@ -244,11 +232,6 @@ func (m *Machine) Stats() realm.Stats {
 		AggSavedMessages:  atomic.LoadInt64(&m.aggSaved),
 	}
 }
-
-// SetHangTimeout configures the watchdog window (two consecutive windows
-// without progress fail the machine with a realm.HangError). Must be set
-// before Drive; d <= 0 disables the watchdog.
-func (m *Machine) SetHangTimeout(d time.Duration) { m.hangTimeout = d }
 
 // InjectFaults implements realm.Exec. Rate-based faults and
 // logical-point crash schedules (FaultPlan.LaunchCrashes — "node 2 dies at
@@ -357,15 +340,15 @@ func (m *Machine) KillAgent(a realm.Agent) {
 }
 
 func (m *Machine) killAgent(a *agent) {
-	a.mu.Lock()
+	m.qmu.Lock()
+	defer m.qmu.Unlock()
 	if a.done || a.killed {
-		a.mu.Unlock()
 		return
 	}
 	a.killed = true
-	m.addZombies(1)
+	m.zombies++
+	m.unparkLocked(a)
 	close(a.kill)
-	a.mu.Unlock()
 }
 
 // Quiesce implements realm.Exec: block until every in-flight work
@@ -383,19 +366,91 @@ func (m *Machine) Quiesce() {
 func (m *Machine) addInflight(d int) {
 	m.qmu.Lock()
 	m.inflight += d
-	if m.inflight == 0 && m.zombies == 0 {
-		m.qcond.Broadcast()
-	}
-	m.qmu.Unlock()
+	m.settleUnlock()
 }
 
-func (m *Machine) addZombies(d int) {
-	m.qmu.Lock()
-	m.zombies += d
+// settleUnlock releases qmu after a population change that can drain the
+// machine or complete a deadlock (an item retires, an agent exits or
+// blocks). It wakes Quiesce and Drive only once their own condition
+// holds, and fails a machine not yet failed when every agent is blocked
+// with nothing in flight.
+func (m *Machine) settleUnlock() {
 	if m.inflight == 0 && m.zombies == 0 {
 		m.qcond.Broadcast()
+		if m.agents == 0 {
+			m.dcond.Signal()
+		}
+	}
+	dead := m.inflight == 0 && m.agents > 0 && m.blocked == m.agents && !m.failed()
+	m.qmu.Unlock()
+	if dead {
+		m.failDeadlock()
+	}
+}
+
+// unparkLocked clears a's blocked mark, under qmu.
+func (m *Machine) unparkLocked(a *agent) {
+	if a.parked != realm.NoEvent {
+		a.parked = realm.NoEvent
+		m.blocked--
+	}
+}
+
+// park registers a continuation closing wake on e and marks a blocked on
+// it before the event can fire (lock order mu → qmu). The mark is cleared
+// by the continuation, on the triggering goroutine before wake closes, or
+// by killAgent — never by the woken goroutine — so an agent whose event
+// is firing is always covered by the counted agent or item firing it, and
+// a deadlock seen here is real. A killed agent is never marked: it is
+// about to unwind. park reports false, registering nothing, when e has
+// already fired.
+func (m *Machine) park(a *agent, e realm.Event, wake chan struct{}) bool {
+	m.mu.Lock()
+	waiting := m.events.Await(e, func() {
+		m.qmu.Lock()
+		m.unparkLocked(a)
+		m.qmu.Unlock()
+		close(wake)
+	})
+	if !waiting {
+		m.mu.Unlock()
+		return false
+	}
+	m.qmu.Lock()
+	m.mu.Unlock() // the continuation cannot clear the mark before qmu is free
+	if !a.killed {
+		a.parked = e
+		m.blocked++
+	}
+	m.settleUnlock()
+	return true
+}
+
+// failDeadlock fails the machine with a *realm.DeadlockError naming every
+// blocked agent, sorted by name, and the primitive its event belongs to.
+// Nothing can change a deadlocked population, so the report is exact.
+func (m *Machine) failDeadlock() {
+	m.faultMu.Lock()
+	var all []*agent
+	for _, on := range m.agentsOn {
+		all = append(all, on...)
+	}
+	m.faultMu.Unlock()
+	derr := &realm.DeadlockError{Now: m.Now()}
+	m.qmu.Lock()
+	for _, a := range all {
+		if a.parked != realm.NoEvent {
+			derr.Blocked = append(derr.Blocked, realm.BlockedThread{Name: a.name, Waiting: a.parked})
+		}
 	}
 	m.qmu.Unlock()
+	sort.SliceStable(derr.Blocked, func(i, j int) bool { return derr.Blocked[i].Name < derr.Blocked[j].Name })
+	m.mu.Lock()
+	for i := range derr.Blocked {
+		derr.Blocked[i].Primitive = evKindNames[m.events.Kind(derr.Blocked[i].Waiting)]
+	}
+	m.mu.Unlock()
+	m.fail(derr)
 }
 
 // ShipTrace implements realm.Exec: a trace shipment is an ordinary
@@ -504,16 +559,6 @@ func (m *Machine) OnTrigger(e realm.Event, fn func()) {
 	}
 }
 
-func (m *Machine) eventKind(e realm.Event) string {
-	if e == realm.NoEvent {
-		return "event"
-	}
-	m.mu.Lock()
-	k := m.events.Kind(e)
-	m.mu.Unlock()
-	return evKindNames[k]
-}
-
 // Merge implements realm.Exec via an atomic countdown: the extra initial
 // count covers registration itself, so inputs may trigger concurrently
 // while the loop is still walking them.
@@ -538,28 +583,28 @@ func (m *Machine) Merge(evs ...realm.Event) realm.Event {
 // SpawnOn implements realm.Exec: fn runs on its own goroutine. The node
 // binding is advisory for placement on shared memory — the Go scheduler
 // owns cores — but is authoritative for fault injection: a crash of the
-// node kills the agents spawned on it.
+// node kills the agents spawned on it. The agent is counted from here, not
+// from when its goroutine starts, so a peer released first cannot block
+// alone and read as a deadlock.
 func (m *Machine) SpawnOn(name string, node, proc int, fn func(realm.Agent)) realm.Agent {
 	_ = proc
 	a := &agent{m: m, name: name, node: node, kill: make(chan struct{})}
-	if node >= 0 && node < len(m.agentsOn) {
-		m.faultMu.Lock()
-		m.agentsOn[node] = append(m.agentsOn[node], a)
-		m.faultMu.Unlock()
-	}
-	m.wg.Add(1)
+	m.faultMu.Lock()
+	m.agentsOn[node] = append(m.agentsOn[node], a)
+	m.faultMu.Unlock()
+	m.qmu.Lock()
+	m.agents++
+	m.qmu.Unlock()
 	run := func() {
-		atomic.AddInt64(&m.liveAgents, 1)
-		defer m.wg.Done()
 		defer func() {
-			a.mu.Lock()
+			m.qmu.Lock()
 			a.done = true
-			killed := a.killed
-			a.mu.Unlock()
-			atomic.AddInt64(&m.liveAgents, -1)
-			if killed {
-				m.addZombies(-1)
+			m.agents--
+			if a.killed {
+				m.zombies--
 			}
+			m.unparkLocked(a) // a waiter unwinding from a failed machine
+			m.settleUnlock()
 		}()
 		defer m.capturePanic("agent " + name)
 		fn(a)
@@ -673,13 +718,15 @@ func (m *Machine) CopyBytes(src, dst int, bytes int64, pre realm.Event, body fun
 // Drive implements realm.Exec: start the worker pool, release the agents
 // spawned and the work made ready before the run, then wait for the
 // population of agents and work items to drain. The counting discipline
-// makes the Wait sound: any event that will ever trigger is owed to an
-// agent goroutine or a dispatched (pending, queued or executing) work item
-// in the group, and items join the group synchronously inside their
-// precondition's trigger (i.e. while the triggering goroutine is still
-// counted), so the count never dips to zero with work outstanding. The pool is stopped only after the Wait returns,
-// when every deque is provably empty. The watchdog runs alongside and
-// fails the machine if no progress is made for two full windows.
+// makes the wait sound: any event that will ever trigger is owed to an
+// agent or a dispatched (pending, queued or executing) work item, and
+// items are counted synchronously inside their precondition's trigger
+// (while the triggering goroutine is still counted), so the count never
+// dips to zero with work outstanding. The same discipline makes a
+// deadlock exact: when every agent is blocked and no item is in flight,
+// nothing can fire again, and the run fails with a realm.DeadlockError
+// at once. The pool is stopped only after the wait returns, when every
+// deque is provably empty.
 func (m *Machine) Drive() (realm.Time, error) {
 	m.mu.Lock()
 	if m.schedp.Load() != nil {
@@ -690,76 +737,19 @@ func (m *Machine) Drive() (realm.Time, error) {
 	pend := m.pending
 	m.pending = nil
 	m.mu.Unlock()
-	stop := make(chan struct{})
-	if m.hangTimeout > 0 {
-		//detlint:ignore the watchdog goroutine only observes counters; it never produces results the run depends on
-		go m.watchdog(stop)
-	}
 	for _, release := range pend {
 		release()
 	}
-	m.wg.Wait()
-	close(stop)
+	m.qmu.Lock()
+	for m.agents > 0 || m.inflight > 0 {
+		m.dcond.Wait()
+	}
+	m.qmu.Unlock()
 	m.schedp.Load().shutdown()
 	m.failMu.Lock()
 	err := m.err
 	m.failMu.Unlock()
 	return m.Now(), err
-}
-
-// watchdog samples the machine every hangTimeout: if two consecutive
-// samples see every live agent blocked, nothing in flight, and an
-// unchanged event count, nothing can ever fire again (the only trigger
-// sources are agents and in-flight work), and the machine fails with a
-// HangError instead of wedging Drive.
-func (m *Machine) watchdog(stop chan struct{}) {
-	tick := time.NewTicker(m.hangTimeout)
-	defer tick.Stop()
-	lastEvents := int64(-1)
-	stalled := false
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		events := atomic.LoadInt64(&m.eventsFired)
-		live := atomic.LoadInt64(&m.liveAgents)
-		m.qmu.Lock()
-		busy := m.inflight
-		m.qmu.Unlock()
-		m.waitMu.Lock()
-		blocked := len(m.waiting)
-		m.waitMu.Unlock()
-		quiet := live > 0 && int64(blocked) == live && busy == 0 && events == lastEvents
-		if quiet && stalled {
-			m.fail(m.hangError())
-			return
-		}
-		stalled = quiet
-		lastEvents = events
-	}
-}
-
-// hangError snapshots the blocked-agent registry into a structured report,
-// sorted by agent name for stable output.
-func (m *Machine) hangError() *realm.HangError {
-	type parked struct {
-		a *agent
-		e realm.Event
-	}
-	m.waitMu.Lock()
-	snap := make([]parked, 0, len(m.waiting))
-	for a, e := range m.waiting {
-		snap = append(snap, parked{a, e})
-	}
-	m.waitMu.Unlock()
-	sort.Slice(snap, func(i, j int) bool { return snap[i].a.name < snap[j].a.name })
-	blocked := make([]realm.BlockedAgent, 0, len(snap))
-	for _, p := range snap {
-		blocked = append(blocked, realm.BlockedAgent{Name: p.a.name, Waiting: p.e, Primitive: m.eventKind(p.e)})
-	}
-	return &realm.HangError{Timeout: realm.Time(m.hangTimeout), Blocked: blocked}
 }
 
 // abortPanic unwinds an agent whose machine has failed; capturePanic
@@ -807,11 +797,12 @@ type agent struct {
 	m    *Machine
 	name string
 	node int
+	kill chan struct{} // closed by killAgent; checked at scheduling points
 
-	mu     sync.Mutex
-	kill   chan struct{} // closed by killAgent; checked at scheduling points
+	// Guarded by m.qmu.
 	killed bool
 	done   bool
+	parked realm.Event // the unfired event the agent is blocked on; NoEvent when it is not
 }
 
 var _ realm.Agent = (*agent)(nil)
@@ -845,15 +836,9 @@ func (a *agent) WaitEvent(e realm.Event) {
 		return
 	}
 	ch := make(chan struct{})
-	a.m.OnTrigger(e, func() { close(ch) })
-	a.m.waitMu.Lock()
-	a.m.waiting[a] = e
-	a.m.waitMu.Unlock()
-	defer func() {
-		a.m.waitMu.Lock()
-		delete(a.m.waiting, a)
-		a.m.waitMu.Unlock()
-	}()
+	if !a.m.park(a, e, ch) {
+		return
+	}
 	select {
 	case <-ch:
 		// A kill that raced the wake still wins: unwind before issuing
@@ -891,7 +876,7 @@ func (a *agent) Sleep(d realm.Time) {
 
 // Barrier implements realm.Exec: the last arrival fires done on its own
 // goroutine, which gives waiters the usual happens-before edge. The done
-// event is tagged so a HangError names the barrier.
+// event is tagged so a DeadlockError names the barrier.
 func (m *Machine) Barrier(n int) realm.BarrierOp {
 	return realm.NewBarrier(m, n, m.newEvent(evBarrier), m.Trigger)
 }

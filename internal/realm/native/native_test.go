@@ -94,7 +94,10 @@ func TestDriveRunsAgentsAndWork(t *testing.T) {
 
 // TestWorkReadyAsDriveStartsIsNotLost: launches whose precondition fires on
 // another goroutine while Drive is starting each either wait in the pending
-// list for Drive to release or go straight to the pool — none is lost.
+// list for Drive to release or go straight to the pool — none is lost. The
+// trigger comes from outside the machine's population, so the waiter holds
+// off on a channel until it has fired rather than block in WaitEvent on an
+// event no counted goroutine owes (which would be a deadlock).
 func TestWorkReadyAsDriveStartsIsNotLost(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		m := newTest(t, 2)
@@ -105,8 +108,15 @@ func TestWorkReadyAsDriveStartsIsNotLost(t *testing.T) {
 			evs[k] = m.LaunchOn(k%2, gate, 0, func() { atomic.AddInt64(&ran, 1) })
 		}
 		all := m.Merge(evs...)
-		m.SpawnOn("waiter", 0, 0, func(a realm.Agent) { a.WaitEvent(all) })
-		go m.Trigger(gate)
+		fired := make(chan struct{})
+		m.SpawnOn("waiter", 0, 0, func(a realm.Agent) {
+			<-fired
+			a.WaitEvent(all)
+		})
+		go func() {
+			m.Trigger(gate)
+			close(fired)
+		}()
 		if _, err := m.Drive(); err != nil {
 			t.Fatal(err)
 		}
@@ -340,43 +350,6 @@ func TestStragglerDelaysAreReal(t *testing.T) {
 	}
 }
 
-// TestWatchdogReportsHang checks the native analogue of the DES
-// DeadlockError: a run that can never progress (a barrier expecting an
-// arrival that never comes) is failed by the watchdog with a structured
-// HangError naming the blocked agents and the primitive they are parked
-// on, instead of wedging Drive until the test timeout.
-func TestWatchdogReportsHang(t *testing.T) {
-	m := newTest(t, 2)
-	m.SetHangTimeout(25 * time.Millisecond)
-	b := m.Barrier(3) // three expected, only two will ever arrive
-	for i := 0; i < 2; i++ {
-		i := i
-		m.SpawnOn(fmt.Sprintf("stuck-%d", i), i, 0, func(a realm.Agent) {
-			b.Arrive(realm.NoEvent)
-			a.WaitEvent(b.Done())
-		})
-	}
-	_, err := m.Drive()
-	var he *realm.HangError
-	if !errors.As(err, &he) {
-		t.Fatalf("err = %v, want realm.HangError", err)
-	}
-	if len(he.Blocked) != 2 {
-		t.Fatalf("blocked = %+v, want both stuck agents", he.Blocked)
-	}
-	for i, blk := range he.Blocked {
-		if want := fmt.Sprintf("stuck-%d", i); blk.Name != want {
-			t.Errorf("blocked[%d].Name = %q, want %q (sorted)", i, blk.Name, want)
-		}
-		if blk.Primitive != "barrier" {
-			t.Errorf("blocked[%d].Primitive = %q, want barrier", i, blk.Primitive)
-		}
-	}
-	if !strings.Contains(err.Error(), "stuck-0(barrier)") {
-		t.Errorf("err = %v, want agents named with their primitive", err)
-	}
-}
-
 // TestKillAgentAndQuiesce checks the failover building blocks: a killed
 // agent unwinds with the shared kill sentinel (not an error), its node's
 // suppressed work never fires its events, and Quiesce really waits out
@@ -574,5 +547,47 @@ func TestStressCopiesAndTasks(t *testing.T) {
 	st := m.Stats()
 	if st.BytesSent != wantBytes || st.Messages != wantMsgs || st.LocalCopies != wantLocal {
 		t.Errorf("stats = %+v, want bytes=%d msgs=%d local=%d", st, wantBytes, wantMsgs, wantLocal)
+	}
+}
+
+// TestPingPongNoFalseDeadlock stresses the exactness of deadlock detection
+// from the other side: two agents hand a token back and forth through work
+// items, each blocking while the other's item is still completing, so at
+// every hand-off both agents are parked and the only thing left in flight
+// is the item that wakes one of them. Alternate rounds complete inline at
+// issue (no body) or on a pool worker (an empty body). A blocked agent is
+// released on the completing goroutine before the item retires, so none of
+// these states may read as a deadlock.
+func TestPingPongNoFalseDeadlock(t *testing.T) {
+	const rounds = 10000
+	m := newTest(t, 2)
+	ping, pong := m.ReserveEvents(rounds), m.ReserveEvents(rounds)
+	var token int64
+	pass := func(node, r int, out realm.Event) {
+		var body func()
+		if r%2 == 1 {
+			body = func() { atomic.AddInt64(&token, 1) }
+		} else {
+			atomic.AddInt64(&token, 1)
+		}
+		m.TriggerAfter(out, m.LaunchOn(node, realm.NoEvent, 0, body))
+	}
+	m.SpawnOn("ping", 0, 0, func(a realm.Agent) {
+		for r := 0; r < rounds; r++ {
+			pass(0, r, ping+realm.Event(r))
+			a.WaitEvent(pong + realm.Event(r))
+		}
+	})
+	m.SpawnOn("pong", 1, 0, func(a realm.Agent) {
+		for r := 0; r < rounds; r++ {
+			a.WaitEvent(ping + realm.Event(r))
+			pass(1, r, pong+realm.Event(r))
+		}
+	})
+	if _, err := m.Drive(); err != nil {
+		t.Fatalf("a live ping-pong failed: %v", err)
+	}
+	if got := atomic.LoadInt64(&token); got != 2*rounds {
+		t.Errorf("token passed %d times, want %d", got, 2*rounds)
 	}
 }

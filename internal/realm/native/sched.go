@@ -18,17 +18,16 @@
 // per item would be, and it makes the park/wake protocol trivially
 // lost-wakeup free.
 //
-// Lifecycle and drain: an item joins the machine's WaitGroup and inflight
-// count at dispatch (inside its precondition's trigger, while the
-// triggering goroutine is still counted, so Drive's Wait stays sound) and
-// leaves both when a worker finishes it — queued-but-unstarted work
-// therefore holds Quiesce open and keeps the watchdog's "busy" signal
-// high, so an idle-but-nonempty pool can never be misread as a hang.
-// Items whose node crashed while they sat queued are dropped at dequeue
-// (lost work, exactly as at trigger time); injected delays (stragglers,
-// retransmits) ride a timer before enqueue instead of blocking a worker.
-// Drive stops the workers only after the WaitGroup drains, when every
-// deque is provably empty.
+// Lifecycle and drain: an item joins the machine's inflight count at
+// dispatch (inside its precondition's trigger, while the triggering
+// goroutine is still counted, so Drive's wait stays sound) and leaves it
+// when a worker finishes it — queued-but-unstarted work therefore holds
+// Drive and Quiesce open, and an idle-but-nonempty pool can never be
+// misread as a deadlock. Items whose node crashed while they sat queued
+// are dropped at dequeue (lost work, exactly as at trigger time); injected
+// delays (stragglers, retransmits) ride a timer before enqueue instead of
+// blocking a worker. Drive stops the workers only after the population
+// drains, when every deque is provably empty.
 package native
 
 import (
@@ -121,7 +120,7 @@ func (s *scheduler) enqueue(it *workItem) {
 }
 
 // shutdown stops the workers and waits for them to exit. Drive calls it
-// after the machine's WaitGroup drains, so every deque is already empty.
+// after the machine's population drains, so every deque is already empty.
 func (s *scheduler) shutdown() {
 	s.mu.Lock()
 	s.stop = true
@@ -304,13 +303,12 @@ func (m *Machine) Procs() int {
 func (m *Machine) SetTimeRecorder(rec realm.TimeRecorder) { m.recorder = rec }
 
 // dispatch routes one ready work item onto the pool. The item is counted
-// in the machine WaitGroup and the inflight gauge from here until runItem
-// finishes it. An item made ready before Drive waits in the pending list
-// beside the agents spawned before it; the pool pointer is re-read under
-// the lock Drive publishes it under, so an item racing Drive's start is
-// either released by Drive or submitted here, never lost.
+// in flight from here until runItem finishes it. An item made ready before
+// Drive waits in the pending list beside the agents spawned before it; the
+// pool pointer is re-read under the lock Drive publishes it under, so an
+// item racing Drive's start is either released by Drive or submitted
+// here, never lost.
 func (m *Machine) dispatch(it *workItem, delay time.Duration) {
-	m.wg.Add(1)
 	m.addInflight(1)
 	s := m.schedp.Load()
 	if s == nil {
@@ -340,8 +338,7 @@ func (s *scheduler) submit(it *workItem, delay time.Duration) {
 // whose node crashed while it was queued is dropped: lost work, the done
 // event never fires — the same rule applied at trigger time.
 func (m *Machine) runItem(it *workItem) {
-	defer m.wg.Done()
-	defer func() { m.addInflight(-1) }()
+	defer m.addInflight(-1)
 	defer m.capturePanic(itemKindNames[it.kind])
 	if m.nodeDown(it.node) || (it.node2 >= 0 && m.nodeDown(it.node2)) {
 		return

@@ -228,15 +228,14 @@ func TestCrashDuringStealStorm(t *testing.T) {
 
 // TestQuiesceDrainsLoadedDeques checks the drain protocol with a backlog:
 // items still sitting in deques count as in-flight, so Quiesce must wait
-// for them, and the watchdog must not misread the busy pool as a hang even
-// though every agent is blocked the whole time.
+// for them, and a loaded pool must not read as a deadlock while the only
+// agent is blocked on it.
 func TestQuiesceDrainsLoadedDeques(t *testing.T) {
 	const items = 20
 	m := newTest(t, 2)
 	m.SetProcs(1)
-	m.SetHangTimeout(10 * time.Millisecond) // far shorter than the backlog
 	var done int64
-	m.SpawnOn("ctl", 0, 0, func(a realm.Agent) {
+	backlog := func() realm.Event {
 		evs := make([]realm.Event, items)
 		for k := range evs {
 			evs[k] = m.LaunchOn(1, realm.NoEvent, 0, func() {
@@ -244,14 +243,21 @@ func TestQuiesceDrainsLoadedDeques(t *testing.T) {
 				atomic.AddInt64(&done, 1)
 			})
 		}
+		return m.Merge(evs...)
+	}
+	m.SpawnOn("ctl", 0, 0, func(a realm.Agent) {
+		backlog()
 		m.Quiesce()
 		if got := atomic.LoadInt64(&done); got != items {
 			t.Errorf("Quiesce returned with %d of %d bodies finished", got, items)
 		}
-		a.WaitEvent(m.Merge(evs...))
+		a.WaitEvent(backlog()) // blocked for the whole second backlog
 	})
 	if _, err := m.Drive(); err != nil {
-		t.Fatalf("the watchdog misfired on a loaded pool: %v", err)
+		t.Fatalf("a loaded pool read as a deadlock: %v", err)
+	}
+	if got := atomic.LoadInt64(&done); got != 2*items {
+		t.Errorf("%d of %d bodies finished", got, 2*items)
 	}
 }
 

@@ -443,17 +443,21 @@ func (s *Sim) Merge(evs ...Event) Event {
 	return out
 }
 
-// BlockedThread describes one stuck thread in a DeadlockError: its
-// diagnostic name and the event it is waiting on (NoEvent if it is blocked
-// for another reason, e.g. mid-handshake).
+// BlockedThread describes one stuck thread or agent in a DeadlockError:
+// its diagnostic name, the event it is waiting on (NoEvent if it is
+// blocked for another reason, e.g. mid-handshake), and the primitive that
+// owns that event ("barrier", "collective", "task", "copy", "sync",
+// "merge", "user", "node-fail") where the backend labels events — the
+// native backend does, the DES leaves it empty.
 type BlockedThread struct {
-	Name    string
-	Waiting Event
+	Name      string
+	Waiting   Event
+	Primitive string
 }
 
-// DeadlockError is returned by Run when the event queue drains while
-// simulated threads are still blocked: every blocked thread waits on an
-// event nothing pending can ever trigger.
+// DeadlockError is returned by Drive (Run on the DES) when every thread
+// still alive is blocked and nothing pending can ever trigger the events
+// they wait on.
 type DeadlockError struct {
 	Now     Time
 	Blocked []BlockedThread
@@ -463,9 +467,12 @@ func (e *DeadlockError) Error() string {
 	var b []byte
 	b = fmt.Appendf(b, "realm: deadlock at t=%d — no events pending but %d threads are blocked:", e.Now, len(e.Blocked))
 	for _, t := range e.Blocked {
-		if t.Waiting != NoEvent {
+		switch {
+		case t.Waiting != NoEvent && t.Primitive != "":
+			b = fmt.Appendf(b, " %s(waiting on %s event %d)", t.Name, t.Primitive, t.Waiting)
+		case t.Waiting != NoEvent:
 			b = fmt.Appendf(b, " %s(waiting on event %d)", t.Name, t.Waiting)
-		} else {
+		default:
 			b = fmt.Appendf(b, " %s", t.Name)
 		}
 	}

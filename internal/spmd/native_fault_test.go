@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/ir"
@@ -13,15 +12,13 @@ import (
 	"repro/internal/spmd"
 )
 
-// onNative is a fault-tolerance row on a 4-node native machine whose
-// watchdog window is short, so an accidental recovery deadlock fails the
-// test in milliseconds, not minutes. A seeded crash plan goes with it.
-func onNative(seed uint64, watchdog time.Duration) bench.Config {
+// onNative is a fault-tolerance row on a 4-node native machine, which
+// decides deadlock exactly, so an accidental recovery deadlock fails the
+// test at once. A seeded crash plan goes with it.
+func onNative(seed uint64) bench.Config {
 	mc := realm.DefaultConfig(4)
 	mc.CoresPerNode = 4
-	m := native.MustNewMachine(mc)
-	m.SetHangTimeout(watchdog)
-	cfg := bench.Config{Nodes: 4, Exec: m, Recov: spmd.Recovery{CheckpointEvery: 2, MaxRetries: 6, Backoff: realm.Microseconds(200)}}
+	cfg := bench.Config{Nodes: 4, Exec: native.MustNewMachine(mc), Recov: spmd.Recovery{CheckpointEvery: 2, MaxRetries: 6, Backoff: realm.Microseconds(200)}}
 	if seed != 0 {
 		cfg.Faults = &realm.FaultPlan{Seed: seed, CrashRate: 100}
 	}
@@ -36,7 +33,7 @@ func onNative(seed uint64, watchdog time.Duration) bench.Config {
 // semantics.
 func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 	build := figure2(48, 8, 8)
-	res0 := must(t)(bench.RunCR(build(), onNative(0, 2*time.Second)))
+	res0 := must(t)(bench.RunCR(build(), onNative(0)))
 	stats0 := res0.CRTrace
 	if stats0.Captures != 1 || stats0.PerShardCaptures != 0 {
 		t.Fatalf("fault-free counters %+v, want exactly one shared capture", stats0)
@@ -53,7 +50,7 @@ func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 	// enough that nodes 2 and 3 survive to receive trace shipments
 	// (pre-failover, each node's launches are issued by its one shard
 	// agent, so the per-node draw sequence is reproducible).
-	got := must(t)(bench.RunCR(build(), onNative(29, 2*time.Second)))
+	got := must(t)(bench.RunCR(build(), onNative(29)))
 	stats := got.CRTrace
 
 	if got.Faults == nil || len(got.Faults.Crashes) == 0 || got.Faults.Restarts < 1 {
@@ -101,7 +98,7 @@ func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 // lands on every run.)
 func TestNativeCrashSetDeterminism(t *testing.T) {
 	run := func() *bench.Result {
-		res := must(t)(bench.RunCR(figure2(48, 8, 8)(), onNative(29, 2*time.Second)))
+		res := must(t)(bench.RunCR(figure2(48, 8, 8)(), onNative(29)))
 		if res.Faults == nil || res.Faults.Unrecovered {
 			t.Fatalf("run did not recover: %+v", res.Faults)
 		}
@@ -128,7 +125,7 @@ func TestNativeCrashSetDeterminism(t *testing.T) {
 // failover has remapped shards), exercising restart-upon-restarted-state.
 func TestNativeDoubleFailover(t *testing.T) {
 	build := figure2(48, 8, 8)
-	got := must(t)(bench.RunCR(build(), onNative(41, 2*time.Second)))
+	got := must(t)(bench.RunCR(build(), onNative(41)))
 	if got.Faults == nil || len(got.Faults.Crashes) < 2 || got.Faults.Restarts < 2 {
 		t.Fatalf("fault report = %+v, want two crashes and two restarts", got.Faults)
 	}
@@ -141,23 +138,23 @@ func TestNativeDoubleFailover(t *testing.T) {
 	diff(t, ir.ExecSequential(build()), got)
 }
 
-// TestNativeHangWithoutRecovery pins the watchdog's integration with the
-// executor: an injected crash with recovery disabled can never finish (the
-// crashed shard's completion event is lost), and the run must come back as
-// a structured error from the native watchdog naming the stuck agents —
-// the analogue of the DES DeadlockError — rather than wedging the test.
+// TestNativeHangWithoutRecovery pins exact deadlock detection's
+// integration with the executor: an injected crash with recovery disabled
+// can never finish (the crashed shard's completion event is lost), and the
+// run must come back as the DeadlockError the DES returns, naming the
+// stuck agents, rather than wedging the test.
 func TestNativeHangWithoutRecovery(t *testing.T) {
-	cfg := onNative(11, 50*time.Millisecond)
+	cfg := onNative(11)
 	cfg.Recov, cfg.Faults.CrashRate = spmd.Recovery{}, 2000
 	_, err := bench.RunCR(figure2(48, 8, 8)(), cfg)
 	if err == nil {
 		t.Fatal("crash without recovery completed; the lost shard should hang the run")
 	}
-	var he *realm.HangError
-	if !errors.As(err, &he) {
-		t.Fatalf("err = %v, want a realm.HangError from the watchdog", err)
+	var derr *realm.DeadlockError
+	if !errors.As(err, &derr) {
+		t.Fatalf("err = %v, want a realm.DeadlockError", err)
 	}
-	if len(he.Blocked) == 0 {
-		t.Fatalf("hang reported no blocked agents: %v", err)
+	if len(derr.Blocked) == 0 {
+		t.Fatalf("deadlock reported no blocked agents: %v", err)
 	}
 }

@@ -10,8 +10,8 @@ package verify
 //
 //  1. The wait-for graph is acyclic. A cycle is a deadlock: every op on it
 //     waits, transitively, on itself — the static analogue of the DES's
-//     realm.DeadlockError ("simulation wedged with events outstanding")
-//     and the native backend's two-quiet-window realm.HangError.
+//     realm.DeadlockError, which both backends return when every agent
+//     left is blocked and nothing pending can fire.
 //  2. Every synchronization event with waiters has a trigger. A war/done
 //     event nothing ever connects is never triggered, so its waiters block
 //     forever even though no cycle exists.
