@@ -230,8 +230,6 @@ func (c *Counters) addSched(s native.SchedStats) {
 	c.update("native.workers", func(old int64) int64 { return max(old, int64(s.Workers)) })
 	c.Add("native.dispatches", s.Dispatches)
 	c.Add("native.steals", s.Steals)
-	c.Add("native.local_steals", s.LocalSteals)
-	c.Add("native.remote_steals", s.RemoteSteals)
 	c.Add("native.inline_completions", s.InlineCompletions)
 }
 

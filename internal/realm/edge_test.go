@@ -108,7 +108,7 @@ func TestThreadSleepDoesNotOccupyProc(t *testing.T) {
 	var taskAt Time
 	s.SpawnOn("sleeper", 0, 0, func(th Agent) {
 		// While the thread sleeps, a task on the same proc should run.
-		p.launch(NoEvent, Microseconds(10), func() { taskAt = s.Now() })
+		s.OnTrigger(p.launch(Microseconds(10)), func() { taskAt = s.Now() })
 		th.Sleep(Microseconds(100))
 	})
 	s.MustRun()

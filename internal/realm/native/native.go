@@ -3,11 +3,17 @@
 // time-policy split. Where the DES interprets the event graph on one
 // virtual clock, the native Machine runs it — one goroutine per control
 // agent (a CR shard thread), a fixed pool of worker goroutines executing
-// the ready work items off per-(node, proc) deques (sched.go; affinity
-// placement, LIFO slots, node-local-then-remote stealing), real
-// memcpy-style region copies in task and copy bodies, and wall-clock
-// timing. Zero-cost completions (nil body, no injected delay) short-
-// circuit inline at trigger without touching a queue.
+// the ready work items off one deque per node (sched.go; affinity
+// placement, a LIFO slot, cross-node stealing), real memcpy-style region
+// copies in task and copy bodies, and wall-clock timing. Zero-cost
+// completions (nil body, no injected delay) short-circuit inline at
+// trigger without touching a queue.
+//
+// The machine's state sits under two mutexes: mu guards the event table
+// alone, qmu everything else (the population, the ready deques, the
+// workers' stop flag, the agents waiting for Drive, the crash log and the
+// first error). The one lock order is mu then qmu: nothing takes mu while
+// holding qmu.
 //
 // The memory model is the event graph itself. Engines order every pair of
 // conflicting accesses through events (task preconditions, p2p war/done
@@ -90,30 +96,25 @@ type Machine struct {
 	cfg   realm.Config
 	epoch time.Time
 
-	// mu guards the event table and the pending list: the agents spawned
-	// and the work items made ready before Drive, which Drive releases once
-	// the pool exists, so setup code builds the initial population
-	// race-free.
-	mu      sync.Mutex
-	events  realm.EventTable
-	pending []func()
+	// mu guards the event table.
+	mu     sync.Mutex
+	events realm.EventTable
 
-	// failCh closes on the first recorded error; agents blocked in
-	// WaitEvent abandon their waits so the machine drains instead of
-	// hanging on events a dead goroutine will never trigger.
-	failMu sync.Mutex
-	failCh chan struct{}
-	err    error
-
-	// qmu guards the population: agents (from SpawnOn until they
+	// qmu guards the rest. The population: agents (from SpawnOn until they
 	// finish), inflight work items (from precondition trigger to
-	// completion), zombies (killed agents not yet unwound) and blocked
-	// agents (parked in WaitEvent on an unfired event), plus each agent's
-	// killed/done/parked state. Every event that will fire is owed to an
-	// unblocked agent or an in-flight item, so Drive waits on dcond for
-	// agents and inflight to drain, Quiesce on qcond for inflight and
-	// zombies, and agents > 0 && blocked == agents && inflight == 0 is a
-	// deadlock.
+	// completion, queued ones included), zombies (killed agents not yet
+	// unwound) and blocked agents (parked in WaitEvent on an unfired
+	// event), plus each agent's killed/done/parked state. Every event that
+	// will fire is owed to an unblocked agent or an in-flight item, so
+	// Drive waits on dcond for agents and inflight to drain, Quiesce on
+	// qcond for inflight and zombies, and agents > 0 && blocked == agents
+	// && inflight == 0 is a deadlock. Then the scheduler (sched.go): one
+	// ready deque per node, and the cond and stop flag the pool's workers
+	// park on and exit at. Then driving (Drive has begun), the agents
+	// spawned before it, agentsOn, the crash log and the first error, whose
+	// recording closes failCh: agents blocked in WaitEvent abandon their
+	// waits, so the machine drains instead of hanging on events a dead
+	// goroutine will never trigger.
 	qmu      sync.Mutex
 	qcond    *sync.Cond
 	dcond    *sync.Cond
@@ -121,29 +122,35 @@ type Machine struct {
 	inflight int
 	zombies  int
 	blocked  int
+	qs       []deque
+	wcond    *sync.Cond
+	stop     bool
+	driving  bool
+	spawned  []func()
+	agentsOn [][]*agent // every agent spawned, by node
+	crashLog []realm.NodeCrash
+	err      error
+	failCh   chan struct{}
 
-	// Scheduler state (sched.go). schedp is published in Drive, under mu,
-	// before the pending list is released, and read by every dispatch;
-	// non-nil means Drive has begun. procs/recorder are configured before
-	// Drive only.
-	schedp   atomic.Pointer[scheduler]
-	procs    int // per-node worker count; 0 → defaultProcs
+	// workers counts the running pool workers; Drive waits out their exit.
+	workers sync.WaitGroup
+
+	// Configured before Drive only (the workers' goroutine starts publish
+	// them): the per-node worker count (0 → defaultProcs) and the recorder.
+	procs    int
 	recorder realm.TimeRecorder
 
 	// Fault state. faults is written once before Drive (InjectFaults) and
 	// read without locking afterwards — the goroutine-start edges of Drive
 	// publish it. The per-node failure flags and draw counters are atomics:
-	// fault points are concurrent.
+	// fault points are concurrent. nodeFailEv is made in NewMachine and
+	// read-only after.
 	faults         *realm.FaultPlan
 	launchCrashAt  map[int]uint64 // logical-point crash schedule, read-only after InjectFaults
-	faultMu        sync.Mutex     // guards crashLog, crashCount, nodeFailEv, agentsOn
-	crashLog       []realm.NodeCrash
-	crashCount     int
 	nodeFailEv     []realm.Event
-	agentsOn       [][]*agent // every agent spawned, by node
-	failedNodes    []int32    // atomic 0/1 per node
-	launchSeq      []uint64   // atomic per-node launch issue counters
-	copySeq        []uint64   // atomic per-node (source) copy issue counters
+	failedNodes    []int32  // atomic 0/1 per node
+	launchSeq      []uint64 // atomic per-node launch issue counters
+	copySeq        []uint64 // atomic per-node (source) copy issue counters
 	drops          int64
 	dups           int64
 	stragglers     int64
@@ -151,18 +158,16 @@ type Machine struct {
 	traceShipBytes int64
 
 	// Counters (atomics: work items complete concurrently).
-	messages     int64
-	bytesSent    int64
-	localCopies  int64
-	tasksRun     int64
-	eventsFired  int64
-	dispatches   int64 // items executed by pool workers
-	steals       int64 // pool dispatches taken off another deque
-	localSteals  int64 // steals within the enqueue node
-	remoteSteals int64 // steals across nodes
-	inline       int64 // launches/copies completed inline at trigger
-	aggGroups    int64 // coalesced transfers issued with >= 2 members
-	aggSaved     int64 // remote messages those groups avoided
+	messages    int64
+	bytesSent   int64
+	localCopies int64
+	tasksRun    int64
+	eventsFired int64
+	dispatches  int64 // items executed by pool workers
+	steals      int64 // items a worker took from another node's deque
+	inline      int64 // launches/copies completed inline at trigger
+	aggGroups   int64 // coalesced transfers issued with >= 2 members
+	aggSaved    int64 // remote messages those groups avoided
 }
 
 // NewMachine builds a native machine for the given configuration. Only the
@@ -175,15 +180,22 @@ func NewMachine(cfg realm.Config) (*Machine, error) {
 	}
 	m := &Machine{
 		cfg:         cfg,
+		qs:          make([]deque, cfg.Nodes),
+		agentsOn:    make([][]*agent, cfg.Nodes),
 		failCh:      make(chan struct{}),
 		nodeFailEv:  make([]realm.Event, cfg.Nodes),
-		agentsOn:    make([][]*agent, cfg.Nodes),
 		failedNodes: make([]int32, cfg.Nodes),
 		launchSeq:   make([]uint64, cfg.Nodes),
 		copySeq:     make([]uint64, cfg.Nodes),
 	}
 	m.qcond = sync.NewCond(&m.qmu)
 	m.dcond = sync.NewCond(&m.qmu)
+	m.wcond = sync.NewCond(&m.qmu)
+	first := m.events.Reserve(cfg.Nodes)
+	for i := range m.nodeFailEv {
+		m.nodeFailEv[i] = first + realm.Event(i)
+		m.events.SetKind(m.nodeFailEv[i], evFail)
+	}
 	m.epoch = time.Now()
 	return m, nil
 }
@@ -217,19 +229,16 @@ func (m *Machine) Now() realm.Time {
 // time that the DES's virtual counters cannot.
 func (m *Machine) Stats() realm.Stats {
 	return realm.Stats{
-		Messages:          atomic.LoadInt64(&m.messages),
-		BytesSent:         atomic.LoadInt64(&m.bytesSent),
-		LocalCopies:       atomic.LoadInt64(&m.localCopies),
-		TasksRun:          atomic.LoadInt64(&m.tasksRun),
-		Events:            atomic.LoadInt64(&m.eventsFired),
-		TraceShips:        atomic.LoadInt64(&m.traceShips),
-		TraceShipBytes:    atomic.LoadInt64(&m.traceShipBytes),
-		WallNanos:         int64(m.Now()),
-		Dispatches:        atomic.LoadInt64(&m.dispatches),
-		Steals:            atomic.LoadInt64(&m.steals),
-		InlineCompletions: atomic.LoadInt64(&m.inline),
-		AggGroups:         atomic.LoadInt64(&m.aggGroups),
-		AggSavedMessages:  atomic.LoadInt64(&m.aggSaved),
+		Messages:         atomic.LoadInt64(&m.messages),
+		BytesSent:        atomic.LoadInt64(&m.bytesSent),
+		LocalCopies:      atomic.LoadInt64(&m.localCopies),
+		TasksRun:         atomic.LoadInt64(&m.tasksRun),
+		Events:           atomic.LoadInt64(&m.eventsFired),
+		TraceShips:       atomic.LoadInt64(&m.traceShips),
+		TraceShipBytes:   atomic.LoadInt64(&m.traceShipBytes),
+		WallNanos:        int64(m.Now()),
+		AggGroups:        atomic.LoadInt64(&m.aggGroups),
+		AggSavedMessages: atomic.LoadInt64(&m.aggSaved),
 	}
 }
 
@@ -248,7 +257,10 @@ func (m *Machine) InjectFaults(fp realm.FaultPlan) error {
 	if err != nil {
 		return err
 	}
-	if m.schedp.Load() != nil {
+	m.qmu.Lock()
+	driving := m.driving
+	m.qmu.Unlock()
+	if driving {
 		return fmt.Errorf("native: InjectFaults must be called before Drive")
 	}
 	if m.faults != nil {
@@ -261,9 +273,9 @@ func (m *Machine) InjectFaults(fp realm.FaultPlan) error {
 
 // FaultStats implements realm.Exec.
 func (m *Machine) FaultStats() realm.FaultStats {
-	m.faultMu.Lock()
-	crashes := m.crashCount
-	m.faultMu.Unlock()
+	m.qmu.Lock()
+	crashes := len(m.crashLog)
+	m.qmu.Unlock()
 	return realm.FaultStats{
 		Crashes:    crashes,
 		Drops:      atomic.LoadInt64(&m.drops),
@@ -276,9 +288,9 @@ func (m *Machine) FaultStats() realm.FaultStats {
 // wall-clock order, so the log is reported sorted by node for
 // reproducibility.
 func (m *Machine) Crashes() []realm.NodeCrash {
-	m.faultMu.Lock()
+	m.qmu.Lock()
 	out := append([]realm.NodeCrash(nil), m.crashLog...)
-	m.faultMu.Unlock()
+	m.qmu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
@@ -292,42 +304,27 @@ func (m *Machine) nodeDown(node int) bool {
 
 // NodeFailEvent implements realm.Exec: the event fires when (or fired
 // because) the node crashes.
-func (m *Machine) NodeFailEvent(node int) realm.Event {
-	m.faultMu.Lock()
-	ev := m.nodeFailEv[node]
-	if ev == realm.NoEvent {
-		ev = m.newEvent(evFail)
-		m.nodeFailEv[node] = ev
-	}
-	m.faultMu.Unlock()
-	return ev
-}
+func (m *Machine) NodeFailEvent(node int) realm.Event { return m.nodeFailEv[node] }
 
 // crashNode fail-stops a node: its failure flag suppresses every
-// not-yet-started work item touching it (lost work, as on the DES), its
-// fail event fires, and every agent on it is killed — each unwinds with
-// the shared kill sentinel at its next scheduling point. Crashing a dead
-// node is a no-op.
+// not-yet-started work item touching it (lost work, as on the DES), every
+// agent on it is killed — each unwinds with the shared kill sentinel at
+// its next scheduling point — and then its fail event fires, so whoever
+// wakes on it and quiesces waits for those agents to unwind. Crashing a
+// dead node is a no-op.
 func (m *Machine) crashNode(id int) {
-	m.faultMu.Lock()
-	if atomic.LoadInt32(&m.failedNodes[id]) != 0 {
-		m.faultMu.Unlock()
+	m.qmu.Lock()
+	if m.nodeDown(id) {
+		m.qmu.Unlock()
 		return
 	}
 	atomic.StoreInt32(&m.failedNodes[id], 1)
-	m.crashCount++
 	m.crashLog = append(m.crashLog, realm.NodeCrash{Node: id, At: m.Now()})
-	ev := m.nodeFailEv[id]
-	if ev == realm.NoEvent {
-		ev = m.newEvent(evFail)
-		m.nodeFailEv[id] = ev
+	for _, a := range m.agentsOn[id] {
+		m.killLocked(a)
 	}
-	victims := append([]*agent(nil), m.agentsOn[id]...)
-	m.faultMu.Unlock()
-	m.Trigger(ev)
-	for _, a := range victims {
-		m.killAgent(a)
-	}
+	m.qmu.Unlock()
+	m.Trigger(m.nodeFailEv[id])
 }
 
 // KillAgent implements realm.Exec: the agent unwinds with the kill
@@ -335,13 +332,14 @@ func (m *Machine) crashNode(id int) {
 // in-flight work items are unaffected; only the control flow stops.
 func (m *Machine) KillAgent(a realm.Agent) {
 	if ag, ok := a.(*agent); ok {
-		m.killAgent(ag)
+		m.qmu.Lock()
+		m.killLocked(ag)
+		m.qmu.Unlock()
 	}
 }
 
-func (m *Machine) killAgent(a *agent) {
-	m.qmu.Lock()
-	defer m.qmu.Unlock()
+// killLocked kills a, under qmu.
+func (m *Machine) killLocked(a *agent) {
 	if a.done || a.killed {
 		return
 	}
@@ -361,12 +359,6 @@ func (m *Machine) Quiesce() {
 		m.qcond.Wait()
 	}
 	m.qmu.Unlock()
-}
-
-func (m *Machine) addInflight(d int) {
-	m.qmu.Lock()
-	m.inflight += d
-	m.settleUnlock()
 }
 
 // settleUnlock releases qmu after a population change that can drain the
@@ -399,7 +391,7 @@ func (m *Machine) unparkLocked(a *agent) {
 // park registers a continuation closing wake on e and marks a blocked on
 // it before the event can fire (lock order mu → qmu). The mark is cleared
 // by the continuation, on the triggering goroutine before wake closes, or
-// by killAgent — never by the woken goroutine — so an agent whose event
+// by a kill — never by the woken goroutine — so an agent whose event
 // is firing is always covered by the counted agent or item firing it, and
 // a deadlock seen here is real. A killed agent is never marked: it is
 // about to unwind. park reports false, registering nothing, when e has
@@ -430,17 +422,13 @@ func (m *Machine) park(a *agent, e realm.Event, wake chan struct{}) bool {
 // blocked agent, sorted by name, and the primitive its event belongs to.
 // Nothing can change a deadlocked population, so the report is exact.
 func (m *Machine) failDeadlock() {
-	m.faultMu.Lock()
-	var all []*agent
-	for _, on := range m.agentsOn {
-		all = append(all, on...)
-	}
-	m.faultMu.Unlock()
 	derr := &realm.DeadlockError{Now: m.Now()}
 	m.qmu.Lock()
-	for _, a := range all {
-		if a.parked != realm.NoEvent {
-			derr.Blocked = append(derr.Blocked, realm.BlockedThread{Name: a.name, Waiting: a.parked})
+	for _, on := range m.agentsOn {
+		for _, a := range on {
+			if a.parked != realm.NoEvent {
+				derr.Blocked = append(derr.Blocked, realm.BlockedThread{Name: a.name, Waiting: a.parked})
+			}
 		}
 	}
 	m.qmu.Unlock()
@@ -589,12 +577,6 @@ func (m *Machine) Merge(evs ...realm.Event) realm.Event {
 func (m *Machine) SpawnOn(name string, node, proc int, fn func(realm.Agent)) realm.Agent {
 	_ = proc
 	a := &agent{m: m, name: name, node: node, kill: make(chan struct{})}
-	m.faultMu.Lock()
-	m.agentsOn[node] = append(m.agentsOn[node], a)
-	m.faultMu.Unlock()
-	m.qmu.Lock()
-	m.agents++
-	m.qmu.Unlock()
 	run := func() {
 		defer func() {
 			m.qmu.Lock()
@@ -609,13 +591,16 @@ func (m *Machine) SpawnOn(name string, node, proc int, fn func(realm.Agent)) rea
 		defer m.capturePanic("agent " + name)
 		fn(a)
 	}
-	m.mu.Lock()
-	if m.schedp.Load() != nil {
-		m.mu.Unlock()
+	m.qmu.Lock()
+	m.agentsOn[node] = append(m.agentsOn[node], a)
+	m.agents++
+	driving := m.driving
+	if !driving {
+		m.spawned = append(m.spawned, run)
+	}
+	m.qmu.Unlock()
+	if driving {
 		go run()
-	} else {
-		m.pending = append(m.pending, func() { go run() })
-		m.mu.Unlock()
 	}
 	return a
 }
@@ -715,11 +700,11 @@ func (m *Machine) CopyBytes(src, dst int, bytes int64, pre realm.Event, body fun
 	return done
 }
 
-// Drive implements realm.Exec: start the worker pool, release the agents
-// spawned and the work made ready before the run, then wait for the
-// population of agents and work items to drain. The counting discipline
+// Drive implements realm.Exec: start the worker pool, which finds the work
+// made ready before the run already queued, and the agents spawned before
+// it, then wait for the population of agents and work items to drain. The counting discipline
 // makes the wait sound: any event that will ever trigger is owed to an
-// agent or a dispatched (pending, queued or executing) work item, and
+// agent or a dispatched (delayed, queued or executing) work item, and
 // items are counted synchronously inside their precondition's trigger
 // (while the triggering goroutine is still counted), so the count never
 // dips to zero with work outstanding. The same discipline makes a
@@ -728,27 +713,28 @@ func (m *Machine) CopyBytes(src, dst int, bytes int64, pre realm.Event, body fun
 // at once. The pool is stopped only after the wait returns, when every
 // deque is provably empty.
 func (m *Machine) Drive() (realm.Time, error) {
-	m.mu.Lock()
-	if m.schedp.Load() != nil {
-		m.mu.Unlock()
+	m.qmu.Lock()
+	if m.driving {
+		m.qmu.Unlock()
 		return m.Now(), fmt.Errorf("native: Drive is not reentrant")
 	}
-	m.schedp.Store(newScheduler(m, m.cfg.Nodes, m.Procs()))
-	pend := m.pending
-	m.pending = nil
-	m.mu.Unlock()
-	for _, release := range pend {
-		release()
+	m.driving = true
+	spawned := m.spawned
+	m.spawned = nil
+	m.qmu.Unlock()
+	m.startWorkers()
+	for _, run := range spawned {
+		go run()
 	}
 	m.qmu.Lock()
 	for m.agents > 0 || m.inflight > 0 {
 		m.dcond.Wait()
 	}
-	m.qmu.Unlock()
-	m.schedp.Load().shutdown()
-	m.failMu.Lock()
+	m.stop = true
 	err := m.err
-	m.failMu.Unlock()
+	m.qmu.Unlock()
+	m.wcond.Broadcast()
+	m.workers.Wait()
 	return m.Now(), err
 }
 
@@ -760,12 +746,12 @@ type abortPanic struct{}
 // WaitEvent, so a panicking kernel drains the machine instead of wedging
 // Drive on events that will never fire.
 func (m *Machine) fail(err error) {
-	m.failMu.Lock()
+	m.qmu.Lock()
 	if m.err == nil {
 		m.err = err
 		close(m.failCh)
 	}
-	m.failMu.Unlock()
+	m.qmu.Unlock()
 }
 
 func (m *Machine) failed() bool {
@@ -797,7 +783,7 @@ type agent struct {
 	m    *Machine
 	name string
 	node int
-	kill chan struct{} // closed by killAgent; checked at scheduling points
+	kill chan struct{} // closed by killLocked; checked at scheduling points
 
 	// Guarded by m.qmu.
 	killed bool

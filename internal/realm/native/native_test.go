@@ -93,8 +93,8 @@ func TestDriveRunsAgentsAndWork(t *testing.T) {
 }
 
 // TestWorkReadyAsDriveStartsIsNotLost: launches whose precondition fires on
-// another goroutine while Drive is starting each either wait in the pending
-// list for Drive to release or go straight to the pool — none is lost. The
+// another goroutine while Drive is starting are each queued before or
+// after the pool's workers start — none is lost. The
 // trigger comes from outside the machine's population, so the waiter holds
 // off on a channel until it has fired rather than block in WaitEvent on an
 // event no counted goroutine owes (which would be a deadlock).

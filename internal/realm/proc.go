@@ -37,18 +37,11 @@ func (s *Sim) NodeFailEvent(node int) Event {
 	return n.failEv
 }
 
-// launch schedules a work item on the processor: once pre triggers, the
-// item occupies the processor for dur, then body (if non-nil) runs and the
-// returned completion event fires. Items are serviced in the order their
-// preconditions trigger, modeling a FIFO ready queue.
-func (p *proc) launch(pre Event, dur Time, body func()) Event {
-	s := p.node.sim
-	done := s.NewUserEvent()
-	if s.Triggered(pre) {
-		p.execItem(dur, body, done)
-	} else {
-		s.await(pre, deferred{op: opProc, proc: p, dur: dur, body: body, done: done})
-	}
+// launch occupies the processor for dur, serialized FIFO behind the work
+// already on it, and returns the event that fires when it is done.
+func (p *proc) launch(dur Time) Event {
+	done := p.node.sim.NewUserEvent()
+	p.execItem(dur, nil, done)
 	return done
 }
 
@@ -60,10 +53,9 @@ type deferred struct {
 	s     *Sim
 	op    uint8
 	done  Event // the operation's completion; opLink: the event to trigger
-	proc  *proc // opProc
 	src   *node // opLaunch: the node; opCopy: the sender
 	dst   *node // opCopy
-	dur   Time  // opLaunch, opProc
+	dur   Time  // opLaunch
 	bytes int64 // opCopy
 	body  func()
 	runFn func()
@@ -71,7 +63,6 @@ type deferred struct {
 
 const (
 	opLaunch = iota // Sim.LaunchOn: execAuto on src
-	opProc          // proc.launch: execItem on proc
 	opCopy          // Sim.CopyBytes: execCopy from src to dst
 	opLink          // Sim.TriggerAfter: trigger done
 )
@@ -101,8 +92,6 @@ func (r *deferred) run() {
 	switch op.op {
 	case opLaunch:
 		op.src.execAuto(op.dur, op.body, op.done)
-	case opProc:
-		op.proc.execItem(op.dur, op.body, op.done)
 	case opCopy:
 		s.execCopy(op.src, op.dst, op.bytes, op.body, op.done)
 	case opLink:

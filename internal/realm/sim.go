@@ -115,16 +115,6 @@ type Stats struct {
 	// only by backends that execute on real cores (always zero on the DES,
 	// whose clock is virtual).
 	WallNanos int64
-
-	// Scheduler counters, reported only by backends with a real work
-	// scheduler (always zero on the DES, which has no worker pool).
-	// Dispatches counts work items executed by pool workers; Steals counts
-	// the subset taken from a deque other than the one they were enqueued
-	// on; InlineCompletions counts launches and copies that completed
-	// inline at precondition trigger without touching a queue.
-	Dispatches        int64
-	Steals            int64
-	InlineCompletions int64
 }
 
 // Sim is the simulator: the event queue, virtual clock, machine state, and

@@ -95,9 +95,8 @@ func TestProcFIFOSerialization(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
 	p := s.nodes[0].procs[0]
 	var times []Time
-	e1 := p.launch(NoEvent, Microseconds(10), func() { times = append(times, s.Now()) })
-	p.launch(NoEvent, Microseconds(5), func() { times = append(times, s.Now()) })
-	_ = e1
+	s.OnTrigger(p.launch(Microseconds(10)), func() { times = append(times, s.Now()) })
+	s.OnTrigger(p.launch(Microseconds(5)), func() { times = append(times, s.Now()) })
 	s.MustRun()
 	if len(times) != 2 || times[0] != Microseconds(10) || times[1] != Microseconds(15) {
 		t.Errorf("times = %v, want [10us 15us]", times)
@@ -106,10 +105,9 @@ func TestProcFIFOSerialization(t *testing.T) {
 
 func TestLaunchWaitsForPrecondition(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
-	p := s.nodes[0].procs[0]
 	gate := s.NewUserEvent()
 	var ran Time = -1
-	p.launch(gate, Microseconds(1), func() { ran = s.Now() })
+	s.LaunchOn(0, gate, Microseconds(1), func() { ran = s.Now() })
 	s.After(Microseconds(100), func() { s.Trigger(gate) })
 	s.MustRun()
 	if ran != Microseconds(101) {

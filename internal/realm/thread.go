@@ -145,7 +145,7 @@ func (t *Thread) Elapse(d Time) {
 	if d == 0 {
 		return
 	}
-	t.WaitEvent(t.proc.launch(NoEvent, d, nil))
+	t.WaitEvent(t.proc.launch(d))
 }
 
 // Sleep advances the thread by d without occupying the processor.

@@ -11,7 +11,7 @@ func TestTracerRecordsTasksAndMessages(t *testing.T) {
 	s := MustNewSim(smallConfig(2))
 	tr := NewTracer()
 	s.SetTracer(tr)
-	s.nodes[0].procs[0].launch(NoEvent, Microseconds(10), nil)
+	s.nodes[0].procs[0].launch(Microseconds(10))
 	s.CopyBytes(0, 1, 4096, NoEvent, nil)
 	s.MustRun()
 	if tr.Spans() != 1 {
@@ -42,6 +42,6 @@ func TestTracerRecordsTasksAndMessages(t *testing.T) {
 func TestTracerDetached(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
 	s.SetTracer(nil) // no-op
-	s.nodes[0].procs[0].launch(NoEvent, Microseconds(1), nil)
+	s.nodes[0].procs[0].launch(Microseconds(1))
 	s.MustRun() // must not panic
 }

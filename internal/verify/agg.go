@@ -91,28 +91,35 @@ func phaseEnd(c *cr.Compiled, i int) int {
 // merged schedule; no order is defined on a cyclic graph, so the race pass
 // then has nothing to add to the liveness pass's cycle witness.
 func CheckAgg(c *cr.Compiled) (*Report, error) {
-	rep := &Report{Pass: "agg", Findings: []Finding{}}
+	rep, _, _, _, err := checkAgg(c)
+	return rep, err
+}
+
+// checkAgg is CheckAgg that also returns the aggregated schedule's
+// analysis and its races and liveness reports (all nil when the tables
+// are too malformed to replay), for Certify to reuse.
+func checkAgg(c *cr.Compiled) (rep *Report, a *Analysis, races, live *Report, err error) {
+	rep = &Report{Pass: "agg", Findings: []Finding{}}
 	if err := CheckAggTables(c); err != nil {
 		rep.Findings = append(rep.Findings, Finding{Kind: "agg-table", Detail: err.Error()})
 	}
-	a, err := Analyze(c)
-	if err != nil {
+	if a, err = Analyze(c); err != nil {
 		if len(rep.Findings) > 0 && exchangesWellFormed(c) != nil {
 			// Tables too malformed to replay: the structural findings stand.
-			return rep, nil
+			return rep, nil, nil, nil, nil
 		}
-		return nil, err
+		return nil, nil, nil, nil, err
 	}
-	races := a.Check()
+	races, live = a.Check(), a.CheckLiveness()
 	rep.Stats = races.Stats
-	rep.Findings = append(rep.Findings, a.CheckLiveness().Findings...)
+	rep.Findings = append(rep.Findings, live.Findings...)
 	for _, f := range races.Findings {
 		if f.Kind != "cycle" {
 			rep.Findings = append(rep.Findings, f)
 		}
 	}
 	rep.Counters = aggCounters(c)
-	return rep, nil
+	return rep, a, races, live, nil
 }
 
 // aggCounters tallies the static shape of the aggregation: phases, groups

@@ -17,12 +17,18 @@ import (
 // will run, aggregated and pruned if it is (PlanPrune's last, when pruned).
 // The caller decides what a finding means; an error is a plan the replay
 // cannot build.
+//
+// The races and liveness passes reuse CheckAgg's analysis of the
+// aggregated schedule, or PlanPrune's closure of the pruned one when it
+// licenses a prune, instead of analysing that schedule again.
 func Certify(c *cr.Compiled, prune bool) (*Suite, error) {
 	var reps []*Report
 	var a *Analysis
+	var races, live *Report
 	if c != nil && c.Opts.Agg {
-		rep, err := CheckAgg(c)
-		if err != nil {
+		var rep *Report
+		var err error
+		if rep, a, races, live, err = checkAgg(c); err != nil {
 			return nil, err
 		}
 		reps = append(reps, rep)
@@ -34,6 +40,8 @@ func Certify(c *cr.Compiled, prune bool) (*Suite, error) {
 		}
 		if rep.OK() {
 			c.Prune, a = info, af
+			races = &Report{Pass: "races", Findings: []Finding{}, Stats: rep.Stats}
+			live = nil
 		}
 		reps = append(reps, rep)
 	}
@@ -43,11 +51,17 @@ func Certify(c *cr.Compiled, prune bool) (*Suite, error) {
 			return nil, err
 		}
 	}
+	if races == nil {
+		races = a.Check()
+	}
+	if live == nil {
+		live = a.CheckLiveness()
+	}
 	spec := &Report{Pass: "spec", Findings: []Finding{}}
 	if err := CheckSpec(c); err != nil {
 		spec.Findings = append(spec.Findings, Finding{Kind: "spec", Detail: err.Error()})
 	}
-	return &Suite{Reports: append(reps, a.Check(), a.CheckLiveness(), spec)}, nil
+	return &Suite{Reports: append(reps, races, live, spec)}, nil
 }
 
 // CertifyRebuild checks one failover rebuild against the compiled loop it
