@@ -6,7 +6,7 @@
 // Usage:
 //
 //	weakscale [-app stencil|miniaero|pennant|circuit|all] [-nodes 1,2,...]
-//	          [-iters N] [-j workers] [-csv] [-v] [-faults seed:rate]
+//	          [-iters N] [-j workers] [-csv] [-v] [-faults seed:p]
 //	          [-backend des|native]
 //	          [-timepolicy modeled|measured] [-fit-in file] [-fit-out file]
 //	          [-trace on|off] [-trace-share on|off] [-prune on|off]
@@ -19,7 +19,9 @@
 // "Options" says what each changes, what must stay identical, and which
 // test pins it. After each app, what the engines counted is printed to
 // stderr (so CSV output stays clean) as one line of sorted name=value
-// pairs named layer.metric as in BENCHMARK.json.
+// pairs named layer.metric as in BENCHMARK.json. -faults seed:p injects
+// random node crashes, each launch crashing its node with probability p,
+// on either backend, and runs the sweep under the default recovery.
 //
 // -verify certifies, before sweeping, the loop each app replicates at
 // every swept node count under both sync lowerings, as the sweep will run

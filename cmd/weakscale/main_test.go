@@ -86,17 +86,18 @@ func TestProfilesSurviveErrors(t *testing.T) {
 	}
 }
 
-// TestParseFaultsRejectsBadRates: a rate that is not a finite non-negative
-// number is a command-line error. NaN used to pass the range check and then
-// never crash anything, and Inf crashed every node at once.
+// TestParseFaultsRejectsBadRates: a rate that is not a per-launch crash
+// probability in [0, 1] is a command-line error. NaN used to pass the range
+// check and then never crash anything, and a rate above 1 is the old
+// per-second reading of the flag.
 func TestParseFaultsRejectsBadRates(t *testing.T) {
-	for _, arg := range []string{"1:NaN", "1:Inf", "1:+Inf", "1:-1", "1:-Inf"} {
+	for _, arg := range []string{"1:NaN", "1:Inf", "1:+Inf", "1:-1", "1:-Inf", "1:1.5", "1:2000"} {
 		if status, _, stderr := weakscale("-faults", arg); status != 1 || !strings.HasPrefix(stderr, "weakscale: bad -faults rate") {
 			t.Errorf("weakscale -faults %s: exit %d, stderr %q; want a bad-rate error", arg, status, stderr)
 		}
 	}
-	if status, stdout, stderr := weakscale("-faults", "42:2000", "-app", "stencil", "-nodes", "2", "-iters", "8", "-csv"); status != 0 || !strings.Contains(stdout, "stencil,regent-cr,2,") {
-		t.Errorf("weakscale -faults 42:2000: exit %d, stdout %q, stderr %q", status, stdout, stderr)
+	if status, stdout, stderr := weakscale("-faults", "42:0.05", "-app", "stencil", "-nodes", "2", "-iters", "8", "-csv"); status != 0 || !strings.Contains(stdout, "stencil,regent-cr,2,") {
+		t.Errorf("weakscale -faults 42:0.05: exit %d, stdout %q, stderr %q", status, stdout, stderr)
 	}
 }
 

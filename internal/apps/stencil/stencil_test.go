@@ -188,7 +188,9 @@ func TestCrashRecoveryMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.Faults = &realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: golden.Elapsed / 2}}}
+	// Node 2 launches two tasks in each of the 6 iterations; it dies at
+	// its 6th launch, in the middle of the run.
+	run.Faults = &realm.FaultPlan{LaunchCrashes: []realm.LaunchCrash{{Node: 2, AtLaunch: 6}}}
 	res, err := bench.RunCR(Build(cfg).Prog, run)
 	if err != nil {
 		t.Fatalf("faulty run failed: %v", err)

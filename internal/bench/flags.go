@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -77,7 +76,7 @@ func (f *Flags) Shards() {
 // Measure binds the measurement axes: -backend; the on|off switches
 // -trace and -trace-share (into NoTrace and NoShare), -prune and -agg;
 // -fit-out, a native run's recorder (Fit); -timepolicy and -fit-in, the
-// DES's time policy (Policy); and -faults seed:rate. It returns -fit-out's
+// DES's time policy (Policy); and -faults seed:p. It returns -fit-out's
 // path, where the command writes the fit after its runs.
 func (f *Flags) Measure() (fitOut *string) {
 	f.StringVar(&f.Config.Backend, "backend", BackendDES, "realm backend: des (deterministic simulator, virtual time) or native (real goroutines, wall-clock)")
@@ -87,7 +86,7 @@ func (f *Flags) Measure() (fitOut *string) {
 	f.agg = f.String("agg", "off", "coalesced exchange plans: off (default) or on (ablation; results are identical, one message per destination shard per exchange phase)")
 	f.policy = f.String("timepolicy", "modeled", "DES time-charging policy: modeled (Cray-XC cost model) or measured (fitted, needs -fit-in)")
 	f.fitIn = f.String("fit-in", "", "JSON file of fitted time coefficients to import (with -timepolicy measured)")
-	f.faults = f.String("faults", "", "inject faults: seed:rate (crash rate in crashes per simulated second)")
+	f.faults = f.String("faults", "", "inject faults: seed:p (p: per-launch crash probability in [0, 1])")
 	f.fitOut = f.String("fit-out", "", "fit a time policy from this native sweep and write its coefficients to this JSON file")
 	return f.fitOut
 }
@@ -163,15 +162,15 @@ func (f *Flags) Check() error {
 	}
 	seedStr, rateStr, ok := strings.Cut(faults, ":")
 	if !ok {
-		return fmt.Errorf("bad -faults %q (want seed:rate, e.g. 42:0.5)", faults)
+		return fmt.Errorf("bad -faults %q (want seed:p, e.g. 42:0.05)", faults)
 	}
 	seed, err := strconv.ParseUint(strings.TrimSpace(seedStr), 0, 64)
 	if err != nil {
 		return fmt.Errorf("bad -faults seed %q: %v", seedStr, err)
 	}
 	rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
-	if err != nil || !(rate >= 0) || math.IsInf(rate, 1) {
-		return fmt.Errorf("bad -faults rate %q (want finite crashes per simulated second >= 0)", rateStr)
+	if err != nil || !(rate >= 0 && rate <= 1) {
+		return fmt.Errorf("bad -faults rate %q (want a per-launch crash probability in [0, 1])", rateStr)
 	}
 	c.Faults = &realm.FaultPlan{Seed: seed, CrashRate: rate}
 	return nil

@@ -28,7 +28,7 @@ func TestFlagsCheckEachAxis(t *testing.T) {
 		{[]string{"-nodes", "1", "-shards", "2", "-sync", "barrier"}, Config{Nodes: 1, Shards: 2, Sync: cr.BarrierSync, MeasureOpts: MeasureOpts{Backend: BackendDES}}, ""},
 		{[]string{"-trace", "off", "-trace-share", "off", "-prune", "on", "-agg", "on", "-backend", "native"},
 			Config{Nodes: 4, MeasureOpts: MeasureOpts{Backend: BackendNative, NoTrace: true, NoShare: true, Prune: true, Agg: true}}, ""},
-		{[]string{"-faults", "42:2000"}, Config{Nodes: 4, MeasureOpts: MeasureOpts{Backend: BackendDES, Faults: &realm.FaultPlan{Seed: 42, CrashRate: 2000}}}, ""},
+		{[]string{"-faults", "42:0.05"}, Config{Nodes: 4, MeasureOpts: MeasureOpts{Backend: BackendDES, Faults: &realm.FaultPlan{Seed: 42, CrashRate: 0.05}}}, ""},
 		{[]string{"-nodes", "0"}, Config{}, "bad -nodes 0 (want at least 1)"},
 		{[]string{"-nodes", "-1"}, Config{}, "bad -nodes -1 (want at least 1)"},
 		{[]string{"-nodes", "-64"}, Config{}, "bad -nodes -64 (want at least 1)"},
@@ -44,13 +44,15 @@ func TestFlagsCheckEachAxis(t *testing.T) {
 		{[]string{"-timepolicy", "measured"}, Config{}, "-timepolicy measured needs -fit-in (a file written by -fit-out)"},
 		{[]string{"-timepolicy", "measured", "-fit-in", fitIn, "-backend", "native"}, Config{}, "-timepolicy measured re-models on the DES; native time is wall-clock"},
 		{[]string{"-timepolicy", "bogus"}, Config{}, `bad -timepolicy "bogus" (want modeled or measured)`},
-		{[]string{"-faults", "banana"}, Config{}, `bad -faults "banana" (want seed:rate, e.g. 42:0.5)`},
+		{[]string{"-faults", "banana"}, Config{}, `bad -faults "banana" (want seed:p, e.g. 42:0.05)`},
 		{[]string{"-faults", "x:1"}, Config{}, `bad -faults seed "x": strconv.ParseUint: parsing "x": invalid syntax`},
-		{[]string{"-faults", "1:NaN"}, Config{}, `bad -faults rate "NaN" (want finite crashes per simulated second >= 0)`},
-		{[]string{"-faults", "1:Inf"}, Config{}, `bad -faults rate "Inf" (want finite crashes per simulated second >= 0)`},
-		{[]string{"-faults", "1:+Inf"}, Config{}, `bad -faults rate "+Inf" (want finite crashes per simulated second >= 0)`},
-		{[]string{"-faults", "1:-1"}, Config{}, `bad -faults rate "-1" (want finite crashes per simulated second >= 0)`},
-		{[]string{"-faults", "1:-Inf"}, Config{}, `bad -faults rate "-Inf" (want finite crashes per simulated second >= 0)`},
+		{[]string{"-faults", "1:NaN"}, Config{}, `bad -faults rate "NaN" (want a per-launch crash probability in [0, 1])`},
+		{[]string{"-faults", "1:Inf"}, Config{}, `bad -faults rate "Inf" (want a per-launch crash probability in [0, 1])`},
+		{[]string{"-faults", "1:+Inf"}, Config{}, `bad -faults rate "+Inf" (want a per-launch crash probability in [0, 1])`},
+		{[]string{"-faults", "1:-1"}, Config{}, `bad -faults rate "-1" (want a per-launch crash probability in [0, 1])`},
+		{[]string{"-faults", "1:1.5"}, Config{}, `bad -faults rate "1.5" (want a per-launch crash probability in [0, 1])`},
+		{[]string{"-faults", "1:2000"}, Config{}, `bad -faults rate "2000" (want a per-launch crash probability in [0, 1])`},
+		{[]string{"-faults", "1:-Inf"}, Config{}, `bad -faults rate "-Inf" (want a per-launch crash probability in [0, 1])`},
 	} {
 		f := NewFlags("cmd", io.Discard)
 		f.Nodes("")

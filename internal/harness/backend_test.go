@@ -182,6 +182,42 @@ func crashing(nodes int, sync cr.SyncMode, fp *realm.FaultPlan) bench.Config {
 	return cfg
 }
 
+// TestFaultsMatchAcrossBackends: one plan's stragglers, duplicates and
+// drops are the same on both backends for every application under both
+// lowerings. Each is decided by its node's launch index or its source
+// node's remote-copy index, and both backends issue the same launches and
+// copies, so the totals agree however native interleaves the issuing
+// shards, and so do the extra wire transits they charge.
+func TestFaultsMatchAcrossBackends(t *testing.T) {
+	const nodes = 4
+	fp := realm.FaultPlan{Seed: 9, DropRate: 0.1, DupRate: 0.1, RetransmitTimeout: realm.Microseconds(1),
+		StragglerRate: 0.2, StragglerFactor: 1.001}
+	for _, app := range backendApps {
+		for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
+			type faults struct {
+				realm.FaultStats
+				messages int64
+			}
+			var got [2]faults
+			for i, backend := range []string{bench.BackendDES, bench.BackendNative} {
+				cfg := onBackend(backend, nodes, sync)
+				plan := fp
+				cfg.Faults = &plan
+				x, err := bench.NewExec(backend, nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Exec = x
+				res := must(t)(bench.RunCR(app.build(nodes), cfg))
+				got[i] = faults{x.FaultStats(), res.Stats.Messages}
+			}
+			if got[0] != got[1] || got[0].Drops == 0 || got[0].Dups == 0 || got[0].Stragglers == 0 {
+				t.Errorf("%s/%v: des %+v, native %+v; want equal, with every kind of fault", app.name, sync, got[0], got[1])
+			}
+		}
+	}
+}
+
 // TestNativeCrashRecoveryMatchesFaultFree is the keystone of native fault
 // tolerance: every evaluation application, under both sync lowerings, is
 // run on the native backend with a seeded crash injected, recovered
@@ -199,11 +235,11 @@ func TestNativeCrashRecoveryMatchesFaultFree(t *testing.T) {
 			label := fmt.Sprintf("%s/%s", app.name, sy.name)
 			t.Run(label, func(t *testing.T) {
 				ref := must(t)(bench.RunCR(app.build(nodes), onBackend(bench.BackendNative, nodes, sy.mode)))
-				// Seed 4 at rate 500 (a 0.05 crash probability per launch)
-				// lands at least one early crash in every app under both
-				// lowerings; the per-node draw sequences are seeded, so the
-				// crashes land at the same logical points on every run.
-				res := must(t)(bench.RunCR(app.build(nodes), crashing(nodes, sy.mode, &realm.FaultPlan{Seed: 4, CrashRate: 500})))
+				// Seed 4 at a 0.05 crash probability per launch lands at
+				// least one early crash in every app under both lowerings;
+				// the per-node draw sequences are seeded, so the crashes
+				// land at the same logical points on every run.
+				res := must(t)(bench.RunCR(app.build(nodes), crashing(nodes, sy.mode, &realm.FaultPlan{Seed: 4, CrashRate: 0.05})))
 				if res.Faults == nil || len(res.Faults.Crashes) == 0 || res.Faults.Restarts < 1 {
 					t.Fatalf("%s: fault report = %+v, want at least one crash and one restart", label, res.Faults)
 				}
@@ -225,9 +261,8 @@ func TestNativeCrashRecoveryMatchesFaultFree(t *testing.T) {
 
 // TestNativeLaunchCrashRecovery runs a logical-point crash schedule —
 // "node 2 dies at its 5th launch" — end to end on the native backend:
-// the plan installs (virtual-time schedules are still rejected), the crash
-// lands exactly once, recovery restores the run, and the stores come out
-// bitwise equal to the fault-free native run.
+// the plan installs, the crash lands exactly once, recovery restores the
+// run, and the stores come out bitwise equal to the fault-free native run.
 func TestNativeLaunchCrashRecovery(t *testing.T) {
 	const nodes = 4
 	app := backendApps[0] // stencil
@@ -317,7 +352,7 @@ func TestNativeMeasureGates(t *testing.T) {
 		// At this rate node 1 crashes at its first launch on either backend.
 		_, err = app.Measure("regent-nocr", 2, 0, bench.MeasureOpts{
 			Backend: backend,
-			Faults:  &realm.FaultPlan{Seed: 1, CrashRate: 1e5},
+			Faults:  &realm.FaultPlan{Seed: 1, CrashRate: 1},
 		})
 		var derr *realm.DeadlockError
 		if !errors.As(err, &derr) || len(derr.Blocked) == 0 {
@@ -326,7 +361,7 @@ func TestNativeMeasureGates(t *testing.T) {
 	}
 	per, err := app.Measure("regent-cr", 2, 0, bench.MeasureOpts{
 		Backend: bench.BackendNative,
-		Faults:  &realm.FaultPlan{Seed: 1, CrashRate: 0.5},
+		Faults:  &realm.FaultPlan{Seed: 1, CrashRate: 0.00005},
 	})
 	if err != nil {
 		t.Fatalf("regent-cr faults on native must measure through recovery: %v", err)

@@ -148,7 +148,7 @@ func TestFaultSweepDeterministicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	app.Iters = 8
-	app.Opts.Faults = &realm.FaultPlan{Seed: 42, CrashRate: 2000}
+	app.Opts.Faults = &realm.FaultPlan{Seed: 42, CrashRate: 0.05}
 	seq, err := RunFigureParallel(app, []int{2, 4}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func countingApp(t *testing.T, systems ...string) (App, func() map[int]int) {
 func TestSweepBuildsEachProgramOnce(t *testing.T) {
 	nodes := []int{1, 2, 4}
 	once := map[int]int{1: 1, 2: 1, 4: 1}
-	for _, faults := range []*realm.FaultPlan{nil, {Seed: 42, CrashRate: 2000}} {
+	for _, faults := range []*realm.FaultPlan{nil, {Seed: 42, CrashRate: 0.05}} {
 		app, builds := countingApp(t, "regent-cr", "mpi", "regent-nocr")
 		app.Opts.Faults = faults
 		var want []Series

@@ -24,9 +24,9 @@ import (
 // trigger once, continuations run synchronously at trigger, NoEvent is
 // permanently triggered.
 //
-// *Sim implements Exec with virtual time charged by its TimePolicy and
-// virtual-time fault schedules; native.Machine implements it on real
-// goroutines with wall-clock time and seeded logical-point faults. Every
+// *Sim implements Exec with virtual time charged by its TimePolicy;
+// native.Machine implements it on real goroutines with wall-clock time.
+// Both inject faults by the one model of fault.go. Every
 // system the harness compares — both runtimes and the MPI baselines —
 // drives a machine through this interface alone.
 type Exec interface {
@@ -100,14 +100,12 @@ type Exec interface {
 	// once, on every backend.
 	Drive() (Time, error)
 
-	// InjectFaults installs a fault plan before Drive (at most once). A
-	// backend that supports only part of the plan's feature set rejects the
-	// unsupported remainder with a precise *UnsupportedError.
+	// InjectFaults installs a fault plan before Drive (at most once).
 	InjectFaults(fp FaultPlan) error
 	// FaultStats returns the counters of faults injected so far.
 	FaultStats() FaultStats
 	// Crashes returns the node crashes that actually occurred. The DES
-	// reports them in virtual-time order; the native backend sorts by node
+	// reports them in time order; the native backend sorts by node
 	// (concurrent crashes have no total wall-clock order).
 	Crashes() []NodeCrash
 
@@ -275,8 +273,7 @@ func (c *collective) Result() float64 {
 }
 
 // UnsupportedError reports an operation the selected backend does not
-// implement (e.g. a virtual-time crash schedule on the native backend,
-// which has no virtual clock to schedule against).
+// implement (e.g. the MPI baselines, which run on the DES alone).
 type UnsupportedError struct {
 	Backend string // backend name, as reported by Exec.Backend
 	Op      string // the unsupported operation

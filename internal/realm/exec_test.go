@@ -12,7 +12,7 @@ import (
 func TestRunControlErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		crashes []NodeCrash
+		crashes []LaunchCrash
 		body    func(x Exec, a Agent)
 		want    string
 	}{
@@ -20,12 +20,14 @@ func TestRunControlErrors(t *testing.T) {
 		{"kernel panic", nil, func(x Exec, a Agent) {
 			a.WaitEvent(x.LaunchOn(1, NoEvent, 5, func() { panic("boom") }))
 		}, "eng: task execution panicked: boom"},
-		{"node 0 crash", []NodeCrash{{Node: 0, At: 5}}, func(x Exec, a Agent) { a.Elapse(10) },
+		{"node 0 crash", []LaunchCrash{{Node: 0, AtLaunch: 1}}, func(x Exec, a Agent) {
+			a.WaitEvent(x.LaunchOn(0, NoEvent, 10, nil))
+		},
 			"eng: control thread was killed (node 0 crashed) before the program completed"},
 		{"clean", nil, func(x Exec, a Agent) { a.Elapse(10) }, "<nil>"},
 	} {
 		x := MustNewSim(smallConfig(2))
-		if err := x.InjectFaults(FaultPlan{Crashes: tc.crashes}); err != nil {
+		if err := x.InjectFaults(FaultPlan{LaunchCrashes: tc.crashes}); err != nil {
 			t.Fatal(err)
 		}
 		_, err := RunControl(x, "eng", "ctl", func(a Agent) { tc.body(x, a) })

@@ -6,15 +6,20 @@ import (
 	"sort"
 )
 
-// This file is the deterministic fault-injection layer of the DES. All
-// randomness is derived from FaultPlan.Seed through the splitmix finalizer
-// and a per-sim draw counter, and every fault decision is made at a point
-// that is itself deterministic (a scheduled crash time, a copy issue, a
-// task start), so two runs with the same plan produce byte-identical
-// schedules, stats, and traces. A fault-free run consumes no randomness and
-// takes none of these code paths.
+// This file is the deterministic fault model shared by every backend.
+// Every fault is decided by a pure function of the plan and a logical
+// position — (seed, node, the node's per-node operation index) — never by a
+// clock or a global draw counter: LaunchFault decides a node's k-th launch,
+// CopyFault a source node's k-th remote copy, and CopyCrash a node's k-th
+// copy sent or received. A backend keeps only its per-node counters,
+// advanced at issue time, and its way of charging the time a fault costs
+// (virtual time on the DES, real sleeps on native), so one plan injects the
+// same faults on both wherever the backends issue a node's operations in
+// the same order. A fault-free run consumes no randomness and takes none of
+// these code paths.
 
-// NodeCrash is a whole-node fail-stop failure at a virtual time.
+// NodeCrash reports a whole-node fail-stop failure and the time it
+// happened (virtual on the DES, wall-clock on native).
 type NodeCrash struct {
 	Node int
 	At   Time
@@ -22,44 +27,50 @@ type NodeCrash struct {
 
 // LaunchCrash is a whole-node fail-stop failure at a logical point: the
 // node dies at the issue of its AtLaunch-th launch (1-based, counted per
-// target node across the whole run). Unlike NodeCrash it names no clock,
-// so every backend can honor it — the DES counts launches as it issues
-// them, the native machine matches its per-node atomic launch counters —
-// and "node 2 dies at its 37th launch" means the same schedule point on
-// both. The AtLaunch-th launch itself is lost (the crash precedes it).
+// target node across the whole run). It names no clock, so "node 2 dies at
+// its 37th launch" means the same schedule point on every backend. The
+// AtLaunch-th launch itself is lost (the crash precedes it).
 type LaunchCrash struct {
 	Node     int
 	AtLaunch uint64
 }
 
-// FaultPlan describes the faults to inject into a simulation. The zero
-// value injects nothing. Rates are probabilities per opportunity (per
-// remote message for DropRate/DupRate, per work item for StragglerRate)
-// except CrashRate, which is a Poisson rate in crashes per simulated
-// second.
+// CopyCrash is LaunchCrash for copies: the node dies at the issue of the
+// AtCopy-th copy it sends or receives (1-based; CopyBytes, CopyAgg and
+// ShipTrace all count, a node-local copy once), and that copy is lost.
+// Checkpoint capture, restore and trace shipping issue only copies, so
+// these are the points that can land a crash inside them.
+type CopyCrash struct {
+	Node   int
+	AtCopy uint64
+}
+
+// FaultPlan describes the faults to inject into a run. The zero value
+// injects nothing. Every rate is a probability per opportunity: per launch
+// for CrashRate and StragglerRate, per remote copy for DropRate (per
+// attempt) and DupRate.
 type FaultPlan struct {
 	Seed uint64 // root of all fault randomness
 
-	Crashes       []NodeCrash   // explicit fail-stop crashes at fixed virtual times (DES-only)
-	LaunchCrashes []LaunchCrash // explicit fail-stop crashes at logical points (all backends)
-	CrashRate     float64       // additional random crashes per simulated second
+	LaunchCrashes []LaunchCrash // explicit fail-stop crashes at launch issues
+	CopyCrashes   []CopyCrash   // explicit fail-stop crashes at copy issues
+	CrashRate     float64       // per-launch probability of a random crash of its node
 	CrashNode0    bool          // allow random crashes to hit node 0 (the head node)
 
-	DropRate          float64 // per-message probability of a drop + retransmit
+	DropRate          float64 // per-attempt probability of a drop + retransmit
 	RetransmitTimeout Time    // redelivery delay per drop (default 20x NetLatency)
 	DupRate           float64 // per-message probability of a duplicate send
 
-	StragglerRate   float64 // per-work-item probability of a slowdown
-	StragglerFactor float64 // duration multiplier for straggling items (> 1)
+	StragglerRate   float64 // per-launch probability of a slowdown
+	StragglerFactor float64 // duration multiplier for straggling launches (> 1)
 }
 
 // Validate checks the plan against the machine it will be injected into.
-// Every range check is written so that NaN fails it, and the two values
-// that scale a quantity (CrashRate, StragglerFactor) must be finite.
+// Every range check is written so that NaN fails it.
 func (fp *FaultPlan) Validate(cfg Config) error {
 	switch {
-	case !(fp.CrashRate >= 0) || math.IsInf(fp.CrashRate, 1):
-		return fmt.Errorf("realm: CrashRate %v must be finite and non-negative", fp.CrashRate)
+	case !(fp.CrashRate >= 0 && fp.CrashRate <= 1):
+		return fmt.Errorf("realm: CrashRate %v outside [0, 1] (a per-launch crash probability)", fp.CrashRate)
 	case !(fp.DropRate >= 0 && fp.DropRate <= 0.9):
 		return fmt.Errorf("realm: DropRate %v outside [0, 0.9]", fp.DropRate)
 	case !(fp.DupRate >= 0 && fp.DupRate <= 1):
@@ -73,35 +84,36 @@ func (fp *FaultPlan) Validate(cfg Config) error {
 	case fp.RetransmitTimeout < 0:
 		return fmt.Errorf("realm: negative RetransmitTimeout %d", fp.RetransmitTimeout)
 	}
-	for _, c := range fp.Crashes {
-		if c.Node < 0 || c.Node >= cfg.Nodes {
-			return fmt.Errorf("realm: crash targets node %d of a %d-node machine", c.Node, cfg.Nodes)
-		}
-		if c.At < 0 {
-			return fmt.Errorf("realm: crash of node %d at negative time %d", c.Node, c.At)
+	for _, c := range fp.LaunchCrashes {
+		if err := checkCrashPoint("launch", c.Node, c.AtLaunch, cfg); err != nil {
+			return err
 		}
 	}
-	for _, c := range fp.LaunchCrashes {
-		if c.Node < 0 || c.Node >= cfg.Nodes {
-			return fmt.Errorf("realm: launch crash targets node %d of a %d-node machine", c.Node, cfg.Nodes)
-		}
-		if c.AtLaunch == 0 {
-			return fmt.Errorf("realm: launch crash of node %d at launch 0 (AtLaunch is 1-based)", c.Node)
+	for _, c := range fp.CopyCrashes {
+		if err := checkCrashPoint("copy", c.Node, c.AtCopy, cfg); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+func checkCrashPoint(kind string, node int, at uint64, cfg Config) error {
+	if node < 0 || node >= cfg.Nodes {
+		return fmt.Errorf("realm: %s crash targets node %d of a %d-node machine", kind, node, cfg.Nodes)
+	}
+	if at == 0 {
+		return fmt.Errorf("realm: %s crash of node %d at %s 0 (the index is 1-based)", kind, node, kind)
+	}
+	return nil
+}
+
 // Prepare readies the plan for installation on a machine of configuration
-// cfg — the one way either backend installs a plan: it validates it, fills
-// in the retransmit default (20x NetLatency, 30us on a zero-latency
-// machine), and returns LaunchCrashes folded into each node's earliest
-// crash point (several entries for one node reduce to the first that would
-// fire; nil when there are none, so the per-launch hot path stays a nil
-// check).
-func (fp *FaultPlan) Prepare(cfg Config) (map[int]uint64, error) {
+// cfg — the one way either backend installs a plan: it validates it and
+// fills in the retransmit default (20x NetLatency, 30us on a zero-latency
+// machine).
+func (fp *FaultPlan) Prepare(cfg Config) error {
 	if err := fp.Validate(cfg); err != nil {
-		return nil, err
+		return err
 	}
 	if fp.RetransmitTimeout <= 0 {
 		fp.RetransmitTimeout = 20 * cfg.NetLatency
@@ -109,19 +121,77 @@ func (fp *FaultPlan) Prepare(cfg Config) (map[int]uint64, error) {
 			fp.RetransmitTimeout = Microseconds(30)
 		}
 	}
-	if len(fp.LaunchCrashes) == 0 {
-		return nil, nil
-	}
-	at := make(map[int]uint64, len(fp.LaunchCrashes))
-	for _, c := range fp.LaunchCrashes {
-		if prev, ok := at[c.Node]; !ok || c.AtLaunch < prev {
-			at[c.Node] = c.AtLaunch
-		}
-	}
-	return at, nil
+	return nil
 }
 
-// FaultStats counts the faults actually injected during a run.
+// maxRetransmits bounds the drops of one copy: after this many consecutive
+// lost attempts the transport delivers anyway, so a copy's delay is
+// bounded on every backend.
+const maxRetransmits = 8
+
+// Draw streams: each kind of decision draws from its own stream, so a rate
+// set to zero perturbs no other kind's draws.
+const (
+	streamCrash     uint64 = 1 // per-launch crash draws, keyed by target node
+	streamDup       uint64 = 2 // per-copy duplicate draws, keyed by source node
+	streamStraggler uint64 = 3 // per-launch straggler draws, keyed by target node
+	streamDrop      uint64 = 4 // per-attempt drop draws, keyed by source node
+)
+
+// faultDraw returns a deterministic uniform [0, 1) draw for the seq-th
+// decision of the given stream on the given node under seed: three chained
+// splitmix finalizations, so nearby (stream, node, seq) triples decorrelate.
+func faultDraw(seed, stream, node, seq uint64) float64 {
+	x := splitmix(seed + stream*0x9e3779b97f4a7c15)
+	x = splitmix(x + node*0x9e3779b97f4a7c15)
+	x = splitmix(x + seq*0x9e3779b97f4a7c15)
+	return float64(x>>11) / (1 << 53)
+}
+
+// LaunchFault decides the faults of node's k-th launch (1-based, counting
+// every launch issued to the node). crash: the node fail-stops at the
+// issue and the launch is lost — a LaunchCrash names this point, or the
+// CrashRate draw fires (never on node 0 unless CrashNode0). straggle: the
+// launch runs StragglerFactor times its modeled duration.
+func (fp *FaultPlan) LaunchFault(node int, k uint64) (crash, straggle bool) {
+	for _, c := range fp.LaunchCrashes {
+		crash = crash || c.Node == node && c.AtLaunch == k
+	}
+	if fp.CrashRate > 0 && (node != 0 || fp.CrashNode0) {
+		crash = crash || faultDraw(fp.Seed, streamCrash, uint64(node), k) < fp.CrashRate
+	}
+	straggle = fp.StragglerRate > 0 && faultDraw(fp.Seed, streamStraggler, uint64(node), k) < fp.StragglerRate
+	return crash, straggle
+}
+
+// CopyFault decides the faults of src's k-th remote copy (1-based,
+// counting every copy issued from src to another node): dup, the payload
+// crosses the wire twice; drops, how many attempts are lost before one
+// arrives (at most maxRetransmits).
+func (fp *FaultPlan) CopyFault(src int, k uint64) (dup bool, drops int) {
+	dup = fp.DupRate > 0 && faultDraw(fp.Seed, streamDup, uint64(src), k) < fp.DupRate
+	if fp.DropRate > 0 {
+		for drops < maxRetransmits && faultDraw(fp.Seed, streamDrop, uint64(src), k*maxRetransmits+uint64(drops)) < fp.DropRate {
+			drops++
+		}
+	}
+	return dup, drops
+}
+
+// CopyCrash reports whether node fail-stops at the issue of the k-th copy
+// it sends or receives (1-based): whether a CopyCrash names that point.
+func (fp *FaultPlan) CopyCrash(node int, k uint64) bool {
+	for _, c := range fp.CopyCrashes {
+		if c.Node == node && c.AtCopy == k {
+			return true
+		}
+	}
+	return false
+}
+
+// FaultStats counts the faults actually injected during a run. Each is
+// counted at the issue of the operation it hits, and only while the
+// operation's nodes are alive.
 type FaultStats struct {
 	Crashes    int
 	Drops      int64
@@ -136,26 +206,13 @@ func (s *Sim) InjectFaults(fp FaultPlan) error {
 	if s.faults != nil {
 		return fmt.Errorf("realm: a fault plan is already installed")
 	}
-	at, err := fp.Prepare(s.cfg)
-	if err != nil {
+	if err := fp.Prepare(s.cfg); err != nil {
 		return err
 	}
 	s.faults = &fp
-	if at != nil {
-		s.launchCrashAt = at
-		s.launchSeq = make([]uint64, s.cfg.Nodes)
-	}
-	// Sort planned crashes by time so equal-time behavior does not depend
-	// on the caller's slice order.
-	crashes := append([]NodeCrash(nil), fp.Crashes...)
-	sort.SliceStable(crashes, func(i, j int) bool { return crashes[i].At < crashes[j].At })
-	for _, c := range crashes {
-		node := c.Node
-		s.atWeak(c.At, func() { s.crashNode(node) })
-	}
-	if fp.CrashRate > 0 {
-		s.scheduleNextCrash()
-	}
+	s.launchSeq = make([]uint64, s.cfg.Nodes)
+	s.copySeq = make([]uint64, s.cfg.Nodes)
+	s.touchSeq = make([]uint64, s.cfg.Nodes)
 	return nil
 }
 
@@ -167,76 +224,50 @@ func (s *Sim) Crashes() []NodeCrash {
 	return append([]NodeCrash(nil), s.crashLog...)
 }
 
-// Fault-draw streams for backends that cannot consult a single global draw
-// counter. The native machine's fault points are concurrent, so its draws
-// are keyed by logical position — (stream kind, node, per-node sequence
-// number) — rather than by a global sequence.
-const (
-	FaultStreamCrash     uint64 = 1 // per-launch crash rolls, keyed by target node
-	FaultStreamCopy      uint64 = 2 // per-copy duplicate rolls, keyed by source node
-	FaultStreamStraggler uint64 = 3 // per-launch straggler rolls, keyed by target node
-	FaultStreamDrop      uint64 = 4 // per-attempt drop rolls, keyed by source node
-)
-
-// FaultDraw returns a deterministic uniform [0, 1) draw for the seq-th
-// fault decision of the given stream on the given node under seed: three
-// chained splitmix finalizations, so nearby (stream, node, seq) triples
-// decorrelate. Shared by every backend whose fault points are identified by
-// logical position instead of a global counter.
-func FaultDraw(seed, stream, node, seq uint64) float64 {
-	x := splitmix(seed + stream*0x9e3779b97f4a7c15)
-	x = splitmix(x + node*0x9e3779b97f4a7c15)
-	x = splitmix(x + seq*0x9e3779b97f4a7c15)
-	return float64(x>>11) / (1 << 53)
-}
-
-// faultRand draws the next 64 deterministic pseudo-random bits of the
-// installed plan.
-func (s *Sim) faultRand() uint64 {
-	s.faultSeq++
-	return splitmix(s.faults.Seed + s.faultSeq*0x9e3779b97f4a7c15)
-}
-
-// faultRoll returns true with probability p, consuming one draw iff a plan
-// is installed and p > 0 (so rate-zero faults cost nothing and perturb no
-// other fault's stream).
-func (s *Sim) faultRoll(p float64) bool {
-	if s.faults == nil || p <= 0 {
-		return false
+// launchFault applies the plan to a launch of dur on node at its issue and
+// returns the duration to charge: the launch counter advances, a crash
+// fail-stops the node (the launch is then lost), and a straggler on a live
+// node scales dur.
+func (s *Sim) launchFault(node int, dur Time) Time {
+	s.launchSeq[node]++
+	crash, straggle := s.faults.LaunchFault(node, s.launchSeq[node])
+	if crash {
+		s.crashNode(node)
 	}
-	return float64(s.faultRand()>>11)/(1<<53) < p
-}
-
-// scheduleNextCrash arms the Poisson crash process: exponential
-// inter-arrival gaps at CrashRate crashes per simulated second, each firing
-// as a weak event (pending crashes never keep the simulation alive).
-func (s *Sim) scheduleNextCrash() {
-	rate := s.faults.CrashRate
-	u := (float64(s.faultRand()>>11) + 1) / (1 << 53) // uniform in (0, 1]
-	gap := Time(-math.Log(u)*1e9/rate) + 1
-	s.atWeak(s.now+gap, func() {
-		victims := s.crashableNodes()
-		if len(victims) == 0 {
-			return // everything that may crash already has
-		}
-		v := victims[int(s.faultRand()%uint64(len(victims)))]
-		s.crashNode(v)
-		s.scheduleNextCrash()
-	})
-}
-
-// crashableNodes lists live nodes eligible for a random crash. Node 0 is
-// the head node — it hosts the control thread and stable storage — and is
-// spared unless the plan explicitly opts in.
-func (s *Sim) crashableNodes() []int {
-	var out []int
-	for i, n := range s.nodes {
-		if n.failed || (i == 0 && !s.faults.CrashNode0) {
-			continue
-		}
-		out = append(out, i)
+	if straggle && dur > 0 && !s.nodes[node].failed {
+		s.faultStats.Stragglers++
+		dur = Time(float64(dur) * s.faults.StragglerFactor)
 	}
-	return out
+	return dur
+}
+
+// copyFault applies the plan to a copy from src to dst at its issue: each
+// endpoint's copy counter advances (a copy-indexed crash fail-stops it, and
+// the copy is then lost), and a remote copy between live nodes draws its
+// duplicate and drops from src's remote-copy counter.
+func (s *Sim) copyFault(src, dst int) (dup bool, drops int) {
+	s.touchCopy(src)
+	if src == dst {
+		return false, 0
+	}
+	s.touchCopy(dst)
+	s.copySeq[src]++
+	if s.nodes[src].failed || s.nodes[dst].failed {
+		return false, 0
+	}
+	dup, drops = s.faults.CopyFault(src, s.copySeq[src])
+	if dup {
+		s.faultStats.Dups++
+	}
+	s.faultStats.Drops += int64(drops)
+	return dup, drops
+}
+
+func (s *Sim) touchCopy(node int) {
+	s.touchSeq[node]++
+	if s.faults.CopyCrash(node, s.touchSeq[node]) {
+		s.crashNode(node)
+	}
 }
 
 // crashNode fail-stops a node at the current virtual time: all threads on

@@ -3,6 +3,7 @@ package realm
 import (
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,9 @@ func TestFaultPlanValidate(t *testing.T) {
 	cfg := DefaultConfig(4)
 	bad := []FaultPlan{
 		{CrashRate: -1},
+		{CrashRate: 1.5},  // a per-launch probability
+		{CrashRate: 2000}, // the old per-second rate reads as a probability > 1
+		{CrashRate: math.NaN()},
 		{DropRate: -0.1},
 		{DropRate: 0.95},
 		{DupRate: 1.5},
@@ -20,21 +24,24 @@ func TestFaultPlanValidate(t *testing.T) {
 		{StragglerRate: 0.5},                       // rate without a factor > 1
 		{StragglerRate: 0.5, StragglerFactor: 0.5}, // factor <= 1
 		{RetransmitTimeout: -1},
-		{Crashes: []NodeCrash{{Node: 4, At: 0}}},               // out of range
-		{Crashes: []NodeCrash{{Node: 1, At: -5}}},              // negative time
 		{LaunchCrashes: []LaunchCrash{{Node: 4, AtLaunch: 1}}}, // out of range
 		{LaunchCrashes: []LaunchCrash{{Node: 1, AtLaunch: 0}}}, // AtLaunch is 1-based
+		{CopyCrashes: []CopyCrash{{Node: -1, AtCopy: 1}}},      // out of range
+		{CopyCrashes: []CopyCrash{{Node: 1, AtCopy: 0}}},       // AtCopy is 1-based
 	}
 	for i, fp := range bad {
 		if err := fp.Validate(cfg); err == nil {
 			t.Errorf("plan %d (%+v): want validation error", i, fp)
 		}
 	}
-	good := FaultPlan{Seed: 7, CrashRate: 0.5, DropRate: 0.1, DupRate: 0.1,
-		StragglerRate: 0.2, StragglerFactor: 3, Crashes: []NodeCrash{{Node: 3, At: 100}},
+	good := FaultPlan{Seed: 7, CrashRate: 1, DropRate: 0.1, DupRate: 0.1,
+		StragglerRate: 0.2, StragglerFactor: 3, CopyCrashes: []CopyCrash{{Node: 3, AtCopy: 100}},
 		LaunchCrashes: []LaunchCrash{{Node: 2, AtLaunch: 37}}}
 	if err := good.Validate(cfg); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
+	}
+	if err := (&FaultPlan{CrashRate: 2000}).Validate(cfg); err == nil || !strings.Contains(err.Error(), "per-launch crash probability") {
+		t.Errorf("CrashRate 2000: err = %v, want it named a per-launch crash probability", err)
 	}
 }
 
@@ -68,7 +75,8 @@ func TestFaultPlanValidateRejectsNonFinite(t *testing.T) {
 func TestLaunchCrashAtLogicalPoint(t *testing.T) {
 	s := MustNewSim(DefaultConfig(2))
 	err := s.InjectFaults(FaultPlan{
-		// Two entries for one node reduce to the earliest point.
+		// Of two entries for one node the earlier fires; the later then
+		// finds the node dead.
 		LaunchCrashes: []LaunchCrash{{Node: 1, AtLaunch: 4}, {Node: 1, AtLaunch: 3}},
 	})
 	if err != nil {
@@ -117,30 +125,35 @@ func TestInjectFaultsOnce(t *testing.T) {
 // killed threads and lost work must not deadlock the simulation.
 func TestCrashKillsNodeWork(t *testing.T) {
 	s := MustNewSim(DefaultConfig(2))
-	if err := s.InjectFaults(FaultPlan{Crashes: []NodeCrash{{Node: 1, At: Microseconds(50)}}}); err != nil {
+	if err := s.InjectFaults(FaultPlan{LaunchCrashes: []LaunchCrash{{Node: 1, AtLaunch: 5}}}); err != nil {
 		t.Fatal(err)
 	}
-	victimSteps, survivorSteps := 0, 0
+	victimSteps, survivorSteps, longRan := 0, 0, false
+	step := func(node int, steps *int) func(Agent) {
+		return func(th Agent) {
+			for i := 0; i < 10; i++ {
+				th.WaitEvent(s.LaunchOn(node, NoEvent, Microseconds(20), nil))
+				*steps++
+			}
+		}
+	}
 	s.SpawnOn("victim", 1, 0, func(th Agent) {
-		for i := 0; i < 10; i++ {
-			th.Elapse(Microseconds(20))
-			victimSteps++
-		}
+		// Launch 1, still running when launch 5 crashes the node.
+		s.LaunchOn(1, NoEvent, Milliseconds(1), func() { longRan = true })
+		step(1, &victimSteps)(th)
 	})
-	s.SpawnOn("survivor", 0, 0, func(th Agent) {
-		for i := 0; i < 10; i++ {
-			th.Elapse(Microseconds(20))
-			survivorSteps++
-		}
-	})
+	s.SpawnOn("survivor", 0, 0, step(0, &survivorSteps))
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if survivorSteps != 10 {
 		t.Errorf("survivor ran %d of 10 steps", survivorSteps)
 	}
-	if victimSteps >= 10 {
-		t.Errorf("victim ran all %d steps despite crashing at t=50us", victimSteps)
+	if victimSteps != 3 {
+		t.Errorf("victim ran %d steps, want 3 (launches 2-4; launch 5 crashes node 1)", victimSteps)
+	}
+	if longRan {
+		t.Error("the in-flight launch of the crashed node completed")
 	}
 	if !s.NodeFailed(1) || s.NodeFailed(0) {
 		t.Errorf("failed flags wrong: node0=%v node1=%v", s.NodeFailed(0), s.NodeFailed(1))
@@ -153,16 +166,16 @@ func TestCrashKillsNodeWork(t *testing.T) {
 	}
 }
 
-// TestCrashDropsTraffic: copies into and out of a dead node never deliver.
+// TestCrashDropsTraffic: copies into and out of a dead node never deliver,
+// and the copy a CopyCrash names is lost with its node.
 func TestCrashDropsTraffic(t *testing.T) {
 	s := MustNewSim(DefaultConfig(3))
-	if err := s.InjectFaults(FaultPlan{Crashes: []NodeCrash{{Node: 1, At: 0}}}); err != nil {
+	if err := s.InjectFaults(FaultPlan{CopyCrashes: []CopyCrash{{Node: 1, AtCopy: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	delivered := 0
 	s.SpawnOn("ctl", 0, 0, func(th Agent) {
-		th.Sleep(Microseconds(1)) // let the crash land first
-		s.CopyBytes(0, 1, 1024, NoEvent, func() { delivered++ })
+		s.CopyBytes(0, 1, 1024, NoEvent, func() { delivered++ }) // node 1's first copy: the crash point
 		s.CopyBytes(1, 2, 1024, NoEvent, func() { delivered++ })
 		ok := s.CopyBytes(0, 2, 1024, NoEvent, func() { delivered++ })
 		th.WaitEvent(ok)
@@ -172,6 +185,9 @@ func TestCrashDropsTraffic(t *testing.T) {
 	}
 	if delivered != 1 {
 		t.Errorf("delivered %d copies, want only the live-to-live one", delivered)
+	}
+	if got := s.Crashes(); len(got) != 1 || got[0].Node != 1 {
+		t.Errorf("crash log = %+v, want one crash of node 1", got)
 	}
 }
 
@@ -207,9 +223,8 @@ func faultTrafficRun(t *testing.T, fp FaultPlan) (Stats, FaultStats, []NodeCrash
 		n := n
 		s.SpawnOn("rank", n, 0, func(th Agent) {
 			for i := 0; i < 20; i++ {
-				th.Elapse(Microseconds(5))
-				ev := s.CopyBytes(n, (n+1)%4, 4096, NoEvent, nil)
-				th.WaitEvent(ev)
+				th.WaitEvent(s.LaunchOn(n, NoEvent, Microseconds(5), nil))
+				th.WaitEvent(s.CopyBytes(n, (n+1)%4, 4096, NoEvent, nil))
 			}
 		})
 	}
@@ -255,12 +270,12 @@ func TestDropsDelayAndRecount(t *testing.T) {
 	}
 }
 
-// TestRandomCrashesAreSeeded: Poisson crashes land at seed-determined
-// times, never on node 0 without opt-in, and every node can eventually die
-// without hanging the run.
+// TestRandomCrashesAreSeeded: CrashRate is a per-launch probability —
+// each rank's launches are the crash points, the crash set is the one
+// LaunchFault predicts from them, the same seed gives the same crash log,
+// node 0 is spared without opt-in, and dead nodes never hang the run.
 func TestRandomCrashesAreSeeded(t *testing.T) {
-	// Fire-and-forget workload: crashes lose work but nobody waits on the
-	// dead (that coordination is the SPMD executor's job, tested there).
+	const launches = 20
 	run := func(fp FaultPlan) []NodeCrash {
 		s := MustNewSim(DefaultConfig(4))
 		if err := s.InjectFaults(fp); err != nil {
@@ -269,9 +284,8 @@ func TestRandomCrashesAreSeeded(t *testing.T) {
 		for n := 0; n < 4; n++ {
 			n := n
 			s.SpawnOn("rank", n, 0, func(th Agent) {
-				for i := 0; i < 20; i++ {
-					th.Elapse(Microseconds(5))
-					s.CopyBytes(n, (n+1)%4, 4096, NoEvent, nil)
+				for i := 0; i < launches; i++ {
+					th.WaitEvent(s.LaunchOn(n, NoEvent, Microseconds(5), nil))
 				}
 			})
 		}
@@ -280,7 +294,7 @@ func TestRandomCrashesAreSeeded(t *testing.T) {
 		}
 		return s.Crashes()
 	}
-	fp := FaultPlan{Seed: 13, CrashRate: 50000} // ~50 crashes/ms of virtual time
+	fp := FaultPlan{Seed: 13, CrashRate: 0.05}
 	cr1 := run(fp)
 	cr2 := run(fp)
 	if len(cr1) == 0 {
@@ -288,6 +302,22 @@ func TestRandomCrashesAreSeeded(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cr1, cr2) {
 		t.Errorf("crash logs diverged under one seed:\n%+v\n%+v", cr1, cr2)
+	}
+	var want, got []int
+	for n := 0; n < 4; n++ {
+		for k := uint64(1); k <= launches; k++ {
+			if crash, _ := fp.LaunchFault(n, k); crash {
+				want = append(want, n)
+				break
+			}
+		}
+	}
+	for _, c := range cr1 {
+		got = append(got, c.Node)
+	}
+	sort.Ints(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("crashed nodes %v, LaunchFault predicts %v", got, want)
 	}
 	for _, c := range cr1 {
 		if c.Node == 0 {
@@ -301,10 +331,13 @@ func TestCrashTraceEvents(t *testing.T) {
 	s := MustNewSim(DefaultConfig(2))
 	tr := NewTracer()
 	s.SetTracer(tr)
-	if err := s.InjectFaults(FaultPlan{Crashes: []NodeCrash{{Node: 1, At: Microseconds(5)}}}); err != nil {
+	if err := s.InjectFaults(FaultPlan{LaunchCrashes: []LaunchCrash{{Node: 1, AtLaunch: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	s.SpawnOn("w", 0, 0, func(th Agent) { th.Elapse(Microseconds(10)) })
+	s.SpawnOn("w", 0, 0, func(th Agent) {
+		s.LaunchOn(1, NoEvent, Microseconds(5), nil)
+		th.Elapse(Microseconds(10))
+	})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

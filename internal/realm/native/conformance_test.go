@@ -16,15 +16,16 @@ import (
 // the native machine: both must observe exactly the row's outcome. It is
 // the contract every system the harness compares relies on — events,
 // merges, barriers, collectives, the machine counters, and the failure
-// half (a logical-point crash and its fail event, an agent kill, a
-// deadlock).
+// half (launch- and copy-indexed crashes and their fail events, seeded
+// faults, an agent kill, a deadlock).
 func TestExecConformance(t *testing.T) {
+	const nodes = 4
 	backends := []struct {
 		name string
 		make func() realm.Exec
 	}{
-		{"des", func() realm.Exec { return realm.MustNewSim(realm.DefaultConfig(2)) }},
-		{"native", func() realm.Exec { return MustNewMachine(realm.DefaultConfig(2)) }},
+		{"des", func() realm.Exec { return realm.MustNewSim(realm.DefaultConfig(nodes)) }},
+		{"native", func() realm.Exec { return MustNewMachine(realm.DefaultConfig(nodes)) }},
 	}
 	rows := []struct {
 		name   string
@@ -196,6 +197,85 @@ func TestExecConformance(t *testing.T) {
 			return fmt.Sprint(err, ran, lost, x.Triggered(x.NodeFailEvent(1)), crashed,
 				x.FaultStats().Crashes, x.NodeFailed(0))
 		}, "<nil> 1 true true [1] 1 false"},
+
+		{"copy crash", func(x realm.Exec) string {
+			if err := x.InjectFaults(realm.FaultPlan{CopyCrashes: []realm.CopyCrash{{Node: 1, AtCopy: 3}}}); err != nil {
+				return err.Error()
+			}
+			var delivered int32
+			body := func() { atomic.AddInt32(&delivered, 1) }
+			var lost bool
+			x.SpawnOn("issuer", 0, 0, func(a realm.Agent) {
+				a.WaitEvent(x.CopyBytes(0, 1, 8, realm.NoEvent, body))  // node 1's copy 1
+				a.WaitEvent(x.CopyAgg(1, 1, 8, 2, realm.NoEvent, body)) // copy 2: a local copy counts once
+				x.ShipTrace(0, 1, 8, realm.NoEvent)                     // copy 3, the crash point: lost
+				lost = x.NodeFailed(1)
+				x.CopyBytes(1, 2, 8, realm.NoEvent, body) // from a dead node: lost
+				a.WaitEvent(x.CopyBytes(0, 2, 8, realm.NoEvent, body))
+				a.WaitEvent(x.NodeFailEvent(1))
+			})
+			_, err := x.Drive()
+			var crashed []int
+			for _, c := range x.Crashes() {
+				crashed = append(crashed, c.Node)
+			}
+			return fmt.Sprint(err, delivered, lost, crashed, x.FaultStats().Crashes, x.Stats().TraceShips)
+		}, "<nil> 3 true [1] 1 1"},
+
+		{"seeded faults", func(x realm.Exec) string {
+			// One issuer numbers every node's launches and copies the same
+			// way on both backends, so the plan's decision functions
+			// predict every fault: a node's crash at the first launch that
+			// draws one, stragglers among its launches before that, and
+			// duplicates and drops on the copies between surviving nodes.
+			fp := realm.FaultPlan{Seed: 11, CrashRate: 0.02, DropRate: 0.2, DupRate: 0.2,
+				StragglerRate: 0.3, StragglerFactor: 2, RetransmitTimeout: realm.Microseconds(1)}
+			if err := x.InjectFaults(fp); err != nil {
+				return err.Error()
+			}
+			const launches, copies = 30, 30
+			x.SpawnOn("issuer", 0, 0, func(realm.Agent) {
+				for k := 0; k < launches; k++ {
+					for n := 0; n < nodes; n++ {
+						x.LaunchOn(n, realm.NoEvent, realm.Microseconds(1), nil)
+					}
+				}
+				for k := 0; k < copies; k++ {
+					for n := 0; n < nodes; n++ {
+						x.CopyBytes(n, (n+1)%nodes, 64, realm.NoEvent, nil)
+					}
+				}
+			})
+			_, err := x.Drive()
+			var want realm.FaultStats
+			dead := make([]bool, nodes)
+			for n := 0; n < nodes; n++ {
+				for k := uint64(1); k <= launches && !dead[n]; k++ {
+					crash, straggle := fp.LaunchFault(n, k)
+					if dead[n] = crash; crash {
+						want.Crashes++
+					} else if straggle {
+						want.Stragglers++
+					}
+				}
+			}
+			for n := 0; n < nodes; n++ {
+				for k := uint64(1); k <= copies && !dead[n] && !dead[(n+1)%nodes]; k++ {
+					dup, drops := fp.CopyFault(n, k)
+					if dup {
+						want.Dups++
+					}
+					want.Drops += int64(drops)
+				}
+			}
+			var crashed []int
+			for _, c := range x.Crashes() {
+				crashed = append(crashed, c.Node)
+			}
+			sort.Ints(crashed)
+			got := x.FaultStats()
+			return fmt.Sprint(err, crashed, got, got == want)
+		}, "<nil> [1 2] {2 4 6 36} true"},
 
 		{"kill agent", func(x realm.Exec) string {
 			never := x.NewUserEvent()

@@ -33,17 +33,15 @@
 // nanoseconds since construction. Agent.Sleep is a real sleep — the
 // recovery layer's restart backoff is wall-clock here.
 //
-// Fault injection (InjectFaults) is seeded and logical-point based:
-// every fault decision is a pure function of (seed, stream, node, per-node
-// operation sequence number), so the same seed kills the same shard at the
-// same logical point on every run — no wall-clock timers are involved in
-// deciding faults. Crashes cancel the node's agent goroutines (they unwind
-// with the shared kill sentinel at their next scheduling point) and
-// suppress not-yet-started work touching the node; drops pay a bounded
-// exponential-backoff retransmit delay; stragglers sleep for real.
-// Virtual-time crash schedules (FaultPlan.Crashes) are the one DES-only
-// feature: there is no virtual clock to schedule them against, and they are
-// rejected with a precise realm.UnsupportedError.
+// Fault injection (InjectFaults) follows the one model of realm/fault.go:
+// the machine advances its per-node launch and copy counters at issue and
+// asks the plan's decision functions what happens there, so a plan injects
+// the faults it injects on the DES wherever a node's operations are issued
+// in the same order — no wall-clock timer decides a fault. Crashes cancel
+// the node's agent goroutines (they unwind with the shared kill sentinel at
+// their next scheduling point) and suppress not-yet-started work touching
+// the node; drops pay an exponential-backoff retransmit delay; stragglers
+// sleep for real.
 //
 // Deadlock is decided exactly, as on the DES: the machine counts its
 // population (agents, in-flight work items, blocked agents), and the
@@ -61,20 +59,6 @@ import (
 
 	"repro/internal/realm"
 )
-
-// crashQuantumSec converts FaultPlan.CrashRate (a Poisson rate in crashes
-// per simulated second) into a per-launch crash probability: each task
-// launch is treated as one crash opportunity worth this many seconds of
-// exposure. The quantum approximates the DES's per-launch virtual-time
-// advance, so comparable rates produce comparable crash counts on both
-// backends.
-const crashQuantumSec = 1e-4
-
-// maxRetransmits bounds the retransmit-with-backoff loop for dropped
-// messages: after this many consecutive drops the transport delivers
-// anyway (the DES's geometric drop loop is unbounded but terminates with
-// probability 1; real wall-clock delays need a hard bound).
-const maxRetransmits = 8
 
 // Event kinds label what primitive owns each event, so a deadlock report
 // can say what a blocked agent is parked on.
@@ -142,15 +126,15 @@ type Machine struct {
 
 	// Fault state. faults is written once before Drive (InjectFaults) and
 	// read without locking afterwards — the goroutine-start edges of Drive
-	// publish it. The per-node failure flags and draw counters are atomics:
-	// fault points are concurrent. nodeFailEv is made in NewMachine and
-	// read-only after.
+	// publish it. The per-node failure flags and issue counters are
+	// atomics: fault points are concurrent. nodeFailEv is made in
+	// NewMachine and read-only after.
 	faults         *realm.FaultPlan
-	launchCrashAt  map[int]uint64 // logical-point crash schedule, read-only after InjectFaults
 	nodeFailEv     []realm.Event
 	failedNodes    []int32  // atomic 0/1 per node
-	launchSeq      []uint64 // atomic per-node launch issue counters
-	copySeq        []uint64 // atomic per-node (source) copy issue counters
+	launchSeq      []uint64 // atomic launches issued, per target node
+	copySeq        []uint64 // atomic remote copies issued, per source node
+	touchSeq       []uint64 // atomic copies sent or received, per node
 	drops          int64
 	dups           int64
 	stragglers     int64
@@ -187,6 +171,7 @@ func NewMachine(cfg realm.Config) (*Machine, error) {
 		failedNodes: make([]int32, cfg.Nodes),
 		launchSeq:   make([]uint64, cfg.Nodes),
 		copySeq:     make([]uint64, cfg.Nodes),
+		touchSeq:    make([]uint64, cfg.Nodes),
 	}
 	m.qcond = sync.NewCond(&m.qmu)
 	m.dcond = sync.NewCond(&m.qmu)
@@ -242,19 +227,10 @@ func (m *Machine) Stats() realm.Stats {
 	}
 }
 
-// InjectFaults implements realm.Exec. Rate-based faults and
-// logical-point crash schedules (FaultPlan.LaunchCrashes — "node 2 dies at
-// its 37th launch", matched against the per-node atomic launch counters)
-// are fully supported; only explicit virtual-time crash schedules
-// (FaultPlan.Crashes) remain DES-only — the native machine has no virtual
-// clock to schedule them against — and are rejected precisely. Must be
-// called before Drive, at most once.
+// InjectFaults implements realm.Exec: every part of a plan is supported.
+// Must be called before Drive, at most once.
 func (m *Machine) InjectFaults(fp realm.FaultPlan) error {
-	if len(fp.Crashes) > 0 {
-		return &realm.UnsupportedError{Backend: m.Backend(), Op: "virtual-time crash schedules (FaultPlan.Crashes)"}
-	}
-	at, err := fp.Prepare(m.cfg)
-	if err != nil {
+	if err := fp.Prepare(m.cfg); err != nil {
 		return err
 	}
 	m.qmu.Lock()
@@ -267,7 +243,6 @@ func (m *Machine) InjectFaults(fp realm.FaultPlan) error {
 		return fmt.Errorf("native: a fault plan is already installed")
 	}
 	m.faults = &fp
-	m.launchCrashAt = at
 	return nil
 }
 
@@ -612,24 +587,19 @@ func (m *Machine) SpawnOn(name string, node, proc int, fn func(realm.Agent)) rea
 //
 // Fault decisions are made here, at issue time, on the issuing goroutine:
 // the per-node launch counter gives each launch a logical position, and
-// the draw for that position decides crash and straggler injection. While
-// one agent issues each node's launches (the steady state — the engine
-// binds one shard per node until a failover doubles shards up), the
-// sequence is deterministic, so the same seed crashes the same node at the
-// same launch on every run.
+// realm.FaultPlan.LaunchFault decides crash and straggler there. While one
+// agent issues each node's launches (the steady state — the engine binds
+// one shard per node until a failover doubles shards up), the sequence is
+// deterministic, so the same seed crashes the same node at the same launch
+// on every run and on the DES.
 func (m *Machine) LaunchOn(node int, pre realm.Event, dur realm.Time, body func()) realm.Event {
 	var delay time.Duration
 	if fp := m.faults; fp != nil {
-		seq := atomic.AddUint64(&m.launchSeq[node], 1)
-		if at, ok := m.launchCrashAt[node]; ok && seq == at {
-			m.crashNode(node) // scheduled logical-point crash: this launch is lost
+		crash, straggle := fp.LaunchFault(node, atomic.AddUint64(&m.launchSeq[node], 1))
+		if crash {
+			m.crashNode(node) // this launch is lost
 		}
-		if fp.CrashRate > 0 && !m.nodeDown(node) && (node != 0 || fp.CrashNode0) &&
-			realm.FaultDraw(fp.Seed, realm.FaultStreamCrash, uint64(node), seq) < fp.CrashRate*crashQuantumSec {
-			m.crashNode(node)
-		}
-		if fp.StragglerRate > 0 && dur > 0 &&
-			realm.FaultDraw(fp.Seed, realm.FaultStreamStraggler, uint64(node), seq) < fp.StragglerRate {
+		if straggle && dur > 0 && !m.nodeDown(node) {
 			atomic.AddInt64(&m.stragglers, 1)
 			delay = time.Duration(float64(dur) * (fp.StragglerFactor - 1))
 		}
@@ -654,28 +624,30 @@ func (m *Machine) LaunchOn(node int, pre realm.Event, dur realm.Time, body func(
 // movement (a shared-memory store-to-store copy); the byte count only
 // feeds the traffic counters.
 //
-// Like LaunchOn, fault decisions are made at issue time from the source
-// node's copy counter: a duplicate pays the wire twice; each drop pays the
-// wire again and delays delivery by an exponentially backed-off retransmit
-// timeout (bounded at maxRetransmits attempts — reliable transport).
+// Like LaunchOn, fault decisions are made at issue time, by
+// realm.FaultPlan's decision functions: each endpoint's copy counter may
+// name a crash point (the copy is then lost), and the source node's
+// remote-copy counter decides a duplicate, which pays the wire twice, and
+// drops, each of which pays the wire again and delays delivery by an
+// exponentially backed-off retransmit timeout.
 func (m *Machine) CopyBytes(src, dst int, bytes int64, pre realm.Event, body func()) realm.Event {
 	var extraMsgs int64
 	var delay time.Duration
-	if fp := m.faults; fp != nil && src != dst {
-		seq := atomic.AddUint64(&m.copySeq[src], 1)
-		if fp.DupRate > 0 &&
-			realm.FaultDraw(fp.Seed, realm.FaultStreamCopy, uint64(src), seq) < fp.DupRate {
-			extraMsgs++
-			atomic.AddInt64(&m.dups, 1)
-		}
-		if fp.DropRate > 0 {
-			for k := uint64(0); k < maxRetransmits; k++ {
-				if realm.FaultDraw(fp.Seed, realm.FaultStreamDrop, uint64(src), seq*maxRetransmits+k) >= fp.DropRate {
-					break
+	if fp := m.faults; fp != nil {
+		m.touchCopy(src)
+		if src != dst {
+			m.touchCopy(dst)
+			dup, drops := fp.CopyFault(src, atomic.AddUint64(&m.copySeq[src], 1))
+			if !m.nodeDown(src) && !m.nodeDown(dst) {
+				if dup {
+					extraMsgs++
+					atomic.AddInt64(&m.dups, 1)
 				}
-				extraMsgs++
-				atomic.AddInt64(&m.drops, 1)
-				delay += time.Duration(fp.RetransmitTimeout) << k
+				for k := 0; k < drops; k++ {
+					extraMsgs++
+					delay += time.Duration(fp.RetransmitTimeout) << k
+				}
+				atomic.AddInt64(&m.drops, int64(drops))
 			}
 		}
 	}
@@ -698,6 +670,14 @@ func (m *Machine) CopyBytes(src, dst int, bytes int64, pre realm.Event, body fun
 		m.dispatch(&workItem{kind: itemCopy, node: dst, node2: src, bytes: bytes, body: body, done: done}, delay)
 	})
 	return done
+}
+
+// touchCopy advances node's count of copies sent or received and crashes
+// it if the plan names that copy.
+func (m *Machine) touchCopy(node int) {
+	if m.faults.CopyCrash(node, atomic.AddUint64(&m.touchSeq[node], 1)) {
+		m.crashNode(node)
+	}
 }
 
 // Drive implements realm.Exec: start the worker pool, which finds the work

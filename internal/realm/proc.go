@@ -52,6 +52,8 @@ func (p *proc) launch(dur Time) Event {
 type deferred struct {
 	s     *Sim
 	op    uint8
+	dup   bool  // opCopy: the payload crosses the wire twice
+	drops uint8 // opCopy: lost attempts before one arrives
 	done  Event // the operation's completion; opLink: the event to trigger
 	src   *node // opLaunch: the node; opCopy: the sender
 	dst   *node // opCopy
@@ -93,7 +95,7 @@ func (r *deferred) run() {
 	case opLaunch:
 		op.src.execAuto(op.dur, op.body, op.done)
 	case opCopy:
-		s.execCopy(op.src, op.dst, op.bytes, op.body, op.done)
+		s.execCopy(op.src, op.dst, op.bytes, op.dup, int(op.drops), op.body, op.done)
 	case opLink:
 		s.Trigger(op.done)
 	}
@@ -108,10 +110,6 @@ func (p *proc) execItem(dur Time, body func(), done Event) {
 		return // lost work: a crashed node never starts the item
 	}
 	dur = s.policy.TaskDuration(dur)
-	if s.faults != nil && dur > 0 && s.faultRoll(s.faults.StragglerRate) {
-		dur = Time(float64(dur) * s.faults.StragglerFactor)
-		s.faultStats.Stragglers++
-	}
 	start := p.freeAt
 	if s.now > start {
 		start = s.now
@@ -137,18 +135,13 @@ func (p *proc) execItem(dur Time, body func(), done Event) {
 // LaunchOn implements Exec: once pre triggers, the item runs on whichever
 // of the node's processors becomes free earliest (ties broken by processor
 // index), the mapping strategy of a default mapper distributing a shard's
-// tasks across the node's cores. When the installed fault plan carries
-// logical-point crash schedules, the issue is also a crash opportunity: the
-// per-node launch counter advances, and if this is the scheduled launch the
-// node fail-stops here — before the launch lands, so the launch itself is
-// lost, exactly as on the native backend.
+// tasks across the node's cores. Under a fault plan the issue is a fault
+// point (launchFault): the node may fail-stop here, before the launch
+// lands, so the launch itself is lost, or the launch may straggle.
 func (s *Sim) LaunchOn(node int, pre Event, dur Time, body func()) Event {
 	n := s.nodes[node]
-	if s.launchCrashAt != nil && !n.failed {
-		s.launchSeq[node]++
-		if at, ok := s.launchCrashAt[node]; ok && s.launchSeq[node] == at {
-			s.crashNode(node)
-		}
+	if s.faults != nil {
+		dur = s.launchFault(node, dur)
 	}
 	done := s.NewUserEvent()
 	if s.Triggered(pre) {
@@ -178,14 +171,21 @@ func (n *node) execAuto(dur Time, body func(), done Event) {
 // triggers, the transfer waits for the sender's link, pays latency plus
 // size/bandwidth, then body runs at the destination and the returned event
 // fires. Copies within a node pay the (cheaper) local latency and bandwidth
-// and do not occupy the link.
+// and do not occupy the link. Under a fault plan the issue is a fault
+// point (copyFault): an endpoint may fail-stop here, losing the copy, and a
+// remote copy may be duplicated or dropped.
 func (s *Sim) CopyBytes(src, dst int, bytes int64, pre Event, body func()) Event {
 	from, to := s.nodes[src], s.nodes[dst]
+	var dup bool
+	var drops int
+	if s.faults != nil {
+		dup, drops = s.copyFault(src, dst)
+	}
 	done := s.NewUserEvent()
 	if s.Triggered(pre) {
-		s.execCopy(from, to, bytes, body, done)
+		s.execCopy(from, to, bytes, dup, drops, body, done)
 	} else {
-		s.await(pre, deferred{op: opCopy, src: from, dst: to, bytes: bytes, body: body, done: done})
+		s.await(pre, deferred{op: opCopy, src: from, dst: to, bytes: bytes, dup: dup, drops: uint8(drops), body: body, done: done})
 	}
 	return done
 }
@@ -202,7 +202,7 @@ func (s *Sim) ShipTrace(src, dst int, bytes int64, pre Event) Event {
 
 // CopyAgg implements Exec: a coalesced transfer is an ordinary wire
 // transfer of the summed payload (one latency charge, batched bandwidth,
-// one fault draw — a dropped or duplicated aggregate retransmits the whole
+// one fault decision — a dropped or duplicated aggregate retransmits the whole
 // group), counted at issue time so the aggregation counters match the
 // native backend's for any schedule.
 func (s *Sim) CopyAgg(src, dst int, bytes int64, members int, pre Event, body func()) Event {
@@ -215,8 +215,9 @@ func (s *Sim) CopyAgg(src, dst int, bytes int64, members int, pre Event, body fu
 	return s.CopyBytes(src, dst, bytes, pre, body)
 }
 
-// execCopy performs a transfer whose precondition has triggered.
-func (s *Sim) execCopy(src, dst *node, bytes int64, body func(), done Event) {
+// execCopy performs a transfer whose precondition has triggered, charging
+// the wire for the duplicate and the drops decided at its issue.
+func (s *Sim) execCopy(src, dst *node, bytes int64, dup bool, drops int, body func(), done Event) {
 	if src.failed || dst.failed {
 		return // either endpoint crashed: the transfer is lost
 	}
@@ -232,27 +233,20 @@ func (s *Sim) execCopy(src, dst *node, bytes int64, body func(), done Event) {
 		xfer := s.policy.RemoteTransfer(bytes)
 		serialize := xfer
 		var delay Time
-		if s.faults != nil {
-			// Faults are rolled in a fixed order (duplicate, then drops)
-			// so the consumed randomness — and thus the whole schedule —
-			// is a pure function of the plan seed.
-			if s.faultRoll(s.faults.DupRate) {
-				// The link carries the payload twice; the receiver keeps
-				// the first arrival.
-				serialize += xfer
-				s.stats.Messages++
-				s.stats.BytesSent += bytes
-				s.faultStats.Dups++
-			}
-			for s.faultRoll(s.faults.DropRate) {
-				// Reliable transport: a dropped message is retransmitted
-				// after a timeout, paying the wire again each attempt.
-				delay += s.faults.RetransmitTimeout + xfer
-				serialize += xfer
-				s.stats.Messages++
-				s.stats.BytesSent += bytes
-				s.faultStats.Drops++
-			}
+		if dup {
+			// The link carries the payload twice; the receiver keeps the
+			// first arrival.
+			serialize += xfer
+			s.stats.Messages++
+			s.stats.BytesSent += bytes
+		}
+		for ; drops > 0; drops-- {
+			// Reliable transport: a dropped message is retransmitted after
+			// a timeout, paying the wire again each attempt.
+			delay += s.faults.RetransmitTimeout + xfer
+			serialize += xfer
+			s.stats.Messages++
+			s.stats.BytesSent += bytes
 		}
 		src.linkFreeAt = start + serialize
 		arrive = start + xfer + s.policy.RemoteLatency() + delay

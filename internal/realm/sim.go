@@ -129,22 +129,20 @@ type Sim struct {
 	events EventTable
 
 	running     bool
-	strong      int // count of non-weak queued items
 	tracer      *Tracer
 	liveThreads map[*Thread]bool
 	threadSeq   int64 // spawn counter, gives threads a deterministic order
 
-	// Fault-injection state (nil faults = fault-free run).
+	// Fault-injection state (nil faults = fault-free run): the plan, what
+	// it injected, and the per-node issue counters its decisions are keyed
+	// by (fault.go) — launches per target node, remote copies per source
+	// node, and copies sent or received per node.
 	faults     *FaultPlan
-	faultSeq   uint64
 	faultStats FaultStats
 	crashLog   []NodeCrash
-	// Logical-point crash schedules: per-node launch issue counters and the
-	// per-node launch number at which the node fail-stops (nil unless the
-	// plan carries LaunchCrashes). Counting happens in LaunchOn so the DES
-	// numbers launches exactly as the native backend's atomic counters do.
-	launchSeq     []uint64
-	launchCrashAt map[int]uint64
+	launchSeq  []uint64
+	copySeq    []uint64
+	touchSeq   []uint64
 
 	// mergerPool recycles merger states (and their bound callbacks) once
 	// they fire; every task launch merges its preconditions, so steady-state
@@ -165,7 +163,6 @@ type queued struct {
 	ev       Event
 	next     int32 // slab index of the item queued behind this one; 0 = none
 	failNode *node
-	weak     bool // weak items do not keep the simulation alive (fault generators)
 }
 
 // eventQueue is a monotone radix queue (Ahuja, Mehlhorn, Orlin, Tarjan
@@ -224,6 +221,8 @@ func (q *eventQueue) push(it queued) {
 	q.slab[i] = it
 	q.link(i)
 }
+
+func (q *eventQueue) empty() bool { return q.head[0] == 0 && q.occupied == 0 }
 
 // pop removes the earliest item, the first pushed among equals. The queue
 // must not be empty.
@@ -298,9 +297,6 @@ func (s *Sim) Nodes() int { return len(s.nodes) }
 // enqueue clamps it to now, the time of the latest pop, which is what keeps
 // the queue monotone, and queues it.
 func (s *Sim) enqueue(it queued) {
-	if !it.weak {
-		s.strong++
-	}
 	if it.at < s.now {
 		it.at = s.now
 	}
@@ -316,12 +312,6 @@ func (s *Sim) at(t Time, fn func()) { s.enqueue(queued{at: t, fn: fn}) }
 // fields — completions are the most common queue entry in a simulation,
 // and this keeps the steady-state hot path allocation-free.
 func (s *Sim) atDone(t Time, n *node, ev Event) { s.enqueue(queued{at: t, ev: ev, failNode: n}) }
-
-// atWeak schedules fn at absolute time t without keeping the simulation
-// alive: Run exits once only weak items remain. Fault generators are weak —
-// a crash planned for a time the program never reaches must not prevent
-// termination.
-func (s *Sim) atWeak(t Time, fn func()) { s.enqueue(queued{at: t, fn: fn, weak: true}) }
 
 // After schedules fn d nanoseconds from now.
 func (s *Sim) After(d Time, fn func()) { s.at(s.now+d, fn) }
@@ -469,7 +459,7 @@ func (e *DeadlockError) Error() string {
 	return string(b)
 }
 
-// Run processes events until no strong items remain and all threads have
+// Run processes events until none remain queued and all threads have
 // finished, returning the final virtual time. If threads are still blocked
 // when the queue drains, the error is a *DeadlockError naming them and the
 // events they wait on.
@@ -479,11 +469,8 @@ func (s *Sim) Run() (Time, error) {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	for s.strong > 0 {
+	for !s.queue.empty() {
 		item := s.queue.pop()
-		if !item.weak {
-			s.strong--
-		}
 		s.now = item.at
 		s.stats.Events++
 		if item.fn != nil {

@@ -53,9 +53,9 @@ func TestMidLoopKernelPanicSurfacesAsError(t *testing.T) {
 // control thread blocked — and that must surface as a structured deadlock
 // error naming the blocked thread, not a panic or a hang.
 func TestInjectedCrashSurfacesAsDeadlock(t *testing.T) {
-	cfg := bench.Config{Nodes: 4}
-	elapsed := must(t)(bench.RunImplicit(figure2(48, 8, 4)(), cfg)).Elapsed
-	cfg.Faults = &realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: elapsed / 2}}}
+	// Node 2 dies at its 5th launch, part way into the run.
+	cfg := bench.Config{Nodes: 4, MeasureOpts: bench.MeasureOpts{
+		Faults: &realm.FaultPlan{LaunchCrashes: []realm.LaunchCrash{{Node: 2, AtLaunch: 5}}}}}
 	_, err := bench.RunImplicit(figure2(48, 8, 4)(), cfg)
 	var derr *realm.DeadlockError
 	if !errors.As(err, &derr) {

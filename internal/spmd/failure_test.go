@@ -81,10 +81,105 @@ func recovered(retries int) bench.Config {
 		Recov: spmd.Recovery{CheckpointEvery: 2, MaxRetries: retries, Backoff: realm.Microseconds(50)}}
 }
 
-// crashes returns cfg with the crashes injected.
-func crashes(cfg bench.Config, cs ...realm.NodeCrash) bench.Config {
-	cfg.Faults = &realm.FaultPlan{Crashes: cs}
+// crashes returns cfg with the launch-indexed crashes ls and the
+// copy-indexed crashes cs injected.
+func crashes(cfg bench.Config, ls []realm.LaunchCrash, cs ...realm.CopyCrash) bench.Config {
+	cfg.Faults = &realm.FaultPlan{LaunchCrashes: ls, CopyCrashes: cs}
 	return cfg
+}
+
+// opLog wraps a DES and numbers what a crash point names: each node's
+// launches, and each copy by its index among the copies its source and its
+// destination send or receive. A test runs a program under it to find the
+// index of the operation it wants a crash to land on. It counts the
+// executor's restarts by their Quiesce calls.
+type opLog struct {
+	realm.Exec
+	launches, touches []uint64
+	copies            []loggedCopy
+	restarts          int
+}
+
+// loggedCopy is one copy as opLog saw it issued.
+type loggedCopy struct {
+	src, dst int
+	at       [2]uint64 // its index among the copies src, then dst, sends or receives
+	bodyless bool      // init, checkpoint capture, restore or trace ship
+	ship     bool
+	restarts int // restarts begun before its issue
+}
+
+func (l *opLog) LaunchOn(node int, pre realm.Event, dur realm.Time, body func()) realm.Event {
+	l.launches[node]++
+	return l.Exec.LaunchOn(node, pre, dur, body)
+}
+
+func (l *opLog) log(src, dst int, bodyless, ship bool) {
+	c := loggedCopy{src: src, dst: dst, bodyless: bodyless, ship: ship, restarts: l.restarts}
+	l.touches[src]++
+	if dst != src {
+		l.touches[dst]++
+	}
+	c.at = [2]uint64{l.touches[src], l.touches[dst]}
+	l.copies = append(l.copies, c)
+}
+
+func (l *opLog) Quiesce() {
+	l.restarts++
+	l.Exec.Quiesce()
+}
+
+func (l *opLog) CopyBytes(src, dst int, bytes int64, pre realm.Event, body func()) realm.Event {
+	l.log(src, dst, body == nil, false)
+	return l.Exec.CopyBytes(src, dst, bytes, pre, body)
+}
+
+func (l *opLog) CopyAgg(src, dst int, bytes int64, members int, pre realm.Event, body func()) realm.Event {
+	l.log(src, dst, body == nil, false)
+	return l.Exec.CopyAgg(src, dst, bytes, members, pre, body)
+}
+
+func (l *opLog) ShipTrace(src, dst int, bytes int64, pre realm.Event) realm.Event {
+	l.log(src, dst, true, true)
+	return l.Exec.ShipTrace(src, dst, bytes, pre)
+}
+
+// logged runs build under cfg on a logged DES.
+func logged(t *testing.T, build func() *ir.Program, cfg bench.Config) (*bench.Result, *opLog) {
+	t.Helper()
+	l := &opLog{Exec: realm.MustNewSim(realm.DefaultConfig(cfg.Nodes)),
+		launches: make([]uint64, cfg.Nodes), touches: make([]uint64, cfg.Nodes)}
+	cfg.Exec = l
+	return must(t)(bench.RunCR(build(), cfg)), l
+}
+
+// copyAt is the CopyCrash that kills node at the first copy it sends or
+// receives that match accepts.
+func (l *opLog) copyAt(t *testing.T, node int, match func(loggedCopy) bool) realm.CopyCrash {
+	t.Helper()
+	for _, c := range l.copies {
+		switch {
+		case c.src == node && match(c):
+			return realm.CopyCrash{Node: node, AtCopy: c.at[0]}
+		case c.dst == node && match(c):
+			return realm.CopyCrash{Node: node, AtCopy: c.at[1]}
+		}
+	}
+	t.Fatalf("node %d sends or receives no such copy", node)
+	return realm.CopyCrash{}
+}
+
+// repopulates matches the copies the rebuild of the given restart issues
+// from node 0's stable storage: its restore, or its init phase when no
+// checkpoint exists yet.
+func repopulates(restart int) func(loggedCopy) bool {
+	return func(c loggedCopy) bool { return c.src == 0 && c.bodyless && !c.ship && c.restarts == restart }
+}
+
+// midRun is the crash of node 2 at the middle of its launches in the run l
+// logged.
+func (l *opLog) midRun() []realm.LaunchCrash {
+	return []realm.LaunchCrash{{Node: 2, AtLaunch: l.launches[2] / 2}}
 }
 
 // TestCrashRecoveryMatchesFaultFree is the acceptance test of the recovery
@@ -93,11 +188,11 @@ func crashes(cfg bench.Config, cs ...realm.NodeCrash) bench.Config {
 // identical to the fault-free run (and to sequential semantics).
 func TestCrashRecoveryMatchesFaultFree(t *testing.T) {
 	build := figure2(48, 8, 8)
-	res0 := must(t)(bench.RunCR(build(), recovered(3)))
+	res0, log0 := logged(t, build, recovered(3))
 	if res0.Faults == nil || len(res0.Faults.Crashes) != 0 || res0.Faults.Restarts != 0 || res0.Faults.Checkpoints == 0 {
 		t.Fatalf("fault-free run with recovery should checkpoint and nothing else, got %+v", res0.Faults)
 	}
-	res, err := bench.RunCR(build(), crashes(recovered(3), realm.NodeCrash{Node: 2, At: res0.Elapsed / 2}))
+	res, err := bench.RunCR(build(), crashes(recovered(3), log0.midRun()))
 	if err != nil {
 		t.Fatalf("crash was not recovered: %v", err)
 	}
@@ -120,7 +215,7 @@ func TestFaultSeedDeterminism(t *testing.T) {
 	cfg := recovered(5)
 	cfg.Faults = &realm.FaultPlan{
 		Seed:            42,
-		CrashRate:       3000, // expect a crash or two within the run
+		CrashRate:       0.02, // per launch: a crash or two within the run
 		DropRate:        0.1,
 		DupRate:         0.05,
 		StragglerRate:   0.2,
@@ -142,6 +237,9 @@ func TestFaultSeedDeterminism(t *testing.T) {
 	}
 	r1, t1 := run()
 	r2, t2 := run()
+	if len(r1.Faults.Crashes) == 0 || r1.Faults.Unrecovered {
+		t.Fatalf("seed 42 should crash a node and recover: %+v", r1.Faults)
+	}
 	if r1.Elapsed != r2.Elapsed || r1.Stats != r2.Stats {
 		t.Errorf("same fault seed diverged: %v/%+v vs %v/%+v", r1.Elapsed, r1.Stats, r2.Elapsed, r2.Stats)
 	}
@@ -154,49 +252,50 @@ func TestFaultSeedDeterminism(t *testing.T) {
 	diff(t, r1.SeqResult, r2)
 }
 
-// TestCrashDuringCheckpointCapture times a crash to land inside the
+// TestCrashDuringCheckpointCapture lands a crash inside the
 // checkpoint-capture window itself — after the epoch's shards have
 // completed but before the capture copies to node 0's stable storage have
-// drained. The half-taken checkpoint must be discarded (a nil from
-// takeCheckpoint, one restart), the epoch re-runs, and the final stores
-// stay bitwise correct.
+// drained: node 2 dies at the first capture copy it sends. The half-taken
+// checkpoint must be discarded (a nil from takeCheckpoint, one restart),
+// the epoch re-runs, and the final stores stay bitwise correct. Capture
+// copies are issued by the control agent alone at a quiescent epoch
+// boundary, so the copy index is the same on both backends.
 func TestCrashDuringCheckpointCapture(t *testing.T) {
-	f := progtest.NewFigure2(48, 8, 8)
-	res0 := must(t)(bench.RunCR(f.Prog, recovered(3)))
-	// The first checkpoint's capture copies start the instant iteration 2
-	// (index 1) completes; one nanosecond later is inside the window, since
-	// the copies pay at least the wire latency.
-	at := res0.IterTimes[f.Loop][1] + 1
-	res, err := bench.RunCR(figure2(48, 8, 8)(), crashes(recovered(3), realm.NodeCrash{Node: 2, At: at}))
-	if err != nil {
-		t.Fatalf("crash during checkpoint capture was not recovered: %v", err)
+	build := figure2(48, 8, 8)
+	res0, log0 := logged(t, build, recovered(3))
+	at := log0.copyAt(t, 2, func(c loggedCopy) bool { return c.dst == 0 && c.bodyless })
+	for _, backend := range []string{bench.BackendDES, bench.BackendNative} {
+		cfg := crashes(recovered(3), nil, at)
+		cfg.Backend = backend
+		res, err := bench.RunCR(build(), cfg)
+		if err != nil {
+			t.Fatalf("%s: crash during checkpoint capture was not recovered: %v", backend, err)
+		}
+		rep := res.Faults
+		if rep == nil || len(rep.Crashes) != 1 || rep.Restarts < 1 || rep.Unrecovered {
+			t.Fatalf("%s: fault report = %+v, want 1 crash, >= 1 restart, recovered", backend, rep)
+		}
+		// The interrupted attempt still counts, so the faulty run takes
+		// more checkpoint attempts than the fault-free one.
+		if rep.Checkpoints <= res0.Faults.Checkpoints {
+			t.Errorf("%s: checkpoints = %d, want more than the fault-free %d (the interrupted capture counts)",
+				backend, rep.Checkpoints, res0.Faults.Checkpoints)
+		}
+		diff(t, res0.SeqResult, res)
 	}
-	rep := res.Faults
-	if rep == nil || len(rep.Crashes) != 1 || rep.Restarts < 1 || rep.Unrecovered {
-		t.Fatalf("fault report = %+v, want 1 crash, >= 1 restart, recovered", rep)
-	}
-	// The interrupted attempt still counts, so the faulty run takes more
-	// checkpoint attempts than the fault-free one.
-	if rep.Checkpoints <= res0.Faults.Checkpoints {
-		t.Errorf("checkpoints = %d, want more than the fault-free %d (the interrupted capture counts)",
-			rep.Checkpoints, res0.Faults.Checkpoints)
-	}
-	diff(t, res0.SeqResult, res)
 }
 
 // TestDoubleFailover lands a second crash inside the first crash's
-// recovery window (after the backoff, during the watched restore/re-run),
-// so the restart path itself fails over again. With a budget of two
-// retries both are consumed back-to-back, both failovers complete, and the
-// stores still come out bitwise correct.
+// recovery window — node 3 dies at the first restore copy it receives — so
+// the restart path itself fails over again. With a budget of two retries
+// both are consumed back-to-back, both failovers complete, and the stores
+// still come out bitwise correct.
 func TestDoubleFailover(t *testing.T) {
 	build := figure2(48, 8, 8)
-	res0 := must(t)(bench.RunCR(build(), recovered(4)))
-	mid := res0.Elapsed / 2
-	res, err := bench.RunCR(build(), crashes(recovered(4),
-		realm.NodeCrash{Node: 2, At: mid},
-		realm.NodeCrash{Node: 3, At: mid + realm.Microseconds(60)}, // inside the first recovery (post-backoff)
-	))
+	res0, log0 := logged(t, build, recovered(4))
+	first := log0.midRun()
+	_, log1 := logged(t, build, crashes(recovered(4), first))
+	res, err := bench.RunCR(build(), crashes(recovered(4), first, log1.copyAt(t, 3, repopulates(1))))
 	if err != nil {
 		t.Fatalf("double failover was not recovered: %v", err)
 	}
@@ -210,35 +309,35 @@ func TestDoubleFailover(t *testing.T) {
 // TestCrashDuringTraceShipping kills a shipment destination while the
 // restarted placement's shared-capture shipments are still in flight: the
 // mid-shipment failure must recurse into another restart (extra ships, no
-// re-capture) and still recover to correct stores. The exact window is
-// probed over a spread of virtual-time offsets — the DES is deterministic,
-// so whichever offsets land mid-shipment do so on every run.
+// re-capture) and still recover to correct stores. The window is probed
+// over node 3's copies from the first one the rebuild sends it — the DES
+// numbers copies deterministically, so whichever index lands mid-shipment
+// does so on every run.
 func TestCrashDuringTraceShipping(t *testing.T) {
 	build := figure2(48, 8, 8)
-	res0 := must(t)(bench.RunCR(build(), recovered(4)))
-	mid := res0.Elapsed / 2
+	res0, log0 := logged(t, build, recovered(4))
+	first := log0.midRun()
 
 	// Reference single-crash run: how many ships does one clean failover do?
-	baseShips := must(t)(bench.RunCR(build(), crashes(recovered(4), realm.NodeCrash{Node: 2, At: mid}))).CRTrace.Ships
+	res1, log1 := logged(t, build, crashes(recovered(4), first))
+	baseShips := res1.CRTrace.Ships
 	if baseShips == 0 {
 		t.Fatal("single failover shipped nothing; the probe has no baseline")
 	}
 
-	// Probe second-crash offsets across the recovery window until one lands
+	// Probe second-crash copy indices across the rebuild until one lands
 	// while shipments are in flight: the recursion then re-restarts, so the
 	// run ships more than a single failover and restarts at least twice.
 	found := false
-	for off := realm.Time(55); off < 300 && !found; off += 5 {
-		res := must(t)(bench.RunCR(build(), crashes(recovered(4),
-			realm.NodeCrash{Node: 2, At: mid},
-			realm.NodeCrash{Node: 3, At: mid + realm.Microseconds(float64(off))},
-		)))
+	start := log1.copyAt(t, 3, repopulates(1)).AtCopy
+	for at := start; at < start+40 && !found; at++ {
+		res := must(t)(bench.RunCR(build(), crashes(recovered(4), first, realm.CopyCrash{Node: 3, AtCopy: at})))
 		rep, stats := res.Faults, res.CRTrace
 		if rep == nil || rep.Unrecovered {
-			t.Fatalf("offset %dus: run degraded: %+v", off, rep)
+			t.Fatalf("copy %d: run degraded: %+v", at, rep)
 		}
 		if stats.Captures != 1 || stats.PerShardCaptures != 0 {
-			t.Fatalf("offset %dus: failover re-captured: %+v", off, stats)
+			t.Fatalf("copy %d: failover re-captured: %+v", at, stats)
 		}
 		if len(rep.Crashes) == 2 && rep.Restarts >= 2 && stats.Ships > baseShips {
 			found = true
@@ -246,7 +345,7 @@ func TestCrashDuringTraceShipping(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("no probed offset interrupted trace shipping (baseline ships = %d); widen the probe window", baseShips)
+		t.Fatalf("no probed copy of node 3 interrupted trace shipping (baseline ships = %d); widen the probe window", baseShips)
 	}
 }
 
@@ -254,21 +353,25 @@ func TestCrashDuringTraceShipping(t *testing.T) {
 // retry budget, Run returns the last checkpoint's partial results plus a
 // structured report — not an error, and not a hang.
 func TestUnrecoverableDegradesToPartialResults(t *testing.T) {
-	mid := must(t)(bench.RunCR(figure2(48, 8, 8)(), recovered(3))).Elapsed / 2
+	build := figure2(48, 8, 8)
+	_, log0 := logged(t, build, recovered(3))
 
-	f := progtest.NewFigure2(48, 8, 8)
 	cfg := recovered(2)
 	cfg.Recov.Backoff = realm.Microseconds(5)
-	// The second and third crashes are timed to land inside the recovery
-	// attempts that follow the first (after each backoff, during the watched
-	// restore/re-run), so no epoch ever completes between failures and the
-	// retry budget of 2 exhausts. Fault injection is deterministic, so this
-	// timing holds on every run.
-	res, err := bench.RunCR(f.Prog, crashes(cfg,
-		realm.NodeCrash{Node: 1, At: mid},
-		realm.NodeCrash{Node: 2, At: mid + realm.Microseconds(10)},
-		realm.NodeCrash{Node: 3, At: mid + realm.Microseconds(35)},
-	))
+	// Node 1 dies mid-run, then nodes 2 and 3 each die at the first
+	// restore copy they receive in the rebuild that follows the crash
+	// before, so no epoch ever completes between failures and the retry
+	// budget of 2 exhausts. Each point is found in the run that stops
+	// short of it; fault injection is deterministic, so it holds on every
+	// run.
+	first := []realm.LaunchCrash{{Node: 1, AtLaunch: log0.launches[1] / 2}}
+	_, log1 := logged(t, build, crashes(cfg, first))
+	second := log1.copyAt(t, 2, repopulates(1))
+	_, log2 := logged(t, build, crashes(cfg, first, second))
+	third := log2.copyAt(t, 3, repopulates(2))
+
+	f := progtest.NewFigure2(48, 8, 8)
+	res, err := bench.RunCR(f.Prog, crashes(cfg, first, second, third))
 	if err != nil {
 		t.Fatalf("degraded run should not error: %v", err)
 	}

@@ -20,7 +20,7 @@ func onNative(seed uint64) bench.Config {
 	mc.CoresPerNode = 4
 	cfg := bench.Config{Nodes: 4, Exec: native.MustNewMachine(mc), Recov: spmd.Recovery{CheckpointEvery: 2, MaxRetries: 6, Backoff: realm.Microseconds(200)}}
 	if seed != 0 {
-		cfg.Faults = &realm.FaultPlan{Seed: seed, CrashRate: 100}
+		cfg.Faults = &realm.FaultPlan{Seed: seed, CrashRate: 0.01}
 	}
 	return cfg
 }
@@ -45,7 +45,7 @@ func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 		t.Fatalf("fault-free recovery run should checkpoint and nothing else: %+v", res0.Faults)
 	}
 
-	// CrashRate 100 is a 0.01 crash probability per launch; under seed 29
+	// At a 0.01 crash probability per launch, under seed 29
 	// the draws kill exactly node 1, early enough to land mid-loop and late
 	// enough that nodes 2 and 3 survive to receive trace shipments
 	// (pre-failover, each node's launches are issued by its one shard
@@ -145,7 +145,7 @@ func TestNativeDoubleFailover(t *testing.T) {
 // stuck agents, rather than wedging the test.
 func TestNativeHangWithoutRecovery(t *testing.T) {
 	cfg := onNative(11)
-	cfg.Recov, cfg.Faults.CrashRate = spmd.Recovery{}, 2000
+	cfg.Recov, cfg.Faults.CrashRate = spmd.Recovery{}, 0.2
 	_, err := bench.RunCR(figure2(48, 8, 8)(), cfg)
 	if err == nil {
 		t.Fatal("crash without recovery completed; the lost shard should hang the run")

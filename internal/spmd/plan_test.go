@@ -6,7 +6,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/ir"
 	"repro/internal/progtest"
-	"repro/internal/realm"
 	"repro/internal/spmd"
 )
 
@@ -71,14 +70,14 @@ func TestPlanFailoverInvalidates(t *testing.T) {
 	cfg := recovered(3)
 	cfg.NoShare = true
 
-	// Fault-free first, to time the crash mid-run and to pin the baseline:
+	// Fault-free first, to place the crash mid-run and to pin the baseline:
 	// plans persist across checkpointed epochs of one run state.
-	res0 := must(t)(bench.RunCR(build(), cfg))
+	res0, log0 := logged(t, build, cfg)
 	if st := res0.CRTrace; st.PerShardCaptures != shards || st.Captures != 0 {
 		t.Fatalf("fault-free NoShare recovery run captured %+v, want %d per-shard plans across all epochs and no shared capture", st, shards)
 	}
 
-	cfg = crashes(cfg, realm.NodeCrash{Node: 2, At: res0.Elapsed / 2})
+	cfg = crashes(cfg, log0.midRun())
 	got := must(t)(bench.RunCR(build(), cfg))
 	cfg.NoTrace = true
 	ref := must(t)(bench.RunCR(build(), cfg))

@@ -118,19 +118,24 @@ func (e *Engine) runEpoch(ctl realm.Agent, st *runState, lo, hi int) bool {
 }
 
 // finalizePhase copies the disjoint written partitions' instances back to
-// the parent regions on node 0. The copies overwrite whole subregions, so
-// a half-finished finalization is safely redone after recovery.
+// the parent regions on node 0. The parents are written only once every
+// copy has arrived, so a finalization a crash interrupts leaves them as the
+// loop found them, and a rebuild without a checkpoint re-reads the loop's
+// inputs rather than half-written results.
 func (e *Engine) finalizePhase(ctl realm.Agent, st *runState) bool {
 	var finEvs []realm.Event
-	e.eachInstance(st.plan, st.plan.WrittenDisjoint, func(_ int, key instKey, sub *region.Region, fields []region.FieldID, bytes int64) {
-		var body func()
-		if e.Mode == ir.ExecReal {
-			src, dst := st.inst[key], e.global[sub.Root()]
-			body = func() { copyFields(dst, src, fields, sub.IndexSpace()) }
-		}
-		finEvs = append(finEvs, e.Sim.CopyBytes(st.ownerNode(key.color), 0, bytes, realm.NoEvent, body))
+	e.eachInstance(st.plan, st.plan.WrittenDisjoint, func(_ int, key instKey, _ *region.Region, _ []region.FieldID, bytes int64) {
+		finEvs = append(finEvs, e.Sim.CopyBytes(st.ownerNode(key.color), 0, bytes, realm.NoEvent, nil))
 	})
-	return e.waitOrFail(ctl, st, e.Sim.Merge(finEvs...))
+	if !e.waitOrFail(ctl, st, e.Sim.Merge(finEvs...)) {
+		return false
+	}
+	if e.Mode == ir.ExecReal {
+		e.eachInstance(st.plan, st.plan.WrittenDisjoint, func(_ int, key instKey, sub *region.Region, fields []region.FieldID, _ int64) {
+			copyFields(e.global[sub.Root()], st.inst[key], fields, sub.IndexSpace())
+		})
+	}
+	return true
 }
 
 // mergeEnv folds the replicated scalar state back into the control

@@ -90,7 +90,7 @@ func TestShareFailoverShipsTrace(t *testing.T) {
 		build := figure2(tc.n, tc.nt, 8)
 		cfg := bench.Config{Nodes: 4, Shards: tc.shards,
 			Recov: spmd.Recovery{CheckpointEvery: 2, MaxRetries: 3, Backoff: realm.Microseconds(50)}}
-		res0 := must(t)(bench.RunCR(build(), cfg))
+		res0, log0 := logged(t, build, cfg)
 		if st := res0.CRTrace; st.Captures != 1 || st.PerShardCaptures != 0 {
 			t.Fatalf("%s: fault-free counters %+v, want exactly one shared capture", tc.name, st)
 		}
@@ -98,7 +98,7 @@ func TestShareFailoverShipsTrace(t *testing.T) {
 			t.Fatalf("%s: fault-free run shipped traces: %+v", tc.name, res0.Stats)
 		}
 
-		cfg.Faults = &realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: res0.Elapsed / 2}}}
+		cfg = crashes(cfg, log0.midRun())
 		got := must(t)(bench.RunCR(build(), cfg))
 		stats := got.CRTrace
 
