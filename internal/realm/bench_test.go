@@ -46,13 +46,20 @@ var deferredOps = []struct {
 			}
 		}
 	}},
-	{"copy-agg", func(s *Sim, ran *int) func() {
+	{"faults", func(s *Sim, ran *int) func() {
+		// Every launch and copy passes the fault injector, and drops,
+		// duplicates and stragglers fire on about half of them.
+		if err := s.InjectFaults(FaultPlan{Seed: 7, DropRate: 0.5, DupRate: 0.5,
+			StragglerRate: 0.5, StragglerFactor: 2}); err != nil {
+			panic(err)
+		}
 		return func() {
 			pre := s.NewUserEvent()
-			done := s.CopyAgg(0, 1, 64, 2, pre, nil)
+			launched := s.LaunchOn(0, pre, 5, nil)
+			copied := s.CopyBytes(0, 1, 64, pre, nil)
 			s.Trigger(pre)
 			s.MustRun()
-			if s.Triggered(done) {
+			if s.Triggered(launched) && s.Triggered(copied) {
 				*ran++
 			}
 		}
@@ -92,8 +99,9 @@ var deferredOps = []struct {
 
 // TestScheduleTriggerAllocs pins the allocation behavior of the DES hot
 // path: once the pools and the event table are warm, registering on a
-// pending event — a continuation, a deferred launch or copy, an event link,
-// a barrier arrival, a merge — and firing it must not allocate. This is the
+// pending event — a continuation, a deferred launch or copy (fault-free
+// or under drops, duplicates and stragglers), an event link, a barrier
+// arrival, a merge — and firing it must not allocate. This is the
 // path every simulated task launch and copy goes through millions of times
 // per weak-scaling sweep; a regression here (a closure per registration, a
 // per-waiter slice, interface boxing in the event queue) shows up as a

@@ -26,7 +26,7 @@ import (
 //
 // *Sim implements Exec with virtual time charged by its TimePolicy;
 // native.Machine implements it on real goroutines with wall-clock time.
-// Both inject faults by the one model of fault.go. Every
+// Both inject faults through one FaultInjector (fault.go). Every
 // system the harness compares — both runtimes and the MPI baselines —
 // drives a machine through this interface alone.
 type Exec interface {
@@ -71,21 +71,13 @@ type Exec interface {
 	// work instead), then body (if non-nil) runs and the returned event
 	// fires.
 	LaunchOn(node int, pre Event, dur Time, body func()) Event
-	// CopyBytes moves bytes from node src to node dst: after pre triggers
-	// the transfer is performed (modeled wire cost on the DES, a real
-	// shared-memory copy by body on native), body runs at the destination,
-	// and the returned event fires.
+	// CopyBytes moves bytes from node src to node dst — the one transfer
+	// primitive, as a Realm copy is: every copy an engine issues (an
+	// exchange pair, a coalesced group, a checkpoint, a shipped trace) is
+	// one call. After pre triggers the transfer is performed (modeled wire
+	// cost on the DES, a real shared-memory copy by body on native), body
+	// runs at the destination, and the returned event fires.
 	CopyBytes(src, dst int, bytes int64, pre Event, body func()) Event
-	// CopyAgg moves the merged payload of a members-pair aggregation group
-	// — several copy pairs toward one destination coalesced into a single
-	// message — from node src to node dst once pre triggers; body performs
-	// the member writes in capture order on backends that execute for real.
-	// It is CopyBytes of the summed payload (one latency charge, one fault
-	// draw, one dispatch; with one member, exactly CopyBytes) that also
-	// keeps the aggregation counters: groups with at least two members count
-	// toward Stats.AggGroups, and remote ones credit members-1 avoided
-	// messages to Stats.AggSavedMessages.
-	CopyAgg(src, dst int, bytes int64, members int, pre Event, body func()) Event
 
 	// Barrier creates a single-use phase barrier expecting n arrivals.
 	Barrier(n int) BarrierOp
@@ -125,10 +117,6 @@ type Exec interface {
 	// abandoned epoch cannot race the restore. A no-op on the DES, whose
 	// scheduler never runs two things at once.
 	Quiesce()
-	// ShipTrace transfers a captured execution trace from node src to node
-	// dst as an ordinary costed message, counted separately in Stats so the
-	// recovery protocol's trace traffic stays visible.
-	ShipTrace(src, dst int, bytes int64, pre Event) Event
 }
 
 // FaultExec is Exec under the name it had while fault tolerance was an

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // This file is the deterministic fault model shared by every backend.
@@ -11,12 +12,13 @@ import (
 // position — (seed, node, the node's per-node operation index) — never by a
 // clock or a global draw counter: LaunchFault decides a node's k-th launch,
 // CopyFault a source node's k-th remote copy, and CopyCrash a node's k-th
-// copy sent or received. A backend keeps only its per-node counters,
-// advanced at issue time, and its way of charging the time a fault costs
-// (virtual time on the DES, real sleeps on native), so one plan injects the
-// same faults on both wherever the backends issue a node's operations in
-// the same order. A fault-free run consumes no randomness and takes none of
-// these code paths.
+// copy sent or received. One FaultInjector per machine advances the
+// per-node counters at issue time and applies the decisions; a backend
+// keeps only its way of charging the time a fault costs (virtual time on
+// the DES, real sleeps on native), so one plan injects the same faults on
+// both wherever the backends issue a node's operations in the same order.
+// A fault-free run consumes no randomness and takes none of these code
+// paths.
 
 // NodeCrash reports a whole-node fail-stop failure and the time it
 // happened (virtual on the DES, wall-clock on native).
@@ -36,8 +38,8 @@ type LaunchCrash struct {
 }
 
 // CopyCrash is LaunchCrash for copies: the node dies at the issue of the
-// AtCopy-th copy it sends or receives (1-based; CopyBytes, CopyAgg and
-// ShipTrace all count, a node-local copy once), and that copy is lost.
+// AtCopy-th copy it sends or receives (1-based; a node-local copy counts
+// once), and that copy is lost.
 // Checkpoint capture, restore and trace shipping issue only copies, so
 // these are the points that can land a crash inside them.
 type CopyCrash struct {
@@ -103,23 +105,6 @@ func checkCrashPoint(kind string, node int, at uint64, cfg Config) error {
 	}
 	if at == 0 {
 		return fmt.Errorf("realm: %s crash of node %d at %s 0 (the index is 1-based)", kind, node, kind)
-	}
-	return nil
-}
-
-// Prepare readies the plan for installation on a machine of configuration
-// cfg — the one way either backend installs a plan: it validates it and
-// fills in the retransmit default (20x NetLatency, 30us on a zero-latency
-// machine).
-func (fp *FaultPlan) Prepare(cfg Config) error {
-	if err := fp.Validate(cfg); err != nil {
-		return err
-	}
-	if fp.RetransmitTimeout <= 0 {
-		fp.RetransmitTimeout = 20 * cfg.NetLatency
-		if fp.RetransmitTimeout <= 0 {
-			fp.RetransmitTimeout = Microseconds(30)
-		}
 	}
 	return nil
 }
@@ -199,75 +184,125 @@ type FaultStats struct {
 	Stragglers int64
 }
 
-// InjectFaults installs a fault plan on the simulator. It must be called
-// before Run and at most once. The plan is copied; later mutation of the
+// FaultInjector applies an installed plan to one machine's operations at
+// their issue. It keeps the per-node issue counters the plan's decisions
+// are keyed by and the counts of what it injected, and it holds the rules
+// of application every backend shares: a crash point fail-stops its node
+// (the operation is then lost), a node-local copy touches its node once,
+// and drops, duplicates and stragglers count only while the operation's
+// nodes are alive. The backend supplies how to tell that a node is down
+// and how to crash one, and charges what a fault costs its own way. Safe
+// for concurrent use: every counter is an atomic.
+type FaultInjector struct {
+	plan  FaultPlan
+	down  func(node int) bool
+	crash func(node int)
+
+	launchSeq []atomic.Uint64 // launches issued, per target node
+	copySeq   []atomic.Uint64 // remote copies issued, per source node
+	touchSeq  []atomic.Uint64 // copies sent or received, per node
+
+	drops, dups, stragglers atomic.Int64
+}
+
+// NewFaultInjector installs fp on a machine of configuration cfg whose
+// nodes down reports failed and crash fail-stops. It validates the plan
+// and fills in the retransmit default (20x NetLatency, 30us on a
+// zero-latency machine). The plan is copied; later mutation of the
 // caller's value has no effect.
-func (s *Sim) InjectFaults(fp FaultPlan) error {
-	if s.faults != nil {
-		return fmt.Errorf("realm: a fault plan is already installed")
+func NewFaultInjector(fp FaultPlan, cfg Config, down func(node int) bool, crash func(node int)) (*FaultInjector, error) {
+	if err := fp.Validate(cfg); err != nil {
+		return nil, err
 	}
-	if err := fp.Prepare(s.cfg); err != nil {
-		return err
+	if fp.RetransmitTimeout <= 0 {
+		fp.RetransmitTimeout = 20 * cfg.NetLatency
+		if fp.RetransmitTimeout <= 0 {
+			fp.RetransmitTimeout = Microseconds(30)
+		}
 	}
-	s.faults = &fp
-	s.launchSeq = make([]uint64, s.cfg.Nodes)
-	s.copySeq = make([]uint64, s.cfg.Nodes)
-	s.touchSeq = make([]uint64, s.cfg.Nodes)
-	return nil
+	return &FaultInjector{plan: fp, down: down, crash: crash,
+		launchSeq: make([]atomic.Uint64, cfg.Nodes),
+		copySeq:   make([]atomic.Uint64, cfg.Nodes),
+		touchSeq:  make([]atomic.Uint64, cfg.Nodes),
+	}, nil
 }
 
-// FaultStats returns the counters of faults injected so far.
-func (s *Sim) FaultStats() FaultStats { return s.faultStats }
+// RetransmitTimeout is the plan's redelivery delay per drop.
+func (f *FaultInjector) RetransmitTimeout() Time { return f.plan.RetransmitTimeout }
 
-// Crashes returns the node crashes that actually occurred, in time order.
-func (s *Sim) Crashes() []NodeCrash {
-	return append([]NodeCrash(nil), s.crashLog...)
-}
-
-// launchFault applies the plan to a launch of dur on node at its issue and
-// returns the duration to charge: the launch counter advances, a crash
-// fail-stops the node (the launch is then lost), and a straggler on a live
-// node scales dur.
-func (s *Sim) launchFault(node int, dur Time) Time {
-	s.launchSeq[node]++
-	crash, straggle := s.faults.LaunchFault(node, s.launchSeq[node])
+// Launch applies the plan to a launch of dur on node at its issue and
+// returns the duration to charge: the node's launch counter advances, a
+// crash fail-stops the node (the launch is then lost), and a straggler on
+// a live node scales dur by the plan's StragglerFactor.
+func (f *FaultInjector) Launch(node int, dur Time) Time {
+	crash, straggle := f.plan.LaunchFault(node, f.launchSeq[node].Add(1))
 	if crash {
-		s.crashNode(node)
+		f.crash(node)
 	}
-	if straggle && dur > 0 && !s.nodes[node].failed {
-		s.faultStats.Stragglers++
-		dur = Time(float64(dur) * s.faults.StragglerFactor)
+	if straggle && dur > 0 && !f.down(node) {
+		f.stragglers.Add(1)
+		dur = Time(float64(dur) * f.plan.StragglerFactor)
 	}
 	return dur
 }
 
-// copyFault applies the plan to a copy from src to dst at its issue: each
-// endpoint's copy counter advances (a copy-indexed crash fail-stops it, and
-// the copy is then lost), and a remote copy between live nodes draws its
-// duplicate and drops from src's remote-copy counter.
-func (s *Sim) copyFault(src, dst int) (dup bool, drops int) {
-	s.touchCopy(src)
+// Copy applies the plan to a copy from src to dst at its issue: each
+// endpoint's copy counter advances (a copy-indexed crash fail-stops it,
+// and the copy is then lost), and a remote copy between live nodes draws
+// its duplicate and drops from src's remote-copy counter.
+func (f *FaultInjector) Copy(src, dst int) (dup bool, drops int) {
+	f.touch(src)
 	if src == dst {
 		return false, 0
 	}
-	s.touchCopy(dst)
-	s.copySeq[src]++
-	if s.nodes[src].failed || s.nodes[dst].failed {
+	f.touch(dst)
+	k := f.copySeq[src].Add(1)
+	if f.down(src) || f.down(dst) {
 		return false, 0
 	}
-	dup, drops = s.faults.CopyFault(src, s.copySeq[src])
+	dup, drops = f.plan.CopyFault(src, k)
 	if dup {
-		s.faultStats.Dups++
+		f.dups.Add(1)
 	}
-	s.faultStats.Drops += int64(drops)
+	f.drops.Add(int64(drops))
 	return dup, drops
 }
 
-func (s *Sim) touchCopy(node int) {
-	s.touchSeq[node]++
-	if s.faults.CopyCrash(node, s.touchSeq[node]) {
-		s.crashNode(node)
+func (f *FaultInjector) touch(node int) {
+	if f.plan.CopyCrash(node, f.touchSeq[node].Add(1)) {
+		f.crash(node)
 	}
+}
+
+// Stats returns the faults injected so far, with the backend's count of
+// the node crashes that occurred. A nil injector has injected none.
+func (f *FaultInjector) Stats(crashes int) FaultStats {
+	st := FaultStats{Crashes: crashes}
+	if f != nil {
+		st.Drops, st.Dups, st.Stragglers = f.drops.Load(), f.dups.Load(), f.stragglers.Load()
+	}
+	return st
+}
+
+// InjectFaults installs a fault plan on the simulator. It must be called
+// before Run and at most once.
+func (s *Sim) InjectFaults(fp FaultPlan) error {
+	if s.faults != nil {
+		return fmt.Errorf("realm: a fault plan is already installed")
+	}
+	f, err := NewFaultInjector(fp, s.cfg, s.NodeFailed, s.crashNode)
+	if err == nil {
+		s.faults = f
+	}
+	return err
+}
+
+// FaultStats returns the counters of faults injected so far.
+func (s *Sim) FaultStats() FaultStats { return s.faults.Stats(len(s.crashLog)) }
+
+// Crashes returns the node crashes that actually occurred, in time order.
+func (s *Sim) Crashes() []NodeCrash {
+	return append([]NodeCrash(nil), s.crashLog...)
 }
 
 // crashNode fail-stops a node at the current virtual time: all threads on
@@ -280,13 +315,9 @@ func (s *Sim) crashNode(id int) {
 		return
 	}
 	n.failed = true
-	s.faultStats.Crashes++
 	s.crashLog = append(s.crashLog, NodeCrash{Node: id, At: s.now})
 	if s.tracer != nil {
 		s.tracer.crash(id, s.now)
-	}
-	if n.failEv == NoEvent {
-		n.failEv = s.NewUserEvent()
 	}
 	s.Trigger(n.failEv)
 	var ts []*Thread

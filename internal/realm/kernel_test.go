@@ -334,15 +334,18 @@ func mustPanic(t *testing.T, want string, fn func()) {
 // triggered event.
 func TestDroppedPageReadsAsTriggered(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
+	// Page 0 holds the node's fail event, which never fires here: the
+	// test's events start on page 1.
+	s.ReserveEvents(evPageSize - 1)
 	first := s.ReserveEvents(evPageSize)
 	next := s.NewUserEvent()
 	for i := Event(0); i < evPageSize; i++ {
-		if s.events.livePages() != 2 {
+		if s.events.livePages() != 3 {
 			t.Fatalf("page dropped after %d of %d triggers", i, evPageSize)
 		}
 		s.Trigger(first + i)
 	}
-	if s.events.pages[0] != nil || s.events.livePages() != 1 || len(s.events.freePages) != 1 {
+	if s.events.pages[1] != nil || s.events.livePages() != 2 || len(s.events.freePages) != 1 {
 		t.Fatalf("full page not dropped: live=%d free=%d", s.events.livePages(), len(s.events.freePages))
 	}
 	for _, e := range []Event{first, first + 7, first + evPageSize - 1} {
@@ -371,7 +374,7 @@ func TestDroppedPageReadsAsTriggered(t *testing.T) {
 	// The recycled page comes back clean.
 	recycled := s.events.freePages[0]
 	fresh := s.ReserveEvents(evPageSize)
-	if s.events.pages[2] != recycled || len(s.events.freePages) != 0 {
+	if s.events.pages[3] != recycled || len(s.events.freePages) != 0 {
 		t.Fatal("new page did not come from the free list")
 	}
 	for i := Event(0); i < evPageSize; i++ {
@@ -388,11 +391,11 @@ func TestDroppedPageReadsAsTriggered(t *testing.T) {
 // returns contiguous handles, each an ordinary user event.
 func TestReserveAcrossPageBoundary(t *testing.T) {
 	s := MustNewSim(smallConfig(1))
-	a := s.ReserveEvents(evPageSize - 2)
-	b := s.ReserveEvents(5) // two in page 0, three in page 1
+	a := s.ReserveEvents(evPageSize - 3) // after the node's fail event
+	b := s.ReserveEvents(5)              // two in page 0, three in page 1
 	c := s.ReserveEvents(2*evPageSize + 1)
 	d := s.NewUserEvent()
-	if a != 1 || b != a+evPageSize-2 || c != b+5 || d != c+2*evPageSize+1 {
+	if a != s.NodeFailEvent(0)+1 || b != a+evPageSize-3 || c != b+5 || d != c+2*evPageSize+1 {
 		t.Fatalf("handles not contiguous: a=%d b=%d c=%d d=%d", a, b, c, d)
 	}
 	fired := 0
@@ -408,24 +411,25 @@ func TestReserveAcrossPageBoundary(t *testing.T) {
 	}
 }
 
-// TestUntriggeredEventPinsOnlyItsPage: an event that never fires (here an
-// unfired FailEvent; lost work on a crashed node is the same) keeps its own
-// page and no other.
+// TestUntriggeredEventPinsOnlyItsPage: an event that never fires (the
+// nodes' unfired fail events in page 0, a lost work item's completion in
+// page 3) keeps its own page and no other.
 func TestUntriggeredEventPinsOnlyItsPage(t *testing.T) {
 	s := MustNewSim(smallConfig(2))
-	s.ReserveEvents(3*evPageSize + 100)
-	pin := s.NodeFailEvent(1)
-	s.ReserveEvents(10*evPageSize - int(pin))
+	fail0, fail1 := s.NodeFailEvent(0), s.NodeFailEvent(1)
+	lost := s.ReserveEvents(10*evPageSize-2) + 3*evPageSize + 100
 	for e := Event(1); e <= 10*evPageSize; e++ {
-		if e != pin {
+		if e != fail0 && e != fail1 && e != lost {
 			s.Trigger(e)
 		}
 	}
-	if s.events.livePages() != 1 || s.events.pages[3] == nil {
-		t.Fatalf("live pages = %d, want only the FailEvent's page", s.events.livePages())
+	if s.events.livePages() != 2 || s.events.pages[0] == nil || s.events.pages[3] == nil {
+		t.Fatalf("live pages = %d, want only the fail events' page and the lost item's", s.events.livePages())
 	}
-	if s.Triggered(pin) || !s.Triggered(pin-1) || !s.Triggered(pin+1) {
-		t.Error("pinned page lost its state")
+	for _, pin := range []Event{fail1, lost} {
+		if s.Triggered(pin) || !s.Triggered(pin-1) && pin-1 != fail0 || !s.Triggered(pin+1) {
+			t.Errorf("page of pinned event %d lost its state", pin)
+		}
 	}
 }
 
@@ -438,6 +442,7 @@ func TestLongTripBoundsEventTable(t *testing.T) {
 		rounds = 100000
 	}
 	s := MustNewSim(smallConfig(1))
+	const pinned = 1 // page 0, held by the node's fail event, which never fires
 	left, maxLive := rounds, 0
 	var step func()
 	step = func() {
@@ -445,7 +450,7 @@ func TestLongTripBoundsEventTable(t *testing.T) {
 			return
 		}
 		if left--; left%1024 == 0 {
-			if n := s.events.livePages(); n > maxLive {
+			if n := s.events.livePages() - pinned; n > maxLive {
 				maxLive = n
 			}
 		}
@@ -456,8 +461,8 @@ func TestLongTripBoundsEventTable(t *testing.T) {
 	}
 	step()
 	s.MustRun()
-	if s.events.n != 3*rounds {
-		t.Fatalf("made %d events, want %d", s.events.n, 3*rounds)
+	if s.events.n != 3*rounds+1 {
+		t.Fatalf("made %d events, want %d and the fail event", s.events.n, 3*rounds)
 	}
 	if maxLive > 2 || len(s.events.freePages) > 2 {
 		t.Errorf("event table grew with the trip: %d live pages at peak, %d free (of %d made)", maxLive, len(s.events.freePages), len(s.events.pages))

@@ -164,17 +164,12 @@ func TestExecConformance(t *testing.T) {
 					x.LaunchOn(1, realm.NoEvent, realm.Microseconds(5), body),
 					x.CopyBytes(0, 1, 100, realm.NoEvent, nil),
 					x.CopyBytes(1, 1, 50, realm.NoEvent, body),
-					x.CopyAgg(0, 1, 300, 3, realm.NoEvent, nil), // remote group: 2 messages saved
-					x.CopyAgg(1, 1, 40, 2, realm.NoEvent, nil),  // local group: none saved
-					x.CopyAgg(1, 0, 10, 1, realm.NoEvent, nil),  // one member: a plain copy
-					x.ShipTrace(0, 1, 64, realm.NoEvent),
 				))
 			})
 			_, err := x.Drive()
 			st := x.Stats()
-			return fmt.Sprint(err, bodies, st.TasksRun, st.Messages, st.BytesSent, st.LocalCopies,
-				st.AggGroups, st.AggSavedMessages, st.TraceShips, st.TraceShipBytes)
-		}, "<nil> 2 2 4 474 2 2 2 1 64"},
+			return fmt.Sprint(err, bodies, st.TasksRun, st.Messages, st.BytesSent, st.LocalCopies)
+		}, "<nil> 2 2 1 100 1"},
 
 		{"launch crash", func(x realm.Exec) string {
 			if err := x.InjectFaults(realm.FaultPlan{LaunchCrashes: []realm.LaunchCrash{{Node: 1, AtLaunch: 2}}}); err != nil {
@@ -206,9 +201,9 @@ func TestExecConformance(t *testing.T) {
 			body := func() { atomic.AddInt32(&delivered, 1) }
 			var lost bool
 			x.SpawnOn("issuer", 0, 0, func(a realm.Agent) {
-				a.WaitEvent(x.CopyBytes(0, 1, 8, realm.NoEvent, body))  // node 1's copy 1
-				a.WaitEvent(x.CopyAgg(1, 1, 8, 2, realm.NoEvent, body)) // copy 2: a local copy counts once
-				x.ShipTrace(0, 1, 8, realm.NoEvent)                     // copy 3, the crash point: lost
+				a.WaitEvent(x.CopyBytes(0, 1, 8, realm.NoEvent, body)) // node 1's copy 1
+				a.WaitEvent(x.CopyBytes(1, 1, 8, realm.NoEvent, body)) // copy 2: a local copy counts once
+				x.CopyBytes(0, 1, 8, realm.NoEvent, nil)               // copy 3, the crash point: lost
 				lost = x.NodeFailed(1)
 				x.CopyBytes(1, 2, 8, realm.NoEvent, body) // from a dead node: lost
 				a.WaitEvent(x.CopyBytes(0, 2, 8, realm.NoEvent, body))
@@ -219,8 +214,8 @@ func TestExecConformance(t *testing.T) {
 			for _, c := range x.Crashes() {
 				crashed = append(crashed, c.Node)
 			}
-			return fmt.Sprint(err, delivered, lost, crashed, x.FaultStats().Crashes, x.Stats().TraceShips)
-		}, "<nil> 3 true [1] 1 1"},
+			return fmt.Sprint(err, delivered, lost, crashed, x.FaultStats().Crashes, x.Stats().Messages)
+		}, "<nil> 3 true [1] 1 2"},
 
 		{"seeded faults", func(x realm.Exec) string {
 			// One issuer numbers every node's launches and copies the same

@@ -33,11 +33,12 @@
 // nanoseconds since construction. Agent.Sleep is a real sleep — the
 // recovery layer's restart backoff is wall-clock here.
 //
-// Fault injection (InjectFaults) follows the one model of realm/fault.go:
-// the machine advances its per-node launch and copy counters at issue and
-// asks the plan's decision functions what happens there, so a plan injects
-// the faults it injects on the DES wherever a node's operations are issued
-// in the same order — no wall-clock timer decides a fault. Crashes cancel
+// Fault injection (InjectFaults) goes through the realm.FaultInjector the
+// DES uses: it advances the per-node launch and copy counters at issue and
+// applies the plan's decisions there, so a plan injects the faults it
+// injects on the DES wherever a node's operations are issued in the same
+// order — no wall-clock timer decides a fault. The machine supplies only
+// its failure flags and crashNode, and charges the cost. Crashes cancel
 // the node's agent goroutines (they unwind with the shared kill sentinel at
 // their next scheduling point) and suppress not-yet-started work touching
 // the node; drops pay an exponential-backoff retransmit delay; stragglers
@@ -126,20 +127,12 @@ type Machine struct {
 
 	// Fault state. faults is written once before Drive (InjectFaults) and
 	// read without locking afterwards — the goroutine-start edges of Drive
-	// publish it. The per-node failure flags and issue counters are
-	// atomics: fault points are concurrent. nodeFailEv is made in
-	// NewMachine and read-only after.
-	faults         *realm.FaultPlan
-	nodeFailEv     []realm.Event
-	failedNodes    []int32  // atomic 0/1 per node
-	launchSeq      []uint64 // atomic launches issued, per target node
-	copySeq        []uint64 // atomic remote copies issued, per source node
-	touchSeq       []uint64 // atomic copies sent or received, per node
-	drops          int64
-	dups           int64
-	stragglers     int64
-	traceShips     int64
-	traceShipBytes int64
+	// publish it; it is safe for concurrent fault points. The per-node
+	// failure flags are atomics. nodeFailEv is made in NewMachine and
+	// read-only after.
+	faults      *realm.FaultInjector
+	nodeFailEv  []realm.Event
+	failedNodes []int32 // atomic 0/1 per node
 
 	// Counters (atomics: work items complete concurrently).
 	messages    int64
@@ -150,8 +143,6 @@ type Machine struct {
 	dispatches  int64 // items executed by pool workers
 	steals      int64 // items a worker took from another node's deque
 	inline      int64 // launches/copies completed inline at trigger
-	aggGroups   int64 // coalesced transfers issued with >= 2 members
-	aggSaved    int64 // remote messages those groups avoided
 }
 
 // NewMachine builds a native machine for the given configuration. Only the
@@ -169,9 +160,6 @@ func NewMachine(cfg realm.Config) (*Machine, error) {
 		failCh:      make(chan struct{}),
 		nodeFailEv:  make([]realm.Event, cfg.Nodes),
 		failedNodes: make([]int32, cfg.Nodes),
-		launchSeq:   make([]uint64, cfg.Nodes),
-		copySeq:     make([]uint64, cfg.Nodes),
-		touchSeq:    make([]uint64, cfg.Nodes),
 	}
 	m.qcond = sync.NewCond(&m.qmu)
 	m.dcond = sync.NewCond(&m.qmu)
@@ -214,36 +202,32 @@ func (m *Machine) Now() realm.Time {
 // time that the DES's virtual counters cannot.
 func (m *Machine) Stats() realm.Stats {
 	return realm.Stats{
-		Messages:         atomic.LoadInt64(&m.messages),
-		BytesSent:        atomic.LoadInt64(&m.bytesSent),
-		LocalCopies:      atomic.LoadInt64(&m.localCopies),
-		TasksRun:         atomic.LoadInt64(&m.tasksRun),
-		Events:           atomic.LoadInt64(&m.eventsFired),
-		TraceShips:       atomic.LoadInt64(&m.traceShips),
-		TraceShipBytes:   atomic.LoadInt64(&m.traceShipBytes),
-		WallNanos:        int64(m.Now()),
-		AggGroups:        atomic.LoadInt64(&m.aggGroups),
-		AggSavedMessages: atomic.LoadInt64(&m.aggSaved),
+		Messages:    atomic.LoadInt64(&m.messages),
+		BytesSent:   atomic.LoadInt64(&m.bytesSent),
+		LocalCopies: atomic.LoadInt64(&m.localCopies),
+		TasksRun:    atomic.LoadInt64(&m.tasksRun),
+		Events:      atomic.LoadInt64(&m.eventsFired),
+		WallNanos:   int64(m.Now()),
 	}
 }
 
 // InjectFaults implements realm.Exec: every part of a plan is supported.
 // Must be called before Drive, at most once.
 func (m *Machine) InjectFaults(fp realm.FaultPlan) error {
-	if err := fp.Prepare(m.cfg); err != nil {
-		return err
-	}
 	m.qmu.Lock()
 	driving := m.driving
 	m.qmu.Unlock()
-	if driving {
+	switch {
+	case driving:
 		return fmt.Errorf("native: InjectFaults must be called before Drive")
-	}
-	if m.faults != nil {
+	case m.faults != nil:
 		return fmt.Errorf("native: a fault plan is already installed")
 	}
-	m.faults = &fp
-	return nil
+	f, err := realm.NewFaultInjector(fp, m.cfg, m.nodeDown, m.crashNode)
+	if err == nil {
+		m.faults = f
+	}
+	return err
 }
 
 // FaultStats implements realm.Exec.
@@ -251,12 +235,7 @@ func (m *Machine) FaultStats() realm.FaultStats {
 	m.qmu.Lock()
 	crashes := len(m.crashLog)
 	m.qmu.Unlock()
-	return realm.FaultStats{
-		Crashes:    crashes,
-		Drops:      atomic.LoadInt64(&m.drops),
-		Dups:       atomic.LoadInt64(&m.dups),
-		Stragglers: atomic.LoadInt64(&m.stragglers),
-	}
+	return m.faults.Stats(crashes)
 }
 
 // Crashes implements realm.Exec. Concurrent crashes have no total
@@ -416,30 +395,6 @@ func (m *Machine) failDeadlock() {
 	m.fail(derr)
 }
 
-// ShipTrace implements realm.Exec: a trace shipment is an ordinary
-// message, counted separately so the recovery protocol's trace traffic is
-// visible in the run statistics.
-func (m *Machine) ShipTrace(src, dst int, bytes int64, pre realm.Event) realm.Event {
-	atomic.AddInt64(&m.traceShips, 1)
-	atomic.AddInt64(&m.traceShipBytes, bytes)
-	return m.CopyBytes(src, dst, bytes, pre, nil)
-}
-
-// CopyAgg implements realm.Exec: a coalesced transfer is one ordinary
-// copy of the summed payload — one work item, one fault draw (so a dropped
-// or duplicated aggregate retransmits the whole group) — counted at issue
-// time exactly as the DES counts it, keeping the aggregation counters
-// backend-independent.
-func (m *Machine) CopyAgg(src, dst int, bytes int64, members int, pre realm.Event, body func()) realm.Event {
-	if members > 1 {
-		atomic.AddInt64(&m.aggGroups, 1)
-		if src != dst {
-			atomic.AddInt64(&m.aggSaved, int64(members-1))
-		}
-	}
-	return m.CopyBytes(src, dst, bytes, pre, body)
-}
-
 func (m *Machine) newEvent(kind uint8) realm.Event {
 	m.mu.Lock()
 	e := m.events.Reserve(1)
@@ -585,24 +540,17 @@ func (m *Machine) SpawnOn(name string, node, proc int, fn func(realm.Agent)) rea
 // straggler delays. A body-less item (a modeled placeholder) completes
 // inline at precondition trigger.
 //
-// Fault decisions are made here, at issue time, on the issuing goroutine:
-// the per-node launch counter gives each launch a logical position, and
-// realm.FaultPlan.LaunchFault decides crash and straggler there. While one
-// agent issues each node's launches (the steady state — the engine binds
-// one shard per node until a failover doubles shards up), the sequence is
-// deterministic, so the same seed crashes the same node at the same launch
-// on every run and on the DES.
+// Fault decisions are made here, at issue time, on the issuing goroutine,
+// by the machine's realm.FaultInjector: the per-node launch counter gives
+// each launch a logical position, and the plan decides crash and
+// straggler there. While one agent issues each node's launches (the
+// steady state — the engine binds one shard per node until a failover
+// doubles shards up), the sequence is deterministic, so the same seed
+// crashes the same node at the same launch on every run and on the DES.
 func (m *Machine) LaunchOn(node int, pre realm.Event, dur realm.Time, body func()) realm.Event {
 	var delay time.Duration
-	if fp := m.faults; fp != nil {
-		crash, straggle := fp.LaunchFault(node, atomic.AddUint64(&m.launchSeq[node], 1))
-		if crash {
-			m.crashNode(node) // this launch is lost
-		}
-		if straggle && dur > 0 && !m.nodeDown(node) {
-			atomic.AddInt64(&m.stragglers, 1)
-			delay = time.Duration(float64(dur) * (fp.StragglerFactor - 1))
-		}
+	if m.faults != nil {
+		delay = time.Duration(m.faults.Launch(node, dur) - dur) // a straggler's extra time
 	}
 	done := m.newEvent(evTask)
 	m.OnTrigger(pre, func() {
@@ -624,31 +572,23 @@ func (m *Machine) LaunchOn(node int, pre realm.Event, dur realm.Time, body func(
 // movement (a shared-memory store-to-store copy); the byte count only
 // feeds the traffic counters.
 //
-// Like LaunchOn, fault decisions are made at issue time, by
-// realm.FaultPlan's decision functions: each endpoint's copy counter may
-// name a crash point (the copy is then lost), and the source node's
-// remote-copy counter decides a duplicate, which pays the wire twice, and
-// drops, each of which pays the wire again and delays delivery by an
-// exponentially backed-off retransmit timeout.
+// Like LaunchOn, fault decisions are made at issue time, by the
+// machine's realm.FaultInjector: an endpoint's copy counter may name a
+// crash point (the copy is then lost), and the source node's remote-copy
+// counter decides a duplicate, which pays the wire twice, and drops, each
+// of which pays the wire again and delays delivery by an exponentially
+// backed-off retransmit timeout.
 func (m *Machine) CopyBytes(src, dst int, bytes int64, pre realm.Event, body func()) realm.Event {
 	var extraMsgs int64
 	var delay time.Duration
-	if fp := m.faults; fp != nil {
-		m.touchCopy(src)
-		if src != dst {
-			m.touchCopy(dst)
-			dup, drops := fp.CopyFault(src, atomic.AddUint64(&m.copySeq[src], 1))
-			if !m.nodeDown(src) && !m.nodeDown(dst) {
-				if dup {
-					extraMsgs++
-					atomic.AddInt64(&m.dups, 1)
-				}
-				for k := 0; k < drops; k++ {
-					extraMsgs++
-					delay += time.Duration(fp.RetransmitTimeout) << k
-				}
-				atomic.AddInt64(&m.drops, int64(drops))
-			}
+	if m.faults != nil {
+		dup, drops := m.faults.Copy(src, dst)
+		if dup {
+			extraMsgs++
+		}
+		for k := 0; k < drops; k++ {
+			extraMsgs++
+			delay += time.Duration(m.faults.RetransmitTimeout()) << k
 		}
 	}
 	done := m.newEvent(evCopy)
@@ -670,14 +610,6 @@ func (m *Machine) CopyBytes(src, dst int, bytes int64, pre realm.Event, body fun
 		m.dispatch(&workItem{kind: itemCopy, node: dst, node2: src, bytes: bytes, body: body, done: done}, delay)
 	})
 	return done
-}
-
-// touchCopy advances node's count of copies sent or received and crashes
-// it if the plan names that copy.
-func (m *Machine) touchCopy(node int) {
-	if m.faults.CopyCrash(node, atomic.AddUint64(&m.touchSeq[node], 1)) {
-		m.crashNode(node)
-	}
 }
 
 // Drive implements realm.Exec: start the worker pool, which finds the work

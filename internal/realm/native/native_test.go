@@ -371,26 +371,6 @@ func TestKillAgentAndQuiesce(t *testing.T) {
 	}
 }
 
-// TestShipTraceCounted checks that trace shipments move through the normal
-// copy path but are tallied separately, as the recovery protocol's
-// observable trace traffic.
-func TestShipTraceCounted(t *testing.T) {
-	m := newTest(t, 2)
-	m.SpawnOn("ctl", 0, 0, func(a realm.Agent) {
-		a.WaitEvent(m.ShipTrace(0, 1, 1234, realm.NoEvent))
-	})
-	if _, err := m.Drive(); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.TraceShips != 1 || st.TraceShipBytes != 1234 {
-		t.Errorf("trace counters = ships %d bytes %d, want 1/1234", st.TraceShips, st.TraceShipBytes)
-	}
-	if st.Messages != 1 || st.BytesSent != 1234 {
-		t.Errorf("shipments must ride the message path: %+v", st)
-	}
-}
-
 func TestCollectiveFoldsInIndexOrder(t *testing.T) {
 	// A non-commutative fold exposes arrival-order sensitivity: the result
 	// must be the index-order fold no matter which schedule the goroutines

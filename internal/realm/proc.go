@@ -9,7 +9,7 @@ type node struct {
 	linkFreeAt Time
 
 	failed bool  // node has crashed; it runs nothing and drops all traffic
-	failEv Event // lazily created, fires when the node crashes
+	failEv Event // fires when the node crashes
 }
 
 // proc is a single simulated processor executing work items one at a time
@@ -26,16 +26,7 @@ func (s *Sim) NodeFailed(node int) bool { return s.nodes[node].failed }
 // NodeFailEvent implements Exec: an event that fires when the node crashes
 // (already triggered if it has). Recovery layers watch it to race
 // completion events against failures.
-func (s *Sim) NodeFailEvent(node int) Event {
-	n := s.nodes[node]
-	if n.failEv == NoEvent {
-		n.failEv = s.NewUserEvent()
-		if n.failed {
-			s.Trigger(n.failEv)
-		}
-	}
-	return n.failEv
-}
+func (s *Sim) NodeFailEvent(node int) Event { return s.nodes[node].failEv }
 
 // launch occupies the processor for dur, serialized FIFO behind the work
 // already on it, and returns the event that fires when it is done.
@@ -136,12 +127,12 @@ func (p *proc) execItem(dur Time, body func(), done Event) {
 // of the node's processors becomes free earliest (ties broken by processor
 // index), the mapping strategy of a default mapper distributing a shard's
 // tasks across the node's cores. Under a fault plan the issue is a fault
-// point (launchFault): the node may fail-stop here, before the launch
-// lands, so the launch itself is lost, or the launch may straggle.
+// point (FaultInjector.Launch): the node may fail-stop here, before the
+// launch lands, so the launch itself is lost, or the launch may straggle.
 func (s *Sim) LaunchOn(node int, pre Event, dur Time, body func()) Event {
 	n := s.nodes[node]
 	if s.faults != nil {
-		dur = s.launchFault(node, dur)
+		dur = s.faults.Launch(node, dur)
 	}
 	done := s.NewUserEvent()
 	if s.Triggered(pre) {
@@ -172,14 +163,14 @@ func (n *node) execAuto(dur Time, body func(), done Event) {
 // size/bandwidth, then body runs at the destination and the returned event
 // fires. Copies within a node pay the (cheaper) local latency and bandwidth
 // and do not occupy the link. Under a fault plan the issue is a fault
-// point (copyFault): an endpoint may fail-stop here, losing the copy, and a
-// remote copy may be duplicated or dropped.
+// point (FaultInjector.Copy): an endpoint may fail-stop here, losing the
+// copy, and a remote copy may be duplicated or dropped.
 func (s *Sim) CopyBytes(src, dst int, bytes int64, pre Event, body func()) Event {
 	from, to := s.nodes[src], s.nodes[dst]
 	var dup bool
 	var drops int
 	if s.faults != nil {
-		dup, drops = s.copyFault(src, dst)
+		dup, drops = s.faults.Copy(src, dst)
 	}
 	done := s.NewUserEvent()
 	if s.Triggered(pre) {
@@ -188,31 +179,6 @@ func (s *Sim) CopyBytes(src, dst int, bytes int64, pre Event, body func()) Event
 		s.await(pre, deferred{op: opCopy, src: from, dst: to, bytes: bytes, dup: dup, drops: uint8(drops), body: body, done: done})
 	}
 	return done
-}
-
-// ShipTrace implements Exec: shipping a captured execution trace to a
-// restarted shard's node is an ordinary wire transfer (latency, bandwidth,
-// link serialization, and fault effects all apply), counted separately so
-// the recovery protocol's trace traffic is visible in the run statistics.
-func (s *Sim) ShipTrace(src, dst int, bytes int64, pre Event) Event {
-	s.stats.TraceShips++
-	s.stats.TraceShipBytes += bytes
-	return s.CopyBytes(src, dst, bytes, pre, nil)
-}
-
-// CopyAgg implements Exec: a coalesced transfer is an ordinary wire
-// transfer of the summed payload (one latency charge, batched bandwidth,
-// one fault decision — a dropped or duplicated aggregate retransmits the whole
-// group), counted at issue time so the aggregation counters match the
-// native backend's for any schedule.
-func (s *Sim) CopyAgg(src, dst int, bytes int64, members int, pre Event, body func()) Event {
-	if members > 1 {
-		s.stats.AggGroups++
-		if src != dst {
-			s.stats.AggSavedMessages += int64(members - 1)
-		}
-	}
-	return s.CopyBytes(src, dst, bytes, pre, body)
 }
 
 // execCopy performs a transfer whose precondition has triggered, charging
@@ -243,7 +209,7 @@ func (s *Sim) execCopy(src, dst *node, bytes int64, dup bool, drops int, body fu
 		for ; drops > 0; drops-- {
 			// Reliable transport: a dropped message is retransmitted after
 			// a timeout, paying the wire again each attempt.
-			delay += s.faults.RetransmitTimeout + xfer
+			delay += s.faults.RetransmitTimeout() + xfer
 			serialize += xfer
 			s.stats.Messages++
 			s.stats.BytesSent += bytes

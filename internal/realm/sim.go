@@ -97,17 +97,16 @@ type Stats struct {
 	TasksRun    int64
 	Events      int64 // events processed by the scheduler
 
-	// TraceShips/TraceShipBytes count captured traces shipped to restarted
-	// shards during failover recovery (ShipTrace). The payload bytes also
-	// count toward Messages/BytesSent like any other transfer.
-	TraceShips     int64
-	TraceShipBytes int64
-
-	// AggGroups counts coalesced transfers issued through CopyAgg with at
-	// least two member pairs; AggSavedMessages counts the remote messages
-	// those groups avoided (members-1 per remote group). Both are counted
-	// at issue time, identically on every backend, so the counters are
-	// backend-independent for a given schedule.
+	// TraceShips/TraceShipBytes count the captured traces the SPMD
+	// executor shipped to restarted shards during failover recovery; the
+	// payload bytes also count toward Messages/BytesSent like any other
+	// transfer. AggGroups counts the coalesced transfers it issued with at
+	// least two member pairs, and AggSavedMessages the remote messages
+	// those groups avoided (members-1 per remote group), counted at issue
+	// time. The executor fills all four (spmd.Result.Stats); a machine
+	// leaves them zero.
+	TraceShips       int64
+	TraceShipBytes   int64
 	AggGroups        int64
 	AggSavedMessages int64
 
@@ -133,16 +132,11 @@ type Sim struct {
 	liveThreads map[*Thread]bool
 	threadSeq   int64 // spawn counter, gives threads a deterministic order
 
-	// Fault-injection state (nil faults = fault-free run): the plan, what
-	// it injected, and the per-node issue counters its decisions are keyed
-	// by (fault.go) — launches per target node, remote copies per source
-	// node, and copies sent or received per node.
-	faults     *FaultPlan
-	faultStats FaultStats
-	crashLog   []NodeCrash
-	launchSeq  []uint64
-	copySeq    []uint64
-	touchSeq   []uint64
+	// Fault-injection state (nil faults = fault-free run): the installed
+	// plan's injector (fault.go) and the node crashes it caused, in time
+	// order.
+	faults   *FaultInjector
+	crashLog []NodeCrash
 
 	// mergerPool recycles merger states (and their bound callbacks) once
 	// they fire; every task launch merges its preconditions, so steady-state
@@ -261,8 +255,9 @@ func NewSim(cfg Config) (*Sim, error) {
 	// dozen grow-and-copy cycles of append. Slot 0 is the nil link.
 	s.queue.slab = make([]queued, 1, 1024)
 	s.nodes = make([]*node, cfg.Nodes)
+	failEvs := s.events.Reserve(cfg.Nodes)
 	for i := range s.nodes {
-		n := &node{sim: s, id: i}
+		n := &node{sim: s, id: i, failEv: failEvs + Event(i)}
 		n.procs = make([]*proc, cfg.CoresPerNode)
 		for j := range n.procs {
 			n.procs[j] = &proc{node: n, id: j}

@@ -3,6 +3,7 @@ package spmd_test
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -88,13 +89,15 @@ func crashes(cfg bench.Config, ls []realm.LaunchCrash, cs ...realm.CopyCrash) be
 	return cfg
 }
 
-// opLog wraps a DES and numbers what a crash point names: each node's
+// opLog wraps a machine and numbers what a crash point names: each node's
 // launches, and each copy by its index among the copies its source and its
 // destination send or receive. A test runs a program under it to find the
 // index of the operation it wants a crash to land on. It counts the
-// executor's restarts by their Quiesce calls.
+// executor's restarts by their Quiesce calls. Native shard agents issue
+// concurrently, so mu guards the log.
 type opLog struct {
 	realm.Exec
+	mu                sync.Mutex
 	launches, touches []uint64
 	copies            []loggedCopy
 	restarts          int
@@ -104,53 +107,74 @@ type opLog struct {
 type loggedCopy struct {
 	src, dst int
 	at       [2]uint64 // its index among the copies src, then dst, sends or receives
-	bodyless bool      // init, checkpoint capture, restore or trace ship
-	ship     bool
-	restarts int // restarts begun before its issue
+	bytes    int64
+	bodyless bool  // init, checkpoint capture, restore or trace ship
+	ship     bool  // a trace ship: its size is the shared capture's wire size
+	sent     int64 // the machine's Messages its issue added
+	restarts int   // restarts begun before its issue
 }
 
 func (l *opLog) LaunchOn(node int, pre realm.Event, dur realm.Time, body func()) realm.Event {
+	l.mu.Lock()
 	l.launches[node]++
+	l.mu.Unlock()
 	return l.Exec.LaunchOn(node, pre, dur, body)
 }
 
-func (l *opLog) log(src, dst int, bodyless, ship bool) {
-	c := loggedCopy{src: src, dst: dst, bodyless: bodyless, ship: ship, restarts: l.restarts}
+func (l *opLog) Quiesce() {
+	l.mu.Lock()
+	l.restarts++
+	l.mu.Unlock()
+	l.Exec.Quiesce()
+}
+
+// CopyBytes logs the copy. The lock is not held across the machine's call,
+// whose continuations may issue more, so sent is exact only where nothing
+// else issues concurrently: always on the DES, and for the trace ships,
+// which the control agent issues on a quiesced machine.
+func (l *opLog) CopyBytes(src, dst int, bytes int64, pre realm.Event, body func()) realm.Event {
+	l.mu.Lock()
+	c := loggedCopy{src: src, dst: dst, bytes: bytes, bodyless: body == nil, restarts: l.restarts}
 	l.touches[src]++
 	if dst != src {
 		l.touches[dst]++
 	}
 	c.at = [2]uint64{l.touches[src], l.touches[dst]}
+	i := len(l.copies)
 	l.copies = append(l.copies, c)
+	l.mu.Unlock()
+	sent := l.Exec.Stats().Messages
+	done := l.Exec.CopyBytes(src, dst, bytes, pre, body)
+	sent = l.Exec.Stats().Messages - sent
+	l.mu.Lock()
+	l.copies[i].sent = sent
+	l.mu.Unlock()
+	return done
 }
 
-func (l *opLog) Quiesce() {
-	l.restarts++
-	l.Exec.Quiesce()
-}
-
-func (l *opLog) CopyBytes(src, dst int, bytes int64, pre realm.Event, body func()) realm.Event {
-	l.log(src, dst, body == nil, false)
-	return l.Exec.CopyBytes(src, dst, bytes, pre, body)
-}
-
-func (l *opLog) CopyAgg(src, dst int, bytes int64, members int, pre realm.Event, body func()) realm.Event {
-	l.log(src, dst, body == nil, false)
-	return l.Exec.CopyAgg(src, dst, bytes, members, pre, body)
-}
-
-func (l *opLog) ShipTrace(src, dst int, bytes int64, pre realm.Event) realm.Event {
-	l.log(src, dst, true, true)
-	return l.Exec.ShipTrace(src, dst, bytes, pre)
-}
-
-// logged runs build under cfg on a logged DES.
+// logged runs build under cfg on a logged machine: cfg's, or a DES. Trace
+// ships are told apart by their size, so it fails the test unless exactly
+// as many copies have the shared capture's wire size as the run shipped.
 func logged(t *testing.T, build func() *ir.Program, cfg bench.Config) (*bench.Result, *opLog) {
 	t.Helper()
-	l := &opLog{Exec: realm.MustNewSim(realm.DefaultConfig(cfg.Nodes)),
-		launches: make([]uint64, cfg.Nodes), touches: make([]uint64, cfg.Nodes)}
+	x := cfg.Exec
+	if x == nil {
+		x = realm.MustNewSim(realm.DefaultConfig(cfg.Nodes))
+	}
+	l := &opLog{Exec: x, launches: make([]uint64, cfg.Nodes), touches: make([]uint64, cfg.Nodes)}
 	cfg.Exec = l
-	return must(t)(bench.RunCR(build(), cfg)), l
+	res := must(t)(bench.RunCR(build(), cfg))
+	wire, ships := captureWireSize(t, res.Plans), 0
+	for i := range l.copies {
+		if c := &l.copies[i]; c.bytes == wire {
+			c.ship = true
+			ships++
+		}
+	}
+	if ships != res.CRTrace.Ships {
+		t.Fatalf("%d copies have the shared capture's wire size %d, but the run shipped %d traces", ships, wire, res.CRTrace.Ships)
+	}
+	return res, l
 }
 
 // copyAt is the CopyCrash that kills node at the first copy it sends or

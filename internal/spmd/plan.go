@@ -40,7 +40,7 @@ package spmd
 // rebuilds the runState, discarding every plan with it. The shared capture
 // survives the rebuild (it depends on nothing the failure changed), and the
 // recovery layer ships it to the restarted shards' nodes as a real message
-// (realm.ShipTrace) before they re-resolve.
+// (one Exec.CopyBytes per node) before they re-resolve.
 
 import (
 	"repro/internal/cr"

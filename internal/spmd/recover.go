@@ -250,8 +250,8 @@ func (e *Engine) degrade(plan *cr.Compiled, trip, retries int, cp *checkpoint, t
 
 // shipTraces sends the loop's surviving shared capture from node 0's
 // stable storage to every other node of a freshly rebuilt placement, as
-// real messages (Exec.ShipTrace: modeled wire cost on the DES, real
-// messages subject to drop/dup injection on native), before the restarted
+// real messages (Exec.CopyBytes: modeled wire cost and fault injection on
+// either backend), counted in Stats.TraceShips, before the restarted
 // shards re-resolve their plans. No-op when the loop has no shared capture
 // yet, as always under NoTrace or NoShare. Reports false if a node failed
 // mid-shipment.
@@ -265,7 +265,7 @@ func (e *Engine) shipTraces(ctl realm.Agent, st *runState) bool {
 		if n == 0 {
 			continue
 		}
-		evs = append(evs, e.Sim.ShipTrace(0, n, bytes, realm.NoEvent))
+		evs = append(evs, e.Sim.CopyBytes(0, n, bytes, realm.NoEvent, nil))
 		e.traceStats.Ships++
 		e.traceStats.ShippedBytes += bytes
 	}

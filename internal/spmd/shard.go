@@ -355,9 +355,18 @@ func (k shardSink) Done(op, pair int32) realm.Event { return k.sh.st.syncEvent(k
 // overhead is half the point of coalescing.
 func (k shardSink) Begin(int) { k.sh.th.Elapse(k.sh.st.e.Over.CopySetup) }
 
+// Transfer issues the step's one copy. A coalesced group of two or more
+// pairs counts toward Stats.AggGroups, and a remote one credits the
+// messages it avoids to Stats.AggSavedMessages.
 func (k shardSink) Transfer(i int, pres []realm.Event, _ []cr.EdgeID) realm.Event {
-	t, sim := &k.xp.xfers[i], k.sh.st.e.Sim
-	return sim.CopyAgg(t.srcNode, t.dstNode, t.bytes, len(k.xp.steps[i].Members), sim.Merge(pres...), t.body)
+	t, e := &k.xp.xfers[i], k.sh.st.e
+	if members := len(k.xp.steps[i].Members); members > 1 {
+		e.aggGroups.Add(1)
+		if t.srcNode != t.dstNode {
+			e.aggSaved.Add(int64(members - 1))
+		}
+	}
+	return e.Sim.CopyBytes(t.srcNode, t.dstNode, t.bytes, e.Sim.Merge(pres...), t.body)
 }
 
 func (k shardSink) Arrive(op, phase int32, evs []realm.Event) realm.Event {

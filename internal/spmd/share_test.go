@@ -101,6 +101,8 @@ func TestShareFailoverShipsTrace(t *testing.T) {
 		cfg = crashes(cfg, log0.midRun())
 		got := must(t)(bench.RunCR(build(), cfg))
 		stats := got.CRTrace
+		cfg.NoShare = true
+		unshipped := must(t)(bench.RunCR(build(), cfg))
 
 		if got.Faults == nil || len(got.Faults.Crashes) != 1 || got.Faults.Restarts < 1 {
 			t.Fatalf("%s: fault report = %+v, want 1 crash and at least 1 restart", tc.name, got.Faults)
@@ -122,11 +124,14 @@ func TestShareFailoverShipsTrace(t *testing.T) {
 		if want := int64(stats.Ships) * captureWireSize(t, got.Plans); stats.ShippedBytes != want {
 			t.Errorf("%s: ShippedBytes = %d, want %d (%d ships of the tables' wire size)", tc.name, stats.ShippedBytes, want, stats.Ships)
 		}
-		if got.Stats.TraceShips != int64(stats.Ships) || got.Stats.TraceShipBytes != stats.ShippedBytes {
-			t.Errorf("%s: DES ship stats %d/%d don't match engine counters %+v", tc.name, got.Stats.TraceShips, got.Stats.TraceShipBytes, stats)
+		// Each ship is a real message: the same crash without sharing ships
+		// nothing and sends exactly that many fewer.
+		if unshipped.CRTrace.Ships != 0 || got.Stats.Messages-unshipped.Stats.Messages != int64(stats.Ships) {
+			t.Errorf("%s: %d messages with %d ships, %d without sharing (%d ships)", tc.name,
+				got.Stats.Messages, stats.Ships, unshipped.Stats.Messages, unshipped.CRTrace.Ships)
 		}
-		// Shipping is a real message: it costs virtual time over the fault-free
-		// run (on top of the restart itself).
+		// Shipping costs virtual time over the fault-free run (on top of the
+		// restart itself).
 		if got.Elapsed <= res0.Elapsed {
 			t.Errorf("%s: faulty run Elapsed %v <= fault-free %v; recovery and shipping should cost time", tc.name, got.Elapsed, res0.Elapsed)
 		}

@@ -16,6 +16,7 @@ package spmd
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cr"
 	"repro/internal/geometry"
@@ -98,6 +99,11 @@ type Engine struct {
 
 	traceStats TraceStats
 
+	// aggGroups and aggSaved count the coalesced transfers the shards issue
+	// (Stats.AggGroups, Stats.AggSavedMessages); atomics, because shard
+	// agents issue concurrently on the native backend.
+	aggGroups, aggSaved atomic.Int64
+
 	// planMu guards the memoized-plan state (traceStats, shared,
 	// runState.plans): on the native backend shard agents resolve their
 	// plans concurrently. Uncontended on the DES.
@@ -169,6 +175,8 @@ func (e *Engine) Run() (*Result, error) {
 	e.report = nil
 	e.degraded = false
 	e.traceStats = TraceStats{}
+	e.aggGroups.Store(0)
+	e.aggSaved.Store(0)
 	e.shared = nil
 
 	elapsed, err := realm.RunControl(e.Sim, "spmd", "spmd-control", func(ctl realm.Agent) {
@@ -180,12 +188,15 @@ func (e *Engine) Run() (*Result, error) {
 	if crashes := e.Sim.Crashes(); len(crashes) > 0 {
 		e.rep().Crashes = crashes
 	}
+	stats := e.Sim.Stats()
+	stats.AggGroups, stats.AggSavedMessages = e.aggGroups.Load(), e.aggSaved.Load()
+	stats.TraceShips, stats.TraceShipBytes = int64(e.traceStats.Ships), e.traceStats.ShippedBytes
 	return &Result{
 		Stores:    e.global,
 		Env:       e.env,
 		IterTimes: e.iterTimes,
 		Elapsed:   elapsed,
-		Stats:     e.Sim.Stats(),
+		Stats:     stats,
 		Faults:    e.report,
 	}, nil
 }
