@@ -56,7 +56,7 @@ import (
 //     that makes the merged body's in-order writes bitwise-equal.
 func CheckAggTables(c *cr.Compiled) error {
 	if c == nil {
-		return fmt.Errorf("verify: nil compiled loop")
+		return errNilLoop
 	}
 	var errs []string
 	diffExchanges(c, recomputeExchanges(c), func(format string, args ...any) {
@@ -91,26 +91,33 @@ func phaseEnd(c *cr.Compiled, i int) int {
 // merged schedule; no order is defined on a cyclic graph, so the race pass
 // then has nothing to add to the liveness pass's cycle witness.
 func CheckAgg(c *cr.Compiled) (*Report, error) {
-	rep, _, _, _, err := checkAgg(c)
-	return rep, err
+	if c == nil {
+		return nil, errNilLoop
+	}
+	rep := aggTables(c)
+	p, err := planOf(c)
+	if err != nil {
+		if len(rep.Findings) > 0 && exchangesWellFormed(c) != nil {
+			return rep, nil // tables too malformed to replay: the structural findings stand
+		}
+		return nil, err
+	}
+	races, live := p.verdicts(p.base)
+	return aggVerdicts(rep, c, races, live), nil
 }
 
-// checkAgg is CheckAgg that also returns the aggregated schedule's
-// analysis and its races and liveness reports (all nil when the tables
-// are too malformed to replay), for Certify to reuse.
-func checkAgg(c *cr.Compiled) (rep *Report, a *Analysis, races, live *Report, err error) {
-	rep = &Report{Pass: "agg", Findings: []Finding{}}
+// aggTables is the table half of the agg report: CheckAggTables' findings.
+func aggTables(c *cr.Compiled) *Report {
+	rep := &Report{Pass: "agg", Findings: []Finding{}}
 	if err := CheckAggTables(c); err != nil {
 		rep.Findings = append(rep.Findings, Finding{Kind: "agg-table", Detail: err.Error()})
 	}
-	if a, err = Analyze(c); err != nil {
-		if len(rep.Findings) > 0 && exchangesWellFormed(c) != nil {
-			// Tables too malformed to replay: the structural findings stand.
-			return rep, nil, nil, nil, nil
-		}
-		return nil, nil, nil, nil, err
-	}
-	races, live = a.Check(), a.CheckLiveness()
+	return rep
+}
+
+// aggVerdicts is the verdict half: the aggregated schedule's liveness and
+// races findings (a cycle once), its stats and the shape counters.
+func aggVerdicts(rep *Report, c *cr.Compiled, races, live *Report) *Report {
 	rep.Stats = races.Stats
 	rep.Findings = append(rep.Findings, live.Findings...)
 	for _, f := range races.Findings {
@@ -119,7 +126,7 @@ func checkAgg(c *cr.Compiled) (rep *Report, a *Analysis, races, live *Report, er
 		}
 	}
 	rep.Counters = aggCounters(c)
-	return rep, a, races, live, nil
+	return rep
 }
 
 // aggCounters tallies the static shape of the aggregation: phases, groups

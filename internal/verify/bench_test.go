@@ -10,15 +10,15 @@ import (
 
 // benchPlans compiles the four applications at the shard counts the certify
 // benchmark workload plans prunes at (stencil@64, miniaero@8, pennant@64,
-// circuit@16), paper size, point-to-point sync.
-func benchPlans(b *testing.B) []namedPlan {
+// circuit@16), paper size, point-to-point sync, aggregated if agg.
+func benchPlans(b *testing.B, agg bool) []namedPlan {
 	b.Helper()
 	shards := map[string]int{"stencil": 64, "miniaero": 8, "pennant": 64, "circuit": 16}
 	var out []namedPlan
 	for _, app := range evalApps {
 		n := shards[app.name]
 		prog, loop := app.build(n)
-		out = append(out, namedPlan{app.name, compileApp(b, prog, loop, cr.Options{NumShards: n})})
+		out = append(out, namedPlan{app.name, compileApp(b, prog, loop, cr.Options{NumShards: n, Agg: agg})})
 	}
 	return out
 }
@@ -26,7 +26,7 @@ func benchPlans(b *testing.B) []namedPlan {
 // BenchmarkPlanPrune is the certify workload's prune set: one PlanPrune per
 // application per iteration.
 func BenchmarkPlanPrune(b *testing.B) {
-	for _, p := range benchPlans(b) {
+	for _, p := range benchPlans(b, false) {
 		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -38,11 +38,30 @@ func BenchmarkPlanPrune(b *testing.B) {
 	}
 }
 
+// BenchmarkCertify is the whole certifier on the same sizes, aggregated: one
+// Certify with prune per application per iteration, each from the
+// unpruned plan.
+func BenchmarkCertify(b *testing.B) {
+	for _, p := range benchPlans(b, true) {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.c.Prune = nil
+				if suite, err := verify.Certify(p.c, true); err != nil {
+					b.Fatal(err)
+				} else if !suite.OK() {
+					b.Fatalf("Certify: %d findings", suite.NumFindings())
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAnalyze is one replay and conflict enumeration of the unpruned
 // schedule per application per iteration: what Verify, CheckAgg and the
 // mutant cells pay before their first check.
 func BenchmarkAnalyze(b *testing.B) {
-	for _, p := range benchPlans(b) {
+	for _, p := range benchPlans(b, false) {
 		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -13,49 +13,28 @@ import (
 // one report per pass in the order they ran: "agg" when c.Opts.Agg (the
 // -agg license, CheckAgg), "prune" when prune is set (PlanPrune, whose
 // license is attached to c.Prune only if its report is clean), then
-// "races", "liveness" and "spec" over one analysis of the schedule that
-// will run, aggregated and pruned if it is (PlanPrune's last, when pruned).
-// The caller decides what a finding means; an error is a plan the replay
-// cannot build.
-//
-// The races and liveness passes reuse CheckAgg's analysis of the
-// aggregated schedule, or PlanPrune's closure of the pruned one when it
-// licenses a prune, instead of analysing that schedule again.
+// "races", "liveness" and "spec" over the schedule that will run. The
+// caller decides what a finding means; an error is a plan the replay
+// cannot build. One planner serves every pass: its base verdicts are the
+// agg report's, the prune planning's and, unless a prune is licensed
+// (then built and checked once, by PlanPrune's last step), the suite's.
 func Certify(c *cr.Compiled, prune bool) (*Suite, error) {
+	p, err := planOf(c)
+	if err != nil {
+		return nil, err
+	}
+	races, live := p.verdicts(p.base)
 	var reps []*Report
-	var a *Analysis
-	var races, live *Report
-	if c != nil && c.Opts.Agg {
-		var rep *Report
-		var err error
-		if rep, a, races, live, err = checkAgg(c); err != nil {
-			return nil, err
-		}
-		reps = append(reps, rep)
+	if c.Opts.Agg {
+		reps = append(reps, aggVerdicts(aggTables(c), c, races, live))
 	}
 	if prune {
-		info, rep, af, err := planPrune(c)
-		if err != nil {
-			return nil, err
-		}
+		info, rep, final := p.prune(races, live)
 		if rep.OK() {
-			c.Prune, a = info, af
+			c.Prune, live = info, final
 			races = &Report{Pass: "races", Findings: []Finding{}, Stats: rep.Stats}
-			live = nil
 		}
 		reps = append(reps, rep)
-	}
-	if a == nil {
-		var err error
-		if a, err = Analyze(c); err != nil {
-			return nil, err
-		}
-	}
-	if races == nil {
-		races = a.Check()
-	}
-	if live == nil {
-		live = a.CheckLiveness()
 	}
 	spec := &Report{Pass: "spec", Findings: []Finding{}}
 	if err := CheckSpec(c); err != nil {

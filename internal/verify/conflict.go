@@ -110,6 +110,7 @@ func (r *reachability) row(rank int) []uint64 {
 // It reports false, with nothing computed, when the graph has a cycle:
 // r.rank then holds the residual in-degrees cycleFinding walks.
 func (r *reachability) closure(succ *successors) bool {
+	counts.closures.Add(1)
 	n := len(succ.off) - 1
 	r.words = (n + 63) / 64
 	r.rank = slices.Grow(r.rank[:0], n)[:n]

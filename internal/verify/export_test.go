@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/region"
@@ -168,4 +169,18 @@ func successorMismatch(g *graph, scratch *successors, rng *rand.Rand) error {
 		}
 	}
 	return nil
+}
+
+// Work is the certifier's work during one call of WorkOf: replays built,
+// closures computed, liveness passes run and PlanPrune certifications.
+type Work struct{ Builds, Closures, Liveness, Certifications int64 }
+
+// WorkOf runs f and returns the work it did. Nothing else may certify
+// meanwhile.
+func WorkOf(f func()) Work {
+	for _, n := range []*atomic.Int64{&counts.builds, &counts.closures, &counts.liveness, &counts.certifications} {
+		n.Store(0)
+	}
+	f()
+	return Work{counts.builds.Load(), counts.closures.Load(), counts.liveness.Load(), counts.certifications.Load()}
 }

@@ -380,6 +380,7 @@ func (b *builder) record(n nodeID, key int32, fields []region.FieldID, space geo
 // allows), and finalization. Exchanges are wired by cr.Wiring, as the
 // executor's are.
 func (b *builder) build() {
+	counts.builds.Add(1)
 	c, ix := b.c, b.ix
 	iters := min(max(c.Loop.Trip, 1), 2)
 	b.g.iters = iters

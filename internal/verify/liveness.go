@@ -41,6 +41,7 @@ func (a *Analysis) CheckLiveness() *Report { return a.CheckLivenessMutated(Mutat
 // extra wait-for edges added and its barrier arrival suppressed. A race
 // mutation adds no edge and suppresses no arrival.
 func (a *Analysis) CheckLivenessMutated(m Mutation) *Report {
+	counts.liveness.Add(1)
 	g := a.g
 	rep := &Report{Pass: "liveness", Findings: []Finding{}, Stats: Stats{
 		Nodes: len(g.nodes),

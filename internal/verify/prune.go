@@ -21,7 +21,6 @@ package verify
 // the executor skipping the sync loses them too — hence the rebuild.
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/cr"
@@ -54,7 +53,7 @@ func (a *Analysis) SyncEdges() int {
 	return n
 }
 
-// planner is the state of one PlanPrune call — the plan's index, the info
+// planner is the state of one certifier call — the plan's index, the info
 // being planned, the base analysis, a closure slab every pruned graph fits,
 // and the last discarded build, whose slabs the next one takes over — never
 // a package variable: parallel -prune sweeps plan several cells at once. A
@@ -72,7 +71,7 @@ type planner struct {
 // newPlanner indexes c and analyses its schedule under info: the base.
 func newPlanner(c *cr.Compiled, info *cr.PruneInfo) (*planner, error) {
 	if c == nil {
-		return nil, fmt.Errorf("verify: nil compiled loop")
+		return nil, errNilLoop
 	}
 	ix, err := newIndex(c)
 	if err != nil {
@@ -81,6 +80,19 @@ func newPlanner(c *cr.Compiled, info *cr.PruneInfo) (*planner, error) {
 	p := &planner{ix: ix, info: info}
 	p.base = p.analysis(p.build(false))
 	return p, nil
+}
+
+// planOf is newPlanner under the plan's own prune: the schedule that runs.
+func planOf(c *cr.Compiled) (*planner, error) {
+	if c == nil {
+		return nil, errNilLoop
+	}
+	return newPlanner(c, c.Prune)
+}
+
+// verdicts are a's races and liveness reports, closed on p's slab.
+func (p *planner) verdicts(a *Analysis) (races, live *Report) {
+	return a.check(&p.reach, nil), a.CheckLiveness()
 }
 
 // build replays the schedule under p.info on the slabs of the last
@@ -109,7 +121,7 @@ func (p *planner) analysis(b *builder) *Analysis {
 // no witness rendered. A build without a dead init whose access list is not
 // the base's fails closed.
 func (p *planner) certifies() bool {
-	certifyCalls.Add(1)
+	counts.certifications.Add(1)
 	b := p.build(false)
 	defer func() { p.spare = b }()
 	if p.info.PrunedInits() == 0 && len(b.accs) != len(p.base.accs) {
@@ -315,7 +327,6 @@ func (p *planner) proposeWars() {
 				next = append(next, cd)
 				continue
 			}
-			cd := cd
 			took = append(took, cd)
 			batch = append(batch, func(v bool) { set(cd, v) })
 		}
@@ -342,29 +353,27 @@ func (p *planner) proposeWars() {
 // schedule itself fails certification, the report carries those findings
 // and no pruning is attempted.
 func PlanPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, error) {
-	info, rep, _, err := planPrune(c)
-	return info, rep, err
+	p, err := planOf(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	info, rep, _ := p.prune(p.verdicts(p.base))
+	return info, rep, nil
 }
 
-// planPrune is PlanPrune that also returns the analysis of the schedule
-// under the licensed info, for Certify's race and liveness passes.
-func planPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, *Analysis, error) {
-	p, err := newPlanner(c, c.Prune)
-	if err != nil {
-		return nil, nil, nil, err
+// prune is PlanPrune given the base analysis's races and liveness reports.
+// It also returns the licensed schedule's liveness report, for Certify.
+func (p *planner) prune(races, live *Report) (*cr.PruneInfo, *Report, *Report) {
+	for _, r := range []Report{*races, *live} {
+		if !r.OK() {
+			r.Pass = "prune"
+			return nil, &r, nil
+		}
 	}
-	a0 := p.base
+	c, a0 := p.ix.c, p.base
 	if c.Prune.PrunedInits() > 0 { // reuse needs the unpruned access list
 		p.base, p.info = nil, nil
 		p.base = p.analysis(p.build(false))
-	}
-	if base := a0.check(&p.reach, nil); !base.OK() {
-		base.Pass = "prune"
-		return nil, base, nil, nil
-	}
-	if live := a0.CheckLiveness(); !live.OK() {
-		live.Pass = "prune"
-		return nil, live, nil, nil
 	}
 
 	info := &cr.PruneInfo{}
@@ -393,14 +402,12 @@ func planPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, *Analysis, error) {
 					if !chained[EdgeID{Class: EdgeChain, Copy: cp.ID, Pair: k}] {
 						continue
 					}
-					k := k
 					chains = append(chains, func(v bool) { info.SetChain(cp.ID, k, n, v) })
 				}
 			}
 		}
 		if c.Opts.Sync == cr.PointToPoint || cp.Reduce != region.ReduceNone {
 			for k := 0; k < n; k++ {
-				k := k
 				dones = append(dones, func(v bool) { info.SetDone(cp.ID, k, n, v) })
 			}
 		}
@@ -421,7 +428,6 @@ func planPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, *Analysis, error) {
 				if info.SkipWar(cp.ID, k) {
 					continue
 				}
-				k := k
 				wars = append(wars, func(v bool) { info.SetWar(cp.ID, k, n, v) })
 			}
 		}
@@ -432,14 +438,14 @@ func planPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, *Analysis, error) {
 	// Dead initialization populations, computed against the pruned graph's
 	// reachability (a kept sync edge may be exactly what covers a read).
 	p.markDeadInits()
-	if !p.certifies() {
-		// Belt and braces: coverage is sound by construction, but never
-		// ship an uncertified prune set.
-		info.DeadInit = nil
-	}
-
 	af := p.analysis(p.build(false))
-	rep := af.check(&p.reach, nil)
+	rep, final := p.verdicts(af)
+	if (!rep.OK() || !final.OK()) && info.PrunedInits() > 0 {
+		// Coverage is sound by construction; never ship it uncertified.
+		info.DeadInit = nil
+		af = p.analysis(p.build(false))
+		rep, final = p.verdicts(af)
+	}
 	rep.Pass = "prune"
 	rep.Counters = map[string]int64{
 		"pruned_war":         int64(info.PrunedWar()),
@@ -450,7 +456,7 @@ func planPrune(c *cr.Compiled) (*cr.PruneInfo, *Report, *Analysis, error) {
 		"sync_edges_before":  int64(a0.SyncEdges()),
 		"sync_edges_after":   int64(af.SyncEdges()),
 	}
-	return info, rep, af, nil
+	return info, rep, final
 }
 
 // markDeadInits marks instances whose initialization population is dead:
@@ -532,6 +538,6 @@ func copyIsPlain(c *cr.Compiled, copyID int32) bool {
 	return cp != nil && cp.Reduce == region.ReduceNone
 }
 
-// certifyCalls counts certification runs (instrumentation for tests; atomic
-// because a parallel sweep under -prune plans several cells at once).
-var certifyCalls atomic.Int64
+// counts tallies builds, closures, liveness passes and certifications for
+// tests (atomic: a parallel sweep under -prune plans several cells at once).
+var counts struct{ builds, closures, liveness, certifications atomic.Int64 }

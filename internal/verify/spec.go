@@ -35,7 +35,7 @@ import (
 // synchronization.
 func CheckSpec(c *cr.Compiled) error {
 	if c == nil {
-		return fmt.Errorf("verify: nil compiled loop")
+		return errNilLoop
 	}
 	var errs []string
 	fail := func(format string, args ...any) {

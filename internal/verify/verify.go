@@ -51,7 +51,7 @@ package verify
 
 import (
 	"cmp"
-	"fmt"
+	"errors"
 	"slices"
 	"strings"
 
@@ -127,14 +127,18 @@ func (s *Suite) NumFindings() int {
 	return n
 }
 
+// errNilLoop is every entry point's answer to a nil compiled loop.
+var errNilLoop = errors.New("verify: nil compiled loop")
+
 // Analyze builds the conflict set and happens-before graph for a compiled
 // loop. The same Analysis can serve many Check calls (the mutation harness
 // re-checks with edges dropped without rebuilding).
 func Analyze(c *cr.Compiled) (*Analysis, error) {
-	if c == nil {
-		return nil, fmt.Errorf("verify: nil compiled loop")
+	p, err := planOf(c)
+	if err != nil {
+		return nil, err
 	}
-	return AnalyzePruned(c, c.Prune)
+	return p.base, nil
 }
 
 // Check verifies every conflicting pair against the happens-before
