@@ -15,8 +15,9 @@
 // loop as it will run: the race pass (every conflicting access pair must
 // be ordered by the inserted copies and sync), the liveness pass (the
 // wait-for graph must be free of cycles, never-triggered events, and
-// barrier phase mismatches), and the spec pass (the specialization tables
-// must match recomputation), preceded by the agg and prune passes when
+// barrier phase mismatches), and the spec pass (the compiled exchange step
+// lists and color slots must match recomputation), preceded by the agg and
+// prune passes when
 // -agg and -prune are given. -verify-json writes the suite — one
 // verify.Report per pass, in that order, each with its pass name,
 // findings, stats, and counters — as JSON to the given file, or to stdout
@@ -184,7 +185,7 @@ func run(f *bench.Flags, args []string, stdout io.Writer) int {
 			fmt.Fprintf(out, "\ncoalesced exchange plans: %d phases, %d groups (%d multi-member), %d pairs merged away per iteration\n",
 				c["phases"], c["agg_groups"], c["multi_member_groups"], c["merged_pairs"])
 			pi := 0
-			for i, x := range plan.Spec.Exchanges {
+			for i, x := range plan.Exchanges {
 				if x.End == i {
 					continue
 				}

@@ -182,11 +182,9 @@ type Compiled struct {
 	Timings IntersectTimings
 	Report  Report
 
-	// Spec is the specialization metadata for cross-shard plan sharing:
-	// every shard's exchange step lists, pair volumes and kernel cost
-	// volumes — everything placement-independent that the executor would
-	// otherwise re-derive per shard per run state (see spec.go).
-	Spec SpecTable
+	// Exchanges is parallel to Body: the exchange starting at each op, with
+	// every shard's step list over it (exchange.go).
+	Exchanges []Exchange
 
 	// Prune is the certifier-licensed redundant-sync and dead-init skip set
 	// (verify.PlanPrune); nil — the default — leaves the conservative
@@ -230,7 +228,7 @@ func Compile(prog *ir.Program, loop *ir.Loop, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	c.createShards()
-	c.buildSpec()
+	c.buildExchanges()
 	c.computeInstFields()
 	for _, op := range c.Body {
 		if op.Copy != nil {

@@ -58,7 +58,7 @@ type Exchange struct {
 // ExchangeSteps returns shard's ordered exchange steps starting at the copy
 // op at body index op, and the end of the body span [op, end) they cover.
 func (c *Compiled) ExchangeSteps(op, shard int) (steps []ExchangeStep, end int) {
-	x := &c.Spec.Exchanges[op]
+	x := &c.Exchanges[op]
 	if x.End == op {
 		return nil, op
 	}
@@ -85,7 +85,7 @@ func (c *Compiled) buildExchanges() {
 		xs[i] = c.buildExchange(i, end)
 		i = end
 	}
-	c.Spec.Exchanges = xs
+	c.Exchanges = xs
 }
 
 // phaseEnd returns the end of the exchange phase starting at the copy op at

@@ -127,8 +127,8 @@ func Pairs(src, dst *region.Partition) []Pair {
 
 // ShallowBrute is the O(N^2) all-pairs shallow phase the acceleration
 // structures replace (§3.3 explicitly calls out avoiding "an O(N^2)
-// startup cost in comparing all pairs of subregions"). It exists for the
-// ablation benchmarks; results match Shallow up to candidate precision.
+// startup cost in comparing all pairs of subregions"). The tests use it as
+// the reference Shallow must match, up to candidate precision.
 func ShallowBrute(src, dst *region.Partition) []Candidate {
 	srcColors := src.Colors()
 	var out []Candidate

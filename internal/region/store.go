@@ -102,6 +102,10 @@ type Store struct {
 	data   [][]float64 // indexed by FieldID, then slot; nil for a field not held
 }
 
+// EltBytes is the storage size of one field of one element: a float64. The
+// engines' modeled transfer sizes are volume × EltBytes × fields.
+const EltBytes = 8
+
 // NewStore allocates zeroed storage for all fields of fs over is.
 func NewStore(is geometry.IndexSpace, fs *FieldSpace) *Store {
 	return NewLayout(is).NewStore(fs)

@@ -113,7 +113,7 @@ func (e *Engine) depsForArg(newUse *use, domain []geometry.Point) [][]dep {
 				}
 				d := dep{ev: u.done[ui], srcNode: u.node[ui]}
 				if raw {
-					d.bytes = int64(nf) * e.Over.EltBytes * u.part.Sub(c).Volume()
+					d.bytes = int64(nf) * region.EltBytes * u.part.Sub(c).Volume()
 				}
 				out[di] = append(out[di], d)
 			}
@@ -130,7 +130,7 @@ func (e *Engine) depsForArg(newUse *use, domain []geometry.Point) [][]dep {
 			}
 			d := dep{ev: u.done[ui], srcNode: u.node[ui]}
 			if raw {
-				d.bytes = int64(nf) * e.Over.EltBytes * p.vol
+				d.bytes = int64(nf) * region.EltBytes * p.vol
 			}
 			out[di] = append(out[di], d)
 		}

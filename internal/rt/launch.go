@@ -55,7 +55,7 @@ func (e *Engine) siteFor(l *ir.Launch) *site {
 		if param := l.Task.Params[ai]; param.Priv == ir.PrivReduce {
 			st.redBytes[ai] = make([]int64, numColors)
 			for idx, c := range l.Domain {
-				st.redBytes[ai][idx] = a.At(c).Volume() * e.Over.EltBytes * int64(len(param.Fields))
+				st.redBytes[ai][idx] = a.At(c).Volume() * region.EltBytes * int64(len(param.Fields))
 			}
 		}
 	}

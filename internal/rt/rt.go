@@ -47,8 +47,6 @@ type Overheads struct {
 	// KernelCores divides task kernel durations, modeling intra-node
 	// parallel execution of a node-granular task.
 	KernelCores int
-	// EltBytes is the storage size of one field of one element.
-	EltBytes int64
 	// Noise optionally scales task durations per (node, iteration) to model
 	// load imbalance and OS noise (nil = none).
 	Noise realm.NoiseFn
@@ -63,7 +61,6 @@ func DefaultOverheads(cores int) Overheads {
 		RemoteStartBytes: 256,
 		Window:           2,
 		KernelCores:      cores,
-		EltBytes:         8,
 	}
 }
 

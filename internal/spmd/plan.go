@@ -24,19 +24,21 @@ package spmd
 //
 // Sharing has one rule too: a memoized loop records its one shared capture
 // iff NoShare is unset. Resolution has one source for its shard-independent
-// look-ups: kernel cost per color and transfer volume per pair are read
-// from the compiler's specialization tables (cr.SpecTable), which
-// verify.CheckSpec proves equal to the geometric recomputation. What
-// sharing adds is only accounting: the engine records the loop's shared
-// capture once per run — its modeled wire size — and counts each shard
-// plan as a specialization of it; with NoShare each shard plan counts as a
-// per-shard capture. Either way resolve runs the same code, so the plans
-// and every schedule are identical.
+// look-ups, the compiled plan itself: kernel cost per color is the cost
+// argument's subregion volume, transfer size per pair the volume of the
+// overlap the intersection pass computed, and the exchange step lists are
+// the compiled ones (cr.Compiled.Exchanges, which verify.CheckSpec and
+// CheckAggTables check against a recomputation). What sharing adds is only
+// accounting: the engine records the loop's shared capture once per run —
+// its modeled wire size — and counts each shard plan as a specialization
+// of it; with NoShare each shard plan counts as a per-shard capture.
+// Either way resolve runs the same code, so the plans and every schedule
+// are identical.
 //
 // Invalidation is by construction rather than by fingerprint: plans are
-// keyed by (runState, shard), and everything they resolve — tables, node
-// assignment, instance stores — is immutable for the runState's lifetime.
-// The one thing that changes resolution is shard failover, and that
+// keyed by (runState, shard), and everything they resolve — the compiled
+// plan, node assignment, instance stores — is immutable for the runState's
+// lifetime. The one thing that changes resolution is shard failover, and that
 // rebuilds the runState, discarding every plan with it. The shared capture
 // survives the rebuild (it depends on nothing the failure changed), and the
 // recovery layer ships it to the restarted shards' nodes as a real message
@@ -78,22 +80,22 @@ type TraceStats struct {
 const sharedOpHeader = 16
 
 // sharedFor records the engine's shared capture of plan on first use: its
-// modeled wire size, 8 bytes per entry of the compiler's cost and
-// pair-volume tables (cr.SpecTable) plus a fixed header per body op. The
-// capture is what recovery ships to restarted shards (shipTraces) and what
-// the trace counters count; resolution reads the tables themselves.
+// modeled wire size, a fixed header per body op plus 8 bytes per domain
+// color of each launch (its kernel cost) and per pair of each copy (its
+// transfer size). The capture is what recovery ships to restarted shards
+// (shipTraces) and what the trace counters count.
 func (e *Engine) sharedFor(plan *cr.Compiled) {
 	if _, ok := e.shared[plan]; ok {
 		return
 	}
 	var n int64
-	for _, spec := range plan.Spec.Ops {
+	for _, op := range plan.Body {
 		n += sharedOpHeader
-		if spec.Launch != nil {
-			n += int64(8 * len(spec.Launch.CostVol))
-		}
-		if spec.Copy != nil {
-			n += int64(8 * len(spec.Copy.PairVols))
+		switch {
+		case op.Launch != nil:
+			n += int64(8 * len(plan.Domain))
+		case op.Copy != nil:
+			n += int64(8 * len(op.Copy.Pairs))
 		}
 	}
 	if e.shared == nil {
@@ -199,11 +201,10 @@ func (st *runState) dropPlans() int {
 }
 
 // resolve builds one shard's plan of one iteration from the compiled body:
-// kernel durations and pair bytes from the compiler's specialization tables
-// (cr.SpecTable, which verify.CheckSpec proves equal to the geometry),
-// shard-table entries, endpoint nodes (the step lists' shards composed with
-// the runState's assignment), Real-mode temporaries and bindings, in body
-// order.
+// kernel durations from the cost argument's subregion volumes, pair bytes
+// from the overlap volumes, shard-table entries, endpoint nodes (the
+// compiled step lists' shards composed with the runState's assignment),
+// Real-mode temporaries and bindings, in body order.
 func (st *runState) resolve(sh *shard) *shardPlan {
 	sp := &shardPlan{ops: make([]planOp, 0, len(st.plan.Body))}
 	for i, op := range st.plan.Body {
@@ -247,13 +248,13 @@ func (st *runState) tempStore(tk tempKey, sub *region.Region) *region.Store {
 func (st *runState) resolveLaunch(sh *shard, op int) *launchPlan {
 	e := st.e
 	l := st.plan.Body[op].Launch
-	costVol := st.plan.Spec.Ops[op].Launch.CostVol
+	costArg := l.Args[l.Task.CostArg]
 	owned := st.plan.Owned[sh.me]
 	lp := &launchPlan{l: l, nodeID: st.nodeOfShard(sh.me), colors: make([]launchColorPlan, len(owned))}
 	for k, col := range owned {
 		cp := &lp.colors[k]
 		cp.col, cp.colIdx = col, st.plan.ColorIdx[col]
-		cp.durBase = realm.Time(l.Task.Cost(costVol[cp.colIdx]) / float64(e.Over.KernelCores))
+		cp.durBase = realm.Time(l.Task.Cost(costArg.At(col).Volume()) / float64(e.Over.KernelCores))
 		cp.args = make([]cr.Arg[realm.Event], len(l.Args))
 		if e.Mode == ir.ExecReal {
 			cp.footprints = &ir.FootprintCache{}
@@ -363,8 +364,7 @@ func (st *runState) resolveExchange(sh *shard, op int) *exchangePlan {
 			} else if n == 1 {
 				t.body = body
 			}
-			vol := st.plan.Spec.Ops[mem.Op].Copy.PairVols[mem.Pair]
-			t.bytes += vol * st.e.Over.EltBytes * int64(len(cp.Fields))
+			t.bytes += cp.Pairs[mem.Pair].Overlap.Volume() * region.EltBytes * int64(len(cp.Fields))
 		}
 	}
 	return xp

@@ -18,7 +18,7 @@ func (e *Engine) eachInstance(plan *cr.Compiled, parts []*region.Partition, fn f
 		fields := plan.InstFields[part]
 		for _, col := range plan.Domain {
 			sub := part.Sub(col)
-			fn(pi, instKey{part.ID(), col}, sub, fields, sub.Volume()*e.Over.EltBytes*int64(len(fields)))
+			fn(pi, instKey{part.ID(), col}, sub, fields, sub.Volume()*region.EltBytes*int64(len(fields)))
 		}
 	}
 }
@@ -65,7 +65,7 @@ func (e *Engine) initPhase(ctl realm.Agent, st *runState) bool {
 	for _, cp := range plan.InitCopies {
 		var evs []realm.Event
 		for _, pr := range cp.Pairs {
-			bytes := pr.Overlap.Volume() * e.Over.EltBytes * int64(len(cp.Fields))
+			bytes := pr.Overlap.Volume() * region.EltBytes * int64(len(cp.Fields))
 			var body func()
 			if e.Mode == ir.ExecReal {
 				src := st.inst[instKey{cp.Src.ID(), pr.Src}]

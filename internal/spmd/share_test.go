@@ -49,9 +49,9 @@ func TestShareSingleCapture(t *testing.T) {
 }
 
 // captureWireSize is the modeled wire size of the shared capture of the
-// one replicated loop of plans, computed from the compiler's tables rather
-// than by the engine: 8 bytes per cost-volume and pair-volume entry plus a
-// 16-byte header per body op.
+// one replicated loop of plans, computed from the compiled body rather
+// than by the engine: 8 bytes per domain color of each launch and per pair
+// of each copy plus a 16-byte header per body op.
 func captureWireSize(t *testing.T, plans map[*ir.Loop]*cr.Compiled) int64 {
 	t.Helper()
 	if len(plans) != 1 {
@@ -59,13 +59,13 @@ func captureWireSize(t *testing.T, plans map[*ir.Loop]*cr.Compiled) int64 {
 	}
 	var n int64
 	for _, plan := range plans {
-		for i, op := range plan.Body {
+		for _, op := range plan.Body {
 			n += 16
 			switch {
 			case op.Launch != nil:
-				n += 8 * int64(len(plan.Spec.Ops[i].Launch.CostVol))
+				n += 8 * int64(len(plan.Domain))
 			case op.Copy != nil:
-				n += 8 * int64(len(plan.Spec.Ops[i].Copy.PairVols))
+				n += 8 * int64(len(op.Copy.Pairs))
 			}
 		}
 	}

@@ -37,8 +37,6 @@ type Overheads struct {
 	Window int
 	// KernelCores divides kernel durations (node-granular tasks).
 	KernelCores int
-	// EltBytes is the storage size of one field of one element.
-	EltBytes int64
 	// Noise optionally scales task durations per (node, iteration) to model
 	// load imbalance and OS noise (nil = none).
 	Noise realm.NoiseFn
@@ -51,7 +49,6 @@ func DefaultOverheads(cores int) Overheads {
 		CopySetup:       realm.Microseconds(1),
 		Window:          2,
 		KernelCores:     cores,
-		EltBytes:        8,
 	}
 }
 

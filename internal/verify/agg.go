@@ -4,7 +4,7 @@ package verify
 // the license for -prune. Coalescing rewrites the exchange schedule — one
 // merged message per (producing shard, destination shard) group per
 // exchange phase instead of one message per pair — so the compiled
-// exchanges (cr.SpecTable.Exchanges) are certified two ways:
+// exchanges (cr.Compiled.Exchanges) are certified two ways:
 //
 //  1. Structurally: CheckAggTables recomputes the phase boundaries (the
 //     conflict cut) and every shard's step list (the destination binning
@@ -36,10 +36,10 @@ import (
 )
 
 // CheckAggTables validates an aggregated plan's compiled exchanges
-// (cr.SpecTable.Exchanges) against recomputeExchanges, which rebuilds them
-// from the pair lists and the ownership map (c.ShardOf) — deliberately NOT
-// from the CopySpec shard tables the compiler binned from, so a corruption
-// of either layer diverges. Recomputed from first principles:
+// (cr.Compiled.Exchanges) against recomputeExchanges, which rebuilds them
+// from the pair lists and the ownership map (c.ShardOf) alone, by a walk of
+// its own rather than the compiler's buildExchange, so a corruption of the
+// compiled table diverges. Recomputed from first principles:
 //
 //   - phase boundaries: maximal runs of consecutive copy ops whose source
 //     and destination partitions are pairwise disjoint (the conflict cut:
@@ -136,7 +136,7 @@ func aggVerdicts(rep *Report, c *cr.Compiled, races, live *Report) *Report {
 // these, since local groups never crossed the wire to begin with).
 func aggCounters(c *cr.Compiled) map[string]int64 {
 	var phases, grps, multi, merged int64
-	for i, x := range c.Spec.Exchanges {
+	for i, x := range c.Exchanges {
 		if x.End == i {
 			continue
 		}

@@ -63,8 +63,8 @@ func TestCheckAggAccepts(t *testing.T) {
 // shard and list order.
 func produceSteps(c *cr.Compiled) []*cr.ExchangeStep {
 	var out []*cr.ExchangeStep
-	for i := range c.Spec.Exchanges {
-		for _, steps := range c.Spec.Exchanges[i].Steps {
+	for i := range c.Exchanges {
+		for _, steps := range c.Exchanges[i].Steps {
 			for si := range steps {
 				if steps[si].Produce {
 					out = append(out, &steps[si])
@@ -78,7 +78,7 @@ func produceSteps(c *cr.Compiled) []*cr.ExchangeStep {
 // multiOpPhase returns the body index of the head of c's first exchange
 // spanning two or more copy ops, or -1.
 func multiOpPhase(c *cr.Compiled) int {
-	for i, x := range c.Spec.Exchanges {
+	for i, x := range c.Exchanges {
 		if x.End > i+1 {
 			return i
 		}
@@ -163,8 +163,8 @@ func TestCheckAggTablesDetectsCorruption(t *testing.T) {
 		{
 			name: "shift-phase-boundary",
 			corrupt: func(c *cr.Compiled) bool {
-				for i := range c.Spec.Exchanges {
-					if x := &c.Spec.Exchanges[i]; x.End > i && x.End < len(c.Body) {
+				for i := range c.Exchanges {
+					if x := &c.Exchanges[i]; x.End > i && x.End < len(c.Body) {
 						x.End++
 						return true
 					}
@@ -180,7 +180,7 @@ func TestCheckAggTablesDetectsCorruption(t *testing.T) {
 				if i < 0 {
 					return false
 				}
-				c.Spec.Exchanges[i].End--
+				c.Exchanges[i].End--
 				return true
 			},
 			want: "phase boundary",
@@ -192,8 +192,8 @@ func TestCheckAggTablesDetectsCorruption(t *testing.T) {
 				if i < 0 {
 					return false
 				}
-				x := &c.Spec.Exchanges[i]
-				c.Spec.Exchanges[i+1] = cr.Exchange{End: x.End, Steps: x.Steps}
+				x := &c.Exchanges[i]
+				c.Exchanges[i+1] = cr.Exchange{End: x.End, Steps: x.Steps}
 				x.End = i + 1
 				return true
 			},
@@ -203,9 +203,9 @@ func TestCheckAggTablesDetectsCorruption(t *testing.T) {
 			// Dropping a phase head moves its ops out of their phase.
 			name: "reassign-phaseof",
 			corrupt: func(c *cr.Compiled) bool {
-				for i := range c.Spec.Exchanges {
-					if c.Spec.Exchanges[i].End > i {
-						c.Spec.Exchanges[i] = cr.Exchange{End: i}
+				for i := range c.Exchanges {
+					if c.Exchanges[i].End > i {
+						c.Exchanges[i] = cr.Exchange{End: i}
 						return true
 					}
 				}
@@ -285,8 +285,8 @@ func TestCheckAggDetectsDroppedMember(t *testing.T) {
 // to another shard) into the group producing that predecessor, and reports
 // whether the plan had such a group.
 func mergeChainSplit(c *cr.Compiled) bool {
-	for i := range c.Spec.Exchanges {
-		lists := c.Spec.Exchanges[i].Steps
+	for i := range c.Exchanges {
+		lists := c.Exchanges[i].Steps
 		for s := range lists {
 			for gi, g := range lists[s] {
 				if !g.Produce || !g.Members[0].Chain {

@@ -125,17 +125,12 @@ func TestCertifySurfacesCorruptTables(t *testing.T) {
 			name, pass, kind string
 			corrupt          func(c *cr.Compiled) bool
 		}{
-			{"spec cost volume", "spec", "spec", func(c *cr.Compiled) bool {
-				for _, op := range c.Spec.Ops {
-					if op.Launch != nil {
-						op.Launch.CostVol[0]++
-						return true
-					}
-				}
-				return false
+			{"spec color index", "spec", "spec", func(c *cr.Compiled) bool {
+				c.ColorIdx[c.Owned[1][0]]++
+				return true
 			}},
 			{"agg member order", "agg", "agg-table", func(c *cr.Compiled) bool {
-				for _, x := range c.Spec.Exchanges {
+				for _, x := range c.Exchanges {
 					for _, steps := range x.Steps {
 						for _, st := range steps {
 							if m := st.Members; len(m) > 1 {

@@ -143,7 +143,7 @@ func newIndex(c *cr.Compiled) (*index, error) {
 // chained member a predecessor. Semantic divergence is CheckSpec's and
 // CheckAggTables' job; this only guards the replay itself.
 func exchangesWellFormed(c *cr.Compiled) error {
-	xs, ns := c.Spec.Exchanges, c.Opts.NumShards
+	xs, ns := c.Exchanges, c.Opts.NumShards
 	if len(xs) != len(c.Body) {
 		return fmt.Errorf("verify: %d exchanges for a %d-op body", len(xs), len(c.Body))
 	}

@@ -92,7 +92,7 @@ func TestMalformedExchangesAreErrors(t *testing.T) {
 		corrupt    func(c *cr.Compiled) bool
 	}{
 		{"member pair out of range", "outside the exchange", func(c *cr.Compiled) bool {
-			for _, x := range c.Spec.Exchanges {
+			for _, x := range c.Exchanges {
 				for _, steps := range x.Steps {
 					for _, st := range steps {
 						if st.Produce {
@@ -105,8 +105,8 @@ func TestMalformedExchangesAreErrors(t *testing.T) {
 			return false
 		}},
 		{"span over a launch", "not a copy", func(c *cr.Compiled) bool {
-			for i := range c.Spec.Exchanges {
-				if x := &c.Spec.Exchanges[i]; x.End > i && x.End < len(c.Body) && c.Body[x.End].Copy == nil {
+			for i := range c.Exchanges {
+				if x := &c.Exchanges[i]; x.End > i && x.End < len(c.Body) && c.Body[x.End].Copy == nil {
 					x.End++
 					return true
 				}

@@ -102,7 +102,7 @@ func (a *Analysis) Mutations() []Mutation {
 				out = append(out, a.barrierMutation(tag, op))
 			}
 		case c.Opts.Agg:
-			for s, steps := range c.Spec.Exchanges[ph[0]].Steps {
+			for s, steps := range c.Exchanges[ph[0]].Steps {
 				gi := 0
 				for _, st := range steps {
 					if st.Produce {
@@ -130,7 +130,7 @@ func (a *Analysis) Mutations() []Mutation {
 // pairs; its barrier deletion is still enumerated.
 func (a *Analysis) phases() [][2]int {
 	var out [][2]int
-	for i, x := range a.c.Spec.Exchanges {
+	for i, x := range a.c.Exchanges {
 		if x.End > i && (a.c.Opts.Agg || len(a.c.Body[i].Copy.Pairs) > 0) {
 			out = append(out, [2]int{i, x.End})
 		}

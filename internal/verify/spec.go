@@ -6,30 +6,27 @@ import (
 	"strings"
 
 	"repro/internal/cr"
-	"repro/internal/ir"
 	"repro/internal/region"
 )
 
-// CheckSpec statically validates the compiler's specialization tables
-// (cr.SpecTable) against an independent recomputation from the compiled
-// loop's pair lists and ownership. The tables are the only source of the
-// kernel costs, transfer sizes and exchange step lists
-// spmd.(*runState).resolve binds, so each ingredient is re-derived here
-// from first principles and compared:
+// CheckSpec statically validates the compiled plan's shard-independent
+// tables against an independent recomputation from the compiled loop's
+// pair lists and ownership. spmd.(*runState).resolve binds each shard's
+// colors by ColorIdx and walks its compiled exchange step lists
+// (cr.Compiled.Exchanges), so each is re-derived here from first
+// principles and compared:
 //
 //   - block congruence: every owned color's ColorIdx equals its dense slot
-//     in the ownership partition's running block offset (so the specialized
-//     plan binds the same collective indices and cost-table slots as direct
-//     capture);
-//   - launch cost volumes match the cost argument's subregion volumes;
-//   - pair volumes match the intersection geometry (so specialized
-//     transfer sizes equal captured ones);
+//     in the ownership partition's running block offset (so every shard
+//     binds the collective indices a direct capture would);
 //   - without Options.Agg, every shard's exchange step lists equal
 //     recomputeExchanges' (same consumer per group, same produced pairs
 //     toward the same shards, in the same order) — the lists spmd's one
 //     resolver walks, memoized or re-resolved every iteration, shared
 //     capture or not. An aggregated plan's lists are CheckAggTables'.
 //
+// Kernel costs and transfer sizes are not tables: the executor reads them
+// from the geometry (the cost argument's subregion, each pair's overlap).
 // A nil return means every resolved plan is structurally identical to one
 // derived from the geometry directly, and therefore issues the same
 // synchronization.
@@ -41,7 +38,6 @@ func CheckSpec(c *cr.Compiled) error {
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Sprintf(format, args...))
 	}
-	spec := &c.Spec
 	ns := c.Opts.NumShards
 
 	base := 0
@@ -54,32 +50,6 @@ func CheckSpec(c *cr.Compiled) error {
 		base += len(c.Owned[s])
 	}
 
-	if len(spec.Ops) != len(c.Body) {
-		fail("Ops has %d entries, want one per body op (%d)", len(spec.Ops), len(c.Body))
-	} else {
-		for i, op := range c.Body {
-			so := &spec.Ops[i]
-			switch {
-			case op.Launch != nil:
-				if so.Launch == nil {
-					fail("body op %d is a launch but has no launch spec", i)
-					continue
-				}
-				checkLaunchSpec(c, i, op.Launch, so.Launch, fail)
-			case op.Copy != nil:
-				if so.Copy == nil {
-					fail("body op %d is a copy but has no copy spec", i)
-					continue
-				}
-				checkCopySpec(op.Copy, so.Copy, fail)
-			default:
-				if so.Launch != nil || so.Copy != nil {
-					fail("scalar body op %d carries a spec", i)
-				}
-			}
-		}
-	}
-
 	if !c.Opts.Agg {
 		diffExchanges(c, recomputeExchanges(c), fail)
 	}
@@ -89,32 +59,6 @@ func CheckSpec(c *cr.Compiled) error {
 			len(errs), strings.Join(errs, "\n  "))
 	}
 	return nil
-}
-
-func checkLaunchSpec(c *cr.Compiled, i int, l *ir.Launch, ls *cr.LaunchSpec, fail func(string, ...any)) {
-	if len(ls.CostVol) != len(c.Domain) {
-		fail("body op %d cost table has %d entries, want one per domain color (%d)", i, len(ls.CostVol), len(c.Domain))
-		return
-	}
-	arg := l.Args[l.Task.CostArg]
-	for ci, col := range c.Domain {
-		if want := arg.At(col).Volume(); ls.CostVol[ci] != want {
-			fail("body op %d color %v cost volume = %d, want %d", i, col, ls.CostVol[ci], want)
-		}
-	}
-}
-
-func checkCopySpec(cp *cr.CopyOp, cs *cr.CopySpec, fail func(string, ...any)) {
-	pairs := cp.Pairs
-	if len(cs.PairVols) != len(pairs) {
-		fail("copy %d pair volume table sized %d, want %d", cp.ID, len(cs.PairVols), len(pairs))
-		return
-	}
-	for k, pr := range pairs {
-		if want := pr.Overlap.Volume(); cs.PairVols[k] != want {
-			fail("copy %d pair %d volume = %d, want %d", cp.ID, k, cs.PairVols[k], want)
-		}
-	}
 }
 
 // recomputeExchanges rebuilds every body op's exchange (cr.Exchange) from
@@ -172,7 +116,7 @@ func recomputeExchanges(c *cr.Compiled) []cr.Exchange {
 // span — whether the op heads an exchange at all, then where it ends — and
 // then every shard's step list.
 func diffExchanges(c *cr.Compiled, want []cr.Exchange, fail func(string, ...any)) {
-	got := c.Spec.Exchanges
+	got := c.Exchanges
 	if len(got) != len(want) {
 		fail("%d exchanges, want one per body op (%d)", len(got), len(want))
 		return

@@ -30,39 +30,20 @@ func TestCheckSpecAccepts(t *testing.T) {
 }
 
 // TestCheckSpecDetectsCorruption: every ingredient of the substitution —
-// the color slots, cost volumes, pair volumes and the exchange step lists
-// — is independently recomputed, so corrupting any
-// one of them must be caught.
+// the color slots and the exchange step lists — is independently
+// recomputed, so corrupting any one of them must be caught.
 func TestCheckSpecDetectsCorruption(t *testing.T) {
 	fresh := func() *cr.Compiled {
 		f := progtest.NewFigure2(48, 8, 3)
 		return compile(t, f.Prog, f.Loop, 4, cr.PointToPoint)
 	}
-	firstCopy := func(c *cr.Compiled) *cr.CopySpec {
-		for _, op := range c.Spec.Ops {
-			if op.Copy != nil {
-				return op.Copy
-			}
-		}
-		t.Fatal("compiled figure2 has no copy spec")
-		return nil
-	}
 	firstExchange := func(c *cr.Compiled) *cr.Exchange {
-		for i := range c.Spec.Exchanges {
-			if c.Spec.Exchanges[i].End > i {
-				return &c.Spec.Exchanges[i]
+		for i := range c.Exchanges {
+			if c.Exchanges[i].End > i {
+				return &c.Exchanges[i]
 			}
 		}
 		t.Fatal("compiled figure2 has no exchange")
-		return nil
-	}
-	firstLaunch := func(c *cr.Compiled) *cr.LaunchSpec {
-		for _, op := range c.Spec.Ops {
-			if op.Launch != nil {
-				return op.Launch
-			}
-		}
-		t.Fatal("compiled figure2 has no launch spec")
 		return nil
 	}
 	for _, tc := range []struct {
@@ -71,8 +52,6 @@ func TestCheckSpecDetectsCorruption(t *testing.T) {
 		want    string
 	}{
 		{"color index", func(c *cr.Compiled) { c.ColorIdx[c.Owned[1][0]]++ }, "dense slot"},
-		{"cost volume", func(c *cr.Compiled) { firstLaunch(c).CostVol[0]++ }, "cost volume"},
-		{"pair volume", func(c *cr.Compiled) { firstCopy(c).PairVols[0]++ }, "volume"},
 		{"work partition", func(c *cr.Compiled) {
 			for _, steps := range firstExchange(c).Steps {
 				if len(steps) > 0 {
