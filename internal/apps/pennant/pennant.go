@@ -150,7 +150,7 @@ func Build(cfg Config) *App {
 		shrSubs[c] = shr
 		var ghostRects []geometry.Rect
 		if x1 < xe { // right boundary column (including the corner point)
-			ghostRects = append(ghostRects, geometry.R2(xe, y0, xe, min64(ye, zy)))
+			ghostRects = append(ghostRects, geometry.R2(xe, y0, xe, min(ye, zy)))
 		}
 		if y1 < ye { // top boundary row (excluding the corner column)
 			ghostRects = append(ghostRects, geometry.R2(x0, ye, x1, ye))
@@ -164,13 +164,6 @@ func Build(cfg Config) *App {
 
 	app.buildTasks()
 	return app
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // buildTasks defines the four phases and the cycle loop.

@@ -65,7 +65,7 @@ func analyzeLoop(prog *ir.Program, loop *ir.Loop) (*loopInfo, error) {
 func (info *loopInfo) addLaunch(l *ir.Launch) error {
 	if len(info.domain) == 0 {
 		info.domain = l.Domain
-	} else if !sameDomain(info.domain, l.Domain) {
+	} else if !slices.Equal(info.domain, l.Domain) {
 		return fmt.Errorf("cr: launch %s uses a different domain than earlier launches; control replication shards one common iteration space", l.Task.Name)
 	}
 	if err := l.CheckIndependent(); err != nil {
@@ -93,16 +93,4 @@ func (info *loopInfo) addLaunch(l *ir.Launch) error {
 	}
 	info.stmts = append(info.stmts, l)
 	return nil
-}
-
-func sameDomain(a, b []geometry.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

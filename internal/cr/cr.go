@@ -381,7 +381,7 @@ func (c *Compiled) planFinalization(info *loopInfo) error {
 		seen[p] = true
 		c.WrittenDisjoint = append(c.WrittenDisjoint, p)
 		root := p.Parent().Root()
-		u := unionOf(p)
+		u := p.Union()
 		if cur, ok := covered[root]; ok {
 			covered[root] = cur.Union(u)
 		} else {
@@ -398,15 +398,11 @@ func (c *Compiled) planFinalization(info *loopInfo) error {
 	}
 	for _, p := range writtenAll {
 		root := p.Parent().Root()
-		u := unionOf(p)
+		u := p.Union()
 		got, ok := covered[root]
 		if !ok || !got.ContainsAll(u) {
 			return fmt.Errorf("cr: writes to aliased partition %s are not covered by any disjoint written partition; finalization cannot recover the region state", p.Name())
 		}
 	}
 	return nil
-}
-
-func unionOf(p *region.Partition) geometry.IndexSpace {
-	return p.Union()
 }

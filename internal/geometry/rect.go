@@ -70,7 +70,7 @@ func (r Rect) ContainsRect(s Rect) bool {
 func (r Rect) Overlaps(s Rect) bool {
 	r.Lo.mustMatch(s.Lo)
 	for i := 0; i < int(r.Lo.Dim); i++ {
-		if max64(r.Lo.C[i], s.Lo.C[i]) > min64(r.Hi.C[i], s.Hi.C[i]) {
+		if max(r.Lo.C[i], s.Lo.C[i]) > min(r.Hi.C[i], s.Hi.C[i]) {
 			return false
 		}
 	}
@@ -82,8 +82,8 @@ func (r Rect) Intersect(s Rect) Rect {
 	r.Lo.mustMatch(s.Lo)
 	out := r
 	for i := 0; i < int(r.Lo.Dim); i++ {
-		out.Lo.C[i] = max64(r.Lo.C[i], s.Lo.C[i])
-		out.Hi.C[i] = min64(r.Hi.C[i], s.Hi.C[i])
+		out.Lo.C[i] = max(r.Lo.C[i], s.Lo.C[i])
+		out.Hi.C[i] = min(r.Hi.C[i], s.Hi.C[i])
 	}
 	if out.Empty() {
 		return EmptyRect(r.Dim())
@@ -102,8 +102,8 @@ func (r Rect) Union(s Rect) Rect {
 	r.Lo.mustMatch(s.Lo)
 	out := r
 	for i := 0; i < int(r.Lo.Dim); i++ {
-		out.Lo.C[i] = min64(r.Lo.C[i], s.Lo.C[i])
-		out.Hi.C[i] = max64(r.Hi.C[i], s.Hi.C[i])
+		out.Lo.C[i] = min(r.Lo.C[i], s.Lo.C[i])
+		out.Hi.C[i] = max(r.Hi.C[i], s.Hi.C[i])
 	}
 	return out
 }
@@ -208,18 +208,4 @@ func (r Rect) appendTo(b []byte) []byte {
 	b = r.Lo.appendTo(append(b, '['))
 	b = r.Hi.appendTo(append(b, ".."...))
 	return append(b, ']')
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -99,8 +99,8 @@ func (p *Program) validateLaunch(l *Launch) error {
 // ReplicableLoopBody reports whether a loop body consists only of the
 // statement forms control replication can transform: index launches and
 // scalar statements (including nested replicable loops). This is the §2.2
-// target-program check; the engine falls back to implicit execution for
-// anything else.
+// target-program check; cr.Compile rejects anything else, and
+// spmd.CompileAll returns that error.
 func ReplicableLoopBody(body []Stmt) bool {
 	for _, s := range body {
 		switch s := s.(type) {

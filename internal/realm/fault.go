@@ -316,9 +316,6 @@ func (s *Sim) crashNode(id int) {
 	}
 	n.failed = true
 	s.crashLog = append(s.crashLog, NodeCrash{Node: id, At: s.now})
-	if s.tracer != nil {
-		s.tracer.crash(id, s.now)
-	}
 	s.Trigger(n.failEv)
 	var ts []*Thread
 	for t := range s.liveThreads {

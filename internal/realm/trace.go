@@ -8,11 +8,12 @@ import (
 
 // Tracer records the simulation's execution timeline — task spans per
 // processor and message transfers — for visualization in Chrome's
-// about:tracing or Perfetto. Attach with Sim.SetTracer before Run.
+// about:tracing or Perfetto, beside the node crashes its Sim logs. Attach
+// with Sim.SetTracer before Run.
 type Tracer struct {
-	spans   []traceSpan
-	flows   []traceFlow
-	crashes []NodeCrash
+	sim   *Sim
+	spans []traceSpan
+	flows []traceFlow
 }
 
 type traceSpan struct {
@@ -30,8 +31,14 @@ type traceFlow struct {
 // NewTracer creates an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// SetTracer attaches a tracer to the simulation (nil detaches).
-func (s *Sim) SetTracer(t *Tracer) { s.tracer = t }
+// SetTracer attaches a tracer to the simulation (nil detaches) and binds it
+// to the simulation's crash log.
+func (s *Sim) SetTracer(t *Tracer) {
+	s.tracer = t
+	if t != nil {
+		t.sim = s
+	}
+}
 
 func (t *Tracer) task(node, proc int, start, end Time) {
 	t.spans = append(t.spans, traceSpan{name: "task", node: node, proc: proc, start: start, end: end})
@@ -41,15 +48,11 @@ func (t *Tracer) message(src, dst int, bytes int64, start, end Time) {
 	t.flows = append(t.flows, traceFlow{src: src, dst: dst, bytes: bytes, start: start, end: end})
 }
 
-func (t *Tracer) crash(node int, at Time) {
-	t.crashes = append(t.crashes, NodeCrash{Node: node, At: at})
-}
-
 // Spans returns the number of recorded task spans.
 func (t *Tracer) Spans() int { return len(t.spans) }
 
-// Crashes returns the number of recorded node crashes.
-func (t *Tracer) Crashes() int { return len(t.crashes) }
+// Crashes returns the number of node crashes the tracer's Sim logged.
+func (t *Tracer) Crashes() int { return len(t.sim.crashLog) }
 
 // Messages returns the number of recorded transfers.
 func (t *Tracer) Messages() int { return len(t.flows) }
@@ -86,7 +89,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Args: map[string]string{"bytes": fmt.Sprint(fl.bytes), "dst": fmt.Sprint(fl.dst)},
 		})
 	}
-	for _, cr := range t.crashes {
+	for _, cr := range t.sim.crashLog {
 		events = append(events, chromeEvent{
 			Name: "crash", Cat: "fault", Ph: "i",
 			Ts:  cr.At.Microseconds(),

@@ -43,7 +43,7 @@ func (r *Region) Block(name string, n int64) *Partition {
 		for chunk > 0 && si < len(spans) {
 			sp := spans[si]
 			remain := sp.Volume() - spanUsed
-			take := min64(chunk, remain)
+			take := min(chunk, remain)
 			rects = append(rects, sliceSpan(sp, spanUsed, take))
 			spanUsed += take
 			chunk -= take
@@ -344,11 +344,4 @@ func mustSameParent(a, b *Partition) {
 	if !a.colorSpace.Equal(b.colorSpace) {
 		panic("region: partition set operators require matching color spaces")
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

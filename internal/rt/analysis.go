@@ -69,20 +69,6 @@ func (e *Engine) pairsBetween(src, dst *region.Partition) []pairInfo {
 	return out
 }
 
-// unionSpace returns (and caches) the union of a partition's subregions.
-// Partition.Union exploits disjointness/completeness so that only aliased
-// incomplete partitions pay for a real union — the incremental
-// union-per-subregion this used to do was the dominant cost of the whole
-// Modeled-mode analysis at large node counts.
-func (e *Engine) unionSpace(p *region.Partition) geometry.IndexSpace {
-	if is, ok := e.unionCache[p]; ok {
-		return is
-	}
-	is := p.Union()
-	e.unionCache[p] = is
-	return is
-}
-
 // depsForArg computes, for each color of the new launch's domain (indexed
 // by position in the domain slice), the dependencies the new use (not yet
 // registered) has on prior uses of the same region tree. The static
@@ -150,7 +136,7 @@ func (e *Engine) coversPartition(a, b *region.Partition) bool {
 	if v, ok := e.coverCache[key]; ok {
 		return v
 	}
-	v := e.unionSpace(a).ContainsAll(e.unionSpace(b))
+	v := a.Union().ContainsAll(b.Union())
 	e.coverCache[key] = v
 	return v
 }

@@ -70,6 +70,14 @@ func (e *Engine) siteFor(l *ir.Launch) *site {
 	return st
 }
 
+// launchPerDep is the control thread's added analysis time per dependence
+// edge a task has: 2 µs. remoteStartBytes is the size of the task-start
+// message sent to a remote node.
+const (
+	launchPerDep     realm.Time = 2000
+	remoteStartBytes int64      = 256
+)
+
 // issueLaunch performs an index launch: the per-task control-thread
 // overhead, task-start messages to remote nodes, RAW data movement, deferred
 // task execution, region-reduction instance application (§4.3), and
@@ -160,11 +168,11 @@ func (e *Engine) issueLaunch(l *ir.Launch) {
 		// the region-tree analysis component that grows with subregion
 		// count.
 		e.ctl.Elapse(e.Over.LaunchBase +
-			realm.Time(len(pres))*e.Over.LaunchPerDep +
+			realm.Time(len(pres))*launchPerDep +
 			realm.Time(numColors)*e.Over.LaunchPerSub)
 
 		if target != 0 {
-			pres = append(pres, e.Sim.CopyBytes(0, target, e.Over.RemoteStartBytes, realm.NoEvent, nil))
+			pres = append(pres, e.Sim.CopyBytes(0, target, remoteStartBytes, realm.NoEvent, nil))
 		}
 
 		dur := st.durBase[idx]

@@ -30,17 +30,12 @@ import (
 type Overheads struct {
 	// LaunchBase is the control-thread time to analyze and issue one task.
 	LaunchBase realm.Time
-	// LaunchPerDep is the added analysis time per dependence edge found.
-	LaunchPerDep realm.Time
 	// LaunchPerSub is the added analysis time per subregion of the launch's
 	// partitions (per task): the dynamic region-tree walks and epoch lists
 	// the central runtime maintains grow with the number of subregions, so
 	// implicit-mode control cost is superlinear in node count. Zero by
 	// default; the benchmark harness calibrates it per application.
 	LaunchPerSub realm.Time
-	// RemoteStartBytes is the size of the task-start message sent to a
-	// remote node.
-	RemoteStartBytes int64
 	// Window is the scheduling window in loop iterations the control thread
 	// may run ahead of completion.
 	Window int
@@ -56,11 +51,9 @@ type Overheads struct {
 // given cores per node.
 func DefaultOverheads(cores int) Overheads {
 	return Overheads{
-		LaunchBase:       realm.Microseconds(float64(cores) * 40),
-		LaunchPerDep:     realm.Microseconds(2),
-		RemoteStartBytes: 256,
-		Window:           2,
-		KernelCores:      cores,
+		LaunchBase:  realm.Microseconds(float64(cores) * 40),
+		Window:      2,
+		KernelCores: cores,
 	}
 }
 
@@ -118,7 +111,6 @@ type Engine struct {
 	env        *realm.Futures // the control thread's scalar bindings
 	ctl        realm.Agent
 	pairCache  map[pairKey][]pairInfo
-	unionCache map[*region.Partition]geometry.IndexSpace
 	coverCache map[pairKey]bool
 	iterTimes  map[*ir.Loop][]realm.Time
 	iterEvents []realm.Event // events of the current loop iteration
@@ -166,7 +158,6 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	e.users = make(map[*region.Region][]*use)
 	e.pairCache = make(map[pairKey][]pairInfo)
-	e.unionCache = make(map[*region.Partition]geometry.IndexSpace)
 	e.coverCache = make(map[pairKey]bool)
 	e.iterTimes = make(map[*ir.Loop][]realm.Time)
 	e.sites = make(map[*ir.Launch]*site)

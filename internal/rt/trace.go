@@ -6,7 +6,7 @@ import (
 	"repro/internal/region"
 )
 
-// Trace capture & replay (the rt half of the PR 3 tentpole).
+// Trace capture & replay.
 //
 // Every application in the evaluation is a time-stepping loop that launches
 // an identical task graph each iteration, so the dynamic dependence

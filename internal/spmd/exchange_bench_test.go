@@ -128,25 +128,33 @@ func TestLongRunFlatMemory(t *testing.T) {
 }
 
 // BenchmarkExchange is the executor's host cost per Modeled DES run of 16
-// memoized iterations, compiled once, over hotPathRows (run with
-// -benchmem).
+// iterations, compiled once, over hotPathRows: memoized, and re-resolved
+// every iteration (NoTrace) (run with -benchmem).
 func BenchmarkExchange(b *testing.B) {
 	for _, app := range hotPathApps {
 		for _, row := range hotPathRows {
-			b.Run(app.name+"/"+row.String(), func(b *testing.B) {
-				prog := app.build(16)
-				plans, err := spmd.CompileAll(prog, cr.Options{NumShards: 4, Sync: row.sync, Agg: row.agg})
-				if err != nil {
-					b.Fatal(err)
+			for _, noTrace := range []bool{false, true} {
+				name := app.name + "/" + row.String()
+				if noTrace {
+					name += "/notrace"
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := spmd.New(realm.MustNewSim(realm.DefaultConfig(4)), prog, ir.ExecModeled, plans).Run(); err != nil {
+				b.Run(name, func(b *testing.B) {
+					prog := app.build(16)
+					plans, err := spmd.CompileAll(prog, cr.Options{NumShards: 4, Sync: row.sync, Agg: row.agg})
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						eng := spmd.New(realm.MustNewSim(realm.DefaultConfig(4)), prog, ir.ExecModeled, plans)
+						eng.NoTrace = noTrace
+						if _, err := eng.Run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package spmd
 
 import (
+	"slices"
+
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
@@ -22,13 +24,16 @@ func (r LoopRun) Plan() *cr.Compiled { return r.st.plan }
 
 // Instance returns the Real-mode instance of part's subregion of colour col.
 func (r LoopRun) Instance(part *region.Partition, col geometry.Point) *region.Store {
-	return r.st.inst[instKey{part.ID(), col}]
+	st := r.st
+	return st.stores[st.ix.Key(int32(slices.Index(st.plan.UsedParts, part)), st.plan.ColorIdx[col])]
 }
 
 // Temps calls fn with every Real-mode reduce temporary and the launch and
 // argument it reduces.
 func (r LoopRun) Temps(fn func(l *ir.Launch, arg int, s *region.Store)) {
-	for tk, s := range r.st.temps {
-		fn(tk.launch, tk.arg, s)
+	st := r.st
+	for key := len(st.plan.UsedParts) * len(st.plan.Domain); key < st.ix.Keys(); key++ {
+		slot, _ := st.ix.Split(int32(key))
+		fn(st.ix.Slots[slot].Launch, st.ix.Slots[slot].Arg, st.stores[key])
 	}
 }

@@ -4,12 +4,12 @@ package spmd
 // an iteration. A compiled loop's body is structurally identical in every
 // iteration — the body op list, copy pair lists and shard ownership are
 // fixed at compile time — so everything a shard needs per iteration that is
-// NOT event-valued (instance-table lookups, copy pair grouping, owner nodes,
-// transfer sizes, kernel cost, Real-mode store bindings) is resolved into a
-// shardPlan by one function, resolve, and the one executor in shard.go
-// rebuilds the event graph from the plan's flat slices and instState
-// pointers. Scalar statements stay live in the executor (their values may be
-// data-dependent; only structural resolution is planned).
+// NOT event-valued (instance states by cr.Index key, copy pair grouping,
+// owner nodes, transfer sizes, kernel cost, Real-mode store bindings) is
+// resolved into a shardPlan by one function, resolve, and the one executor
+// in shard.go rebuilds the event graph from the plan's flat slices and
+// instState pointers. Scalar statements stay live in the executor (their
+// values may be data-dependent; only structural resolution is planned).
 //
 // Memoization has one rule: a shard's plan is memoized iff NoTrace is
 // unset. Then the shard resolves once per placement and every iteration
@@ -28,7 +28,8 @@ package spmd
 // argument's subregion volume, transfer size per pair the volume of the
 // overlap the intersection pass computed, and the exchange step lists are
 // the compiled ones (cr.Compiled.Exchanges, which verify.CheckSpec and
-// CheckAggTables check against a recomputation). What sharing adds is only
+// CheckAggTables check against a recomputation), bound to instances by the
+// numbering the certifier replays (cr.NewIndex). What sharing adds is only
 // accounting: the engine records the loop's shared capture once per run —
 // its modeled wire size — and counts each shard plan as a specialization
 // of it; with NoShare each shard plan counts as a per-shard capture.
@@ -45,6 +46,8 @@ package spmd
 // (one Exec.CopyBytes per node) before they re-resolve.
 
 import (
+	"fmt"
+
 	"repro/internal/cr"
 	"repro/internal/geometry"
 	"repro/internal/ir"
@@ -202,9 +205,9 @@ func (st *runState) dropPlans() int {
 
 // resolve builds one shard's plan of one iteration from the compiled body:
 // kernel durations from the cost argument's subregion volumes, pair bytes
-// from the overlap volumes, shard-table entries, endpoint nodes (the
-// compiled step lists' shards composed with the runState's assignment),
-// Real-mode temporaries and bindings, in body order.
+// from the overlap volumes, instance states and Real-mode stores by the
+// keys of the plan's cr.Index, endpoint nodes (the compiled step lists'
+// shards composed with the runState's assignment), in body order.
 func (st *runState) resolve(sh *shard) *shardPlan {
 	sp := &shardPlan{ops: make([]planOp, 0, len(st.plan.Body))}
 	for i, op := range st.plan.Body {
@@ -222,35 +225,30 @@ func (st *runState) resolve(sh *shard) *shardPlan {
 	return sp
 }
 
-// tempStore returns the Real-mode reduce temporary for tk, creating it on
-// first use with the fields of the parameter it reduces. The temps map is
-// shared across shards, so creation is locked; the returned store itself is
-// only ever touched under event ordering.
-func (st *runState) tempStore(tk tempKey, sub *region.Region) *region.Store {
-	st.mu.Lock()
-	buf, ok := st.temps[tk]
-	if !ok {
-		fields := tk.launch.Task.Params[tk.arg].Fields
-		buf = region.NewLayout(sub.IndexSpace()).NewStoreOf(st.e.Prog.FieldSpaceOf(sub), fields)
-		st.temps[tk] = buf
+// bind returns the state of the instance with the given key. Only the shard
+// owning an instance's colour touches its state — a task's shard its
+// arguments, a consumer its destinations, a producer its sources — which
+// is what lets the shards share one table; binding another shard's
+// instance would race, so it panics.
+func (sh *shard) bind(key int32) *instState {
+	if owner := sh.st.ix.Shard(key); int(owner) != sh.me {
+		panic(fmt.Sprintf("spmd: shard %d binds instance %d, which shard %d owns", sh.me, key, owner))
 	}
-	st.mu.Unlock()
-	return buf
+	return &sh.st.states[key]
 }
 
 // resolveLaunch resolves the launch at body index op over the shard's owned
 // colors: per color the kernel cost, each argument's dependence state, and
-// in Real mode the physical arguments over instance stores. Reduce
-// arguments get persistent per-(launch,arg,color) temporaries that the task
-// body re-initializes to the identity each iteration; the store is resolved
-// here rather than at body-run time because kernel bodies run concurrently
-// on the native backend and must not touch the shared temps map.
+// in Real mode the physical arguments over instance stores. A reduce
+// argument binds its persistent per-(launch, argument, color) temporary,
+// which the task body re-initializes to the identity each iteration.
 func (st *runState) resolveLaunch(sh *shard, op int) *launchPlan {
 	e := st.e
 	l := st.plan.Body[op].Launch
 	costArg := l.Args[l.Task.CostArg]
+	slots := st.ix.Args[op]
 	owned := st.plan.Owned[sh.me]
-	lp := &launchPlan{l: l, nodeID: st.nodeOfShard(sh.me), colors: make([]launchColorPlan, len(owned))}
+	lp := &launchPlan{l: l, nodeID: st.assign[sh.me], colors: make([]launchColorPlan, len(owned))}
 	for k, col := range owned {
 		cp := &lp.colors[k]
 		cp.col, cp.colIdx = col, st.plan.ColorIdx[col]
@@ -262,61 +260,46 @@ func (st *runState) resolveLaunch(sh *shard, op int) *launchPlan {
 		}
 		for ai, a := range l.Args {
 			param := l.Task.Params[ai]
-			reduce := param.Priv == ir.PrivReduce
-			if reduce {
-				cp.args[ai] = cr.Arg[realm.Event]{InstState: sh.table.getTemp(tempKey{l, ai, col}), Write: true}
-			} else {
-				cp.args[ai] = cr.Arg[realm.Event]{InstState: sh.table.get(instKey{a.Part.ID(), col}), Write: param.Priv != ir.PrivRead}
-			}
+			key := st.ix.Key(slots[ai], cp.colIdx)
+			cp.args[ai] = cr.Arg[realm.Event]{InstState: sh.bind(key), Write: param.Priv != ir.PrivRead}
 			if e.Mode != ir.ExecReal {
 				continue
 			}
-			sub := a.Part.Sub(col)
-			if !reduce {
-				cp.physArgs[ai] = ir.NewPhysArg(sub, st.inst[instKey{a.Part.ID(), col}], param)
-				continue
+			buf := st.stores[key]
+			cp.physArgs[ai] = ir.NewPhysArg(a.Part.Sub(col), buf, param)
+			if param.Priv == ir.PrivReduce {
+				fields, rop := param.Fields, param.Op
+				cp.reinits = append(cp.reinits, func() {
+					for _, f := range fields {
+						buf.Fill(f, rop.Identity())
+					}
+				})
 			}
-			buf := st.tempStore(tempKey{l, ai, col}, sub)
-			cp.physArgs[ai] = ir.NewPhysArg(sub, buf, param)
-			fields, rop := param.Fields, param.Op
-			cp.reinits = append(cp.reinits, func() {
-				for _, f := range fields {
-					buf.Fill(f, rop.Identity())
-				}
-			})
 		}
 	}
 	return lp
 }
 
 // resolveMember returns one produced pair's source instance state and its
-// Real-mode transfer body.
-func (st *runState) resolveMember(sh *shard, cp *cr.CopyOp, k int) (src *instState, body func()) {
-	pr := cp.Pairs[k]
-	realMode := st.e.Mode == ir.ExecReal
-	fields, overlap := cp.Fields, pr.Overlap
-	if cp.Reduce == region.ReduceNone {
-		src = sh.table.get(instKey{cp.Src.ID(), pr.Src})
-		if realMode {
-			from := st.inst[instKey{cp.Src.ID(), pr.Src}]
-			dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-			body = func() { copyFields(dst, from, fields, overlap) }
-		}
-		return src, body
+// Real-mode transfer body: an overwrite for a plain copy, a fold of the
+// reducing launch's temporary for a reduction copy.
+func (st *runState) resolveMember(sh *shard, m cr.AggPair) (src *instState, body func()) {
+	keys := st.ix.Body[m.Op][m.Pair]
+	src = sh.bind(keys[0])
+	if st.e.Mode != ir.ExecReal {
+		return src, nil
 	}
-	tk := tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src}
-	src = sh.table.getTemp(tk)
-	if realMode {
-		buf := st.tempStore(tk, cp.Src.Sub(pr.Src))
-		dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-		rop := cp.Reduce
-		body = func() {
-			for _, f := range fields {
-				dst.ReduceFieldFrom(buf, f, rop, overlap)
-			}
+	cp := st.plan.Body[m.Op].Copy
+	from, dst := st.stores[keys[0]], st.stores[keys[1]]
+	fields, overlap, rop := cp.Fields, cp.Pairs[m.Pair].Overlap, cp.Reduce
+	if rop == region.ReduceNone {
+		return src, func() { copyFields(dst, from, fields, overlap) }
+	}
+	return src, func() {
+		for _, f := range fields {
+			dst.ReduceFieldFrom(from, f, rop, overlap)
 		}
 	}
-	return src, body
 }
 
 // resolveExchange resolves the exchange step list starting at body index op
@@ -334,18 +317,17 @@ func (st *runState) resolveExchange(sh *shard, op int) *exchangePlan {
 		nmem += len(steps[i].Members)
 	}
 	srcs := make([]*instState, nmem)
-	srcNode := st.nodeOfShard(sh.me)
+	srcNode := st.assign[sh.me]
 	for i := range steps {
 		s, p, t := &steps[i], &xp.steps[i], &xp.xfers[i]
 		p.ExchangeStep = s
 		if !s.Produce {
-			cp := st.plan.Body[s.Op].Copy
-			p.Dst = sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[s.GroupStart].Dst})
+			p.Dst = sh.bind(st.ix.Body[s.Op][s.GroupStart][1])
 			continue
 		}
 		n := len(s.Members)
 		p.Srcs, srcs = srcs[:n:n], srcs[n:]
-		t.srcNode, t.dstNode = srcNode, st.nodeOfShard(int(s.DstShard))
+		t.srcNode, t.dstNode = srcNode, st.assign[s.DstShard]
 		var bodies []func()
 		if n > 1 && st.e.Mode == ir.ExecReal {
 			bodies = make([]func(), n)
@@ -358,7 +340,7 @@ func (st *runState) resolveExchange(sh *shard, op int) *exchangePlan {
 		for mi, mem := range s.Members {
 			cp := st.plan.Body[mem.Op].Copy
 			var body func()
-			p.Srcs[mi], body = st.resolveMember(sh, cp, int(mem.Pair))
+			p.Srcs[mi], body = st.resolveMember(sh, mem.AggPair)
 			if bodies != nil {
 				bodies[mi] = body
 			} else if n == 1 {

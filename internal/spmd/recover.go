@@ -124,12 +124,12 @@ func (e *Engine) recordRebuild(st *runState, resume int) {
 }
 
 // checkpoint is one barrier-consistent cut of a replicated loop: the
-// iteration count reached, clones of every instance store (Real mode), and
-// the replicated scalar environment. It models durable state on node 0's
-// stable storage.
+// iteration count reached, clones of every partition instance's store by
+// instance key (Real mode), and the replicated scalar environment. It
+// models durable state on node 0's stable storage.
 type checkpoint struct {
 	iter   int
-	stores map[instKey]*region.Store
+	stores []*region.Store
 	env    ir.MapEnv
 }
 
@@ -184,20 +184,19 @@ func (e *Engine) waitOrFail(ctl realm.Agent, st *runState, ev realm.Event) bool 
 // storage and (Real mode) clones the stores. Returns nil if a node failed
 // mid-checkpoint.
 func (e *Engine) takeCheckpoint(ctl realm.Agent, st *runState, iter int) *checkpoint {
-	plan := st.plan
 	e.rep().Checkpoints++
 	var evs []realm.Event
-	e.eachInstance(plan, plan.UsedParts, func(_ int, key instKey, _ *region.Region, _ []region.FieldID, bytes int64) {
-		evs = append(evs, e.Sim.CopyBytes(st.ownerNode(key.color), 0, bytes, realm.NoEvent, nil))
+	st.eachInstance(false, func(key int32, _ *region.Region, _ []region.FieldID, bytes int64) {
+		evs = append(evs, e.Sim.CopyBytes(st.ownerNode(key), 0, bytes, realm.NoEvent, nil))
 	})
 	if !e.waitOrFail(ctl, st, e.Sim.Merge(evs...)) {
 		return nil
 	}
 	cp := &checkpoint{iter: iter, env: copyEnv(st.curEnv)}
 	if e.Mode == ir.ExecReal {
-		cp.stores = make(map[instKey]*region.Store)
-		e.eachInstance(plan, plan.UsedParts, func(_ int, key instKey, _ *region.Region, _ []region.FieldID, _ int64) {
-			cp.stores[key] = st.inst[key].Clone()
+		cp.stores = make([]*region.Store, len(st.plan.UsedParts)*len(st.plan.Domain))
+		st.eachInstance(false, func(key int32, _ *region.Region, _ []region.FieldID, _ int64) {
+			cp.stores[key] = st.stores[key].Clone()
 		})
 	}
 	return cp
@@ -208,24 +207,23 @@ func (e *Engine) takeCheckpoint(ctl realm.Agent, st *runState, iter int) *checkp
 // stable storage), and resets the scalar environment. It reports false if
 // yet another node failed during the restore.
 func (e *Engine) restorePhase(ctl realm.Agent, st *runState, cp *checkpoint) bool {
-	plan := st.plan
 	st.curEnv = copyEnv(cp.env)
 	var evs []realm.Event
-	e.eachInstance(plan, plan.UsedParts, func(pi int, key instKey, _ *region.Region, _ []region.FieldID, bytes int64) {
+	st.eachInstance(false, func(key int32, _ *region.Region, _ []region.FieldID, bytes int64) {
 		if e.Mode == ir.ExecReal {
-			st.inst[key] = cp.stores[key].Clone()
+			st.stores[key] = cp.stores[key].Clone()
 		}
-		evs = append(evs, e.Sim.CopyBytes(0, st.ownerNode(key.color), bytes, realm.NoEvent, nil))
-		st.markRestored(pi, plan.ColorIdx[key.color])
+		evs = append(evs, e.Sim.CopyBytes(0, st.ownerNode(key), bytes, realm.NoEvent, nil))
+		st.markRestored(key)
 	})
 	return e.waitOrFail(ctl, st, e.Sim.Merge(evs...))
 }
 
-// degrade gives up on the loop: the last checkpoint (if any) becomes the
-// result — written back to the parent regions directly, since the
+// degrade gives up on the loop of st: the last checkpoint (if any) becomes
+// the result — written back to the parent regions directly, since the
 // checkpoint lives on node 0 beside them — and the report records the
 // partial progress. Subsequent statements of the program do not run.
-func (e *Engine) degrade(plan *cr.Compiled, trip, retries int, cp *checkpoint, times []realm.Time) {
+func (e *Engine) degrade(st *runState, trip, retries int, cp *checkpoint, times []realm.Time) {
 	rep := e.rep()
 	rep.Unrecovered = true
 	rep.TotalIters = trip
@@ -233,7 +231,7 @@ func (e *Engine) degrade(plan *cr.Compiled, trip, retries int, cp *checkpoint, t
 	if cp != nil {
 		done = cp.iter
 		if e.Mode == ir.ExecReal {
-			e.eachInstance(plan, plan.WrittenDisjoint, func(_ int, key instKey, sub *region.Region, fields []region.FieldID, _ int64) {
+			st.eachInstance(true, func(key int32, sub *region.Region, fields []region.FieldID, _ int64) {
 				copyFields(e.global[sub.Root()], cp.stores[key], fields, sub.IndexSpace())
 			})
 		}
@@ -244,7 +242,7 @@ func (e *Engine) degrade(plan *cr.Compiled, trip, retries int, cp *checkpoint, t
 	rep.CompletedIters = done
 	rep.Reason = fmt.Sprintf("spmd: recovery budget exhausted after %d restarts with %d node crashes; degraded to the checkpoint at iteration %d of %d",
 		retries, len(e.Sim.Crashes()), done, trip)
-	e.iterTimes[plan.Loop] = times[:done]
+	e.iterTimes[st.plan.Loop] = times[:done]
 	e.degraded = true
 }
 
@@ -293,7 +291,11 @@ func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 	rec := e.Recov.normalized(trip)
 	ns := plan.Opts.NumShards
 	times := make([]realm.Time, trip)
-	st := newRunState(e, plan, e.liveAssign(ns), times)
+	ix, err := cr.NewIndex(plan)
+	if err != nil {
+		panic(fmt.Sprintf("spmd: %v", err))
+	}
+	st := newRunState(e, plan, ix, e.liveAssign(ns), times)
 	var cp *checkpoint
 	retries := 0
 	needInit := true
@@ -327,7 +329,7 @@ func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 		// Without a checkpoint the rebuild starts from scratch: the failure
 		// may have landed after an epoch completed but before its first
 		// checkpoint committed (mid-capture), so the cursor rolls back to 0.
-		st = newRunState(e, plan, e.liveAssign(ns), times)
+		st = newRunState(e, plan, ix, e.liveAssign(ns), times)
 		needInit, done = cp == nil, 0
 		if cp != nil {
 			if !e.restorePhase(ctl, st, cp) {
@@ -382,7 +384,7 @@ func (e *Engine) runReplicated(ctl realm.Agent, plan *cr.Compiled) {
 			}
 		}
 		if !ok && !restart() {
-			e.degrade(plan, trip, retries, cp, times)
+			e.degrade(st, trip, retries, cp, times)
 			return
 		}
 	}

@@ -10,15 +10,23 @@ import (
 	"repro/internal/region"
 )
 
-// eachInstance calls fn with every instance of parts in plan order: the
-// part's index in parts, the instance's key, subregion and fields, and the
-// modeled bytes of moving it whole.
-func (e *Engine) eachInstance(plan *cr.Compiled, parts []*region.Partition, fn func(pi int, key instKey, sub *region.Region, fields []region.FieldID, bytes int64)) {
-	for pi, part := range parts {
+// eachInstance calls fn with every instance of the used partitions (of the
+// disjoint written ones if final), in plan order: the instance's key,
+// subregion and fields, and the modeled bytes of moving it whole.
+func (st *runState) eachInstance(final bool, fn func(key int32, sub *region.Region, fields []region.FieldID, bytes int64)) {
+	plan, parts := st.plan, st.plan.UsedParts
+	if final {
+		parts = plan.WrittenDisjoint
+	}
+	for i, part := range parts {
+		slot := int32(i)
+		if final {
+			slot = st.ix.Finals[i]
+		}
 		fields := plan.InstFields[part]
-		for _, col := range plan.Domain {
+		for ci, col := range plan.Domain {
 			sub := part.Sub(col)
-			fn(pi, instKey{part.ID(), col}, sub, fields, sub.Volume()*region.EltBytes*int64(len(fields)))
+			fn(st.ix.Key(slot, ci), sub, fields, sub.Volume()*region.EltBytes*int64(len(fields)))
 		}
 	}
 }
@@ -38,23 +46,23 @@ func copyFields(dst, src *region.Store, fields []region.FieldID, over geometry.I
 func (e *Engine) initPhase(ctl realm.Agent, st *runState) bool {
 	plan := st.plan
 	var initEvs []realm.Event
-	e.eachInstance(plan, plan.UsedParts, func(pi int, key instKey, sub *region.Region, fields []region.FieldID, bytes int64) {
+	st.eachInstance(false, func(key int32, sub *region.Region, fields []region.FieldID, bytes int64) {
 		// A certifier-licensed dead init (every read of the instance is
 		// covered by later overwrites) skips the population transfer; the
 		// store is still created so the instance exists — it stays zero
 		// until the first compiler-inserted copy lands.
-		ci := plan.ColorIdx[key.color]
-		dead := plan.Prune.SkipInit(plan.UsedParts[pi], ci)
+		slot, ci := st.ix.Split(key)
+		dead := plan.Prune.SkipInit(plan.UsedParts[slot], ci)
 		if e.Mode == ir.ExecReal {
 			store := region.NewLayout(sub.IndexSpace()).NewStoreOf(e.Prog.FieldSpaceOf(sub), fields)
 			if !dead {
 				copyFields(store, e.global[sub.Root()], fields, sub.IndexSpace())
 			}
-			st.inst[key] = store
+			st.stores[key] = store
 		}
 		if !dead {
-			initEvs = append(initEvs, e.Sim.CopyBytes(0, st.ownerNode(key.color), bytes, realm.NoEvent, nil))
-			st.markRestored(pi, ci)
+			initEvs = append(initEvs, e.Sim.CopyBytes(0, st.ownerNode(key), bytes, realm.NoEvent, nil))
+			st.markRestored(key)
 		}
 	})
 	if !e.waitOrFail(ctl, st, e.Sim.Merge(initEvs...)) {
@@ -62,19 +70,19 @@ func (e *Engine) initPhase(ctl realm.Agent, st *runState) bool {
 	}
 
 	// Hoisted loop-invariant copies run once before the shards start.
-	for _, cp := range plan.InitCopies {
+	for i, cp := range plan.InitCopies {
 		var evs []realm.Event
-		for _, pr := range cp.Pairs {
+		for k, pr := range cp.Pairs {
+			keys := st.ix.Inits[i][k]
 			bytes := pr.Overlap.Volume() * region.EltBytes * int64(len(cp.Fields))
 			var body func()
 			if e.Mode == ir.ExecReal {
-				src := st.inst[instKey{cp.Src.ID(), pr.Src}]
-				dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
+				src, dst := st.stores[keys[0]], st.stores[keys[1]]
 				fields, overlap := cp.Fields, pr.Overlap
 				body = func() { copyFields(dst, src, fields, overlap) }
 			}
 			evs = append(evs, e.Sim.CopyBytes(
-				st.ownerNode(pr.Src), st.ownerNode(pr.Dst),
+				st.ownerNode(keys[0]), st.ownerNode(keys[1]),
 				bytes, realm.NoEvent, body))
 		}
 		if !e.waitOrFail(ctl, st, e.Sim.Merge(evs...)) {
@@ -102,8 +110,8 @@ func (e *Engine) runEpoch(ctl realm.Agent, st *runState, lo, hi int) bool {
 	threads := make([]realm.Agent, ns)
 	for s := 0; s < ns; s++ {
 		s := s
-		threads[s] = e.Sim.SpawnOn(fmt.Sprintf("shard-%d", s), st.nodeOfShard(s), 0, func(th realm.Agent) {
-			sh := &shard{st: st, me: s, th: th, table: st.tables[s], baseEnv: baseEnv}
+		threads[s] = e.Sim.SpawnOn(fmt.Sprintf("shard-%d", s), st.assign[s], 0, func(th realm.Agent) {
+			sh := &shard{st: st, me: s, th: th, baseEnv: baseEnv}
 			sh.runRange(lo, hi)
 			e.Sim.Trigger(st.shardDone[s])
 		})
@@ -124,15 +132,15 @@ func (e *Engine) runEpoch(ctl realm.Agent, st *runState, lo, hi int) bool {
 // inputs rather than half-written results.
 func (e *Engine) finalizePhase(ctl realm.Agent, st *runState) bool {
 	var finEvs []realm.Event
-	e.eachInstance(st.plan, st.plan.WrittenDisjoint, func(_ int, key instKey, _ *region.Region, _ []region.FieldID, bytes int64) {
-		finEvs = append(finEvs, e.Sim.CopyBytes(st.ownerNode(key.color), 0, bytes, realm.NoEvent, nil))
+	st.eachInstance(true, func(key int32, _ *region.Region, _ []region.FieldID, bytes int64) {
+		finEvs = append(finEvs, e.Sim.CopyBytes(st.ownerNode(key), 0, bytes, realm.NoEvent, nil))
 	})
 	if !e.waitOrFail(ctl, st, e.Sim.Merge(finEvs...)) {
 		return false
 	}
 	if e.Mode == ir.ExecReal {
-		e.eachInstance(st.plan, st.plan.WrittenDisjoint, func(_ int, key instKey, sub *region.Region, fields []region.FieldID, _ int64) {
-			copyFields(e.global[sub.Root()], st.inst[key], fields, sub.IndexSpace())
+		st.eachInstance(true, func(key int32, sub *region.Region, fields []region.FieldID, _ int64) {
+			copyFields(e.global[sub.Root()], st.stores[key], fields, sub.IndexSpace())
 		})
 	}
 	return true
@@ -149,13 +157,12 @@ func (e *Engine) mergeEnv(st *runState) {
 	}
 }
 
-// shard is the per-shard execution state: the thread, the shard's block of
-// the domain, its instance table, and its replicated scalar environment.
+// shard is the per-shard execution state: the thread and its replicated
+// scalar environment.
 type shard struct {
-	st    *runState
-	me    int
-	th    realm.Agent
-	table *shardTable
+	st *runState
+	me int
+	th realm.Agent
 	// baseEnv is the replicated scalar environment at epoch entry, captured
 	// by the control thread before the shard agents start.
 	baseEnv ir.MapEnv
@@ -351,9 +358,12 @@ func (k shardSink) Link(to, from realm.Event, _ cr.EdgeID) { k.sh.st.e.Sim.Trigg
 func (k shardSink) War(op, pair int32) realm.Event  { return k.sh.st.syncEvent(k.it, op, pair, 0) }
 func (k shardSink) Done(op, pair int32) realm.Event { return k.sh.st.syncEvent(k.it, op, pair, 1) }
 
+// copySetup is the shard-thread cost to issue one transfer: 1 µs.
+const copySetup realm.Time = 1000
+
 // Begin charges one setup per transfer, not per member: batching the issue
 // overhead is half the point of coalescing.
-func (k shardSink) Begin(int) { k.sh.th.Elapse(k.sh.st.e.Over.CopySetup) }
+func (k shardSink) Begin(int) { k.sh.th.Elapse(copySetup) }
 
 // Transfer issues the step's one copy. A coalesced group of two or more
 // pairs counts toward Stats.AggGroups, and a remote one credits the

@@ -31,8 +31,6 @@ import (
 type Overheads struct {
 	// ShardLaunchBase is the shard-thread cost to issue one local task.
 	ShardLaunchBase realm.Time
-	// CopySetup is the shard-thread cost to issue one copy pair.
-	CopySetup realm.Time
 	// Window is the scheduling window in iterations for shard run-ahead.
 	Window int
 	// KernelCores divides kernel durations (node-granular tasks).
@@ -46,7 +44,6 @@ type Overheads struct {
 func DefaultOverheads(cores int) Overheads {
 	return Overheads{
 		ShardLaunchBase: realm.Microseconds(float64(cores) * 2),
-		CopySetup:       realm.Microseconds(1),
 		Window:          2,
 		KernelCores:     cores,
 	}

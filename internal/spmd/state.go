@@ -6,75 +6,39 @@ import (
 	"sync"
 
 	"repro/internal/cr"
-	"repro/internal/geometry"
 	"repro/internal/ir"
 	"repro/internal/realm"
 	"repro/internal/region"
 )
 
-// instKey identifies a partition subregion instance.
-type instKey struct {
-	part  region.PartitionID
-	color geometry.Point
-}
-
-// tempKey identifies a reduce-temporary instance: the reducing launch, the
-// argument slot, and the task color. (Keyed by launch identity, not body
-// position: the placement passes reorder the body.)
-type tempKey struct {
-	launch *ir.Launch
-	arg    int
-	color  geometry.Point
-}
-
-// instState is the shard-local dependence state of one instance.
+// instState is the dependence state of one instance: its last write and
+// the reads since.
 type instState = cr.InstState[realm.Event]
-
-// shardTable is one shard's instance-state table. Only the owning shard's
-// thread touches it (consumer-side copy processing happens on the shard
-// owning the destination), so no synchronization is needed beyond the
-// simulator's single-threaded execution.
-type shardTable struct {
-	inst map[instKey]*instState
-	temp map[tempKey]*instState
-}
-
-func newShardTable() *shardTable {
-	return &shardTable{inst: make(map[instKey]*instState), temp: make(map[tempKey]*instState)}
-}
-
-func (t *shardTable) get(k instKey) *instState     { return stateOf(t.inst, k) }
-func (t *shardTable) getTemp(k tempKey) *instState { return stateOf(t.temp, k) }
-
-// stateOf returns k's state in m, creating it on first use.
-func stateOf[K comparable](m map[K]*instState, k K) *instState {
-	s, ok := m[k]
-	if !ok {
-		s = &instState{LastWrite: realm.NoEvent}
-		m[k] = s
-	}
-	return s
-}
 
 // runState is the state shared by the shards of one replicated loop
 // execution. On the DES all access happens under the simulator's
 // deterministic single-threaded schedule; on the native backend shard
 // agents run concurrently, so the lazily-populated shared state (iteration
-// records, reduce temporaries, the loop's iteration stamps) is protected
-// by mu. Everything else is either written only before the shards start
-// (inst, tables, assign) or written by exactly one agent (curEnv by shard
-// 0, per-index slice slots by their owners).
+// records, the loop's iteration stamps) is protected by mu. Everything else
+// is either written only before the shards start (ix, assign, the stores'
+// slots) or written by exactly one agent: curEnv by shard 0, an instance's
+// state by the shard owning its colour (see bind).
 type runState struct {
 	e    *Engine
 	plan *cr.Compiled
+	ix   *cr.Index
 
-	// mu guards the lazily-created shared state below: iters, free, temps
-	// and times. Uncontended on the DES.
+	// mu guards the lazily-created shared state below: iters, free and
+	// times. Uncontended on the DES.
 	mu sync.Mutex
 
-	inst   map[instKey]*region.Store // Real mode instances
-	temps  map[tempKey]*region.Store // Real mode reduce temporaries
-	tables []*shardTable
+	// states is every instance's dependence state, zero (no write yet) until
+	// its shard issues on it, and, in Real mode, stores its physical
+	// instance, both by instance key (cr.Index). The reduce temporaries'
+	// stores are made with the table, the partitions' by the init or
+	// restore phase.
+	states []instState
+	stores []*region.Store
 
 	// Dense per-iteration synchronization positions. The compiled plan fixes
 	// every copy pair and scalar reduction of an iteration, so each
@@ -102,8 +66,8 @@ type runState struct {
 
 	// plans are the per-shard memoized iteration plans (see plan.go); nil
 	// until a shard first runs, and always nil when plans are not memoized.
-	// Rebuilt runStates (shard failover, PR 2 recovery) start empty, which
-	// is the trace invalidation: the new placement re-resolves from scratch.
+	// Rebuilt runStates (shard failover) start empty, which is the trace
+	// invalidation: the new placement re-resolves from scratch.
 	plans []*shardPlan
 
 	// times is the loop's iteration stamps, shared by every run state of
@@ -111,9 +75,10 @@ type runState struct {
 	times     []realm.Time
 	shardDone []realm.Event // created per epoch by runEpoch
 
-	// assign maps shard index to node; watch is the sorted set of assigned
-	// nodes, the ones whose failure aborts a phase — empty when recovery is
-	// off, so every phase wait is a plain one (waitOrFail).
+	// assign maps shard index to node, blockwise over the live nodes
+	// (liveAssign); watch is the sorted set of assigned nodes, the ones
+	// whose failure aborts a phase — empty when recovery is off, so every
+	// phase wait is a plain one (waitOrFail).
 	assign []int
 	watch  []int
 
@@ -140,22 +105,29 @@ type iteration struct {
 	left  int
 }
 
-func newRunState(e *Engine, plan *cr.Compiled, assign []int, times []realm.Time) *runState {
+func newRunState(e *Engine, plan *cr.Compiled, ix *cr.Index, assign []int, times []realm.Time) *runState {
 	ns := plan.Opts.NumShards
 	st := &runState{
 		e:      e,
 		plan:   plan,
-		inst:   make(map[instKey]*region.Store),
-		temps:  make(map[tempKey]*region.Store),
-		tables: make([]*shardTable, ns),
+		ix:     ix,
+		states: make([]instState, ix.Keys()),
 		iters:  make(map[int]*iteration),
 		times:  times,
 		assign: assign,
 		curEnv: copyEnv(e.env),
 		plans:  make([]*shardPlan, ns),
 	}
-	for s := range st.tables {
-		st.tables[s] = newShardTable()
+	if e.Mode == ir.ExecReal {
+		st.stores = make([]*region.Store, ix.Keys())
+		for slot := len(plan.UsedParts); slot < len(ix.Slots); slot++ {
+			t := ix.Slots[slot]
+			fields := t.Launch.Task.Params[t.Arg].Fields
+			for ci, col := range plan.Domain {
+				sub := t.Part.Sub(col)
+				st.stores[ix.Key(int32(slot), ci)] = region.NewLayout(sub.IndexSpace()).NewStoreOf(e.Prog.FieldSpaceOf(sub), fields)
+			}
+		}
 	}
 	st.indexSyncSlots()
 	if e.Recov.MaxRetries > 0 {
@@ -309,9 +281,10 @@ func (st *runState) collFor(it *iteration, l *ir.Launch, op region.ReductionOp) 
 	return c
 }
 
-// markRestored records that instance (UsedParts[pi], color index ci) was
+// markRestored records that the partition instance with the given key was
 // populated. Only the control thread calls it.
-func (st *runState) markRestored(pi, ci int) {
+func (st *runState) markRestored(key int32) {
+	pi, ci := st.ix.Split(key)
 	if st.restored == nil {
 		st.restored = make([][]bool, len(st.plan.UsedParts))
 		for i := range st.restored {
@@ -321,15 +294,7 @@ func (st *runState) markRestored(pi, ci int) {
 	st.restored[pi][ci] = true
 }
 
-// nodeOfShard maps shard s to its node. The assignment is blockwise over
-// the live nodes (one shard per node in the typical configuration, §4.2)
-// and is recomputed by the recovery layer when shards relaunch after a
-// crash.
-func (st *runState) nodeOfShard(s int) int {
-	return st.assign[s]
-}
-
-// ownerNode returns the node owning a domain color's instances.
-func (st *runState) ownerNode(c geometry.Point) int {
-	return st.nodeOfShard(st.plan.ShardOf[c])
+// ownerNode returns the node owning the instance with the given key.
+func (st *runState) ownerNode(key int32) int {
+	return st.assign[st.ix.Shard(key)]
 }

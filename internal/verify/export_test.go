@@ -38,8 +38,8 @@ func (a *Analysis) ConflictPairs() []ConflictPair {
 // non-empty. Orientation is the old two-sided triple comparison.
 func (a *Analysis) OracleConflictPairs() []ConflictPair {
 	g, accs := a.g, a.accs
-	byInst := make(map[instRef][]int)
-	var order []instRef
+	byInst := make(map[int32][]int)
+	var order []int32
 	for i := range accs {
 		r := a.refs[accs[i].inst]
 		if _, ok := byInst[r]; !ok {

@@ -211,16 +211,6 @@ func (g *graph) seqBefore(x, y nodeID) bool {
 	return x < y
 }
 
-// instRef identifies one physical instance: a partition subregion (part !=
-// nil) or a reduce temporary (launch+arg). The builder numbers each one with
-// a dense id (instID) the first time it is touched.
-type instRef struct {
-	part  *region.Partition
-	l     *ir.Launch
-	arg   int
-	color geometry.Point
-}
-
 // access is one node's touch of an instance: the fields and elements it
 // reads or writes. Reduction applications are writes (read-modify-write
 // whose order the sequential semantics fixes).
@@ -254,7 +244,7 @@ type builder struct {
 	// instance key (-1 until touched), refs is its inverse, and states holds
 	// the dependence state by instance key.
 	ids    []instID
-	refs   []instRef
+	refs   []int32
 	states []cr.InstState[nodeID]
 	accs   []access
 	// collectWar records a warOb for every war event the prune info skips.
@@ -308,8 +298,8 @@ func newBuilder(ix *index, prune *cr.PruneInfo, spare *builder) *builder {
 		}
 		b = &builder{
 			g:      &graph{nodes: make([]node, 0, nodes), edges: chunks[edge]{size: nodes}},
-			ids:    make([]instID, len(ix.spaces)*colors),
-			states: make([]cr.InstState[nodeID], len(ix.spaces)*colors),
+			ids:    make([]instID, ix.Keys()),
+			states: make([]cr.InstState[nodeID], ix.Keys()),
 			accs:   make([]access, 0, accs),
 			opsOf:  make([][]nodeID, c.Opts.NumShards),
 		}
@@ -326,7 +316,7 @@ func newBuilder(ix *index, prune *cr.PruneInfo, spare *builder) *builder {
 func (b *builder) id(key int32) instID {
 	if b.ids[key] < 0 {
 		b.ids[key] = instID(len(b.refs))
-		b.refs = append(b.refs, b.ix.ref(key))
+		b.refs = append(b.refs, key)
 	}
 	return b.ids[key]
 }
@@ -397,7 +387,7 @@ func (b *builder) build() {
 			if b.prune.SkipInit(part, c.ColorIdx[col]) {
 				continue // dead: later overwrites cover every read (prune.go)
 			}
-			b.record(init, ix.key(int32(p), ci), fields, ix.spaces[p][ci], true)
+			b.record(init, ix.Key(int32(p), ci), fields, ix.spaces[p][ci], true)
 		}
 	}
 	prev := init
@@ -406,8 +396,8 @@ func (b *builder) build() {
 		for k, pr := range cp.Pairs {
 			n := b.g.add(node{kind: kInitCopy, iter: -1, body: -1, sub: int32(k), copyID: int32(cp.ID), color: pr.Dst, shard: -1})
 			b.link(n, prev, EdgeID{})
-			b.record(n, ix.inits[i][k][0], cp.Fields, pr.Overlap, false)
-			b.record(n, ix.inits[i][k][1], cp.Fields, pr.Overlap, true)
+			b.record(n, ix.Inits[i][k][0], cp.Fields, pr.Overlap, false)
+			b.record(n, ix.Inits[i][k][1], cp.Fields, pr.Overlap, true)
 			pairs = append(pairs, n)
 		}
 		if len(pairs) > 0 {
@@ -451,9 +441,9 @@ func (b *builder) build() {
 	final := b.g.add(node{kind: kFinal, iter: int32(iters), body: 0, sub: -1, copyID: -1, shard: -1})
 	b.g.edge(loopEnd, final)
 	for i, part := range c.WrittenDisjoint {
-		fields, slot := c.InstFields[part], ix.finals[i]
+		fields, slot := c.InstFields[part], ix.Finals[i]
 		for ci := range c.Domain {
-			b.record(final, ix.key(slot, ci), fields, ix.spaces[slot][ci], false)
+			b.record(final, ix.Key(slot, ci), fields, ix.spaces[slot][ci], false)
 		}
 	}
 	b.g.succ.fill(b.g, nil, nil)
@@ -464,14 +454,14 @@ func (b *builder) build() {
 // argument's contribution lands in the task's private temporary, not the
 // partition.
 func (b *builder) doLaunch(bi int32, l *ir.Launch, iter int32) {
-	slots := b.ix.args[bi]
+	slots := b.ix.Args[bi]
 	for ci, col := range b.c.Domain {
-		sh := b.ix.shardOf[ci]
+		sh := b.ix.Shards[ci]
 		t := b.g.add(node{kind: kTask, iter: iter, body: bi, sub: 0, copyID: -1, color: col, shard: sh})
 		args := b.args[:0]
 		for ai := range l.Args {
 			param, slot := &l.Task.Params[ai], slots[ai]
-			key, write := b.ix.key(slot, ci), param.Priv != ir.PrivRead
+			key, write := b.ix.Key(slot, ci), param.Priv != ir.PrivRead
 			args = append(args, cr.Arg[nodeID]{InstState: b.state(key), Write: write})
 			b.record(t, key, param.Fields, b.ix.spaces[slot][ci], write)
 		}
@@ -533,11 +523,11 @@ func (b *builder) bind(list []cr.ExchangeStep) []cr.Step[nodeID] {
 	for i := range list {
 		st := cr.Step[nodeID]{ExchangeStep: &list[i]}
 		if !st.Produce {
-			st.Dst = b.state(b.ix.body[st.Op][st.GroupStart][1])
+			st.Dst = b.state(b.ix.Body[st.Op][st.GroupStart][1])
 		}
 		at := len(srcs)
 		for _, m := range st.Members {
-			srcs = append(srcs, &b.states[b.ix.body[m.Op][m.Pair][0]])
+			srcs = append(srcs, &b.states[b.ix.Body[m.Op][m.Pair][0]])
 		}
 		st.Srcs = srcs[at:len(srcs):len(srcs)]
 		steps = append(steps, st)
@@ -575,11 +565,11 @@ func (b *builder) sync(kind nodeKind, op, k int32) nodeID {
 	x := b.x
 	n := &x.pairs[op-x.start][k][kind-kWar] // war, then done: kDone follows kWar
 	if *n < 0 {
-		cp, owner := b.c.Body[op].Copy, b.ix.body[op][k][1]
+		cp, owner := b.c.Body[op].Copy, b.ix.Body[op][k][1]
 		if kind == kDone && b.c.Opts.Sync == cr.BarrierSync {
-			owner = b.ix.body[op][k][0]
+			owner = b.ix.Body[op][k][0]
 		}
-		*n = b.g.add(node{kind: kind, iter: x.iter, body: op, sub: k, copyID: int32(cp.ID), color: cp.Pairs[k].Dst, shard: b.ix.shard(owner)})
+		*n = b.g.add(node{kind: kind, iter: x.iter, body: op, sub: k, copyID: int32(cp.ID), color: cp.Pairs[k].Dst, shard: b.ix.Shard(owner)})
 	}
 	return *n
 }
@@ -593,7 +583,7 @@ func (k graphSink) Begin(i int) {
 	b, g, x := k.b, k.b.g, k.b.x
 	b.head, b.tail = -1, -1
 	for _, m := range k.steps[i].Members {
-		cp, keys := b.c.Body[m.Op].Copy, b.ix.body[m.Op][m.Pair]
+		cp, keys := b.c.Body[m.Op].Copy, b.ix.Body[m.Op][m.Pair]
 		pr := cp.Pairs[m.Pair]
 		mn := g.add(node{kind: kCopy, iter: x.iter, body: m.Op, sub: m.Pair, copyID: int32(cp.ID), color: pr.Dst, shard: k.shard})
 		if b.tail >= 0 {

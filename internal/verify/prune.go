@@ -107,7 +107,7 @@ func (p *planner) build(collectWar bool) *builder {
 // analysis is b's replay with its conflicts: the base's where the replay
 // cannot have changed them, enumerated otherwise.
 func (p *planner) analysis(b *builder) *Analysis {
-	a := &Analysis{c: p.ix.c, g: b.g, accs: b.accs, refs: b.refs}
+	a := &Analysis{c: p.ix.c, ix: p.ix.Index, g: b.g, accs: b.accs, refs: b.refs}
 	if p.base != nil && p.info.PrunedInits() == 0 && len(b.accs) == len(p.base.accs) {
 		a.conflicts, a.insts, a.cross = p.base.conflicts, p.base.insts, p.base.cross
 	} else {
@@ -480,7 +480,7 @@ func (p *planner) markDeadInits() {
 	reads := make([][]use, len(b.refs))
 	covers := make([][]use, len(b.refs))
 	for _, ac := range b.accs {
-		if b.refs[ac.inst].part == nil {
+		if slot, _ := p.ix.Split(b.refs[ac.inst]); p.ix.Slots[slot].Launch != nil {
 			continue // reduce temporaries are never initialized from the parent
 		}
 		nd := &g.nodes[ac.n]
@@ -501,7 +501,7 @@ func (p *planner) markDeadInits() {
 	for pi, part := range c.UsedParts {
 		for ci, col := range c.Domain {
 			var rs, ws []use // none for an instance the replay never touched
-			if id := b.ids[p.ix.key(int32(pi), ci)]; id >= 0 {
+			if id := b.ids[p.ix.Key(int32(pi), ci)]; id >= 0 {
 				rs, ws = reads[id], covers[id]
 			}
 			dead := true

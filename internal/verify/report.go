@@ -91,10 +91,11 @@ func (a *Analysis) finding(kind string, cf conflict) Finding {
 		lo, hi = l, e
 	}
 	overlap := lo.space.Intersect(hi.space)
+	inst, fields := a.instance(a.refs[e.inst], region.CommonFields(lo.fields, hi.fields))
 	return Finding{
 		Kind:       kind,
-		Instance:   a.instName(a.refs[e.inst]),
-		Fields:     a.fieldNames(a.refs[e.inst], region.CommonFields(lo.fields, hi.fields)),
+		Instance:   inst,
+		Fields:     fields,
 		Overlap:    overlap.String(),
 		Elems:      overlap.Volume(),
 		CrossShard: a.g.crossShard(e.n, l.n),
@@ -103,30 +104,23 @@ func (a *Analysis) finding(kind string, cf conflict) Finding {
 	}
 }
 
-func (a *Analysis) instName(r instRef) string {
-	if r.part != nil {
-		return fmt.Sprintf("%s[%v]", r.part.Name(), r.color)
-	}
-	name := r.l.Label
-	if name == "" {
-		name = r.l.Task.Name
-	}
-	return fmt.Sprintf("reduce-temp(%s/%d)[%v]", name, r.arg, r.color)
-}
-
-func (a *Analysis) fieldNames(r instRef, fields []region.FieldID) []string {
-	var root *region.Region
-	if r.part != nil {
-		root = r.part.Parent()
-	} else {
-		root = r.l.Args[r.arg].Part.Parent()
-	}
-	fs := a.c.Prog.FieldSpaceOf(root)
-	out := make([]string, len(fields))
+// instance names the instance with the given key and the given fields of it.
+func (a *Analysis) instance(key int32, fields []region.FieldID) (string, []string) {
+	slot, ci := a.ix.Split(key)
+	r, col := a.ix.Slots[slot], a.c.Domain[ci]
+	fs := a.c.Prog.FieldSpaceOf(r.Part.Parent())
+	names := make([]string, len(fields))
 	for i, f := range fields {
-		out[i] = fs.Name(f)
+		names[i] = fs.Name(f)
 	}
-	return out
+	if r.Launch == nil {
+		return fmt.Sprintf("%s[%v]", r.Part.Name(), col), names
+	}
+	name := r.Launch.Label
+	if name == "" {
+		name = r.Launch.Task.Name
+	}
+	return fmt.Sprintf("reduce-temp(%s/%d)[%v]", name, r.Arg, col), names
 }
 
 func (a *Analysis) opRef(ac access) OpRef {

@@ -64,9 +64,10 @@ import (
 // CheckLivenessMutated fill a buffer the Analysis keeps: one at a time.
 type Analysis struct {
 	c            *cr.Compiled
+	ix           *cr.Index
 	g            *graph
 	accs         []access
-	refs         []instRef // instID -> identity
+	refs         []int32 // instID -> instance key
 	conflicts    chunks[conflict]
 	insts, cross int // instances with an access; conflicts across two shards
 	mutated      successors
