@@ -120,6 +120,10 @@ func (r *RootArgs) execLaunch(env MapEnv, l *Launch) {
 			}
 		}
 	}
+	// Every buffer is folded: hand them back for the next run to re-fill.
+	for idx, inst := range r.sites[l].insts {
+		inst.spare = bufs[idx]
+	}
 	if l.Reduce != nil {
 		env[l.Reduce.Into] = folded
 	}
@@ -130,8 +134,11 @@ func (r *RootArgs) execLaunch(env MapEnv, l *Launch) {
 // resolving each instance's arguments once: a launch site issues the same
 // instances every iteration, so what depends only on the instance (each
 // argument's footprint in its root store, the layout of each reduce
-// buffer, the footprints kernels resolve over several arguments) is kept,
-// and an iteration allocates only its reduce buffers. A site is the launch
+// buffer, the footprints kernels resolve over several arguments) is kept.
+// The sequential interpreter hands an instance's reduce buffers back once
+// it has folded them, and its next run re-fills them; the implicit
+// runtime, whose fold is an asynchronous copy, hands none back, so each of
+// its runs allocates fresh ones. A site is the launch
 // statement under the partitions its arguments name: a scalar statement may
 // swap one mid-loop, and the repartitioned launch resolves fresh instances.
 // Stores must not change once Ctx has been called. Ctx is not safe for
@@ -148,17 +155,19 @@ type rootSite struct {
 
 type rootInstance struct {
 	// args holds the resolved arguments; a reduce argument's Store is nil
-	// here and a fresh buffer over layouts[ai] in each context.
+	// here and a buffer over layouts[ai] in each context.
 	args       []PhysArg
 	layouts    []*region.Layout
 	footprints FootprintCache
+	spare      []*region.Store // reduce buffers handed back once folded, by argument
 }
 
 // Ctx returns a context for task idx of launch l: read and read-write
-// arguments wrap their root store, and every reduce argument gets a fresh
+// arguments wrap their root store, and every reduce argument gets an
 // identity-initialized buffer over its subregion, holding only the
 // parameter's fields, returned in bufs by argument (nil when the task has
-// no reduce argument).
+// no reduce argument). The buffers are the ones handed back to the
+// instance after its last fold, if any, and fresh otherwise.
 func (r *RootArgs) Ctx(l *Launch, idx int, scalars []float64) (ctx *TaskCtx, bufs []*region.Store) {
 	if r.sites == nil {
 		r.sites = make(map[*Launch]*rootSite)
@@ -191,16 +200,23 @@ func (r *RootArgs) Ctx(l *Launch, idx int, scalars []float64) (ctx *TaskCtx, buf
 		site.insts[idx] = inst
 	}
 	ctx = &TaskCtx{Color: l.Domain[idx], Scalars: scalars, Args: inst.args, Footprints: &inst.footprints}
+	spare := inst.spare
+	inst.spare = nil
 	for ai, layout := range inst.layouts {
 		if layout == nil {
 			continue
 		}
 		if bufs == nil {
-			bufs = make([]*region.Store, len(l.Args))
+			if bufs = spare; bufs == nil {
+				bufs = make([]*region.Store, len(l.Args))
+			}
 			ctx.Args = append([]PhysArg(nil), inst.args...)
 		}
 		param := l.Task.Params[ai]
-		buf := layout.NewStoreOf(r.Stores[inst.args[ai].Region.Root()].FieldSpace(), param.Fields)
+		buf := bufs[ai]
+		if buf == nil {
+			buf = layout.NewStoreOf(r.Stores[inst.args[ai].Region.Root()].FieldSpace(), param.Fields)
+		}
 		for _, f := range param.Fields {
 			buf.Fill(f, param.Op.Identity())
 		}

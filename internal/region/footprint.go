@@ -13,7 +13,8 @@ import (
 // once — for a layout, for one task argument, or for a run of consecutive
 // task arguments (a task's private/shared/ghost view of one collection) —
 // so that the per-point work left for a kernel's inner loop is a bounds
-// check against the last span hit and, on a miss, a binary search.
+// check against the last span hit and, on a miss, a bucket lookup on the
+// first coordinate and a binary search over the few spans it leaves.
 //
 // A point contained in several parts resolves to the first of them, in the
 // order the parts were given; a point in none of them panics. A Footprint
@@ -21,9 +22,18 @@ import (
 // last-hit cache lives with the caller, in a Cursor.
 type Footprint struct {
 	dim   int8
-	spans []fspan               // pairwise disjoint, sorted by lo
-	parts []geometry.IndexSpace // what each part contributes, for diagnostics
+	shift uint8 // bucket width is 1<<shift first coordinates
+	x0    int64 // spans[0].lo[0]
+	// bucket[b] counts the spans whose lo[0] is below x0 + b<<shift; the
+	// last entry is len(spans). Nil for a footprint of at most fewSpans.
+	bucket []int32
+	spans  []fspan               // pairwise disjoint, sorted by lo
+	parts  []geometry.IndexSpace // what each part contributes, for diagnostics
 }
+
+// fewSpans is the span count up to which a footprint has no bucket table:
+// its binary search takes at most a few steps.
+const fewSpans = 8
 
 // Part is one argument of a footprint: the points it contributes and the
 // layout of the store that holds them. Over must be contained in the
@@ -46,14 +56,11 @@ type fspan struct {
 	dim    int8
 }
 
-// slot returns p's storage slot if p lies in the span: containment and
-// offset in one pass, without a loop so that it inlines.
-func (s *fspan) slot(p *geometry.Point) (int64, bool) {
+// contains reports whether p lies in the span, in one pass without a loop
+// so that it inlines.
+func (s *fspan) contains(p *geometry.Point) bool {
 	d0, d1, d2 := p.C[0]-s.lo[0], p.C[1]-s.lo[1], p.C[2]-s.lo[2]
-	if uint64(d0) > s.ext[0] || uint64(d1) > s.ext[1] || uint64(d2) > s.ext[2] || p.Dim != s.dim {
-		return 0, false
-	}
-	return s.base + d0*s.stride[0] + d1*s.stride[1] + d2*s.stride[2], true
+	return uint64(d0) <= s.ext[0] && uint64(d1) <= s.ext[1] && uint64(d2) <= s.ext[2] && p.Dim == s.dim
 }
 
 func (s *fspan) rect() geometry.Rect {
@@ -140,8 +147,37 @@ func NewFootprint(parts ...Part) *Footprint {
 			}
 		}
 	}
-	slices.SortFunc(fp.spans, byLo)
+	fp.indexSpans()
 	return fp
+}
+
+// indexSpans sorts the spans by lower corner and, past fewSpans, builds the
+// bucket table over the first coordinate: at most two entries per span, so
+// its size depends on the span count, not on the coordinates' extent.
+// Offsets are taken as uint64 differences from x0, the smallest lo[0], so
+// they are exact across the whole int64 range.
+func (fp *Footprint) indexSpans() {
+	spans := fp.spans
+	slices.SortFunc(spans, byLo)
+	n := len(spans)
+	if n <= fewSpans {
+		return
+	}
+	fp.x0 = spans[0].lo[0]
+	last := uint64(spans[n-1].lo[0]) - uint64(fp.x0)
+	for last>>fp.shift >= uint64(2*n) { // at most 2n buckets
+		fp.shift++
+	}
+	nb := int(last>>fp.shift) + 1
+	fp.bucket = make([]int32, nb+1)
+	j := 0
+	for b := 0; b < nb; b++ {
+		for j < n && (uint64(spans[j].lo[0])-uint64(fp.x0))>>fp.shift < uint64(b) {
+			j++
+		}
+		fp.bucket[b] = int32(j)
+	}
+	fp.bucket[nb] = int32(n)
 }
 
 // byLo orders spans by lexicographic lower bound.
@@ -161,13 +197,25 @@ func before(a, b *[geometry.MaxDim]int64) bool {
 // find returns the span containing p, or nil, by binary search for the
 // last span starting at or before p and a scan back from it: in one
 // dimension disjoint sorted intervals leave one candidate; in more, a span
-// that starts on an earlier row can still contain p.
+// that starts on an earlier row can still contain p. The bucket of p's
+// first coordinate brackets the search: every span counted below it starts
+// before p, and every span past it after p, so the bracketed search ends
+// where the full one does.
 func (fp *Footprint) find(p *geometry.Point) *fspan {
 	if p.Dim != fp.dim {
 		panic(fmt.Sprintf("geometry: dimension mismatch %d vs %d", p.Dim, fp.dim))
 	}
 	spans := fp.spans
 	lo, hi := 0, len(spans)
+	if fp.bucket != nil {
+		if x := p.C[0]; x < fp.x0 {
+			hi = 0
+		} else if b := (uint64(x) - uint64(fp.x0)) >> fp.shift; b < uint64(len(fp.bucket)-1) {
+			lo, hi = int(fp.bucket[b]), int(fp.bucket[b+1])
+		} else {
+			lo = hi
+		}
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if before(&p.C, &spans[mid].lo) {
@@ -177,7 +225,7 @@ func (fp *Footprint) find(p *geometry.Point) *fspan {
 		}
 	}
 	for j := lo - 1; j >= 0; j-- {
-		if _, ok := spans[j].slot(p); ok {
+		if spans[j].contains(p) {
 			return &spans[j]
 		}
 		if fp.dim == 1 {
@@ -230,7 +278,8 @@ func (c *Cursor) Locate(p *geometry.Point) (part int, slot int64) {
 		s = c.seek(p)
 	}
 	for {
-		// fspan.slot, by hand: it is too large to inline.
+		// Containment and offset in one pass, by hand: a method returning
+		// both would be too large to inline.
 		d0, d1, d2 := p.C[0]-s.lo[0], p.C[1]-s.lo[1], p.C[2]-s.lo[2]
 		if uint64(d0) <= s.ext[0] && uint64(d1) <= s.ext[1] && uint64(d2) <= s.ext[2] && p.Dim == s.dim {
 			return int(s.part), s.base + d0*s.stride[0] + d1*s.stride[1] + d2*s.stride[2]

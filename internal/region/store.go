@@ -2,7 +2,6 @@ package region
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/geometry"
 )
@@ -23,7 +22,7 @@ func NewLayout(is geometry.IndexSpace) *Layout {
 	for i := range l.fp.spans {
 		l.fp.spans[i] = layoutSpan(is.Span(i))
 	}
-	slices.SortFunc(l.fp.spans, byLo)
+	l.fp.indexSpans()
 	for i := range l.fp.spans {
 		sp := &l.fp.spans[i]
 		sp.base = l.total
